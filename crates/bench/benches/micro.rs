@@ -4,10 +4,8 @@
 //! routing, hash-list membership, and Zipfian sampling.
 //!
 //! This is a self-contained wall-clock harness (`harness = false`) so the
-//! tier-1 verify needs no external benchmarking framework; the off-by-default
-//! `criterion` cargo feature is reserved for plugging the external harness
-//! back in where registry access is available. Wall-clock time is permitted
-//! here — the bench crate is measurement tooling, not part of the
+//! tier-1 verify needs no external benchmarking framework. Wall-clock time
+//! is permitted here — the bench crate is measurement tooling, not part of the
 //! virtual-time simulation (which `xtask lint` keeps `std::time`-free).
 
 use std::hint::black_box;

@@ -1,12 +1,12 @@
-//! Shared experiment plumbing: scaled device configurations, standard
-//! warm-up/measure runs, and result bookkeeping.
+//! Shared experiment plumbing: scaled device configurations, the scan
+//! recipe, and result bookkeeping.
 
 use std::path::{Path, PathBuf};
 
 use anykey_core::{DeviceConfig, EngineKind, MetadataStats, RunReport};
 use anykey_metrics::report::fmt_ns;
 use anykey_metrics::{Csv, Table};
-use anykey_workload::{KeyDist, WorkloadSpec};
+use anykey_workload::WorkloadSpec;
 
 /// Experiment scale knobs. Defaults reproduce the paper's ratios on a
 /// 128 MiB device (the paper's 64 GB scaled down, DRAM at the same 0.1% ratio).
@@ -146,63 +146,6 @@ impl ExpCtx {
             trace: false,
             timeline_interval_ns: 0,
         }
-    }
-
-    /// Builds a device, warms it up with the workload's keyspace, runs the
-    /// measured phase with the paper's default mix (Zipfian 0.99, 20 %
-    /// writes), and returns the summary.
-    ///
-    /// Serial convenience over [`crate::scheduler::execute_point`] — the
-    /// experiment modules declare [`crate::scheduler::Point`]s instead and
-    /// let the scheduler run them; this remains for diagnostics (`probe`).
-    pub fn run_standard(&self, kind: EngineKind, spec: WorkloadSpec) -> Summary {
-        self.run_with(kind, spec, KeyDist::default(), 0.2, None)
-    }
-
-    /// `run_standard` with an explicit distribution, write ratio, and
-    /// optional device-config override.
-    pub fn run_with(
-        &self,
-        kind: EngineKind,
-        spec: WorkloadSpec,
-        dist: KeyDist,
-        write_ratio: f64,
-        cfg_override: Option<DeviceConfig>,
-    ) -> Summary {
-        let point = crate::scheduler::Point::with_key(
-            String::new(),
-            "adhoc",
-            kind,
-            spec,
-            crate::scheduler::RunKind::Measure(crate::scheduler::MeasureSpec {
-                dist,
-                write_ratio,
-                cfg: cfg_override,
-                ..Default::default()
-            }),
-        );
-        let r = crate::scheduler::execute_point(self, &point);
-        if let Some(note) = r.note {
-            eprintln!("{note}");
-        }
-        r.summary
-    }
-
-    /// Runs a scan-centric variant (Figure 18): half the requests are
-    /// scans of `scan_len` keys, at a reduced op count (scans are heavy).
-    pub fn run_scans(&self, kind: EngineKind, spec: WorkloadSpec, scan_len: u32) -> Summary {
-        let point = crate::scheduler::Point::with_key(
-            String::new(),
-            "adhoc",
-            kind,
-            spec,
-            crate::scheduler::RunKind::Measure(self.scan_recipe(spec, scan_len)),
-        );
-        let r = crate::scheduler::execute_point(self, &point);
-        if let Some(note) = r.note {
-            eprintln!("{note}");
-        }
-        r.summary
     }
 
     /// The Figure 18 scan recipe: 50 % scans of `scan_len` keys, measured

@@ -32,8 +32,6 @@ pub mod fig19;
 pub mod fig2;
 /// Multi-tenant workload mix experiment.
 pub mod multitenant;
-/// Diagnostic probe runs (not a paper figure; imperative, not scheduled).
-pub mod probe;
 /// Device-size scalability sweep.
 pub mod scalability;
 /// Table 1: workload characteristics.

@@ -21,7 +21,7 @@ use anykey_bench::ExpCtx;
 fn usage() -> ! {
     eprintln!(
         "usage: anykey-bench <experiment|all> [options]\n\
-         experiments: {} probe\n\
+         experiments: {}\n\
          options:\n\
            --capacity-mb N   device capacity in MiB (default 64)\n\
            --fill F          warm-up fill fraction (default 0.55)\n\
@@ -44,10 +44,10 @@ fn usage() -> ! {
 }
 
 /// One requested experiment and the slice of the global point list it
-/// declared (empty for the imperative `probe`).
+/// declared.
 struct PlanEntry {
     id: String,
-    exp: Option<&'static Experiment>,
+    exp: &'static Experiment,
     range: std::ops::Range<usize>,
 }
 
@@ -182,14 +182,6 @@ fn main() {
     let mut plan: Vec<PlanEntry> = Vec::new();
     let mut points: Vec<Point> = Vec::new();
     for id in &ids {
-        if id == "probe" {
-            plan.push(PlanEntry {
-                id: id.clone(),
-                exp: None,
-                range: points.len()..points.len(),
-            });
-            continue;
-        }
         let Some(exp) = experiments::by_id(id) else {
             eprintln!("unknown experiment '{id}'");
             usage();
@@ -198,7 +190,7 @@ fn main() {
         points.extend((exp.points)(&ctx));
         plan.push(PlanEntry {
             id: id.clone(),
-            exp: Some(exp),
+            exp,
             range: start..points.len(),
         });
     }
@@ -215,10 +207,7 @@ fn main() {
 
     for entry in &plan {
         println!("## {}", entry.id);
-        match entry.exp {
-            Some(exp) => (exp.render)(&ctx, &run.results[entry.range.clone()]),
-            None => experiments::probe::run(&ctx),
-        }
+        (entry.exp.render)(&ctx, &run.results[entry.range.clone()]);
     }
 
     let summary = build_summary(&ctx, &points, &run);

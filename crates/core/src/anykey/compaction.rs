@@ -36,22 +36,21 @@ impl AnyKeyStore {
     /// Flushes the write buffer into L1 (an L0→L1 compaction), securing
     /// value-log space first and cascading tree compactions afterwards.
     pub(crate) fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
-        if self.buffer.is_empty() {
+        if self.core.buffer.is_empty() {
             return Ok(at);
         }
         #[cfg(feature = "trace")]
-        let snap = self.span_snapshot();
+        let snap = self.core.span_snapshot();
         let mut t = self.gc_if_needed(at)?;
 
         // Secure log space for the incoming values (log-triggered
         // compaction trigger, Section 4.4.3).
-        let need = self.buffer.pending_value_bytes();
+        let need = self.core.buffer.pending_value_bytes();
         if self.log.is_some() && need > 0 {
             let mut rounds = 0usize;
             while self.log.as_ref().is_some_and(|l| l.would_overflow(need)) {
                 rounds += 1;
                 if rounds > self.levels.len() + 2 {
-                    self.debug_full("log relief made no progress");
                     return Err(KvError::DeviceFull);
                 }
                 // Escalate to unconditional inlining if θ-capped rounds
@@ -62,13 +61,13 @@ impl AnyKeyStore {
 
         // Assemble entities; values go to the value log first (Section
         // 4.4.2), or inline for AnyKey−.
-        let entries = self.buffer.drain();
+        let entries = self.core.buffer.drain();
         let mut ents = Vec::with_capacity(entries.len());
         let mut t_log = t;
         for (key, be) in entries {
             let loc = match self.log.as_mut() {
                 Some(log) if !be.tombstone && be.value_len > 0 => {
-                    let (ptr, done) = log.append(&mut self.flash, be.value_len, t)?;
+                    let (ptr, done) = log.append(&mut self.core.flash, be.value_len, t)?;
                     t_log = t_log.max(done);
                     ValueLoc::Logged(ptr)
                 }
@@ -90,7 +89,7 @@ impl AnyKeyStore {
         // the L0->L1 merge lands.
         self.maintain(t_ack)?;
         #[cfg(feature = "trace")]
-        self.push_span(snap, "flush", "buffer", 0, at, t_ack);
+        self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
         #[cfg(any(test, feature = "strict-invariants"))]
         self.verify_invariants()?;
         Ok(t_ack)
@@ -114,7 +113,7 @@ impl AnyKeyStore {
 
     fn ensure_next_level(&mut self, i: usize) {
         if i + 1 == self.levels.len() {
-            let threshold = self.levels[i].threshold * self.cfg.level_ratio;
+            let threshold = self.levels[i].threshold * self.core.cfg.level_ratio;
             self.levels.push(Level::new(threshold));
         }
     }
@@ -154,7 +153,7 @@ impl AnyKeyStore {
                     let log = self.log.as_mut().ok_or(KvError::Internal {
                         context: "log-triggered compaction requires a log",
                     })?;
-                    let (_, tr) = log.reclaim(&mut self.flash, t)?;
+                    let (_, tr) = log.reclaim(&mut self.core.flash, t)?;
                     t = tr;
                     // Deep levels own the oldest log blocks; stop as soon
                     // as enough space is free so the hot upper-level
@@ -187,7 +186,7 @@ impl AnyKeyStore {
                     l.logged_bytes
                 } else {
                     let dst = &self.levels[i + 1];
-                    let room = ((self.cfg.theta * dst.threshold as f64) as u64)
+                    let room = ((self.core.cfg.theta * dst.threshold as f64) as u64)
                         .saturating_sub(l.phys_bytes + dst.phys_bytes);
                     room.min(l.logged_bytes + dst.logged_bytes)
                 };
@@ -240,7 +239,7 @@ impl AnyKeyStore {
             // level (the compaction-chain case); escalated rounds inline
             // everything.
             let policy = if self.is_plus() && !escalate {
-                let budget = (self.cfg.theta * self.levels[src + 1].threshold as f64) as u64;
+                let budget = (self.core.cfg.theta * self.levels[src + 1].threshold as f64) as u64;
                 InlinePolicy::InlineUntil(budget)
             } else {
                 InlinePolicy::InlineAll
@@ -250,15 +249,7 @@ impl AnyKeyStore {
         let log = self.log.as_mut().ok_or(KvError::Internal {
             context: "log-triggered compaction requires a log",
         })?;
-        let (freed, t) = log.reclaim(&mut self.flash, t)?;
-        if std::env::var("ANYKEY_DEBUG").is_ok() {
-            eprintln!(
-                "log-triggered: src={src} last={last} escalate={escalate} freed={}KB log_free={}KB levels={}",
-                freed >> 10,
-                self.log.as_ref().map(|l| l.free_bytes() >> 10).unwrap_or(0),
-                self.levels.len()
-            );
-        }
+        let (_, t) = log.reclaim(&mut self.core.flash, t)?;
         // Base AnyKey: the inlined values may push the destination over its
         // threshold, immediately triggering a tree compaction — the
         // "compaction chain" of Figure 9a. AnyKey+'s θ cap makes this a
@@ -275,7 +266,7 @@ impl AnyKeyStore {
     /// steady state) are not rewritten.
     pub(crate) fn inline_rewrite_level(&mut self, li: usize, at: Ns) -> Result<Ns, KvError> {
         #[cfg(feature = "trace")]
-        let snap = self.span_snapshot();
+        let snap = self.core.span_snapshot();
         // Pass 1: collect pages to read.
         let mut read_ppas: Vec<Ppa> = Vec::new();
         for g in &self.levels[li].groups {
@@ -293,7 +284,10 @@ impl AnyKeyStore {
         }
         read_ppas.sort_unstable();
         read_ppas.dedup();
-        let t_read = self.flash.read_many(read_ppas, OpCause::CompactionRead, at);
+        let t_read = self
+            .core
+            .flash
+            .read_many(read_ppas, OpCause::CompactionRead, at);
 
         // Pass 2: free the touched groups and collect their entities.
         let old = std::mem::take(&mut self.levels[li].groups);
@@ -323,7 +317,7 @@ impl AnyKeyStore {
             runs.push(ents);
             if self.area.release(g.first_ppa.block, pages)? {
                 t_erase = t_erase.max(self.area.erase_empty(
-                    &mut self.flash,
+                    &mut self.core.flash,
                     g.first_ppa.block,
                     t_read,
                 )?);
@@ -333,7 +327,11 @@ impl AnyKeyStore {
         // Pass 3: rebuild and place.
         let mut t_write = t_read;
         for ents in runs {
-            for c in pack_groups(ents, self.page_payload, self.cfg.group_pages.max(2)) {
+            for c in pack_groups(
+                ents,
+                self.core.page_payload,
+                self.core.cfg.group_pages.max(2),
+            ) {
                 let (ppa, td) =
                     self.place_group(c.total_pages(), OpCause::CompactionWrite, t_read)?;
                 t_write = t_write.max(td);
@@ -347,10 +345,11 @@ impl AnyKeyStore {
         self.levels[li].recount();
         self.levels[li].invalid_logged = 0;
         self.rebalance_dram();
-        let done = t_write.max(t_erase) + count * self.cfg.cpu.sort_ns_per_entity;
+        let done = t_write.max(t_erase) + count * self.core.cfg.cpu.sort_ns_per_entity;
         let done = done.max(self.gc_if_needed(done)?);
         #[cfg(feature = "trace")]
-        self.push_span(snap, "compaction", "inline-rewrite", li as u32, at, done);
+        self.core
+            .push_span(snap, "compaction", "inline-rewrite", li as u32, at, done);
         Ok(done)
     }
 
@@ -364,7 +363,7 @@ impl AnyKeyStore {
         at: Ns,
     ) -> Result<Ns, KvError> {
         #[cfg(feature = "trace")]
-        let snap = self.span_snapshot();
+        let snap = self.core.span_snapshot();
         #[cfg(feature = "trace")]
         let span_label = match policy {
             InlinePolicy::Keep => "keep",
@@ -377,10 +376,11 @@ impl AnyKeyStore {
         let growth_blocks = match &src {
             Source::Flush(ents) => {
                 let bytes: u64 = ents.iter().map(Entity::stored_bytes).sum();
-                (bytes / self.flash.geometry().block_bytes()) as usize + 2
+                (bytes / self.core.flash.geometry().block_bytes()) as usize + 2
             }
             Source::Level(si) => {
-                (self.levels[*si].logged_bytes / self.flash.geometry().block_bytes()) as usize + 2
+                (self.levels[*si].logged_bytes / self.core.flash.geometry().block_bytes()) as usize
+                    + 2
             }
         };
         let at = self.gc_for_headroom(at, growth_blocks)?.max(at);
@@ -417,7 +417,10 @@ impl AnyKeyStore {
             .flat_map(|g| g.content.iter_key_order().copied())
             .collect();
         let dst_inv = std::mem::take(&mut self.levels[dst].invalid_logged);
-        let t_read = self.flash.read_many(read_ppas, OpCause::CompactionRead, at);
+        let t_read = self
+            .core
+            .flash
+            .read_many(read_ppas, OpCause::CompactionRead, at);
 
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
@@ -512,7 +515,7 @@ impl AnyKeyStore {
                                 context: "logged value without a log",
                             })?;
                             if let Ok((new_ptr, done)) =
-                                log.append(&mut self.flash, e.value_len, t_read)
+                                log.append(&mut self.core.flash, e.value_len, t_read)
                             {
                                 log_read_ppas
                                     .extend(crate::anykey::valuelog::ValueLog::ptr_pages(ptr));
@@ -531,6 +534,7 @@ impl AnyKeyStore {
         // Value reads on behalf of a compaction are compaction traffic
         // (Table 3 semantics) and run at background priority.
         let t_log = self
+            .core
             .flash
             .read_many(log_read_ppas, OpCause::CompactionRead, t_read);
         let t_inputs = t_read.max(t_log).max(t_wb);
@@ -544,7 +548,7 @@ impl AnyKeyStore {
                     let pages = g.content.total_pages();
                     if store.area.release(g.first_ppa.block, pages)? {
                         done = done.max(store.area.erase_empty(
-                            &mut store.flash,
+                            &mut store.core.flash,
                             g.first_ppa.block,
                             t,
                         )?);
@@ -559,7 +563,11 @@ impl AnyKeyStore {
 
         // --- 5. Build and place the new groups. ------------------------
         let merged_count = merged.len() as u64;
-        let contents = pack_groups(merged, self.page_payload, self.cfg.group_pages.max(2));
+        let contents = pack_groups(
+            merged,
+            self.core.page_payload,
+            self.core.cfg.group_pages.max(2),
+        );
         let mut t_write = t_inputs;
         let mut new_groups = Vec::with_capacity(contents.len());
         for c in contents {
@@ -583,10 +591,11 @@ impl AnyKeyStore {
         self.rebalance_dram();
 
         // --- 7. CPU merge-sort cost and GC headroom. --------------------
-        let done = t_write.max(t_erase) + merged_count * self.cfg.cpu.sort_ns_per_entity;
+        let done = t_write.max(t_erase) + merged_count * self.core.cfg.cpu.sort_ns_per_entity;
         let done = done.max(self.gc_if_needed(done)?);
         #[cfg(feature = "trace")]
-        self.push_span(snap, "compaction", span_label, dst as u32, at, done);
+        self.core
+            .push_span(snap, "compaction", span_label, dst as u32, at, done);
         Ok(done)
     }
 }

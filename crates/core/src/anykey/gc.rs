@@ -197,17 +197,20 @@ impl AnyKeyStore {
         'place: loop {
             attempts += 1;
             if attempts > MAX_PLACE_ATTEMPTS {
-                self.debug_full("group placement kept failing");
                 return Err(KvError::DeviceFull);
             }
             let first = self.area.place(pages)?;
             for i in 0..pages {
-                let r = self.flash.program(first.offset(i), cause, at);
+                let r = self.core.flash.program(first.offset(i), cause, at);
                 done = done.max(r.done);
                 if !r.status.is_ok() {
                     let sealed_empty = self.area.release(first.block, pages)?;
                     if sealed_empty || self.area.valid_in(first.block) == 0 {
-                        done = done.max(self.area.erase_empty(&mut self.flash, first.block, at)?);
+                        done = done.max(self.area.erase_empty(
+                            &mut self.core.flash,
+                            first.block,
+                            at,
+                        )?);
                     }
                     continue 'place;
                 }
@@ -232,25 +235,15 @@ impl AnyKeyStore {
     /// the transient headroom a large compaction needs before its source
     /// blocks free up.
     pub(crate) fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
-        let reserve = self.cfg.reserve_blocks as usize + extra;
+        let reserve = self.core.cfg.reserve_blocks as usize + extra;
         let mut t = at;
         let mut guard = 0usize;
         while self.area.free_blocks() < reserve {
-            let Some((victim, _count)) = self.area.victim() else {
-                self.debug_full("gc has no victim");
+            let Some((victim, _)) = self.area.victim() else {
                 return Err(KvError::DeviceFull);
             };
             guard += 1;
-            if std::env::var("ANYKEY_DEBUG").is_ok() && guard % 16 == 0 {
-                eprintln!(
-                    "  gc iter {guard}: free={} victim={victim} pages={_count}",
-                    self.area.free_blocks()
-                );
-            }
             if guard > self.area.total_blocks() * 2 {
-                self.debug_full(&format!(
-                    "gc made no progress: reserve={reserve} last victim {victim} count={_count}"
-                ));
                 return Err(KvError::DeviceFull);
             }
             t = self.relocate_block(victim, t)?;
@@ -258,25 +251,10 @@ impl AnyKeyStore {
         Ok(t)
     }
 
-    pub(crate) fn debug_full(&self, why: &str) {
-        if std::env::var("ANYKEY_DEBUG").is_ok() {
-            let groups: usize = self.levels.iter().map(|l| l.groups.len()).sum();
-            let phys: u64 = self.levels.iter().map(|l| l.phys_bytes).sum();
-            eprintln!(
-                "AnyKey device-full ({why}): free_blocks={} total={} groups={groups} phys={}MB log_valid={}KB log_free={}KB",
-                self.area.free_blocks(),
-                self.area.total_blocks(),
-                phys >> 20,
-                self.log.as_ref().map(|l| l.valid_bytes() >> 10).unwrap_or(0),
-                self.log.as_ref().map(|l| l.free_bytes() >> 10).unwrap_or(0),
-            );
-        }
-    }
-
     /// Relocates every group of `victim` to fresh space and erases it.
     fn relocate_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         #[cfg(feature = "trace")]
-        let snap = self.span_snapshot();
+        let snap = self.core.span_snapshot();
         // Find the groups living in the victim block.
         let mut homes: Vec<(usize, usize)> = Vec::new();
         for (li, level) in self.levels.iter().enumerate() {
@@ -291,7 +269,7 @@ impl AnyKeyStore {
         for &(li, gi) in &homes {
             read_ppas.extend(self.levels[li].groups[gi].all_ppas());
         }
-        let t_read = self.flash.read_many(read_ppas, OpCause::GcRead, at);
+        let t_read = self.core.flash.read_many(read_ppas, OpCause::GcRead, at);
 
         // Rewrite them and patch the level-list PPAs.
         let mut done = t_read;
@@ -304,9 +282,9 @@ impl AnyKeyStore {
             self.area.release(victim, pages)?;
         }
         debug_assert_eq!(self.area.valid_in(victim), 0);
-        done = done.max(self.area.erase_empty(&mut self.flash, victim, done)?);
+        done = done.max(self.area.erase_empty(&mut self.core.flash, victim, done)?);
         #[cfg(feature = "trace")]
-        self.push_span(snap, "gc", "relocate", 0, at, done);
+        self.core.push_span(snap, "gc", "relocate", 0, at, done);
         #[cfg(any(test, feature = "strict-invariants"))]
         self.verify_invariants()?;
         Ok(done)

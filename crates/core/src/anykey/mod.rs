@@ -16,9 +16,7 @@ pub mod valuelog;
 #[cfg(test)]
 mod tests;
 
-use std::collections::HashMap;
-
-use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
+use anykey_flash::{FlashCounters, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 use anykey_metrics::trace::PhaseBreakdown;
 #[cfg(feature = "trace")]
@@ -26,9 +24,8 @@ use anykey_metrics::trace::TraceEvent;
 use anykey_workload::Op;
 
 use crate::audit::AuditError;
-use crate::buffer::{BufEntry, WriteBuffer};
 use crate::config::{DeviceConfig, EngineKind};
-use crate::dram::DramBudget;
+use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
 use crate::error::KvError;
 use crate::key::Key;
@@ -47,29 +44,11 @@ use valuelog::ValueLog;
 /// inline values or log pointers) and the value log.
 #[derive(Debug)]
 pub struct AnyKeyStore {
-    pub(crate) cfg: DeviceConfig,
-    pub(crate) flash: FlashSim,
-    pub(crate) buffer: WriteBuffer,
+    pub(crate) core: DeviceCore,
     pub(crate) levels: Vec<Level>,
     pub(crate) area: GroupArea,
     pub(crate) log: Option<ValueLog>,
-    pub(crate) dram: DramBudget,
-    pub(crate) page_payload: u64,
-    /// Live logical state: key id → value length (for unique-byte
-    /// accounting; the engine's query path never consults this).
-    live: HashMap<u64, u32>,
-    live_bytes: u64,
     level_list_overflow: bool,
-    /// Completion time of the in-flight flush (L0 is double-buffered: a
-    /// put that fills the buffer stalls only if the previous flush is
-    /// still running).
-    flush_done: Ns,
-    /// Recorded background spans (flush/compaction/GC) while tracing.
-    #[cfg(feature = "trace")]
-    spans: Vec<TraceEvent>,
-    /// Next span id (unique per tracing session).
-    #[cfg(feature = "trace")]
-    span_seq: u64,
 }
 
 impl AnyKeyStore {
@@ -80,104 +59,33 @@ impl AnyKeyStore {
     /// Panics if the configuration selects the PinK engine.
     pub fn new(cfg: DeviceConfig) -> Self {
         assert_ne!(cfg.engine, EngineKind::Pink, "use PinkStore for PinK");
-        let flash = FlashSim::new(cfg.flash);
-        let geometry = cfg.flash.geometry;
+        let core = DeviceCore::new(cfg);
+        let geometry = core.cfg.flash.geometry;
         let total_blocks = geometry.blocks();
-        let log_blocks = (cfg.value_log_bytes.div_ceil(geometry.block_bytes())) as u32;
+        let log_blocks = (core.cfg.value_log_bytes.div_ceil(geometry.block_bytes())) as u32;
         assert!(
             log_blocks < total_blocks,
             "value log ({log_blocks} blocks) must leave room for groups ({total_blocks} total)"
         );
-        let group_range = 0..(total_blocks - log_blocks);
-        let page_payload = cfg.page_payload() as u64;
-        // Under fault injection both regions allocate least-erased-first so
-        // wear (and the wear-dependent error rates) spreads evenly.
-        let wear_aware = cfg.flash.fault.is_enabled();
         let log = (log_blocks > 0).then(|| {
-            let mut la = BlockAllocator::new(total_blocks - log_blocks..total_blocks);
-            la.set_wear_aware(wear_aware);
-            ValueLog::new(la, page_payload, geometry.pages_per_block)
+            let la = core.allocator(total_blocks - log_blocks..total_blocks);
+            ValueLog::new(la, core.page_payload, geometry.pages_per_block)
         });
-        let mut ga = BlockAllocator::new(group_range);
-        ga.set_wear_aware(wear_aware);
-        let dram = DramBudget::new(
-            cfg.dram_bytes,
-            cfg.write_buffer_bytes.min(cfg.dram_bytes / 2),
-        );
+        let ga = core.allocator(0..(total_blocks - log_blocks));
         Self {
-            buffer: WriteBuffer::new(cfg.write_buffer_bytes),
-            levels: vec![Level::new(cfg.write_buffer_bytes * cfg.level_ratio)],
+            levels: vec![Level::new(
+                core.cfg.write_buffer_bytes * core.cfg.level_ratio,
+            )],
             area: GroupArea::new(ga, geometry.pages_per_block),
             log,
-            dram,
-            page_payload,
-            live: HashMap::new(),
-            live_bytes: 0,
             level_list_overflow: false,
-            flush_done: 0,
-            #[cfg(feature = "trace")]
-            spans: Vec::new(),
-            #[cfg(feature = "trace")]
-            span_seq: 0,
-            flash,
-            cfg,
+            core,
         }
-    }
-
-    /// Snapshot of total flash page reads/writes, taken at the start of a
-    /// background span; `None` when tracing is off so span bookkeeping
-    /// costs nothing on untraced runs.
-    #[cfg(feature = "trace")]
-    pub(crate) fn span_snapshot(&self) -> Option<(u64, u64)> {
-        self.flash
-            .is_tracing()
-            .then(|| (self.counters_pages_read(), self.counters_pages_written()))
-    }
-
-    #[cfg(feature = "trace")]
-    fn counters_pages_read(&self) -> u64 {
-        self.flash.counters().total_reads()
-    }
-
-    #[cfg(feature = "trace")]
-    fn counters_pages_written(&self) -> u64 {
-        self.flash.counters().total_writes()
-    }
-
-    /// Records a completed background span against a [`Self::span_snapshot`]
-    /// taken before the work; a `None` snapshot (tracing off) is a no-op.
-    #[cfg(feature = "trace")]
-    pub(crate) fn push_span(
-        &mut self,
-        snap: Option<(u64, u64)>,
-        kind: &str,
-        label: &str,
-        level: u32,
-        start: Ns,
-        end: Ns,
-    ) {
-        let Some((r0, w0)) = snap else { return };
-        let id = self.span_seq;
-        self.span_seq += 1;
-        self.spans.push(TraceEvent::Span {
-            kind: kind.to_string(),
-            label: label.to_string(),
-            level,
-            id,
-            start,
-            end,
-            pages_read: self.counters_pages_read().saturating_sub(r0),
-            pages_written: self.counters_pages_written().saturating_sub(w0),
-        });
     }
 
     /// Whether this instance runs the AnyKey+ compaction enhancement.
     pub(crate) fn is_plus(&self) -> bool {
-        self.cfg.engine == EngineKind::AnyKeyPlus
-    }
-
-    fn make_key(&self, id: u64) -> Result<Key, KvError> {
-        Key::new(id, self.cfg.key_len)
+        self.core.cfg.engine == EngineKind::AnyKeyPlus
     }
 
     /// Metadata-only probe: which level currently holds `key`, and how many
@@ -216,83 +124,38 @@ impl AnyKeyStore {
         tombstone: bool,
         at: Ns,
     ) -> Result<OpOutcome, KvError> {
-        let key = self.make_key(id)?;
+        let key = self.core.make_key(id)?;
         // Invalid-log accounting: the version this put supersedes (if any,
         // and not still in the buffer) leaves dead value bytes in the log.
-        if self.log.is_some() && self.buffer.get(&key).is_none() {
+        if self.log.is_some() && self.core.buffer.get(&key).is_none() {
             if let Some((li, logged)) = self.probe_logged(key, key.hash32()) {
                 if logged > 0 {
                     self.levels[li].invalid_logged += logged;
                 }
             }
         }
-        self.buffer.insert(
-            key,
-            BufEntry {
-                value_len,
-                tombstone,
-            },
-        );
-        // Live logical state.
-        if tombstone {
-            if let Some(old) = self.live.remove(&id) {
-                self.live_bytes -= key.len() as u64 + old as u64;
-            }
-        } else {
-            match self.live.insert(id, value_len) {
-                Some(old) => {
-                    self.live_bytes = self.live_bytes - old as u64 + value_len as u64;
-                }
-                None => self.live_bytes += key.len() as u64 + value_len as u64,
-            }
+        let start = self.core.buffer_put(key, value_len, tombstone, at);
+        if let Some(start) = start {
+            self.core.flush_done = self.flush(start)?;
         }
-
-        let mut done = at + self.cfg.cpu.hash_ns + self.cfg.cpu.dram_op_ns;
-        if self.buffer.is_full() {
-            // Double-buffered L0: the triggering put is acknowledged once
-            // the buffer swaps, but it stalls first if the previous flush
-            // is still in flight — the device's write-stall behaviour.
-            let start = at.max(self.flush_done);
-            self.flush_done = self.flush(start)?;
-            done = start + self.cfg.cpu.hash_ns + self.cfg.cpu.dram_op_ns;
-        }
-        // CPU cost is the only attributed phase; a flush stall (done being
-        // pushed past the CPU cost) lands in queue_wait via the residual.
-        let mut phases = PhaseBreakdown {
-            engine: self.cfg.cpu.hash_ns + self.cfg.cpu.dram_op_ns,
-            ..PhaseBreakdown::default()
-        };
-        phases.finish(done - at);
-        Ok(OpOutcome {
-            issued_at: at,
-            done_at: done,
-            found: true,
-            flash_reads: 0,
-            phases,
-        })
+        let cpu = self.core.cfg.cpu.hash_ns + self.core.cfg.cpu.dram_op_ns;
+        Ok(put_outcome(at, start, cpu))
     }
 
     fn do_get(&mut self, id: u64, at: Ns) -> Result<OpOutcome, KvError> {
-        let key = self.make_key(id)?;
+        let key = self.core.make_key(id)?;
         let hash = key.hash32();
-        let mut t = at + self.cfg.cpu.hash_ns;
+        let mut t = at + self.core.cfg.cpu.hash_ns;
         let mut reads = 0u32;
         let mut phases = PhaseBreakdown {
-            engine: self.cfg.cpu.hash_ns,
+            engine: self.core.cfg.cpu.hash_ns,
             ..PhaseBreakdown::default()
         };
 
-        if let Some(e) = self.buffer.get(&key) {
-            let done = t + self.cfg.cpu.dram_op_ns;
-            phases.engine += self.cfg.cpu.dram_op_ns;
-            phases.finish(done - at);
-            return Ok(OpOutcome {
-                issued_at: at,
-                done_at: done,
-                found: !e.tombstone,
-                flash_reads: 0,
-                phases,
-            });
+        if let Some(e) = self.core.buffer.get(&key) {
+            let done = t + self.core.cfg.cpu.dram_op_ns;
+            phases.engine += self.core.cfg.cpu.dram_op_ns;
+            return Ok(outcome(at, done, !e.tombstone, 0, phases));
         }
 
         for li in 0..self.levels.len() {
@@ -315,7 +178,7 @@ impl AnyKeyStore {
             loop {
                 let ppa = self.levels[li].groups[gi].data_ppa(p);
                 let before = t;
-                t = self.flash.read(ppa, OpCause::HostRead, t).done;
+                t = self.core.flash.read(ppa, OpCause::HostRead, t).done;
                 phases.data_read += t - before;
                 reads += 1;
                 let (found, span_ppas) = {
@@ -335,17 +198,10 @@ impl AnyKeyStore {
                     // Inline values may spill into following pages.
                     reads += span_ppas.len() as u32;
                     let before = t;
-                    t = self.flash.read_many(span_ppas, OpCause::HostRead, t);
+                    t = self.core.flash.read_many(span_ppas, OpCause::HostRead, t);
                     phases.data_read += t - before;
                     if tombstone {
-                        phases.finish(t - at);
-                        return Ok(OpOutcome {
-                            issued_at: at,
-                            done_at: t,
-                            found: false,
-                            flash_reads: reads,
-                            phases,
-                        });
+                        return Ok(outcome(at, t, false, reads, phases));
                     }
                     let done = match loc {
                         ValueLoc::Inline => t,
@@ -354,19 +210,12 @@ impl AnyKeyStore {
                             let log = self.log.as_ref().ok_or(KvError::Internal {
                                 context: "logged value without a log",
                             })?;
-                            let d = log.read_value(&mut self.flash, ptr, OpCause::LogRead, t);
+                            let d = log.read_value(&mut self.core.flash, ptr, OpCause::LogRead, t);
                             phases.log_read += d - t;
                             d
                         }
                     };
-                    phases.finish(done - at);
-                    return Ok(OpOutcome {
-                        issued_at: at,
-                        done_at: done,
-                        found: true,
-                        flash_reads: reads,
-                        phases,
-                    });
+                    return Ok(outcome(at, done, true, reads, phases));
                 }
                 let g = &self.levels[li].groups[gi].content;
                 let first = g.page_first_hash[p];
@@ -377,16 +226,9 @@ impl AnyKeyStore {
                 break;
             }
         }
-        let done = t + self.cfg.cpu.dram_op_ns;
-        phases.engine += self.cfg.cpu.dram_op_ns;
-        phases.finish(done - at);
-        Ok(OpOutcome {
-            issued_at: at,
-            done_at: done,
-            found: false,
-            flash_reads: reads,
-            phases,
-        })
+        let done = t + self.core.cfg.cpu.dram_op_ns;
+        phases.engine += self.core.cfg.cpu.dram_op_ns;
+        Ok(outcome(at, done, false, reads, phases))
     }
 
     fn do_scan(
@@ -395,208 +237,73 @@ impl AnyKeyStore {
         len: u32,
         at: Ns,
     ) -> Result<(Vec<u64>, OpOutcome), KvError> {
-        let start = self.make_key(start_id)?;
-        let want = len as usize;
-
-        // Per-level candidate collection, newest first: (key, level,
-        // tombstone, data ppa, log pages).
-        struct Cand {
-            key: Key,
-            level: usize,
-            tombstone: bool,
-            data_ppa: Ppa,
-            log_pages: Vec<Ppa>,
-        }
-
-        // Tombstones and cross-level duplicates consume candidates, so a
-        // fixed per-level budget can truncate a level before the merge has
-        // enough survivors; retry with a doubled budget until every capped
-        // level's frontier covers the emitted range.
-        let mut budget = want;
-        let (mut dir_ppas, mut cands): (Vec<Ppa>, Vec<Cand>);
-        loop {
-            dir_ppas = Vec::new();
-            cands = Vec::new();
-            let mut frontier: Vec<Option<Key>> = Vec::new(); // last key of capped levels
-            for (li, level) in self.levels.iter().enumerate() {
+        let start = self.core.make_key(start_id)?;
+        // Candidates carry their data page and value location; the index
+        // pages are the group directory pages the collection walked
+        // (Section 4.4.5).
+        let (levels, page_payload) = (&self.levels, self.core.page_payload);
+        let plan = self.core.scan(
+            start,
+            len as usize,
+            levels.len(),
+            |li, budget, cands, pages| {
+                let level = &levels[li];
                 let mut taken = 0usize;
                 let mut gi = level.scan_start(start);
                 while taken < budget && gi < level.groups.len() {
                     let g = &level.groups[gi];
-                    // The device reads the group's directory page(s) to
-                    // walk keys in order (Section 4.4.5).
                     let from = g.content.dir_lower_bound(start);
                     if from < g.content.dir.len() {
-                        dir_ppas.push(g.dir_ppa(from, self.page_payload));
+                        pages.push(g.dir_ppa(from, page_payload));
                     }
-                    for idx in from..g.content.dir.len() {
-                        if taken >= budget {
-                            break;
-                        }
-                        let (p, s) = g.content.dir[idx];
+                    for &(p, s) in g.content.dir[from..].iter().take(budget - taken) {
                         let e = g.content.entity(p, s);
-                        let log_pages = match e.loc {
-                            ValueLoc::Logged(ptr) => ValueLog::ptr_pages(ptr).collect(),
-                            ValueLoc::Inline => Vec::new(),
-                        };
-                        cands.push(Cand {
+                        cands.push(ScanCand {
                             key: e.key,
                             level: li,
                             tombstone: e.tombstone,
-                            data_ppa: g.data_ppa(p as usize),
-                            log_pages,
+                            payload: (g.data_ppa(p as usize), e.loc),
                         });
                         taken += 1;
                     }
                     gi += 1;
                 }
-                frontier.push(if taken >= budget {
-                    cands.last().map(|c| c.key)
-                } else {
-                    None
-                });
-            }
-            // The merge may only emit keys below every capped level's
-            // frontier; check how many survivors (newest version not a
-            // tombstone) that range yields and retry with more candidates
-            // if a capped level could hide part of the requested range.
-            let limit = frontier.iter().flatten().min().copied();
-            let reachable = {
-                let mut newest: std::collections::BTreeMap<Key, (usize, bool)> =
-                    std::collections::BTreeMap::new();
-                for c in &cands {
-                    if limit.is_none_or(|l| c.key <= l) {
-                        let e = newest.entry(c.key).or_insert((c.level, c.tombstone));
-                        if c.level < e.0 {
-                            *e = (c.level, c.tombstone);
-                        }
-                    }
-                }
-                for (k, be) in self.buffer.range_from(start) {
-                    if limit.is_none_or(|l| *k <= l) {
-                        newest.insert(*k, (0, be.tombstone));
-                    }
-                }
-                newest.values().filter(|&&(_, t)| !t).count()
-            };
-            if limit.is_none() || reachable >= want || budget >= want * 64 {
-                break;
-            }
-            budget *= 2;
-        }
-        let limit = {
-            // Recompute the final frontier bound for the merge clamp.
-            let mut lims: Vec<Key> = Vec::new();
-            let mut idx = 0usize;
-            for (li, _) in self.levels.iter().enumerate() {
-                let lvl_cands: Vec<&Cand> = cands.iter().filter(|c| c.level == li).collect();
-                if lvl_cands.len() >= budget {
-                    if let Some(c) = lvl_cands.last() {
-                        lims.push(c.key);
-                    }
-                }
-                idx += 1;
-            }
-            let _ = idx;
-            lims.into_iter().min()
-        };
-
-        // Merge: buffer (level usize::MAX priority → treat separately),
-        // then levels (lower index = newer).
-        let mut chosen: Vec<(Key, Option<Cand>)> = Vec::new();
-        {
-            let mut buf_iter = self.buffer.range_from(start).peekable();
-            cands.sort_by(|a, b| a.key.cmp(&b.key).then(a.level.cmp(&b.level)));
-            let i = 0;
-            while chosen.len() < want && (i < cands.len() || buf_iter.peek().is_some()) {
-                let next_level_key = cands.get(i).map(|c| c.key);
-                let next_buf_key = buf_iter.peek().map(|(k, _)| **k);
-                let key = match (next_buf_key, next_level_key) {
-                    (Some(b), Some(l)) => b.min(l),
-                    (Some(b), None) => b,
-                    (None, Some(l)) => l,
-                    (None, None) => break,
-                };
-                if limit.is_some_and(|l| key > l) {
-                    // A capped level's unexplored range could hide smaller
-                    // keys; never emit beyond its frontier.
-                    break;
-                }
-                let mut tombstone = None;
-                if next_buf_key == Some(key) {
-                    let (_, e) = buf_iter.next().ok_or(KvError::Internal {
-                        context: "peeked buffer entry vanished mid-scan",
-                    })?;
-                    tombstone = Some(e.tombstone);
-                }
-                // Take the newest level candidate for this key; skip the
-                // rest.
-                let mut newest: Option<Cand> = None;
-                while i < cands.len() && cands[i].key == key {
-                    let c = cands.remove(i);
-                    if newest.is_none() {
-                        newest = Some(c);
-                    }
-                }
-                match tombstone {
-                    Some(true) => {}                         // deleted in buffer
-                    Some(false) => chosen.push((key, None)), // value in DRAM
-                    None => match newest {
-                        Some(c) if c.tombstone => {}
-                        Some(c) => chosen.push((key, Some(c))),
-                        None => {}
-                    },
-                }
-            }
-        }
+                Ok(taken)
+            },
+        )?;
 
         // Flash timing: directory pages first, then data + log pages.
-        let mut t = at + self.cfg.cpu.hash_ns;
-        let mut reads = 0u32;
+        let t0 = at + self.core.cfg.cpu.hash_ns;
         let mut phases = PhaseBreakdown {
-            engine: self.cfg.cpu.hash_ns,
+            engine: self.core.cfg.cpu.hash_ns,
             ..PhaseBreakdown::default()
         };
-        dir_ppas.sort_unstable();
-        dir_ppas.dedup();
-        reads += dir_ppas.len() as u32;
-        let before = t;
-        t = self.flash.read_many(dir_ppas, OpCause::HostRead, t);
-        phases.data_read += t - before;
+        let (t, dir_reads) = self.core.read_set(plan.index_pages, OpCause::HostRead, t0);
+        phases.data_read += t - t0;
         let mut data_ppas: Vec<Ppa> = Vec::new();
         let mut log_ppas: Vec<Ppa> = Vec::new();
-        for (_, cand) in &chosen {
-            if let Some(c) = cand {
-                data_ppas.push(c.data_ppa);
-                log_ppas.extend(c.log_pages.iter().copied());
+        for &(_, payload) in &plan.hits {
+            if let Some((data_ppa, loc)) = payload {
+                data_ppas.push(data_ppa);
+                if let ValueLoc::Logged(ptr) = loc {
+                    log_ppas.extend(ValueLog::ptr_pages(ptr));
+                }
             }
         }
-        data_ppas.sort_unstable();
-        data_ppas.dedup();
-        log_ppas.sort_unstable();
-        log_ppas.dedup();
-        reads += (data_ppas.len() + log_ppas.len()) as u32;
-        let t_data = self.flash.read_many(data_ppas, OpCause::HostRead, t);
-        let t_log = self.flash.read_many(log_ppas, OpCause::LogRead, t);
+        let (t_data, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
+        let (t_log, log_reads) = self.core.read_set(log_ppas, OpCause::LogRead, t);
         let done = t_data.max(t_log);
         // Data and log reads overlap; attribute the critical path — data
         // reads in full, log reads only for the tail they add past them —
         // so the phases still sum exactly to the latency.
         phases.data_read += t_data - t;
         phases.log_read += done - t_data;
-        phases.finish(done - at);
-
-        let ids: Vec<u64> = chosen.iter().map(|(k, _)| k.id()).collect();
-        let found = !ids.is_empty();
-        Ok((
-            ids,
-            OpOutcome {
-                issued_at: at,
-                done_at: done,
-                found,
-                flash_reads: reads,
-                phases,
-            },
+        Ok(scan_outcome(
+            &plan.hits,
+            at,
+            done,
+            dir_reads + data_reads + log_reads,
+            phases,
         ))
     }
 
@@ -604,13 +311,13 @@ impl AnyKeyStore {
     /// granted top level first until the metadata budget runs out
     /// (Section 4.2).
     pub(crate) fn rebalance_dram(&mut self) {
-        self.dram.clear_claims();
+        self.core.dram.clear_claims();
         let level_lists: u64 = self.levels.iter().map(Level::meta_bytes).sum();
-        if !self.dram.try_claim(level_lists) {
+        if !self.core.dram.try_claim(level_lists) {
             // AnyKey's design keeps level lists DRAM-resident by
             // construction; record if a configuration ever violates it.
             self.level_list_overflow = true;
-            self.dram.metadata_used = self.dram.metadata_budget();
+            self.core.dram.metadata_used = self.core.dram.metadata_budget();
             for level in &mut self.levels {
                 for g in &mut level.groups {
                     g.hash_list_resident = false;
@@ -624,7 +331,7 @@ impl AnyKeyStore {
             for g in &mut level.groups {
                 if exhausted {
                     g.hash_list_resident = false;
-                } else if self.dram.try_claim(g.content.hash_list_bytes()) {
+                } else if self.core.dram.try_claim(g.content.hash_list_bytes()) {
                     g.hash_list_resident = true;
                 } else {
                     g.hash_list_resident = false;
@@ -653,7 +360,7 @@ impl AnyKeyStore {
 
 impl KvEngine for AnyKeyStore {
     fn kind(&self) -> EngineKind {
-        self.cfg.engine
+        self.core.cfg.engine
     }
 
     fn execute(&mut self, op: &Op, at: Ns) -> Result<OpOutcome, KvError> {
@@ -668,18 +375,8 @@ impl KvEngine for AnyKeyStore {
     fn scan_keys(&mut self, start: u64, len: u32, at: Ns) -> (Vec<u64>, OpOutcome) {
         // An ill-formed start key cannot match any stored key, so the scan
         // is empty rather than a panic.
-        self.do_scan(start, len, at).unwrap_or_else(|_| {
-            (
-                Vec::new(),
-                OpOutcome {
-                    issued_at: at,
-                    done_at: at,
-                    found: false,
-                    flash_reads: 0,
-                    phases: PhaseBreakdown::default(),
-                },
-            )
-        })
+        self.do_scan(start, len, at)
+            .unwrap_or_else(|_| (Vec::new(), empty_outcome(at)))
     }
 
     fn metadata(&self) -> MetadataStats {
@@ -700,22 +397,14 @@ impl KvEngine for AnyKeyStore {
         MetadataStats {
             level_list_bytes,
             level_list_flash_bytes: if self.level_list_overflow {
-                level_list_bytes.saturating_sub(self.dram.metadata_budget())
+                level_list_bytes.saturating_sub(self.core.dram.metadata_budget())
             } else {
                 0
             },
             hash_list_total_bytes: hash_list_total,
             hash_list_resident_bytes: hash_list_resident,
-            meta_segment_dram_bytes: 0,
-            meta_segment_flash_bytes: 0,
-            dram_capacity: self.dram.capacity,
-            dram_used: self.dram.used(),
             levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
-            live_unique_bytes: self.live_bytes,
             value_log_used_bytes: self.log.as_ref().map_or(0, ValueLog::valid_bytes),
-            retry_reads: self.flash.counters().total_retry_reads(),
-            program_fails: self.flash.counters().program_fails(),
-            erase_fails: self.flash.counters().erase_fails(),
             retired_blocks: (self.area.retired_blocks()
                 + self
                     .log
@@ -725,33 +414,23 @@ impl KvEngine for AnyKeyStore {
             free_blocks: (self.area.free_blocks()
                 + self.log.as_ref().map_or(0, |l| l.allocator().free_count()))
                 as u64,
+            ..self.core.metadata()
         }
     }
 
     fn sample_state(&self) -> StateSample {
         let meta = self.metadata();
-        let wear = self.flash.sample_state();
         let log_capacity = self.log.as_ref().map_or(0, ValueLog::capacity_bytes);
         let log_free = self.log.as_ref().map_or(0, ValueLog::free_bytes);
         StateSample {
-            dram_capacity: meta.dram_capacity,
-            dram_used: meta.dram_used,
-            level_list_bytes: meta.level_list_bytes,
-            hash_list_total_bytes: meta.hash_list_total_bytes,
-            hash_list_resident_bytes: meta.hash_list_resident_bytes,
             group_count: self
                 .levels
                 .iter()
                 .map(|l| l.groups.len() as u64)
                 .sum::<u64>(),
-            value_log_live_bytes: meta.value_log_used_bytes,
             value_log_stale_bytes: log_capacity
                 .saturating_sub(meta.value_log_used_bytes)
                 .saturating_sub(log_free),
-            free_blocks: meta.free_blocks,
-            wear_min: wear.wear_min,
-            wear_max: wear.wear_max,
-            wear_total: wear.wear_total,
             levels: self
                 .levels
                 .iter()
@@ -764,24 +443,24 @@ impl KvEngine for AnyKeyStore {
                     meta_bytes: l.meta_bytes(),
                 })
                 .collect(),
-            ..StateSample::default()
+            ..self.core.sample_state(&meta)
         }
     }
 
     fn counters(&self) -> FlashCounters {
-        self.flash.counters().clone()
+        self.core.counters()
     }
 
     fn reset_counters(&mut self) {
-        self.flash.reset_counters();
+        self.core.reset_counters();
     }
 
     fn horizon(&self) -> Ns {
-        self.flash.horizon()
+        self.core.horizon()
     }
 
     fn capacity_bytes(&self) -> u64 {
-        self.cfg.capacity_bytes()
+        self.core.capacity_bytes()
     }
 
     fn check_invariants(&self) -> Result<(), AuditError> {
@@ -789,34 +468,11 @@ impl KvEngine for AnyKeyStore {
     }
 
     fn set_tracing(&mut self, on: bool) {
-        self.flash.set_tracing(on);
-        #[cfg(feature = "trace")]
-        if on {
-            self.spans.clear();
-            self.span_seq = 0;
-        }
+        self.core.set_tracing(on);
     }
 
     #[cfg(feature = "trace")]
     fn take_trace(&mut self) -> Vec<TraceEvent> {
-        let geometry = self.cfg.flash.geometry;
-        let mut out: Vec<TraceEvent> = self
-            .flash
-            .take_trace_events()
-            .into_iter()
-            .map(|e| TraceEvent::FlashOp {
-                op: e.op.as_str().to_string(),
-                cause: e.cause_str().to_string(),
-                chip: e.chip,
-                channel: geometry.channel_of_chip(e.chip),
-                issued: e.issued,
-                start: e.start,
-                done: e.done,
-                retries: e.retries,
-            })
-            .collect();
-        out.append(&mut self.spans);
-        anykey_metrics::trace::sort_events(&mut out);
-        out
+        self.core.take_trace()
     }
 }

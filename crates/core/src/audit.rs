@@ -287,7 +287,7 @@ impl AnyKeyStore {
         // DRAM budget conservation: what rebalance_dram claimed must equal
         // what is actually marked resident.
         let expected = if self.level_list_overflowed() {
-            self.dram.metadata_budget()
+            self.core.dram.metadata_budget()
         } else {
             let lists: u64 = self.levels.iter().map(Level::meta_bytes).sum();
             let hash_lists: u64 = self
@@ -299,16 +299,16 @@ impl AnyKeyStore {
                 .sum();
             lists + hash_lists
         };
-        if self.dram.metadata_used != expected {
+        if self.core.dram.metadata_used != expected {
             return Err(AuditError::DramMismatch {
-                used: self.dram.metadata_used,
+                used: self.core.dram.metadata_used,
                 expected,
             });
         }
-        if self.dram.metadata_used > self.dram.metadata_budget() {
+        if self.core.dram.metadata_used > self.core.dram.metadata_budget() {
             return Err(AuditError::DramOverBudget {
-                used: self.dram.metadata_used,
-                budget: self.dram.metadata_budget(),
+                used: self.core.dram.metadata_used,
+                budget: self.core.dram.metadata_budget(),
             });
         }
 
@@ -377,7 +377,7 @@ impl AnyKeyStore {
         }
 
         // Cause-tagged flash counter conservation.
-        self.flash.counters().audit()?;
+        self.core.flash.counters().audit()?;
         Ok(())
     }
 
@@ -399,7 +399,7 @@ impl AnyKeyStore {
     /// the resident-structure sum and the metadata budget.
     #[doc(hidden)]
     pub fn overclaim_dram_for_test(&mut self) {
-        self.dram.metadata_used = self.dram.metadata_budget() + (1 << 20);
+        self.core.dram.metadata_used = self.core.dram.metadata_budget() + (1 << 20);
     }
 
     /// Test-only corruption hook: desynchronizes the flash counters' read
@@ -407,7 +407,7 @@ impl AnyKeyStore {
     /// [`anykey_flash::FlashSim::desync_counters_for_test`]).
     #[doc(hidden)]
     pub fn desync_counters_for_test(&mut self) {
-        self.flash.desync_counters_for_test();
+        self.core.flash.desync_counters_for_test();
     }
 
     /// Test-only corruption hook: retires the block backing the first live
@@ -493,16 +493,16 @@ impl PinkStore {
                 }
             }
         }
-        if self.dram.metadata_used != expected {
+        if self.core.dram.metadata_used != expected {
             return Err(AuditError::DramMismatch {
-                used: self.dram.metadata_used,
+                used: self.core.dram.metadata_used,
                 expected,
             });
         }
-        if self.dram.metadata_used > self.dram.metadata_budget() {
+        if self.core.dram.metadata_used > self.core.dram.metadata_budget() {
             return Err(AuditError::DramOverBudget {
-                used: self.dram.metadata_used,
-                budget: self.dram.metadata_budget(),
+                used: self.core.dram.metadata_used,
+                budget: self.core.dram.metadata_budget(),
             });
         }
 
@@ -542,7 +542,7 @@ impl PinkStore {
         }
 
         // Cause-tagged flash counter conservation.
-        self.flash.counters().audit()?;
+        self.core.flash.counters().audit()?;
         Ok(())
     }
 
@@ -550,7 +550,7 @@ impl PinkStore {
     /// [`AnyKeyStore::desync_counters_for_test`]).
     #[doc(hidden)]
     pub fn desync_counters_for_test(&mut self) {
-        self.flash.desync_counters_for_test();
+        self.core.flash.desync_counters_for_test();
     }
 
     /// Test-only corruption hook: retires the data block of the first live

@@ -1,0 +1,437 @@
+//! The device scaffold both engines share.
+//!
+//! PinK and AnyKey run on the same device: one flash array, one DRAM write
+//! buffer (a double-buffered L0), and one DRAM budget. Only the metadata
+//! layout differs (paper Sections 2–4). [`DeviceCore`] owns the shared
+//! part — configuration, flash, buffer, DRAM budget, the live-bytes
+//! ledger, the flush stall, and trace-span bookkeeping — and each engine
+//! embeds it as a field, keeping only its own levels, flash areas,
+//! compaction, GC, and GET path. [`DeviceCore::scan`] is the range-scan
+//! merge both engines run over their own per-level candidates.
+
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+
+use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
+use anykey_metrics::timeline::StateSample;
+use anykey_metrics::trace::PhaseBreakdown;
+#[cfg(feature = "trace")]
+use anykey_metrics::trace::TraceEvent;
+
+use crate::buffer::{BufEntry, WriteBuffer};
+use crate::config::DeviceConfig;
+use crate::dram::DramBudget;
+use crate::engine::{MetadataStats, OpOutcome};
+use crate::error::KvError;
+use crate::key::Key;
+
+/// Flash, write buffer, DRAM budget, and the bookkeeping around them.
+#[derive(Debug)]
+pub(crate) struct DeviceCore {
+    pub(crate) cfg: DeviceConfig,
+    pub(crate) flash: FlashSim,
+    pub(crate) buffer: WriteBuffer,
+    pub(crate) dram: DramBudget,
+    pub(crate) page_payload: u64,
+    /// Live logical state: key id → value length (for unique-byte
+    /// accounting; the engines' query paths never consult this).
+    live: HashMap<u64, u32>,
+    live_bytes: u64,
+    /// Completion time of the in-flight flush (L0 is double-buffered: a
+    /// put that fills the buffer stalls only if the previous flush is
+    /// still running).
+    pub(crate) flush_done: Ns,
+    /// Recorded background spans (flush/compaction/GC) while tracing.
+    #[cfg(feature = "trace")]
+    spans: Vec<TraceEvent>,
+    /// Next span id (unique per tracing session).
+    #[cfg(feature = "trace")]
+    span_seq: u64,
+}
+
+/// One version of a key that a level offers to a scan; a lower `level` is
+/// newer. `payload` is the engine's handle on where the value lives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScanCand<P> {
+    pub(crate) key: Key,
+    pub(crate) level: usize,
+    pub(crate) tombstone: bool,
+    pub(crate) payload: P,
+}
+
+/// What a scan emits, in key order: each key with the payload of the level
+/// version it came from (`None` when the write buffer holds the value),
+/// plus the index pages the final candidate collection touched.
+#[derive(Debug)]
+pub(crate) struct ScanPlan<P> {
+    pub(crate) index_pages: Vec<Ppa>,
+    pub(crate) hits: Vec<(Key, Option<P>)>,
+}
+
+/// The outcome of an operation issued at `at` and done at `done`; the
+/// latency `phases` does not attribute lands in queue-wait.
+pub(crate) fn outcome(
+    at: Ns,
+    done: Ns,
+    found: bool,
+    flash_reads: u32,
+    mut phases: PhaseBreakdown,
+) -> OpOutcome {
+    phases.finish(done - at);
+    OpOutcome {
+        issued_at: at,
+        done_at: done,
+        found,
+        flash_reads,
+        phases,
+    }
+}
+
+/// The outcome of an operation that did no work, issued and done at `at`.
+pub(crate) fn empty_outcome(at: Ns) -> OpOutcome {
+    outcome(at, at, false, 0, PhaseBreakdown::default())
+}
+
+/// The outcome of a put issued at `at` and acknowledged `cpu_ns` after
+/// `start` (see [`DeviceCore::buffer_put`]; `at` when no flush was needed).
+/// CPU cost is the only attributed phase; a flush stall (done being
+/// pushed past the CPU cost) lands in queue_wait via the residual.
+pub(crate) fn put_outcome(at: Ns, start: Option<Ns>, cpu_ns: Ns) -> OpOutcome {
+    let phases = PhaseBreakdown {
+        engine: cpu_ns,
+        ..PhaseBreakdown::default()
+    };
+    outcome(at, start.unwrap_or(at) + cpu_ns, true, 0, phases)
+}
+
+/// The key ids of a scan that emitted `hits`, with its outcome.
+pub(crate) fn scan_outcome<P>(
+    hits: &[(Key, Option<P>)],
+    at: Ns,
+    done: Ns,
+    flash_reads: u32,
+    phases: PhaseBreakdown,
+) -> (Vec<u64>, OpOutcome) {
+    let ids: Vec<u64> = hits.iter().map(|(k, _)| k.id()).collect();
+    let found = !ids.is_empty();
+    (ids, outcome(at, done, found, flash_reads, phases))
+}
+
+impl DeviceCore {
+    /// A fresh device: empty flash, buffer, and ledger. The write buffer's
+    /// DRAM reservation is capped at half the device DRAM.
+    pub(crate) fn new(cfg: DeviceConfig) -> Self {
+        Self {
+            flash: FlashSim::new(cfg.flash),
+            buffer: WriteBuffer::new(cfg.write_buffer_bytes),
+            dram: DramBudget::new(
+                cfg.dram_bytes,
+                cfg.write_buffer_bytes.min(cfg.dram_bytes / 2),
+            ),
+            page_payload: cfg.page_payload() as u64,
+            live: HashMap::new(),
+            live_bytes: 0,
+            flush_done: 0,
+            #[cfg(feature = "trace")]
+            spans: Vec::new(),
+            #[cfg(feature = "trace")]
+            span_seq: 0,
+            cfg,
+        }
+    }
+
+    /// A block allocator over `blocks`. Under a fault model wear matters,
+    /// so it allocates least-erased-first to level P/E cycles (and the
+    /// wear-dependent error rates) across blocks.
+    pub(crate) fn allocator(&self, blocks: Range<u32>) -> BlockAllocator {
+        let mut alloc = BlockAllocator::new(blocks);
+        alloc.set_wear_aware(self.cfg.flash.fault.is_enabled());
+        alloc
+    }
+
+    /// The fixed-length key for `id`.
+    pub(crate) fn make_key(&self, id: u64) -> Result<Key, KvError> {
+        Key::new(id, self.cfg.key_len)
+    }
+
+    /// Buffers a PUT (or, with `tombstone`, a DELETE) and updates the
+    /// live-bytes ledger. Returns `Some(start)` when the buffer filled:
+    /// the caller must flush from `start` and record the completion in
+    /// `flush_done`. With a double-buffered L0 the put stalls only while
+    /// the previous flush is still in flight, so `start` is `at` unless
+    /// that flush ends later.
+    pub(crate) fn buffer_put(
+        &mut self,
+        key: Key,
+        value_len: u32,
+        tombstone: bool,
+        at: Ns,
+    ) -> Option<Ns> {
+        self.buffer.insert(
+            key,
+            BufEntry {
+                value_len,
+                tombstone,
+            },
+        );
+        let id = key.id();
+        if tombstone {
+            if let Some(old) = self.live.remove(&id) {
+                self.live_bytes -= key.len() as u64 + old as u64;
+            }
+        } else {
+            match self.live.insert(id, value_len) {
+                Some(old) => {
+                    self.live_bytes = self.live_bytes - old as u64 + value_len as u64;
+                }
+                None => self.live_bytes += key.len() as u64 + value_len as u64,
+            }
+        }
+        self.buffer.is_full().then(|| at.max(self.flush_done))
+    }
+
+    /// Issues the distinct pages of `ppas` (in page order) at `at`;
+    /// returns when the last completes and how many were read.
+    pub(crate) fn read_set(&mut self, mut ppas: Vec<Ppa>, cause: OpCause, at: Ns) -> (Ns, u32) {
+        ppas.sort_unstable();
+        ppas.dedup();
+        let n = ppas.len() as u32;
+        (self.flash.read_many(ppas, cause, at), n)
+    }
+
+    /// The range-scan merge of both engines: up to `want` live keys ≥
+    /// `start`, newest version winning across the write buffer and
+    /// `levels` levels (lower index = newer).
+    ///
+    /// `collect(level, budget, cands, pages)` appends, in key order, up to
+    /// `budget` candidates ≥ `start` from one level, pushes the index pages
+    /// it touched onto `pages`, and returns how many it took. Tombstones
+    /// and cross-level duplicates consume candidates, so a level capped at
+    /// its budget could hide keys the merge needs: the merge never emits
+    /// past a capped level's last candidate, and the collection reruns
+    /// with a doubled budget (up to 64× `want`) until the keys below every
+    /// capped frontier hold `want` survivors.
+    pub(crate) fn scan<P: Copy>(
+        &self,
+        start: Key,
+        want: usize,
+        levels: usize,
+        mut collect: impl FnMut(
+            usize,
+            usize,
+            &mut Vec<ScanCand<P>>,
+            &mut Vec<Ppa>,
+        ) -> Result<usize, KvError>,
+    ) -> Result<ScanPlan<P>, KvError> {
+        let mut budget = want;
+        let mut cands: Vec<ScanCand<P>> = Vec::new();
+        let mut pages: Vec<Ppa> = Vec::new();
+        let limit = loop {
+            cands.clear();
+            pages.clear();
+            let mut limit: Option<Key> = None;
+            for li in 0..levels {
+                if collect(li, budget, &mut cands, &mut pages)? >= budget {
+                    if let Some(c) = cands.last() {
+                        limit = Some(limit.map_or(c.key, |l| l.min(c.key)));
+                    }
+                }
+            }
+            // Survivors (newest version not a tombstone) below the limit.
+            let mut newest: BTreeMap<Key, (usize, bool)> = BTreeMap::new();
+            for c in &cands {
+                if limit.is_none_or(|l| c.key <= l) {
+                    let e = newest.entry(c.key).or_insert((c.level, c.tombstone));
+                    if c.level < e.0 {
+                        *e = (c.level, c.tombstone);
+                    }
+                }
+            }
+            for (k, be) in self.buffer.range_from(start) {
+                if limit.is_none_or(|l| *k <= l) {
+                    newest.insert(*k, (0, be.tombstone));
+                }
+            }
+            let reachable = newest.values().filter(|&&(_, t)| !t).count();
+            if limit.is_none() || reachable >= want || budget >= want * 64 {
+                break limit;
+            }
+            budget *= 2;
+        };
+
+        // Merge with the buffer, newest wins.
+        cands.sort_by(|a, b| a.key.cmp(&b.key).then(a.level.cmp(&b.level)));
+        let mut hits: Vec<(Key, Option<P>)> = Vec::new();
+        let mut buf_iter = self.buffer.range_from(start).peekable();
+        let mut i = 0;
+        while hits.len() < want && (i < cands.len() || buf_iter.peek().is_some()) {
+            let next_level_key = cands.get(i).map(|c| c.key);
+            let next_buf_key = buf_iter.peek().map(|(k, _)| **k);
+            let key = match (next_buf_key, next_level_key) {
+                (Some(b), Some(l)) => b.min(l),
+                (Some(b), None) => b,
+                (None, Some(l)) => l,
+                (None, None) => break,
+            };
+            if limit.is_some_and(|l| key > l) {
+                // A capped level's unexplored range could hide smaller
+                // keys; never emit beyond its frontier.
+                break;
+            }
+            let mut buf_tomb = None;
+            if next_buf_key == Some(key) {
+                let (_, e) = buf_iter.next().ok_or(KvError::Internal {
+                    context: "peeked buffer entry vanished mid-scan",
+                })?;
+                buf_tomb = Some(e.tombstone);
+            }
+            // The newest level candidate for this key; skip the rest.
+            let newest = cands.get(i).filter(|c| c.key == key).copied();
+            while i < cands.len() && cands[i].key == key {
+                i += 1;
+            }
+            match (buf_tomb, newest) {
+                (Some(true), _) => {}                       // deleted in buffer
+                (Some(false), _) => hits.push((key, None)), // value in DRAM
+                (None, Some(c)) if !c.tombstone => hits.push((key, Some(c.payload))),
+                (None, _) => {}
+            }
+        }
+        Ok(ScanPlan {
+            index_pages: pages,
+            hits,
+        })
+    }
+
+    /// The metadata fields every engine fills the same way: DRAM, live
+    /// bytes, and fault counters. Engines fill in the rest.
+    pub(crate) fn metadata(&self) -> MetadataStats {
+        let c = self.flash.counters();
+        MetadataStats {
+            dram_capacity: self.dram.capacity,
+            dram_used: self.dram.used(),
+            live_unique_bytes: self.live_bytes,
+            retry_reads: c.total_retry_reads(),
+            program_fails: c.program_fails(),
+            erase_fails: c.erase_fails(),
+            ..MetadataStats::default()
+        }
+    }
+
+    /// The engine-state half of a timeline sample that follows from the
+    /// engine's metadata snapshot `meta`, plus flash wear. Engines fill in
+    /// level occupancy and group counts.
+    pub(crate) fn sample_state(&self, meta: &MetadataStats) -> StateSample {
+        let wear = self.flash.sample_state();
+        StateSample {
+            dram_capacity: meta.dram_capacity,
+            dram_used: meta.dram_used,
+            level_list_bytes: meta.level_list_bytes,
+            hash_list_total_bytes: meta.hash_list_total_bytes,
+            hash_list_resident_bytes: meta.hash_list_resident_bytes,
+            meta_segment_dram_bytes: meta.meta_segment_dram_bytes,
+            meta_segment_flash_bytes: meta.meta_segment_flash_bytes,
+            value_log_live_bytes: meta.value_log_used_bytes,
+            free_blocks: meta.free_blocks,
+            wear_min: wear.wear_min,
+            wear_max: wear.wear_max,
+            wear_total: wear.wear_total,
+            ..StateSample::default()
+        }
+    }
+
+    /// Flash traffic counters.
+    pub(crate) fn counters(&self) -> FlashCounters {
+        self.flash.counters().clone()
+    }
+
+    /// Resets the flash counters (end of warm-up).
+    pub(crate) fn reset_counters(&mut self) {
+        self.flash.reset_counters();
+    }
+
+    /// When all in-flight flash work completes.
+    pub(crate) fn horizon(&self) -> Ns {
+        self.flash.horizon()
+    }
+
+    /// Raw flash capacity in bytes.
+    pub(crate) fn capacity_bytes(&self) -> u64 {
+        self.cfg.capacity_bytes()
+    }
+
+    /// Starts (`on`) or stops trace recording; starting clears the spans
+    /// of any earlier session.
+    pub(crate) fn set_tracing(&mut self, on: bool) {
+        self.flash.set_tracing(on);
+        #[cfg(feature = "trace")]
+        if on {
+            self.spans.clear();
+            self.span_seq = 0;
+        }
+    }
+
+    /// Drains the flash-op events and background spans, converted to the
+    /// metrics model and sorted by timestamp.
+    #[cfg(feature = "trace")]
+    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
+        let geometry = self.cfg.flash.geometry;
+        let mut out: Vec<TraceEvent> = self
+            .flash
+            .take_trace_events()
+            .into_iter()
+            .map(|e| TraceEvent::FlashOp {
+                op: e.op.as_str().to_string(),
+                cause: e.cause_str().to_string(),
+                chip: e.chip,
+                channel: geometry.channel_of_chip(e.chip),
+                issued: e.issued,
+                start: e.start,
+                done: e.done,
+                retries: e.retries,
+            })
+            .collect();
+        out.append(&mut self.spans);
+        anykey_metrics::trace::sort_events(&mut out);
+        out
+    }
+
+    /// Snapshot of total flash page reads/writes, taken at the start of a
+    /// background span; `None` when tracing is off so span bookkeeping
+    /// costs nothing on untraced runs.
+    #[cfg(feature = "trace")]
+    pub(crate) fn span_snapshot(&self) -> Option<(u64, u64)> {
+        self.flash.is_tracing().then(|| {
+            let c = self.flash.counters();
+            (c.total_reads(), c.total_writes())
+        })
+    }
+
+    /// Records a completed background span against a [`Self::span_snapshot`]
+    /// taken before the work; a `None` snapshot (tracing off) is a no-op.
+    #[cfg(feature = "trace")]
+    pub(crate) fn push_span(
+        &mut self,
+        snap: Option<(u64, u64)>,
+        kind: &str,
+        label: &str,
+        level: u32,
+        start: Ns,
+        end: Ns,
+    ) {
+        let Some((r0, w0)) = snap else { return };
+        let id = self.span_seq;
+        self.span_seq += 1;
+        let c = self.flash.counters();
+        self.spans.push(TraceEvent::Span {
+            kind: kind.to_string(),
+            label: label.to_string(),
+            level,
+            id,
+            start,
+            end,
+            pages_read: c.total_reads().saturating_sub(r0),
+            pages_written: c.total_writes().saturating_sub(w0),
+        });
+    }
+}

@@ -44,6 +44,9 @@ pub mod audit;
 pub mod buffer;
 /// Device and engine configuration.
 pub mod config;
+/// The device scaffold (flash, buffer, DRAM, ledger, scan merge) both
+/// engines embed.
+mod device;
 /// DRAM budget accounting.
 pub mod dram;
 /// The `KvEngine` trait and operation outcomes.

@@ -16,13 +16,13 @@ impl PinkStore {
     /// Flushes the write buffer: KV pairs go to the data area, their index
     /// entries merge into L1, then tree compactions cascade.
     pub(crate) fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
-        if self.buffer.is_empty() {
+        if self.core.buffer.is_empty() {
             return Ok(at);
         }
         #[cfg(feature = "trace")]
-        let snap = self.span_snapshot();
+        let snap = self.core.span_snapshot();
         let mut t = self.gc_if_needed(at)?;
-        let entries = self.buffer.drain();
+        let entries = self.core.buffer.drain();
         let mut upper: Vec<SegEntry> = Vec::with_capacity(entries.len());
         for (key, be) in entries {
             let ptr = if be.tombstone {
@@ -37,7 +37,7 @@ impl PinkStore {
                     + crate::pink::segment::SEG_ENTRY_OVERHEAD;
                 let (ptr, td) = self.data.append(
                     &mut self.alloc,
-                    &mut self.flash,
+                    &mut self.core.flash,
                     bytes,
                     OpCause::CompactionWrite,
                     t,
@@ -57,7 +57,7 @@ impl PinkStore {
         // soon as the L0->L1 merge lands.
         self.maintain(t_ack)?;
         #[cfg(feature = "trace")]
-        self.push_span(snap, "flush", "buffer", 0, at, t_ack);
+        self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
         #[cfg(any(test, feature = "strict-invariants"))]
         self.verify_invariants()?;
         Ok(t_ack)
@@ -80,7 +80,7 @@ impl PinkStore {
 
     fn ensure_next_level(&mut self, i: usize) {
         if i + 1 == self.levels.len() {
-            let threshold = self.levels[i].threshold * self.cfg.level_ratio;
+            let threshold = self.levels[i].threshold * self.core.cfg.level_ratio;
             self.levels.push(PinkLevel::new(threshold));
         }
     }
@@ -95,11 +95,11 @@ impl PinkStore {
         at: Ns,
     ) -> Result<Ns, KvError> {
         #[cfg(feature = "trace")]
-        let snap = self.span_snapshot();
+        let snap = self.core.span_snapshot();
         // Old meta generations are freed before the new one is written, so
         // the transient need is the destination's *growth* (the source's
         // meta volume) plus slack.
-        let block_bytes = self.flash.geometry().block_bytes();
+        let block_bytes = self.core.flash.geometry().block_bytes();
         let growth_blocks = match src {
             Some(si) => {
                 let bytes: u64 = self.levels[si].segs.iter().map(Segment::bytes).sum();
@@ -138,15 +138,17 @@ impl PinkStore {
         let lower = take_level(&mut self.levels[dst])?;
         drop(take_level);
         let t_read = self
+            .core
             .flash
             .read_many(read_ppas, OpCause::CompactionRead, t_head);
         let mut t_erase = t_read;
         for ppa in freed_pages {
-            t_erase =
-                t_erase.max(
-                    self.meta
-                        .free_page(&mut self.alloc, &mut self.flash, ppa, t_read)?,
-                );
+            t_erase = t_erase.max(self.meta.free_page(
+                &mut self.alloc,
+                &mut self.core.flash,
+                ppa,
+                t_read,
+            )?);
         }
 
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
@@ -195,7 +197,7 @@ impl PinkStore {
         let mut cur_bytes = 0u64;
         for e in merged {
             let sz = e.seg_bytes();
-            if !cur.is_empty() && cur_bytes + sz > self.page_payload {
+            if !cur.is_empty() && cur_bytes + sz > self.core.page_payload {
                 segs.push(Segment {
                     entries: std::mem::take(&mut cur),
                     resident: false,
@@ -220,20 +222,13 @@ impl PinkStore {
         }
 
         // --- 4. Re-plan DRAM placement (charging spills/loads). ---------
-        if std::env::var("ANYKEY_DEBUG").is_ok() {
-            eprintln!(
-                "merge src={src:?} dst={dst}: free={} data={} meta={} merged={merged_count}",
-                self.alloc.free_count(),
-                self.data.block_count(),
-                self.meta.block_count()
-            );
-        }
         let t_place = self.rebalance(Some(dst), t_read)?;
 
-        let done = t_place.max(t_erase) + merged_count * self.cfg.cpu.sort_ns_per_entity;
+        let done = t_place.max(t_erase) + merged_count * self.core.cfg.cpu.sort_ns_per_entity;
         let done = done.max(self.gc_if_needed(done)?);
         #[cfg(feature = "trace")]
-        self.push_span(snap, "compaction", "merge", dst as u32, at, done);
+        self.core
+            .push_span(snap, "compaction", "merge", dst as u32, at, done);
         Ok(done)
     }
 
@@ -249,14 +244,14 @@ impl PinkStore {
         let mut done = at;
         loop {
             let ppa = self.meta.alloc_page(&mut self.alloc, stream)?;
-            let r = self.flash.program(ppa, cause, at);
+            let r = self.core.flash.program(ppa, cause, at);
             done = done.max(r.done);
             if r.status.is_ok() {
                 return Ok((ppa, done));
             }
             done = done.max(
                 self.meta
-                    .free_page(&mut self.alloc, &mut self.flash, ppa, at)?,
+                    .free_page(&mut self.alloc, &mut self.core.flash, ppa, at)?,
             );
         }
     }
@@ -270,13 +265,13 @@ impl PinkStore {
     /// compaction (CompactionWrite); other levels' spills are background
     /// metadata traffic (MetaWrite).
     pub(crate) fn rebalance(&mut self, rebuilt: Option<usize>, at: Ns) -> Result<Ns, KvError> {
-        self.dram.clear_claims();
+        self.core.dram.clear_claims();
         let mut t = at;
 
         // Pass 1: level lists.
         for li in 0..self.levels.len() {
             let want = self.levels[li].list_bytes();
-            let new_res = want == 0 || self.dram.try_claim(want);
+            let new_res = want == 0 || self.core.dram.try_claim(want);
             let was_res = self.levels[li].list_resident;
             let is_rebuilt = rebuilt == Some(li);
             if new_res {
@@ -284,10 +279,10 @@ impl PinkStore {
                     // Load into DRAM: read and release the flash copy.
                     let pages = std::mem::take(&mut self.levels[li].list_pages);
                     for ppa in pages {
-                        t = t.max(self.flash.read(ppa, OpCause::MetaRead, at).done);
+                        t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
                         t = t.max(self.meta.free_page(
                             &mut self.alloc,
-                            &mut self.flash,
+                            &mut self.core.flash,
                             ppa,
                             at,
                         )?);
@@ -302,7 +297,7 @@ impl PinkStore {
                     } else {
                         OpCause::MetaWrite
                     };
-                    let pages_needed = want.div_ceil(self.page_payload).max(1);
+                    let pages_needed = want.div_ceil(self.core.page_payload).max(1);
                     let mut pages = Vec::with_capacity(pages_needed as usize);
                     for _ in 0..pages_needed {
                         let (ppa, td) = self.program_meta_page(li, cause, at)?;
@@ -320,7 +315,7 @@ impl PinkStore {
             let is_rebuilt = rebuilt == Some(li);
             for si in 0..self.levels[li].segs.len() {
                 let bytes = self.levels[li].segs[si].bytes();
-                let new_res = self.dram.try_claim(bytes);
+                let new_res = self.core.dram.try_claim(bytes);
                 let was_res = self.levels[li].segs[si].resident;
                 let had_ppa = self.levels[li].segs[si].ppa.is_some();
                 if new_res {
@@ -331,10 +326,10 @@ impl PinkStore {
                             .ok_or(KvError::Internal {
                                 context: "resident load without a flash copy",
                             })?;
-                        t = t.max(self.flash.read(ppa, OpCause::MetaRead, at).done);
+                        t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
                         t = t.max(self.meta.free_page(
                             &mut self.alloc,
-                            &mut self.flash,
+                            &mut self.core.flash,
                             ppa,
                             at,
                         )?);

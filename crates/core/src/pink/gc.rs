@@ -14,35 +14,6 @@ use crate::error::KvError;
 use crate::pink::PinkStore;
 
 impl PinkStore {
-    fn debug_full(&self, why: &str) {
-        if std::env::var("ANYKEY_DEBUG").is_ok() {
-            let owned_seg_pages: usize = self
-                .levels
-                .iter()
-                .flat_map(|l| l.segs.iter())
-                .filter(|s| s.ppa.is_some())
-                .count();
-            let owned_list_pages: usize = self.levels.iter().map(|l| l.list_pages.len()).sum();
-            let live_meta_pages: u64 = (0..self.alloc.len() as u32)
-                .map(|b| self.meta.live_in(anykey_flash::BlockId(b)) as u64)
-                .sum();
-            eprintln!(
-                "PinK device-full ({why}): free={} data_blocks={} meta_blocks={} total={} owned_pages={} (segs {owned_seg_pages} + lists {owned_list_pages}) live_meta_pages={live_meta_pages}",
-                self.alloc.free_count(),
-                self.data.block_count(),
-                self.meta.block_count(),
-                self.alloc.len(),
-                owned_seg_pages + owned_list_pages,
-            );
-            if let Some((b, v)) = self.data.victim() {
-                eprintln!("  data victim {b}: valid {v}");
-            }
-            if let Some((b, l)) = self.meta.victim() {
-                eprintln!("  meta victim {b}: live {l}");
-            }
-        }
-    }
-
     /// Keeps at least `reserve_blocks` erase blocks free, collecting data
     /// or meta blocks as needed.
     ///
@@ -57,32 +28,30 @@ impl PinkStore {
     /// the transient headroom a large merge needs before its source
     /// generation is freed.
     pub(crate) fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
-        let reserve = self.cfg.reserve_blocks as usize + extra;
+        let reserve = self.core.cfg.reserve_blocks as usize + extra;
         let mut t = at;
         let mut guard = 0usize;
         while self.alloc.free_count() < reserve {
             guard += 1;
             if guard > self.alloc.len() * 2 {
-                self.debug_full("gc made no progress");
                 return Err(KvError::DeviceFull);
             }
-            let block_payload = self.page_payload * self.flash.geometry().pages_per_block as u64;
+            let block_payload =
+                self.core.page_payload * self.core.flash.geometry().pages_per_block as u64;
             let data_victim = self.data.victim();
             let meta_victim = self.meta.victim();
             let data_frac = data_victim
                 .map(|(_, v)| v as f64 / block_payload as f64)
                 .unwrap_or(f64::MAX);
             let meta_frac = meta_victim
-                .map(|(_, live)| live as f64 / self.flash.geometry().pages_per_block as f64)
+                .map(|(_, live)| live as f64 / self.core.flash.geometry().pages_per_block as f64)
                 .unwrap_or(f64::MAX);
             if data_frac <= meta_frac {
                 let Some((victim, _)) = data_victim else {
-                    self.debug_full("no data victim");
                     return Err(KvError::DeviceFull);
                 };
                 if data_frac >= 0.999 {
                     // Everything is live: relocation recovers nothing.
-                    self.debug_full("data fully live");
                     return Err(KvError::DeviceFull);
                 }
                 t = self.relocate_data_block(victim, t)?;
@@ -94,7 +63,7 @@ impl PinkStore {
                     // A block emptied while it was still a stream's open
                     // block: nothing to relocate, just erase it.
                     self.meta.forget_empty(victim);
-                    let r = self.flash.erase(victim, t);
+                    let r = self.core.flash.erase(victim, t);
                     t = t.max(r.done);
                     if r.status.is_ok() {
                         self.alloc.free(victim)?;
@@ -117,14 +86,14 @@ impl PinkStore {
     /// PinK with enormous GC *reads* but no GC writes), and erases it.
     fn relocate_data_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         #[cfg(feature = "trace")]
-        let snap = self.span_snapshot();
+        let snap = self.core.span_snapshot();
         // The device reads the whole victim block to identify live pairs.
-        let pages = self.flash.geometry().pages_per_block;
+        let pages = self.core.flash.geometry().pages_per_block;
         let read_ppas = (0..pages).map(|p| Ppa {
             block: victim,
             page: p,
         });
-        let t_read = self.flash.read_many(read_ppas, OpCause::GcRead, at);
+        let t_read = self.core.flash.read_many(read_ppas, OpCause::GcRead, at);
 
         // Live pairs (not shadowed by a buffered newer version) go back
         // through the write buffer; their stale lower-level entries are
@@ -138,7 +107,7 @@ impl PinkStore {
                         // Only the newest version of a key counts as live;
                         // deeper duplicates are garbage already.
                         if self.newest_ptr(e.key).is_some_and(|p| p.block == victim)
-                            && self.buffer.get(&e.key).is_none()
+                            && self.core.buffer.get(&e.key).is_none()
                         {
                             reinsert.push((e.key, e.value_len));
                         }
@@ -147,7 +116,7 @@ impl PinkStore {
             }
         }
         for (key, value_len) in reinsert {
-            self.buffer.insert(
+            self.core.buffer.insert(
                 key,
                 crate::buffer::BufEntry {
                     value_len,
@@ -156,14 +125,15 @@ impl PinkStore {
             );
         }
         self.data.remove_block(victim);
-        let r = self.flash.erase(victim, t_read);
+        let r = self.core.flash.erase(victim, t_read);
         if r.status.is_ok() {
             self.alloc.free(victim)?;
         } else {
             self.alloc.retire(victim)?;
         }
         #[cfg(feature = "trace")]
-        self.push_span(snap, "gc", "relocate-data", 0, at, r.done);
+        self.core
+            .push_span(snap, "gc", "relocate-data", 0, at, r.done);
         Ok(r.done)
     }
 
@@ -186,7 +156,7 @@ impl PinkStore {
     /// Relocates the live meta pages of a meta block and erases it.
     fn relocate_meta_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         #[cfg(feature = "trace")]
-        let snap = self.span_snapshot();
+        let snap = self.core.span_snapshot();
         // Owners: spilled segments and spilled level-list pages.
         let mut seg_owners: Vec<(usize, usize)> = Vec::new();
         let mut list_owners: Vec<(usize, usize)> = Vec::new();
@@ -213,7 +183,7 @@ impl PinkStore {
                 .iter()
                 .map(|&(li, pi)| self.levels[li].list_pages[pi]),
         );
-        let t_read = self.flash.read_many(read_ppas, OpCause::GcRead, at);
+        let t_read = self.core.flash.read_many(read_ppas, OpCause::GcRead, at);
         let mut t = t_read;
         for (li, si) in seg_owners {
             let old = self.levels[li].segs[si]
@@ -224,7 +194,7 @@ impl PinkStore {
                 })?;
             t = t.max(
                 self.meta
-                    .free_page(&mut self.alloc, &mut self.flash, old, t_read)?,
+                    .free_page(&mut self.alloc, &mut self.core.flash, old, t_read)?,
             );
             let (new, td) = self.program_meta_page(li, OpCause::GcWrite, t_read)?;
             t = t.max(td);
@@ -234,7 +204,7 @@ impl PinkStore {
             let old = self.levels[li].list_pages[pi];
             t = t.max(
                 self.meta
-                    .free_page(&mut self.alloc, &mut self.flash, old, t_read)?,
+                    .free_page(&mut self.alloc, &mut self.core.flash, old, t_read)?,
             );
             let (new, td) = self.program_meta_page(li, OpCause::GcWrite, t_read)?;
             t = t.max(td);
@@ -243,7 +213,7 @@ impl PinkStore {
         // `free_page` erased and freed the victim once its last live page
         // was released.
         #[cfg(feature = "trace")]
-        self.push_span(snap, "gc", "relocate-meta", 0, at, t);
+        self.core.push_span(snap, "gc", "relocate-meta", 0, at, t);
         Ok(t)
     }
 }

@@ -18,9 +18,7 @@ pub mod segment;
 #[cfg(test)]
 mod tests;
 
-use std::collections::HashMap;
-
-use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
+use anykey_flash::{BlockAllocator, FlashCounters, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 use anykey_metrics::trace::PhaseBreakdown;
 #[cfg(feature = "trace")]
@@ -28,14 +26,13 @@ use anykey_metrics::trace::TraceEvent;
 use anykey_workload::Op;
 
 use crate::audit::AuditError;
-use crate::buffer::{BufEntry, WriteBuffer};
 use crate::config::{DeviceConfig, EngineKind};
-use crate::dram::DramBudget;
+use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
 use crate::error::KvError;
 use crate::key::Key;
 
-use segment::{DataArea, MetaArea, SegEntry, Segment, LIST_ENTRY_OVERHEAD};
+use segment::{DataArea, DataPtr, MetaArea, SegEntry, Segment, LIST_ENTRY_OVERHEAD};
 
 /// One PinK LSM level: meta segments plus its level list's placement.
 #[derive(Debug, Clone, Default)]
@@ -109,104 +106,31 @@ impl PinkLevel {
 /// The PinK key-value SSD.
 #[derive(Debug)]
 pub struct PinkStore {
-    pub(crate) cfg: DeviceConfig,
-    pub(crate) flash: FlashSim,
-    pub(crate) buffer: WriteBuffer,
+    pub(crate) core: DeviceCore,
     pub(crate) levels: Vec<PinkLevel>,
     pub(crate) alloc: BlockAllocator,
     pub(crate) meta: MetaArea,
     pub(crate) data: DataArea,
-    pub(crate) dram: DramBudget,
-    pub(crate) page_payload: u64,
-    live: HashMap<u64, u32>,
-    live_bytes: u64,
-    /// Completion time of the in-flight flush (double-buffered L0).
-    flush_done: Ns,
-    /// Recorded background spans (flush/compaction/GC) while tracing.
-    #[cfg(feature = "trace")]
-    spans: Vec<TraceEvent>,
-    /// Next span id (unique per tracing session).
-    #[cfg(feature = "trace")]
-    span_seq: u64,
 }
 
 impl PinkStore {
     /// Builds a PinK device from a configuration.
     pub fn new(cfg: DeviceConfig) -> Self {
-        let flash = FlashSim::new(cfg.flash);
-        let geometry = cfg.flash.geometry;
-        let page_payload = cfg.page_payload() as u64;
-        let mut alloc = BlockAllocator::new(0..geometry.blocks());
-        // Under a fault model wear matters: level P/E cycles across blocks.
-        alloc.set_wear_aware(cfg.flash.fault.is_enabled());
+        let core = DeviceCore::new(cfg);
+        let geometry = core.cfg.flash.geometry;
         Self {
-            buffer: WriteBuffer::new(cfg.write_buffer_bytes),
-            levels: vec![PinkLevel::new(cfg.write_buffer_bytes * cfg.level_ratio)],
-            alloc,
+            levels: vec![PinkLevel::new(
+                core.cfg.write_buffer_bytes * core.cfg.level_ratio,
+            )],
+            alloc: core.allocator(0..geometry.blocks()),
             meta: MetaArea::new(geometry.pages_per_block),
-            data: DataArea::new(geometry.pages_per_block, page_payload),
-            dram: DramBudget::new(
-                cfg.dram_bytes,
-                cfg.write_buffer_bytes.min(cfg.dram_bytes / 2),
-            ),
-            page_payload,
-            live: HashMap::new(),
-            live_bytes: 0,
-            flush_done: 0,
-            #[cfg(feature = "trace")]
-            spans: Vec::new(),
-            #[cfg(feature = "trace")]
-            span_seq: 0,
-            flash,
-            cfg,
+            data: DataArea::new(geometry.pages_per_block, core.page_payload),
+            core,
         }
     }
 
-    fn make_key(&self, id: u64) -> Result<Key, KvError> {
-        Key::new(id, self.cfg.key_len)
-    }
-
-    /// Snapshot of total flash page reads/writes, taken at the start of a
-    /// background span; `None` when tracing is off.
-    #[cfg(feature = "trace")]
-    pub(crate) fn span_snapshot(&self) -> Option<(u64, u64)> {
-        self.flash.is_tracing().then(|| {
-            let c = self.flash.counters();
-            (c.total_reads(), c.total_writes())
-        })
-    }
-
-    /// Records a completed background span against a [`Self::span_snapshot`]
-    /// taken before the work; a `None` snapshot (tracing off) is a no-op.
-    #[cfg(feature = "trace")]
-    pub(crate) fn push_span(
-        &mut self,
-        snap: Option<(u64, u64)>,
-        kind: &str,
-        label: &str,
-        level: u32,
-        start: Ns,
-        end: Ns,
-    ) {
-        let Some((r0, w0)) = snap else { return };
-        let id = self.span_seq;
-        self.span_seq += 1;
-        let c = self.flash.counters();
-        let (r1, w1) = (c.total_reads(), c.total_writes());
-        self.spans.push(TraceEvent::Span {
-            kind: kind.to_string(),
-            label: label.to_string(),
-            level,
-            id,
-            start,
-            end,
-            pages_read: r1.saturating_sub(r0),
-            pages_written: w1.saturating_sub(w0),
-        });
-    }
-
     fn list_entries_per_page(&self, key_len: u64) -> u64 {
-        (self.page_payload / (key_len + LIST_ENTRY_OVERHEAD)).max(1)
+        (self.core.page_payload / (key_len + LIST_ENTRY_OVERHEAD)).max(1)
     }
 
     fn do_put(
@@ -216,67 +140,24 @@ impl PinkStore {
         tombstone: bool,
         at: Ns,
     ) -> Result<OpOutcome, KvError> {
-        let key = self.make_key(id)?;
-        self.buffer.insert(
-            key,
-            BufEntry {
-                value_len,
-                tombstone,
-            },
-        );
-        if tombstone {
-            if let Some(old) = self.live.remove(&id) {
-                self.live_bytes -= key.len() as u64 + old as u64;
-            }
-        } else {
-            match self.live.insert(id, value_len) {
-                Some(old) => {
-                    self.live_bytes = self.live_bytes - old as u64 + value_len as u64;
-                }
-                None => self.live_bytes += key.len() as u64 + value_len as u64,
-            }
+        let key = self.core.make_key(id)?;
+        let start = self.core.buffer_put(key, value_len, tombstone, at);
+        if let Some(start) = start {
+            self.core.flush_done = self.flush(start)?;
         }
-        let mut done = at + self.cfg.cpu.dram_op_ns;
-        if self.buffer.is_full() {
-            // Double-buffered L0: stall only while the previous flush is
-            // still in flight.
-            let start = at.max(self.flush_done);
-            self.flush_done = self.flush(start)?;
-            done = start + self.cfg.cpu.dram_op_ns;
-        }
-        // CPU cost is the only attributed phase; a flush stall (done being
-        // pushed past the CPU cost) lands in queue_wait via the residual.
-        let mut phases = PhaseBreakdown {
-            engine: self.cfg.cpu.dram_op_ns,
-            ..PhaseBreakdown::default()
-        };
-        phases.finish(done - at);
-        Ok(OpOutcome {
-            issued_at: at,
-            done_at: done,
-            found: true,
-            flash_reads: 0,
-            phases,
-        })
+        Ok(put_outcome(at, start, self.core.cfg.cpu.dram_op_ns))
     }
 
     fn do_get(&mut self, id: u64, at: Ns) -> Result<OpOutcome, KvError> {
-        let key = self.make_key(id)?;
+        let key = self.core.make_key(id)?;
         let mut t = at;
         let mut reads = 0u32;
         let mut phases = PhaseBreakdown::default();
 
-        if let Some(e) = self.buffer.get(&key) {
-            let done = t + self.cfg.cpu.dram_op_ns;
-            phases.engine += self.cfg.cpu.dram_op_ns;
-            phases.finish(done - at);
-            return Ok(OpOutcome {
-                issued_at: at,
-                done_at: done,
-                found: !e.tombstone,
-                flash_reads: 0,
-                phases,
-            });
+        if let Some(e) = self.core.buffer.get(&key) {
+            let done = t + self.core.cfg.cpu.dram_op_ns;
+            phases.engine += self.core.cfg.cpu.dram_op_ns;
+            return Ok(outcome(at, done, !e.tombstone, 0, phases));
         }
 
         for li in 0..self.levels.len() {
@@ -291,7 +172,7 @@ impl PinkStore {
                     (si / per_page).min(self.levels[li].list_pages.len().saturating_sub(1));
                 if let Some(&ppa) = self.levels[li].list_pages.get(page_idx) {
                     let before = t;
-                    t = self.flash.read(ppa, OpCause::MetaRead, t).done;
+                    t = self.core.flash.read(ppa, OpCause::MetaRead, t).done;
                     phases.meta_read += t - before;
                     reads += 1;
                 }
@@ -303,47 +184,26 @@ impl PinkStore {
                     context: "spilled segment has no flash location",
                 })?;
                 let before = t;
-                t = self.flash.read(ppa, OpCause::MetaRead, t).done;
+                t = self.core.flash.read(ppa, OpCause::MetaRead, t).done;
                 phases.meta_read += t - before;
                 reads += 1;
             }
             if let Some(e) = self.levels[li].segs[si].find(key) {
                 if e.tombstone {
-                    let done = t + self.cfg.cpu.dram_op_ns;
-                    phases.engine += self.cfg.cpu.dram_op_ns;
-                    phases.finish(done - at);
-                    return Ok(OpOutcome {
-                        issued_at: at,
-                        done_at: done,
-                        found: false,
-                        flash_reads: reads,
-                        phases,
-                    });
+                    let done = t + self.core.cfg.cpu.dram_op_ns;
+                    phases.engine += self.core.cfg.cpu.dram_op_ns;
+                    return Ok(outcome(at, done, false, reads, phases));
                 }
                 let ptr = e.ptr;
                 reads += ptr.span as u32;
-                let done = self.flash.read_many(ptr.pages(), OpCause::HostRead, t);
+                let done = self.core.flash.read_many(ptr.pages(), OpCause::HostRead, t);
                 phases.data_read += done - t;
-                phases.finish(done - at);
-                return Ok(OpOutcome {
-                    issued_at: at,
-                    done_at: done,
-                    found: true,
-                    flash_reads: reads,
-                    phases,
-                });
+                return Ok(outcome(at, done, true, reads, phases));
             }
         }
-        let done = t + self.cfg.cpu.dram_op_ns;
-        phases.engine += self.cfg.cpu.dram_op_ns;
-        phases.finish(done - at);
-        Ok(OpOutcome {
-            issued_at: at,
-            done_at: done,
-            found: false,
-            flash_reads: reads,
-            phases,
-        })
+        let done = t + self.core.cfg.cpu.dram_op_ns;
+        phases.engine += self.core.cfg.cpu.dram_op_ns;
+        Ok(outcome(at, done, false, reads, phases))
     }
 
     fn do_scan(
@@ -352,34 +212,22 @@ impl PinkStore {
         len: u32,
         at: Ns,
     ) -> Result<(Vec<u64>, OpOutcome), KvError> {
-        let start = self.make_key(start_id)?;
-        let want = len as usize;
-        let mut t = at;
-        let mut reads = 0u32;
-
-        // Collect up to `want` candidates per level, charging meta reads
-        // for every spilled structure touched.
-        struct Cand {
-            entry: SegEntry,
-            level: usize,
-        }
-        // Tombstones and cross-level duplicates consume candidates; retry
-        // with a doubled per-level budget until every capped level's
-        // frontier covers the emitted range (see the AnyKey scan path).
-        let mut budget = want;
-        let (mut cands, mut meta_ppas, mut limit): (Vec<Cand>, Vec<Ppa>, Option<Key>);
-        loop {
-            cands = Vec::new();
-            meta_ppas = Vec::new();
-            let mut frontier: Vec<Key> = Vec::new();
-            for li in 0..self.levels.len() {
-                let level = &self.levels[li];
+        let start = self.core.make_key(start_id)?;
+        // Candidates carry their data pointers; the index pages are the
+        // spilled level lists and meta segments the collection touched.
+        let levels = &self.levels;
+        let plan = self.core.scan(
+            start,
+            len as usize,
+            levels.len(),
+            |li, budget, cands, pages| {
+                let level = &levels[li];
                 if level.is_empty() {
-                    continue;
+                    return Ok(0);
                 }
                 if !level.list_resident {
                     if let Some(&ppa) = level.list_pages.first() {
-                        meta_ppas.push(ppa);
+                        pages.push(ppa);
                     }
                 }
                 let mut taken = 0usize;
@@ -387,136 +235,46 @@ impl PinkStore {
                 while taken < budget && si < level.segs.len() {
                     let seg = &level.segs[si];
                     if !seg.resident {
-                        meta_ppas.push(seg.ppa.ok_or(KvError::Internal {
+                        pages.push(seg.ppa.ok_or(KvError::Internal {
                             context: "spilled segment has no flash location",
                         })?);
                     }
                     let from = seg.entries.partition_point(|e| e.key < start);
-                    for e in &seg.entries[from..] {
-                        if taken >= budget {
-                            break;
-                        }
-                        cands.push(Cand {
-                            entry: *e,
+                    for e in seg.entries[from..].iter().take(budget - taken) {
+                        cands.push(ScanCand {
+                            key: e.key,
                             level: li,
+                            tombstone: e.tombstone,
+                            payload: e.ptr,
                         });
                         taken += 1;
                     }
                     si += 1;
                 }
-                if taken >= budget {
-                    if let Some(c) = cands.last() {
-                        frontier.push(c.entry.key);
-                    }
-                }
-            }
-            limit = frontier.into_iter().min();
-            let reachable = {
-                let mut newest: std::collections::BTreeMap<Key, (usize, bool)> =
-                    std::collections::BTreeMap::new();
-                for c in &cands {
-                    if limit.is_none_or(|l| c.entry.key <= l) {
-                        let e = newest
-                            .entry(c.entry.key)
-                            .or_insert((c.level, c.entry.tombstone));
-                        if c.level < e.0 {
-                            *e = (c.level, c.entry.tombstone);
-                        }
-                    }
-                }
-                for (k, be) in self.buffer.range_from(start) {
-                    if limit.is_none_or(|l| *k <= l) {
-                        newest.insert(*k, (0, be.tombstone));
-                    }
-                }
-                newest.values().filter(|&&(_, t)| !t).count()
-            };
-            if limit.is_none() || reachable >= want || budget >= want * 64 {
-                break;
-            }
-            budget *= 2;
-        }
-        meta_ppas.sort_unstable();
-        meta_ppas.dedup();
-        reads += meta_ppas.len() as u32;
+                Ok(taken)
+            },
+        )?;
         let mut phases = PhaseBreakdown::default();
-        let before = t;
-        t = self.flash.read_many(meta_ppas, OpCause::MetaRead, t);
-        phases.meta_read += t - before;
-
-        // Merge with the buffer, newest wins.
-        cands.sort_by(|a, b| a.entry.key.cmp(&b.entry.key).then(a.level.cmp(&b.level)));
-        let mut chosen: Vec<(Key, Option<SegEntry>)> = Vec::new();
-        {
-            let mut buf_iter = self.buffer.range_from(start).peekable();
-            let mut i = 0;
-            while chosen.len() < want && (i < cands.len() || buf_iter.peek().is_some()) {
-                let next_level_key = cands.get(i).map(|c| c.entry.key);
-                let next_buf_key = buf_iter.peek().map(|(k, _)| **k);
-                let key = match (next_buf_key, next_level_key) {
-                    (Some(b), Some(l)) => b.min(l),
-                    (Some(b), None) => b,
-                    (None, Some(l)) => l,
-                    (None, None) => break,
-                };
-                if limit.is_some_and(|l| key > l) {
-                    // Never emit beyond a capped level's frontier.
-                    break;
-                }
-                let mut buf_tomb = None;
-                if next_buf_key == Some(key) {
-                    let (_, e) = buf_iter.next().ok_or(KvError::Internal {
-                        context: "peeked buffer entry vanished mid-scan",
-                    })?;
-                    buf_tomb = Some(e.tombstone);
-                }
-                let mut newest: Option<SegEntry> = None;
-                while i < cands.len() && cands[i].entry.key == key {
-                    if newest.is_none() {
-                        newest = Some(cands[i].entry);
-                    }
-                    i += 1;
-                }
-                match buf_tomb {
-                    Some(true) => {}
-                    Some(false) => chosen.push((key, None)),
-                    None => match newest {
-                        Some(e) if e.tombstone => {}
-                        Some(e) => chosen.push((key, Some(e))),
-                        None => {}
-                    },
-                }
-            }
-        }
+        let (t, meta_reads) = self.core.read_set(plan.index_pages, OpCause::MetaRead, at);
+        phases.meta_read += t - at;
 
         // Read the data pages of the selected pairs. In PinK these are
         // scattered over the data area (values are placed in buffer-arrival
         // order), which is why long scans cost it dearly (Figure 18).
-        let mut data_ppas: Vec<Ppa> = Vec::new();
-        for (_, e) in &chosen {
-            if let Some(e) = e {
-                data_ppas.extend(e.ptr.pages());
-            }
-        }
-        data_ppas.sort_unstable();
-        data_ppas.dedup();
-        reads += data_ppas.len() as u32;
-        let done = self.flash.read_many(data_ppas, OpCause::HostRead, t);
-        let done = done.max(t);
+        let data_ppas: Vec<Ppa> = plan
+            .hits
+            .iter()
+            .filter_map(|&(_, ptr)| ptr)
+            .flat_map(DataPtr::pages)
+            .collect();
+        let (done, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
         phases.data_read += done - t;
-        phases.finish(done - at);
-
-        let ids: Vec<u64> = chosen.iter().map(|(k, _)| k.id()).collect();
-        let found = !ids.is_empty();
-        Ok((
-            ids,
-            OpOutcome {
-                issued_at: at,
-                done_at: done,
-                found,
-                flash_reads: reads,
-                phases,
-            },
+        Ok(scan_outcome(
+            &plan.hits,
+            at,
+            done,
+            meta_reads + data_reads,
+            phases,
         ))
     }
 }
@@ -538,18 +296,8 @@ impl KvEngine for PinkStore {
     fn scan_keys(&mut self, start: u64, len: u32, at: Ns) -> (Vec<u64>, OpOutcome) {
         // An ill-formed start key cannot match any stored key, so the scan
         // is empty rather than a panic.
-        self.do_scan(start, len, at).unwrap_or_else(|_| {
-            (
-                Vec::new(),
-                OpOutcome {
-                    issued_at: at,
-                    done_at: at,
-                    found: false,
-                    flash_reads: 0,
-                    phases: PhaseBreakdown::default(),
-                },
-            )
-        })
+        self.do_scan(start, len, at)
+            .unwrap_or_else(|_| (Vec::new(), empty_outcome(at)))
     }
 
     fn metadata(&self) -> MetadataStats {
@@ -573,37 +321,18 @@ impl KvEngine for PinkStore {
         MetadataStats {
             level_list_bytes,
             level_list_flash_bytes: level_list_flash,
-            hash_list_total_bytes: 0,
-            hash_list_resident_bytes: 0,
             meta_segment_dram_bytes: seg_dram,
             meta_segment_flash_bytes: seg_flash,
-            dram_capacity: self.dram.capacity,
-            dram_used: self.dram.used(),
             levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
-            live_unique_bytes: self.live_bytes,
-            value_log_used_bytes: 0,
-            retry_reads: self.flash.counters().total_retry_reads(),
-            program_fails: self.flash.counters().program_fails(),
-            erase_fails: self.flash.counters().erase_fails(),
             retired_blocks: self.alloc.retired_count() as u64,
             free_blocks: self.alloc.free_count() as u64,
+            ..self.core.metadata()
         }
     }
 
     fn sample_state(&self) -> StateSample {
-        let meta = self.metadata();
-        let wear = self.flash.sample_state();
         StateSample {
-            dram_capacity: meta.dram_capacity,
-            dram_used: meta.dram_used,
-            level_list_bytes: meta.level_list_bytes,
-            meta_segment_dram_bytes: meta.meta_segment_dram_bytes,
-            meta_segment_flash_bytes: meta.meta_segment_flash_bytes,
             group_count: self.levels.iter().map(|l| l.segs.len() as u64).sum::<u64>(),
-            free_blocks: meta.free_blocks,
-            wear_min: wear.wear_min,
-            wear_max: wear.wear_max,
-            wear_total: wear.wear_total,
             levels: self
                 .levels
                 .iter()
@@ -616,24 +345,24 @@ impl KvEngine for PinkStore {
                     meta_bytes: l.list_bytes(),
                 })
                 .collect(),
-            ..StateSample::default()
+            ..self.core.sample_state(&self.metadata())
         }
     }
 
     fn counters(&self) -> FlashCounters {
-        self.flash.counters().clone()
+        self.core.counters()
     }
 
     fn reset_counters(&mut self) {
-        self.flash.reset_counters();
+        self.core.reset_counters();
     }
 
     fn horizon(&self) -> Ns {
-        self.flash.horizon()
+        self.core.horizon()
     }
 
     fn capacity_bytes(&self) -> u64 {
-        self.cfg.capacity_bytes()
+        self.core.capacity_bytes()
     }
 
     fn check_invariants(&self) -> Result<(), AuditError> {
@@ -641,34 +370,11 @@ impl KvEngine for PinkStore {
     }
 
     fn set_tracing(&mut self, on: bool) {
-        self.flash.set_tracing(on);
-        #[cfg(feature = "trace")]
-        if on {
-            self.spans.clear();
-            self.span_seq = 0;
-        }
+        self.core.set_tracing(on);
     }
 
     #[cfg(feature = "trace")]
     fn take_trace(&mut self) -> Vec<TraceEvent> {
-        let geometry = self.cfg.flash.geometry;
-        let mut out: Vec<TraceEvent> = self
-            .flash
-            .take_trace_events()
-            .into_iter()
-            .map(|e| TraceEvent::FlashOp {
-                op: e.op.as_str().to_string(),
-                cause: e.cause_str().to_string(),
-                chip: e.chip,
-                channel: geometry.channel_of_chip(e.chip),
-                issued: e.issued,
-                start: e.start,
-                done: e.done,
-                retries: e.retries,
-            })
-            .collect();
-        out.append(&mut self.spans);
-        anykey_metrics::trace::sort_events(&mut out);
-        out
+        self.core.take_trace()
     }
 }

@@ -157,12 +157,7 @@ impl MetaArea {
             }
             self.opens.remove(&stream);
         }
-        let block = alloc.alloc().ok_or_else(|| {
-            if std::env::var("ANYKEY_DEBUG").is_ok() {
-                eprintln!("PinK meta alloc exhausted (stream {stream})");
-            }
-            KvError::DeviceFull
-        })?;
+        let block = alloc.alloc().ok_or(KvError::DeviceFull)?;
         self.live_pages.insert(block, 1);
         self.opens.insert(stream, (block, 1));
         Ok(Ppa { block, page: 0 })
@@ -353,12 +348,7 @@ impl DataArea {
     }
 
     fn open_block(&mut self, alloc: &mut BlockAllocator) -> Result<OpenData, KvError> {
-        let block = alloc.alloc().ok_or_else(|| {
-            if std::env::var("ANYKEY_DEBUG").is_ok() {
-                eprintln!("PinK data alloc exhausted");
-            }
-            KvError::DeviceFull
-        })?;
+        let block = alloc.alloc().ok_or(KvError::DeviceFull)?;
         self.blocks.insert(block, 0);
         let o = OpenData {
             block,

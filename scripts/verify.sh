@@ -19,18 +19,6 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> fault-injection determinism suite"
-cargo test -q --test fault_determinism
-
-echo "==> scheduler determinism suite"
-cargo test -q --test scheduler_determinism
-
-echo "==> trace determinism suite"
-cargo test -q --test trace_determinism
-
-echo "==> timeline determinism suite"
-cargo test -q --test timeline_determinism
-
 echo "==> bench smoke: fault sweep at --jobs 1 and --jobs 2 must agree"
 cargo run -q --release -p anykey-bench -- fault --quick --jobs 1 \
     --out "$VERIFY_DIR/j1" --trace "$VERIFY_DIR/j1/trace.jsonl" \
