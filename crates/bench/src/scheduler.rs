@@ -28,8 +28,7 @@ use std::time::Instant;
 
 use anykey_core::runner::{waf_from, DEFAULT_QUEUE_DEPTH};
 use anykey_core::{
-    run, run_sampled, run_traced, run_traced_sampled, warm_up, DeviceConfig, EngineKind, KvError,
-    MetadataStats, RunReport, SampleCfg,
+    run_with, warm_up, DeviceConfig, EngineKind, KvError, MetadataStats, RunReport, SampleCfg,
 };
 use anykey_metrics::summary::{PointSummary, RunSummary, SCHEMA_VERSION};
 use anykey_metrics::timeline::{
@@ -403,19 +402,8 @@ fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> Executed {
             pair_bytes: spec.pair_bytes(),
             page_payload: u64::from(cfg.page_payload()),
         };
-        let outcome = match (ctx.trace, ctx.timeline_interval_ns > 0) {
-            (false, false) => {
-                run(dev.as_mut(), ops, n, DEFAULT_QUEUE_DEPTH).map(|report| (report, None, None))
-            }
-            (true, false) => run_traced(dev.as_mut(), ops, n, DEFAULT_QUEUE_DEPTH)
-                .map(|(report, events)| (report, Some(events), None)),
-            (false, true) => run_sampled(dev.as_mut(), ops, n, DEFAULT_QUEUE_DEPTH, &sample_cfg)
-                .map(|(report, samples)| (report, None, Some(samples))),
-            (true, true) => {
-                run_traced_sampled(dev.as_mut(), ops, n, DEFAULT_QUEUE_DEPTH, &sample_cfg)
-                    .map(|(report, events, samples)| (report, Some(events), Some(samples)))
-            }
-        };
+        let sample = (ctx.timeline_interval_ns > 0).then_some(&sample_cfg);
+        let outcome = run_with(dev.as_mut(), ops, n, DEFAULT_QUEUE_DEPTH, ctx.trace, sample);
         match outcome {
             Ok((report, trace, timeline)) => {
                 let note = (shrink < 1.0).then(|| {

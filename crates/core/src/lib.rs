@@ -77,4 +77,4 @@ pub use hash::xxhash32;
 /// The ordered fixed-length key type.
 pub use key::Key;
 /// Trace runner entry points.
-pub use runner::{run, run_sampled, run_traced, run_traced_sampled, warm_up, RunReport, SampleCfg};
+pub use runner::{run, run_with, warm_up, RunReport, SampleCfg};

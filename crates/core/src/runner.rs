@@ -124,95 +124,51 @@ pub fn run(
     run_inner(engine, ops, n_ops, queue_depth, None, None)
 }
 
-/// Like [`run`], but additionally snapshots a [`StateSample`] at every
-/// `cfg.interval_ns` of virtual time (plus one at the start and one at the
-/// end of the stage), returning the report and the sample series.
+/// Like [`run`], optionally recording on the side: with `trace`, the
+/// merged event stream — flash op lifecycles and engine spans from the
+/// engine, one request event per executed operation from the pipeline — in
+/// canonical timestamp order; with `sample`, a [`StateSample`] at every
+/// `interval_ns` of virtual time plus one at the start and one at the end
+/// of the stage. Returns the report plus whichever of the two was asked
+/// for.
 ///
-/// Sampling is pure observation — it reads engine state and counters but
-/// never touches the virtual clock, so the report is identical to what
-/// [`run`] would have produced.
+/// Both are pure observation (neither touches the virtual clock), so the
+/// report is identical to what [`run`] would have produced. Engines built
+/// without the `trace` cargo feature yield request events only.
 ///
 /// # Errors
 ///
 /// Returns [`KvError::DeviceFull`] if the device fills mid-run.
-pub fn run_sampled(
+#[allow(clippy::type_complexity)]
+pub fn run_with(
     engine: &mut dyn KvEngine,
     ops: impl Iterator<Item = Op>,
     n_ops: u64,
     queue_depth: usize,
-    cfg: &SampleCfg,
-) -> Result<(RunReport, Vec<StateSample>), KvError> {
-    let mut samples = Vec::new();
+    trace: bool,
+    sample: Option<&SampleCfg>,
+) -> Result<(RunReport, Option<Vec<TraceEvent>>, Option<Vec<StateSample>>), KvError> {
+    let mut events = trace.then(Vec::new);
+    let mut samples = sample.map(|_| Vec::new());
+    if trace {
+        engine.set_tracing(true);
+    }
     let report = run_inner(
         engine,
         ops,
         n_ops,
         queue_depth,
-        None,
-        Some((cfg, &mut samples)),
-    )?;
-    Ok((report, samples))
-}
-
-/// [`run_traced`] and [`run_sampled`] combined: trace-event recording and
-/// periodic state sampling over the same stage.
-///
-/// # Errors
-///
-/// Returns [`KvError::DeviceFull`] if the device fills mid-run.
-pub fn run_traced_sampled(
-    engine: &mut dyn KvEngine,
-    ops: impl Iterator<Item = Op>,
-    n_ops: u64,
-    queue_depth: usize,
-    cfg: &SampleCfg,
-) -> Result<(RunReport, Vec<TraceEvent>, Vec<StateSample>), KvError> {
-    engine.set_tracing(true);
-    let mut events = Vec::new();
-    let mut samples = Vec::new();
-    let report = run_inner(
-        engine,
-        ops,
-        n_ops,
-        queue_depth,
-        Some(&mut events),
-        Some((cfg, &mut samples)),
+        events.as_mut(),
+        sample.zip(samples.as_mut()),
     );
-    let mut merged = engine.take_trace();
-    engine.set_tracing(false);
-    let report = report?;
-    merged.append(&mut events);
-    sort_events(&mut merged);
-    Ok((report, merged, samples))
-}
-
-/// Like [`run`], but with trace-event recording enabled on the engine for
-/// the duration: returns the report plus the merged event stream — flash
-/// op lifecycles and engine spans from the engine, one request event per
-/// executed operation from the pipeline — in canonical timestamp order.
-///
-/// Tracing is pure observation (it never touches the virtual clock), so
-/// the report is identical to what [`run`] would have produced. Engines
-/// built without the `trace` cargo feature yield request events only.
-///
-/// # Errors
-///
-/// Returns [`KvError::DeviceFull`] if the device fills mid-run.
-pub fn run_traced(
-    engine: &mut dyn KvEngine,
-    ops: impl Iterator<Item = Op>,
-    n_ops: u64,
-    queue_depth: usize,
-) -> Result<(RunReport, Vec<TraceEvent>), KvError> {
-    engine.set_tracing(true);
-    let mut events = Vec::new();
-    let report = run_inner(engine, ops, n_ops, queue_depth, Some(&mut events), None);
-    let mut merged = engine.take_trace();
-    engine.set_tracing(false);
-    let report = report?;
-    merged.append(&mut events);
-    sort_events(&mut merged);
-    Ok((report, merged))
+    if let Some(events) = events.as_mut() {
+        let mut merged = engine.take_trace();
+        engine.set_tracing(false);
+        merged.append(events);
+        sort_events(&mut merged);
+        *events = merged;
+    }
+    Ok((report?, events, samples))
 }
 
 fn op_name(op: &Op) -> &'static str {
@@ -533,7 +489,9 @@ mod tests {
         let mut b = build();
         warm_up(b.as_mut(), w, 10_000, 9).unwrap();
         let ops = OpStreamBuilder::new(w, 10_000).seed(10).build();
-        let (traced, events) = run_traced(b.as_mut(), ops, 1_000, DEFAULT_QUEUE_DEPTH).unwrap();
+        let (traced, events, _) =
+            run_with(b.as_mut(), ops, 1_000, DEFAULT_QUEUE_DEPTH, true, None).unwrap();
+        let events = events.unwrap();
 
         // Tracing is pure observation: identical timings either way.
         assert_eq!(traced.ops, plain.ops);
@@ -580,8 +538,16 @@ mod tests {
             pair_bytes: 1_044,
             page_payload: 32_704,
         };
-        let (sampled, samples) =
-            run_sampled(b.as_mut(), ops, 2_000, DEFAULT_QUEUE_DEPTH, &cfg).unwrap();
+        let (sampled, _, samples) = run_with(
+            b.as_mut(),
+            ops,
+            2_000,
+            DEFAULT_QUEUE_DEPTH,
+            false,
+            Some(&cfg),
+        )
+        .unwrap();
+        let samples = samples.unwrap();
 
         // Sampling is pure observation: identical timings and counters.
         assert_eq!(sampled.ops, plain.ops);

@@ -2,8 +2,10 @@
 //!
 //! Measurement toolkit for the AnyKey reproduction experiments: latency
 //! histograms with percentile/CDF extraction (the paper reports p95 tail
-//! latencies and latency CDFs), IOPS computation over virtual time, and
-//! ASCII/CSV report rendering for the benchmark harness.
+//! latencies and latency CDFs), ASCII/CSV report rendering for the
+//! benchmark harness, and the three machine-readable artifacts of a run:
+//! the `summary.json` regression-gate document, virtual-time traces, and
+//! state-sample timelines. All three share one JSON codec.
 //!
 //! ```
 //! use anykey_metrics::LatencyHist;
@@ -18,6 +20,7 @@
 
 /// Log-bucketed latency histograms.
 pub mod hist;
+mod json;
 /// Run-report assembly and rendering.
 pub mod report;
 /// Machine-readable `summary.json` schema, parser, and tolerance diff.
@@ -30,6 +33,8 @@ pub mod trace;
 
 /// Log-bucketed latency histogram with exact quantile queries.
 pub use hist::LatencyHist;
+/// The one parse-error type of the summary, trace and timeline readers.
+pub use json::ParseError;
 /// Report renderers (CSV and aligned-table output).
 pub use report::{Csv, Table};
 /// The `summary.json` schema and diff entry points.

@@ -5,11 +5,6 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// The machine-readable run-summary schema (`summary.json`) lives in
-/// [`crate::summary`]; re-exported here so report consumers find the whole
-/// reporting surface in one place.
-pub use crate::summary::{PointSummary, RunSummary, SCHEMA_VERSION};
-
 /// A simple column-aligned ASCII table.
 ///
 /// The benchmark harness prints one of these per paper table/figure, with

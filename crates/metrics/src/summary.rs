@@ -19,13 +19,13 @@
 //!   measurements. Compared with a multiplicative band (candidate may not
 //!   exceed `baseline × band`); getting *faster* never fails.
 //!
-//! Everything here is dependency-free: the writer and the recursive-descent
-//! parser are small enough that pulling in a JSON crate would cost more
-//! than it saves (and the workspace is hermetic — no registry access).
+//! Reading and writing go through the crate's one JSON codec (`json.rs`),
+//! shared with the trace and timeline documents.
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
+
+use crate::json::{self, ParseError, Reader, Val};
 
 /// Version stamp of the `summary.json` schema. Bump on any field change so
 /// `bench-diff` can refuse to compare incompatible documents.
@@ -60,7 +60,7 @@ pub const WALL_FLOOR_SECS: f64 = 1.0;
 ///
 /// All latency metrics are virtual nanoseconds; `wall_secs` is the only
 /// host-clock field.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PointSummary {
     /// Unique row key within the run (`experiment/workload/system[/variant]`).
     pub key: String,
@@ -171,91 +171,80 @@ pub struct RunSummary {
     pub points: Vec<PointSummary>,
 }
 
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+impl PointSummary {
+    /// The point's fields in `summary.json` order.
+    fn fields(&self) -> [(&'static str, Val<'_>); 42] {
+        [
+            ("key", Val::S(&self.key)),
+            ("experiment", Val::S(&self.experiment)),
+            ("workload", Val::S(&self.workload)),
+            ("system", Val::S(&self.system)),
+            ("ops", Val::U(self.ops)),
+            ("read_ops", Val::U(self.read_ops)),
+            ("write_ops", Val::U(self.write_ops)),
+            ("scan_ops", Val::U(self.scan_ops)),
+            ("virtual_ns", Val::U(self.virtual_ns)),
+            ("iops", Val::F(self.iops)),
+            ("p50_read_ns", Val::U(self.p50_read_ns)),
+            ("p95_read_ns", Val::U(self.p95_read_ns)),
+            ("p99_read_ns", Val::U(self.p99_read_ns)),
+            ("p50_write_ns", Val::U(self.p50_write_ns)),
+            ("p95_write_ns", Val::U(self.p95_write_ns)),
+            ("p99_write_ns", Val::U(self.p99_write_ns)),
+            ("waf", Val::F(self.waf)),
+            ("converged_waf", Val::F(self.converged_waf)),
+            ("burnin_ns", Val::U(self.burnin_ns)),
+            ("host_reads", Val::U(self.host_reads)),
+            ("host_writes", Val::U(self.host_writes)),
+            ("meta_reads", Val::U(self.meta_reads)),
+            ("meta_writes", Val::U(self.meta_writes)),
+            ("comp_reads", Val::U(self.comp_reads)),
+            ("comp_writes", Val::U(self.comp_writes)),
+            ("gc_reads", Val::U(self.gc_reads)),
+            ("gc_writes", Val::U(self.gc_writes)),
+            ("log_reads", Val::U(self.log_reads)),
+            ("log_writes", Val::U(self.log_writes)),
+            ("erases", Val::U(self.erases)),
+            ("retry_reads", Val::U(self.retry_reads)),
+            ("phase_queue_ns", Val::U(self.phase_queue_ns)),
+            ("phase_meta_ns", Val::U(self.phase_meta_ns)),
+            ("phase_data_ns", Val::U(self.phase_data_ns)),
+            ("phase_log_ns", Val::U(self.phase_log_ns)),
+            ("phase_engine_ns", Val::U(self.phase_engine_ns)),
+            ("phase_queue_p99_ns", Val::U(self.phase_queue_p99_ns)),
+            ("phase_meta_p99_ns", Val::U(self.phase_meta_p99_ns)),
+            ("phase_data_p99_ns", Val::U(self.phase_data_p99_ns)),
+            ("phase_log_p99_ns", Val::U(self.phase_log_p99_ns)),
+            ("phase_engine_p99_ns", Val::U(self.phase_engine_p99_ns)),
+            ("wall_secs", Val::F(self.wall_secs)),
+        ]
     }
-    out
+}
+
+/// `items` one per line at `indent`, comma-separated.
+fn block(indent: &str, items: impl Iterator<Item = String>) -> String {
+    let lines: Vec<String> = items.map(|item| format!("{indent}{item}")).collect();
+    lines.join(",\n") + if lines.is_empty() { "" } else { "\n" }
 }
 
 impl RunSummary {
     /// Renders the summary as stable, human-diffable JSON: one point per
     /// block, fixed field order, fixed float precision.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(s, "  \"capacity_bytes\": {},", self.capacity_bytes);
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"total_wall_secs\": {:.6},", self.total_wall_secs);
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str("    {\n");
-            let _ = writeln!(s, "      \"key\": \"{}\",", esc(&p.key));
-            let _ = writeln!(s, "      \"experiment\": \"{}\",", esc(&p.experiment));
-            let _ = writeln!(s, "      \"workload\": \"{}\",", esc(&p.workload));
-            let _ = writeln!(s, "      \"system\": \"{}\",", esc(&p.system));
-            let _ = writeln!(s, "      \"ops\": {},", p.ops);
-            let _ = writeln!(s, "      \"read_ops\": {},", p.read_ops);
-            let _ = writeln!(s, "      \"write_ops\": {},", p.write_ops);
-            let _ = writeln!(s, "      \"scan_ops\": {},", p.scan_ops);
-            let _ = writeln!(s, "      \"virtual_ns\": {},", p.virtual_ns);
-            let _ = writeln!(s, "      \"iops\": {:.6},", p.iops);
-            let _ = writeln!(s, "      \"p50_read_ns\": {},", p.p50_read_ns);
-            let _ = writeln!(s, "      \"p95_read_ns\": {},", p.p95_read_ns);
-            let _ = writeln!(s, "      \"p99_read_ns\": {},", p.p99_read_ns);
-            let _ = writeln!(s, "      \"p50_write_ns\": {},", p.p50_write_ns);
-            let _ = writeln!(s, "      \"p95_write_ns\": {},", p.p95_write_ns);
-            let _ = writeln!(s, "      \"p99_write_ns\": {},", p.p99_write_ns);
-            let _ = writeln!(s, "      \"waf\": {:.6},", p.waf);
-            let _ = writeln!(s, "      \"converged_waf\": {:.6},", p.converged_waf);
-            let _ = writeln!(s, "      \"burnin_ns\": {},", p.burnin_ns);
-            let _ = writeln!(s, "      \"host_reads\": {},", p.host_reads);
-            let _ = writeln!(s, "      \"host_writes\": {},", p.host_writes);
-            let _ = writeln!(s, "      \"meta_reads\": {},", p.meta_reads);
-            let _ = writeln!(s, "      \"meta_writes\": {},", p.meta_writes);
-            let _ = writeln!(s, "      \"comp_reads\": {},", p.comp_reads);
-            let _ = writeln!(s, "      \"comp_writes\": {},", p.comp_writes);
-            let _ = writeln!(s, "      \"gc_reads\": {},", p.gc_reads);
-            let _ = writeln!(s, "      \"gc_writes\": {},", p.gc_writes);
-            let _ = writeln!(s, "      \"log_reads\": {},", p.log_reads);
-            let _ = writeln!(s, "      \"log_writes\": {},", p.log_writes);
-            let _ = writeln!(s, "      \"erases\": {},", p.erases);
-            let _ = writeln!(s, "      \"retry_reads\": {},", p.retry_reads);
-            let _ = writeln!(s, "      \"phase_queue_ns\": {},", p.phase_queue_ns);
-            let _ = writeln!(s, "      \"phase_meta_ns\": {},", p.phase_meta_ns);
-            let _ = writeln!(s, "      \"phase_data_ns\": {},", p.phase_data_ns);
-            let _ = writeln!(s, "      \"phase_log_ns\": {},", p.phase_log_ns);
-            let _ = writeln!(s, "      \"phase_engine_ns\": {},", p.phase_engine_ns);
-            let _ = writeln!(s, "      \"phase_queue_p99_ns\": {},", p.phase_queue_p99_ns);
-            let _ = writeln!(s, "      \"phase_meta_p99_ns\": {},", p.phase_meta_p99_ns);
-            let _ = writeln!(s, "      \"phase_data_p99_ns\": {},", p.phase_data_p99_ns);
-            let _ = writeln!(s, "      \"phase_log_p99_ns\": {},", p.phase_log_p99_ns);
-            let _ = writeln!(
-                s,
-                "      \"phase_engine_p99_ns\": {},",
-                p.phase_engine_p99_ns
-            );
-            let _ = writeln!(s, "      \"wall_secs\": {:.6}", p.wall_secs);
-            s.push_str(if i + 1 == self.points.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let field = |(name, v): (&str, Val<'_>)| format!("\"{name}\": {v}");
+        let points = self.points.iter().map(|p| {
+            let body = block("      ", p.fields().into_iter().map(field));
+            format!("{{\n{body}    }}")
+        });
+        let run = [
+            ("schema_version", Val::U(self.schema_version)),
+            ("capacity_bytes", Val::U(self.capacity_bytes)),
+            ("seed", Val::U(self.seed)),
+            ("total_wall_secs", Val::F(self.total_wall_secs)),
+        ];
+        let points = format!("\"points\": [\n{}  ]", block("    ", points));
+        let fields = run.into_iter().map(field).chain([points]);
+        format!("{{\n{}}}\n", block("  ", fields))
     }
 
     /// Writes the JSON rendering to `path`, creating parent directories.
@@ -270,12 +259,6 @@ impl RunSummary {
         std::fs::write(path, self.to_json())
     }
 }
-
-// ---------------------------------------------------------------------------
-// Parsing: a minimal recursive-descent JSON reader that keeps every scalar
-// as its *raw token* (so exact comparison is token equality, with no float
-// round-trip in between).
-// ---------------------------------------------------------------------------
 
 /// A summary document as parsed back from disk: field names mapped to raw
 /// serialized tokens, plus the per-point field lists.
@@ -300,229 +283,49 @@ pub struct ParsedPoint {
 impl ParsedSummary {
     /// Looks up a top-level field's raw token.
     pub fn field(&self, name: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        json::field(&self.fields, name)
     }
 }
 
 impl ParsedPoint {
     /// Looks up a point field's raw token.
     pub fn field(&self, name: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// A summary parse failure, with a byte offset for context.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// What the parser expected or found.
-    pub msg: String,
-    /// Byte offset into the document.
-    pub at: usize,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "summary parse error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-struct Parser<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, msg: &str) -> Result<T, ParseError> {
-        Err(ParseError {
-            msg: msg.to_string(),
-            at: self.pos,
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .src
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.src.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", c as char))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.src.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.src.get(self.pos) {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.src.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self.src.get(self.pos + 1..self.pos + 5);
-                            let code = hex
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match code {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(&c) => {
-                    // Multibyte UTF-8 passes through byte by byte; the
-                    // source is a &str upstream so it is valid UTF-8.
-                    out.push_str(
-                        std::str::from_utf8(&self.src[self.pos..self.pos + utf8_len(c)]).map_err(
-                            |_| ParseError {
-                                msg: "invalid utf-8".into(),
-                                at: self.pos,
-                            },
-                        )?,
-                    );
-                    self.pos += utf8_len(c);
-                }
-            }
-        }
-    }
-
-    /// A scalar (number / string / bool / null) as its raw token text.
-    /// Strings are returned unescaped-and-requoted so token comparison is
-    /// content comparison.
-    fn scalar(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(format!("\"{}\"", esc(&self.string()?))),
-            Some(c) if c == b'-' || c.is_ascii_digit() || c == b't' || c == b'f' || c == b'n' => {
-                let start = self.pos;
-                while self.src.get(self.pos).is_some_and(|&b| {
-                    b.is_ascii_alphanumeric() || b == b'-' || b == b'+' || b == b'.'
-                }) {
-                    self.pos += 1;
-                }
-                if self.pos == start {
-                    return self.err("empty scalar");
-                }
-                Ok(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
-            }
-            _ => self.err("expected scalar"),
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        b if b < 0x80 => 1,
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        _ => 2,
+        json::field(&self.fields, name)
     }
 }
 
 /// Parses a `summary.json` document produced by [`RunSummary::to_json`]
 /// (or a hand-edited equivalent: field order is free, unknown fields are
-/// kept and compared like any other).
+/// kept and compared like any other). Strings are kept re-escaped and
+/// quoted, numbers and bools as their raw token.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed JSON or a document whose shape is
 /// not `{scalars..., "points": [{scalars...}...]}`.
 pub fn parse(src: &str) -> Result<ParsedSummary, ParseError> {
-    let mut p = Parser {
-        src: src.as_bytes(),
-        pos: 0,
-    };
     let mut out = ParsedSummary {
         fields: Vec::new(),
         points: Vec::new(),
     };
-    p.eat(b'{')?;
-    loop {
-        if p.peek() == Some(b'}') {
-            break;
+    let mut r = Reader::new(src);
+    r.expect(b'{')?;
+    r.list(b'}', |r| {
+        let name = r.string()?;
+        r.expect(b':')?;
+        if name != "points" {
+            out.fields.push((name, r.value()?));
+            return Ok(());
         }
-        let name = p.string()?;
-        p.eat(b':')?;
-        if name == "points" {
-            p.eat(b'[')?;
-            loop {
-                if p.peek() == Some(b']') {
-                    p.pos += 1;
-                    break;
-                }
-                p.eat(b'{')?;
-                let mut point = ParsedPoint {
-                    key: String::new(),
-                    fields: Vec::new(),
-                };
-                loop {
-                    if p.peek() == Some(b'}') {
-                        p.pos += 1;
-                        break;
-                    }
-                    let fname = p.string()?;
-                    p.eat(b':')?;
-                    let raw = if fname == "key" && p.peek() == Some(b'"') {
-                        let s = p.string()?;
-                        let raw = format!("\"{}\"", esc(&s));
-                        point.key = s;
-                        raw
-                    } else {
-                        p.scalar()?
-                    };
-                    point.fields.push((fname, raw));
-                    if p.peek() == Some(b',') {
-                        p.pos += 1;
-                    }
-                }
-                out.points.push(point);
-                if p.peek() == Some(b',') {
-                    p.pos += 1;
-                }
-            }
-        } else {
-            out.fields.push((name, p.scalar()?));
-        }
-        if p.peek() == Some(b',') {
-            p.pos += 1;
-        }
-    }
+        r.expect(b'[')?;
+        r.list(b']', |r| {
+            let fields = r.flat_object()?;
+            let key = json::get_str(&fields, "key").unwrap_or_default();
+            out.points.push(ParsedPoint { key, fields });
+            Ok(())
+        })
+    })?;
+    r.end()?;
     Ok(out)
 }
 
@@ -580,12 +383,50 @@ fn band_ok(base: &str, cand: &str, band: f64) -> bool {
 /// Exact metrics (everything but [`WALL_FIELDS`]) must match token for
 /// token; wall-time metrics pass while `candidate ≤ baseline × wall_band`
 /// (with a small absolute floor so near-zero baselines do not flap).
-/// Points are matched by `key`; missing or extra points fail the diff.
+/// Points are matched by `key`; missing or extra points fail the diff, and
+/// so does a field only the candidate has.
 pub fn diff(baseline: &ParsedSummary, candidate: &ParsedSummary, wall_band: f64) -> DiffReport {
     let mut report = DiffReport::default();
-    let mut check = |key: &str, metric: &str, base: Option<&str>, cand: Option<&str>| {
-        let banded = WALL_FIELDS.contains(&metric);
-        let (base, cand) = (base.unwrap_or(""), cand.unwrap_or(""));
+    compare(
+        &mut report,
+        "",
+        &baseline.fields,
+        &candidate.fields,
+        wall_band,
+    );
+    for bp in &baseline.points {
+        match candidate.points.iter().find(|p| p.key == bp.key) {
+            Some(cp) => compare(&mut report, &bp.key, &bp.fields, &cp.fields, wall_band),
+            None => report.missing.push(bp.key.clone()),
+        }
+    }
+    for cp in &candidate.points {
+        if !baseline.points.iter().any(|p| p.key == cp.key) {
+            report.extra.push(cp.key.clone());
+        }
+    }
+    report
+}
+
+/// Compares one field list (a point's, or the run's with an empty `key`):
+/// every baseline field against the candidate's, plus every field only the
+/// candidate has, which fails (a metric added without a schema bump).
+fn compare(
+    report: &mut DiffReport,
+    key: &str,
+    base: &[(String, String)],
+    cand: &[(String, String)],
+    wall_band: f64,
+) {
+    let shared = base
+        .iter()
+        .map(|(n, b)| (n, b.as_str(), json::field(cand, n).unwrap_or("")));
+    let cand_only = cand
+        .iter()
+        .filter(|(n, _)| json::field(base, n).is_none())
+        .map(|(n, c)| (n, "", c.as_str()));
+    for (metric, base, cand) in shared.chain(cand_only).filter(|(n, ..)| *n != "key") {
+        let banded = WALL_FIELDS.contains(&metric.as_str());
         let ok = if banded {
             band_ok(base, cand, wall_band)
         } else {
@@ -595,36 +436,14 @@ pub fn diff(baseline: &ParsedSummary, candidate: &ParsedSummary, wall_band: f64)
         if !ok {
             report.failures.push(DiffRow {
                 key: key.to_string(),
-                metric: metric.to_string(),
+                metric: metric.clone(),
                 baseline: base.to_string(),
                 candidate: cand.to_string(),
                 ok,
                 banded,
             });
         }
-    };
-
-    for (name, base) in &baseline.fields {
-        check("", name, Some(base), candidate.field(name));
     }
-    for bp in &baseline.points {
-        let Some(cp) = candidate.points.iter().find(|p| p.key == bp.key) else {
-            report.missing.push(bp.key.clone());
-            continue;
-        };
-        for (name, base) in &bp.fields {
-            if name == "key" {
-                continue;
-            }
-            check(&bp.key, name, Some(base), cp.field(name));
-        }
-    }
-    for cp in &candidate.points {
-        if !baseline.points.iter().any(|p| p.key == cp.key) {
-            report.extra.push(cp.key.clone());
-        }
-    }
-    report
 }
 
 #[cfg(test)]

@@ -28,7 +28,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::summary::esc;
+use crate::json::{self, get, line, ParseError, Val};
+use Num::{F, U};
 
 /// Version stamp of the JSONL timeline schema. Bump on any field change so
 /// `xtask timeline` can refuse files it does not understand.
@@ -164,214 +165,151 @@ pub struct WafPoint {
 // JSONL export
 // ---------------------------------------------------------------------------
 
-/// Renders the JSONL header line (without trailing newline).
-pub fn jsonl_header() -> String {
-    format!(
-        "{{\"event\":\"header\",\"schema_version\":{},\"clock\":\"virtual-ns\"}}",
-        TIMELINE_SCHEMA_VERSION
-    )
+/// One numeric [`StateSample`] field, borrowed mutably so the parser can
+/// fill it and the writers can read it.
+enum Num<'a> {
+    U(&'a mut u64),
+    F(&'a mut f64),
 }
 
-/// Renders a point-marker line: all following sample/level lines (until
-/// the next marker) belong to the named experiment point.
-pub fn jsonl_point(key: &str) -> String {
-    format!("{{\"event\":\"point\",\"key\":\"{}\"}}", esc(key))
+/// Selects one numeric field of a sample.
+type Field = for<'a> fn(&'a mut StateSample) -> Num<'a>;
+
+/// [`StateSample`]'s scalar fields, in file order: JSONL name, CSV column,
+/// and the field. The JSONL writer, the CSV writer and the JSONL parser all
+/// walk this one list; per-level occupancy is JSONL-only.
+const SAMPLE_FIELDS: [(&str, &str, Field); 33] = [
+    ("seq", "seq", |s| U(&mut s.seq)),
+    ("ts", "ts_ns", |s| U(&mut s.ts_ns)),
+    ("interval_ops", "interval_ops", |s| U(&mut s.interval_ops)),
+    (
+        "interval_iops",
+        "interval_iops",
+        |s| F(&mut s.interval_iops),
+    ),
+    ("interval_read_p99", "interval_read_p99_ns", |s| {
+        U(&mut s.interval_read_p99_ns)
+    }),
+    ("interval_write_p99", "interval_write_p99_ns", |s| {
+        U(&mut s.interval_write_p99_ns)
+    }),
+    ("host_reads", "host_reads", |s| U(&mut s.host_reads)),
+    ("host_writes", "host_writes", |s| U(&mut s.host_writes)),
+    ("meta_reads", "meta_reads", |s| U(&mut s.meta_reads)),
+    ("meta_writes", "meta_writes", |s| U(&mut s.meta_writes)),
+    ("comp_reads", "comp_reads", |s| U(&mut s.comp_reads)),
+    ("comp_writes", "comp_writes", |s| U(&mut s.comp_writes)),
+    ("gc_reads", "gc_reads", |s| U(&mut s.gc_reads)),
+    ("gc_writes", "gc_writes", |s| U(&mut s.gc_writes)),
+    ("log_reads", "log_reads", |s| U(&mut s.log_reads)),
+    ("log_writes", "log_writes", |s| U(&mut s.log_writes)),
+    ("erases", "erases", |s| U(&mut s.erases)),
+    ("cum_waf", "cum_waf", |s| F(&mut s.cum_waf)),
+    ("cum_raf", "cum_raf", |s| F(&mut s.cum_raf)),
+    (
+        "dram_capacity",
+        "dram_capacity",
+        |s| U(&mut s.dram_capacity),
+    ),
+    ("dram_used", "dram_used", |s| U(&mut s.dram_used)),
+    ("level_list_bytes", "level_list_bytes", |s| {
+        U(&mut s.level_list_bytes)
+    }),
+    ("hash_list_total_bytes", "hash_list_total_bytes", |s| {
+        U(&mut s.hash_list_total_bytes)
+    }),
+    (
+        "hash_list_resident_bytes",
+        "hash_list_resident_bytes",
+        |s| U(&mut s.hash_list_resident_bytes),
+    ),
+    ("meta_segment_dram_bytes", "meta_segment_dram_bytes", |s| {
+        U(&mut s.meta_segment_dram_bytes)
+    }),
+    (
+        "meta_segment_flash_bytes",
+        "meta_segment_flash_bytes",
+        |s| U(&mut s.meta_segment_flash_bytes),
+    ),
+    ("group_count", "group_count", |s| U(&mut s.group_count)),
+    ("value_log_live_bytes", "value_log_live_bytes", |s| {
+        U(&mut s.value_log_live_bytes)
+    }),
+    ("value_log_stale_bytes", "value_log_stale_bytes", |s| {
+        U(&mut s.value_log_stale_bytes)
+    }),
+    ("free_blocks", "free_blocks", |s| U(&mut s.free_blocks)),
+    ("wear_min", "wear_min", |s| U(&mut s.wear_min)),
+    ("wear_max", "wear_max", |s| U(&mut s.wear_max)),
+    ("wear_total", "wear_total", |s| U(&mut s.wear_total)),
+];
+
+/// `s`'s scalar fields as `(JSONL name, CSV column, value)`.
+fn sample_values(
+    s: &StateSample,
+) -> impl Iterator<Item = (&'static str, &'static str, Val<'static>)> {
+    // The field accessors take `&mut`: read from a copy of the scalars.
+    let mut s = StateSample {
+        levels: Vec::new(),
+        ..*s
+    };
+    SAMPLE_FIELDS.iter().map(move |(name, column, field)| {
+        let v = match field(&mut s) {
+            U(v) => Val::U(*v),
+            F(v) => Val::F(*v),
+        };
+        (*name, *column, v)
+    })
 }
 
-/// Renders one sample's scalar line (without trailing newline). Field
-/// order is fixed so captures are byte-comparable; floats render with a
-/// fixed six-decimal precision.
-pub fn jsonl_sample(s: &StateSample) -> String {
-    format!(
-        "{{\"event\":\"sample\",\"seq\":{},\"ts\":{},\"interval_ops\":{},\
-         \"interval_iops\":{:.6},\"interval_read_p99\":{},\"interval_write_p99\":{},\
-         \"host_reads\":{},\"host_writes\":{},\"meta_reads\":{},\"meta_writes\":{},\
-         \"comp_reads\":{},\"comp_writes\":{},\"gc_reads\":{},\"gc_writes\":{},\
-         \"log_reads\":{},\"log_writes\":{},\"erases\":{},\"cum_waf\":{:.6},\
-         \"cum_raf\":{:.6},\"dram_capacity\":{},\"dram_used\":{},\
-         \"level_list_bytes\":{},\"hash_list_total_bytes\":{},\
-         \"hash_list_resident_bytes\":{},\"meta_segment_dram_bytes\":{},\
-         \"meta_segment_flash_bytes\":{},\"group_count\":{},\
-         \"value_log_live_bytes\":{},\"value_log_stale_bytes\":{},\
-         \"free_blocks\":{},\"wear_min\":{},\"wear_max\":{},\"wear_total\":{}}}",
-        s.seq,
-        s.ts_ns,
-        s.interval_ops,
-        s.interval_iops,
-        s.interval_read_p99_ns,
-        s.interval_write_p99_ns,
-        s.host_reads,
-        s.host_writes,
-        s.meta_reads,
-        s.meta_writes,
-        s.comp_reads,
-        s.comp_writes,
-        s.gc_reads,
-        s.gc_writes,
-        s.log_reads,
-        s.log_writes,
-        s.erases,
-        s.cum_waf,
-        s.cum_raf,
-        s.dram_capacity,
-        s.dram_used,
-        s.level_list_bytes,
-        s.hash_list_total_bytes,
-        s.hash_list_resident_bytes,
-        s.meta_segment_dram_bytes,
-        s.meta_segment_flash_bytes,
-        s.group_count,
-        s.value_log_live_bytes,
-        s.value_log_stale_bytes,
-        s.free_blocks,
-        s.wear_min,
-        s.wear_max,
-        s.wear_total
-    )
-}
-
-/// Renders one per-level companion line of a sample.
-pub fn jsonl_level(seq: u64, l: &LevelSample) -> String {
-    format!(
-        "{{\"event\":\"level\",\"seq\":{},\"level\":{},\"entries\":{},\
-         \"kv_bytes\":{},\"phys_bytes\":{},\"meta_bytes\":{}}}",
-        seq, l.level, l.entries, l.kv_bytes, l.phys_bytes, l.meta_bytes
-    )
+/// Appends one sample's line followed by its per-level companion lines.
+/// Field order is fixed so captures are byte-comparable.
+fn write_sample(out: &mut String, s: &StateSample) {
+    let mut fields = vec![("event", Val::S("sample"))];
+    fields.extend(sample_values(s).map(|(name, _, v)| (name, v)));
+    line(out, &fields);
+    for l in &s.levels {
+        line(
+            out,
+            &[
+                ("event", Val::S("level")),
+                ("seq", Val::U(s.seq)),
+                ("level", Val::U(u64::from(l.level))),
+                ("entries", Val::U(l.entries)),
+                ("kv_bytes", Val::U(l.kv_bytes)),
+                ("phys_bytes", Val::U(l.phys_bytes)),
+                ("meta_bytes", Val::U(l.meta_bytes)),
+            ],
+        );
+    }
 }
 
 /// Renders a whole timeline document — header line, then for each point a
 /// marker line followed by its samples (each with its level lines) — as
 /// JSONL.
 pub fn write_jsonl(points: &[(String, Vec<StateSample>)]) -> String {
-    let mut out = String::new();
-    out.push_str(&jsonl_header());
-    out.push('\n');
-    for (key, samples) in points {
-        out.push_str(&jsonl_point(key));
-        out.push('\n');
-        for s in samples {
-            out.push_str(&jsonl_sample(s));
-            out.push('\n');
-            for l in &s.levels {
-                out.push_str(&jsonl_level(s.seq, l));
-                out.push('\n');
-            }
-        }
-    }
-    out
+    json::write_jsonl(TIMELINE_SCHEMA_VERSION, points, write_sample)
 }
-
-/// Column names of the CSV export, in order (per-level occupancy is
-/// JSONL-only; the CSV stays flat for direct plotting).
-pub const CSV_COLUMNS: [&str; 34] = [
-    "point",
-    "seq",
-    "ts_ns",
-    "interval_ops",
-    "interval_iops",
-    "interval_read_p99_ns",
-    "interval_write_p99_ns",
-    "host_reads",
-    "host_writes",
-    "meta_reads",
-    "meta_writes",
-    "comp_reads",
-    "comp_writes",
-    "gc_reads",
-    "gc_writes",
-    "log_reads",
-    "log_writes",
-    "erases",
-    "cum_waf",
-    "cum_raf",
-    "dram_capacity",
-    "dram_used",
-    "level_list_bytes",
-    "hash_list_total_bytes",
-    "hash_list_resident_bytes",
-    "meta_segment_dram_bytes",
-    "meta_segment_flash_bytes",
-    "group_count",
-    "value_log_live_bytes",
-    "value_log_stale_bytes",
-    "free_blocks",
-    "wear_min",
-    "wear_max",
-    "wear_total",
-];
 
 /// Renders a timeline as a flat CSV of the scalar sample fields, one row
 /// per sample, point key in the first column.
 pub fn write_csv(points: &[(String, Vec<StateSample>)]) -> String {
-    let mut out = CSV_COLUMNS.join(",");
+    let mut out = String::from("point");
+    for (_, column, _) in &SAMPLE_FIELDS {
+        out.push(',');
+        out.push_str(column);
+    }
     out.push('\n');
     for (key, samples) in points {
         for s in samples {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},\
-                 {},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                key,
-                s.seq,
-                s.ts_ns,
-                s.interval_ops,
-                s.interval_iops,
-                s.interval_read_p99_ns,
-                s.interval_write_p99_ns,
-                s.host_reads,
-                s.host_writes,
-                s.meta_reads,
-                s.meta_writes,
-                s.comp_reads,
-                s.comp_writes,
-                s.gc_reads,
-                s.gc_writes,
-                s.log_reads,
-                s.log_writes,
-                s.erases,
-                s.cum_waf,
-                s.cum_raf,
-                s.dram_capacity,
-                s.dram_used,
-                s.level_list_bytes,
-                s.hash_list_total_bytes,
-                s.hash_list_resident_bytes,
-                s.meta_segment_dram_bytes,
-                s.meta_segment_flash_bytes,
-                s.group_count,
-                s.value_log_live_bytes,
-                s.value_log_stale_bytes,
-                s.free_blocks,
-                s.wear_min,
-                s.wear_max,
-                s.wear_total
-            );
+            out.push_str(key);
+            for (_, _, v) in sample_values(s) {
+                let _ = write!(out, ",{v}");
+            }
+            out.push('\n');
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// JSONL parsing
-// ---------------------------------------------------------------------------
-
-/// A timeline parse failure, with the 1-based line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineParseError {
-    /// What went wrong.
-    pub msg: String,
-    /// 1-based line number in the JSONL document.
-    pub line: usize,
-}
-
-impl fmt::Display for TimelineParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "timeline parse error at line {}: {}",
-            self.line, self.msg
-        )
-    }
 }
 
 /// A parsed timeline document: schema version plus per-point sample
@@ -384,289 +322,59 @@ pub struct ParsedTimeline {
     pub points: Vec<(String, Vec<StateSample>)>,
 }
 
-/// Parses one flat JSON object line into `(key, raw value token)` pairs.
-/// Numbers stay raw text so integer and float fields convert exactly.
-fn parse_flat(line: &str) -> Result<Vec<(String, String)>, String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let mut out = Vec::new();
-    let skip_ws = |pos: &mut usize| {
-        while bytes.get(*pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            *pos += 1;
+/// Decodes one `sample` or `level` line onto its point's samples; a level
+/// line belongs to the sample just before it.
+fn read_line(
+    kind: &str,
+    f: &[(String, String)],
+    samples: &mut Vec<StateSample>,
+) -> Result<(), String> {
+    match kind {
+        "sample" => {
+            let mut s = StateSample::default();
+            for (name, _, field) in &SAMPLE_FIELDS {
+                match field(&mut s) {
+                    U(v) => *v = get(f, name)?,
+                    F(v) => *v = get(f, name)?,
+                }
+            }
+            samples.push(s);
         }
-    };
-    let string = |pos: &mut usize| -> Result<String, String> {
-        skip_ws(pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut s = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(s);
+        "level" => {
+            let seq: u64 = get(f, "seq")?;
+            let l = LevelSample {
+                level: get(f, "level")?,
+                entries: get(f, "entries")?,
+                kv_bytes: get(f, "kv_bytes")?,
+                phys_bytes: get(f, "phys_bytes")?,
+                meta_bytes: get(f, "meta_bytes")?,
+            };
+            match samples.last_mut().filter(|s| s.seq == seq) {
+                Some(s) => s.levels.push(l),
+                None => {
+                    return Err(format!(
+                        "level line for seq {seq} does not follow its sample"
+                    ))
                 }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'u') => {
-                            let hex = bytes.get(*pos + 1..*pos + 5);
-                            let code = hex
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match code {
-                                Some(c) => {
-                                    s.push(c);
-                                    *pos += 4;
-                                }
-                                None => return Err("bad \\u escape".into()),
-                            }
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    *pos += 1;
-                }
-                Some(&c) if c < 0x80 => {
-                    s.push(c as char);
-                    *pos += 1;
-                }
-                Some(_) => match line[*pos..].chars().next() {
-                    Some(c) => {
-                        s.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err("invalid utf-8".into()),
-                },
             }
         }
-    };
-    skip_ws(&mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return Err(format!("expected '{{' at byte {pos}"));
+        other => return Err(format!("unknown event kind '{other}'")),
     }
-    pos += 1;
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        return Ok(out);
-    }
-    loop {
-        let key = string(&mut pos)?;
-        skip_ws(&mut pos);
-        if bytes.get(pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        pos += 1;
-        skip_ws(&mut pos);
-        let val = match bytes.get(pos) {
-            Some(b'"') => format!("\"{}\"", string(&mut pos)?),
-            Some(b) if b.is_ascii_digit() || *b == b'-' => {
-                let start = pos;
-                while bytes
-                    .get(pos)
-                    .is_some_and(|&b| b.is_ascii_digit() || b == b'.' || b == b'-')
-                {
-                    pos += 1;
-                }
-                line[start..pos].to_string()
-            }
-            Some(b't') if bytes[pos..].starts_with(b"true") => {
-                pos += 4;
-                "true".to_string()
-            }
-            Some(b'f') if bytes[pos..].starts_with(b"false") => {
-                pos += 5;
-                "false".to_string()
-            }
-            _ => return Err(format!("expected value at byte {pos}")),
-        };
-        out.push((key, val));
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => return Ok(out),
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn raw<'a>(fields: &'a [(String, String)], name: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-        .ok_or_else(|| format!("missing field '{name}'"))
-}
-
-fn u64_field(fields: &[(String, String)], name: &str) -> Result<u64, String> {
-    raw(fields, name)?
-        .parse::<u64>()
-        .map_err(|_| format!("field '{name}' is not a u64"))
-}
-
-fn u32_field(fields: &[(String, String)], name: &str) -> Result<u32, String> {
-    raw(fields, name)?
-        .parse::<u32>()
-        .map_err(|_| format!("field '{name}' is not a u32"))
-}
-
-fn f64_field(fields: &[(String, String)], name: &str) -> Result<f64, String> {
-    raw(fields, name)?
-        .parse::<f64>()
-        .map_err(|_| format!("field '{name}' is not a number"))
-}
-
-fn str_field(fields: &[(String, String)], name: &str) -> Result<String, String> {
-    let v = raw(fields, name)?;
-    v.strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("field '{name}' is not a string"))
-}
-
-fn parse_sample(fields: &[(String, String)]) -> Result<StateSample, String> {
-    Ok(StateSample {
-        seq: u64_field(fields, "seq")?,
-        ts_ns: u64_field(fields, "ts")?,
-        interval_ops: u64_field(fields, "interval_ops")?,
-        interval_iops: f64_field(fields, "interval_iops")?,
-        interval_read_p99_ns: u64_field(fields, "interval_read_p99")?,
-        interval_write_p99_ns: u64_field(fields, "interval_write_p99")?,
-        host_reads: u64_field(fields, "host_reads")?,
-        host_writes: u64_field(fields, "host_writes")?,
-        meta_reads: u64_field(fields, "meta_reads")?,
-        meta_writes: u64_field(fields, "meta_writes")?,
-        comp_reads: u64_field(fields, "comp_reads")?,
-        comp_writes: u64_field(fields, "comp_writes")?,
-        gc_reads: u64_field(fields, "gc_reads")?,
-        gc_writes: u64_field(fields, "gc_writes")?,
-        log_reads: u64_field(fields, "log_reads")?,
-        log_writes: u64_field(fields, "log_writes")?,
-        erases: u64_field(fields, "erases")?,
-        cum_waf: f64_field(fields, "cum_waf")?,
-        cum_raf: f64_field(fields, "cum_raf")?,
-        dram_capacity: u64_field(fields, "dram_capacity")?,
-        dram_used: u64_field(fields, "dram_used")?,
-        level_list_bytes: u64_field(fields, "level_list_bytes")?,
-        hash_list_total_bytes: u64_field(fields, "hash_list_total_bytes")?,
-        hash_list_resident_bytes: u64_field(fields, "hash_list_resident_bytes")?,
-        meta_segment_dram_bytes: u64_field(fields, "meta_segment_dram_bytes")?,
-        meta_segment_flash_bytes: u64_field(fields, "meta_segment_flash_bytes")?,
-        group_count: u64_field(fields, "group_count")?,
-        value_log_live_bytes: u64_field(fields, "value_log_live_bytes")?,
-        value_log_stale_bytes: u64_field(fields, "value_log_stale_bytes")?,
-        free_blocks: u64_field(fields, "free_blocks")?,
-        wear_min: u64_field(fields, "wear_min")?,
-        wear_max: u64_field(fields, "wear_max")?,
-        wear_total: u64_field(fields, "wear_total")?,
-        levels: Vec::new(),
-    })
+    Ok(())
 }
 
 /// Parses a JSONL timeline document produced by [`write_jsonl`].
 ///
 /// # Errors
 ///
-/// Returns a [`TimelineParseError`] on malformed lines, a missing or
-/// incompatible header, samples before the first point marker, or a
-/// `level` line that does not follow its sample.
-pub fn parse_jsonl(src: &str) -> Result<ParsedTimeline, TimelineParseError> {
-    let mut out = ParsedTimeline::default();
-    let mut saw_header = false;
-    for (idx, line) in src.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mk_err = |msg: String| TimelineParseError { msg, line: lineno };
-        let fields = parse_flat(line).map_err(mk_err)?;
-        let mk_err = |msg: String| TimelineParseError { msg, line: lineno };
-        let event = str_field(&fields, "event").map_err(mk_err)?;
-        let mk_err = |msg: String| TimelineParseError { msg, line: lineno };
-        match event.as_str() {
-            "header" => {
-                out.schema_version = u64_field(&fields, "schema_version").map_err(mk_err)?;
-                if out.schema_version != TIMELINE_SCHEMA_VERSION {
-                    return Err(TimelineParseError {
-                        msg: format!(
-                            "unsupported timeline schema {} (expected {})",
-                            out.schema_version, TIMELINE_SCHEMA_VERSION
-                        ),
-                        line: lineno,
-                    });
-                }
-                saw_header = true;
-            }
-            "point" => {
-                if !saw_header {
-                    return Err(TimelineParseError {
-                        msg: "point before header line".into(),
-                        line: lineno,
-                    });
-                }
-                let key = str_field(&fields, "key").map_err(mk_err)?;
-                out.points.push((key, Vec::new()));
-            }
-            "sample" => {
-                let s = parse_sample(&fields).map_err(mk_err)?;
-                match out.points.last_mut() {
-                    Some((_, samples)) => samples.push(s),
-                    None => {
-                        return Err(TimelineParseError {
-                            msg: "sample before first point marker".into(),
-                            line: lineno,
-                        })
-                    }
-                }
-            }
-            "level" => {
-                let seq = u64_field(&fields, "seq").map_err(mk_err)?;
-                let l = LevelSample {
-                    level: u32_field(&fields, "level").map_err(mk_err)?,
-                    entries: u64_field(&fields, "entries").map_err(mk_err)?,
-                    kv_bytes: u64_field(&fields, "kv_bytes").map_err(mk_err)?,
-                    phys_bytes: u64_field(&fields, "phys_bytes").map_err(mk_err)?,
-                    meta_bytes: u64_field(&fields, "meta_bytes").map_err(mk_err)?,
-                };
-                let sample = out
-                    .points
-                    .last_mut()
-                    .and_then(|(_, samples)| samples.last_mut())
-                    .filter(|s| s.seq == seq);
-                match sample {
-                    Some(s) => s.levels.push(l),
-                    None => {
-                        return Err(TimelineParseError {
-                            msg: format!("level line for seq {seq} does not follow its sample"),
-                            line: lineno,
-                        })
-                    }
-                }
-            }
-            other => {
-                return Err(TimelineParseError {
-                    msg: format!("unknown event kind '{other}'"),
-                    line: lineno,
-                })
-            }
-        }
-    }
-    if !saw_header {
-        return Err(TimelineParseError {
-            msg: "missing header line".into(),
-            line: 0,
-        });
-    }
-    Ok(out)
+/// Returns a [`ParseError`] on malformed lines, a missing or incompatible
+/// header, samples before the first point marker, or a `level` line that
+/// does not follow its sample.
+pub fn parse_jsonl(src: &str) -> Result<ParsedTimeline, ParseError> {
+    Ok(ParsedTimeline {
+        schema_version: TIMELINE_SCHEMA_VERSION,
+        points: json::parse_jsonl(src, "timeline", TIMELINE_SCHEMA_VERSION, read_line)?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -794,65 +502,26 @@ impl TimelineAnalysis {
     }
 }
 
-fn storms_of(samples: &[StateSample]) -> Vec<StormWindow> {
-    let mut out: Vec<StormWindow> = Vec::new();
+/// Merges runs of consecutive flagged sample intervals into
+/// `(start, end, a, b)` windows, times relative to `base`. `flag` returns
+/// an interval's two summed quantities when the interval is flagged.
+fn windows_of(
+    samples: &[StateSample],
+    base: u64,
+    flag: impl Fn(&StateSample, &StateSample) -> Option<(u64, u64)>,
+) -> Vec<(u64, u64, u64, u64)> {
+    let mut out: Vec<(u64, u64, u64, u64)> = Vec::new();
     let mut open = false;
     for w in samples.windows(2) {
-        let (prev, cur) = (&w[0], &w[1]);
-        let bg =
-            (cur.comp_writes + cur.gc_writes).saturating_sub(prev.comp_writes + prev.gc_writes);
-        let fg = (cur.host_writes + cur.log_writes + cur.meta_writes)
-            .saturating_sub(prev.host_writes + prev.log_writes + prev.meta_writes);
-        let stormy = bg > 0 && bg > 2 * fg;
-        if stormy {
-            if open {
-                if let Some(last) = out.last_mut() {
-                    last.end_ns = cur.ts_ns;
-                    last.bg_writes += bg;
-                    last.fg_writes += fg;
-                }
-            } else {
-                out.push(StormWindow {
-                    start_ns: prev.ts_ns,
-                    end_ns: cur.ts_ns,
-                    bg_writes: bg,
-                    fg_writes: fg,
-                });
+        let hit = flag(&w[0], &w[1]);
+        if let Some((a, b)) = hit {
+            let end = w[1].ts_ns.saturating_sub(base);
+            match out.last_mut().filter(|_| open) {
+                Some(last) => *last = (last.0, end, last.2 + a, last.3 + b),
+                None => out.push((w[0].ts_ns.saturating_sub(base), end, a, b)),
             }
         }
-        open = stormy;
-    }
-    out
-}
-
-fn debts_of(samples: &[StateSample]) -> Vec<DebtWindow> {
-    let mut out: Vec<DebtWindow> = Vec::new();
-    let mut open = false;
-    for w in samples.windows(2) {
-        let (prev, cur) = (&w[0], &w[1]);
-        let gc_idle = cur.gc_writes == prev.gc_writes;
-        let stale_growth = cur
-            .value_log_stale_bytes
-            .saturating_sub(prev.value_log_stale_bytes);
-        let free_drop = prev.free_blocks.saturating_sub(cur.free_blocks);
-        let indebted = gc_idle && (stale_growth > 0 || free_drop > 0);
-        if indebted {
-            if open {
-                if let Some(last) = out.last_mut() {
-                    last.end_ns = cur.ts_ns;
-                    last.stale_growth += stale_growth;
-                    last.free_block_drop += free_drop;
-                }
-            } else {
-                out.push(DebtWindow {
-                    start_ns: prev.ts_ns,
-                    end_ns: cur.ts_ns,
-                    stale_growth,
-                    free_block_drop: free_drop,
-                });
-            }
-        }
-        open = indebted;
+        open = hit.is_some();
     }
     out
 }
@@ -876,29 +545,48 @@ pub fn analyze(t: &ParsedTimeline, window: usize, tol: f64) -> TimelineAnalysis 
             .iter()
             .map(|s| (s.ts_ns.saturating_sub(base), s.cum_waf))
             .collect();
-        let span_ns = samples.last().map_or(0, |l| l.ts_ns.saturating_sub(base));
-        let rebase = |ns: u64| ns.saturating_sub(base);
+        // A storm interval: background (compaction + GC) programs exceed
+        // twice the foreground (host + log + meta) programs.
+        let storms = windows_of(samples, base, |p, c| {
+            let bg = (c.comp_writes + c.gc_writes).saturating_sub(p.comp_writes + p.gc_writes);
+            let fg = (c.host_writes + c.log_writes + c.meta_writes)
+                .saturating_sub(p.host_writes + p.log_writes + p.meta_writes);
+            (bg > 0 && bg > 2 * fg).then_some((bg, fg))
+        });
+        // A debt interval: GC wrote nothing while stale value-log bytes
+        // grew or free blocks dropped.
+        let debts = windows_of(samples, base, |p, c| {
+            let stale = c
+                .value_log_stale_bytes
+                .saturating_sub(p.value_log_stale_bytes);
+            let drop = p.free_blocks.saturating_sub(c.free_blocks);
+            (c.gc_writes == p.gc_writes && (stale > 0 || drop > 0)).then_some((stale, drop))
+        });
         a.points.push(PointTimeline {
             key: key.clone(),
             samples: samples.len(),
-            span_ns,
+            span_ns: samples.last().map_or(0, |l| l.ts_ns.saturating_sub(base)),
             final_waf: samples.last().map_or(0.0, |s| s.cum_waf),
             steady: detect_steady_state(&curve, window, tol),
-            storms: storms_of(samples)
+            storms: storms
                 .into_iter()
-                .map(|s| StormWindow {
-                    start_ns: rebase(s.start_ns),
-                    end_ns: rebase(s.end_ns),
-                    ..s
+                .map(|(start_ns, end_ns, bg_writes, fg_writes)| StormWindow {
+                    start_ns,
+                    end_ns,
+                    bg_writes,
+                    fg_writes,
                 })
                 .collect(),
-            gc_debt: debts_of(samples)
+            gc_debt: debts
                 .into_iter()
-                .map(|d| DebtWindow {
-                    start_ns: rebase(d.start_ns),
-                    end_ns: rebase(d.end_ns),
-                    ..d
-                })
+                .map(
+                    |(start_ns, end_ns, stale_growth, free_block_drop)| DebtWindow {
+                        start_ns,
+                        end_ns,
+                        stale_growth,
+                        free_block_drop,
+                    },
+                )
                 .collect(),
         });
     }
@@ -1050,18 +738,14 @@ mod tests {
 
     #[test]
     fn parse_rejects_orphan_sample_and_level() {
-        let text = format!("{}\n{}\n", jsonl_header(), jsonl_sample(&sample(0, 0, 1.0)));
-        let err = parse_jsonl(&text).unwrap_err();
-        assert!(err.msg.contains("point marker"), "{err}");
-
-        let text = format!(
-            "{}\n{}\n{}\n",
-            jsonl_header(),
-            jsonl_point("p"),
-            jsonl_level(3, &LevelSample::default())
-        );
-        let err = parse_jsonl(&text).unwrap_err();
-        assert!(err.msg.contains("does not follow"), "{err}");
+        // Drop the point marker (line 1), then the first sample (line 2).
+        let text = write_jsonl(&doc());
+        for (drop, msg) in [(1, "point marker"), (2, "does not follow")] {
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines.remove(drop);
+            let err = parse_jsonl(&lines.join("\n")).unwrap_err();
+            assert!(err.msg.contains(msg), "{err}");
+        }
     }
 
     #[test]
@@ -1070,7 +754,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
         assert!(lines[0].starts_with("point,seq,ts_ns,"));
-        assert_eq!(lines[0].split(',').count(), CSV_COLUMNS.len());
+        assert_eq!(lines[0].split(',').count(), 1 + SAMPLE_FIELDS.len());
         assert!(lines[1].starts_with("fig10/ZippyDB/AnyKey+,0,0,100,12345.500000,"));
     }
 

@@ -29,7 +29,7 @@
 use std::fmt;
 
 use crate::hist::LatencyHist;
-use crate::summary::esc;
+use crate::json::{self, esc, get, get_str, line, ParseError, Val};
 
 /// Version stamp of the JSONL trace schema. Bump on any event-shape
 /// change so `xtask trace` can refuse files it does not understand.
@@ -249,23 +249,9 @@ fn canonical_key(e: &TraceEvent) -> (u64, u8, u64, u64, u64, &str, &str) {
 // JSONL export
 // ---------------------------------------------------------------------------
 
-/// Renders the JSONL header line (without trailing newline).
-pub fn jsonl_header() -> String {
-    format!(
-        "{{\"event\":\"header\",\"schema_version\":{},\"clock\":\"virtual-ns\"}}",
-        TRACE_SCHEMA_VERSION
-    )
-}
-
-/// Renders a point-marker line: all following event lines (until the next
-/// marker) belong to the named experiment point.
-pub fn jsonl_point(key: &str) -> String {
-    format!("{{\"event\":\"point\",\"key\":\"{}\"}}", esc(key))
-}
-
-/// Renders one event line (without trailing newline). Field order is
-/// fixed so traces are byte-comparable.
-pub fn jsonl_event(e: &TraceEvent) -> String {
+/// Appends one event line. Field order is fixed so traces are
+/// byte-comparable.
+fn write_event(out: &mut String, e: &TraceEvent) {
     match e {
         TraceEvent::FlashOp {
             op,
@@ -276,17 +262,19 @@ pub fn jsonl_event(e: &TraceEvent) -> String {
             start,
             done,
             retries,
-        } => format!(
-            "{{\"event\":\"flash\",\"op\":\"{}\",\"cause\":\"{}\",\"chip\":{},\
-             \"channel\":{},\"issued\":{},\"start\":{},\"done\":{},\"retries\":{}}}",
-            esc(op),
-            esc(cause),
-            chip,
-            channel,
-            issued,
-            start,
-            done,
-            retries
+        } => line(
+            out,
+            &[
+                ("event", Val::S("flash")),
+                ("op", Val::S(op)),
+                ("cause", Val::S(cause)),
+                ("chip", Val::U(u64::from(*chip))),
+                ("channel", Val::U(u64::from(*channel))),
+                ("issued", Val::U(*issued)),
+                ("start", Val::U(*start)),
+                ("done", Val::U(*done)),
+                ("retries", Val::U(u64::from(*retries))),
+            ],
         ),
         TraceEvent::Span {
             kind,
@@ -297,17 +285,19 @@ pub fn jsonl_event(e: &TraceEvent) -> String {
             end,
             pages_read,
             pages_written,
-        } => format!(
-            "{{\"event\":\"span\",\"kind\":\"{}\",\"label\":\"{}\",\"level\":{},\
-             \"id\":{},\"start\":{},\"end\":{},\"pages_read\":{},\"pages_written\":{}}}",
-            esc(kind),
-            esc(label),
-            level,
-            id,
-            start,
-            end,
-            pages_read,
-            pages_written
+        } => line(
+            out,
+            &[
+                ("event", Val::S("span")),
+                ("kind", Val::S(kind)),
+                ("label", Val::S(label)),
+                ("level", Val::U(u64::from(*level))),
+                ("id", Val::U(*id)),
+                ("start", Val::U(*start)),
+                ("end", Val::U(*end)),
+                ("pages_read", Val::U(*pages_read)),
+                ("pages_written", Val::U(*pages_written)),
+            ],
         ),
         TraceEvent::Request {
             op,
@@ -317,21 +307,22 @@ pub fn jsonl_event(e: &TraceEvent) -> String {
             found,
             flash_reads,
             phases,
-        } => format!(
-            "{{\"event\":\"request\",\"op\":\"{}\",\"seq\":{},\"issued\":{},\
-             \"done\":{},\"found\":{},\"flash_reads\":{},\"queue_wait\":{},\
-             \"meta_read\":{},\"data_read\":{},\"log_read\":{},\"engine\":{}}}",
-            esc(op),
-            seq,
-            issued,
-            done,
-            found,
-            flash_reads,
-            phases.queue_wait,
-            phases.meta_read,
-            phases.data_read,
-            phases.log_read,
-            phases.engine
+        } => line(
+            out,
+            &[
+                ("event", Val::S("request")),
+                ("op", Val::S(op)),
+                ("seq", Val::U(*seq)),
+                ("issued", Val::U(*issued)),
+                ("done", Val::U(*done)),
+                ("found", Val::B(*found)),
+                ("flash_reads", Val::U(u64::from(*flash_reads))),
+                ("queue_wait", Val::U(phases.queue_wait)),
+                ("meta_read", Val::U(phases.meta_read)),
+                ("data_read", Val::U(phases.data_read)),
+                ("log_read", Val::U(phases.log_read)),
+                ("engine", Val::U(phases.engine)),
+            ],
         ),
     }
 }
@@ -339,18 +330,7 @@ pub fn jsonl_event(e: &TraceEvent) -> String {
 /// Renders a whole trace document — header line, then for each point a
 /// marker line followed by its events — as JSONL.
 pub fn write_jsonl(points: &[(String, Vec<TraceEvent>)]) -> String {
-    let mut out = String::new();
-    out.push_str(&jsonl_header());
-    out.push('\n');
-    for (key, events) in points {
-        out.push_str(&jsonl_point(key));
-        out.push('\n');
-        for e in events {
-            out.push_str(&jsonl_event(e));
-            out.push('\n');
-        }
-    }
-    out
+    json::write_jsonl(TRACE_SCHEMA_VERSION, points, write_event)
 }
 
 // ---------------------------------------------------------------------------
@@ -361,15 +341,6 @@ pub fn write_jsonl(points: &[(String, Vec<TraceEvent>)]) -> String {
 /// fields expect, without going through floats (exact, deterministic).
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-fn chrome_push(out: &mut String, first: &mut bool, line: &str) {
-    if *first {
-        *first = false;
-    } else {
-        out.push_str(",\n");
-    }
-    out.push_str(line);
 }
 
 /// Renders a trace as Chrome trace-event JSON, loadable in Perfetto or
@@ -383,28 +354,23 @@ fn chrome_push(out: &mut String, first: &mut bool, line: &str) {
 /// Perfetto draws the interference visually.
 pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
     let mut out = String::from("[\n");
-    let mut first = true;
+    let mut push = |line: String| {
+        if out.len() > 2 {
+            out.push_str(",\n");
+        }
+        out.push_str(&line);
+    };
     for (pid, (key, events)) in points.iter().enumerate() {
-        chrome_push(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
+        let meta = |what: &str, tid: u64, name: &str| {
+            format!(
+                "{{\"name\":\"{what}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
                  \"args\":{{\"name\":\"{}\"}}}}",
-                pid,
-                esc(key)
-            ),
-        );
-        for (tid, name) in [(0u64, "requests"), (1, "engine")] {
-            chrome_push(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    pid, tid, name
-                ),
-            );
+                esc(name)
+            )
+        };
+        push(meta("process_name", 0, key));
+        for (tid, name) in [(0, "requests"), (1, "engine")] {
+            push(meta("thread_name", tid, name));
         }
         let mut chips: Vec<u32> = events
             .iter()
@@ -415,18 +381,12 @@ pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
             .collect();
         chips.sort_unstable();
         chips.dedup();
-        for chip in &chips {
-            chrome_push(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
-                     \"args\":{{\"name\":\"chip {}\"}}}}",
-                    pid,
-                    2 + u64::from(*chip),
-                    chip
-                ),
-            );
+        for chip in chips {
+            push(meta(
+                "thread_name",
+                2 + u64::from(chip),
+                &format!("chip {chip}"),
+            ));
         }
         for e in events {
             match e {
@@ -439,24 +399,20 @@ pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
                     start,
                     done,
                     retries,
-                } => chrome_push(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"name\":\"{}\",\"cat\":\"flash\",\"ph\":\"X\",\"pid\":{},\
-                         \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"op\":\"{}\",\
-                         \"channel\":{},\"stall_ns\":{},\"retries\":{}}}}}",
-                        esc(cause),
-                        pid,
-                        2 + u64::from(*chip),
-                        us(*start),
-                        us(done.saturating_sub(*start)),
-                        esc(op),
-                        channel,
-                        start.saturating_sub(*issued),
-                        retries
-                    ),
-                ),
+                } => push(format!(
+                    "{{\"name\":\"{}\",\"cat\":\"flash\",\"ph\":\"X\",\"pid\":{},\
+                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"op\":\"{}\",\
+                     \"channel\":{},\"stall_ns\":{},\"retries\":{}}}}}",
+                    esc(cause),
+                    pid,
+                    2 + u64::from(*chip),
+                    us(*start),
+                    us(done.saturating_sub(*start)),
+                    esc(op),
+                    channel,
+                    start.saturating_sub(*issued),
+                    retries
+                )),
                 TraceEvent::Span {
                     kind,
                     label,
@@ -467,24 +423,20 @@ pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
                     pages_read,
                     pages_written,
                 } => {
-                    chrome_push(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            "{{\"name\":\"{}:{}\",\"cat\":\"engine\",\"ph\":\"X\",\
-                             \"pid\":{},\"tid\":1,\"ts\":{},\"dur\":{},\
-                             \"args\":{{\"level\":{},\"pages_read\":{},\
-                             \"pages_written\":{}}}}}",
-                            esc(kind),
-                            esc(label),
-                            pid,
-                            us(*start),
-                            us(end.saturating_sub(*start)),
-                            level,
-                            pages_read,
-                            pages_written
-                        ),
-                    );
+                    push(format!(
+                        "{{\"name\":\"{}:{}\",\"cat\":\"engine\",\"ph\":\"X\",\
+                         \"pid\":{},\"tid\":1,\"ts\":{},\"dur\":{},\
+                         \"args\":{{\"level\":{},\"pages_read\":{},\
+                         \"pages_written\":{}}}}}",
+                        esc(kind),
+                        esc(label),
+                        pid,
+                        us(*start),
+                        us(end.saturating_sub(*start)),
+                        level,
+                        pages_read,
+                        pages_written
+                    ));
                     // Flow arrow from the span to the first flash op it
                     // caused (matched by cause prefix inside the window).
                     let prefix = match kind.as_str() {
@@ -504,31 +456,23 @@ pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
                         _ => None,
                     });
                     if let Some((chip, fs)) = target {
-                        chrome_push(
-                            &mut out,
-                            &mut first,
-                            &format!(
-                                "{{\"name\":\"{}\",\"cat\":\"bg-flow\",\"ph\":\"s\",\
-                                 \"pid\":{},\"tid\":1,\"ts\":{},\"id\":{}}}",
-                                esc(kind),
-                                pid,
-                                us(*start),
-                                id
-                            ),
-                        );
-                        chrome_push(
-                            &mut out,
-                            &mut first,
-                            &format!(
-                                "{{\"name\":\"{}\",\"cat\":\"bg-flow\",\"ph\":\"f\",\
-                                 \"bp\":\"e\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{}}}",
-                                esc(kind),
-                                pid,
-                                2 + u64::from(chip),
-                                us(fs),
-                                id
-                            ),
-                        );
+                        push(format!(
+                            "{{\"name\":\"{}\",\"cat\":\"bg-flow\",\"ph\":\"s\",\
+                             \"pid\":{},\"tid\":1,\"ts\":{},\"id\":{}}}",
+                            esc(kind),
+                            pid,
+                            us(*start),
+                            id
+                        ));
+                        push(format!(
+                            "{{\"name\":\"{}\",\"cat\":\"bg-flow\",\"ph\":\"f\",\
+                             \"bp\":\"e\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{}}}",
+                            esc(kind),
+                            pid,
+                            2 + u64::from(chip),
+                            us(fs),
+                            id
+                        ));
                     }
                 }
                 TraceEvent::Request {
@@ -540,40 +484,32 @@ pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
                     flash_reads,
                     phases,
                 } => {
-                    chrome_push(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"b\",\
-                             \"pid\":{},\"tid\":0,\"ts\":{},\"id\":{}}}",
-                            esc(op),
-                            pid,
-                            us(*issued),
-                            seq
-                        ),
-                    );
-                    chrome_push(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"e\",\
-                             \"pid\":{},\"tid\":0,\"ts\":{},\"id\":{},\
-                             \"args\":{{\"found\":{},\"flash_reads\":{},\
-                             \"queue_wait\":{},\"meta_read\":{},\"data_read\":{},\
-                             \"log_read\":{},\"engine\":{}}}}}",
-                            esc(op),
-                            pid,
-                            us(*done),
-                            seq,
-                            found,
-                            flash_reads,
-                            phases.queue_wait,
-                            phases.meta_read,
-                            phases.data_read,
-                            phases.log_read,
-                            phases.engine
-                        ),
-                    );
+                    push(format!(
+                        "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"b\",\
+                         \"pid\":{},\"tid\":0,\"ts\":{},\"id\":{}}}",
+                        esc(op),
+                        pid,
+                        us(*issued),
+                        seq
+                    ));
+                    push(format!(
+                        "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"e\",\
+                         \"pid\":{},\"tid\":0,\"ts\":{},\"id\":{},\
+                         \"args\":{{\"found\":{},\"flash_reads\":{},\
+                         \"queue_wait\":{},\"meta_read\":{},\"data_read\":{},\
+                         \"log_read\":{},\"engine\":{}}}}}",
+                        esc(op),
+                        pid,
+                        us(*done),
+                        seq,
+                        found,
+                        flash_reads,
+                        phases.queue_wait,
+                        phases.meta_read,
+                        phases.data_read,
+                        phases.log_read,
+                        phases.engine
+                    ));
                 }
             }
         }
@@ -586,21 +522,6 @@ pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
 // JSONL parsing
 // ---------------------------------------------------------------------------
 
-/// A trace parse failure, with the 1-based line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// What went wrong.
-    pub msg: String,
-    /// 1-based line number in the JSONL document.
-    pub line: usize,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace parse error at line {}: {}", self.line, self.msg)
-    }
-}
-
 /// A parsed trace document: schema version plus per-point event streams,
 /// in document order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -611,285 +532,64 @@ pub struct ParsedTrace {
     pub points: Vec<(String, Vec<TraceEvent>)>,
 }
 
-/// One scalar value inside a flat JSONL event line.
-enum Scalar {
-    Str(String),
-    Num(u64),
-    Bool(bool),
-}
-
-impl Scalar {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Scalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<u64> {
-        match self {
-            Scalar::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Scalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object line into `(key, scalar)` pairs.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let mut out = Vec::new();
-    let skip_ws = |pos: &mut usize| {
-        while bytes.get(*pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            *pos += 1;
-        }
-    };
-    let eat = |pos: &mut usize, c: u8| -> Result<(), String> {
-        skip_ws(pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, pos))
-        }
-    };
-    let string = |pos: &mut usize| -> Result<String, String> {
-        skip_ws(pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut s = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'u') => {
-                            let hex = bytes.get(*pos + 1..*pos + 5);
-                            let code = hex
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match code {
-                                Some(c) => {
-                                    s.push(c);
-                                    *pos += 4;
-                                }
-                                None => return Err("bad \\u escape".into()),
-                            }
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    *pos += 1;
-                }
-                Some(&c) if c < 0x80 => {
-                    s.push(c as char);
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Multibyte UTF-8: find the char boundary via &str.
-                    let rest = &line[*pos..];
-                    match rest.chars().next() {
-                        Some(c) => {
-                            s.push(c);
-                            *pos += c.len_utf8();
-                        }
-                        None => return Err("invalid utf-8".into()),
-                    }
-                }
-            }
-        }
-    };
-    eat(&mut pos, b'{')?;
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        return Ok(out);
-    }
-    loop {
-        let key = string(&mut pos)?;
-        eat(&mut pos, b':')?;
-        skip_ws(&mut pos);
-        let val = match bytes.get(pos) {
-            Some(b'"') => Scalar::Str(string(&mut pos)?),
-            Some(b't') if bytes[pos..].starts_with(b"true") => {
-                pos += 4;
-                Scalar::Bool(true)
-            }
-            Some(b'f') if bytes[pos..].starts_with(b"false") => {
-                pos += 5;
-                Scalar::Bool(false)
-            }
-            Some(b) if b.is_ascii_digit() => {
-                let start = pos;
-                while bytes.get(pos).is_some_and(u8::is_ascii_digit) {
-                    pos += 1;
-                }
-                let text = &line[start..pos];
-                Scalar::Num(
-                    text.parse::<u64>()
-                        .map_err(|_| format!("bad number '{text}'"))?,
-                )
-            }
-            _ => return Err(format!("expected value at byte {pos}")),
-        };
-        out.push((key, val));
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => return Ok(out),
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn field<'a>(fields: &'a [(String, Scalar)], name: &str) -> Option<&'a Scalar> {
-    fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-}
-
-fn str_field(fields: &[(String, Scalar)], name: &str) -> Result<String, String> {
-    field(fields, name)
-        .and_then(Scalar::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{name}'"))
-}
-
-fn num_field(fields: &[(String, Scalar)], name: &str) -> Result<u64, String> {
-    field(fields, name)
-        .and_then(Scalar::as_num)
-        .ok_or_else(|| format!("missing numeric field '{name}'"))
-}
-
-fn u32_field(fields: &[(String, Scalar)], name: &str) -> Result<u32, String> {
-    u32::try_from(num_field(fields, name)?).map_err(|_| format!("field '{name}' exceeds u32"))
+/// Decodes one event line of kind `kind` onto its point's events.
+fn read_event(
+    kind: &str,
+    f: &[(String, String)],
+    events: &mut Vec<TraceEvent>,
+) -> Result<(), String> {
+    events.push(match kind {
+        "flash" => TraceEvent::FlashOp {
+            op: get_str(f, "op")?,
+            cause: get_str(f, "cause")?,
+            chip: get(f, "chip")?,
+            channel: get(f, "channel")?,
+            issued: get(f, "issued")?,
+            start: get(f, "start")?,
+            done: get(f, "done")?,
+            retries: get(f, "retries")?,
+        },
+        "span" => TraceEvent::Span {
+            kind: get_str(f, "kind")?,
+            label: get_str(f, "label")?,
+            level: get(f, "level")?,
+            id: get(f, "id")?,
+            start: get(f, "start")?,
+            end: get(f, "end")?,
+            pages_read: get(f, "pages_read")?,
+            pages_written: get(f, "pages_written")?,
+        },
+        "request" => TraceEvent::Request {
+            op: get_str(f, "op")?,
+            seq: get(f, "seq")?,
+            issued: get(f, "issued")?,
+            done: get(f, "done")?,
+            found: get(f, "found")?,
+            flash_reads: get(f, "flash_reads")?,
+            phases: PhaseBreakdown {
+                queue_wait: get(f, "queue_wait")?,
+                meta_read: get(f, "meta_read")?,
+                data_read: get(f, "data_read")?,
+                log_read: get(f, "log_read")?,
+                engine: get(f, "engine")?,
+            },
+        },
+        other => return Err(format!("unknown event kind '{other}'")),
+    });
+    Ok(())
 }
 
 /// Parses a JSONL trace document produced by [`write_jsonl`].
 ///
 /// # Errors
 ///
-/// Returns a [`TraceParseError`] on malformed lines, a missing or
-/// incompatible header, or events appearing before the first point marker.
-pub fn parse_jsonl(src: &str) -> Result<ParsedTrace, TraceParseError> {
-    let mut out = ParsedTrace::default();
-    let mut saw_header = false;
-    for (idx, line) in src.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields =
-            parse_flat_object(line).map_err(|msg| TraceParseError { msg, line: lineno })?;
-        let mk_err = |msg: String| TraceParseError { msg, line: lineno };
-        let event = str_field(&fields, "event").map_err(mk_err)?;
-        let mk_err = |msg: String| TraceParseError { msg, line: lineno };
-        match event.as_str() {
-            "header" => {
-                out.schema_version = num_field(&fields, "schema_version").map_err(mk_err)?;
-                if out.schema_version != TRACE_SCHEMA_VERSION {
-                    return Err(TraceParseError {
-                        msg: format!(
-                            "unsupported trace schema {} (expected {})",
-                            out.schema_version, TRACE_SCHEMA_VERSION
-                        ),
-                        line: lineno,
-                    });
-                }
-                saw_header = true;
-            }
-            "point" => {
-                let key = str_field(&fields, "key").map_err(mk_err)?;
-                out.points.push((key, Vec::new()));
-            }
-            kind @ ("flash" | "span" | "request") => {
-                if !saw_header {
-                    return Err(TraceParseError {
-                        msg: "event before header line".into(),
-                        line: lineno,
-                    });
-                }
-                let ev = match kind {
-                    "flash" => TraceEvent::FlashOp {
-                        op: str_field(&fields, "op").map_err(mk_err)?,
-                        cause: str_field(&fields, "cause").map_err(mk_err)?,
-                        chip: u32_field(&fields, "chip").map_err(mk_err)?,
-                        channel: u32_field(&fields, "channel").map_err(mk_err)?,
-                        issued: num_field(&fields, "issued").map_err(mk_err)?,
-                        start: num_field(&fields, "start").map_err(mk_err)?,
-                        done: num_field(&fields, "done").map_err(mk_err)?,
-                        retries: u32_field(&fields, "retries").map_err(mk_err)?,
-                    },
-                    "span" => TraceEvent::Span {
-                        kind: str_field(&fields, "kind").map_err(mk_err)?,
-                        label: str_field(&fields, "label").map_err(mk_err)?,
-                        level: u32_field(&fields, "level").map_err(mk_err)?,
-                        id: num_field(&fields, "id").map_err(mk_err)?,
-                        start: num_field(&fields, "start").map_err(mk_err)?,
-                        end: num_field(&fields, "end").map_err(mk_err)?,
-                        pages_read: num_field(&fields, "pages_read").map_err(mk_err)?,
-                        pages_written: num_field(&fields, "pages_written").map_err(mk_err)?,
-                    },
-                    _ => TraceEvent::Request {
-                        op: str_field(&fields, "op").map_err(mk_err)?,
-                        seq: num_field(&fields, "seq").map_err(mk_err)?,
-                        issued: num_field(&fields, "issued").map_err(mk_err)?,
-                        done: num_field(&fields, "done").map_err(mk_err)?,
-                        found: field(&fields, "found")
-                            .and_then(Scalar::as_bool)
-                            .ok_or_else(|| mk_err("missing bool field 'found'".into()))?,
-                        flash_reads: u32_field(&fields, "flash_reads").map_err(mk_err)?,
-                        phases: PhaseBreakdown {
-                            queue_wait: num_field(&fields, "queue_wait").map_err(mk_err)?,
-                            meta_read: num_field(&fields, "meta_read").map_err(mk_err)?,
-                            data_read: num_field(&fields, "data_read").map_err(mk_err)?,
-                            log_read: num_field(&fields, "log_read").map_err(mk_err)?,
-                            engine: num_field(&fields, "engine").map_err(mk_err)?,
-                        },
-                    },
-                };
-                match out.points.last_mut() {
-                    Some((_, events)) => events.push(ev),
-                    None => {
-                        return Err(TraceParseError {
-                            msg: "event before first point marker".into(),
-                            line: lineno,
-                        })
-                    }
-                }
-            }
-            other => {
-                return Err(TraceParseError {
-                    msg: format!("unknown event kind '{other}'"),
-                    line: lineno,
-                })
-            }
-        }
-    }
-    if !saw_header {
-        return Err(TraceParseError {
-            msg: "missing header line".into(),
-            line: 0,
-        });
-    }
-    Ok(out)
+/// Returns a [`ParseError`] on malformed lines, a missing or incompatible
+/// header, or events appearing before the first point marker.
+pub fn parse_jsonl(src: &str) -> Result<ParsedTrace, ParseError> {
+    Ok(ParsedTrace {
+        schema_version: TRACE_SCHEMA_VERSION,
+        points: json::parse_jsonl(src, "trace", TRACE_SCHEMA_VERSION, read_event)?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1168,26 +868,6 @@ mod tests {
         let doc = write_jsonl(&[("we\"ird\nkey".to_string(), Vec::new())]);
         let parsed = parse_jsonl(&doc).unwrap();
         assert_eq!(parsed.points[0].0, "we\"ird\nkey");
-    }
-
-    #[test]
-    fn parse_rejects_missing_header() {
-        let err = parse_jsonl("{\"event\":\"point\",\"key\":\"x\"}\n").unwrap_err();
-        assert!(err.msg.contains("header"), "{err}");
-    }
-
-    #[test]
-    fn parse_rejects_wrong_schema() {
-        let doc = "{\"event\":\"header\",\"schema_version\":99}\n";
-        let err = parse_jsonl(doc).unwrap_err();
-        assert!(err.msg.contains("unsupported"), "{err}");
-    }
-
-    #[test]
-    fn parse_rejects_event_outside_point() {
-        let doc = format!("{}\n{}\n", jsonl_header(), jsonl_event(&sample_events()[0]));
-        let err = parse_jsonl(&doc).unwrap_err();
-        assert!(err.msg.contains("point marker"), "{err}");
     }
 
     #[test]

@@ -185,3 +185,29 @@ fn bench_diff_fails_when_wall_band_exceeded() {
     assert!(d.failures.iter().all(|f| f.banded));
     assert!(d.failures.iter().any(|f| f.metric == "wall_secs"));
 }
+
+#[test]
+fn bench_diff_fails_on_candidate_only_fields() {
+    // A metric added without a schema bump must not pass silently, at the
+    // run level or inside a point.
+    let base = synthetic(5, 2.0);
+    let mut cand = synthetic(5, 2.0);
+    cand.fields.push(("new_run_metric".into(), "1".into()));
+    cand.points[0]
+        .fields
+        .push(("new_point_metric".into(), "2".into()));
+    let d = summary::diff(&base, &cand, DEFAULT_WALL_BAND);
+    assert!(!d.pass());
+    let failed: Vec<(&str, &str)> = d
+        .failures
+        .iter()
+        .map(|f| (f.key.as_str(), f.metric.as_str()))
+        .collect();
+    assert_eq!(
+        failed,
+        [("", "new_run_metric"), ("e/w/s", "new_point_metric")]
+    );
+    // Matching field sets compare exactly the baseline's fields.
+    let same = summary::diff(&base, &base, DEFAULT_WALL_BAND);
+    assert_eq!(same.compared, 4 + 3);
+}

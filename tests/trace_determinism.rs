@@ -8,7 +8,7 @@
 //! `trace-no-wall-clock` rule holds this file to that discipline too.
 
 use anykey::core::runner::DEFAULT_QUEUE_DEPTH;
-use anykey::core::{run, run_traced, DeviceConfig, EngineKind, KvEngine};
+use anykey::core::{run, run_with, DeviceConfig, EngineKind, KvEngine};
 use anykey::metrics::summary::{self, ParsedSummary, WALL_FIELDS};
 use anykey::metrics::trace::{parse_jsonl, write_chrome, write_jsonl, TraceEvent};
 use anykey::workload::{spec, OpStreamBuilder};
@@ -184,8 +184,10 @@ fn traced_run_report_matches_untraced_run() {
         let mut a = tiny_engine(kind);
         let plain = run(a.as_mut(), mk_ops(), 300, DEFAULT_QUEUE_DEPTH).expect("plain run");
         let mut b = tiny_engine(kind);
-        let (traced, events) =
-            run_traced(b.as_mut(), mk_ops(), 300, DEFAULT_QUEUE_DEPTH).expect("traced run");
+        let (traced, events, _) =
+            run_with(b.as_mut(), mk_ops(), 300, DEFAULT_QUEUE_DEPTH, true, None)
+                .expect("traced run");
+        let events = events.expect("trace requested");
         assert_eq!(plain.ops, traced.ops, "{kind:?}: op count changed");
         assert_eq!(plain.end, traced.end, "{kind:?}: virtual end changed");
         let requests = events

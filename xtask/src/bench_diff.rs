@@ -29,13 +29,6 @@ fn load(path: &str) -> Result<ParsedSummary, String> {
     parse(&src).map_err(|e| format!("{path}: {e}"))
 }
 
-fn schema_of(s: &ParsedSummary) -> &str {
-    s.fields
-        .iter()
-        .find(|(n, _)| n == "schema_version")
-        .map_or("(absent)", |(_, v)| v.as_str())
-}
-
 fn print_report(report: &DiffReport, baseline: &str, candidate: &str) {
     if report.pass() {
         println!(
@@ -116,7 +109,8 @@ pub fn run_cli(args: &[String]) -> i32 {
     // Different schema versions are incomparable documents, not a perf
     // regression: fail loudly with the versions rather than drowning the
     // user in per-field noise.
-    let (bs, cs) = (schema_of(&baseline), schema_of(&candidate));
+    let bs = baseline.field("schema_version").unwrap_or("(absent)");
+    let cs = candidate.field("schema_version").unwrap_or("(absent)");
     if bs != cs {
         eprintln!(
             "bench-diff: schema_version mismatch — baseline {baseline_path} has {bs}, \
