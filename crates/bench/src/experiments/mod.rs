@@ -5,38 +5,21 @@
 //! in [`crate::scheduler`] owns all execution; no experiment runs a
 //! simulation inline.
 
-/// Media fault-injection sweep: graceful degradation under read/program/
-/// erase faults (not a paper figure).
 pub mod fault;
-/// Figure 10: throughput across the Table 1 workloads.
 pub mod fig10;
-/// Figure 11: read/write latency distributions.
 pub mod fig11;
-/// Figure 12: flash reads per GET.
 pub mod fig12;
-/// Figure 13: total page writes per engine.
 pub mod fig13;
-/// Figure 14: DRAM hit behaviour under varying budgets.
 pub mod fig14;
-/// Figure 15: scan throughput.
 pub mod fig15;
-/// Figure 16: sensitivity to value/key ratio.
 pub mod fig16;
-/// Figure 17: AnyKey+ log-relief comparison.
 pub mod fig17;
-/// Figure 18: tail latency under mixed load.
 pub mod fig18;
-/// Figure 19: capacity-utilisation sweep.
 pub mod fig19;
-/// Figure 2: motivating metadata-size comparison.
 pub mod fig2;
-/// Multi-tenant workload mix experiment.
 pub mod multitenant;
-/// Device-size scalability sweep.
 pub mod scalability;
-/// Table 1: workload characteristics.
 pub mod table1;
-/// Table 3: compaction/GC flash traffic.
 pub mod table3;
 
 use crate::common::ExpCtx;

@@ -18,9 +18,11 @@
 //! interchangeable, so each unique simulation runs once and its result is
 //! fanned back out to every requesting point.
 //!
-//! Wall-clock timing is confined to this file (and the self-contained
-//! `micro` bench): `xtask lint`'s no-wall-clock rule allowlists exactly
-//! these, keeping the simulation itself on virtual nanoseconds.
+//! Wall-clock timing is confined to this file: the workspace's
+//! `clippy::disallowed_types` bans `std::time` everywhere else (see
+//! `clippy.toml`), keeping the simulation itself on virtual nanoseconds.
+
+#![allow(clippy::disallowed_types)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -196,7 +196,7 @@ impl AnyKeyStore {
                     continue;
                 }
                 let score = inlineable + l.invalid_logged;
-                if best.map_or(true, |(s, _)| score > s) {
+                if best.is_none_or(|(s, _)| score > s) {
                     best = Some((score, i));
                 }
             }
@@ -340,7 +340,7 @@ impl AnyKeyStore {
         }
         // No seal: partial rewrites happen every log cycle, and sealing
         // here would strand block tails faster than GC reclaims them.
-        out.sort_by(|a, b| a.content.smallest().cmp(&b.content.smallest()));
+        out.sort_by_key(|g| g.content.smallest());
         self.levels[li].groups = out;
         self.levels[li].recount();
         self.levels[li].invalid_logged = 0;

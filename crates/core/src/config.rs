@@ -300,7 +300,7 @@ impl DeviceConfigBuilder {
             self.theta
         );
         assert!(
-            self.pages_per_block % self.group_pages == 0,
+            self.pages_per_block.is_multiple_of(self.group_pages),
             "group pages {} must divide pages per block {}",
             self.group_pages,
             self.pages_per_block

@@ -36,6 +36,13 @@
 //! assert!(!dev.get(2).found);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 /// The AnyKey engine (paper Sections 4.1-4.7).
 pub mod anykey;
 /// Runtime invariant auditing for both engines.

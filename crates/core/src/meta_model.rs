@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn hash_lists_never_exceed_four_bytes_per_pair() {
-        let m = MetaModel::paper(1 * GB, 20, 2000);
+        let m = MetaModel::paper(GB, 20, 2000);
         let s = m.sizes();
         assert!(s.anykey_hash_lists <= s.pairs * 4);
     }

@@ -112,31 +112,32 @@ impl PinkStore {
         // --- 1. Take inputs; read and free their spilled meta pages. ----
         let mut read_ppas: Vec<Ppa> = Vec::new();
         let mut freed_pages: Vec<Ppa> = Vec::new();
-        let mut take_level = |level: &mut PinkLevel| -> Result<Vec<SegEntry>, KvError> {
-            let segs = std::mem::take(&mut level.segs);
-            let mut out = Vec::new();
-            for s in segs {
-                if !s.resident {
-                    let ppa = s.ppa.ok_or(KvError::Internal {
-                        context: "spilled segment has no flash location",
-                    })?;
-                    read_ppas.push(ppa);
-                    freed_pages.push(ppa);
+        let (upper, lower) = {
+            let mut take_level = |level: &mut PinkLevel| -> Result<Vec<SegEntry>, KvError> {
+                let segs = std::mem::take(&mut level.segs);
+                let mut out = Vec::new();
+                for s in segs {
+                    if !s.resident {
+                        let ppa = s.ppa.ok_or(KvError::Internal {
+                            context: "spilled segment has no flash location",
+                        })?;
+                        read_ppas.push(ppa);
+                        freed_pages.push(ppa);
+                    }
+                    out.extend(s.entries);
                 }
-                out.extend(s.entries);
-            }
-            freed_pages.append(&mut level.list_pages);
-            Ok(out)
+                freed_pages.append(&mut level.list_pages);
+                Ok(out)
+            };
+            let upper = match src {
+                Some(si) => {
+                    debug_assert!(upper_in.is_empty());
+                    take_level(&mut self.levels[si])?
+                }
+                None => upper_in,
+            };
+            (upper, take_level(&mut self.levels[dst])?)
         };
-        let upper = match src {
-            Some(si) => {
-                debug_assert!(upper_in.is_empty());
-                take_level(&mut self.levels[si])?
-            }
-            None => upper_in,
-        };
-        let lower = take_level(&mut self.levels[dst])?;
-        drop(take_level);
         let t_read = self
             .core
             .flash

@@ -338,7 +338,7 @@ fn run_inner(
         report.ops += 1;
         report.end = report.end.max(outcome.done_at);
         inflight.push(Reverse(outcome.done_at));
-        if report.ops % curve_stride == 0 {
+        if report.ops.is_multiple_of(curve_stride) {
             report.waf_curve.push(WafPoint {
                 ts_ns: report.end,
                 write_ops: report.writes.count(),

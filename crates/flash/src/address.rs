@@ -1,5 +1,7 @@
 //! Physical flash addresses.
 
+#![deny(clippy::as_conversions)]
+
 use std::fmt;
 
 /// Identifier of an erase block, global across the device.

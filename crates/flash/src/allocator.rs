@@ -1,5 +1,7 @@
 //! Erase-block allocation, wear tracking, and bad-block retirement.
 
+#![deny(clippy::as_conversions)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;

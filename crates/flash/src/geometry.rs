@@ -1,5 +1,7 @@
 //! Physical layout of the simulated device.
 
+#![deny(clippy::as_conversions)]
+
 /// Physical geometry of a simulated flash device.
 ///
 /// The paper's testbed is an 8-channel device with 8 flash chips per channel
@@ -127,9 +129,9 @@ mod tests {
     #[test]
     fn block_striping_covers_all_chips() {
         let g = FlashGeometry::default();
-        let mut seen = vec![false; g.chips() as usize];
+        let mut seen = vec![false; usize::try_from(g.chips()).unwrap()];
         for b in 0..g.chips() {
-            seen[g.chip_of_block(b) as usize] = true;
+            seen[usize::try_from(g.chip_of_block(b)).unwrap()] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }

@@ -38,6 +38,13 @@
 //! read-retry on the chip timeline), program failures, and erase failures
 //! that retire blocks — see the [`fault`] module.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 /// Physical page addresses and block identifiers.
 pub mod address;
 /// Free-block bookkeeping, wear tracking, and bad-block retirement.

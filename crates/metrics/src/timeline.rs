@@ -12,8 +12,8 @@
 //! per-cause write/read amplification evolved over the measured phase.
 //!
 //! Every timestamp is virtual nanoseconds. Like the trace module, this
-//! module must never touch the host clock (the `trace-no-wall-clock`
-//! xtask lint covers any path containing `timeline` too), so captures are
+//! module must never touch the host clock (the workspace's
+//! `clippy::disallowed_types` bans `std::time` here too), so captures are
 //! byte-identical across runs, machines, and `--jobs` levels. Sampling is
 //! pure observation: a run with sampling enabled produces bit-identical
 //! reports, CSVs, and traces to one without.

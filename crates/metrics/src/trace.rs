@@ -5,8 +5,9 @@
 //! *sample* of behaviour the way a wall-clock profiler's output is — it is
 //! the behaviour, bit for bit. Every timestamp below is virtual
 //! nanoseconds; none of this module may ever touch the host clock (the
-//! `trace-no-wall-clock` xtask lint enforces that). As a consequence,
-//! traces are byte-identical across runs, machines, and `--jobs` levels.
+//! workspace's `clippy::disallowed_types` bans `std::time`). As a
+//! consequence, traces are byte-identical across runs, machines, and
+//! `--jobs` levels.
 //!
 //! Three event kinds exist, one per layer of the stack:
 //!
@@ -747,8 +748,8 @@ impl fmt::Display for TraceAnalysis {
         )?;
         writeln!(
             f,
-            "  {:>12} {:<18} {:>5} {:>14}  {}",
-            "stall_ns", "cause", "chip", "issued_ns", "point"
+            "  {:>12} {:<18} {:>5} {:>14}  point",
+            "stall_ns", "cause", "chip", "issued_ns"
         )?;
         for s in &self.stalls {
             writeln!(

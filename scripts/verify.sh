@@ -42,10 +42,11 @@ cargo run -q -p xtask -- timeline "$VERIFY_DIR/j1/timeline.jsonl" \
     > "$VERIFY_DIR/timeline-report.txt"
 head -n 5 "$VERIFY_DIR/timeline-report.txt"
 
-echo "==> xtask lint"
-cargo run -q -p xtask -- lint
+echo "==> cargo clippy (lint levels; DESIGN.md §8)"
+cargo clippy --workspace --all-targets --all-features -- -D warnings
+cargo clippy -p anykey-core -p anykey-flash --all-targets -- -D warnings
 
-echo "==> xtask lint --deps (hermeticity)"
-cargo run -q -p xtask -- lint --deps
+echo "==> xtask deps (hermeticity)"
+cargo run -q -p xtask -- deps
 
 echo "verify: OK"

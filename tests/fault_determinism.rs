@@ -88,7 +88,6 @@ fn harsh() -> FaultModel {
         program_fail_ppm_per_pe: 100,
         erase_fail_ppm: 10_000,
         erase_fail_ppm_per_pe: 100,
-        ..FaultModel::disabled()
     }
 }
 
@@ -151,7 +150,7 @@ fn recovery_work_is_visible_in_counters() {
     // Erase failures are the rarest class (one draw per GC erase), so give
     // them a high base rate to observe actual block retirement.
     let model = FaultModel {
-        seed: 0xBADB_0B5,
+        seed: 0x0BAD_B0B5,
         program_fail_ppm: 50_000,
         erase_fail_ppm: 40_000,
         ..harsh()

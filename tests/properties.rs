@@ -54,11 +54,11 @@ fn engine_is_coherent(kind: EngineKind, seeds: u64, max_actions: u64) {
         for step in 0..n {
             match draw_action(&mut rng) {
                 Action::Put(k, v) => {
-                    dev.put(k, v).unwrap();
+                    dev.put(k, v).expect("put must succeed");
                     oracle.insert(k, v);
                 }
                 Action::Delete(k) => {
-                    dev.delete(k).unwrap();
+                    dev.delete(k).expect("delete must succeed");
                     oracle.remove(&k);
                 }
                 Action::Get(k) => {

@@ -35,7 +35,11 @@ fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     for entry in std::fs::read_dir(dir).expect("read out dir").flatten() {
         let path = entry.path();
         if path.is_file() {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let name = path
+                .file_name()
+                .expect("file has a name")
+                .to_string_lossy()
+                .into_owned();
             out.insert(name, std::fs::read(&path).expect("read result file"));
         }
     }

@@ -6,8 +6,8 @@
 //! `summary.json` (schema v3), and the final point of every captured
 //! cumulative-WAF curve equals the summary's `waf` field token for token.
 //!
-//! All timestamps in a timeline are virtual nanoseconds; the `xtask lint`
-//! `trace-no-wall-clock` rule holds this file to that discipline too.
+//! All timestamps in a timeline are virtual nanoseconds; the workspace's
+//! `clippy::disallowed_types` lint holds this file to that discipline too.
 
 use anykey::metrics::summary::{self, ParsedSummary, WALL_FIELDS};
 use anykey::metrics::timeline::{parse_jsonl, write_csv, write_jsonl, StateSample};

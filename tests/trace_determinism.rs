@@ -4,8 +4,8 @@
 //! per-phase breakdown lands in `summary.json`, and an engine that never
 //! enabled tracing yields no events.
 //!
-//! All timestamps in a trace are virtual nanoseconds; the `xtask lint`
-//! `trace-no-wall-clock` rule holds this file to that discipline too.
+//! All timestamps in a trace are virtual nanoseconds; the workspace's
+//! `clippy::disallowed_types` lint holds this file to that discipline too.
 
 use anykey::core::runner::DEFAULT_QUEUE_DEPTH;
 use anykey::core::{run, run_with, DeviceConfig, EngineKind, KvEngine};

@@ -45,8 +45,8 @@ fn print_report(report: &DiffReport, baseline: &str, candidate: &str) {
     }
     if !report.failures.is_empty() {
         eprintln!(
-            "{:<42} {:<14} {:>16} {:>16}  {}",
-            "point", "metric", "baseline", "candidate", "mode"
+            "{:<42} {:<14} {:>16} {:>16}  mode",
+            "point", "metric", "baseline", "candidate"
         );
         for f in &report.failures {
             eprintln!(
@@ -70,7 +70,7 @@ fn print_report(report: &DiffReport, baseline: &str, candidate: &str) {
 
 /// Runs the `bench-diff` subcommand over `args` (everything after the
 /// subcommand name). Returns the process exit code.
-pub fn run_cli(args: &[String]) -> i32 {
+pub(crate) fn run_cli(args: &[String]) -> i32 {
     let mut paths: Vec<&str> = Vec::new();
     let mut wall_band = DEFAULT_WALL_BAND;
     let mut i = 0;

@@ -1,9 +1,8 @@
-//! `cargo run -p xtask -- <lint|bench-diff> ...` — repo-specific tooling.
+//! `cargo run -p xtask -- <command> ...` — repo-specific tooling.
 //!
-//! - [`lint`]: static checks clippy cannot express (panic-freedom of the
-//!   engine crates, checked casts in flash address arithmetic,
-//!   virtual-clock discipline, public-item documentation, dependency
-//!   hermeticity).
+//! - [`deps`]: the hermeticity guard — no registry or git package in the
+//!   resolved `Cargo.lock`. The other static rules are compiler lint
+//!   levels (workspace `Cargo.toml`, `clippy.toml`; DESIGN.md §8).
 //! - [`bench_diff`]: the CI perf-regression gate comparing two
 //!   `summary.json` documents from `anykey-bench` with per-metric
 //!   tolerance bands.
@@ -14,14 +13,14 @@
 //!   --timeline`, with a `--assert-converged` CI gate.
 
 mod bench_diff;
-mod lint;
+mod deps;
 mod timeline_cmd;
 mod trace_cmd;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("lint") => lint::run_cli(),
+        Some("deps") => deps::run_cli(),
         Some("bench-diff") => bench_diff::run_cli(&args[1..]),
         Some("trace") => trace_cmd::run_cli(&args[1..]),
         Some("timeline") => timeline_cmd::run_cli(&args[1..]),
@@ -29,7 +28,7 @@ fn main() {
             eprintln!(
                 "usage: cargo run -p xtask -- <command>\n\
                  commands:\n\
-                   lint [--deps]                         repo-specific static checks\n\
+                   deps                                  hermeticity guard (Cargo.lock)\n\
                    bench-diff <baseline> <candidate>     summary.json regression gate\n\
                    trace <trace.jsonl> [--top K]         trace analyzer (phase breakdown)\n\
                    timeline <timeline.jsonl>             timeline analyzer (steady state)"
@@ -38,4 +37,84 @@ fn main() {
         }
     };
     std::process::exit(code)
+}
+
+/// Tier-1 guards for the static rules (DESIGN.md §8): `cargo test` runs no
+/// lints, so these fail if the configuration that enforces a rule is removed.
+#[cfg(test)]
+mod lint {
+    mod tests {
+        const CLIPPY_TOML: &str = include_str!("../../clippy.toml");
+
+        fn squash(src: &str) -> String {
+            src.split_whitespace().collect()
+        }
+
+        fn engine_crates_deny(lints: &[&str]) {
+            for src in [
+                include_str!("../../crates/core/src/lib.rs"),
+                include_str!("../../crates/flash/src/lib.rs"),
+            ] {
+                let src = squash(src);
+                let (_, denied) = src.split_once("#![deny(").expect("crate-level deny");
+                let denied = denied.split_once(")]").expect("closed deny").0;
+                for lint in lints {
+                    assert!(denied.split(',').any(|l| l == *lint), "{lint} not denied");
+                }
+            }
+        }
+
+        #[test]
+        fn flags_unwrap_in_engine_code() {
+            engine_crates_deny(&["clippy::unwrap_used", "clippy::unreachable"]);
+        }
+
+        #[test]
+        fn flags_expect_and_panic() {
+            engine_crates_deny(&["clippy::expect_used", "clippy::panic"]);
+        }
+
+        #[test]
+        fn allows_unwrap_inside_cfg_test() {
+            for key in ["unwrap", "expect", "panic"] {
+                assert!(squash(CLIPPY_TOML).contains(&format!("allow-{key}-in-tests=true")));
+            }
+        }
+
+        #[test]
+        fn flags_bare_cast_in_flash_geometry() {
+            for src in [
+                include_str!("../../crates/flash/src/address.rs"),
+                include_str!("../../crates/flash/src/geometry.rs"),
+                include_str!("../../crates/flash/src/allocator.rs"),
+            ] {
+                assert!(src.contains("\n#![deny(clippy::as_conversions)]\n"));
+            }
+        }
+
+        #[test]
+        fn flags_std_time_in_simulation_crate() {
+            for ty in ["Instant", "SystemTime", "Duration"] {
+                assert!(squash(CLIPPY_TOML).contains(&format!("path=\"std::time::{ty}\"")));
+            }
+        }
+
+        #[test]
+        fn flags_undocumented_public_fn() {
+            let root = squash(include_str!("../../Cargo.toml"));
+            assert!(root.contains("missing_docs=\"deny\""));
+            assert!(root.contains("unreachable_pub=\"deny\""));
+            for manifest in [
+                include_str!("../../Cargo.toml"),
+                include_str!("../../crates/bench/Cargo.toml"),
+                include_str!("../../crates/core/Cargo.toml"),
+                include_str!("../../crates/flash/Cargo.toml"),
+                include_str!("../../crates/metrics/Cargo.toml"),
+                include_str!("../../crates/workload/Cargo.toml"),
+                include_str!("../Cargo.toml"),
+            ] {
+                assert!(squash(manifest).contains("[lints]workspace=true"));
+            }
+        }
+    }
 }

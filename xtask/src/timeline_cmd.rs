@@ -30,7 +30,7 @@ fn usage() -> i32 {
 
 /// Runs the `timeline` subcommand over `args` (everything after the
 /// subcommand name). Returns the process exit code.
-pub fn run_cli(args: &[String]) -> i32 {
+pub(crate) fn run_cli(args: &[String]) -> i32 {
     let mut path: Option<&str> = None;
     let mut window = DEFAULT_STEADY_WINDOW;
     let mut tol = DEFAULT_STEADY_TOL;

@@ -24,7 +24,7 @@ fn usage() -> i32 {
 
 /// Runs the `trace` subcommand over `args` (everything after the
 /// subcommand name). Returns the process exit code.
-pub fn run_cli(args: &[String]) -> i32 {
+pub(crate) fn run_cli(args: &[String]) -> i32 {
     let mut path: Option<&str> = None;
     let mut top_k = 10usize;
     let mut i = 0;
