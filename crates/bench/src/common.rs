@@ -28,10 +28,6 @@ pub struct Scale {
     pub out_dir: PathBuf,
     /// RNG seed.
     pub seed: u64,
-    /// Residual foreground wait after a background suspend, in ns
-    /// (formerly the hidden `ANYKEY_BG_RESIDUAL_NS` environment variable;
-    /// now an explicit, reproducible knob).
-    pub bg_residual_ns: u64,
 }
 
 impl Default for Scale {
@@ -42,7 +38,6 @@ impl Default for Scale {
             ops_factor: 2.0,
             out_dir: PathBuf::from("results"),
             seed: 0xA17_5EED,
-            bg_residual_ns: 100_000,
         }
     }
 }
@@ -84,24 +79,6 @@ impl Scale {
             .capacity_bytes(self.capacity)
             .engine(kind)
             .key_len(spec.key_len as u16)
-            .bg_residual_ns(self.bg_residual_ns)
-            .build()
-    }
-
-    /// The standard device configuration with media fault injection
-    /// enabled (the `fault` experiment).
-    pub fn device_faulty(
-        &self,
-        kind: EngineKind,
-        spec: WorkloadSpec,
-        fault: anykey_flash::FaultModel,
-    ) -> DeviceConfig {
-        DeviceConfig::builder()
-            .capacity_bytes(self.capacity)
-            .engine(kind)
-            .key_len(spec.key_len as u16)
-            .bg_residual_ns(self.bg_residual_ns)
-            .fault(fault)
             .build()
     }
 

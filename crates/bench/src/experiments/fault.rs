@@ -32,7 +32,8 @@ pub fn points(ctx: &ExpCtx) -> Vec<Point> {
             } else {
                 FaultModel::uniform(ctx.scale.seed ^ u64::from(ppm), ppm)
             };
-            let cfg = ctx.scale.device_faulty(kind, w, fault);
+            let mut cfg = ctx.scale.device(kind, w);
+            cfg.flash.fault = fault;
             out.push(Point::with_key(
                 format!("fault/UDB/{}/{ppm}ppm", kind.label()),
                 "fault",

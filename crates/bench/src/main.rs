@@ -23,14 +23,14 @@ fn usage() -> ! {
         "usage: anykey-bench <experiment|all> [options]\n\
          experiments: {}\n\
          options:\n\
-           --capacity-mb N   device capacity in MiB (default 64)\n\
+           --capacity-mb N   device capacity in MiB (default 128)\n\
            --fill F          warm-up fill fraction (default 0.55)\n\
            --ops-factor F    measured ops as multiple of capacity (default 2.0)\n\
            --out DIR         CSV output directory (default results/)\n\
            --seed S          RNG seed\n\
            --jobs N          worker threads for the point scheduler (default 1)\n\
-           --bg-residual-ns N  residual fg wait after a bg suspend (default 100000)\n\
-           --quick           small/fast smoke scale\n\
+           --quick           small/fast smoke scale (64 MiB, fill 0.45, ops-factor\n\
+                             0.5); explicit --capacity-mb/--fill/--ops-factor win\n\
            --trace PATH      record measured-phase trace events to PATH\n\
            --trace-format F  trace file format: jsonl (default) or chrome\n\
                              (Chrome trace-event JSON; open in Perfetto)\n\
@@ -57,7 +57,12 @@ fn main() {
         usage();
     }
     let mut ids: Vec<String> = Vec::new();
+    // `--quick` only picks the starting scale, so explicit flags override
+    // it wherever they appear on the command line.
     let mut scale = Scale::default();
+    if args.iter().any(|a| a == "--quick") {
+        scale = scale.quick();
+    }
     let mut jobs = 1usize;
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut trace_format = "jsonl".to_string();
@@ -108,13 +113,6 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
             }
-            "--bg-residual-ns" => {
-                i += 1;
-                scale.bg_residual_ns = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--trace" => {
                 i += 1;
                 trace_path = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
@@ -147,7 +145,7 @@ fn main() {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--quick" => scale = scale.clone().quick(),
+            "--quick" => {}
             id if !id.starts_with('-') => ids.push(id.to_string()),
             _ => usage(),
         }

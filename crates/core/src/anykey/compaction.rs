@@ -7,6 +7,7 @@ use crate::anykey::entity::{Entity, ValueLoc};
 use crate::anykey::group::{pack_groups, Group};
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
+use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY, THETA};
 use crate::error::KvError;
 
 /// What a compaction does with values that live in the value log.
@@ -14,14 +15,9 @@ use crate::error::KvError;
 pub(crate) enum InlinePolicy {
     /// Tree-triggered compaction: pointers are copied, values stay put.
     Keep,
-    /// Base AnyKey log-triggered compaction: every logged value of both
-    /// levels is merged into the new data segment groups.
+    /// Log-triggered compaction: every logged value of both levels is
+    /// merged into the new data segment groups.
     InlineAll,
-    /// AnyKey+ log-triggered compaction: inline until the destination
-    /// level's physical size reaches the budget (θ × threshold), then write
-    /// the remaining values back to the log head so their old blocks still
-    /// free up (Figure 9b).
-    InlineUntil(u64),
 }
 
 /// Where the upper input of a compaction comes from.
@@ -39,7 +35,6 @@ impl AnyKeyStore {
         if self.core.buffer.is_empty() {
             return Ok(at);
         }
-        #[cfg(feature = "trace")]
         let snap = self.core.span_snapshot();
         let mut t = self.gc_if_needed(at)?;
 
@@ -53,8 +48,8 @@ impl AnyKeyStore {
                 if rounds > self.levels.len() + 2 {
                     return Err(KvError::DeviceFull);
                 }
-                // Escalate to unconditional inlining if θ-capped rounds
-                // are not reclaiming enough space.
+                // AnyKey+ escalates from in-place rewrites to a level
+                // merge if they are not reclaiming enough space.
                 t = self.log_triggered_compaction(t, rounds > 2)?;
             }
         }
@@ -88,9 +83,8 @@ impl AnyKeyStore {
         // the background queues), but the buffer is available again once
         // the L0->L1 merge lands.
         self.maintain(t_ack)?;
-        #[cfg(feature = "trace")]
         self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
-        #[cfg(any(test, feature = "strict-invariants"))]
+        #[cfg(debug_assertions)]
         self.verify_invariants()?;
         Ok(t_ack)
     }
@@ -113,16 +107,17 @@ impl AnyKeyStore {
 
     fn ensure_next_level(&mut self, i: usize) {
         if i + 1 == self.levels.len() {
-            let threshold = self.levels[i].threshold * self.core.cfg.level_ratio;
+            let threshold = self.levels[i].threshold * LEVEL_RATIO;
             self.levels.push(Level::new(threshold));
         }
     }
 
     /// Log-triggered compaction (Section 4.4.3): pick a source level, merge
     /// it down with its values inlined, then reclaim fully-invalid log
-    /// blocks. AnyKey selects the level with the most *valid* logged bytes;
-    /// AnyKey+ the one with the most *invalid* logged bytes, and caps
-    /// inlining at θ × threshold to avoid compaction chains (Section 4.7).
+    /// blocks. AnyKey selects the level with the most *valid* logged bytes.
+    /// AnyKey+ avoids compaction chains (Section 4.7) by rewriting levels in
+    /// place; only an escalated round merges, picking the source level whose
+    /// dead log bytes plus θ-scored absorbable live bytes are largest.
     pub(crate) fn log_triggered_compaction(
         &mut self,
         at: Ns,
@@ -135,9 +130,7 @@ impl AnyKeyStore {
             // values inlined, deepest (oldest log content) first. No level
             // merge happens, so no destination can overflow its threshold —
             // the compaction chain of Figure 9a is avoided entirely, which
-            // is the goal of the paper's θ-capped variant. (The θ-capped
-            // merge itself is implemented as InlinePolicy::InlineUntil and
-            // exercised by escalated rounds.)
+            // is the goal of the paper's θ-capped variant.
             if self.levels.iter().all(|l| l.logged_bytes == 0) {
                 return Err(KvError::DeviceFull);
             }
@@ -165,16 +158,15 @@ impl AnyKeyStore {
                 }
             }
             let done = self.maintain(t)?;
-            #[cfg(any(test, feature = "strict-invariants"))]
+            #[cfg(debug_assertions)]
             self.verify_invariants()?;
             return Ok(done);
         }
         let pick = if self.is_plus() {
             // AnyKey+ targets reclaimable log space (Section 4.7): the dead
             // bytes a level's updates stranded in the log, plus the live
-            // bytes its θ-capped inlining can actually absorb — a merge
-            // whose destination already sits at θ × threshold would inline
-            // nothing and reclaim nothing.
+            // bytes its destination can absorb below θ × threshold — a
+            // level whose destination already sits there scores nothing.
             let mut best: Option<(u64, usize)> = None;
             for (i, l) in self.levels.iter().enumerate() {
                 if l.logged_bytes == 0 && l.invalid_logged == 0 {
@@ -186,7 +178,7 @@ impl AnyKeyStore {
                     l.logged_bytes
                 } else {
                     let dst = &self.levels[i + 1];
-                    let room = ((self.core.cfg.theta * dst.threshold as f64) as u64)
+                    let room = ((THETA * dst.threshold as f64) as u64)
                         .saturating_sub(l.phys_bytes + dst.phys_bytes);
                     room.min(l.logged_bytes + dst.logged_bytes)
                 };
@@ -211,7 +203,7 @@ impl AnyKeyStore {
             .filter(|(_, l)| l.logged_bytes > 0)
             .max_by_key(|(_, l)| l.logged_bytes)
             .map(|(i, _)| i);
-        // When no θ-capped merge can absorb anything, AnyKey+ falls back to
+        // When no destination can absorb anything, AnyKey+ falls back to
         // rewriting the most-logged level's affected groups in place — a
         // log-relieving move with no threshold interaction.
         let target = pick.or(fallback);
@@ -235,16 +227,7 @@ impl AnyKeyStore {
                 self.compact(Source::Level(src), src, InlinePolicy::InlineAll, at)?
             }
         } else {
-            // θ-capped inlining only applies when merging *into* a deeper
-            // level (the compaction-chain case); escalated rounds inline
-            // everything.
-            let policy = if self.is_plus() && !escalate {
-                let budget = (self.core.cfg.theta * self.levels[src + 1].threshold as f64) as u64;
-                InlinePolicy::InlineUntil(budget)
-            } else {
-                InlinePolicy::InlineAll
-            };
-            self.compact(Source::Level(src), src + 1, policy, at)?
+            self.compact(Source::Level(src), src + 1, InlinePolicy::InlineAll, at)?
         };
         let log = self.log.as_mut().ok_or(KvError::Internal {
             context: "log-triggered compaction requires a log",
@@ -252,10 +235,9 @@ impl AnyKeyStore {
         let (_, t) = log.reclaim(&mut self.core.flash, t)?;
         // Base AnyKey: the inlined values may push the destination over its
         // threshold, immediately triggering a tree compaction — the
-        // "compaction chain" of Figure 9a. AnyKey+'s θ cap makes this a
-        // no-op.
+        // "compaction chain" of Figure 9a.
         let done = self.maintain(t)?;
-        #[cfg(any(test, feature = "strict-invariants"))]
+        #[cfg(debug_assertions)]
         self.verify_invariants()?;
         Ok(done)
     }
@@ -265,7 +247,6 @@ impl AnyKeyStore {
     /// target is the deepest level: untouched groups (the vast majority in
     /// steady state) are not rewritten.
     pub(crate) fn inline_rewrite_level(&mut self, li: usize, at: Ns) -> Result<Ns, KvError> {
-        #[cfg(feature = "trace")]
         let snap = self.core.span_snapshot();
         // Pass 1: collect pages to read.
         let mut read_ppas: Vec<Ppa> = Vec::new();
@@ -345,9 +326,8 @@ impl AnyKeyStore {
         self.levels[li].recount();
         self.levels[li].invalid_logged = 0;
         self.rebalance_dram();
-        let done = t_write.max(t_erase) + count * self.core.cfg.cpu.sort_ns_per_entity;
+        let done = t_write.max(t_erase) + count * SORT_NS_PER_ENTITY;
         let done = done.max(self.gc_if_needed(done)?);
-        #[cfg(feature = "trace")]
         self.core
             .push_span(snap, "compaction", "inline-rewrite", li as u32, at, done);
         Ok(done)
@@ -362,13 +342,10 @@ impl AnyKeyStore {
         policy: InlinePolicy,
         at: Ns,
     ) -> Result<Ns, KvError> {
-        #[cfg(feature = "trace")]
         let snap = self.core.span_snapshot();
-        #[cfg(feature = "trace")]
         let span_label = match policy {
             InlinePolicy::Keep => "keep",
             InlinePolicy::InlineAll => "inline-all",
-            InlinePolicy::InlineUntil(_) => "inline-until",
         };
         // Source blocks are freed before the output is written, so the
         // transient headroom need is modest: room for inlined values plus
@@ -475,57 +452,17 @@ impl AnyKeyStore {
 
         // --- 3. Apply the inline policy. -------------------------------
         let mut log_read_ppas: Vec<Ppa> = Vec::new();
-        let mut t_wb = t_read;
-        match policy {
-            InlinePolicy::Keep => {}
-            InlinePolicy::InlineAll => {
-                for e in &mut merged {
-                    if let ValueLoc::Logged(ptr) = e.loc {
-                        log_read_ppas.extend(crate::anykey::valuelog::ValueLog::ptr_pages(ptr));
-                        self.log
-                            .as_mut()
-                            .ok_or(KvError::Internal {
-                                context: "logged value without a log",
-                            })?
-                            .invalidate(ptr, e.value_len as u64);
-                        e.loc = ValueLoc::Inline;
-                    }
-                }
-            }
-            InlinePolicy::InlineUntil(budget) => {
-                // Estimate the destination's physical size as we walk the
-                // merged run in key order; stop inlining at θ × threshold.
-                let mut phys = 0u64;
-                for e in &mut merged {
-                    if let ValueLoc::Logged(ptr) = e.loc {
-                        if phys < budget {
-                            log_read_ppas.extend(crate::anykey::valuelog::ValueLog::ptr_pages(ptr));
-                            self.log
-                                .as_mut()
-                                .ok_or(KvError::Internal {
-                                    context: "logged value without a log",
-                                })?
-                                .invalidate(ptr, e.value_len as u64);
-                            e.loc = ValueLoc::Inline;
-                        } else {
-                            // Write the value back to the log head so the
-                            // old block can still be reclaimed; keep the
-                            // old pointer if the log has no room.
-                            let log = self.log.as_mut().ok_or(KvError::Internal {
-                                context: "logged value without a log",
-                            })?;
-                            if let Ok((new_ptr, done)) =
-                                log.append(&mut self.core.flash, e.value_len, t_read)
-                            {
-                                log_read_ppas
-                                    .extend(crate::anykey::valuelog::ValueLog::ptr_pages(ptr));
-                                log.invalidate(ptr, e.value_len as u64);
-                                e.loc = ValueLoc::Logged(new_ptr);
-                                t_wb = t_wb.max(done);
-                            }
-                        }
-                    }
-                    phys += e.stored_bytes() + 4; // + directory entry
+        if let InlinePolicy::InlineAll = policy {
+            for e in &mut merged {
+                if let ValueLoc::Logged(ptr) = e.loc {
+                    log_read_ppas.extend(crate::anykey::valuelog::ValueLog::ptr_pages(ptr));
+                    self.log
+                        .as_mut()
+                        .ok_or(KvError::Internal {
+                            context: "logged value without a log",
+                        })?
+                        .invalidate(ptr, e.value_len as u64);
+                    e.loc = ValueLoc::Inline;
                 }
             }
         }
@@ -537,7 +474,7 @@ impl AnyKeyStore {
             .core
             .flash
             .read_many(log_read_ppas, OpCause::CompactionRead, t_read);
-        let t_inputs = t_read.max(t_log).max(t_wb);
+        let t_inputs = t_read.max(t_log);
 
         // --- 4. Free the source blocks before writing output. ----------
         let mut t_erase = t_inputs;
@@ -591,9 +528,8 @@ impl AnyKeyStore {
         self.rebalance_dram();
 
         // --- 7. CPU merge-sort cost and GC headroom. --------------------
-        let done = t_write.max(t_erase) + merged_count * self.core.cfg.cpu.sort_ns_per_entity;
+        let done = t_write.max(t_erase) + merged_count * SORT_NS_PER_ENTITY;
         let done = done.max(self.gc_if_needed(done)?);
-        #[cfg(feature = "trace")]
         self.core
             .push_span(snap, "compaction", span_label, dst as u32, at, done);
         Ok(done)

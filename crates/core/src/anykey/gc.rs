@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, OpCause, Ppa};
 
 use crate::anykey::AnyKeyStore;
+use crate::config::RESERVE_BLOCKS;
 use crate::error::KvError;
 
 /// The erase-block region that data segment groups live in.
@@ -219,7 +220,7 @@ impl AnyKeyStore {
         }
     }
 
-    /// Ensures at least `reserve_blocks` free blocks exist in the group
+    /// Ensures at least [`RESERVE_BLOCKS`] free blocks exist in the group
     /// area, relocating valid groups out of the fullest-garbage blocks when
     /// needed.
     ///
@@ -235,7 +236,7 @@ impl AnyKeyStore {
     /// the transient headroom a large compaction needs before its source
     /// blocks free up.
     pub(crate) fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
-        let reserve = self.core.cfg.reserve_blocks as usize + extra;
+        let reserve = RESERVE_BLOCKS + extra;
         let mut t = at;
         let mut guard = 0usize;
         while self.area.free_blocks() < reserve {
@@ -253,7 +254,6 @@ impl AnyKeyStore {
 
     /// Relocates every group of `victim` to fresh space and erases it.
     fn relocate_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
-        #[cfg(feature = "trace")]
         let snap = self.core.span_snapshot();
         // Find the groups living in the victim block.
         let mut homes: Vec<(usize, usize)> = Vec::new();
@@ -283,9 +283,8 @@ impl AnyKeyStore {
         }
         debug_assert_eq!(self.area.valid_in(victim), 0);
         done = done.max(self.area.erase_empty(&mut self.core.flash, victim, done)?);
-        #[cfg(feature = "trace")]
         self.core.push_span(snap, "gc", "relocate", 0, at, done);
-        #[cfg(any(test, feature = "strict-invariants"))]
+        #[cfg(debug_assertions)]
         self.verify_invariants()?;
         Ok(done)
     }

@@ -18,13 +18,11 @@ mod tests;
 
 use anykey_flash::{FlashCounters, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
-use anykey_metrics::trace::PhaseBreakdown;
-#[cfg(feature = "trace")]
-use anykey_metrics::trace::TraceEvent;
+use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 use anykey_workload::Op;
 
 use crate::audit::AuditError;
-use crate::config::{DeviceConfig, EngineKind};
+use crate::config::{DeviceConfig, EngineKind, DRAM_OP_NS, HASH_NS, LEVEL_RATIO};
 use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
 use crate::error::KvError;
@@ -73,9 +71,7 @@ impl AnyKeyStore {
         });
         let ga = core.allocator(0..(total_blocks - log_blocks));
         Self {
-            levels: vec![Level::new(
-                core.cfg.write_buffer_bytes * core.cfg.level_ratio,
-            )],
+            levels: vec![Level::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
             area: GroupArea::new(ga, geometry.pages_per_block),
             log,
             level_list_overflow: false,
@@ -138,23 +134,23 @@ impl AnyKeyStore {
         if let Some(start) = start {
             self.core.flush_done = self.flush(start)?;
         }
-        let cpu = self.core.cfg.cpu.hash_ns + self.core.cfg.cpu.dram_op_ns;
+        let cpu = HASH_NS + DRAM_OP_NS;
         Ok(put_outcome(at, start, cpu))
     }
 
     fn do_get(&mut self, id: u64, at: Ns) -> Result<OpOutcome, KvError> {
         let key = self.core.make_key(id)?;
         let hash = key.hash32();
-        let mut t = at + self.core.cfg.cpu.hash_ns;
+        let mut t = at + HASH_NS;
         let mut reads = 0u32;
         let mut phases = PhaseBreakdown {
-            engine: self.core.cfg.cpu.hash_ns,
+            engine: HASH_NS,
             ..PhaseBreakdown::default()
         };
 
         if let Some(e) = self.core.buffer.get(&key) {
-            let done = t + self.core.cfg.cpu.dram_op_ns;
-            phases.engine += self.core.cfg.cpu.dram_op_ns;
+            let done = t + DRAM_OP_NS;
+            phases.engine += DRAM_OP_NS;
             return Ok(outcome(at, done, !e.tombstone, 0, phases));
         }
 
@@ -226,8 +222,8 @@ impl AnyKeyStore {
                 break;
             }
         }
-        let done = t + self.core.cfg.cpu.dram_op_ns;
-        phases.engine += self.core.cfg.cpu.dram_op_ns;
+        let done = t + DRAM_OP_NS;
+        phases.engine += DRAM_OP_NS;
         Ok(outcome(at, done, false, reads, phases))
     }
 
@@ -273,9 +269,9 @@ impl AnyKeyStore {
         )?;
 
         // Flash timing: directory pages first, then data + log pages.
-        let t0 = at + self.core.cfg.cpu.hash_ns;
+        let t0 = at + HASH_NS;
         let mut phases = PhaseBreakdown {
-            engine: self.core.cfg.cpu.hash_ns,
+            engine: HASH_NS,
             ..PhaseBreakdown::default()
         };
         let (t, dir_reads) = self.core.read_set(plan.index_pages, OpCause::HostRead, t0);
@@ -471,7 +467,6 @@ impl KvEngine for AnyKeyStore {
         self.core.set_tracing(on);
     }
 
-    #[cfg(feature = "trace")]
     fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.core.take_trace()
     }

@@ -23,10 +23,10 @@
 //!   data pointer) references a block retired as a grown bad block.
 //!
 //! The engines invoke the audit automatically at flush / compaction / GC
-//! boundaries in test builds and under the `strict-invariants` cargo
-//! feature; release builds pay nothing unless the feature is enabled. The
-//! corruption hooks at the bottom of this module exist solely so the
-//! negative-path integration tests can prove each check actually fires.
+//! boundaries whenever debug assertions are on (`cargo test` and
+//! `cargo run`); `--release` builds pay nothing. The corruption hooks at
+//! the bottom of this module exist solely so the negative-path integration
+//! tests can prove each check actually fires.
 
 use std::error::Error;
 use std::fmt;

@@ -42,30 +42,30 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// Controller computation costs (paper Section 4.6: 79 ns per 32-bit xxHash
-/// of a 40-byte key and ~118 µs to merge-sort two 8192-entity groups on a
-/// 1.2 GHz Cortex-A53; all evaluation data includes these overheads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuModel {
-    /// Hash generation cost per request (GET and PUT each hash once).
-    pub hash_ns: Ns,
-    /// DRAM/firmware cost of a request that is served without flash I/O
-    /// (buffer hits, metadata-only misses).
-    pub dram_op_ns: Ns,
-    /// Merge-sort cost per KV entity during compaction
-    /// (118 µs / 16384 entities ≈ 7 ns).
-    pub sort_ns_per_entity: Ns,
-}
+/// LSM level size ratio: level *i+1* holds `LEVEL_RATIO ×` level *i*.
+pub const LEVEL_RATIO: u64 = 8;
 
-impl Default for CpuModel {
-    fn default() -> Self {
-        Self {
-            hash_ns: 79,
-            dram_op_ns: 2 * MICROSECOND,
-            sort_ns_per_entity: 7,
-        }
-    }
-}
+/// Free erase blocks each engine keeps in reserve for compaction/GC
+/// headroom (over-provisioning).
+pub const RESERVE_BLOCKS: usize = 6;
+
+/// AnyKey+ θ (paper Section 4.7): an escalated log-triggered compaction
+/// scores each candidate source level by how much of its log values fit
+/// in `THETA ×` the destination level's threshold.
+pub const THETA: f64 = 0.95;
+
+/// Controller hash cost per request: one 32-bit xxHash of a 40-byte key
+/// on the 1.2 GHz Cortex-A53 (paper Section 4.6; GET and PUT each hash
+/// once). All evaluation data includes these controller costs.
+pub const HASH_NS: Ns = 79;
+
+/// DRAM/firmware cost of a request served without flash I/O (buffer hits,
+/// metadata-only misses).
+pub const DRAM_OP_NS: Ns = 2 * MICROSECOND;
+
+/// Merge-sort cost per KV entity during compaction (paper Section 4.6:
+/// ~118 µs to merge two 8192-entity groups, 118 µs / 16384 ≈ 7 ns).
+pub const SORT_NS_PER_ENTITY: Ns = 7;
 
 /// Full configuration of a simulated KV-SSD.
 ///
@@ -80,20 +80,10 @@ pub struct DeviceConfig {
     pub dram_bytes: u64,
     /// Portion of DRAM reserved for the write buffer (L0).
     pub write_buffer_bytes: u64,
-    /// LSM level size ratio (level *i+1* holds `ratio ×` level *i*).
-    pub level_ratio: u64,
     /// Pages per data segment group (AnyKey; paper default 32).
     pub group_pages: u32,
     /// Value-log capacity in bytes (AnyKey; 0 disables the log).
     pub value_log_bytes: u64,
-    /// Free erase blocks each engine keeps in reserve for compaction/GC
-    /// headroom (over-provisioning).
-    pub reserve_blocks: u32,
-    /// AnyKey+ θ: log-triggered compaction stops inlining values when the
-    /// destination level reaches `θ × threshold` (Section 4.7).
-    pub theta: f64,
-    /// Controller computation model.
-    pub cpu: CpuModel,
     /// Which engine to build.
     pub engine: EngineKind,
     /// Key length in bytes for synthesized keys (per-workload, Table 2).
@@ -139,16 +129,11 @@ pub struct DeviceConfigBuilder {
     capacity_bytes: u64,
     page_size: u32,
     pages_per_block: u32,
-    bg_residual_ns: Ns,
     fault: FaultModel,
     dram_bytes: Option<u64>,
     write_buffer_bytes: Option<u64>,
-    level_ratio: u64,
     group_pages: u32,
     value_log_bytes: Option<u64>,
-    reserve_blocks: u32,
-    theta: f64,
-    cpu: CpuModel,
     engine: EngineKind,
     key_len: u16,
 }
@@ -159,16 +144,11 @@ impl Default for DeviceConfigBuilder {
             capacity_bytes: 256 << 20,
             page_size: 8 << 10,
             pages_per_block: 128,
-            bg_residual_ns: 100_000,
             fault: FaultModel::disabled(),
             dram_bytes: None,
             write_buffer_bytes: None,
-            level_ratio: 8,
             group_pages: 32,
             value_log_bytes: None,
-            reserve_blocks: 6,
-            theta: 0.95,
-            cpu: CpuModel::default(),
             engine: EngineKind::AnyKeyPlus,
             key_len: 32,
         }
@@ -194,15 +174,6 @@ impl DeviceConfigBuilder {
         self
     }
 
-    /// Residual delay cap a foreground read pays when it suspends in-flight
-    /// background work on its chip (default 100 µs). Formerly the hidden
-    /// `ANYKEY_BG_RESIDUAL_NS` environment variable; now explicit so a
-    /// recorded configuration reproduces the run.
-    pub fn bg_residual_ns(&mut self, ns: Ns) -> &mut Self {
-        self.bg_residual_ns = ns;
-        self
-    }
-
     /// Media fault model (default: disabled, perfect media). A nonzero
     /// model injects deterministic read retries, program failures, and
     /// block-retiring erase failures; it also switches the engines' block
@@ -225,12 +196,6 @@ impl DeviceConfigBuilder {
         self
     }
 
-    /// LSM level size ratio (default 8).
-    pub fn level_ratio(&mut self, ratio: u64) -> &mut Self {
-        self.level_ratio = ratio;
-        self
-    }
-
     /// Pages per data segment group (default 32).
     pub fn group_pages(&mut self, pages: u32) -> &mut Self {
         self.group_pages = pages;
@@ -242,24 +207,6 @@ impl DeviceConfigBuilder {
     /// sweeps 5–15 %). Ignored for PinK; forced to 0 for AnyKey−.
     pub fn value_log_bytes(&mut self, bytes: u64) -> &mut Self {
         self.value_log_bytes = Some(bytes);
-        self
-    }
-
-    /// Reserved free blocks (over-provisioning headroom).
-    pub fn reserve_blocks(&mut self, blocks: u32) -> &mut Self {
-        self.reserve_blocks = blocks;
-        self
-    }
-
-    /// AnyKey+ θ threshold (default 0.95).
-    pub fn theta(&mut self, theta: f64) -> &mut Self {
-        self.theta = theta;
-        self
-    }
-
-    /// Controller computation model.
-    pub fn cpu(&mut self, cpu: CpuModel) -> &mut Self {
-        self.cpu = cpu;
         self
     }
 
@@ -279,12 +226,11 @@ impl DeviceConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the write buffer does not fit in DRAM, if θ is not in
-    /// `(0, 1]`, or if the group does not fit in an erase block.
+    /// Panics if the write buffer does not fit in DRAM or if the group does
+    /// not fit in an erase block.
     pub fn build(&self) -> DeviceConfig {
         let mut flash =
             FlashConfig::paper_shape(self.capacity_bytes, self.page_size, self.pages_per_block);
-        flash.bg_residual_ns = self.bg_residual_ns;
         flash.fault = self.fault;
         let dram_bytes = self.dram_bytes.unwrap_or(self.capacity_bytes / 1024);
         // The buffer gets a floor of 128 KiB so that flush granularity is
@@ -294,11 +240,6 @@ impl DeviceConfigBuilder {
         let write_buffer_bytes = self
             .write_buffer_bytes
             .unwrap_or_else(|| (dram_bytes / 2).max(128 << 10));
-        assert!(
-            self.theta > 0.0 && self.theta <= 1.0,
-            "theta must be in (0,1], got {}",
-            self.theta
-        );
         assert!(
             self.pages_per_block.is_multiple_of(self.group_pages),
             "group pages {} must divide pages per block {}",
@@ -313,12 +254,8 @@ impl DeviceConfigBuilder {
             flash,
             dram_bytes,
             write_buffer_bytes,
-            level_ratio: self.level_ratio,
             group_pages: self.group_pages,
             value_log_bytes,
-            reserve_blocks: self.reserve_blocks,
-            theta: self.theta,
-            cpu: self.cpu,
             engine: self.engine,
             key_len: self.key_len,
         }
@@ -371,14 +308,9 @@ mod tests {
     #[test]
     fn fault_and_residual_knobs_reach_flash_config() {
         let fault = FaultModel::uniform(9, 10_000);
-        let cfg = DeviceConfig::builder()
-            .bg_residual_ns(55_000)
-            .fault(fault)
-            .build();
-        assert_eq!(cfg.flash.bg_residual_ns, 55_000);
+        let cfg = DeviceConfig::builder().fault(fault).build();
         assert_eq!(cfg.flash.fault, fault);
         let default = DeviceConfig::default();
-        assert_eq!(default.flash.bg_residual_ns, 100_000);
         assert!(!default.flash.fault.is_enabled());
     }
 

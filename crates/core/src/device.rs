@@ -14,9 +14,7 @@ use std::ops::Range;
 
 use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
-use anykey_metrics::trace::PhaseBreakdown;
-#[cfg(feature = "trace")]
-use anykey_metrics::trace::TraceEvent;
+use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 
 use crate::buffer::{BufEntry, WriteBuffer};
 use crate::config::DeviceConfig;
@@ -42,10 +40,8 @@ pub(crate) struct DeviceCore {
     /// still running).
     pub(crate) flush_done: Ns,
     /// Recorded background spans (flush/compaction/GC) while tracing.
-    #[cfg(feature = "trace")]
     spans: Vec<TraceEvent>,
     /// Next span id (unique per tracing session).
-    #[cfg(feature = "trace")]
     span_seq: u64,
 }
 
@@ -132,9 +128,7 @@ impl DeviceCore {
             live: HashMap::new(),
             live_bytes: 0,
             flush_done: 0,
-            #[cfg(feature = "trace")]
             spans: Vec::new(),
-            #[cfg(feature = "trace")]
             span_seq: 0,
             cfg,
         }
@@ -364,7 +358,6 @@ impl DeviceCore {
     /// of any earlier session.
     pub(crate) fn set_tracing(&mut self, on: bool) {
         self.flash.set_tracing(on);
-        #[cfg(feature = "trace")]
         if on {
             self.spans.clear();
             self.span_seq = 0;
@@ -373,7 +366,6 @@ impl DeviceCore {
 
     /// Drains the flash-op events and background spans, converted to the
     /// metrics model and sorted by timestamp.
-    #[cfg(feature = "trace")]
     pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
         let geometry = self.cfg.flash.geometry;
         let mut out: Vec<TraceEvent> = self
@@ -399,7 +391,6 @@ impl DeviceCore {
     /// Snapshot of total flash page reads/writes, taken at the start of a
     /// background span; `None` when tracing is off so span bookkeeping
     /// costs nothing on untraced runs.
-    #[cfg(feature = "trace")]
     pub(crate) fn span_snapshot(&self) -> Option<(u64, u64)> {
         self.flash.is_tracing().then(|| {
             let c = self.flash.counters();
@@ -409,7 +400,6 @@ impl DeviceCore {
 
     /// Records a completed background span against a [`Self::span_snapshot`]
     /// taken before the work; a `None` snapshot (tracing off) is a no-op.
-    #[cfg(feature = "trace")]
     pub(crate) fn push_span(
         &mut self,
         snap: Option<(u64, u64)>,

@@ -1,4 +1,7 @@
 //! The engine trait every KV-SSD design implements.
+//!
+//! Tracing and state sampling are required methods; only the
+//! `put`/`get`/`delete` conveniences have default bodies.
 
 use anykey_flash::{FlashCounters, Ns};
 use anykey_metrics::timeline::StateSample;
@@ -135,8 +138,9 @@ pub trait KvEngine {
     /// cause-tagged flash counter conservation, and live-byte accounting.
     ///
     /// Cheap relative to a compaction (one pass over in-DRAM metadata);
-    /// invoked automatically at compaction/GC/spill boundaries under the
-    /// `strict-invariants` feature and called directly by the test suites.
+    /// invoked automatically at flush/compaction/GC boundaries in builds
+    /// with debug assertions (`cargo test`, `cargo run`) and called directly
+    /// by the test suites.
     ///
     /// # Errors
     ///
@@ -145,16 +149,12 @@ pub trait KvEngine {
     fn check_invariants(&self) -> Result<(), AuditError>;
 
     /// Enables or disables trace-event recording (flash-op lifecycles and
-    /// engine background spans). Default: a no-op — engines without
-    /// tracing support, and all engines built without the `trace` cargo
-    /// feature, silently record nothing.
-    fn set_tracing(&mut self, _on: bool) {}
+    /// engine background spans).
+    fn set_tracing(&mut self, on: bool);
 
     /// Drains the recorded trace events, converted to the serializable
-    /// metrics model and sorted by timestamp. Default: empty.
-    fn take_trace(&mut self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
+    /// metrics model and sorted by timestamp.
+    fn take_trace(&mut self) -> Vec<TraceEvent>;
 
     /// Snapshots the engine-state half of a telemetry [`StateSample`]:
     /// per-level occupancy, DRAM budget consumers, value-log live/stale
@@ -162,10 +162,7 @@ pub trait KvEngine {
     /// the identity, interval, and cumulative-traffic fields on top.
     ///
     /// Pure observation — implementations must not mutate any state.
-    /// Default: an all-zero sample, for engines without timeline support.
-    fn sample_state(&self) -> StateSample {
-        StateSample::default()
-    }
+    fn sample_state(&self) -> StateSample;
 
     /// Inserts (or updates) a key at the current horizon — convenience for
     /// examples and tests.

@@ -44,8 +44,7 @@ pub enum KvError {
     /// out-of-range block, or an already-retired block).
     BlockFree(FreeError),
     /// A structural-invariant audit failed (see [`crate::audit`]); raised
-    /// at compaction/GC/spill boundaries under the `strict-invariants`
-    /// feature.
+    /// at flush/compaction/GC boundaries in builds with debug assertions.
     Audit(AuditError),
 }
 

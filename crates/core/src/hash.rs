@@ -3,8 +3,8 @@
 //! AnyKey stores a 32-bit xxHash of every key inside its KV entities, sorts
 //! entities within a data segment group by this hash, and fills the hash
 //! lists with it (paper Section 4.1; the 79 ns hashing cost on the
-//! controller's Cortex-A53 is modeled by [`crate::CpuModel`]). We implement
-//! the algorithm from scratch so the simulator has no substrate
+//! controller's Cortex-A53 is modeled by [`crate::config::HASH_NS`]). We
+//! implement the algorithm from scratch so the simulator has no substrate
 //! dependencies, and validate it against the reference test vectors.
 
 const PRIME32_1: u32 = 0x9E37_79B1;

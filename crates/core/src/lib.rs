@@ -74,7 +74,7 @@ pub mod runner;
 /// Invariant-audit failure diagnostics.
 pub use audit::AuditError;
 /// Device configuration and engine selection.
-pub use config::{CpuModel, DeviceConfig, DeviceConfigBuilder, EngineKind};
+pub use config::{DeviceConfig, DeviceConfigBuilder, EngineKind};
 /// The engine trait and its outcome/stat types.
 pub use engine::{KvEngine, MetadataStats, OpOutcome, PAGE_HEADER_BYTES};
 /// The engine error type.

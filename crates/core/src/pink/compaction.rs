@@ -8,6 +8,7 @@
 
 use anykey_flash::{BlockId, Ns, OpCause, Ppa};
 
+use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
 use crate::error::KvError;
 use crate::pink::segment::{DataPtr, SegEntry, Segment};
 use crate::pink::{PinkLevel, PinkStore};
@@ -19,7 +20,6 @@ impl PinkStore {
         if self.core.buffer.is_empty() {
             return Ok(at);
         }
-        #[cfg(feature = "trace")]
         let snap = self.core.span_snapshot();
         let mut t = self.gc_if_needed(at)?;
         let entries = self.core.buffer.drain();
@@ -56,9 +56,8 @@ impl PinkStore {
         // Deeper merges are pipelined background work; the buffer frees as
         // soon as the L0->L1 merge lands.
         self.maintain(t_ack)?;
-        #[cfg(feature = "trace")]
         self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
-        #[cfg(any(test, feature = "strict-invariants"))]
+        #[cfg(debug_assertions)]
         self.verify_invariants()?;
         Ok(t_ack)
     }
@@ -80,7 +79,7 @@ impl PinkStore {
 
     fn ensure_next_level(&mut self, i: usize) {
         if i + 1 == self.levels.len() {
-            let threshold = self.levels[i].threshold * self.core.cfg.level_ratio;
+            let threshold = self.levels[i].threshold * LEVEL_RATIO;
             self.levels.push(PinkLevel::new(threshold));
         }
     }
@@ -94,7 +93,6 @@ impl PinkStore {
         dst: usize,
         at: Ns,
     ) -> Result<Ns, KvError> {
-        #[cfg(feature = "trace")]
         let snap = self.core.span_snapshot();
         // Old meta generations are freed before the new one is written, so
         // the transient need is the destination's *growth* (the source's
@@ -225,9 +223,8 @@ impl PinkStore {
         // --- 4. Re-plan DRAM placement (charging spills/loads). ---------
         let t_place = self.rebalance(Some(dst), t_read)?;
 
-        let done = t_place.max(t_erase) + merged_count * self.core.cfg.cpu.sort_ns_per_entity;
+        let done = t_place.max(t_erase) + merged_count * SORT_NS_PER_ENTITY;
         let done = done.max(self.gc_if_needed(done)?);
-        #[cfg(feature = "trace")]
         self.core
             .push_span(snap, "compaction", "merge", dst as u32, at, done);
         Ok(done)

@@ -10,11 +10,12 @@ use std::collections::BTreeSet;
 
 use anykey_flash::{BlockId, Ns, OpCause, Ppa};
 
+use crate::config::RESERVE_BLOCKS;
 use crate::error::KvError;
 use crate::pink::PinkStore;
 
 impl PinkStore {
-    /// Keeps at least `reserve_blocks` erase blocks free, collecting data
+    /// Keeps at least [`RESERVE_BLOCKS`] erase blocks free, collecting data
     /// or meta blocks as needed.
     ///
     /// # Errors
@@ -28,7 +29,7 @@ impl PinkStore {
     /// the transient headroom a large merge needs before its source
     /// generation is freed.
     pub(crate) fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
-        let reserve = self.core.cfg.reserve_blocks as usize + extra;
+        let reserve = RESERVE_BLOCKS + extra;
         let mut t = at;
         let mut guard = 0usize;
         while self.alloc.free_count() < reserve {
@@ -75,7 +76,7 @@ impl PinkStore {
                 }
             }
         }
-        #[cfg(any(test, feature = "strict-invariants"))]
+        #[cfg(debug_assertions)]
         self.verify_invariants()?;
         Ok(t)
     }
@@ -85,7 +86,6 @@ impl PinkStore {
     /// rather than patched in place — the reason the paper's Table 3 shows
     /// PinK with enormous GC *reads* but no GC writes), and erases it.
     fn relocate_data_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
-        #[cfg(feature = "trace")]
         let snap = self.core.span_snapshot();
         // The device reads the whole victim block to identify live pairs.
         let pages = self.core.flash.geometry().pages_per_block;
@@ -131,7 +131,6 @@ impl PinkStore {
         } else {
             self.alloc.retire(victim)?;
         }
-        #[cfg(feature = "trace")]
         self.core
             .push_span(snap, "gc", "relocate-data", 0, at, r.done);
         Ok(r.done)
@@ -155,7 +154,6 @@ impl PinkStore {
 
     /// Relocates the live meta pages of a meta block and erases it.
     fn relocate_meta_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
-        #[cfg(feature = "trace")]
         let snap = self.core.span_snapshot();
         // Owners: spilled segments and spilled level-list pages.
         let mut seg_owners: Vec<(usize, usize)> = Vec::new();
@@ -212,7 +210,6 @@ impl PinkStore {
         }
         // `free_page` erased and freed the victim once its last live page
         // was released.
-        #[cfg(feature = "trace")]
         self.core.push_span(snap, "gc", "relocate-meta", 0, at, t);
         Ok(t)
     }

@@ -20,13 +20,11 @@ mod tests;
 
 use anykey_flash::{BlockAllocator, FlashCounters, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
-use anykey_metrics::trace::PhaseBreakdown;
-#[cfg(feature = "trace")]
-use anykey_metrics::trace::TraceEvent;
+use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 use anykey_workload::Op;
 
 use crate::audit::AuditError;
-use crate::config::{DeviceConfig, EngineKind};
+use crate::config::{DeviceConfig, EngineKind, DRAM_OP_NS, LEVEL_RATIO};
 use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
 use crate::error::KvError;
@@ -119,9 +117,7 @@ impl PinkStore {
         let core = DeviceCore::new(cfg);
         let geometry = core.cfg.flash.geometry;
         Self {
-            levels: vec![PinkLevel::new(
-                core.cfg.write_buffer_bytes * core.cfg.level_ratio,
-            )],
+            levels: vec![PinkLevel::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
             alloc: core.allocator(0..geometry.blocks()),
             meta: MetaArea::new(geometry.pages_per_block),
             data: DataArea::new(geometry.pages_per_block, core.page_payload),
@@ -145,7 +141,7 @@ impl PinkStore {
         if let Some(start) = start {
             self.core.flush_done = self.flush(start)?;
         }
-        Ok(put_outcome(at, start, self.core.cfg.cpu.dram_op_ns))
+        Ok(put_outcome(at, start, DRAM_OP_NS))
     }
 
     fn do_get(&mut self, id: u64, at: Ns) -> Result<OpOutcome, KvError> {
@@ -155,8 +151,8 @@ impl PinkStore {
         let mut phases = PhaseBreakdown::default();
 
         if let Some(e) = self.core.buffer.get(&key) {
-            let done = t + self.core.cfg.cpu.dram_op_ns;
-            phases.engine += self.core.cfg.cpu.dram_op_ns;
+            let done = t + DRAM_OP_NS;
+            phases.engine += DRAM_OP_NS;
             return Ok(outcome(at, done, !e.tombstone, 0, phases));
         }
 
@@ -190,8 +186,8 @@ impl PinkStore {
             }
             if let Some(e) = self.levels[li].segs[si].find(key) {
                 if e.tombstone {
-                    let done = t + self.core.cfg.cpu.dram_op_ns;
-                    phases.engine += self.core.cfg.cpu.dram_op_ns;
+                    let done = t + DRAM_OP_NS;
+                    phases.engine += DRAM_OP_NS;
                     return Ok(outcome(at, done, false, reads, phases));
                 }
                 let ptr = e.ptr;
@@ -201,8 +197,8 @@ impl PinkStore {
                 return Ok(outcome(at, done, true, reads, phases));
             }
         }
-        let done = t + self.core.cfg.cpu.dram_op_ns;
-        phases.engine += self.core.cfg.cpu.dram_op_ns;
+        let done = t + DRAM_OP_NS;
+        phases.engine += DRAM_OP_NS;
         Ok(outcome(at, done, false, reads, phases))
     }
 
@@ -373,7 +369,6 @@ impl KvEngine for PinkStore {
         self.core.set_tracing(on);
     }
 
-    #[cfg(feature = "trace")]
     fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.core.take_trace()
     }

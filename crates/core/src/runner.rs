@@ -133,8 +133,7 @@ pub fn run(
 /// for.
 ///
 /// Both are pure observation (neither touches the virtual clock), so the
-/// report is identical to what [`run`] would have produced. Engines built
-/// without the `trace` cargo feature yield request events only.
+/// report is identical to what [`run`] would have produced.
 ///
 /// # Errors
 ///
@@ -507,8 +506,7 @@ mod tests {
             .count() as u64;
         assert_eq!(requests, traced.ops);
         assert!(events.windows(2).all(|w| w[0].ts() <= w[1].ts()));
-        // With the trace feature on, flash-op events appear too.
-        #[cfg(feature = "trace")]
+        // Flash-op events appear too.
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::FlashOp { .. })));

@@ -75,7 +75,9 @@ pub use geometry::FlashGeometry;
 /// Page-type-aware latency tables.
 pub use latency::{LatencyModel, PageKind};
 /// Simulator configuration, operation outcomes, and the simulator itself.
-pub use sim::{FlashConfig, FlashOpResult, FlashOpStatus, FlashSim, FlashStateSample};
+pub use sim::{
+    FlashConfig, FlashOpResult, FlashOpStatus, FlashSim, FlashStateSample, BG_RESIDUAL_NS,
+};
 /// Flash-op lifecycle events recorded while tracing.
 pub use trace::{FlashEvent, FlashOpKind};
 

@@ -1,25 +1,25 @@
 //! The virtual-time flash scheduler.
+//!
+//! Op-lifecycle recording is always compiled in and switched at run time by
+//! [`FlashSim::set_tracing`]; it never changes the timeline.
 
 use crate::{
     BlockId, FaultModel, FlashCounters, FlashGeometry, LatencyModel, Ns, OpCause, PageKind, Ppa,
 };
 
+/// Residual delay cap a foreground operation pays when it preempts
+/// in-flight background work on its chip — the NAND program/erase suspend
+/// latency (~100 µs on modern TLC).
+pub const BG_RESIDUAL_NS: Ns = 100_000;
+
 /// Configuration of a simulated flash device: geometry, latency model, and
 /// fault model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FlashConfig {
     /// Physical layout.
     pub geometry: FlashGeometry,
     /// NAND timing parameters.
     pub latency: LatencyModel,
-    /// Residual delay cap a foreground operation pays when it preempts
-    /// in-flight background work on its chip — the NAND program/erase
-    /// suspend latency (~100 µs on modern TLC).
-    ///
-    /// Always set explicitly (the builder/bench CLI plumb it through); no
-    /// environment variable is consulted, so a recorded config reproduces
-    /// the run exactly.
-    pub bg_residual_ns: Ns,
     /// Seed-driven media error model; [`FaultModel::disabled`] (the
     /// default) reproduces the paper's perfect-media FEMU behaviour.
     pub fault: FaultModel,
@@ -31,7 +31,6 @@ impl FlashConfig {
         Self {
             geometry: FlashGeometry::paper_shape(raw_bytes, page_size, pages_per_block),
             latency: LatencyModel::paper_tlc(),
-            bg_residual_ns: 100_000,
             fault: FaultModel::disabled(),
         }
     }
@@ -39,17 +38,6 @@ impl FlashConfig {
     /// A tiny 64 MiB device for unit tests.
     pub fn small_test() -> Self {
         Self::paper_shape(64 << 20, 8 << 10, 128)
-    }
-}
-
-impl Default for FlashConfig {
-    fn default() -> Self {
-        Self {
-            geometry: FlashGeometry::default(),
-            latency: LatencyModel::default(),
-            bg_residual_ns: 100_000,
-            fault: FaultModel::disabled(),
-        }
     }
 }
 
@@ -157,10 +145,8 @@ pub struct FlashSim {
     /// independently.
     op_seq: u64,
     /// Recorded op-lifecycle events; populated only while tracing is on.
-    #[cfg(feature = "trace")]
     events: Vec<crate::trace::FlashEvent>,
     /// Whether op-lifecycle recording is active.
-    #[cfg(feature = "trace")]
     tracing: bool,
 }
 
@@ -175,9 +161,7 @@ impl FlashSim {
             counters: FlashCounters::new(),
             wear: vec![0; blocks],
             op_seq: 0,
-            #[cfg(feature = "trace")]
             events: Vec::new(),
-            #[cfg(feature = "trace")]
             tracing: false,
         }
     }
@@ -222,7 +206,7 @@ impl FlashSim {
                     // and pay nothing extra. Either way the stolen chip
                     // time pushes the background window out.
                     if at >= chip.fg_free {
-                        let resid = (chip.bg_done - start).min(self.cfg.bg_residual_ns);
+                        let resid = (chip.bg_done - start).min(BG_RESIDUAL_NS);
                         start += resid;
                     }
                     chip.bg_done += latency;
@@ -241,7 +225,6 @@ impl FlashSim {
     }
 
     /// Records one op lifecycle into the trace buffer (when tracing).
-    #[cfg(feature = "trace")]
     #[allow(clippy::too_many_arguments)]
     fn record_op(
         &mut self,
@@ -266,61 +249,24 @@ impl FlashSim {
         }
     }
 
-    /// No-op twin of the tracing recorder when the `trace` feature is off:
-    /// the call sites stay unconditional and the optimizer erases them.
-    #[cfg(not(feature = "trace"))]
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn record_op(
-        &mut self,
-        _op: crate::trace::FlashOpKind,
-        _cause: Option<OpCause>,
-        _chip: u32,
-        _issued: Ns,
-        _start: Ns,
-        _done: Ns,
-        _retries: u32,
-    ) {
-    }
-
     /// Enables or disables flash-op lifecycle recording. Enabling clears
-    /// any previously recorded events. Without the `trace` cargo feature
-    /// this is a no-op and recording is always off.
+    /// any previously recorded events.
     pub fn set_tracing(&mut self, on: bool) {
-        #[cfg(feature = "trace")]
-        {
-            self.tracing = on;
-            if on {
-                self.events.clear();
-            }
+        self.tracing = on;
+        if on {
+            self.events.clear();
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = on;
     }
 
     /// Whether op-lifecycle recording is currently active.
     pub fn is_tracing(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.tracing
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.tracing
     }
 
-    /// Drains the recorded op-lifecycle events (empty without the `trace`
-    /// feature or when tracing was never enabled).
+    /// Drains the recorded op-lifecycle events (empty when tracing was
+    /// never enabled).
     pub fn take_trace_events(&mut self) -> Vec<crate::trace::FlashEvent> {
-        #[cfg(feature = "trace")]
-        {
-            std::mem::take(&mut self.events)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        std::mem::take(&mut self.events)
     }
 
     /// Takes the next fault-draw sequence number.
@@ -588,9 +534,8 @@ mod tests {
         }
         let read_done = s.read(Ppa::new(0, 0), OpCause::HostRead, 0).done;
         let plain = LatencyModel::paper_tlc().read(PageKind::Lsb);
-        let cap = FlashConfig::small_test().bg_residual_ns;
         assert!(
-            read_done <= plain + cap,
+            read_done <= plain + BG_RESIDUAL_NS,
             "read {read_done} must not wait for the whole burst"
         );
         assert!(read_done > plain, "read must pay some residual");
@@ -755,7 +700,6 @@ mod tests {
         assert!(s.take_trace_events().is_empty());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn tracing_records_lifecycle_without_perturbing_time() {
         use crate::trace::FlashOpKind;
@@ -785,7 +729,6 @@ mod tests {
         assert!(traced.take_trace_events().is_empty());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn fg_op_start_reflects_queueing_stall() {
         let mut s = sim();

@@ -4,9 +4,8 @@
 //! and block erase while tracing is enabled (see
 //! [`crate::FlashSim::set_tracing`]). Recording is pure observation: it
 //! never perturbs the chip timelines, so enabling tracing cannot change a
-//! run's virtual-time results. The event buffer itself only exists when
-//! the `trace` cargo feature is on; without it the recording hooks
-//! compile to nothing.
+//! run's virtual-time results. Recording is always compiled in and
+//! switched at run time; with tracing off each hook is one branch.
 //!
 //! This crate stays dependency-free, so events here use the crate's own
 //! typed vocabulary ([`crate::OpCause`], [`crate::Ns`]); `anykey-core`

@@ -43,8 +43,7 @@ cargo run -q -p xtask -- timeline "$VERIFY_DIR/j1/timeline.jsonl" \
 head -n 5 "$VERIFY_DIR/timeline-report.txt"
 
 echo "==> cargo clippy (lint levels; DESIGN.md §8)"
-cargo clippy --workspace --all-targets --all-features -- -D warnings
-cargo clippy -p anykey-core -p anykey-flash --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> xtask deps (hermeticity)"
 cargo run -q -p xtask -- deps

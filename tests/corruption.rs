@@ -4,20 +4,23 @@
 //! The injection hooks (`*_for_test` on the concrete stores) bypass the
 //! engines' normal mutation paths, so these tests prove the auditor
 //! detects damage rather than merely re-deriving state the engine already
-//! trusts.
+//! trusts. The `flush_boundary_audit_*` cases also prove that test builds
+//! run the audit on their own at every flush boundary.
 
 use anykey::core::anykey::AnyKeyStore;
 use anykey::core::pink::PinkStore;
-use anykey::core::{AuditError, DeviceConfig, EngineKind, KvEngine};
+use anykey::core::{AuditError, DeviceConfig, EngineKind, KvEngine, KvError};
+
+fn config(kind: EngineKind) -> DeviceConfig {
+    DeviceConfig::builder()
+        .capacity_bytes(64 << 20)
+        .engine(kind)
+        .key_len(16)
+        .build()
+}
 
 fn filled_anykey() -> AnyKeyStore {
-    let mut s = AnyKeyStore::new(
-        DeviceConfig::builder()
-            .capacity_bytes(64 << 20)
-            .engine(EngineKind::AnyKey)
-            .key_len(16)
-            .build(),
-    );
+    let mut s = AnyKeyStore::new(config(EngineKind::AnyKey));
     for id in 0..30_000u64 {
         s.put(id, 60).expect("fill");
     }
@@ -25,13 +28,7 @@ fn filled_anykey() -> AnyKeyStore {
 }
 
 fn filled_pink() -> PinkStore {
-    let mut s = PinkStore::new(
-        DeviceConfig::builder()
-            .capacity_bytes(64 << 20)
-            .engine(EngineKind::Pink)
-            .key_len(16)
-            .build(),
-    );
+    let mut s = PinkStore::new(config(EngineKind::Pink));
     for id in 0..20_000u64 {
         s.put(id, 60).expect("fill");
     }
@@ -96,6 +93,35 @@ fn desynced_flash_counter_is_detected() {
         err.to_string().contains("counter skew"),
         "diagnostic must name the counter fault: {err}"
     );
+}
+
+/// PUTs into a store with a desynced counter until one fails. Test builds
+/// keep debug assertions on, which compiles in the audit at every flush
+/// boundary, so the PUT whose buffer flush finds the skew must return it.
+fn assert_flush_audit_fails_put(s: &mut impl KvEngine) {
+    let err = (0..100_000u64)
+        .find_map(|id| s.put(id, 60).err())
+        .expect("a buffer flush must run the boundary audit");
+    assert!(
+        matches!(err, KvError::Audit(AuditError::CounterSkew { .. })),
+        "got {err}"
+    );
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "audits need debug assertions")]
+fn flush_boundary_audit_fires_in_test_builds_anykey() {
+    let mut s = AnyKeyStore::new(config(EngineKind::AnyKey));
+    s.desync_counters_for_test();
+    assert_flush_audit_fails_put(&mut s);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "audits need debug assertions")]
+fn flush_boundary_audit_fires_in_test_builds_pink() {
+    let mut s = PinkStore::new(config(EngineKind::Pink));
+    s.desync_counters_for_test();
+    assert_flush_audit_fails_put(&mut s);
 }
 
 #[test]

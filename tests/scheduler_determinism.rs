@@ -25,7 +25,6 @@ fn tiny_ctx(tag: &str) -> ExpCtx {
         ops_factor: 0.1,
         out_dir: out,
         seed: 0xA17_5EED,
-        bg_residual_ns: 100_000,
     })
 }
 

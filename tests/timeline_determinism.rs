@@ -27,7 +27,6 @@ fn tiny_ctx(tag: &str, interval_ns: u64) -> ExpCtx {
         ops_factor: 0.1,
         out_dir: out,
         seed: 0x7_1ACE,
-        bg_residual_ns: 100_000,
     });
     ctx.timeline_interval_ns = interval_ns;
     ctx

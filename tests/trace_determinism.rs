@@ -29,7 +29,6 @@ fn tiny_ctx(tag: &str, trace: bool) -> ExpCtx {
         ops_factor: 0.1,
         out_dir: out,
         seed: 0x7_1ACE,
-        bg_residual_ns: 100_000,
     });
     ctx.trace = trace;
     ctx
