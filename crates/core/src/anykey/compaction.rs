@@ -309,7 +309,7 @@ impl AnyKeyStore {
         let mut t_write = t_read;
         for ents in runs {
             for c in pack_groups(
-                ents,
+                &ents,
                 self.core.page_payload,
                 self.core.cfg.group_pages.max(2),
             ) {
@@ -371,10 +371,7 @@ impl AnyKeyStore {
                 for g in &groups {
                     read_ppas.extend(g.all_ppas());
                 }
-                let ents: Vec<Entity> = groups
-                    .iter()
-                    .flat_map(|g| g.content.iter_key_order().copied())
-                    .collect();
+                let ents = key_order_entities(&groups);
                 let inv = std::mem::take(&mut self.levels[si].invalid_logged);
                 (ents, Some(groups), Some(si), inv)
             }
@@ -389,10 +386,7 @@ impl AnyKeyStore {
         for g in &dst_groups {
             read_ppas.extend(g.all_ppas());
         }
-        let lower: Vec<Entity> = dst_groups
-            .iter()
-            .flat_map(|g| g.content.iter_key_order().copied())
-            .collect();
+        let lower = key_order_entities(&dst_groups);
         let dst_inv = std::mem::take(&mut self.levels[dst].invalid_logged);
         let t_read = self
             .core
@@ -413,41 +407,33 @@ impl AnyKeyStore {
             }
         };
         let mut merged: Vec<Entity> = Vec::with_capacity(upper.len() + lower.len());
-        {
-            let mut ui = upper.into_iter().peekable();
-            let mut li = lower.into_iter().peekable();
-            loop {
-                let take_upper = match (ui.peek(), li.peek()) {
-                    (Some(u), Some(l)) => {
-                        if u.key == l.key {
-                            // Newest wins; the lower copy dies here.
-                            let dead = li.next().ok_or(KvError::Internal {
-                                context: "peeked merge entry vanished",
-                            })?;
-                            invalidate(&mut self.log, &dead, &mut discarded_logged);
-                            true
-                        } else {
-                            u.key < l.key
-                        }
-                    }
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                let e = if take_upper {
-                    ui.next().ok_or(KvError::Internal {
-                        context: "peeked merge entry vanished",
-                    })?
-                } else {
-                    li.next().ok_or(KvError::Internal {
-                        context: "peeked merge entry vanished",
-                    })?
-                };
-                if e.tombstone && is_bottom {
-                    continue; // nothing below to shadow
+        let (mut u, mut l) = (upper.as_slice(), lower.as_slice());
+        loop {
+            let e = match (u.split_first(), l.split_first()) {
+                (Some((a, u_rest)), Some((b, l_rest))) if a.key == b.key => {
+                    // Newest wins; the lower copy dies here.
+                    invalidate(&mut self.log, b, &mut discarded_logged);
+                    (u, l) = (u_rest, l_rest);
+                    *a
                 }
-                merged.push(e);
+                (Some((a, u_rest)), Some((b, _))) if a.key < b.key => {
+                    u = u_rest;
+                    *a
+                }
+                (Some((a, u_rest)), None) => {
+                    u = u_rest;
+                    *a
+                }
+                (_, Some((b, l_rest))) => {
+                    l = l_rest;
+                    *b
+                }
+                (None, None) => break,
+            };
+            if e.tombstone && is_bottom {
+                continue; // nothing below to shadow
             }
+            merged.push(e);
         }
 
         // --- 3. Apply the inline policy. -------------------------------
@@ -501,7 +487,7 @@ impl AnyKeyStore {
         // --- 5. Build and place the new groups. ------------------------
         let merged_count = merged.len() as u64;
         let contents = pack_groups(
-            merged,
+            &merged,
             self.core.page_payload,
             self.core.cfg.group_pages.max(2),
         );
@@ -534,4 +520,14 @@ impl AnyKeyStore {
             .push_span(snap, "compaction", span_label, dst as u32, at, done);
         Ok(done)
     }
+}
+
+/// The entities of a run of key-ordered groups, in key order, gathered
+/// into one vector sized up front.
+fn key_order_entities(groups: &[Group]) -> Vec<Entity> {
+    let mut out = Vec::with_capacity(groups.iter().map(|g| g.content.entity_count()).sum());
+    for g in groups {
+        out.extend(g.content.iter_key_order().copied());
+    }
+    out
 }

@@ -58,6 +58,11 @@ pub struct GroupContent {
     /// Physical flash footprint (directory + data pages × page payload) —
     /// what level thresholds and AnyKey+'s θ monitor are measured against.
     pub phys_bytes: u64,
+    /// Smallest key, cached at build time: the level-list entry the DRAM
+    /// search compares against.
+    pub(crate) smallest: Key,
+    /// Largest key, cached at build time.
+    pub(crate) largest: Key,
 }
 
 /// A placed data segment group.
@@ -74,37 +79,48 @@ pub struct Group {
 impl GroupContent {
     /// Builds a group from a **key-sorted** run of entities.
     ///
-    /// Entities are re-sorted by `(hash, key)` and packed into data pages of
+    /// Entities are ordered by `(hash, key)` and packed into data pages of
     /// `payload` usable bytes each; the key-sorted directory is laid out in
     /// leading directory pages.
     ///
     /// # Panics
     ///
-    /// Panics if `entities` is empty or not key-sorted.
-    pub fn build(entities: Vec<Entity>, payload: u64) -> Self {
+    /// Panics if `entities` is empty, not key-sorted, or longer than
+    /// `u32::MAX`.
+    pub fn build(entities: &[Entity], payload: u64) -> Self {
         assert!(!entities.is_empty(), "group must contain entities");
         debug_assert!(
             entities.windows(2).all(|w| w[0].key < w[1].key),
             "group input must be strictly key-sorted"
         );
         let count = entities.len();
+        assert!(u32::try_from(count).is_ok(), "group index must fit 32 bits");
         let kv_bytes = entities.iter().map(Entity::kv_bytes).sum();
         let logged_bytes = entities.iter().map(Entity::logged_bytes).sum();
 
-        // Hash-sort (stable on key for equal hashes so collision runs are
-        // contiguous and deterministic).
-        let mut by_hash = entities;
-        by_hash.sort_by(|a, b| a.hash.cmp(&b.hash).then(a.key.cmp(&b.key)));
+        // Hash order as one integer sort of `(hash << 32) | index`: the
+        // input is key-sorted, so the index breaks hash ties by key and
+        // collision runs come out contiguous and deterministic.
+        let mut order: Vec<u64> = entities
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (u64::from(e.hash) << 32) | i as u64)
+            .collect();
+        order.sort_unstable();
 
         // Pack byte-continuously: an entity belongs to the page its header
         // starts in and may spill into following pages (span_extra), so no
         // page capacity is wasted even for values comparable to the page
         // size. Pages that contain only the spill of a previous entity
-        // hold no starting slots.
+        // hold no starting slots. Placing input entity `i` at `(page,
+        // slot)` fills `dir[i]`, so the directory comes out key-sorted.
         let mut pages: Vec<Vec<Entity>> = Vec::new();
         let mut cur: Vec<Entity> = Vec::new();
+        let mut dir = vec![(0u16, 0u16); count];
         let mut offset = 0u64;
-        for mut e in by_hash {
+        for &w in &order {
+            let i = (w & u64::from(u32::MAX)) as usize;
+            let mut e = entities[i];
             let sz = e.stored_bytes();
             let start_page = offset / payload;
             let end_page = (offset + sz - 1) / payload;
@@ -112,6 +128,7 @@ impl GroupContent {
             while (pages.len() as u64) < start_page {
                 pages.push(std::mem::take(&mut cur));
             }
+            dir[i] = (pages.len() as u16, cur.len() as u16);
             cur.push(e);
             offset += sz;
         }
@@ -141,21 +158,8 @@ impl GroupContent {
             }
         }
 
-        // Key-sorted directory over (page, slot).
-        let mut dir: Vec<(u16, u16)> = pages
-            .iter()
-            .enumerate()
-            .flat_map(|(p, page)| (0..page.len()).map(move |s| (p as u16, s as u16)))
-            .collect();
-        dir.sort_by(|&(pa, sa), &(pb, sb)| {
-            pages[pa as usize][sa as usize]
-                .key
-                .cmp(&pages[pb as usize][sb as usize].key)
-        });
-
-        // Sorted hash list.
-        let mut hashes: Vec<u32> = pages.iter().flatten().map(|e| e.hash).collect();
-        hashes.sort_unstable();
+        // The sorted hash list is the high half of the sorted words.
+        let hashes: Vec<u32> = order.iter().map(|&w| (w >> 32) as u32).collect();
 
         let dir_pages = ((count as u64 * DIR_ENTRY_BYTES).div_ceil(payload)).max(1) as u32;
         let phys_bytes = (dir_pages as u64 + pages.len() as u64) * payload;
@@ -171,6 +175,8 @@ impl GroupContent {
             kv_bytes,
             logged_bytes,
             phys_bytes,
+            smallest: entities[0].key,
+            largest: entities[count - 1].key,
         }
     }
 
@@ -196,16 +202,12 @@ impl GroupContent {
 
     /// The group's smallest key (what the level-list entry stores).
     pub fn smallest(&self) -> Key {
-        let (p, s) = self.dir[0];
-        self.entity(p, s).key
+        self.smallest
     }
 
     /// The group's largest key.
     pub fn largest(&self) -> Key {
-        // `build` rejects empty groups, so the fallback index is dead; it
-        // only avoids a panic path in release builds.
-        let (p, s) = self.dir.last().copied().unwrap_or((0, 0));
-        self.entity(p, s).key
+        self.largest
     }
 
     /// Whether `hash` appears in the group's hash list.
@@ -293,27 +295,27 @@ impl Group {
 /// most `max_total_pages` flash pages (directory pages included) of
 /// `payload` usable bytes, so groups tile erase blocks without structural
 /// waste.
-pub fn pack_groups(entities: Vec<Entity>, payload: u64, max_total_pages: u32) -> Vec<GroupContent> {
+pub fn pack_groups(entities: &[Entity], payload: u64, max_total_pages: u32) -> Vec<GroupContent> {
     let mut out = Vec::new();
-    let mut chunk: Vec<Entity> = Vec::new();
+    let mut start = 0usize;
     let mut bytes = 0u64;
-    for e in entities {
+    for (i, e) in entities.iter().enumerate() {
         let sz = e.stored_bytes();
-        // Projected footprint if `e` joins the chunk: byte-continuous data
-        // pages plus the key-sorted directory pages.
+        // Projected footprint if `e` joins the chunk `start..i`:
+        // byte-continuous data pages plus the key-sorted directory pages.
         let data_pages = (bytes + sz).div_ceil(payload);
-        let dir_pages = ((chunk.len() as u64 + 1) * DIR_ENTRY_BYTES)
+        let dir_pages = (((i - start) as u64 + 1) * DIR_ENTRY_BYTES)
             .div_ceil(payload)
             .max(1);
-        if !chunk.is_empty() && data_pages + dir_pages > max_total_pages as u64 {
-            out.push(GroupContent::build(std::mem::take(&mut chunk), payload));
+        if i > start && data_pages + dir_pages > max_total_pages as u64 {
+            out.push(GroupContent::build(&entities[start..i], payload));
+            start = i;
             bytes = 0;
         }
-        bytes += e.stored_bytes();
-        chunk.push(e);
+        bytes += sz;
     }
-    if !chunk.is_empty() {
-        out.push(GroupContent::build(chunk, payload));
+    if start < entities.len() {
+        out.push(GroupContent::build(&entities[start..], payload));
     }
     out
 }
@@ -344,7 +346,7 @@ mod tests {
     #[test]
     fn build_preserves_every_entity() {
         let ents = entities(500, 48, 43);
-        let g = GroupContent::build(ents.clone(), PAYLOAD);
+        let g = GroupContent::build(&ents, PAYLOAD);
         assert_eq!(g.entity_count(), 500);
         let keys: Vec<u64> = g.iter_key_order().map(|e| e.key.id()).collect();
         assert_eq!(keys, (0..500).collect::<Vec<_>>());
@@ -352,7 +354,7 @@ mod tests {
 
     #[test]
     fn pages_are_hash_sorted_across_boundaries() {
-        let g = GroupContent::build(entities(2000, 48, 43), PAYLOAD);
+        let g = GroupContent::build(&entities(2000, 48, 43), PAYLOAD);
         let mut prev = 0u32;
         for page in &g.pages {
             for e in page {
@@ -364,7 +366,7 @@ mod tests {
 
     #[test]
     fn packing_is_byte_continuous() {
-        let g = GroupContent::build(entities(2000, 48, 43), PAYLOAD);
+        let g = GroupContent::build(&entities(2000, 48, 43), PAYLOAD);
         let total: u64 = g.pages.iter().flatten().map(Entity::stored_bytes).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
         // Small entities never span more than one boundary.
@@ -374,7 +376,7 @@ mod tests {
     #[test]
     fn huge_inline_values_span_pages() {
         // Values comparable to the page size must not halve capacity.
-        let g = GroupContent::build(entities(100, 16, 4096), PAYLOAD);
+        let g = GroupContent::build(&entities(100, 16, 4096), PAYLOAD);
         let total: u64 = g.pages.iter().flatten().map(Entity::stored_bytes).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
         let spanning = g
@@ -399,7 +401,7 @@ mod tests {
 
     #[test]
     fn routing_finds_every_entity_with_local_search() {
-        let g = GroupContent::build(entities(3000, 48, 43), PAYLOAD);
+        let g = GroupContent::build(&entities(3000, 48, 43), PAYLOAD);
         for e in g.pages.iter().flatten() {
             let mut p = g.route_page(e.hash);
             // Device-style backward walk on prefix ambiguity.
@@ -428,7 +430,7 @@ mod tests {
             e.hash = 0x7777_7777;
             e.value_len = 400; // bigger so the run spans pages
         }
-        let g = GroupContent::build(ents, 2048);
+        let g = GroupContent::build(&ents, 2048);
         let spans: usize = g
             .collision
             .iter()
@@ -440,7 +442,7 @@ mod tests {
     #[test]
     fn hash_list_membership_is_exact() {
         let ents = entities(1000, 48, 43);
-        let g = GroupContent::build(ents.clone(), PAYLOAD);
+        let g = GroupContent::build(&ents, PAYLOAD);
         for e in &ents {
             assert!(g.contains_hash(e.hash));
         }
@@ -455,16 +457,16 @@ mod tests {
 
     #[test]
     fn dir_pages_scale_with_entity_count() {
-        let few = GroupContent::build(entities(100, 24, 10), PAYLOAD);
+        let few = GroupContent::build(&entities(100, 24, 10), PAYLOAD);
         assert_eq!(few.dir_pages, 1);
-        let many = GroupContent::build(entities(5000, 24, 10), PAYLOAD);
+        let many = GroupContent::build(&entities(5000, 24, 10), PAYLOAD);
         assert!(many.dir_pages >= 2, "5000 * 4B of directory needs 3 pages");
     }
 
     #[test]
     fn pack_groups_covers_all_entities_in_order() {
         let ents = entities(20_000, 48, 43);
-        let groups = pack_groups(ents, PAYLOAD, 32);
+        let groups = pack_groups(&ents, PAYLOAD, 32);
         let total: usize = groups.iter().map(|g| g.entity_count()).sum();
         assert_eq!(total, 20_000);
         // Groups are key-range partitioned and ordered.
@@ -479,7 +481,7 @@ mod tests {
 
     #[test]
     fn meta_bytes_are_group_granular() {
-        let g = GroupContent::build(entities(1000, 48, 43), PAYLOAD);
+        let g = GroupContent::build(&entities(1000, 48, 43), PAYLOAD);
         // ~48 + 4 + 2/page + collision bits + fixed: a few hundred bytes
         // for a 1000-entity group — the entire point of AnyKey (vs ~52 KB
         // for PinK's per-pair metadata on the same 1000 pairs).
@@ -489,8 +491,267 @@ mod tests {
 
     #[test]
     fn smallest_and_largest_bound_the_group() {
-        let g = GroupContent::build(entities(100, 48, 43), PAYLOAD);
+        let g = GroupContent::build(&entities(100, 48, 43), PAYLOAD);
         assert_eq!(g.smallest().id(), 0);
         assert_eq!(g.largest().id(), 99);
+    }
+
+    /// Reference group build with comparison sorts: entities sorted by
+    /// `(hash, key)`, the directory sorted by key through the pages, and
+    /// the hash list re-sorted. `GroupContent::build` must match it field
+    /// for field.
+    fn reference_build(entities: Vec<Entity>, payload: u64) -> GroupContent {
+        let count = entities.len();
+        let kv_bytes = entities.iter().map(Entity::kv_bytes).sum();
+        let logged_bytes = entities.iter().map(Entity::logged_bytes).sum();
+        let mut by_hash = entities;
+        by_hash.sort_by(|a, b| a.hash.cmp(&b.hash).then(a.key.cmp(&b.key)));
+        let mut pages: Vec<Vec<Entity>> = Vec::new();
+        let mut cur: Vec<Entity> = Vec::new();
+        let mut offset = 0u64;
+        for mut e in by_hash {
+            let sz = e.stored_bytes();
+            let start_page = offset / payload;
+            let end_page = (offset + sz - 1) / payload;
+            e.span_extra = (end_page - start_page) as u8;
+            while (pages.len() as u64) < start_page {
+                pages.push(std::mem::take(&mut cur));
+            }
+            cur.push(e);
+            offset += sz;
+        }
+        pages.push(cur);
+        while (pages.len() as u64) < offset.div_ceil(payload) {
+            pages.push(Vec::new());
+        }
+        let mut page_first_hash: Vec<u32> = Vec::new();
+        let mut page_last_hash: Vec<u32> = Vec::new();
+        let mut carry = pages[0].first().map(|e| e.hash).unwrap_or(0);
+        for p in &pages {
+            page_first_hash.push(p.first().map(|e| e.hash).unwrap_or(carry));
+            carry = p.last().map(|e| e.hash).unwrap_or(carry);
+            page_last_hash.push(carry);
+        }
+        let page_first_hash16 = page_first_hash.iter().map(|&h| (h >> 16) as u16).collect();
+        let mut collision = vec![CollisionBits::default(); pages.len()];
+        for i in 0..pages.len().saturating_sub(1) {
+            if page_last_hash[i] == page_first_hash[i + 1] {
+                collision[i].continues_next = true;
+                collision[i + 1].continued_prev = true;
+            }
+        }
+        let mut dir: Vec<(u16, u16)> = pages
+            .iter()
+            .enumerate()
+            .flat_map(|(p, page)| (0..page.len()).map(move |s| (p as u16, s as u16)))
+            .collect();
+        dir.sort_by(|&(pa, sa), &(pb, sb)| {
+            pages[pa as usize][sa as usize]
+                .key
+                .cmp(&pages[pb as usize][sb as usize].key)
+        });
+        let mut hashes: Vec<u32> = pages.iter().flatten().map(|e| e.hash).collect();
+        hashes.sort_unstable();
+        let dir_pages = ((count as u64 * DIR_ENTRY_BYTES).div_ceil(payload)).max(1) as u32;
+        let phys_bytes = (dir_pages as u64 + pages.len() as u64) * payload;
+        let key_at = |(p, s): (u16, u16)| pages[p as usize][s as usize].key;
+        let (smallest, largest) = (key_at(dir[0]), key_at(dir[count - 1]));
+        GroupContent {
+            pages,
+            dir,
+            dir_pages,
+            page_first_hash16,
+            page_first_hash,
+            collision,
+            hashes,
+            kv_bytes,
+            logged_bytes,
+            phys_bytes,
+            smallest,
+            largest,
+        }
+    }
+
+    /// Reference packing: every entity copied into a fresh chunk `Vec`,
+    /// each chunk built by [`reference_build`].
+    fn reference_pack(
+        entities: Vec<Entity>,
+        payload: u64,
+        max_total_pages: u32,
+    ) -> Vec<GroupContent> {
+        let mut out = Vec::new();
+        let mut chunk: Vec<Entity> = Vec::new();
+        let mut bytes = 0u64;
+        for e in entities {
+            let sz = e.stored_bytes();
+            let data_pages = (bytes + sz).div_ceil(payload);
+            let dir_pages = ((chunk.len() as u64 + 1) * DIR_ENTRY_BYTES)
+                .div_ceil(payload)
+                .max(1);
+            if !chunk.is_empty() && data_pages + dir_pages > max_total_pages as u64 {
+                out.push(reference_build(std::mem::take(&mut chunk), payload));
+                bytes = 0;
+            }
+            bytes += sz;
+            chunk.push(e);
+        }
+        if !chunk.is_empty() {
+            out.push(reference_build(chunk, payload));
+        }
+        out
+    }
+
+    /// Asserts two groups are equal in every field. The destructuring is
+    /// exhaustive, so a field added to `GroupContent` must be added here.
+    fn assert_same_group(got: &GroupContent, want: &GroupContent, ctx: &str) {
+        let GroupContent {
+            pages,
+            dir,
+            dir_pages,
+            page_first_hash16,
+            page_first_hash,
+            collision,
+            hashes,
+            kv_bytes,
+            logged_bytes,
+            phys_bytes,
+            smallest,
+            largest,
+        } = want;
+        assert_eq!(&got.pages, pages, "{ctx}: pages (with span_extra)");
+        assert_eq!(&got.dir, dir, "{ctx}: directory");
+        assert_eq!(&got.dir_pages, dir_pages, "{ctx}: directory pages");
+        assert_eq!(
+            &got.page_first_hash16, page_first_hash16,
+            "{ctx}: hash prefixes"
+        );
+        assert_eq!(
+            &got.page_first_hash, page_first_hash,
+            "{ctx}: page first hashes"
+        );
+        assert_eq!(&got.collision, collision, "{ctx}: collision bits");
+        assert_eq!(&got.hashes, hashes, "{ctx}: hash list");
+        assert_eq!(&got.kv_bytes, kv_bytes, "{ctx}: kv bytes");
+        assert_eq!(&got.logged_bytes, logged_bytes, "{ctx}: logged bytes");
+        assert_eq!(&got.phys_bytes, phys_bytes, "{ctx}: physical bytes");
+        assert_eq!(&got.smallest, smallest, "{ctx}: smallest fence");
+        assert_eq!(&got.largest, largest, "{ctx}: largest fence");
+    }
+
+    /// Builds `ents` alone and packed at several group sizes, with both the
+    /// current and the reference code, and asserts identical results
+    /// including the chunk boundaries.
+    fn assert_matches_reference(ents: &[Entity], payload: u64, ctx: &str) {
+        assert_same_group(
+            &GroupContent::build(ents, payload),
+            &reference_build(ents.to_vec(), payload),
+            &format!("{ctx}: single group"),
+        );
+        for max_pages in [2, 8, 32] {
+            let got = pack_groups(ents, payload, max_pages);
+            let want = reference_pack(ents.to_vec(), payload, max_pages);
+            let sizes = |gs: &[GroupContent]| {
+                gs.iter()
+                    .map(GroupContent::entity_count)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                sizes(&got),
+                sizes(&want),
+                "{ctx}: chunk boundaries at {max_pages} pages"
+            );
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_same_group(
+                    g,
+                    w,
+                    &format!("{ctx}: group {i} of {max_pages}-page packing"),
+                );
+            }
+        }
+    }
+
+    /// A seeded key-sorted run mixing inline, logged and tombstone
+    /// entities, with occasional 4–8 KiB inline values.
+    fn random_run(seed: u64, n: usize, key_len: u16) -> Vec<Entity> {
+        use crate::anykey::entity::LogPtr;
+        use anykey_flash::BlockId;
+        let mut rng = anykey_workload::SplitMix64::new(seed);
+        let mut id = 0u64;
+        (0..n)
+            .map(|_| {
+                id += 1 + rng.next_bounded(5);
+                let key = Key::new(id, key_len).unwrap();
+                let (value_len, loc, tombstone) = match rng.next_bounded(20) {
+                    0 => (0, ValueLoc::Inline, true),
+                    1 => (
+                        4096 + rng.next_bounded(4097) as u32,
+                        ValueLoc::Inline,
+                        false,
+                    ),
+                    2..=9 => {
+                        let ptr = LogPtr {
+                            block: BlockId(rng.next_bounded(64) as u32),
+                            page: rng.next_bounded(128) as u32,
+                            pages: 1 + rng.next_bounded(2) as u8,
+                        };
+                        (
+                            1 + rng.next_bounded(2000) as u32,
+                            ValueLoc::Logged(ptr),
+                            false,
+                        )
+                    }
+                    _ => (rng.next_bounded(300) as u32, ValueLoc::Inline, false),
+                };
+                Entity {
+                    key,
+                    hash: key.hash32(),
+                    value_len,
+                    loc,
+                    tombstone,
+                    // Stale spans from an earlier group must be recomputed.
+                    span_extra: rng.next_bounded(3) as u8,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_matches_reference_on_seeded_runs() {
+        let mut rng = anykey_workload::SplitMix64::new(0xB01D);
+        let mut lens = vec![1, 2, 3, 17, 200, 1_000, 5_000, 20_000];
+        lens.extend((0..6).map(|_| 1 + rng.next_bounded(20_000) as usize));
+        for (seed, &n) in lens.iter().enumerate() {
+            for (payload, key_len) in [(PAYLOAD, 24), (2048, 48), (PAYLOAD, 8)] {
+                let ents = random_run(seed as u64, n, key_len);
+                assert_matches_reference(
+                    &ents,
+                    payload,
+                    &format!("seed {seed}, {n} entities, payload {payload}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn build_matches_reference_on_forced_hash_runs() {
+        // Equal hashes spanning page boundaries, as in
+        // `collision_bits_mark_hash_runs_spanning_pages`, interleaved with
+        // tombstones, logged values and page-sized inline values.
+        let mut ents = random_run(7, 3_000, 24);
+        for (i, e) in ents.iter_mut().enumerate() {
+            match i % 10 {
+                0..=3 => e.hash = 0x7777_7777,
+                4 => e.hash = 0x7777_7778,
+                5 => e.hash = 0x0000_0001,
+                _ => {}
+            }
+        }
+        assert_matches_reference(&ents, 2048, "forced runs, 2 KiB payload");
+        assert_matches_reference(&ents, PAYLOAD, "forced runs, 8 KiB payload");
+        let mut same = entities(500, 48, 400);
+        for e in &mut same {
+            e.hash = 0xABCD_0000;
+        }
+        assert_matches_reference(&same, 2048, "one hash for every entity");
     }
 }

@@ -103,7 +103,7 @@ mod tests {
                 }
             })
             .collect();
-        Group::new(GroupContent::build(ents, 8128), Ppa::new(0, 0))
+        Group::new(GroupContent::build(&ents, 8128), Ppa::new(0, 0))
     }
 
     fn level() -> Level {

@@ -159,47 +159,34 @@ impl AnyKeyStore {
                 continue;
             };
             // Hash-list check (free when resident; Section 4.2).
-            {
-                let g = &self.levels[li].groups[gi];
-                if g.hash_list_resident && !g.content.contains_hash(hash) {
-                    continue;
-                }
+            let g = &self.levels[li].groups[gi];
+            if g.hash_list_resident && !g.content.contains_hash(hash) {
+                continue;
             }
             // Read the routed page, walking backwards over 16-bit prefix
             // ambiguity and cross-page hash collisions (Figure 7).
-            let mut p = {
-                let g = &self.levels[li].groups[gi];
-                g.content.route_page(hash)
-            };
+            let mut p = g.content.route_page(hash);
             loop {
-                let ppa = self.levels[li].groups[gi].data_ppa(p);
                 let before = t;
-                t = self.core.flash.read(ppa, OpCause::HostRead, t).done;
+                t = self
+                    .core
+                    .flash
+                    .read(g.data_ppa(p), OpCause::HostRead, t)
+                    .done;
                 phases.data_read += t - before;
                 reads += 1;
-                let (found, span_ppas) = {
-                    let g = &self.levels[li].groups[gi].content;
-                    match g.search_page(p, hash, key) {
-                        Some(e) => {
-                            let mut extra: Vec<Ppa> = Vec::new();
-                            for i in 0..e.span_extra as usize {
-                                extra.push(self.levels[li].groups[gi].data_ppa(p + 1 + i));
-                            }
-                            (Some((e.tombstone, e.loc)), extra)
-                        }
-                        None => (None, Vec::new()),
-                    }
-                };
-                if let Some((tombstone, loc)) = found {
+                if let Some(e) = g.content.search_page(p, hash, key) {
                     // Inline values may spill into following pages.
-                    reads += span_ppas.len() as u32;
+                    let span = e.span_extra as usize;
+                    reads += span as u32;
                     let before = t;
-                    t = self.core.flash.read_many(span_ppas, OpCause::HostRead, t);
+                    let spilled = (p + 1..=p + span).map(|i| g.data_ppa(i));
+                    t = self.core.flash.read_many(spilled, OpCause::HostRead, t);
                     phases.data_read += t - before;
-                    if tombstone {
+                    if e.tombstone {
                         return Ok(outcome(at, t, false, reads, phases));
                     }
-                    let done = match loc {
+                    let done = match e.loc {
                         ValueLoc::Inline => t,
                         ValueLoc::Logged(ptr) => {
                             reads += ptr.pages as u32;
@@ -213,9 +200,10 @@ impl AnyKeyStore {
                     };
                     return Ok(outcome(at, done, true, reads, phases));
                 }
-                let g = &self.levels[li].groups[gi].content;
-                let first = g.page_first_hash[p];
-                if p > 0 && (hash < first || (hash == first && g.collision[p].continued_prev)) {
+                let first = g.content.page_first_hash[p];
+                if p > 0
+                    && (hash < first || (hash == first && g.content.collision[p].continued_prev))
+                {
                     p -= 1;
                     continue;
                 }

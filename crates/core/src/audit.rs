@@ -5,8 +5,9 @@
 //! simulation's correctness rests on:
 //!
 //! * **Level ordering** — groups (AnyKey) and meta segments (PinK) within a
-//!   level are key-sorted with disjoint ranges, and every group directory /
-//!   segment entry list is itself sorted.
+//!   level are key-sorted with disjoint ranges, every group directory /
+//!   segment entry list is itself sorted, and each group's cached
+//!   smallest/largest key matches its directory.
 //! * **DRAM conservation** — [`crate::dram::DramBudget::metadata_used`]
 //!   equals the byte sum of the structures currently marked DRAM-resident
 //!   and never exceeds the metadata budget.
@@ -56,6 +57,14 @@ pub enum AuditError {
         /// The level holding the group/segment.
         level: usize,
         /// The group/segment index within the level.
+        group: usize,
+    },
+    /// A group's cached smallest/largest key (its level-list fences) differ
+    /// from the first/last key of its directory.
+    FenceMismatch {
+        /// The level holding the group.
+        level: usize,
+        /// The group index within the level.
         group: usize,
     },
     /// A group's per-page 16-bit routing hash prefixes are not sorted, so
@@ -172,6 +181,10 @@ impl fmt::Display for AuditError {
                 f,
                 "group {group} of level {level} has an unsorted key directory"
             ),
+            AuditError::FenceMismatch { level, group } => write!(
+                f,
+                "group {group} of level {level} has cached key fences that differ from its directory's first and last keys"
+            ),
             AuditError::RoutingOrder { level, group } => write!(
                 f,
                 "group {group} of level {level} has unsorted page-routing hash prefixes"
@@ -254,16 +267,9 @@ impl AnyKeyStore {
     ///
     /// Returns the first [`AuditError`] found.
     pub fn verify_invariants(&self) -> Result<(), AuditError> {
-        // Level-list ordering and per-group structure.
+        // Per-group structure, then level-list ordering over the cached
+        // fences the structure check vouches for.
         for (li, level) in self.levels.iter().enumerate() {
-            for (gi, w) in level.groups.windows(2).enumerate() {
-                if w[0].content.largest() >= w[1].content.smallest() {
-                    return Err(AuditError::LevelOrder {
-                        level: li,
-                        index: gi,
-                    });
-                }
-            }
             for (gi, g) in level.groups.iter().enumerate() {
                 let mut prev = None;
                 for e in g.content.iter_key_order() {
@@ -275,10 +281,25 @@ impl AnyKeyStore {
                     }
                     prev = Some(e.key);
                 }
+                let first = g.content.iter_key_order().next().map(|e| e.key);
+                if first != Some(g.content.smallest()) || prev != Some(g.content.largest()) {
+                    return Err(AuditError::FenceMismatch {
+                        level: li,
+                        group: gi,
+                    });
+                }
                 if g.content.page_first_hash16.windows(2).any(|w| w[0] > w[1]) {
                     return Err(AuditError::RoutingOrder {
                         level: li,
                         group: gi,
+                    });
+                }
+            }
+            for (gi, w) in level.groups.windows(2).enumerate() {
+                if w[0].content.largest() >= w[1].content.smallest() {
+                    return Err(AuditError::LevelOrder {
+                        level: li,
+                        index: gi,
                     });
                 }
             }
@@ -389,6 +410,25 @@ impl AnyKeyStore {
         for level in &mut self.levels {
             if level.groups.len() >= 2 {
                 level.groups.swap(0, 1);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Test-only corruption hook: sets the cached smallest key of the first
+    /// group holding at least two entities to its largest key, so the
+    /// level-list fence no longer matches the group's directory. Returns
+    /// whether such a group existed.
+    #[doc(hidden)]
+    pub fn corrupt_group_fence_for_test(&mut self) -> bool {
+        for level in &mut self.levels {
+            if let Some(g) = level
+                .groups
+                .iter_mut()
+                .find(|g| g.content.entity_count() >= 2)
+            {
+                g.content.smallest = g.content.largest;
                 return true;
             }
         }

@@ -19,6 +19,9 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> hostbench (own package, outside the workspace): build + tests"
+cargo test -q --release --offline --manifest-path hostbench/Cargo.toml
+
 echo "==> bench smoke: fault sweep at --jobs 1 and --jobs 2 must agree"
 cargo run -q --release -p anykey-bench -- fault --quick --jobs 1 \
     --out "$VERIFY_DIR/j1" --trace "$VERIFY_DIR/j1/trace.jsonl" \

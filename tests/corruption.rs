@@ -56,6 +56,26 @@ fn out_of_order_level_list_is_detected() {
 }
 
 #[test]
+fn stale_group_fence_is_detected() {
+    let mut s = filled_anykey();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(
+        s.corrupt_group_fence_for_test(),
+        "fill must produce a group with at least two entities"
+    );
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(matches!(err, AuditError::FenceMismatch { .. }), "got {err}");
+    assert!(
+        err.to_string().contains("cached key fences"),
+        "diagnostic must name the fence fault: {err}"
+    );
+}
+
+#[test]
 fn overclaimed_dram_budget_is_detected() {
     let mut s = filled_anykey();
     assert_eq!(
@@ -215,7 +235,18 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
     rskew.desync_retirement_for_test();
     let rskew_msg = rskew.check_invariants().expect_err("seeded").to_string();
 
-    let msgs = [order_msg, dram_msg, skew_msg, retired_msg, rskew_msg];
+    let mut fence = filled_anykey();
+    assert!(fence.corrupt_group_fence_for_test());
+    let fence_msg = fence.check_invariants().expect_err("seeded").to_string();
+
+    let msgs = [
+        order_msg,
+        dram_msg,
+        skew_msg,
+        retired_msg,
+        rskew_msg,
+        fence_msg,
+    ];
     for i in 0..msgs.len() {
         for j in (i + 1)..msgs.len() {
             assert_ne!(msgs[i], msgs[j], "faults {i} and {j} look alike");

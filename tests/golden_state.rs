@@ -1,0 +1,140 @@
+//! Golden-state tests: a small seeded run must leave exactly the pinned
+//! flash counters, horizon and metadata.
+//!
+//! Host-speed work on the engines (sorting, packing, merging) must not
+//! change what the simulation does. A change that quietly reorders
+//! simulated work moves at least one of these values, so `cargo test`
+//! catches it without a full benchmark sweep. Each run also asserts that
+//! it took its engine's log-triggered path (AnyKey+'s in-place rewrite,
+//! base AnyKey's `InlineAll` merge), so the pins cover the inlining code
+//! as well as flush and tree compaction.
+//!
+//! The pinned values are simulation results, not expectations derived
+//! from the model: when a change alters behaviour on purpose, re-pin them
+//! from the failure message and say so in the change log.
+
+use anykey::core::{DeviceConfig, EngineKind};
+use anykey::metrics::TraceEvent;
+use anykey::workload::{Op, SplitMix64};
+
+const KEYSPACE: u64 = 24_000;
+const OPS: u64 = 80_000;
+
+struct Golden {
+    counters: String,
+    horizon: u64,
+    metadata: String,
+    labels: Vec<String>,
+}
+
+/// Runs a seeded mixed stream (PUT-heavy, with deletes, GETs, short scans
+/// and a few page-sized values) on a 16 MiB device, with tracing on so the
+/// compaction spans can be checked.
+fn run(kind: EngineKind, seed: u64) -> Golden {
+    let mut dev = DeviceConfig::builder()
+        .capacity_bytes(16 << 20)
+        .page_size(8 << 10)
+        .pages_per_block(16)
+        .group_pages(8)
+        .engine(kind)
+        .key_len(24)
+        .value_log_bytes(2 << 20)
+        .build()
+        .build_engine();
+    dev.set_tracing(true);
+    let mut rng = SplitMix64::new(seed);
+    let mut labels: Vec<String> = Vec::new();
+    for i in 0..OPS {
+        let key = rng.next_bounded(KEYSPACE);
+        let op = match rng.next_bounded(100) {
+            0..=59 => {
+                let value_len = if rng.next_bounded(100) == 0 {
+                    4096 + rng.next_bounded(4096) as u32
+                } else {
+                    8 + rng.next_bounded(300) as u32
+                };
+                Op::Put { key, value_len }
+            }
+            60..=64 => Op::Delete { key },
+            65..=94 => Op::Get { key },
+            _ => Op::Scan {
+                start: key,
+                len: 20,
+            },
+        };
+        let at = dev.horizon();
+        dev.execute(&op, at)
+            .unwrap_or_else(|e| panic!("{kind}: op {i} ({op:?}) failed: {e}"));
+        if i % 4096 == 4095 || i + 1 == OPS {
+            for ev in dev.take_trace() {
+                if let TraceEvent::Span { kind, label, .. } = ev {
+                    if kind == "compaction" && !labels.contains(&label) {
+                        labels.push(label);
+                    }
+                }
+            }
+        }
+    }
+    dev.check_invariants()
+        .unwrap_or_else(|e| panic!("{kind}: final audit failed: {e}"));
+    Golden {
+        counters: format!("{:?}", dev.counters()),
+        horizon: dev.horizon(),
+        metadata: format!("{:?}", dev.metadata()),
+        labels,
+    }
+}
+
+fn assert_golden(kind: EngineKind, path_label: &str, horizon: u64, counters: &str, metadata: &str) {
+    let g = run(kind, 0x601D_57A7E);
+    assert!(
+        g.labels.iter().any(|l| l == path_label),
+        "{kind}: the run never took its log-triggered path `{path_label}` (compaction spans: {:?})",
+        g.labels
+    );
+    assert_eq!(g.horizon, horizon, "{kind}: horizon moved");
+    assert_eq!(g.counters, counters, "{kind}: flash counters moved");
+    assert_eq!(g.metadata, metadata, "{kind}: metadata moved");
+}
+
+#[test]
+fn anykey_plus_state_is_pinned() {
+    assert_golden(
+        EngineKind::AnyKeyPlus,
+        "inline-rewrite",
+        13_218_775_638,
+        "FlashCounters { reads: [75813, 0, 0, 0, 6761, 0, 0, 0, 22610, 0], \
+         writes: [0, 0, 0, 0, 0, 6264, 0, 0, 0, 1287], \
+         retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
+         reads_total: 105184, writes_total: 7551, retry_reads_total: 0, \
+         erases: 469, program_fails: 0, erase_fails: 0 }",
+        "MetadataStats { level_list_bytes: 5387, level_list_flash_bytes: 0, \
+         hash_list_total_bytes: 89948, hash_list_resident_bytes: 0, \
+         meta_segment_dram_bytes: 0, meta_segment_flash_bytes: 0, \
+         dram_capacity: 16384, dram_used: 13579, levels: 2, \
+         live_unique_bytes: 4721059, value_log_used_bytes: 613190, \
+         retry_reads: 0, program_fails: 0, erase_fails: 0, \
+         retired_blocks: 0, free_blocks: 75 }",
+    );
+}
+
+#[test]
+fn anykey_state_is_pinned() {
+    assert_golden(
+        EngineKind::AnyKey,
+        "inline-all",
+        13_039_053_347,
+        "FlashCounters { reads: [75813, 0, 0, 0, 5675, 0, 0, 0, 22610, 0], \
+         writes: [0, 0, 0, 0, 0, 5178, 0, 0, 0, 1287], \
+         retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
+         reads_total: 104098, writes_total: 6465, retry_reads_total: 0, \
+         erases: 397, program_fails: 0, erase_fails: 0 }",
+        "MetadataStats { level_list_bytes: 5387, level_list_flash_bytes: 0, \
+         hash_list_total_bytes: 89948, hash_list_resident_bytes: 0, \
+         meta_segment_dram_bytes: 0, meta_segment_flash_bytes: 0, \
+         dram_capacity: 16384, dram_used: 13579, levels: 2, \
+         live_unique_bytes: 4721059, value_log_used_bytes: 613190, \
+         retry_reads: 0, program_fails: 0, erase_fails: 0, \
+         retired_blocks: 0, free_blocks: 76 }",
+    );
+}
