@@ -233,10 +233,17 @@ impl AnyKeyStore {
             |li, budget, cands, pages| {
                 let level = &levels[li];
                 let mut taken = 0usize;
-                let mut gi = level.scan_start(start);
+                // Groups hold disjoint, ascending key ranges, so only the
+                // first group visited can hold keys below `start`.
+                let first = level.scan_start(start);
+                let mut gi = first;
                 while taken < budget && gi < level.groups.len() {
                     let g = &level.groups[gi];
-                    let from = g.content.dir_lower_bound(start);
+                    let from = if gi == first {
+                        g.content.dir_lower_bound(start)
+                    } else {
+                        0
+                    };
                     if from < g.content.dir.len() {
                         pages.push(g.dir_ppa(from, page_payload));
                     }
@@ -244,7 +251,6 @@ impl AnyKeyStore {
                         let e = g.content.entity(p, s);
                         cands.push(ScanCand {
                             key: e.key,
-                            level: li,
                             tombstone: e.tombstone,
                             payload: (g.data_ppa(p as usize), e.loc),
                         });

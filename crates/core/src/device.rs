@@ -9,7 +9,7 @@
 //! compaction, GC, and GET path. [`DeviceCore::scan`] is the range-scan
 //! merge both engines run over their own per-level candidates.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
 
 use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
@@ -45,12 +45,11 @@ pub(crate) struct DeviceCore {
     span_seq: u64,
 }
 
-/// One version of a key that a level offers to a scan; a lower `level` is
-/// newer. `payload` is the engine's handle on where the value lives.
+/// One version of a key that a level offers to a scan. `payload` is the
+/// engine's handle on where the value lives.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanCand<P> {
     pub(crate) key: Key,
-    pub(crate) level: usize,
     pub(crate) tombstone: bool,
     pub(crate) payload: P,
 }
@@ -220,81 +219,83 @@ impl DeviceCore {
         let mut budget = want;
         let mut cands: Vec<ScanCand<P>> = Vec::new();
         let mut pages: Vec<Ppa> = Vec::new();
-        let limit = loop {
+        let mut runs: Vec<Range<usize>> = Vec::with_capacity(levels);
+        loop {
             cands.clear();
             pages.clear();
+            runs.clear();
             let mut limit: Option<Key> = None;
             for li in 0..levels {
+                let from = cands.len();
                 if collect(li, budget, &mut cands, &mut pages)? >= budget {
                     if let Some(c) = cands.last() {
                         limit = Some(limit.map_or(c.key, |l| l.min(c.key)));
                     }
                 }
+                runs.push(from..cands.len());
             }
-            // Survivors (newest version not a tombstone) below the limit.
-            let mut newest: BTreeMap<Key, (usize, bool)> = BTreeMap::new();
-            for c in &cands {
-                if limit.is_none_or(|l| c.key <= l) {
-                    let e = newest.entry(c.key).or_insert((c.level, c.tombstone));
-                    if c.level < e.0 {
-                        *e = (c.level, c.tombstone);
-                    }
-                }
-            }
-            for (k, be) in self.buffer.range_from(start) {
-                if limit.is_none_or(|l| *k <= l) {
-                    newest.insert(*k, (0, be.tombstone));
-                }
-            }
-            let reachable = newest.values().filter(|&&(_, t)| !t).count();
-            if limit.is_none() || reachable >= want || budget >= want * 64 {
-                break limit;
+            // The walk emits the survivors up to the limit and stops at
+            // `want`, so fewer than `want` hits means the keys below the
+            // frontier hold fewer than `want` survivors.
+            let hits = self.merge_runs(start, want, limit, &cands, &mut runs)?;
+            if limit.is_none() || hits.len() >= want || budget >= want * 64 {
+                return Ok(ScanPlan {
+                    index_pages: pages,
+                    hits,
+                });
             }
             budget *= 2;
-        };
+        }
+    }
 
-        // Merge with the buffer, newest wins.
-        cands.sort_by(|a, b| a.key.cmp(&b.key).then(a.level.cmp(&b.level)));
+    /// One k-way walk over the write buffer from `start` and the per-level
+    /// key-sorted `runs` of `cands`: on each key the buffer wins, then the
+    /// lowest level, and a live winner becomes a hit. It stops after
+    /// `want` hits or past `limit` (a capped level's frontier: its
+    /// unexplored range could hide smaller keys). Advances `runs`.
+    fn merge_runs<P: Copy>(
+        &self,
+        start: Key,
+        want: usize,
+        limit: Option<Key>,
+        cands: &[ScanCand<P>],
+        runs: &mut [Range<usize>],
+    ) -> Result<Vec<(Key, Option<P>)>, KvError> {
         let mut hits: Vec<(Key, Option<P>)> = Vec::new();
         let mut buf_iter = self.buffer.range_from(start).peekable();
-        let mut i = 0;
-        while hits.len() < want && (i < cands.len() || buf_iter.peek().is_some()) {
-            let next_level_key = cands.get(i).map(|c| c.key);
+        while hits.len() < want {
             let next_buf_key = buf_iter.peek().map(|(k, _)| **k);
-            let key = match (next_buf_key, next_level_key) {
-                (Some(b), Some(l)) => b.min(l),
-                (Some(b), None) => b,
-                (None, Some(l)) => l,
-                (None, None) => break,
-            };
+            let key = runs
+                .iter()
+                .filter(|r| !r.is_empty())
+                .map(|r| cands[r.start].key)
+                .chain(next_buf_key)
+                .min();
+            let Some(key) = key else { break };
             if limit.is_some_and(|l| key > l) {
-                // A capped level's unexplored range could hide smaller
-                // keys; never emit beyond its frontier.
                 break;
             }
-            let mut buf_tomb = None;
+            // The newest version: `(tombstone, payload)`, with no payload
+            // when the write buffer holds the value.
+            let mut newest: Option<(bool, Option<P>)> = None;
             if next_buf_key == Some(key) {
                 let (_, e) = buf_iter.next().ok_or(KvError::Internal {
                     context: "peeked buffer entry vanished mid-scan",
                 })?;
-                buf_tomb = Some(e.tombstone);
+                newest = Some((e.tombstone, None));
             }
-            // The newest level candidate for this key; skip the rest.
-            let newest = cands.get(i).filter(|c| c.key == key).copied();
-            while i < cands.len() && cands[i].key == key {
-                i += 1;
+            for r in runs.iter_mut() {
+                while r.start < r.end && cands[r.start].key == key {
+                    let c = &cands[r.start];
+                    newest.get_or_insert((c.tombstone, Some(c.payload)));
+                    r.start += 1;
+                }
             }
-            match (buf_tomb, newest) {
-                (Some(true), _) => {}                       // deleted in buffer
-                (Some(false), _) => hits.push((key, None)), // value in DRAM
-                (None, Some(c)) if !c.tombstone => hits.push((key, Some(c.payload))),
-                (None, _) => {}
+            if let Some((false, payload)) = newest {
+                hits.push((key, payload));
             }
         }
-        Ok(ScanPlan {
-            index_pages: pages,
-            hits,
-        })
+        Ok(hits)
     }
 
     /// The metadata fields every engine fills the same way: DRAM, live
@@ -425,3 +426,6 @@ impl DeviceCore {
         });
     }
 }
+
+#[cfg(test)]
+mod tests;

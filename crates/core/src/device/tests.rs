@@ -1,0 +1,302 @@
+//! Scan-merge tests: the one-pass walk of [`DeviceCore::scan`] checked
+//! against a two-pass reference merge on seeded random per-level runs,
+//! plus named cases for newest-wins, budget doubling, the 64× cap and the
+//! capped-level frontier.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use anykey_workload::SplitMix64;
+
+use super::*;
+
+/// A test level: key-sorted `(key, tombstone)` versions. A candidate's
+/// payload is its `(level, index)`, so a hit names the version it took.
+type Level = Vec<(Key, bool)>;
+
+const LEVEL_INDEX_CHUNK: usize = 8;
+
+fn k(id: u64) -> Key {
+    Key::new(id, 24).unwrap()
+}
+
+fn core() -> DeviceCore {
+    DeviceCore::new(
+        DeviceConfig::builder()
+            .capacity_bytes(16 << 20)
+            .page_size(8 << 10)
+            .pages_per_block(16)
+            .group_pages(8)
+            .key_len(24)
+            .build(),
+    )
+}
+
+fn buffer(core: &mut DeviceCore, id: u64, tombstone: bool) {
+    let e = BufEntry {
+        value_len: if tombstone { 0 } else { 8 },
+        tombstone,
+    };
+    core.buffer.insert(k(id), e);
+}
+
+/// `collect` over `levels` the way both engines do it: up to `budget`
+/// candidates ≥ `start` from level `li` in key order, one index page
+/// per chunk of `LEVEL_INDEX_CHUNK` entries touched.
+fn collect(
+    levels: &[Level],
+    start: Key,
+    li: usize,
+    budget: usize,
+    cands: &mut Vec<ScanCand<(usize, usize)>>,
+    pages: &mut Vec<Ppa>,
+) -> Result<usize, KvError> {
+    let level = &levels[li];
+    let from = level.partition_point(|&(key, _)| key < start);
+    let to = level.len().min(from + budget);
+    for (i, &(key, tombstone)) in level.iter().enumerate().take(to).skip(from) {
+        if i == from || i % LEVEL_INDEX_CHUNK == 0 {
+            pages.push(Ppa::new(li as u32, (i / LEVEL_INDEX_CHUNK) as u32));
+        }
+        cands.push(ScanCand {
+            key,
+            tombstone,
+            payload: (li, i),
+        });
+    }
+    Ok(to - from)
+}
+
+/// The two-pass reference merge: each round counts the survivors below
+/// the limit in a `BTreeMap`, and the final round stable-sorts the
+/// candidates by `(key, level)` and walks them against the buffer.
+fn two_pass_scan<P: Copy>(
+    core: &DeviceCore,
+    start: Key,
+    want: usize,
+    levels: usize,
+    mut collect: impl FnMut(
+        usize,
+        usize,
+        &mut Vec<ScanCand<P>>,
+        &mut Vec<Ppa>,
+    ) -> Result<usize, KvError>,
+) -> Result<ScanPlan<P>, KvError> {
+    let mut budget = want;
+    let mut cands: Vec<ScanCand<P>> = Vec::new();
+    let mut level_of: Vec<usize> = Vec::new();
+    let mut pages: Vec<Ppa> = Vec::new();
+    let limit = loop {
+        cands.clear();
+        level_of.clear();
+        pages.clear();
+        let mut limit: Option<Key> = None;
+        for li in 0..levels {
+            if collect(li, budget, &mut cands, &mut pages)? >= budget {
+                if let Some(c) = cands.last() {
+                    limit = Some(limit.map_or(c.key, |l| l.min(c.key)));
+                }
+            }
+            level_of.resize(cands.len(), li);
+        }
+        let mut newest: BTreeMap<Key, (usize, bool)> = BTreeMap::new();
+        for (c, &level) in cands.iter().zip(&level_of) {
+            if limit.is_none_or(|l| c.key <= l) {
+                let e = newest.entry(c.key).or_insert((level, c.tombstone));
+                if level < e.0 {
+                    *e = (level, c.tombstone);
+                }
+            }
+        }
+        for (key, be) in core.buffer.range_from(start) {
+            if limit.is_none_or(|l| *key <= l) {
+                newest.insert(*key, (0, be.tombstone));
+            }
+        }
+        let reachable = newest.values().filter(|&&(_, t)| !t).count();
+        if limit.is_none() || reachable >= want || budget >= want * 64 {
+            break limit;
+        }
+        budget *= 2;
+    };
+
+    let mut sorted: Vec<(ScanCand<P>, usize)> = cands
+        .iter()
+        .copied()
+        .zip(level_of.iter().copied())
+        .collect();
+    sorted.sort_by(|a, b| a.0.key.cmp(&b.0.key).then(a.1.cmp(&b.1)));
+    let mut hits: Vec<(Key, Option<P>)> = Vec::new();
+    let mut buf_iter = core.buffer.range_from(start).peekable();
+    let mut i = 0;
+    while hits.len() < want {
+        let next_level_key = sorted.get(i).map(|(c, _)| c.key);
+        let next_buf_key = buf_iter.peek().map(|(key, _)| **key);
+        let key = match (next_buf_key, next_level_key) {
+            (Some(b), Some(l)) => b.min(l),
+            (Some(b), None) => b,
+            (None, Some(l)) => l,
+            (None, None) => break,
+        };
+        if limit.is_some_and(|l| key > l) {
+            break;
+        }
+        let mut buf_tomb = None;
+        if next_buf_key == Some(key) {
+            buf_tomb = buf_iter.next().map(|(_, e)| e.tombstone);
+        }
+        let newest = sorted.get(i).map(|(c, _)| *c).filter(|c| c.key == key);
+        while i < sorted.len() && sorted[i].0.key == key {
+            i += 1;
+        }
+        match (buf_tomb, newest) {
+            (Some(true), _) => {}
+            (Some(false), _) => hits.push((key, None)),
+            (None, Some(c)) if !c.tombstone => hits.push((key, Some(c.payload))),
+            (None, _) => {}
+        }
+    }
+    Ok(ScanPlan {
+        index_pages: pages,
+        hits,
+    })
+}
+
+/// Runs both merges over `levels` and asserts the same hits and index
+/// pages; returns the plan and how many collection rounds it took.
+fn check(
+    core: &DeviceCore,
+    levels: &[Level],
+    start: Key,
+    want: usize,
+) -> (ScanPlan<(usize, usize)>, usize) {
+    let (mut calls, mut ref_calls) = (0, 0);
+    let plan = core
+        .scan(start, want, levels.len(), |li, budget, cands, pages| {
+            calls += 1;
+            collect(levels, start, li, budget, cands, pages)
+        })
+        .unwrap();
+    let reference = two_pass_scan(
+        core,
+        start,
+        want,
+        levels.len(),
+        |li, budget, cands, pages| {
+            ref_calls += 1;
+            collect(levels, start, li, budget, cands, pages)
+        },
+    )
+    .unwrap();
+    assert_eq!(plan.hits, reference.hits, "hits differ");
+    assert_eq!(
+        plan.index_pages, reference.index_pages,
+        "index pages differ"
+    );
+    assert_eq!(calls, ref_calls, "collection rounds differ");
+    (plan, calls / levels.len())
+}
+
+/// A key-sorted level of up to `n` distinct ids below `keyspace`, each
+/// a tombstone with probability `tomb_pct` %.
+fn random_level(rng: &mut SplitMix64, n: u64, keyspace: u64, tomb_pct: u64) -> Level {
+    let ids: BTreeSet<u64> = (0..n).map(|_| rng.next_bounded(keyspace)).collect();
+    ids.into_iter()
+        .map(|id| (k(id), rng.next_bounded(100) < tomb_pct))
+        .collect()
+}
+
+#[test]
+fn one_pass_merge_matches_two_pass_reference() {
+    let mut rng = SplitMix64::new(0x5CA9_3E26);
+    let (mut doubled, mut capped, mut buffered) = (0, 0, 0);
+    for _ in 0..600 {
+        let mut core = core();
+        let keyspace = 50 + rng.next_bounded(400);
+        let levels: Vec<Level> = (0..1 + rng.next_bounded(4))
+            .map(|_| {
+                let n = rng.next_bounded(keyspace);
+                let tomb_pct = [0, 10, 50, 100][rng.next_bounded(4) as usize];
+                random_level(&mut rng, n, keyspace, tomb_pct)
+            })
+            .collect();
+        for _ in 0..rng.next_bounded(30) {
+            let id = rng.next_bounded(keyspace);
+            buffer(&mut core, id, rng.next_bounded(3) == 0);
+        }
+        let start = k(rng.next_bounded(keyspace));
+        let want = 1 + rng.next_bounded(12) as usize;
+        let (plan, rounds) = check(&core, &levels, start, want);
+        doubled += usize::from(rounds > 1);
+        capped += usize::from(rounds == 7);
+        buffered += usize::from(plan.hits.iter().any(|(_, p)| p.is_none()));
+    }
+    assert!(doubled > 0, "no case doubled the budget");
+    assert!(capped > 0, "no case reached the 64× cap");
+    assert!(buffered > 0, "no case emitted a buffered value");
+}
+
+#[test]
+fn duplicates_and_tombstones_take_the_newest_version() {
+    let mut core = core();
+    // Level 0 deletes 2 and rewrites 4; level 1 holds 1..=6; the
+    // buffer deletes 5 and rewrites 6.
+    let levels = vec![
+        vec![(k(2), true), (k(4), false)],
+        (1..=6).map(|id| (k(id), false)).collect(),
+    ];
+    buffer(&mut core, 5, true);
+    buffer(&mut core, 6, false);
+    let (plan, rounds) = check(&core, &levels, k(1), 10);
+    assert_eq!(rounds, 1);
+    assert_eq!(
+        plan.hits,
+        vec![
+            (k(1), Some((1, 0))),
+            (k(3), Some((1, 2))),
+            (k(4), Some((0, 1))),
+            (k(6), None),
+        ]
+    );
+}
+
+#[test]
+fn a_capped_level_of_tombstones_doubles_the_budget() {
+    let core = core();
+    // Level 0's first 8 entries are tombstones: at budget 4 and 8 the
+    // keys below its frontier hold no survivor.
+    let mut l0: Level = (0..8).map(|id| (k(id), true)).collect();
+    l0.extend((100..120).map(|id| (k(id), false)));
+    let l1: Level = (50..60).map(|id| (k(id), false)).collect();
+    let (plan, rounds) = check(&core, &[l0, l1], k(0), 4);
+    assert_eq!(rounds, 3);
+    let ids: Vec<u64> = plan.hits.iter().map(|(key, _)| key.id()).collect();
+    assert_eq!(ids, vec![50, 51, 52, 53]);
+}
+
+#[test]
+fn a_level_of_tombstones_stops_at_the_64x_cap() {
+    let core = core();
+    let l0: Level = (0..1_000).map(|id| (k(id), true)).collect();
+    let l1: Level = vec![(k(500), false), (k(2_000), false)];
+    let (plan, rounds) = check(&core, &[l0, l1], k(0), 2);
+    assert_eq!(rounds, 7, "budget 2, 4, …, 128 = 64 × want");
+    assert!(plan.hits.is_empty(), "{:?}", plan.hits);
+}
+
+#[test]
+fn scan_never_emits_past_a_capped_frontier() {
+    let mut core = core();
+    // Level 0 deletes every even id below 400 and holds a live 1000.
+    // Capped at the 64× budget inside its tombstones, its unexplored
+    // range could still hide live keys, so level 1's 401 and the
+    // buffer's 500 lie past its frontier and must not be emitted.
+    let mut l0: Level = (0..200).map(|i| (k(2 * i), true)).collect();
+    l0.push((k(1_000), false));
+    let l1: Level = vec![(k(61), false), (k(401), false)];
+    buffer(&mut core, 500, false);
+    let (plan, rounds) = check(&core, &[l0, l1], k(0), 3);
+    assert_eq!(rounds, 7, "budget 3, 6, …, 192 = 64 × want");
+    let frontier = k(382); // level 0's 192nd candidate
+    assert_eq!(plan.hits, vec![(k(61), Some((1, 0)))]);
+    assert!(plan.hits.iter().all(|(key, _)| *key <= frontier));
+}

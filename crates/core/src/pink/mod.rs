@@ -227,7 +227,10 @@ impl PinkStore {
                     }
                 }
                 let mut taken = 0usize;
-                let mut si = level.scan_start(start);
+                // Segments hold disjoint, ascending key ranges, so only
+                // the first segment visited can hold keys below `start`.
+                let first = level.scan_start(start);
+                let mut si = first;
                 while taken < budget && si < level.segs.len() {
                     let seg = &level.segs[si];
                     if !seg.resident {
@@ -235,11 +238,14 @@ impl PinkStore {
                             context: "spilled segment has no flash location",
                         })?);
                     }
-                    let from = seg.entries.partition_point(|e| e.key < start);
+                    let from = if si == first {
+                        seg.entries.partition_point(|e| e.key < start)
+                    } else {
+                        0
+                    };
                     for e in seg.entries[from..].iter().take(budget - taken) {
                         cands.push(ScanCand {
                             key: e.key,
-                            level: li,
                             tombstone: e.tombstone,
                             payload: e.ptr,
                         });

@@ -135,6 +135,9 @@ pub struct FlashStateSample {
 pub struct FlashSim {
     cfg: FlashConfig,
     chips: Vec<Chip>,
+    /// The latest `fg_free`/`bg_done` over all chips. `schedule` only ever
+    /// raises those, so the running max is the horizon.
+    horizon: Ns,
     counters: FlashCounters,
     /// Completed P/E cycles per global block, driving the wear-dependent
     /// fault probabilities. Tracked by the device (it sees every erase),
@@ -158,6 +161,7 @@ impl FlashSim {
         Self {
             cfg,
             chips: vec![Chip::default(); chips],
+            horizon: 0,
             counters: FlashCounters::new(),
             wear: vec![0; blocks],
             op_seq: 0,
@@ -184,18 +188,14 @@ impl FlashSim {
     /// The time at which the busiest chip finishes all queued work
     /// (foreground plus backlog).
     pub fn horizon(&self) -> Ns {
-        self.chips
-            .iter()
-            .map(|c| c.fg_free.max(c.bg_done))
-            .max()
-            .unwrap_or(0)
+        self.horizon
     }
 
     /// Places one op of `latency` on a chip's lane timeline; returns its
     /// `(start, done)` pair on the chip timeline.
     fn schedule(&mut self, chip_idx: u32, lane: Lane, latency: Ns, at: Ns) -> (Ns, Ns) {
         let chip = &mut self.chips[chip_idx as usize];
-        match lane {
+        let span = match lane {
             Lane::Fg => {
                 let mut start = at.max(chip.fg_free);
                 if chip.bg_done > start {
@@ -221,7 +221,9 @@ impl FlashSim {
                 chip.bg_done = start + latency;
                 (start, chip.bg_done)
             }
-        }
+        };
+        self.horizon = self.horizon.max(chip.fg_free.max(chip.bg_done));
+        span
     }
 
     /// Records one op lifecycle into the trace buffer (when tracing).
@@ -589,6 +591,35 @@ mod tests {
         assert_eq!(s.horizon(), done);
         let read_done = s.read(Ppa::new(1, 0), OpCause::HostRead, 0).done;
         assert!(s.horizon() >= read_done.min(done));
+    }
+
+    #[test]
+    fn kept_horizon_equals_chip_scan() {
+        let scan = |s: &FlashSim| {
+            s.chips
+                .iter()
+                .map(|c| c.fg_free.max(c.bg_done))
+                .max()
+                .unwrap_or(0)
+        };
+        let mut s = faulty_sim(200_000);
+        let mut rng = 0x5EED_u64;
+        for i in 0..2_000u64 {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let r = rng >> 33;
+            let ppa = Ppa::new((r % 64) as u32, ((r >> 6) % 128) as u32);
+            let at = i * 20_000;
+            let _ = match r % 5 {
+                0 => s.read(ppa, OpCause::HostRead, at),
+                1 => s.read(ppa, OpCause::GcRead, at),
+                2 => s.program(ppa, OpCause::HostWrite, at),
+                3 => s.program(ppa, OpCause::CompactionWrite, at),
+                _ => s.erase(BlockId((r % 64) as u32), at),
+            };
+            assert_eq!(s.horizon(), scan(&s), "op {i}");
+        }
+        let c = s.counters();
+        assert!(c.total_retry_reads() + c.program_fails() + c.erase_fails() > 0);
     }
 
     #[test]

@@ -45,6 +45,14 @@ cargo run -q -p xtask -- timeline "$VERIFY_DIR/j1/timeline.jsonl" \
     > "$VERIFY_DIR/timeline-report.txt"
 head -n 5 "$VERIFY_DIR/timeline-report.txt"
 
+echo "==> scan smoke: fig18 at --jobs 1 and --jobs 2 must agree"
+cargo run -q --release -p anykey-bench -- fig18 --quick --jobs 1 \
+    --out "$VERIFY_DIR/s1"
+cargo run -q --release -p anykey-bench -- fig18 --quick --jobs 2 \
+    --out "$VERIFY_DIR/s2"
+cmp "$VERIFY_DIR/s1/fig18.csv" "$VERIFY_DIR/s2/fig18.csv"
+cmp "$VERIFY_DIR/s1/fig18_cdf.csv" "$VERIFY_DIR/s2/fig18_cdf.csv"
+
 echo "==> cargo clippy (lint levels; DESIGN.md §8)"
 cargo clippy --workspace --all-targets -- -D warnings
 

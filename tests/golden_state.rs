@@ -5,9 +5,11 @@
 //! change what the simulation does. A change that quietly reorders
 //! simulated work moves at least one of these values, so `cargo test`
 //! catches it without a full benchmark sweep. Each run also asserts that
-//! it took its engine's log-triggered path (AnyKey+'s in-place rewrite,
-//! base AnyKey's `InlineAll` merge), so the pins cover the inlining code
-//! as well as flush and tree compaction.
+//! it took its engine's compaction path (AnyKey+'s in-place rewrite, base
+//! AnyKey's `InlineAll` merge, PinK's merge), so the pins cover the
+//! inlining code as well as flush and tree compaction. Every engine also
+//! pins how many scans it ran and a digest of the key ids they returned,
+//! so the range-scan merge is covered too.
 //!
 //! The pinned values are simulation results, not expectations derived
 //! from the model: when a change alters behaviour on purpose, re-pin them
@@ -25,11 +27,22 @@ struct Golden {
     horizon: u64,
     metadata: String,
     labels: Vec<String>,
+    scans: u64,
+    scan_digest: u64,
+}
+
+/// Folds `x` into an FNV-1a digest.
+fn fold(digest: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x0100_0000_01B3);
+    }
 }
 
 /// Runs a seeded mixed stream (PUT-heavy, with deletes, GETs, short scans
 /// and a few page-sized values) on a 16 MiB device, with tracing on so the
-/// compaction spans can be checked.
+/// compaction spans can be checked. Scans go through `scan_keys`, whose
+/// key ids (each scan's count, then its ids) feed the scan digest.
 fn run(kind: EngineKind, seed: u64) -> Golden {
     let mut dev = DeviceConfig::builder()
         .capacity_bytes(16 << 20)
@@ -44,6 +57,7 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
     dev.set_tracing(true);
     let mut rng = SplitMix64::new(seed);
     let mut labels: Vec<String> = Vec::new();
+    let (mut scans, mut scan_digest) = (0u64, 0xCBF2_9CE4_8422_2325u64);
     for i in 0..OPS {
         let key = rng.next_bounded(KEYSPACE);
         let op = match rng.next_bounded(100) {
@@ -63,8 +77,17 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
             },
         };
         let at = dev.horizon();
-        dev.execute(&op, at)
-            .unwrap_or_else(|e| panic!("{kind}: op {i} ({op:?}) failed: {e}"));
+        if let Op::Scan { start, len } = op {
+            let (ids, _) = dev.scan_keys(start, len, at);
+            scans += 1;
+            fold(&mut scan_digest, ids.len() as u64);
+            for id in ids {
+                fold(&mut scan_digest, id);
+            }
+        } else {
+            dev.execute(&op, at)
+                .unwrap_or_else(|e| panic!("{kind}: op {i} ({op:?}) failed: {e}"));
+        }
         if i % 4096 == 4095 || i + 1 == OPS {
             for ev in dev.take_trace() {
                 if let TraceEvent::Span { kind, label, .. } = ev {
@@ -82,15 +105,31 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
         horizon: dev.horizon(),
         metadata: format!("{:?}", dev.metadata()),
         labels,
+        scans,
+        scan_digest,
     }
 }
 
-fn assert_golden(kind: EngineKind, path_label: &str, horizon: u64, counters: &str, metadata: &str) {
+/// Runs `kind` and checks every pin. `path_label` is a compaction span the
+/// run must have taken; `scans` is the scan count and digest.
+fn assert_golden(
+    kind: EngineKind,
+    path_label: &str,
+    horizon: u64,
+    counters: &str,
+    metadata: &str,
+    scans: (u64, u64),
+) {
     let g = run(kind, 0x601D_57A7E);
     assert!(
         g.labels.iter().any(|l| l == path_label),
-        "{kind}: the run never took its log-triggered path `{path_label}` (compaction spans: {:?})",
+        "{kind}: the run never took its compaction path `{path_label}` (compaction spans: {:?})",
         g.labels
+    );
+    assert_eq!(
+        (g.scans, g.scan_digest),
+        scans,
+        "{kind}: scan results moved"
     );
     assert_eq!(g.horizon, horizon, "{kind}: horizon moved");
     assert_eq!(g.counters, counters, "{kind}: flash counters moved");
@@ -115,6 +154,7 @@ fn anykey_plus_state_is_pinned() {
          live_unique_bytes: 4721059, value_log_used_bytes: 613190, \
          retry_reads: 0, program_fails: 0, erase_fails: 0, \
          retired_blocks: 0, free_blocks: 75 }",
+        (3946, 7_257_491_339_025_105_244),
     );
 }
 
@@ -136,5 +176,28 @@ fn anykey_state_is_pinned() {
          live_unique_bytes: 4721059, value_log_used_bytes: 613190, \
          retry_reads: 0, program_fails: 0, erase_fails: 0, \
          retired_blocks: 0, free_blocks: 76 }",
+        (3946, 7_257_491_339_025_105_244),
+    );
+}
+
+#[test]
+fn pink_state_is_pinned() {
+    assert_golden(
+        EngineKind::Pink,
+        "merge",
+        12_279_415_528,
+        "FlashCounters { reads: [71455, 0, 46429, 0, 1291, 0, 0, 0, 0, 0], \
+         writes: [0, 0, 0, 8, 0, 2830, 0, 0, 0, 0], \
+         retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
+         reads_total: 119175, writes_total: 2838, retry_reads_total: 0, \
+         erases: 74, program_fails: 0, erase_fails: 0 }",
+        "MetadataStats { level_list_bytes: 2349, level_list_flash_bytes: 0, \
+         hash_list_total_bytes: 0, hash_list_resident_bytes: 0, \
+         meta_segment_dram_bytes: 5370, meta_segment_flash_bytes: 645330, \
+         dram_capacity: 16384, dram_used: 15911, levels: 2, \
+         live_unique_bytes: 4721059, value_log_used_bytes: 0, \
+         retry_reads: 0, program_fails: 0, erase_fails: 0, \
+         retired_blocks: 0, free_blocks: 23 }",
+        (3946, 7_257_491_339_025_105_244),
     );
 }
