@@ -62,7 +62,8 @@ impl AnyKeyStore {
         for (key, be) in entries {
             let loc = match self.log.as_mut() {
                 Some(log) if !be.tombstone && be.value_len > 0 => {
-                    let (ptr, done) = log.append(&mut self.core.flash, be.value_len, t)?;
+                    let (ptr, done) =
+                        log.append(&mut self.core.flash, u64::from(be.value_len), t)?;
                     t_log = t_log.max(done);
                     ValueLoc::Logged(ptr)
                 }
@@ -242,6 +243,19 @@ impl AnyKeyStore {
         Ok(done)
     }
 
+    /// Marks the value of a logged entity dead in the value log; returns
+    /// the bytes it held there (0 for an inline value).
+    fn drop_logged(&mut self, e: &Entity) -> Result<u64, KvError> {
+        let ValueLoc::Logged(ptr) = e.loc else {
+            return Ok(0);
+        };
+        let log = self.log.as_mut().ok_or(KvError::Internal {
+            context: "logged value without a log",
+        })?;
+        log.invalidate(ptr, u64::from(e.value_len));
+        Ok(u64::from(e.value_len))
+    }
+
     /// Rewrites, in place, every group of level `li` that references the
     /// value log, inlining those values. Used when the log-triggered
     /// target is the deepest level: untouched groups (the vast majority in
@@ -255,7 +269,7 @@ impl AnyKeyStore {
                 read_ppas.extend(g.all_ppas());
                 for e in g.content.pages.iter().flatten() {
                     if let ValueLoc::Logged(ptr) = e.loc {
-                        read_ppas.extend(crate::anykey::valuelog::ValueLog::ptr_pages(ptr));
+                        read_ppas.extend(ptr.pages());
                     }
                 }
             }
@@ -283,15 +297,8 @@ impl AnyKeyStore {
             }
             let mut ents: Vec<Entity> = g.content.iter_key_order().copied().collect();
             for e in &mut ents {
-                if let ValueLoc::Logged(ptr) = e.loc {
-                    self.log
-                        .as_mut()
-                        .ok_or(KvError::Internal {
-                            context: "logged value without a log",
-                        })?
-                        .invalidate(ptr, e.value_len as u64);
-                    e.loc = ValueLoc::Inline;
-                }
+                self.drop_logged(e)?;
+                e.loc = ValueLoc::Inline;
             }
             count += ents.len() as u64;
             let pages = g.content.total_pages();
@@ -396,23 +403,13 @@ impl AnyKeyStore {
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
         let mut discarded_logged = 0u64;
-        let invalidate = |store_log: &mut Option<crate::anykey::valuelog::ValueLog>,
-                          e: &Entity,
-                          discarded: &mut u64| {
-            if let ValueLoc::Logged(ptr) = e.loc {
-                if let Some(log) = store_log.as_mut() {
-                    log.invalidate(ptr, e.value_len as u64);
-                }
-                *discarded += e.value_len as u64;
-            }
-        };
         let mut merged: Vec<Entity> = Vec::with_capacity(upper.len() + lower.len());
         let (mut u, mut l) = (upper.as_slice(), lower.as_slice());
         loop {
             let e = match (u.split_first(), l.split_first()) {
                 (Some((a, u_rest)), Some((b, l_rest))) if a.key == b.key => {
                     // Newest wins; the lower copy dies here.
-                    invalidate(&mut self.log, b, &mut discarded_logged);
+                    discarded_logged += self.drop_logged(b)?;
                     (u, l) = (u_rest, l_rest);
                     *a
                 }
@@ -441,13 +438,8 @@ impl AnyKeyStore {
         if let InlinePolicy::InlineAll = policy {
             for e in &mut merged {
                 if let ValueLoc::Logged(ptr) = e.loc {
-                    log_read_ppas.extend(crate::anykey::valuelog::ValueLog::ptr_pages(ptr));
-                    self.log
-                        .as_mut()
-                        .ok_or(KvError::Internal {
-                            context: "logged value without a log",
-                        })?
-                        .invalidate(ptr, e.value_len as u64);
+                    log_read_ppas.extend(ptr.pages());
+                    self.drop_logged(e)?;
                     e.loc = ValueLoc::Inline;
                 }
             }

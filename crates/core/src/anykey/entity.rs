@@ -1,20 +1,7 @@
 //! KV entities: what a data segment group stores per key.
 
-use anykey_flash::BlockId;
-
+use crate::bytelog::Extent;
 use crate::key::Key;
-
-/// Location of a value in the value log: the page where the value starts
-/// and how many pages it spans (values never span blocks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogPtr {
-    /// Value-log block.
-    pub block: BlockId,
-    /// First page of the value within the block.
-    pub page: u32,
-    /// Number of pages the value touches (≥ 1).
-    pub pages: u8,
-}
 
 /// Where an entity's value lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +9,7 @@ pub enum ValueLoc {
     /// The value is stored inline in the data segment group page.
     Inline,
     /// The value is in the value log; the entity stores an 8-byte pointer.
-    Logged(LogPtr),
+    Logged(Extent),
 }
 
 /// One KV entity inside a data segment group (paper Section 4.1): the key,
@@ -90,6 +77,7 @@ impl Entity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anykey_flash::BlockId;
 
     fn ent(value_len: u32, loc: ValueLoc, tombstone: bool) -> Entity {
         Entity {
@@ -112,7 +100,7 @@ mod tests {
 
     #[test]
     fn logged_entity_stores_pointer() {
-        let ptr = LogPtr {
+        let ptr = Extent {
             block: BlockId(3),
             page: 7,
             pages: 1,

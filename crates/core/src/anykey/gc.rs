@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, OpCause, Ppa};
 
 use crate::anykey::AnyKeyStore;
+use crate::bytelog::erase_block;
 use crate::config::RESERVE_BLOCKS;
 use crate::error::KvError;
 
@@ -83,14 +84,17 @@ impl GroupArea {
     /// # Errors
     ///
     /// Returns [`KvError::UntrackedBlock`] when `block` is not tracked by
-    /// the area — a released group must have been placed here.
+    /// the area — a released group must have been placed here — and
+    /// [`KvError::LiveCountSkew`] when it holds no group to release.
     pub fn release(&mut self, block: BlockId, pages: u32) -> Result<bool, KvError> {
         let e = self.valid.get_mut(&block).ok_or(KvError::UntrackedBlock {
             block: block.0,
             owner: "group area",
         })?;
-        debug_assert!(e.0 > 0, "group count underflow on {block}");
-        e.0 -= 1;
+        e.0 = e.0.checked_sub(1).ok_or(KvError::LiveCountSkew {
+            block: block.0,
+            owner: "group area",
+        })?;
         e.1 = e.1.saturating_sub(pages);
         Ok(e.0 == 0 && self.open.map(|(b, _)| b) != Some(block))
     }
@@ -101,8 +105,7 @@ impl GroupArea {
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::BlockFree`] if the allocator rejects the free or
-    /// retire — an internal accounting bug, not a media condition.
+    /// As [`erase_block`].
     pub fn erase_empty(
         &mut self,
         flash: &mut FlashSim,
@@ -114,13 +117,7 @@ impl GroupArea {
         if self.open.map(|(b, _)| b) == Some(block) {
             self.open = None;
         }
-        let r = flash.erase(block, at);
-        if r.status.is_ok() {
-            self.alloc.free(block)?;
-        } else {
-            self.alloc.retire(block)?;
-        }
-        Ok(r.done)
+        Ok(erase_block(flash, &mut self.alloc, block, at)?.0)
     }
 
     /// The sealed block with the fewest valid *pages* (but at least one
@@ -173,6 +170,19 @@ impl GroupArea {
             .iter()
             .find(|(_, &(_, pages))| pages > self.pages_per_block)
             .map(|(&b, &(_, pages))| (b.0, pages, self.pages_per_block))
+    }
+
+    /// Test-only corruption hook: credits one tracked block with more
+    /// valid pages than an erase block holds. Returns whether a block was
+    /// tracked.
+    #[cfg(test)]
+    pub(crate) fn overfill_for_test(&mut self) -> bool {
+        let pages = self.pages_per_block + 1;
+        self.valid
+            .values_mut()
+            .next()
+            .map(|e| e.1 = pages)
+            .is_some()
     }
 }
 
@@ -348,6 +358,22 @@ mod tests {
         let (v, pages) = a.victim().unwrap();
         assert_eq!(pages, 64);
         assert_eq!(v, p1.block.min(q.block));
+    }
+
+    #[test]
+    fn double_release_is_an_error() {
+        let mut a = area(2);
+        let p = a.place(33).unwrap();
+        a.seal();
+        assert!(a.release(p.block, 33).unwrap());
+        assert_eq!(
+            a.release(p.block, 33),
+            Err(KvError::LiveCountSkew {
+                block: p.block.0,
+                owner: "group area",
+            })
+        );
+        assert_eq!(a.valid_in(p.block), 0);
     }
 
     #[test]

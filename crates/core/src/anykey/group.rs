@@ -673,7 +673,7 @@ mod tests {
     /// A seeded key-sorted run mixing inline, logged and tombstone
     /// entities, with occasional 4–8 KiB inline values.
     fn random_run(seed: u64, n: usize, key_len: u16) -> Vec<Entity> {
-        use crate::anykey::entity::LogPtr;
+        use crate::bytelog::Extent;
         use anykey_flash::BlockId;
         let mut rng = anykey_workload::SplitMix64::new(seed);
         let mut id = 0u64;
@@ -689,7 +689,7 @@ mod tests {
                         false,
                     ),
                     2..=9 => {
-                        let ptr = LogPtr {
+                        let ptr = Extent {
                             block: BlockId(rng.next_bounded(64) as u32),
                             page: rng.next_bounded(128) as u32,
                             pages: 1 + rng.next_bounded(2) as u8,

@@ -10,11 +10,10 @@ pub mod gc;
 pub mod group;
 /// LSM levels over data segment groups.
 pub mod level;
-/// The circular value log.
-pub mod valuelog;
-
 #[cfg(test)]
 mod tests;
+#[cfg(test)]
+mod valuelog;
 
 use anykey_flash::{FlashCounters, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
@@ -22,6 +21,7 @@ use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 use anykey_workload::Op;
 
 use crate::audit::AuditError;
+use crate::bytelog::ByteLog;
 use crate::config::{DeviceConfig, EngineKind, DRAM_OP_NS, HASH_NS, LEVEL_RATIO};
 use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
@@ -31,7 +31,6 @@ use crate::key::Key;
 use entity::ValueLoc;
 use gc::GroupArea;
 use level::Level;
-use valuelog::ValueLog;
 
 /// The AnyKey key-value SSD (also AnyKey+ and AnyKey− via
 /// [`EngineKind`]).
@@ -45,7 +44,11 @@ pub struct AnyKeyStore {
     pub(crate) core: DeviceCore,
     pub(crate) levels: Vec<Level>,
     pub(crate) area: GroupArea,
-    pub(crate) log: Option<ValueLog>,
+    /// The value log (Section 4.3; `None` for AnyKey−). Entities hold
+    /// pointers into it; values move back into groups only through
+    /// log-triggered compaction, the one mechanism that reclaims log
+    /// space (no standalone GC runs in the log — Section 4.4.4).
+    pub(crate) log: Option<ByteLog>,
     level_list_overflow: bool,
 }
 
@@ -67,7 +70,12 @@ impl AnyKeyStore {
         );
         let log = (log_blocks > 0).then(|| {
             let la = core.allocator(total_blocks - log_blocks..total_blocks);
-            ValueLog::new(la, core.page_payload, geometry.pages_per_block)
+            ByteLog::new(
+                la,
+                core.page_payload,
+                geometry.pages_per_block,
+                OpCause::LogWrite,
+            )
         });
         let ga = core.allocator(0..(total_blocks - log_blocks));
         Self {
@@ -190,10 +198,7 @@ impl AnyKeyStore {
                         ValueLoc::Inline => t,
                         ValueLoc::Logged(ptr) => {
                             reads += ptr.pages as u32;
-                            let log = self.log.as_ref().ok_or(KvError::Internal {
-                                context: "logged value without a log",
-                            })?;
-                            let d = log.read_value(&mut self.core.flash, ptr, OpCause::LogRead, t);
+                            let d = self.core.flash.read_many(ptr.pages(), OpCause::LogRead, t);
                             phases.log_read += d - t;
                             d
                         }
@@ -276,7 +281,7 @@ impl AnyKeyStore {
             if let Some((data_ppa, loc)) = payload {
                 data_ppas.push(data_ppa);
                 if let ValueLoc::Logged(ptr) = loc {
-                    log_ppas.extend(ValueLog::ptr_pages(ptr));
+                    log_ppas.extend(ptr.pages());
                 }
             }
         }
@@ -338,7 +343,7 @@ impl AnyKeyStore {
     }
 
     /// Direct access to the value log (benchmarks and tests).
-    pub fn value_log(&self) -> Option<&ValueLog> {
+    pub fn value_log(&self) -> Option<&ByteLog> {
         self.log.as_ref()
     }
 
@@ -394,7 +399,7 @@ impl KvEngine for AnyKeyStore {
             hash_list_total_bytes: hash_list_total,
             hash_list_resident_bytes: hash_list_resident,
             levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
-            value_log_used_bytes: self.log.as_ref().map_or(0, ValueLog::valid_bytes),
+            value_log_used_bytes: self.log.as_ref().map_or(0, ByteLog::valid_bytes),
             retired_blocks: (self.area.retired_blocks()
                 + self
                     .log
@@ -410,8 +415,8 @@ impl KvEngine for AnyKeyStore {
 
     fn sample_state(&self) -> StateSample {
         let meta = self.metadata();
-        let log_capacity = self.log.as_ref().map_or(0, ValueLog::capacity_bytes);
-        let log_free = self.log.as_ref().map_or(0, ValueLog::free_bytes);
+        let log_capacity = self.log.as_ref().map_or(0, ByteLog::capacity_bytes);
+        let log_free = self.log.as_ref().map_or(0, ByteLog::free_bytes);
         StateSample {
             group_count: self
                 .levels

@@ -1,311 +1,20 @@
-//! The value log (paper Section 4.3).
-//!
-//! AnyKey detaches values from LSM-tree management: new values are appended
-//! to a dedicated flash region and the KV entities in data segment groups
-//! hold 8-byte pointers instead. Tree compaction then only moves
-//! keys/pointers; values are merged back into groups only by
-//! *log-triggered* compaction, which is also the only mechanism that
-//! reclaims log space (no standalone GC runs in the log — Section 4.4.4).
+//! Tests of the value log (paper Section 4.3) as AnyKey builds it: a
+//! [`ByteLog`] over its own block range whose page programs count as
+//! `LogWrite`.
 
-use std::collections::HashMap;
-
-use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, OpCause, Ppa};
-
-use crate::anykey::entity::LogPtr;
-use crate::error::KvError;
-
-#[derive(Debug, Clone, Copy)]
-struct LogBlockState {
-    valid_bytes: u64,
-    sealed: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct OpenBlock {
-    id: BlockId,
-    next_page: u32,
-    page_fill: u64,
-}
-
-/// An append-only value log over a dedicated range of erase blocks.
-#[derive(Debug, Clone)]
-pub struct ValueLog {
-    alloc: BlockAllocator,
-    blocks: HashMap<BlockId, LogBlockState>,
-    open: Option<OpenBlock>,
-    page_payload: u64,
-    pages_per_block: u32,
-}
-
-impl ValueLog {
-    /// A log over the given block range.
-    pub fn new(alloc: BlockAllocator, page_payload: u64, pages_per_block: u32) -> Self {
-        Self {
-            alloc,
-            blocks: HashMap::new(),
-            open: None,
-            page_payload,
-            pages_per_block,
-        }
-    }
-
-    fn block_payload(&self) -> u64 {
-        self.page_payload * self.pages_per_block as u64
-    }
-
-    /// Total log capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.alloc.len() as u64 * self.block_payload()
-    }
-
-    /// Bytes of live values currently in the log.
-    pub fn valid_bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.valid_bytes).sum()
-    }
-
-    /// Bytes still appendable without reclaiming anything.
-    pub fn free_bytes(&self) -> u64 {
-        let open_remaining = self.open.map_or(0, |o| {
-            (self.pages_per_block - o.next_page) as u64 * self.page_payload - o.page_fill
-        });
-        self.alloc.free_count() as u64 * self.block_payload() + open_remaining
-    }
-
-    /// Whether appending `bytes` would exhaust the log (the log-triggered
-    /// compaction trigger).
-    pub fn would_overflow(&self, bytes: u64) -> bool {
-        self.free_bytes() < bytes
-    }
-
-    fn open_block(&mut self) -> Result<OpenBlock, KvError> {
-        if let Some(o) = self.open {
-            return Ok(o);
-        }
-        let id = self.alloc.alloc().ok_or(KvError::DeviceFull)?;
-        self.blocks.insert(
-            id,
-            LogBlockState {
-                valid_bytes: 0,
-                sealed: false,
-            },
-        );
-        let o = OpenBlock {
-            id,
-            next_page: 0,
-            page_fill: 0,
-        };
-        self.open = Some(o);
-        Ok(o)
-    }
-
-    fn seal_open(&mut self, flash: &mut FlashSim, at: Ns) -> Ns {
-        let Some(mut o) = self.open.take() else {
-            return at;
-        };
-        let mut done = at;
-        if o.page_fill > 0 {
-            // Retry the partial tail on successive pages if the program
-            // fails; if the block runs out, the tail stays on its marginal
-            // page (the co-packed approximation — see DESIGN.md §9).
-            while o.next_page < self.pages_per_block {
-                let r = flash.program(
-                    Ppa {
-                        block: o.id,
-                        page: o.next_page,
-                    },
-                    OpCause::LogWrite,
-                    at,
-                );
-                done = done.max(r.done);
-                o.next_page += 1;
-                if r.status.is_ok() {
-                    break;
-                }
-            }
-        }
-        if let Some(b) = self.blocks.get_mut(&o.id) {
-            b.sealed = true;
-        }
-        done
-    }
-
-    /// Appends a value of `value_len` bytes at time `at`; returns its
-    /// pointer and the completion time of any page programs this caused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::DeviceFull`] when no log block is available.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero-length values (tombstones are never logged).
-    pub fn append(
-        &mut self,
-        flash: &mut FlashSim,
-        value_len: u32,
-        at: Ns,
-    ) -> Result<(LogPtr, Ns), KvError> {
-        assert!(value_len > 0, "zero-length values are never logged");
-        let len = value_len as u64;
-        assert!(
-            len <= self.block_payload(),
-            "value of {len} bytes exceeds the erase-block payload {}",
-            self.block_payload()
-        );
-        let mut done = at;
-
-        // Values must be page-contiguous within one block, so a failed
-        // page program restarts the whole value past the bad page (which
-        // stays consumed); when the block runs out of room the value moves
-        // to a fresh block. Each retry consumes at least one page, so the
-        // loop terminates in [`KvError::DeviceFull`] at worst.
-        let (block, start_page, pages_touched, end_page) = 'place: loop {
-            let mut o = self.open_block()?;
-            // If the value cannot fit in this block's remaining pages, seal
-            // the block and start a fresh one (values never span blocks).
-            let remaining =
-                (self.pages_per_block - o.next_page) as u64 * self.page_payload - o.page_fill;
-            if len > remaining {
-                done = done.max(self.seal_open(flash, at));
-                o = self.open_block()?;
-            }
-            let start_page = o.next_page;
-            let mut left = len;
-            let mut pages_touched = 0u8;
-            while left > 0 {
-                let room = self.page_payload - o.page_fill;
-                let take = left.min(room);
-                o.page_fill += take;
-                left -= take;
-                pages_touched += 1;
-                if o.page_fill == self.page_payload {
-                    // Page full: program it.
-                    let r = flash.program(
-                        Ppa {
-                            block: o.id,
-                            page: o.next_page,
-                        },
-                        OpCause::LogWrite,
-                        at,
-                    );
-                    done = done.max(r.done);
-                    o.next_page += 1;
-                    o.page_fill = 0;
-                    if !r.status.is_ok() {
-                        self.open = Some(o);
-                        continue 'place;
-                    }
-                }
-            }
-            self.open = Some(o);
-            break (o.id, start_page, pages_touched, o.next_page);
-        };
-        self.blocks
-            .get_mut(&block)
-            .ok_or(KvError::UntrackedBlock {
-                block: block.0,
-                owner: "value log",
-            })?
-            .valid_bytes += len;
-        // Block exhausted: seal it so reclaim can consider it.
-        if end_page == self.pages_per_block {
-            done = done.max(self.seal_open(flash, at));
-        }
-        Ok((
-            LogPtr {
-                block,
-                page: start_page,
-                pages: pages_touched,
-            },
-            done,
-        ))
-    }
-
-    /// Marks `bytes` of the value at `ptr` invalid (its entity was
-    /// superseded, deleted, or its value was inlined into a group).
-    pub fn invalidate(&mut self, ptr: LogPtr, bytes: u64) {
-        if let Some(b) = self.blocks.get_mut(&ptr.block) {
-            debug_assert!(b.valid_bytes >= bytes, "log block accounting underflow");
-            b.valid_bytes = b.valid_bytes.saturating_sub(bytes);
-        }
-    }
-
-    /// Erases every sealed, fully-invalid block; returns the bytes freed
-    /// and the erase completion time. A block whose erase fails is retired
-    /// (its capacity is lost, not freed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::BlockFree`] if the allocator rejects a free or
-    /// retire — an internal accounting bug, not a media condition.
-    pub fn reclaim(&mut self, flash: &mut FlashSim, at: Ns) -> Result<(u64, Ns), KvError> {
-        let victims: Vec<BlockId> = self
-            .blocks
-            .iter()
-            .filter(|(_, s)| s.sealed && s.valid_bytes == 0)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut done = at;
-        let mut freed = 0u64;
-        for id in victims {
-            let r = flash.erase(id, at);
-            done = done.max(r.done);
-            self.blocks.remove(&id);
-            if r.status.is_ok() {
-                self.alloc.free(id)?;
-                freed += self.block_payload();
-            } else {
-                self.alloc.retire(id)?;
-            }
-        }
-        Ok((freed, done))
-    }
-
-    /// Reads the value at `ptr`; returns the completion time.
-    pub fn read_value(&self, flash: &mut FlashSim, ptr: LogPtr, cause: OpCause, at: Ns) -> Ns {
-        flash.read_many(Self::ptr_pages(ptr), cause, at)
-    }
-
-    /// The flash pages a pointer's value occupies.
-    pub fn ptr_pages(ptr: LogPtr) -> impl Iterator<Item = Ppa> {
-        (0..ptr.pages as u32).map(move |i| Ppa {
-            block: ptr.block,
-            page: ptr.page + i,
-        })
-    }
-
-    /// Number of blocks in the log region.
-    pub fn block_count(&self) -> usize {
-        self.alloc.len()
-    }
-
-    /// The log's block allocator (reliability stats and audits).
-    pub fn allocator(&self) -> &BlockAllocator {
-        &self.alloc
-    }
-
-    /// The first block whose tracked valid bytes exceed the erase-block
-    /// payload, as `(block id, valid bytes, payload)` — `None` on a
-    /// healthy log. Used by the invariant auditor.
-    pub fn first_overfull_block(&self) -> Option<(u32, u64, u64)> {
-        let payload = self.block_payload();
-        self.blocks
-            .iter()
-            .find(|(_, s)| s.valid_bytes > payload)
-            .map(|(&id, s)| (id.0, s.valid_bytes, payload))
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use anykey_flash::FlashConfig;
+    use anykey_flash::{BlockAllocator, FlashConfig, FlashSim, OpCause};
 
-    fn setup() -> (FlashSim, ValueLog) {
-        let flash = FlashSim::new(FlashConfig::small_test());
-        // 4 blocks of 128 pages x 8128B payload.
-        let log = ValueLog::new(BlockAllocator::new(0..4), 8128, 128);
-        (flash, log)
+    use crate::bytelog::ByteLog;
+    use crate::error::KvError;
+
+    fn log(blocks: u32) -> ByteLog {
+        // Blocks of 128 pages x 8128B payload.
+        ByteLog::new(BlockAllocator::new(0..blocks), 8128, 128, OpCause::LogWrite)
+    }
+
+    fn setup() -> (FlashSim, ByteLog) {
+        (FlashSim::new(FlashConfig::small_test()), log(4))
     }
 
     #[test]
@@ -378,7 +87,7 @@ mod tests {
             }
         }
         // Push the open block to seal by continuing to append.
-        while log.blocks.get(&first).map(|b| !b.sealed).unwrap_or(false) {
+        while ptrs.last().is_some_and(|p| p.block == first) {
             ptrs.push(log.append(&mut flash, 4000, 0).unwrap().0);
         }
         let (freed, _) = log.reclaim(&mut flash, 0).unwrap();
@@ -389,7 +98,7 @@ mod tests {
     #[test]
     fn exhaustion_reports_device_full() {
         let mut flash = FlashSim::new(FlashConfig::small_test());
-        let mut log = ValueLog::new(BlockAllocator::new(0..1), 8128, 128);
+        let mut log = log(1);
         let block_payload = 8128 * 128u64;
         let mut used = 0;
         while used + 8000 <= block_payload {

@@ -12,8 +12,8 @@
 //!   equals the byte sum of the structures currently marked DRAM-resident
 //!   and never exceeds the metadata budget.
 //! * **Value-log accounting** — the log's live bytes equal the logged bytes
-//!   referenced by the levels, and no log block claims more valid bytes
-//!   than an erase block holds.
+//!   referenced by the levels, and no block of the value log or of PinK's
+//!   data area claims more valid bytes than an erase block holds.
 //! * **Counter conservation** — the flash counters' per-cause ledgers sum
 //!   to their independent totals ([`anykey_flash::FlashCounters::audit`]).
 //! * **Block accounting** — no group-area block claims more valid pages
@@ -98,9 +98,11 @@ pub enum AuditError {
         /// Logged bytes summed over the levels' groups.
         levels: u64,
     },
-    /// A value-log block claims more valid bytes than an erase block
-    /// holds.
+    /// A block of a byte log (the value log or PinK's data area) claims
+    /// more valid bytes than an erase block holds.
     LogBlockOverfull {
+        /// Which byte log holds the block.
+        owner: &'static str,
         /// The offending global block id.
         block: u32,
         /// Valid bytes the block claims.
@@ -202,12 +204,13 @@ impl fmt::Display for AuditError {
                 "value-log live bytes {log} diverged from the {levels} logged bytes the levels reference"
             ),
             AuditError::LogBlockOverfull {
+                owner,
                 block,
                 valid,
                 payload,
             } => write!(
                 f,
-                "value-log block B{block} claims {valid} valid bytes, beyond its {payload}-byte payload"
+                "{owner} block B{block} claims {valid} valid bytes, beyond its {payload}-byte payload"
             ),
             AuditError::BlockOverfull {
                 block,
@@ -335,13 +338,7 @@ impl AnyKeyStore {
 
         // Value-log live-byte conservation.
         if let Some(log) = &self.log {
-            if let Some((block, valid, payload)) = log.first_overfull_block() {
-                return Err(AuditError::LogBlockOverfull {
-                    block,
-                    valid,
-                    payload,
-                });
-            }
+            log.audit_overfull("value log")?;
             let referenced: u64 = self.levels.iter().map(|l| l.logged_bytes).sum();
             if log.valid_bytes() != referenced {
                 return Err(AuditError::LogBytesMismatch {
@@ -546,15 +543,18 @@ impl PinkStore {
             });
         }
 
+        self.data.audit_overfull("data area")?;
+
         // Retirement accounting: the allocator partition conserves, and no
         // live data pointer, meta segment, or level-list page sits in a
         // retired block.
-        if let Err(s) = self.alloc.audit() {
+        let alloc = self.data.allocator();
+        if let Err(s) = alloc.audit() {
             return Err(retirement_skew("PinK", s));
         }
         for level in &self.levels {
             for ppa in &level.list_pages {
-                if self.alloc.is_retired(ppa.block) {
+                if alloc.is_retired(ppa.block) {
                     return Err(AuditError::RetiredBlockLive {
                         block: ppa.block.0,
                         owner: "level list",
@@ -563,7 +563,7 @@ impl PinkStore {
             }
             for seg in &level.segs {
                 if let Some(ppa) = seg.ppa {
-                    if self.alloc.is_retired(ppa.block) {
+                    if alloc.is_retired(ppa.block) {
                         return Err(AuditError::RetiredBlockLive {
                             block: ppa.block.0,
                             owner: "meta segment",
@@ -571,7 +571,7 @@ impl PinkStore {
                     }
                 }
                 for e in &seg.entries {
-                    if !e.tombstone && self.alloc.is_retired(e.ptr.block) {
+                    if !e.tombstone && alloc.is_retired(e.ptr.block) {
                         return Err(AuditError::RetiredBlockLive {
                             block: e.ptr.block.0,
                             owner: "data area",
@@ -611,7 +611,7 @@ impl PinkStore {
         }
         match victim {
             Some(b) => {
-                let _ = self.alloc.retire(b);
+                let _ = self.data.allocator_mut().retire(b);
                 true
             }
             None => false,
@@ -622,13 +622,14 @@ impl PinkStore {
     /// retired-block count from its per-block flags.
     #[doc(hidden)]
     pub fn desync_retirement_for_test(&mut self) {
-        self.alloc.desync_retired_for_test();
+        self.data.allocator_mut().desync_retired_for_test();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytelog::ByteLog;
     use crate::config::{DeviceConfig, EngineKind};
     use crate::KvEngine;
 
@@ -712,6 +713,47 @@ mod tests {
         assert!(matches!(
             s.verify_invariants(),
             Err(AuditError::RetirementSkew { .. })
+        ));
+    }
+
+    #[test]
+    fn overfull_blocks_are_detected() {
+        let mut s = filled(EngineKind::AnyKey);
+        assert!(s.area.overfill_for_test(), "need a group block");
+        assert!(matches!(
+            s.verify_invariants(),
+            Err(AuditError::BlockOverfull { .. })
+        ));
+        // The value log is audited before the group area.
+        assert!(s.log.as_mut().is_some_and(ByteLog::overfill_for_test));
+        assert!(matches!(
+            s.verify_invariants(),
+            Err(AuditError::LogBlockOverfull {
+                owner: "value log",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn pink_overfull_data_block_is_detected() {
+        let mut p = PinkStore::new(
+            DeviceConfig::builder()
+                .capacity_bytes(64 << 20)
+                .engine(EngineKind::Pink)
+                .key_len(16)
+                .build(),
+        );
+        for id in 0..30_000u64 {
+            p.put(id, 60).unwrap();
+        }
+        assert!(p.data.overfill_for_test(), "need a data block");
+        assert!(matches!(
+            p.verify_invariants(),
+            Err(AuditError::LogBlockOverfull {
+                owner: "data area",
+                ..
+            })
         ));
     }
 

@@ -1,0 +1,404 @@
+//! The byte-packed, append-only flash area both engines keep values in:
+//! AnyKey's value log (paper Section 4.3) and PinK's data area.
+//!
+//! Values are packed byte-continuously into pages; a value may span pages
+//! but never blocks. Each tracked block keeps its valid bytes, so the
+//! owner can pick a GC victim ([`ByteLog::victim`]) or erase every
+//! fully-invalid block at once ([`ByteLog::reclaim`]).
+
+use std::collections::HashMap;
+
+use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, OpCause, Ppa};
+
+use crate::audit::AuditError;
+use crate::error::KvError;
+
+/// Where a value lives: the page it starts in and how many pages it
+/// touches (values never span blocks). The default touches no page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Extent {
+    /// The block holding the value.
+    pub block: BlockId,
+    /// First page of the value within the block.
+    pub page: u32,
+    /// Number of pages the value touches (> 1 only when it crosses a page
+    /// boundary or exceeds the page payload).
+    pub pages: u8,
+}
+
+impl Extent {
+    /// The flash pages the value occupies.
+    pub fn pages(self) -> impl Iterator<Item = Ppa> {
+        let first = Ppa {
+            block: self.block,
+            page: self.page,
+        };
+        (0..u32::from(self.pages)).map(move |i| first.offset(i))
+    }
+}
+
+/// Erases `block`, then returns it to `alloc` on success or retires it as
+/// a grown bad block on an erase failure. Returns the erase completion
+/// time and whether the block was freed.
+///
+/// # Errors
+///
+/// Returns [`KvError::BlockFree`] if the allocator rejects the free or
+/// retire — an internal accounting bug, not a media condition.
+pub(crate) fn erase_block(
+    flash: &mut FlashSim,
+    alloc: &mut BlockAllocator,
+    block: BlockId,
+    at: Ns,
+) -> Result<(Ns, bool), KvError> {
+    let r = flash.erase(block, at);
+    let freed = r.status.is_ok();
+    if freed {
+        alloc.free(block)?;
+    } else {
+        alloc.retire(block)?;
+    }
+    Ok((r.done, freed))
+}
+
+#[derive(Debug, Clone, Copy)]
+struct OpenBlock {
+    id: BlockId,
+    next_page: u32,
+    page_fill: u64,
+}
+
+/// A byte-packed, append-only area over the blocks of one allocator.
+///
+/// Every tracked block except the open one is sealed. Page programs carry
+/// the cause the owner fixed at construction.
+#[derive(Debug, Clone)]
+pub struct ByteLog {
+    alloc: BlockAllocator,
+    /// Valid bytes per tracked block.
+    blocks: HashMap<BlockId, u64>,
+    open: Option<OpenBlock>,
+    page_payload: u64,
+    pages_per_block: u32,
+    cause: OpCause,
+}
+
+impl ByteLog {
+    /// An area over `alloc`'s blocks whose page programs count as `cause`.
+    pub fn new(
+        alloc: BlockAllocator,
+        page_payload: u64,
+        pages_per_block: u32,
+        cause: OpCause,
+    ) -> Self {
+        Self {
+            alloc,
+            blocks: HashMap::new(),
+            open: None,
+            page_payload,
+            pages_per_block,
+            cause,
+        }
+    }
+
+    fn block_payload(&self) -> u64 {
+        self.page_payload * u64::from(self.pages_per_block)
+    }
+
+    /// Total capacity in bytes.
+    pub fn capacity_bytes(&self) -> u64 {
+        self.alloc.len() as u64 * self.block_payload()
+    }
+
+    /// Bytes of live values currently stored.
+    pub fn valid_bytes(&self) -> u64 {
+        self.blocks.values().sum()
+    }
+
+    /// Bytes still appendable without reclaiming anything.
+    pub fn free_bytes(&self) -> u64 {
+        let open_remaining = self.open.map_or(0, |o| self.room(o));
+        self.alloc.free_count() as u64 * self.block_payload() + open_remaining
+    }
+
+    /// Whether appending `bytes` would exhaust the area (the value log's
+    /// log-triggered compaction trigger).
+    pub fn would_overflow(&self, bytes: u64) -> bool {
+        self.free_bytes() < bytes
+    }
+
+    fn room(&self, o: OpenBlock) -> u64 {
+        u64::from(self.pages_per_block - o.next_page) * self.page_payload - o.page_fill
+    }
+
+    fn open_block(&mut self) -> Result<OpenBlock, KvError> {
+        if let Some(o) = self.open {
+            return Ok(o);
+        }
+        let id = self.alloc.alloc().ok_or(KvError::DeviceFull)?;
+        self.blocks.insert(id, 0);
+        let o = OpenBlock {
+            id,
+            next_page: 0,
+            page_fill: 0,
+        };
+        self.open = Some(o);
+        Ok(o)
+    }
+
+    /// Programs the open block's next page at `at`, folding its completion
+    /// into `done`; returns whether the program succeeded. A failed page
+    /// stays consumed.
+    fn program_next(&self, flash: &mut FlashSim, o: &mut OpenBlock, at: Ns, done: &mut Ns) -> bool {
+        let r = flash.program(
+            Ppa {
+                block: o.id,
+                page: o.next_page,
+            },
+            self.cause,
+            at,
+        );
+        *done = (*done).max(r.done);
+        o.next_page += 1;
+        r.status.is_ok()
+    }
+
+    /// Programs the partial open page, if any, and seals the open block.
+    /// A failed program retries the tail on the next page while the block
+    /// has room; if it runs out, the tail stays on its marginal page (the
+    /// co-packed approximation — see DESIGN.md §9).
+    fn seal(&mut self, flash: &mut FlashSim, at: Ns) -> Ns {
+        let Some(mut o) = self.open.take() else {
+            return at;
+        };
+        let mut done = at;
+        if o.page_fill > 0 {
+            while o.next_page < self.pages_per_block {
+                if self.program_next(flash, &mut o, at, &mut done) {
+                    break;
+                }
+            }
+        }
+        done
+    }
+
+    /// Appends a value of `bytes` bytes at time `at`; returns its extent
+    /// and the completion time of any page programs this caused.
+    ///
+    /// A page-program failure breaks the value's contiguity, so the whole
+    /// value is re-placed from the next page (rolling into a fresh block
+    /// when the current one runs out); the failed attempt's pages stay
+    /// dead and the failed program remains visible in the counters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KvError::DeviceFull`] when no block is available.
+    ///
+    /// # Panics
+    ///
+    /// Panics on empty values or values larger than an erase block's
+    /// payload (tombstones are never stored).
+    pub fn append(
+        &mut self,
+        flash: &mut FlashSim,
+        bytes: u64,
+        at: Ns,
+    ) -> Result<(Extent, Ns), KvError> {
+        assert!(bytes > 0, "empty values are never stored");
+        assert!(
+            bytes <= self.block_payload(),
+            "value of {bytes} bytes exceeds the erase-block payload {}",
+            self.block_payload()
+        );
+        let mut done = at;
+        // Each retry consumes at least one page, so the loop ends in
+        // [`KvError::DeviceFull`] at worst.
+        let (ext, end_page) = 'place: loop {
+            let mut o = self.open_block()?;
+            if bytes > self.room(o) {
+                done = done.max(self.seal(flash, at));
+                o = self.open_block()?;
+            }
+            let start_page = o.next_page;
+            let mut left = bytes;
+            let mut pages = 0u8;
+            while left > 0 {
+                let take = left.min(self.page_payload - o.page_fill);
+                o.page_fill += take;
+                left -= take;
+                pages += 1;
+                if o.page_fill == self.page_payload {
+                    o.page_fill = 0;
+                    if !self.program_next(flash, &mut o, at, &mut done) {
+                        self.open = Some(o);
+                        continue 'place;
+                    }
+                }
+            }
+            self.open = Some(o);
+            let ext = Extent {
+                block: o.id,
+                page: start_page,
+                pages,
+            };
+            break (ext, o.next_page);
+        };
+        *self
+            .blocks
+            .get_mut(&ext.block)
+            .ok_or(KvError::UntrackedBlock {
+                block: ext.block.0,
+                owner: "byte log",
+            })? += bytes;
+        if end_page == self.pages_per_block {
+            done = done.max(self.seal(flash, at));
+        }
+        Ok((ext, done))
+    }
+
+    /// Marks `bytes` of the value at `ext` invalid.
+    pub fn invalidate(&mut self, ext: Extent, bytes: u64) {
+        if let Some(v) = self.blocks.get_mut(&ext.block) {
+            debug_assert!(*v >= bytes, "byte-log block accounting underflow");
+            *v = v.saturating_sub(bytes);
+        }
+    }
+
+    /// The sealed block with the least valid bytes (lowest id on a tie),
+    /// if any — PinK's GC victim.
+    pub fn victim(&self) -> Option<(BlockId, u64)> {
+        let open = self.open.map(|o| o.id);
+        self.blocks
+            .iter()
+            .filter(|(&b, _)| Some(b) != open)
+            .map(|(&b, &v)| (b, v))
+            .min_by_key(|&(b, v)| (v, b))
+    }
+
+    /// Stops tracking `block` and erases it (see [`erase_block`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`erase_block`].
+    pub fn erase(
+        &mut self,
+        flash: &mut FlashSim,
+        block: BlockId,
+        at: Ns,
+    ) -> Result<(Ns, bool), KvError> {
+        self.blocks.remove(&block);
+        erase_block(flash, &mut self.alloc, block, at)
+    }
+
+    /// Erases every sealed, fully-invalid block; returns the bytes freed
+    /// and the erase completion time. A block whose erase fails is retired
+    /// (its capacity is lost, not freed).
+    ///
+    /// # Errors
+    ///
+    /// As [`erase_block`].
+    pub fn reclaim(&mut self, flash: &mut FlashSim, at: Ns) -> Result<(u64, Ns), KvError> {
+        let open = self.open.map(|o| o.id);
+        let mut victims: Vec<BlockId> = self
+            .blocks
+            .iter()
+            .filter(|&(&b, &v)| v == 0 && Some(b) != open)
+            .map(|(&b, _)| b)
+            .collect();
+        // Each erase's fault draw is keyed by the op sequence, so the erase
+        // order decides which blocks retire: it must not be hash order.
+        victims.sort_unstable();
+        let mut done = at;
+        let mut freed = 0u64;
+        for id in victims {
+            let (t, ok) = self.erase(flash, id, at)?;
+            done = done.max(t);
+            if ok {
+                freed += self.block_payload();
+            }
+        }
+        Ok((freed, done))
+    }
+
+    /// The area's block allocator (reliability stats and audits).
+    pub fn allocator(&self) -> &BlockAllocator {
+        &self.alloc
+    }
+
+    /// The area's block allocator, for an owner that draws other pages
+    /// from the same pool (PinK's meta pages).
+    pub(crate) fn allocator_mut(&mut self) -> &mut BlockAllocator {
+        &mut self.alloc
+    }
+
+    /// Audits that no block claims more valid bytes than an erase block
+    /// holds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuditError::LogBlockOverfull`], naming this log as
+    /// `owner`, for the first overfull block found.
+    pub fn audit_overfull(&self, owner: &'static str) -> Result<(), AuditError> {
+        let payload = self.block_payload();
+        match self.blocks.iter().find(|(_, &v)| v > payload) {
+            Some((&b, &valid)) => Err(AuditError::LogBlockOverfull {
+                owner,
+                block: b.0,
+                valid,
+                payload,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Test-only corruption hook: credits one tracked block with more
+    /// valid bytes than an erase block holds. Returns whether a block was
+    /// tracked.
+    #[cfg(test)]
+    pub(crate) fn overfill_for_test(&mut self) -> bool {
+        let payload = self.block_payload();
+        self.blocks
+            .values_mut()
+            .next()
+            .map(|v| *v = payload + 1)
+            .is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anykey_flash::{FaultModel, FlashConfig};
+
+    #[test]
+    fn reclaim_retires_the_same_blocks_every_run() {
+        // Half of all erases fail, so the erase order decides which blocks
+        // retire; every run must retire the same set.
+        let mut cfg = FlashConfig::small_test();
+        cfg.fault = FaultModel {
+            seed: 7,
+            erase_fail_ppm: 500_000,
+            ..FaultModel::disabled()
+        };
+        let retired = || {
+            let mut flash = FlashSim::new(cfg);
+            let mut log = ByteLog::new(BlockAllocator::new(0..16), 8128, 128, OpCause::LogWrite);
+            let mut exts = Vec::new();
+            while exts.last().is_none_or(|e: &Extent| e.block.0 < 9) {
+                exts.push(log.append(&mut flash, 8128 * 64, 0).unwrap().0);
+            }
+            for e in exts.iter().filter(|e| e.block.0 < 9) {
+                log.invalidate(*e, 8128 * 64);
+            }
+            log.reclaim(&mut flash, 0).unwrap();
+            (0..16)
+                .filter(|&b| log.allocator().is_retired(BlockId(b)))
+                .collect::<Vec<_>>()
+        };
+        let first = retired();
+        assert!(!first.is_empty(), "the fault model must retire some block");
+        for _ in 0..20 {
+            assert_eq!(retired(), first);
+        }
+    }
+}

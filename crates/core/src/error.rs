@@ -40,6 +40,15 @@ pub enum KvError {
         /// Which structure was consulted.
         owner: &'static str,
     },
+    /// A tracked block's live-unit count (groups, meta pages) disagrees
+    /// with a request: a release found nothing left to release, or a
+    /// block still holding live units was about to be forgotten.
+    LiveCountSkew {
+        /// The global block id.
+        block: u32,
+        /// Which structure tracks the block.
+        owner: &'static str,
+    },
     /// A block allocator rejected a free or retire request (double free,
     /// out-of-range block, or an already-retired block).
     BlockFree(FreeError),
@@ -60,6 +69,12 @@ impl fmt::Display for KvError {
             }
             KvError::UntrackedBlock { block, owner } => {
                 write!(f, "block B{block} is not tracked by the {owner}")
+            }
+            KvError::LiveCountSkew { block, owner } => {
+                write!(
+                    f,
+                    "live-unit count of block B{block} in the {owner} is inconsistent"
+                )
             }
             KvError::BlockFree(e) => write!(f, "block allocator misuse: {e}"),
             KvError::Audit(e) => write!(f, "invariant audit failed: {e}"),

@@ -49,6 +49,9 @@ pub mod anykey;
 pub mod audit;
 /// The DRAM write buffer.
 pub mod buffer;
+/// The byte-packed append-only area behind AnyKey's value log and PinK's
+/// data area.
+pub mod bytelog;
 /// Device and engine configuration.
 pub mod config;
 /// The device scaffold (flash, buffer, DRAM, ledger, scan merge) both

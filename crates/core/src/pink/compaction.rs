@@ -6,11 +6,12 @@
 //! flash-resident, so even this "metadata-only" compaction reads and
 //! rewrites large amounts of flash (the paper's Table 3).
 
-use anykey_flash::{BlockId, Ns, OpCause, Ppa};
+use anykey_flash::{Ns, OpCause, Ppa};
 
+use crate::bytelog::Extent;
 use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
 use crate::error::KvError;
-use crate::pink::segment::{DataPtr, SegEntry, Segment};
+use crate::pink::segment::{SegEntry, Segment};
 use crate::pink::{PinkLevel, PinkStore};
 
 impl PinkStore {
@@ -26,22 +27,12 @@ impl PinkStore {
         let mut upper: Vec<SegEntry> = Vec::with_capacity(entries.len());
         for (key, be) in entries {
             let ptr = if be.tombstone {
-                DataPtr {
-                    block: BlockId(0),
-                    page: 0,
-                    span: 0,
-                }
+                Extent::default()
             } else {
                 let bytes = key.len() as u64
                     + be.value_len as u64
                     + crate::pink::segment::SEG_ENTRY_OVERHEAD;
-                let (ptr, td) = self.data.append(
-                    &mut self.alloc,
-                    &mut self.core.flash,
-                    bytes,
-                    OpCause::CompactionWrite,
-                    t,
-                )?;
+                let (ptr, td) = self.data.append(&mut self.core.flash, bytes, t)?;
                 t = t.max(td);
                 ptr
             };
@@ -142,12 +133,7 @@ impl PinkStore {
             .read_many(read_ppas, OpCause::CompactionRead, t_head);
         let mut t_erase = t_read;
         for ppa in freed_pages {
-            t_erase = t_erase.max(self.meta.free_page(
-                &mut self.alloc,
-                &mut self.core.flash,
-                ppa,
-                t_read,
-            )?);
+            t_erase = t_erase.max(self.free_meta_page(ppa, t_read)?);
         }
 
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
@@ -230,6 +216,14 @@ impl PinkStore {
         Ok(done)
     }
 
+    /// Releases a meta page back to the pool the data area shares (see
+    /// [`crate::pink::segment::MetaArea::free_page`]); returns the
+    /// completion time.
+    pub(crate) fn free_meta_page(&mut self, ppa: Ppa, at: Ns) -> Result<Ns, KvError> {
+        let alloc = self.data.allocator_mut();
+        self.meta.free_page(alloc, &mut self.core.flash, ppa, at)
+    }
+
     /// Programs one freshly allocated meta page in `stream`, re-allocating
     /// and re-issuing on a program failure (the failed page is released —
     /// which may erase or retire its block — and a new location is drawn).
@@ -241,16 +235,13 @@ impl PinkStore {
     ) -> Result<(Ppa, Ns), KvError> {
         let mut done = at;
         loop {
-            let ppa = self.meta.alloc_page(&mut self.alloc, stream)?;
+            let ppa = self.meta.alloc_page(self.data.allocator_mut(), stream)?;
             let r = self.core.flash.program(ppa, cause, at);
             done = done.max(r.done);
             if r.status.is_ok() {
                 return Ok((ppa, done));
             }
-            done = done.max(
-                self.meta
-                    .free_page(&mut self.alloc, &mut self.core.flash, ppa, at)?,
-            );
+            done = done.max(self.free_meta_page(ppa, at)?);
         }
     }
 
@@ -278,12 +269,7 @@ impl PinkStore {
                     let pages = std::mem::take(&mut self.levels[li].list_pages);
                     for ppa in pages {
                         t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
-                        t = t.max(self.meta.free_page(
-                            &mut self.alloc,
-                            &mut self.core.flash,
-                            ppa,
-                            at,
-                        )?);
+                        t = t.max(self.free_meta_page(ppa, at)?);
                     }
                 }
                 self.levels[li].list_pages.clear();
@@ -325,12 +311,7 @@ impl PinkStore {
                                 context: "resident load without a flash copy",
                             })?;
                         t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
-                        t = t.max(self.meta.free_page(
-                            &mut self.alloc,
-                            &mut self.core.flash,
-                            ppa,
-                            at,
-                        )?);
+                        t = t.max(self.free_meta_page(ppa, at)?);
                     }
                 } else if !had_ppa {
                     let cause = if is_rebuilt {

@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 
 use anykey_flash::{BlockId, Ns, OpCause, Ppa};
 
+use crate::bytelog::{erase_block, Extent};
 use crate::config::RESERVE_BLOCKS;
 use crate::error::KvError;
 use crate::pink::PinkStore;
@@ -32,9 +33,9 @@ impl PinkStore {
         let reserve = RESERVE_BLOCKS + extra;
         let mut t = at;
         let mut guard = 0usize;
-        while self.alloc.free_count() < reserve {
+        while self.data.allocator().free_count() < reserve {
             guard += 1;
-            if guard > self.alloc.len() * 2 {
+            if guard > self.data.allocator().len() * 2 {
                 return Err(KvError::DeviceFull);
             }
             let block_payload =
@@ -63,14 +64,9 @@ impl PinkStore {
                 if live == 0 {
                     // A block emptied while it was still a stream's open
                     // block: nothing to relocate, just erase it.
-                    self.meta.forget_empty(victim);
-                    let r = self.core.flash.erase(victim, t);
-                    t = t.max(r.done);
-                    if r.status.is_ok() {
-                        self.alloc.free(victim)?;
-                    } else {
-                        self.alloc.retire(victim)?;
-                    }
+                    self.meta.forget_empty(victim)?;
+                    let alloc = self.data.allocator_mut();
+                    t = t.max(erase_block(&mut self.core.flash, alloc, victim, t)?.0);
                 } else {
                     t = self.relocate_meta_block(victim, t)?;
                 }
@@ -124,21 +120,15 @@ impl PinkStore {
                 },
             );
         }
-        self.data.remove_block(victim);
-        let r = self.core.flash.erase(victim, t_read);
-        if r.status.is_ok() {
-            self.alloc.free(victim)?;
-        } else {
-            self.alloc.retire(victim)?;
-        }
+        let (done, _) = self.data.erase(&mut self.core.flash, victim, t_read)?;
         self.core
-            .push_span(snap, "gc", "relocate-data", 0, at, r.done);
-        Ok(r.done)
+            .push_span(snap, "gc", "relocate-data", 0, at, done);
+        Ok(done)
     }
 
     /// The data pointer of the newest (shallowest) version of `key`, if
     /// any.
-    fn newest_ptr(&self, key: crate::key::Key) -> Option<crate::pink::segment::DataPtr> {
+    fn newest_ptr(&self, key: crate::key::Key) -> Option<Extent> {
         for level in &self.levels {
             if let Some(si) = level.candidate(key) {
                 if let Some(e) = level.segs[si].find(key) {
@@ -190,26 +180,20 @@ impl PinkStore {
                 .ok_or(KvError::Internal {
                     context: "GC owner segment has no flash location",
                 })?;
-            t = t.max(
-                self.meta
-                    .free_page(&mut self.alloc, &mut self.core.flash, old, t_read)?,
-            );
+            t = t.max(self.free_meta_page(old, t_read)?);
             let (new, td) = self.program_meta_page(li, OpCause::GcWrite, t_read)?;
             t = t.max(td);
             self.levels[li].segs[si].ppa = Some(new);
         }
         for (li, pi) in list_owners {
             let old = self.levels[li].list_pages[pi];
-            t = t.max(
-                self.meta
-                    .free_page(&mut self.alloc, &mut self.core.flash, old, t_read)?,
-            );
+            t = t.max(self.free_meta_page(old, t_read)?);
             let (new, td) = self.program_meta_page(li, OpCause::GcWrite, t_read)?;
             t = t.max(td);
             self.levels[li].list_pages[pi] = new;
         }
-        // `free_page` erased and freed the victim once its last live page
-        // was released.
+        // `free_meta_page` erased and freed the victim once its last live
+        // page was released.
         self.core.push_span(snap, "gc", "relocate-meta", 0, at, t);
         Ok(t)
     }

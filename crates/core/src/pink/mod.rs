@@ -18,19 +18,20 @@ pub mod segment;
 #[cfg(test)]
 mod tests;
 
-use anykey_flash::{BlockAllocator, FlashCounters, Ns, OpCause, Ppa};
+use anykey_flash::{FlashCounters, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 use anykey_workload::Op;
 
 use crate::audit::AuditError;
+use crate::bytelog::{ByteLog, Extent};
 use crate::config::{DeviceConfig, EngineKind, DRAM_OP_NS, LEVEL_RATIO};
 use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
 use crate::error::KvError;
 use crate::key::Key;
 
-use segment::{DataArea, DataPtr, MetaArea, SegEntry, Segment, LIST_ENTRY_OVERHEAD};
+use segment::{MetaArea, SegEntry, Segment, LIST_ENTRY_OVERHEAD};
 
 /// One PinK LSM level: meta segments plus its level list's placement.
 #[derive(Debug, Clone, Default)]
@@ -106,9 +107,10 @@ impl PinkLevel {
 pub struct PinkStore {
     pub(crate) core: DeviceCore,
     pub(crate) levels: Vec<PinkLevel>,
-    pub(crate) alloc: BlockAllocator,
     pub(crate) meta: MetaArea,
-    pub(crate) data: DataArea,
+    /// The data area. It owns the device's one block allocator; meta pages
+    /// draw from the same pool through [`ByteLog::allocator_mut`].
+    pub(crate) data: ByteLog,
 }
 
 impl PinkStore {
@@ -118,9 +120,13 @@ impl PinkStore {
         let geometry = core.cfg.flash.geometry;
         Self {
             levels: vec![PinkLevel::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
-            alloc: core.allocator(0..geometry.blocks()),
             meta: MetaArea::new(geometry.pages_per_block),
-            data: DataArea::new(geometry.pages_per_block, core.page_payload),
+            data: ByteLog::new(
+                core.allocator(0..geometry.blocks()),
+                core.page_payload,
+                geometry.pages_per_block,
+                OpCause::CompactionWrite,
+            ),
             core,
         }
     }
@@ -191,7 +197,7 @@ impl PinkStore {
                     return Ok(outcome(at, done, false, reads, phases));
                 }
                 let ptr = e.ptr;
-                reads += ptr.span as u32;
+                reads += u32::from(ptr.pages);
                 let done = self.core.flash.read_many(ptr.pages(), OpCause::HostRead, t);
                 phases.data_read += done - t;
                 return Ok(outcome(at, done, true, reads, phases));
@@ -267,7 +273,7 @@ impl PinkStore {
             .hits
             .iter()
             .filter_map(|&(_, ptr)| ptr)
-            .flat_map(DataPtr::pages)
+            .flat_map(Extent::pages)
             .collect();
         let (done, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
         phases.data_read += done - t;
@@ -326,8 +332,8 @@ impl KvEngine for PinkStore {
             meta_segment_dram_bytes: seg_dram,
             meta_segment_flash_bytes: seg_flash,
             levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
-            retired_blocks: self.alloc.retired_count() as u64,
-            free_blocks: self.alloc.free_count() as u64,
+            retired_blocks: self.data.allocator().retired_count() as u64,
+            free_blocks: self.data.allocator().free_count() as u64,
             ..self.core.metadata()
         }
     }

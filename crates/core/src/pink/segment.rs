@@ -6,12 +6,14 @@
 //! unit of its LSM-tree levels, plus a *level list* entry (first key +
 //! location) per segment. Upper-level meta segments are pinned in DRAM;
 //! the rest live in flash and cost a flash read per probe. KV pairs
-//! themselves are packed into *data segments* (plain flash pages).
+//! themselves are packed into *data segments* (plain flash pages) of a
+//! [`ByteLog`](crate::bytelog::ByteLog), the data area.
 
 use std::collections::HashMap;
 
-use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, OpCause, Ppa};
+use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, Ppa};
 
+use crate::bytelog::{erase_block, Extent};
 use crate::error::KvError;
 use crate::key::Key;
 
@@ -21,28 +23,6 @@ pub const SEG_ENTRY_OVERHEAD: u64 = 6;
 /// Bytes per level-list entry beyond the first key: segment location.
 pub const LIST_ENTRY_OVERHEAD: u64 = 5;
 
-/// Location of a KV pair in the data area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DataPtr {
-    /// Data block.
-    pub block: BlockId,
-    /// Page the pair starts in.
-    pub page: u32,
-    /// Pages the pair touches (> 1 only when a pair exceeds the page
-    /// payload, e.g. 4 KiB pages with 4 KiB values).
-    pub span: u8,
-}
-
-impl DataPtr {
-    /// The flash pages this pair occupies.
-    pub fn pages(self) -> impl Iterator<Item = Ppa> {
-        (0..self.span as u32).map(move |i| Ppa {
-            block: self.block,
-            page: self.page + i,
-        })
-    }
-}
-
 /// One sorted entry of a meta segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegEntry {
@@ -50,8 +30,8 @@ pub struct SegEntry {
     pub key: Key,
     /// Value length (0 for tombstones).
     pub value_len: u32,
-    /// Where the KV pair lives in the data area.
-    pub ptr: DataPtr,
+    /// Where the KV pair lives in the data area (no pages for tombstones).
+    pub ptr: Extent,
     /// Deletion marker.
     pub tombstone: bool,
 }
@@ -170,7 +150,9 @@ impl MetaArea {
     /// # Errors
     ///
     /// Returns [`KvError::UntrackedBlock`] when the page's block is not
-    /// tracked — a freed meta page must have been allocated here.
+    /// tracked — a freed meta page must have been allocated here — and
+    /// [`KvError::LiveCountSkew`] when the block has no live page left to
+    /// free.
     pub fn free_page(
         &mut self,
         alloc: &mut BlockAllocator,
@@ -185,17 +167,13 @@ impl MetaArea {
                 block: ppa.block.0,
                 owner: "meta area",
             })?;
-        debug_assert!(*live > 0);
-        *live -= 1;
+        *live = live.checked_sub(1).ok_or(KvError::LiveCountSkew {
+            block: ppa.block.0,
+            owner: "meta area",
+        })?;
         if *live == 0 && !self.is_open(ppa.block) {
             self.live_pages.remove(&ppa.block);
-            let r = flash.erase(ppa.block, at);
-            if r.status.is_ok() {
-                alloc.free(ppa.block)?;
-            } else {
-                alloc.retire(ppa.block)?;
-            }
-            return Ok(r.done);
+            return Ok(erase_block(flash, alloc, ppa.block, at)?.0);
         }
         Ok(at)
     }
@@ -217,13 +195,20 @@ impl MetaArea {
     /// Forgets a tracked block whose pages were all freed while it was
     /// still a stream's open block (it can then be erased by the caller).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the block still has live pages.
-    pub fn forget_empty(&mut self, block: BlockId) {
-        let live = self.live_pages.remove(&block);
-        assert_eq!(live, Some(0), "forget_empty on a live block");
+    /// Returns [`KvError::LiveCountSkew`] if the block is untracked or
+    /// still has live pages; it then stays as it was.
+    pub fn forget_empty(&mut self, block: BlockId) -> Result<(), KvError> {
+        if self.live_pages.get(&block) != Some(&0) {
+            return Err(KvError::LiveCountSkew {
+                block: block.0,
+                owner: "meta area",
+            });
+        }
+        self.live_pages.remove(&block);
         self.opens.retain(|_, &mut (b, _)| b != block);
+        Ok(())
     }
 
     /// Live meta pages in `block` (0 if untracked).
@@ -232,244 +217,53 @@ impl MetaArea {
     }
 }
 
-/// The flash area KV pairs are packed into, byte-continuous with per-block
-/// valid-byte accounting (for GC victim selection).
-#[derive(Debug, Clone, Default)]
-pub struct DataArea {
-    open: Option<OpenData>,
-    blocks: HashMap<BlockId, u64>,
-    pages_per_block: u32,
-    page_payload: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct OpenData {
-    block: BlockId,
-    next_page: u32,
-    page_fill: u64,
-}
-
-impl DataArea {
-    /// A data area for blocks of the given shape.
-    pub fn new(pages_per_block: u32, page_payload: u64) -> Self {
-        Self {
-            open: None,
-            blocks: HashMap::new(),
-            pages_per_block,
-            page_payload,
-        }
-    }
-
-    /// Appends a KV pair of `bytes` bytes; returns its pointer and the
-    /// completion time of any page programs. Pairs may span pages but not
-    /// blocks.
-    ///
-    /// A page-program failure breaks the pair's contiguity, so the whole
-    /// pair is re-placed starting at the next page (rolling into a fresh
-    /// block when the current one runs out); the failed attempt's pages
-    /// stay dead and the failed program remains visible in the counters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::DeviceFull`] when the shared allocator is
-    /// exhausted.
-    pub fn append(
-        &mut self,
-        alloc: &mut BlockAllocator,
-        flash: &mut FlashSim,
-        bytes: u64,
-        cause: OpCause,
-        at: Ns,
-    ) -> Result<(DataPtr, Ns), KvError> {
-        assert!(bytes > 0, "empty pairs are never stored");
-        assert!(
-            bytes <= self.pages_per_block as u64 * self.page_payload,
-            "pair of {bytes} bytes exceeds the erase-block payload"
-        );
-        let mut done = at;
-        'place: loop {
-            let mut o = match self.open {
-                Some(o) => o,
-                None => self.open_block(alloc)?,
-            };
-            let remaining =
-                (self.pages_per_block - o.next_page) as u64 * self.page_payload - o.page_fill;
-            if bytes > remaining {
-                done = done.max(self.seal(flash, at));
-                o = self.open_block(alloc)?;
-            }
-            let start_page = o.next_page;
-            let mut left = bytes;
-            let mut span = 0u8;
-            while left > 0 {
-                let take = left.min(self.page_payload - o.page_fill);
-                o.page_fill += take;
-                left -= take;
-                span += 1;
-                if o.page_fill == self.page_payload {
-                    let r = flash.program(
-                        Ppa {
-                            block: o.block,
-                            page: o.next_page,
-                        },
-                        cause,
-                        at,
-                    );
-                    done = done.max(r.done);
-                    o.next_page += 1;
-                    o.page_fill = 0;
-                    if !r.status.is_ok() {
-                        // Re-issue the pair past the bad page.
-                        self.open = Some(o);
-                        continue 'place;
-                    }
-                }
-            }
-            self.open = Some(o);
-            *self
-                .blocks
-                .get_mut(&o.block)
-                .ok_or(KvError::UntrackedBlock {
-                    block: o.block.0,
-                    owner: "data area",
-                })? += bytes;
-            if o.next_page == self.pages_per_block {
-                done = done.max(self.seal(flash, at));
-            }
-            return Ok((
-                DataPtr {
-                    block: o.block,
-                    page: start_page,
-                    span,
-                },
-                done,
-            ));
-        }
-    }
-
-    fn open_block(&mut self, alloc: &mut BlockAllocator) -> Result<OpenData, KvError> {
-        let block = alloc.alloc().ok_or(KvError::DeviceFull)?;
-        self.blocks.insert(block, 0);
-        let o = OpenData {
-            block,
-            next_page: 0,
-            page_fill: 0,
-        };
-        self.open = Some(o);
-        Ok(o)
-    }
-
-    /// Programs the partial open page (if any) and closes the open block
-    /// reference so GC may consider it. A program failure re-issues the
-    /// partial page at the next page while the block has room.
-    pub fn seal(&mut self, flash: &mut FlashSim, at: Ns) -> Ns {
-        let Some(mut o) = self.open.take() else {
-            return at;
-        };
-        let mut done = at;
-        if o.page_fill > 0 {
-            while o.next_page < self.pages_per_block {
-                let r = flash.program(
-                    Ppa {
-                        block: o.block,
-                        page: o.next_page,
-                    },
-                    OpCause::CompactionWrite,
-                    at,
-                );
-                done = done.max(r.done);
-                o.next_page += 1;
-                if r.status.is_ok() {
-                    break;
-                }
-            }
-        }
-        done
-    }
-
-    /// Marks `bytes` of the pair at `ptr` dead.
-    pub fn invalidate(&mut self, ptr: DataPtr, bytes: u64) {
-        if let Some(v) = self.blocks.get_mut(&ptr.block) {
-            *v = v.saturating_sub(bytes);
-        }
-    }
-
-    /// The sealed block with the least valid data (GC victim), if any.
-    pub fn victim(&self) -> Option<(BlockId, u64)> {
-        let open = self.open.map(|o| o.block);
-        self.blocks
-            .iter()
-            .filter(|(&b, _)| Some(b) != open)
-            .map(|(&b, &v)| (b, v))
-            .min_by_key(|&(b, v)| (v, b))
-    }
-
-    /// Forgets a block after GC erased it.
-    pub fn remove_block(&mut self, block: BlockId) {
-        self.blocks.remove(&block);
-    }
-
-    /// Valid bytes currently tracked in `block`.
-    pub fn valid_in(&self, block: BlockId) -> u64 {
-        self.blocks.get(&block).copied().unwrap_or(0)
-    }
-
-    /// Number of blocks the data area currently holds.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anykey_flash::FlashConfig;
+    use crate::bytelog::ByteLog;
+    use anykey_flash::{FlashConfig, OpCause};
 
-    fn setup() -> (FlashSim, BlockAllocator, DataArea) {
+    /// A flash device and a data area built the way PinK builds it.
+    fn setup() -> (FlashSim, ByteLog) {
         (
             FlashSim::new(FlashConfig::small_test()),
-            BlockAllocator::new(0..8),
-            DataArea::new(128, 8128),
+            ByteLog::new(
+                BlockAllocator::new(0..8),
+                8128,
+                128,
+                OpCause::CompactionWrite,
+            ),
         )
     }
 
     #[test]
     fn data_append_packs_pages() {
-        let (mut flash, mut alloc, mut data) = setup();
-        let (a, _) = data
-            .append(&mut alloc, &mut flash, 100, OpCause::CompactionWrite, 0)
-            .unwrap();
-        let (b, _) = data
-            .append(&mut alloc, &mut flash, 100, OpCause::CompactionWrite, 0)
-            .unwrap();
+        let (mut flash, mut data) = setup();
+        let (a, _) = data.append(&mut flash, 100, 0).unwrap();
+        let (b, _) = data.append(&mut flash, 100, 0).unwrap();
         assert_eq!(a.block, b.block);
         assert_eq!(a.page, b.page);
-        assert_eq!(data.valid_in(a.block), 200);
+        assert_eq!(data.valid_bytes(), 200);
     }
 
     #[test]
     fn data_pairs_span_pages() {
-        let (mut flash, mut alloc, mut data) = setup();
-        data.append(&mut alloc, &mut flash, 8000, OpCause::CompactionWrite, 0)
-            .unwrap();
-        let (p, _) = data
-            .append(&mut alloc, &mut flash, 1000, OpCause::CompactionWrite, 0)
-            .unwrap();
-        assert_eq!(p.span, 2);
+        let (mut flash, mut data) = setup();
+        data.append(&mut flash, 8000, 0).unwrap();
+        let (p, _) = data.append(&mut flash, 1000, 0).unwrap();
+        assert_eq!(p.pages, 2);
         assert_eq!(p.pages().count(), 2);
     }
 
     #[test]
     fn data_victim_prefers_least_valid() {
-        let (mut flash, mut alloc, mut data) = setup();
+        let (mut flash, mut data) = setup();
         // Fill one block and invalidate most of it.
         let block_payload = 8128 * 128u64;
         let mut first = None;
         let mut used = 0;
         while used + 8000 <= block_payload + 8000 {
-            let (p, _) = data
-                .append(&mut alloc, &mut flash, 8000, OpCause::CompactionWrite, 0)
-                .unwrap();
+            let (p, _) = data.append(&mut flash, 8000, 0).unwrap();
             if first.is_none() {
                 first = Some(p.block);
             }
@@ -485,10 +279,11 @@ mod tests {
 
     #[test]
     fn meta_area_allocates_and_recycles_pages() {
-        let (mut flash, mut alloc, _) = setup();
+        let (mut flash, mut data) = setup();
+        let alloc = data.allocator_mut();
         let mut meta = MetaArea::new(128);
         let pages: Vec<Ppa> = (0..130)
-            .map(|_| meta.alloc_page(&mut alloc, 0).unwrap())
+            .map(|_| meta.alloc_page(alloc, 0).unwrap())
             .collect();
         // 130 pages span two blocks.
         assert_eq!(meta.block_count(), 2);
@@ -496,10 +291,39 @@ mod tests {
         // Free the first block's pages; it should be erased.
         let freed = alloc.free_count();
         for p in &pages[..128] {
-            meta.free_page(&mut alloc, &mut flash, *p, 0).unwrap();
+            meta.free_page(alloc, &mut flash, *p, 0).unwrap();
         }
         assert_eq!(alloc.free_count(), freed + 1);
         assert_eq!(flash.counters().erases(), 1);
+    }
+
+    #[test]
+    fn meta_page_double_free_is_an_error() {
+        let (mut flash, mut data) = setup();
+        let alloc = data.allocator_mut();
+        let mut meta = MetaArea::new(128);
+        let p = meta.alloc_page(alloc, 0).unwrap();
+        meta.free_page(alloc, &mut flash, p, 0).unwrap();
+        assert_eq!(
+            meta.free_page(alloc, &mut flash, p, 0),
+            Err(KvError::LiveCountSkew {
+                block: p.block.0,
+                owner: "meta area",
+            })
+        );
+        assert_eq!(meta.live_in(p.block), 0);
+    }
+
+    #[test]
+    fn forgetting_a_live_meta_block_is_an_error() {
+        let (_, mut data) = setup();
+        let mut meta = MetaArea::new(128);
+        let p = meta.alloc_page(data.allocator_mut(), 0).unwrap();
+        assert!(matches!(
+            meta.forget_empty(p.block),
+            Err(KvError::LiveCountSkew { .. })
+        ));
+        assert_eq!(meta.live_in(p.block), 1, "the block stays tracked");
     }
 
     #[test]
@@ -508,10 +332,10 @@ mod tests {
             .map(|id| SegEntry {
                 key: Key::new(id * 2, 16).unwrap(),
                 value_len: 50,
-                ptr: DataPtr {
+                ptr: Extent {
                     block: BlockId(0),
                     page: 0,
-                    span: 1,
+                    pages: 1,
                 },
                 tombstone: false,
             })
