@@ -1,7 +1,9 @@
 //! One module per paper table/figure. Each exposes a declarative
-//! [`points`](Experiment::points) list (the simulations it needs) and a
-//! [`render`](Experiment::render) pass that turns the scheduled results —
-//! delivered in declaration order — into tables and CSVs. The scheduler
+//! [`points`](crate::experiments::Experiment::points) list (the
+//! simulations it needs) and a
+//! [`render`](crate::experiments::Experiment::render) pass that turns the
+//! scheduled results — delivered in declaration order — into tables and
+//! CSVs. The scheduler
 //! in [`crate::scheduler`] owns all execution; no experiment runs a
 //! simulation inline.
 

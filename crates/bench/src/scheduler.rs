@@ -271,39 +271,14 @@ pub fn run_points(ctx: &ExpCtx, points: &[Point], jobs: usize) -> SchedulerRun {
 /// Executes one point's simulation (on the calling thread) and times it.
 pub fn execute_point(ctx: &ExpCtx, point: &Point) -> PointResult {
     let t0 = Instant::now();
-    let e = match &point.run {
+    let r = match &point.run {
         RunKind::Measure(m) => execute_measure(ctx, point, m),
         RunKind::WarmUpOnly { cfg } => execute_warm_up(ctx, point, cfg.clone()),
         RunKind::FillUntilFull => execute_fill(ctx, point),
     };
     PointResult {
-        summary: e.summary,
-        waf: e.waf,
         wall_secs: t0.elapsed().as_secs_f64(),
-        note: e.note,
-        trace: e.trace,
-        timeline: e.timeline,
-        converged_waf: e.converged_waf,
-        burnin_ns: e.burnin_ns,
-    }
-}
-
-/// An empty measured-phase report anchored at virtual time `at` (used by
-/// warm-up-only and fill points, which have no measured phase).
-fn empty_report(at: u64) -> RunReport {
-    RunReport {
-        reads: anykey_metrics::LatencyHist::new(),
-        writes: anykey_metrics::LatencyHist::new(),
-        scans: anykey_metrics::LatencyHist::new(),
-        ops: 0,
-        found: 0,
-        not_found: 0,
-        start: at,
-        end: at,
-        counters: anykey_flash::FlashCounters::new(),
-        reads_per_get: [0; anykey_core::runner::MAX_TRACKED_READS + 1],
-        phases: anykey_metrics::trace::PhaseHists::new(),
-        waf_curve: Vec::new(),
+        ..r
     }
 }
 
@@ -324,23 +299,14 @@ fn waf_of(report: &RunReport, meta: &MetadataStats, spec: WorkloadSpec, cfg: &De
     report.counters.total_writes() as f64 / denom as f64
 }
 
-/// What one point execution produced, before wall-clock timing is added.
-struct Executed {
-    summary: Summary,
-    waf: f64,
-    note: Option<String>,
-    trace: Option<Vec<TraceEvent>>,
-    timeline: Option<Vec<StateSample>>,
-    converged_waf: f64,
-    burnin_ns: u64,
-}
-
-impl Executed {
-    /// A measurement-free outcome (warm-up-only and fill points).
+impl PointResult {
+    /// A measurement-free result (warm-up-only and fill points), not yet
+    /// timed.
     fn bare(summary: Summary, waf: f64) -> Self {
         Self {
             summary,
             waf,
+            wall_secs: 0.0,
             note: None,
             trace: None,
             timeline: None,
@@ -370,7 +336,7 @@ fn steady_metrics(report: &RunReport, pair_bytes: u64, page_payload: u64) -> (f6
     }
 }
 
-fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> Executed {
+fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> PointResult {
     let spec = point.spec;
     let cfg = m
         .cfg
@@ -426,9 +392,10 @@ fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> Executed {
                     report,
                     meta,
                 };
-                return Executed {
+                return PointResult {
                     summary,
                     waf,
+                    wall_secs: 0.0,
                     note,
                     trace,
                     timeline,
@@ -445,13 +412,13 @@ fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> Executed {
     );
 }
 
-fn execute_warm_up(ctx: &ExpCtx, point: &Point, cfg: Option<DeviceConfig>) -> Executed {
+fn execute_warm_up(ctx: &ExpCtx, point: &Point, cfg: Option<DeviceConfig>) -> PointResult {
     let spec = point.spec;
     let cfg = cfg.unwrap_or_else(|| ctx.scale.device(point.kind, spec));
     let mut dev = cfg.build_engine();
     let keyspace = ctx.scale.keyspace(spec);
     warm_up(dev.as_mut(), spec, keyspace, ctx.scale.seed).expect("warm-up-only point failed");
-    let mut report = empty_report(dev.horizon());
+    let mut report = RunReport::empty(dev.horizon());
     report.counters = dev.counters();
     let meta = dev.metadata();
     let waf = waf_of(&report, &meta, spec, &cfg);
@@ -461,10 +428,10 @@ fn execute_warm_up(ctx: &ExpCtx, point: &Point, cfg: Option<DeviceConfig>) -> Ex
         report,
         meta,
     };
-    Executed::bare(summary, waf)
+    PointResult::bare(summary, waf)
 }
 
-fn execute_fill(ctx: &ExpCtx, point: &Point) -> Executed {
+fn execute_fill(ctx: &ExpCtx, point: &Point) -> PointResult {
     let spec = point.spec;
     let cfg = ctx.scale.device(point.kind, spec);
     let mut dev = cfg.build_engine();
@@ -477,7 +444,7 @@ fn execute_fill(ctx: &ExpCtx, point: &Point) -> Executed {
             Err(e) => panic!("unexpected error during fill: {e}"),
         }
     }
-    let mut report = empty_report(dev.horizon());
+    let mut report = RunReport::empty(dev.horizon());
     report.counters = dev.counters();
     let meta = dev.metadata();
     let waf = waf_of(&report, &meta, spec, &cfg);
@@ -487,7 +454,7 @@ fn execute_fill(ctx: &ExpCtx, point: &Point) -> Executed {
         report,
         meta,
     };
-    Executed::bare(summary, waf)
+    PointResult::bare(summary, waf)
 }
 
 /// Assembles the machine-readable run summary from a scheduled sweep.

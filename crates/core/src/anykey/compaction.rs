@@ -4,10 +4,12 @@
 use anykey_flash::{Ns, OpCause, Ppa};
 
 use crate::anykey::entity::{Entity, ValueLoc};
+use crate::anykey::gc::GROUP_STREAM;
 use crate::anykey::group::{pack_groups, Group};
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
 use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY, THETA};
+use crate::device::merge_newest;
 use crate::error::KvError;
 
 /// What a compaction does with values that live in the value log.
@@ -305,6 +307,7 @@ impl AnyKeyStore {
             runs.push(ents);
             if self.area.release(g.first_ppa.block, pages)? {
                 t_erase = t_erase.max(self.area.erase_empty(
+                    &mut self.group_alloc,
                     &mut self.core.flash,
                     g.first_ppa.block,
                     t_read,
@@ -403,35 +406,16 @@ impl AnyKeyStore {
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
         let mut discarded_logged = 0u64;
-        let mut merged: Vec<Entity> = Vec::with_capacity(upper.len() + lower.len());
-        let (mut u, mut l) = (upper.as_slice(), lower.as_slice());
-        loop {
-            let e = match (u.split_first(), l.split_first()) {
-                (Some((a, u_rest)), Some((b, l_rest))) if a.key == b.key => {
-                    // Newest wins; the lower copy dies here.
-                    discarded_logged += self.drop_logged(b)?;
-                    (u, l) = (u_rest, l_rest);
-                    *a
-                }
-                (Some((a, u_rest)), Some((b, _))) if a.key < b.key => {
-                    u = u_rest;
-                    *a
-                }
-                (Some((a, u_rest)), None) => {
-                    u = u_rest;
-                    *a
-                }
-                (_, Some((b, l_rest))) => {
-                    l = l_rest;
-                    *b
-                }
-                (None, None) => break,
-            };
-            if e.tombstone && is_bottom {
-                continue; // nothing below to shadow
-            }
-            merged.push(e);
-        }
+        let mut merged = merge_newest(
+            upper,
+            lower,
+            is_bottom,
+            |e| (e.key, e.tombstone),
+            |dead| {
+                discarded_logged += self.drop_logged(dead)?;
+                Ok(())
+            },
+        )?;
 
         // --- 3. Apply the inline policy. -------------------------------
         let mut log_read_ppas: Vec<Ppa> = Vec::new();
@@ -463,6 +447,7 @@ impl AnyKeyStore {
                     let pages = g.content.total_pages();
                     if store.area.release(g.first_ppa.block, pages)? {
                         done = done.max(store.area.erase_empty(
+                            &mut store.group_alloc,
                             &mut store.core.flash,
                             g.first_ppa.block,
                             t,
@@ -491,7 +476,7 @@ impl AnyKeyStore {
             t_write = t_write.max(td);
             new_groups.push(Group::new(c, ppa));
         }
-        self.area.seal(); // keep blocks single-level (Section 4.4.4)
+        self.area.seal(GROUP_STREAM); // keep blocks single-level (Section 4.4.4)
 
         // --- 6. Update the level and its accounting. -------------------
         self.levels[dst].groups = new_groups;

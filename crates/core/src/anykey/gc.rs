@@ -1,4 +1,4 @@
-//! Group-area block management and garbage collection.
+//! Group placement and garbage collection in the group area.
 //!
 //! Compaction invalidates whole data segment groups, and a compaction's
 //! output goes to freshly-opened blocks, so blocks overwhelmingly hold
@@ -8,183 +8,15 @@
 //! remainder: it relocates surviving groups wholesale (a unit of multiple
 //! pages) and patches the group's PPA in the level list.
 
-use std::collections::HashMap;
-
-use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, OpCause, Ppa};
+use anykey_flash::{BlockId, Ns, OpCause, Ppa};
 
 use crate::anykey::AnyKeyStore;
-use crate::bytelog::erase_block;
 use crate::config::RESERVE_BLOCKS;
 use crate::error::KvError;
 
-/// The erase-block region that data segment groups live in.
-#[derive(Debug, Clone)]
-pub struct GroupArea {
-    alloc: BlockAllocator,
-    open: Option<(BlockId, u32)>,
-    /// Per block: (valid groups, valid pages). GC victims are chosen by
-    /// valid pages, so fragmented blocks are compacted before full ones.
-    valid: HashMap<BlockId, (u32, u32)>,
-    pages_per_block: u32,
-}
-
-impl GroupArea {
-    /// An area over the given block range.
-    pub fn new(alloc: BlockAllocator, pages_per_block: u32) -> Self {
-        Self {
-            alloc,
-            open: None,
-            valid: HashMap::new(),
-            pages_per_block,
-        }
-    }
-
-    /// Number of free blocks remaining.
-    pub fn free_blocks(&self) -> usize {
-        self.alloc.free_count()
-    }
-
-    /// Total blocks in the area.
-    pub fn total_blocks(&self) -> usize {
-        self.alloc.len()
-    }
-
-    /// Reserves `pages` consecutive pages for a group; opens a new block
-    /// when the current one cannot fit the group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::DeviceFull`] when no block is available.
-    pub fn place(&mut self, pages: u32) -> Result<Ppa, KvError> {
-        if let Some((block, next)) = self.open {
-            if self.pages_per_block - next >= pages {
-                self.open = Some((block, next + pages));
-                let e = self.valid.entry(block).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += pages;
-                return Ok(Ppa { block, page: next });
-            }
-            self.open = None;
-        }
-        let block = self.alloc.alloc().ok_or(KvError::DeviceFull)?;
-        self.valid.insert(block, (1, pages));
-        self.open = Some((block, pages));
-        Ok(Ppa { block, page: 0 })
-    }
-
-    /// Seals the open block (compaction output boundaries — keeps blocks
-    /// single-level).
-    pub fn seal(&mut self) {
-        self.open = None;
-    }
-
-    /// Marks one `pages`-page group of `block` invalid; returns `true`
-    /// when the block is now empty and sealed (ready to erase).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::UntrackedBlock`] when `block` is not tracked by
-    /// the area — a released group must have been placed here — and
-    /// [`KvError::LiveCountSkew`] when it holds no group to release.
-    pub fn release(&mut self, block: BlockId, pages: u32) -> Result<bool, KvError> {
-        let e = self.valid.get_mut(&block).ok_or(KvError::UntrackedBlock {
-            block: block.0,
-            owner: "group area",
-        })?;
-        e.0 = e.0.checked_sub(1).ok_or(KvError::LiveCountSkew {
-            block: block.0,
-            owner: "group area",
-        })?;
-        e.1 = e.1.saturating_sub(pages);
-        Ok(e.0 == 0 && self.open.map(|(b, _)| b) != Some(block))
-    }
-
-    /// Erases and frees a block that [`Self::release`] reported empty. A
-    /// block whose erase fails is retired as a grown bad block instead of
-    /// returning to the free pool.
-    ///
-    /// # Errors
-    ///
-    /// As [`erase_block`].
-    pub fn erase_empty(
-        &mut self,
-        flash: &mut FlashSim,
-        block: BlockId,
-        at: Ns,
-    ) -> Result<Ns, KvError> {
-        debug_assert_eq!(self.valid.get(&block).map(|e| e.0), Some(0));
-        self.valid.remove(&block);
-        if self.open.map(|(b, _)| b) == Some(block) {
-            self.open = None;
-        }
-        Ok(erase_block(flash, &mut self.alloc, block, at)?.0)
-    }
-
-    /// The sealed block with the fewest valid *pages* (but at least one
-    /// group) — the GC victim: fragmented blocks compact first. Blocks
-    /// with zero valid groups were already erased by [`Self::erase_empty`].
-    pub fn victim(&self) -> Option<(BlockId, u32)> {
-        let open = self.open.map(|(b, _)| b);
-        self.valid
-            .iter()
-            .filter(|(&b, &(c, _))| Some(b) != open && c > 0)
-            .map(|(&b, &(_, pages))| (b, pages))
-            .min_by_key(|&(b, pages)| (pages, b))
-    }
-
-    /// Number of valid groups tracked for `block` (testing/diagnostics).
-    pub fn valid_in(&self, block: BlockId) -> u32 {
-        self.valid.get(&block).map(|e| e.0).unwrap_or(0)
-    }
-
-    /// Number of blocks retired as grown bad blocks.
-    pub fn retired_blocks(&self) -> usize {
-        self.alloc.retired_count()
-    }
-
-    /// The area's block allocator (reliability stats and audits).
-    pub fn allocator(&self) -> &BlockAllocator {
-        &self.alloc
-    }
-
-    /// Test-only corruption hook: retires `block` regardless of media
-    /// state.
-    #[doc(hidden)]
-    pub fn retire_for_test(&mut self, block: BlockId) {
-        let _ = self.alloc.retire(block);
-    }
-
-    /// Test-only corruption hook: desynchronizes the allocator's
-    /// retired-block count (forwards to
-    /// [`anykey_flash::BlockAllocator::desync_retired_for_test`]).
-    #[doc(hidden)]
-    pub fn desync_retired_for_test(&mut self) {
-        self.alloc.desync_retired_for_test();
-    }
-
-    /// The first block claiming more valid pages than an erase block
-    /// holds, as `(block id, valid pages, pages per block)` — `None` on a
-    /// healthy area. Used by the invariant auditor.
-    pub fn first_overfull_block(&self) -> Option<(u32, u32, u32)> {
-        self.valid
-            .iter()
-            .find(|(_, &(_, pages))| pages > self.pages_per_block)
-            .map(|(&b, &(_, pages))| (b.0, pages, self.pages_per_block))
-    }
-
-    /// Test-only corruption hook: credits one tracked block with more
-    /// valid pages than an erase block holds. Returns whether a block was
-    /// tracked.
-    #[cfg(test)]
-    pub(crate) fn overfill_for_test(&mut self) -> bool {
-        let pages = self.pages_per_block + 1;
-        self.valid
-            .values_mut()
-            .next()
-            .map(|e| e.1 = pages)
-            .is_some()
-    }
-}
+/// The group area's one stream: groups of every level share the open
+/// block, and compaction seals it at its output boundary instead.
+pub(crate) const GROUP_STREAM: usize = 0;
 
 /// Upper bound on consecutive placement retries after program failures;
 /// exceeding it means the media is failing essentially every program, and
@@ -210,14 +42,17 @@ impl AnyKeyStore {
             if attempts > MAX_PLACE_ATTEMPTS {
                 return Err(KvError::DeviceFull);
             }
-            let first = self.area.place(pages)?;
+            let first = self
+                .area
+                .place(&mut self.group_alloc, GROUP_STREAM, pages)?;
             for i in 0..pages {
                 let r = self.core.flash.program(first.offset(i), cause, at);
                 done = done.max(r.done);
                 if !r.status.is_ok() {
                     let sealed_empty = self.area.release(first.block, pages)?;
-                    if sealed_empty || self.area.valid_in(first.block) == 0 {
+                    if sealed_empty || self.area.units_in(first.block) == 0 {
                         done = done.max(self.area.erase_empty(
+                            &mut self.group_alloc,
                             &mut self.core.flash,
                             first.block,
                             at,
@@ -249,12 +84,12 @@ impl AnyKeyStore {
         let reserve = RESERVE_BLOCKS + extra;
         let mut t = at;
         let mut guard = 0usize;
-        while self.area.free_blocks() < reserve {
+        while self.group_alloc.free_count() < reserve {
             let Some((victim, _)) = self.area.victim() else {
                 return Err(KvError::DeviceFull);
             };
             guard += 1;
-            if guard > self.area.total_blocks() * 2 {
+            if guard > self.group_alloc.len() * 2 {
                 return Err(KvError::DeviceFull);
             }
             t = self.relocate_block(victim, t)?;
@@ -291,8 +126,12 @@ impl AnyKeyStore {
             // Deferred: the victim is erased below once all groups are out.
             self.area.release(victim, pages)?;
         }
-        debug_assert_eq!(self.area.valid_in(victim), 0);
-        done = done.max(self.area.erase_empty(&mut self.core.flash, victim, done)?);
+        done = done.max(self.area.erase_empty(
+            &mut self.group_alloc,
+            &mut self.core.flash,
+            victim,
+            done,
+        )?);
         self.core.push_span(snap, "gc", "relocate", 0, at, done);
         #[cfg(debug_assertions)]
         self.verify_invariants()?;
@@ -303,53 +142,61 @@ impl AnyKeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anykey_flash::BlockAllocator;
 
-    fn area(blocks: u32) -> GroupArea {
-        GroupArea::new(BlockAllocator::new(0..blocks), 128)
+    use crate::config::{DeviceConfig, EngineKind};
+    use crate::pagearea::PageArea;
+
+    /// An allocator and a page area as AnyKey builds them.
+    fn area(blocks: u32) -> (BlockAllocator, PageArea) {
+        (
+            BlockAllocator::new(0..blocks),
+            PageArea::new(128, "group area"),
+        )
     }
 
     #[test]
     fn place_packs_groups_into_blocks() {
-        let mut a = area(4);
-        let p1 = a.place(33).unwrap();
-        let p2 = a.place(33).unwrap();
-        let p3 = a.place(33).unwrap();
+        let (mut al, mut a) = area(4);
+        let p1 = a.place(&mut al, GROUP_STREAM, 33).unwrap();
+        let p2 = a.place(&mut al, GROUP_STREAM, 33).unwrap();
+        let p3 = a.place(&mut al, GROUP_STREAM, 33).unwrap();
         assert_eq!(p1.block, p2.block);
         assert_eq!(p2.block, p3.block);
         assert_eq!(p3.page, 66);
         // A fourth 33-page group does not fit 128 pages: new block.
-        let p4 = a.place(33).unwrap();
+        let p4 = a.place(&mut al, GROUP_STREAM, 33).unwrap();
         assert_ne!(p4.block, p1.block);
-        assert_eq!(a.valid_in(p1.block), 3);
+        assert_eq!(a.units_in(p1.block), 3);
     }
 
     #[test]
     fn release_reports_empty_only_when_sealed() {
-        let mut a = area(3);
-        let p = a.place(33).unwrap();
+        let (mut al, mut a) = area(3);
+        let p = a.place(&mut al, GROUP_STREAM, 33).unwrap();
         assert!(
             !a.release(p.block, 33).unwrap(),
             "open block must not be erased"
         );
-        let q = a.place(128).unwrap(); // forces a new block, sealing p's
+        let q = a.place(&mut al, GROUP_STREAM, 128).unwrap(); // forces a new block, sealing p's
         assert_ne!(p.block, q.block);
     }
 
     #[test]
     fn seal_then_release_allows_erase() {
-        let mut a = area(2);
-        let p = a.place(33).unwrap();
-        a.seal();
+        let (mut al, mut a) = area(2);
+        let p = a.place(&mut al, GROUP_STREAM, 33).unwrap();
+        a.seal(GROUP_STREAM);
         assert!(a.release(p.block, 33).unwrap());
     }
 
     #[test]
     fn victim_prefers_fewest_valid_pages() {
-        let mut a = area(4);
-        let p1 = a.place(64).unwrap();
-        let _p2 = a.place(64).unwrap(); // same block, 2 groups = 128 pages
-        let q = a.place(64).unwrap(); // new block, 64 pages
-        a.seal();
+        let (mut al, mut a) = area(4);
+        let p1 = a.place(&mut al, GROUP_STREAM, 64).unwrap();
+        let _p2 = a.place(&mut al, GROUP_STREAM, 64).unwrap(); // same block, 2 groups = 128 pages
+        let q = a.place(&mut al, GROUP_STREAM, 64).unwrap(); // new block, 64 pages
+        a.seal(GROUP_STREAM);
         assert_ne!(p1.block, q.block);
         assert_eq!(a.victim().unwrap().0, q.block);
         // Releasing one group from p1's block drops it to 64 pages: tie;
@@ -362,9 +209,9 @@ mod tests {
 
     #[test]
     fn double_release_is_an_error() {
-        let mut a = area(2);
-        let p = a.place(33).unwrap();
-        a.seal();
+        let (mut al, mut a) = area(2);
+        let p = a.place(&mut al, GROUP_STREAM, 33).unwrap();
+        a.seal(GROUP_STREAM);
         assert!(a.release(p.block, 33).unwrap());
         assert_eq!(
             a.release(p.block, 33),
@@ -373,13 +220,51 @@ mod tests {
                 owner: "group area",
             })
         );
-        assert_eq!(a.valid_in(p.block), 0);
+        assert_eq!(a.units_in(p.block), 0);
     }
 
     #[test]
     fn exhaustion_is_device_full() {
-        let mut a = area(1);
-        a.place(128).unwrap();
-        assert_eq!(a.place(1).unwrap_err(), KvError::DeviceFull);
+        let (mut al, mut a) = area(1);
+        a.place(&mut al, GROUP_STREAM, 128).unwrap();
+        assert_eq!(
+            a.place(&mut al, GROUP_STREAM, 1).unwrap_err(),
+            KvError::DeviceFull
+        );
+    }
+
+    #[test]
+    fn blocks_emptied_while_open_are_erased_by_gc_without_relocation() {
+        let mut s = AnyKeyStore::new(
+            DeviceConfig::builder()
+                .capacity_bytes(64 << 20)
+                .engine(EngineKind::AnyKey)
+                .build(),
+        );
+        let ppb = s.core.flash.geometry().pages_per_block;
+        let free = s.group_alloc.free_count();
+        // Emptied while open, then left by a `place` that needs a fresh
+        // block.
+        let p = s.area.place(&mut s.group_alloc, GROUP_STREAM, 8).unwrap();
+        assert!(!s.area.release(p.block, 8).unwrap(), "p's block is open");
+        let q = s.area.place(&mut s.group_alloc, GROUP_STREAM, ppb).unwrap();
+        assert_ne!(q.block, p.block);
+        assert_eq!(s.area.victim(), Some((p.block, 0)));
+        // Emptied while open, then left by a `seal`.
+        let r = s.area.place(&mut s.group_alloc, GROUP_STREAM, 8).unwrap();
+        assert!(!s.area.release(r.block, 8).unwrap(), "r's block is open");
+        s.area.seal(GROUP_STREAM);
+        assert_eq!(s.area.victim(), Some((p.block.min(r.block), 0)));
+
+        // Demand exactly the two empty blocks back.
+        let extra = free - 1 - RESERVE_BLOCKS;
+        s.gc_for_headroom(0, extra).unwrap();
+        assert_eq!(s.group_alloc.free_count(), free - 1);
+        assert_eq!(s.group_alloc.allocated_count(), 1, "only q's block is left");
+        assert_eq!(s.area.victim(), Some((q.block, ppb)));
+        let c = s.core.flash.counters();
+        assert_eq!(c.reads(OpCause::GcRead), 0);
+        assert_eq!(c.writes(OpCause::GcWrite), 0);
+        assert_eq!(c.erases(), 2);
     }
 }

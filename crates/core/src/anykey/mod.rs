@@ -4,7 +4,7 @@
 pub mod compaction;
 /// Entities: key, hash, and value location.
 pub mod entity;
-/// Group-area block management and GC.
+/// Group placement and group-area GC.
 pub mod gc;
 /// Data segment groups and their directories.
 pub mod group;
@@ -15,7 +15,7 @@ mod tests;
 #[cfg(test)]
 mod valuelog;
 
-use anykey_flash::{FlashCounters, Ns, OpCause, Ppa};
+use anykey_flash::{BlockAllocator, FlashCounters, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 use anykey_workload::Op;
@@ -27,9 +27,9 @@ use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCor
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
 use crate::error::KvError;
 use crate::key::Key;
+use crate::pagearea::PageArea;
 
 use entity::ValueLoc;
-use gc::GroupArea;
 use level::Level;
 
 /// The AnyKey key-value SSD (also AnyKey+ and AnyKey− via
@@ -43,7 +43,11 @@ use level::Level;
 pub struct AnyKeyStore {
     pub(crate) core: DeviceCore,
     pub(crate) levels: Vec<Level>,
-    pub(crate) area: GroupArea,
+    /// Where data segment groups live: one stream, blocks drawn from
+    /// `group_alloc`.
+    pub(crate) area: PageArea,
+    /// The group area's blocks (every block outside the value log).
+    pub(crate) group_alloc: BlockAllocator,
     /// The value log (Section 4.3; `None` for AnyKey−). Entities hold
     /// pointers into it; values move back into groups only through
     /// log-triggered compaction, the one mechanism that reclaims log
@@ -77,10 +81,10 @@ impl AnyKeyStore {
                 OpCause::LogWrite,
             )
         });
-        let ga = core.allocator(0..(total_blocks - log_blocks));
         Self {
             levels: vec![Level::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
-            area: GroupArea::new(ga, geometry.pages_per_block),
+            area: PageArea::new(geometry.pages_per_block, "group area"),
+            group_alloc: core.allocator(0..(total_blocks - log_blocks)),
             log,
             level_list_overflow: false,
             core,
@@ -349,7 +353,7 @@ impl AnyKeyStore {
 
     /// Number of free blocks left in the group area.
     pub fn free_group_blocks(&self) -> usize {
-        self.area.free_blocks()
+        self.group_alloc.free_count()
     }
 }
 
@@ -400,13 +404,13 @@ impl KvEngine for AnyKeyStore {
             hash_list_resident_bytes: hash_list_resident,
             levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
             value_log_used_bytes: self.log.as_ref().map_or(0, ByteLog::valid_bytes),
-            retired_blocks: (self.area.retired_blocks()
+            retired_blocks: (self.group_alloc.retired_count()
                 + self
                     .log
                     .as_ref()
                     .map_or(0, |l| l.allocator().retired_count()))
                 as u64,
-            free_blocks: (self.area.free_blocks()
+            free_blocks: (self.group_alloc.free_count()
                 + self.log.as_ref().map_or(0, |l| l.allocator().free_count()))
                 as u64,
             ..self.core.metadata()

@@ -16,8 +16,8 @@
 //!   data area claims more valid bytes than an erase block holds.
 //! * **Counter conservation** — the flash counters' per-cause ledgers sum
 //!   to their independent totals ([`anykey_flash::FlashCounters::audit`]).
-//! * **Block accounting** — no group-area block claims more valid pages
-//!   than an erase block holds.
+//! * **Block accounting** — no block of AnyKey's group area or PinK's
+//!   meta area claims more valid pages than an erase block holds.
 //! * **Retirement accounting** — every block allocator's
 //!   free/allocated/retired partition sums to its block count, and no live
 //!   structure (group, logged value, meta segment, level-list page, or
@@ -110,9 +110,11 @@ pub enum AuditError {
         /// Payload bytes an erase block actually holds.
         payload: u64,
     },
-    /// A group-area block claims more valid pages than an erase block
-    /// holds.
+    /// A block of a page area (AnyKey's group area or PinK's meta area)
+    /// claims more valid pages than an erase block holds.
     BlockOverfull {
+        /// Which page area holds the block.
+        owner: &'static str,
         /// The offending global block id.
         block: u32,
         /// Valid pages the block claims.
@@ -213,12 +215,13 @@ impl fmt::Display for AuditError {
                 "{owner} block B{block} claims {valid} valid bytes, beyond its {payload}-byte payload"
             ),
             AuditError::BlockOverfull {
+                owner,
                 block,
                 pages,
                 pages_per_block,
             } => write!(
                 f,
-                "group-area block B{block} claims {pages} valid pages, beyond the {pages_per_block} an erase block holds"
+                "{owner} block B{block} claims {pages} valid pages, beyond the {pages_per_block} an erase block holds"
             ),
             AuditError::CounterSkew {
                 ledger,
@@ -349,23 +352,17 @@ impl AnyKeyStore {
         }
 
         // Group-area block accounting.
-        if let Some((block, pages, per_block)) = self.area.first_overfull_block() {
-            return Err(AuditError::BlockOverfull {
-                block,
-                pages,
-                pages_per_block: per_block,
-            });
-        }
+        self.area.audit_overfull()?;
 
         // Retirement accounting: allocator partitions conserve, and no
         // live group or logged value sits in a retired block.
-        if let Err(s) = self.area.allocator().audit() {
+        if let Err(s) = self.group_alloc.audit() {
             return Err(retirement_skew("group area", s));
         }
         for level in &self.levels {
             for g in &level.groups {
                 for ppa in g.all_ppas() {
-                    if self.area.allocator().is_retired(ppa.block) {
+                    if self.group_alloc.is_retired(ppa.block) {
                         return Err(AuditError::RetiredBlockLive {
                             block: ppa.block.0,
                             owner: "group area",
@@ -461,7 +458,7 @@ impl AnyKeyStore {
         }
         match victim {
             Some(b) => {
-                self.area.retire_for_test(b);
+                let _ = self.group_alloc.retire(b);
                 true
             }
             None => false,
@@ -472,7 +469,7 @@ impl AnyKeyStore {
     /// allocator's retired-block count from its per-block flags.
     #[doc(hidden)]
     pub fn desync_retirement_for_test(&mut self) {
-        self.area.desync_retired_for_test();
+        self.group_alloc.desync_retired_for_test();
     }
 }
 
@@ -544,6 +541,7 @@ impl PinkStore {
         }
 
         self.data.audit_overfull("data area")?;
+        self.meta.audit_overfull()?;
 
         // Retirement accounting: the allocator partition conserves, and no
         // live data pointer, meta segment, or level-list page sits in a
@@ -651,6 +649,20 @@ mod tests {
         s
     }
 
+    fn filled_pink() -> PinkStore {
+        let mut p = PinkStore::new(
+            DeviceConfig::builder()
+                .capacity_bytes(64 << 20)
+                .engine(EngineKind::Pink)
+                .key_len(16)
+                .build(),
+        );
+        for id in 0..30_000u64 {
+            p.put(id, 60).unwrap();
+        }
+        p
+    }
+
     #[test]
     fn fresh_store_passes_audit() {
         assert_eq!(store(EngineKind::AnyKey).verify_invariants(), Ok(()));
@@ -722,7 +734,10 @@ mod tests {
         assert!(s.area.overfill_for_test(), "need a group block");
         assert!(matches!(
             s.verify_invariants(),
-            Err(AuditError::BlockOverfull { .. })
+            Err(AuditError::BlockOverfull {
+                owner: "group area",
+                ..
+            })
         ));
         // The value log is audited before the group area.
         assert!(s.log.as_mut().is_some_and(ByteLog::overfill_for_test));
@@ -737,16 +752,7 @@ mod tests {
 
     #[test]
     fn pink_overfull_data_block_is_detected() {
-        let mut p = PinkStore::new(
-            DeviceConfig::builder()
-                .capacity_bytes(64 << 20)
-                .engine(EngineKind::Pink)
-                .key_len(16)
-                .build(),
-        );
-        for id in 0..30_000u64 {
-            p.put(id, 60).unwrap();
-        }
+        let mut p = filled_pink();
         assert!(p.data.overfill_for_test(), "need a data block");
         assert!(matches!(
             p.verify_invariants(),
@@ -758,17 +764,21 @@ mod tests {
     }
 
     #[test]
+    fn pink_overfull_meta_block_is_detected() {
+        let mut p = filled_pink();
+        assert!(p.meta.overfill_for_test(), "need a meta block");
+        assert!(matches!(
+            p.verify_invariants(),
+            Err(AuditError::BlockOverfull {
+                owner: "meta area",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn pink_passes_audit_after_fill() {
-        let mut p = PinkStore::new(
-            DeviceConfig::builder()
-                .capacity_bytes(64 << 20)
-                .engine(EngineKind::Pink)
-                .key_len(16)
-                .build(),
-        );
-        for id in 0..30_000u64 {
-            p.put(id, 60).unwrap();
-        }
+        let mut p = filled_pink();
         assert_eq!(p.verify_invariants(), Ok(()));
         p.desync_counters_for_test();
         assert!(matches!(

@@ -3,8 +3,10 @@
 //!
 //! Values are packed byte-continuously into pages; a value may span pages
 //! but never blocks. Each tracked block keeps its valid bytes, so the
-//! owner can pick a GC victim ([`ByteLog::victim`]) or erase every
-//! fully-invalid block at once ([`ByteLog::reclaim`]).
+//! owner can pick a GC victim
+//! ([`ByteLog::victim`](crate::bytelog::ByteLog::victim)) or erase every
+//! fully-invalid block at once
+//! ([`ByteLog::reclaim`](crate::bytelog::ByteLog::reclaim)).
 
 use std::collections::HashMap;
 
@@ -275,11 +277,14 @@ impl ByteLog {
             .min_by_key(|&(b, v)| (v, b))
     }
 
-    /// Stops tracking `block` and erases it (see [`erase_block`]).
+    /// Stops tracking `block` and erases it; returns the erase completion
+    /// time and whether the block returned to the free pool (a block whose
+    /// erase fails is retired instead).
     ///
     /// # Errors
     ///
-    /// As [`erase_block`].
+    /// Returns [`KvError::BlockFree`] if the allocator rejects the free or
+    /// retire.
     pub fn erase(
         &mut self,
         flash: &mut FlashSim,
@@ -296,7 +301,8 @@ impl ByteLog {
     ///
     /// # Errors
     ///
-    /// As [`erase_block`].
+    /// Returns [`KvError::BlockFree`] if the allocator rejects a free or
+    /// retire.
     pub fn reclaim(&mut self, flash: &mut FlashSim, at: Ns) -> Result<(u64, Ns), KvError> {
         let open = self.open.map(|o| o.id);
         let mut victims: Vec<BlockId> = self

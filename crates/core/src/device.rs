@@ -112,6 +112,47 @@ pub(crate) fn scan_outcome<P>(
     (ids, outcome(at, done, found, flash_reads, phases))
 }
 
+/// The newest-wins two-way merge both engines' compactions run over
+/// key-sorted runs, `upper` being the newer. On an equal key the upper
+/// entry wins and the shadowed lower one goes to `shadowed`. With
+/// `drop_tombstones` (the output is the bottom level) tombstones are
+/// dropped, as nothing below remains for them to shadow. `entry` gives an
+/// entry's key and whether it is a tombstone.
+pub(crate) fn merge_newest<T: Copy>(
+    upper: Vec<T>,
+    lower: Vec<T>,
+    drop_tombstones: bool,
+    entry: impl Fn(&T) -> (Key, bool),
+    mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
+) -> Result<Vec<T>, KvError> {
+    let mut merged = Vec::with_capacity(upper.len() + lower.len());
+    let (mut i, mut j) = (0, 0);
+    while i < upper.len() || j < lower.len() {
+        let take_upper = match (upper.get(i), lower.get(j)) {
+            (Some(a), Some(b)) => {
+                let (ka, kb) = (entry(a).0, entry(b).0);
+                if ka == kb {
+                    shadowed(b)?;
+                    j += 1;
+                }
+                ka <= kb
+            }
+            (a, _) => a.is_some(),
+        };
+        let (run, next) = if take_upper {
+            (&upper, &mut i)
+        } else {
+            (&lower, &mut j)
+        };
+        let e = run[*next];
+        *next += 1;
+        if !(drop_tombstones && entry(&e).1) {
+            merged.push(e);
+        }
+    }
+    Ok(merged)
+}
+
 impl DeviceCore {
     /// A fresh device: empty flash, buffer, and ledger. The write buffer's
     /// DRAM reservation is capped at half the device DRAM.

@@ -1,7 +1,7 @@
-//! Scan-merge tests: the one-pass walk of [`DeviceCore::scan`] checked
+//! Merge tests: the one-pass scan walk of [`DeviceCore::scan`] checked
 //! against a two-pass reference merge on seeded random per-level runs,
 //! plus named cases for newest-wins, budget doubling, the 64× cap and the
-//! capped-level frontier.
+//! capped-level frontier, and the newest-wins two-way merge of compaction.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -299,4 +299,37 @@ fn scan_never_emits_past_a_capped_frontier() {
     let frontier = k(382); // level 0's 192nd candidate
     assert_eq!(plan.hits, vec![(k(61), Some((1, 0)))]);
     assert!(plan.hits.iter().all(|(key, _)| *key <= frontier));
+}
+
+#[test]
+fn compaction_merge_keeps_the_upper_copy_and_drops_bottom_tombstones() {
+    // `(key, tombstone, level)`: the level tag shows which copy survived.
+    let upper = [(k(1), false, 0), (k(3), true, 0), (k(5), false, 0)];
+    let lower = [(k(1), false, 1), (k(2), true, 1), (k(3), false, 1)];
+    let merge = |bottom: bool| {
+        let mut shadowed = Vec::new();
+        let merged = merge_newest(
+            upper.to_vec(),
+            lower.to_vec(),
+            bottom,
+            |&(key, tombstone, _)| (key, tombstone),
+            |&(key, _, level)| {
+                shadowed.push((key.id(), level));
+                Ok(())
+            },
+        )
+        .unwrap();
+        let merged: Vec<(u64, bool, u8)> = merged.iter().map(|&(k, t, l)| (k.id(), t, l)).collect();
+        (merged, shadowed)
+    };
+    let (merged, shadowed) = merge(false);
+    assert_eq!(
+        merged,
+        [(1, false, 0), (2, true, 1), (3, true, 0), (5, false, 0)]
+    );
+    assert_eq!(shadowed, [(1, 1), (3, 1)]);
+    // At the bottom level the tombstones go, but they still shadow.
+    let (merged, shadowed) = merge(true);
+    assert_eq!(merged, [(1, false, 0), (5, false, 0)]);
+    assert_eq!(shadowed, [(1, 1), (3, 1)]);
 }

@@ -69,6 +69,9 @@ pub mod hash;
 pub mod key;
 /// Analytic metadata-size model (Figure 2).
 pub mod meta_model;
+/// The page-granular area behind AnyKey's data segment groups and PinK's
+/// meta pages.
+pub mod pagearea;
 /// The PinK baseline engine.
 pub mod pink;
 /// Trace execution and latency reporting.

@@ -10,6 +10,7 @@ use anykey_flash::{Ns, OpCause, Ppa};
 
 use crate::bytelog::Extent;
 use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
+use crate::device::merge_newest;
 use crate::error::KvError;
 use crate::pink::segment::{SegEntry, Segment};
 use crate::pink::{PinkLevel, PinkStore};
@@ -138,42 +139,16 @@ impl PinkStore {
 
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
         let is_bottom = self.levels[dst + 1..].iter().all(PinkLevel::is_empty);
-        let mut merged: Vec<SegEntry> = Vec::with_capacity(upper.len() + lower.len());
-        {
-            let mut ui = upper.into_iter().peekable();
-            let mut li = lower.into_iter().peekable();
-            loop {
-                let take_upper = match (ui.peek(), li.peek()) {
-                    (Some(u), Some(l)) => {
-                        if u.key == l.key {
-                            let dead = li.next().ok_or(KvError::Internal {
-                                context: "peeked merge entry vanished",
-                            })?;
-                            self.data.invalidate(dead.ptr, dead.data_bytes());
-                            true
-                        } else {
-                            u.key < l.key
-                        }
-                    }
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                let e = if take_upper {
-                    ui.next().ok_or(KvError::Internal {
-                        context: "peeked merge entry vanished",
-                    })?
-                } else {
-                    li.next().ok_or(KvError::Internal {
-                        context: "peeked merge entry vanished",
-                    })?
-                };
-                if e.tombstone && is_bottom {
-                    continue;
-                }
-                merged.push(e);
-            }
-        }
+        let merged = merge_newest(
+            upper,
+            lower,
+            is_bottom,
+            |e| (e.key, e.tombstone),
+            |dead| {
+                self.data.invalidate(dead.ptr, dead.data_bytes());
+                Ok(())
+            },
+        )?;
 
         // --- 3. Rebuild page-sized segments. ----------------------------
         let merged_count = merged.len() as u64;
@@ -216,12 +191,16 @@ impl PinkStore {
         Ok(done)
     }
 
-    /// Releases a meta page back to the pool the data area shares (see
-    /// [`crate::pink::segment::MetaArea::free_page`]); returns the
-    /// completion time.
+    /// Releases a meta page, erasing its block back into the pool the
+    /// data area shares once the block is empty and sealed (an erase
+    /// failure retires it instead); returns the completion time.
     pub(crate) fn free_meta_page(&mut self, ppa: Ppa, at: Ns) -> Result<Ns, KvError> {
+        if !self.meta.release(ppa.block, 1)? {
+            return Ok(at);
+        }
         let alloc = self.data.allocator_mut();
-        self.meta.free_page(alloc, &mut self.core.flash, ppa, at)
+        self.meta
+            .erase_empty(alloc, &mut self.core.flash, ppa.block, at)
     }
 
     /// Programs one freshly allocated meta page in `stream`, re-allocating
@@ -235,7 +214,7 @@ impl PinkStore {
     ) -> Result<(Ppa, Ns), KvError> {
         let mut done = at;
         loop {
-            let ppa = self.meta.alloc_page(self.data.allocator_mut(), stream)?;
+            let ppa = self.meta.place(self.data.allocator_mut(), stream, 1)?;
             let r = self.core.flash.program(ppa, cause, at);
             done = done.max(r.done);
             if r.status.is_ok() {

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use anykey_flash::{BlockId, Ns, OpCause, Ppa};
 
-use crate::bytelog::{erase_block, Extent};
+use crate::bytelog::Extent;
 use crate::config::RESERVE_BLOCKS;
 use crate::error::KvError;
 use crate::pink::PinkStore;
@@ -64,9 +64,11 @@ impl PinkStore {
                 if live == 0 {
                     // A block emptied while it was still a stream's open
                     // block: nothing to relocate, just erase it.
-                    self.meta.forget_empty(victim)?;
                     let alloc = self.data.allocator_mut();
-                    t = t.max(erase_block(&mut self.core.flash, alloc, victim, t)?.0);
+                    t = t.max(
+                        self.meta
+                            .erase_empty(alloc, &mut self.core.flash, victim, t)?,
+                    );
                 } else {
                     t = self.relocate_meta_block(victim, t)?;
                 }
@@ -145,48 +147,32 @@ impl PinkStore {
     /// Relocates the live meta pages of a meta block and erases it.
     fn relocate_meta_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         let snap = self.core.span_snapshot();
-        // Owners: spilled segments and spilled level-list pages.
-        let mut seg_owners: Vec<(usize, usize)> = Vec::new();
-        let mut list_owners: Vec<(usize, usize)> = Vec::new();
+        // Owners: spilled segments and spilled level-list pages, each with
+        // the victim page it holds.
+        let mut seg_owners: Vec<(usize, usize, Ppa)> = Vec::new();
+        let mut list_owners: Vec<(usize, usize, Ppa)> = Vec::new();
         for (li, level) in self.levels.iter().enumerate() {
             for (si, seg) in level.segs.iter().enumerate() {
-                if seg.ppa.is_some_and(|p| p.block == victim) {
-                    seg_owners.push((li, si));
+                if let Some(p) = seg.ppa.filter(|p| p.block == victim) {
+                    seg_owners.push((li, si, p));
                 }
             }
-            for (pi, ppa) in level.list_pages.iter().enumerate() {
-                if ppa.block == victim {
-                    list_owners.push((li, pi));
+            for (pi, &p) in level.list_pages.iter().enumerate() {
+                if p.block == victim {
+                    list_owners.push((li, pi, p));
                 }
             }
         }
-        let mut read_ppas: Vec<Ppa> = Vec::with_capacity(seg_owners.len() + list_owners.len());
-        for &(li, si) in &seg_owners {
-            read_ppas.push(self.levels[li].segs[si].ppa.ok_or(KvError::Internal {
-                context: "GC owner segment has no flash location",
-            })?);
-        }
-        read_ppas.extend(
-            list_owners
-                .iter()
-                .map(|&(li, pi)| self.levels[li].list_pages[pi]),
-        );
+        let read_ppas = seg_owners.iter().chain(&list_owners).map(|o| o.2);
         let t_read = self.core.flash.read_many(read_ppas, OpCause::GcRead, at);
         let mut t = t_read;
-        for (li, si) in seg_owners {
-            let old = self.levels[li].segs[si]
-                .ppa
-                .take()
-                .ok_or(KvError::Internal {
-                    context: "GC owner segment has no flash location",
-                })?;
+        for (li, si, old) in seg_owners {
             t = t.max(self.free_meta_page(old, t_read)?);
             let (new, td) = self.program_meta_page(li, OpCause::GcWrite, t_read)?;
             t = t.max(td);
             self.levels[li].segs[si].ppa = Some(new);
         }
-        for (li, pi) in list_owners {
-            let old = self.levels[li].list_pages[pi];
+        for (li, pi, old) in list_owners {
             t = t.max(self.free_meta_page(old, t_read)?);
             let (new, td) = self.program_meta_page(li, OpCause::GcWrite, t_read)?;
             t = t.max(td);

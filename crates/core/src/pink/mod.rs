@@ -12,7 +12,7 @@
 pub mod compaction;
 /// PinK's data/meta-block garbage collection.
 pub mod gc;
-/// Meta segments and the data/meta flash areas.
+/// Meta segments.
 pub mod segment;
 
 #[cfg(test)]
@@ -30,8 +30,9 @@ use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCor
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
 use crate::error::KvError;
 use crate::key::Key;
+use crate::pagearea::PageArea;
 
-use segment::{MetaArea, SegEntry, Segment, LIST_ENTRY_OVERHEAD};
+use segment::{SegEntry, Segment, LIST_ENTRY_OVERHEAD};
 
 /// One PinK LSM level: meta segments plus its level list's placement.
 #[derive(Debug, Clone, Default)]
@@ -107,7 +108,10 @@ impl PinkLevel {
 pub struct PinkStore {
     pub(crate) core: DeviceCore,
     pub(crate) levels: Vec<PinkLevel>,
-    pub(crate) meta: MetaArea,
+    /// Spilled meta segments and level-list pages, one stream per level:
+    /// a level's pages die together at its next rebuild, so they share
+    /// blocks that then free wholesale.
+    pub(crate) meta: PageArea,
     /// The data area. It owns the device's one block allocator; meta pages
     /// draw from the same pool through [`ByteLog::allocator_mut`].
     pub(crate) data: ByteLog,
@@ -120,7 +124,7 @@ impl PinkStore {
         let geometry = core.cfg.flash.geometry;
         Self {
             levels: vec![PinkLevel::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
-            meta: MetaArea::new(geometry.pages_per_block),
+            meta: PageArea::new(geometry.pages_per_block, "meta area"),
             data: ByteLog::new(
                 core.allocator(0..geometry.blocks()),
                 core.page_payload,

@@ -1,20 +1,17 @@
-//! PinK's on-flash structures: meta segments, the data area, and the meta
-//! page area.
+//! PinK's meta segments.
 //!
 //! PinK (the state-of-the-art baseline the paper compares against) keeps a
 //! sorted array of `(key, PPA)` pairs — a *meta segment* — per page-sized
 //! unit of its LSM-tree levels, plus a *level list* entry (first key +
 //! location) per segment. Upper-level meta segments are pinned in DRAM;
-//! the rest live in flash and cost a flash read per probe. KV pairs
-//! themselves are packed into *data segments* (plain flash pages) of a
-//! [`ByteLog`](crate::bytelog::ByteLog), the data area.
+//! the rest live in flash, in meta pages of a
+//! [`PageArea`](crate::pagearea::PageArea), and cost a flash read per
+//! probe. KV pairs themselves are packed into *data segments* (plain flash
+//! pages) of a [`ByteLog`](crate::bytelog::ByteLog), the data area.
 
-use std::collections::HashMap;
+use anykey_flash::Ppa;
 
-use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, Ppa};
-
-use crate::bytelog::{erase_block, Extent};
-use crate::error::KvError;
+use crate::bytelog::Extent;
 use crate::key::Key;
 
 /// Fixed per-entry overhead in a meta segment beyond the key bytes: a
@@ -92,136 +89,13 @@ impl Segment {
     }
 }
 
-/// The flash area holding spilled meta segments and spilled level-list
-/// pages, with per-page liveness so emptied blocks can be erased.
-#[derive(Debug, Clone, Default)]
-pub struct MetaArea {
-    /// One open block per stream (stream = LSM level), so that a level's
-    /// meta pages — which die together at that level's next rebuild — are
-    /// packed into the same blocks and free wholesale.
-    opens: HashMap<usize, (BlockId, u32)>,
-    live_pages: HashMap<BlockId, u32>,
-    pages_per_block: u32,
-}
-
-impl MetaArea {
-    /// A meta area for blocks of the given size.
-    pub fn new(pages_per_block: u32) -> Self {
-        Self {
-            opens: HashMap::new(),
-            live_pages: HashMap::new(),
-            pages_per_block,
-        }
-    }
-
-    fn is_open(&self, block: BlockId) -> bool {
-        self.opens.values().any(|&(b, _)| b == block)
-    }
-
-    /// Allocates one meta page in the given stream (level).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::DeviceFull`] when the shared allocator is
-    /// exhausted.
-    pub fn alloc_page(
-        &mut self,
-        alloc: &mut BlockAllocator,
-        stream: usize,
-    ) -> Result<Ppa, KvError> {
-        if let Some(&(block, next)) = self.opens.get(&stream) {
-            if next < self.pages_per_block {
-                self.opens.insert(stream, (block, next + 1));
-                *self.live_pages.entry(block).or_insert(0) += 1;
-                return Ok(Ppa { block, page: next });
-            }
-            self.opens.remove(&stream);
-        }
-        let block = alloc.alloc().ok_or(KvError::DeviceFull)?;
-        self.live_pages.insert(block, 1);
-        self.opens.insert(stream, (block, 1));
-        Ok(Ppa { block, page: 0 })
-    }
-
-    /// Releases a meta page; erases and frees the block when it empties.
-    /// An erase failure retires the block from the allocator instead of
-    /// returning it to the free pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::UntrackedBlock`] when the page's block is not
-    /// tracked — a freed meta page must have been allocated here — and
-    /// [`KvError::LiveCountSkew`] when the block has no live page left to
-    /// free.
-    pub fn free_page(
-        &mut self,
-        alloc: &mut BlockAllocator,
-        flash: &mut FlashSim,
-        ppa: Ppa,
-        at: Ns,
-    ) -> Result<Ns, KvError> {
-        let live = self
-            .live_pages
-            .get_mut(&ppa.block)
-            .ok_or(KvError::UntrackedBlock {
-                block: ppa.block.0,
-                owner: "meta area",
-            })?;
-        *live = live.checked_sub(1).ok_or(KvError::LiveCountSkew {
-            block: ppa.block.0,
-            owner: "meta area",
-        })?;
-        if *live == 0 && !self.is_open(ppa.block) {
-            self.live_pages.remove(&ppa.block);
-            return Ok(erase_block(flash, alloc, ppa.block, at)?.0);
-        }
-        Ok(at)
-    }
-
-    /// Number of blocks the meta area currently holds.
-    pub fn block_count(&self) -> usize {
-        self.live_pages.len()
-    }
-
-    /// The sealed meta block with the fewest live pages (GC victim).
-    pub fn victim(&self) -> Option<(BlockId, u32)> {
-        self.live_pages
-            .iter()
-            .filter(|(&b, _)| !self.is_open(b))
-            .map(|(&b, &live)| (b, live))
-            .min_by_key(|&(b, live)| (live, b))
-    }
-
-    /// Forgets a tracked block whose pages were all freed while it was
-    /// still a stream's open block (it can then be erased by the caller).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::LiveCountSkew`] if the block is untracked or
-    /// still has live pages; it then stays as it was.
-    pub fn forget_empty(&mut self, block: BlockId) -> Result<(), KvError> {
-        if self.live_pages.get(&block) != Some(&0) {
-            return Err(KvError::LiveCountSkew {
-                block: block.0,
-                owner: "meta area",
-            });
-        }
-        self.live_pages.remove(&block);
-        self.opens.retain(|_, &mut (b, _)| b != block);
-        Ok(())
-    }
-
-    /// Live meta pages in `block` (0 if untracked).
-    pub fn live_in(&self, block: BlockId) -> u32 {
-        self.live_pages.get(&block).copied().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bytelog::ByteLog;
-    use anykey_flash::{FlashConfig, OpCause};
+    use crate::error::KvError;
+    use crate::pagearea::PageArea;
+    use anykey_flash::{BlockAllocator, BlockId, FlashConfig, FlashSim, OpCause};
 
     /// A flash device and a data area built the way PinK builds it.
     fn setup() -> (FlashSim, ByteLog) {
@@ -277,21 +151,27 @@ mod tests {
         assert_eq!(valid, 0);
     }
 
+    /// Releases a meta page the way PinK does, erasing its block once it
+    /// is empty and sealed.
+    fn free_page(meta: &mut PageArea, alloc: &mut BlockAllocator, flash: &mut FlashSim, p: Ppa) {
+        if meta.release(p.block, 1).unwrap() {
+            meta.erase_empty(alloc, flash, p.block, 0).unwrap();
+        }
+    }
+
     #[test]
     fn meta_area_allocates_and_recycles_pages() {
         let (mut flash, mut data) = setup();
         let alloc = data.allocator_mut();
-        let mut meta = MetaArea::new(128);
-        let pages: Vec<Ppa> = (0..130)
-            .map(|_| meta.alloc_page(alloc, 0).unwrap())
-            .collect();
+        let mut meta = PageArea::new(128, "meta area");
+        let pages: Vec<Ppa> = (0..130).map(|_| meta.place(alloc, 0, 1).unwrap()).collect();
         // 130 pages span two blocks.
-        assert_eq!(meta.block_count(), 2);
+        assert_eq!(alloc.allocated_count(), 2);
         assert_ne!(pages[0].block, pages[129].block);
         // Free the first block's pages; it should be erased.
         let freed = alloc.free_count();
         for p in &pages[..128] {
-            meta.free_page(alloc, &mut flash, *p, 0).unwrap();
+            free_page(&mut meta, alloc, &mut flash, *p);
         }
         assert_eq!(alloc.free_count(), freed + 1);
         assert_eq!(flash.counters().erases(), 1);
@@ -301,29 +181,30 @@ mod tests {
     fn meta_page_double_free_is_an_error() {
         let (mut flash, mut data) = setup();
         let alloc = data.allocator_mut();
-        let mut meta = MetaArea::new(128);
-        let p = meta.alloc_page(alloc, 0).unwrap();
-        meta.free_page(alloc, &mut flash, p, 0).unwrap();
+        let mut meta = PageArea::new(128, "meta area");
+        let p = meta.place(alloc, 0, 1).unwrap();
+        free_page(&mut meta, alloc, &mut flash, p);
         assert_eq!(
-            meta.free_page(alloc, &mut flash, p, 0),
+            meta.release(p.block, 1),
             Err(KvError::LiveCountSkew {
                 block: p.block.0,
                 owner: "meta area",
             })
         );
-        assert_eq!(meta.live_in(p.block), 0);
+        assert_eq!(meta.units_in(p.block), 0);
     }
 
     #[test]
     fn forgetting_a_live_meta_block_is_an_error() {
-        let (_, mut data) = setup();
-        let mut meta = MetaArea::new(128);
-        let p = meta.alloc_page(data.allocator_mut(), 0).unwrap();
+        let (mut flash, mut data) = setup();
+        let alloc = data.allocator_mut();
+        let mut meta = PageArea::new(128, "meta area");
+        let p = meta.place(alloc, 0, 1).unwrap();
         assert!(matches!(
-            meta.forget_empty(p.block),
+            meta.erase_empty(alloc, &mut flash, p.block, 0),
             Err(KvError::LiveCountSkew { .. })
         ));
-        assert_eq!(meta.live_in(p.block), 1, "the block stays tracked");
+        assert_eq!(meta.units_in(p.block), 1, "the block stays tracked");
     }
 
     #[test]

@@ -77,6 +77,25 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// A report of no operations, starting and ending at virtual time
+    /// `at`.
+    pub fn empty(at: Ns) -> Self {
+        Self {
+            reads: LatencyHist::new(),
+            writes: LatencyHist::new(),
+            scans: LatencyHist::new(),
+            ops: 0,
+            found: 0,
+            not_found: 0,
+            start: at,
+            end: at,
+            counters: FlashCounters::new(),
+            reads_per_get: [0; MAX_TRACKED_READS + 1],
+            phases: PhaseHists::new(),
+            waf_curve: Vec::new(),
+        }
+    }
+
     /// Operations per virtual second.
     pub fn iops(&self) -> f64 {
         let span = self.end.saturating_sub(self.start).max(1);
@@ -263,20 +282,7 @@ fn run_inner(
     sampler: Option<(&SampleCfg, &mut Vec<StateSample>)>,
 ) -> Result<RunReport, KvError> {
     let start = engine.horizon();
-    let mut report = RunReport {
-        reads: LatencyHist::new(),
-        writes: LatencyHist::new(),
-        scans: LatencyHist::new(),
-        ops: 0,
-        found: 0,
-        not_found: 0,
-        start,
-        end: start,
-        counters: FlashCounters::new(),
-        reads_per_get: [0; MAX_TRACKED_READS + 1],
-        phases: PhaseHists::new(),
-        waf_curve: Vec::new(),
-    };
+    let mut report = RunReport::empty(start);
     let counters_before = engine.counters();
     let mut inflight: BinaryHeap<Reverse<Ns>> = BinaryHeap::new();
     let curve_stride = n_ops.div_ceil(WAF_CURVE_POINTS).max(1);

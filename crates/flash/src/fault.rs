@@ -17,9 +17,10 @@
 //! (all-zero) model the simulator takes none of the fault branches and the
 //! device behaves exactly as before — the zero-cost default path.
 //!
-//! Probabilities are expressed in **parts per million** ([`PPM_SCALE`]) and
-//! grow linearly with the block's program/erase (P/E) count, matching the
-//! wear-dependent raw-bit-error profiles in the NAND literature.
+//! Probabilities are expressed in **parts per million**
+//! ([`PPM_SCALE`](crate::fault::PPM_SCALE)) and grow linearly with the
+//! block's program/erase (P/E) count, matching the wear-dependent
+//! raw-bit-error profiles in the NAND literature.
 
 /// Denominator of every fault probability: draws are uniform in
 /// `0..PPM_SCALE`, so a field value of `1_000` means a 0.1 % chance.

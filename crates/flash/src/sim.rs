@@ -419,39 +419,6 @@ impl FlashSim {
         done
     }
 
-    /// Programs a set of independent pages in parallel; returns the time
-    /// the last one completes and `Ok` only if every page programmed
-    /// cleanly.
-    ///
-    /// Callers that need to know *which* page failed (to re-place it)
-    /// should issue per-page [`FlashSim::program`] calls with a shared
-    /// issue time instead — the chip-timeline outcome is identical.
-    pub fn program_many<I>(&mut self, ppas: I, cause: OpCause, at: Ns) -> FlashOpResult
-    where
-        I: IntoIterator<Item = Ppa>,
-    {
-        let mut out = FlashOpResult {
-            start: at,
-            done: at,
-            status: FlashOpStatus::Ok,
-        };
-        let mut first = true;
-        for ppa in ppas {
-            let r = self.program(ppa, cause, at);
-            out.start = if first {
-                r.start
-            } else {
-                out.start.min(r.start)
-            };
-            first = false;
-            out.done = out.done.max(r.done);
-            if !r.status.is_ok() {
-                out.status = r.status;
-            }
-        }
-        out
-    }
-
     /// Completed P/E cycles of a block, as seen by the device.
     pub fn block_wear(&self, block: BlockId) -> u32 {
         self.wear.get(block.0 as usize).copied().unwrap_or(0)

@@ -20,8 +20,10 @@
 //!
 //! Two serializations share the sample model: line-oriented JSONL
 //! (schema-versioned; per-level occupancy rides as companion `level`
-//! lines) parsed back by [`parse_jsonl`], and a flat CSV of the scalar
-//! fields for plotting. The analyzer ([`analyze`]) detects the burn-in →
+//! lines) parsed back by
+//! [`parse_jsonl`](crate::timeline::parse_jsonl), and a flat CSV of the
+//! scalar fields for plotting. The analyzer
+//! ([`analyze`](crate::timeline::analyze)) detects the burn-in →
 //! steady-state transition with a sliding-window WAF-slope test, reports
 //! convergence values, and flags compaction-storm and GC-debt windows.
 

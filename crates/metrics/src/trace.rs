@@ -22,7 +22,8 @@
 //!   [`PhaseBreakdown`]: where, phase by phase, its latency went.
 //!
 //! Two export formats share the same event model: line-oriented JSONL
-//! (schema-versioned, parsed back by [`parse_jsonl`] and summarized by
+//! (schema-versioned, parsed back by
+//! [`parse_jsonl`](crate::trace::parse_jsonl) and summarized by
 //! `xtask trace`) and Chrome trace-event JSON loadable in Perfetto, with
 //! one track per chip and flow arrows from compaction/GC spans to the
 //! flash traffic they cause.

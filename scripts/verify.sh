@@ -56,6 +56,9 @@ cmp "$VERIFY_DIR/s1/fig18_cdf.csv" "$VERIFY_DIR/s2/fig18_cdf.csv"
 echo "==> cargo clippy (lint levels; DESIGN.md §8)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> xtask deps (hermeticity)"
 cargo run -q -p xtask -- deps
 
