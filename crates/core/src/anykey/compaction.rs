@@ -269,7 +269,7 @@ impl AnyKeyStore {
         for g in &self.levels[li].groups {
             if g.content.logged_bytes > 0 {
                 read_ppas.extend(g.all_ppas());
-                for e in g.content.pages.iter().flatten() {
+                for e in &g.content.ents {
                     if let ValueLoc::Logged(ptr) = e.loc {
                         read_ppas.extend(ptr.pages());
                     }

@@ -35,8 +35,14 @@ pub struct CollisionBits {
 /// flash.
 #[derive(Debug, Clone)]
 pub struct GroupContent {
-    /// Data pages; concatenated they are sorted by `(hash, key)`.
-    pub pages: Vec<Vec<Entity>>,
+    /// The group's entities in `(hash, key)` order: one hash-ordered run,
+    /// cut into data pages by `page_start`.
+    pub ents: Vec<Entity>,
+    /// Index in `ents` of each data page's first slot, plus a final
+    /// `ents.len()`: data page `p` holds the entities from `page_start[p]`
+    /// up to `page_start[p + 1]` (none for a page holding only a previous
+    /// entity's spill).
+    pub page_start: Vec<u32>,
     /// Key-sorted directory: `(data_page, slot)` per entity.
     pub dir: Vec<(u16, u16)>,
     /// Number of leading pages holding the directory.
@@ -49,7 +55,8 @@ pub struct GroupContent {
     pub page_first_hash: Vec<u32>,
     /// Collision bits per data page.
     pub collision: Vec<CollisionBits>,
-    /// Sorted hashes of every entity (the hash-list content).
+    /// Sorted hashes of every entity (the hash-list content):
+    /// `hashes[i] == ents[i].hash`.
     pub hashes: Vec<u32>,
     /// Logical KV bytes (keys + values) in this group.
     pub kv_bytes: u64,
@@ -114,44 +121,46 @@ impl GroupContent {
         // size. Pages that contain only the spill of a previous entity
         // hold no starting slots. Placing input entity `i` at `(page,
         // slot)` fills `dir[i]`, so the directory comes out key-sorted.
-        let mut pages: Vec<Vec<Entity>> = Vec::new();
-        let mut cur: Vec<Entity> = Vec::new();
+        let stored: u64 = entities.iter().map(Entity::stored_bytes).sum();
+        let data_pages = stored.div_ceil(payload) as usize;
+        let mut ents: Vec<Entity> = Vec::with_capacity(count);
+        let mut page_start: Vec<u32> = Vec::with_capacity(data_pages + 1);
+        page_start.push(0);
         let mut dir = vec![(0u16, 0u16); count];
         let mut offset = 0u64;
         for &w in &order {
             let i = (w & u64::from(u32::MAX)) as usize;
             let mut e = entities[i];
             let sz = e.stored_bytes();
-            let start_page = offset / payload;
-            let end_page = (offset + sz - 1) / payload;
+            let start_page = (offset / payload) as usize;
+            let end_page = ((offset + sz - 1) / payload) as usize;
             e.span_extra = (end_page - start_page) as u8;
-            while (pages.len() as u64) < start_page {
-                pages.push(std::mem::take(&mut cur));
+            while page_start.len() <= start_page {
+                page_start.push(ents.len() as u32);
             }
-            dir[i] = (pages.len() as u16, cur.len() as u16);
-            cur.push(e);
+            let slot = ents.len() - page_start[start_page] as usize;
+            dir[i] = (start_page as u16, slot as u16);
+            ents.push(e);
             offset += sz;
         }
-        pages.push(cur);
-        while (pages.len() as u64) < offset.div_ceil(payload) {
-            pages.push(Vec::new());
-        }
+        page_start.resize(data_pages + 1, count as u32);
 
         // Per-page first/last hashes (spill-only pages physically contain
         // the previous entity's continuation, so they carry its hash) and
         // the 16-bit routing prefixes plus collision bits (Figure 7).
-        let mut page_first_hash: Vec<u32> = Vec::with_capacity(pages.len());
-        let mut page_last_hash: Vec<u32> = Vec::with_capacity(pages.len());
-        let mut carry = pages[0].first().map(|e| e.hash).unwrap_or(0);
-        for p in &pages {
-            page_first_hash.push(p.first().map(|e| e.hash).unwrap_or(carry));
-            carry = p.last().map(|e| e.hash).unwrap_or(carry);
+        let mut page_first_hash: Vec<u32> = Vec::with_capacity(data_pages);
+        let mut page_last_hash: Vec<u32> = Vec::with_capacity(data_pages);
+        let mut carry = ents[0].hash;
+        for w in page_start.windows(2) {
+            let page = &ents[w[0] as usize..w[1] as usize];
+            page_first_hash.push(page.first().map_or(carry, |e| e.hash));
+            carry = page.last().map_or(carry, |e| e.hash);
             page_last_hash.push(carry);
         }
         let page_first_hash16: Vec<u16> =
             page_first_hash.iter().map(|&h| (h >> 16) as u16).collect();
-        let mut collision = vec![CollisionBits::default(); pages.len()];
-        for i in 0..pages.len().saturating_sub(1) {
+        let mut collision = vec![CollisionBits::default(); data_pages];
+        for i in 0..data_pages.saturating_sub(1) {
             if page_last_hash[i] == page_first_hash[i + 1] {
                 collision[i].continues_next = true;
                 collision[i + 1].continued_prev = true;
@@ -162,10 +171,11 @@ impl GroupContent {
         let hashes: Vec<u32> = order.iter().map(|&w| (w >> 32) as u32).collect();
 
         let dir_pages = ((count as u64 * DIR_ENTRY_BYTES).div_ceil(payload)).max(1) as u32;
-        let phys_bytes = (dir_pages as u64 + pages.len() as u64) * payload;
+        let phys_bytes = (dir_pages as u64 + data_pages as u64) * payload;
 
         Self {
-            pages,
+            ents,
+            page_start,
             dir,
             dir_pages,
             page_first_hash16,
@@ -187,7 +197,12 @@ impl GroupContent {
 
     /// Number of data pages.
     pub fn data_pages(&self) -> u32 {
-        self.pages.len() as u32
+        (self.page_start.len() - 1) as u32
+    }
+
+    /// The entities starting in data page `page`, in `(hash, key)` order.
+    pub fn page(&self, page: usize) -> &[Entity] {
+        &self.ents[self.page_start[page] as usize..self.page_start[page + 1] as usize]
     }
 
     /// Total flash pages occupied (directory + data).
@@ -197,7 +212,7 @@ impl GroupContent {
 
     /// The entity at a directory position.
     pub fn entity(&self, page: u16, slot: u16) -> &Entity {
-        &self.pages[page as usize][slot as usize]
+        &self.ents[self.page_start[page as usize] as usize + slot as usize]
     }
 
     /// The group's smallest key (what the level-list entry stores).
@@ -224,9 +239,23 @@ impl GroupContent {
         idx.saturating_sub(1)
     }
 
+    /// The entity with `key` and `hash`, found through the hash list: one
+    /// binary search, then a scan of the equal-hash run. A miss on the
+    /// hash touches no entity.
+    pub fn find(&self, hash: u32, key: Key) -> Option<&Entity> {
+        let start = self.hashes.partition_point(|&h| h < hash);
+        if self.hashes.get(start) != Some(&hash) {
+            return None;
+        }
+        let run = self.hashes[start..].iter().take_while(|&&h| h == hash);
+        self.ents[start..start + run.count()]
+            .iter()
+            .find(|e| e.key == key)
+    }
+
     /// Searches one data page for an exact `(hash, key)` match.
     pub fn search_page(&self, page: usize, hash: u32, key: Key) -> Option<&Entity> {
-        let entries = &self.pages[page];
+        let entries = self.page(page);
         let start = entries.partition_point(|e| e.hash < hash);
         entries[start..]
             .iter()
@@ -356,8 +385,8 @@ mod tests {
     fn pages_are_hash_sorted_across_boundaries() {
         let g = GroupContent::build(&entities(2000, 48, 43), PAYLOAD);
         let mut prev = 0u32;
-        for page in &g.pages {
-            for e in page {
+        for p in 0..g.data_pages() as usize {
+            for e in g.page(p) {
                 assert!(e.hash >= prev);
                 prev = e.hash;
             }
@@ -367,27 +396,22 @@ mod tests {
     #[test]
     fn packing_is_byte_continuous() {
         let g = GroupContent::build(&entities(2000, 48, 43), PAYLOAD);
-        let total: u64 = g.pages.iter().flatten().map(Entity::stored_bytes).sum();
+        let total: u64 = g.ents.iter().map(Entity::stored_bytes).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
         // Small entities never span more than one boundary.
-        assert!(g.pages.iter().flatten().all(|e| e.span_extra <= 1));
+        assert!(g.ents.iter().all(|e| e.span_extra <= 1));
     }
 
     #[test]
     fn huge_inline_values_span_pages() {
         // Values comparable to the page size must not halve capacity.
         let g = GroupContent::build(&entities(100, 16, 4096), PAYLOAD);
-        let total: u64 = g.pages.iter().flatten().map(Entity::stored_bytes).sum();
+        let total: u64 = g.ents.iter().map(Entity::stored_bytes).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
-        let spanning = g
-            .pages
-            .iter()
-            .flatten()
-            .filter(|e| e.span_extra > 0)
-            .count();
+        let spanning = g.ents.iter().filter(|e| e.span_extra > 0).count();
         assert!(spanning > 0, "4KB values in 8KB pages must span sometimes");
         // Routing still finds every entity via the backward walk.
-        for e in g.pages.iter().flatten() {
+        for e in &g.ents {
             let mut p = g.route_page(e.hash);
             loop {
                 if g.search_page(p, e.hash, e.key).is_some() {
@@ -402,7 +426,7 @@ mod tests {
     #[test]
     fn routing_finds_every_entity_with_local_search() {
         let g = GroupContent::build(&entities(3000, 48, 43), PAYLOAD);
-        for e in g.pages.iter().flatten() {
+        for e in &g.ents {
             let mut p = g.route_page(e.hash);
             // Device-style backward walk on prefix ambiguity.
             loop {
@@ -410,7 +434,7 @@ mod tests {
                     break;
                 }
                 assert!(p > 0, "entity {:?} unreachable by routing", e.key);
-                let first = g.pages[p][0].hash;
+                let first = g.page(p)[0].hash;
                 assert!(
                     e.hash < first || (e.hash == first && g.collision[p].continued_prev),
                     "backward walk not justified for {:?}",
@@ -456,6 +480,26 @@ mod tests {
     }
 
     #[test]
+    fn find_goes_through_the_hash_list() {
+        let mut ents = entities(2000, 24, 10);
+        // An equal-hash run the scan must walk past its first entity.
+        for e in ents.iter_mut().skip(100).take(5) {
+            e.hash = 0x1234_5678;
+        }
+        let g = GroupContent::build(&ents, PAYLOAD);
+        for e in &ents {
+            assert_eq!(g.find(e.hash, e.key).map(|f| f.key), Some(e.key));
+        }
+        // A stored hash with another key, and an absent hash, both miss.
+        assert!(g.find(0x1234_5678, Key::new(1, 24).unwrap()).is_none());
+        let absent = (0..100u32)
+            .map(|i| 0xDEAD_0000 ^ i)
+            .find(|h| g.hashes.binary_search(h).is_err())
+            .unwrap();
+        assert!(g.find(absent, ents[0].key).is_none());
+    }
+
+    #[test]
     fn dir_pages_scale_with_entity_count() {
         let few = GroupContent::build(&entities(100, 24, 10), PAYLOAD);
         assert_eq!(few.dir_pages, 1);
@@ -496,11 +540,27 @@ mod tests {
         assert_eq!(g.largest().id(), 99);
     }
 
+    /// A group as the reference builds it: one `Vec` per data page.
+    struct RefGroup {
+        pages: Vec<Vec<Entity>>,
+        dir: Vec<(u16, u16)>,
+        dir_pages: u32,
+        page_first_hash16: Vec<u16>,
+        page_first_hash: Vec<u32>,
+        collision: Vec<CollisionBits>,
+        hashes: Vec<u32>,
+        kv_bytes: u64,
+        logged_bytes: u64,
+        phys_bytes: u64,
+        smallest: Key,
+        largest: Key,
+    }
+
     /// Reference group build with comparison sorts: entities sorted by
-    /// `(hash, key)`, the directory sorted by key through the pages, and
-    /// the hash list re-sorted. `GroupContent::build` must match it field
-    /// for field.
-    fn reference_build(entities: Vec<Entity>, payload: u64) -> GroupContent {
+    /// `(hash, key)` into per-page `Vec`s, the directory sorted by key
+    /// through the pages, and the hash list re-sorted.
+    /// `GroupContent::build` must match it field for field.
+    fn reference_build(entities: Vec<Entity>, payload: u64) -> RefGroup {
         let count = entities.len();
         let kv_bytes = entities.iter().map(Entity::kv_bytes).sum();
         let logged_bytes = entities.iter().map(Entity::logged_bytes).sum();
@@ -556,7 +616,7 @@ mod tests {
         let phys_bytes = (dir_pages as u64 + pages.len() as u64) * payload;
         let key_at = |(p, s): (u16, u16)| pages[p as usize][s as usize].key;
         let (smallest, largest) = (key_at(dir[0]), key_at(dir[count - 1]));
-        GroupContent {
+        RefGroup {
             pages,
             dir,
             dir_pages,
@@ -574,11 +634,7 @@ mod tests {
 
     /// Reference packing: every entity copied into a fresh chunk `Vec`,
     /// each chunk built by [`reference_build`].
-    fn reference_pack(
-        entities: Vec<Entity>,
-        payload: u64,
-        max_total_pages: u32,
-    ) -> Vec<GroupContent> {
+    fn reference_pack(entities: Vec<Entity>, payload: u64, max_total_pages: u32) -> Vec<RefGroup> {
         let mut out = Vec::new();
         let mut chunk: Vec<Entity> = Vec::new();
         let mut bytes = 0u64;
@@ -601,11 +657,14 @@ mod tests {
         out
     }
 
-    /// Asserts two groups are equal in every field. The destructuring is
-    /// exhaustive, so a field added to `GroupContent` must be added here.
-    fn assert_same_group(got: &GroupContent, want: &GroupContent, ctx: &str) {
+    /// Asserts a group equals the reference in every field, its flat
+    /// entity run cut at `page_start` matching the reference's per-page
+    /// `Vec`s. The destructuring is exhaustive, so a field added to
+    /// `GroupContent` must be added here.
+    fn assert_same_group(got: &GroupContent, want: &RefGroup, ctx: &str) {
         let GroupContent {
-            pages,
+            ents,
+            page_start,
             dir,
             dir_pages,
             page_first_hash16,
@@ -617,25 +676,38 @@ mod tests {
             phys_bytes,
             smallest,
             largest,
-        } = want;
-        assert_eq!(&got.pages, pages, "{ctx}: pages (with span_extra)");
-        assert_eq!(&got.dir, dir, "{ctx}: directory");
-        assert_eq!(&got.dir_pages, dir_pages, "{ctx}: directory pages");
+        } = got;
+        assert_eq!(page_start.len(), want.pages.len() + 1, "{ctx}: page count");
+        for (p, page) in want.pages.iter().enumerate() {
+            let (lo, hi) = (page_start[p] as usize, page_start[p + 1] as usize);
+            assert_eq!(
+                &ents[lo..hi],
+                &page[..],
+                "{ctx}: page {p} (with span_extra)"
+            );
+        }
         assert_eq!(
-            &got.page_first_hash16, page_first_hash16,
+            page_start.last().map(|&e| e as usize),
+            Some(ents.len()),
+            "{ctx}: page starts end at the entity count"
+        );
+        assert_eq!(dir, &want.dir, "{ctx}: directory");
+        assert_eq!(dir_pages, &want.dir_pages, "{ctx}: directory pages");
+        assert_eq!(
+            page_first_hash16, &want.page_first_hash16,
             "{ctx}: hash prefixes"
         );
         assert_eq!(
-            &got.page_first_hash, page_first_hash,
+            page_first_hash, &want.page_first_hash,
             "{ctx}: page first hashes"
         );
-        assert_eq!(&got.collision, collision, "{ctx}: collision bits");
-        assert_eq!(&got.hashes, hashes, "{ctx}: hash list");
-        assert_eq!(&got.kv_bytes, kv_bytes, "{ctx}: kv bytes");
-        assert_eq!(&got.logged_bytes, logged_bytes, "{ctx}: logged bytes");
-        assert_eq!(&got.phys_bytes, phys_bytes, "{ctx}: physical bytes");
-        assert_eq!(&got.smallest, smallest, "{ctx}: smallest fence");
-        assert_eq!(&got.largest, largest, "{ctx}: largest fence");
+        assert_eq!(collision, &want.collision, "{ctx}: collision bits");
+        assert_eq!(hashes, &want.hashes, "{ctx}: hash list");
+        assert_eq!(kv_bytes, &want.kv_bytes, "{ctx}: kv bytes");
+        assert_eq!(logged_bytes, &want.logged_bytes, "{ctx}: logged bytes");
+        assert_eq!(phys_bytes, &want.phys_bytes, "{ctx}: physical bytes");
+        assert_eq!(smallest, &want.smallest, "{ctx}: smallest fence");
+        assert_eq!(largest, &want.largest, "{ctx}: largest fence");
     }
 
     /// Builds `ents` alone and packed at several group sizes, with both the
@@ -650,14 +722,11 @@ mod tests {
         for max_pages in [2, 8, 32] {
             let got = pack_groups(ents, payload, max_pages);
             let want = reference_pack(ents.to_vec(), payload, max_pages);
-            let sizes = |gs: &[GroupContent]| {
-                gs.iter()
-                    .map(GroupContent::entity_count)
-                    .collect::<Vec<_>>()
-            };
             assert_eq!(
-                sizes(&got),
-                sizes(&want),
+                got.iter()
+                    .map(GroupContent::entity_count)
+                    .collect::<Vec<_>>(),
+                want.iter().map(|w| w.dir.len()).collect::<Vec<_>>(),
                 "{ctx}: chunk boundaries at {max_pages} pages"
             );
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {

@@ -106,20 +106,11 @@ impl AnyKeyStore {
             let Some(gi) = level.candidate(key) else {
                 continue;
             };
-            let g = &level.groups[gi].content;
-            if !g.contains_hash(hash) {
-                continue;
-            }
-            let idx = g.dir_lower_bound(key);
-            if idx < g.dir.len() {
-                let (p, s) = g.dir[idx];
-                let e = g.entity(p, s);
-                if e.key == key {
-                    if e.tombstone {
-                        return None;
-                    }
-                    return Some((li, e.logged_bytes()));
+            if let Some(e) = level.groups[gi].content.find(hash, key) {
+                if e.tombstone {
+                    return None;
                 }
+                return Some((li, e.logged_bytes()));
             }
         }
         None

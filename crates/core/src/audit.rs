@@ -8,6 +8,11 @@
 //!   level are key-sorted with disjoint ranges, every group directory /
 //!   segment entry list is itself sorted, and each group's cached
 //!   smallest/largest key matches its directory.
+//! * **Flat runs** — a PinK level's meta segments tile its one entry run
+//!   in order, each non-empty and caching its exact byte count; an AnyKey
+//!   group's page starts rise to its entity count, and its hash list is
+//!   exactly its entities' hashes (the invalid-log probe searches the
+//!   entities through it).
 //! * **DRAM conservation** — [`crate::dram::DramBudget::metadata_used`]
 //!   equals the byte sum of the structures currently marked DRAM-resident
 //!   and never exceeds the metadata budget.
@@ -36,6 +41,7 @@ use anykey_flash::CounterSkew;
 
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
+use crate::pink::segment::SegEntry;
 use crate::pink::PinkStore;
 
 /// A violated structural invariant, naming the structure and the observed
@@ -131,6 +137,44 @@ pub enum AuditError {
         per_cause_sum: u64,
         /// The independently maintained grand total.
         total: u64,
+    },
+    /// A PinK level's meta segments do not tile its entry run: a segment
+    /// is empty, out of bounds, or does not start where the previous one
+    /// ended, or the last one stops short of the run's end.
+    SegmentTiling {
+        /// The level holding the segment.
+        level: usize,
+        /// The segment index (the segment count when the run is not
+        /// covered to its end).
+        segment: usize,
+    },
+    /// A PinK meta segment's cached byte count differs from the bytes of
+    /// its entries.
+    SegmentBytes {
+        /// The level holding the segment.
+        level: usize,
+        /// The segment index within the level.
+        segment: usize,
+        /// The cached byte count.
+        cached: u64,
+        /// The byte sum of the segment's entries.
+        actual: u64,
+    },
+    /// An AnyKey group's page starts decrease, do not start at 0, or do
+    /// not end at its entity count.
+    PageStartSkew {
+        /// The level holding the group.
+        level: usize,
+        /// The group index within the level.
+        group: usize,
+    },
+    /// An AnyKey group's hash list is not exactly the hashes of its
+    /// hash-ordered entities.
+    HashListMismatch {
+        /// The level holding the group.
+        level: usize,
+        /// The group index within the level.
+        group: usize,
     },
     /// A structure marked as spilled to flash has no flash location.
     MissingSpillLocation {
@@ -231,6 +275,27 @@ impl fmt::Display for AuditError {
                 f,
                 "flash {ledger} counter skew: per-cause sum {per_cause_sum} != independent total {total}"
             ),
+            AuditError::SegmentTiling { level, segment } => write!(
+                f,
+                "meta segment {segment} of level {level} does not tile the level's entry run"
+            ),
+            AuditError::SegmentBytes {
+                level,
+                segment,
+                cached,
+                actual,
+            } => write!(
+                f,
+                "meta segment {segment} of level {level} caches {cached} bytes but its entries hold {actual}"
+            ),
+            AuditError::PageStartSkew { level, group } => write!(
+                f,
+                "group {group} of level {level} has page starts that decrease or miss its entity bounds"
+            ),
+            AuditError::HashListMismatch { level, group } => write!(
+                f,
+                "group {group} of level {level} has a hash list that differs from its entities' hashes"
+            ),
             AuditError::MissingSpillLocation { level, index } => write!(
                 f,
                 "spilled structure {index} of level {level} has no flash location"
@@ -277,6 +342,26 @@ impl AnyKeyStore {
         // fences the structure check vouches for.
         for (li, level) in self.levels.iter().enumerate() {
             for (gi, g) in level.groups.iter().enumerate() {
+                // The flat layout first: the directory walk below indexes
+                // entities through the page starts.
+                let (ents, starts) = (&g.content.ents, &g.content.page_start);
+                if starts.first() != Some(&0)
+                    || starts.last().map(|&e| e as usize) != Some(ents.len())
+                    || starts.windows(2).any(|w| w[0] > w[1])
+                {
+                    return Err(AuditError::PageStartSkew {
+                        level: li,
+                        group: gi,
+                    });
+                }
+                if g.content.hashes.len() != ents.len()
+                    || g.content.hashes.iter().zip(ents).any(|(&h, e)| h != e.hash)
+                {
+                    return Err(AuditError::HashListMismatch {
+                        level: li,
+                        group: gi,
+                    });
+                }
                 let mut prev = None;
                 for e in g.content.iter_key_order() {
                     if prev.is_some_and(|p| p >= e.key) {
@@ -429,6 +514,36 @@ impl AnyKeyStore {
         false
     }
 
+    /// Test-only corruption hook: makes the first group's page starts end
+    /// one entity short of its entity count. Returns whether a group
+    /// existed.
+    #[doc(hidden)]
+    pub fn corrupt_page_start_for_test(&mut self) -> bool {
+        match self.levels.iter_mut().find_map(|l| l.groups.first_mut()) {
+            Some(g) => {
+                if let Some(end) = g.content.page_start.last_mut() {
+                    *end -= 1;
+                }
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Test-only corruption hook: changes the first hash-list entry of the
+    /// first group so it no longer matches its entity. Returns whether a
+    /// group existed.
+    #[doc(hidden)]
+    pub fn corrupt_hash_list_for_test(&mut self) -> bool {
+        match self.levels.iter_mut().find_map(|l| l.groups.first_mut()) {
+            Some(g) => {
+                g.content.hashes[0] ^= 1;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Test-only corruption hook: over-claims the DRAM budget past both
     /// the resident-structure sum and the metadata budget.
     #[doc(hidden)]
@@ -481,11 +596,27 @@ impl PinkStore {
     ///
     /// Returns the first [`AuditError`] found.
     pub fn verify_invariants(&self) -> Result<(), AuditError> {
-        // Level ordering, per-segment sortedness and spill locations.
+        // Segment tiling and cached bytes, level ordering, per-segment
+        // sortedness and spill locations.
         for (li, level) in self.levels.iter().enumerate() {
+            let mut next = 0usize;
+            for (si, seg) in level.segs.iter().enumerate() {
+                if seg.start != next || seg.end <= seg.start || seg.end > level.entries.len() {
+                    return Err(AuditError::SegmentTiling {
+                        level: li,
+                        segment: si,
+                    });
+                }
+                next = seg.end;
+            }
+            if next != level.entries.len() {
+                return Err(AuditError::SegmentTiling {
+                    level: li,
+                    segment: level.segs.len(),
+                });
+            }
             for (si, w) in level.segs.windows(2).enumerate() {
-                let prev_last = w[0].entries.last().map(|e| e.key);
-                if prev_last.is_some_and(|k| k >= w[1].first_key()) {
+                if level.entries[w[0].end - 1].key >= level.entries[w[1].start].key {
                     return Err(AuditError::LevelOrder {
                         level: li,
                         index: si,
@@ -493,7 +624,17 @@ impl PinkStore {
                 }
             }
             for (si, seg) in level.segs.iter().enumerate() {
-                if seg.entries.windows(2).any(|w| w[0].key >= w[1].key) {
+                let entries = seg.entries(&level.entries);
+                let actual = entries.iter().map(SegEntry::seg_bytes).sum();
+                if seg.bytes != actual {
+                    return Err(AuditError::SegmentBytes {
+                        level: li,
+                        segment: si,
+                        cached: seg.bytes,
+                        actual,
+                    });
+                }
+                if entries.windows(2).any(|w| w[0].key >= w[1].key) {
                     return Err(AuditError::DirectoryOrder {
                         level: li,
                         group: si,
@@ -568,13 +709,13 @@ impl PinkStore {
                         });
                     }
                 }
-                for e in &seg.entries {
-                    if !e.tombstone && alloc.is_retired(e.ptr.block) {
-                        return Err(AuditError::RetiredBlockLive {
-                            block: e.ptr.block.0,
-                            owner: "data area",
-                        });
-                    }
+            }
+            for e in &level.entries {
+                if !e.tombstone && alloc.is_retired(e.ptr.block) {
+                    return Err(AuditError::RetiredBlockLive {
+                        block: e.ptr.block.0,
+                        owner: "data area",
+                    });
                 }
             }
         }
@@ -596,17 +737,12 @@ impl PinkStore {
     /// retired block. Returns whether a live entry existed.
     #[doc(hidden)]
     pub fn retire_live_block_for_test(&mut self) -> bool {
-        let mut victim = None;
-        'search: for level in &self.levels {
-            for seg in &level.segs {
-                for e in &seg.entries {
-                    if !e.tombstone {
-                        victim = Some(e.ptr.block);
-                        break 'search;
-                    }
-                }
-            }
-        }
+        let victim = self
+            .levels
+            .iter()
+            .flat_map(|l| &l.entries)
+            .find(|e| !e.tombstone)
+            .map(|e| e.ptr.block);
         match victim {
             Some(b) => {
                 let _ = self.data.allocator_mut().retire(b);
@@ -621,6 +757,33 @@ impl PinkStore {
     #[doc(hidden)]
     pub fn desync_retirement_for_test(&mut self) {
         self.data.allocator_mut().desync_retired_for_test();
+    }
+
+    /// Test-only corruption hook: ends the first segment of the first level
+    /// holding at least two one entry early, so the segments no longer
+    /// tile the level's run. Returns whether such a level existed.
+    #[doc(hidden)]
+    pub fn corrupt_segment_range_for_test(&mut self) -> bool {
+        match self.levels.iter_mut().find(|l| l.segs.len() >= 2) {
+            Some(level) => {
+                level.segs[0].end -= 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Test-only corruption hook: inflates the cached byte count of the
+    /// first segment. Returns whether a segment existed.
+    #[doc(hidden)]
+    pub fn corrupt_segment_bytes_for_test(&mut self) -> bool {
+        match self.levels.iter_mut().find_map(|l| l.segs.first_mut()) {
+            Some(seg) => {
+                seg.bytes += 1;
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -815,12 +978,30 @@ mod tests {
                 total: 7,
             }
             .to_string(),
+            AuditError::SegmentTiling {
+                level: 1,
+                segment: 0,
+            }
+            .to_string(),
+            AuditError::SegmentBytes {
+                level: 1,
+                segment: 0,
+                cached: 9,
+                actual: 8,
+            }
+            .to_string(),
+            AuditError::PageStartSkew { level: 1, group: 0 }.to_string(),
+            AuditError::HashListMismatch { level: 1, group: 0 }.to_string(),
         ];
         assert!(msgs[0].contains("key order"));
         assert!(msgs[1].contains("over budget"));
         assert!(msgs[2].contains("counter skew"));
         assert!(msgs[3].contains("retired block B7"));
         assert!(msgs[4].contains("retirement accounting skew"));
+        assert!(msgs[5].contains("does not tile"));
+        assert!(msgs[6].contains("caches 9 bytes"));
+        assert!(msgs[7].contains("page starts"));
+        assert!(msgs[8].contains("hash list"));
         for i in 0..msgs.len() {
             for j in i + 1..msgs.len() {
                 assert_ne!(msgs[i], msgs[j]);

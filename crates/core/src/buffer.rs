@@ -5,7 +5,7 @@
 //! fills (paper Section 4.4.2). Lookups check the buffer first — the newest
 //! version of a key always wins.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 use crate::key::Key;
 
@@ -87,9 +87,9 @@ impl WriteBuffer {
     }
 
     /// Takes all entries (key-ordered), leaving the buffer empty.
-    pub fn drain(&mut self) -> Vec<(Key, BufEntry)> {
+    pub fn drain(&mut self) -> btree_map::IntoIter<Key, BufEntry> {
         self.bytes = 0;
-        std::mem::take(&mut self.map).into_iter().collect()
+        std::mem::take(&mut self.map).into_iter()
     }
 
     /// Buffered entries with keys in `[start, ..)`, in key order — used by
@@ -169,8 +169,7 @@ mod tests {
                 },
             );
         }
-        let drained = b.drain();
-        let ids: Vec<u64> = drained.iter().map(|(key, _)| key.id()).collect();
+        let ids: Vec<u64> = b.drain().map(|(key, _)| key.id()).collect();
         assert_eq!(ids, vec![1, 3, 5]);
         assert!(b.is_empty());
         assert_eq!(b.bytes(), 0);

@@ -10,6 +10,7 @@
 //! merge both engines run over their own per-level candidates.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
@@ -32,8 +33,9 @@ pub(crate) struct DeviceCore {
     pub(crate) dram: DramBudget,
     pub(crate) page_payload: u64,
     /// Live logical state: key id → value length (for unique-byte
-    /// accounting; the engines' query paths never consult this).
-    live: HashMap<u64, u32>,
+    /// accounting; the engines' query paths never consult this, and
+    /// nothing iterates it, so its hasher need not resist collisions).
+    live: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
     live_bytes: u64,
     /// Completion time of the in-flight flush (L0 is double-buffered: a
     /// put that fills the buffer stalls only if the previous flush is
@@ -43,6 +45,29 @@ pub(crate) struct DeviceCore {
     spans: Vec<TraceEvent>,
     /// Next span id (unique per tracing session).
     span_seq: u64,
+}
+
+/// A multiplicative hasher for the `u64` key ids of the live-bytes ledger:
+/// one multiply by 2^64 / φ, with the high half folded into the low bits
+/// the table indexes by, so ids sharing low bits still spread.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64((self.0 << 8) | u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One version of a key that a level offers to a scan. `payload` is the
@@ -165,7 +190,7 @@ impl DeviceCore {
                 cfg.write_buffer_bytes.min(cfg.dram_bytes / 2),
             ),
             page_payload: cfg.page_payload() as u64,
-            live: HashMap::new(),
+            live: HashMap::default(),
             live_bytes: 0,
             flush_done: 0,
             spans: Vec::new(),

@@ -333,3 +333,15 @@ fn compaction_merge_keeps_the_upper_copy_and_drops_bottom_tombstones() {
     assert_eq!(merged, [(1, false, 0), (5, false, 0)]);
     assert_eq!(shadowed, [(1, 1), (3, 1)]);
 }
+
+#[test]
+fn id_hasher_spreads_ids_that_share_low_bits() {
+    use std::hash::{BuildHasher, BuildHasherDefault};
+    let build = BuildHasherDefault::<IdHasher>::default();
+    // Ids 2^20 apart agree in their low 20 bits; their hashes' low 10 bits
+    // (a 1024-bucket table's index) must still differ widely.
+    let buckets: BTreeSet<u64> = (0..256u64)
+        .map(|i| build.hash_one(i << 20) & 1023)
+        .collect();
+    assert!(buckets.len() > 200, "only {} buckets used", buckets.len());
+}

@@ -12,7 +12,7 @@ use crate::bytelog::Extent;
 use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
 use crate::device::merge_newest;
 use crate::error::KvError;
-use crate::pink::segment::{SegEntry, Segment};
+use crate::pink::segment::{SegEntry, Segment, SEG_ENTRY_OVERHEAD};
 use crate::pink::{PinkLevel, PinkStore};
 
 impl PinkStore {
@@ -30,9 +30,7 @@ impl PinkStore {
             let ptr = if be.tombstone {
                 Extent::default()
             } else {
-                let bytes = key.len() as u64
-                    + be.value_len as u64
-                    + crate::pink::segment::SEG_ENTRY_OVERHEAD;
+                let bytes = key.len() as u64 + be.value_len as u64 + SEG_ENTRY_OVERHEAD;
                 let (ptr, td) = self.data.append(&mut self.core.flash, bytes, t)?;
                 t = t.max(td);
                 ptr
@@ -104,9 +102,7 @@ impl PinkStore {
         let mut freed_pages: Vec<Ppa> = Vec::new();
         let (upper, lower) = {
             let mut take_level = |level: &mut PinkLevel| -> Result<Vec<SegEntry>, KvError> {
-                let segs = std::mem::take(&mut level.segs);
-                let mut out = Vec::new();
-                for s in segs {
+                for s in std::mem::take(&mut level.segs) {
                     if !s.resident {
                         let ppa = s.ppa.ok_or(KvError::Internal {
                             context: "spilled segment has no flash location",
@@ -114,10 +110,9 @@ impl PinkStore {
                         read_ppas.push(ppa);
                         freed_pages.push(ppa);
                     }
-                    out.extend(s.entries);
                 }
                 freed_pages.append(&mut level.list_pages);
-                Ok(out)
+                Ok(std::mem::take(&mut level.entries))
             };
             let upper = match src {
                 Some(si) => {
@@ -150,33 +145,9 @@ impl PinkStore {
             },
         )?;
 
-        // --- 3. Rebuild page-sized segments. ----------------------------
+        // --- 3. Cut the merged run into page-sized segments. ------------
         let merged_count = merged.len() as u64;
-        let mut segs: Vec<Segment> = Vec::new();
-        let mut cur: Vec<SegEntry> = Vec::new();
-        let mut cur_bytes = 0u64;
-        for e in merged {
-            let sz = e.seg_bytes();
-            if !cur.is_empty() && cur_bytes + sz > self.core.page_payload {
-                segs.push(Segment {
-                    entries: std::mem::take(&mut cur),
-                    resident: false,
-                    ppa: None,
-                });
-                cur_bytes = 0;
-            }
-            cur_bytes += sz;
-            cur.push(e);
-        }
-        if !cur.is_empty() {
-            segs.push(Segment {
-                entries: cur,
-                resident: false,
-                ppa: None,
-            });
-        }
-        self.levels[dst].segs = segs;
-        self.levels[dst].recount();
+        self.levels[dst].set_run(merged, self.core.page_payload);
         if let Some(si) = src {
             self.levels[si].recount();
         }

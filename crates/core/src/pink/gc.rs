@@ -98,18 +98,14 @@ impl PinkStore {
         // superseded immediately and dropped at the next merge.
         let mut reinsert: Vec<(crate::key::Key, u32)> = Vec::new();
         let mut seen = BTreeSet::new();
-        for level in &self.levels {
-            for seg in &level.segs {
-                for e in &seg.entries {
-                    if !e.tombstone && e.ptr.block == victim && seen.insert(e.key) {
-                        // Only the newest version of a key counts as live;
-                        // deeper duplicates are garbage already.
-                        if self.newest_ptr(e.key).is_some_and(|p| p.block == victim)
-                            && self.core.buffer.get(&e.key).is_none()
-                        {
-                            reinsert.push((e.key, e.value_len));
-                        }
-                    }
+        for e in self.levels.iter().flat_map(|l| &l.entries) {
+            if !e.tombstone && e.ptr.block == victim && seen.insert(e.key) {
+                // Only the newest version of a key counts as live; deeper
+                // duplicates are garbage already.
+                if self.newest_ptr(e.key).is_some_and(|p| p.block == victim)
+                    && self.core.buffer.get(&e.key).is_none()
+                {
+                    reinsert.push((e.key, e.value_len));
                 }
             }
         }
@@ -133,7 +129,7 @@ impl PinkStore {
     fn newest_ptr(&self, key: crate::key::Key) -> Option<Extent> {
         for level in &self.levels {
             if let Some(si) = level.candidate(key) {
-                if let Some(e) = level.segs[si].find(key) {
+                if let Some(e) = level.segs[si].find(&level.entries, key) {
                     if e.tombstone {
                         return None;
                     }

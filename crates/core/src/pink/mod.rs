@@ -34,10 +34,13 @@ use crate::pagearea::PageArea;
 
 use segment::{SegEntry, Segment, LIST_ENTRY_OVERHEAD};
 
-/// One PinK LSM level: meta segments plus its level list's placement.
+/// One PinK LSM level: one key-ordered entry run, the meta segments that
+/// slice it, and its level list's placement.
 #[derive(Debug, Clone, Default)]
 pub struct PinkLevel {
-    /// Key-ordered, disjoint meta segments.
+    /// The level's entries, strictly key-ordered.
+    pub entries: Vec<SegEntry>,
+    /// Page-sized meta segments tiling `entries` in order.
     pub segs: Vec<Segment>,
     /// Logical KV bytes referenced by this level.
     pub kv_bytes: u64,
@@ -59,16 +62,23 @@ impl PinkLevel {
         }
     }
 
+    /// First key of segment `si` (its level-list key).
+    pub fn first_key(&self, si: usize) -> Key {
+        self.entries[self.segs[si].start].key
+    }
+
     /// Segment index whose key range contains `key`.
     pub fn candidate(&self, key: Key) -> Option<usize> {
-        let idx = self.segs.partition_point(|s| s.first_key() <= key);
+        let idx = self
+            .segs
+            .partition_point(|s| self.entries[s.start].key <= key);
         idx.checked_sub(1)
     }
 
     /// First segment that can contain keys ≥ `key` (scans).
     pub fn scan_start(&self, key: Key) -> usize {
         match self.candidate(key) {
-            Some(i) if self.segs[i].entries.last().is_some_and(|e| e.key >= key) => i,
+            Some(i) if self.entries[self.segs[i].end - 1].key >= key => i,
             Some(i) => i + 1,
             None => 0,
         }
@@ -78,18 +88,21 @@ impl PinkLevel {
     pub fn list_bytes(&self) -> u64 {
         self.segs
             .iter()
-            .map(|s| s.first_key().len() as u64 + LIST_ENTRY_OVERHEAD)
+            .map(|s| self.entries[s.start].key.len() as u64 + LIST_ENTRY_OVERHEAD)
             .sum()
+    }
+
+    /// Replaces the level's run and cuts it into unplaced segments of at
+    /// most `payload` bytes; recomputes the logical size.
+    pub fn set_run(&mut self, entries: Vec<SegEntry>, payload: u64) {
+        self.segs = segment::cut_segments(&entries, payload);
+        self.entries = entries;
+        self.recount();
     }
 
     /// Recomputes logical size.
     pub fn recount(&mut self) {
-        self.kv_bytes = self
-            .segs
-            .iter()
-            .flat_map(|s| s.entries.iter())
-            .map(SegEntry::kv_bytes)
-            .sum();
+        self.kv_bytes = self.entries.iter().map(SegEntry::kv_bytes).sum();
     }
 
     /// Whether the level holds no segments.
@@ -172,7 +185,7 @@ impl PinkStore {
             };
             // Level-list probe: free in DRAM, one flash read when spilled.
             if !self.levels[li].list_resident {
-                let key_len = self.levels[li].segs[si].first_key().len() as u64;
+                let key_len = self.levels[li].first_key(si).len() as u64;
                 let per_page = self.list_entries_per_page(key_len) as usize;
                 let page_idx =
                     (si / per_page).min(self.levels[li].list_pages.len().saturating_sub(1));
@@ -194,7 +207,8 @@ impl PinkStore {
                 phases.meta_read += t - before;
                 reads += 1;
             }
-            if let Some(e) = self.levels[li].segs[si].find(key) {
+            let level = &self.levels[li];
+            if let Some(e) = level.segs[si].find(&level.entries, key) {
                 if e.tombstone {
                     let done = t + DRAM_OP_NS;
                     phases.engine += DRAM_OP_NS;
@@ -248,12 +262,13 @@ impl PinkStore {
                             context: "spilled segment has no flash location",
                         })?);
                     }
+                    let entries = seg.entries(&level.entries);
                     let from = if si == first {
-                        seg.entries.partition_point(|e| e.key < start)
+                        entries.partition_point(|e| e.key < start)
                     } else {
                         0
                     };
-                    for e in seg.entries[from..].iter().take(budget - taken) {
+                    for e in entries[from..].iter().take(budget - taken) {
                         cands.push(ScanCand {
                             key: e.key,
                             tombstone: e.tombstone,

@@ -58,11 +58,17 @@ impl SegEntry {
     }
 }
 
-/// A page-sized sorted run of `(key, PPA)` entries.
-#[derive(Debug, Clone)]
+/// A page-sized slice of a level's key-ordered entry run (see
+/// [`PinkLevel::entries`](crate::pink::PinkLevel::entries)).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
-    /// Key-sorted entries.
-    pub entries: Vec<SegEntry>,
+    /// Index of the segment's first entry in its level's run.
+    pub start: usize,
+    /// One past the segment's last entry.
+    pub end: usize,
+    /// Bytes of the segment's entries ([`SegEntry::seg_bytes`] summed),
+    /// cached when the segment is cut.
+    pub bytes: u64,
     /// Whether the segment is pinned in DRAM (then it has no flash copy).
     pub resident: bool,
     /// Flash location when spilled.
@@ -70,23 +76,56 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// First key of the segment (its level-list key).
-    pub fn first_key(&self) -> Key {
-        self.entries[0].key
+    /// The segment's entries within its level's run.
+    pub fn entries<'a>(&self, run: &'a [SegEntry]) -> &'a [SegEntry] {
+        &run[self.start..self.end]
     }
 
     /// Bytes of this segment's entries.
     pub fn bytes(&self) -> u64 {
-        self.entries.iter().map(SegEntry::seg_bytes).sum()
+        self.bytes
     }
 
-    /// Binary-searches the segment for `key`.
-    pub fn find(&self, key: Key) -> Option<&SegEntry> {
-        self.entries
+    /// Binary-searches the segment, within its level's run, for `key`.
+    pub fn find<'a>(&self, run: &'a [SegEntry], key: Key) -> Option<&'a SegEntry> {
+        let entries = self.entries(run);
+        entries
             .binary_search_by(|e| e.key.cmp(&key))
             .ok()
-            .map(|i| &self.entries[i])
+            .map(|i| &entries[i])
     }
+}
+
+/// Cuts a key-ordered run into page-sized segments of at most `payload`
+/// entry bytes each (a single oversized entry gets a segment of its own),
+/// all spilled and not yet placed.
+pub fn cut_segments(run: &[SegEntry], payload: u64) -> Vec<Segment> {
+    let mut segs = Vec::new();
+    let (mut start, mut bytes) = (0usize, 0u64);
+    for (i, e) in run.iter().enumerate() {
+        let sz = e.seg_bytes();
+        if i > start && bytes + sz > payload {
+            segs.push(Segment {
+                start,
+                end: i,
+                bytes,
+                resident: false,
+                ppa: None,
+            });
+            (start, bytes) = (i, 0);
+        }
+        bytes += sz;
+    }
+    if start < run.len() {
+        segs.push(Segment {
+            start,
+            end: run.len(),
+            bytes,
+            resident: false,
+            ppa: None,
+        });
+    }
+    segs
 }
 
 #[cfg(test)]
@@ -207,27 +246,100 @@ mod tests {
         assert_eq!(meta.units_in(p.block), 1, "the block stays tracked");
     }
 
+    fn entry(id: u64, key_len: u16) -> SegEntry {
+        SegEntry {
+            key: Key::new(id, key_len).unwrap(),
+            value_len: 50,
+            ptr: Extent {
+                block: BlockId(0),
+                page: 0,
+                pages: 1,
+            },
+            tombstone: false,
+        }
+    }
+
     #[test]
     fn segment_find_is_exact() {
-        let entries: Vec<SegEntry> = (0..100u64)
-            .map(|id| SegEntry {
-                key: Key::new(id * 2, 16).unwrap(),
-                value_len: 50,
-                ptr: Extent {
-                    block: BlockId(0),
-                    page: 0,
-                    pages: 1,
-                },
-                tombstone: false,
-            })
-            .collect();
-        let seg = Segment {
-            entries,
+        // Two segments over one run: a key is found only inside its own
+        // segment's range.
+        let run: Vec<SegEntry> = (0..100u64).map(|id| entry(id * 2, 16)).collect();
+        let seg = |start, end| Segment {
+            start,
+            end,
+            bytes: run[start..end].iter().map(SegEntry::seg_bytes).sum(),
             resident: true,
             ppa: None,
         };
-        assert!(seg.find(Key::new(42, 16).unwrap()).is_some());
-        assert!(seg.find(Key::new(43, 16).unwrap()).is_none());
-        assert_eq!(seg.first_key().id(), 0);
+        let (lo, hi) = (seg(0, 50), seg(50, 100));
+        assert_eq!(
+            lo.find(&run, Key::new(42, 16).unwrap()).map(|e| e.key.id()),
+            Some(42)
+        );
+        assert!(lo.find(&run, Key::new(43, 16).unwrap()).is_none());
+        assert!(hi.find(&run, Key::new(42, 16).unwrap()).is_none());
+        assert_eq!(
+            hi.find(&run, Key::new(100, 16).unwrap())
+                .map(|e| e.key.id()),
+            Some(100)
+        );
+        assert_eq!(hi.entries(&run)[0].key.id(), 100);
+        assert_eq!(lo.bytes(), 50 * (16 + SEG_ENTRY_OVERHEAD));
+    }
+
+    /// Reference cut: each segment's entries copied into a `Vec` of its
+    /// own, as segments were stored before the level's run became one
+    /// array.
+    fn reference_cut(run: &[SegEntry], payload: u64) -> Vec<Vec<SegEntry>> {
+        let mut segs: Vec<Vec<SegEntry>> = Vec::new();
+        let mut cur: Vec<SegEntry> = Vec::new();
+        let mut cur_bytes = 0u64;
+        for &e in run {
+            let sz = e.seg_bytes();
+            if !cur.is_empty() && cur_bytes + sz > payload {
+                segs.push(std::mem::take(&mut cur));
+                cur_bytes = 0;
+            }
+            cur_bytes += sz;
+            cur.push(e);
+        }
+        if !cur.is_empty() {
+            segs.push(cur);
+        }
+        segs
+    }
+
+    #[test]
+    fn cut_matches_reference_on_seeded_runs() {
+        let mut rng = anykey_workload::SplitMix64::new(0x5E6);
+        for seed in 0..12u64 {
+            let n = [0, 1, 2, 3, 500, 20_000][seed as usize % 6] + rng.next_bounded(300) as usize;
+            let key_len = [8u16, 24, 48, 128][seed as usize % 4];
+            let payload = [64u64, 2048, 8128][seed as usize % 3];
+            let mut id = 0u64;
+            let run: Vec<SegEntry> = (0..n)
+                .map(|_| {
+                    id += 1 + rng.next_bounded(5);
+                    entry(id, key_len)
+                })
+                .collect();
+            let got = cut_segments(&run, payload);
+            let want = reference_cut(&run, payload);
+            let ctx = format!("seed {seed}: {n} entries, key {key_len} B, payload {payload}");
+            assert_eq!(got.len(), want.len(), "{ctx}: segment count");
+            let mut next = 0;
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.start, next, "{ctx}: segment {i} start");
+                assert_eq!(g.entries(&run), &w[..], "{ctx}: segment {i} entries");
+                let bytes: u64 = w.iter().map(SegEntry::seg_bytes).sum();
+                assert_eq!(g.bytes(), bytes, "{ctx}: segment {i} bytes");
+                assert!(
+                    !g.resident && g.ppa.is_none(),
+                    "{ctx}: segment {i} placement"
+                );
+                next = g.end;
+            }
+            assert_eq!(next, run.len(), "{ctx}: segments tile the run");
+        }
     }
 }

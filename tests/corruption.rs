@@ -210,6 +210,83 @@ fn desynced_retirement_accounting_is_detected() {
     );
 }
 
+#[test]
+fn untiled_pink_segments_are_detected() {
+    let mut s = filled_pink();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(
+        s.corrupt_segment_range_for_test(),
+        "fill must produce a level with at least two segments"
+    );
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(matches!(err, AuditError::SegmentTiling { .. }), "got {err}");
+    assert!(
+        err.to_string().contains("does not tile"),
+        "diagnostic must name the tiling fault: {err}"
+    );
+}
+
+#[test]
+fn stale_pink_segment_bytes_are_detected() {
+    let mut s = filled_pink();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(
+        s.corrupt_segment_bytes_for_test(),
+        "fill must produce a segment"
+    );
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(matches!(err, AuditError::SegmentBytes { .. }), "got {err}");
+    assert!(
+        err.to_string().contains("caches"),
+        "diagnostic must name the byte-count fault: {err}"
+    );
+}
+
+#[test]
+fn skewed_group_page_starts_are_detected() {
+    let mut s = filled_anykey();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(s.corrupt_page_start_for_test(), "fill must produce a group");
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(matches!(err, AuditError::PageStartSkew { .. }), "got {err}");
+    assert!(
+        err.to_string().contains("page starts"),
+        "diagnostic must name the page-start fault: {err}"
+    );
+}
+
+#[test]
+fn stale_group_hash_list_is_detected() {
+    let mut s = filled_anykey();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(s.corrupt_hash_list_for_test(), "fill must produce a group");
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(
+        matches!(err, AuditError::HashListMismatch { .. }),
+        "got {err}"
+    );
+    assert!(
+        err.to_string().contains("hash list"),
+        "diagnostic must name the hash-list fault: {err}"
+    );
+}
+
 /// The injected faults must be tellable apart from the diagnostic text
 /// alone — an operator reading a log must know *which* structure is
 /// damaged.
@@ -239,6 +316,25 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
     assert!(fence.corrupt_group_fence_for_test());
     let fence_msg = fence.check_invariants().expect_err("seeded").to_string();
 
+    let mut tiling = filled_pink();
+    assert!(tiling.corrupt_segment_range_for_test());
+    let tiling_msg = tiling.check_invariants().expect_err("seeded").to_string();
+
+    let mut seg_bytes = filled_pink();
+    assert!(seg_bytes.corrupt_segment_bytes_for_test());
+    let seg_bytes_msg = seg_bytes
+        .check_invariants()
+        .expect_err("seeded")
+        .to_string();
+
+    let mut starts = filled_anykey();
+    assert!(starts.corrupt_page_start_for_test());
+    let starts_msg = starts.check_invariants().expect_err("seeded").to_string();
+
+    let mut hashes = filled_anykey();
+    assert!(hashes.corrupt_hash_list_for_test());
+    let hashes_msg = hashes.check_invariants().expect_err("seeded").to_string();
+
     let msgs = [
         order_msg,
         dram_msg,
@@ -246,6 +342,10 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
         retired_msg,
         rskew_msg,
         fence_msg,
+        tiling_msg,
+        seg_bytes_msg,
+        starts_msg,
+        hashes_msg,
     ];
     for i in 0..msgs.len() {
         for j in (i + 1)..msgs.len() {

@@ -11,8 +11,12 @@
 //! - [`timeline_cmd`]: the timeline analyzer — burn-in/steady-state
 //!   detection over JSONL timelines captured with `anykey-bench
 //!   --timeline`, with a `--assert-converged` CI gate.
+//! - [`bench_record`]: the host-cost trajectory recorder — runs the
+//!   `BENCHMARK.json` command for every workload (optionally paired with a
+//!   parent checkout) and writes `BENCH_<n>.json`.
 
 mod bench_diff;
+mod bench_record;
 mod deps;
 mod timeline_cmd;
 mod trace_cmd;
@@ -22,6 +26,7 @@ fn main() {
     let code = match args.first().map(String::as_str) {
         Some("deps") => deps::run_cli(),
         Some("bench-diff") => bench_diff::run_cli(&args[1..]),
+        Some("bench-record") => bench_record::run_cli(&args[1..]),
         Some("trace") => trace_cmd::run_cli(&args[1..]),
         Some("timeline") => timeline_cmd::run_cli(&args[1..]),
         _ => {
@@ -30,6 +35,7 @@ fn main() {
                  commands:\n\
                    deps                                  hermeticity guard (Cargo.lock)\n\
                    bench-diff <baseline> <candidate>     summary.json regression gate\n\
+                   bench-record <n> [--parent DIR]       write BENCH_<n>.json (hostbench medians)\n\
                    trace <trace.jsonl> [--top K]         trace analyzer (phase breakdown)\n\
                    timeline <timeline.jsonl>             timeline analyzer (steady state)"
             );
