@@ -54,6 +54,7 @@ pub(crate) struct DeviceCore {
 pub(crate) struct IdHasher(u64);
 
 impl Hasher for IdHasher {
+    /// Only `write_u64` runs for `u64` keys; other input folds in per byte.
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u64((self.0 << 8) | u64::from(b));

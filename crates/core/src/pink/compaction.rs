@@ -12,7 +12,7 @@ use crate::bytelog::Extent;
 use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
 use crate::device::merge_newest;
 use crate::error::KvError;
-use crate::pink::segment::{SegEntry, Segment, SEG_ENTRY_OVERHEAD};
+use crate::pink::segment::{SegEntry, Segment};
 use crate::pink::{PinkLevel, PinkStore};
 
 impl PinkStore {
@@ -30,7 +30,9 @@ impl PinkStore {
             let ptr = if be.tombstone {
                 Extent::default()
             } else {
-                let bytes = key.len() as u64 + be.value_len as u64 + SEG_ENTRY_OVERHEAD;
+                let bytes = key.len() as u64
+                    + be.value_len as u64
+                    + crate::pink::segment::SEG_ENTRY_OVERHEAD;
                 let (ptr, td) = self.data.append(&mut self.core.flash, bytes, t)?;
                 t = t.max(td);
                 ptr
