@@ -63,7 +63,7 @@ pub struct GroupContent {
     /// Value bytes referenced in the value log.
     pub logged_bytes: u64,
     /// Physical flash footprint (directory + data pages × page payload) —
-    /// what level thresholds and AnyKey+'s θ monitor are measured against.
+    /// what level thresholds are measured against.
     pub phys_bytes: u64,
     /// Smallest key, cached at build time: the level-list entry the DRAM
     /// search compares against.
@@ -237,20 +237,6 @@ impl GroupContent {
         let h16 = (hash >> 16) as u16;
         let idx = self.page_first_hash16.partition_point(|&p| p <= h16);
         idx.saturating_sub(1)
-    }
-
-    /// The entity with `key` and `hash`, found through the hash list: one
-    /// binary search, then a scan of the equal-hash run. A miss on the
-    /// hash touches no entity.
-    pub fn find(&self, hash: u32, key: Key) -> Option<&Entity> {
-        let start = self.hashes.partition_point(|&h| h < hash);
-        if self.hashes.get(start) != Some(&hash) {
-            return None;
-        }
-        let run = self.hashes[start..].iter().take_while(|&&h| h == hash);
-        self.ents[start..start + run.count()]
-            .iter()
-            .find(|e| e.key == key)
     }
 
     /// Searches one data page for an exact `(hash, key)` match.
@@ -477,26 +463,6 @@ mod tests {
             .find(|h| g.hashes.binary_search(h).is_err())
             .unwrap();
         assert!(!g.contains_hash(absent));
-    }
-
-    #[test]
-    fn find_goes_through_the_hash_list() {
-        let mut ents = entities(2000, 24, 10);
-        // An equal-hash run the scan must walk past its first entity.
-        for e in ents.iter_mut().skip(100).take(5) {
-            e.hash = 0x1234_5678;
-        }
-        let g = GroupContent::build(&ents, PAYLOAD);
-        for e in &ents {
-            assert_eq!(g.find(e.hash, e.key).map(|f| f.key), Some(e.key));
-        }
-        // A stored hash with another key, and an absent hash, both miss.
-        assert!(g.find(0x1234_5678, Key::new(1, 24).unwrap()).is_none());
-        let absent = (0..100u32)
-            .map(|i| 0xDEAD_0000 ^ i)
-            .find(|h| g.hashes.binary_search(h).is_err())
-            .unwrap();
-        assert!(g.find(absent, ents[0].key).is_none());
     }
 
     #[test]

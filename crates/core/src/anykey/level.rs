@@ -14,14 +14,10 @@ pub struct Level {
     pub kv_bytes: u64,
     /// Physical flash bytes the level's groups occupy — what the
     /// tree-compaction threshold is measured against (so that log-triggered
-    /// inlining genuinely grows a level, the situation AnyKey+'s θ guards).
+    /// inlining genuinely grows a level and can start a compaction chain).
     pub phys_bytes: u64,
     /// Bytes of this level's values that are parked in the value log.
     pub logged_bytes: u64,
-    /// Estimated bytes of *invalid* (superseded) values this level still
-    /// references in the value log — AnyKey+'s target-selection signal
-    /// (Section 4.7).
-    pub invalid_logged: u64,
     /// Size threshold that triggers tree compaction out of this level.
     pub threshold: u64,
 }

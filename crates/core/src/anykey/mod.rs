@@ -26,7 +26,6 @@ use crate::config::{DeviceConfig, EngineKind, DRAM_OP_NS, HASH_NS, LEVEL_RATIO};
 use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
 use crate::engine::{KvEngine, MetadataStats, OpOutcome};
 use crate::error::KvError;
-use crate::key::Key;
 use crate::pagearea::PageArea;
 
 use entity::ValueLoc;
@@ -96,26 +95,6 @@ impl AnyKeyStore {
         self.core.cfg.engine == EngineKind::AnyKeyPlus
     }
 
-    /// Metadata-only probe: which level currently holds `key`, and how many
-    /// of its value bytes sit in the value log. Used for the per-level
-    /// invalid-log accounting that AnyKey+'s target selection needs
-    /// (Section 4.7); costs no simulated flash I/O, standing in for the
-    /// small per-level counters a real controller would maintain.
-    fn probe_logged(&self, key: Key, hash: u32) -> Option<(usize, u64)> {
-        for (li, level) in self.levels.iter().enumerate() {
-            let Some(gi) = level.candidate(key) else {
-                continue;
-            };
-            if let Some(e) = level.groups[gi].content.find(hash, key) {
-                if e.tombstone {
-                    return None;
-                }
-                return Some((li, e.logged_bytes()));
-            }
-        }
-        None
-    }
-
     fn do_put(
         &mut self,
         id: u64,
@@ -124,15 +103,6 @@ impl AnyKeyStore {
         at: Ns,
     ) -> Result<OpOutcome, KvError> {
         let key = self.core.make_key(id)?;
-        // Invalid-log accounting: the version this put supersedes (if any,
-        // and not still in the buffer) leaves dead value bytes in the log.
-        if self.log.is_some() && self.core.buffer.get(&key).is_none() {
-            if let Some((li, logged)) = self.probe_logged(key, key.hash32()) {
-                if logged > 0 {
-                    self.levels[li].invalid_logged += logged;
-                }
-            }
-        }
         let start = self.core.buffer_put(key, value_len, tombstone, at);
         if let Some(start) = start {
             self.core.flush_done = self.flush(start)?;

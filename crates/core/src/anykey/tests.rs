@@ -103,19 +103,33 @@ fn group_area_blocks_mostly_die_whole() {
 }
 
 #[test]
-fn metadata_only_probe_tracks_invalid_log_bytes() {
+fn plus_log_compaction_frees_half_the_log_or_inlines_every_level() {
+    // AnyKey+ relieves the log only by in-place rewrites, so one round
+    // must either reach its half-free goal or leave nothing logged (the
+    // next round then reports DeviceFull instead of merging).
     let mut s = store(EngineKind::AnyKeyPlus);
-    fill(&mut s, 20_000);
-    let invalid_before: u64 = s.levels.iter().map(|l| l.invalid_logged).sum();
-    // Overwrite keys whose old versions are flushed: their logged bytes
-    // become invalid.
-    for id in 0..5_000u64 {
+    fill(&mut s, 30_000);
+    // Keep writing until less than half the log is free, so the round
+    // starts short of its goal.
+    let mut id = 30_000;
+    while s
+        .value_log()
+        .is_some_and(|l| l.free_bytes() >= l.capacity_bytes() / 2)
+    {
         s.put(id, 48).unwrap();
+        id += 1;
+        assert!(id < 200_000, "the log never filled past half");
     }
-    let invalid_after: u64 = s.levels.iter().map(|l| l.invalid_logged).sum();
+    assert!(s.levels.iter().any(|l| l.logged_bytes > 0));
+    let at = s.horizon();
+    s.log_triggered_compaction(at).unwrap();
+    let log = s.value_log().expect("AnyKey+ has a log");
     assert!(
-        invalid_after > invalid_before,
-        "overwrites must be accounted as invalid log bytes"
+        log.free_bytes() >= log.capacity_bytes() / 2
+            || s.levels.iter().all(|l| l.logged_bytes == 0),
+        "log {} of {} bytes free with logged levels left",
+        log.free_bytes(),
+        log.capacity_bytes()
     );
 }
 

@@ -49,11 +49,6 @@ pub const LEVEL_RATIO: u64 = 8;
 /// headroom (over-provisioning).
 pub const RESERVE_BLOCKS: usize = 6;
 
-/// AnyKey+ θ (paper Section 4.7): an escalated log-triggered compaction
-/// scores each candidate source level by how much of its log values fit
-/// in `THETA ×` the destination level's threshold.
-pub const THETA: f64 = 0.95;
-
 /// Controller hash cost per request: one 32-bit xxHash of a 40-byte key
 /// on the 1.2 GHz Cortex-A53 (paper Section 4.6; GET and PUT each hash
 /// once). All evaluation data includes these controller costs.

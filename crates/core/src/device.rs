@@ -138,6 +138,14 @@ pub(crate) fn scan_outcome<P>(
     (ids, outcome(at, done, found, flash_reads, phases))
 }
 
+/// Where the upper input of a compaction comes from, in either engine.
+pub(crate) enum Source<E> {
+    /// An L0 flush: entries assembled from the write buffer.
+    Flush(Vec<E>),
+    /// A whole LSM level.
+    Level(usize),
+}
+
 /// The newest-wins two-way merge both engines' compactions run over
 /// key-sorted runs, `upper` being the newer. On an equal key the upper
 /// entry wins and the shadowed lower one goes to `shadowed`. With

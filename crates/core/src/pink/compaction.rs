@@ -10,7 +10,7 @@ use anykey_flash::{Ns, OpCause, Ppa};
 
 use crate::bytelog::Extent;
 use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
-use crate::device::merge_newest;
+use crate::device::{merge_newest, Source};
 use crate::error::KvError;
 use crate::pink::segment::{SegEntry, Segment};
 use crate::pink::{PinkLevel, PinkStore};
@@ -44,7 +44,7 @@ impl PinkStore {
                 tombstone: be.tombstone,
             });
         }
-        let t_ack = self.merge_levels(None, upper, 0, t)?;
+        let t_ack = self.merge_levels(Source::Flush(upper), 0, t)?;
         // Deeper merges are pipelined background work; the buffer frees as
         // soon as the L0->L1 merge lands.
         self.maintain(t_ack)?;
@@ -61,7 +61,7 @@ impl PinkStore {
         while i < self.levels.len() {
             if self.levels[i].over_threshold() {
                 self.ensure_next_level(i);
-                t = self.merge_levels(Some(i), Vec::new(), i + 1, t)?;
+                t = self.merge_levels(Source::Level(i), i + 1, t)?;
             } else {
                 i += 1;
             }
@@ -76,12 +76,11 @@ impl PinkStore {
         }
     }
 
-    /// Merges `src` (or the given pre-built entries) into level `dst`,
-    /// rebuilding `dst`'s meta segments and re-planning DRAM placement.
+    /// Merges `src` into level `dst`, rebuilding `dst`'s meta segments and
+    /// re-planning DRAM placement.
     pub(crate) fn merge_levels(
         &mut self,
-        src: Option<usize>,
-        upper_in: Vec<SegEntry>,
+        src: Source<SegEntry>,
         dst: usize,
         at: Ns,
     ) -> Result<Ns, KvError> {
@@ -91,18 +90,18 @@ impl PinkStore {
         // meta volume) plus slack.
         let block_bytes = self.core.flash.geometry().block_bytes();
         let growth_blocks = match src {
-            Some(si) => {
+            Source::Level(si) => {
                 let bytes: u64 = self.levels[si].segs.iter().map(Segment::bytes).sum();
                 (bytes / block_bytes) as usize + 2
             }
-            None => 2,
+            Source::Flush(_) => 2,
         };
         let t_head = self.gc_for_headroom(at, growth_blocks)?.max(at);
 
         // --- 1. Take inputs; read and free their spilled meta pages. ----
         let mut read_ppas: Vec<Ppa> = Vec::new();
         let mut freed_pages: Vec<Ppa> = Vec::new();
-        let (upper, lower) = {
+        let (upper, src_idx, lower) = {
             let mut take_level = |level: &mut PinkLevel| -> Result<Vec<SegEntry>, KvError> {
                 for s in std::mem::take(&mut level.segs) {
                     if !s.resident {
@@ -116,14 +115,11 @@ impl PinkStore {
                 freed_pages.append(&mut level.list_pages);
                 Ok(std::mem::take(&mut level.entries))
             };
-            let upper = match src {
-                Some(si) => {
-                    debug_assert!(upper_in.is_empty());
-                    take_level(&mut self.levels[si])?
-                }
-                None => upper_in,
+            let (upper, src_idx) = match src {
+                Source::Level(si) => (take_level(&mut self.levels[si])?, Some(si)),
+                Source::Flush(ents) => (ents, None),
             };
-            (upper, take_level(&mut self.levels[dst])?)
+            (upper, src_idx, take_level(&mut self.levels[dst])?)
         };
         let t_read = self
             .core
@@ -150,7 +146,7 @@ impl PinkStore {
         // --- 3. Cut the merged run into page-sized segments. ------------
         let merged_count = merged.len() as u64;
         self.levels[dst].set_run(merged, self.core.page_payload);
-        if let Some(si) = src {
+        if let Some(si) = src_idx {
             self.levels[si].recount();
         }
 

@@ -10,8 +10,10 @@
 //! the order alternating between runs so drift on the host falls on both
 //! sides alike. The file holds, per side and workload, each end-to-end
 //! metric's values with their median and quartiles, the failed-op ratio,
-//! and, with a parent, how many pairs the change won per metric; plus the
-//! commits, `nproc`, and the median `calibration_ns` of each side.
+//! and, with a parent, how many pairs the change won per metric and
+//! whether both sides simulated the same thing (`same_sim`: every seed's
+//! `sim_digest` equal; a warning is printed when not); plus the commits,
+//! `nproc`, and the median `calibration_ns` of each side.
 //!
 //! Exit codes: 0 written, 1 a run failed or reported failed ops, 2
 //! usage/IO/parse error.
@@ -257,13 +259,15 @@ fn read_spec(src: &str) -> Result<Spec, String> {
 }
 
 /// One run's figures: the end-to-end metrics in spec order, the failed-op
-/// ratio, and the info line's commit and calibration time.
+/// ratio, and the info line's commit, calibration time and digest of the
+/// simulated work.
 #[derive(Debug, Clone, PartialEq)]
 struct RunResult {
     metrics: Vec<f64>,
     failed_ratio: f64,
     commit: String,
     calibration_ns: f64,
+    sim_digest: Option<String>,
 }
 
 /// The raw text after `"key":` in a JSON line, up to the next `,` or `}`
@@ -303,7 +307,18 @@ fn read_run(stdout: &str, metrics: &[(String, bool)]) -> Result<RunResult, Strin
         calibration_ns: scan_field(info, "calibration_ns")
             .and_then(|s| s.parse().ok())
             .unwrap_or(0.0),
+        sim_digest: scan_field(info, "sim_digest").map(str::to_string),
     })
+}
+
+/// Whether two sides' runs of one workload simulated the same work: every
+/// seed reports a digest, and the same one on both sides.
+fn same_sim(change: &[RunResult], parent: &[RunResult]) -> bool {
+    change.len() == parent.len()
+        && change
+            .iter()
+            .zip(parent)
+            .all(|(c, p)| c.sim_digest.is_some() && c.sim_digest == p.sim_digest)
 }
 
 /// The `q`-quantile of `xs` by linear interpolation between order
@@ -423,7 +438,8 @@ fn render(n: u32, spec: &Spec, seconds: f64, sides: &[(&str, &Side)]) -> String 
                 let sep = if mi == 0 { "" } else { ", " };
                 let _ = write!(out, "{sep}\"{name}\": {wins}");
             }
-            out.push('}');
+            let same = same_sim(&change[wi], &parent[wi]);
+            let _ = write!(out, "}},\n      \"same_sim\": {same}");
         }
         out.push_str("\n    }");
     }
@@ -499,6 +515,11 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
     let mut sides: Vec<(&str, &Side)> = vec![("change", &change)];
     if parent.is_some() {
         sides.push(("parent", &base));
+        for (wi, w) in spec.workloads.iter().enumerate() {
+            if !same_sim(&change[wi], &base[wi]) {
+                eprintln!("xtask bench-record: warning: {w} simulated different work (sim_digest differs from the parent's)");
+            }
+        }
     }
     let doc = render(n, &spec, seconds, &sides);
     let path = format!("BENCH_{n}.json");
@@ -561,6 +582,31 @@ mod tests {
     }
 
     #[test]
+    fn compares_sim_digests_seed_by_seed() {
+        let s = read_spec(SPEC).unwrap();
+        let result = "{\"attempted\":1,\"failed\":0,\"metrics\":{\"ops\":{\"value\":1},\"rss\":{\"value\":1}}}";
+        let run = |digest: &str| {
+            let info = format!("{{\"info\":{{\"commit\":\"c\",\"sim_digest\":\"{digest}\"}}}}");
+            read_run(&format!("{info}\n{result}\n"), &s.metrics).unwrap()
+        };
+        assert_eq!(run("00ab").sim_digest.as_deref(), Some("00ab"));
+        let change: Side = vec![vec![run("1"), run("2")], vec![run("1"), run("2")]];
+        let parent: Side = vec![vec![run("1"), run("2")], vec![run("1"), run("3")]];
+        assert!(same_sim(&change[0], &parent[0]));
+        assert!(!same_sim(&change[1], &parent[1]));
+        // Runs without a digest prove nothing.
+        let bare = [read_run(&format!("{{}}\n{result}"), &s.metrics).unwrap()];
+        assert!(!same_sim(&bare, &bare));
+        let doc = render(7, &s, 25.0, &[("change", &change), ("parent", &parent)]);
+        let w = parse(&doc).unwrap().get("workloads").unwrap().clone();
+        assert_eq!(w.get("a").unwrap().get("same_sim"), Some(&Json::Bool(true)));
+        assert_eq!(
+            w.get("b").unwrap().get("same_sim"),
+            Some(&Json::Bool(false))
+        );
+    }
+
+    #[test]
     fn quantiles_interpolate() {
         let xs = [4.0, 1.0, 3.0, 2.0];
         assert_eq!(quantile(&xs, 0.5), 2.5);
@@ -576,6 +622,7 @@ mod tests {
             failed_ratio: 0.0,
             commit: "c".into(),
             calibration_ns: 1.0,
+            sim_digest: Some("d".into()),
         };
         let change: Side = vec![vec![run(2.0, 1.0), run(2.0, 5.0)], vec![run(1.0, 1.0); 2]];
         let parent: Side = vec![vec![run(1.0, 2.0), run(3.0, 2.0)], vec![run(1.0, 1.0); 2]];
