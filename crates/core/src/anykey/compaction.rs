@@ -269,11 +269,11 @@ impl AnyKeyStore {
             .read_many(read_ppas, OpCause::CompactionRead, at);
 
         // Take each touched group's entities with their values inlined and
-        // free it; a group is dropped as soon as its run is copied out.
+        // free it; a group is dropped as soon as its run is taken out.
         let mut runs: Vec<Vec<Entity>> = Vec::with_capacity(touched.len());
         let mut t_erase = t_read;
-        for g in touched {
-            let mut ents: Vec<Entity> = g.content.iter_key_order().copied().collect();
+        for mut g in touched {
+            let mut ents = std::mem::take(&mut g.content.ents);
             self.inline_values(&mut ents)?;
             runs.push(ents);
             t_erase = t_erase.max(self.release_groups([g], t_read)?);
@@ -328,14 +328,14 @@ impl AnyKeyStore {
 
         // --- 1. Gather inputs and their flash pages. -------------------
         let mut read_ppas: Vec<Ppa> = Vec::new();
-        let (upper, src_groups, src_idx) = match src {
+        let (flushed, src_groups, src_idx) = match src {
             Source::Flush(ents) => (ents, Vec::new(), None),
             Source::Level(si) => {
                 let groups = std::mem::take(&mut self.levels[si].groups);
                 for g in &groups {
                     read_ppas.extend(g.all_ppas());
                 }
-                (key_order_entities(&groups), groups, Some(si))
+                (Vec::new(), groups, Some(si))
             }
         };
         // For an in-place rewrite of the deepest level, the "lower" input
@@ -344,17 +344,19 @@ impl AnyKeyStore {
         for g in &dst_groups {
             read_ppas.extend(g.all_ppas());
         }
-        let lower = key_order_entities(&dst_groups);
         let t_read = self
             .core
             .flash
             .read_many(read_ppas, OpCause::CompactionRead, at);
 
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
+        // The merge reads each group's key-ordered entities in place.
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
+        let mut upper = vec![&flushed[..]];
+        upper.extend(entity_runs(&src_groups));
         let mut merged = merge_newest(
-            upper,
-            lower,
+            &upper,
+            &entity_runs(&dst_groups),
             is_bottom,
             |e| (e.key, e.tombstone),
             |dead| self.drop_logged(dead),
@@ -413,12 +415,8 @@ fn log_pages(ents: &[Entity]) -> impl Iterator<Item = Ppa> + '_ {
         .flatten()
 }
 
-/// The entities of a run of key-ordered groups, in key order, gathered
-/// into one vector sized up front.
-fn key_order_entities(groups: &[Group]) -> Vec<Entity> {
-    let mut out = Vec::with_capacity(groups.iter().map(|g| g.content.entity_count()).sum());
-    for g in groups {
-        out.extend(g.content.iter_key_order().copied());
-    }
-    out
+/// The key-ordered entity arrays of a run of key-ordered groups: one
+/// key-sorted run, slice by slice.
+fn entity_runs(groups: &[Group]) -> Vec<&[Entity]> {
+    groups.iter().map(|g| &g.content.ents[..]).collect()
 }

@@ -6,6 +6,11 @@
 //! first page(s) of a group hold a key-sorted `{page, offset}` directory so
 //! range queries can walk keys in order without re-sorting (Section 4.4.5).
 //!
+//! The host keeps that layout as an index rather than a copy: the entities
+//! sit in key (directory) order, and a slot index lists them in hash order,
+//! cut into data pages. Every entity keeps the page and slot it has on
+//! flash, so the modeled bytes are the paper's.
+//!
 //! The level-list entry for a group (what lives in DRAM) is: the group's
 //! smallest key, the PPA of its first page, a 16-bit hash prefix of the
 //! first key of every data page, and 2 hash-collision bits per page
@@ -35,16 +40,20 @@ pub struct CollisionBits {
 /// flash.
 #[derive(Debug, Clone)]
 pub struct GroupContent {
-    /// The group's entities in `(hash, key)` order: one hash-ordered run,
-    /// cut into data pages by `page_start`.
+    /// The group's entities in key order, which is the directory's order.
+    /// Each carries the `span_extra` of its hash-ordered slot on flash.
     pub ents: Vec<Entity>,
-    /// Index in `ents` of each data page's first slot, plus a final
-    /// `ents.len()`: data page `p` holds the entities from `page_start[p]`
+    /// The flash slot order: `slots[k]` is the `ents` index of the `k`-th
+    /// entity by `(hash, key)`, cut into data pages by `page_start`.
+    pub slots: Vec<u32>,
+    /// Index in `slots` of each data page's first slot, plus a final
+    /// `slots.len()`: data page `p` holds the slots from `page_start[p]`
     /// up to `page_start[p + 1]` (none for a page holding only a previous
     /// entity's spill).
     pub page_start: Vec<u32>,
-    /// Key-sorted directory: `(data_page, slot)` per entity.
-    pub dir: Vec<(u16, u16)>,
+    /// The data page each entity starts in (the directory's page field):
+    /// `ents[i]` sits in data page `page_of[i]`.
+    pub page_of: Vec<u16>,
     /// Number of leading pages holding the directory.
     pub dir_pages: u32,
     /// 16-bit hash prefix of each data page's first entity (the DRAM
@@ -55,8 +64,8 @@ pub struct GroupContent {
     pub page_first_hash: Vec<u32>,
     /// Collision bits per data page.
     pub collision: Vec<CollisionBits>,
-    /// Sorted hashes of every entity (the hash-list content):
-    /// `hashes[i] == ents[i].hash`.
+    /// Sorted hashes of every entity (the hash-list content), in slot
+    /// order: `hashes[k] == ents[slots[k] as usize].hash`.
     pub hashes: Vec<u32>,
     /// Logical KV bytes (keys + values) in this group.
     pub kv_bytes: u64,
@@ -107,42 +116,49 @@ impl GroupContent {
 
         // Hash order as one integer sort of `(hash << 32) | index`: the
         // input is key-sorted, so the index breaks hash ties by key and
-        // collision runs come out contiguous and deterministic.
+        // collision runs come out contiguous and deterministic. The low
+        // halves are the slot index, the high halves the sorted hash list.
         let mut order: Vec<u64> = entities
             .iter()
             .enumerate()
             .map(|(i, e)| (u64::from(e.hash) << 32) | i as u64)
             .collect();
         order.sort_unstable();
+        let slots: Vec<u32> = order.iter().map(|&w| w as u32).collect();
+        let hashes: Vec<u32> = order.iter().map(|&w| (w >> 32) as u32).collect();
+        drop(order);
 
-        // Pack byte-continuously: an entity belongs to the page its header
-        // starts in and may spill into following pages (span_extra), so no
-        // page capacity is wasted even for values comparable to the page
-        // size. Pages that contain only the spill of a previous entity
-        // hold no starting slots. Placing input entity `i` at `(page,
-        // slot)` fills `dir[i]`, so the directory comes out key-sorted.
-        let stored: u64 = entities.iter().map(Entity::stored_bytes).sum();
-        let data_pages = stored.div_ceil(payload) as usize;
-        let mut ents: Vec<Entity> = Vec::with_capacity(count);
-        let mut page_start: Vec<u32> = Vec::with_capacity(data_pages + 1);
-        page_start.push(0);
-        let mut dir = vec![(0u16, 0u16); count];
-        let mut offset = 0u64;
-        for &w in &order {
-            let i = (w & u64::from(u32::MAX)) as usize;
-            let mut e = entities[i];
-            let sz = e.stored_bytes();
-            let start_page = (offset / payload) as usize;
-            let end_page = ((offset + sz - 1) / payload) as usize;
-            e.span_extra = (end_page - start_page) as u8;
-            while page_start.len() <= start_page {
-                page_start.push(ents.len() as u32);
+        // Pack byte-continuously in slot order: an entity belongs to the
+        // page its header starts in and may spill into following pages
+        // (span_extra), so no page capacity is wasted even for values
+        // comparable to the page size. Pages that contain only the spill
+        // of a previous entity hold no slots. The walk keeps the current
+        // page and the bytes used in it, so it divides nothing.
+        let mut ents = entities.to_vec();
+        let mut page_of = vec![0u16; count];
+        let mut page_start: Vec<u32> = vec![0];
+        let (mut page, mut used) = (0usize, 0u64);
+        for (k, &i) in slots.iter().enumerate() {
+            while page_start.len() <= page {
+                page_start.push(k as u32);
             }
-            let slot = ents.len() - page_start[start_page] as usize;
-            dir[i] = (start_page as u16, slot as u16);
-            ents.push(e);
-            offset += sz;
+            let e = &mut ents[i as usize];
+            page_of[i as usize] = page as u16;
+            let mut end = used + e.stored_bytes();
+            let mut extra = 0usize;
+            while end > payload {
+                end -= payload;
+                extra += 1;
+            }
+            e.span_extra = extra as u8;
+            page += extra;
+            used = end;
+            if used == payload {
+                page += 1;
+                used = 0;
+            }
         }
+        let data_pages = page + usize::from(used > 0);
         page_start.resize(data_pages + 1, count as u32);
 
         // Per-page first/last hashes (spill-only pages physically contain
@@ -150,11 +166,11 @@ impl GroupContent {
         // the 16-bit routing prefixes plus collision bits (Figure 7).
         let mut page_first_hash: Vec<u32> = Vec::with_capacity(data_pages);
         let mut page_last_hash: Vec<u32> = Vec::with_capacity(data_pages);
-        let mut carry = ents[0].hash;
+        let mut carry = hashes[0];
         for w in page_start.windows(2) {
-            let page = &ents[w[0] as usize..w[1] as usize];
-            page_first_hash.push(page.first().map_or(carry, |e| e.hash));
-            carry = page.last().map_or(carry, |e| e.hash);
+            let page = &hashes[w[0] as usize..w[1] as usize];
+            page_first_hash.push(page.first().copied().unwrap_or(carry));
+            carry = page.last().copied().unwrap_or(carry);
             page_last_hash.push(carry);
         }
         let page_first_hash16: Vec<u16> =
@@ -167,16 +183,16 @@ impl GroupContent {
             }
         }
 
-        // The sorted hash list is the high half of the sorted words.
-        let hashes: Vec<u32> = order.iter().map(|&w| (w >> 32) as u32).collect();
-
         let dir_pages = ((count as u64 * DIR_ENTRY_BYTES).div_ceil(payload)).max(1) as u32;
         let phys_bytes = (dir_pages as u64 + data_pages as u64) * payload;
 
         Self {
+            smallest: ents[0].key,
+            largest: ents[count - 1].key,
             ents,
+            slots,
             page_start,
-            dir,
+            page_of,
             dir_pages,
             page_first_hash16,
             page_first_hash,
@@ -185,14 +201,12 @@ impl GroupContent {
             kv_bytes,
             logged_bytes,
             phys_bytes,
-            smallest: entities[0].key,
-            largest: entities[count - 1].key,
         }
     }
 
     /// Number of entities in the group.
     pub fn entity_count(&self) -> usize {
-        self.dir.len()
+        self.ents.len()
     }
 
     /// Number of data pages.
@@ -200,19 +214,15 @@ impl GroupContent {
         (self.page_start.len() - 1) as u32
     }
 
-    /// The entities starting in data page `page`, in `(hash, key)` order.
-    pub fn page(&self, page: usize) -> &[Entity] {
-        &self.ents[self.page_start[page] as usize..self.page_start[page + 1] as usize]
+    /// The slots of data page `page`: `ents` indices in `(hash, key)`
+    /// order.
+    pub fn page(&self, page: usize) -> &[u32] {
+        &self.slots[self.page_start[page] as usize..self.page_start[page + 1] as usize]
     }
 
     /// Total flash pages occupied (directory + data).
     pub fn total_pages(&self) -> u32 {
         self.dir_pages + self.data_pages()
-    }
-
-    /// The entity at a directory position.
-    pub fn entity(&self, page: u16, slot: u16) -> &Entity {
-        &self.ents[self.page_start[page as usize] as usize + slot as usize]
     }
 
     /// The group's smallest key (what the level-list entry stores).
@@ -239,25 +249,31 @@ impl GroupContent {
         idx.saturating_sub(1)
     }
 
-    /// Searches one data page for an exact `(hash, key)` match.
+    /// Searches one data page for an exact `(hash, key)` match: a binary
+    /// search of the page's stretch of the hash list, then a key check of
+    /// each slot in its equal-hash run.
     pub fn search_page(&self, page: usize, hash: u32, key: Key) -> Option<&Entity> {
-        let entries = self.page(page);
-        let start = entries.partition_point(|e| e.hash < hash);
-        entries[start..]
+        let (lo, hi) = (
+            self.page_start[page] as usize,
+            self.page_start[page + 1] as usize,
+        );
+        let start = lo + self.hashes[lo..hi].partition_point(|&h| h < hash);
+        self.hashes[start..hi]
             .iter()
-            .take_while(|e| e.hash == hash)
+            .zip(&self.slots[start..hi])
+            .take_while(|&(&h, _)| h == hash)
+            .map(|(_, &i)| &self.ents[i as usize])
             .find(|e| e.key == key)
     }
 
     /// First directory index whose key is ≥ `key` (for range scans).
     pub fn dir_lower_bound(&self, key: Key) -> usize {
-        self.dir
-            .partition_point(|&(p, s)| self.entity(p, s).key < key)
+        self.ents.partition_point(|e| e.key < key)
     }
 
     /// Iterates entities in key order.
     pub fn iter_key_order(&self) -> impl Iterator<Item = &Entity> + '_ {
-        self.dir.iter().map(move |&(p, s)| self.entity(p, s))
+        self.ents.iter()
     }
 
     /// The DRAM footprint of this group's level-list entry: smallest key +
@@ -311,21 +327,28 @@ impl Group {
 /// `payload` usable bytes, so groups tile erase blocks without structural
 /// waste.
 pub fn pack_groups(entities: &[Entity], payload: u64, max_total_pages: u32) -> Vec<GroupContent> {
+    // A chunk of `bytes` fits when `bytes.div_ceil(payload) + dir_pages <=
+    // max_total_pages`, that is when `bytes` is at most the limit below,
+    // which moves only when the chunk's directory grows by a page.
+    let limit = |dir_pages: u64| u64::from(max_total_pages).saturating_sub(dir_pages) * payload;
     let mut out = Vec::new();
     let mut start = 0usize;
-    let mut bytes = 0u64;
+    let (mut bytes, mut dir_bytes, mut dir_pages) = (0u64, 0u64, 1u64);
+    let mut max_bytes = limit(dir_pages);
     for (i, e) in entities.iter().enumerate() {
         let sz = e.stored_bytes();
         // Projected footprint if `e` joins the chunk `start..i`:
         // byte-continuous data pages plus the key-sorted directory pages.
-        let data_pages = (bytes + sz).div_ceil(payload);
-        let dir_pages = (((i - start) as u64 + 1) * DIR_ENTRY_BYTES)
-            .div_ceil(payload)
-            .max(1);
-        if i > start && data_pages + dir_pages > max_total_pages as u64 {
+        dir_bytes += DIR_ENTRY_BYTES;
+        while dir_bytes > dir_pages * payload {
+            dir_pages += 1;
+            max_bytes = limit(dir_pages);
+        }
+        if i > start && bytes + sz > max_bytes {
             out.push(GroupContent::build(&entities[start..i], payload));
             start = i;
-            bytes = 0;
+            (bytes, dir_bytes, dir_pages) = (0, DIR_ENTRY_BYTES, 1);
+            max_bytes = limit(dir_pages);
         }
         bytes += sz;
     }
@@ -372,7 +395,8 @@ mod tests {
         let g = GroupContent::build(&entities(2000, 48, 43), PAYLOAD);
         let mut prev = 0u32;
         for p in 0..g.data_pages() as usize {
-            for e in g.page(p) {
+            for &i in g.page(p) {
+                let e = &g.ents[i as usize];
                 assert!(e.hash >= prev);
                 prev = e.hash;
             }
@@ -420,7 +444,7 @@ mod tests {
                     break;
                 }
                 assert!(p > 0, "entity {:?} unreachable by routing", e.key);
-                let first = g.page(p)[0].hash;
+                let first = g.ents[g.page(p)[0] as usize].hash;
                 assert!(
                     e.hash < first || (e.hash == first && g.collision[p].continued_prev),
                     "backward walk not justified for {:?}",
@@ -630,8 +654,9 @@ mod tests {
     fn assert_same_group(got: &GroupContent, want: &RefGroup, ctx: &str) {
         let GroupContent {
             ents,
+            slots,
             page_start,
-            dir,
+            page_of,
             dir_pages,
             page_first_hash16,
             page_first_hash,
@@ -646,18 +671,27 @@ mod tests {
         assert_eq!(page_start.len(), want.pages.len() + 1, "{ctx}: page count");
         for (p, page) in want.pages.iter().enumerate() {
             let (lo, hi) = (page_start[p] as usize, page_start[p + 1] as usize);
-            assert_eq!(
-                &ents[lo..hi],
-                &page[..],
-                "{ctx}: page {p} (with span_extra)"
-            );
+            let got: Vec<Entity> = slots[lo..hi].iter().map(|&i| ents[i as usize]).collect();
+            assert_eq!(got, page[..], "{ctx}: page {p} (with span_extra)");
         }
         assert_eq!(
             page_start.last().map(|&e| e as usize),
             Some(ents.len()),
             "{ctx}: page starts end at the entity count"
         );
-        assert_eq!(dir, &want.dir, "{ctx}: directory");
+        // Entity `i` is the reference directory's `i`-th entry: its page
+        // is `page_of[i]` and its slot there points back at `i`.
+        assert_eq!(slots.len(), want.dir.len(), "{ctx}: slot count");
+        assert_eq!(page_of.len(), want.dir.len(), "{ctx}: page-of count");
+        for (i, &(p, s)) in want.dir.iter().enumerate() {
+            assert_eq!(page_of[i], p, "{ctx}: page of entity {i}");
+            let k = page_start[p as usize] as usize + s as usize;
+            assert_eq!(slots[k] as usize, i, "{ctx}: slot {s} of page {p}");
+            assert_eq!(
+                ents[i], want.pages[p as usize][s as usize],
+                "{ctx}: entity {i} in key order"
+            );
+        }
         assert_eq!(dir_pages, &want.dir_pages, "{ctx}: directory pages");
         assert_eq!(
             page_first_hash16, &want.page_first_hash16,
@@ -767,11 +801,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn build_matches_reference_on_forced_hash_runs() {
-        // Equal hashes spanning page boundaries, as in
-        // `collision_bits_mark_hash_runs_spanning_pages`, interleaved with
-        // tombstones, logged values and page-sized inline values.
+    /// Equal hashes spanning page boundaries, as in
+    /// `collision_bits_mark_hash_runs_spanning_pages`, interleaved with
+    /// tombstones, logged values and page-sized inline values.
+    fn forced_hash_runs() -> Vec<Entity> {
         let mut ents = random_run(7, 3_000, 24);
         for (i, e) in ents.iter_mut().enumerate() {
             match i % 10 {
@@ -781,6 +814,12 @@ mod tests {
                 _ => {}
             }
         }
+        ents
+    }
+
+    #[test]
+    fn build_matches_reference_on_forced_hash_runs() {
+        let ents = forced_hash_runs();
         assert_matches_reference(&ents, 2048, "forced runs, 2 KiB payload");
         assert_matches_reference(&ents, PAYLOAD, "forced runs, 8 KiB payload");
         let mut same = entities(500, 48, 400);
@@ -788,5 +827,77 @@ mod tests {
             e.hash = 0xABCD_0000;
         }
         assert_matches_reference(&same, 2048, "one hash for every entity");
+    }
+
+    /// GET's page walk (`AnyKeyStore::do_get`): search the routed page,
+    /// then step back while the page's first hash says the run may start
+    /// earlier.
+    fn walk_lookup(g: &GroupContent, hash: u32, key: Key) -> Option<&Entity> {
+        let mut p = g.route_page(hash);
+        loop {
+            if let Some(e) = g.search_page(p, hash, key) {
+                return Some(e);
+            }
+            let first = g.page_first_hash[p];
+            if p > 0 && (hash < first || (hash == first && g.collision[p].continued_prev)) {
+                p -= 1;
+            } else {
+                return None;
+            }
+        }
+    }
+
+    /// Checks the page walk and `dir_lower_bound` against a brute-force
+    /// scan of the key-sorted input for every id up to past the last one:
+    /// present keys under their own hash, absent keys under their own hash
+    /// and under the hash of the entity before them (so they land inside
+    /// equal-hash runs).
+    fn assert_lookups_match_brute_force(ents: &[Entity], payload: u64, ctx: &str) {
+        let g = GroupContent::build(ents, payload);
+        let key_len = ents[0].key.len();
+        let last = ents[ents.len() - 1].key.id();
+        for id in 0..=last + 2 {
+            let key = Key::new(id, key_len).unwrap();
+            let below = ents.partition_point(|e| e.key < key);
+            assert_eq!(g.dir_lower_bound(key), below, "{ctx}: lower bound of {id}");
+            match ents.get(below).filter(|e| e.key == key) {
+                Some(want) => {
+                    let got = walk_lookup(&g, want.hash, key)
+                        .unwrap_or_else(|| panic!("{ctx}: present key {id} not found"));
+                    assert_eq!(
+                        (got.key, got.value_len, got.loc, got.tombstone),
+                        (want.key, want.value_len, want.loc, want.tombstone),
+                        "{ctx}: key {id}"
+                    );
+                }
+                None => {
+                    let mut probes = vec![key.hash32()];
+                    probes.extend(below.checked_sub(1).map(|b| ents[b].hash));
+                    for hash in probes {
+                        assert!(
+                            walk_lookup(&g, hash, key).is_none(),
+                            "{ctx}: absent key {id} found under hash {hash:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_search_and_lower_bound_match_brute_force() {
+        for seed in 0..4u64 {
+            for (payload, key_len) in [(PAYLOAD, 24), (2048, 48)] {
+                let ents = random_run(0x5EA7 + seed, 1_500, key_len);
+                assert_lookups_match_brute_force(
+                    &ents,
+                    payload,
+                    &format!("seed {seed}, payload {payload}"),
+                );
+            }
+        }
+        let ents = forced_hash_runs();
+        assert_lookups_match_brute_force(&ents, 2048, "forced runs, 2 KiB payload");
+        assert_lookups_match_brute_force(&ents, PAYLOAD, "forced runs, 8 KiB payload");
     }
 }

@@ -214,11 +214,15 @@ impl AnyKeyStore {
                     } else {
                         0
                     };
-                    if from < g.content.dir.len() {
+                    let (ents, page_of) = (&g.content.ents, &g.content.page_of);
+                    if from < ents.len() {
                         pages.push(g.dir_ppa(from, page_payload));
                     }
-                    for &(p, s) in g.content.dir[from..].iter().take(budget - taken) {
-                        let e = g.content.entity(p, s);
+                    for (e, &p) in ents[from..]
+                        .iter()
+                        .zip(&page_of[from..])
+                        .take(budget - taken)
+                    {
                         cands.push(ScanCand {
                             key: e.key,
                             tombstone: e.tombstone,

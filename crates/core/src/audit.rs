@@ -10,9 +10,10 @@
 //!   smallest/largest key matches its directory.
 //! * **Flat runs** — a PinK level's meta segments tile its one entry run
 //!   in order, each non-empty and caching its exact byte count; an AnyKey
-//!   group's page starts rise to its entity count, and its hash list is
-//!   exactly its entities' hashes (the invalid-log probe searches the
-//!   entities through it).
+//!   group's page starts rise to its entity count, its slot index is a
+//!   permutation of its key-ordered entities that lists each in the data
+//!   page it records, and its hash list is sorted and exactly the slots'
+//!   hashes (GET's page search goes through it).
 //! * **DRAM conservation** — [`crate::dram::DramBudget::metadata_used`]
 //!   equals the byte sum of the structures currently marked DRAM-resident
 //!   and never exceeds the metadata budget.
@@ -39,6 +40,7 @@ use std::fmt;
 
 use anykey_flash::CounterSkew;
 
+use crate::anykey::group::GroupContent;
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
 use crate::pink::segment::SegEntry;
@@ -168,8 +170,16 @@ pub enum AuditError {
         /// The group index within the level.
         group: usize,
     },
-    /// An AnyKey group's hash list is not exactly the hashes of its
-    /// hash-ordered entities.
+    /// An AnyKey group's slot index is not a permutation of its entities,
+    /// or lists an entity in a data page other than the one it records.
+    SlotIndexSkew {
+        /// The level holding the group.
+        level: usize,
+        /// The group index within the level.
+        group: usize,
+    },
+    /// An AnyKey group's hash list is not sorted or not exactly the hashes
+    /// of its entities in slot order.
     HashListMismatch {
         /// The level holding the group.
         level: usize,
@@ -205,6 +215,23 @@ pub enum AuditError {
         /// Total blocks the allocator manages.
         total: usize,
     },
+}
+
+/// Whether a group's slot index is a permutation of its entities that
+/// lists each entity in the data page `page_of` records for it. Assumes
+/// the page starts rise from 0 to the entity count.
+fn slot_index_holds(g: &GroupContent) -> bool {
+    let n = g.ents.len();
+    if g.slots.len() != n || g.page_of.len() != n {
+        return false;
+    }
+    let mut seen = vec![false; n];
+    (0..g.data_pages() as usize).all(|p| {
+        g.page(p).iter().all(|&i| {
+            let i = i as usize;
+            i < n && !std::mem::replace(&mut seen[i], true) && usize::from(g.page_of[i]) == p
+        })
+    })
 }
 
 /// Wraps an allocator's [`anykey_flash::AllocSkew`] with its owning region.
@@ -292,9 +319,13 @@ impl fmt::Display for AuditError {
                 f,
                 "group {group} of level {level} has page starts that decrease or miss its entity bounds"
             ),
+            AuditError::SlotIndexSkew { level, group } => write!(
+                f,
+                "group {group} of level {level} has a slot index that is not a permutation of its entities or lists one outside its recorded data page"
+            ),
             AuditError::HashListMismatch { level, group } => write!(
                 f,
-                "group {group} of level {level} has a hash list that differs from its entities' hashes"
+                "group {group} of level {level} has a hash list that is unsorted or differs from its entities' hashes"
             ),
             AuditError::MissingSpillLocation { level, index } => write!(
                 f,
@@ -342,8 +373,8 @@ impl AnyKeyStore {
         // fences the structure check vouches for.
         for (li, level) in self.levels.iter().enumerate() {
             for (gi, g) in level.groups.iter().enumerate() {
-                // The flat layout first: the directory walk below indexes
-                // entities through the page starts.
+                // The flat layout first: the slot and hash-list checks
+                // index entities through the page starts.
                 let (ents, starts) = (&g.content.ents, &g.content.page_start);
                 if starts.first() != Some(&0)
                     || starts.last().map(|&e| e as usize) != Some(ents.len())
@@ -354,8 +385,19 @@ impl AnyKeyStore {
                         group: gi,
                     });
                 }
-                if g.content.hashes.len() != ents.len()
-                    || g.content.hashes.iter().zip(ents).any(|(&h, e)| h != e.hash)
+                if !slot_index_holds(&g.content) {
+                    return Err(AuditError::SlotIndexSkew {
+                        level: li,
+                        group: gi,
+                    });
+                }
+                let hashes = &g.content.hashes;
+                if hashes.len() != ents.len()
+                    || hashes.windows(2).any(|w| w[0] > w[1])
+                    || hashes
+                        .iter()
+                        .zip(&g.content.slots)
+                        .any(|(&h, &i)| h != ents[i as usize].hash)
                 {
                     return Err(AuditError::HashListMismatch {
                         level: li,
@@ -528,6 +570,23 @@ impl AnyKeyStore {
             }
             None => false,
         }
+    }
+
+    /// Test-only corruption hook: swaps the first slot of a group's first
+    /// data page with the first slot after that page, so each slot lists
+    /// an entity recorded in another page. Returns whether a group with
+    /// slots in two pages existed.
+    #[doc(hidden)]
+    pub fn corrupt_slot_index_for_test(&mut self) -> bool {
+        for g in self.levels.iter_mut().flat_map(|l| l.groups.iter_mut()) {
+            let c = &mut g.content;
+            let next = c.page_start[1] as usize;
+            if next < c.slots.len() {
+                c.slots.swap(0, next);
+                return true;
+            }
+        }
+        false
     }
 
     /// Test-only corruption hook: changes the first hash-list entry of the

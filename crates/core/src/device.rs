@@ -9,6 +9,7 @@
 //! compaction, GC, and GET path. [`DeviceCore::scan`] is the range-scan
 //! merge both engines run over their own per-level candidates.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -147,44 +148,93 @@ pub(crate) enum Source<E> {
 }
 
 /// The newest-wins two-way merge both engines' compactions run over
-/// key-sorted runs, `upper` being the newer. On an equal key the upper
-/// entry wins and the shadowed lower one goes to `shadowed`. With
-/// `drop_tombstones` (the output is the bottom level) tombstones are
-/// dropped, as nothing below remains for them to shadow. `entry` gives an
-/// entry's key and whether it is a tombstone.
+/// key-sorted runs, `upper` being the newer. Each run is a sequence of
+/// slices read in place (a PinK level's one entry array, or an AnyKey
+/// level's per-group entity arrays), so no input is copied before the
+/// merge. On an equal key the upper entry wins and the shadowed lower one
+/// goes to `shadowed`. With `drop_tombstones` (the output is the bottom
+/// level) tombstones are dropped, as nothing below remains for them to
+/// shadow. `entry` gives an entry's key and whether it is a tombstone.
 pub(crate) fn merge_newest<T: Copy>(
-    upper: Vec<T>,
-    lower: Vec<T>,
+    upper: &[&[T]],
+    lower: &[&[T]],
     drop_tombstones: bool,
     entry: impl Fn(&T) -> (Key, bool),
     mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
 ) -> Result<Vec<T>, KvError> {
-    let mut merged = Vec::with_capacity(upper.len() + lower.len());
-    let (mut i, mut j) = (0, 0);
-    while i < upper.len() || j < lower.len() {
-        let take_upper = match (upper.get(i), lower.get(j)) {
-            (Some(a), Some(b)) => {
-                let (ka, kb) = (entry(a).0, entry(b).0);
-                if ka == kb {
-                    shadowed(b)?;
-                    j += 1;
-                }
-                ka <= kb
+    let len = |runs: &[&[T]]| runs.iter().map(|r| r.len()).sum::<usize>();
+    let mut merged = Vec::with_capacity(len(upper) + len(lower));
+    let keep = |e: &T| !(drop_tombstones && entry(e).1);
+    let (mut up, mut lo) = (Cursor::new(upper), Cursor::new(lower));
+    // One key compare per step while both runs have heads.
+    while let (Some(a), Some(b)) = (up.head(), lo.head()) {
+        let e = match entry(a).0.cmp(&entry(b).0) {
+            Ordering::Less => {
+                up.advance();
+                a
             }
-            (a, _) => a.is_some(),
+            Ordering::Greater => {
+                lo.advance();
+                b
+            }
+            Ordering::Equal => {
+                shadowed(b)?;
+                up.advance();
+                lo.advance();
+                a
+            }
         };
-        let (run, next) = if take_upper {
-            (&upper, &mut i)
-        } else {
-            (&lower, &mut j)
-        };
-        let e = run[*next];
-        *next += 1;
-        if !(drop_tombstones && entry(&e).1) {
-            merged.push(e);
+        if keep(e) {
+            merged.push(*e);
         }
     }
+    // At most one run still has a tail.
+    for tail in up.rest().chain(lo.rest()) {
+        merged.extend(tail.iter().filter(|e| keep(e)));
+    }
     Ok(merged)
+}
+
+/// A read position in a key-sorted run stored as consecutive slices.
+struct Cursor<'a, T> {
+    /// What is left of the current slice.
+    cur: &'a [T],
+    /// The slices after it.
+    next: &'a [&'a [T]],
+}
+
+impl<'a, T> Cursor<'a, T> {
+    fn new(runs: &'a [&'a [T]]) -> Self {
+        let mut c = Cursor {
+            cur: &[],
+            next: runs,
+        };
+        c.skip_empty();
+        c
+    }
+
+    fn head(&self) -> Option<&'a T> {
+        self.cur.first()
+    }
+
+    fn advance(&mut self) {
+        self.cur = &self.cur[1..];
+        self.skip_empty();
+    }
+
+    fn skip_empty(&mut self) {
+        while self.cur.is_empty() {
+            let Some((first, rest)) = self.next.split_first() else {
+                return;
+            };
+            (self.cur, self.next) = (first, rest);
+        }
+    }
+
+    /// The unread remainder, slice by slice.
+    fn rest(self) -> impl Iterator<Item = &'a [T]> {
+        std::iter::once(self.cur).chain(self.next.iter().copied())
+    }
 }
 
 impl DeviceCore {

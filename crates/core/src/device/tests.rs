@@ -301,16 +301,22 @@ fn scan_never_emits_past_a_capped_frontier() {
     assert!(plan.hits.iter().all(|(key, _)| *key <= frontier));
 }
 
-#[test]
-fn compaction_merge_keeps_the_upper_copy_and_drops_bottom_tombstones() {
-    // `(key, tombstone, level)`: the level tag shows which copy survived.
-    let upper = [(k(1), false, 0), (k(3), true, 0), (k(5), false, 0)];
-    let lower = [(k(1), false, 1), (k(2), true, 1), (k(3), false, 1)];
-    let merge = |bottom: bool| {
+/// A compaction entry tagged with the level it came from: `(key,
+/// tombstone, level)`, so the output shows which copy survived.
+type Tagged = (Key, bool, u8);
+
+/// The merged `(id, tombstone, level)`s and the shadowed `(id, level)`s.
+type TaggedMerge = (Vec<(u64, bool, u8)>, Vec<(u64, u8)>);
+
+/// Runs `merge_newest` over tagged runs; shadowed entries come out in call
+/// order. Each run goes in whole and again cut into one-entry slices with
+/// empty slices around them, and both merges must agree.
+fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge {
+    fn merge(upper: &[&[Tagged]], lower: &[&[Tagged]], bottom: bool) -> TaggedMerge {
         let mut shadowed = Vec::new();
         let merged = merge_newest(
-            upper.to_vec(),
-            lower.to_vec(),
+            upper,
+            lower,
             bottom,
             |&(key, tombstone, _)| (key, tombstone),
             |&(key, _, level)| {
@@ -319,19 +325,81 @@ fn compaction_merge_keeps_the_upper_copy_and_drops_bottom_tombstones() {
             },
         )
         .unwrap();
-        let merged: Vec<(u64, bool, u8)> = merged.iter().map(|&(k, t, l)| (k.id(), t, l)).collect();
+        let merged = merged.iter().map(|&(k, t, l)| (k.id(), t, l)).collect();
         (merged, shadowed)
-    };
-    let (merged, shadowed) = merge(false);
+    }
+    fn pieces(run: &[Tagged]) -> Vec<&[Tagged]> {
+        let mut out: Vec<&[Tagged]> = vec![&[]];
+        for one in run.chunks(1) {
+            out.extend([one, &[]]);
+        }
+        out
+    }
+    let whole = merge(&[upper], &[lower], bottom);
+    assert_eq!(
+        merge(&pieces(upper), &pieces(lower), bottom),
+        whole,
+        "cutting the runs into slices changed the merge"
+    );
+    whole
+}
+
+#[test]
+fn compaction_merge_keeps_the_upper_copy_and_drops_bottom_tombstones() {
+    let upper = [(k(1), false, 0), (k(3), true, 0), (k(5), false, 0)];
+    let lower = [(k(1), false, 1), (k(2), true, 1), (k(3), false, 1)];
+    let (merged, shadowed) = merge_tagged(&upper, &lower, false);
     assert_eq!(
         merged,
         [(1, false, 0), (2, true, 1), (3, true, 0), (5, false, 0)]
     );
     assert_eq!(shadowed, [(1, 1), (3, 1)]);
     // At the bottom level the tombstones go, but they still shadow.
-    let (merged, shadowed) = merge(true);
+    let (merged, shadowed) = merge_tagged(&upper, &lower, true);
     assert_eq!(merged, [(1, false, 0), (5, false, 0)]);
     assert_eq!(shadowed, [(1, 1), (3, 1)]);
+}
+
+#[test]
+fn compaction_merge_filters_either_runs_tail_at_the_bottom() {
+    // Each run outlasts the other once, its tail mixing tombstones and
+    // live entries; the tail must pass the same tombstone filter.
+    let short = [(k(2), false, 0), (k(4), true, 0)];
+    let long = [
+        (k(1), true, 1),
+        (k(4), false, 1),
+        (k(5), true, 1),
+        (k(6), false, 1),
+        (k(7), true, 1),
+        (k(8), false, 1),
+    ];
+    let (merged, shadowed) = merge_tagged(&short, &long, true);
+    assert_eq!(merged, [(2, false, 0), (6, false, 1), (8, false, 1)]);
+    assert_eq!(shadowed, [(4, 1)]);
+    let relabel = |run: &[Tagged], level| -> Vec<Tagged> {
+        run.iter().map(|&(key, t, _)| (key, t, level)).collect()
+    };
+    let (merged, shadowed) = merge_tagged(&relabel(&long, 0), &relabel(&short, 1), true);
+    assert_eq!(
+        merged,
+        [(2, false, 1), (4, false, 0), (6, false, 0), (8, false, 0)]
+    );
+    assert_eq!(shadowed, [(4, 1)]);
+    // Above the bottom the tails keep their tombstones.
+    let (merged, _) = merge_tagged(&short, &long, false);
+    let ids: Vec<(u64, bool)> = merged.iter().map(|&(id, t, _)| (id, t)).collect();
+    assert_eq!(
+        ids,
+        [
+            (1, true),
+            (2, false),
+            (4, true),
+            (5, true),
+            (6, false),
+            (7, true),
+            (8, false)
+        ]
+    );
 }
 
 #[test]

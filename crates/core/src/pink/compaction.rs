@@ -133,8 +133,8 @@ impl PinkStore {
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
         let is_bottom = self.levels[dst + 1..].iter().all(PinkLevel::is_empty);
         let merged = merge_newest(
-            upper,
-            lower,
+            &[&upper],
+            &[&lower],
             is_bottom,
             |e| (e.key, e.tombstone),
             |dead| {
@@ -142,6 +142,7 @@ impl PinkStore {
                 Ok(())
             },
         )?;
+        drop((upper, lower));
 
         // --- 3. Cut the merged run into page-sized segments. ------------
         let merged_count = merged.len() as u64;

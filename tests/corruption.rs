@@ -287,6 +287,36 @@ fn stale_group_hash_list_is_detected() {
     );
 }
 
+#[test]
+fn misplaced_group_slots_are_detected() {
+    let mut s = filled_anykey();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(
+        s.corrupt_slot_index_for_test(),
+        "fill must produce a group with slots in two pages"
+    );
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(matches!(err, AuditError::SlotIndexSkew { .. }), "got {err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("slot index"),
+        "diagnostic must name the slot-index fault: {msg}"
+    );
+    // Tellable apart from the two other flat-layout faults of a group.
+    let mut starts = filled_anykey();
+    assert!(starts.corrupt_page_start_for_test());
+    let mut hashes = filled_anykey();
+    assert!(hashes.corrupt_hash_list_for_test());
+    for other in [starts, hashes] {
+        let other_msg = other.check_invariants().expect_err("seeded").to_string();
+        assert_ne!(msg, other_msg, "slot-index fault looks like another");
+    }
+}
+
 /// The injected faults must be tellable apart from the diagnostic text
 /// alone — an operator reading a log must know *which* structure is
 /// damaged.
