@@ -142,6 +142,7 @@ impl PinkStore {
                 Ok(())
             },
         )?;
+        // The inputs are dead; free them before the merged run is cut.
         drop((upper, lower));
 
         // --- 3. Cut the merged run into page-sized segments. ------------
