@@ -30,7 +30,7 @@ impl AnyKeyStore {
             return Ok(at);
         }
         let snap = self.core.span_snapshot();
-        let mut t = self.gc_if_needed(at)?;
+        let mut t = self.gc_for_headroom(at, 0)?;
 
         // Secure log space for the incoming values (log-triggered
         // compaction trigger, Section 4.4.3).
@@ -291,7 +291,7 @@ impl AnyKeyStore {
         self.levels[li].recount();
         self.rebalance_dram();
         let done = t_write.max(t_erase) + count * SORT_NS_PER_ENTITY;
-        let done = done.max(self.gc_if_needed(done)?);
+        let done = done.max(self.gc_for_headroom(done, 0)?);
         self.core
             .push_span(snap, "compaction", "inline-rewrite", li as u32, at, done);
         Ok(done)
@@ -398,7 +398,7 @@ impl AnyKeyStore {
 
         // --- 7. CPU merge-sort cost and GC headroom. --------------------
         let done = t_write.max(t_erase) + merged_count * SORT_NS_PER_ENTITY;
-        let done = done.max(self.gc_if_needed(done)?);
+        let done = done.max(self.gc_for_headroom(done, 0)?);
         self.core
             .push_span(snap, "compaction", span_label, dst as u32, at, done);
         Ok(done)

@@ -65,21 +65,16 @@ impl AnyKeyStore {
         }
     }
 
-    /// Ensures at least [`RESERVE_BLOCKS`] free blocks exist in the group
-    /// area, relocating valid groups out of the fullest-garbage blocks when
-    /// needed.
+    /// Ensures at least [`RESERVE_BLOCKS`] plus `extra` free blocks exist
+    /// in the group area, relocating valid groups out of the
+    /// fullest-garbage blocks when needed. A large compaction asks for
+    /// `extra` blocks of transient headroom before its source blocks free
+    /// up.
     ///
     /// # Errors
     ///
     /// Returns [`KvError::DeviceFull`] when GC cannot recover enough
     /// blocks.
-    pub(crate) fn gc_if_needed(&mut self, at: Ns) -> Result<Ns, KvError> {
-        self.gc_for_headroom(at, 0)
-    }
-
-    /// Like [`Self::gc_if_needed`], but clears `extra` additional blocks —
-    /// the transient headroom a large compaction needs before its source
-    /// blocks free up.
     pub(crate) fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
         let reserve = RESERVE_BLOCKS + extra;
         let mut t = at;

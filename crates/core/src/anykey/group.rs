@@ -19,6 +19,7 @@
 use anykey_flash::Ppa;
 
 use crate::anykey::entity::Entity;
+use crate::audit::AuditError;
 use crate::key::Key;
 
 /// Bytes per directory entry in the group's first page(s): target page +
@@ -271,11 +272,6 @@ impl GroupContent {
         self.ents.partition_point(|e| e.key < key)
     }
 
-    /// Iterates entities in key order.
-    pub fn iter_key_order(&self) -> impl Iterator<Item = &Entity> + '_ {
-        self.ents.iter()
-    }
-
     /// The DRAM footprint of this group's level-list entry: smallest key +
     /// 4-byte PPA + 2 bytes of hash prefix per data page + 2 collision bits
     /// per data page + fixed bookkeeping.
@@ -290,6 +286,66 @@ impl GroupContent {
     /// The DRAM footprint of this group's hash list (4 bytes per entity).
     pub fn hash_list_bytes(&self) -> u64 {
         4 * self.entity_count() as u64
+    }
+
+    /// Audits the layout, naming the group as group `group` of level
+    /// `level`: page starts, slot index, hash list, directory order, key
+    /// fences, then routing prefixes. The slot and hash-list checks index
+    /// entities through the page starts, so those go first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`AuditError`] found.
+    pub fn audit(&self, level: usize, group: usize) -> Result<(), AuditError> {
+        let (ents, starts) = (&self.ents, &self.page_start);
+        if starts.first() != Some(&0)
+            || starts.last().map(|&e| e as usize) != Some(ents.len())
+            || starts.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(AuditError::PageStartSkew { level, group });
+        }
+        if !self.slot_index_holds() {
+            return Err(AuditError::SlotIndexSkew { level, group });
+        }
+        if self.hashes.len() != ents.len()
+            || self.hashes.windows(2).any(|w| w[0] > w[1])
+            || self
+                .hashes
+                .iter()
+                .zip(&self.slots)
+                .any(|(&h, &i)| h != ents[i as usize].hash)
+        {
+            return Err(AuditError::HashListMismatch { level, group });
+        }
+        if ents.windows(2).any(|w| w[0].key >= w[1].key) {
+            return Err(AuditError::DirectoryOrder { level, group });
+        }
+        if ents.first().map(|e| e.key) != Some(self.smallest)
+            || ents.last().map(|e| e.key) != Some(self.largest)
+        {
+            return Err(AuditError::FenceMismatch { level, group });
+        }
+        if self.page_first_hash16.windows(2).any(|w| w[0] > w[1]) {
+            return Err(AuditError::RoutingOrder { level, group });
+        }
+        Ok(())
+    }
+
+    /// Whether the slot index is a permutation of the entities that lists
+    /// each in the data page `page_of` records for it. Assumes the page
+    /// starts rise from 0 to the entity count.
+    fn slot_index_holds(&self) -> bool {
+        let n = self.ents.len();
+        if self.slots.len() != n || self.page_of.len() != n {
+            return false;
+        }
+        let mut seen = vec![false; n];
+        (0..self.data_pages() as usize).all(|p| {
+            self.page(p).iter().all(|&i| {
+                let i = i as usize;
+                i < n && !std::mem::replace(&mut seen[i], true) && usize::from(self.page_of[i]) == p
+            })
+        })
     }
 }
 
@@ -386,7 +442,7 @@ mod tests {
         let ents = entities(500, 48, 43);
         let g = GroupContent::build(&ents, PAYLOAD);
         assert_eq!(g.entity_count(), 500);
-        let keys: Vec<u64> = g.iter_key_order().map(|e| e.key.id()).collect();
+        let keys: Vec<u64> = g.ents.iter().map(|e| e.key.id()).collect();
         assert_eq!(keys, (0..500).collect::<Vec<_>>());
     }
 

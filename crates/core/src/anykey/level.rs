@@ -1,6 +1,7 @@
 //! LSM levels of data segment groups.
 
 use crate::anykey::group::Group;
+use crate::audit::AuditError;
 use crate::key::Key;
 
 /// One LSM-tree level: key-range-partitioned data segment groups plus the
@@ -75,6 +76,27 @@ impl Level {
     /// Total level-list bytes this level contributes to DRAM.
     pub fn meta_bytes(&self) -> u64 {
         self.groups.iter().map(|g| g.content.meta_bytes()).sum()
+    }
+
+    /// Audits each group's layout, naming this level `level`, then that
+    /// the groups' cached fences, which the group audit vouches for, are
+    /// sorted and disjoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`AuditError`] found.
+    pub fn audit(&self, level: usize) -> Result<(), AuditError> {
+        for (gi, g) in self.groups.iter().enumerate() {
+            g.content.audit(level, gi)?;
+        }
+        match self
+            .groups
+            .windows(2)
+            .position(|w| w[0].content.largest() >= w[1].content.smallest())
+        {
+            Some(index) => Err(AuditError::LevelOrder { level, index }),
+            None => Ok(()),
+        }
     }
 }
 

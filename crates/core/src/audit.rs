@@ -2,32 +2,27 @@
 //!
 //! Both engines expose [`crate::KvEngine::check_invariants`], a single pass
 //! over their in-DRAM metadata that verifies the structural invariants the
-//! simulation's correctness rests on:
+//! simulation's correctness rests on. Each structure audits its own
+//! layout:
 //!
-//! * **Level ordering** — groups (AnyKey) and meta segments (PinK) within a
-//!   level are key-sorted with disjoint ranges, every group directory /
-//!   segment entry list is itself sorted, and each group's cached
-//!   smallest/largest key matches its directory.
-//! * **Flat runs** — a PinK level's meta segments tile its one entry run
-//!   in order, each non-empty and caching its exact byte count; an AnyKey
-//!   group's page starts rise to its entity count, its slot index is a
-//!   permutation of its key-ordered entities that lists each in the data
-//!   page it records, and its hash list is sorted and exactly the slots'
-//!   hashes (GET's page search goes through it).
-//! * **DRAM conservation** — [`crate::dram::DramBudget::metadata_used`]
-//!   equals the byte sum of the structures currently marked DRAM-resident
-//!   and never exceeds the metadata budget.
-//! * **Value-log accounting** — the log's live bytes equal the logged bytes
-//!   referenced by the levels, and no block of the value log or of PinK's
-//!   data area claims more valid bytes than an erase block holds.
-//! * **Counter conservation** — the flash counters' per-cause ledgers sum
-//!   to their independent totals ([`anykey_flash::FlashCounters::audit`]).
-//! * **Block accounting** — no block of AnyKey's group area or PinK's
-//!   meta area claims more valid pages than an erase block holds.
-//! * **Retirement accounting** — every block allocator's
-//!   free/allocated/retired partition sums to its block count, and no live
-//!   structure (group, logged value, meta segment, level-list page, or
-//!   data pointer) references a block retired as a grown bad block.
+//! * an AnyKey group ([`crate::anykey::group::GroupContent::audit`]) and
+//!   level ([`crate::anykey::level::Level::audit`]);
+//! * a PinK level and its meta segments
+//!   ([`crate::pink::PinkLevel::audit`]);
+//! * a byte log's and a page area's per-block counts
+//!   ([`crate::bytelog::ByteLog::audit_overfull`],
+//!   [`crate::pagearea::PageArea::audit_overfull`]);
+//! * the DRAM claims ([`crate::dram::DramBudget::audit`]), against a sum
+//!   the engine supplies;
+//! * the flash counters' per-cause ledgers
+//!   ([`anykey_flash::FlashCounters::audit`]).
+//!
+//! This module keeps the ledgers that span structures: the byte sum of
+//! what is marked DRAM-resident, the value log's live bytes against the
+//! logged bytes the levels reference, and retirement: every block
+//! allocator's free/allocated/retired partition sums to its block count,
+//! and no live structure (group, logged value, meta segment, level-list
+//! page, or data pointer) references a block retired as a grown bad block.
 //!
 //! The engines invoke the audit automatically at flush / compaction / GC
 //! boundaries whenever debug assertions are on (`cargo test` and
@@ -38,12 +33,12 @@
 use std::error::Error;
 use std::fmt;
 
-use anykey_flash::CounterSkew;
+use anykey_flash::{BlockAllocator, BlockId, CounterSkew};
 
-use crate::anykey::group::GroupContent;
+use crate::anykey::entity::ValueLoc;
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
-use crate::pink::segment::SegEntry;
+use crate::pink::segment::Segment;
 use crate::pink::PinkStore;
 
 /// A violated structural invariant, naming the structure and the observed
@@ -217,31 +212,35 @@ pub enum AuditError {
     },
 }
 
-/// Whether a group's slot index is a permutation of its entities that
-/// lists each entity in the data page `page_of` records for it. Assumes
-/// the page starts rise from 0 to the entity count.
-fn slot_index_holds(g: &GroupContent) -> bool {
-    let n = g.ents.len();
-    if g.slots.len() != n || g.page_of.len() != n {
-        return false;
+/// Audits `alloc`'s free/allocated/retired partition, naming it `owner`,
+/// then that no block in `live` is retired; `live` yields each live
+/// structure's block with the owner its error names.
+fn audit_retirement(
+    alloc: &BlockAllocator,
+    owner: &'static str,
+    live: impl IntoIterator<Item = (BlockId, &'static str)>,
+) -> Result<(), AuditError> {
+    if let Err(s) = alloc.audit() {
+        return Err(AuditError::RetirementSkew {
+            owner,
+            free: s.free,
+            allocated: s.allocated,
+            retired: s.retired,
+            total: s.total,
+        });
     }
-    let mut seen = vec![false; n];
-    (0..g.data_pages() as usize).all(|p| {
-        g.page(p).iter().all(|&i| {
-            let i = i as usize;
-            i < n && !std::mem::replace(&mut seen[i], true) && usize::from(g.page_of[i]) == p
-        })
-    })
-}
-
-/// Wraps an allocator's [`anykey_flash::AllocSkew`] with its owning region.
-fn retirement_skew(owner: &'static str, s: anykey_flash::AllocSkew) -> AuditError {
-    AuditError::RetirementSkew {
-        owner,
-        free: s.free,
-        allocated: s.allocated,
-        retired: s.retired,
-        total: s.total,
+    // Exact, not a skipped check: the partition audit already failed
+    // unless the retired count equals the retired flags, so with none
+    // counted no live block can be retired.
+    if alloc.retired_count() == 0 {
+        return Ok(());
+    }
+    match live.into_iter().find(|&(b, _)| alloc.is_retired(b)) {
+        Some((block, owner)) => Err(AuditError::RetiredBlockLive {
+            block: block.0,
+            owner,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -369,102 +368,23 @@ impl AnyKeyStore {
     ///
     /// Returns the first [`AuditError`] found.
     pub fn verify_invariants(&self) -> Result<(), AuditError> {
-        // Per-group structure, then level-list ordering over the cached
-        // fences the structure check vouches for.
         for (li, level) in self.levels.iter().enumerate() {
-            for (gi, g) in level.groups.iter().enumerate() {
-                // The flat layout first: the slot and hash-list checks
-                // index entities through the page starts.
-                let (ents, starts) = (&g.content.ents, &g.content.page_start);
-                if starts.first() != Some(&0)
-                    || starts.last().map(|&e| e as usize) != Some(ents.len())
-                    || starts.windows(2).any(|w| w[0] > w[1])
-                {
-                    return Err(AuditError::PageStartSkew {
-                        level: li,
-                        group: gi,
-                    });
-                }
-                if !slot_index_holds(&g.content) {
-                    return Err(AuditError::SlotIndexSkew {
-                        level: li,
-                        group: gi,
-                    });
-                }
-                let hashes = &g.content.hashes;
-                if hashes.len() != ents.len()
-                    || hashes.windows(2).any(|w| w[0] > w[1])
-                    || hashes
-                        .iter()
-                        .zip(&g.content.slots)
-                        .any(|(&h, &i)| h != ents[i as usize].hash)
-                {
-                    return Err(AuditError::HashListMismatch {
-                        level: li,
-                        group: gi,
-                    });
-                }
-                let mut prev = None;
-                for e in g.content.iter_key_order() {
-                    if prev.is_some_and(|p| p >= e.key) {
-                        return Err(AuditError::DirectoryOrder {
-                            level: li,
-                            group: gi,
-                        });
-                    }
-                    prev = Some(e.key);
-                }
-                let first = g.content.iter_key_order().next().map(|e| e.key);
-                if first != Some(g.content.smallest()) || prev != Some(g.content.largest()) {
-                    return Err(AuditError::FenceMismatch {
-                        level: li,
-                        group: gi,
-                    });
-                }
-                if g.content.page_first_hash16.windows(2).any(|w| w[0] > w[1]) {
-                    return Err(AuditError::RoutingOrder {
-                        level: li,
-                        group: gi,
-                    });
-                }
-            }
-            for (gi, w) in level.groups.windows(2).enumerate() {
-                if w[0].content.largest() >= w[1].content.smallest() {
-                    return Err(AuditError::LevelOrder {
-                        level: li,
-                        index: gi,
-                    });
-                }
-            }
+            level.audit(li)?;
         }
+        let groups = || self.levels.iter().flat_map(|l| &l.groups);
 
-        // DRAM budget conservation: what rebalance_dram claimed must equal
-        // what is actually marked resident.
+        // What rebalance_dram claimed must equal what is marked resident.
         let expected = if self.level_list_overflowed() {
             self.core.dram.metadata_budget()
         } else {
             let lists: u64 = self.levels.iter().map(Level::meta_bytes).sum();
-            let hash_lists: u64 = self
-                .levels
-                .iter()
-                .flat_map(|l| l.groups.iter())
+            let hash_lists: u64 = groups()
                 .filter(|g| g.hash_list_resident)
                 .map(|g| g.content.hash_list_bytes())
                 .sum();
             lists + hash_lists
         };
-        if self.core.dram.metadata_used != expected {
-            return Err(AuditError::DramMismatch {
-                used: self.core.dram.metadata_used,
-                expected,
-            });
-        }
-        if self.core.dram.metadata_used > self.core.dram.metadata_budget() {
-            return Err(AuditError::DramOverBudget {
-                used: self.core.dram.metadata_used,
-                budget: self.core.dram.metadata_budget(),
-            });
-        }
+        self.core.dram.audit(expected)?;
 
         // Value-log live-byte conservation.
         if let Some(log) = &self.log {
@@ -477,48 +397,22 @@ impl AnyKeyStore {
                 });
             }
         }
-
-        // Group-area block accounting.
         self.area.audit_overfull()?;
 
-        // Retirement accounting: allocator partitions conserve, and no
-        // live group or logged value sits in a retired block.
-        if let Err(s) = self.group_alloc.audit() {
-            return Err(retirement_skew("group area", s));
-        }
-        for level in &self.levels {
-            for g in &level.groups {
-                for ppa in g.all_ppas() {
-                    if self.group_alloc.is_retired(ppa.block) {
-                        return Err(AuditError::RetiredBlockLive {
-                            block: ppa.block.0,
-                            owner: "group area",
-                        });
-                    }
-                }
-            }
-        }
+        // No live group or logged value sits in a retired block. A group's
+        // pages never leave the block of its first page.
+        let group_blocks = groups().map(|g| (g.first_ppa.block, "group area"));
+        audit_retirement(&self.group_alloc, "group area", group_blocks)?;
         if let Some(log) = &self.log {
-            if let Err(s) = log.allocator().audit() {
-                return Err(retirement_skew("value log", s));
-            }
-            for level in &self.levels {
-                for g in &level.groups {
-                    for e in g.content.iter_key_order() {
-                        if let crate::anykey::entity::ValueLoc::Logged(ptr) = e.loc {
-                            if log.allocator().is_retired(ptr.block) {
-                                return Err(AuditError::RetiredBlockLive {
-                                    block: ptr.block.0,
-                                    owner: "value log",
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+            let logged = groups()
+                .flat_map(|g| &g.content.ents)
+                .filter_map(|e| match e.loc {
+                    ValueLoc::Logged(ptr) => Some((ptr.block, "value log")),
+                    ValueLoc::Inline => None,
+                });
+            audit_retirement(log.allocator(), "value log", logged)?;
         }
 
-        // Cause-tagged flash counter conservation.
         self.core.flash.counters().audit()?;
         Ok(())
     }
@@ -528,13 +422,8 @@ impl AnyKeyStore {
     /// Returns whether a level with enough groups existed.
     #[doc(hidden)]
     pub fn corrupt_level_order_for_test(&mut self) -> bool {
-        for level in &mut self.levels {
-            if level.groups.len() >= 2 {
-                level.groups.swap(0, 1);
-                return true;
-            }
-        }
-        false
+        let level = self.levels.iter_mut().find(|l| l.groups.len() >= 2);
+        level.map(|l| l.groups.swap(0, 1)).is_some()
     }
 
     /// Test-only corruption hook: sets the cached smallest key of the first
@@ -561,15 +450,10 @@ impl AnyKeyStore {
     /// existed.
     #[doc(hidden)]
     pub fn corrupt_page_start_for_test(&mut self) -> bool {
-        match self.levels.iter_mut().find_map(|l| l.groups.first_mut()) {
-            Some(g) => {
-                if let Some(end) = g.content.page_start.last_mut() {
-                    *end -= 1;
-                }
-                true
-            }
-            None => false,
-        }
+        let group = self.levels.iter_mut().find_map(|l| l.groups.first_mut());
+        group
+            .map(|g| g.content.page_start.last_mut().map(|end| *end -= 1))
+            .is_some()
     }
 
     /// Test-only corruption hook: swaps the first slot of a group's first
@@ -594,13 +478,8 @@ impl AnyKeyStore {
     /// group existed.
     #[doc(hidden)]
     pub fn corrupt_hash_list_for_test(&mut self) -> bool {
-        match self.levels.iter_mut().find_map(|l| l.groups.first_mut()) {
-            Some(g) => {
-                g.content.hashes[0] ^= 1;
-                true
-            }
-            None => false,
-        }
+        let group = self.levels.iter_mut().find_map(|l| l.groups.first_mut());
+        group.map(|g| g.content.hashes[0] ^= 1).is_some()
     }
 
     /// Test-only corruption hook: over-claims the DRAM budget past both
@@ -623,20 +502,9 @@ impl AnyKeyStore {
     /// retired block. Returns whether a live group existed.
     #[doc(hidden)]
     pub fn retire_live_block_for_test(&mut self) -> bool {
-        let mut victim = None;
-        for level in &self.levels {
-            if let Some(g) = level.groups.first() {
-                victim = Some(g.first_ppa.block);
-                break;
-            }
-        }
-        match victim {
-            Some(b) => {
-                let _ = self.group_alloc.retire(b);
-                true
-            }
-            None => false,
-        }
+        let group = self.levels.iter().find_map(|l| l.groups.first());
+        let victim = group.map(|g| g.first_ppa.block);
+        victim.map(|b| self.group_alloc.retire(b)).is_some()
     }
 
     /// Test-only corruption hook: desynchronizes the group-area
@@ -655,131 +523,38 @@ impl PinkStore {
     ///
     /// Returns the first [`AuditError`] found.
     pub fn verify_invariants(&self) -> Result<(), AuditError> {
-        // Segment tiling and cached bytes, level ordering, per-segment
-        // sortedness and spill locations.
         for (li, level) in self.levels.iter().enumerate() {
-            let mut next = 0usize;
-            for (si, seg) in level.segs.iter().enumerate() {
-                if seg.start != next || seg.end <= seg.start || seg.end > level.entries.len() {
-                    return Err(AuditError::SegmentTiling {
-                        level: li,
-                        segment: si,
-                    });
-                }
-                next = seg.end;
-            }
-            if next != level.entries.len() {
-                return Err(AuditError::SegmentTiling {
-                    level: li,
-                    segment: level.segs.len(),
-                });
-            }
-            for (si, w) in level.segs.windows(2).enumerate() {
-                if level.entries[w[0].end - 1].key >= level.entries[w[1].start].key {
-                    return Err(AuditError::LevelOrder {
-                        level: li,
-                        index: si,
-                    });
-                }
-            }
-            for (si, seg) in level.segs.iter().enumerate() {
-                let entries = seg.entries(&level.entries);
-                let actual = entries.iter().map(SegEntry::seg_bytes).sum();
-                if seg.bytes != actual {
-                    return Err(AuditError::SegmentBytes {
-                        level: li,
-                        segment: si,
-                        cached: seg.bytes,
-                        actual,
-                    });
-                }
-                if entries.windows(2).any(|w| w[0].key >= w[1].key) {
-                    return Err(AuditError::DirectoryOrder {
-                        level: li,
-                        group: si,
-                    });
-                }
-                if !seg.resident && seg.ppa.is_none() {
-                    return Err(AuditError::MissingSpillLocation {
-                        level: li,
-                        index: si,
-                    });
-                }
-            }
-            if !level.list_resident && !level.is_empty() && level.list_pages.is_empty() {
-                return Err(AuditError::MissingSpillLocation {
-                    level: li,
-                    index: usize::MAX,
-                });
-            }
+            level.audit(li)?;
         }
 
-        // DRAM budget conservation, mirroring `rebalance`: resident level
-        // lists first, then resident meta segments.
-        let mut expected = 0u64;
-        for level in &self.levels {
-            if level.list_resident {
-                expected += level.list_bytes();
-            }
-            for seg in &level.segs {
-                if seg.resident {
-                    expected += seg.bytes();
-                }
-            }
-        }
-        if self.core.dram.metadata_used != expected {
-            return Err(AuditError::DramMismatch {
-                used: self.core.dram.metadata_used,
-                expected,
-            });
-        }
-        if self.core.dram.metadata_used > self.core.dram.metadata_budget() {
-            return Err(AuditError::DramOverBudget {
-                used: self.core.dram.metadata_used,
-                budget: self.core.dram.metadata_budget(),
-            });
-        }
+        // DRAM, mirroring `rebalance`: resident level lists, then resident
+        // meta segments.
+        let expected = self
+            .levels
+            .iter()
+            .map(|l| {
+                let list = if l.list_resident { l.list_bytes() } else { 0 };
+                let segs = l.segs.iter().filter(|s| s.resident).map(Segment::bytes);
+                list + segs.sum::<u64>()
+            })
+            .sum();
+        self.core.dram.audit(expected)?;
 
         self.data.audit_overfull("data area")?;
         self.meta.audit_overfull()?;
 
-        // Retirement accounting: the allocator partition conserves, and no
-        // live data pointer, meta segment, or level-list page sits in a
+        // No level-list page, meta segment or live data pointer sits in a
         // retired block.
-        let alloc = self.data.allocator();
-        if let Err(s) = alloc.audit() {
-            return Err(retirement_skew("PinK", s));
-        }
-        for level in &self.levels {
-            for ppa in &level.list_pages {
-                if alloc.is_retired(ppa.block) {
-                    return Err(AuditError::RetiredBlockLive {
-                        block: ppa.block.0,
-                        owner: "level list",
-                    });
-                }
-            }
-            for seg in &level.segs {
-                if let Some(ppa) = seg.ppa {
-                    if alloc.is_retired(ppa.block) {
-                        return Err(AuditError::RetiredBlockLive {
-                            block: ppa.block.0,
-                            owner: "meta segment",
-                        });
-                    }
-                }
-            }
-            for e in &level.entries {
-                if !e.tombstone && alloc.is_retired(e.ptr.block) {
-                    return Err(AuditError::RetiredBlockLive {
-                        block: e.ptr.block.0,
-                        owner: "data area",
-                    });
-                }
-            }
-        }
+        let live = self.levels.iter().flat_map(|l| {
+            let lists = l.list_pages.iter().map(|p| (p.block, "level list"));
+            let segs = l.segs.iter().filter_map(|s| s.ppa);
+            let data = l.entries.iter().filter(|e| !e.tombstone);
+            lists
+                .chain(segs.map(|p| (p.block, "meta segment")))
+                .chain(data.map(|e| (e.ptr.block, "data area")))
+        });
+        audit_retirement(self.data.allocator(), "PinK", live)?;
 
-        // Cause-tagged flash counter conservation.
         self.core.flash.counters().audit()?;
         Ok(())
     }
@@ -802,13 +577,9 @@ impl PinkStore {
             .flat_map(|l| &l.entries)
             .find(|e| !e.tombstone)
             .map(|e| e.ptr.block);
-        match victim {
-            Some(b) => {
-                let _ = self.data.allocator_mut().retire(b);
-                true
-            }
-            None => false,
-        }
+        victim
+            .map(|b| self.data.allocator_mut().retire(b))
+            .is_some()
     }
 
     /// Test-only corruption hook: desynchronizes the allocator's
@@ -823,26 +594,16 @@ impl PinkStore {
     /// tile the level's run. Returns whether such a level existed.
     #[doc(hidden)]
     pub fn corrupt_segment_range_for_test(&mut self) -> bool {
-        match self.levels.iter_mut().find(|l| l.segs.len() >= 2) {
-            Some(level) => {
-                level.segs[0].end -= 1;
-                true
-            }
-            None => false,
-        }
+        let level = self.levels.iter_mut().find(|l| l.segs.len() >= 2);
+        level.map(|l| l.segs[0].end -= 1).is_some()
     }
 
     /// Test-only corruption hook: inflates the cached byte count of the
     /// first segment. Returns whether a segment existed.
     #[doc(hidden)]
     pub fn corrupt_segment_bytes_for_test(&mut self) -> bool {
-        match self.levels.iter_mut().find_map(|l| l.segs.first_mut()) {
-            Some(seg) => {
-                seg.bytes += 1;
-                true
-            }
-            None => false,
-        }
+        let seg = self.levels.iter_mut().find_map(|l| l.segs.first_mut());
+        seg.map(|s| s.bytes += 1).is_some()
     }
 }
 
@@ -872,11 +633,16 @@ mod tests {
     }
 
     fn filled_pink() -> PinkStore {
+        filled_pink_with((64 << 20) / 1024) // the builder's default
+    }
+
+    fn filled_pink_with(dram_bytes: u64) -> PinkStore {
         let mut p = PinkStore::new(
             DeviceConfig::builder()
                 .capacity_bytes(64 << 20)
                 .engine(EngineKind::Pink)
                 .key_len(16)
+                .dram_bytes(dram_bytes)
                 .build(),
         );
         for id in 0..30_000u64 {
@@ -938,6 +704,50 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn retiring_an_unused_block_keeps_the_audit_clean() {
+        // Each allocator counts a retired block, so the audit walks every
+        // live structure and must find none in it.
+        let mut s = filled(EngineKind::AnyKeyPlus);
+        for alloc in [&mut s.group_alloc, s.log.as_mut().unwrap().allocator_mut()] {
+            let b = alloc.alloc().unwrap();
+            alloc.retire(b).unwrap();
+        }
+        assert_eq!(s.verify_invariants(), Ok(()));
+        let mut p = filled_pink();
+        let alloc = p.data.allocator_mut();
+        let b = alloc.alloc().unwrap();
+        alloc.retire(b).unwrap();
+        assert_eq!(alloc.retired_count(), 1);
+        assert_eq!(p.verify_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn retired_blocks_with_spilled_pink_metadata_are_detected() {
+        // A 2 KiB DRAM spills every meta segment and the deeper level
+        // list. Each level walks its list pages before its segments, so
+        // the segment's block must hold no list page.
+        let spilled = |p: &PinkStore, owner| {
+            let lists = || p.levels.iter().flat_map(|l| &l.list_pages);
+            let segs = p.levels.iter().flat_map(|l| &l.segs).filter_map(|s| s.ppa);
+            match owner {
+                "meta segment" => segs
+                    .map(|x| x.block)
+                    .find(|&b| lists().all(|x| x.block != b)),
+                _ => lists().map(|x| x.block).next(),
+            }
+        };
+        for owner in ["meta segment", "level list"] {
+            let mut p = filled_pink_with(2 << 10);
+            let b = spilled(&p, owner).expect("the fill must spill");
+            p.data.allocator_mut().retire(b).unwrap();
+            assert_eq!(
+                p.verify_invariants(),
+                Err(AuditError::RetiredBlockLive { block: b.0, owner })
+            );
+        }
     }
 
     #[test]

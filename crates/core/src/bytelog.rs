@@ -343,10 +343,15 @@ impl ByteLog {
     /// # Errors
     ///
     /// Returns [`AuditError::LogBlockOverfull`], naming this log as
-    /// `owner`, for the first overfull block found.
+    /// `owner`, for the lowest overfull block.
     pub fn audit_overfull(&self, owner: &'static str) -> Result<(), AuditError> {
         let payload = self.block_payload();
-        match self.blocks.iter().find(|(_, &v)| v > payload) {
+        match self
+            .blocks
+            .iter()
+            .filter(|(_, &v)| v > payload)
+            .min_by_key(|(&b, _)| b)
+        {
             Some((&b, &valid)) => Err(AuditError::LogBlockOverfull {
                 owner,
                 block: b.0,
@@ -405,6 +410,30 @@ mod tests {
         assert!(!first.is_empty(), "the fault model must retire some block");
         for _ in 0..20 {
             assert_eq!(retired(), first);
+        }
+    }
+    #[test]
+    fn overfull_audit_reports_the_lowest_block_every_run() {
+        // Two overfull blocks in a hash map: the report must not follow
+        // iteration order.
+        let reported = || {
+            let mut flash = FlashSim::new(FlashConfig::small_test());
+            let mut log = ByteLog::new(BlockAllocator::new(0..16), 8128, 128, OpCause::LogWrite);
+            let exts: Vec<Extent> = (0..24)
+                .map(|_| log.append(&mut flash, 8128 * 64, 0).unwrap().0)
+                .collect();
+            let (x, y) = (exts[17].block, exts[6].block);
+            for b in [x, y] {
+                log.blocks.insert(b, 8128 * 128 + 1);
+            }
+            (log.audit_overfull("test log"), x.min(y))
+        };
+        let (first, lowest) = reported();
+        assert!(
+            matches!(first, Err(AuditError::LogBlockOverfull { block, .. }) if block == lowest.0)
+        );
+        for _ in 0..20 {
+            assert_eq!(reported().0, first);
         }
     }
 }

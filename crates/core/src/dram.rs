@@ -7,6 +7,8 @@
 //! lists) always fits this budget while PinK's does not under low-v/k
 //! workloads.
 
+use crate::audit::AuditError;
+
 /// A DRAM budget: total capacity with a write-buffer reservation carved
 /// out, and an accounting of what the metadata placement currently uses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,6 +70,27 @@ impl DramBudget {
     /// after every structural change).
     pub fn clear_claims(&mut self) {
         self.metadata_used = 0;
+    }
+
+    /// Audits the claims against `expected`, the byte sum of the
+    /// structures the engine currently marks DRAM-resident, and against
+    /// the metadata budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuditError::DramMismatch`] when the claims differ from
+    /// `expected`, else [`AuditError::DramOverBudget`] when they exceed the
+    /// budget.
+    pub fn audit(&self, expected: u64) -> Result<(), AuditError> {
+        let used = self.metadata_used;
+        if used != expected {
+            return Err(AuditError::DramMismatch { used, expected });
+        }
+        let budget = self.metadata_budget();
+        if used > budget {
+            return Err(AuditError::DramOverBudget { used, budget });
+        }
+        Ok(())
     }
 }
 

@@ -93,19 +93,21 @@ impl PageArea {
     ///
     /// Returns [`KvError::UntrackedBlock`] when `block` is not tracked — a
     /// released unit must have been placed here — and
-    /// [`KvError::LiveCountSkew`] when it holds no unit to release.
+    /// [`KvError::LiveCountSkew`] when it holds no unit or fewer than
+    /// `pages` live pages to release (the block then stays as it was).
     pub fn release(&mut self, block: BlockId, pages: u32) -> Result<bool, KvError> {
         let e = self.blocks.get_mut(&block).ok_or(KvError::UntrackedBlock {
             block: block.0,
             owner: self.owner,
         })?;
-        e.0 = e.0.checked_sub(1).ok_or(KvError::LiveCountSkew {
-            block: block.0,
-            owner: self.owner,
-        })?;
-        e.1 = e.1.saturating_sub(pages);
-        let empty = e.0 == 0;
-        Ok(empty && !self.is_open(block))
+        let (Some(units), Some(left)) = (e.0.checked_sub(1), e.1.checked_sub(pages)) else {
+            return Err(KvError::LiveCountSkew {
+                block: block.0,
+                owner: self.owner,
+            });
+        };
+        *e = (units, left);
+        Ok(units == 0 && !self.is_open(block))
     }
 
     /// Stops tracking an empty block and erases it, returning it to
@@ -167,12 +169,13 @@ impl PageArea {
     /// # Errors
     ///
     /// Returns [`AuditError::BlockOverfull`], naming this area, for the
-    /// first overfull block found.
+    /// lowest overfull block.
     pub fn audit_overfull(&self) -> Result<(), AuditError> {
         match self
             .blocks
             .iter()
-            .find(|(_, &(_, pages))| pages > self.pages_per_block)
+            .filter(|(_, &(_, pages))| pages > self.pages_per_block)
+            .min_by_key(|(&b, _)| b)
         {
             Some((&b, &(_, pages))) => Err(AuditError::BlockOverfull {
                 owner: self.owner,
@@ -235,6 +238,22 @@ mod tests {
     }
 
     #[test]
+    fn releasing_more_pages_than_a_block_holds_is_an_error() {
+        let mut alloc = BlockAllocator::new(0..4);
+        let mut a = PageArea::new(128, "test area");
+        let p = a.place(&mut alloc, 0, 4).unwrap();
+        assert_eq!(
+            a.release(p.block, 8),
+            Err(KvError::LiveCountSkew {
+                block: p.block.0,
+                owner: "test area",
+            })
+        );
+        assert_eq!(a.units_in(p.block), 1, "the block stays as it was");
+        assert_eq!(a.release(p.block, 4), Ok(false));
+    }
+
+    #[test]
     fn a_block_emptied_while_open_is_the_next_victim() {
         let mut alloc = BlockAllocator::new(0..4);
         let mut a = PageArea::new(128, "test area");
@@ -269,6 +288,28 @@ mod tests {
         assert_eq!(first, Some((lowest, 64)));
         for _ in 0..20 {
             assert_eq!(victim().0, first);
+        }
+    }
+    #[test]
+    fn overfull_audit_reports_the_lowest_block_every_run() {
+        // Two overfull blocks in a hash map: the report must not follow
+        // iteration order.
+        let reported = || {
+            let mut alloc = BlockAllocator::new(0..16);
+            let mut a = PageArea::new(128, "test area");
+            let units: Vec<Ppa> = (0..24)
+                .map(|_| a.place(&mut alloc, 0, 64).unwrap())
+                .collect();
+            let (x, y) = (units[17].block, units[6].block);
+            for b in [x, y] {
+                a.blocks.insert(b, (2, 129));
+            }
+            (a.audit_overfull(), x.min(y))
+        };
+        let (first, lowest) = reported();
+        assert!(matches!(first, Err(AuditError::BlockOverfull { block, .. }) if block == lowest.0));
+        for _ in 0..20 {
+            assert_eq!(reported().0, first);
         }
     }
 }

@@ -23,7 +23,7 @@ impl PinkStore {
             return Ok(at);
         }
         let snap = self.core.span_snapshot();
-        let mut t = self.gc_if_needed(at)?;
+        let mut t = self.gc_for_headroom(at, 0)?;
         let entries = self.core.buffer.drain();
         let mut upper: Vec<SegEntry> = Vec::with_capacity(entries.len());
         for (key, be) in entries {
@@ -156,7 +156,7 @@ impl PinkStore {
         let t_place = self.rebalance(Some(dst), t_read)?;
 
         let done = t_place.max(t_erase) + merged_count * SORT_NS_PER_ENTITY;
-        let done = done.max(self.gc_if_needed(done)?);
+        let done = done.max(self.gc_for_headroom(done, 0)?);
         self.core
             .push_span(snap, "compaction", "merge", dst as u32, at, done);
         Ok(done)

@@ -16,19 +16,14 @@ use crate::error::KvError;
 use crate::pink::PinkStore;
 
 impl PinkStore {
-    /// Keeps at least [`RESERVE_BLOCKS`] erase blocks free, collecting data
-    /// or meta blocks as needed.
+    /// Keeps at least [`RESERVE_BLOCKS`] plus `extra` erase blocks free,
+    /// collecting data or meta blocks as needed. A large merge asks for
+    /// `extra` blocks of transient headroom before its source generation
+    /// is freed.
     ///
     /// # Errors
     ///
     /// Returns [`KvError::DeviceFull`] when nothing can be reclaimed.
-    pub(crate) fn gc_if_needed(&mut self, at: Ns) -> Result<Ns, KvError> {
-        self.gc_for_headroom(at, 0)
-    }
-
-    /// Like [`Self::gc_if_needed`], but clears `extra` additional blocks —
-    /// the transient headroom a large merge needs before its source
-    /// generation is freed.
     pub(crate) fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
         let reserve = RESERVE_BLOCKS + extra;
         let mut t = at;

@@ -114,6 +114,56 @@ impl PinkLevel {
     pub fn over_threshold(&self) -> bool {
         self.kv_bytes > self.threshold
     }
+
+    /// Audits the level, naming it `level`: its meta segments tile the
+    /// entry run, hold disjoint ascending key ranges, cache their exact
+    /// byte counts and are each key-sorted, and every spilled segment and
+    /// spilled level list has a flash location.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`AuditError`] found.
+    pub fn audit(&self, level: usize) -> Result<(), AuditError> {
+        let mut next = 0usize;
+        for (si, seg) in self.segs.iter().enumerate() {
+            if seg.start != next || seg.end <= seg.start || seg.end > self.entries.len() {
+                return Err(AuditError::SegmentTiling { level, segment: si });
+            }
+            next = seg.end;
+        }
+        if next != self.entries.len() {
+            let segment = self.segs.len();
+            return Err(AuditError::SegmentTiling { level, segment });
+        }
+        for (index, w) in self.segs.windows(2).enumerate() {
+            if self.entries[w[0].end - 1].key >= self.entries[w[1].start].key {
+                return Err(AuditError::LevelOrder { level, index });
+            }
+        }
+        for (si, seg) in self.segs.iter().enumerate() {
+            let entries = seg.entries(&self.entries);
+            let actual = entries.iter().map(SegEntry::seg_bytes).sum();
+            if seg.bytes != actual {
+                return Err(AuditError::SegmentBytes {
+                    level,
+                    segment: si,
+                    cached: seg.bytes,
+                    actual,
+                });
+            }
+            if entries.windows(2).any(|w| w[0].key >= w[1].key) {
+                return Err(AuditError::DirectoryOrder { level, group: si });
+            }
+            if !seg.resident && seg.ppa.is_none() {
+                return Err(AuditError::MissingSpillLocation { level, index: si });
+            }
+        }
+        if !self.list_resident && !self.is_empty() && self.list_pages.is_empty() {
+            let index = usize::MAX;
+            return Err(AuditError::MissingSpillLocation { level, index });
+        }
+        Ok(())
+    }
 }
 
 /// The PinK key-value SSD.
