@@ -30,7 +30,8 @@ use std::time::Instant;
 
 use anykey_core::runner::{waf_from, DEFAULT_QUEUE_DEPTH};
 use anykey_core::{
-    run_with, warm_up, DeviceConfig, EngineKind, KvError, MetadataStats, RunReport, SampleCfg,
+    run_with, warm_up, DeviceConfig, EngineKind, KvEngine, KvError, MetadataStats, RunReport,
+    SampleCfg,
 };
 use anykey_metrics::summary::{PointSummary, RunSummary, SCHEMA_VERSION};
 use anykey_metrics::timeline::{
@@ -418,17 +419,7 @@ fn execute_warm_up(ctx: &ExpCtx, point: &Point, cfg: Option<DeviceConfig>) -> Po
     let mut dev = cfg.build_engine();
     let keyspace = ctx.scale.keyspace(spec);
     warm_up(dev.as_mut(), spec, keyspace, ctx.scale.seed).expect("warm-up-only point failed");
-    let mut report = RunReport::empty(dev.horizon());
-    report.counters = dev.counters();
-    let meta = dev.metadata();
-    let waf = waf_of(&report, &meta, spec, &cfg);
-    let summary = Summary {
-        workload: spec.name,
-        system: point.kind,
-        report,
-        meta,
-    };
-    PointResult::bare(summary, waf)
+    snapshot_result(dev.as_ref(), point, &cfg)
 }
 
 fn execute_fill(ctx: &ExpCtx, point: &Point) -> PointResult {
@@ -444,12 +435,18 @@ fn execute_fill(ctx: &ExpCtx, point: &Point) -> PointResult {
             Err(e) => panic!("unexpected error during fill: {e}"),
         }
     }
+    snapshot_result(dev.as_ref(), point, &cfg)
+}
+
+/// The result of a point with no measured phase: the counters and
+/// metadata its warm-up or fill left on `dev`.
+fn snapshot_result(dev: &dyn KvEngine, point: &Point, cfg: &DeviceConfig) -> PointResult {
     let mut report = RunReport::empty(dev.horizon());
     report.counters = dev.counters();
     let meta = dev.metadata();
-    let waf = waf_of(&report, &meta, spec, &cfg);
+    let waf = waf_of(&report, &meta, point.spec, cfg);
     let summary = Summary {
-        workload: spec.name,
+        workload: point.spec.name,
         system: point.kind,
         report,
         meta,

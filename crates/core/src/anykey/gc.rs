@@ -49,8 +49,11 @@ impl AnyKeyStore {
                 let r = self.core.flash.program(first.offset(i), cause, at);
                 done = done.max(r.done);
                 if !r.status.is_ok() {
-                    let sealed_empty = self.area.release(first.block, pages)?;
-                    if sealed_empty || self.area.units_in(first.block) == 0 {
+                    // `place` made `first.block` the open block, so
+                    // `release` never reports it ready; erase it here
+                    // when the failure left it empty.
+                    self.area.release(first.block, pages)?;
+                    if self.area.units_in(first.block) == 0 {
                         done = done.max(self.area.erase_empty(
                             &mut self.group_alloc,
                             &mut self.core.flash,

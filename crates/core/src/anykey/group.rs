@@ -57,11 +57,10 @@ pub struct GroupContent {
     pub page_of: Vec<u16>,
     /// Number of leading pages holding the directory.
     pub dir_pages: u32,
-    /// 16-bit hash prefix of each data page's first entity (the DRAM
-    /// routing metadata).
-    pub page_first_hash16: Vec<u16>,
-    /// Full first hash per data page (page *content*, read from flash; a
-    /// spill-only page carries its owner's hash).
+    /// First hash per data page (a spill-only page carries its owner's
+    /// hash), never decreasing. Its top 16 bits are the DRAM routing
+    /// prefix of [`Self::route_page`]; the full hash is page *content*,
+    /// read from flash.
     pub page_first_hash: Vec<u32>,
     /// Collision bits per data page.
     pub collision: Vec<CollisionBits>,
@@ -164,7 +163,7 @@ impl GroupContent {
 
         // Per-page first/last hashes (spill-only pages physically contain
         // the previous entity's continuation, so they carry its hash) and
-        // the 16-bit routing prefixes plus collision bits (Figure 7).
+        // collision bits (Figure 7).
         let mut page_first_hash: Vec<u32> = Vec::with_capacity(data_pages);
         let mut page_last_hash: Vec<u32> = Vec::with_capacity(data_pages);
         let mut carry = hashes[0];
@@ -174,8 +173,6 @@ impl GroupContent {
             carry = page.last().copied().unwrap_or(carry);
             page_last_hash.push(carry);
         }
-        let page_first_hash16: Vec<u16> =
-            page_first_hash.iter().map(|&h| (h >> 16) as u16).collect();
         let mut collision = vec![CollisionBits::default(); data_pages];
         for i in 0..data_pages.saturating_sub(1) {
             if page_last_hash[i] == page_first_hash[i + 1] {
@@ -195,7 +192,6 @@ impl GroupContent {
             page_start,
             page_of,
             dir_pages,
-            page_first_hash16,
             page_first_hash,
             collision,
             hashes,
@@ -245,8 +241,8 @@ impl GroupContent {
     /// page-first hash prefixes: the last page whose prefix is ≤ the
     /// target's prefix.
     pub fn route_page(&self, hash: u32) -> usize {
-        let h16 = (hash >> 16) as u16;
-        let idx = self.page_first_hash16.partition_point(|&p| p <= h16);
+        let h16 = hash >> 16;
+        let idx = self.page_first_hash.partition_point(|&p| p >> 16 <= h16);
         idx.saturating_sub(1)
     }
 
@@ -325,7 +321,7 @@ impl GroupContent {
         {
             return Err(AuditError::FenceMismatch { level, group });
         }
-        if self.page_first_hash16.windows(2).any(|w| w[0] > w[1]) {
+        if self.page_first_hash.windows(2).any(|w| w[0] > w[1]) {
             return Err(AuditError::RoutingOrder { level, group });
         }
         Ok(())
@@ -591,7 +587,6 @@ mod tests {
         pages: Vec<Vec<Entity>>,
         dir: Vec<(u16, u16)>,
         dir_pages: u32,
-        page_first_hash16: Vec<u16>,
         page_first_hash: Vec<u32>,
         collision: Vec<CollisionBits>,
         hashes: Vec<u32>,
@@ -638,7 +633,6 @@ mod tests {
             carry = p.last().map(|e| e.hash).unwrap_or(carry);
             page_last_hash.push(carry);
         }
-        let page_first_hash16 = page_first_hash.iter().map(|&h| (h >> 16) as u16).collect();
         let mut collision = vec![CollisionBits::default(); pages.len()];
         for i in 0..pages.len().saturating_sub(1) {
             if page_last_hash[i] == page_first_hash[i + 1] {
@@ -666,7 +660,6 @@ mod tests {
             pages,
             dir,
             dir_pages,
-            page_first_hash16,
             page_first_hash,
             collision,
             hashes,
@@ -714,7 +707,6 @@ mod tests {
             page_start,
             page_of,
             dir_pages,
-            page_first_hash16,
             page_first_hash,
             collision,
             hashes,
@@ -749,10 +741,6 @@ mod tests {
             );
         }
         assert_eq!(dir_pages, &want.dir_pages, "{ctx}: directory pages");
-        assert_eq!(
-            page_first_hash16, &want.page_first_hash16,
-            "{ctx}: hash prefixes"
-        );
         assert_eq!(
             page_first_hash, &want.page_first_hash,
             "{ctx}: page first hashes"

@@ -12,8 +12,6 @@ pub mod group;
 pub mod level;
 #[cfg(test)]
 mod tests;
-#[cfg(test)]
-mod valuelog;
 
 use anykey_flash::{BlockAllocator, FlashCounters, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
@@ -52,7 +50,6 @@ pub struct AnyKeyStore {
     /// log-triggered compaction, the one mechanism that reclaims log
     /// space (no standalone GC runs in the log — Section 4.4.4).
     pub(crate) log: Option<ByteLog>,
-    level_list_overflow: bool,
 }
 
 impl AnyKeyStore {
@@ -85,7 +82,6 @@ impl AnyKeyStore {
             area: PageArea::new(geometry.pages_per_block, "group area"),
             group_alloc: core.allocator(0..(total_blocks - log_blocks)),
             log,
-            level_list_overflow: false,
             core,
         }
     }
@@ -279,8 +275,8 @@ impl AnyKeyStore {
         let level_lists: u64 = self.levels.iter().map(Level::meta_bytes).sum();
         if !self.core.dram.try_claim(level_lists) {
             // AnyKey's design keeps level lists DRAM-resident by
-            // construction; record if a configuration ever violates it.
-            self.level_list_overflow = true;
+            // construction; a configuration that violates it fills the
+            // budget with level lists (see `level_list_overflowed`).
             self.core.dram.metadata_used = self.core.dram.metadata_budget();
             for level in &mut self.levels {
                 for g in &mut level.groups {
@@ -289,7 +285,6 @@ impl AnyKeyStore {
             }
             return;
         }
-        self.level_list_overflow = false;
         let mut exhausted = false;
         for level in &mut self.levels {
             for g in &mut level.groups {
@@ -305,20 +300,17 @@ impl AnyKeyStore {
         }
     }
 
-    /// Whether level lists ever failed to fit DRAM (diagnostics; should
-    /// stay `false` — that is AnyKey's design guarantee).
+    /// Whether the level lists outgrow the DRAM metadata budget — exactly
+    /// when `rebalance_dram`'s level-list claim fails. Diagnostics;
+    /// it stays `false` under AnyKey's design guarantee.
     pub fn level_list_overflowed(&self) -> bool {
-        self.level_list_overflow
+        let level_lists: u64 = self.levels.iter().map(Level::meta_bytes).sum();
+        level_lists > self.core.dram.metadata_budget()
     }
 
     /// Direct access to the value log (benchmarks and tests).
     pub fn value_log(&self) -> Option<&ByteLog> {
         self.log.as_ref()
-    }
-
-    /// Number of free blocks left in the group area.
-    pub fn free_group_blocks(&self) -> usize {
-        self.group_alloc.free_count()
     }
 }
 
@@ -345,26 +337,18 @@ impl KvEngine for AnyKeyStore {
 
     fn metadata(&self) -> MetadataStats {
         let level_list_bytes: u64 = self.levels.iter().map(Level::meta_bytes).sum();
-        let hash_list_total: u64 = self
-            .levels
-            .iter()
-            .flat_map(|l| l.groups.iter())
-            .map(|g| g.content.hash_list_bytes())
-            .sum();
-        let hash_list_resident: u64 = self
-            .levels
-            .iter()
-            .flat_map(|l| l.groups.iter())
-            .filter(|g| g.hash_list_resident)
-            .map(|g| g.content.hash_list_bytes())
-            .sum();
+        let (mut hash_list_total, mut hash_list_resident) = (0u64, 0u64);
+        for g in self.levels.iter().flat_map(|l| &l.groups) {
+            let bytes = g.content.hash_list_bytes();
+            hash_list_total += bytes;
+            if g.hash_list_resident {
+                hash_list_resident += bytes;
+            }
+        }
         MetadataStats {
             level_list_bytes,
-            level_list_flash_bytes: if self.level_list_overflow {
-                level_list_bytes.saturating_sub(self.core.dram.metadata_budget())
-            } else {
-                0
-            },
+            level_list_flash_bytes: level_list_bytes
+                .saturating_sub(self.core.dram.metadata_budget()),
             hash_list_total_bytes: hash_list_total,
             hash_list_resident_bytes: hash_list_resident,
             levels: self.levels.iter().filter(|l| !l.is_empty()).count(),

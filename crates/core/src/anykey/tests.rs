@@ -50,6 +50,32 @@ fn hash_lists_cover_top_levels_first() {
 }
 
 #[test]
+fn level_lists_that_outgrow_dram_fill_the_budget() {
+    // The write buffer reserves half of a 2 KiB DRAM, leaving a 1 KiB
+    // metadata budget that a few dozen groups' level-list entries outgrow.
+    let mut s = AnyKeyStore::new(
+        DeviceConfig::builder()
+            .capacity_bytes(16 << 20)
+            .page_size(8 << 10)
+            .pages_per_block(16)
+            .group_pages(8)
+            .engine(EngineKind::AnyKey)
+            .key_len(48)
+            .dram_bytes(2 << 10)
+            .build(),
+    );
+    fill(&mut s, 20_000);
+    let budget = s.core.dram.metadata_budget();
+    assert_eq!(budget, 1 << 10);
+    assert!(s.level_list_overflowed(), "level lists must outgrow 1 KiB");
+    assert_eq!(s.check_invariants(), Ok(()));
+    let m = s.metadata();
+    assert_eq!(m.hash_list_resident_bytes, 0);
+    assert_eq!(m.level_list_flash_bytes, m.level_list_bytes - budget);
+    assert_eq!(m.dram_resident_bytes(), budget);
+}
+
+#[test]
 fn new_values_enter_the_log_and_inline_over_time() {
     let mut s = store(EngineKind::AnyKeyPlus);
     fill(&mut s, 30_000);

@@ -12,17 +12,17 @@
 //! * a byte log's and a page area's per-block counts
 //!   ([`crate::bytelog::ByteLog::audit_overfull`],
 //!   [`crate::pagearea::PageArea::audit_overfull`]);
-//! * the DRAM claims ([`crate::dram::DramBudget::audit`]), against a sum
-//!   the engine supplies;
+//! * the DRAM claims ([`crate::dram::DramBudget::audit`]), against the
+//!   engine's published [`crate::MetadataStats::dram_resident_bytes`];
 //! * the flash counters' per-cause ledgers
 //!   ([`anykey_flash::FlashCounters::audit`]).
 //!
-//! This module keeps the ledgers that span structures: the byte sum of
-//! what is marked DRAM-resident, the value log's live bytes against the
-//! logged bytes the levels reference, and retirement: every block
-//! allocator's free/allocated/retired partition sums to its block count,
-//! and no live structure (group, logged value, meta segment, level-list
-//! page, or data pointer) references a block retired as a grown bad block.
+//! This module keeps the ledgers that span structures: the value log's
+//! live bytes against the logged bytes the levels reference, and
+//! retirement: every block allocator's free/allocated/retired partition
+//! sums to its block count, and no live structure (group, logged value,
+//! meta segment, level-list page, or data pointer) references a block
+//! retired as a grown bad block.
 //!
 //! The engines invoke the audit automatically at flush / compaction / GC
 //! boundaries whenever debug assertions are on (`cargo test` and
@@ -36,9 +36,8 @@ use std::fmt;
 use anykey_flash::{BlockAllocator, BlockId, CounterSkew};
 
 use crate::anykey::entity::ValueLoc;
-use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
-use crate::pink::segment::Segment;
+use crate::engine::KvEngine;
 use crate::pink::PinkStore;
 
 /// A violated structural invariant, naming the structure and the observed
@@ -70,7 +69,8 @@ pub enum AuditError {
         /// The group index within the level.
         group: usize,
     },
-    /// A group's per-page 16-bit routing hash prefixes are not sorted, so
+    /// A group's per-page first hashes, whose top 16 bits are the routing
+    /// prefixes, are not sorted, so
     /// [`crate::anykey::group::GroupContent::route_page`] would misroute.
     RoutingOrder {
         /// The level holding the group.
@@ -180,13 +180,6 @@ pub enum AuditError {
         level: usize,
         /// The group index within the level.
         group: usize,
-    },
-    /// A structure marked as spilled to flash has no flash location.
-    MissingSpillLocation {
-        /// The level holding the structure.
-        level: usize,
-        /// The structure's index within the level.
-        index: usize,
     },
     /// A live structure still references a block that was retired as a
     /// grown bad block.
@@ -326,10 +319,6 @@ impl fmt::Display for AuditError {
                 f,
                 "group {group} of level {level} has a hash list that is unsorted or differs from its entities' hashes"
             ),
-            AuditError::MissingSpillLocation { level, index } => write!(
-                f,
-                "spilled structure {index} of level {level} has no flash location"
-            ),
             AuditError::RetiredBlockLive { block, owner } => write!(
                 f,
                 "retired block B{block} is still referenced by live {owner} metadata"
@@ -374,17 +363,9 @@ impl AnyKeyStore {
         let groups = || self.levels.iter().flat_map(|l| &l.groups);
 
         // What rebalance_dram claimed must equal what is marked resident.
-        let expected = if self.level_list_overflowed() {
-            self.core.dram.metadata_budget()
-        } else {
-            let lists: u64 = self.levels.iter().map(Level::meta_bytes).sum();
-            let hash_lists: u64 = groups()
-                .filter(|g| g.hash_list_resident)
-                .map(|g| g.content.hash_list_bytes())
-                .sum();
-            lists + hash_lists
-        };
-        self.core.dram.audit(expected)?;
+        self.core
+            .dram
+            .audit(self.metadata().dram_resident_bytes())?;
 
         // Value-log live-byte conservation.
         if let Some(log) = &self.log {
@@ -527,18 +508,10 @@ impl PinkStore {
             level.audit(li)?;
         }
 
-        // DRAM, mirroring `rebalance`: resident level lists, then resident
-        // meta segments.
-        let expected = self
-            .levels
-            .iter()
-            .map(|l| {
-                let list = if l.list_resident { l.list_bytes() } else { 0 };
-                let segs = l.segs.iter().filter(|s| s.resident).map(Segment::bytes);
-                list + segs.sum::<u64>()
-            })
-            .sum();
-        self.core.dram.audit(expected)?;
+        // What `rebalance` claimed must equal what is marked resident.
+        self.core
+            .dram
+            .audit(self.metadata().dram_resident_bytes())?;
 
         self.data.audit_overfull("data area")?;
         self.meta.audit_overfull()?;

@@ -92,6 +92,15 @@ impl MetadataStats {
             + self.meta_segment_dram_bytes
             + self.meta_segment_flash_bytes
     }
+
+    /// Metadata bytes resident in DRAM: the level lists that fit, resident
+    /// hash lists and pinned meta segments. The DRAM audit checks the
+    /// budget's claims against exactly this sum.
+    pub fn dram_resident_bytes(&self) -> u64 {
+        self.level_list_bytes - self.level_list_flash_bytes
+            + self.hash_list_resident_bytes
+            + self.meta_segment_dram_bytes
+    }
 }
 
 /// A simulated key-value SSD.
@@ -232,5 +241,19 @@ mod tests {
             ..MetadataStats::default()
         };
         assert_eq!(m.metadata_bytes(), 42);
+    }
+
+    #[test]
+    fn dram_resident_bytes_excludes_flash_copies() {
+        let m = MetadataStats {
+            level_list_bytes: 100,
+            level_list_flash_bytes: 30,
+            hash_list_total_bytes: 50,
+            hash_list_resident_bytes: 20,
+            meta_segment_dram_bytes: 5,
+            meta_segment_flash_bytes: 7,
+            ..MetadataStats::default()
+        };
+        assert_eq!(m.dram_resident_bytes(), 100 - 30 + 20 + 5);
     }
 }

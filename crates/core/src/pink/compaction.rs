@@ -102,24 +102,22 @@ impl PinkStore {
         let mut read_ppas: Vec<Ppa> = Vec::new();
         let mut freed_pages: Vec<Ppa> = Vec::new();
         let (upper, src_idx, lower) = {
-            let mut take_level = |level: &mut PinkLevel| -> Result<Vec<SegEntry>, KvError> {
-                for s in std::mem::take(&mut level.segs) {
-                    if !s.resident {
-                        let ppa = s.ppa.ok_or(KvError::Internal {
-                            context: "spilled segment has no flash location",
-                        })?;
-                        read_ppas.push(ppa);
-                        freed_pages.push(ppa);
-                    }
+            let mut take_level = |level: &mut PinkLevel| -> Vec<SegEntry> {
+                for ppa in std::mem::take(&mut level.segs)
+                    .into_iter()
+                    .flat_map(|s| s.ppa)
+                {
+                    read_ppas.push(ppa);
+                    freed_pages.push(ppa);
                 }
                 freed_pages.append(&mut level.list_pages);
-                Ok(std::mem::take(&mut level.entries))
+                std::mem::take(&mut level.entries)
             };
             let (upper, src_idx) = match src {
-                Source::Level(si) => (take_level(&mut self.levels[si])?, Some(si)),
+                Source::Level(si) => (take_level(&mut self.levels[si]), Some(si)),
                 Source::Flush(ents) => (ents, None),
             };
-            (upper, src_idx, take_level(&mut self.levels[dst])?)
+            (upper, src_idx, take_level(&mut self.levels[dst]))
         };
         let t_read = self
             .core
@@ -153,7 +151,7 @@ impl PinkStore {
         }
 
         // --- 4. Re-plan DRAM placement (charging spills/loads). ---------
-        let t_place = self.rebalance(Some(dst), t_read)?;
+        let t_place = self.rebalance(dst, t_read)?;
 
         let done = t_place.max(t_erase) + merged_count * SORT_NS_PER_ENTITY;
         let done = done.max(self.gc_for_headroom(done, 0)?);
@@ -198,82 +196,59 @@ impl PinkStore {
     /// Recomputes which level lists and meta segments are DRAM-resident
     /// (write buffer first, then level lists in level order, then meta
     /// segments in level order), charging flash traffic for every
-    /// structure that spills out of — or loads into — DRAM.
+    /// structure that spills out of — or loads into — DRAM. A structure is
+    /// resident exactly when it has no flash copy.
     ///
-    /// `rebuilt`'s structures are brand new: their spills are part of the
-    /// compaction (CompactionWrite); other levels' spills are background
-    /// metadata traffic (MetaWrite).
-    pub(crate) fn rebalance(&mut self, rebuilt: Option<usize>, at: Ns) -> Result<Ns, KvError> {
+    /// `rebuilt`'s structures are brand new (its old pages were freed when
+    /// the merge took its inputs): their spills are part of the compaction
+    /// (CompactionWrite); other levels' spills are background metadata
+    /// traffic (MetaWrite).
+    pub(crate) fn rebalance(&mut self, rebuilt: usize, at: Ns) -> Result<Ns, KvError> {
         self.core.dram.clear_claims();
         let mut t = at;
+        let cause = |li| {
+            if li == rebuilt {
+                OpCause::CompactionWrite
+            } else {
+                OpCause::MetaWrite
+            }
+        };
 
         // Pass 1: level lists.
         for li in 0..self.levels.len() {
             let want = self.levels[li].list_bytes();
-            let new_res = want == 0 || self.core.dram.try_claim(want);
-            let was_res = self.levels[li].list_resident;
-            let is_rebuilt = rebuilt == Some(li);
-            if new_res {
-                if !was_res && !is_rebuilt {
-                    // Load into DRAM: read and release the flash copy.
-                    let pages = std::mem::take(&mut self.levels[li].list_pages);
-                    for ppa in pages {
-                        t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
-                        t = t.max(self.free_meta_page(ppa, at)?);
-                    }
+            if want == 0 || self.core.dram.try_claim(want) {
+                // Load into DRAM: read and release any flash copy.
+                for ppa in std::mem::take(&mut self.levels[li].list_pages) {
+                    t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
+                    t = t.max(self.free_meta_page(ppa, at)?);
                 }
-                self.levels[li].list_pages.clear();
-            } else {
-                let needs_write = is_rebuilt || was_res || self.levels[li].list_pages.is_empty();
-                if needs_write {
-                    let cause = if is_rebuilt {
-                        OpCause::CompactionWrite
-                    } else {
-                        OpCause::MetaWrite
-                    };
-                    let pages_needed = want.div_ceil(self.core.page_payload).max(1);
-                    let mut pages = Vec::with_capacity(pages_needed as usize);
-                    for _ in 0..pages_needed {
-                        let (ppa, td) = self.program_meta_page(li, cause, at)?;
-                        t = t.max(td);
-                        pages.push(ppa);
-                    }
-                    self.levels[li].list_pages = pages;
+            } else if self.levels[li].list_pages.is_empty() {
+                let pages_needed = want.div_ceil(self.core.page_payload).max(1);
+                let mut pages = Vec::with_capacity(pages_needed as usize);
+                for _ in 0..pages_needed {
+                    let (ppa, td) = self.program_meta_page(li, cause(li), at)?;
+                    t = t.max(td);
+                    pages.push(ppa);
                 }
+                self.levels[li].list_pages = pages;
             }
-            self.levels[li].list_resident = new_res;
         }
 
         // Pass 2: meta segments, level order.
         for li in 0..self.levels.len() {
-            let is_rebuilt = rebuilt == Some(li);
             for si in 0..self.levels[li].segs.len() {
                 let bytes = self.levels[li].segs[si].bytes();
-                let new_res = self.core.dram.try_claim(bytes);
-                let was_res = self.levels[li].segs[si].resident;
-                let had_ppa = self.levels[li].segs[si].ppa.is_some();
-                if new_res {
-                    if !was_res && had_ppa {
-                        let ppa = self.levels[li].segs[si]
-                            .ppa
-                            .take()
-                            .ok_or(KvError::Internal {
-                                context: "resident load without a flash copy",
-                            })?;
+                if self.core.dram.try_claim(bytes) {
+                    if let Some(ppa) = self.levels[li].segs[si].ppa.take() {
                         t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
                         t = t.max(self.free_meta_page(ppa, at)?);
                     }
-                } else if !had_ppa {
-                    let cause = if is_rebuilt {
-                        OpCause::CompactionWrite
-                    } else {
-                        OpCause::MetaWrite
-                    };
-                    let (ppa, td) = self.program_meta_page(li, cause, at)?;
+                } else if self.levels[li].segs[si].ppa.is_none() {
+                    let (ppa, td) = self.program_meta_page(li, cause(li), at)?;
                     t = t.max(td);
                     self.levels[li].segs[si].ppa = Some(ppa);
                 }
-                self.levels[li].segs[si].resident = new_res;
             }
         }
         Ok(t)

@@ -46,9 +46,8 @@ pub struct PinkLevel {
     pub kv_bytes: u64,
     /// Tree-compaction threshold.
     pub threshold: u64,
-    /// Whether this level's level list is DRAM-resident.
-    pub list_resident: bool,
-    /// Flash pages of the spilled level list (empty when resident).
+    /// Flash pages of the spilled level list; empty exactly when the list
+    /// is DRAM-resident.
     pub list_pages: Vec<Ppa>,
 }
 
@@ -57,7 +56,6 @@ impl PinkLevel {
     pub fn new(threshold: u64) -> Self {
         Self {
             threshold,
-            list_resident: true,
             ..Self::default()
         }
     }
@@ -117,8 +115,7 @@ impl PinkLevel {
 
     /// Audits the level, naming it `level`: its meta segments tile the
     /// entry run, hold disjoint ascending key ranges, cache their exact
-    /// byte counts and are each key-sorted, and every spilled segment and
-    /// spilled level list has a flash location.
+    /// byte counts and are each key-sorted.
     ///
     /// # Errors
     ///
@@ -154,13 +151,6 @@ impl PinkLevel {
             if entries.windows(2).any(|w| w[0].key >= w[1].key) {
                 return Err(AuditError::DirectoryOrder { level, group: si });
             }
-            if !seg.resident && seg.ppa.is_none() {
-                return Err(AuditError::MissingSpillLocation { level, index: si });
-            }
-        }
-        if !self.list_resident && !self.is_empty() && self.list_pages.is_empty() {
-            let index = usize::MAX;
-            return Err(AuditError::MissingSpillLocation { level, index });
         }
         Ok(())
     }
@@ -234,24 +224,19 @@ impl PinkStore {
                 continue;
             };
             // Level-list probe: free in DRAM, one flash read when spilled.
-            if !self.levels[li].list_resident {
+            let list_pages = &self.levels[li].list_pages;
+            if !list_pages.is_empty() {
                 let key_len = self.levels[li].first_key(si).len() as u64;
                 let per_page = self.list_entries_per_page(key_len) as usize;
-                let page_idx =
-                    (si / per_page).min(self.levels[li].list_pages.len().saturating_sub(1));
-                if let Some(&ppa) = self.levels[li].list_pages.get(page_idx) {
-                    let before = t;
-                    t = self.core.flash.read(ppa, OpCause::MetaRead, t).done;
-                    phases.meta_read += t - before;
-                    reads += 1;
-                }
+                let ppa = list_pages[(si / per_page).min(list_pages.len() - 1)];
+                let before = t;
+                t = self.core.flash.read(ppa, OpCause::MetaRead, t).done;
+                phases.meta_read += t - before;
+                reads += 1;
             }
             // Meta-segment access: free when pinned, one flash read when
             // spilled.
-            if !self.levels[li].segs[si].resident {
-                let ppa = self.levels[li].segs[si].ppa.ok_or(KvError::Internal {
-                    context: "spilled segment has no flash location",
-                })?;
+            if let Some(ppa) = self.levels[li].segs[si].ppa {
                 let before = t;
                 t = self.core.flash.read(ppa, OpCause::MetaRead, t).done;
                 phases.meta_read += t - before;
@@ -295,11 +280,7 @@ impl PinkStore {
                 if level.is_empty() {
                     return Ok(0);
                 }
-                if !level.list_resident {
-                    if let Some(&ppa) = level.list_pages.first() {
-                        pages.push(ppa);
-                    }
-                }
+                pages.extend(level.list_pages.first());
                 let mut taken = 0usize;
                 // Segments hold disjoint, ascending key ranges, so only
                 // the first segment visited can hold keys below `start`.
@@ -307,11 +288,7 @@ impl PinkStore {
                 let mut si = first;
                 while taken < budget && si < level.segs.len() {
                     let seg = &level.segs[si];
-                    if !seg.resident {
-                        pages.push(seg.ppa.ok_or(KvError::Internal {
-                            context: "spilled segment has no flash location",
-                        })?);
-                    }
+                    pages.extend(seg.ppa);
                     let entries = seg.entries(&level.entries);
                     let from = if si == first {
                         entries.partition_point(|e| e.key < start)
@@ -382,17 +359,15 @@ impl KvEngine for PinkStore {
         let level_list_flash: u64 = self
             .levels
             .iter()
-            .filter(|l| !l.list_resident)
+            .filter(|l| !l.list_pages.is_empty())
             .map(PinkLevel::list_bytes)
             .sum();
         let (mut seg_dram, mut seg_flash) = (0u64, 0u64);
-        for level in &self.levels {
-            for seg in &level.segs {
-                if seg.resident {
-                    seg_dram += seg.bytes();
-                } else {
-                    seg_flash += seg.bytes();
-                }
+        for seg in self.levels.iter().flat_map(|l| &l.segs) {
+            if seg.ppa.is_none() {
+                seg_dram += seg.bytes();
+            } else {
+                seg_flash += seg.bytes();
             }
         }
         MetadataStats {

@@ -69,9 +69,8 @@ pub struct Segment {
     /// Bytes of the segment's entries ([`SegEntry::seg_bytes`] summed),
     /// cached when the segment is cut.
     pub bytes: u64,
-    /// Whether the segment is pinned in DRAM (then it has no flash copy).
-    pub resident: bool,
-    /// Flash location when spilled.
+    /// Flash location when spilled; `None` exactly when the segment is
+    /// pinned in DRAM.
     pub ppa: Option<Ppa>,
 }
 
@@ -98,7 +97,7 @@ impl Segment {
 
 /// Cuts a key-ordered run into page-sized segments of at most `payload`
 /// entry bytes each (a single oversized entry gets a segment of its own),
-/// all spilled and not yet placed.
+/// none placed yet: the next DRAM rebalance pins or spills each.
 pub fn cut_segments(run: &[SegEntry], payload: u64) -> Vec<Segment> {
     let mut segs = Vec::new();
     let (mut start, mut bytes) = (0usize, 0u64);
@@ -109,7 +108,6 @@ pub fn cut_segments(run: &[SegEntry], payload: u64) -> Vec<Segment> {
                 start,
                 end: i,
                 bytes,
-                resident: false,
                 ppa: None,
             });
             (start, bytes) = (i, 0);
@@ -121,7 +119,6 @@ pub fn cut_segments(run: &[SegEntry], payload: u64) -> Vec<Segment> {
             start,
             end: run.len(),
             bytes,
-            resident: false,
             ppa: None,
         });
     }
@@ -268,7 +265,6 @@ mod tests {
             start,
             end,
             bytes: run[start..end].iter().map(SegEntry::seg_bytes).sum(),
-            resident: true,
             ppa: None,
         };
         let (lo, hi) = (seg(0, 50), seg(50, 100));
@@ -333,10 +329,7 @@ mod tests {
                 assert_eq!(g.entries(&run), &w[..], "{ctx}: segment {i} entries");
                 let bytes: u64 = w.iter().map(SegEntry::seg_bytes).sum();
                 assert_eq!(g.bytes(), bytes, "{ctx}: segment {i} bytes");
-                assert!(
-                    !g.resident && g.ppa.is_none(),
-                    "{ctx}: segment {i} placement"
-                );
+                assert!(g.ppa.is_none(), "{ctx}: segment {i} placement");
                 next = g.end;
             }
             assert_eq!(next, run.len(), "{ctx}: segments tile the run");

@@ -34,21 +34,14 @@ fn upper_levels_stay_resident_lower_levels_spill() {
     // Level lists are claimed before segments, top level first: L1's
     // list must be resident even at 0.1% DRAM.
     assert!(
-        s.levels[0].list_resident,
+        s.levels[0].list_pages.is_empty(),
         "L1's level list must be DRAM-resident"
     );
     let deep = s.levels.iter().rev().find(|l| !l.is_empty()).unwrap();
     assert!(
-        deep.segs.iter().filter(|seg| !seg.resident).count() > deep.segs.len() / 2,
+        deep.segs.iter().filter(|seg| seg.ppa.is_some()).count() > deep.segs.len() / 2,
         "the deepest level must be mostly flash-resident at 0.1% DRAM"
     );
-    // Every spilled segment has a flash location; every resident one does
-    // not.
-    for level in &s.levels {
-        for seg in &level.segs {
-            assert_eq!(seg.ppa.is_some(), !seg.resident);
-        }
-    }
 }
 
 #[test]

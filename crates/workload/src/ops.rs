@@ -37,23 +37,15 @@ pub enum Op {
     },
 }
 
-impl Op {
-    /// Whether this operation mutates the store.
-    pub fn is_write(&self) -> bool {
-        matches!(self, Op::Put { .. } | Op::Delete { .. })
-    }
-}
-
 /// Builder for a deterministic [`OpStream`].
 ///
 /// Defaults mirror the paper's Section 5.1 configuration: Zipfian θ = 0.99,
-/// 20 % writes, no scans, no deletes.
+/// 20 % writes, no scans. Streams issue no deletes.
 #[derive(Debug, Clone)]
 pub struct OpStreamBuilder {
     spec: WorkloadSpec,
     keyspace: u64,
     write_ratio: f64,
-    delete_ratio: f64,
     scan_ratio: f64,
     scan_len: u32,
     dist: KeyDist,
@@ -67,7 +59,6 @@ impl OpStreamBuilder {
             spec,
             keyspace,
             write_ratio: 0.2,
-            delete_ratio: 0.0,
             scan_ratio: 0.0,
             scan_len: 100,
             dist: KeyDist::default(),
@@ -78,12 +69,6 @@ impl OpStreamBuilder {
     /// Fraction of operations that are PUTs (paper default: 0.2).
     pub fn write_ratio(mut self, r: f64) -> Self {
         self.write_ratio = r;
-        self
-    }
-
-    /// Fraction of operations that are DELETEs.
-    pub fn delete_ratio(mut self, r: f64) -> Self {
-        self.delete_ratio = r;
         self
     }
 
@@ -113,7 +98,7 @@ impl OpStreamBuilder {
     ///
     /// Panics if the ratios sum to more than 1.
     pub fn build(self) -> OpStream {
-        let total = self.write_ratio + self.delete_ratio + self.scan_ratio;
+        let total = self.write_ratio + self.scan_ratio;
         assert!(
             (0.0..=1.0).contains(&total),
             "op ratios must sum to at most 1, got {total}"
@@ -121,7 +106,6 @@ impl OpStreamBuilder {
         OpStream {
             value_len: self.spec.value_len,
             write_ratio: self.write_ratio,
-            delete_ratio: self.delete_ratio,
             scan_ratio: self.scan_ratio,
             scan_len: self.scan_len,
             keys: ZipfianGen::new(self.keyspace, self.dist, self.seed),
@@ -135,7 +119,6 @@ impl OpStreamBuilder {
 pub struct OpStream {
     value_len: u32,
     write_ratio: f64,
-    delete_ratio: f64,
     scan_ratio: f64,
     scan_len: u32,
     keys: ZipfianGen,
@@ -153,9 +136,7 @@ impl Iterator for OpStream {
                 key,
                 value_len: self.value_len,
             }
-        } else if roll < self.write_ratio + self.delete_ratio {
-            Op::Delete { key }
-        } else if roll < self.write_ratio + self.delete_ratio + self.scan_ratio {
+        } else if roll < self.write_ratio + self.scan_ratio {
             Op::Scan {
                 start: key,
                 len: self.scan_len,
@@ -232,7 +213,7 @@ mod tests {
             .build()
             .take(100_000)
             .collect();
-        let writes = ops.iter().filter(|o| o.is_write()).count();
+        let writes = ops.iter().filter(|o| matches!(o, Op::Put { .. })).count();
         let frac = writes as f64 / ops.len() as f64;
         assert!((frac - 0.2).abs() < 0.01, "write fraction {frac}");
     }
