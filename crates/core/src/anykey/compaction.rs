@@ -5,7 +5,7 @@ use anykey_flash::{Ns, OpCause, Ppa};
 
 use crate::anykey::entity::{Entity, ValueLoc};
 use crate::anykey::gc::GROUP_STREAM;
-use crate::anykey::group::{pack_groups, Group};
+use crate::anykey::group::{Group, GroupContent, GroupPacker};
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
 use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
@@ -70,7 +70,6 @@ impl AnyKeyStore {
                 value_len: be.value_len,
                 loc,
                 tombstone: be.tombstone,
-                span_extra: 0,
             });
         }
         let t_ack = self.compact(Source::Flush(ents), 0, InlinePolicy::Keep, t_log)?;
@@ -81,7 +80,7 @@ impl AnyKeyStore {
         self.maintain(t_ack)?;
         self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
         #[cfg(debug_assertions)]
-        self.verify_invariants()?;
+        self.audit_boundary()?;
         Ok(t_ack)
     }
 
@@ -161,7 +160,7 @@ impl AnyKeyStore {
         // "compaction chain" of Figure 9a.
         let done = self.maintain(t)?;
         #[cfg(debug_assertions)]
-        self.verify_invariants()?;
+        self.audit_boundary()?;
         Ok(done)
     }
 
@@ -219,20 +218,21 @@ impl AnyKeyStore {
         Ok(done)
     }
 
-    /// Packs the key-sorted run `ents` into groups, programs them and
-    /// appends them to `out`; returns when the last program completes.
+    /// A packer cutting groups of at most `group_pages` pages.
+    fn packer(&self) -> GroupPacker {
+        GroupPacker::new(self.core.page_payload, self.core.cfg.group_pages.max(2))
+    }
+
+    /// Places and programs the packed `groups`, appending them to `out`;
+    /// returns when the last program completes.
     fn write_groups(
         &mut self,
-        ents: &[Entity],
+        groups: Vec<GroupContent>,
         out: &mut Vec<Group>,
         at: Ns,
     ) -> Result<Ns, KvError> {
         let mut done = at;
-        for c in pack_groups(
-            ents,
-            self.core.page_payload,
-            self.core.cfg.group_pages.max(2),
-        ) {
+        for c in groups {
             let (ppa, td) = self.place_group(c.total_pages(), OpCause::CompactionWrite, at)?;
             done = done.max(td);
             out.push(Group::new(c, ppa));
@@ -268,21 +268,26 @@ impl AnyKeyStore {
             .flash
             .read_many(read_ppas, OpCause::CompactionRead, at);
 
-        // Take each touched group's entities with their values inlined and
-        // free it; a group is dropped as soon as its run is taken out.
-        let mut runs: Vec<Vec<Entity>> = Vec::with_capacity(touched.len());
+        // Take each touched group's entities with their values inlined,
+        // pack them on their own, and free the group.
+        let mut runs: Vec<Vec<GroupContent>> = Vec::with_capacity(touched.len());
+        let mut count = 0u64;
         let mut t_erase = t_read;
         for mut g in touched {
             let mut ents = std::mem::take(&mut g.content.ents);
             self.inline_values(&mut ents)?;
-            runs.push(ents);
+            count += ents.len() as u64;
+            let mut packer = self.packer();
+            for e in ents {
+                packer.push(e);
+            }
+            runs.push(packer.finish());
             t_erase = t_erase.max(self.release_groups([g], t_read)?);
         }
-        let count: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        // Rebuild each run, dropping it once its groups are placed.
+        // Place each run's groups.
         let mut t_write = t_read;
-        for ents in runs {
-            t_write = t_write.max(self.write_groups(&ents, &mut out, t_read)?);
+        for groups in runs {
+            t_write = t_write.max(self.write_groups(groups, &mut out, t_read)?);
         }
         // No seal: partial rewrites happen every log cycle, and sealing
         // here would strand block tails faster than GC reclaims them.
@@ -350,23 +355,36 @@ impl AnyKeyStore {
             .read_many(read_ppas, OpCause::CompactionRead, at);
 
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
-        // The merge reads each group's key-ordered entities in place.
+        // The merge reads each group's key-ordered entities in place and
+        // streams its output, with the inline policy applied, into the
+        // packer: log-triggered compaction moves every logged value
+        // inline, and its log slot dies once the merge is done.
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
         let mut upper = vec![&flushed[..]];
         upper.extend(entity_runs(&src_groups));
-        let mut merged = merge_newest(
+        let mut packer = self.packer();
+        let mut log_read_ppas: Vec<Ppa> = Vec::new();
+        let mut inlined: Vec<Entity> = Vec::new();
+        merge_newest(
             &upper,
             &entity_runs(&dst_groups),
             is_bottom,
             |e| (e.key, e.tombstone),
             |dead| self.drop_logged(dead),
+            |mut e| {
+                if let (InlinePolicy::InlineAll, ValueLoc::Logged(ptr)) = (policy, e.loc) {
+                    log_read_ppas.extend(ptr.pages());
+                    inlined.push(e);
+                    e.loc = ValueLoc::Inline;
+                }
+                packer.push(e);
+            },
         )?;
+        let new_contents = packer.finish();
 
-        // --- 3. Apply the inline policy. -------------------------------
-        let mut log_read_ppas: Vec<Ppa> = Vec::new();
-        if let InlinePolicy::InlineAll = policy {
-            log_read_ppas.extend(log_pages(&merged));
-            self.inline_values(&mut merged)?;
+        // --- 3. Retire the inlined values' log slots. ------------------
+        for e in &inlined {
+            self.drop_logged(e)?;
         }
         log_read_ppas.sort_unstable();
         log_read_ppas.dedup();
@@ -382,10 +400,10 @@ impl AnyKeyStore {
         let t_erase = self.release_groups(src_groups, t_inputs)?;
         let t_erase = t_erase.max(self.release_groups(dst_groups, t_inputs)?);
 
-        // --- 5. Build and place the new groups. ------------------------
-        let merged_count = merged.len() as u64;
-        let mut new_groups = Vec::new();
-        let t_write = self.write_groups(&merged, &mut new_groups, t_inputs)?;
+        // --- 5. Place the new groups. ----------------------------------
+        let merged_count: u64 = new_contents.iter().map(|c| c.entity_count() as u64).sum();
+        let mut new_groups = Vec::with_capacity(new_contents.len());
+        let t_write = self.write_groups(new_contents, &mut new_groups, t_inputs)?;
         self.area.seal(GROUP_STREAM); // keep blocks single-level (Section 4.4.4)
 
         // --- 6. Update the levels' accounting. -------------------------

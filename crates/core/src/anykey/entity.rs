@@ -28,10 +28,6 @@ pub struct Entity {
     pub loc: ValueLoc,
     /// Whether this entity is a deletion marker.
     pub tombstone: bool,
-    /// Extra pages this entity spills into beyond its start page (set when
-    /// its group is built; entities are packed byte-continuously, so a
-    /// large inline value can span pages).
-    pub span_extra: u8,
 }
 
 /// Fixed per-entity header inside a page: hash (4 B) + length/flags (4 B).
@@ -86,7 +82,6 @@ mod tests {
             value_len,
             loc,
             tombstone,
-            span_extra: 0,
         }
     }
 

@@ -7,14 +7,22 @@
 //! range queries can walk keys in order without re-sorting (Section 4.4.5).
 //!
 //! The host keeps that layout as an index rather than a copy: the entities
-//! sit in key (directory) order, and a slot index lists them in hash order,
-//! cut into data pages. Every entity keeps the page and slot it has on
-//! flash, so the modeled bytes are the paper's.
+//! sit in key (directory) order, and a
+//! [`Layout`](crate::anykey::group::Layout) lists them in hash order, cut
+//! into data pages. Everything placement, level thresholds, DRAM
+//! accounting, GC and compaction need is known without the layout (the
+//! byte-continuous packing fills `ceil(stored bytes / payload)` data
+//! pages), so the layout is built on the first read of the group — a GET's
+//! page search, a scan's page numbers or the audit — and cached. A group
+//! that no read reaches before a compaction replaces it never pays for
+//! one. Either way the modeled bytes are the paper's.
 //!
 //! The level-list entry for a group (what lives in DRAM) is: the group's
 //! smallest key, the PPA of its first page, a 16-bit hash prefix of the
 //! first key of every data page, and 2 hash-collision bits per page
 //! (Figure 7).
+
+use std::cell::OnceCell;
 
 use anykey_flash::Ppa;
 
@@ -42,31 +50,12 @@ pub struct CollisionBits {
 #[derive(Debug, Clone)]
 pub struct GroupContent {
     /// The group's entities in key order, which is the directory's order.
-    /// Each carries the `span_extra` of its hash-ordered slot on flash.
-    pub ents: Vec<Entity>,
-    /// The flash slot order: `slots[k]` is the `ents` index of the `k`-th
-    /// entity by `(hash, key)`, cut into data pages by `page_start`.
-    pub slots: Vec<u32>,
-    /// Index in `slots` of each data page's first slot, plus a final
-    /// `slots.len()`: data page `p` holds the slots from `page_start[p]`
-    /// up to `page_start[p + 1]` (none for a page holding only a previous
-    /// entity's spill).
-    pub page_start: Vec<u32>,
-    /// The data page each entity starts in (the directory's page field):
-    /// `ents[i]` sits in data page `page_of[i]`.
-    pub page_of: Vec<u16>,
+    /// Never changed while the group lives, so its layout stays valid.
+    pub(crate) ents: Vec<Entity>,
     /// Number of leading pages holding the directory.
     pub dir_pages: u32,
-    /// First hash per data page (a spill-only page carries its owner's
-    /// hash), never decreasing. Its top 16 bits are the DRAM routing
-    /// prefix of [`Self::route_page`]; the full hash is page *content*,
-    /// read from flash.
-    pub page_first_hash: Vec<u32>,
-    /// Collision bits per data page.
-    pub collision: Vec<CollisionBits>,
-    /// Sorted hashes of every entity (the hash-list content), in slot
-    /// order: `hashes[k] == ents[slots[k] as usize].hash`.
-    pub hashes: Vec<u32>,
+    /// Number of data pages: the stored bytes packed byte-continuously.
+    data_pages: u32,
     /// Logical KV bytes (keys + values) in this group.
     pub kv_bytes: u64,
     /// Value bytes referenced in the value log.
@@ -79,6 +68,41 @@ pub struct GroupContent {
     pub(crate) smallest: Key,
     /// Largest key, cached at build time.
     pub(crate) largest: Key,
+    /// Usable bytes per page, which the layout is packed to.
+    payload: u64,
+    /// The hash-order layout, built on first read.
+    layout: OnceCell<Layout>,
+}
+
+/// A group's hash-order layout on flash: a pure function of its
+/// key-ordered entities and the page payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Layout {
+    /// The flash slot order: `slots[k]` is the `ents` index of the `k`-th
+    /// entity by `(hash, key)`, cut into data pages by `page_start`.
+    pub slots: Vec<u32>,
+    /// Index in `slots` of each data page's first slot, plus a final
+    /// `slots.len()`: data page `p` holds the slots from `page_start[p]`
+    /// up to `page_start[p + 1]` (none for a page holding only a previous
+    /// entity's spill).
+    pub page_start: Vec<u32>,
+    /// The data page each entity starts in (the directory's page field):
+    /// `ents[i]` sits in data page `page_of[i]`.
+    pub page_of: Vec<u16>,
+    /// Extra pages each entity spills into beyond its start page: entities
+    /// are packed byte-continuously, so a large inline value can span
+    /// pages. `ents[i]` spans `span[i]` more pages.
+    pub span: Vec<u8>,
+    /// First hash per data page (a spill-only page carries its owner's
+    /// hash), never decreasing. Its top 16 bits are the DRAM routing
+    /// prefix of [`GroupContent::route_page`]; the full hash is page
+    /// *content*, read from flash.
+    pub page_first_hash: Vec<u32>,
+    /// Collision bits per data page.
+    pub collision: Vec<CollisionBits>,
+    /// Sorted hashes of every entity (the hash-list content), in slot
+    /// order: `hashes[k] == ents[slots[k] as usize].hash`.
+    pub hashes: Vec<u32>,
 }
 
 /// A placed data segment group.
@@ -93,64 +117,239 @@ pub struct Group {
 }
 
 impl GroupContent {
-    /// Builds a group from a **key-sorted** run of entities.
-    ///
-    /// Entities are ordered by `(hash, key)` and packed into data pages of
-    /// `payload` usable bytes each; the key-sorted directory is laid out in
-    /// leading directory pages.
+    /// A group of a **key-sorted** run of entities, packed into data pages
+    /// of `payload` usable bytes behind a key-sorted directory. The
+    /// hash-order [`Layout`] is left to the first read.
     ///
     /// # Panics
     ///
-    /// Panics if `entities` is empty, not key-sorted, or longer than
+    /// Panics if `ents` is empty, not key-sorted, or longer than
     /// `u32::MAX`.
-    pub fn build(entities: &[Entity], payload: u64) -> Self {
-        assert!(!entities.is_empty(), "group must contain entities");
+    pub fn new(ents: Vec<Entity>, payload: u64) -> Self {
+        assert!(!ents.is_empty(), "group must contain entities");
         debug_assert!(
-            entities.windows(2).all(|w| w[0].key < w[1].key),
+            ents.windows(2).all(|w| w[0].key < w[1].key),
             "group input must be strictly key-sorted"
         );
-        let count = entities.len();
+        let count = ents.len() as u64;
         assert!(u32::try_from(count).is_ok(), "group index must fit 32 bits");
-        let kv_bytes = entities.iter().map(Entity::kv_bytes).sum();
-        let logged_bytes = entities.iter().map(Entity::logged_bytes).sum();
+        let (mut kv_bytes, mut logged_bytes, mut stored) = (0, 0, 0);
+        for e in &ents {
+            kv_bytes += e.kv_bytes();
+            logged_bytes += e.logged_bytes();
+            stored += e.stored_bytes();
+        }
+        let data_pages = stored.div_ceil(payload);
+        let dir_pages = (count * DIR_ENTRY_BYTES).div_ceil(payload).max(1);
+        Self {
+            smallest: ents[0].key,
+            largest: ents[ents.len() - 1].key,
+            ents,
+            dir_pages: dir_pages as u32,
+            data_pages: data_pages as u32,
+            kv_bytes,
+            logged_bytes,
+            phys_bytes: (dir_pages + data_pages) * payload,
+            payload,
+            layout: OnceCell::new(),
+        }
+    }
 
-        // Hash order as one integer sort of `(hash << 32) | index`: the
-        // input is key-sorted, so the index breaks hash ties by key and
-        // collision runs come out contiguous and deterministic. The low
-        // halves are the slot index, the high halves the sorted hash list.
-        let mut order: Vec<u64> = entities
+    /// The hash-order layout, built on the first call.
+    pub fn layout(&self) -> &Layout {
+        self.layout
+            .get_or_init(|| Layout::build(&self.ents, self.payload))
+    }
+
+    /// Whether the layout has been built.
+    #[cfg(test)]
+    pub(crate) fn layout_built(&self) -> bool {
+        self.layout.get().is_some()
+    }
+
+    /// Runs `edit` on the layout, built first if missing (the audit's
+    /// corruption hooks).
+    pub(crate) fn layout_mut<R>(&mut self, edit: impl FnOnce(&mut Layout) -> R) -> R {
+        let mut layout = self
+            .layout
+            .take()
+            .unwrap_or_else(|| Layout::build(&self.ents, self.payload));
+        let out = edit(&mut layout);
+        self.layout = OnceCell::from(layout);
+        out
+    }
+
+    /// Number of entities in the group.
+    pub fn entity_count(&self) -> usize {
+        self.ents.len()
+    }
+
+    /// Number of data pages.
+    pub fn data_pages(&self) -> u32 {
+        self.data_pages
+    }
+
+    /// Total flash pages occupied (directory + data).
+    pub fn total_pages(&self) -> u32 {
+        self.dir_pages + self.data_pages
+    }
+
+    /// The group's smallest key (what the level-list entry stores).
+    pub fn smallest(&self) -> Key {
+        self.smallest
+    }
+
+    /// The group's largest key.
+    pub fn largest(&self) -> Key {
+        self.largest
+    }
+
+    /// Whether `hash` appears in the group's hash list.
+    pub fn contains_hash(&self, hash: u32) -> bool {
+        self.layout().hashes.binary_search(&hash).is_ok()
+    }
+
+    /// The data page a lookup for `hash` is routed to via the 16-bit
+    /// page-first hash prefixes: the last page whose prefix is ≤ the
+    /// target's prefix.
+    pub fn route_page(&self, hash: u32) -> usize {
+        let h16 = hash >> 16;
+        let first = &self.layout().page_first_hash;
+        first.partition_point(|&p| p >> 16 <= h16).saturating_sub(1)
+    }
+
+    /// Searches one data page for an exact `(hash, key)` match: a binary
+    /// search of the page's stretch of the hash list, then a key check of
+    /// each slot in its equal-hash run. Returns the entity's index in key
+    /// order.
+    pub fn search_page(&self, page: usize, hash: u32, key: Key) -> Option<usize> {
+        let l = self.layout();
+        let (lo, hi) = (l.page_start[page] as usize, l.page_start[page + 1] as usize);
+        let start = lo + l.hashes[lo..hi].partition_point(|&h| h < hash);
+        l.hashes[start..hi]
             .iter()
-            .enumerate()
-            .map(|(i, e)| (u64::from(e.hash) << 32) | i as u64)
-            .collect();
-        order.sort_unstable();
+            .zip(&l.slots[start..hi])
+            .take_while(|&(&h, _)| h == hash)
+            .map(|(_, &i)| i as usize)
+            .find(|&i| self.ents[i].key == key)
+    }
+
+    /// First directory index whose key is ≥ `key` (for range scans).
+    pub fn dir_lower_bound(&self, key: Key) -> usize {
+        self.ents.partition_point(|e| e.key < key)
+    }
+
+    /// The DRAM footprint of this group's level-list entry: smallest key +
+    /// 4-byte PPA + 2 bytes of hash prefix per data page + 2 collision bits
+    /// per data page + fixed bookkeeping.
+    pub fn meta_bytes(&self) -> u64 {
+        self.smallest().len() as u64
+            + 4
+            + 2 * self.data_pages() as u64
+            + (self.data_pages() as u64).div_ceil(4)
+            + 16
+    }
+
+    /// The DRAM footprint of this group's hash list (4 bytes per entity).
+    pub fn hash_list_bytes(&self) -> u64 {
+        4 * self.entity_count() as u64
+    }
+
+    /// Audits the group, naming it group `group` of level `level`: its
+    /// layout (page starts, slot index, hash list, routing prefixes), then
+    /// directory order and key fences. With `build_layout`, a layout no
+    /// read has built yet is built (and kept) so it is audited too;
+    /// without, only a built layout is. The slot and hash-list checks
+    /// index entities through the page starts, so those go first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`AuditError`] found.
+    pub fn audit(&self, level: usize, group: usize, build_layout: bool) -> Result<(), AuditError> {
+        let layout = if build_layout {
+            Some(self.layout())
+        } else {
+            self.layout.get()
+        };
+        if let Some(layout) = layout {
+            self.audit_layout(layout, level, group)?;
+        }
+        let ents = &self.ents;
+        if ents.windows(2).any(|w| w[0].key >= w[1].key) {
+            return Err(AuditError::DirectoryOrder { level, group });
+        }
+        if ents.first().map(|e| e.key) != Some(self.smallest)
+            || ents.last().map(|e| e.key) != Some(self.largest)
+        {
+            return Err(AuditError::FenceMismatch { level, group });
+        }
+        Ok(())
+    }
+
+    /// The layout checks of [`Self::audit`].
+    fn audit_layout(&self, l: &Layout, level: usize, group: usize) -> Result<(), AuditError> {
+        let (ents, starts) = (&self.ents, &l.page_start);
+        if starts.len() != self.data_pages as usize + 1
+            || starts.first() != Some(&0)
+            || starts.last().map(|&e| e as usize) != Some(ents.len())
+            || starts.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(AuditError::PageStartSkew { level, group });
+        }
+        if !l.slot_index_holds(ents.len()) {
+            return Err(AuditError::SlotIndexSkew { level, group });
+        }
+        if l.hashes.len() != ents.len()
+            || l.hashes.windows(2).any(|w| w[0] > w[1])
+            || l.hashes
+                .iter()
+                .zip(&l.slots)
+                .any(|(&h, &i)| h != ents[i as usize].hash)
+        {
+            return Err(AuditError::HashListMismatch { level, group });
+        }
+        if l.page_first_hash.windows(2).any(|w| w[0] > w[1]) {
+            return Err(AuditError::RoutingOrder { level, group });
+        }
+        Ok(())
+    }
+}
+
+impl Layout {
+    /// Lays out a key-sorted entity run in hash order.
+    ///
+    /// Entities are ordered by `(hash, key)` and packed byte-continuously
+    /// into data pages of `payload` usable bytes.
+    fn build(ents: &[Entity], payload: u64) -> Self {
+        let count = ents.len();
+        let order = hash_order(ents);
         let slots: Vec<u32> = order.iter().map(|&w| w as u32).collect();
         let hashes: Vec<u32> = order.iter().map(|&w| (w >> 32) as u32).collect();
         drop(order);
 
         // Pack byte-continuously in slot order: an entity belongs to the
-        // page its header starts in and may spill into following pages
-        // (span_extra), so no page capacity is wasted even for values
-        // comparable to the page size. Pages that contain only the spill
-        // of a previous entity hold no slots. The walk keeps the current
-        // page and the bytes used in it, so it divides nothing.
-        let mut ents = entities.to_vec();
+        // page its header starts in and may spill into following pages, so
+        // no page capacity is wasted even for values comparable to the
+        // page size. Pages that contain only the spill of a previous
+        // entity hold no slots. The walk keeps the current page and the
+        // bytes used in it, so it divides nothing.
         let mut page_of = vec![0u16; count];
+        let mut span = vec![0u8; count];
         let mut page_start: Vec<u32> = vec![0];
         let (mut page, mut used) = (0usize, 0u64);
         for (k, &i) in slots.iter().enumerate() {
             while page_start.len() <= page {
                 page_start.push(k as u32);
             }
-            let e = &mut ents[i as usize];
-            page_of[i as usize] = page as u16;
-            let mut end = used + e.stored_bytes();
+            let i = i as usize;
+            page_of[i] = page as u16;
+            let mut end = used + ents[i].stored_bytes();
             let mut extra = 0usize;
             while end > payload {
                 end -= payload;
                 extra += 1;
             }
-            e.span_extra = extra as u8;
+            span[i] = extra as u8;
             page += extra;
             used = end;
             if used == payload {
@@ -181,34 +380,15 @@ impl GroupContent {
             }
         }
 
-        let dir_pages = ((count as u64 * DIR_ENTRY_BYTES).div_ceil(payload)).max(1) as u32;
-        let phys_bytes = (dir_pages as u64 + data_pages as u64) * payload;
-
         Self {
-            smallest: ents[0].key,
-            largest: ents[count - 1].key,
-            ents,
             slots,
             page_start,
             page_of,
-            dir_pages,
+            span,
             page_first_hash,
             collision,
             hashes,
-            kv_bytes,
-            logged_bytes,
-            phys_bytes,
         }
-    }
-
-    /// Number of entities in the group.
-    pub fn entity_count(&self) -> usize {
-        self.ents.len()
-    }
-
-    /// Number of data pages.
-    pub fn data_pages(&self) -> u32 {
-        (self.page_start.len() - 1) as u32
     }
 
     /// The slots of data page `page`: `ents` indices in `(hash, key)`
@@ -217,132 +397,60 @@ impl GroupContent {
         &self.slots[self.page_start[page] as usize..self.page_start[page + 1] as usize]
     }
 
-    /// Total flash pages occupied (directory + data).
-    pub fn total_pages(&self) -> u32 {
-        self.dir_pages + self.data_pages()
-    }
-
-    /// The group's smallest key (what the level-list entry stores).
-    pub fn smallest(&self) -> Key {
-        self.smallest
-    }
-
-    /// The group's largest key.
-    pub fn largest(&self) -> Key {
-        self.largest
-    }
-
-    /// Whether `hash` appears in the group's hash list.
-    pub fn contains_hash(&self, hash: u32) -> bool {
-        self.hashes.binary_search(&hash).is_ok()
-    }
-
-    /// The data page a lookup for `hash` is routed to via the 16-bit
-    /// page-first hash prefixes: the last page whose prefix is ≤ the
-    /// target's prefix.
-    pub fn route_page(&self, hash: u32) -> usize {
-        let h16 = hash >> 16;
-        let idx = self.page_first_hash.partition_point(|&p| p >> 16 <= h16);
-        idx.saturating_sub(1)
-    }
-
-    /// Searches one data page for an exact `(hash, key)` match: a binary
-    /// search of the page's stretch of the hash list, then a key check of
-    /// each slot in its equal-hash run.
-    pub fn search_page(&self, page: usize, hash: u32, key: Key) -> Option<&Entity> {
-        let (lo, hi) = (
-            self.page_start[page] as usize,
-            self.page_start[page + 1] as usize,
-        );
-        let start = lo + self.hashes[lo..hi].partition_point(|&h| h < hash);
-        self.hashes[start..hi]
-            .iter()
-            .zip(&self.slots[start..hi])
-            .take_while(|&(&h, _)| h == hash)
-            .map(|(_, &i)| &self.ents[i as usize])
-            .find(|e| e.key == key)
-    }
-
-    /// First directory index whose key is ≥ `key` (for range scans).
-    pub fn dir_lower_bound(&self, key: Key) -> usize {
-        self.ents.partition_point(|e| e.key < key)
-    }
-
-    /// The DRAM footprint of this group's level-list entry: smallest key +
-    /// 4-byte PPA + 2 bytes of hash prefix per data page + 2 collision bits
-    /// per data page + fixed bookkeeping.
-    pub fn meta_bytes(&self) -> u64 {
-        self.smallest().len() as u64
-            + 4
-            + 2 * self.data_pages() as u64
-            + (self.data_pages() as u64).div_ceil(4)
-            + 16
-    }
-
-    /// The DRAM footprint of this group's hash list (4 bytes per entity).
-    pub fn hash_list_bytes(&self) -> u64 {
-        4 * self.entity_count() as u64
-    }
-
-    /// Audits the layout, naming the group as group `group` of level
-    /// `level`: page starts, slot index, hash list, directory order, key
-    /// fences, then routing prefixes. The slot and hash-list checks index
-    /// entities through the page starts, so those go first.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`AuditError`] found.
-    pub fn audit(&self, level: usize, group: usize) -> Result<(), AuditError> {
-        let (ents, starts) = (&self.ents, &self.page_start);
-        if starts.first() != Some(&0)
-            || starts.last().map(|&e| e as usize) != Some(ents.len())
-            || starts.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(AuditError::PageStartSkew { level, group });
-        }
-        if !self.slot_index_holds() {
-            return Err(AuditError::SlotIndexSkew { level, group });
-        }
-        if self.hashes.len() != ents.len()
-            || self.hashes.windows(2).any(|w| w[0] > w[1])
-            || self
-                .hashes
-                .iter()
-                .zip(&self.slots)
-                .any(|(&h, &i)| h != ents[i as usize].hash)
-        {
-            return Err(AuditError::HashListMismatch { level, group });
-        }
-        if ents.windows(2).any(|w| w[0].key >= w[1].key) {
-            return Err(AuditError::DirectoryOrder { level, group });
-        }
-        if ents.first().map(|e| e.key) != Some(self.smallest)
-            || ents.last().map(|e| e.key) != Some(self.largest)
-        {
-            return Err(AuditError::FenceMismatch { level, group });
-        }
-        if self.page_first_hash.windows(2).any(|w| w[0] > w[1]) {
-            return Err(AuditError::RoutingOrder { level, group });
-        }
-        Ok(())
-    }
-
-    /// Whether the slot index is a permutation of the entities that lists
+    /// Whether the slot index is a permutation of `n` entities that lists
     /// each in the data page `page_of` records for it. Assumes the page
-    /// starts rise from 0 to the entity count.
-    fn slot_index_holds(&self) -> bool {
-        let n = self.ents.len();
-        if self.slots.len() != n || self.page_of.len() != n {
+    /// starts rise from 0 to `n`.
+    fn slot_index_holds(&self, n: usize) -> bool {
+        if self.slots.len() != n || self.page_of.len() != n || self.span.len() != n {
             return false;
         }
         let mut seen = vec![false; n];
-        (0..self.data_pages() as usize).all(|p| {
+        (0..self.page_start.len() - 1).all(|p| {
             self.page(p).iter().all(|&i| {
                 let i = i as usize;
                 i < n && !std::mem::replace(&mut seen[i], true) && usize::from(self.page_of[i]) == p
             })
         })
     }
+}
+
+/// The hash order of a key-sorted run as `(hash << 32) | index` words,
+/// ascending: a stable LSD radix sort on the hash, one byte per pass. The
+/// input is in index (key) order, so stability breaks hash ties by key and
+/// collision runs come out contiguous and deterministic.
+fn hash_order(ents: &[Entity]) -> Vec<u64> {
+    let mut words: Vec<u64> = ents
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (u64::from(e.hash) << 32) | i as u64)
+        .collect();
+    let digit = |w: u64, pass: usize| ((w >> (32 + 8 * pass)) & 0xFF) as usize;
+    let mut counts = [[0usize; 256]; 4];
+    for &w in &words {
+        for (pass, c) in counts.iter_mut().enumerate() {
+            c[digit(w, pass)] += 1;
+        }
+    }
+    let mut out = vec![0u64; words.len()];
+    for (pass, c) in counts.iter().enumerate() {
+        // A byte every hash shares leaves the order as it is.
+        if c.contains(&words.len()) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        let mut sum = 0;
+        for (n, &k) in next.iter_mut().zip(c) {
+            *n = sum;
+            sum += k;
+        }
+        for &w in &words {
+            let d = digit(w, pass);
+            out[next[d]] = w;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut words, &mut out);
+    }
+    words
 }
 
 impl Group {
@@ -374,40 +482,85 @@ impl Group {
     }
 }
 
-/// Splits a key-sorted entity run into group contents, each targeting at
+/// Cuts a key-sorted entity stream into group contents, each targeting at
 /// most `max_total_pages` flash pages (directory pages included) of
 /// `payload` usable bytes, so groups tile erase blocks without structural
 /// waste.
-pub fn pack_groups(entities: &[Entity], payload: u64, max_total_pages: u32) -> Vec<GroupContent> {
-    // A chunk of `bytes` fits when `bytes.div_ceil(payload) + dir_pages <=
-    // max_total_pages`, that is when `bytes` is at most the limit below,
-    // which moves only when the chunk's directory grows by a page.
-    let limit = |dir_pages: u64| u64::from(max_total_pages).saturating_sub(dir_pages) * payload;
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let (mut bytes, mut dir_bytes, mut dir_pages) = (0u64, 0u64, 1u64);
-    let mut max_bytes = limit(dir_pages);
-    for (i, e) in entities.iter().enumerate() {
+#[derive(Debug)]
+pub struct GroupPacker {
+    payload: u64,
+    max_total_pages: u32,
+    /// The open chunk: the entities of the group being filled, in a
+    /// buffer reused from group to group.
+    chunk: Vec<Entity>,
+    /// Stored bytes of the open chunk.
+    bytes: u64,
+    /// Directory pages of the open chunk plus one more entry.
+    dir_pages: u64,
+    /// Stored bytes the open chunk may hold at `dir_pages`.
+    max_bytes: u64,
+    /// The groups cut so far.
+    groups: Vec<GroupContent>,
+}
+
+impl GroupPacker {
+    /// A packer with no entities.
+    pub fn new(payload: u64, max_total_pages: u32) -> Self {
+        let mut packer = Self {
+            payload,
+            max_total_pages,
+            chunk: Vec::new(),
+            bytes: 0,
+            dir_pages: 1,
+            max_bytes: 0,
+            groups: Vec::new(),
+        };
+        packer.max_bytes = packer.limit();
+        packer
+    }
+
+    /// A chunk fits when `bytes.div_ceil(payload) + dir_pages <=
+    /// max_total_pages`, that is when `bytes` is at most this limit, which
+    /// moves only when the chunk's directory grows by a page.
+    fn limit(&self) -> u64 {
+        u64::from(self.max_total_pages).saturating_sub(self.dir_pages) * self.payload
+    }
+
+    /// Appends the next entity of the stream (keys strictly ascending).
+    pub fn push(&mut self, e: Entity) {
         let sz = e.stored_bytes();
-        // Projected footprint if `e` joins the chunk `start..i`:
-        // byte-continuous data pages plus the key-sorted directory pages.
-        dir_bytes += DIR_ENTRY_BYTES;
-        while dir_bytes > dir_pages * payload {
-            dir_pages += 1;
-            max_bytes = limit(dir_pages);
+        // Projected footprint if `e` joins the chunk: byte-continuous data
+        // pages plus the key-sorted directory pages.
+        let dir_bytes = (self.chunk.len() as u64 + 1) * DIR_ENTRY_BYTES;
+        while dir_bytes > self.dir_pages * self.payload {
+            self.dir_pages += 1;
+            self.max_bytes = self.limit();
         }
-        if i > start && bytes + sz > max_bytes {
-            out.push(GroupContent::build(&entities[start..i], payload));
-            start = i;
-            (bytes, dir_bytes, dir_pages) = (0, DIR_ENTRY_BYTES, 1);
-            max_bytes = limit(dir_pages);
+        if !self.chunk.is_empty() && self.bytes + sz > self.max_bytes {
+            self.cut();
+            (self.bytes, self.dir_pages) = (0, 1);
+            self.max_bytes = self.limit();
         }
-        bytes += sz;
+        self.bytes += sz;
+        self.chunk.push(e);
     }
-    if start < entities.len() {
-        out.push(GroupContent::build(&entities[start..], payload));
+
+    /// Closes the open chunk as a group. The group gets an exactly-sized
+    /// copy and the chunk buffer is reused, which leaves the allocator
+    /// less fragmented than trimming each chunk in place.
+    fn cut(&mut self) {
+        self.groups
+            .push(GroupContent::new(self.chunk.to_vec(), self.payload));
+        self.chunk.clear();
     }
-    out
+
+    /// Closes the last chunk; returns the groups in key order.
+    pub fn finish(mut self) -> Vec<GroupContent> {
+        if !self.chunk.is_empty() {
+            self.cut();
+        }
+        self.groups
+    }
 }
 
 #[cfg(test)]
@@ -425,18 +578,25 @@ mod tests {
                     value_len,
                     loc: ValueLoc::Inline,
                     tombstone: false,
-                    span_extra: 0,
                 }
             })
             .collect()
+    }
+
+    /// Packs a key-sorted run through the streamed packer.
+    fn pack(ents: &[Entity], payload: u64, max_total_pages: u32) -> Vec<GroupContent> {
+        let mut packer = GroupPacker::new(payload, max_total_pages);
+        for &e in ents {
+            packer.push(e);
+        }
+        packer.finish()
     }
 
     const PAYLOAD: u64 = 8128;
 
     #[test]
     fn build_preserves_every_entity() {
-        let ents = entities(500, 48, 43);
-        let g = GroupContent::build(&ents, PAYLOAD);
+        let g = GroupContent::new(entities(500, 48, 43), PAYLOAD);
         assert_eq!(g.entity_count(), 500);
         let keys: Vec<u64> = g.ents.iter().map(|e| e.key.id()).collect();
         assert_eq!(keys, (0..500).collect::<Vec<_>>());
@@ -444,10 +604,10 @@ mod tests {
 
     #[test]
     fn pages_are_hash_sorted_across_boundaries() {
-        let g = GroupContent::build(&entities(2000, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD);
         let mut prev = 0u32;
         for p in 0..g.data_pages() as usize {
-            for &i in g.page(p) {
+            for &i in g.layout().page(p) {
                 let e = &g.ents[i as usize];
                 assert!(e.hash >= prev);
                 prev = e.hash;
@@ -457,20 +617,22 @@ mod tests {
 
     #[test]
     fn packing_is_byte_continuous() {
-        let g = GroupContent::build(&entities(2000, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD);
         let total: u64 = g.ents.iter().map(Entity::stored_bytes).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
+        // The layout fills exactly the pages counted without it.
+        assert_eq!(g.layout().page_start.len(), g.data_pages() as usize + 1);
         // Small entities never span more than one boundary.
-        assert!(g.ents.iter().all(|e| e.span_extra <= 1));
+        assert!(g.layout().span.iter().all(|&s| s <= 1));
     }
 
     #[test]
     fn huge_inline_values_span_pages() {
         // Values comparable to the page size must not halve capacity.
-        let g = GroupContent::build(&entities(100, 16, 4096), PAYLOAD);
+        let g = GroupContent::new(entities(100, 16, 4096), PAYLOAD);
         let total: u64 = g.ents.iter().map(Entity::stored_bytes).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
-        let spanning = g.ents.iter().filter(|e| e.span_extra > 0).count();
+        let spanning = g.layout().span.iter().filter(|&&s| s > 0).count();
         assert!(spanning > 0, "4KB values in 8KB pages must span sometimes");
         // Routing still finds every entity via the backward walk.
         for e in &g.ents {
@@ -487,7 +649,7 @@ mod tests {
 
     #[test]
     fn routing_finds_every_entity_with_local_search() {
-        let g = GroupContent::build(&entities(3000, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(3000, 48, 43), PAYLOAD);
         for e in &g.ents {
             let mut p = g.route_page(e.hash);
             // Device-style backward walk on prefix ambiguity.
@@ -496,9 +658,9 @@ mod tests {
                     break;
                 }
                 assert!(p > 0, "entity {:?} unreachable by routing", e.key);
-                let first = g.ents[g.page(p)[0] as usize].hash;
+                let first = g.ents[g.layout().page(p)[0] as usize].hash;
                 assert!(
-                    e.hash < first || (e.hash == first && g.collision[p].continued_prev),
+                    e.hash < first || (e.hash == first && g.layout().collision[p].continued_prev),
                     "backward walk not justified for {:?}",
                     e.key
                 );
@@ -516,8 +678,9 @@ mod tests {
             e.hash = 0x7777_7777;
             e.value_len = 400; // bigger so the run spans pages
         }
-        let g = GroupContent::build(&ents, 2048);
+        let g = GroupContent::new(ents, 2048);
         let spans: usize = g
+            .layout()
             .collision
             .iter()
             .filter(|c| c.continues_next || c.continued_prev)
@@ -528,7 +691,7 @@ mod tests {
     #[test]
     fn hash_list_membership_is_exact() {
         let ents = entities(1000, 48, 43);
-        let g = GroupContent::build(&ents, PAYLOAD);
+        let g = GroupContent::new(ents.clone(), PAYLOAD);
         for e in &ents {
             assert!(g.contains_hash(e.hash));
         }
@@ -536,23 +699,23 @@ mod tests {
         // 1000 entries is negligible; pick until absent).
         let absent = (0..100u32)
             .map(|i| 0xDEAD_0000 ^ i)
-            .find(|h| g.hashes.binary_search(h).is_err())
+            .find(|h| g.layout().hashes.binary_search(h).is_err())
             .unwrap();
         assert!(!g.contains_hash(absent));
     }
 
     #[test]
     fn dir_pages_scale_with_entity_count() {
-        let few = GroupContent::build(&entities(100, 24, 10), PAYLOAD);
+        let few = GroupContent::new(entities(100, 24, 10), PAYLOAD);
         assert_eq!(few.dir_pages, 1);
-        let many = GroupContent::build(&entities(5000, 24, 10), PAYLOAD);
+        let many = GroupContent::new(entities(5000, 24, 10), PAYLOAD);
         assert!(many.dir_pages >= 2, "5000 * 4B of directory needs 3 pages");
     }
 
     #[test]
     fn pack_groups_covers_all_entities_in_order() {
         let ents = entities(20_000, 48, 43);
-        let groups = pack_groups(&ents, PAYLOAD, 32);
+        let groups = pack(&ents, PAYLOAD, 32);
         let total: usize = groups.iter().map(|g| g.entity_count()).sum();
         assert_eq!(total, 20_000);
         // Groups are key-range partitioned and ordered.
@@ -567,7 +730,7 @@ mod tests {
 
     #[test]
     fn meta_bytes_are_group_granular() {
-        let g = GroupContent::build(&entities(1000, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(1000, 48, 43), PAYLOAD);
         // ~48 + 4 + 2/page + collision bits + fixed: a few hundred bytes
         // for a 1000-entity group — the entire point of AnyKey (vs ~52 KB
         // for PinK's per-pair metadata on the same 1000 pairs).
@@ -577,14 +740,15 @@ mod tests {
 
     #[test]
     fn smallest_and_largest_bound_the_group() {
-        let g = GroupContent::build(&entities(100, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(100, 48, 43), PAYLOAD);
         assert_eq!(g.smallest().id(), 0);
         assert_eq!(g.largest().id(), 99);
     }
 
-    /// A group as the reference builds it: one `Vec` per data page.
+    /// A group as the reference builds it: one `Vec` per data page of
+    /// each entity with the extra pages it spans.
     struct RefGroup {
-        pages: Vec<Vec<Entity>>,
+        pages: Vec<Vec<(Entity, u8)>>,
         dir: Vec<(u16, u16)>,
         dir_pages: u32,
         page_first_hash: Vec<u32>,
@@ -600,25 +764,25 @@ mod tests {
     /// Reference group build with comparison sorts: entities sorted by
     /// `(hash, key)` into per-page `Vec`s, the directory sorted by key
     /// through the pages, and the hash list re-sorted.
-    /// `GroupContent::build` must match it field for field.
+    /// `GroupContent` and its lazy [`Layout`] must match it field for
+    /// field.
     fn reference_build(entities: Vec<Entity>, payload: u64) -> RefGroup {
         let count = entities.len();
         let kv_bytes = entities.iter().map(Entity::kv_bytes).sum();
         let logged_bytes = entities.iter().map(Entity::logged_bytes).sum();
         let mut by_hash = entities;
         by_hash.sort_by(|a, b| a.hash.cmp(&b.hash).then(a.key.cmp(&b.key)));
-        let mut pages: Vec<Vec<Entity>> = Vec::new();
-        let mut cur: Vec<Entity> = Vec::new();
+        let mut pages: Vec<Vec<(Entity, u8)>> = Vec::new();
+        let mut cur: Vec<(Entity, u8)> = Vec::new();
         let mut offset = 0u64;
-        for mut e in by_hash {
+        for e in by_hash {
             let sz = e.stored_bytes();
             let start_page = offset / payload;
             let end_page = (offset + sz - 1) / payload;
-            e.span_extra = (end_page - start_page) as u8;
             while (pages.len() as u64) < start_page {
                 pages.push(std::mem::take(&mut cur));
             }
-            cur.push(e);
+            cur.push((e, (end_page - start_page) as u8));
             offset += sz;
         }
         pages.push(cur);
@@ -627,10 +791,10 @@ mod tests {
         }
         let mut page_first_hash: Vec<u32> = Vec::new();
         let mut page_last_hash: Vec<u32> = Vec::new();
-        let mut carry = pages[0].first().map(|e| e.hash).unwrap_or(0);
+        let mut carry = pages[0].first().map(|(e, _)| e.hash).unwrap_or(0);
         for p in &pages {
-            page_first_hash.push(p.first().map(|e| e.hash).unwrap_or(carry));
-            carry = p.last().map(|e| e.hash).unwrap_or(carry);
+            page_first_hash.push(p.first().map(|(e, _)| e.hash).unwrap_or(carry));
+            carry = p.last().map(|(e, _)| e.hash).unwrap_or(carry);
             page_last_hash.push(carry);
         }
         let mut collision = vec![CollisionBits::default(); pages.len()];
@@ -647,14 +811,15 @@ mod tests {
             .collect();
         dir.sort_by(|&(pa, sa), &(pb, sb)| {
             pages[pa as usize][sa as usize]
+                .0
                 .key
-                .cmp(&pages[pb as usize][sb as usize].key)
+                .cmp(&pages[pb as usize][sb as usize].0.key)
         });
-        let mut hashes: Vec<u32> = pages.iter().flatten().map(|e| e.hash).collect();
+        let mut hashes: Vec<u32> = pages.iter().flatten().map(|(e, _)| e.hash).collect();
         hashes.sort_unstable();
         let dir_pages = ((count as u64 * DIR_ENTRY_BYTES).div_ceil(payload)).max(1) as u32;
         let phys_bytes = (dir_pages as u64 + pages.len() as u64) * payload;
-        let key_at = |(p, s): (u16, u16)| pages[p as usize][s as usize].key;
+        let key_at = |(p, s): (u16, u16)| pages[p as usize][s as usize].0.key;
         let (smallest, largest) = (key_at(dir[0]), key_at(dir[count - 1]));
         RefGroup {
             pages,
@@ -698,29 +863,51 @@ mod tests {
 
     /// Asserts a group equals the reference in every field, its flat
     /// entity run cut at `page_start` matching the reference's per-page
-    /// `Vec`s. The destructuring is exhaustive, so a field added to
-    /// `GroupContent` must be added here.
-    fn assert_same_group(got: &GroupContent, want: &RefGroup, ctx: &str) {
+    /// `Vec`s. The group-level fields are checked before the layout is
+    /// built, so they are known without it. The destructuring is
+    /// exhaustive, so a field added to `GroupContent` or `Layout` must be
+    /// added here.
+    fn assert_same_group(got: &GroupContent, want: &RefGroup, payload: u64, ctx: &str) {
+        assert!(!got.layout_built(), "{ctx}: layout built before a read");
         let GroupContent {
             ents,
-            slots,
-            page_start,
-            page_of,
             dir_pages,
-            page_first_hash,
-            collision,
-            hashes,
+            data_pages,
             kv_bytes,
             logged_bytes,
             phys_bytes,
             smallest,
             largest,
+            payload: packed_to,
+            layout: _,
         } = got;
+        assert_eq!(*packed_to, payload, "{ctx}: payload");
+        assert_eq!(*data_pages as usize, want.pages.len(), "{ctx}: data pages");
+        assert_eq!(dir_pages, &want.dir_pages, "{ctx}: directory pages");
+        assert_eq!(kv_bytes, &want.kv_bytes, "{ctx}: kv bytes");
+        assert_eq!(logged_bytes, &want.logged_bytes, "{ctx}: logged bytes");
+        assert_eq!(phys_bytes, &want.phys_bytes, "{ctx}: physical bytes");
+        assert_eq!(smallest, &want.smallest, "{ctx}: smallest fence");
+        assert_eq!(largest, &want.largest, "{ctx}: largest fence");
+
+        let Layout {
+            slots,
+            page_start,
+            page_of,
+            span,
+            page_first_hash,
+            collision,
+            hashes,
+        } = got.layout();
+        assert!(got.layout_built(), "{ctx}: layout kept after a read");
         assert_eq!(page_start.len(), want.pages.len() + 1, "{ctx}: page count");
         for (p, page) in want.pages.iter().enumerate() {
             let (lo, hi) = (page_start[p] as usize, page_start[p + 1] as usize);
-            let got: Vec<Entity> = slots[lo..hi].iter().map(|&i| ents[i as usize]).collect();
-            assert_eq!(got, page[..], "{ctx}: page {p} (with span_extra)");
+            let got: Vec<(Entity, u8)> = slots[lo..hi]
+                .iter()
+                .map(|&i| (ents[i as usize], span[i as usize]))
+                .collect();
+            assert_eq!(got, page[..], "{ctx}: page {p} (with spans)");
         }
         assert_eq!(
             page_start.last().map(|&e| e as usize),
@@ -731,27 +918,23 @@ mod tests {
         // is `page_of[i]` and its slot there points back at `i`.
         assert_eq!(slots.len(), want.dir.len(), "{ctx}: slot count");
         assert_eq!(page_of.len(), want.dir.len(), "{ctx}: page-of count");
+        assert_eq!(span.len(), want.dir.len(), "{ctx}: span count");
         for (i, &(p, s)) in want.dir.iter().enumerate() {
             assert_eq!(page_of[i], p, "{ctx}: page of entity {i}");
             let k = page_start[p as usize] as usize + s as usize;
             assert_eq!(slots[k] as usize, i, "{ctx}: slot {s} of page {p}");
             assert_eq!(
-                ents[i], want.pages[p as usize][s as usize],
+                (ents[i], span[i]),
+                want.pages[p as usize][s as usize],
                 "{ctx}: entity {i} in key order"
             );
         }
-        assert_eq!(dir_pages, &want.dir_pages, "{ctx}: directory pages");
         assert_eq!(
             page_first_hash, &want.page_first_hash,
             "{ctx}: page first hashes"
         );
         assert_eq!(collision, &want.collision, "{ctx}: collision bits");
         assert_eq!(hashes, &want.hashes, "{ctx}: hash list");
-        assert_eq!(kv_bytes, &want.kv_bytes, "{ctx}: kv bytes");
-        assert_eq!(logged_bytes, &want.logged_bytes, "{ctx}: logged bytes");
-        assert_eq!(phys_bytes, &want.phys_bytes, "{ctx}: physical bytes");
-        assert_eq!(smallest, &want.smallest, "{ctx}: smallest fence");
-        assert_eq!(largest, &want.largest, "{ctx}: largest fence");
     }
 
     /// Builds `ents` alone and packed at several group sizes, with both the
@@ -759,12 +942,13 @@ mod tests {
     /// including the chunk boundaries.
     fn assert_matches_reference(ents: &[Entity], payload: u64, ctx: &str) {
         assert_same_group(
-            &GroupContent::build(ents, payload),
+            &GroupContent::new(ents.to_vec(), payload),
             &reference_build(ents.to_vec(), payload),
+            payload,
             &format!("{ctx}: single group"),
         );
         for max_pages in [2, 8, 32] {
-            let got = pack_groups(ents, payload, max_pages);
+            let got = pack(ents, payload, max_pages);
             let want = reference_pack(ents.to_vec(), payload, max_pages);
             assert_eq!(
                 got.iter()
@@ -777,6 +961,7 @@ mod tests {
                 assert_same_group(
                     g,
                     w,
+                    payload,
                     &format!("{ctx}: group {i} of {max_pages}-page packing"),
                 );
             }
@@ -821,8 +1006,6 @@ mod tests {
                     value_len,
                     loc,
                     tombstone,
-                    // Stale spans from an earlier group must be recomputed.
-                    span_extra: rng.next_bounded(3) as u8,
                 }
             })
             .collect()
@@ -871,6 +1054,20 @@ mod tests {
             e.hash = 0xABCD_0000;
         }
         assert_matches_reference(&same, 2048, "one hash for every entity");
+        // The radix sort skips a pass whose byte every hash shares: runs
+        // whose hashes differ only in the lowest byte, and only in the
+        // highest, sort on that one byte (with ties, since 3,000 entities
+        // share 256 values).
+        let mut rng = anykey_workload::SplitMix64::new(0x4AD1);
+        for (shift, ctx) in [(0, "lowest byte"), (24, "highest byte")] {
+            let mut ents = random_run(11, 3_000, 24);
+            for e in &mut ents {
+                let byte = rng.next_bounded(256) as u32;
+                e.hash = (0x5A5A_5A5A & !(0xFF << shift)) | (byte << shift);
+            }
+            assert_matches_reference(&ents, 2048, &format!("hashes differ in the {ctx}"));
+            assert_matches_reference(&ents, PAYLOAD, &format!("hashes differ in the {ctx}"));
+        }
     }
 
     /// GET's page walk (`AnyKeyStore::do_get`): search the routed page,
@@ -879,11 +1076,12 @@ mod tests {
     fn walk_lookup(g: &GroupContent, hash: u32, key: Key) -> Option<&Entity> {
         let mut p = g.route_page(hash);
         loop {
-            if let Some(e) = g.search_page(p, hash, key) {
-                return Some(e);
+            if let Some(i) = g.search_page(p, hash, key) {
+                return Some(&g.ents[i]);
             }
-            let first = g.page_first_hash[p];
-            if p > 0 && (hash < first || (hash == first && g.collision[p].continued_prev)) {
+            let l = g.layout();
+            let first = l.page_first_hash[p];
+            if p > 0 && (hash < first || (hash == first && l.collision[p].continued_prev)) {
                 p -= 1;
             } else {
                 return None;
@@ -897,7 +1095,9 @@ mod tests {
     /// and under the hash of the entity before them (so they land inside
     /// equal-hash runs).
     fn assert_lookups_match_brute_force(ents: &[Entity], payload: u64, ctx: &str) {
-        let g = GroupContent::build(ents, payload);
+        let mut groups = pack(ents, payload, u32::MAX);
+        assert_eq!(groups.len(), 1, "{ctx}: an unbounded packer cuts one group");
+        let g = groups.remove(0);
         let key_len = ents[0].key.len();
         let last = ents[ents.len() - 1].key.id();
         for id in 0..=last + 2 {

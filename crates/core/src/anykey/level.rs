@@ -78,16 +78,17 @@ impl Level {
         self.groups.iter().map(|g| g.content.meta_bytes()).sum()
     }
 
-    /// Audits each group's layout, naming this level `level`, then that
-    /// the groups' cached fences, which the group audit vouches for, are
-    /// sorted and disjoint.
+    /// Audits each group, naming this level `level` (building missing
+    /// layouts with `build_layouts`, see [`crate::anykey::group::GroupContent::audit`]),
+    /// then that the groups' cached fences, which the group audit vouches
+    /// for, are sorted and disjoint.
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
-    pub fn audit(&self, level: usize) -> Result<(), AuditError> {
+    pub fn audit(&self, level: usize, build_layouts: bool) -> Result<(), AuditError> {
         for (gi, g) in self.groups.iter().enumerate() {
-            g.content.audit(level, gi)?;
+            g.content.audit(level, gi, build_layouts)?;
         }
         match self
             .groups
@@ -117,11 +118,10 @@ mod tests {
                     value_len: 10,
                     loc: ValueLoc::Inline,
                     tombstone: false,
-                    span_extra: 0,
                 }
             })
             .collect();
-        Group::new(GroupContent::build(&ents, 8128), Ppa::new(0, 0))
+        Group::new(GroupContent::new(ents, 8128), Ppa::new(0, 0))
     }
 
     fn level() -> Level {

@@ -134,6 +134,7 @@ impl AnyKeyStore {
             }
             // Read the routed page, walking backwards over 16-bit prefix
             // ambiguity and cross-page hash collisions (Figure 7).
+            let layout = g.content.layout();
             let mut p = g.content.route_page(hash);
             loop {
                 let before = t;
@@ -144,9 +145,10 @@ impl AnyKeyStore {
                     .done;
                 phases.data_read += t - before;
                 reads += 1;
-                if let Some(e) = g.content.search_page(p, hash, key) {
+                if let Some(i) = g.content.search_page(p, hash, key) {
+                    let e = &g.content.ents[i];
                     // Inline values may spill into following pages.
-                    let span = e.span_extra as usize;
+                    let span = usize::from(layout.span[i]);
                     reads += span as u32;
                     let before = t;
                     let spilled = (p + 1..=p + span).map(|i| g.data_ppa(i));
@@ -166,9 +168,8 @@ impl AnyKeyStore {
                     };
                     return Ok(outcome(at, done, true, reads, phases));
                 }
-                let first = g.content.page_first_hash[p];
-                if p > 0
-                    && (hash < first || (hash == first && g.content.collision[p].continued_prev))
+                let first = layout.page_first_hash[p];
+                if p > 0 && (hash < first || (hash == first && layout.collision[p].continued_prev))
                 {
                     p -= 1;
                     continue;
@@ -210,10 +211,11 @@ impl AnyKeyStore {
                     } else {
                         0
                     };
-                    let (ents, page_of) = (&g.content.ents, &g.content.page_of);
+                    let ents = &g.content.ents;
                     if from < ents.len() {
                         pages.push(g.dir_ppa(from, page_payload));
                     }
+                    let page_of = &g.content.layout().page_of;
                     for (e, &p) in ents[from..]
                         .iter()
                         .zip(&page_of[from..])

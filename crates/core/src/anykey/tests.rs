@@ -4,9 +4,11 @@
 use anykey_flash::OpCause;
 use anykey_workload::Op;
 
+use crate::anykey::group::Layout;
 use crate::anykey::AnyKeyStore;
 use crate::config::{DeviceConfig, EngineKind};
 use crate::engine::KvEngine;
+use crate::key::Key;
 
 fn store(kind: EngineKind) -> AnyKeyStore {
     AnyKeyStore::new(
@@ -157,6 +159,61 @@ fn plus_log_compaction_frees_half_the_log_or_inlines_every_level() {
         log.free_bytes(),
         log.capacity_bytes()
     );
+}
+
+/// Per level, the indices of the groups whose layout is built.
+fn built_layouts(s: &AnyKeyStore) -> Vec<Vec<usize>> {
+    s.levels
+        .iter()
+        .map(|l| {
+            let built = l.groups.iter().map(|g| g.content.layout_built());
+            built
+                .enumerate()
+                .filter(|&(_, b)| b)
+                .map(|(gi, _)| gi)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn insert_only_fill_builds_layouts_only_when_read() {
+    let mut s = store(EngineKind::AnyKeyPlus);
+    fill(&mut s, 30_000);
+    let levels = s.levels.iter().filter(|l| !l.is_empty()).count();
+    assert!(
+        levels >= 2,
+        "the fill must cascade past L1 ({levels} level)"
+    );
+    assert!(
+        built_layouts(&s).iter().all(Vec::is_empty),
+        "no read, no layout: {:?}",
+        built_layouts(&s)
+    );
+
+    // A GET builds at most the layout of its key's candidate group in
+    // each level it probes.
+    let id = 12_345;
+    assert!(s.get(id).found);
+    let key = Key::new(id, 48).unwrap();
+    let built = built_layouts(&s);
+    for (li, groups) in built.iter().enumerate() {
+        let candidate = s.levels[li].candidate(key);
+        assert!(
+            groups.iter().all(|&gi| Some(gi) == candidate),
+            "level {li}: layouts {groups:?} built, candidate {candidate:?}"
+        );
+    }
+    assert!(built.iter().any(|g| !g.is_empty()), "the GET read a group");
+
+    // The full audit builds every other layout, and a second one none.
+    assert_eq!(s.check_invariants(), Ok(()));
+    let groups = || s.levels.iter().flat_map(|l| &l.groups);
+    assert!(groups().all(|g| g.content.layout_built()));
+    let layouts: Vec<*const Layout> = groups().map(|g| g.content.layout() as *const _).collect();
+    assert_eq!(s.check_invariants(), Ok(()));
+    let again: Vec<*const Layout> = groups().map(|g| g.content.layout() as *const _).collect();
+    assert_eq!(layouts, again, "a built layout is kept");
 }
 
 #[test]

@@ -26,7 +26,9 @@
 //!
 //! The engines invoke the audit automatically at flush / compaction / GC
 //! boundaries whenever debug assertions are on (`cargo test` and
-//! `cargo run`); `--release` builds pay nothing. The corruption hooks at
+//! `cargo run`); `--release` builds pay nothing. There AnyKey audits the
+//! group layouts reads have built and builds none, so test builds stay
+//! as lazy as release; `check_invariants` builds and audits every one. The corruption hooks at
 //! the bottom of this module exist solely so the negative-path integration
 //! tests can prove each check actually fires.
 
@@ -351,14 +353,30 @@ impl From<CounterSkew> for AuditError {
 
 impl AnyKeyStore {
     /// Audits every structural invariant of the store; see the
-    /// [module docs](crate::audit) for the list.
+    /// [module docs](crate::audit) for the list. A group layout no read
+    /// has built yet is built, and kept, so every group is audited whole.
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
     pub fn verify_invariants(&self) -> Result<(), AuditError> {
+        self.audit(true)
+    }
+
+    /// The audit at flush, compaction and GC boundaries of builds with
+    /// debug assertions: [`Self::verify_invariants`] without building any
+    /// group layout, so those builds keep release's laziness. A layout is
+    /// built from its group's entities alone, so one that no read has
+    /// built holds no state to damage; the next full audit checks it.
+    #[cfg(debug_assertions)]
+    pub(crate) fn audit_boundary(&self) -> Result<(), AuditError> {
+        self.audit(false)
+    }
+
+    /// The audit, building missing group layouts with `build_layouts`.
+    fn audit(&self, build_layouts: bool) -> Result<(), AuditError> {
         for (li, level) in self.levels.iter().enumerate() {
-            level.audit(li)?;
+            level.audit(li, build_layouts)?;
         }
         let groups = || self.levels.iter().flat_map(|l| &l.groups);
 
@@ -433,7 +451,10 @@ impl AnyKeyStore {
     pub fn corrupt_page_start_for_test(&mut self) -> bool {
         let group = self.levels.iter_mut().find_map(|l| l.groups.first_mut());
         group
-            .map(|g| g.content.page_start.last_mut().map(|end| *end -= 1))
+            .map(|g| {
+                g.content
+                    .layout_mut(|l| l.page_start.last_mut().map(|end| *end -= 1))
+            })
             .is_some()
     }
 
@@ -443,15 +464,19 @@ impl AnyKeyStore {
     /// slots in two pages existed.
     #[doc(hidden)]
     pub fn corrupt_slot_index_for_test(&mut self) -> bool {
-        for g in self.levels.iter_mut().flat_map(|l| l.groups.iter_mut()) {
-            let c = &mut g.content;
-            let next = c.page_start[1] as usize;
-            if next < c.slots.len() {
-                c.slots.swap(0, next);
-                return true;
-            }
-        }
-        false
+        self.levels
+            .iter_mut()
+            .flat_map(|l| l.groups.iter_mut())
+            .any(|g| {
+                g.content.layout_mut(|l| {
+                    let next = l.page_start[1] as usize;
+                    let swap = next < l.slots.len();
+                    if swap {
+                        l.slots.swap(0, next);
+                    }
+                    swap
+                })
+            })
     }
 
     /// Test-only corruption hook: changes the first hash-list entry of the
@@ -460,7 +485,9 @@ impl AnyKeyStore {
     #[doc(hidden)]
     pub fn corrupt_hash_list_for_test(&mut self) -> bool {
         let group = self.levels.iter_mut().find_map(|l| l.groups.first_mut());
-        group.map(|g| g.content.hashes[0] ^= 1).is_some()
+        group
+            .map(|g| g.content.layout_mut(|l| l.hashes[0] ^= 1))
+            .is_some()
     }
 
     /// Test-only corruption hook: over-claims the DRAM budget past both

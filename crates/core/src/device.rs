@@ -155,15 +155,15 @@ pub(crate) enum Source<E> {
 /// goes to `shadowed`. With `drop_tombstones` (the output is the bottom
 /// level) tombstones are dropped, as nothing below remains for them to
 /// shadow. `entry` gives an entry's key and whether it is a tombstone.
+/// The merged run streams out through `emit`, in key order.
 pub(crate) fn merge_newest<T: Copy>(
     upper: &[&[T]],
     lower: &[&[T]],
     drop_tombstones: bool,
     entry: impl Fn(&T) -> (Key, bool),
     mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
-) -> Result<Vec<T>, KvError> {
-    let len = |runs: &[&[T]]| runs.iter().map(|r| r.len()).sum::<usize>();
-    let mut merged = Vec::with_capacity(len(upper) + len(lower));
+    mut emit: impl FnMut(T),
+) -> Result<(), KvError> {
     let keep = |e: &T| !(drop_tombstones && entry(e).1);
     let (mut up, mut lo) = (Cursor::new(upper), Cursor::new(lower));
     // One key compare per step while both runs have heads.
@@ -185,14 +185,14 @@ pub(crate) fn merge_newest<T: Copy>(
             }
         };
         if keep(e) {
-            merged.push(*e);
+            emit(*e);
         }
     }
     // At most one run still has a tail.
     for tail in up.rest().chain(lo.rest()) {
-        merged.extend(tail.iter().filter(|e| keep(e)));
+        tail.iter().filter(|e| keep(e)).for_each(|&e| emit(e));
     }
-    Ok(merged)
+    Ok(())
 }
 
 /// A read position in a key-sorted run stored as consecutive slices.

@@ -313,8 +313,8 @@ type TaggedMerge = (Vec<(u64, bool, u8)>, Vec<(u64, u8)>);
 /// empty slices around them, and both merges must agree.
 fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge {
     fn merge(upper: &[&[Tagged]], lower: &[&[Tagged]], bottom: bool) -> TaggedMerge {
-        let mut shadowed = Vec::new();
-        let merged = merge_newest(
+        let (mut merged, mut shadowed) = (Vec::new(), Vec::new());
+        merge_newest(
             upper,
             lower,
             bottom,
@@ -323,9 +323,9 @@ fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge
                 shadowed.push((key.id(), level));
                 Ok(())
             },
+            |(k, t, l)| merged.push((k.id(), t, l)),
         )
         .unwrap();
-        let merged = merged.iter().map(|&(k, t, l)| (k.id(), t, l)).collect();
         (merged, shadowed)
     }
     fn pieces(run: &[Tagged]) -> Vec<&[Tagged]> {

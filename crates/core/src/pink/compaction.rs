@@ -130,7 +130,8 @@ impl PinkStore {
 
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
         let is_bottom = self.levels[dst + 1..].iter().all(PinkLevel::is_empty);
-        let merged = merge_newest(
+        let mut merged = Vec::with_capacity(upper.len() + lower.len());
+        merge_newest(
             &[&upper],
             &[&lower],
             is_bottom,
@@ -139,6 +140,7 @@ impl PinkStore {
                 self.data.invalidate(dead.ptr, dead.data_bytes());
                 Ok(())
             },
+            |e| merged.push(e),
         )?;
         // The inputs are dead; free them before the merged run is cut.
         drop((upper, lower));
