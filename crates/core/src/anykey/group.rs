@@ -76,7 +76,7 @@ pub struct GroupContent {
 
 /// A group's hash-order layout on flash: a pure function of its
 /// key-ordered entities and the page payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Layout {
     /// The flash slot order: `slots[k]` is the `ents` index of the `k`-th
     /// entity by `(hash, key)`, cut into data pages by `page_start`.
