@@ -3,10 +3,12 @@
 //! ```text
 //! anykey-bench <experiment|all> [--capacity-mb N] [--fill F]
 //!              [--ops-factor F] [--out DIR] [--seed S] [--jobs N] [--quick]
-//!              [--trace PATH] [--trace-format jsonl|chrome]
-//!              [--timeline PATH] [--timeline-format jsonl|csv]
-//!              [--timeline-interval NS]
+//!              [--trace PATH] [--timeline PATH] [--timeline-interval NS]
 //! ```
+//!
+//! The output path names the format: a `--trace` path ending in `.json`
+//! gets Chrome trace-event JSON, a `--timeline` path ending in `.csv` gets
+//! CSV, and any other path gets JSONL.
 //!
 //! Experiments declare [`Point`](anykey_bench::Point)s; the scheduler runs
 //! them (optionally in parallel) and hands results back in declaration
@@ -31,11 +33,11 @@ fn usage() -> ! {
            --jobs N          worker threads for the point scheduler (default 1)\n\
            --quick           small/fast smoke scale (64 MiB, fill 0.45, ops-factor\n\
                              0.5); explicit --capacity-mb/--fill/--ops-factor win\n\
-           --trace PATH      record measured-phase trace events to PATH\n\
-           --trace-format F  trace file format: jsonl (default) or chrome\n\
-                             (Chrome trace-event JSON; open in Perfetto)\n\
-           --timeline PATH   record periodic state-sample timelines to PATH\n\
-           --timeline-format F  timeline file format: jsonl (default) or csv\n\
+           --trace PATH      record measured-phase trace events to PATH: JSONL,\n\
+                             or Chrome trace-event JSON (open in Perfetto) when\n\
+                             PATH ends in .json\n\
+           --timeline PATH   record periodic state-sample timelines to PATH:\n\
+                             JSONL, or CSV when PATH ends in .csv\n\
            --timeline-interval NS  virtual ns between samples (default\n\
                              10000000 with --timeline; 0 disables sampling)",
         experiments::ids().join(" ")
@@ -65,9 +67,7 @@ fn main() {
     }
     let mut jobs = 1usize;
     let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut trace_format = "jsonl".to_string();
     let mut timeline_path: Option<std::path::PathBuf> = None;
-    let mut timeline_format = "jsonl".to_string();
     let mut timeline_interval: Option<u64> = None;
     let mut i = 0;
     while i < args.len() {
@@ -117,25 +117,9 @@ fn main() {
                 i += 1;
                 trace_path = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
             }
-            "--trace-format" => {
-                i += 1;
-                trace_format = args
-                    .get(i)
-                    .filter(|f| matches!(f.as_str(), "jsonl" | "chrome"))
-                    .cloned()
-                    .unwrap_or_else(|| usage());
-            }
             "--timeline" => {
                 i += 1;
                 timeline_path = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--timeline-format" => {
-                i += 1;
-                timeline_format = args
-                    .get(i)
-                    .filter(|f| matches!(f.as_str(), "jsonl" | "csv"))
-                    .cloned()
-                    .unwrap_or_else(|| usage());
             }
             "--timeline-interval" => {
                 i += 1;
@@ -223,12 +207,13 @@ fn main() {
             .zip(&run.results)
             .filter_map(|(p, r)| r.trace.as_ref().map(|t| (p.key.clone(), t.clone())))
             .collect();
-        let body = match trace_format.as_str() {
-            "chrome" => anykey_metrics::trace::write_chrome(&named),
-            _ => anykey_metrics::trace::write_jsonl(&named),
+        let (body, format) = if path.extension().is_some_and(|e| e == "json") {
+            (anykey_metrics::trace::write_chrome(&named), "chrome")
+        } else {
+            (anykey_metrics::trace::write_jsonl(&named), "jsonl")
         };
         match std::fs::write(&path, body) {
-            Ok(()) => println!("  -> {} ({trace_format} trace)", path.display()),
+            Ok(()) => println!("  -> {} ({format} trace)", path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
     }
@@ -240,12 +225,13 @@ fn main() {
             .zip(&run.results)
             .filter_map(|(p, r)| r.timeline.as_ref().map(|t| (p.key.clone(), t.clone())))
             .collect();
-        let body = match timeline_format.as_str() {
-            "csv" => anykey_metrics::timeline::write_csv(&named),
-            _ => anykey_metrics::timeline::write_jsonl(&named),
+        let (body, format) = if path.extension().is_some_and(|e| e == "csv") {
+            (anykey_metrics::timeline::write_csv(&named), "csv")
+        } else {
+            (anykey_metrics::timeline::write_jsonl(&named), "jsonl")
         };
         match std::fs::write(&path, body) {
-            Ok(()) => println!("  -> {} ({timeline_format} timeline)", path.display()),
+            Ok(()) => println!("  -> {} ({format} timeline)", path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
     }

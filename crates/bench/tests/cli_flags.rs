@@ -30,3 +30,30 @@ fn explicit_flags_win_over_quick_in_either_order() {
         assert!(line.contains("fill 2%"), "{args:?}: {line}");
     }
 }
+
+/// The output path names the format: `.json` traces are Chrome trace-event
+/// JSON, `.csv` timelines are CSV, and anything else is JSONL.
+#[test]
+fn trace_and_timeline_formats_follow_the_path_extension() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("formats");
+    std::fs::create_dir_all(&dir).expect("create output dir");
+    let jsonl = "{\"event\":\"header\"";
+    for [trace, timeline, trace_start, timeline_start] in [
+        ["t.json", "t.csv", "[\n{\"name\":", "point,"],
+        ["t.jsonl", "tl.jsonl", jsonl, jsonl],
+    ] {
+        let (trace, timeline) = (dir.join(trace), dir.join(timeline));
+        let output = Command::new(env!("CARGO_BIN_EXE_anykey-bench"))
+            .args(["fig2", "--quick", "--fill", "0.02", "--ops-factor", "0.01"])
+            .args(["--out".as_ref(), dir.as_os_str()])
+            .args(["--trace".as_ref(), trace.as_os_str()])
+            .args(["--timeline".as_ref(), timeline.as_os_str()])
+            .output()
+            .expect("run anykey-bench");
+        assert!(output.status.success(), "anykey-bench failed: {output:?}");
+        for (path, start) in [(&trace, trace_start), (&timeline, timeline_start)] {
+            let body = std::fs::read_to_string(path).expect("read output file");
+            assert!(body.starts_with(start), "{path:?}: {:?}", body.get(..40));
+        }
+    }
+}

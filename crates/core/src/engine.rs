@@ -146,10 +146,12 @@ pub trait KvEngine {
     /// and non-overlap, directory sortedness, DRAM budget conservation,
     /// cause-tagged flash counter conservation, and live-byte accounting.
     ///
-    /// Cheap relative to a compaction (one pass over in-DRAM metadata);
-    /// invoked automatically at flush/compaction/GC boundaries in builds
-    /// with debug assertions (`cargo test`, `cargo run`) and called directly
-    /// by the test suites.
+    /// On AnyKey it first builds, and keeps, every group layout no read has
+    /// built yet, so every group is audited whole and a second call builds
+    /// nothing (DESIGN.md §8). The test suites call it directly. The audits
+    /// at flush/compaction/GC boundaries in builds with debug assertions
+    /// (`cargo test`, `cargo run`) are a separate entry that builds no
+    /// layout, so those builds stay as lazy as `--release`.
     ///
     /// # Errors
     ///

@@ -1,21 +1,24 @@
-//! The one JSON codec behind `summary.json`, the trace JSONL and the
-//! timeline JSONL.
+//! The one JSON codec: the writer and reader of `summary.json`, the trace
+//! JSONL and the timeline JSONL, and the reader `xtask bench-record` uses
+//! for `BENCHMARK.json` and hostbench's result line.
 //!
-//! All three documents are built from one shape: a flat object whose
+//! The three documents are built from one shape: a flat object whose
 //! values are scalars (string, number or bool). The reader keeps numbers
 //! and bools as their *raw token*, so integer and float fields convert
 //! exactly and exact comparison is token equality, with no float round
-//! trip in between. The JSONL frame (header line, point markers, per-point
-//! record lines) is shared by the trace and timeline documents.
+//! trip in between. [`Json`] is the same reader for nested documents: its
+//! scalars are raw tokens too. The JSONL frame (header line, point
+//! markers, per-point record lines) is shared by the trace and timeline
+//! documents.
 //!
 //! Everything here is dependency-free: the workspace is hermetic, and this
-//! subset of JSON is small enough to own.
+//! subset of JSON (no `null`) is small enough to own.
 
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 /// Escapes `s` for use inside a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -68,8 +71,8 @@ pub(crate) fn line(out: &mut String, fields: &[(&str, Val<'_>)]) {
     out.push_str("}\n");
 }
 
-/// A parse failure of any of the three documents, with the 1-based line it
-/// happened on.
+/// A parse failure of any JSON document, with the 1-based line it happened
+/// on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// What the parser expected or found.
@@ -159,6 +162,9 @@ impl<'a> Reader<'a> {
                     Some('n') => '\n',
                     Some('t') => '\t',
                     Some('r') => '\r',
+                    Some('/') => '/',
+                    Some('b') => '\u{8}',
+                    Some('f') => '\u{c}',
                     Some('u') => {
                         let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
                         let code = u32::from_str_radix(&hex, 16).ok();
@@ -219,18 +225,99 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// One flat object of scalars as `(name, token)` pairs, in document
-    /// order.
-    pub(crate) fn flat_object(&mut self) -> Result<Vec<(String, String)>, ParseError> {
+    /// One object as `(name, value)` pairs in document order, each value
+    /// read by `value`.
+    fn object<T>(
+        &mut self,
+        mut value: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<(String, T)>, ParseError> {
         self.expect(b'{')?;
         let mut out = Vec::new();
         self.list(b'}', |r| {
             let name = r.string()?;
             r.expect(b':')?;
-            out.push((name, r.value()?));
+            out.push((name, value(r)?));
             Ok(())
         })?;
         Ok(out)
+    }
+
+    /// One flat object of scalars as `(name, token)` pairs.
+    pub(crate) fn flat_object(&mut self) -> Result<Vec<(String, String)>, ParseError> {
+        self.object(Self::value)
+    }
+
+    /// Any value: a scalar as its token, or a nested array or object.
+    fn any(&mut self) -> Result<Json, ParseError> {
+        match self.peek() {
+            Some(b'{') => self.object(Self::any).map(Json::Object),
+            Some(b'[') => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                self.list(b']', |r| r.any().map(|v| items.push(v)))?;
+                Ok(Json::Array(items))
+            }
+            _ => self.value().map(Json::Scalar),
+        }
+    }
+}
+
+/// A parsed JSON document: a scalar kept as its raw token (numbers and
+/// bools as written, strings quoted and escaped), an array, or an object
+/// with its fields in document order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Json {
+    /// A string, number or bool, as its token.
+    Scalar(String),
+    /// An array's items.
+    Array(Vec<Json>),
+    /// An object's `(name, value)` fields.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Reads one whole document.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, `null`, or trailing input, with its line.
+    pub fn read(src: &str) -> Result<Self, ParseError> {
+        let mut r = Reader::new(src);
+        let v = r.any()?;
+        r.end()?;
+        Ok(v)
+    }
+
+    /// Field `name` of an object; `None` when missing or not an object.
+    pub fn get(&self, name: &str) -> Option<&Json> {
+        match self {
+            Json::Object(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// An array's items; empty for anything else.
+    pub fn items(&self) -> &[Json] {
+        match self {
+            Json::Array(items) => items,
+            _ => &[],
+        }
+    }
+
+    /// A number or bool converted from its token.
+    pub fn to<T: FromStr>(&self) -> Option<T> {
+        match self {
+            Json::Scalar(tok) => tok.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// A string, unescaped.
+    pub fn str(&self) -> Option<String> {
+        match self {
+            Json::Scalar(tok) => Reader::new(tok).string().ok(),
+            _ => None,
+        }
     }
 }
 
@@ -337,6 +424,7 @@ pub(crate) fn parse_jsonl<T>(
 
 #[cfg(test)]
 mod tests {
+    use super::Json;
     use crate::summary::{self, PointSummary, RunSummary, SCHEMA_VERSION};
     use crate::timeline::{self, StateSample, TIMELINE_SCHEMA_VERSION};
     use crate::trace::{self, TraceEvent, TRACE_SCHEMA_VERSION};
@@ -419,5 +507,40 @@ mod tests {
         let doc = "{\n  \"seed\": 1,\n  \"points\": [\n    {\"k\" 1}\n  ]\n}";
         let err = summary::parse(doc).expect_err(doc);
         assert!(err.line == 4 && err.msg.contains("expected ':'"), "{err}");
+    }
+
+    #[test]
+    fn reads_nested_values() {
+        let doc = "{\"a\": [1, -2.5e1, \"s\\\"q\", []],\n \"b\": {\"c\": true, \"d\": {}}}";
+        let v = Json::read(doc).unwrap();
+        let a = v.get("a").unwrap().items();
+        assert_eq!(a[0].to::<u64>(), Some(1));
+        assert_eq!(a[1].to::<f64>(), Some(-25.0));
+        assert_eq!(a[2].str().as_deref(), Some("s\"q"));
+        assert_eq!(a[2].to::<f64>(), None);
+        assert_eq!(a[3], Json::Array(Vec::new()));
+        let b = v.get("b").unwrap();
+        assert_eq!(b.get("c").and_then(Json::to::<bool>), Some(true));
+        assert_eq!(b.get("d"), Some(&Json::Object(Vec::new())));
+        assert_eq!(b.get("x"), None);
+        assert!(b.items().is_empty() && a[0].get("c").is_none() && b.str().is_none());
+
+        let cases = [
+            ("{\"a\": 1}\n x", 2, "trailing"),
+            ("[1,\n 2", 2, "expected ','"),
+            ("{\"a\": [1, 2}", 1, "expected ','"),
+            ("\n\n{\"a\": null}", 3, "expected a string, number or bool"),
+        ];
+        for (doc, line, msg) in cases {
+            let err = Json::read(doc).expect_err(doc);
+            assert!(err.line == line && err.msg.contains(msg), "{doc:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn reads_every_string_escape() {
+        let doc = r#"["\"\\\/\b\f\n\r\t\u00e9"]"#;
+        let s = Json::read(doc).unwrap().items()[0].str();
+        assert_eq!(s.as_deref(), Some("\"\\/\u{8}\u{c}\n\r\t\u{e9}"));
     }
 }

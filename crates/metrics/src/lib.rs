@@ -5,7 +5,9 @@
 //! latencies and latency CDFs), ASCII/CSV report rendering for the
 //! benchmark harness, and the three machine-readable artifacts of a run:
 //! the `summary.json` regression-gate document, virtual-time traces, and
-//! state-sample timelines. All three share one JSON codec.
+//! state-sample timelines. All three share one JSON codec, which also
+//! reads `BENCHMARK.json` and hostbench's result lines for `xtask
+//! bench-record` through [`Json`].
 //!
 //! ```
 //! use anykey_metrics::LatencyHist;
@@ -33,8 +35,9 @@ pub mod trace;
 
 /// Log-bucketed latency histogram with exact quantile queries.
 pub use hist::LatencyHist;
-/// The one parse-error type of the summary, trace and timeline readers.
-pub use json::ParseError;
+/// The JSON codec's string escape, nested-document reader and one
+/// parse-error type (summary, trace, timeline and [`Json`] readers).
+pub use json::{esc, Json, ParseError};
 /// Report renderers (CSV and aligned-table output).
 pub use report::{Csv, Table};
 /// The `summary.json` schema and diff entry points.

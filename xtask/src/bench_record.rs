@@ -15,12 +15,19 @@
 //! `sim_digest` equal; a warning is printed when not); plus the commits,
 //! `nproc`, and the median `calibration_ns` of each side.
 //!
+//! `BENCHMARK.json` and each run's result line are read through the
+//! metrics crate's JSON codec ([`Json`]), and every name the record writes
+//! is escaped with its [`esc`]; the run's info line is scanned instead
+//! (see `scan_field`).
+//!
 //! Exit codes: 0 written, 1 a run failed or reported failed ops, 2
 //! usage/IO/parse error.
 
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::Command;
+
+use anykey_metrics::{esc, Json};
 
 fn usage() -> i32 {
     eprintln!(
@@ -33,184 +40,6 @@ fn usage() -> i32 {
     2
 }
 
-/// A parsed JSON value: the subset `BENCHMARK.json` and hostbench's result
-/// line use.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(items) => items,
-            _ => &[],
-        }
-    }
-}
-
-/// Parses one JSON document.
-fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        s: src.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing input at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        self.ws();
-        let hit = self.s.get(self.i) == Some(&c);
-        self.i += usize::from(hit);
-        hit
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.s.get(self.i) {
-            Some(b'{') => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                if self.eat(b'}') {
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let k = self.string()?;
-                    if !self.eat(b':') {
-                        return Err(format!("expected ':' at byte {}", self.i));
-                    }
-                    fields.push((k, self.value()?));
-                    if self.eat(b'}') {
-                        return Ok(Json::Obj(fields));
-                    }
-                    if !self.eat(b',') {
-                        return Err(format!("expected ',' or '}}' at byte {}", self.i));
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                if self.eat(b']') {
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    if self.eat(b']') {
-                        return Ok(Json::Arr(items));
-                    }
-                    if !self.eat(b',') {
-                        return Err(format!("expected ',' or ']' at byte {}", self.i));
-                    }
-                }
-            }
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(_) => {
-                let start = self.i;
-                while self
-                    .s
-                    .get(self.i)
-                    .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
-                {
-                    self.i += 1;
-                }
-                std::str::from_utf8(&self.s[start..self.i])
-                    .ok()
-                    .and_then(|t| t.parse().ok())
-                    .map(Json::Num)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.s.get(self.i) != Some(&b'"') {
-            return Err(format!("expected a string at byte {}", self.i));
-        }
-        self.i += 1;
-        let mut out = Vec::new();
-        loop {
-            match self.s.get(self.i) {
-                Some(b'"') => break,
-                Some(b'\\') => {
-                    let c = *self.s.get(self.i + 1).ok_or("unterminated escape")?;
-                    out.push(match c {
-                        b'n' => b'\n',
-                        b't' => b'\t',
-                        b'r' => b'\r',
-                        other => other,
-                    });
-                    self.i += 2;
-                }
-                Some(&c) => {
-                    out.push(c);
-                    self.i += 1;
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-        self.i += 1;
-        String::from_utf8(out).map_err(|e| e.to_string())
-    }
-}
-
 /// What `BENCHMARK.json` declares.
 struct Spec {
     command: Vec<String>,
@@ -221,35 +50,21 @@ struct Spec {
 }
 
 fn read_spec(src: &str) -> Result<Spec, String> {
-    let doc = parse(src)?;
-    let strings = |key: &str, field: Option<&str>| -> Vec<String> {
-        doc.get(key)
-            .map(Json::arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|v| match field {
-                Some(f) => v.get(f).and_then(Json::str),
-                None => v.str(),
-            })
-            .map(str::to_string)
-            .collect()
-    };
+    let doc = Json::read(src).map_err(|e| e.to_string())?;
+    let items = |key: &str| doc.get(key).map_or(&[][..], Json::items);
     let spec = Spec {
-        command: strings("command", None),
+        command: items("command").iter().filter_map(Json::str).collect(),
         run_seconds: doc
             .get("run_seconds")
-            .and_then(Json::num)
+            .and_then(Json::to)
             .ok_or("BENCHMARK.json has no run_seconds")?,
-        workloads: strings("workloads", Some("name")),
-        metrics: doc
-            .get("end_to_end")
-            .map(Json::arr)
-            .unwrap_or_default()
+        workloads: items("workloads")
             .iter()
-            .filter_map(|m| {
-                let name = m.get("name")?.str()?.to_string();
-                Some((name, m.get("better")?.str()? == "higher"))
-            })
+            .filter_map(|w| w.get("name")?.str())
+            .collect(),
+        metrics: items("end_to_end")
+            .iter()
+            .filter_map(|m| Some((m.get("name")?.str()?, m.get("better")?.str()? == "higher")))
             .collect(),
     };
     if spec.command.is_empty() || spec.workloads.is_empty() || spec.metrics.is_empty() {
@@ -286,17 +101,13 @@ fn scan_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 fn read_run(stdout: &str, metrics: &[(String, bool)]) -> Result<RunResult, String> {
     let mut lines = stdout.lines().filter(|l| !l.trim().is_empty());
     let info = lines.next().ok_or("no output")?;
-    let result = parse(lines.next_back().ok_or("no result line")?)?;
-    let num = |v: Option<&Json>, what: &str| v.and_then(Json::num).ok_or(format!("no {what}"));
+    let result = lines.next_back().ok_or("no result line")?;
+    let result = Json::read(result).map_err(|e| e.to_string())?;
+    let num = |v: Option<&Json>, what: &str| v.and_then(Json::to).ok_or(format!("no {what}"));
     let m = result.get("metrics");
     let values = metrics
         .iter()
-        .map(|(name, _)| {
-            num(
-                m.and_then(|m| m.get(name)).and_then(|v| v.get("value")),
-                name,
-            )
-        })
+        .map(|(name, _)| num(m.and_then(|m| m.get(name)?.get("value")), name))
         .collect::<Result<Vec<_>, _>>()?;
     let failed = num(result.get("failed"), "failed")?;
     let attempted = num(result.get("attempted"), "attempted")?;
@@ -379,7 +190,8 @@ fn side_json(out: &mut String, spec: &Spec, runs: &[RunResult]) {
         let values: Vec<String> = xs.iter().map(|&x| num(x)).collect();
         let _ = write!(
             out,
-            "\n        \"{name}\": {{\"median\": {}, \"q1\": {}, \"q3\": {}, \"values\": [{}]}},",
+            "\n        \"{}\": {{\"median\": {}, \"q1\": {}, \"q3\": {}, \"values\": [{}]}},",
+            esc(name),
             num(quantile(&xs, 0.5)),
             num(quantile(&xs, 0.25)),
             num(quantile(&xs, 0.75)),
@@ -396,7 +208,11 @@ fn side_json(out: &mut String, spec: &Spec, runs: &[RunResult]) {
 
 /// Renders the record: sides, then per-workload figures.
 fn render(n: u32, spec: &Spec, seconds: f64, sides: &[(&str, &Side)]) -> String {
-    let quoted: Vec<String> = spec.command.iter().map(|c| format!("\"{c}\"")).collect();
+    let quoted: Vec<String> = spec
+        .command
+        .iter()
+        .map(|c| format!("\"{}\"", esc(c)))
+        .collect();
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let runs = sides[0].1.first().map_or(0, Vec::len);
     let mut out = format!(
@@ -412,17 +228,19 @@ fn render(n: u32, spec: &Spec, seconds: f64, sides: &[(&str, &Side)]) -> String 
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
             out,
-            "{sep}\n    \"{name}\": {{\"commit\": \"{commit}\", \"calibration_ns\": {}}}",
+            "{sep}\n    \"{}\": {{\"commit\": \"{}\", \"calibration_ns\": {}}}",
+            esc(name),
+            esc(commit),
             num(quantile(&cal, 0.5))
         );
     }
     out.push_str("\n  },\n  \"workloads\": {");
     for (wi, w) in spec.workloads.iter().enumerate() {
         let sep = if wi == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}\n    \"{w}\": {{");
+        let _ = write!(out, "{sep}\n    \"{}\": {{", esc(w));
         for (si, (name, side)) in sides.iter().enumerate() {
             let sep = if si == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n      \"{name}\": ");
+            let _ = write!(out, "{sep}\n      \"{}\": ", esc(name));
             side_json(&mut out, spec, &side[wi]);
         }
         if let [(_, change), (_, parent)] = sides {
@@ -436,7 +254,7 @@ fn render(n: u32, spec: &Spec, seconds: f64, sides: &[(&str, &Side)]) -> String 
                     .filter(|(c, p)| c.metrics[mi] != p.metrics[mi])
                     .count();
                 let sep = if mi == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}\"{name}\": {wins}");
+                let _ = write!(out, "{sep}\"{}\": {wins}", esc(name));
             }
             let same = same_sim(&change[wi], &parent[wi]);
             let _ = write!(out, "}},\n      \"same_sim\": {same}");
@@ -545,16 +363,6 @@ mod tests {
                        {"name": "rss", "better": "lower", "bound": 0.25}]}"#;
 
     #[test]
-    fn parses_nested_json() {
-        let v = parse(r#"{"a": [1, -2.5e1, "s\"q"], "b": {"c": true, "d": null}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().arr()[1], Json::Num(-25.0));
-        assert_eq!(v.get("a").unwrap().arr()[2].str(), Some("s\"q"));
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
-        assert!(parse("{\"a\": 1} x").is_err());
-        assert!(parse("[1, 2").is_err());
-    }
-
-    #[test]
     fn reads_the_benchmark_spec() {
         let s = read_spec(SPEC).unwrap();
         assert_eq!(s.command, ["cargo", "run", "--"]);
@@ -562,6 +370,29 @@ mod tests {
         assert_eq!(s.workloads, ["a", "b"]);
         assert_eq!(s.metrics, [("ops".into(), true), ("rss".into(), false)]);
         assert!(read_spec(r#"{"run_seconds": 1}"#).is_err());
+    }
+
+    #[test]
+    fn reads_the_committed_benchmark_json() {
+        let s = read_spec(include_str!("../../BENCHMARK.json")).unwrap();
+        assert_eq!(s.command[..3], ["cargo", "run", "--release"]);
+        assert_eq!(s.command.last().map(String::as_str), Some("--"));
+        assert_eq!(s.run_seconds, 25.0);
+        let workloads = [
+            "rtdata-anykeyplus",
+            "rtdata-pink",
+            "rtdata-fill-anykeyplus",
+            "udb-scan-anykeyplus",
+        ];
+        assert_eq!(s.workloads, workloads);
+        let metrics = [
+            ("run_ops_per_s", true),
+            ("load_ops_per_s", true),
+            ("setup_s", false),
+            ("peak_rss_mb", false),
+        ];
+        let metrics = metrics.map(|(n, h)| (n.to_string(), h));
+        assert_eq!(s.metrics, metrics);
     }
 
     #[test]
@@ -598,12 +429,10 @@ mod tests {
         let bare = [read_run(&format!("{{}}\n{result}"), &s.metrics).unwrap()];
         assert!(!same_sim(&bare, &bare));
         let doc = render(7, &s, 25.0, &[("change", &change), ("parent", &parent)]);
-        let w = parse(&doc).unwrap().get("workloads").unwrap().clone();
-        assert_eq!(w.get("a").unwrap().get("same_sim"), Some(&Json::Bool(true)));
-        assert_eq!(
-            w.get("b").unwrap().get("same_sim"),
-            Some(&Json::Bool(false))
-        );
+        let doc = Json::read(&doc).unwrap();
+        let same = |w| doc.get("workloads")?.get(w)?.get("same_sim")?.to::<bool>();
+        assert_eq!(same("a"), Some(true));
+        assert_eq!(same("b"), Some(false));
     }
 
     #[test]
@@ -627,18 +456,54 @@ mod tests {
         let change: Side = vec![vec![run(2.0, 1.0), run(2.0, 5.0)], vec![run(1.0, 1.0); 2]];
         let parent: Side = vec![vec![run(1.0, 2.0), run(3.0, 2.0)], vec![run(1.0, 1.0); 2]];
         let doc = render(7, &s, 25.0, &[("change", &change), ("parent", &parent)]);
-        let v = parse(&doc).unwrap();
-        assert_eq!(v.get("bench"), Some(&Json::Num(7.0)));
-        let a = v.get("workloads").unwrap().get("a").unwrap();
-        let wins = a.get("change_wins").unwrap();
-        assert_eq!(wins.get("ops"), Some(&Json::Num(1.0)));
-        assert_eq!(wins.get("rss"), Some(&Json::Num(1.0)));
-        let b = v.get("workloads").unwrap().get("b").unwrap();
+        let v = Json::read(&doc).unwrap();
+        let at = |path: &[&str]| {
+            let leaf = path.iter().try_fold(&v, |v, name| v.get(name));
+            leaf.and_then(Json::to::<f64>)
+        };
+        assert_eq!(at(&["bench"]), Some(7.0));
+        assert_eq!(at(&["workloads", "a", "change_wins", "ops"]), Some(1.0));
+        assert_eq!(at(&["workloads", "a", "change_wins", "rss"]), Some(1.0));
+        assert_eq!(at(&["workloads", "b", "change_wins", "ops"]), Some(0.0));
         assert_eq!(
-            b.get("change_wins").unwrap().get("ops"),
-            Some(&Json::Num(0.0))
+            at(&["workloads", "a", "change", "ops", "median"]),
+            Some(2.0)
         );
-        let ops = a.get("change").unwrap().get("ops").unwrap();
-        assert_eq!(ops.get("median"), Some(&Json::Num(2.0)));
+    }
+
+    #[test]
+    fn render_escapes_every_name_it_writes() {
+        let odd = "we\"ird\\";
+        let mut s = read_spec(SPEC).unwrap();
+        s.command[0] = odd.into();
+        s.workloads = vec![odd.into()];
+        s.metrics[0].0 = odd.into();
+        let run = RunResult {
+            metrics: vec![1.0, 2.0],
+            failed_ratio: 0.0,
+            commit: odd.into(),
+            calibration_ns: 1.0,
+            sim_digest: None,
+        };
+        let side: Side = vec![vec![run]];
+        let doc = render(7, &s, 25.0, &[(odd, &side), ("parent", &side)]);
+        let v = Json::read(&doc).unwrap();
+        assert_eq!(
+            v.get("command").unwrap().items()[0].str().as_deref(),
+            Some(odd)
+        );
+        let commit = v
+            .get("sides")
+            .and_then(|s| s.get(odd)?.get("commit")?.str());
+        assert_eq!(commit.as_deref(), Some(odd));
+        let w = v.get("workloads").and_then(|w| w.get(odd)).unwrap();
+        let median = w
+            .get(odd)
+            .and_then(|s| s.get(odd)?.get("median")?.to::<f64>());
+        assert_eq!(median, Some(1.0));
+        assert_eq!(
+            w.get("change_wins").unwrap().get(odd).unwrap().to::<u32>(),
+            Some(0)
+        );
     }
 }

@@ -13,7 +13,10 @@
 //!   --timeline`, with a `--assert-converged` CI gate.
 //! - [`bench_record`]: the host-cost trajectory recorder — runs the
 //!   `BENCHMARK.json` command for every workload (optionally paired with a
-//!   parent checkout) and writes `BENCH_<n>.json`.
+//!   parent checkout) and writes `BENCH_<n>.json`. It reads
+//!   `BENCHMARK.json` and hostbench's result lines through
+//!   `anykey_metrics::Json`, the same codec `bench-diff`, `trace` and
+//!   `timeline` read their documents with.
 
 mod bench_diff;
 mod bench_record;
