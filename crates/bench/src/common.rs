@@ -1,9 +1,9 @@
 //! Shared experiment plumbing: scaled device configurations, the scan
-//! recipe, and result bookkeeping.
+//! recipe, and table/CSV output helpers.
 
 use std::path::{Path, PathBuf};
 
-use anykey_core::{DeviceConfig, EngineKind, MetadataStats, RunReport};
+use anykey_core::{DeviceConfig, EngineKind};
 use anykey_metrics::report::fmt_ns;
 use anykey_metrics::{Csv, Table};
 use anykey_workload::WorkloadSpec;
@@ -86,19 +86,6 @@ impl Scale {
     pub fn out(&self, name: &str) -> PathBuf {
         self.out_dir.join(name)
     }
-}
-
-/// One completed (workload, system) run.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// Workload name.
-    pub workload: &'static str,
-    /// System under test.
-    pub system: EngineKind,
-    /// Measured-phase report.
-    pub report: RunReport,
-    /// Metadata snapshot at the end of the run.
-    pub meta: MetadataStats,
 }
 
 /// Experiment context: scale plus console/file sinks.

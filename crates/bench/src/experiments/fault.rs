@@ -68,7 +68,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     let mut rows = results.iter();
     for kind in SYSTEMS {
         for ppm in RATES_PPM {
-            let s = &rows.next().expect("fault row").summary;
+            let s = &rows.next().expect("fault row");
             t.row([
                 kind.to_string(),
                 fmt_ppm(ppm),

@@ -41,7 +41,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     let mut rows = results.iter();
     for name in WORKLOADS {
         for kind in EngineKind::EVALUATED {
-            let s = &rows.next().expect("fig10 row").summary;
+            let s = &rows.next().expect("fig10 row");
             t.row([
                 name.to_string(),
                 kind.label().to_string(),

@@ -57,7 +57,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     let mut rows = results.iter();
     for name in WORKLOADS {
         for kind in EngineKind::EVALUATED {
-            let s = &rows.next().expect("fig11 row").summary;
+            let s = &rows.next().expect("fig11 row");
             let m = &s.meta;
             a.row([
                 name.to_string(),

@@ -43,7 +43,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     for w in spec::ALL {
         let mut iops = [0.0f64; 3];
         for slot in iops.iter_mut() {
-            *slot = rows.next().expect("fig12 row").summary.report.iops();
+            *slot = rows.next().expect("fig12 row").report.iops();
         }
         let r_any = iops[1] / iops[0];
         let r_plus = iops[2] / iops[0];

@@ -39,7 +39,6 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
             *slot = rows
                 .next()
                 .expect("fig13 row")
-                .summary
                 .report
                 .counters
                 .total_writes();

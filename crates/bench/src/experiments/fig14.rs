@@ -40,7 +40,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     for w in spec::ALL {
         let mut u = [0.0f64; 3];
         for slot in u.iter_mut() {
-            let meta = &rows.next().expect("fig14 row").summary.meta;
+            let meta = &rows.next().expect("fig14 row").meta;
             *slot = meta.live_unique_bytes as f64 / ctx.scale.capacity as f64;
         }
         t.row([

@@ -62,7 +62,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         for kind in EngineKind::EVALUATED {
             let mut cells = vec![name.to_string(), kind.label().to_string()];
             for (_, _, label) in PAGES {
-                let s = &rows.next().expect("fig16 row").summary;
+                let s = &rows.next().expect("fig16 row");
                 cells.push(lat(s.report.reads.p95()));
                 ctx.dump_cdf(&mut cdf, name, kind.label(), label, &s.report.reads);
             }

@@ -51,7 +51,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     for kind in EngineKind::EVALUATED {
         let mut cells = vec![kind.label().to_string()];
         for (label, _) in DISTS.clone() {
-            let s = &rows.next().expect("fig17 row").summary;
+            let s = &rows.next().expect("fig17 row");
             cells.push(lat(s.report.reads.p95()));
             ctx.dump_cdf(&mut cdf, "ETC", kind.label(), label, &s.report.reads);
         }

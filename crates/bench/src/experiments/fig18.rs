@@ -43,7 +43,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     for kind in EngineKind::EVALUATED {
         let mut cells = vec![kind.label().to_string()];
         for len in LENGTHS {
-            let s = &rows.next().expect("fig18 row").summary;
+            let s = &rows.next().expect("fig18 row");
             cells.push(lat(s.report.scans.p95()));
             ctx.dump_cdf(
                 &mut cdf,

@@ -85,7 +85,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         let mut ra = vec![name.to_string()];
         let mut rb = vec![name.to_string()];
         for _ in LOG_FRACS {
-            let s = &rows.next().expect("fig19 sweep row").summary;
+            let s = &rows.next().expect("fig19 sweep row");
             ra.push(kiops(s.report.iops()));
             rb.push(fmt_count(s.report.counters.total_writes()));
         }
@@ -110,7 +110,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         let mut row = vec![name.to_string()];
         for _ in ABLATION_RATIOS {
             for _ in ABLATION_KINDS {
-                let s = &rows.next().expect("fig19 ablation row").summary;
+                let s = &rows.next().expect("fig19 ablation row");
                 row.push(kiops(s.report.iops()));
             }
         }

@@ -36,7 +36,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     let mut cdf = Csv::new("workload,system,series,latency_us,cdf");
     let mut rows = results.iter();
     for v in VALUES {
-        let s = &rows.next().expect("fig2 row").summary;
+        let s = &rows.next().expect("fig2 row");
         let label = format!("{}/40", v);
         t.row([
             label.clone(),

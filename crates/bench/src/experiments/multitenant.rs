@@ -66,13 +66,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     for name in TENANTS {
         let mut p95 = [0u64; 2];
         for slot in p95.iter_mut() {
-            *slot = rows
-                .next()
-                .expect("multitenant row")
-                .summary
-                .report
-                .reads
-                .p95();
+            *slot = rows.next().expect("multitenant row").report.reads.p95();
         }
         let improvement = p95[0] as f64 / p95[1].max(1) as f64;
         t.row([

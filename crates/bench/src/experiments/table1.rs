@@ -102,7 +102,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     let mut rows = results.iter();
     for (label, _, _) in ROWS {
         for kind in KINDS {
-            let m = &rows.next().expect("table1 row").summary.meta;
+            let m = &rows.next().expect("table1 row").meta;
             e.row([
                 label.to_string(),
                 kind.label().to_string(),

@@ -49,7 +49,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     let mut rows = results.iter();
     for name in WORKLOADS {
         for kind in EngineKind::EVALUATED {
-            let s = &rows.next().expect("table3 row").summary;
+            let s = &rows.next().expect("table3 row");
             let c = &s.report.counters;
             t.row([
                 name.to_string(),

@@ -11,14 +11,18 @@
 //! workspace root; tables print to stdout and CSV series land in
 //! `results/`.
 
-/// Shared experiment context, scaling, and summaries.
+/// Shared experiment context and scaling.
 pub mod common;
 /// One module per reproduced paper table/figure.
 pub mod experiments;
+/// The sweep pipeline: select, schedule, render, summarise, export.
+pub mod pipeline;
 /// Declarative experiment points and the deterministic parallel scheduler.
 pub mod scheduler;
 
-/// Experiment context and result summary types.
-pub use common::{ExpCtx, Scale, Summary};
+/// Experiment context and scale.
+pub use common::{ExpCtx, Scale};
+/// The sweep pipeline entry.
+pub use pipeline::{sweep, Sweep};
 /// The scheduler's point model and entry points.
 pub use scheduler::{build_summary, run_points, Point, PointResult, RunKind, SchedulerRun};

@@ -3,22 +3,27 @@
 //! ```text
 //! anykey-bench <experiment|all> [--capacity-mb N] [--fill F]
 //!              [--ops-factor F] [--out DIR] [--seed S] [--jobs N] [--quick]
-//!              [--trace PATH] [--timeline PATH] [--timeline-interval NS]
+//!              [--trace PATH] [--timeline PATH [--timeline-interval NS]]
 //! ```
 //!
 //! The output path names the format: a `--trace` path ending in `.json`
 //! gets Chrome trace-event JSON, a `--timeline` path ending in `.csv` gets
 //! CSV, and any other path gets JSONL.
 //!
-//! Experiments declare [`Point`](anykey_bench::Point)s; the scheduler runs
-//! them (optionally in parallel) and hands results back in declaration
-//! order, so the rendered CSVs and `summary.json` are byte-identical for
-//! any `--jobs` value. Wall-clock timing lives in the scheduler, not here.
+//! `--timeline-interval` needs `--timeline`: samples with nowhere to go
+//! would only slow the sweep.
+//!
+//! This binary parses flags and prints the scale header, the output paths
+//! and the closing scheduler line; the sweep itself (schedule, render,
+//! summarise, export) is [`anykey_bench::sweep`], the same code the
+//! determinism tests drive.
+
+use std::io;
+use std::path::{Path, PathBuf};
 
 use anykey_bench::common::Scale;
-use anykey_bench::experiments::{self, Experiment};
-use anykey_bench::scheduler::{build_summary, run_points, Point};
-use anykey_bench::ExpCtx;
+use anykey_bench::experiments;
+use anykey_bench::{sweep, ExpCtx};
 
 fn usage() -> ! {
     eprintln!(
@@ -38,19 +43,19 @@ fn usage() -> ! {
                              PATH ends in .json\n\
            --timeline PATH   record periodic state-sample timelines to PATH:\n\
                              JSONL, or CSV when PATH ends in .csv\n\
-           --timeline-interval NS  virtual ns between samples (default\n\
-                             10000000 with --timeline; 0 disables sampling)",
+           --timeline-interval NS  virtual ns between samples; needs\n\
+                             --timeline (default 10000000; 0 disables sampling)",
         experiments::ids().join(" ")
     );
     std::process::exit(2)
 }
 
-/// One requested experiment and the slice of the global point list it
-/// declared.
-struct PlanEntry {
-    id: String,
-    exp: &'static Experiment,
-    range: std::ops::Range<usize>,
+/// Prints where an output landed, or warns that it could not be written.
+fn report(path: &Path, written: io::Result<String>) {
+    match written {
+        Ok(what) => println!("  -> {}{what}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
 }
 
 fn main() {
@@ -66,8 +71,8 @@ fn main() {
         scale = scale.quick();
     }
     let mut jobs = 1usize;
-    let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut timeline_path: Option<std::path::PathBuf> = None;
+    let mut trace_path: Option<PathBuf> = None;
+    let mut timeline_path: Option<PathBuf> = None;
     let mut timeline_interval: Option<u64> = None;
     let mut i = 0;
     while i < args.len() {
@@ -138,18 +143,17 @@ fn main() {
     if ids.is_empty() {
         usage();
     }
-    if ids.iter().any(|i| i == "all") {
-        ids = experiments::ids().iter().map(|s| s.to_string()).collect();
+    if timeline_interval.is_some() && timeline_path.is_none() {
+        usage();
     }
 
     let mut ctx = ExpCtx::new(scale);
     ctx.trace = trace_path.is_some();
-    // --timeline implies a default sampling interval of 10 ms virtual;
-    // --timeline-interval 0 turns sampling off entirely (zero overhead).
-    ctx.timeline_interval_ns = match (timeline_interval, &timeline_path) {
-        (Some(ns), _) => ns,
-        (None, Some(_)) => 10_000_000,
-        (None, None) => 0,
+    // --timeline samples every 10 ms virtual by default; --timeline-interval
+    // 0 turns sampling off entirely (zero overhead).
+    ctx.timeline_interval_ns = match timeline_path {
+        Some(_) => timeline_interval.unwrap_or(10_000_000),
+        None => 0,
     };
     println!(
         "# AnyKey reproduction harness — capacity {} MiB, DRAM {} KiB (0.1%), fill {:.0}%, seed {}\n",
@@ -159,87 +163,27 @@ fn main() {
         ctx.scale.seed
     );
 
-    // Gather every selected experiment's declared points into one global
-    // list so the scheduler can dedup and balance across all of them.
-    let mut plan: Vec<PlanEntry> = Vec::new();
-    let mut points: Vec<Point> = Vec::new();
-    for id in &ids {
-        let Some(exp) = experiments::by_id(id) else {
-            eprintln!("unknown experiment '{id}'");
-            usage();
-        };
-        let start = points.len();
-        points.extend((exp.points)(&ctx));
-        plan.push(PlanEntry {
-            id: id.clone(),
-            exp,
-            range: start..points.len(),
-        });
-    }
-
-    let run = run_points(&ctx, &points, jobs);
-
-    // Harness notes (keyspace shrinks etc.) surface after the sweep, in
-    // declaration order — never interleaved by worker threads.
-    for r in &run.results {
-        if let Some(note) = &r.note {
-            eprintln!("{note}");
-        }
-    }
-
-    for entry in &plan {
-        println!("## {}", entry.id);
-        (entry.exp.render)(&ctx, &run.results[entry.range.clone()]);
-    }
-
-    let summary = build_summary(&ctx, &points, &run);
+    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let sweep = sweep(&ctx, &ids, jobs).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
+    sweep.render();
     let path = ctx.scale.out("summary.json");
-    match summary.write(&path) {
-        Ok(()) => println!("  -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-
-    // Trace export: each unique simulation once (its representative point),
-    // in declaration order — byte-identical for any `--jobs` value.
+    report(&path, sweep.summary().write(&path).map(|()| String::new()));
     if let Some(path) = trace_path {
-        let named: Vec<(String, Vec<anykey_metrics::TraceEvent>)> = points
-            .iter()
-            .zip(&run.results)
-            .filter_map(|(p, r)| r.trace.as_ref().map(|t| (p.key.clone(), t.clone())))
-            .collect();
-        let (body, format) = if path.extension().is_some_and(|e| e == "json") {
-            (anykey_metrics::trace::write_chrome(&named), "chrome")
-        } else {
-            (anykey_metrics::trace::write_jsonl(&named), "jsonl")
-        };
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("  -> {} ({format} trace)", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
+        let written = sweep.write_trace(&path);
+        report(&path, written.map(|format| format!(" ({format} trace)")));
     }
-    // Timeline export: each unique simulation once, in declaration order —
-    // byte-identical for any `--jobs` value, like the trace export.
     if let Some(path) = timeline_path {
-        let named: Vec<(String, Vec<anykey_metrics::StateSample>)> = points
-            .iter()
-            .zip(&run.results)
-            .filter_map(|(p, r)| r.timeline.as_ref().map(|t| (p.key.clone(), t.clone())))
-            .collect();
-        let (body, format) = if path.extension().is_some_and(|e| e == "csv") {
-            (anykey_metrics::timeline::write_csv(&named), "csv")
-        } else {
-            (anykey_metrics::timeline::write_jsonl(&named), "jsonl")
-        };
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("  -> {} ({format} timeline)", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
+        let written = sweep.write_timeline(&path);
+        report(&path, written.map(|format| format!(" ({format} timeline)")));
     }
     println!(
         "\nscheduled {} points ({} unique simulations) on {} jobs in {:.1}s",
-        points.len(),
-        run.executed,
-        run.jobs,
-        run.wall_secs
+        sweep.points().len(),
+        sweep.run().executed,
+        sweep.run().jobs,
+        sweep.run().wall_secs
     );
 }

@@ -40,7 +40,7 @@ use anykey_metrics::timeline::{
 use anykey_metrics::trace::TraceEvent;
 use anykey_workload::{ops::fill_ops, KeyDist, OpStreamBuilder, WorkloadSpec};
 
-use crate::common::{ExpCtx, Summary};
+use crate::common::ExpCtx;
 
 /// The measured-phase recipe of a [`RunKind::Measure`] point.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,8 +148,11 @@ impl Point {
 /// The outcome of one executed point.
 #[derive(Debug, Clone)]
 pub struct PointResult {
-    /// Measured-phase report and final metadata snapshot.
-    pub summary: Summary,
+    /// Measured-phase report (counters only for points without a measured
+    /// phase).
+    pub report: RunReport,
+    /// Metadata snapshot at the end of the run.
+    pub meta: MetadataStats,
     /// Write amplification of the point (flash programs ÷ minimal host
     /// data pages; 0 when nothing was written).
     pub waf: f64,
@@ -303,9 +306,10 @@ fn waf_of(report: &RunReport, meta: &MetadataStats, spec: WorkloadSpec, cfg: &De
 impl PointResult {
     /// A measurement-free result (warm-up-only and fill points), not yet
     /// timed.
-    fn bare(summary: Summary, waf: f64) -> Self {
+    fn bare(report: RunReport, meta: MetadataStats, waf: f64) -> Self {
         Self {
-            summary,
+            report,
+            meta,
             waf,
             wall_secs: 0.0,
             note: None,
@@ -387,14 +391,9 @@ fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> PointResult 
                 let waf = waf_of(&report, &meta, spec, &cfg);
                 let (converged_waf, burnin_ns) =
                     steady_metrics(&report, spec.pair_bytes(), u64::from(cfg.page_payload()));
-                let summary = Summary {
-                    workload: spec.name,
-                    system: point.kind,
+                return PointResult {
                     report,
                     meta,
-                };
-                return PointResult {
-                    summary,
                     waf,
                     wall_secs: 0.0,
                     note,
@@ -445,13 +444,7 @@ fn snapshot_result(dev: &dyn KvEngine, point: &Point, cfg: &DeviceConfig) -> Poi
     report.counters = dev.counters();
     let meta = dev.metadata();
     let waf = waf_of(&report, &meta, point.spec, cfg);
-    let summary = Summary {
-        workload: point.spec.name,
-        system: point.kind,
-        report,
-        meta,
-    };
-    PointResult::bare(summary, waf)
+    PointResult::bare(report, meta, waf)
 }
 
 /// Assembles the machine-readable run summary from a scheduled sweep.
@@ -462,7 +455,7 @@ pub fn build_summary(ctx: &ExpCtx, points: &[Point], run: &SchedulerRun) -> RunS
         .iter()
         .zip(&run.results)
         .map(|(p, r)| {
-            let rep = &r.summary.report;
+            let rep = &r.report;
             let c = &rep.counters;
             PointSummary {
                 key: p.key.clone(),

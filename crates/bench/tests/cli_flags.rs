@@ -57,3 +57,35 @@ fn trace_and_timeline_formats_follow_the_path_extension() {
         }
     }
 }
+
+/// Runs `anykey-bench` with `args`, expecting the usage error (exit 2),
+/// and returns its stderr.
+fn usage_error(args: &[&str]) -> String {
+    let out_dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("usage");
+    let output = Command::new(env!("CARGO_BIN_EXE_anykey-bench"))
+        .args(args)
+        .args(["--out".as_ref(), out_dir.as_os_str()])
+        .output()
+        .expect("run anykey-bench");
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains("usage: anykey-bench"), "{args:?}: {stderr}");
+    stderr
+}
+
+/// A sampling interval without a timeline to write the samples to is
+/// rejected before anything runs.
+#[test]
+fn timeline_interval_needs_timeline() {
+    usage_error(&["fig2", "--timeline-interval", "1000"]);
+}
+
+/// An unknown experiment id is rejected, by name, before anything runs.
+#[test]
+fn unknown_experiment_is_named() {
+    let stderr = usage_error(&["fig2", "nosuchfig"]);
+    assert!(
+        stderr.contains("unknown experiment 'nosuchfig'"),
+        "{stderr}"
+    );
+}

@@ -80,7 +80,7 @@ impl AnyKeyStore {
         self.maintain(t_ack)?;
         self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
         #[cfg(debug_assertions)]
-        self.audit_boundary()?;
+        self.audit()?;
         Ok(t_ack)
     }
 
@@ -160,7 +160,7 @@ impl AnyKeyStore {
         // "compaction chain" of Figure 9a.
         let done = self.maintain(t)?;
         #[cfg(debug_assertions)]
-        self.audit_boundary()?;
+        self.audit()?;
         Ok(done)
     }
 

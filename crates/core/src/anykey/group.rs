@@ -34,6 +34,18 @@ use crate::key::Key;
 /// page offset.
 pub const DIR_ENTRY_BYTES: u64 = 4;
 
+/// Bytes per hash-list entry: one 32-bit key hash per entity.
+pub const HASH_ENTRY_BYTES: u64 = 4;
+
+/// The DRAM footprint of one level-list entry of a group with a
+/// `key_len`-byte smallest key and `data_pages` data pages: the smallest
+/// key + 4-byte PPA + 2 bytes of hash prefix per data page + 2 collision
+/// bits per data page + 16 bytes of fixed bookkeeping.
+#[inline]
+pub fn level_list_entry_bytes(key_len: u64, data_pages: u64) -> u64 {
+    key_len + 4 + 2 * data_pages + data_pages.div_ceil(4) + 16
+}
+
 /// The two hash-collision bits of a data page (Figure 7): whether the last
 /// hash value of this page continues into the next page, and whether the
 /// first hash continues from the previous page.
@@ -239,39 +251,29 @@ impl GroupContent {
         self.ents.partition_point(|e| e.key < key)
     }
 
-    /// The DRAM footprint of this group's level-list entry: smallest key +
-    /// 4-byte PPA + 2 bytes of hash prefix per data page + 2 collision bits
-    /// per data page + fixed bookkeeping.
+    /// The DRAM footprint of this group's level-list entry
+    /// ([`level_list_entry_bytes`]).
     pub fn meta_bytes(&self) -> u64 {
-        self.smallest().len() as u64
-            + 4
-            + 2 * self.data_pages() as u64
-            + (self.data_pages() as u64).div_ceil(4)
-            + 16
+        level_list_entry_bytes(self.smallest().len() as u64, self.data_pages() as u64)
     }
 
-    /// The DRAM footprint of this group's hash list (4 bytes per entity).
+    /// The DRAM footprint of this group's hash list
+    /// ([`HASH_ENTRY_BYTES`] per entity).
     pub fn hash_list_bytes(&self) -> u64 {
-        4 * self.entity_count() as u64
+        HASH_ENTRY_BYTES * self.entity_count() as u64
     }
 
     /// Audits the group, naming it group `group` of level `level`: its
     /// layout (page starts, slot index, hash list, routing prefixes), then
-    /// directory order and key fences. With `build_layout`, a layout no
-    /// read has built yet is built (and kept) so it is audited too;
-    /// without, only a built layout is. The slot and hash-list checks
-    /// index entities through the page starts, so those go first.
+    /// directory order and key fences. A layout no read has built yet is
+    /// skipped, not built. The slot and hash-list checks index entities
+    /// through the page starts, so those go first.
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
-    pub fn audit(&self, level: usize, group: usize, build_layout: bool) -> Result<(), AuditError> {
-        let layout = if build_layout {
-            Some(self.layout())
-        } else {
-            self.layout.get()
-        };
-        if let Some(layout) = layout {
+    pub fn audit(&self, level: usize, group: usize) -> Result<(), AuditError> {
+        if let Some(layout) = self.layout.get() {
             self.audit_layout(layout, level, group)?;
         }
         let ents = &self.ents;

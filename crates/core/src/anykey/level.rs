@@ -78,17 +78,17 @@ impl Level {
         self.groups.iter().map(|g| g.content.meta_bytes()).sum()
     }
 
-    /// Audits each group, naming this level `level` (building missing
-    /// layouts with `build_layouts`, see [`crate::anykey::group::GroupContent::audit`]),
-    /// then that the groups' cached fences, which the group audit vouches
-    /// for, are sorted and disjoint.
+    /// Audits each group, naming this level `level` (see
+    /// [`crate::anykey::group::GroupContent::audit`]), then that the
+    /// groups' cached fences, which the group audit vouches for, are
+    /// sorted and disjoint.
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
-    pub fn audit(&self, level: usize, build_layouts: bool) -> Result<(), AuditError> {
+    pub fn audit(&self, level: usize) -> Result<(), AuditError> {
         for (gi, g) in self.groups.iter().enumerate() {
-            g.content.audit(level, gi, build_layouts)?;
+            g.content.audit(level, gi)?;
         }
         match self
             .groups

@@ -28,7 +28,8 @@
 //! boundaries whenever debug assertions are on (`cargo test` and
 //! `cargo run`); `--release` builds pay nothing. There AnyKey audits the
 //! group layouts reads have built and builds none, so test builds stay
-//! as lazy as release; `check_invariants` builds and audits every one. The corruption hooks at
+//! as lazy as release; `check_invariants` builds every missing layout,
+//! then runs the same audit. The corruption hooks at
 //! the bottom of this module exist solely so the negative-path integration
 //! tests can prove each check actually fires.
 
@@ -354,29 +355,28 @@ impl From<CounterSkew> for AuditError {
 impl AnyKeyStore {
     /// Audits every structural invariant of the store; see the
     /// [module docs](crate::audit) for the list. A group layout no read
-    /// has built yet is built, and kept, so every group is audited whole.
+    /// has built yet is built first, and kept, so every group is audited
+    /// whole.
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
     pub fn verify_invariants(&self) -> Result<(), AuditError> {
-        self.audit(true)
+        for g in self.levels.iter().flat_map(|l| &l.groups) {
+            g.content.layout();
+        }
+        self.audit()
     }
 
-    /// The audit at flush, compaction and GC boundaries of builds with
-    /// debug assertions: [`Self::verify_invariants`] without building any
-    /// group layout, so those builds keep release's laziness. A layout is
-    /// built from its group's entities alone, so one that no read has
-    /// built holds no state to damage; the next full audit checks it.
-    #[cfg(debug_assertions)]
-    pub(crate) fn audit_boundary(&self) -> Result<(), AuditError> {
-        self.audit(false)
-    }
-
-    /// The audit, building missing group layouts with `build_layouts`.
-    fn audit(&self, build_layouts: bool) -> Result<(), AuditError> {
+    /// The audit of [`Self::verify_invariants`] without building any group
+    /// layout: it checks the layouts that exist. Builds with debug
+    /// assertions run it at flush, compaction and GC boundaries, so they
+    /// keep release's laziness. A layout is built from its group's
+    /// entities alone, so one that no read has built holds no state to
+    /// damage; the next full audit checks it.
+    pub(crate) fn audit(&self) -> Result<(), AuditError> {
         for (li, level) in self.levels.iter().enumerate() {
-            level.audit(li, build_layouts)?;
+            level.audit(li)?;
         }
         let groups = || self.levels.iter().flat_map(|l| &l.groups);
 

@@ -4,7 +4,13 @@
 //! these closed-form formulas compute how much metadata PinK and AnyKey
 //! need, assuming the device is full of unique KV pairs. The Table 1 and
 //! §6.8 experiments print these numbers directly; small-scale empirical
-//! checks against the real engines live in the integration tests.
+//! checks against the real engines live in the integration tests. Every
+//! entry size comes from the engines' own definitions and every device
+//! default from [`DeviceConfig`], so the model cannot drift from them.
+
+use crate::anykey::group::{level_list_entry_bytes, HASH_ENTRY_BYTES};
+use crate::pink::segment::{LIST_ENTRY_OVERHEAD, SEG_ENTRY_OVERHEAD};
+use crate::DeviceConfig;
 
 /// Inputs to the metadata model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,15 +35,16 @@ pub struct MetaModel {
 pub struct MetaSizes {
     /// Number of KV pairs the full device holds.
     pub pairs: u64,
-    /// PinK: total meta-segment bytes (`(key + 6) × pairs`).
+    /// PinK: total meta-segment bytes (`(key + SEG_ENTRY_OVERHEAD) ×
+    /// pairs`).
     pub pink_meta_segments: u64,
-    /// PinK: level-list bytes (one `(key + 5)` entry per page-sized
-    /// segment).
+    /// PinK: level-list bytes (one `(key + LIST_ENTRY_OVERHEAD)` entry per
+    /// page-sized segment).
     pub pink_level_lists: u64,
     /// AnyKey: level-list bytes (one group-granular entry per group).
     pub anykey_level_lists: u64,
     /// AnyKey: hash-list bytes actually kept (fills remaining DRAM, capped
-    /// at 4 bytes × pairs).
+    /// at `HASH_ENTRY_BYTES × pairs`).
     pub anykey_hash_lists: u64,
 }
 
@@ -55,14 +62,23 @@ impl MetaSizes {
 }
 
 impl MetaModel {
-    /// The paper's default model shape for a capacity, with the standard
-    /// 0.1 % DRAM ratio, 8 KiB pages and 32-page groups.
+    /// The paper's default model shape for a capacity: [`DeviceConfig`]'s
+    /// defaults (0.1 % DRAM, 8 KiB pages, 32-page groups) at that
+    /// capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacity is not a whole number of blocks on every
+    /// chip of the paper's geometry (see [`DeviceConfig::builder`]).
     pub fn paper(capacity_bytes: u64, key_len: u64, value_len: u64) -> Self {
+        let cfg = DeviceConfig::builder()
+            .capacity_bytes(capacity_bytes)
+            .build();
         Self {
             capacity_bytes,
-            dram_bytes: capacity_bytes / 1024,
-            page_payload: (8 << 10) - 64,
-            group_pages: 32,
+            dram_bytes: cfg.dram_bytes,
+            page_payload: u64::from(cfg.page_payload()),
+            group_pages: u64::from(cfg.group_pages),
             key_len,
             value_len,
         }
@@ -75,20 +91,18 @@ impl MetaModel {
 
         // PinK: one (key, PPA) entry per pair, packed into page-sized meta
         // segments; one level-list entry per segment.
-        let pink_meta_segments = pairs * (self.key_len + 6);
+        let pink_meta_segments = pairs * (self.key_len + SEG_ENTRY_OVERHEAD);
         let segments = pink_meta_segments.div_ceil(self.page_payload);
-        let pink_level_lists = segments * (self.key_len + 5);
+        let pink_level_lists = segments * (self.key_len + LIST_ENTRY_OVERHEAD);
 
         // AnyKey: groups of `group_pages` pages; one level-list entry per
-        // group: smallest key + PPA + 2 B prefix and 2 collision bits per
-        // page + bookkeeping.
+        // group.
         let group_bytes = self.group_pages * self.page_payload;
         let groups = self.capacity_bytes.div_ceil(group_bytes);
-        let entry = self.key_len + 4 + 2 * self.group_pages + self.group_pages.div_ceil(4) + 16;
-        let anykey_level_lists = groups * entry;
+        let anykey_level_lists = groups * level_list_entry_bytes(self.key_len, self.group_pages);
 
         // Hash lists fill whatever DRAM remains (Section 4.2).
-        let hash_full = pairs * 4;
+        let hash_full = pairs * HASH_ENTRY_BYTES;
         let remaining = self.dram_bytes.saturating_sub(anykey_level_lists);
         let anykey_hash_lists = hash_full.min(remaining);
 

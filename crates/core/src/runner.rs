@@ -477,45 +477,53 @@ mod tests {
 
     #[test]
     fn run_traced_report_matches_untraced_run() {
-        let build = || {
-            DeviceConfig::builder()
-                .capacity_bytes(64 << 20)
-                .engine(EngineKind::AnyKey)
-                .key_len(20)
-                .build()
-                .build_engine()
-        };
-        let w = spec::by_name("Dedup").unwrap();
-        let mut a = build();
-        warm_up(a.as_mut(), w, 10_000, 9).unwrap();
-        let ops = OpStreamBuilder::new(w, 10_000).seed(10).build();
-        let plain = run(a.as_mut(), ops, 1_000, DEFAULT_QUEUE_DEPTH).unwrap();
+        for kind in [EngineKind::AnyKey, EngineKind::Pink] {
+            let build = || {
+                DeviceConfig::builder()
+                    .capacity_bytes(64 << 20)
+                    .engine(kind)
+                    .key_len(20)
+                    .build()
+                    .build_engine()
+            };
+            let w = spec::by_name("Dedup").unwrap();
+            let mut a = build();
+            warm_up(a.as_mut(), w, 10_000, 9).unwrap();
+            let ops = OpStreamBuilder::new(w, 10_000).seed(10).build();
+            let plain = run(a.as_mut(), ops, 1_000, DEFAULT_QUEUE_DEPTH).unwrap();
 
-        let mut b = build();
-        warm_up(b.as_mut(), w, 10_000, 9).unwrap();
-        let ops = OpStreamBuilder::new(w, 10_000).seed(10).build();
-        let (traced, events, _) =
-            run_with(b.as_mut(), ops, 1_000, DEFAULT_QUEUE_DEPTH, true, None).unwrap();
-        let events = events.unwrap();
+            let mut b = build();
+            warm_up(b.as_mut(), w, 10_000, 9).unwrap();
+            let ops = OpStreamBuilder::new(w, 10_000).seed(10).build();
+            let (traced, events, _) =
+                run_with(b.as_mut(), ops, 1_000, DEFAULT_QUEUE_DEPTH, true, None).unwrap();
+            let events = events.unwrap();
 
-        // Tracing is pure observation: identical timings either way.
-        assert_eq!(traced.ops, plain.ops);
-        assert_eq!(traced.start, plain.start);
-        assert_eq!(traced.end, plain.end);
-        assert_eq!(traced.reads.total(), plain.reads.total());
-        assert_eq!(traced.writes.total(), plain.writes.total());
+            // Tracing is pure observation: identical timings either way.
+            assert_eq!(traced.ops, plain.ops, "{kind:?}: op count changed");
+            assert_eq!(traced.start, plain.start, "{kind:?}");
+            assert_eq!(traced.end, plain.end, "{kind:?}: virtual end changed");
+            assert_eq!(traced.reads.total(), plain.reads.total(), "{kind:?}");
+            assert_eq!(traced.writes.total(), plain.writes.total(), "{kind:?}");
 
-        // One request event per op, and the stream is timestamp-sorted.
-        let requests = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Request { .. }))
-            .count() as u64;
-        assert_eq!(requests, traced.ops);
-        assert!(events.windows(2).all(|w| w[0].ts() <= w[1].ts()));
-        // Flash-op events appear too.
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::FlashOp { .. })));
+            // One request event per op, and the stream is timestamp-sorted.
+            let requests = events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Request { .. }))
+                .count() as u64;
+            assert_eq!(requests, traced.ops, "{kind:?}: one request event per op");
+            assert!(
+                events.windows(2).all(|w| w[0].ts() <= w[1].ts()),
+                "{kind:?}"
+            );
+            // Flash-op events appear too.
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::FlashOp { .. })),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]
