@@ -24,10 +24,10 @@
 use std::collections::BTreeMap;
 
 use anykey::core::runner::DEFAULT_QUEUE_DEPTH;
-use anykey::core::{run, DeviceConfig, EngineKind, KvEngine};
+use anykey::core::{run, run_with, DeviceConfig, EngineKind, KvEngine};
 use anykey::metrics::summary::{self, ParsedSummary, DEFAULT_WALL_BAND, WALL_FIELDS};
 use anykey::metrics::timeline::{self as tl, write_jsonl};
-use anykey::metrics::trace;
+use anykey::metrics::trace::{self, TraceEvent};
 use anykey::workload::{spec, OpStreamBuilder};
 use anykey_bench::common::{ExpCtx, Scale};
 use anykey_bench::scheduler::{build_summary, run_points, Point, RunKind};
@@ -336,6 +336,32 @@ fn engine_without_tracing_yields_no_events() {
             dev.take_trace().is_empty(),
             "{kind:?} recorded events without set_tracing(true)"
         );
+    }
+}
+
+#[test]
+fn traced_run_report_matches_untraced_run() {
+    for kind in [EngineKind::AnyKey, EngineKind::Pink] {
+        let mk_ops = || {
+            OpStreamBuilder::new(spec::ALL[1], 500)
+                .seed(9)
+                .build()
+                .take(300)
+        };
+        let mut a = tiny_engine(kind);
+        let plain = run(a.as_mut(), mk_ops(), 300, DEFAULT_QUEUE_DEPTH).expect("plain run");
+        let mut b = tiny_engine(kind);
+        let (traced, events, _) =
+            run_with(b.as_mut(), mk_ops(), 300, DEFAULT_QUEUE_DEPTH, true, None)
+                .expect("traced run");
+        let events = events.expect("trace requested");
+        assert_eq!(plain.ops, traced.ops, "{kind:?}: op count changed");
+        assert_eq!(plain.end, traced.end, "{kind:?}: virtual end changed");
+        let requests = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Request { .. }))
+            .count();
+        assert_eq!(requests as u64, traced.ops, "one request event per op");
     }
 }
 
