@@ -3,6 +3,7 @@
 
 use std::path::{Path, PathBuf};
 
+use anykey_core::pink::segment::SEG_ENTRY_OVERHEAD;
 use anykey_core::{DeviceConfig, EngineKind};
 use anykey_metrics::report::fmt_ns;
 use anykey_metrics::{Csv, Table};
@@ -55,10 +56,11 @@ impl Scale {
 
     /// Effective fill fraction for a workload: the paper fills the device,
     /// so we target ~90% of PinK's analytic full point (PinK stores an
-    /// extra `(key+6)`-byte meta copy per pair), capped by `fill` so the
-    /// AnyKey variants' group area also fits.
+    /// extra `key + SEG_ENTRY_OVERHEAD`-byte meta copy per pair), capped by
+    /// `fill` so the AnyKey variants' group area also fits.
     pub fn fill_for(&self, spec: WorkloadSpec) -> f64 {
-        let meta_ratio = (spec.key_len as f64 + 6.0) / spec.pair_bytes() as f64;
+        let meta_bytes = u64::from(spec.key_len) + SEG_ENTRY_OVERHEAD;
+        let meta_ratio = meta_bytes as f64 / spec.pair_bytes() as f64;
         (0.72 / (1.0 + meta_ratio)).min(self.fill)
     }
 
@@ -70,6 +72,15 @@ impl Scale {
     /// Number of measured operations for a workload.
     pub fn measured_ops(&self, spec: WorkloadSpec) -> u64 {
         ((self.capacity as f64 * self.ops_factor) / spec.pair_bytes() as f64) as u64
+    }
+
+    /// The device DRAM every standard configuration gets at this capacity
+    /// ([`DeviceConfig`]'s default).
+    pub fn dram_bytes(&self) -> u64 {
+        DeviceConfig::builder()
+            .capacity_bytes(self.capacity)
+            .build()
+            .dram_bytes
     }
 
     /// The standard device configuration for one system under one

@@ -40,7 +40,7 @@ pub fn points(ctx: &ExpCtx) -> Vec<Point> {
                 kind,
                 w,
                 RunKind::Measure(MeasureSpec {
-                    cfg: Some(cfg),
+                    cfg: Some(Box::new(cfg)),
                     ..Default::default()
                 }),
             ));

@@ -39,7 +39,7 @@ pub fn points(ctx: &ExpCtx) -> Vec<Point> {
                 EngineKind::AnyKeyPlus,
                 w,
                 RunKind::Measure(MeasureSpec {
-                    cfg: Some(cfg),
+                    cfg: Some(Box::new(cfg)),
                     ..Default::default()
                 }),
             ));

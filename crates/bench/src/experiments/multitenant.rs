@@ -44,7 +44,7 @@ pub fn points(ctx: &ExpCtx) -> Vec<Point> {
                 kind,
                 w,
                 RunKind::Measure(MeasureSpec {
-                    cfg: Some(cfg),
+                    cfg: Some(Box::new(cfg)),
                     keyspace: Some(keyspace),
                     ops: Some(ops),
                     seed_salt: 0x7E4A,

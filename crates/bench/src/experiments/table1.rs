@@ -44,7 +44,7 @@ pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
                 "table1",
                 kind,
                 spec,
-                RunKind::WarmUpOnly { cfg: None },
+                RunKind::WarmUpOnly,
             ));
         }
     }
@@ -87,7 +87,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         format!(
             "Table 1 (measured @ {}MB device, {}KB DRAM)",
             ctx.scale.capacity >> 20,
-            (ctx.scale.capacity / 1024) >> 10
+            ctx.scale.dram_bytes() >> 10
         ),
         &[
             "v/k",

@@ -158,7 +158,7 @@ fn main() {
     println!(
         "# AnyKey reproduction harness — capacity {} MiB, DRAM {} KiB (0.1%), fill {:.0}%, seed {}\n",
         ctx.scale.capacity >> 20,
-        (ctx.scale.capacity / 1024) >> 10,
+        ctx.scale.dram_bytes() >> 10,
         ctx.scale.fill * 100.0,
         ctx.scale.seed
     );

@@ -16,7 +16,7 @@ use anykey_metrics::{timeline, trace, StateSample, TraceEvent};
 
 use crate::common::ExpCtx;
 use crate::experiments::{self, Experiment};
-use crate::scheduler::{build_summary, run_points, Point, PointResult, SchedulerRun};
+use crate::scheduler::{build_summary, run_points, Point, SchedulerRun};
 
 /// A completed sweep over one or more experiments.
 #[derive(Debug)]
@@ -90,25 +90,18 @@ impl Sweep {
 
     /// Each unique simulation's trace (its representative point only), in
     /// declaration order.
-    pub fn traces(&self) -> Vec<(String, Vec<TraceEvent>)> {
-        self.named(|r| r.trace.as_ref())
+    pub fn traces(&self) -> Vec<(&str, &[TraceEvent])> {
+        let results = self.points.iter().zip(&self.run.results);
+        let traced = results.filter_map(|(p, r)| Some((p.key.as_str(), r.trace.as_deref()?)));
+        traced.collect()
     }
 
     /// Each unique simulation's timeline (its representative point only),
     /// in declaration order.
-    pub fn timelines(&self) -> Vec<(String, Vec<StateSample>)> {
-        self.named(|r| r.timeline.as_ref())
-    }
-
-    fn named<T: Clone>(
-        &self,
-        capture: impl Fn(&PointResult) -> Option<&Vec<T>>,
-    ) -> Vec<(String, Vec<T>)> {
-        self.points
-            .iter()
-            .zip(&self.run.results)
-            .filter_map(|(p, r)| capture(r).map(|c| (p.key.clone(), c.clone())))
-            .collect()
+    pub fn timelines(&self) -> Vec<(&str, &[StateSample])> {
+        let results = self.points.iter().zip(&self.run.results);
+        let sampled = results.filter_map(|(p, r)| Some((p.key.as_str(), r.timeline.as_deref()?)));
+        sampled.collect()
     }
 
     /// Writes [`Self::traces`] to `path`, as Chrome trace-event JSON when

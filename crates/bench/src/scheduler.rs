@@ -52,7 +52,7 @@ pub struct MeasureSpec {
     /// Optional scan mix: `(scan_ratio, scan_len)`.
     pub scans: Option<(f64, u32)>,
     /// Device-config override; `None` uses the standard scale config.
-    pub cfg: Option<DeviceConfig>,
+    pub cfg: Option<Box<DeviceConfig>>,
     /// Warm-up keyspace override; `None` derives it from the scale.
     pub keyspace: Option<u64>,
     /// Measured-op-count override; `None` derives it from the scale.
@@ -81,10 +81,7 @@ pub enum RunKind {
     /// Warm up to the scale keyspace, then drive a measured phase.
     Measure(MeasureSpec),
     /// Warm up only and snapshot metadata (Table 1's measured columns).
-    WarmUpOnly {
-        /// Device-config override; `None` uses the standard scale config.
-        cfg: Option<DeviceConfig>,
-    },
+    WarmUpOnly,
     /// Insert unique pairs until the device reports full (Figure 14).
     FillUntilFull,
 }
@@ -243,24 +240,28 @@ pub fn run_points(ctx: &ExpCtx, points: &[Point], jobs: usize) -> SchedulerRun {
         }
     });
 
-    // Fan results back out to every requesting point; only the first
-    // (representative) point of each slot keeps the trace events, so a
-    // trace file lists each unique simulation exactly once, in declaration
-    // order, independent of `--jobs`.
-    let mut first = vec![true; unique.len()];
+    // Fan results back out to every requesting point; the first
+    // (representative) point of each slot takes its captures, so a trace
+    // file lists each unique simulation exactly once, in declaration
+    // order, independent of `--jobs`, and no capture is ever copied.
+    let mut slots: Vec<PointResult> = slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("scheduler slot poisoned")
+                .expect("scheduler slot not filled")
+        })
+        .collect();
     let results = assign
         .iter()
         .map(|&slot| {
-            let mut r = slots[slot]
-                .lock()
-                .expect("scheduler slot poisoned")
-                .clone()
-                .expect("scheduler slot not filled");
-            if !std::mem::replace(&mut first[slot], false) {
-                r.trace = None;
-                r.timeline = None;
+            let r = &mut slots[slot];
+            let (trace, timeline) = (r.trace.take(), r.timeline.take());
+            PointResult {
+                trace,
+                timeline,
+                ..r.clone()
             }
-            r
         })
         .collect();
 
@@ -277,7 +278,7 @@ pub fn execute_point(ctx: &ExpCtx, point: &Point) -> PointResult {
     let t0 = Instant::now();
     let r = match &point.run {
         RunKind::Measure(m) => execute_measure(ctx, point, m),
-        RunKind::WarmUpOnly { cfg } => execute_warm_up(ctx, point, cfg.clone()),
+        RunKind::WarmUpOnly => execute_warm_up(ctx, point),
         RunKind::FillUntilFull => execute_fill(ctx, point),
     };
     PointResult {
@@ -286,21 +287,17 @@ pub fn execute_point(ctx: &ExpCtx, point: &Point) -> PointResult {
     }
 }
 
+/// The point's write amplification over the minimal pages for the host
+/// bytes it wrote: the measured PUT/DELETE stream when there was one, the
+/// live unique bytes (as that many 1-byte writes) for fill and warm-up
+/// points.
 fn waf_of(report: &RunReport, meta: &MetadataStats, spec: WorkloadSpec, cfg: &DeviceConfig) -> f64 {
-    let payload = u64::from(cfg.page_payload()).max(1);
-    // Minimal pages for the host bytes this point wrote: the measured
-    // PUT/DELETE stream when there was one, the live unique bytes for
-    // fill/warm-up points.
-    let host_bytes = if report.writes.count() > 0 {
-        report.writes.count() * spec.pair_bytes()
-    } else {
-        meta.live_unique_bytes
+    let (ops, bytes) = match report.writes.count() {
+        0 => (meta.live_unique_bytes, 1),
+        n => (n, spec.pair_bytes()),
     };
-    let denom = host_bytes.div_ceil(payload);
-    if denom == 0 {
-        return 0.0;
-    }
-    report.counters.total_writes() as f64 / denom as f64
+    let payload = u64::from(cfg.page_payload());
+    waf_from(report.counters.total_writes(), ops, bytes, payload)
 }
 
 impl PointResult {
@@ -345,7 +342,8 @@ fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> PointResult 
     let spec = point.spec;
     let cfg = m
         .cfg
-        .clone()
+        .as_deref()
+        .cloned()
         .unwrap_or_else(|| ctx.scale.device(point.kind, spec));
     let base_keyspace = m.keyspace.unwrap_or_else(|| ctx.scale.keyspace(spec));
     let n = m.ops.unwrap_or_else(|| ctx.scale.measured_ops(spec));
@@ -412,9 +410,9 @@ fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> PointResult 
     );
 }
 
-fn execute_warm_up(ctx: &ExpCtx, point: &Point, cfg: Option<DeviceConfig>) -> PointResult {
+fn execute_warm_up(ctx: &ExpCtx, point: &Point) -> PointResult {
     let spec = point.spec;
-    let cfg = cfg.unwrap_or_else(|| ctx.scale.device(point.kind, spec));
+    let cfg = ctx.scale.device(point.kind, spec);
     let mut dev = cfg.build_engine();
     let keyspace = ctx.scale.keyspace(spec);
     warm_up(dev.as_mut(), spec, keyspace, ctx.scale.seed).expect("warm-up-only point failed");

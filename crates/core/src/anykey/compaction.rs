@@ -1,5 +1,6 @@
-//! Flush, tree-triggered and log-triggered compaction (paper Sections
-//! 4.4.2–4.4.3 and the Section 4.7 AnyKey+ enhancement).
+//! Tree-triggered and log-triggered compaction (paper Sections 4.4.2–4.4.3
+//! and the Section 4.7 AnyKey+ enhancement), behind the flush of
+//! `AnyKeyStore`'s engine hooks.
 
 use anykey_flash::{Ns, OpCause, Ppa};
 
@@ -23,67 +24,6 @@ pub(crate) enum InlinePolicy {
 }
 
 impl AnyKeyStore {
-    /// Flushes the write buffer into L1 (an L0→L1 compaction), securing
-    /// value-log space first and cascading tree compactions afterwards.
-    pub(crate) fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
-        if self.core.buffer.is_empty() {
-            return Ok(at);
-        }
-        let snap = self.core.span_snapshot();
-        let mut t = self.gc_for_headroom(at, 0)?;
-
-        // Secure log space for the incoming values (log-triggered
-        // compaction trigger, Section 4.4.3).
-        let need = self.core.buffer.pending_value_bytes();
-        if self.log.is_some() && need > 0 {
-            let mut rounds = 0usize;
-            while self.log.as_ref().is_some_and(|l| l.would_overflow(need)) {
-                // Each round inlines the logged values of at least one
-                // level, so a log that still overflows after more rounds
-                // than there are levels (plus slack) cannot be relieved.
-                rounds += 1;
-                if rounds > self.levels.len() + 2 {
-                    return Err(KvError::DeviceFull);
-                }
-                t = self.log_triggered_compaction(t)?;
-            }
-        }
-
-        // Assemble entities; values go to the value log first (Section
-        // 4.4.2), or inline for AnyKey−.
-        let entries = self.core.buffer.drain();
-        let mut ents = Vec::with_capacity(entries.len());
-        let mut t_log = t;
-        for (key, be) in entries {
-            let loc = match self.log.as_mut() {
-                Some(log) if !be.tombstone && be.value_len > 0 => {
-                    let (ptr, done) =
-                        log.append(&mut self.core.flash, u64::from(be.value_len), t)?;
-                    t_log = t_log.max(done);
-                    ValueLoc::Logged(ptr)
-                }
-                _ => ValueLoc::Inline,
-            };
-            ents.push(Entity {
-                key,
-                hash: key.hash32(),
-                value_len: be.value_len,
-                loc,
-                tombstone: be.tombstone,
-            });
-        }
-        let t_ack = self.compact(Source::Flush(ents), 0, InlinePolicy::Keep, t_log)?;
-        // Deeper tree compactions run pipelined in the background: they
-        // consume chip time (and therefore delay future flushes through
-        // the background queues), but the buffer is available again once
-        // the L0->L1 merge lands.
-        self.maintain(t_ack)?;
-        self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
-        #[cfg(debug_assertions)]
-        self.audit()?;
-        Ok(t_ack)
-    }
-
     /// Cascades tree-triggered compactions while any level exceeds its
     /// threshold.
     pub(crate) fn maintain(&mut self, at: Ns) -> Result<Ns, KvError> {
@@ -160,7 +100,7 @@ impl AnyKeyStore {
         // "compaction chain" of Figure 9a.
         let done = self.maintain(t)?;
         #[cfg(debug_assertions)]
-        self.audit()?;
+        self.audit_built()?;
         Ok(done)
     }
 

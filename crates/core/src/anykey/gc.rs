@@ -132,7 +132,7 @@ impl AnyKeyStore {
         )?);
         self.core.push_span(snap, "gc", "relocate", 0, at, done);
         #[cfg(debug_assertions)]
-        self.audit()?;
+        self.audit_built()?;
         Ok(done)
     }
 }

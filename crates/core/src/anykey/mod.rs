@@ -1,6 +1,6 @@
 //! The AnyKey engine (paper Sections 4.1–4.7).
 
-/// Flush and tree/log-triggered compaction.
+/// Tree- and log-triggered compaction.
 pub mod compaction;
 /// Entities: key, hash, and value location.
 pub mod entity;
@@ -13,20 +13,20 @@ pub mod level;
 #[cfg(test)]
 mod tests;
 
-use anykey_flash::{BlockAllocator, FlashCounters, Ns, OpCause, Ppa};
+use anykey_flash::{BlockAllocator, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
-use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
-use anykey_workload::Op;
 
 use crate::audit::AuditError;
 use crate::bytelog::ByteLog;
-use crate::config::{DeviceConfig, EngineKind, DRAM_OP_NS, HASH_NS, LEVEL_RATIO};
-use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
-use crate::engine::{KvEngine, MetadataStats, OpOutcome};
+use crate::config::{DeviceConfig, EngineKind, HASH_NS, LEVEL_RATIO};
+use crate::device::{DeviceCore, ScanCand, Source};
+use crate::engine::{Engine, MetadataStats, Request};
 use crate::error::KvError;
+use crate::key::Key;
 use crate::pagearea::PageArea;
 
-use entity::ValueLoc;
+use compaction::InlinePolicy;
+use entity::{Entity, ValueLoc};
 use level::Level;
 
 /// The AnyKey key-value SSD (also AnyKey+ and AnyKey− via
@@ -91,184 +91,6 @@ impl AnyKeyStore {
         self.core.cfg.engine == EngineKind::AnyKeyPlus
     }
 
-    fn do_put(
-        &mut self,
-        id: u64,
-        value_len: u32,
-        tombstone: bool,
-        at: Ns,
-    ) -> Result<OpOutcome, KvError> {
-        let key = self.core.make_key(id)?;
-        let start = self.core.buffer_put(key, value_len, tombstone, at);
-        if let Some(start) = start {
-            self.core.flush_done = self.flush(start)?;
-        }
-        let cpu = HASH_NS + DRAM_OP_NS;
-        Ok(put_outcome(at, start, cpu))
-    }
-
-    fn do_get(&mut self, id: u64, at: Ns) -> Result<OpOutcome, KvError> {
-        let key = self.core.make_key(id)?;
-        let hash = key.hash32();
-        let mut t = at + HASH_NS;
-        let mut reads = 0u32;
-        let mut phases = PhaseBreakdown {
-            engine: HASH_NS,
-            ..PhaseBreakdown::default()
-        };
-
-        if let Some(e) = self.core.buffer.get(&key) {
-            let done = t + DRAM_OP_NS;
-            phases.engine += DRAM_OP_NS;
-            return Ok(outcome(at, done, !e.tombstone, 0, phases));
-        }
-
-        for li in 0..self.levels.len() {
-            let Some(gi) = self.levels[li].candidate(key) else {
-                continue;
-            };
-            // Hash-list check (free when resident; Section 4.2).
-            let g = &self.levels[li].groups[gi];
-            if g.hash_list_resident && !g.content.contains_hash(hash) {
-                continue;
-            }
-            // Read the routed page, walking backwards over 16-bit prefix
-            // ambiguity and cross-page hash collisions (Figure 7).
-            let layout = g.content.layout();
-            let mut p = g.content.route_page(hash);
-            loop {
-                let before = t;
-                t = self
-                    .core
-                    .flash
-                    .read(g.data_ppa(p), OpCause::HostRead, t)
-                    .done;
-                phases.data_read += t - before;
-                reads += 1;
-                if let Some(i) = g.content.search_page(p, hash, key) {
-                    let e = &g.content.ents[i];
-                    // Inline values may spill into following pages.
-                    let span = usize::from(layout.span[i]);
-                    reads += span as u32;
-                    let before = t;
-                    let spilled = (p + 1..=p + span).map(|i| g.data_ppa(i));
-                    t = self.core.flash.read_many(spilled, OpCause::HostRead, t);
-                    phases.data_read += t - before;
-                    if e.tombstone {
-                        return Ok(outcome(at, t, false, reads, phases));
-                    }
-                    let done = match e.loc {
-                        ValueLoc::Inline => t,
-                        ValueLoc::Logged(ptr) => {
-                            reads += ptr.pages as u32;
-                            let d = self.core.flash.read_many(ptr.pages(), OpCause::LogRead, t);
-                            phases.log_read += d - t;
-                            d
-                        }
-                    };
-                    return Ok(outcome(at, done, true, reads, phases));
-                }
-                let first = layout.page_first_hash[p];
-                if p > 0 && (hash < first || (hash == first && layout.collision[p].continued_prev))
-                {
-                    p -= 1;
-                    continue;
-                }
-                break;
-            }
-        }
-        let done = t + DRAM_OP_NS;
-        phases.engine += DRAM_OP_NS;
-        Ok(outcome(at, done, false, reads, phases))
-    }
-
-    fn do_scan(
-        &mut self,
-        start_id: u64,
-        len: u32,
-        at: Ns,
-    ) -> Result<(Vec<u64>, OpOutcome), KvError> {
-        let start = self.core.make_key(start_id)?;
-        // Candidates carry their data page and value location; the index
-        // pages are the group directory pages the collection walked
-        // (Section 4.4.5).
-        let (levels, page_payload) = (&self.levels, self.core.page_payload);
-        let plan = self.core.scan(
-            start,
-            len as usize,
-            levels.len(),
-            |li, budget, cands, pages| {
-                let level = &levels[li];
-                let mut taken = 0usize;
-                // Groups hold disjoint, ascending key ranges, so only the
-                // first group visited can hold keys below `start`.
-                let first = level.scan_start(start);
-                let mut gi = first;
-                while taken < budget && gi < level.groups.len() {
-                    let g = &level.groups[gi];
-                    let from = if gi == first {
-                        g.content.dir_lower_bound(start)
-                    } else {
-                        0
-                    };
-                    let ents = &g.content.ents;
-                    if from < ents.len() {
-                        pages.push(g.dir_ppa(from, page_payload));
-                    }
-                    let page_of = &g.content.layout().page_of;
-                    for (e, &p) in ents[from..]
-                        .iter()
-                        .zip(&page_of[from..])
-                        .take(budget - taken)
-                    {
-                        cands.push(ScanCand {
-                            key: e.key,
-                            tombstone: e.tombstone,
-                            payload: (g.data_ppa(p as usize), e.loc),
-                        });
-                        taken += 1;
-                    }
-                    gi += 1;
-                }
-                Ok(taken)
-            },
-        )?;
-
-        // Flash timing: directory pages first, then data + log pages.
-        let t0 = at + HASH_NS;
-        let mut phases = PhaseBreakdown {
-            engine: HASH_NS,
-            ..PhaseBreakdown::default()
-        };
-        let (t, dir_reads) = self.core.read_set(plan.index_pages, OpCause::HostRead, t0);
-        phases.data_read += t - t0;
-        let mut data_ppas: Vec<Ppa> = Vec::new();
-        let mut log_ppas: Vec<Ppa> = Vec::new();
-        for &(_, payload) in &plan.hits {
-            if let Some((data_ppa, loc)) = payload {
-                data_ppas.push(data_ppa);
-                if let ValueLoc::Logged(ptr) = loc {
-                    log_ppas.extend(ptr.pages());
-                }
-            }
-        }
-        let (t_data, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
-        let (t_log, log_reads) = self.core.read_set(log_ppas, OpCause::LogRead, t);
-        let done = t_data.max(t_log);
-        // Data and log reads overlap; attribute the critical path — data
-        // reads in full, log reads only for the tail they add past them —
-        // so the phases still sum exactly to the latency.
-        phases.data_read += t_data - t;
-        phases.log_read += done - t_data;
-        Ok(scan_outcome(
-            &plan.hits,
-            at,
-            done,
-            dir_reads + data_reads + log_reads,
-            phases,
-        ))
-    }
-
     /// Recomputes DRAM placement: level lists are mandatory; hash lists are
     /// granted top level first until the metadata budget runs out
     /// (Section 4.2).
@@ -316,28 +138,215 @@ impl AnyKeyStore {
     }
 }
 
-impl KvEngine for AnyKeyStore {
-    fn kind(&self) -> EngineKind {
-        self.core.cfg.engine
+impl Engine for AnyKeyStore {
+    const HASH_NS: Ns = HASH_NS;
+
+    fn core(&self) -> &DeviceCore {
+        &self.core
     }
 
-    fn execute(&mut self, op: &Op, at: Ns) -> Result<OpOutcome, KvError> {
-        match *op {
-            Op::Get { key } => self.do_get(key, at),
-            Op::Put { key, value_len } => self.do_put(key, value_len, false, at),
-            Op::Delete { key } => self.do_put(key, 0, true, at),
-            Op::Scan { start, len } => self.do_scan(start, len, at).map(|(_, o)| o),
+    fn core_mut(&mut self) -> &mut DeviceCore {
+        &mut self.core
+    }
+
+    fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool> {
+        let hash = key.hash32();
+        for li in 0..self.levels.len() {
+            let Some(gi) = self.levels[li].candidate(key) else {
+                continue;
+            };
+            // Hash-list check (free when resident; Section 4.2).
+            let g = &self.levels[li].groups[gi];
+            if g.hash_list_resident && !g.content.contains_hash(hash) {
+                continue;
+            }
+            // Read the routed page, walking backwards over 16-bit prefix
+            // ambiguity and cross-page hash collisions (Figure 7).
+            let layout = g.content.layout();
+            let mut p = g.content.route_page(hash);
+            loop {
+                let before = req.t;
+                req.t = self
+                    .core
+                    .flash
+                    .read(g.data_ppa(p), OpCause::HostRead, req.t)
+                    .done;
+                req.phases.data_read += req.t - before;
+                req.reads += 1;
+                if let Some(i) = g.content.search_page(p, hash, key) {
+                    let e = &g.content.ents[i];
+                    // Inline values may spill into following pages.
+                    let span = usize::from(layout.span[i]);
+                    req.reads += span as u32;
+                    let before = req.t;
+                    let spilled = (p + 1..=p + span).map(|i| g.data_ppa(i));
+                    req.t = self.core.flash.read_many(spilled, OpCause::HostRead, req.t);
+                    req.phases.data_read += req.t - before;
+                    if e.tombstone {
+                        return Some(false);
+                    }
+                    if let ValueLoc::Logged(ptr) = e.loc {
+                        req.reads += ptr.pages as u32;
+                        let d = self
+                            .core
+                            .flash
+                            .read_many(ptr.pages(), OpCause::LogRead, req.t);
+                        req.phases.log_read += d - req.t;
+                        req.t = d;
+                    }
+                    return Some(true);
+                }
+                let first = layout.page_first_hash[p];
+                if p > 0 && (hash < first || (hash == first && layout.collision[p].continued_prev))
+                {
+                    p -= 1;
+                    continue;
+                }
+                break;
+            }
         }
+        None
     }
 
-    fn scan_keys(&mut self, start: u64, len: u32, at: Ns) -> (Vec<u64>, OpOutcome) {
-        // An ill-formed start key cannot match any stored key, so the scan
-        // is empty rather than a panic.
-        self.do_scan(start, len, at)
-            .unwrap_or_else(|_| (Vec::new(), empty_outcome(at)))
+    fn scan_levels(
+        &mut self,
+        start: Key,
+        len: u32,
+        req: &mut Request,
+    ) -> Result<Vec<u64>, KvError> {
+        // Candidates carry their data page and value location; the index
+        // pages are the group directory pages the collection walked
+        // (Section 4.4.5).
+        let (levels, page_payload) = (&self.levels, self.core.page_payload);
+        let plan = self.core.scan(
+            start,
+            len as usize,
+            levels.len(),
+            |li, budget, cands, pages| {
+                let level = &levels[li];
+                let mut taken = 0usize;
+                // Groups hold disjoint, ascending key ranges, so only the
+                // first group visited can hold keys below `start`.
+                let first = level.scan_start(start);
+                let mut gi = first;
+                while taken < budget && gi < level.groups.len() {
+                    let g = &level.groups[gi];
+                    let from = if gi == first {
+                        g.content.dir_lower_bound(start)
+                    } else {
+                        0
+                    };
+                    let ents = &g.content.ents;
+                    if from < ents.len() {
+                        pages.push(g.dir_ppa(from, page_payload));
+                    }
+                    let page_of = &g.content.layout().page_of;
+                    for (e, &p) in ents[from..]
+                        .iter()
+                        .zip(&page_of[from..])
+                        .take(budget - taken)
+                    {
+                        cands.push(ScanCand {
+                            key: e.key,
+                            tombstone: e.tombstone,
+                            payload: (g.data_ppa(p as usize), e.loc),
+                        });
+                        taken += 1;
+                    }
+                    gi += 1;
+                }
+                Ok(taken)
+            },
+        )?;
+
+        // Flash timing: directory pages first, then data + log pages.
+        let t0 = req.t;
+        let (t, dir_reads) = self.core.read_set(plan.index_pages, OpCause::HostRead, t0);
+        req.phases.data_read += t - t0;
+        let mut data_ppas: Vec<Ppa> = Vec::new();
+        let mut log_ppas: Vec<Ppa> = Vec::new();
+        for &(_, payload) in &plan.hits {
+            if let Some((data_ppa, loc)) = payload {
+                data_ppas.push(data_ppa);
+                if let ValueLoc::Logged(ptr) = loc {
+                    log_ppas.extend(ptr.pages());
+                }
+            }
+        }
+        let (t_data, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
+        let (t_log, log_reads) = self.core.read_set(log_ppas, OpCause::LogRead, t);
+        req.t = t_data.max(t_log);
+        // Data and log reads overlap; attribute the critical path — data
+        // reads in full, log reads only for the tail they add past them —
+        // so the phases still sum exactly to the latency.
+        req.phases.data_read += t_data - t;
+        req.phases.log_read += req.t - t_data;
+        req.reads += dir_reads + data_reads + log_reads;
+        Ok(plan.hits.iter().map(|(k, _)| k.id()).collect())
     }
 
-    fn metadata(&self) -> MetadataStats {
+    /// Flushes the write buffer into L1 (an L0→L1 compaction), securing
+    /// value-log space first and cascading tree compactions afterwards.
+    fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
+        if self.core.buffer.is_empty() {
+            return Ok(at);
+        }
+        let snap = self.core.span_snapshot();
+        let mut t = self.gc_for_headroom(at, 0)?;
+
+        // Secure log space for the incoming values (log-triggered
+        // compaction trigger, Section 4.4.3).
+        let need = self.core.buffer.pending_value_bytes();
+        if self.log.is_some() && need > 0 {
+            let mut rounds = 0usize;
+            while self.log.as_ref().is_some_and(|l| l.would_overflow(need)) {
+                // Each round inlines the logged values of at least one
+                // level, so a log that still overflows after more rounds
+                // than there are levels (plus slack) cannot be relieved.
+                rounds += 1;
+                if rounds > self.levels.len() + 2 {
+                    return Err(KvError::DeviceFull);
+                }
+                t = self.log_triggered_compaction(t)?;
+            }
+        }
+
+        // Assemble entities; values go to the value log first (Section
+        // 4.4.2), or inline for AnyKey−.
+        let entries = self.core.buffer.drain();
+        let mut ents = Vec::with_capacity(entries.len());
+        let mut t_log = t;
+        for (key, be) in entries {
+            let loc = match self.log.as_mut() {
+                Some(log) if !be.tombstone && be.value_len > 0 => {
+                    let (ptr, done) =
+                        log.append(&mut self.core.flash, u64::from(be.value_len), t)?;
+                    t_log = t_log.max(done);
+                    ValueLoc::Logged(ptr)
+                }
+                _ => ValueLoc::Inline,
+            };
+            ents.push(Entity {
+                key,
+                hash: key.hash32(),
+                value_len: be.value_len,
+                loc,
+                tombstone: be.tombstone,
+            });
+        }
+        let t_ack = self.compact(Source::Flush(ents), 0, InlinePolicy::Keep, t_log)?;
+        // Deeper tree compactions run pipelined in the background: they
+        // consume chip time (and therefore delay future flushes through
+        // the background queues), but the buffer is available again once
+        // the L0->L1 merge lands.
+        self.maintain(t_ack)?;
+        self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
+        #[cfg(debug_assertions)]
+        self.audit_built()?;
+        Ok(t_ack)
+    }
+
+    fn stats(&self) -> MetadataStats {
         let level_list_bytes: u64 = self.levels.iter().map(Level::meta_bytes).sum();
         let (mut hash_list_total, mut hash_list_resident) = (0u64, 0u64);
         for g in self.levels.iter().flat_map(|l| &l.groups) {
@@ -368,16 +377,10 @@ impl KvEngine for AnyKeyStore {
         }
     }
 
-    fn sample_state(&self) -> StateSample {
-        let meta = self.metadata();
+    fn sample_levels(&self, meta: &MetadataStats) -> StateSample {
         let log_capacity = self.log.as_ref().map_or(0, ByteLog::capacity_bytes);
         let log_free = self.log.as_ref().map_or(0, ByteLog::free_bytes);
         StateSample {
-            group_count: self
-                .levels
-                .iter()
-                .map(|l| l.groups.len() as u64)
-                .sum::<u64>(),
             value_log_stale_bytes: log_capacity
                 .saturating_sub(meta.value_log_used_bytes)
                 .saturating_sub(log_free),
@@ -393,35 +396,16 @@ impl KvEngine for AnyKeyStore {
                     meta_bytes: l.meta_bytes(),
                 })
                 .collect(),
-            ..self.core.sample_state(&meta)
+            ..self.core.sample_state(meta)
         }
     }
 
-    fn counters(&self) -> FlashCounters {
-        self.core.counters()
-    }
-
-    fn reset_counters(&mut self) {
-        self.core.reset_counters();
-    }
-
-    fn horizon(&self) -> Ns {
-        self.core.horizon()
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.core.capacity_bytes()
-    }
-
-    fn check_invariants(&self) -> Result<(), AuditError> {
-        self.verify_invariants()
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.core.set_tracing(on);
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.core.take_trace()
+    /// Builds, and keeps, every group layout no read has built yet, so
+    /// every group is audited whole, then runs [`Self::audit_built`].
+    fn audit(&self) -> Result<(), AuditError> {
+        for g in self.levels.iter().flat_map(|l| &l.groups) {
+            g.content.layout();
+        }
+        self.audit_built()
     }
 }

@@ -211,7 +211,7 @@ pub enum AuditError {
 /// Audits `alloc`'s free/allocated/retired partition, naming it `owner`,
 /// then that no block in `live` is retired; `live` yields each live
 /// structure's block with the owner its error names.
-fn audit_retirement(
+pub(crate) fn audit_retirement(
     alloc: &BlockAllocator,
     owner: &'static str,
     live: impl IntoIterator<Item = (BlockId, &'static str)>,
@@ -353,28 +353,17 @@ impl From<CounterSkew> for AuditError {
 }
 
 impl AnyKeyStore {
-    /// Audits every structural invariant of the store; see the
-    /// [module docs](crate::audit) for the list. A group layout no read
-    /// has built yet is built first, and kept, so every group is audited
-    /// whole.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`AuditError`] found.
-    pub fn verify_invariants(&self) -> Result<(), AuditError> {
-        for g in self.levels.iter().flat_map(|l| &l.groups) {
-            g.content.layout();
-        }
-        self.audit()
-    }
-
-    /// The audit of [`Self::verify_invariants`] without building any group
-    /// layout: it checks the layouts that exist. Builds with debug
+    /// The audit of [`KvEngine::check_invariants`] without building any
+    /// group layout: it checks the layouts that exist. Builds with debug
     /// assertions run it at flush, compaction and GC boundaries, so they
     /// keep release's laziness. A layout is built from its group's
     /// entities alone, so one that no read has built holds no state to
     /// damage; the next full audit checks it.
-    pub(crate) fn audit(&self) -> Result<(), AuditError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`AuditError`] found.
+    pub(crate) fn audit_built(&self) -> Result<(), AuditError> {
         for (li, level) in self.levels.iter().enumerate() {
             level.audit(li)?;
         }
@@ -524,41 +513,6 @@ impl AnyKeyStore {
 }
 
 impl PinkStore {
-    /// Audits every structural invariant of the store; see the
-    /// [module docs](crate::audit) for the list.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`AuditError`] found.
-    pub fn verify_invariants(&self) -> Result<(), AuditError> {
-        for (li, level) in self.levels.iter().enumerate() {
-            level.audit(li)?;
-        }
-
-        // What `rebalance` claimed must equal what is marked resident.
-        self.core
-            .dram
-            .audit(self.metadata().dram_resident_bytes())?;
-
-        self.data.audit_overfull("data area")?;
-        self.meta.audit_overfull()?;
-
-        // No level-list page, meta segment or live data pointer sits in a
-        // retired block.
-        let live = self.levels.iter().flat_map(|l| {
-            let lists = l.list_pages.iter().map(|p| (p.block, "level list"));
-            let segs = l.segs.iter().filter_map(|s| s.ppa);
-            let data = l.entries.iter().filter(|e| !e.tombstone);
-            lists
-                .chain(segs.map(|p| (p.block, "meta segment")))
-                .chain(data.map(|e| (e.ptr.block, "data area")))
-        });
-        audit_retirement(self.data.allocator(), "PinK", live)?;
-
-        self.core.flash.counters().audit()?;
-        Ok(())
-    }
-
     /// Test-only corruption hook: desynchronizes the flash counters (see
     /// [`AnyKeyStore::desync_counters_for_test`]).
     #[doc(hidden)]
@@ -653,14 +607,14 @@ mod tests {
 
     #[test]
     fn fresh_store_passes_audit() {
-        assert_eq!(store(EngineKind::AnyKey).verify_invariants(), Ok(()));
+        assert_eq!(store(EngineKind::AnyKey).check_invariants(), Ok(()));
     }
 
     #[test]
     fn filled_store_passes_audit() {
         let s = filled(EngineKind::AnyKeyPlus);
         assert!(s.levels.iter().any(|l| !l.is_empty()), "data must land");
-        assert_eq!(s.verify_invariants(), Ok(()));
+        assert_eq!(s.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -668,7 +622,7 @@ mod tests {
         let mut s = filled(EngineKind::AnyKey);
         assert!(s.corrupt_level_order_for_test(), "need >= 2 groups");
         assert!(matches!(
-            s.verify_invariants(),
+            s.check_invariants(),
             Err(AuditError::LevelOrder { .. })
         ));
     }
@@ -678,7 +632,7 @@ mod tests {
         let mut s = filled(EngineKind::AnyKey);
         s.overclaim_dram_for_test();
         assert!(matches!(
-            s.verify_invariants(),
+            s.check_invariants(),
             Err(AuditError::DramMismatch { .. } | AuditError::DramOverBudget { .. })
         ));
     }
@@ -688,7 +642,7 @@ mod tests {
         let mut s = filled(EngineKind::AnyKey);
         s.desync_counters_for_test();
         assert!(matches!(
-            s.verify_invariants(),
+            s.check_invariants(),
             Err(AuditError::CounterSkew { .. })
         ));
     }
@@ -698,7 +652,7 @@ mod tests {
         let mut s = filled(EngineKind::AnyKey);
         assert!(s.retire_live_block_for_test(), "need a live group");
         assert!(matches!(
-            s.verify_invariants(),
+            s.check_invariants(),
             Err(AuditError::RetiredBlockLive {
                 owner: "group area",
                 ..
@@ -715,13 +669,13 @@ mod tests {
             let b = alloc.alloc().unwrap();
             alloc.retire(b).unwrap();
         }
-        assert_eq!(s.verify_invariants(), Ok(()));
+        assert_eq!(s.check_invariants(), Ok(()));
         let mut p = filled_pink();
         let alloc = p.data.allocator_mut();
         let b = alloc.alloc().unwrap();
         alloc.retire(b).unwrap();
         assert_eq!(alloc.retired_count(), 1);
-        assert_eq!(p.verify_invariants(), Ok(()));
+        assert_eq!(p.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -744,7 +698,7 @@ mod tests {
             let b = spilled(&p, owner).expect("the fill must spill");
             p.data.allocator_mut().retire(b).unwrap();
             assert_eq!(
-                p.verify_invariants(),
+                p.check_invariants(),
                 Err(AuditError::RetiredBlockLive { block: b.0, owner })
             );
         }
@@ -755,7 +709,7 @@ mod tests {
         let mut s = filled(EngineKind::AnyKey);
         s.desync_retirement_for_test();
         assert!(matches!(
-            s.verify_invariants(),
+            s.check_invariants(),
             Err(AuditError::RetirementSkew { .. })
         ));
     }
@@ -765,7 +719,7 @@ mod tests {
         let mut s = filled(EngineKind::AnyKey);
         assert!(s.area.overfill_for_test(), "need a group block");
         assert!(matches!(
-            s.verify_invariants(),
+            s.check_invariants(),
             Err(AuditError::BlockOverfull {
                 owner: "group area",
                 ..
@@ -774,7 +728,7 @@ mod tests {
         // The value log is audited before the group area.
         assert!(s.log.as_mut().is_some_and(ByteLog::overfill_for_test));
         assert!(matches!(
-            s.verify_invariants(),
+            s.check_invariants(),
             Err(AuditError::LogBlockOverfull {
                 owner: "value log",
                 ..
@@ -787,7 +741,7 @@ mod tests {
         let mut p = filled_pink();
         assert!(p.data.overfill_for_test(), "need a data block");
         assert!(matches!(
-            p.verify_invariants(),
+            p.check_invariants(),
             Err(AuditError::LogBlockOverfull {
                 owner: "data area",
                 ..
@@ -800,7 +754,7 @@ mod tests {
         let mut p = filled_pink();
         assert!(p.meta.overfill_for_test(), "need a meta block");
         assert!(matches!(
-            p.verify_invariants(),
+            p.check_invariants(),
             Err(AuditError::BlockOverfull {
                 owner: "meta area",
                 ..
@@ -811,10 +765,10 @@ mod tests {
     #[test]
     fn pink_passes_audit_after_fill() {
         let mut p = filled_pink();
-        assert_eq!(p.verify_invariants(), Ok(()));
+        assert_eq!(p.check_invariants(), Ok(()));
         p.desync_counters_for_test();
         assert!(matches!(
-            p.verify_invariants(),
+            p.check_invariants(),
             Err(AuditError::CounterSkew { .. })
         ));
     }

@@ -6,22 +6,24 @@
 //! part — configuration, flash, buffer, DRAM budget, the live-bytes
 //! ledger, the flush stall, and trace-span bookkeeping — and each engine
 //! embeds it as a field, keeping only its own levels, flash areas,
-//! compaction, GC, and GET path. [`DeviceCore::scan`] is the range-scan
-//! merge both engines run over their own per-level candidates.
+//! compaction, GC, and level walks. The request front end over both, the
+//! one `KvEngine` implementation, is in [`crate::engine`].
+//! [`DeviceCore::scan`] is the range-scan merge both engines run over
+//! their own per-level candidates.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
-use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
+use anykey_flash::{BlockAllocator, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
-use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
+use anykey_metrics::trace::TraceEvent;
 
 use crate::buffer::{BufEntry, WriteBuffer};
 use crate::config::DeviceConfig;
 use crate::dram::DramBudget;
-use crate::engine::{MetadataStats, OpOutcome};
+use crate::engine::MetadataStats;
 use crate::error::KvError;
 use crate::key::Key;
 
@@ -88,55 +90,6 @@ pub(crate) struct ScanCand<P> {
 pub(crate) struct ScanPlan<P> {
     pub(crate) index_pages: Vec<Ppa>,
     pub(crate) hits: Vec<(Key, Option<P>)>,
-}
-
-/// The outcome of an operation issued at `at` and done at `done`; the
-/// latency `phases` does not attribute lands in queue-wait.
-pub(crate) fn outcome(
-    at: Ns,
-    done: Ns,
-    found: bool,
-    flash_reads: u32,
-    mut phases: PhaseBreakdown,
-) -> OpOutcome {
-    phases.finish(done - at);
-    OpOutcome {
-        issued_at: at,
-        done_at: done,
-        found,
-        flash_reads,
-        phases,
-    }
-}
-
-/// The outcome of an operation that did no work, issued and done at `at`.
-pub(crate) fn empty_outcome(at: Ns) -> OpOutcome {
-    outcome(at, at, false, 0, PhaseBreakdown::default())
-}
-
-/// The outcome of a put issued at `at` and acknowledged `cpu_ns` after
-/// `start` (see [`DeviceCore::buffer_put`]; `at` when no flush was needed).
-/// CPU cost is the only attributed phase; a flush stall (done being
-/// pushed past the CPU cost) lands in queue_wait via the residual.
-pub(crate) fn put_outcome(at: Ns, start: Option<Ns>, cpu_ns: Ns) -> OpOutcome {
-    let phases = PhaseBreakdown {
-        engine: cpu_ns,
-        ..PhaseBreakdown::default()
-    };
-    outcome(at, start.unwrap_or(at) + cpu_ns, true, 0, phases)
-}
-
-/// The key ids of a scan that emitted `hits`, with its outcome.
-pub(crate) fn scan_outcome<P>(
-    hits: &[(Key, Option<P>)],
-    at: Ns,
-    done: Ns,
-    flash_reads: u32,
-    phases: PhaseBreakdown,
-) -> (Vec<u64>, OpOutcome) {
-    let ids: Vec<u64> = hits.iter().map(|(k, _)| k.id()).collect();
-    let found = !ids.is_empty();
-    (ids, outcome(at, done, found, flash_reads, phases))
 }
 
 /// Where the upper input of a compaction comes from, in either engine.
@@ -458,26 +411,6 @@ impl DeviceCore {
             wear_total: wear.wear_total,
             ..StateSample::default()
         }
-    }
-
-    /// Flash traffic counters.
-    pub(crate) fn counters(&self) -> FlashCounters {
-        self.flash.counters().clone()
-    }
-
-    /// Resets the flash counters (end of warm-up).
-    pub(crate) fn reset_counters(&mut self) {
-        self.flash.reset_counters();
-    }
-
-    /// When all in-flight flash work completes.
-    pub(crate) fn horizon(&self) -> Ns {
-        self.flash.horizon()
-    }
-
-    /// Raw flash capacity in bytes.
-    pub(crate) fn capacity_bytes(&self) -> u64 {
-        self.cfg.capacity_bytes()
     }
 
     /// Starts (`on`) or stops trace recording; starting clears the spans

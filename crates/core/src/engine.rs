@@ -1,7 +1,15 @@
-//! The engine trait every KV-SSD design implements.
+//! The engine trait every KV-SSD design implements, and its one
+//! implementation for the two designs of this crate.
 //!
-//! Tracing and state sampling are required methods; only the
-//! `put`/`get`/`delete` conveniences have default bodies.
+//! [`KvEngine`] is the request front end a host drives. PinK and AnyKey
+//! share everything of it but the metadata layout, so each supplies only
+//! the crate-private `Engine` hooks: the level walk of a GET that missed
+//! the write buffer, the scan from a valid start key, the flush, the
+//! metadata and timeline snapshots, the full audit, and its per-request
+//! key-hash cost. `impl<E: Engine> KvEngine for E` does the rest once: key
+//! checking, the request CPU model, the write-buffer probe, the PUT path
+//! with its flush trigger, and the forwarders into the shared device
+//! scaffold.
 
 use anykey_flash::{FlashCounters, Ns};
 use anykey_metrics::timeline::StateSample;
@@ -9,8 +17,10 @@ use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 use anykey_workload::Op;
 
 use crate::audit::AuditError;
-use crate::config::EngineKind;
+use crate::config::{EngineKind, DRAM_OP_NS};
+use crate::device::DeviceCore;
 use crate::error::KvError;
+use crate::key::Key;
 
 /// Per-page overhead reserved for ECC/headers in every flash page; the
 /// usable payload is `page_size - PAGE_HEADER_BYTES`.
@@ -105,8 +115,10 @@ impl MetadataStats {
 
 /// A simulated key-value SSD.
 ///
-/// All three systems of the paper (PinK, AnyKey, AnyKey+) implement this
-/// trait; the runner and benchmark harness drive them uniformly. Operations
+/// All three systems of the paper (PinK, AnyKey, AnyKey+) get this trait
+/// from one generic implementation over their `Engine` hooks (see the
+/// [module docs](self)); the runner and benchmark harness drive them
+/// uniformly, and a host-side wrapper can implement it too. Operations
 /// carry an *issue time* in virtual nanoseconds and return a completion
 /// time; engines schedule their flash traffic (foreground and background)
 /// on the shared per-chip timelines, which is how background compaction
@@ -217,9 +229,247 @@ pub trait KvEngine {
     }
 }
 
+/// What a KV-SSD design supplies to get [`KvEngine`]: the parts where
+/// PinK and AnyKey differ. Everything else of the front end is written
+/// once, in `impl<E: Engine> KvEngine for E`.
+pub(crate) trait Engine {
+    /// CPU time to hash a key, charged up front on every request: AnyKey's
+    /// level lists and hash lists are keyed by it, PinK hashes nothing.
+    const HASH_NS: Ns;
+
+    /// The shared device scaffold.
+    fn core(&self) -> &DeviceCore;
+
+    /// The shared device scaffold, mutably.
+    fn core_mut(&mut self) -> &mut DeviceCore;
+
+    /// Looks `key` up in the LSM levels after it missed the write buffer,
+    /// charging its flash reads to `req`. Returns `Some(found)` when a
+    /// version in the levels settles the GET at `req.t`, and `None` when
+    /// none does; the front end then charges the closing DRAM operation of
+    /// a miss.
+    fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool>;
+
+    /// Scans up to `len` live keys from `start`, newest version first
+    /// across the write buffer and the levels, charging its flash reads
+    /// to `req`. Returns the key ids in key order.
+    fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request)
+        -> Result<Vec<u64>, KvError>;
+
+    /// Flushes the full write buffer from `at`; returns when the buffer is
+    /// free again, or [`KvError::DeviceFull`].
+    fn flush(&mut self, at: Ns) -> Result<Ns, KvError>;
+
+    /// The metadata snapshot behind [`KvEngine::metadata`].
+    fn stats(&self) -> MetadataStats;
+
+    /// The engine-state half of a timeline sample for the snapshot `meta`:
+    /// per-level occupancy and the engine's own fields, on top of
+    /// [`DeviceCore::sample_state`]. The front end adds the group count.
+    fn sample_levels(&self, meta: &MetadataStats) -> StateSample;
+
+    /// Audits every structural invariant: [`KvEngine::check_invariants`].
+    fn audit(&self) -> Result<(), AuditError>;
+}
+
+/// A request in flight: how far its virtual clock has run, the flash
+/// pages read on its critical path, and where the time went.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Request {
+    /// Virtual time the request has reached.
+    pub(crate) t: Ns,
+    /// Flash page reads on the critical path so far.
+    pub(crate) reads: u32,
+    /// Latency attributed so far.
+    pub(crate) phases: PhaseBreakdown,
+}
+
+impl Request {
+    /// A request starting at `at` with `cpu_ns` of engine CPU time.
+    fn new(at: Ns, cpu_ns: Ns) -> Self {
+        Self {
+            t: at + cpu_ns,
+            reads: 0,
+            phases: PhaseBreakdown {
+                engine: cpu_ns,
+                ..PhaseBreakdown::default()
+            },
+        }
+    }
+
+    /// The outcome of the request issued at `at` and done now; the latency
+    /// the phases do not attribute lands in queue-wait.
+    fn finish(mut self, at: Ns, found: bool) -> OpOutcome {
+        self.phases.finish(self.t - at);
+        OpOutcome {
+            issued_at: at,
+            done_at: self.t,
+            found,
+            flash_reads: self.reads,
+            phases: self.phases,
+        }
+    }
+}
+
+/// A GET: the key hash, then the write buffer, then the levels; a key no
+/// version settles costs a closing DRAM operation.
+fn get<E: Engine>(e: &mut E, id: u64, at: Ns) -> Result<OpOutcome, KvError> {
+    let key = e.core().make_key(id)?;
+    let mut req = Request::new(at, E::HASH_NS);
+    let found = match e.core().buffer.get(&key) {
+        Some(b) => !b.tombstone,
+        None => match e.get_levels(key, &mut req) {
+            Some(found) => return Ok(req.finish(at, found)),
+            None => false,
+        },
+    };
+    req.t += DRAM_OP_NS;
+    req.phases.engine += DRAM_OP_NS;
+    Ok(req.finish(at, found))
+}
+
+/// A PUT, or with `tombstone` a DELETE: the key hash and one DRAM
+/// operation into the write buffer. The buffer it fills is flushed; with a
+/// double-buffered L0 the request stalls only while the previous flush is
+/// still in flight, and the stall lands in queue-wait.
+fn put<E: Engine>(
+    e: &mut E,
+    id: u64,
+    value_len: u32,
+    tombstone: bool,
+    at: Ns,
+) -> Result<OpOutcome, KvError> {
+    let key = e.core().make_key(id)?;
+    let start = e.core_mut().buffer_put(key, value_len, tombstone, at);
+    if let Some(start) = start {
+        let done = e.flush(start)?;
+        e.core_mut().flush_done = done;
+    }
+    let cpu = E::HASH_NS + DRAM_OP_NS;
+    Ok(Request::new(start.unwrap_or(at), cpu).finish(at, true))
+}
+
+/// A range scan: the key hash, then the engine's scan.
+fn scan<E: Engine>(e: &mut E, id: u64, len: u32, at: Ns) -> Result<(Vec<u64>, OpOutcome), KvError> {
+    let start = e.core().make_key(id)?;
+    let mut req = Request::new(at, E::HASH_NS);
+    let ids = e.scan_levels(start, len, &mut req)?;
+    let found = !ids.is_empty();
+    Ok((ids, req.finish(at, found)))
+}
+
+impl<E: Engine> KvEngine for E {
+    fn kind(&self) -> EngineKind {
+        self.core().cfg.engine
+    }
+
+    fn execute(&mut self, op: &Op, at: Ns) -> Result<OpOutcome, KvError> {
+        match *op {
+            Op::Get { key } => get(self, key, at),
+            Op::Put { key, value_len } => put(self, key, value_len, false, at),
+            Op::Delete { key } => put(self, key, 0, true, at),
+            Op::Scan { start, len } => scan(self, start, len, at).map(|(_, o)| o),
+        }
+    }
+
+    fn scan_keys(&mut self, start: u64, len: u32, at: Ns) -> (Vec<u64>, OpOutcome) {
+        // An ill-formed start key cannot match any stored key, so the scan
+        // is empty rather than a panic.
+        scan(self, start, len, at)
+            .unwrap_or_else(|_| (Vec::new(), Request::new(at, 0).finish(at, false)))
+    }
+
+    fn metadata(&self) -> MetadataStats {
+        self.stats()
+    }
+
+    fn counters(&self) -> FlashCounters {
+        self.core().flash.counters().clone()
+    }
+
+    fn reset_counters(&mut self) {
+        self.core_mut().flash.reset_counters();
+    }
+
+    fn horizon(&self) -> Ns {
+        self.core().flash.horizon()
+    }
+
+    fn capacity_bytes(&self) -> u64 {
+        self.core().cfg.capacity_bytes()
+    }
+
+    fn check_invariants(&self) -> Result<(), AuditError> {
+        self.audit()
+    }
+
+    fn set_tracing(&mut self, on: bool) {
+        self.core_mut().set_tracing(on);
+    }
+
+    fn take_trace(&mut self) -> Vec<TraceEvent> {
+        self.core_mut().take_trace()
+    }
+
+    fn sample_state(&self) -> StateSample {
+        let s = self.sample_levels(&self.stats());
+        StateSample {
+            group_count: s.levels.iter().map(|l| l.entries).sum(),
+            ..s
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DeviceConfig, DRAM_OP_NS, HASH_NS};
+
+    /// The request CPU model: AnyKey hashes the key on every request, PinK
+    /// does not, and a request that touches the write buffer or ends a
+    /// lookup pays one DRAM operation. No flash is read and the whole
+    /// latency is engine time.
+    #[test]
+    fn request_cpu_charges_are_pinned() {
+        let kinds = [
+            (EngineKind::AnyKey, HASH_NS),
+            (EngineKind::AnyKeyPlus, HASH_NS),
+            (EngineKind::AnyKeyNoLog, HASH_NS),
+            (EngineKind::Pink, 0),
+        ];
+        for (kind, hash) in kinds {
+            let mut dev = DeviceConfig::builder()
+                .capacity_bytes(16 << 20)
+                .page_size(8 << 10)
+                .pages_per_block(16)
+                .group_pages(8)
+                .engine(kind)
+                .key_len(16)
+                .build()
+                .build_engine();
+            let at = dev.horizon();
+            let miss = dev.get(2);
+            let (_, scan) = dev.scan_keys(0, 10, at);
+            let put = dev.put(1, 100).expect("put");
+            let hit = dev.get(1);
+            let cases = [
+                ("put", put, true, hash + DRAM_OP_NS),
+                ("buffer hit", hit, true, hash + DRAM_OP_NS),
+                ("empty miss", miss, false, hash + DRAM_OP_NS),
+                ("empty scan", scan, false, hash),
+            ];
+            for (what, o, found, cpu) in cases {
+                let want = PhaseBreakdown {
+                    engine: cpu,
+                    ..PhaseBreakdown::default()
+                };
+                assert_eq!(o.latency(), cpu, "{kind:?} {what}");
+                assert_eq!(o.phases, want, "{kind:?} {what}");
+                assert_eq!(o.found, found, "{kind:?} {what}");
+                assert_eq!(o.flash_reads, 0, "{kind:?} {what}");
+            }
+        }
+    }
 
     #[test]
     fn outcome_latency_is_delta() {

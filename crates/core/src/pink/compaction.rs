@@ -1,4 +1,5 @@
-//! PinK's flush, tree compaction and DRAM placement.
+//! PinK's tree compaction and DRAM placement, behind the flush of
+//! `PinkStore`'s engine hooks.
 //!
 //! PinK compaction merges *meta segments* only: KV pairs stay where the
 //! L0 flush wrote them in the data area, and only the `(key, PPA)` index
@@ -8,7 +9,6 @@
 
 use anykey_flash::{Ns, OpCause, Ppa};
 
-use crate::bytelog::Extent;
 use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
 use crate::device::{merge_newest, Source};
 use crate::error::KvError;
@@ -16,44 +16,6 @@ use crate::pink::segment::{SegEntry, Segment};
 use crate::pink::{PinkLevel, PinkStore};
 
 impl PinkStore {
-    /// Flushes the write buffer: KV pairs go to the data area, their index
-    /// entries merge into L1, then tree compactions cascade.
-    pub(crate) fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
-        if self.core.buffer.is_empty() {
-            return Ok(at);
-        }
-        let snap = self.core.span_snapshot();
-        let mut t = self.gc_for_headroom(at, 0)?;
-        let entries = self.core.buffer.drain();
-        let mut upper: Vec<SegEntry> = Vec::with_capacity(entries.len());
-        for (key, be) in entries {
-            let ptr = if be.tombstone {
-                Extent::default()
-            } else {
-                let bytes = key.len() as u64
-                    + be.value_len as u64
-                    + crate::pink::segment::SEG_ENTRY_OVERHEAD;
-                let (ptr, td) = self.data.append(&mut self.core.flash, bytes, t)?;
-                t = t.max(td);
-                ptr
-            };
-            upper.push(SegEntry {
-                key,
-                value_len: be.value_len,
-                ptr,
-                tombstone: be.tombstone,
-            });
-        }
-        let t_ack = self.merge_levels(Source::Flush(upper), 0, t)?;
-        // Deeper merges are pipelined background work; the buffer frees as
-        // soon as the L0->L1 merge lands.
-        self.maintain(t_ack)?;
-        self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
-        #[cfg(debug_assertions)]
-        self.verify_invariants()?;
-        Ok(t_ack)
-    }
-
     /// Cascades tree compactions while any level exceeds its threshold.
     pub(crate) fn maintain(&mut self, at: Ns) -> Result<Ns, KvError> {
         let mut t = at;

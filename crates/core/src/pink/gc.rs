@@ -70,7 +70,7 @@ impl PinkStore {
             }
         }
         #[cfg(debug_assertions)]
-        self.verify_invariants()?;
+        crate::engine::Engine::audit(self)?;
         Ok(t)
     }
 

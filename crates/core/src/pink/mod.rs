@@ -8,7 +8,7 @@
 //! flash reads just to locate the pair — the degradation AnyKey fixes
 //! (paper Sections 2–3).
 
-/// PinK's flush, merge, and DRAM placement.
+/// PinK's merge and DRAM placement.
 pub mod compaction;
 /// PinK's data/meta-block garbage collection.
 pub mod gc;
@@ -18,16 +18,14 @@ pub mod segment;
 #[cfg(test)]
 mod tests;
 
-use anykey_flash::{FlashCounters, Ns, OpCause, Ppa};
+use anykey_flash::{Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
-use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
-use anykey_workload::Op;
 
-use crate::audit::AuditError;
+use crate::audit::{audit_retirement, AuditError};
 use crate::bytelog::{ByteLog, Extent};
-use crate::config::{DeviceConfig, EngineKind, DRAM_OP_NS, LEVEL_RATIO};
-use crate::device::{empty_outcome, outcome, put_outcome, scan_outcome, DeviceCore, ScanCand};
-use crate::engine::{KvEngine, MetadataStats, OpOutcome};
+use crate::config::{DeviceConfig, EngineKind, LEVEL_RATIO};
+use crate::device::{DeviceCore, ScanCand, Source};
+use crate::engine::{Engine, KvEngine, MetadataStats, Request};
 use crate::error::KvError;
 use crate::key::Key;
 use crate::pagearea::PageArea;
@@ -172,7 +170,12 @@ pub struct PinkStore {
 
 impl PinkStore {
     /// Builds a PinK device from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration selects an AnyKey engine.
     pub fn new(cfg: DeviceConfig) -> Self {
+        assert_eq!(cfg.engine, EngineKind::Pink, "use AnyKeyStore for AnyKey");
         let core = DeviceCore::new(cfg);
         let geometry = core.cfg.flash.geometry;
         Self {
@@ -191,34 +194,20 @@ impl PinkStore {
     fn list_entries_per_page(&self, key_len: u64) -> u64 {
         (self.core.page_payload / (key_len + LIST_ENTRY_OVERHEAD)).max(1)
     }
+}
 
-    fn do_put(
-        &mut self,
-        id: u64,
-        value_len: u32,
-        tombstone: bool,
-        at: Ns,
-    ) -> Result<OpOutcome, KvError> {
-        let key = self.core.make_key(id)?;
-        let start = self.core.buffer_put(key, value_len, tombstone, at);
-        if let Some(start) = start {
-            self.core.flush_done = self.flush(start)?;
-        }
-        Ok(put_outcome(at, start, DRAM_OP_NS))
+impl Engine for PinkStore {
+    const HASH_NS: Ns = 0;
+
+    fn core(&self) -> &DeviceCore {
+        &self.core
     }
 
-    fn do_get(&mut self, id: u64, at: Ns) -> Result<OpOutcome, KvError> {
-        let key = self.core.make_key(id)?;
-        let mut t = at;
-        let mut reads = 0u32;
-        let mut phases = PhaseBreakdown::default();
+    fn core_mut(&mut self) -> &mut DeviceCore {
+        &mut self.core
+    }
 
-        if let Some(e) = self.core.buffer.get(&key) {
-            let done = t + DRAM_OP_NS;
-            phases.engine += DRAM_OP_NS;
-            return Ok(outcome(at, done, !e.tombstone, 0, phases));
-        }
-
+    fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool> {
         for li in 0..self.levels.len() {
             let Some(si) = self.levels[li].candidate(key) else {
                 continue;
@@ -229,45 +218,45 @@ impl PinkStore {
                 let key_len = self.levels[li].first_key(si).len() as u64;
                 let per_page = self.list_entries_per_page(key_len) as usize;
                 let ppa = list_pages[(si / per_page).min(list_pages.len() - 1)];
-                let before = t;
-                t = self.core.flash.read(ppa, OpCause::MetaRead, t).done;
-                phases.meta_read += t - before;
-                reads += 1;
+                let before = req.t;
+                req.t = self.core.flash.read(ppa, OpCause::MetaRead, req.t).done;
+                req.phases.meta_read += req.t - before;
+                req.reads += 1;
             }
             // Meta-segment access: free when pinned, one flash read when
             // spilled.
             if let Some(ppa) = self.levels[li].segs[si].ppa {
-                let before = t;
-                t = self.core.flash.read(ppa, OpCause::MetaRead, t).done;
-                phases.meta_read += t - before;
-                reads += 1;
+                let before = req.t;
+                req.t = self.core.flash.read(ppa, OpCause::MetaRead, req.t).done;
+                req.phases.meta_read += req.t - before;
+                req.reads += 1;
             }
             let level = &self.levels[li];
             if let Some(e) = level.segs[si].find(&level.entries, key) {
+                // A tombstone ends the lookup like a miss.
                 if e.tombstone {
-                    let done = t + DRAM_OP_NS;
-                    phases.engine += DRAM_OP_NS;
-                    return Ok(outcome(at, done, false, reads, phases));
+                    return None;
                 }
                 let ptr = e.ptr;
-                reads += u32::from(ptr.pages);
-                let done = self.core.flash.read_many(ptr.pages(), OpCause::HostRead, t);
-                phases.data_read += done - t;
-                return Ok(outcome(at, done, true, reads, phases));
+                req.reads += u32::from(ptr.pages);
+                let done = self
+                    .core
+                    .flash
+                    .read_many(ptr.pages(), OpCause::HostRead, req.t);
+                req.phases.data_read += done - req.t;
+                req.t = done;
+                return Some(true);
             }
         }
-        let done = t + DRAM_OP_NS;
-        phases.engine += DRAM_OP_NS;
-        Ok(outcome(at, done, false, reads, phases))
+        None
     }
 
-    fn do_scan(
+    fn scan_levels(
         &mut self,
-        start_id: u64,
+        start: Key,
         len: u32,
-        at: Ns,
-    ) -> Result<(Vec<u64>, OpOutcome), KvError> {
-        let start = self.core.make_key(start_id)?;
+        req: &mut Request,
+    ) -> Result<Vec<u64>, KvError> {
         // Candidates carry their data pointers; the index pages are the
         // spilled level lists and meta segments the collection touched.
         let levels = &self.levels;
@@ -308,9 +297,9 @@ impl PinkStore {
                 Ok(taken)
             },
         )?;
-        let mut phases = PhaseBreakdown::default();
+        let at = req.t;
         let (t, meta_reads) = self.core.read_set(plan.index_pages, OpCause::MetaRead, at);
-        phases.meta_read += t - at;
+        req.phases.meta_read += t - at;
 
         // Read the data pages of the selected pairs. In PinK these are
         // scattered over the data area (values are placed in buffer-arrival
@@ -322,39 +311,51 @@ impl PinkStore {
             .flat_map(Extent::pages)
             .collect();
         let (done, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
-        phases.data_read += done - t;
-        Ok(scan_outcome(
-            &plan.hits,
-            at,
-            done,
-            meta_reads + data_reads,
-            phases,
-        ))
-    }
-}
-
-impl KvEngine for PinkStore {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Pink
+        req.phases.data_read += done - t;
+        req.t = done;
+        req.reads += meta_reads + data_reads;
+        Ok(plan.hits.iter().map(|(k, _)| k.id()).collect())
     }
 
-    fn execute(&mut self, op: &Op, at: Ns) -> Result<OpOutcome, KvError> {
-        match *op {
-            Op::Get { key } => self.do_get(key, at),
-            Op::Put { key, value_len } => self.do_put(key, value_len, false, at),
-            Op::Delete { key } => self.do_put(key, 0, true, at),
-            Op::Scan { start, len } => self.do_scan(start, len, at).map(|(_, o)| o),
+    /// Flushes the write buffer: KV pairs go to the data area, their index
+    /// entries merge into L1, then tree compactions cascade.
+    fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
+        if self.core.buffer.is_empty() {
+            return Ok(at);
         }
+        let snap = self.core.span_snapshot();
+        let mut t = self.gc_for_headroom(at, 0)?;
+        let entries = self.core.buffer.drain();
+        let mut upper: Vec<SegEntry> = Vec::with_capacity(entries.len());
+        for (key, be) in entries {
+            let ptr = if be.tombstone {
+                Extent::default()
+            } else {
+                let bytes = key.len() as u64
+                    + be.value_len as u64
+                    + crate::pink::segment::SEG_ENTRY_OVERHEAD;
+                let (ptr, td) = self.data.append(&mut self.core.flash, bytes, t)?;
+                t = t.max(td);
+                ptr
+            };
+            upper.push(SegEntry {
+                key,
+                value_len: be.value_len,
+                ptr,
+                tombstone: be.tombstone,
+            });
+        }
+        let t_ack = self.merge_levels(Source::Flush(upper), 0, t)?;
+        // Deeper merges are pipelined background work; the buffer frees as
+        // soon as the L0->L1 merge lands.
+        self.maintain(t_ack)?;
+        self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
+        #[cfg(debug_assertions)]
+        self.audit()?;
+        Ok(t_ack)
     }
 
-    fn scan_keys(&mut self, start: u64, len: u32, at: Ns) -> (Vec<u64>, OpOutcome) {
-        // An ill-formed start key cannot match any stored key, so the scan
-        // is empty rather than a panic.
-        self.do_scan(start, len, at)
-            .unwrap_or_else(|_| (Vec::new(), empty_outcome(at)))
-    }
-
-    fn metadata(&self) -> MetadataStats {
+    fn stats(&self) -> MetadataStats {
         let level_list_bytes: u64 = self.levels.iter().map(PinkLevel::list_bytes).sum();
         let level_list_flash: u64 = self
             .levels
@@ -382,9 +383,8 @@ impl KvEngine for PinkStore {
         }
     }
 
-    fn sample_state(&self) -> StateSample {
+    fn sample_levels(&self, meta: &MetadataStats) -> StateSample {
         StateSample {
-            group_count: self.levels.iter().map(|l| l.segs.len() as u64).sum::<u64>(),
             levels: self
                 .levels
                 .iter()
@@ -397,35 +397,39 @@ impl KvEngine for PinkStore {
                     meta_bytes: l.list_bytes(),
                 })
                 .collect(),
-            ..self.core.sample_state(&self.metadata())
+            ..self.core.sample_state(meta)
         }
     }
 
-    fn counters(&self) -> FlashCounters {
-        self.core.counters()
-    }
+    /// Audits every structural invariant of the store; see the
+    /// [audit module docs](crate::audit) for the list. Builds with debug
+    /// assertions also run it at flush, compaction and GC boundaries.
+    fn audit(&self) -> Result<(), AuditError> {
+        for (li, level) in self.levels.iter().enumerate() {
+            level.audit(li)?;
+        }
 
-    fn reset_counters(&mut self) {
-        self.core.reset_counters();
-    }
+        // What `rebalance` claimed must equal what is marked resident.
+        self.core
+            .dram
+            .audit(self.metadata().dram_resident_bytes())?;
 
-    fn horizon(&self) -> Ns {
-        self.core.horizon()
-    }
+        self.data.audit_overfull("data area")?;
+        self.meta.audit_overfull()?;
 
-    fn capacity_bytes(&self) -> u64 {
-        self.core.capacity_bytes()
-    }
+        // No level-list page, meta segment or live data pointer sits in a
+        // retired block.
+        let live = self.levels.iter().flat_map(|l| {
+            let lists = l.list_pages.iter().map(|p| (p.block, "level list"));
+            let segs = l.segs.iter().filter_map(|s| s.ppa);
+            let data = l.entries.iter().filter(|e| !e.tombstone);
+            lists
+                .chain(segs.map(|p| (p.block, "meta segment")))
+                .chain(data.map(|e| (e.ptr.block, "data area")))
+        });
+        audit_retirement(self.data.allocator(), "PinK", live)?;
 
-    fn check_invariants(&self) -> Result<(), AuditError> {
-        self.verify_invariants()
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.core.set_tracing(on);
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.core.take_trace()
+        self.core.flash.counters().audit()?;
+        Ok(())
     }
 }

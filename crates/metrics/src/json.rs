@@ -346,9 +346,9 @@ pub(crate) fn get_str(fields: &[(String, String)], name: &str) -> Result<String,
 
 /// Renders a JSONL document: the header line, then for each point its
 /// marker line followed by whatever `record` appends for each of its items.
-pub(crate) fn write_jsonl<T>(
+pub(crate) fn write_jsonl<T, K: AsRef<str>, I: AsRef<[T]>>(
     schema_version: u64,
-    points: &[(String, Vec<T>)],
+    points: &[(K, I)],
     mut record: impl FnMut(&mut String, &T),
 ) -> String {
     let mut out = String::new();
@@ -363,9 +363,9 @@ pub(crate) fn write_jsonl<T>(
     for (key, items) in points {
         line(
             &mut out,
-            &[("event", Val::S("point")), ("key", Val::S(key))],
+            &[("event", Val::S("point")), ("key", Val::S(key.as_ref()))],
         );
-        for item in items {
+        for item in items.as_ref() {
             record(&mut out, item);
         }
     }

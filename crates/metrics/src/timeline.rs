@@ -289,13 +289,13 @@ fn write_sample(out: &mut String, s: &StateSample) {
 /// Renders a whole timeline document — header line, then for each point a
 /// marker line followed by its samples (each with its level lines) — as
 /// JSONL.
-pub fn write_jsonl(points: &[(String, Vec<StateSample>)]) -> String {
+pub fn write_jsonl<K: AsRef<str>, S: AsRef<[StateSample]>>(points: &[(K, S)]) -> String {
     json::write_jsonl(TIMELINE_SCHEMA_VERSION, points, write_sample)
 }
 
 /// Renders a timeline as a flat CSV of the scalar sample fields, one row
 /// per sample, point key in the first column.
-pub fn write_csv(points: &[(String, Vec<StateSample>)]) -> String {
+pub fn write_csv<K: AsRef<str>, S: AsRef<[StateSample]>>(points: &[(K, S)]) -> String {
     let mut out = String::from("point");
     for (_, column, _) in &SAMPLE_FIELDS {
         out.push(',');
@@ -303,8 +303,8 @@ pub fn write_csv(points: &[(String, Vec<StateSample>)]) -> String {
     }
     out.push('\n');
     for (key, samples) in points {
-        for s in samples {
-            out.push_str(key);
+        for s in samples.as_ref() {
+            out.push_str(key.as_ref());
             for (_, _, v) in sample_values(s) {
                 let _ = write!(out, ",{v}");
             }

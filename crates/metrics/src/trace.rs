@@ -331,7 +331,7 @@ fn write_event(out: &mut String, e: &TraceEvent) {
 
 /// Renders a whole trace document — header line, then for each point a
 /// marker line followed by its events — as JSONL.
-pub fn write_jsonl(points: &[(String, Vec<TraceEvent>)]) -> String {
+pub fn write_jsonl<K: AsRef<str>, E: AsRef<[TraceEvent]>>(points: &[(K, E)]) -> String {
     json::write_jsonl(TRACE_SCHEMA_VERSION, points, write_event)
 }
 
@@ -354,7 +354,7 @@ fn us(ns: u64) -> String {
 /// carries that chip's flash ops, named by cause. Each engine span also
 /// emits a flow arrow (`s`/`f`) to the first flash op it caused, so
 /// Perfetto draws the interference visually.
-pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
+pub fn write_chrome<K: AsRef<str>, E: AsRef<[TraceEvent]>>(points: &[(K, E)]) -> String {
     let mut out = String::from("[\n");
     let mut push = |line: String| {
         if out.len() > 2 {
@@ -363,6 +363,7 @@ pub fn write_chrome(points: &[(String, Vec<TraceEvent>)]) -> String {
         out.push_str(&line);
     };
     for (pid, (key, events)) in points.iter().enumerate() {
+        let (key, events) = (key.as_ref(), events.as_ref());
         let meta = |what: &str, tid: u64, name: &str| {
             format!(
                 "{{\"name\":\"{what}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\

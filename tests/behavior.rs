@@ -139,30 +139,51 @@ fn device_full_is_sticky_and_readable() {
     dev.check_invariants().expect("post-device-full audit");
 }
 
-/// Key ids beyond the synthesizable range surface KeyTooLarge, not
-/// corruption.
+/// Key ids beyond the synthesizable range surface KeyTooLarge on every
+/// op of every engine, not corruption; a scan from such a key is empty
+/// and takes no time.
 #[test]
 fn key_too_large_is_reported() {
-    let mut dev = DeviceConfig::builder()
-        .capacity_bytes(16 << 20)
-        .page_size(8 << 10)
-        .pages_per_block(16)
-        .group_pages(8)
-        .engine(EngineKind::AnyKey)
-        .key_len(4)
-        .build()
-        .build_engine();
-    let at = dev.horizon();
-    let err = dev
-        .execute(
-            &Op::Put {
-                key: 1 << 40,
-                value_len: 10,
+    let key = 1 << 40;
+    for kind in [
+        EngineKind::AnyKey,
+        EngineKind::AnyKeyPlus,
+        EngineKind::AnyKeyNoLog,
+        EngineKind::Pink,
+    ] {
+        let mut dev = DeviceConfig::builder()
+            .capacity_bytes(16 << 20)
+            .page_size(8 << 10)
+            .pages_per_block(16)
+            .group_pages(8)
+            .engine(kind)
+            .key_len(4)
+            .build()
+            .build_engine();
+        let at = dev.horizon();
+        for op in [
+            Op::Put { key, value_len: 10 },
+            Op::Get { key },
+            Op::Delete { key },
+            Op::Scan {
+                start: key,
+                len: 10,
             },
-            at,
-        )
-        .unwrap_err();
-    assert!(matches!(err, KvError::KeyTooLarge { .. }));
+        ] {
+            let err = dev.execute(&op, at).unwrap_err();
+            assert!(
+                matches!(err, KvError::KeyTooLarge { .. }),
+                "{kind:?} {op:?}: {err:?}"
+            );
+        }
+        let (ids, o) = dev.scan_keys(key, 10, at);
+        assert!(ids.is_empty(), "{kind:?}");
+        assert_eq!(
+            (o.issued_at, o.done_at, o.found),
+            (at, at, false),
+            "{kind:?}"
+        );
+    }
 }
 
 /// Scans crossing group/segment boundaries return exactly the requested

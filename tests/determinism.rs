@@ -141,20 +141,8 @@ fn identical_points_are_deduplicated() {
     // Two experiments declaring the same simulation (as fig10/fig11 and
     // fig12/fig13 do): one execution, fanned out to both points.
     let points = vec![
-        Point::with_key(
-            "expA/row".into(),
-            "expA",
-            kind,
-            w,
-            RunKind::WarmUpOnly { cfg: None },
-        ),
-        Point::with_key(
-            "expB/row".into(),
-            "expB",
-            kind,
-            w,
-            RunKind::WarmUpOnly { cfg: None },
-        ),
+        Point::with_key("expA/row".into(), "expA", kind, w, RunKind::WarmUpOnly),
+        Point::with_key("expB/row".into(), "expB", kind, w, RunKind::WarmUpOnly),
     ];
     let run = run_points(&ctx, &points, 2);
     assert_eq!(run.executed, 1, "identical points were not deduplicated");

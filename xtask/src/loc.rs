@@ -1,0 +1,104 @@
+//! `cargo run -p xtask -- loc` — non-test lines per crate under `crates/`.
+//!
+//! The rule is the one ROADMAP.md and CHANGES.md quote sizes by: every
+//! line of each `src/**/*.rs` file up to its inline `#[cfg(test)] mod … {`,
+//! with files named `tests.rs` skipped. An out-of-line
+//! `#[cfg(test)] mod tests;` or an indented `#[cfg(test)]` item does not
+//! end the count.
+//!
+//! Exit codes: 0 counted, 2 IO error.
+
+use std::fs;
+use std::io;
+use std::path::Path;
+
+/// Runs the `loc` subcommand. Returns the process exit code.
+pub(crate) fn run_cli() -> i32 {
+    let crates = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../crates"));
+    match count_crates(crates) {
+        Ok(counts) => {
+            let total: usize = counts.iter().map(|(_, n)| n).sum();
+            for (name, n) in &counts {
+                println!("crates/{name:<10} {n:>6}");
+            }
+            println!("{:<17} {total:>6}", "total");
+            0
+        }
+        Err(e) => {
+            eprintln!("xtask loc: cannot read {}: {e}", crates.display());
+            2
+        }
+    }
+}
+
+/// `(crate directory name, non-test lines)` for every crate, by name.
+fn count_crates(crates: &Path) -> io::Result<Vec<(String, usize)>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(crates)? {
+        let dir = entry?.path();
+        let src = dir.join("src");
+        if src.is_dir() {
+            let name = dir.file_name().map(|n| n.to_string_lossy().into_owned());
+            out.push((name.unwrap_or_default(), count_dir(&src)?));
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// Non-test lines of every `.rs` file under `dir`.
+fn count_dir(dir: &Path) -> io::Result<usize> {
+    let mut n = 0;
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            n += count_dir(&path)?;
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && path.file_name().is_some_and(|f| f != "tests.rs")
+        {
+            n += non_test_lines(&fs::read_to_string(&path)?);
+        }
+    }
+    Ok(n)
+}
+
+/// Lines of `src` before its first unindented `#[cfg(test)]` whose next
+/// non-blank line opens an inline module.
+fn non_test_lines(src: &str) -> usize {
+    let lines: Vec<&str> = src.lines().collect();
+    let inline_mod = |rest: &[&str]| {
+        let next = rest.iter().find(|l| !l.trim().is_empty());
+        next.is_some_and(|l| l.starts_with("mod ") && l.trim_end().ends_with('{'))
+    };
+    (0..lines.len())
+        .find(|&i| lines[i].trim_end() == "#[cfg(test)]" && inline_mod(&lines[i + 1..]))
+        .unwrap_or(lines.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counts_up_to_the_inline_test_module_only() {
+        let src = "\
+//! A module.
+
+#[cfg(test)]
+mod tests;
+
+fn f() {
+    #[cfg(test)]
+    fn helper() {}
+}
+
+#[cfg(test)]
+mod unit {
+    #[test]
+    fn t() {}
+}
+";
+        assert_eq!(non_test_lines(src), 10);
+        assert_eq!(non_test_lines("fn a() {}\n\nfn b() {}\n"), 3);
+    }
+}

@@ -17,10 +17,13 @@
 //!   `BENCHMARK.json` and hostbench's result lines through
 //!   `anykey_metrics::Json`, the same codec `bench-diff`, `trace` and
 //!   `timeline` read their documents with.
+//! - [`loc`]: non-test lines per crate under `crates/`, the size figure
+//!   ROADMAP.md and CHANGES.md quote.
 
 mod bench_diff;
 mod bench_record;
 mod deps;
+mod loc;
 mod timeline_cmd;
 mod trace_cmd;
 
@@ -32,6 +35,7 @@ fn main() {
         Some("bench-record") => bench_record::run_cli(&args[1..]),
         Some("trace") => trace_cmd::run_cli(&args[1..]),
         Some("timeline") => timeline_cmd::run_cli(&args[1..]),
+        Some("loc") => loc::run_cli(),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <command>\n\
@@ -40,7 +44,8 @@ fn main() {
                    bench-diff <baseline> <candidate>     summary.json regression gate\n\
                    bench-record <n> [--parent DIR]       write BENCH_<n>.json (hostbench medians)\n\
                    trace <trace.jsonl> [--top K]         trace analyzer (phase breakdown)\n\
-                   timeline <timeline.jsonl>             timeline analyzer (steady state)"
+                   timeline <timeline.jsonl>             timeline analyzer (steady state)\n\
+                   loc                                   non-test lines per crate"
             );
             2
         }
