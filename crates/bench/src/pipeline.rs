@@ -91,17 +91,19 @@ impl Sweep {
     /// Each unique simulation's trace (its representative point only), in
     /// declaration order.
     pub fn traces(&self) -> Vec<(&str, &[TraceEvent])> {
-        let results = self.points.iter().zip(&self.run.results);
-        let traced = results.filter_map(|(p, r)| Some((p.key.as_str(), r.trace.as_deref()?)));
-        traced.collect()
+        let points = self.points.iter().zip(&self.run.results);
+        points
+            .filter_map(|(p, r)| Some((p.key.as_str(), r.trace.as_deref()?)))
+            .collect()
     }
 
     /// Each unique simulation's timeline (its representative point only),
     /// in declaration order.
     pub fn timelines(&self) -> Vec<(&str, &[StateSample])> {
-        let results = self.points.iter().zip(&self.run.results);
-        let sampled = results.filter_map(|(p, r)| Some((p.key.as_str(), r.timeline.as_deref()?)));
-        sampled.collect()
+        let points = self.points.iter().zip(&self.run.results);
+        points
+            .filter_map(|(p, r)| Some((p.key.as_str(), r.timeline.as_deref()?)))
+            .collect()
     }
 
     /// Writes [`Self::traces`] to `path`, as Chrome trace-event JSON when

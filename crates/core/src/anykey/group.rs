@@ -1072,7 +1072,7 @@ mod tests {
         }
     }
 
-    /// GET's page walk (`AnyKeyStore::do_get`): search the routed page,
+    /// GET's page walk (`AnyKeyStore::get_levels`): search the routed page,
     /// then step back while the page's first hash says the run may start
     /// earlier.
     fn walk_lookup(g: &GroupContent, hash: u32, key: Key) -> Option<&Entity> {
