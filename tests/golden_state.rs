@@ -201,3 +201,73 @@ fn pink_state_is_pinned() {
         (3946, 7_257_491_339_025_105_244),
     );
 }
+
+/// Runs a seeded scan stream on `kind` over the same 16 MiB device and
+/// folds every scan's charges into one digest: its key ids, flash reads
+/// and latency. The stream fills ids below `SCAN_KEYSPACE`, deletes runs
+/// of 300 to 599 consecutive ids so that upper levels hold tombstone
+/// runs a scan budget must double across (or stop at the 64× cap in),
+/// rewrites a few keys so the write buffer holds some, then runs scans of
+/// every length in `SCAN_LENS` from seeded starts. Returns the scan count
+/// and the digest.
+fn scan_charges(kind: EngineKind) -> (u64, u64) {
+    const SCAN_KEYSPACE: u64 = 12_000;
+    const SCAN_LENS: [u32; 5] = [0, 1, 20, 100, 200];
+    let mut dev = DeviceConfig::builder()
+        .capacity_bytes(16 << 20)
+        .page_size(8 << 10)
+        .pages_per_block(16)
+        .group_pages(8)
+        .engine(kind)
+        .key_len(24)
+        .value_log_bytes(2 << 20)
+        .build()
+        .build_engine();
+    let mut rng = SplitMix64::new(0x5CA7_C4A6);
+    let exec = |dev: &mut Box<dyn anykey::core::KvEngine>, op: Op| {
+        let at = dev.horizon();
+        dev.execute(&op, at)
+            .unwrap_or_else(|e| panic!("{kind}: {op:?} failed: {e}"));
+    };
+    for key in 0..SCAN_KEYSPACE {
+        let value_len = 8 + rng.next_bounded(300) as u32;
+        exec(&mut dev, Op::Put { key, value_len });
+    }
+    for _ in 0..10 {
+        let from = rng.next_bounded(SCAN_KEYSPACE);
+        for key in from..(from + 300 + rng.next_bounded(300)).min(SCAN_KEYSPACE) {
+            exec(&mut dev, Op::Delete { key });
+        }
+    }
+    for _ in 0..300 {
+        let key = rng.next_bounded(SCAN_KEYSPACE);
+        let value_len = 8 + rng.next_bounded(300) as u32;
+        exec(&mut dev, Op::Put { key, value_len });
+    }
+    let (mut scans, mut digest) = (0u64, 0xCBF2_9CE4_8422_2325u64);
+    for i in 0..600 {
+        let start = rng.next_bounded(SCAN_KEYSPACE);
+        let len = SCAN_LENS[i % SCAN_LENS.len()];
+        let at = dev.horizon();
+        let (ids, outcome) = dev.scan_keys(start, len, at);
+        scans += 1;
+        fold(&mut digest, ids.len() as u64);
+        for id in ids {
+            fold(&mut digest, id);
+        }
+        fold(&mut digest, u64::from(outcome.flash_reads));
+        fold(&mut digest, outcome.latency());
+    }
+    (scans, digest)
+}
+
+#[test]
+fn scan_charges_are_pinned() {
+    for (kind, pin) in [
+        (EngineKind::AnyKeyPlus, (600, 7_291_658_249_161_598_570)),
+        (EngineKind::AnyKey, (600, 7_291_658_249_161_598_570)),
+        (EngineKind::Pink, (600, 17_104_536_539_339_362_105)),
+    ] {
+        assert_eq!(scan_charges(kind), pin, "{kind}: scan charges moved");
+    }
+}
