@@ -13,13 +13,13 @@ pub mod level;
 #[cfg(test)]
 mod tests;
 
-use anykey_flash::{BlockAllocator, Ns, OpCause, Ppa};
+use anykey_flash::{BlockAllocator, Ns, OpCause};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 
 use crate::audit::AuditError;
 use crate::bytelog::ByteLog;
 use crate::config::{DeviceConfig, EngineKind, HASH_NS, LEVEL_RATIO};
-use crate::device::{DeviceCore, ScanCand, Source};
+use crate::device::{DeviceCore, Source};
 use crate::engine::{Engine, MetadataStats, Request};
 use crate::error::KvError;
 use crate::key::Key;
@@ -214,63 +214,66 @@ impl Engine for AnyKeyStore {
         len: u32,
         req: &mut Request,
     ) -> Result<Vec<u64>, KvError> {
-        // Candidates carry their data page and value location; the index
-        // pages are the group directory pages the collection walked
-        // (Section 4.4.5).
+        // Each level's run is its groups' entity arrays from the first
+        // entity ≥ `start`: groups hold disjoint, ascending key ranges, so
+        // only the first group can hold keys below it. The index pages are
+        // the group directory pages the budget walk visits (Section 4.4.5).
         let (levels, page_payload) = (&self.levels, self.core.page_payload);
+        let starts: Vec<(usize, usize)> = levels
+            .iter()
+            .map(|level| {
+                let first = level.scan_start(start);
+                let from = level
+                    .groups
+                    .get(first)
+                    .map_or(0, |g| g.content.dir_lower_bound(start));
+                (first, from)
+            })
+            .collect();
+        let runs = levels.iter().zip(&starts).map(|(level, &(first, from))| {
+            level.groups[first..].iter().enumerate().map(move |(i, g)| {
+                let from = if i == 0 { from } else { 0 };
+                (first + i, from, &g.content.ents[from..])
+            })
+        });
         let plan = self.core.scan(
             start,
             len as usize,
-            levels.len(),
-            |li, budget, cands, pages| {
-                let level = &levels[li];
-                let mut taken = 0usize;
-                // Groups hold disjoint, ascending key ranges, so only the
-                // first group visited can hold keys below `start`.
-                let first = level.scan_start(start);
-                let mut gi = first;
-                while taken < budget && gi < level.groups.len() {
-                    let g = &level.groups[gi];
-                    let from = if gi == first {
-                        g.content.dir_lower_bound(start)
-                    } else {
-                        0
-                    };
+            runs,
+            |e: &Entity| (e.key, e.tombstone),
+            |li, budget, pages| {
+                let (first, from) = starts[li];
+                let mut left = budget;
+                for (i, g) in levels[li].groups[first..].iter().enumerate() {
+                    if left == 0 {
+                        break;
+                    }
+                    let from = if i == 0 { from } else { 0 };
                     let ents = &g.content.ents;
                     if from < ents.len() {
                         pages.push(g.dir_ppa(from, page_payload));
                     }
-                    let page_of = &g.content.layout().page_of;
-                    for (e, &p) in ents[from..]
-                        .iter()
-                        .zip(&page_of[from..])
-                        .take(budget - taken)
-                    {
-                        cands.push(ScanCand {
-                            key: e.key,
-                            tombstone: e.tombstone,
-                            payload: (g.data_ppa(p as usize), e.loc),
-                        });
-                        taken += 1;
+                    let n = ents.len() - from;
+                    if n >= left {
+                        return Some(ents[from + left - 1].key);
                     }
-                    gi += 1;
+                    left -= n;
                 }
-                Ok(taken)
+                None
             },
         )?;
 
-        // Flash timing: directory pages first, then data + log pages.
+        // Flash timing: directory pages first, then the data and log
+        // pages of the hits.
         let t0 = req.t;
         let (t, dir_reads) = self.core.read_set(plan.index_pages, OpCause::HostRead, t0);
         req.phases.data_read += t - t0;
-        let mut data_ppas: Vec<Ppa> = Vec::new();
-        let mut log_ppas: Vec<Ppa> = Vec::new();
-        for &(_, payload) in &plan.hits {
-            if let Some((data_ppa, loc)) = payload {
-                data_ppas.push(data_ppa);
-                if let ValueLoc::Logged(ptr) = loc {
-                    log_ppas.extend(ptr.pages());
-                }
+        let (mut data_ppas, mut log_ppas) = (Vec::new(), Vec::new());
+        for pos in plan.hits.iter().filter_map(|&(_, pos)| pos) {
+            let g = &levels[pos.level].groups[pos.owner];
+            data_ppas.push(g.data_ppa(g.content.layout().page_of[pos.index] as usize));
+            if let ValueLoc::Logged(ptr) = g.content.ents[pos.index].loc {
+                log_ppas.extend(ptr.pages());
             }
         }
         let (t_data, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);

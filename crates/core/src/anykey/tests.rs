@@ -229,3 +229,14 @@ fn deep_buried_key_needs_at_most_group_plus_log_reads() {
         out.flash_reads
     );
 }
+
+#[test]
+fn an_empty_scan_reads_nothing() {
+    let mut s = store(EngineKind::AnyKeyPlus);
+    fill(&mut s, 60_000);
+    let at = s.horizon();
+    let (ids, out) = s.scan_keys(100, 0, at);
+    assert!(ids.is_empty());
+    assert_eq!(out.flash_reads, 0);
+    assert_eq!(out.latency(), crate::config::HASH_NS);
+}

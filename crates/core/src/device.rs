@@ -9,14 +9,14 @@
 //! compaction, GC, and level walks. The request front end over both, the
 //! one `KvEngine` implementation, is in [`crate::engine`].
 //! [`DeviceCore::scan`] is the range-scan merge both engines run over
-//! their own per-level candidates.
+//! their own per-level entry runs.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
-use anykey_flash::{BlockAllocator, FlashSim, Ns, OpCause, Ppa};
+use anykey_flash::{BlockAllocator, FlashGeometry, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
 use anykey_metrics::trace::TraceEvent;
 
@@ -48,6 +48,55 @@ pub(crate) struct DeviceCore {
     spans: Vec<TraceEvent>,
     /// Next span id (unique per tracing session).
     span_seq: u64,
+    /// The pages [`Self::read_set`] gathers; empty between calls.
+    read_marks: PageMarks,
+}
+
+/// A set of flash pages that hands its members back in page order: one bit
+/// per page of the device, numbered block-major, plus one summary bit per
+/// 64-page word that holds a member. Inserting deduplicates and draining
+/// sorts, both without comparisons; draining visits only the summary and
+/// the words it marks.
+#[derive(Debug)]
+struct PageMarks {
+    pages_per_block: u32,
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl PageMarks {
+    fn new(geometry: FlashGeometry) -> Self {
+        let words = geometry.pages().div_ceil(64) as usize;
+        Self {
+            pages_per_block: geometry.pages_per_block,
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, ppa: Ppa) {
+        let i = ppa.block.0 as usize * self.pages_per_block as usize + ppa.page as usize;
+        self.words[i / 64] |= 1 << (i % 64);
+        self.summary[i / 4096] |= 1 << (i / 64 % 64);
+    }
+
+    /// Passes every member to `f` in page order and empties the set.
+    fn drain(&mut self, mut f: impl FnMut(Ppa)) {
+        let ppb = u64::from(self.pages_per_block);
+        for (si, summary) in self.summary.iter_mut().enumerate() {
+            let mut s = std::mem::take(summary);
+            while s != 0 {
+                let wi = si * 64 + s.trailing_zeros() as usize;
+                s &= s - 1;
+                let mut w = std::mem::take(&mut self.words[wi]);
+                while w != 0 {
+                    let i = (wi * 64) as u64 + u64::from(w.trailing_zeros());
+                    w &= w - 1;
+                    f(Ppa::new((i / ppb) as u32, (i % ppb) as u32));
+                }
+            }
+        }
+    }
 }
 
 /// A multiplicative hasher for the `u64` key ids of the live-bytes ledger:
@@ -74,22 +123,23 @@ impl Hasher for IdHasher {
     }
 }
 
-/// One version of a key that a level offers to a scan. `payload` is the
-/// engine's handle on where the value lives.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScanCand<P> {
-    pub(crate) key: Key,
-    pub(crate) tombstone: bool,
-    pub(crate) payload: P,
+/// Where a scan hit's version lives: its level, the owner its slice came
+/// from (an AnyKey group; PinK's one entry run is owner 0), and its index
+/// in that owner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScanPos {
+    pub(crate) level: usize,
+    pub(crate) owner: usize,
+    pub(crate) index: usize,
 }
 
-/// What a scan emits, in key order: each key with the payload of the level
-/// version it came from (`None` when the write buffer holds the value),
-/// plus the index pages the final candidate collection touched.
+/// What a scan emits, in key order: each key with where its version lives
+/// (`None` when the write buffer holds the value), plus the index pages
+/// the final budget walk touched.
 #[derive(Debug)]
-pub(crate) struct ScanPlan<P> {
+pub(crate) struct ScanPlan {
     pub(crate) index_pages: Vec<Ppa>,
-    pub(crate) hits: Vec<(Key, Option<P>)>,
+    pub(crate) hits: Vec<(Key, Option<ScanPos>)>,
 }
 
 /// Where the upper input of a compaction comes from, in either engine.
@@ -109,16 +159,17 @@ pub(crate) enum Source<E> {
 /// level) tombstones are dropped, as nothing below remains for them to
 /// shadow. `entry` gives an entry's key and whether it is a tombstone.
 /// The merged run streams out through `emit`, in key order.
-pub(crate) fn merge_newest<T: Copy>(
-    upper: &[&[T]],
-    lower: &[&[T]],
+pub(crate) fn merge_newest<'a, T: Copy>(
+    upper: &'a [&'a [T]],
+    lower: &'a [&'a [T]],
     drop_tombstones: bool,
     entry: impl Fn(&T) -> (Key, bool),
     mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
     mut emit: impl FnMut(T),
 ) -> Result<(), KvError> {
     let keep = |e: &T| !(drop_tombstones && entry(e).1);
-    let (mut up, mut lo) = (Cursor::new(upper), Cursor::new(lower));
+    let whole = |runs: &'a [&'a [T]]| runs.iter().map(|&run| (0, 0, run));
+    let (mut up, mut lo) = (Cursor::new(whole(upper)), Cursor::new(whole(lower)));
     // One key compare per step while both runs have heads.
     while let (Some(a), Some(b)) = (up.head(), lo.head()) {
         let e = match entry(a).0.cmp(&entry(b).0) {
@@ -148,19 +199,25 @@ pub(crate) fn merge_newest<T: Copy>(
     Ok(())
 }
 
-/// A read position in a key-sorted run stored as consecutive slices.
-struct Cursor<'a, T> {
+/// A read position in a key-sorted run stored as consecutive slices. Each
+/// slice comes tagged `(owner, base, slice)`: the owner it belongs to and
+/// the index its first entry has there, so the position of the head is
+/// always known (a scan hit names it).
+struct Cursor<'a, T, I> {
     /// What is left of the current slice.
     cur: &'a [T],
+    /// The owner of `cur` and the index of its head there.
+    at: (usize, usize),
     /// The slices after it.
-    next: &'a [&'a [T]],
+    next: I,
 }
 
-impl<'a, T> Cursor<'a, T> {
-    fn new(runs: &'a [&'a [T]]) -> Self {
+impl<'a, T, I: Iterator<Item = (usize, usize, &'a [T])>> Cursor<'a, T, I> {
+    fn new(next: I) -> Self {
         let mut c = Cursor {
             cur: &[],
-            next: runs,
+            at: (0, 0),
+            next,
         };
         c.skip_empty();
         c
@@ -172,21 +229,22 @@ impl<'a, T> Cursor<'a, T> {
 
     fn advance(&mut self) {
         self.cur = &self.cur[1..];
+        self.at.1 += 1;
         self.skip_empty();
     }
 
     fn skip_empty(&mut self) {
         while self.cur.is_empty() {
-            let Some((first, rest)) = self.next.split_first() else {
+            let Some((owner, base, slice)) = self.next.next() else {
                 return;
             };
-            (self.cur, self.next) = (first, rest);
+            (self.cur, self.at) = (slice, (owner, base));
         }
     }
 
     /// The unread remainder, slice by slice.
     fn rest(self) -> impl Iterator<Item = &'a [T]> {
-        std::iter::once(self.cur).chain(self.next.iter().copied())
+        std::iter::once(self.cur).chain(self.next.map(|(_, _, slice)| slice))
     }
 }
 
@@ -207,6 +265,7 @@ impl DeviceCore {
             flush_done: 0,
             spans: Vec::new(),
             span_seq: 0,
+            read_marks: PageMarks::new(cfg.flash.geometry),
             cfg,
         }
     }
@@ -263,117 +322,116 @@ impl DeviceCore {
 
     /// Issues the distinct pages of `ppas` (in page order) at `at`;
     /// returns when the last completes and how many were read.
-    pub(crate) fn read_set(&mut self, mut ppas: Vec<Ppa>, cause: OpCause, at: Ns) -> (Ns, u32) {
-        ppas.sort_unstable();
-        ppas.dedup();
-        let n = ppas.len() as u32;
-        (self.flash.read_many(ppas, cause, at), n)
+    pub(crate) fn read_set(
+        &mut self,
+        ppas: impl IntoIterator<Item = Ppa>,
+        cause: OpCause,
+        at: Ns,
+    ) -> (Ns, u32) {
+        for ppa in ppas {
+            self.read_marks.insert(ppa);
+        }
+        let (flash, mut done, mut n) = (&mut self.flash, at, 0);
+        self.read_marks.drain(|ppa| {
+            done = done.max(flash.read(ppa, cause, at).done);
+            n += 1;
+        });
+        (done, n)
     }
 
     /// The range-scan merge of both engines: up to `want` live keys ≥
-    /// `start`, newest version winning across the write buffer and
-    /// `levels` levels (lower index = newer).
+    /// `start`, newest version winning across the write buffer and the
+    /// levels of `runs` (lower index = newer).
     ///
-    /// `collect(level, budget, cands, pages)` appends, in key order, up to
-    /// `budget` candidates ≥ `start` from one level, pushes the index pages
-    /// it touched onto `pages`, and returns how many it took. Tombstones
-    /// and cross-level duplicates consume candidates, so a level capped at
-    /// its budget could hide keys the merge needs: the merge never emits
-    /// past a capped level's last candidate, and the collection reruns
-    /// with a doubled budget (up to 64× `want`) until the keys below every
-    /// capped frontier hold `want` survivors.
-    pub(crate) fn scan<P: Copy>(
+    /// Each run is one level's entries from `start` on, as key-sorted
+    /// `(owner, base, slice)` slices (see [`Cursor`]); `entry` gives an
+    /// entry's key and whether it is a tombstone. The merge streams over
+    /// the runs and the buffer once and copies no entry.
+    ///
+    /// What a scan charges for index pages depends on a per-level budget.
+    /// `walk(level, budget, pages)` pushes the index pages an engine reads
+    /// to reach `budget` entries ≥ `start` in that level and returns the
+    /// level's frontier: the key of its `budget`-th such entry, when it
+    /// holds that many. Tombstones and cross-level duplicates consume
+    /// budget, so a level capped at its frontier could hide keys the
+    /// merge needs: the merge never emits past the lowest frontier, and
+    /// when the stream passes it (or runs dry while one is set) with fewer
+    /// than `want` hits, every level is walked again at double the budget,
+    /// up to 64× `want`. A frontier only rises with the budget, so the
+    /// hits found below the old one stand and the stream goes on; the
+    /// index pages are those of the final budget.
+    pub(crate) fn scan<'a, T: 'a, I>(
         &self,
         start: Key,
         want: usize,
-        levels: usize,
-        mut collect: impl FnMut(
-            usize,
-            usize,
-            &mut Vec<ScanCand<P>>,
-            &mut Vec<Ppa>,
-        ) -> Result<usize, KvError>,
-    ) -> Result<ScanPlan<P>, KvError> {
-        let mut budget = want;
-        let mut cands: Vec<ScanCand<P>> = Vec::new();
-        let mut pages: Vec<Ppa> = Vec::new();
-        let mut runs: Vec<Range<usize>> = Vec::with_capacity(levels);
-        loop {
-            cands.clear();
+        runs: impl IntoIterator<Item = I>,
+        entry: impl Fn(&T) -> (Key, bool),
+        mut walk: impl FnMut(usize, usize, &mut Vec<Ppa>) -> Option<Key>,
+    ) -> Result<ScanPlan, KvError>
+    where
+        I: Iterator<Item = (usize, usize, &'a [T])>,
+    {
+        let mut runs: Vec<Cursor<'a, T, I>> = runs.into_iter().map(Cursor::new).collect();
+        let levels = runs.len();
+        let mut frontier = |budget: usize, pages: &mut Vec<Ppa>| {
             pages.clear();
-            runs.clear();
-            let mut limit: Option<Key> = None;
-            for li in 0..levels {
-                let from = cands.len();
-                if collect(li, budget, &mut cands, &mut pages)? >= budget {
-                    if let Some(c) = cands.last() {
-                        limit = Some(limit.map_or(c.key, |l| l.min(c.key)));
-                    }
-                }
-                runs.push(from..cands.len());
-            }
-            // The walk emits the survivors up to the limit and stops at
-            // `want`, so fewer than `want` hits means the keys below the
-            // frontier hold fewer than `want` survivors.
-            let hits = self.merge_runs(start, want, limit, &cands, &mut runs)?;
-            if limit.is_none() || hits.len() >= want || budget >= want * 64 {
-                return Ok(ScanPlan {
-                    index_pages: pages,
-                    hits,
-                });
-            }
-            budget *= 2;
-        }
-    }
-
-    /// One k-way walk over the write buffer from `start` and the per-level
-    /// key-sorted `runs` of `cands`: on each key the buffer wins, then the
-    /// lowest level, and a live winner becomes a hit. It stops after
-    /// `want` hits or past `limit` (a capped level's frontier: its
-    /// unexplored range could hide smaller keys). Advances `runs`.
-    fn merge_runs<P: Copy>(
-        &self,
-        start: Key,
-        want: usize,
-        limit: Option<Key>,
-        cands: &[ScanCand<P>],
-        runs: &mut [Range<usize>],
-    ) -> Result<Vec<(Key, Option<P>)>, KvError> {
-        let mut hits: Vec<(Key, Option<P>)> = Vec::new();
-        let mut buf_iter = self.buffer.range_from(start).peekable();
+            (0..levels).filter_map(|li| walk(li, budget, pages)).min()
+        };
+        let mut budget = want;
+        let mut index_pages: Vec<Ppa> = Vec::new();
+        let mut limit = frontier(budget, &mut index_pages);
+        let mut hits: Vec<(Key, Option<ScanPos>)> = Vec::with_capacity(want);
+        let mut buf = self.buffer.range_from(start).peekable();
         while hits.len() < want {
-            let next_buf_key = buf_iter.peek().map(|(k, _)| **k);
-            let key = runs
+            let next_buf = buf.peek().map(|(k, _)| **k);
+            let next = runs
                 .iter()
-                .filter(|r| !r.is_empty())
-                .map(|r| cands[r.start].key)
-                .chain(next_buf_key)
+                .filter_map(|r| r.head())
+                .map(|e| entry(e).0)
+                .chain(next_buf)
                 .min();
-            let Some(key) = key else { break };
+            while let Some(l) = limit {
+                if next.is_some_and(|k| k <= l) || budget >= want * 64 {
+                    break;
+                }
+                budget *= 2;
+                limit = frontier(budget, &mut index_pages);
+            }
+            let Some(key) = next else { break };
             if limit.is_some_and(|l| key > l) {
                 break;
             }
-            // The newest version: `(tombstone, payload)`, with no payload
-            // when the write buffer holds the value.
-            let mut newest: Option<(bool, Option<P>)> = None;
-            if next_buf_key == Some(key) {
-                let (_, e) = buf_iter.next().ok_or(KvError::Internal {
+            // The newest version: `(tombstone, position)`, with no
+            // position when the write buffer holds the value.
+            let mut newest: Option<(bool, Option<ScanPos>)> = None;
+            if next_buf == Some(key) {
+                let (_, e) = buf.next().ok_or(KvError::Internal {
                     context: "peeked buffer entry vanished mid-scan",
                 })?;
                 newest = Some((e.tombstone, None));
             }
-            for r in runs.iter_mut() {
-                while r.start < r.end && cands[r.start].key == key {
-                    let c = &cands[r.start];
-                    newest.get_or_insert((c.tombstone, Some(c.payload)));
-                    r.start += 1;
+            for (level, run) in runs.iter_mut().enumerate() {
+                while let Some((k, tombstone)) = run.head().map(&entry) {
+                    if k != key {
+                        break;
+                    }
+                    let (owner, index) = run.at;
+                    newest.get_or_insert((
+                        tombstone,
+                        Some(ScanPos {
+                            level,
+                            owner,
+                            index,
+                        }),
+                    ));
+                    run.advance();
                 }
             }
-            if let Some((false, payload)) = newest {
-                hits.push((key, payload));
+            if let Some((false, pos)) = newest {
+                hits.push((key, pos));
             }
         }
-        Ok(hits)
+        Ok(ScanPlan { index_pages, hits })
     }
 
     /// The metadata fields every engine fills the same way: DRAM, live

@@ -1,7 +1,9 @@
-//! Merge tests: the one-pass scan walk of [`DeviceCore::scan`] checked
-//! against a two-pass reference merge on seeded random per-level runs,
-//! plus named cases for newest-wins, budget doubling, the 64× cap and the
-//! capped-level frontier, and the newest-wins two-way merge of compaction.
+//! Merge tests: the streaming scan merge of [`DeviceCore::scan`] checked
+//! against a two-pass reference merge over eagerly collected candidates
+//! on seeded random per-level runs, plus named cases for newest-wins,
+//! budget doubling, the 64× cap, the capped-level frontier, a capped level
+//! that ends at its frontier and the empty scan, and the newest-wins
+//! two-way merge of compaction.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -12,6 +14,24 @@ use super::*;
 /// A test level: key-sorted `(key, tombstone)` versions. A candidate's
 /// payload is its `(level, index)`, so a hit names the version it took.
 type Level = Vec<(Key, bool)>;
+
+/// One version of a key that a level offers the reference merge; `payload`
+/// names where it came from.
+#[derive(Debug, Clone, Copy)]
+struct ScanCand<P> {
+    key: Key,
+    tombstone: bool,
+    payload: P,
+}
+
+/// What the reference merge emits: the hits in key order, each with the
+/// payload of its level version (`None` from the write buffer), and the
+/// index pages its final collection touched.
+#[derive(Debug)]
+struct RefPlan<P> {
+    index_pages: Vec<Ppa>,
+    hits: Vec<(Key, Option<P>)>,
+}
 
 const LEVEL_INDEX_CHUNK: usize = 8;
 
@@ -80,7 +100,7 @@ fn two_pass_scan<P: Copy>(
         &mut Vec<ScanCand<P>>,
         &mut Vec<Ppa>,
     ) -> Result<usize, KvError>,
-) -> Result<ScanPlan<P>, KvError> {
+) -> Result<RefPlan<P>, KvError> {
     let mut budget = want;
     let mut cands: Vec<ScanCand<P>> = Vec::new();
     let mut level_of: Vec<usize> = Vec::new();
@@ -155,45 +175,85 @@ fn two_pass_scan<P: Copy>(
             (None, _) => {}
         }
     }
-    Ok(ScanPlan {
+    Ok(RefPlan {
         index_pages: pages,
         hits,
     })
 }
 
-/// Runs both merges over `levels` and asserts the same hits and index
-/// pages; returns the plan and how many collection rounds it took.
+/// The budget walk matching `collect`: the index pages it pushes for
+/// `budget` candidates from level `li`, and the key of the `budget`-th
+/// when the level holds that many.
+fn walk(
+    levels: &[Level],
+    start: Key,
+    li: usize,
+    budget: usize,
+    pages: &mut Vec<Ppa>,
+) -> Option<Key> {
+    let level = &levels[li];
+    let from = level.partition_point(|&(key, _)| key < start);
+    let to = level.len().min(from + budget);
+    for i in from..to {
+        if i == from || i % LEVEL_INDEX_CHUNK == 0 {
+            pages.push(Ppa::new(li as u32, (i / LEVEL_INDEX_CHUNK) as u32));
+        }
+    }
+    (budget > 0 && to - from == budget).then(|| level[to - 1].0)
+}
+
+/// Runs the streaming merge and the reference over `levels` and asserts
+/// the same hits and index pages; returns the plan, its hits named by
+/// `(level, index)`, and the final budget, which must be the reference's.
 fn check(
     core: &DeviceCore,
     levels: &[Level],
     start: Key,
     want: usize,
-) -> (ScanPlan<(usize, usize)>, usize) {
-    let (mut calls, mut ref_calls) = (0, 0);
+) -> (RefPlan<(usize, usize)>, usize) {
+    let (mut budget, mut ref_budget) = (None, None);
+    let runs = levels.iter().map(|level| {
+        let from = level.partition_point(|&(key, _)| key < start);
+        std::iter::once((0, from, &level[from..]))
+    });
     let plan = core
-        .scan(start, want, levels.len(), |li, budget, cands, pages| {
-            calls += 1;
-            collect(levels, start, li, budget, cands, pages)
-        })
+        .scan(
+            start,
+            want,
+            runs,
+            |&(key, tombstone)| (key, tombstone),
+            |li, b, pages| {
+                budget = Some(b);
+                walk(levels, start, li, b, pages)
+            },
+        )
         .unwrap();
-    let reference = two_pass_scan(
-        core,
-        start,
-        want,
-        levels.len(),
-        |li, budget, cands, pages| {
-            ref_calls += 1;
-            collect(levels, start, li, budget, cands, pages)
-        },
-    )
+    let plan = RefPlan {
+        index_pages: plan.index_pages,
+        hits: plan
+            .hits
+            .into_iter()
+            .map(|(key, pos)| {
+                let pos = pos.map(|p| {
+                    assert_eq!(p.owner, 0, "a test level is one slice");
+                    (p.level, p.index)
+                });
+                (key, pos)
+            })
+            .collect(),
+    };
+    let reference = two_pass_scan(core, start, want, levels.len(), |li, b, cands, pages| {
+        ref_budget = Some(b);
+        collect(levels, start, li, b, cands, pages)
+    })
     .unwrap();
     assert_eq!(plan.hits, reference.hits, "hits differ");
     assert_eq!(
         plan.index_pages, reference.index_pages,
         "index pages differ"
     );
-    assert_eq!(calls, ref_calls, "collection rounds differ");
-    (plan, calls / levels.len())
+    assert_eq!(budget, ref_budget, "final budgets differ");
+    (plan, budget.unwrap_or(want))
 }
 
 /// A key-sorted level of up to `n` distinct ids below `keyspace`, each
@@ -225,9 +285,9 @@ fn one_pass_merge_matches_two_pass_reference() {
         }
         let start = k(rng.next_bounded(keyspace));
         let want = 1 + rng.next_bounded(12) as usize;
-        let (plan, rounds) = check(&core, &levels, start, want);
-        doubled += usize::from(rounds > 1);
-        capped += usize::from(rounds == 7);
+        let (plan, budget) = check(&core, &levels, start, want);
+        doubled += usize::from(budget > want);
+        capped += usize::from(budget == 64 * want);
         buffered += usize::from(plan.hits.iter().any(|(_, p)| p.is_none()));
     }
     assert!(doubled > 0, "no case doubled the budget");
@@ -246,8 +306,8 @@ fn duplicates_and_tombstones_take_the_newest_version() {
     ];
     buffer(&mut core, 5, true);
     buffer(&mut core, 6, false);
-    let (plan, rounds) = check(&core, &levels, k(1), 10);
-    assert_eq!(rounds, 1);
+    let (plan, budget) = check(&core, &levels, k(1), 10);
+    assert_eq!(budget, 10);
     assert_eq!(
         plan.hits,
         vec![
@@ -267,8 +327,8 @@ fn a_capped_level_of_tombstones_doubles_the_budget() {
     let mut l0: Level = (0..8).map(|id| (k(id), true)).collect();
     l0.extend((100..120).map(|id| (k(id), false)));
     let l1: Level = (50..60).map(|id| (k(id), false)).collect();
-    let (plan, rounds) = check(&core, &[l0, l1], k(0), 4);
-    assert_eq!(rounds, 3);
+    let (plan, budget) = check(&core, &[l0, l1], k(0), 4);
+    assert_eq!(budget, 16, "budget 4, 8, 16");
     let ids: Vec<u64> = plan.hits.iter().map(|(key, _)| key.id()).collect();
     assert_eq!(ids, vec![50, 51, 52, 53]);
 }
@@ -278,8 +338,8 @@ fn a_level_of_tombstones_stops_at_the_64x_cap() {
     let core = core();
     let l0: Level = (0..1_000).map(|id| (k(id), true)).collect();
     let l1: Level = vec![(k(500), false), (k(2_000), false)];
-    let (plan, rounds) = check(&core, &[l0, l1], k(0), 2);
-    assert_eq!(rounds, 7, "budget 2, 4, …, 128 = 64 × want");
+    let (plan, budget) = check(&core, &[l0, l1], k(0), 2);
+    assert_eq!(budget, 128, "budget 2, 4, …, 128 = 64 × want");
     assert!(plan.hits.is_empty(), "{:?}", plan.hits);
 }
 
@@ -294,11 +354,38 @@ fn scan_never_emits_past_a_capped_frontier() {
     l0.push((k(1_000), false));
     let l1: Level = vec![(k(61), false), (k(401), false)];
     buffer(&mut core, 500, false);
-    let (plan, rounds) = check(&core, &[l0, l1], k(0), 3);
-    assert_eq!(rounds, 7, "budget 3, 6, …, 192 = 64 × want");
+    let (plan, budget) = check(&core, &[l0, l1], k(0), 3);
+    assert_eq!(budget, 192, "budget 3, 6, …, 192 = 64 × want");
     let frontier = k(382); // level 0's 192nd candidate
     assert_eq!(plan.hits, vec![(k(61), Some((1, 0)))]);
     assert!(plan.hits.iter().all(|(key, _)| *key <= frontier));
+}
+
+#[test]
+fn a_capped_level_ending_at_its_frontier_doubles_once() {
+    let core = core();
+    // At budget 2 level 0 holds exactly 2 entries from the start and
+    // nothing past them: it is capped at 3, and the keys up to 3 hold one
+    // survivor. The stream runs dry at the frontier, so the budget still
+    // doubles, and at 4 the level is no longer capped.
+    let l0: Level = vec![(k(1), false), (k(3), true)];
+    let (plan, budget) = check(&core, &[l0], k(0), 2);
+    assert_eq!(budget, 4);
+    assert_eq!(plan.hits, vec![(k(1), Some((0, 0)))]);
+}
+
+#[test]
+fn an_empty_scan_walks_at_budget_zero() {
+    let mut core = core();
+    buffer(&mut core, 5, false);
+    let levels = vec![
+        (0..40).map(|id| (k(id), false)).collect(),
+        (0..40).map(|id| (k(id), true)).collect(),
+    ];
+    let (plan, budget) = check(&core, &levels, k(0), 0);
+    assert_eq!(budget, 0);
+    assert!(plan.hits.is_empty());
+    assert!(plan.index_pages.is_empty(), "{:?}", plan.index_pages);
 }
 
 /// A compaction entry tagged with the level it came from: `(key,
@@ -412,4 +499,27 @@ fn id_hasher_spreads_ids_that_share_low_bits() {
         .map(|i| build.hash_one(i << 20) & 1023)
         .collect();
     assert!(buckets.len() > 200, "only {} buckets used", buckets.len());
+}
+
+#[test]
+fn page_marks_drain_each_page_once_in_page_order() {
+    let geometry = core().cfg.flash.geometry;
+    let mut marks = PageMarks::new(geometry);
+    let mut rng = SplitMix64::new(0x09A6_E5E7);
+    let mut reference = BTreeSet::new();
+    for round in 0..3 {
+        for _ in 0..200 * round {
+            let ppa = Ppa::new(
+                rng.next_bounded(u64::from(geometry.blocks())) as u32,
+                rng.next_bounded(u64::from(geometry.pages_per_block)) as u32,
+            );
+            marks.insert(ppa);
+            marks.insert(ppa);
+            reference.insert(ppa);
+        }
+        let mut drained = Vec::new();
+        marks.drain(|ppa| drained.push(ppa));
+        let expected: Vec<Ppa> = std::mem::take(&mut reference).into_iter().collect();
+        assert_eq!(drained, expected, "round {round}");
+    }
 }

@@ -24,7 +24,7 @@ use anykey_metrics::timeline::{LevelSample, StateSample};
 use crate::audit::{audit_retirement, AuditError};
 use crate::bytelog::{ByteLog, Extent};
 use crate::config::{DeviceConfig, EngineKind, LEVEL_RATIO};
-use crate::device::{DeviceCore, ScanCand, Source};
+use crate::device::{DeviceCore, Source};
 use crate::engine::{Engine, KvEngine, MetadataStats, Request};
 use crate::error::KvError;
 use crate::key::Key;
@@ -257,44 +257,54 @@ impl Engine for PinkStore {
         len: u32,
         req: &mut Request,
     ) -> Result<Vec<u64>, KvError> {
-        // Candidates carry their data pointers; the index pages are the
-        // spilled level lists and meta segments the collection touched.
+        // Each level's run is its entry array from the first entry ≥
+        // `start`, which lies in the first segment that can hold such keys
+        // (segments hold disjoint, ascending key ranges). The index pages
+        // are the spilled level lists and meta segments the budget walk
+        // visits.
         let levels = &self.levels;
+        let starts: Vec<(usize, usize)> = levels
+            .iter()
+            .map(|level| {
+                let first = level.scan_start(start);
+                let from = level.segs.get(first).map_or(level.entries.len(), |seg| {
+                    seg.start
+                        + seg
+                            .entries(&level.entries)
+                            .partition_point(|e| e.key < start)
+                });
+                (first, from)
+            })
+            .collect();
+        let runs = levels
+            .iter()
+            .zip(&starts)
+            .map(|(level, &(_, from))| std::iter::once((0, from, &level.entries[from..])));
         let plan = self.core.scan(
             start,
             len as usize,
-            levels.len(),
-            |li, budget, cands, pages| {
-                let level = &levels[li];
+            runs,
+            |e: &SegEntry| (e.key, e.tombstone),
+            |li, budget, pages| {
+                let (level, (first, from)) = (&levels[li], starts[li]);
                 if level.is_empty() {
-                    return Ok(0);
+                    return None;
                 }
                 pages.extend(level.list_pages.first());
-                let mut taken = 0usize;
-                // Segments hold disjoint, ascending key ranges, so only
-                // the first segment visited can hold keys below `start`.
-                let first = level.scan_start(start);
-                let mut si = first;
-                while taken < budget && si < level.segs.len() {
-                    let seg = &level.segs[si];
-                    pages.extend(seg.ppa);
-                    let entries = seg.entries(&level.entries);
-                    let from = if si == first {
-                        entries.partition_point(|e| e.key < start)
-                    } else {
-                        0
-                    };
-                    for e in entries[from..].iter().take(budget - taken) {
-                        cands.push(ScanCand {
-                            key: e.key,
-                            tombstone: e.tombstone,
-                            payload: e.ptr,
-                        });
-                        taken += 1;
+                let mut left = budget;
+                for seg in &level.segs[first..] {
+                    if left == 0 {
+                        break;
                     }
-                    si += 1;
+                    pages.extend(seg.ppa);
+                    let from = from.max(seg.start);
+                    let n = seg.end - from;
+                    if n >= left {
+                        return Some(level.entries[from + left - 1].key);
+                    }
+                    left -= n;
                 }
-                Ok(taken)
+                None
             },
         )?;
         let at = req.t;
@@ -304,12 +314,11 @@ impl Engine for PinkStore {
         // Read the data pages of the selected pairs. In PinK these are
         // scattered over the data area (values are placed in buffer-arrival
         // order), which is why long scans cost it dearly (Figure 18).
-        let data_ppas: Vec<Ppa> = plan
+        let data_ppas = plan
             .hits
             .iter()
-            .filter_map(|&(_, ptr)| ptr)
-            .flat_map(Extent::pages)
-            .collect();
+            .filter_map(|&(_, pos)| pos)
+            .flat_map(|pos| self.levels[pos.level].entries[pos.index].ptr.pages());
         let (done, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
         req.phases.data_read += done - t;
         req.t = done;

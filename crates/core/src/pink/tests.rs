@@ -95,3 +95,22 @@ fn overwrites_invalidate_old_data_bytes() {
         live_before - 1_000 * (48 + 48)
     );
 }
+
+#[test]
+fn an_empty_scan_reads_each_spilled_level_list_once() {
+    let mut s = store();
+    fill(&mut s, 60_000);
+    // A zero-length scan walks every level at budget 0: it visits no
+    // meta segment, but a non-empty level whose list spilled still
+    // charges that list's first page.
+    let spilled = s
+        .levels
+        .iter()
+        .filter(|l| !l.is_empty() && !l.list_pages.is_empty())
+        .count() as u32;
+    assert!(spilled > 0, "no level list spilled");
+    let at = s.horizon();
+    let (ids, out) = s.scan_keys(100, 0, at);
+    assert!(ids.is_empty());
+    assert_eq!(out.flash_reads, spilled);
+}
