@@ -24,13 +24,23 @@ use std::path::{Path, PathBuf};
 use anykey_bench::common::Scale;
 use anykey_bench::experiments;
 use anykey_bench::{sweep, ExpCtx};
+use anykey_core::DeviceConfig;
+
+/// The capacity step of the standard device: one erase block on each
+/// chip of its flash geometry. A capacity off this step cannot be laid
+/// out as whole blocks per chip.
+fn capacity_granule() -> u64 {
+    let geometry = DeviceConfig::builder().build().flash.geometry;
+    u64::from(geometry.chips()) * geometry.block_bytes()
+}
 
 fn usage() -> ! {
     eprintln!(
         "usage: anykey-bench <experiment|all> [options]\n\
          experiments: {}\n\
          options:\n\
-           --capacity-mb N   device capacity in MiB (default 128)\n\
+           --capacity-mb N   device capacity in MiB (default 128; a positive\n\
+                             multiple of {} MiB)\n\
            --fill F          warm-up fill fraction (default 0.55)\n\
            --ops-factor F    measured ops as multiple of capacity (default 2.0)\n\
            --out DIR         CSV output directory (default results/)\n\
@@ -45,7 +55,8 @@ fn usage() -> ! {
                              JSONL, or CSV when PATH ends in .csv\n\
            --timeline-interval NS  virtual ns between samples; needs\n\
                              --timeline (default 10000000; 0 disables sampling)",
-        experiments::ids().join(" ")
+        experiments::ids().join(" "),
+        capacity_granule() >> 20
     );
     std::process::exit(2)
 }
@@ -82,8 +93,9 @@ fn main() {
                 scale.capacity = args
                     .get(i)
                     .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or_else(|| usage())
-                    << 20;
+                    .and_then(|mb| mb.checked_mul(1 << 20))
+                    .filter(|&bytes| bytes > 0 && bytes % capacity_granule() == 0)
+                    .unwrap_or_else(|| usage());
             }
             "--fill" => {
                 i += 1;

@@ -89,3 +89,14 @@ fn unknown_experiment_is_named() {
         "{stderr}"
     );
 }
+
+/// A capacity that is not a positive whole number of erase blocks on
+/// every chip (64 MiB for the standard geometry) is a usage error, not a
+/// geometry panic, even for the analytic experiment.
+#[test]
+fn capacity_off_the_block_granule_is_a_usage_error() {
+    for mb in ["100", "0"] {
+        let stderr = usage_error(&["scalability", "--capacity-mb", mb]);
+        assert!(stderr.contains("multiple of 64 MiB"), "{mb}: {stderr}");
+    }
+}
