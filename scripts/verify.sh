@@ -53,6 +53,11 @@ cargo run -q --release -p anykey-bench -- fig18 --quick --jobs 2 \
 cmp "$VERIFY_DIR/s1/fig18.csv" "$VERIFY_DIR/s2/fig18.csv"
 cmp "$VERIFY_DIR/s1/fig18_cdf.csv" "$VERIFY_DIR/s2/fig18_cdf.csv"
 
+echo "==> scan bytes: fig18 at the default scale must match results/"
+cargo run -q --release -p anykey-bench -- fig18 --jobs 2 --out "$VERIFY_DIR/s3"
+cmp "$VERIFY_DIR/s3/fig18.csv" results/fig18.csv
+cmp "$VERIFY_DIR/s3/fig18_cdf.csv" results/fig18_cdf.csv
+
 echo "==> cargo clippy (lint levels; DESIGN.md §8)"
 cargo clippy --workspace --all-targets -- -D warnings
 
