@@ -56,25 +56,32 @@ pub(crate) struct DeviceCore {
 /// per page of the device, numbered block-major, plus one summary bit per
 /// 64-page word that holds a member. Inserting deduplicates and draining
 /// sorts, both without comparisons; draining visits only the summary and
-/// the words it marks.
+/// the words it marks. The bits are allocated on the first insert, so a
+/// device that never reads a page set pays nothing for them.
 #[derive(Debug)]
 struct PageMarks {
     pages_per_block: u32,
+    pages: u64,
     words: Vec<u64>,
     summary: Vec<u64>,
 }
 
 impl PageMarks {
     fn new(geometry: FlashGeometry) -> Self {
-        let words = geometry.pages().div_ceil(64) as usize;
         Self {
             pages_per_block: geometry.pages_per_block,
-            words: vec![0; words],
-            summary: vec![0; words.div_ceil(64)],
+            pages: geometry.pages(),
+            words: Vec::new(),
+            summary: Vec::new(),
         }
     }
 
     fn insert(&mut self, ppa: Ppa) {
+        if self.words.is_empty() {
+            let words = self.pages.div_ceil(64) as usize;
+            self.words = vec![0; words];
+            self.summary = vec![0; words.div_ceil(64)];
+        }
         let i = ppa.block.0 as usize * self.pages_per_block as usize + ppa.page as usize;
         self.words[i / 64] |= 1 << (i % 64);
         self.summary[i / 4096] |= 1 << (i / 64 % 64);

@@ -59,9 +59,9 @@ fn buffer(core: &mut DeviceCore, id: u64, tombstone: bool) {
     core.buffer.insert(k(id), e);
 }
 
-/// `collect` over `levels` the way both engines do it: up to `budget`
-/// candidates ≥ `start` from level `li` in key order, one index page
-/// per chunk of `LEVEL_INDEX_CHUNK` entries touched.
+/// The eager collection the reference merges: up to `budget` candidates
+/// ≥ `start` from level `li` of `levels` in key order, one index page per
+/// chunk of `LEVEL_INDEX_CHUNK` entries touched.
 fn collect(
     levels: &[Level],
     start: Key,

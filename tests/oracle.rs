@@ -85,9 +85,8 @@ fn drive_against_oracle(kind: EngineKind, seed: u64, n_ops: usize) {
 
 /// Scans across a deleted run longer than the scan. The live keys sit in a
 /// deep level and their tombstones in the write buffer, so the first `len`
-/// candidates the level offers are all shadowed and the engine must retry
-/// its candidate collection with a doubled per-level budget to find `len`
-/// survivors beyond the run. Fresh writes then flush the tombstones into
+/// entries the level offers are all shadowed and the scan must widen its
+/// per-level budget, doubling it, to find `len` survivors beyond the run. Fresh writes then flush the tombstones into
 /// the levels and the same scans run again.
 fn scan_across_deleted_run(kind: EngineKind) {
     let mut dev = small_device(kind);
