@@ -230,34 +230,34 @@ impl Engine for AnyKeyStore {
                 (first, from)
             })
             .collect();
-        let runs = levels.iter().zip(&starts).map(|(level, &(first, from))| {
-            level.groups[first..].iter().enumerate().map(move |(i, g)| {
-                let from = if i == 0 { from } else { 0 };
-                (first + i, from, &g.content.ents[from..])
-            })
-        });
+        let slices = |li: usize| {
+            let (first, from) = starts[li];
+            levels[li].groups[first..]
+                .iter()
+                .enumerate()
+                .map(move |(i, g)| {
+                    let from = if i == 0 { from } else { 0 };
+                    (first + i, from, &g.content.ents[from..])
+                })
+        };
         let plan = self.core.scan(
             start,
             len as usize,
-            runs,
+            (0..levels.len()).map(slices),
             |e: &Entity| (e.key, e.tombstone),
             |li, budget, pages| {
-                let (first, from) = starts[li];
                 let mut left = budget;
-                for (i, g) in levels[li].groups[first..].iter().enumerate() {
+                for (gi, from, ents) in slices(li) {
                     if left == 0 {
                         break;
                     }
-                    let from = if i == 0 { from } else { 0 };
-                    let ents = &g.content.ents;
-                    if from < ents.len() {
-                        pages.push(g.dir_ppa(from, page_payload));
+                    if !ents.is_empty() {
+                        pages.push(levels[li].groups[gi].dir_ppa(from, page_payload));
                     }
-                    let n = ents.len() - from;
-                    if n >= left {
-                        return Some(ents[from + left - 1].key);
+                    if ents.len() >= left {
+                        return Some(ents[left - 1].key);
                     }
-                    left -= n;
+                    left -= ents.len();
                 }
                 None
             },
