@@ -523,3 +523,45 @@ fn page_marks_drain_each_page_once_in_page_order() {
         assert_eq!(drained, expected, "round {round}");
     }
 }
+
+/// The live-bytes ledger against a `HashMap` model, checked after every
+/// op: PUTs at the first length, at a second length and at length 0,
+/// re-PUTs, tombstones of live and absent ids, and re-PUTs after a
+/// tombstone, over ids packed in one 64-id word, in adjacent words and
+/// far apart (`1 << 40`, `u64::MAX`).
+#[test]
+fn live_bytes_follow_a_map_model() {
+    let mut core = core();
+    let mut rng = SplitMix64::new(0x11FE_B17E);
+    let mut ids: Vec<u64> = (0..64).chain(64..192).collect();
+    ids.extend([1 << 40, (1 << 40) + 1, (1 << 40) + 64, u64::MAX - 64]);
+    ids.extend([u64::MAX - 1, u64::MAX]);
+    ids.extend((0..16).map(|_| rng.next_u64()));
+    let mut model: HashMap<u64, u32> = HashMap::new();
+    let mut model_bytes = 0u64;
+    let key_len = u64::from(core.cfg.key_len);
+    for op in 0..24_000u32 {
+        let id = ids[rng.next_bounded(ids.len() as u64) as usize];
+        let tombstone = op > 0 && rng.next_bounded(4) == 0;
+        // The first PUT sets the common length; a few use others.
+        let len = match rng.next_bounded(16) {
+            _ if op == 0 => 10,
+            0 => 200,
+            1 => 0,
+            _ => 10,
+        };
+        if tombstone {
+            if let Some(old) = model.remove(&id) {
+                model_bytes -= key_len + u64::from(old);
+            }
+        } else if let Some(old) = model.insert(id, len) {
+            model_bytes = model_bytes - u64::from(old) + u64::from(len);
+        } else {
+            model_bytes += key_len + u64::from(len);
+        }
+        let value_len = if tombstone { 0 } else { len };
+        core.buffer_put(k(id), value_len, tombstone, 0);
+        assert_eq!(core.live_bytes, model_bytes, "op {op}: id {id}");
+    }
+    assert_eq!(core.metadata().live_unique_bytes, 7_938);
+}

@@ -116,27 +116,38 @@ fn queue_depth_trades_latency_for_throughput() {
 }
 
 /// Once a device reports full it keeps reporting full (no silent
-/// corruption), and reads still work.
+/// corruption), and reads still work. The live-bytes ledger keeps every
+/// PUT it saw up to `DeviceFull`, the rejected one included: `full_at + 1`
+/// pairs. AnyKey+ fills with 100-byte values, a length at which it reaches
+/// `DeviceFull` with its log ledger intact on this device (ROADMAP #1).
 #[test]
 fn device_full_is_sticky_and_readable() {
-    let mut dev = tiny(EngineKind::Pink);
-    let mut id = 0u64;
-    let full_at = loop {
-        match dev.put(id, 200) {
-            Ok(_) => id += 1,
-            Err(KvError::DeviceFull) => break id,
-            Err(e) => panic!("unexpected: {e}"),
-        }
-    };
-    assert!(
-        full_at > 10_000,
-        "device filled suspiciously early: {full_at}"
-    );
-    // Reads of previously inserted keys still succeed.
-    assert!(dev.get(0).found);
-    assert!(dev.get(full_at / 2).found);
-    // Even a device that hit full mid-operation must be structurally sound.
-    dev.check_invariants().expect("post-device-full audit");
+    for (kind, value_len, live) in [
+        (EngineKind::Pink, 200, 13_233_024),
+        (EngineKind::AnyKeyPlus, 100, 11_037_860),
+    ] {
+        let mut dev = tiny(kind);
+        let mut id = 0u64;
+        let full_at = loop {
+            match dev.put(id, value_len) {
+                Ok(_) => id += 1,
+                Err(KvError::DeviceFull) => break id,
+                Err(e) => panic!("{kind:?}: unexpected: {e}"),
+            }
+        };
+        assert!(
+            full_at > 10_000,
+            "{kind:?}: device filled suspiciously early: {full_at}"
+        );
+        let live_now = dev.metadata().live_unique_bytes;
+        assert_eq!(live_now, live, "{kind:?}");
+        assert_eq!(live_now, (full_at + 1) * (24 + u64::from(value_len)));
+        // Reads of previously inserted keys still succeed.
+        assert!(dev.get(0).found, "{kind:?}");
+        assert!(dev.get(full_at / 2).found, "{kind:?}");
+        // Even a device that hit full mid-operation must be structurally sound.
+        dev.check_invariants().expect("post-device-full audit");
+    }
 }
 
 /// Key ids beyond the synthesizable range surface KeyTooLarge on every
