@@ -35,10 +35,9 @@ pub(crate) struct DeviceCore {
     pub(crate) buffer: WriteBuffer,
     pub(crate) dram: DramBudget,
     pub(crate) page_payload: u64,
-    /// Live logical state: key id → value length (for unique-byte
-    /// accounting; the engines' query paths never consult this, and
-    /// nothing iterates it, so its hasher need not resist collisions).
-    live: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
+    /// Which key ids are live, and their value lengths (for unique-byte
+    /// accounting; the engines' query paths never consult this).
+    live: LiveIds,
     live_bytes: u64,
     /// Completion time of the in-flight flush (L0 is double-buffered: a
     /// put that fills the buffer stalls only if the previous flush is
@@ -106,9 +105,50 @@ impl PageMarks {
     }
 }
 
-/// A multiplicative hasher for the `u64` key ids of the live-bytes ledger:
-/// one multiply by 2^64 / φ, with the high half folded into the low bits
-/// the table indexes by, so ids sharing low bits still spread.
+/// The live-bytes ledger's record of live key ids: one bit per id, in
+/// 64-id words keyed by `id / 64`, plus each live id's value length. The
+/// lengths cost nothing while they agree: `common` is the length of the
+/// first PUT, and only an id live at another length has an entry in
+/// `odd` (every workload uses one length, so `odd` stays empty). No map
+/// allocates before the first PUT, and nothing iterates them, so their
+/// hasher need not resist collisions.
+#[derive(Debug, Default)]
+struct LiveIds {
+    words: HashMap<u64, u64, BuildHasherDefault<IdHasher>>,
+    common: Option<u32>,
+    odd: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
+}
+
+impl LiveIds {
+    /// Marks `id` live with value length `len`, or dead with `None`;
+    /// returns its length if it was live.
+    fn set(&mut self, id: u64, len: Option<u32>) -> Option<u32> {
+        let bit = 1u64 << (id % 64);
+        let was_live = match len {
+            Some(len) => {
+                self.common.get_or_insert(len);
+                let word = self.words.entry(id / 64).or_insert(0);
+                std::mem::replace(word, *word | bit) & bit != 0
+            }
+            None => {
+                let word = self.words.get_mut(&(id / 64))?;
+                std::mem::replace(word, *word & !bit) & bit != 0
+            }
+        };
+        // A word exists only after a PUT, which set `common`.
+        let common = self.common?;
+        let old = was_live.then(|| self.odd.remove(&id).unwrap_or(common));
+        if let Some(len) = len.filter(|&len| len != common) {
+            self.odd.insert(id, len);
+        }
+        old
+    }
+}
+
+/// A multiplicative hasher for the `u64` word indices (key id / 64) of the
+/// live-bytes ledger: one multiply by 2^64 / φ, with the high half folded
+/// into the low bits the table indexes by, so indices sharing low bits
+/// still spread.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct IdHasher(u64);
 
@@ -267,7 +307,7 @@ impl DeviceCore {
                 cfg.write_buffer_bytes.min(cfg.dram_bytes / 2),
             ),
             page_payload: cfg.page_payload() as u64,
-            live: HashMap::default(),
+            live: LiveIds::default(),
             live_bytes: 0,
             flush_done: 0,
             spans: Vec::new(),
@@ -311,19 +351,12 @@ impl DeviceCore {
                 tombstone,
             },
         );
-        let id = key.id();
-        if tombstone {
-            if let Some(old) = self.live.remove(&id) {
-                self.live_bytes -= key.len() as u64 + old as u64;
-            }
-        } else {
-            match self.live.insert(id, value_len) {
-                Some(old) => {
-                    self.live_bytes = self.live_bytes - old as u64 + value_len as u64;
-                }
-                None => self.live_bytes += key.len() as u64 + value_len as u64,
-            }
-        }
+        // A new id adds its key and value, an overwrite swaps the value
+        // lengths, and a tombstone of a live id takes both away.
+        let len = (!tombstone).then_some(value_len);
+        let old = self.live.set(key.id(), len);
+        let pair = |len: u32| key.len() as u64 + u64::from(len);
+        self.live_bytes = self.live_bytes + len.map_or(0, pair) - old.map_or(0, pair);
         self.buffer.is_full().then(|| at.max(self.flush_done))
     }
 

@@ -565,3 +565,20 @@ fn live_bytes_follow_a_map_model() {
     }
     assert_eq!(core.metadata().live_unique_bytes, 7_938);
 }
+
+#[test]
+fn live_ids_allocate_nothing_before_the_first_put() {
+    let mut core = core();
+    assert_eq!(core.live.words.capacity(), 0);
+    assert_eq!(core.live.odd.capacity(), 0);
+    // A tombstone of an absent id is not a PUT.
+    core.buffer_put(k(7), 0, true, 0);
+    assert_eq!(core.live.words.capacity(), 0);
+    // The first PUT allocates the words; its length becomes the common
+    // one, so the odd lengths stay unallocated until another length.
+    core.buffer_put(k(7), 10, false, 0);
+    assert!(core.live.words.capacity() > 0);
+    assert_eq!(core.live.odd.capacity(), 0);
+    core.buffer_put(k(8), 20, false, 0);
+    assert!(core.live.odd.capacity() > 0);
+}
