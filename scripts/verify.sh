@@ -58,6 +58,10 @@ cargo run -q --release -p anykey-bench -- fig18 --jobs 2 --out "$VERIFY_DIR/s3"
 cmp "$VERIFY_DIR/s3/fig18.csv" results/fig18.csv
 cmp "$VERIFY_DIR/s3/fig18_cdf.csv" results/fig18_cdf.csv
 
+echo "==> ledger bytes: fig14 at the default scale must match results/"
+cargo run -q --release -p anykey-bench -- fig14 --jobs 2 --out "$VERIFY_DIR/u1"
+cmp "$VERIFY_DIR/u1/fig14.csv" results/fig14.csv
+
 echo "==> cargo clippy (lint levels; DESIGN.md §8)"
 cargo clippy --workspace --all-targets -- -D warnings
 
