@@ -9,7 +9,11 @@
 //! AnyKey's `InlineAll` merge, PinK's merge), so the pins cover the
 //! inlining code as well as flush and tree compaction. Every engine also
 //! pins how many scans it ran and a digest of the key ids they returned,
-//! so the range-scan merge is covered too.
+//! so the range-scan merge is covered too. Every background span (flush,
+//! compaction, GC) a run records is folded into a span digest, so the
+//! order, levels, times and page counts of the background work are pinned
+//! as well; a PinK update run that reaches data- and meta-block GC pins
+//! the `gc` spans.
 //!
 //! The pinned values are simulation results, not expectations derived
 //! from the model: when a change alters behaviour on purpose, re-pin them
@@ -26,9 +30,72 @@ struct Golden {
     counters: String,
     horizon: u64,
     metadata: String,
-    labels: Vec<String>,
     scans: u64,
     scan_digest: u64,
+    spans: Spans,
+}
+
+/// Every background span of a run, folded in trace order.
+struct Spans {
+    /// How many spans were recorded.
+    count: u64,
+    /// FNV-1a digest over each span's kind, label, level, id, start, end
+    /// and page counts.
+    digest: u64,
+    /// `kind/label` of every span, once each, in first-seen order.
+    labels: Vec<String>,
+    /// How many `gc` spans had each label, in first-seen order.
+    gc: Vec<(String, u64)>,
+}
+
+impl Spans {
+    fn new() -> Self {
+        Self {
+            count: 0,
+            digest: 0xCBF2_9CE4_8422_2325,
+            labels: Vec::new(),
+            gc: Vec::new(),
+        }
+    }
+
+    /// Folds the spans among `events` (one drained trace chunk).
+    fn fold_all(&mut self, events: Vec<TraceEvent>) {
+        for ev in events {
+            let TraceEvent::Span {
+                kind,
+                label,
+                level,
+                id,
+                start,
+                end,
+                pages_read,
+                pages_written,
+            } = ev
+            else {
+                continue;
+            };
+            self.count += 1;
+            for s in [&kind, &label] {
+                fold(&mut self.digest, s.len() as u64);
+                for b in s.bytes() {
+                    fold(&mut self.digest, u64::from(b));
+                }
+            }
+            for x in [u64::from(level), id, start, end, pages_read, pages_written] {
+                fold(&mut self.digest, x);
+            }
+            if kind == "gc" {
+                match self.gc.iter_mut().find(|(l, _)| *l == label) {
+                    Some((_, n)) => *n += 1,
+                    None => self.gc.push((label.clone(), 1)),
+                }
+            }
+            let name = format!("{kind}/{label}");
+            if !self.labels.contains(&name) {
+                self.labels.push(name);
+            }
+        }
+    }
 }
 
 /// Folds `x` into an FNV-1a digest.
@@ -56,7 +123,7 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
         .build_engine();
     dev.set_tracing(true);
     let mut rng = SplitMix64::new(seed);
-    let mut labels: Vec<String> = Vec::new();
+    let mut spans = Spans::new();
     let (mut scans, mut scan_digest) = (0u64, 0xCBF2_9CE4_8422_2325u64);
     for i in 0..OPS {
         let key = rng.next_bounded(KEYSPACE);
@@ -89,13 +156,7 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
                 .unwrap_or_else(|e| panic!("{kind}: op {i} ({op:?}) failed: {e}"));
         }
         if i % 4096 == 4095 || i + 1 == OPS {
-            for ev in dev.take_trace() {
-                if let TraceEvent::Span { kind, label, .. } = ev {
-                    if kind == "compaction" && !labels.contains(&label) {
-                        labels.push(label);
-                    }
-                }
-            }
+            spans.fold_all(dev.take_trace());
         }
     }
     dev.check_invariants()
@@ -104,14 +165,15 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
         counters: format!("{:?}", dev.counters()),
         horizon: dev.horizon(),
         metadata: format!("{:?}", dev.metadata()),
-        labels,
         scans,
         scan_digest,
+        spans,
     }
 }
 
 /// Runs `kind` and checks every pin. `path_label` is a compaction span the
-/// run must have taken; `scans` is the scan count and digest.
+/// run must have taken; `scans` is the scan count and digest, `spans` the
+/// span count and digest.
 fn assert_golden(
     kind: EngineKind,
     path_label: &str,
@@ -119,12 +181,14 @@ fn assert_golden(
     counters: &str,
     metadata: &str,
     scans: (u64, u64),
+    spans: (u64, u64),
 ) {
     let g = run(kind, 0x601D_57A7E);
+    let path = format!("compaction/{path_label}");
     assert!(
-        g.labels.iter().any(|l| l == path_label),
-        "{kind}: the run never took its compaction path `{path_label}` (compaction spans: {:?})",
-        g.labels
+        g.spans.labels.contains(&path),
+        "{kind}: the run never took its compaction path `{path_label}` (spans: {:?})",
+        g.spans.labels
     );
     assert_eq!(
         (g.scans, g.scan_digest),
@@ -134,6 +198,11 @@ fn assert_golden(
     assert_eq!(g.horizon, horizon, "{kind}: horizon moved");
     assert_eq!(g.counters, counters, "{kind}: flash counters moved");
     assert_eq!(g.metadata, metadata, "{kind}: metadata moved");
+    assert_eq!(
+        (g.spans.count, g.spans.digest),
+        spans,
+        "{kind}: background spans moved"
+    );
 }
 
 #[test]
@@ -155,6 +224,7 @@ fn anykey_plus_state_is_pinned() {
          retry_reads: 0, program_fails: 0, erase_fails: 0, \
          retired_blocks: 0, free_blocks: 75 }",
         (3946, 7_257_491_339_025_105_244),
+        (198, 17_404_569_934_655_413_594),
     );
 }
 
@@ -177,6 +247,7 @@ fn anykey_state_is_pinned() {
          retry_reads: 0, program_fails: 0, erase_fails: 0, \
          retired_blocks: 0, free_blocks: 76 }",
         (3946, 7_257_491_339_025_105_244),
+        (194, 15_249_286_669_794_152_048),
     );
 }
 
@@ -199,6 +270,7 @@ fn pink_state_is_pinned() {
          retry_reads: 0, program_fails: 0, erase_fails: 0, \
          retired_blocks: 0, free_blocks: 23 }",
         (3946, 7_257_491_339_025_105_244),
+        (197, 13_155_278_811_583_422_964),
     );
 }
 
@@ -270,4 +342,55 @@ fn scan_charges_are_pinned() {
     ] {
         assert_eq!(scan_charges(kind), pin, "{kind}: scan charges moved");
     }
+}
+
+/// Runs PinK on the same 16 MiB device into data- and meta-block GC:
+/// 26,000 ids are inserted, then uniform updates follow up to 150,000
+/// PUTs, all with 8 to 307 B values. Returns the audited end state's
+/// spans. (At 30,000 ids the stream reaches ROADMAP #2's byte-log
+/// underflow, so the keyspace stays below that.)
+fn pink_gc_spans() -> Spans {
+    const IDS: u64 = 26_000;
+    const PUTS: u64 = 150_000;
+    let mut dev = DeviceConfig::builder()
+        .capacity_bytes(16 << 20)
+        .page_size(8 << 10)
+        .pages_per_block(16)
+        .group_pages(8)
+        .engine(EngineKind::Pink)
+        .key_len(24)
+        .build()
+        .build_engine();
+    dev.set_tracing(true);
+    let mut rng = SplitMix64::new(7);
+    let mut spans = Spans::new();
+    for i in 0..PUTS {
+        let key = if i < IDS { i } else { rng.next_bounded(IDS) };
+        let value_len = 8 + rng.next_bounded(300) as u32;
+        dev.put(key, value_len)
+            .unwrap_or_else(|e| panic!("PinK: put {i} failed: {e}"));
+        if i % 4096 == 4095 {
+            spans.fold_all(dev.take_trace());
+        }
+    }
+    spans.fold_all(dev.take_trace());
+    dev.check_invariants()
+        .unwrap_or_else(|e| panic!("PinK: final audit failed: {e}"));
+    spans
+}
+
+#[test]
+fn pink_gc_spans_are_pinned() {
+    let spans = pink_gc_spans();
+    let gc: Vec<(&str, u64)> = spans.gc.iter().map(|(l, n)| (l.as_str(), *n)).collect();
+    assert_eq!(
+        gc,
+        [("relocate-meta", 4), ("relocate-data", 111)],
+        "PinK: GC span counts moved"
+    );
+    assert_eq!(
+        (spans.count, spans.digest),
+        (602, 16_399_129_192_375_310_997),
+        "PinK: background spans moved"
+    );
 }
