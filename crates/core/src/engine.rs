@@ -471,6 +471,82 @@ mod tests {
         }
     }
 
+    /// A 16 MiB store of `kind` with a 32 KiB write buffer, so that
+    /// `put_stream` builds at least three levels.
+    fn cascaded(kind: EngineKind) -> DeviceConfig {
+        DeviceConfig::builder()
+            .capacity_bytes(16 << 20)
+            .page_size(8 << 10)
+            .pages_per_block(16)
+            .group_pages(8)
+            .engine(kind)
+            .key_len(24)
+            .value_log_bytes(2 << 20)
+            .write_buffer_bytes(32 << 10)
+            .build()
+    }
+
+    /// 20 k sequential inserts, then 40 k seeded uniform updates.
+    fn put_stream(dev: &mut impl KvEngine) {
+        let mut rng = anykey_workload::SplitMix64::new(0x0CA5_CADE);
+        for i in 0..60_000u64 {
+            let key = if i < 20_000 {
+                i
+            } else {
+                rng.next_bounded(20_000)
+            };
+            let value_len = 8 + rng.next_bounded(300) as u32;
+            dev.put(key, value_len).expect("put");
+        }
+    }
+
+    /// The size-ratio policy: level `i`'s threshold is the write buffer
+    /// times `LEVEL_RATIO^(i+1)`, no level is over its threshold once the
+    /// cascade settles, and the metadata snapshot counts exactly the
+    /// non-empty levels.
+    #[test]
+    fn cascade_keeps_every_level_within_its_ratio_threshold() {
+        use crate::anykey::AnyKeyStore;
+        use crate::config::LEVEL_RATIO;
+        use crate::pink::PinkStore;
+        let kinds = [
+            EngineKind::Pink,
+            EngineKind::AnyKey,
+            EngineKind::AnyKeyPlus,
+            EngineKind::AnyKeyNoLog,
+        ];
+        for kind in kinds {
+            let cfg = cascaded(kind);
+            let buffer = cfg.write_buffer_bytes;
+            // (threshold, over threshold, empty) per level.
+            let (levels, meta): (Vec<(u64, bool, bool)>, _) = if kind == EngineKind::Pink {
+                let mut dev = PinkStore::new(cfg);
+                put_stream(&mut dev);
+                let l = dev.levels.iter();
+                let l = l.map(|l| (l.threshold, l.over_threshold(), l.is_empty()));
+                (l.collect(), dev.metadata())
+            } else {
+                let mut dev = AnyKeyStore::new(cfg);
+                put_stream(&mut dev);
+                let l = dev.levels.iter();
+                let l = l.map(|l| (l.threshold, l.over_threshold(), l.is_empty()));
+                (l.collect(), dev.metadata())
+            };
+            let populated = levels.iter().filter(|l| !l.2).count();
+            assert!(
+                levels.len() >= 3,
+                "{kind:?}: only {} levels built",
+                levels.len()
+            );
+            assert_eq!(meta.levels, populated, "{kind:?}: metadata level count");
+            for (i, &(threshold, over, _)) in levels.iter().enumerate() {
+                let want = buffer * LEVEL_RATIO.pow(i as u32 + 1);
+                assert_eq!(threshold, want, "{kind:?}: level {i} threshold");
+                assert!(!over, "{kind:?}: level {i} over its threshold at rest");
+            }
+        }
+    }
+
     #[test]
     fn outcome_latency_is_delta() {
         let o = OpOutcome {
