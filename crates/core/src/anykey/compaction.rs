@@ -9,8 +9,8 @@ use crate::anykey::gc::GROUP_STREAM;
 use crate::anykey::group::{Group, GroupContent, GroupPacker};
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
-use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
 use crate::device::{merge_newest, Source};
+use crate::engine::Engine;
 use crate::error::KvError;
 
 /// What a compaction does with values that live in the value log.
@@ -24,29 +24,6 @@ pub(crate) enum InlinePolicy {
 }
 
 impl AnyKeyStore {
-    /// Cascades tree-triggered compactions while any level exceeds its
-    /// threshold.
-    pub(crate) fn maintain(&mut self, at: Ns) -> Result<Ns, KvError> {
-        let mut t = at;
-        let mut i = 0;
-        while i < self.levels.len() {
-            if self.levels[i].over_threshold() {
-                self.ensure_next_level(i);
-                t = self.compact(Source::Level(i), i + 1, InlinePolicy::Keep, t)?;
-            } else {
-                i += 1;
-            }
-        }
-        Ok(t)
-    }
-
-    fn ensure_next_level(&mut self, i: usize) {
-        if i + 1 == self.levels.len() {
-            let threshold = self.levels[i].threshold * LEVEL_RATIO;
-            self.levels.push(Level::new(threshold));
-        }
-    }
-
     /// Log-triggered compaction (Section 4.4.3): relieve the value log by
     /// moving logged values back into groups, then reclaim fully-invalid
     /// log blocks. AnyKey merges the level with the most logged bytes down
@@ -100,7 +77,7 @@ impl AnyKeyStore {
         // "compaction chain" of Figure 9a.
         let done = self.maintain(t)?;
         #[cfg(debug_assertions)]
-        self.audit_built()?;
+        self.boundary_audit()?;
         Ok(done)
     }
 
@@ -235,11 +212,7 @@ impl AnyKeyStore {
         self.levels[li].groups = out;
         self.levels[li].recount();
         self.rebalance_dram();
-        let done = t_write.max(t_erase) + count * SORT_NS_PER_ENTITY;
-        let done = done.max(self.gc_for_headroom(done, 0)?);
-        self.core
-            .push_span(snap, "compaction", "inline-rewrite", li as u32, at, done);
-        Ok(done)
+        self.close_compaction(snap, "inline-rewrite", li, at, t_write.max(t_erase), count)
     }
 
     /// Merges `src` into level `dst`, rebuilding `dst`'s data segment
@@ -259,17 +232,11 @@ impl AnyKeyStore {
         // Source blocks are freed before the output is written, so the
         // transient headroom need is modest: room for inlined values plus
         // packing slack.
-        let growth_blocks = match &src {
-            Source::Flush(ents) => {
-                let bytes: u64 = ents.iter().map(Entity::stored_bytes).sum();
-                (bytes / self.core.flash.geometry().block_bytes()) as usize + 2
-            }
-            Source::Level(si) => {
-                (self.levels[*si].logged_bytes / self.core.flash.geometry().block_bytes()) as usize
-                    + 2
-            }
+        let growth = match &src {
+            Source::Flush(ents) => ents.iter().map(Entity::stored_bytes).sum(),
+            Source::Level(si) => self.levels[*si].logged_bytes,
         };
-        let at = self.gc_for_headroom(at, growth_blocks)?.max(at);
+        let at = self.open_compaction(growth, at)?;
 
         // --- 1. Gather inputs and their flash pages. -------------------
         let mut read_ppas: Vec<Ppa> = Vec::new();
@@ -355,11 +322,8 @@ impl AnyKeyStore {
         self.rebalance_dram();
 
         // --- 7. CPU merge-sort cost and GC headroom. --------------------
-        let done = t_write.max(t_erase) + merged_count * SORT_NS_PER_ENTITY;
-        let done = done.max(self.gc_for_headroom(done, 0)?);
-        self.core
-            .push_span(snap, "compaction", span_label, dst as u32, at, done);
-        Ok(done)
+        let done = t_write.max(t_erase);
+        self.close_compaction(snap, span_label, dst, at, done, merged_count)
     }
 }
 

@@ -11,7 +11,6 @@
 use anykey_flash::{BlockId, Ns, OpCause, Ppa};
 
 use crate::anykey::AnyKeyStore;
-use crate::config::RESERVE_BLOCKS;
 use crate::error::KvError;
 
 /// The group area's one stream: groups of every level share the open
@@ -68,35 +67,8 @@ impl AnyKeyStore {
         }
     }
 
-    /// Ensures at least [`RESERVE_BLOCKS`] plus `extra` free blocks exist
-    /// in the group area, relocating valid groups out of the
-    /// fullest-garbage blocks when needed. A large compaction asks for
-    /// `extra` blocks of transient headroom before its source blocks free
-    /// up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::DeviceFull`] when GC cannot recover enough
-    /// blocks.
-    pub(crate) fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
-        let reserve = RESERVE_BLOCKS + extra;
-        let mut t = at;
-        let mut guard = 0usize;
-        while self.group_alloc.free_count() < reserve {
-            let Some((victim, _)) = self.area.victim() else {
-                return Err(KvError::DeviceFull);
-            };
-            guard += 1;
-            if guard > self.group_alloc.len() * 2 {
-                return Err(KvError::DeviceFull);
-            }
-            t = self.relocate_block(victim, t)?;
-        }
-        Ok(t)
-    }
-
     /// Relocates every group of `victim` to fresh space and erases it.
-    fn relocate_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
+    pub(crate) fn relocate_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         let snap = self.core.span_snapshot();
         // Find the groups living in the victim block.
         let mut homes: Vec<(usize, usize)> = Vec::new();
@@ -131,8 +103,6 @@ impl AnyKeyStore {
             done,
         )?);
         self.core.push_span(snap, "gc", "relocate", 0, at, done);
-        #[cfg(debug_assertions)]
-        self.audit_built()?;
         Ok(done)
     }
 }
@@ -142,7 +112,8 @@ mod tests {
     use super::*;
     use anykey_flash::BlockAllocator;
 
-    use crate::config::{DeviceConfig, EngineKind};
+    use crate::config::{DeviceConfig, EngineKind, RESERVE_BLOCKS};
+    use crate::engine::Engine;
     use crate::pagearea::PageArea;
 
     /// An allocator and a page area as AnyKey builds them.

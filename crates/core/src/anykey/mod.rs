@@ -16,7 +16,7 @@ mod tests;
 use anykey_flash::{BlockAllocator, Ns, OpCause};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 
-use crate::audit::AuditError;
+use crate::audit::{audit_retirement, AuditError};
 use crate::bytelog::ByteLog;
 use crate::config::{DeviceConfig, EngineKind, HASH_NS, LEVEL_RATIO};
 use crate::device::{DeviceCore, Source};
@@ -288,34 +288,23 @@ impl Engine for AnyKeyStore {
         Ok(plan.hits.iter().map(|(k, _)| k.id()).collect())
     }
 
-    /// Flushes the write buffer into L1 (an L0→L1 compaction), securing
-    /// value-log space first and cascading tree compactions afterwards.
-    fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
-        if self.core.buffer.is_empty() {
-            return Ok(at);
-        }
-        let snap = self.core.span_snapshot();
-        let mut t = self.gc_for_headroom(at, 0)?;
-
-        // Secure log space for the incoming values (log-triggered
-        // compaction trigger, Section 4.4.3).
+    /// Secures value-log space first, then appends each buffered value to
+    /// the log (Section 4.4.2), or keeps it inline for AnyKey−; the run
+    /// holds the entities (an L0→L1 compaction).
+    fn flush_run(&mut self, mut t: Ns) -> Result<Ns, KvError> {
+        // Log-triggered compaction trigger (Section 4.4.3).
         let need = self.core.buffer.pending_value_bytes();
-        if self.log.is_some() && need > 0 {
-            let mut rounds = 0usize;
-            while self.log.as_ref().is_some_and(|l| l.would_overflow(need)) {
-                // Each round inlines the logged values of at least one
-                // level, so a log that still overflows after more rounds
-                // than there are levels (plus slack) cannot be relieved.
-                rounds += 1;
-                if rounds > self.levels.len() + 2 {
-                    return Err(KvError::DeviceFull);
-                }
-                t = self.log_triggered_compaction(t)?;
+        let mut rounds = 0usize;
+        while self.log.as_ref().is_some_and(|l| l.would_overflow(need)) {
+            // Each round inlines the logged values of at least one level,
+            // so a log that still overflows after more rounds than there
+            // are levels (plus slack) cannot be relieved.
+            rounds += 1;
+            if rounds > self.levels.len() + 2 {
+                return Err(KvError::DeviceFull);
             }
+            t = self.log_triggered_compaction(t)?;
         }
-
-        // Assemble entities; values go to the value log first (Section
-        // 4.4.2), or inline for AnyKey−.
         let entries = self.core.buffer.drain();
         let mut ents = Vec::with_capacity(entries.len());
         let mut t_log = t;
@@ -337,16 +326,29 @@ impl Engine for AnyKeyStore {
                 tombstone: be.tombstone,
             });
         }
-        let t_ack = self.compact(Source::Flush(ents), 0, InlinePolicy::Keep, t_log)?;
-        // Deeper tree compactions run pipelined in the background: they
-        // consume chip time (and therefore delay future flushes through
-        // the background queues), but the buffer is available again once
-        // the L0->L1 merge lands.
-        self.maintain(t_ack)?;
-        self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
-        #[cfg(debug_assertions)]
-        self.audit_built()?;
-        Ok(t_ack)
+        self.compact(Source::Flush(ents), 0, InlinePolicy::Keep, t_log)
+    }
+
+    fn merge_down(&mut self, i: usize, at: Ns) -> Result<Ns, KvError> {
+        self.compact(Source::Level(i), i + 1, InlinePolicy::Keep, at)
+    }
+
+    fn over_threshold(&self, i: usize) -> Option<bool> {
+        self.levels.get(i).map(Level::over_threshold)
+    }
+
+    fn push_level(&mut self, threshold: u64) {
+        self.levels.push(Level::new(threshold));
+    }
+
+    fn gc_alloc(&self) -> &BlockAllocator {
+        &self.group_alloc
+    }
+
+    /// Relocates the groups of the group area's victim block.
+    fn collect(&mut self, at: Ns) -> Result<Ns, KvError> {
+        let (victim, _) = self.area.victim().ok_or(KvError::DeviceFull)?;
+        self.relocate_block(victim, at)
     }
 
     fn stats(&self) -> MetadataStats {
@@ -404,11 +406,56 @@ impl Engine for AnyKeyStore {
     }
 
     /// Builds, and keeps, every group layout no read has built yet, so
-    /// every group is audited whole, then runs [`Self::audit_built`].
+    /// every group is audited whole, then runs the boundary audit.
     fn audit(&self) -> Result<(), AuditError> {
         for g in self.levels.iter().flat_map(|l| &l.groups) {
             g.content.layout();
         }
-        self.audit_built()
+        self.boundary_audit()
+    }
+
+    /// The full audit without building any group layout: it checks the
+    /// layouts that exist, so builds with debug assertions keep release's
+    /// laziness. A layout is built from its group's entities alone, so one
+    /// that no read has built holds no state to damage; the next full
+    /// audit checks it.
+    fn boundary_audit(&self) -> Result<(), AuditError> {
+        for (li, level) in self.levels.iter().enumerate() {
+            level.audit(li)?;
+        }
+        let groups = || self.levels.iter().flat_map(|l| &l.groups);
+
+        // What rebalance_dram claimed must equal what is marked resident.
+        self.core.dram.audit(self.stats().dram_resident_bytes())?;
+
+        // Value-log live-byte conservation.
+        if let Some(log) = &self.log {
+            log.audit_overfull("value log")?;
+            let referenced: u64 = self.levels.iter().map(|l| l.logged_bytes).sum();
+            if log.valid_bytes() != referenced {
+                return Err(AuditError::LogBytesMismatch {
+                    log: log.valid_bytes(),
+                    levels: referenced,
+                });
+            }
+        }
+        self.area.audit_overfull()?;
+
+        // No live group or logged value sits in a retired block. A group's
+        // pages never leave the block of its first page.
+        let group_blocks = groups().map(|g| (g.first_ppa.block, "group area"));
+        audit_retirement(&self.group_alloc, "group area", group_blocks)?;
+        if let Some(log) = &self.log {
+            let logged = groups()
+                .flat_map(|g| &g.content.ents)
+                .filter_map(|e| match e.loc {
+                    ValueLoc::Logged(ptr) => Some((ptr.block, "value log")),
+                    ValueLoc::Inline => None,
+                });
+            audit_retirement(log.allocator(), "value log", logged)?;
+        }
+
+        self.core.flash.counters().audit()?;
+        Ok(())
     }
 }

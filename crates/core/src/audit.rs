@@ -17,8 +17,9 @@
 //! * the flash counters' per-cause ledgers
 //!   ([`anykey_flash::FlashCounters::audit`]).
 //!
-//! This module keeps the ledgers that span structures: the value log's
-//! live bytes against the logged bytes the levels reference, and
+//! Each engine's `Engine::audit` runs these and its own cross-structure
+//! ledgers (AnyKey's value-log live bytes against the logged bytes the
+//! levels reference). This module keeps the ledger both share,
 //! retirement: every block allocator's free/allocated/retired partition
 //! sums to its block count, and no live structure (group, logged value,
 //! meta segment, level-list page, or data pointer) references a block
@@ -26,21 +27,20 @@
 //!
 //! The engines invoke the audit automatically at flush / compaction / GC
 //! boundaries whenever debug assertions are on (`cargo test` and
-//! `cargo run`); `--release` builds pay nothing. There AnyKey audits the
-//! group layouts reads have built and builds none, so test builds stay
-//! as lazy as release; `check_invariants` builds every missing layout,
-//! then runs the same audit. The corruption hooks at
-//! the bottom of this module exist solely so the negative-path integration
-//! tests can prove each check actually fires.
+//! `cargo run`), through the one `Engine::boundary_audit` hook;
+//! `--release` builds pay nothing. There AnyKey audits the group layouts
+//! reads have built and builds none, so test builds stay as lazy as
+//! release; `check_invariants` builds every missing layout, then runs the
+//! same audit. The corruption hooks at the bottom of this module exist
+//! solely so the negative-path integration tests can prove each check
+//! actually fires.
 
 use std::error::Error;
 use std::fmt;
 
 use anykey_flash::{BlockAllocator, BlockId, CounterSkew};
 
-use crate::anykey::entity::ValueLoc;
 use crate::anykey::AnyKeyStore;
-use crate::engine::KvEngine;
 use crate::pink::PinkStore;
 
 /// A violated structural invariant, naming the structure and the observed
@@ -353,58 +353,6 @@ impl From<CounterSkew> for AuditError {
 }
 
 impl AnyKeyStore {
-    /// The audit of [`KvEngine::check_invariants`] without building any
-    /// group layout: it checks the layouts that exist. Builds with debug
-    /// assertions run it at flush, compaction and GC boundaries, so they
-    /// keep release's laziness. A layout is built from its group's
-    /// entities alone, so one that no read has built holds no state to
-    /// damage; the next full audit checks it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`AuditError`] found.
-    pub(crate) fn audit_built(&self) -> Result<(), AuditError> {
-        for (li, level) in self.levels.iter().enumerate() {
-            level.audit(li)?;
-        }
-        let groups = || self.levels.iter().flat_map(|l| &l.groups);
-
-        // What rebalance_dram claimed must equal what is marked resident.
-        self.core
-            .dram
-            .audit(self.metadata().dram_resident_bytes())?;
-
-        // Value-log live-byte conservation.
-        if let Some(log) = &self.log {
-            log.audit_overfull("value log")?;
-            let referenced: u64 = self.levels.iter().map(|l| l.logged_bytes).sum();
-            if log.valid_bytes() != referenced {
-                return Err(AuditError::LogBytesMismatch {
-                    log: log.valid_bytes(),
-                    levels: referenced,
-                });
-            }
-        }
-        self.area.audit_overfull()?;
-
-        // No live group or logged value sits in a retired block. A group's
-        // pages never leave the block of its first page.
-        let group_blocks = groups().map(|g| (g.first_ppa.block, "group area"));
-        audit_retirement(&self.group_alloc, "group area", group_blocks)?;
-        if let Some(log) = &self.log {
-            let logged = groups()
-                .flat_map(|g| &g.content.ents)
-                .filter_map(|e| match e.loc {
-                    ValueLoc::Logged(ptr) => Some((ptr.block, "value log")),
-                    ValueLoc::Inline => None,
-                });
-            audit_retirement(log.allocator(), "value log", logged)?;
-        }
-
-        self.core.flash.counters().audit()?;
-        Ok(())
-    }
-
     /// Test-only corruption hook: swaps the first two groups of the first
     /// level holding at least two, breaking the level-list key order.
     /// Returns whether a level with enough groups existed.

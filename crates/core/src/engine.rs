@@ -2,22 +2,26 @@
 //! implementation for the two designs of this crate.
 //!
 //! [`KvEngine`] is the request front end a host drives. PinK and AnyKey
-//! share everything of it but the metadata layout, so each supplies only
-//! the crate-private `Engine` hooks: the level walk of a GET that missed
-//! the write buffer, the scan from a valid start key, the flush, the
-//! metadata and timeline snapshots, the full audit, and its per-request
-//! key-hash cost. `impl<E: Engine> KvEngine for E` does the rest once: key
-//! checking, the request CPU model, the write-buffer probe, the PUT path
-//! with its flush trigger, and the forwarders into the shared device
-//! scaffold.
+//! share everything of it, and the LSM lifecycle behind it, but the
+//! metadata layout, so each supplies only the crate-private `Engine`
+//! hooks: the level walk of a GET that missed the write buffer, the scan
+//! from a valid start key, the run a flush builds, the merge into a level,
+//! the level thresholds, the GC allocator and one collection step, the
+//! metadata and timeline snapshots, the full and boundary audits, and its
+//! per-request key-hash cost. `impl<E: Engine> KvEngine for E` does the
+//! request side once: key checking, the request CPU model, the
+//! write-buffer probe, the PUT path with its flush trigger, and the
+//! forwarders into the shared device scaffold. `Engine`'s provided methods
+//! do the lifecycle once: the flush, the size-ratio cascade, the GC
+//! headroom loop, and a compaction's opening headroom and close.
 
-use anykey_flash::{FlashCounters, Ns};
+use anykey_flash::{BlockAllocator, FlashCounters, Ns};
 use anykey_metrics::timeline::StateSample;
 use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 use anykey_workload::Op;
 
 use crate::audit::AuditError;
-use crate::config::{EngineKind, DRAM_OP_NS};
+use crate::config::{EngineKind, DRAM_OP_NS, LEVEL_RATIO, RESERVE_BLOCKS, SORT_NS_PER_ENTITY};
 use crate::device::DeviceCore;
 use crate::error::KvError;
 use crate::key::Key;
@@ -229,9 +233,9 @@ pub trait KvEngine {
     }
 }
 
-/// What a KV-SSD design supplies to get [`KvEngine`]: the parts where
-/// PinK and AnyKey differ. Everything else of the front end is written
-/// once, in `impl<E: Engine> KvEngine for E`.
+/// What a KV-SSD design supplies to get [`KvEngine`] and the shared LSM
+/// lifecycle (this trait's provided methods): the parts where PinK and
+/// AnyKey differ.
 pub(crate) trait Engine {
     /// CPU time to hash a key, charged up front on every request: AnyKey's
     /// level lists and hash lists are keyed by it, PinK hashes nothing.
@@ -256,9 +260,25 @@ pub(crate) trait Engine {
     fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request)
         -> Result<Vec<u64>, KvError>;
 
-    /// Flushes the full write buffer from `at`; returns when the buffer is
-    /// free again, or [`KvError::DeviceFull`].
-    fn flush(&mut self, at: Ns) -> Result<Ns, KvError>;
+    /// Drains the write buffer from `at` into a run, writing what it points
+    /// at, and merges the run into L1; returns when the merge lands.
+    fn flush_run(&mut self, at: Ns) -> Result<Ns, KvError>;
+
+    /// Merges level `i` into level `i + 1` from `at`; returns when it lands.
+    fn merge_down(&mut self, i: usize, at: Ns) -> Result<Ns, KvError>;
+
+    /// Whether level `i` is over its threshold; `None` past the deepest level.
+    fn over_threshold(&self, i: usize) -> Option<bool>;
+
+    /// Appends an empty deepest level with compaction threshold `threshold`.
+    fn push_level(&mut self, threshold: u64);
+
+    /// The block allocator whose free blocks GC keeps above the reserve.
+    fn gc_alloc(&self) -> &BlockAllocator;
+
+    /// Reclaims one victim block from `at`; returns when that is done, or
+    /// [`KvError::DeviceFull`] when no block can be reclaimed.
+    fn collect(&mut self, at: Ns) -> Result<Ns, KvError>;
 
     /// The metadata snapshot behind [`KvEngine::metadata`].
     fn stats(&self) -> MetadataStats;
@@ -270,6 +290,101 @@ pub(crate) trait Engine {
 
     /// Audits every structural invariant: [`KvEngine::check_invariants`].
     fn audit(&self) -> Result<(), AuditError>;
+
+    /// The audit builds with debug assertions run at flush, compaction and
+    /// GC boundaries; [`Self::audit`] unless the engine's full audit would
+    /// change what a later request costs.
+    fn boundary_audit(&self) -> Result<(), AuditError> {
+        self.audit()
+    }
+
+    /// Flushes the full write buffer from `at`: restores GC headroom,
+    /// builds the run, merges it into L1 and cascades. Returns when the
+    /// buffer is free again, or [`KvError::DeviceFull`].
+    fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
+        let snap = self.core().span_snapshot();
+        let t = self.gc_for_headroom(at, 0)?;
+        #[cfg(debug_assertions)]
+        self.boundary_audit()?;
+        let t_ack = self.flush_run(t)?;
+        // Deeper merges are pipelined background work: they take chip
+        // time, and so delay later flushes through the background queues,
+        // but the buffer is free again once the L0->L1 merge lands.
+        self.maintain(t_ack)?;
+        self.core_mut()
+            .push_span(snap, "flush", "buffer", 0, at, t_ack);
+        #[cfg(debug_assertions)]
+        self.boundary_audit()?;
+        Ok(t_ack)
+    }
+
+    /// Cascades tree compactions from `at` while a level is over its
+    /// threshold, adding a deepest level when the last one overflows; level
+    /// `i`'s threshold is the write buffer times `LEVEL_RATIO^(i+1)`.
+    fn maintain(&mut self, at: Ns) -> Result<Ns, KvError> {
+        let (mut t, mut i) = (at, 0);
+        while let Some(over) = self.over_threshold(i) {
+            if !over {
+                i += 1;
+                continue;
+            }
+            if self.over_threshold(i + 1).is_none() {
+                let buffer = self.core().cfg.write_buffer_bytes;
+                self.push_level(buffer * LEVEL_RATIO.pow(i as u32 + 2));
+            }
+            t = self.merge_down(i, t)?;
+        }
+        Ok(t)
+    }
+
+    /// Keeps at least [`RESERVE_BLOCKS`] plus `extra` blocks of
+    /// [`Self::gc_alloc`] free, one collection at a time from `at`; a merge
+    /// asks for `extra` blocks of headroom before its inputs are freed.
+    /// Returns when the last collection completes, or
+    /// [`KvError::DeviceFull`] when nothing can be reclaimed or after twice
+    /// as many collections as the allocator has blocks.
+    fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
+        let (mut t, mut guard) = (at, 0usize);
+        while self.gc_alloc().free_count() < RESERVE_BLOCKS + extra {
+            guard += 1;
+            if guard > self.gc_alloc().len() * 2 {
+                return Err(KvError::DeviceFull);
+            }
+            t = self.collect(t)?;
+            #[cfg(debug_assertions)]
+            self.boundary_audit()?;
+        }
+        Ok(t)
+    }
+
+    /// Restores GC headroom from `at` for a compaction whose output may
+    /// outgrow its inputs by `growth` bytes before they are freed, plus two
+    /// blocks of packing slack; returns when the compaction can start.
+    fn open_compaction(&mut self, growth: u64, at: Ns) -> Result<Ns, KvError> {
+        let blocks = growth / self.core().flash.geometry().block_bytes();
+        Ok(self.gc_for_headroom(at, blocks as usize + 2)?.max(at))
+    }
+
+    /// Closes a compaction whose flash work ended at `done`: the merge-sort
+    /// CPU of `entries` entries, GC headroom, then the `compaction` span
+    /// `label` on `level` from `start` against `snap`. Returns when done.
+    fn close_compaction(
+        &mut self,
+        snap: Option<(u64, u64)>,
+        label: &str,
+        level: usize,
+        start: Ns,
+        done: Ns,
+        entries: u64,
+    ) -> Result<Ns, KvError> {
+        let done = done + entries * SORT_NS_PER_ENTITY;
+        let done = done.max(self.gc_for_headroom(done, 0)?);
+        #[cfg(debug_assertions)]
+        self.boundary_audit()?;
+        self.core_mut()
+            .push_span(snap, "compaction", label, level as u32, start, done);
+        Ok(done)
+    }
 }
 
 /// A request in flight: how far its virtual clock has run, the flash

@@ -9,35 +9,13 @@
 
 use anykey_flash::{Ns, OpCause, Ppa};
 
-use crate::config::{LEVEL_RATIO, SORT_NS_PER_ENTITY};
 use crate::device::{merge_newest, Source};
+use crate::engine::Engine;
 use crate::error::KvError;
 use crate::pink::segment::{SegEntry, Segment};
 use crate::pink::{PinkLevel, PinkStore};
 
 impl PinkStore {
-    /// Cascades tree compactions while any level exceeds its threshold.
-    pub(crate) fn maintain(&mut self, at: Ns) -> Result<Ns, KvError> {
-        let mut t = at;
-        let mut i = 0;
-        while i < self.levels.len() {
-            if self.levels[i].over_threshold() {
-                self.ensure_next_level(i);
-                t = self.merge_levels(Source::Level(i), i + 1, t)?;
-            } else {
-                i += 1;
-            }
-        }
-        Ok(t)
-    }
-
-    fn ensure_next_level(&mut self, i: usize) {
-        if i + 1 == self.levels.len() {
-            let threshold = self.levels[i].threshold * LEVEL_RATIO;
-            self.levels.push(PinkLevel::new(threshold));
-        }
-    }
-
     /// Merges `src` into level `dst`, rebuilding `dst`'s meta segments and
     /// re-planning DRAM placement.
     pub(crate) fn merge_levels(
@@ -50,15 +28,13 @@ impl PinkStore {
         // Old meta generations are freed before the new one is written, so
         // the transient need is the destination's *growth* (the source's
         // meta volume) plus slack.
-        let block_bytes = self.core.flash.geometry().block_bytes();
-        let growth_blocks = match src {
-            Source::Level(si) => {
-                let bytes: u64 = self.levels[si].segs.iter().map(Segment::bytes).sum();
-                (bytes / block_bytes) as usize + 2
-            }
-            Source::Flush(_) => 2,
+        let growth = match src {
+            Source::Level(si) => self.levels[si].segs.iter().map(Segment::bytes).sum(),
+            Source::Flush(_) => 0,
         };
-        let t_head = self.gc_for_headroom(at, growth_blocks)?.max(at);
+        let t_head = self.open_compaction(growth, at)?;
+        #[cfg(debug_assertions)]
+        self.boundary_audit()?;
 
         // --- 1. Take inputs; read and free their spilled meta pages. ----
         let mut read_ppas: Vec<Ppa> = Vec::new();
@@ -117,11 +93,7 @@ impl PinkStore {
         // --- 4. Re-plan DRAM placement (charging spills/loads). ---------
         let t_place = self.rebalance(dst, t_read)?;
 
-        let done = t_place.max(t_erase) + merged_count * SORT_NS_PER_ENTITY;
-        let done = done.max(self.gc_for_headroom(done, 0)?);
-        self.core
-            .push_span(snap, "compaction", "merge", dst as u32, at, done);
-        Ok(done)
+        self.close_compaction(snap, "merge", dst, at, t_place.max(t_erase), merged_count)
     }
 
     /// Releases a meta page, erasing its block back into the pool the

@@ -11,74 +11,15 @@ use std::collections::BTreeSet;
 use anykey_flash::{BlockId, Ns, OpCause, Ppa};
 
 use crate::bytelog::Extent;
-use crate::config::RESERVE_BLOCKS;
 use crate::error::KvError;
 use crate::pink::PinkStore;
 
 impl PinkStore {
-    /// Keeps at least [`RESERVE_BLOCKS`] plus `extra` erase blocks free,
-    /// collecting data or meta blocks as needed. A large merge asks for
-    /// `extra` blocks of transient headroom before its source generation
-    /// is freed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::DeviceFull`] when nothing can be reclaimed.
-    pub(crate) fn gc_for_headroom(&mut self, at: Ns, extra: usize) -> Result<Ns, KvError> {
-        let reserve = RESERVE_BLOCKS + extra;
-        let mut t = at;
-        let mut guard = 0usize;
-        while self.data.allocator().free_count() < reserve {
-            guard += 1;
-            if guard > self.data.allocator().len() * 2 {
-                return Err(KvError::DeviceFull);
-            }
-            let block_payload =
-                self.core.page_payload * self.core.flash.geometry().pages_per_block as u64;
-            let data_victim = self.data.victim();
-            let meta_victim = self.meta.victim();
-            let data_frac = data_victim
-                .map(|(_, v)| v as f64 / block_payload as f64)
-                .unwrap_or(f64::MAX);
-            let meta_frac = meta_victim
-                .map(|(_, live)| live as f64 / self.core.flash.geometry().pages_per_block as f64)
-                .unwrap_or(f64::MAX);
-            if data_frac <= meta_frac {
-                let Some((victim, _)) = data_victim else {
-                    return Err(KvError::DeviceFull);
-                };
-                if data_frac >= 0.999 {
-                    // Everything is live: relocation recovers nothing.
-                    return Err(KvError::DeviceFull);
-                }
-                t = self.relocate_data_block(victim, t)?;
-            } else {
-                let Some((victim, live)) = meta_victim else {
-                    return Err(KvError::DeviceFull);
-                };
-                if live == 0 {
-                    // A block emptied while it was still a stream's open
-                    // block: nothing to relocate, just erase it.
-                    let alloc = self.data.allocator_mut();
-                    t = t.max(
-                        self.meta
-                            .erase_empty(alloc, &mut self.core.flash, victim, t)?,
-                    );
-                } else {
-                    t = self.relocate_meta_block(victim, t)?;
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        crate::engine::Engine::audit(self)?;
-        Ok(t)
-    }
-
     /// Collects a data block: reads it, re-inserts its live pairs through
     /// the write path (so meta segments are updated by normal compaction
     /// rather than patched in place — the reason the paper's Table 3 shows
     /// PinK with enormous GC *reads* but no GC writes), and erases it.
-    fn relocate_data_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
+    pub(crate) fn relocate_data_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         let snap = self.core.span_snapshot();
         // The device reads the whole victim block to identify live pairs.
         let pages = self.core.flash.geometry().pages_per_block;
@@ -136,7 +77,7 @@ impl PinkStore {
     }
 
     /// Relocates the live meta pages of a meta block and erases it.
-    fn relocate_meta_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
+    pub(crate) fn relocate_meta_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         let snap = self.core.span_snapshot();
         // Owners: spilled segments and spilled level-list pages, each with
         // the victim page it holds.

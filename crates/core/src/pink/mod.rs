@@ -18,7 +18,7 @@ pub mod segment;
 #[cfg(test)]
 mod tests;
 
-use anykey_flash::{Ns, OpCause, Ppa};
+use anykey_flash::{BlockAllocator, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 
 use crate::audit::{audit_retirement, AuditError};
@@ -326,42 +326,70 @@ impl Engine for PinkStore {
         Ok(plan.hits.iter().map(|(k, _)| k.id()).collect())
     }
 
-    /// Flushes the write buffer: KV pairs go to the data area, their index
-    /// entries merge into L1, then tree compactions cascade.
-    fn flush(&mut self, at: Ns) -> Result<Ns, KvError> {
-        if self.core.buffer.is_empty() {
-            return Ok(at);
-        }
-        let snap = self.core.span_snapshot();
-        let mut t = self.gc_for_headroom(at, 0)?;
+    /// Appends each buffered pair to the data area; the run holds its
+    /// index entries.
+    fn flush_run(&mut self, mut t: Ns) -> Result<Ns, KvError> {
         let entries = self.core.buffer.drain();
-        let mut upper: Vec<SegEntry> = Vec::with_capacity(entries.len());
+        let mut run = Vec::with_capacity(entries.len());
         for (key, be) in entries {
-            let ptr = if be.tombstone {
-                Extent::default()
-            } else {
-                let bytes = key.len() as u64
-                    + be.value_len as u64
-                    + crate::pink::segment::SEG_ENTRY_OVERHEAD;
-                let (ptr, td) = self.data.append(&mut self.core.flash, bytes, t)?;
-                t = t.max(td);
-                ptr
-            };
-            upper.push(SegEntry {
+            let mut e = SegEntry {
                 key,
                 value_len: be.value_len,
-                ptr,
+                ptr: Extent::default(),
                 tombstone: be.tombstone,
-            });
+            };
+            if !e.tombstone {
+                let (ptr, td) = self.data.append(&mut self.core.flash, e.data_bytes(), t)?;
+                t = t.max(td);
+                e.ptr = ptr;
+            }
+            run.push(e);
         }
-        let t_ack = self.merge_levels(Source::Flush(upper), 0, t)?;
-        // Deeper merges are pipelined background work; the buffer frees as
-        // soon as the L0->L1 merge lands.
-        self.maintain(t_ack)?;
-        self.core.push_span(snap, "flush", "buffer", 0, at, t_ack);
-        #[cfg(debug_assertions)]
-        self.audit()?;
-        Ok(t_ack)
+        self.merge_levels(Source::Flush(run), 0, t)
+    }
+
+    fn merge_down(&mut self, i: usize, at: Ns) -> Result<Ns, KvError> {
+        self.merge_levels(Source::Level(i), i + 1, at)
+    }
+
+    fn over_threshold(&self, i: usize) -> Option<bool> {
+        self.levels.get(i).map(PinkLevel::over_threshold)
+    }
+
+    fn push_level(&mut self, threshold: u64) {
+        self.levels.push(PinkLevel::new(threshold));
+    }
+
+    fn gc_alloc(&self) -> &BlockAllocator {
+        self.data.allocator()
+    }
+
+    /// Collects the data or meta block with the smaller live fraction.
+    fn collect(&mut self, at: Ns) -> Result<Ns, KvError> {
+        let pages = u64::from(self.core.flash.geometry().pages_per_block);
+        let block_payload = (self.core.page_payload * pages) as f64;
+        let meta = self.meta.victim();
+        let meta_frac = meta.map_or(f64::MAX, |(_, live)| live as f64 / pages as f64);
+        match (self.data.victim(), meta) {
+            (Some((victim, valid)), _) if valid as f64 / block_payload <= meta_frac => {
+                if valid as f64 / block_payload >= 0.999 {
+                    // Everything is live: relocation recovers nothing.
+                    return Err(KvError::DeviceFull);
+                }
+                self.relocate_data_block(victim, at)
+            }
+            (_, Some((victim, live))) if live > 0 => self.relocate_meta_block(victim, at),
+            (_, Some((victim, _))) => {
+                // A block emptied while it was still a stream's open block:
+                // nothing to relocate, just erase it.
+                let alloc = self.data.allocator_mut();
+                let done = self
+                    .meta
+                    .erase_empty(alloc, &mut self.core.flash, victim, at)?;
+                Ok(at.max(done))
+            }
+            (_, None) => Err(KvError::DeviceFull),
+        }
     }
 
     fn stats(&self) -> MetadataStats {
@@ -411,8 +439,8 @@ impl Engine for PinkStore {
     }
 
     /// Audits every structural invariant of the store; see the
-    /// [audit module docs](crate::audit) for the list. Builds with debug
-    /// assertions also run it at flush, compaction and GC boundaries.
+    /// [audit module docs](crate::audit) for the list. It is also the
+    /// boundary audit.
     fn audit(&self) -> Result<(), AuditError> {
         for (li, level) in self.levels.iter().enumerate() {
             level.audit(li)?;

@@ -1,10 +1,11 @@
 //! `cargo run -p xtask -- loc` — non-test lines per crate under `crates/`.
 //!
-//! The rule is the one ROADMAP.md and CHANGES.md quote sizes by: every
-//! line of each `src/**/*.rs` file up to its inline `#[cfg(test)] mod … {`,
-//! with files named `tests.rs` skipped. An out-of-line
-//! `#[cfg(test)] mod tests;` or an indented `#[cfg(test)]` item does not
-//! end the count.
+//! The first column is the rule ROADMAP.md and CHANGES.md quote sizes by:
+//! every line of each `src/**/*.rs` file up to its inline
+//! `#[cfg(test)] mod … {`, with files named `tests.rs` skipped. An
+//! out-of-line `#[cfg(test)] mod tests;` or an indented `#[cfg(test)]`
+//! item does not end the count. The second column counts the code among
+//! those lines: the non-blank lines that are not `//` comments only.
 //!
 //! Exit codes: 0 counted, 2 IO error.
 
@@ -17,11 +18,12 @@ pub(crate) fn run_cli() -> i32 {
     let crates = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../crates"));
     match count_crates(crates) {
         Ok(counts) => {
-            let total: usize = counts.iter().map(|(_, n)| n).sum();
-            for (name, n) in &counts {
-                println!("crates/{name:<10} {n:>6}");
+            let total: usize = counts.iter().map(|(_, n)| n.0).sum();
+            let code: usize = counts.iter().map(|(_, n)| n.1).sum();
+            for (name, (n, c)) in &counts {
+                println!("crates/{name:<10} {n:>6} {c:>6}");
             }
-            println!("{:<17} {total:>6}", "total");
+            println!("{:<17} {total:>6} {code:>6}", "total");
             0
         }
         Err(e) => {
@@ -31,8 +33,8 @@ pub(crate) fn run_cli() -> i32 {
     }
 }
 
-/// `(crate directory name, non-test lines)` for every crate, by name.
-fn count_crates(crates: &Path) -> io::Result<Vec<(String, usize)>> {
+/// `(crate directory name, (non-test lines, code lines))` for every crate.
+fn count_crates(crates: &Path) -> io::Result<Vec<(String, (usize, usize))>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(crates)? {
         let dir = entry?.path();
@@ -46,33 +48,39 @@ fn count_crates(crates: &Path) -> io::Result<Vec<(String, usize)>> {
     Ok(out)
 }
 
-/// Non-test lines of every `.rs` file under `dir`.
-fn count_dir(dir: &Path) -> io::Result<usize> {
-    let mut n = 0;
+/// Non-test and code lines of every `.rs` file under `dir`.
+fn count_dir(dir: &Path) -> io::Result<(usize, usize)> {
+    let mut n = (0, 0);
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        if path.is_dir() {
-            n += count_dir(&path)?;
+        let (lines, code) = if path.is_dir() {
+            count_dir(&path)?
         } else if path.extension().is_some_and(|e| e == "rs")
             && path.file_name().is_some_and(|f| f != "tests.rs")
         {
-            n += non_test_lines(&fs::read_to_string(&path)?);
-        }
+            non_test_lines(&fs::read_to_string(&path)?)
+        } else {
+            continue;
+        };
+        n = (n.0 + lines, n.1 + code);
     }
     Ok(n)
 }
 
 /// Lines of `src` before its first unindented `#[cfg(test)]` whose next
-/// non-blank line opens an inline module.
-fn non_test_lines(src: &str) -> usize {
+/// non-blank line opens an inline module, and the code lines among them.
+fn non_test_lines(src: &str) -> (usize, usize) {
     let lines: Vec<&str> = src.lines().collect();
     let inline_mod = |rest: &[&str]| {
         let next = rest.iter().find(|l| !l.trim().is_empty());
         next.is_some_and(|l| l.starts_with("mod ") && l.trim_end().ends_with('{'))
     };
-    (0..lines.len())
+    let n = (0..lines.len())
         .find(|&i| lines[i].trim_end() == "#[cfg(test)]" && inline_mod(&lines[i + 1..]))
-        .unwrap_or(lines.len())
+        .unwrap_or(lines.len());
+    let code = lines[..n].iter().map(|l| l.trim());
+    let code = code.filter(|l| !l.is_empty() && !l.starts_with("//"));
+    (n, code.count())
 }
 
 #[cfg(test)]
@@ -98,7 +106,9 @@ mod unit {
     fn t() {}
 }
 ";
-        assert_eq!(non_test_lines(src), 10);
-        assert_eq!(non_test_lines("fn a() {}\n\nfn b() {}\n"), 3);
+        assert_eq!(non_test_lines(src), (10, 6));
+        assert_eq!(non_test_lines("fn a() {}\n\nfn b() {}\n"), (3, 2));
+        let commented = "//! Doc.\n/// Item doc.\nfn a() {} // trailing\n    // note\n";
+        assert_eq!(non_test_lines(commented), (4, 1));
     }
 }
