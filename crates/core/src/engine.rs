@@ -292,8 +292,8 @@ pub(crate) trait Engine {
     fn audit(&self) -> Result<(), AuditError>;
 
     /// The audit builds with debug assertions run at flush, compaction and
-    /// GC boundaries; [`Self::audit`] unless the engine's full audit would
-    /// change what a later request costs.
+    /// GC boundaries: [`Self::audit`], unless the full audit builds state
+    /// that release builds leave lazy.
     fn boundary_audit(&self) -> Result<(), AuditError> {
         self.audit()
     }

@@ -1,4 +1,5 @@
-//! PinK's garbage collection.
+//! PinK's garbage collection: the data- and meta-block relocation steps
+//! its `Engine::collect` hook picks between.
 //!
 //! PinK's out-of-place updates strand dead KV pairs in the data area;
 //! reclaiming a block means reading it, re-appending its live pairs, and
