@@ -62,8 +62,11 @@ fn drive(dev: &mut dyn KvEngine, seed: u64, n_ops: usize) -> BTreeMap<u64, u32> 
 }
 
 /// Everything a run can externally observe: final virtual time plus every
-/// reliability counter. Two identically-seeded runs must agree exactly.
-fn fingerprint(dev: &dyn KvEngine) -> (u64, u64, u64, u64, u64, u64) {
+/// reliability counter.
+type Fingerprint = (u64, u64, u64, u64, u64, u64);
+
+/// A run's [`Fingerprint`]. Two identically-seeded runs must agree exactly.
+fn fingerprint(dev: &dyn KvEngine) -> Fingerprint {
     let c = dev.counters();
     let m = dev.metadata();
     (
@@ -91,17 +94,46 @@ fn harsh() -> FaultModel {
     }
 }
 
+/// The fingerprint, erase count and total page writes of a harsh-profile
+/// [`drive`] of 100k ops (seed 7), per engine. Long enough that every
+/// engine erases and reallocates blocks, so the pins move whenever the
+/// wear-aware (least-erased-first) allocation order does.
+const HARSH_PINS: [(EngineKind, Fingerprint, u64, u64); 3] = [
+    (
+        EngineKind::Pink,
+        (7_766_233_500, 1_332, 6, 0, 0, 99),
+        12,
+        641,
+    ),
+    (
+        EngineKind::AnyKey,
+        (7_507_159_318, 1_254, 2, 3, 3, 105),
+        46,
+        746,
+    ),
+    (
+        EngineKind::AnyKeyPlus,
+        (7_507_159_318, 1_254, 2, 3, 3, 105),
+        46,
+        746,
+    ),
+];
+
 #[test]
 fn identical_seeds_reproduce_identical_runs() {
-    for kind in [EngineKind::Pink, EngineKind::AnyKey, EngineKind::AnyKeyPlus] {
+    for (kind, pinned, erases, writes) in HARSH_PINS {
         let mut a = faulty_device(kind, harsh());
         let mut b = faulty_device(kind, harsh());
-        drive(a.as_mut(), 7, 12_000);
-        drive(b.as_mut(), 7, 12_000);
+        drive(a.as_mut(), 7, 100_000);
+        drive(b.as_mut(), 7, 100_000);
         let fa = fingerprint(a.as_ref());
         let fb = fingerprint(b.as_ref());
         assert_eq!(fa, fb, "{kind}: identically-seeded runs diverged");
         assert!(fa.1 > 0, "{kind}: harsh profile must cause read retries");
+        assert_eq!(fa, pinned, "{kind}: fingerprint moved");
+        let c = a.counters();
+        assert_eq!(c.erases(), erases, "{kind}: erase count moved");
+        assert_eq!(c.total_writes(), writes, "{kind}: page writes moved");
     }
 }
 
