@@ -62,6 +62,10 @@ echo "==> ledger bytes: fig14 at the default scale must match results/"
 cargo run -q --release -p anykey-bench -- fig14 --jobs 2 --out "$VERIFY_DIR/u1"
 cmp "$VERIFY_DIR/u1/fig14.csv" results/fig14.csv
 
+echo "==> fault bytes: the fault sweep at the default scale must match results/"
+cargo run -q --release -p anykey-bench -- fault --jobs 2 --out "$VERIFY_DIR/f1"
+cmp "$VERIFY_DIR/f1/fault.csv" results/fault.csv
+
 echo "==> cargo clippy (lint levels; DESIGN.md §8)"
 cargo clippy --workspace --all-targets -- -D warnings
 
