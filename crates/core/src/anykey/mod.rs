@@ -69,9 +69,8 @@ impl AnyKeyStore {
             "value log ({log_blocks} blocks) must leave room for groups ({total_blocks} total)"
         );
         let log = (log_blocks > 0).then(|| {
-            let la = core.allocator(total_blocks - log_blocks..total_blocks);
             ByteLog::new(
-                la,
+                BlockAllocator::new(total_blocks - log_blocks..total_blocks),
                 core.page_payload,
                 geometry.pages_per_block,
                 OpCause::LogWrite,
@@ -80,7 +79,7 @@ impl AnyKeyStore {
         Self {
             levels: vec![Level::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
             area: PageArea::new(geometry.pages_per_block, "group area"),
-            group_alloc: core.allocator(0..(total_blocks - log_blocks)),
+            group_alloc: BlockAllocator::new(0..(total_blocks - log_blocks)),
             log,
             core,
         }

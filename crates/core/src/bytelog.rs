@@ -43,6 +43,12 @@ impl Extent {
 /// a grown bad block on an erase failure. Returns the erase completion
 /// time and whether the block was freed.
 ///
+/// This is the one place an erased block goes back to a pool. Under a
+/// fault model wear matters, so the block is keyed by its P/E count in
+/// [`FlashSim::block_wear`] and the pool hands out the least-erased block
+/// first, levelling P/E cycles (and the wear-dependent error rates); with
+/// no faults every key is 0 and the order is plain lowest-id-first.
+///
 /// # Errors
 ///
 /// Returns [`KvError::BlockFree`] if the allocator rejects the free or
@@ -56,7 +62,12 @@ pub(crate) fn erase_block(
     let r = flash.erase(block, at);
     let freed = r.status.is_ok();
     if freed {
-        alloc.free(block)?;
+        let key = if flash.config().fault.is_enabled() {
+            flash.block_wear(block)
+        } else {
+            0
+        };
+        alloc.free(block, key)?;
     } else {
         alloc.retire(block)?;
     }
@@ -492,6 +503,26 @@ mod tests {
         assert!(log.would_overflow(log.capacity_bytes() + 1));
         log.append(&mut flash, 8128, 0).unwrap();
         assert_eq!(log.free_bytes(), log.capacity_bytes() - 8128);
+    }
+
+    #[test]
+    fn erased_blocks_return_least_worn_first_only_under_faults() {
+        // A read-only fault model: wear matters, but no erase fails.
+        let mut faulty = FlashConfig::small_test();
+        faulty.fault = FaultModel {
+            read_error_ppm: 1,
+            ..FaultModel::disabled()
+        };
+        for (cfg, next) in [(FlashConfig::small_test(), 0), (faulty, 1)] {
+            let mut flash = FlashSim::new(cfg);
+            let mut alloc = BlockAllocator::new(0..2);
+            let b0 = alloc.alloc().unwrap();
+            let (_, freed) = erase_block(&mut flash, &mut alloc, b0, 0).unwrap();
+            assert!(freed, "a clean erase frees the block");
+            assert_eq!(flash.block_wear(b0), 1);
+            // Block 0 now has one P/E cycle and block 1 none.
+            assert_eq!(alloc.alloc(), Some(BlockId(next)));
+        }
     }
 
     #[test]

@@ -14,9 +14,8 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Range;
 
-use anykey_flash::{BlockAllocator, FlashGeometry, FlashSim, Ns, OpCause, Ppa};
+use anykey_flash::{FlashGeometry, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
 use anykey_metrics::trace::TraceEvent;
 
@@ -315,15 +314,6 @@ impl DeviceCore {
             read_marks: PageMarks::new(cfg.flash.geometry),
             cfg,
         }
-    }
-
-    /// A block allocator over `blocks`. Under a fault model wear matters,
-    /// so it allocates least-erased-first to level P/E cycles (and the
-    /// wear-dependent error rates) across blocks.
-    pub(crate) fn allocator(&self, blocks: Range<u32>) -> BlockAllocator {
-        let mut alloc = BlockAllocator::new(blocks);
-        alloc.set_wear_aware(self.cfg.flash.fault.is_enabled());
-        alloc
     }
 
     /// The fixed-length key for `id`.

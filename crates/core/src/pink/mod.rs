@@ -182,7 +182,7 @@ impl PinkStore {
             levels: vec![PinkLevel::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
             meta: PageArea::new(geometry.pages_per_block, "meta area"),
             data: ByteLog::new(
-                core.allocator(0..geometry.blocks()),
+                BlockAllocator::new(0..geometry.blocks()),
                 core.page_payload,
                 geometry.pages_per_block,
                 OpCause::CompactionWrite,

@@ -1,4 +1,4 @@
-//! Erase-block allocation, wear tracking, and bad-block retirement.
+//! Erase-block allocation and bad-block retirement.
 
 #![deny(clippy::as_conversions)]
 
@@ -83,12 +83,14 @@ impl std::error::Error for AllocSkew {}
 /// (paper Section 6.9) each tenant's engine gets a disjoint range, so two
 /// engines can share one [`crate::FlashSim`] without stepping on each other.
 ///
-/// By default blocks are handed out lowest-id-first; since global block ids
-/// are striped across chips, sequentially allocated blocks land on
-/// different chips and a compaction writing several blocks gets chip
-/// parallelism for free. With [`BlockAllocator::set_wear_aware`] the
-/// allocator instead prefers the least-erased free block (ties broken by
-/// lowest id), levelling P/E wear when the fault model makes wear matter.
+/// Free blocks are handed out lowest `(key, id)` first, where the key is
+/// whatever the caller passed to [`BlockAllocator::free`] (0 for blocks
+/// never freed). With every key 0 that is lowest-id-first: since global
+/// block ids are striped across chips, sequentially allocated blocks land
+/// on different chips and a compaction writing several blocks gets chip
+/// parallelism for free. The engines key a freed block by its P/E count
+/// from [`crate::FlashSim::block_wear`] when the fault model is on, which
+/// makes the order least-erased-first; the allocator itself keeps no wear.
 ///
 /// The allocator also owns the grown-bad-block list: [`BlockAllocator::retire`]
 /// permanently removes a block from rotation after an erase failure, which
@@ -96,14 +98,11 @@ impl std::error::Error for AllocSkew {}
 #[derive(Debug, Clone)]
 pub struct BlockAllocator {
     range: Range<u32>,
-    /// Min-heap keyed by `(wear-key, id)`; the wear key is pinned to zero
-    /// unless wear-aware mode is on, reproducing plain lowest-id order.
+    /// Min-heap keyed by `(caller key, id)`.
     free: BinaryHeap<Reverse<(u32, u32)>>,
     allocated: Vec<bool>,
     retired: Vec<bool>,
-    wear: Vec<u32>,
     retired_count: usize,
-    wear_aware: bool,
 }
 
 impl BlockAllocator {
@@ -121,18 +120,8 @@ impl BlockAllocator {
             free,
             allocated: vec![false; slots],
             retired: vec![false; slots],
-            wear: vec![0; slots],
             retired_count: 0,
-            wear_aware: false,
         }
-    }
-
-    /// Switches between lowest-id-first (false, the default) and
-    /// least-erased-first (true) allocation. Engines enable this when the
-    /// fault model is active; the default order is byte-identical to the
-    /// pre-wear-tracking allocator.
-    pub fn set_wear_aware(&mut self, on: bool) {
-        self.wear_aware = on;
     }
 
     /// Checked index of an in-range block id into the per-slot tables.
@@ -143,8 +132,8 @@ impl BlockAllocator {
         usize::try_from(id - self.range.start).unwrap_or(usize::MAX)
     }
 
-    /// Takes the preferred free block (lowest id, or least-erased when
-    /// wear-aware), or `None` when the region is exhausted.
+    /// Takes the free block with the lowest `(key, id)`, or `None` when the
+    /// region is exhausted.
     pub fn alloc(&mut self) -> Option<BlockId> {
         let Reverse((_, id)) = self.free.pop()?;
         let slot = self.slot_index(id);
@@ -152,13 +141,11 @@ impl BlockAllocator {
         Some(BlockId(id))
     }
 
-    /// Returns an erased block to the free pool, recording one P/E cycle
-    /// of wear (the engines always erase a block before freeing it).
-    pub fn free(&mut self, block: BlockId) -> Result<(), FreeError> {
+    /// Returns an erased block to the free pool under `key`: lower keys
+    /// are allocated first, equal keys lowest id first.
+    pub fn free(&mut self, block: BlockId, key: u32) -> Result<(), FreeError> {
         let idx = self.checked_slot(block)?;
         self.allocated[idx] = false;
-        self.wear[idx] = self.wear[idx].saturating_add(1);
-        let key = if self.wear_aware { self.wear[idx] } else { 0 };
         self.free.push(Reverse((key, block.0)));
         Ok(())
     }
@@ -208,20 +195,6 @@ impl BlockAllocator {
     /// retired by definition.
     pub fn is_retired(&self, block: BlockId) -> bool {
         self.range.contains(&block.0) && self.retired[self.slot_index(block.0)]
-    }
-
-    /// P/E cycles recorded for `block` (0 for blocks outside the range).
-    pub fn wear(&self, block: BlockId) -> u32 {
-        if self.range.contains(&block.0) {
-            self.wear[self.slot_index(block.0)]
-        } else {
-            0
-        }
-    }
-
-    /// Sum of recorded P/E cycles across the region.
-    pub fn total_wear(&self) -> u64 {
-        self.wear.iter().map(|&w| u64::from(w)).sum()
     }
 
     /// Verifies block-state conservation: the free heap, allocated flags,
@@ -283,7 +256,7 @@ mod tests {
         let mut a = BlockAllocator::new(10..14);
         assert_eq!(a.alloc(), Some(BlockId(10)));
         assert_eq!(a.alloc(), Some(BlockId(11)));
-        a.free(BlockId(10)).unwrap();
+        a.free(BlockId(10), 0).unwrap();
         assert_eq!(a.alloc(), Some(BlockId(10)));
     }
 
@@ -301,14 +274,17 @@ mod tests {
     fn double_free_is_reported() {
         let mut a = BlockAllocator::new(0..2);
         let b = a.alloc().unwrap();
-        assert_eq!(a.free(b), Ok(()));
-        assert_eq!(a.free(b), Err(FreeError::NotAllocated { block: b.0 }));
+        assert_eq!(a.free(b, 0), Ok(()));
+        assert_eq!(a.free(b, 0), Err(FreeError::NotAllocated { block: b.0 }));
     }
 
     #[test]
     fn foreign_block_is_reported() {
         let mut a = BlockAllocator::new(0..2);
-        assert_eq!(a.free(BlockId(5)), Err(FreeError::OutOfRange { block: 5 }));
+        assert_eq!(
+            a.free(BlockId(5), 0),
+            Err(FreeError::OutOfRange { block: 5 })
+        );
         assert_eq!(
             a.retire(BlockId(5)),
             Err(FreeError::OutOfRange { block: 5 })
@@ -322,7 +298,7 @@ mod tests {
         assert_eq!(a.free_count(), 3);
         assert_eq!(a.allocated_count(), 5);
         for b in blocks {
-            a.free(b).unwrap();
+            a.free(b, 0).unwrap();
         }
         assert_eq!(a.free_count(), 8);
         assert_eq!(a.audit(), Ok(()));
@@ -335,7 +311,7 @@ mod tests {
         a.retire(b).unwrap();
         assert_eq!(a.retired_count(), 1);
         assert!(a.is_retired(b));
-        assert_eq!(a.free(b), Err(FreeError::Retired { block: b.0 }));
+        assert_eq!(a.free(b, 0), Err(FreeError::Retired { block: b.0 }));
         assert_eq!(a.retire(b), Err(FreeError::Retired { block: b.0 }));
         let mut seen = Vec::new();
         while let Some(x) = a.alloc() {
@@ -347,37 +323,28 @@ mod tests {
     }
 
     #[test]
-    fn free_records_wear() {
-        let mut a = BlockAllocator::new(0..2);
-        let b = a.alloc().unwrap();
-        assert_eq!(a.wear(b), 0);
-        a.free(b).unwrap();
-        assert_eq!(a.wear(b), 1);
-        assert_eq!(a.total_wear(), 1);
+    fn lower_keys_allocate_first() {
+        let mut a = BlockAllocator::new(0..3);
+        let b0 = a.alloc().unwrap();
+        let b1 = a.alloc().unwrap();
+        a.free(b0, 2).unwrap();
+        a.free(b1, 1).unwrap();
+        // Untouched block 2 (key 0) beats both, then b1's lower key wins
+        // over b0's lower id.
+        assert_eq!(a.alloc(), Some(BlockId(2)), "key 0 beats freed blocks");
+        assert_eq!(a.alloc(), Some(b1), "lower key beats lower id");
+        assert_eq!(a.alloc(), Some(b0));
     }
 
     #[test]
-    fn wear_aware_prefers_least_erased() {
-        let mut a = BlockAllocator::new(0..2);
-        a.set_wear_aware(true);
-        let b0 = a.alloc().unwrap();
-        assert_eq!(b0, BlockId(0));
-        a.free(b0).unwrap();
-        // Heap holds block 0 at wear 1 and untouched block 1 at wear 0.
-        assert_eq!(a.alloc(), Some(BlockId(1)), "unworn block beats id order");
-        a.free(BlockId(1)).unwrap();
-        // Both at wear 1: the tie breaks by lowest id.
-        assert_eq!(a.alloc(), Some(BlockId(0)), "wear ties break by id");
-    }
-
-    #[test]
-    fn default_mode_ignores_wear() {
-        let mut a = BlockAllocator::new(0..2);
-        let b0 = a.alloc().unwrap();
-        a.free(b0).unwrap();
-        // Block 0 is more worn than block 1 but still allocates first.
-        assert_eq!(a.wear(BlockId(0)), 1);
-        assert_eq!(a.alloc(), Some(BlockId(0)));
+    fn equal_keys_allocate_lowest_id_first() {
+        let mut a = BlockAllocator::new(0..3);
+        let blocks: Vec<_> = (0..3).map(|_| a.alloc().unwrap()).collect();
+        for &b in blocks.iter().rev() {
+            a.free(b, 1).unwrap();
+        }
+        let order: Vec<_> = (0..3).map(|_| a.alloc().unwrap()).collect();
+        assert_eq!(order, blocks, "key ties break by lowest id, not free order");
     }
 
     #[test]

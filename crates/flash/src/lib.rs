@@ -47,7 +47,7 @@
 
 /// Physical page addresses and block identifiers.
 pub mod address;
-/// Free-block bookkeeping, wear tracking, and bad-block retirement.
+/// Free-block bookkeeping and bad-block retirement.
 pub mod allocator;
 /// Cause-tagged page/erase counters (the paper's Table 3 accounting).
 pub mod counters;

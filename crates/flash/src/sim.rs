@@ -112,16 +112,11 @@ struct Chip {
     bg_done: Ns,
 }
 
-/// A device-level state snapshot for telemetry timelines: the virtual
-/// horizon plus the erase-count spread over all blocks (the wear-leveling
-/// signal the paper's GC discussion reasons about). Produced by
-/// [`FlashSim::sample_state`].
+/// The erase-count spread over all blocks (the wear-leveling signal the
+/// paper's GC discussion reasons about) that telemetry timelines sample.
+/// Produced by [`FlashSim::sample_state`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlashStateSample {
-    /// Latest busy instant across all chips (foreground or background).
-    pub horizon: Ns,
-    /// Total blocks in the device.
-    pub blocks: u64,
     /// Minimum completed P/E cycles over all blocks.
     pub wear_min: u64,
     /// Maximum completed P/E cycles over all blocks.
@@ -139,9 +134,10 @@ pub struct FlashSim {
     /// raises those, so the running max is the horizon.
     horizon: Ns,
     counters: FlashCounters,
-    /// Completed P/E cycles per global block, driving the wear-dependent
-    /// fault probabilities. Tracked by the device (it sees every erase),
-    /// independently of the engines' allocators.
+    /// Completed P/E cycles per global block: the one wear ledger. It
+    /// drives the wear-dependent fault probabilities, the timeline's wear
+    /// spread and the engines' least-erased-first allocation under a fault
+    /// model (the device sees every erase).
     wear: Vec<u32>,
     /// Monotone operation sequence number mixed into fault draws so two
     /// ops on the same page at different points of the run draw
@@ -424,23 +420,16 @@ impl FlashSim {
         self.wear.get(block.0 as usize).copied().unwrap_or(0)
     }
 
-    /// Snapshots the device-level state a telemetry timeline samples:
-    /// the virtual-time horizon and the erase-count spread over all
-    /// blocks. Pure observation — never mutates chip timelines, counters,
-    /// or wear.
+    /// Snapshots the erase-count spread over all blocks a telemetry
+    /// timeline samples. Pure observation — never mutates chip timelines,
+    /// counters, or wear.
     pub fn sample_state(&self) -> FlashStateSample {
-        let mut s = FlashStateSample {
-            horizon: self.horizon(),
-            blocks: self.wear.len() as u64,
-            wear_min: self.wear.iter().copied().min().unwrap_or(0).into(),
-            ..FlashStateSample::default()
-        };
-        for &w in &self.wear {
-            let w = u64::from(w);
-            s.wear_max = s.wear_max.max(w);
-            s.wear_total += w;
+        let wear = || self.wear.iter().map(|&w| u64::from(w));
+        FlashStateSample {
+            wear_min: wear().min().unwrap_or(0),
+            wear_max: wear().max().unwrap_or(0),
+            wear_total: wear().sum(),
         }
-        s
     }
 
     /// Resets the counters (e.g. at the end of warm-up) without touching
@@ -668,6 +657,26 @@ mod tests {
         assert_eq!(s.counters().erases(), 64);
         let total_wear: u64 = (0..8).map(|b| u64::from(s.block_wear(BlockId(b)))).sum();
         assert_eq!(total_wear, completed, "only clean erases complete a P/E");
+    }
+
+    #[test]
+    fn wear_spread_counts_clean_erases_only() {
+        // Three erase rounds over all 64 blocks at a 6.25 % (plus wear)
+        // fail rate: only the clean erases add to a block's wear.
+        let mut s = faulty_sim(1_000_000);
+        let mut clean = 0;
+        for _ in 0..3 {
+            for b in 0..s.geometry().blocks() {
+                clean += u64::from(s.erase(BlockId(b), 0).status.is_ok());
+            }
+        }
+        assert_eq!((clean, s.counters().erase_fails()), (175, 17));
+        let spread = FlashStateSample {
+            wear_min: 2,
+            wear_max: 3,
+            wear_total: clean,
+        };
+        assert_eq!(s.sample_state(), spread);
     }
 
     #[test]
