@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use anykey_core::pink::segment::SEG_ENTRY_OVERHEAD;
 use anykey_core::{DeviceConfig, EngineKind};
 use anykey_metrics::report::fmt_ns;
-use anykey_metrics::{Csv, Table};
+use anykey_metrics::{LatencyHist, Table};
 use anykey_workload::WorkloadSpec;
 
 /// Experiment scale knobs. Defaults reproduce the paper's ratios on a
@@ -134,28 +134,45 @@ impl ExpCtx {
         }
     }
 
-    /// Writes one latency CDF as a long-form CSV
-    /// (`workload,system,series,latency_us,cdf`).
+    /// Appends one latency CDF to a [`cdf_table`], one row per point.
     pub fn dump_cdf(
         &self,
-        csv: &mut Csv,
+        cdf: &mut Table,
         workload: &str,
         system: &str,
         series: &str,
-        hist: &anykey_metrics::LatencyHist,
+        hist: &LatencyHist,
     ) {
         for (ns, frac) in hist.cdf() {
-            csv.push(format!(
-                "{workload},{system},{series},{:.1},{frac:.6}",
-                ns as f64 / 1000.0
-            ));
+            cdf.row([
+                workload.to_string(),
+                system.to_string(),
+                series.to_string(),
+                format!("{:.1}", ns as f64 / 1000.0),
+                format!("{frac:.6}"),
+            ]);
         }
     }
 }
 
-/// Prints a table to stdout and writes its CSV next to the other results.
+/// An empty long-form latency-CDF table
+/// (`workload,system,series,latency_us,cdf`), filled by
+/// [`ExpCtx::dump_cdf`] and [`save`]d without printing.
+pub fn cdf_table() -> Table {
+    Table::new(
+        "latency CDF",
+        &["workload", "system", "series", "latency_us", "cdf"],
+    )
+}
+
+/// Prints a table to stdout and [`save`]s its CSV.
 pub fn emit(table: &Table, path: &Path) {
     println!("{table}");
+    save(table, path);
+}
+
+/// Writes a table's CSV next to the other results, warning on failure.
+pub fn save(table: &Table, path: &Path) {
     if let Err(e) = table.write_csv(path) {
         eprintln!("warning: could not write {}: {e}", path.display());
     } else {

@@ -6,10 +6,10 @@
 //! high-v/k set all three are comparable.
 
 use anykey_core::EngineKind;
-use anykey_metrics::{Csv, Table};
+use anykey_metrics::Table;
 use anykey_workload::spec;
 
-use crate::common::{emit, lat, ExpCtx};
+use crate::common::{cdf_table, emit, lat, save, ExpCtx};
 use crate::scheduler::{Point, PointResult};
 
 /// The paper's Figure 10 workload set, in order (a)–(g).
@@ -37,7 +37,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         "Figure 10: read latency percentiles",
         &["workload", "system", "p50", "p90", "p95", "p99", "max"],
     );
-    let mut cdf = Csv::new("workload,system,series,latency_us,cdf");
+    let mut cdf = cdf_table();
     let mut rows = results.iter();
     for name in WORKLOADS {
         for kind in EngineKind::EVALUATED {
@@ -55,5 +55,5 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         }
     }
     emit(&t, &ctx.scale.out("fig10.csv"));
-    cdf.write(ctx.scale.out("fig10_cdf.csv")).ok();
+    save(&cdf, &ctx.scale.out("fig10_cdf.csv"));
 }

@@ -6,10 +6,10 @@
 //! AnyKey must drop hash lists), while W-PinK barely notices.
 
 use anykey_core::{DeviceConfig, EngineKind};
-use anykey_metrics::{Csv, Table};
+use anykey_metrics::Table;
 use anykey_workload::spec;
 
-use crate::common::{emit, lat, ExpCtx};
+use crate::common::{cdf_table, emit, lat, save, ExpCtx};
 use crate::scheduler::{MeasureSpec, Point, PointResult, RunKind};
 
 const WORKLOADS: [&str; 3] = ["Crypto1", "ETC", "W-PinK"];
@@ -55,7 +55,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         "Figure 15: p95 read latency vs DRAM size (ratio of the default 0.1%)",
         &["workload", "system", "DRAM 0.5x", "DRAM 1x", "DRAM 1.5x"],
     );
-    let mut cdf = Csv::new("workload,system,series,latency_us,cdf");
+    let mut cdf = cdf_table();
     let mut rows = results.iter();
     for name in WORKLOADS {
         for kind in EngineKind::EVALUATED {
@@ -69,5 +69,5 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         }
     }
     emit(&t, &ctx.scale.out("fig15.csv"));
-    cdf.write(ctx.scale.out("fig15_cdf.csv")).ok();
+    save(&cdf, &ctx.scale.out("fig15_cdf.csv"));
 }

@@ -6,10 +6,10 @@
 //! with page size (paper Section 6.4).
 
 use anykey_core::{DeviceConfig, EngineKind};
-use anykey_metrics::{Csv, Table};
+use anykey_metrics::Table;
 use anykey_workload::spec;
 
-use crate::common::{emit, lat, ExpCtx};
+use crate::common::{cdf_table, emit, lat, save, ExpCtx};
 use crate::scheduler::{MeasureSpec, Point, PointResult, RunKind};
 
 const WORKLOADS: [&str; 3] = ["Crypto1", "ETC", "W-PinK"];
@@ -56,7 +56,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         "Figure 16: p95 read latency vs flash page size",
         &["workload", "system", "4KB", "8KB", "16KB"],
     );
-    let mut cdf = Csv::new("workload,system,series,latency_us,cdf");
+    let mut cdf = cdf_table();
     let mut rows = results.iter();
     for name in WORKLOADS {
         for kind in EngineKind::EVALUATED {
@@ -70,5 +70,5 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         }
     }
     emit(&t, &ctx.scale.out("fig16.csv"));
-    cdf.write(ctx.scale.out("fig16_cdf.csv")).ok();
+    save(&cdf, &ctx.scale.out("fig16_cdf.csv"));
 }

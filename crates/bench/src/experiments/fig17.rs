@@ -6,10 +6,10 @@
 //! because their metadata covers every level from DRAM.
 
 use anykey_core::EngineKind;
-use anykey_metrics::{Csv, Table};
+use anykey_metrics::Table;
 use anykey_workload::{spec, KeyDist};
 
-use crate::common::{emit, lat, ExpCtx};
+use crate::common::{cdf_table, emit, lat, save, ExpCtx};
 use crate::scheduler::{MeasureSpec, Point, PointResult, RunKind};
 
 const DISTS: [(&str, KeyDist); 4] = [
@@ -46,7 +46,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         "Figure 17: ETC p95 read latency vs key distribution",
         &["system", "uniform", "zipf-0.6", "zipf-0.8", "zipf-0.99"],
     );
-    let mut cdf = Csv::new("workload,system,series,latency_us,cdf");
+    let mut cdf = cdf_table();
     let mut rows = results.iter();
     for kind in EngineKind::EVALUATED {
         let mut cells = vec![kind.label().to_string()];
@@ -58,5 +58,5 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         t.row(cells);
     }
     emit(&t, &ctx.scale.out("fig17.csv"));
-    cdf.write(ctx.scale.out("fig17_cdf.csv")).ok();
+    save(&cdf, &ctx.scale.out("fig17_cdf.csv"));
 }

@@ -6,10 +6,10 @@
 //! Short scans are comparable.
 
 use anykey_core::EngineKind;
-use anykey_metrics::{Csv, Table};
+use anykey_metrics::Table;
 use anykey_workload::spec;
 
-use crate::common::{emit, lat, ExpCtx};
+use crate::common::{cdf_table, emit, lat, save, ExpCtx};
 use crate::scheduler::{Point, PointResult, RunKind};
 
 const LENGTHS: [u32; 4] = [10, 100, 150, 200];
@@ -38,7 +38,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         "Figure 18: UDB scan latency (p95) vs scan length",
         &["system", "len 10", "len 100", "len 150", "len 200"],
     );
-    let mut cdf = Csv::new("workload,system,series,latency_us,cdf");
+    let mut cdf = cdf_table();
     let mut rows = results.iter();
     for kind in EngineKind::EVALUATED {
         let mut cells = vec![kind.label().to_string()];
@@ -56,5 +56,5 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         t.row(cells);
     }
     emit(&t, &ctx.scale.out("fig18.csv"));
-    cdf.write(ctx.scale.out("fig18_cdf.csv")).ok();
+    save(&cdf, &ctx.scale.out("fig18_cdf.csv"));
 }

@@ -3,10 +3,10 @@
 //! over a fixed 40 B key).
 
 use anykey_core::EngineKind;
-use anykey_metrics::{Csv, Table};
+use anykey_metrics::Table;
 use anykey_workload::WorkloadSpec;
 
-use crate::common::{emit, kiops, lat, ExpCtx};
+use crate::common::{cdf_table, emit, kiops, lat, save, ExpCtx};
 use crate::scheduler::{MeasureSpec, Point, PointResult, RunKind};
 
 const VALUES: [u32; 7] = [20, 40, 80, 160, 320, 640, 1280];
@@ -33,7 +33,7 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         "Figure 2: PinK under varying value-to-key ratios (key = 40B)",
         &["v/k", "p50 read", "p95 read", "p99 read", "kIOPS"],
     );
-    let mut cdf = Csv::new("workload,system,series,latency_us,cdf");
+    let mut cdf = cdf_table();
     let mut rows = results.iter();
     for v in VALUES {
         let s = &rows.next().expect("fig2 row");
@@ -48,5 +48,5 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         ctx.dump_cdf(&mut cdf, "vk-sweep", "PinK", &label, &s.report.reads);
     }
     emit(&t, &ctx.scale.out("fig2.csv"));
-    cdf.write(ctx.scale.out("fig2_cdf.csv")).ok();
+    save(&cdf, &ctx.scale.out("fig2_cdf.csv"));
 }

@@ -39,7 +39,7 @@ pub use hist::LatencyHist;
 /// parse-error type (summary, trace, timeline and [`Json`] readers).
 pub use json::{esc, Json, ParseError};
 /// Report renderers (CSV and aligned-table output).
-pub use report::{Csv, Table};
+pub use report::Table;
 /// The `summary.json` schema and diff entry points.
 pub use summary::{diff, parse, PointSummary, RunSummary};
 /// The timeline sample model and steady-state detector.

@@ -126,57 +126,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Helper for accumulating long-form CSV series (e.g. CDF curves with one
-/// row per point), where a [`Table`] per curve would be unwieldy.
-#[derive(Debug, Clone)]
-pub struct Csv {
-    header: String,
-    lines: Vec<String>,
-}
-
-impl Csv {
-    /// A CSV accumulator with the given comma-joined header.
-    pub fn new(header: &str) -> Self {
-        Self {
-            header: header.to_string(),
-            lines: Vec::new(),
-        }
-    }
-
-    /// Appends one pre-formatted row.
-    pub fn push<S: Into<String>>(&mut self, line: S) {
-        self.lines.push(line.into());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether no rows have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// Writes the accumulated rows to a file, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from directory creation or the write.
-    pub fn write<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        if let Some(parent) = path.as_ref().parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let mut body = self.header.clone();
-        body.push('\n');
-        for l in &self.lines {
-            body.push_str(l);
-            body.push('\n');
-        }
-        fs::write(path, body)
-    }
-}
-
 /// Formats nanoseconds as a human-readable latency (µs below 10 ms, ms
 /// above).
 pub fn fmt_ns(ns: u64) -> String {
@@ -260,18 +209,5 @@ mod tests {
         assert_eq!(fmt_count(42), "42");
         assert_eq!(fmt_ppm(0), "0");
         assert_eq!(fmt_ppm(2500), "2,500ppm");
-    }
-
-    #[test]
-    fn csv_accumulator_writes_header_first() {
-        let dir = std::env::temp_dir().join("anykey-metrics-test2");
-        let path = dir.join("series.csv");
-        let mut c = Csv::new("x,y");
-        c.push("1,2");
-        c.push("3,4");
-        c.write(&path).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "x,y\n1,2\n3,4\n");
-        std::fs::remove_dir_all(dir).ok();
     }
 }
