@@ -171,8 +171,8 @@ impl DeviceConfigBuilder {
 
     /// Media fault model (default: disabled, perfect media). A nonzero
     /// model injects deterministic read retries, program failures, and
-    /// block-retiring erase failures; it also switches the engines' block
-    /// allocators to wear-aware (least-erased-first) allocation.
+    /// block-retiring erase failures; it also makes erased blocks return
+    /// to their allocators least-erased-first.
     pub fn fault(&mut self, fault: FaultModel) -> &mut Self {
         self.fault = fault;
         self

@@ -640,43 +640,31 @@ mod tests {
 
     #[test]
     fn erase_failures_are_reported_and_skip_wear() {
-        let mut s = faulty_sim(1_000_000);
-        let mut failed = 0;
-        let mut completed = 0;
-        for block in 0..64 {
-            let r = s.erase(BlockId(block % 8), 0);
-            if r.status.is_ok() {
-                completed += 1;
-            } else {
-                assert_eq!(r.status, FlashOpStatus::EraseFail);
-                failed += 1;
-            }
-        }
-        assert!(failed > 0, "a 6.25% erase-fail rate must fire in 64 tries");
-        assert_eq!(s.counters().erase_fails(), failed);
-        assert_eq!(s.counters().erases(), 64);
-        let total_wear: u64 = (0..8).map(|b| u64::from(s.block_wear(BlockId(b)))).sum();
-        assert_eq!(total_wear, completed, "only clean erases complete a P/E");
-    }
-
-    #[test]
-    fn wear_spread_counts_clean_erases_only() {
         // Three erase rounds over all 64 blocks at a 6.25 % (plus wear)
         // fail rate: only the clean erases add to a block's wear.
         let mut s = faulty_sim(1_000_000);
-        let mut clean = 0;
+        let mut failed = 0;
+        let mut completed = 0;
         for _ in 0..3 {
-            for b in 0..s.geometry().blocks() {
-                clean += u64::from(s.erase(BlockId(b), 0).status.is_ok());
+            for block in 0..s.geometry().blocks() {
+                let r = s.erase(BlockId(block), 0);
+                if r.status.is_ok() {
+                    completed += 1;
+                } else {
+                    assert_eq!(r.status, FlashOpStatus::EraseFail);
+                    failed += 1;
+                }
             }
         }
-        assert_eq!((clean, s.counters().erase_fails()), (175, 17));
+        assert_eq!((completed, failed), (175, 17));
+        assert_eq!(s.counters().erase_fails(), failed);
+        assert_eq!(s.counters().erases(), 192);
         let spread = FlashStateSample {
             wear_min: 2,
             wear_max: 3,
-            wear_total: clean,
+            wear_total: completed,
         };
-        assert_eq!(s.sample_state(), spread);
+        assert_eq!(s.sample_state(), spread, "only clean erases complete a P/E");
     }
 
     #[test]
