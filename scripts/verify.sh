@@ -33,17 +33,19 @@ cmp "$VERIFY_DIR/j1/fault.csv" "$VERIFY_DIR/j2/fault.csv"
 cargo run -q --release -p xtask -- bench-diff \
     "$VERIFY_DIR/j1/summary.json" "$VERIFY_DIR/j2/summary.json"
 
-echo "==> trace smoke: --jobs 1 and --jobs 2 traces must be byte-identical"
+echo "==> trace smoke: --jobs 1 and --jobs 2 traces must be byte-identical,"
+echo "    and the trace report must match results/"
 cmp "$VERIFY_DIR/j1/trace.jsonl" "$VERIFY_DIR/j2/trace.jsonl"
 cargo run -q -p xtask -- trace "$VERIFY_DIR/j1/trace.jsonl" \
     > "$VERIFY_DIR/trace-report.txt"
-head -n 5 "$VERIFY_DIR/trace-report.txt"
+cmp "$VERIFY_DIR/trace-report.txt" results/fault_quick_trace_report.txt
 
-echo "==> timeline smoke: --jobs 1 and --jobs 2 timelines must be byte-identical"
+echo "==> timeline smoke: --jobs 1 and --jobs 2 timelines must be byte-identical,"
+echo "    and the timeline report must match results/"
 cmp "$VERIFY_DIR/j1/timeline.jsonl" "$VERIFY_DIR/j2/timeline.jsonl"
 cargo run -q -p xtask -- timeline "$VERIFY_DIR/j1/timeline.jsonl" \
     > "$VERIFY_DIR/timeline-report.txt"
-head -n 5 "$VERIFY_DIR/timeline-report.txt"
+cmp "$VERIFY_DIR/timeline-report.txt" results/fault_quick_timeline_report.txt
 
 echo "==> scan smoke: fig18 at --jobs 1 and --jobs 2 must agree"
 cargo run -q --release -p anykey-bench -- fig18 --quick --jobs 1 \
