@@ -460,14 +460,14 @@ mod tests {
             }];
             let doc = trace::write_jsonl(&[(key.to_string(), events)]);
             let parsed = trace::parse_jsonl(&doc).expect("trace");
-            assert_eq!(parsed.points[0].0, key);
-            assert_eq!(trace::write_jsonl(&parsed.points), doc);
+            assert_eq!(parsed[0].0, key);
+            assert_eq!(trace::write_jsonl(&parsed), doc);
 
             let samples = vec![StateSample::default()];
             let doc = timeline::write_jsonl(&[(key.to_string(), samples)]);
             let parsed = timeline::parse_jsonl(&doc).expect("timeline");
-            assert_eq!(parsed.points[0].0, key);
-            assert_eq!(timeline::write_jsonl(&parsed.points), doc);
+            assert_eq!(parsed[0].0, key);
+            assert_eq!(timeline::write_jsonl(&parsed), doc);
         }
     }
 

@@ -7,7 +7,10 @@
 //! the `summary.json` regression-gate document, virtual-time traces, and
 //! state-sample timelines. All three share one JSON codec, which also
 //! reads `BENCHMARK.json` and hostbench's result lines for `xtask
-//! bench-record` through [`Json`].
+//! bench-record` through [`Json`]. This crate writes and parses the trace
+//! and timeline documents; the reports over them (`xtask trace`, `xtask
+//! timeline`) live in xtask, their only caller. The steady-state detector
+//! stays here because the bench scheduler computes `converged_waf` with it.
 //!
 //! ```
 //! use anykey_metrics::LatencyHist;
@@ -27,10 +30,10 @@ mod json;
 pub mod report;
 /// Machine-readable `summary.json` schema, parser, and tolerance diff.
 pub mod summary;
-/// Virtual-time state-sample timelines, exporters, and the steady-state
-/// analyzer.
+/// Virtual-time state-sample timelines, exporters, parser, and the
+/// steady-state detector.
 pub mod timeline;
-/// Virtual-time trace events, phase attribution, and exporters.
+/// Virtual-time trace events, phase attribution, exporters, and parser.
 pub mod trace;
 
 /// Log-bucketed latency histogram with exact quantile queries.

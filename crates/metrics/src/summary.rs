@@ -333,7 +333,7 @@ pub fn parse(src: &str) -> Result<ParsedSummary, ParseError> {
 // Diffing
 // ---------------------------------------------------------------------------
 
-/// How a single compared metric fared.
+/// One compared metric that fell outside tolerance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
     /// Point key (empty for top-level fields).
@@ -344,8 +344,6 @@ pub struct DiffRow {
     pub baseline: String,
     /// Candidate raw token (empty when missing).
     pub candidate: String,
-    /// Whether this row is within tolerance.
-    pub ok: bool,
     /// Whether a band (wall-time) comparison was used instead of exact.
     pub banded: bool,
 }
@@ -439,7 +437,6 @@ fn compare(
                 metric: metric.clone(),
                 baseline: base.to_string(),
                 candidate: cand.to_string(),
-                ok,
                 banded,
             });
         }

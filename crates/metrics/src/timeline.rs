@@ -1,6 +1,5 @@
 //! Virtual-time telemetry timelines: periodic device-state samples, the
-//! JSONL/CSV exporters, the parser, and the steady-state analyzer behind
-//! `xtask timeline`.
+//! JSONL/CSV exporters, the parser, and the steady-state detector.
 //!
 //! The paper's headline claims are *steady-state* claims — AnyKey's wins
 //! over PinK materialize only once the tree, hash lists, and value log
@@ -22,12 +21,14 @@
 //! (schema-versioned; per-level occupancy rides as companion `level`
 //! lines) parsed back by
 //! [`parse_jsonl`](crate::timeline::parse_jsonl), and a flat CSV of the
-//! scalar fields for plotting. The analyzer
-//! ([`analyze`](crate::timeline::analyze)) detects the burn-in →
-//! steady-state transition with a sliding-window WAF-slope test, reports
-//! convergence values, and flags compaction-storm and GC-debt windows.
+//! scalar fields for plotting. The detector
+//! ([`detect_steady_state`](crate::timeline::detect_steady_state)) finds
+//! the burn-in → steady-state transition of a WAF curve with a
+//! sliding-window slope test; the scheduler runs it for `summary.json`'s
+//! `converged_waf` and `burnin_ns`. The report-only analysis of a parsed
+//! timeline (per-point convergence, compaction-storm and GC-debt windows)
+//! lives in `xtask timeline`.
 
-use std::fmt;
 use std::fmt::Write as _;
 
 use crate::json::{self, get, line, ParseError, Val};
@@ -314,16 +315,6 @@ pub fn write_csv<K: AsRef<str>, S: AsRef<[StateSample]>>(points: &[(K, S)]) -> S
     out
 }
 
-/// A parsed timeline document: schema version plus per-point sample
-/// series, in document order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ParsedTimeline {
-    /// Schema version from the header line.
-    pub schema_version: u64,
-    /// `(point key, samples)` in document order.
-    pub points: Vec<(String, Vec<StateSample>)>,
-}
-
 /// Decodes one `sample` or `level` line onto its point's samples; a level
 /// line belongs to the sample just before it.
 fn read_line(
@@ -365,22 +356,20 @@ fn read_line(
     Ok(())
 }
 
-/// Parses a JSONL timeline document produced by [`write_jsonl`].
+/// Parses a JSONL timeline document produced by [`write_jsonl`] into its
+/// `(point key, samples)` pairs, in document order.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed lines, a missing or incompatible
 /// header, samples before the first point marker, or a `level` line that
 /// does not follow its sample.
-pub fn parse_jsonl(src: &str) -> Result<ParsedTimeline, ParseError> {
-    Ok(ParsedTimeline {
-        schema_version: TIMELINE_SCHEMA_VERSION,
-        points: json::parse_jsonl(src, "timeline", TIMELINE_SCHEMA_VERSION, read_line)?,
-    })
+pub fn parse_jsonl(src: &str) -> Result<Vec<(String, Vec<StateSample>)>, ParseError> {
+    json::parse_jsonl(src, "timeline", TIMELINE_SCHEMA_VERSION, read_line)
 }
 
 // ---------------------------------------------------------------------------
-// Steady-state detection and analysis (`xtask timeline`)
+// Steady-state detection
 // ---------------------------------------------------------------------------
 
 /// The detected burn-in → steady-state transition of one WAF curve.
@@ -430,241 +419,6 @@ pub fn detect_steady_state(curve: &[(u64, f64)], window: usize, tol: f64) -> Opt
         start_ns: curve[start_idx].0,
         converged_waf,
     })
-}
-
-/// One window of consecutive samples where background (compaction + GC)
-/// flash programs outweighed foreground programs — a compaction storm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StormWindow {
-    /// Virtual ns of the first sample in the storm.
-    pub start_ns: u64,
-    /// Virtual ns of the last sample in the storm.
-    pub end_ns: u64,
-    /// Background (compaction + GC) programs over the window.
-    pub bg_writes: u64,
-    /// Foreground (host + log + meta) programs over the window.
-    pub fg_writes: u64,
-}
-
-/// One window of consecutive samples where garbage accrued with no GC
-/// progress: stale value-log bytes grew or the free-block pool shrank
-/// while GC wrote nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DebtWindow {
-    /// Virtual ns of the first sample in the window.
-    pub start_ns: u64,
-    /// Virtual ns of the last sample in the window.
-    pub end_ns: u64,
-    /// Stale value-log bytes accrued over the window.
-    pub stale_growth: u64,
-    /// Free blocks lost over the window.
-    pub free_block_drop: u64,
-}
-
-/// Analysis of one experiment point's timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointTimeline {
-    /// The point's key.
-    pub key: String,
-    /// Number of samples in the capture.
-    pub samples: usize,
-    /// Virtual-time span from first to last sample.
-    pub span_ns: u64,
-    /// Cumulative WAF at the final sample.
-    pub final_waf: f64,
-    /// Detected steady state, if the curve settled.
-    pub steady: Option<SteadyState>,
-    /// Compaction-storm windows, in time order.
-    pub storms: Vec<StormWindow>,
-    /// GC-debt windows, in time order.
-    pub gc_debt: Vec<DebtWindow>,
-}
-
-/// Summary statistics extracted from a parsed timeline.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimelineAnalysis {
-    /// Schema version of the analyzed document.
-    pub schema_version: u64,
-    /// Detector window length used.
-    pub window: usize,
-    /// Detector relative tolerance used.
-    pub tol: f64,
-    /// Per-point analyses, in document order.
-    pub points: Vec<PointTimeline>,
-}
-
-impl TimelineAnalysis {
-    /// Whether every point with at least one detector window of samples
-    /// reached a steady state — the `--assert-converged` CI gate.
-    pub fn all_converged(&self) -> bool {
-        self.points
-            .iter()
-            .filter(|p| p.samples >= self.window)
-            .all(|p| p.steady.is_some())
-    }
-}
-
-/// Merges runs of consecutive flagged sample intervals into
-/// `(start, end, a, b)` windows, times relative to `base`. `flag` returns
-/// an interval's two summed quantities when the interval is flagged.
-fn windows_of(
-    samples: &[StateSample],
-    base: u64,
-    flag: impl Fn(&StateSample, &StateSample) -> Option<(u64, u64)>,
-) -> Vec<(u64, u64, u64, u64)> {
-    let mut out: Vec<(u64, u64, u64, u64)> = Vec::new();
-    let mut open = false;
-    for w in samples.windows(2) {
-        let hit = flag(&w[0], &w[1]);
-        if let Some((a, b)) = hit {
-            let end = w[1].ts_ns.saturating_sub(base);
-            match out.last_mut().filter(|_| open) {
-                Some(last) => *last = (last.0, end, last.2 + a, last.3 + b),
-                None => out.push((w[0].ts_ns.saturating_sub(base), end, a, b)),
-            }
-        }
-        open = hit.is_some();
-    }
-    out
-}
-
-/// Analyzes a parsed timeline: per-point steady-state detection (sliding
-/// WAF-slope window of `window` samples at relative tolerance `tol`),
-/// convergence values, and compaction-storm / GC-debt windows.
-pub fn analyze(t: &ParsedTimeline, window: usize, tol: f64) -> TimelineAnalysis {
-    let mut a = TimelineAnalysis {
-        schema_version: t.schema_version,
-        window,
-        tol,
-        points: Vec::new(),
-    };
-    for (key, samples) in &t.points {
-        // All reported times are relative to the point's first sample
-        // (its measured-phase start), matching `burnin_ns` in
-        // `summary.json` rather than the absolute virtual clock.
-        let base = samples.first().map_or(0, |s| s.ts_ns);
-        let curve: Vec<(u64, f64)> = samples
-            .iter()
-            .map(|s| (s.ts_ns.saturating_sub(base), s.cum_waf))
-            .collect();
-        // A storm interval: background (compaction + GC) programs exceed
-        // twice the foreground (host + log + meta) programs.
-        let storms = windows_of(samples, base, |p, c| {
-            let bg = (c.comp_writes + c.gc_writes).saturating_sub(p.comp_writes + p.gc_writes);
-            let fg = (c.host_writes + c.log_writes + c.meta_writes)
-                .saturating_sub(p.host_writes + p.log_writes + p.meta_writes);
-            (bg > 0 && bg > 2 * fg).then_some((bg, fg))
-        });
-        // A debt interval: GC wrote nothing while stale value-log bytes
-        // grew or free blocks dropped.
-        let debts = windows_of(samples, base, |p, c| {
-            let stale = c
-                .value_log_stale_bytes
-                .saturating_sub(p.value_log_stale_bytes);
-            let drop = p.free_blocks.saturating_sub(c.free_blocks);
-            (c.gc_writes == p.gc_writes && (stale > 0 || drop > 0)).then_some((stale, drop))
-        });
-        a.points.push(PointTimeline {
-            key: key.clone(),
-            samples: samples.len(),
-            span_ns: samples.last().map_or(0, |l| l.ts_ns.saturating_sub(base)),
-            final_waf: samples.last().map_or(0.0, |s| s.cum_waf),
-            steady: detect_steady_state(&curve, window, tol),
-            storms: storms
-                .into_iter()
-                .map(|(start_ns, end_ns, bg_writes, fg_writes)| StormWindow {
-                    start_ns,
-                    end_ns,
-                    bg_writes,
-                    fg_writes,
-                })
-                .collect(),
-            gc_debt: debts
-                .into_iter()
-                .map(
-                    |(start_ns, end_ns, stale_growth, free_block_drop)| DebtWindow {
-                        start_ns,
-                        end_ns,
-                        stale_growth,
-                        free_block_drop,
-                    },
-                )
-                .collect(),
-        });
-    }
-    a
-}
-
-fn ms(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000_000, (ns % 1_000_000) / 1_000)
-}
-
-impl fmt::Display for TimelineAnalysis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "timeline: {} point(s) (schema v{}, window {}, tol {:.0}%)",
-            self.points.len(),
-            self.schema_version,
-            self.window,
-            self.tol * 100.0
-        )?;
-        for p in &self.points {
-            writeln!(f)?;
-            writeln!(
-                f,
-                "point {} — {} samples over {} virtual ms",
-                p.key,
-                p.samples,
-                ms(p.span_ns)
-            )?;
-            match &p.steady {
-                Some(s) => {
-                    writeln!(
-                        f,
-                        "  steady state from sample {} (burn-in horizon {} ms); \
-                         converged WAF {:.3}, final WAF {:.3}",
-                        s.start_idx,
-                        ms(s.start_ns),
-                        s.converged_waf,
-                        p.final_waf
-                    )?;
-                }
-                None => writeln!(
-                    f,
-                    "  NOT CONVERGED — final WAF {:.3} still moving (or too few samples)",
-                    p.final_waf
-                )?,
-            }
-            writeln!(
-                f,
-                "  compaction storms: {}   gc-debt windows: {}",
-                p.storms.len(),
-                p.gc_debt.len()
-            )?;
-            for s in &p.storms {
-                writeln!(
-                    f,
-                    "    storm {} – {} ms: {} bg vs {} fg programs",
-                    ms(s.start_ns),
-                    ms(s.end_ns),
-                    s.bg_writes,
-                    s.fg_writes
-                )?;
-            }
-            for d in &p.gc_debt {
-                writeln!(
-                    f,
-                    "    debt  {} – {} ms: +{} stale bytes, −{} free blocks",
-                    ms(d.start_ns),
-                    ms(d.end_ns),
-                    d.stale_growth,
-                    d.free_block_drop
-                )?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -718,16 +472,15 @@ mod tests {
         let points = doc();
         let text = write_jsonl(&points);
         let parsed = parse_jsonl(&text).expect("parse");
-        assert_eq!(parsed.schema_version, TIMELINE_SCHEMA_VERSION);
-        assert_eq!(parsed.points, points);
-        assert_eq!(write_jsonl(&parsed.points), text);
+        assert_eq!(parsed, points);
+        assert_eq!(write_jsonl(&parsed), text);
     }
 
     #[test]
     fn jsonl_escapes_point_keys() {
         let text = write_jsonl(&[("we\"ird\nkey".to_string(), Vec::new())]);
         let parsed = parse_jsonl(&text).expect("parse");
-        assert_eq!(parsed.points[0].0, "we\"ird\nkey");
+        assert_eq!(parsed[0].0, "we\"ird\nkey");
     }
 
     #[test]
@@ -789,72 +542,5 @@ mod tests {
         let s = detect_steady_state(&flat, 4, 0.05).expect("flat is steady");
         assert_eq!(s.start_idx, 0);
         assert_eq!(s.converged_waf, 0.0);
-    }
-
-    #[test]
-    fn analysis_flags_storms_and_debt() {
-        let mut samples: Vec<StateSample> = (0..6u64)
-            .map(|i| StateSample {
-                seq: i,
-                ts_ns: i * 100,
-                cum_waf: 2.0,
-                host_writes: 10 * i,
-                free_blocks: 50,
-                ..StateSample::default()
-            })
-            .collect();
-        // Samples 2→3: compaction burst with no host writes.
-        samples[3].comp_writes = 500;
-        samples[3].host_writes = samples[2].host_writes;
-        for s in &mut samples[4..] {
-            s.comp_writes = 500;
-        }
-        // Samples 4→5: stale bytes grow and free blocks drop with GC idle.
-        samples[5].value_log_stale_bytes = 4096;
-        samples[5].free_blocks = 40;
-
-        let t = ParsedTimeline {
-            schema_version: TIMELINE_SCHEMA_VERSION,
-            points: vec![("p".to_string(), samples)],
-        };
-        let a = analyze(&t, 4, 0.05);
-        assert_eq!(a.points.len(), 1);
-        let p = &a.points[0];
-        assert_eq!(p.storms.len(), 1);
-        assert_eq!(p.storms[0].bg_writes, 500);
-        assert_eq!(p.gc_debt.len(), 1);
-        assert_eq!(p.gc_debt[0].stale_growth, 4096);
-        assert_eq!(p.gc_debt[0].free_block_drop, 10);
-        // Flat WAF converges; the report renders and mentions the verdict.
-        assert!(p.steady.is_some());
-        assert!(a.all_converged());
-        let text = a.to_string();
-        assert!(text.contains("steady state"));
-        assert!(text.contains("storm"));
-    }
-
-    #[test]
-    fn assert_converged_ignores_short_points_but_fails_unsettled_ones() {
-        let short = ParsedTimeline {
-            schema_version: TIMELINE_SCHEMA_VERSION,
-            points: vec![("p".to_string(), vec![sample(0, 0, 1.0)])],
-        };
-        assert!(analyze(&short, 8, 0.05).all_converged());
-
-        let rising: Vec<StateSample> = (0..16u64)
-            .map(|i| StateSample {
-                seq: i,
-                ts_ns: i * 100,
-                cum_waf: 1.0 + i as f64,
-                ..StateSample::default()
-            })
-            .collect();
-        let t = ParsedTimeline {
-            schema_version: TIMELINE_SCHEMA_VERSION,
-            points: vec![("p".to_string(), rising)],
-        };
-        let a = analyze(&t, 8, 0.05);
-        assert!(!a.all_converged());
-        assert!(a.to_string().contains("NOT CONVERGED"));
     }
 }

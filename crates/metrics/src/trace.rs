@@ -23,12 +23,10 @@
 //!
 //! Two export formats share the same event model: line-oriented JSONL
 //! (schema-versioned, parsed back by
-//! [`parse_jsonl`](crate::trace::parse_jsonl) and summarized by
-//! `xtask trace`) and Chrome trace-event JSON loadable in Perfetto, with
-//! one track per chip and flow arrows from compaction/GC spans to the
-//! flash traffic they cause.
-
-use std::fmt;
+//! [`parse_jsonl`](crate::trace::parse_jsonl)) and Chrome trace-event JSON
+//! loadable in Perfetto, with one track per chip and flow arrows from
+//! compaction/GC spans to the flash traffic they cause. The analysis of a
+//! parsed trace is report-only and lives in `xtask trace`.
 
 use crate::hist::LatencyHist;
 use crate::json::{self, esc, get, get_str, line, ParseError, Val};
@@ -525,16 +523,6 @@ pub fn write_chrome<K: AsRef<str>, E: AsRef<[TraceEvent]>>(points: &[(K, E)]) ->
 // JSONL parsing
 // ---------------------------------------------------------------------------
 
-/// A parsed trace document: schema version plus per-point event streams,
-/// in document order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ParsedTrace {
-    /// Schema version from the header line.
-    pub schema_version: u64,
-    /// `(point key, events)` in document order.
-    pub points: Vec<(String, Vec<TraceEvent>)>,
-}
-
 /// Decodes one event line of kind `kind` onto its point's events.
 fn read_event(
     kind: &str,
@@ -582,200 +570,15 @@ fn read_event(
     Ok(())
 }
 
-/// Parses a JSONL trace document produced by [`write_jsonl`].
+/// Parses a JSONL trace document produced by [`write_jsonl`] into its
+/// `(point key, events)` pairs, in document order.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed lines, a missing or incompatible
 /// header, or events appearing before the first point marker.
-pub fn parse_jsonl(src: &str) -> Result<ParsedTrace, ParseError> {
-    Ok(ParsedTrace {
-        schema_version: TRACE_SCHEMA_VERSION,
-        points: json::parse_jsonl(src, "trace", TRACE_SCHEMA_VERSION, read_event)?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Analysis (`xtask trace`)
-// ---------------------------------------------------------------------------
-
-/// Per-cause interference totals over a trace's flash ops.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CauseTotal {
-    /// Cause tag (`host-read`, `compaction-write`, ...).
-    pub cause: String,
-    /// Number of flash ops with this cause.
-    pub ops: u64,
-    /// Total chip-busy time (`done − start`) in virtual ns.
-    pub busy_ns: u64,
-    /// Total queueing stall (`start − issued`) in virtual ns.
-    pub stall_ns: u64,
-}
-
-/// One of the longest flash queueing stalls in a trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StallWindow {
-    /// Stall length (`start − issued`) in virtual ns.
-    pub stall_ns: u64,
-    /// Cause tag of the stalled op.
-    pub cause: String,
-    /// Chip the op eventually ran on.
-    pub chip: u32,
-    /// Virtual ns the op was issued.
-    pub issued: u64,
-    /// Key of the experiment point the op belongs to.
-    pub point: String,
-}
-
-/// Summary statistics extracted from a parsed trace.
-#[derive(Debug, Clone, Default)]
-pub struct TraceAnalysis {
-    /// Schema version of the analyzed document.
-    pub schema_version: u64,
-    /// Number of experiment points in the trace.
-    pub points: usize,
-    /// Total flash-op events.
-    pub flash_ops: u64,
-    /// Total engine span events.
-    pub spans: u64,
-    /// Total request events.
-    pub requests: u64,
-    /// Per-phase latency histograms over all request events.
-    pub phases: PhaseHists,
-    /// The top-K longest flash stall windows, longest first.
-    pub stalls: Vec<StallWindow>,
-    /// Per-cause totals, sorted by busy time descending.
-    pub causes: Vec<CauseTotal>,
-}
-
-/// Analyzes a parsed trace: per-phase latency distributions, the `top_k`
-/// longest flash stall windows, and per-cause interference totals.
-pub fn analyze(trace: &ParsedTrace, top_k: usize) -> TraceAnalysis {
-    let mut a = TraceAnalysis {
-        schema_version: trace.schema_version,
-        points: trace.points.len(),
-        ..TraceAnalysis::default()
-    };
-    let mut causes: Vec<CauseTotal> = Vec::new();
-    let mut stalls: Vec<StallWindow> = Vec::new();
-    for (key, events) in &trace.points {
-        for e in events {
-            match e {
-                TraceEvent::FlashOp {
-                    cause,
-                    chip,
-                    issued,
-                    start,
-                    done,
-                    ..
-                } => {
-                    a.flash_ops += 1;
-                    let busy = done.saturating_sub(*start);
-                    let stall = start.saturating_sub(*issued);
-                    match causes.iter_mut().find(|c| c.cause == *cause) {
-                        Some(c) => {
-                            c.ops += 1;
-                            c.busy_ns = c.busy_ns.saturating_add(busy);
-                            c.stall_ns = c.stall_ns.saturating_add(stall);
-                        }
-                        None => causes.push(CauseTotal {
-                            cause: cause.clone(),
-                            ops: 1,
-                            busy_ns: busy,
-                            stall_ns: stall,
-                        }),
-                    }
-                    if stall > 0 {
-                        stalls.push(StallWindow {
-                            stall_ns: stall,
-                            cause: cause.clone(),
-                            chip: *chip,
-                            issued: *issued,
-                            point: key.clone(),
-                        });
-                    }
-                }
-                TraceEvent::Span { .. } => a.spans += 1,
-                TraceEvent::Request { phases, .. } => {
-                    a.requests += 1;
-                    a.phases.record(phases);
-                }
-            }
-        }
-    }
-    // Longest first; ties broken deterministically by (issued, chip).
-    stalls.sort_by(|x, y| {
-        y.stall_ns
-            .cmp(&x.stall_ns)
-            .then(x.issued.cmp(&y.issued))
-            .then(x.chip.cmp(&y.chip))
-    });
-    stalls.truncate(top_k);
-    causes.sort_by(|x, y| y.busy_ns.cmp(&x.busy_ns).then(x.cause.cmp(&y.cause)));
-    a.stalls = stalls;
-    a.causes = causes;
-    a
-}
-
-impl fmt::Display for TraceAnalysis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "trace: {} point(s), {} flash ops, {} spans, {} requests (schema v{})",
-            self.points, self.flash_ops, self.spans, self.requests, self.schema_version
-        )?;
-        writeln!(f)?;
-        writeln!(f, "per-request phase latency (virtual ns):")?;
-        writeln!(
-            f,
-            "  {:<12} {:>12} {:>12} {:>12} {:>16}",
-            "phase", "p50", "p99", "p999", "total"
-        )?;
-        for (name, hist) in self.phases.named() {
-            writeln!(
-                f,
-                "  {:<12} {:>12} {:>12} {:>12} {:>16}",
-                name,
-                hist.p50(),
-                hist.p99(),
-                hist.p999(),
-                hist.total()
-            )?;
-        }
-        writeln!(f)?;
-        writeln!(
-            f,
-            "top {} flash stall windows (dispatch − issue):",
-            self.stalls.len()
-        )?;
-        writeln!(
-            f,
-            "  {:>12} {:<18} {:>5} {:>14}  point",
-            "stall_ns", "cause", "chip", "issued_ns"
-        )?;
-        for s in &self.stalls {
-            writeln!(
-                f,
-                "  {:>12} {:<18} {:>5} {:>14}  {}",
-                s.stall_ns, s.cause, s.chip, s.issued, s.point
-            )?;
-        }
-        writeln!(f)?;
-        writeln!(f, "per-cause interference totals:")?;
-        writeln!(
-            f,
-            "  {:<18} {:>10} {:>16} {:>16}",
-            "cause", "ops", "busy_ns", "stall_ns"
-        )?;
-        for c in &self.causes {
-            writeln!(
-                f,
-                "  {:<18} {:>10} {:>16} {:>16}",
-                c.cause, c.ops, c.busy_ns, c.stall_ns
-            )?;
-        }
-        Ok(())
-    }
+pub fn parse_jsonl(src: &str) -> Result<Vec<(String, Vec<TraceEvent>)>, ParseError> {
+    json::parse_jsonl(src, "trace", TRACE_SCHEMA_VERSION, read_event)
 }
 
 #[cfg(test)]
@@ -858,59 +661,18 @@ mod tests {
     fn jsonl_roundtrips() {
         let doc = write_jsonl(&[("fig10/Zippy/AnyKey+".to_string(), sample_events())]);
         let parsed = parse_jsonl(&doc).unwrap();
-        assert_eq!(parsed.schema_version, TRACE_SCHEMA_VERSION);
-        assert_eq!(parsed.points.len(), 1);
-        assert_eq!(parsed.points[0].0, "fig10/Zippy/AnyKey+");
-        assert_eq!(parsed.points[0].1, sample_events());
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].0, "fig10/Zippy/AnyKey+");
+        assert_eq!(parsed[0].1, sample_events());
         // Re-serializing the parse gives the same bytes.
-        assert_eq!(write_jsonl(&parsed.points), doc);
+        assert_eq!(write_jsonl(&parsed), doc);
     }
 
     #[test]
     fn jsonl_escapes_point_keys() {
         let doc = write_jsonl(&[("we\"ird\nkey".to_string(), Vec::new())]);
         let parsed = parse_jsonl(&doc).unwrap();
-        assert_eq!(parsed.points[0].0, "we\"ird\nkey");
-    }
-
-    #[test]
-    fn analysis_totals_and_stalls() {
-        let trace = ParsedTrace {
-            schema_version: TRACE_SCHEMA_VERSION,
-            points: vec![("p".to_string(), sample_events())],
-        };
-        let a = analyze(&trace, 10);
-        assert_eq!(a.flash_ops, 2);
-        assert_eq!(a.spans, 1);
-        assert_eq!(a.requests, 1);
-        // Longest stall first: compaction-write waited 200 ns, host-read 50.
-        assert_eq!(a.stalls.len(), 2);
-        assert_eq!(a.stalls[0].cause, "compaction-write");
-        assert_eq!(a.stalls[0].stall_ns, 200);
-        assert_eq!(a.stalls[1].stall_ns, 50);
-        // Causes sorted by busy time: compaction-write 300 > host-read 100.
-        assert_eq!(a.causes[0].cause, "compaction-write");
-        assert_eq!(a.causes[0].busy_ns, 300);
-        assert_eq!(a.causes[1].cause, "host-read");
-        assert_eq!(a.causes[1].stall_ns, 50);
-        // Phase hists saw the one request.
-        assert_eq!(a.phases.data_read.count(), 1);
-        assert_eq!(a.phases.data_read.total(), 100);
-        // Report renders without panicking and mentions the cause.
-        let text = a.to_string();
-        assert!(text.contains("compaction-write"));
-        assert!(text.contains("queue-wait"));
-    }
-
-    #[test]
-    fn top_k_truncates() {
-        let trace = ParsedTrace {
-            schema_version: TRACE_SCHEMA_VERSION,
-            points: vec![("p".to_string(), sample_events())],
-        };
-        let a = analyze(&trace, 1);
-        assert_eq!(a.stalls.len(), 1);
-        assert_eq!(a.stalls[0].stall_ns, 200);
+        assert_eq!(parsed[0].0, "we\"ird\nkey");
     }
 
     #[test]

@@ -256,7 +256,7 @@ fn trace_files_are_byte_identical_across_jobs() {
     // The exported document round-trips through the analyzer's parser.
     let parsed =
         trace::parse_jsonl(text(&files1, "trace.jsonl")).expect("exported JSONL must parse");
-    assert_eq!(parsed.points.len(), named1.len());
+    assert_eq!(parsed.len(), named1.len());
 }
 
 #[test]
@@ -387,8 +387,8 @@ fn timeline_files_are_byte_identical_across_jobs() {
     // parse-then-rewrite reproduces the original bytes.
     let jsonl1 = text(&files1, "timeline.jsonl");
     let parsed = tl::parse_jsonl(jsonl1).expect("exported JSONL must parse");
-    assert_eq!(parsed.points.len(), named1.len());
-    assert_eq!(write_jsonl(&parsed.points), jsonl1);
+    assert_eq!(parsed.len(), named1.len());
+    assert_eq!(write_jsonl(&parsed), jsonl1);
 }
 
 #[test]
@@ -496,17 +496,21 @@ fn final_timeline_waf_equals_summary_waf_and_counters_are_monotone() {
     }
     assert!(checked > 0, "no point had measured writes to check");
 
-    // The analyzer finds a steady state on the captured (time-sampled)
+    // The detector finds a steady state on the captured (time-sampled)
     // timelines: at 1 ms resolution every point's WAF curve flattens well
     // within the run, even at this tiny scale.
-    let analysis = tl::analyze(
-        &tl::parse_jsonl(text(&files, "timeline.jsonl")).expect("parse"),
-        tl::DEFAULT_STEADY_WINDOW,
-        tl::DEFAULT_STEADY_TOL,
-    );
+    let points = tl::parse_jsonl(text(&files, "timeline.jsonl")).expect("parse");
+    let steady = points.iter().any(|(_, samples)| {
+        let base = samples.first().map_or(0, |s| s.ts_ns);
+        let curve: Vec<(u64, f64)> = samples
+            .iter()
+            .map(|s| (s.ts_ns - base, s.cum_waf))
+            .collect();
+        tl::detect_steady_state(&curve, tl::DEFAULT_STEADY_WINDOW, tl::DEFAULT_STEADY_TOL).is_some()
+    });
     assert!(
-        analysis.points.iter().any(|p| p.steady.is_some()),
-        "analyzer found no steady state on any captured timeline"
+        steady,
+        "detector found no steady state on any captured timeline"
     );
 }
 

@@ -150,8 +150,8 @@ fn different_fault_seeds_diverge() {
             ..harsh()
         },
     );
-    drive(a.as_mut(), 7, 12_000);
-    drive(b.as_mut(), 7, 12_000);
+    drive(a.as_mut(), 7, 100_000);
+    drive(b.as_mut(), 7, 100_000);
     assert_ne!(
         fingerprint(a.as_ref()),
         fingerprint(b.as_ref()),
@@ -163,7 +163,7 @@ fn different_fault_seeds_diverge() {
 fn no_keys_lost_under_faults() {
     for kind in [EngineKind::Pink, EngineKind::AnyKey, EngineKind::AnyKeyPlus] {
         let mut dev = faulty_device(kind, harsh());
-        let oracle = drive(dev.as_mut(), 11, 12_000);
+        let oracle = drive(dev.as_mut(), 11, 100_000);
         for (&k, _) in oracle.iter() {
             assert!(dev.get(k).found, "{kind} lost key {k} under faults");
         }

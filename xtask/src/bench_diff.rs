@@ -11,7 +11,9 @@
 //!
 //! Exit codes: 0 pass, 1 regression, 2 usage/IO/parse error.
 
-use anykey_metrics::summary::{diff, parse, DiffReport, ParsedSummary, DEFAULT_WALL_BAND};
+use anykey_metrics::summary::{diff, parse, DiffReport, DEFAULT_WALL_BAND};
+
+use crate::load;
 
 fn usage() -> i32 {
     eprintln!(
@@ -22,11 +24,6 @@ fn usage() -> i32 {
          candidate <= baseline * F (default {DEFAULT_WALL_BAND})."
     );
     2
-}
-
-fn load(path: &str) -> Result<ParsedSummary, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse(&src).map_err(|e| format!("{path}: {e}"))
 }
 
 fn print_report(report: &DiffReport, baseline: &str, candidate: &str) {
@@ -96,7 +93,7 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
         return usage();
     };
 
-    let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
+    let (baseline, candidate) = match (load(baseline_path, parse), load(candidate_path, parse)) {
         (Ok(b), Ok(c)) => (b, c),
         (b, c) => {
             for r in [b.err(), c.err()].into_iter().flatten() {

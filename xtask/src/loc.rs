@@ -1,4 +1,5 @@
-//! `cargo run -p xtask -- loc` — non-test lines per crate under `crates/`.
+//! `cargo run -p xtask -- loc` — non-test lines per crate under `crates/`,
+//! then in `xtask/src`.
 //!
 //! The first column is the rule ROADMAP.md and CHANGES.md quote sizes by:
 //! every line of each `src/**/*.rs` file up to its inline
@@ -6,31 +7,45 @@
 //! out-of-line `#[cfg(test)] mod tests;` or an indented `#[cfg(test)]`
 //! item does not end the count. The second column counts the code among
 //! those lines: the non-blank lines that are not `//` comments only.
+//! `total` sums the crates under `crates/` only; the `xtask` row after it
+//! is counted by the same rule but kept out of the total.
 //!
 //! Exit codes: 0 counted, 2 IO error.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
 /// Runs the `loc` subcommand. Returns the process exit code.
 pub(crate) fn run_cli() -> i32 {
-    let crates = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../crates"));
-    match count_crates(crates) {
-        Ok(counts) => {
-            let total: usize = counts.iter().map(|(_, n)| n.0).sum();
-            let code: usize = counts.iter().map(|(_, n)| n.1).sum();
-            for (name, (n, c)) in &counts {
-                println!("crates/{name:<10} {n:>6} {c:>6}");
-            }
-            println!("{:<17} {total:>6} {code:>6}", "total");
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/.."));
+    match report(root) {
+        Ok(text) => {
+            print!("{text}");
             0
         }
         Err(e) => {
-            eprintln!("xtask loc: cannot read {}: {e}", crates.display());
+            eprintln!("xtask loc: cannot read {}: {e}", root.display());
             2
         }
     }
+}
+
+/// The table `loc` prints for the workspace at `root`: a row per crate
+/// under `crates/`, their `total`, then the `xtask` row.
+fn report(root: &Path) -> io::Result<String> {
+    let counts = count_crates(&root.join("crates"))?;
+    let xtask = count_dir(&root.join("xtask/src"))?;
+    let total: usize = counts.iter().map(|(_, n)| n.0).sum();
+    let code: usize = counts.iter().map(|(_, n)| n.1).sum();
+    let mut out = String::new();
+    for (name, (n, c)) in &counts {
+        let _ = writeln!(out, "crates/{name:<10} {n:>6} {c:>6}");
+    }
+    let _ = writeln!(out, "{:<17} {total:>6} {code:>6}", "total");
+    let _ = writeln!(out, "{:<17} {:>6} {:>6}", "xtask", xtask.0, xtask.1);
+    Ok(out)
 }
 
 /// `(crate directory name, (non-test lines, code lines))` for every crate.
@@ -110,5 +125,32 @@ mod unit {
         assert_eq!(non_test_lines("fn a() {}\n\nfn b() {}\n"), (3, 2));
         let commented = "//! Doc.\n/// Item doc.\nfn a() {} // trailing\n    // note\n";
         assert_eq!(non_test_lines(commented), (4, 1));
+    }
+
+    #[test]
+    fn xtask_row_follows_a_total_of_the_crates_only() {
+        let root = std::env::temp_dir().join(format!("xtask-loc-{}", std::process::id()));
+        let files = [
+            ("crates/a/src/lib.rs", "fn a() {}\n"),
+            ("crates/b/src/lib.rs", "//! B.\n\nfn b() {}\n"),
+            (
+                "xtask/src/main.rs",
+                "fn main() {}\n// note\n#[cfg(test)]\nmod t {\n}\n",
+            ),
+        ];
+        for (path, src) in files {
+            let path = root.join(path);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, src).unwrap();
+        }
+        let text = report(&root);
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(
+            text.unwrap(),
+            "crates/a               1      1\n\
+             crates/b               3      1\n\
+             total                  4      2\n\
+             xtask                  2      1\n"
+        );
     }
 }

@@ -17,8 +17,12 @@
 //!   `BENCHMARK.json` and hostbench's result lines through
 //!   `anykey_metrics::Json`, the same codec `bench-diff`, `trace` and
 //!   `timeline` read their documents with.
-//! - [`loc`]: non-test lines per crate under `crates/`, the size figure
-//!   ROADMAP.md and CHANGES.md quote.
+//! - [`loc`]: non-test lines per crate under `crates/` and in `xtask/src`,
+//!   the size figures ROADMAP.md and CHANGES.md quote.
+//!
+//! `anykey-metrics` owns the document formats (writers and parsers); the
+//! analyses of parsed documents — `bench-diff`'s tolerance model aside —
+//! live here, in the commands that print them.
 
 mod bench_diff;
 mod bench_record;
@@ -26,6 +30,15 @@ mod deps;
 mod loc;
 mod timeline_cmd;
 mod trace_cmd;
+
+use std::fmt::Display;
+
+/// Reads the document at `path` and parses it with `parse`. An error is
+/// `"<path>: <reason>"`, for the command to print after its own name.
+fn load<T, E: Display>(path: &str, parse: impl FnOnce(&str) -> Result<T, E>) -> Result<T, String> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    parse(&src).map_err(|e| format!("{path}: {e}"))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,7 +58,7 @@ fn main() {
                    bench-record <n> [--parent DIR]       write BENCH_<n>.json (hostbench medians)\n\
                    trace <trace.jsonl> [--top K]         trace analyzer (phase breakdown)\n\
                    timeline <timeline.jsonl>             timeline analyzer (steady state)\n\
-                   loc                                   non-test lines per crate"
+                   loc                                   non-test lines per crate and xtask"
             );
             2
         }

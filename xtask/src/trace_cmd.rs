@@ -1,15 +1,17 @@
 //! `cargo run -p xtask -- trace <trace.jsonl>` — the trace analyzer.
 //!
-//! Parses a JSONL trace written by `anykey-bench --trace` and prints the
-//! phase-breakdown report from [`anykey_metrics::trace::analyze`]:
-//! per-phase p50/p99/p999 latency attribution, the top-K longest flash
-//! stall windows (ops that waited for a busy chip), and per-cause chip
-//! busy/stall totals. Everything is virtual time — the report is
+//! Parses a JSONL trace written by `anykey-bench --trace` with
+//! [`anykey_metrics::trace::parse_jsonl`] and prints its phase-breakdown
+//! report: per-phase p50/p99/p999 latency attribution, the top-K longest
+//! flash stall windows (ops that waited for a busy chip), and per-cause
+//! chip busy/stall totals. Everything is virtual time — the report is
 //! byte-identical for any `--jobs` level the trace was captured with.
 //!
 //! Exit codes: 0 ok, 2 usage/IO/parse error.
 
-use anykey_metrics::trace::{analyze, parse_jsonl};
+use std::fmt;
+
+use anykey_metrics::trace::{parse_jsonl, PhaseHists, TraceEvent, TRACE_SCHEMA_VERSION};
 
 fn usage() -> i32 {
     eprintln!(
@@ -45,20 +47,274 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
     let Some(path) = path else {
         return usage();
     };
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("trace: {path}: {e}");
-            return 2;
+    match crate::load(path, parse_jsonl) {
+        Ok(points) => {
+            print!("{}", analyze(&points, top_k));
+            0
         }
-    };
-    let parsed = match parse_jsonl(&src) {
-        Ok(p) => p,
         Err(e) => {
-            eprintln!("trace: {path}: {e}");
-            return 2;
+            eprintln!("trace: {e}");
+            2
         }
+    }
+}
+
+/// Per-cause interference totals over a trace's flash ops.
+struct CauseTotal {
+    /// Cause tag (`host-read`, `compaction-write`, ...).
+    cause: String,
+    /// Number of flash ops with this cause.
+    ops: u64,
+    /// Total chip-busy time (`done − start`) in virtual ns.
+    busy_ns: u64,
+    /// Total queueing stall (`start − issued`) in virtual ns.
+    stall_ns: u64,
+}
+
+/// One of the longest flash queueing stalls in a trace.
+struct StallWindow {
+    /// Stall length (`start − issued`) in virtual ns.
+    stall_ns: u64,
+    /// Cause tag of the stalled op.
+    cause: String,
+    /// Chip the op eventually ran on.
+    chip: u32,
+    /// Virtual ns the op was issued.
+    issued: u64,
+    /// Key of the experiment point the op belongs to.
+    point: String,
+}
+
+/// Summary statistics extracted from a parsed trace.
+#[derive(Default)]
+struct TraceAnalysis {
+    /// Number of experiment points in the trace.
+    points: usize,
+    /// Total flash-op events.
+    flash_ops: u64,
+    /// Total engine span events.
+    spans: u64,
+    /// Total request events.
+    requests: u64,
+    /// Per-phase latency histograms over all request events.
+    phases: PhaseHists,
+    /// The top-K longest flash stall windows, longest first.
+    stalls: Vec<StallWindow>,
+    /// Per-cause totals, sorted by busy time descending.
+    causes: Vec<CauseTotal>,
+}
+
+/// Analyzes a parsed trace: per-phase latency distributions, the `top_k`
+/// longest flash stall windows, and per-cause interference totals.
+fn analyze(points: &[(String, Vec<TraceEvent>)], top_k: usize) -> TraceAnalysis {
+    let mut a = TraceAnalysis {
+        points: points.len(),
+        ..TraceAnalysis::default()
     };
-    print!("{}", analyze(&parsed, top_k));
-    0
+    for (key, events) in points {
+        for e in events {
+            match e {
+                TraceEvent::FlashOp {
+                    cause,
+                    chip,
+                    issued,
+                    start,
+                    done,
+                    ..
+                } => {
+                    a.flash_ops += 1;
+                    let busy = done.saturating_sub(*start);
+                    let stall = start.saturating_sub(*issued);
+                    match a.causes.iter_mut().find(|c| c.cause == *cause) {
+                        Some(c) => {
+                            c.ops += 1;
+                            c.busy_ns = c.busy_ns.saturating_add(busy);
+                            c.stall_ns = c.stall_ns.saturating_add(stall);
+                        }
+                        None => a.causes.push(CauseTotal {
+                            cause: cause.clone(),
+                            ops: 1,
+                            busy_ns: busy,
+                            stall_ns: stall,
+                        }),
+                    }
+                    if stall > 0 {
+                        a.stalls.push(StallWindow {
+                            stall_ns: stall,
+                            cause: cause.clone(),
+                            chip: *chip,
+                            issued: *issued,
+                            point: key.clone(),
+                        });
+                    }
+                }
+                TraceEvent::Span { .. } => a.spans += 1,
+                TraceEvent::Request { phases, .. } => {
+                    a.requests += 1;
+                    a.phases.record(phases);
+                }
+            }
+        }
+    }
+    // Longest first; ties broken deterministically by (issued, chip).
+    a.stalls.sort_by(|x, y| {
+        y.stall_ns
+            .cmp(&x.stall_ns)
+            .then(x.issued.cmp(&y.issued))
+            .then(x.chip.cmp(&y.chip))
+    });
+    a.stalls.truncate(top_k);
+    a.causes
+        .sort_by(|x, y| y.busy_ns.cmp(&x.busy_ns).then(x.cause.cmp(&y.cause)));
+    a
+}
+
+impl fmt::Display for TraceAnalysis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "trace: {} point(s), {} flash ops, {} spans, {} requests (schema v{})",
+            self.points, self.flash_ops, self.spans, self.requests, TRACE_SCHEMA_VERSION
+        )?;
+        writeln!(f)?;
+        writeln!(f, "per-request phase latency (virtual ns):")?;
+        writeln!(
+            f,
+            "  {:<12} {:>12} {:>12} {:>12} {:>16}",
+            "phase", "p50", "p99", "p999", "total"
+        )?;
+        for (name, hist) in self.phases.named() {
+            writeln!(
+                f,
+                "  {:<12} {:>12} {:>12} {:>12} {:>16}",
+                name,
+                hist.p50(),
+                hist.p99(),
+                hist.p999(),
+                hist.total()
+            )?;
+        }
+        writeln!(f)?;
+        writeln!(
+            f,
+            "top {} flash stall windows (dispatch − issue):",
+            self.stalls.len()
+        )?;
+        writeln!(
+            f,
+            "  {:>12} {:<18} {:>5} {:>14}  point",
+            "stall_ns", "cause", "chip", "issued_ns"
+        )?;
+        for s in &self.stalls {
+            writeln!(
+                f,
+                "  {:>12} {:<18} {:>5} {:>14}  {}",
+                s.stall_ns, s.cause, s.chip, s.issued, s.point
+            )?;
+        }
+        writeln!(f)?;
+        writeln!(f, "per-cause interference totals:")?;
+        writeln!(
+            f,
+            "  {:<18} {:>10} {:>16} {:>16}",
+            "cause", "ops", "busy_ns", "stall_ns"
+        )?;
+        for c in &self.causes {
+            writeln!(
+                f,
+                "  {:<18} {:>10} {:>16} {:>16}",
+                c.cause, c.ops, c.busy_ns, c.stall_ns
+            )?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anykey_metrics::trace::PhaseBreakdown;
+
+    fn sample_points() -> Vec<(String, Vec<TraceEvent>)> {
+        let events = vec![
+            TraceEvent::FlashOp {
+                op: "read".into(),
+                cause: "host-read".into(),
+                chip: 3,
+                channel: 1,
+                issued: 100,
+                start: 150,
+                done: 250,
+                retries: 0,
+            },
+            TraceEvent::Span {
+                kind: "compaction".into(),
+                label: "keep".into(),
+                level: 1,
+                id: 7,
+                start: 90,
+                end: 900,
+                pages_read: 12,
+                pages_written: 8,
+            },
+            TraceEvent::FlashOp {
+                op: "program".into(),
+                cause: "compaction-write".into(),
+                chip: 0,
+                channel: 0,
+                issued: 200,
+                start: 400,
+                done: 700,
+                retries: 1,
+            },
+            TraceEvent::Request {
+                op: "get".into(),
+                seq: 0,
+                issued: 100,
+                done: 260,
+                found: true,
+                flash_reads: 1,
+                phases: PhaseBreakdown {
+                    queue_wait: 50,
+                    meta_read: 0,
+                    data_read: 100,
+                    log_read: 0,
+                    engine: 10,
+                },
+            },
+        ];
+        vec![("p".to_string(), events)]
+    }
+
+    #[test]
+    fn analysis_totals_and_stalls() {
+        let a = analyze(&sample_points(), 10);
+        assert_eq!(a.flash_ops, 2);
+        assert_eq!(a.spans, 1);
+        assert_eq!(a.requests, 1);
+        // Longest stall first: compaction-write waited 200 ns, host-read 50.
+        assert_eq!(a.stalls.len(), 2);
+        assert_eq!(a.stalls[0].cause, "compaction-write");
+        assert_eq!(a.stalls[0].stall_ns, 200);
+        assert_eq!(a.stalls[1].stall_ns, 50);
+        // Causes sorted by busy time: compaction-write 300 > host-read 100.
+        assert_eq!(a.causes[0].cause, "compaction-write");
+        assert_eq!(a.causes[0].busy_ns, 300);
+        assert_eq!(a.causes[1].cause, "host-read");
+        assert_eq!(a.causes[1].stall_ns, 50);
+        // Phase hists saw the one request.
+        assert_eq!(a.phases.data_read.count(), 1);
+        assert_eq!(a.phases.data_read.total(), 100);
+        // Report renders without panicking and mentions the cause.
+        let text = a.to_string();
+        assert!(text.contains("compaction-write"));
+        assert!(text.contains("queue-wait"));
+    }
+
+    #[test]
+    fn top_k_truncates() {
+        let a = analyze(&sample_points(), 1);
+        assert_eq!(a.stalls.len(), 1);
+        assert_eq!(a.stalls[0].stall_ns, 200);
+    }
 }
