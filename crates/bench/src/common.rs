@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 
 use anykey_core::pink::segment::SEG_ENTRY_OVERHEAD;
-use anykey_core::{DeviceConfig, EngineKind};
+use anykey_core::{DeviceConfig, DeviceConfigBuilder, EngineKind};
 use anykey_metrics::report::fmt_ns;
 use anykey_metrics::{LatencyHist, Table};
 use anykey_workload::WorkloadSpec;
@@ -86,11 +86,17 @@ impl Scale {
     /// The standard device configuration for one system under one
     /// workload (paper Section 5.1 ratios).
     pub fn device(&self, kind: EngineKind, spec: WorkloadSpec) -> DeviceConfig {
-        DeviceConfig::builder()
-            .capacity_bytes(self.capacity)
+        self.device_builder(kind, spec).build()
+    }
+
+    /// The builder of [`Self::device`], for experiments that vary one
+    /// knob of the standard configuration.
+    pub fn device_builder(&self, kind: EngineKind, spec: WorkloadSpec) -> DeviceConfigBuilder {
+        let mut b = DeviceConfig::builder();
+        b.capacity_bytes(self.capacity)
             .engine(kind)
-            .key_len(spec.key_len as u16)
-            .build()
+            .key_len(spec.key_len as u16);
+        b
     }
 
     /// Joins a file name onto the output directory.

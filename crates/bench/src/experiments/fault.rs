@@ -15,7 +15,7 @@ use anykey_metrics::Table;
 use anykey_workload::spec;
 
 use crate::common::{emit, kiops, lat, ExpCtx};
-use crate::scheduler::{MeasureSpec, Point, PointResult, RunKind};
+use crate::scheduler::{MeasureSpec, Point, PointResult};
 
 /// Read-error rates swept, in errors per million page reads.
 const RATES_PPM: [u32; 5] = [0, 100, 500, 2_000, 10_000];
@@ -32,25 +32,17 @@ pub fn points(ctx: &ExpCtx) -> Vec<Point> {
             } else {
                 FaultModel::uniform(ctx.scale.seed ^ u64::from(ppm), ppm)
             };
-            let mut cfg = ctx.scale.device(kind, w);
-            cfg.flash.fault = fault;
-            out.push(Point::with_key(
-                format!("fault/UDB/{}/{ppm}ppm", kind.label()),
-                "fault",
-                kind,
-                w,
-                RunKind::Measure(MeasureSpec {
-                    cfg: Some(Box::new(cfg)),
-                    ..Default::default()
-                }),
-            ));
+            let cfg = ctx.scale.device_builder(kind, w).fault(fault).build();
+            let variant = format!("{ppm}ppm");
+            let run = MeasureSpec::on(cfg);
+            out.push(Point::variant("fault", kind, w, &variant, run));
         }
     }
     out
 }
 
 /// Renders the degradation table.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Fault sweep: throughput and tail latency vs raw read-error rate (UDB)",
         &[
@@ -65,22 +57,18 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
             "free-blocks",
         ],
     );
-    let mut rows = results.iter();
-    for kind in SYSTEMS {
-        for ppm in RATES_PPM {
-            let s = &rows.next().expect("fault row");
-            t.row([
-                kind.to_string(),
-                fmt_ppm(ppm),
-                kiops(s.report.iops()),
-                lat(s.report.reads.p99()),
-                lat(s.report.writes.p99()),
-                fmt_count(s.report.media_retries()),
-                fmt_count(s.meta.program_fails),
-                fmt_count(s.meta.retired_blocks),
-                fmt_count(s.meta.free_blocks),
-            ]);
-        }
+    for ((p, s), &ppm) in rows.iter().zip(RATES_PPM.iter().cycle()) {
+        t.row([
+            p.kind.to_string(),
+            fmt_ppm(ppm),
+            kiops(s.report.iops()),
+            lat(s.report.reads.p99()),
+            lat(s.report.writes.p99()),
+            fmt_count(s.report.media_retries()),
+            fmt_count(s.meta.program_fails),
+            fmt_count(s.meta.retired_blocks),
+            fmt_count(s.meta.free_blocks),
+        ]);
     }
     emit(&t, &ctx.scale.out("fault.csv"));
 }

@@ -5,12 +5,11 @@
 //! flash ⇒ extra reads per GET); AnyKey/AnyKey+ collapse them; on the
 //! high-v/k set all three are comparable.
 
-use anykey_core::EngineKind;
 use anykey_metrics::Table;
-use anykey_workload::spec;
 
+use super::named;
 use crate::common::{cdf_table, emit, lat, save, ExpCtx};
-use crate::scheduler::{Point, PointResult};
+use crate::scheduler::{MeasureSpec, Point, PointResult};
 
 /// The paper's Figure 10 workload set, in order (a)–(g).
 pub const WORKLOADS: [&str; 7] = [
@@ -21,38 +20,28 @@ pub const WORKLOADS: [&str; 7] = [
 /// simulations Figure 11 consumes; the scheduler deduplicates them when
 /// both experiments are in one sweep.
 pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
-    let mut out = Vec::new();
-    for name in WORKLOADS {
-        let w = spec::by_name(name).expect("fig10 workload");
-        for kind in EngineKind::EVALUATED {
-            out.push(Point::standard("fig10", kind, w));
-        }
-    }
-    out
+    Point::grid("fig10", named(&WORKLOADS), MeasureSpec::default())
 }
 
 /// Renders the percentile table and the latency CDFs.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Figure 10: read latency percentiles",
         &["workload", "system", "p50", "p90", "p95", "p99", "max"],
     );
     let mut cdf = cdf_table();
-    let mut rows = results.iter();
-    for name in WORKLOADS {
-        for kind in EngineKind::EVALUATED {
-            let s = &rows.next().expect("fig10 row");
-            t.row([
-                name.to_string(),
-                kind.label().to_string(),
-                lat(s.report.reads.p50()),
-                lat(s.report.reads.quantile(0.90)),
-                lat(s.report.reads.p95()),
-                lat(s.report.reads.p99()),
-                lat(s.report.reads.max()),
-            ]);
-            ctx.dump_cdf(&mut cdf, name, kind.label(), "read", &s.report.reads);
-        }
+    for (p, s) in rows {
+        let (name, system) = (p.spec.name, p.kind.label());
+        t.row([
+            name.to_string(),
+            system.to_string(),
+            lat(s.report.reads.p50()),
+            lat(s.report.reads.quantile(0.90)),
+            lat(s.report.reads.p95()),
+            lat(s.report.reads.p99()),
+            lat(s.report.reads.max()),
+        ]);
+        ctx.dump_cdf(&mut cdf, name, system, "read", &s.report.reads);
     }
     emit(&t, &ctx.scale.out("fig10.csv"));
     save(&cdf, &ctx.scale.out("fig10_cdf.csv"));

@@ -6,14 +6,11 @@
 //! exactly fill DRAM. PinK needs 4–7 flash accesses per read on low-v/k;
 //! AnyKey/AnyKey+ need ≤ 2 almost always.
 
-use anykey_core::EngineKind;
 use anykey_metrics::Table;
-use anykey_workload::spec;
 
+use super::{fig10::WORKLOADS, named};
 use crate::common::{emit, ExpCtx};
-use crate::scheduler::{Point, PointResult};
-
-use super::fig10::WORKLOADS;
+use crate::scheduler::{MeasureSpec, Point, PointResult};
 
 fn kb(b: u64) -> String {
     format!("{:.1}", b as f64 / 1024.0)
@@ -22,18 +19,11 @@ fn kb(b: u64) -> String {
 /// Declares the same standard runs as Figure 10 (deduplicated by the
 /// scheduler when both run in one sweep).
 pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
-    let mut out = Vec::new();
-    for name in WORKLOADS {
-        let w = spec::by_name(name).expect("fig11 workload");
-        for kind in EngineKind::EVALUATED {
-            out.push(Point::standard("fig11", kind, w));
-        }
-    }
-    out
+    Point::grid("fig11", named(&WORKLOADS), MeasureSpec::default())
 }
 
 /// Renders the metadata-placement and reads-per-GET tables.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut a = Table::new(
         "Figure 11a: metadata size and placement (KB)",
         &[
@@ -54,30 +44,27 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
             "workload", "system", "0", "1", "2", "3", "4", "5", "6", "7", "8", ">=9", "mean",
         ],
     );
-    let mut rows = results.iter();
-    for name in WORKLOADS {
-        for kind in EngineKind::EVALUATED {
-            let s = &rows.next().expect("fig11 row");
-            let m = &s.meta;
-            a.row([
-                name.to_string(),
-                kind.label().to_string(),
-                kb(m.level_list_bytes),
-                kb(m.level_list_flash_bytes),
-                kb(m.meta_segment_dram_bytes),
-                kb(m.meta_segment_flash_bytes),
-                kb(m.hash_list_resident_bytes),
-                kb(m.hash_list_total_bytes),
-                kb(m.dram_capacity),
-            ]);
-            let total: u64 = s.report.reads_per_get.iter().sum::<u64>().max(1);
-            let mut row = vec![name.to_string(), kind.label().to_string()];
-            for c in s.report.reads_per_get {
-                row.push(format!("{:.1}", 100.0 * c as f64 / total as f64));
-            }
-            row.push(format!("{:.2}", s.report.mean_reads_per_get()));
-            b.row(row);
+    for (p, s) in rows {
+        let (name, system) = (p.spec.name.to_string(), p.kind.label().to_string());
+        let m = &s.meta;
+        a.row([
+            name.clone(),
+            system.clone(),
+            kb(m.level_list_bytes),
+            kb(m.level_list_flash_bytes),
+            kb(m.meta_segment_dram_bytes),
+            kb(m.meta_segment_flash_bytes),
+            kb(m.hash_list_resident_bytes),
+            kb(m.hash_list_total_bytes),
+            kb(m.dram_capacity),
+        ]);
+        let total: u64 = s.report.reads_per_get.iter().sum::<u64>().max(1);
+        let mut row = vec![name, system];
+        for c in s.report.reads_per_get {
+            row.push(format!("{:.1}", 100.0 * c as f64 / total as f64));
         }
+        row.push(format!("{:.2}", s.report.mean_reads_per_get()));
+        b.row(row);
     }
     emit(&a, &ctx.scale.out("fig11a.csv"));
     emit(&b, &ctx.scale.out("fig11b.csv"));

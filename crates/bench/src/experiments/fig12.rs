@@ -9,22 +9,16 @@ use anykey_metrics::Table;
 use anykey_workload::spec;
 
 use crate::common::{emit, kiops, ExpCtx};
-use crate::scheduler::{Point, PointResult};
+use crate::scheduler::{MeasureSpec, Point, PointResult};
 
 /// Declares one standard run per (workload, system) over all 14 workloads
 /// (shared with Figure 13 via scheduler dedup).
 pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
-    let mut out = Vec::new();
-    for w in spec::ALL {
-        for kind in EngineKind::EVALUATED {
-            out.push(Point::standard("fig12", kind, w));
-        }
-    }
-    out
+    Point::grid("fig12", spec::ALL, MeasureSpec::default())
 }
 
 /// Renders the IOPS table with per-class mean speedups.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Figure 12: IOPS (virtual-time kIOPS)",
         &[
@@ -39,12 +33,9 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
     );
     let mut low_gain = Vec::new();
     let mut high_gain_plus = Vec::new();
-    let mut rows = results.iter();
-    for w in spec::ALL {
-        let mut iops = [0.0f64; 3];
-        for slot in iops.iter_mut() {
-            *slot = rows.next().expect("fig12 row").report.iops();
-        }
+    for row in rows.chunks(EngineKind::EVALUATED.len()) {
+        let w = row[0].0.spec;
+        let iops: Vec<f64> = row.iter().map(|(_, s)| s.report.iops()).collect();
         let r_any = iops[1] / iops[0];
         let r_plus = iops[2] / iops[0];
         match w.category {

@@ -11,38 +11,27 @@ use anykey_metrics::Table;
 use anykey_workload::spec;
 
 use crate::common::{emit, ExpCtx};
-use crate::scheduler::{Point, PointResult};
+use crate::scheduler::{MeasureSpec, Point, PointResult};
 
 /// Declares one standard run per (workload, system) over all 14 workloads
 /// (shared with Figure 12 via scheduler dedup).
 pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
-    let mut out = Vec::new();
-    for w in spec::ALL {
-        for kind in EngineKind::EVALUATED {
-            out.push(Point::standard("fig13", kind, w));
-        }
-    }
-    out
+    Point::grid("fig13", spec::ALL, MeasureSpec::default())
 }
 
 /// Renders the total-page-writes table.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Figure 13: total page writes during the measured phase",
         &["workload", "PinK", "AnyKey", "AnyKey+", "AnyKey+/PinK"],
     );
     let mut ratios = Vec::new();
-    let mut rows = results.iter();
-    for w in spec::ALL {
-        let mut writes = [0u64; 3];
-        for slot in writes.iter_mut() {
-            *slot = rows
-                .next()
-                .expect("fig13 row")
-                .report
-                .counters
-                .total_writes();
-        }
+    for row in rows.chunks(EngineKind::EVALUATED.len()) {
+        let w = row[0].0.spec;
+        let writes: Vec<u64> = row
+            .iter()
+            .map(|(_, s)| s.report.counters.total_writes())
+            .collect();
         let ratio = writes[2] as f64 / writes[0].max(1) as f64;
         ratios.push(ratio);
         t.row([

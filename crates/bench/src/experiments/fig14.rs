@@ -14,35 +14,23 @@ use crate::scheduler::{Point, PointResult, RunKind};
 
 /// Declares one fill-until-full run per (workload, system).
 pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
-    let mut out = Vec::new();
-    for w in spec::ALL {
-        for kind in EngineKind::EVALUATED {
-            out.push(Point::with_key(
-                format!("fig14/{}/{}", w.name, kind.label()),
-                "fig14",
-                kind,
-                w,
-                RunKind::FillUntilFull,
-            ));
-        }
-    }
-    out
+    Point::grid("fig14", spec::ALL, RunKind::FillUntilFull)
 }
 
 /// Renders the storage-utilization table (live unique bytes ÷ raw
 /// capacity at the device-full point).
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Figure 14: storage utilization (unique KV bytes / raw capacity)",
         &["workload", "class", "PinK", "AnyKey", "AnyKey+"],
     );
-    let mut rows = results.iter();
-    for w in spec::ALL {
-        let mut u = [0.0f64; 3];
-        for slot in u.iter_mut() {
-            let meta = &rows.next().expect("fig14 row").meta;
-            *slot = meta.live_unique_bytes as f64 / ctx.scale.capacity as f64;
-        }
+    let capacity = ctx.scale.capacity as f64;
+    for row in rows.chunks(EngineKind::EVALUATED.len()) {
+        let w = row[0].0.spec;
+        let u: Vec<f64> = row
+            .iter()
+            .map(|(_, s)| s.meta.live_unique_bytes as f64 / capacity)
+            .collect();
         t.row([
             w.name.to_string(),
             w.category.to_string(),

@@ -10,7 +10,7 @@ use anykey_metrics::Table;
 use anykey_workload::{spec, KeyDist};
 
 use crate::common::{cdf_table, emit, lat, save, ExpCtx};
-use crate::scheduler::{MeasureSpec, Point, PointResult, RunKind};
+use crate::scheduler::{MeasureSpec, Point, PointResult};
 
 const DISTS: [(&str, KeyDist); 4] = [
     ("uniform", KeyDist::Uniform),
@@ -25,35 +25,29 @@ pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
     let mut out = Vec::new();
     for kind in EngineKind::EVALUATED {
         for (label, dist) in DISTS.clone() {
-            out.push(Point::with_key(
-                format!("fig17/ETC/{}/{label}", kind.label()),
-                "fig17",
-                kind,
-                w,
-                RunKind::Measure(MeasureSpec {
-                    dist,
-                    ..Default::default()
-                }),
-            ));
+            let run = MeasureSpec {
+                dist,
+                ..Default::default()
+            };
+            out.push(Point::variant("fig17", kind, w, label, run));
         }
     }
     out
 }
 
 /// Renders the p95-vs-distribution table and CDFs.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Figure 17: ETC p95 read latency vs key distribution",
         &["system", "uniform", "zipf-0.6", "zipf-0.8", "zipf-0.99"],
     );
     let mut cdf = cdf_table();
-    let mut rows = results.iter();
-    for kind in EngineKind::EVALUATED {
-        let mut cells = vec![kind.label().to_string()];
-        for (label, _) in DISTS.clone() {
-            let s = &rows.next().expect("fig17 row");
+    for row in rows.chunks(DISTS.len()) {
+        let (name, system) = (row[0].0.spec.name, row[0].0.kind.label());
+        let mut cells = vec![system.to_string()];
+        for ((_, s), (label, _)) in row.iter().zip(&DISTS) {
             cells.push(lat(s.report.reads.p95()));
-            ctx.dump_cdf(&mut cdf, "ETC", kind.label(), label, &s.report.reads);
+            ctx.dump_cdf(&mut cdf, name, system, label, &s.report.reads);
         }
         t.row(cells);
     }

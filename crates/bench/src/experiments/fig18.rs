@@ -10,7 +10,7 @@ use anykey_metrics::Table;
 use anykey_workload::spec;
 
 use crate::common::{cdf_table, emit, lat, save, ExpCtx};
-use crate::scheduler::{Point, PointResult, RunKind};
+use crate::scheduler::{Point, PointResult};
 
 const LENGTHS: [u32; 4] = [10, 100, 150, 200];
 
@@ -20,38 +20,27 @@ pub fn points(ctx: &ExpCtx) -> Vec<Point> {
     let mut out = Vec::new();
     for kind in EngineKind::EVALUATED {
         for len in LENGTHS {
-            out.push(Point::with_key(
-                format!("fig18/UDB/{}/len{len}", kind.label()),
-                "fig18",
-                kind,
-                w,
-                RunKind::Measure(ctx.scan_recipe(w, len)),
-            ));
+            let run = ctx.scan_recipe(w, len);
+            out.push(Point::variant("fig18", kind, w, &format!("len{len}"), run));
         }
     }
     out
 }
 
 /// Renders the scan-p95 table and scan-latency CDFs.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Figure 18: UDB scan latency (p95) vs scan length",
         &["system", "len 10", "len 100", "len 150", "len 200"],
     );
     let mut cdf = cdf_table();
-    let mut rows = results.iter();
-    for kind in EngineKind::EVALUATED {
-        let mut cells = vec![kind.label().to_string()];
-        for len in LENGTHS {
-            let s = &rows.next().expect("fig18 row");
+    for row in rows.chunks(LENGTHS.len()) {
+        let (name, system) = (row[0].0.spec.name, row[0].0.kind.label());
+        let mut cells = vec![system.to_string()];
+        for ((_, s), len) in row.iter().zip(LENGTHS) {
             cells.push(lat(s.report.scans.p95()));
-            ctx.dump_cdf(
-                &mut cdf,
-                "UDB",
-                kind.label(),
-                &format!("len{len}"),
-                &s.report.scans,
-            );
+            let series = format!("len{len}");
+            ctx.dump_cdf(&mut cdf, name, system, &series, &s.report.scans);
         }
         t.row(cells);
     }

@@ -7,13 +7,13 @@
 //! bigger log (fewer log-triggered compactions). Without a log, IOPS
 //! collapses as the write ratio grows.
 
-use anykey_core::{DeviceConfig, EngineKind};
+use anykey_core::EngineKind;
 use anykey_metrics::report::fmt_count;
 use anykey_metrics::Table;
-use anykey_workload::spec;
 
+use super::named;
 use crate::common::{emit, kiops, ExpCtx};
-use crate::scheduler::{MeasureSpec, Point, PointResult, RunKind};
+use crate::scheduler::{MeasureSpec, Point, PointResult};
 
 const WORKLOADS: [&str; 3] = ["ZippyDB", "UDB", "ETC"];
 const LOG_FRACS: [(f64, &str); 3] = [(0.05, "5%"), (0.10, "10%"), (0.15, "15%")];
@@ -24,45 +24,29 @@ const ABLATION_KINDS: [EngineKind; 2] = [EngineKind::AnyKeyPlus, EngineKind::Any
 /// followed by the Section 6.7 ablation grid.
 pub fn points(ctx: &ExpCtx) -> Vec<Point> {
     let mut out = Vec::new();
-    for name in WORKLOADS {
-        let w = spec::by_name(name).expect("fig19 workload");
+    let plus = EngineKind::AnyKeyPlus;
+    for w in named(&WORKLOADS) {
         for (frac, label) in LOG_FRACS {
-            let cfg = DeviceConfig::builder()
-                .capacity_bytes(ctx.scale.capacity)
-                .engine(EngineKind::AnyKeyPlus)
-                .key_len(w.key_len as u16)
-                .value_log_bytes((ctx.scale.capacity as f64 * frac) as u64)
+            let log = (ctx.scale.capacity as f64 * frac) as u64;
+            let cfg = ctx
+                .scale
+                .device_builder(plus, w)
+                .value_log_bytes(log)
                 .build();
-            out.push(Point::with_key(
-                format!("fig19/{name}/AnyKey+/log{label}"),
-                "fig19",
-                EngineKind::AnyKeyPlus,
-                w,
-                RunKind::Measure(MeasureSpec {
-                    cfg: Some(Box::new(cfg)),
-                    ..Default::default()
-                }),
-            ));
+            let variant = format!("log{label}");
+            let run = MeasureSpec::on(cfg);
+            out.push(Point::variant("fig19", plus, w, &variant, run));
         }
     }
-    for name in WORKLOADS {
-        let w = spec::by_name(name).expect("fig19 workload");
+    for w in named(&WORKLOADS) {
         for ratio in ABLATION_RATIOS {
             for kind in ABLATION_KINDS {
-                out.push(Point::with_key(
-                    format!(
-                        "fig19/{name}/{}/w{:02}",
-                        kind.label(),
-                        (ratio * 100.0) as u32
-                    ),
-                    "fig19",
-                    kind,
-                    w,
-                    RunKind::Measure(MeasureSpec {
-                        write_ratio: ratio,
-                        ..Default::default()
-                    }),
-                ));
+                let variant = format!("w{:02}", (ratio * 100.0) as u32);
+                let run = MeasureSpec {
+                    write_ratio: ratio,
+                    ..Default::default()
+                };
+                out.push(Point::variant("fig19", kind, w, &variant, run));
             }
         }
     }
@@ -71,7 +55,7 @@ pub fn points(ctx: &ExpCtx) -> Vec<Point> {
 
 /// Renders the log-size sweep tables (19a IOPS, 19b page writes) and the
 /// ablation table.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut a = Table::new(
         "Figure 19a: AnyKey+ IOPS (kIOPS) vs value-log size",
         &["workload", "log 5%", "log 10%", "log 15%"],
@@ -80,12 +64,11 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
         "Figure 19b: AnyKey+ total page writes vs value-log size",
         &["workload", "log 5%", "log 10%", "log 15%"],
     );
-    let mut rows = results.iter();
-    for name in WORKLOADS {
-        let mut ra = vec![name.to_string()];
-        let mut rb = vec![name.to_string()];
-        for _ in LOG_FRACS {
-            let s = &rows.next().expect("fig19 sweep row");
+    let (sweep, ablation) = rows.split_at(WORKLOADS.len() * LOG_FRACS.len());
+    for row in sweep.chunks(LOG_FRACS.len()) {
+        let mut ra = vec![row[0].0.spec.name.to_string()];
+        let mut rb = ra.clone();
+        for (_, s) in row {
             ra.push(kiops(s.report.iops()));
             rb.push(fmt_count(s.report.counters.total_writes()));
         }
@@ -106,15 +89,10 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
             "AnyKey- 40%w",
         ],
     );
-    for name in WORKLOADS {
-        let mut row = vec![name.to_string()];
-        for _ in ABLATION_RATIOS {
-            for _ in ABLATION_KINDS {
-                let s = &rows.next().expect("fig19 ablation row");
-                row.push(kiops(s.report.iops()));
-            }
-        }
-        c.row(row);
+    for row in ablation.chunks(ABLATION_RATIOS.len() * ABLATION_KINDS.len()) {
+        let mut cells = vec![row[0].0.spec.name.to_string()];
+        cells.extend(row.iter().map(|(_, s)| kiops(s.report.iops())));
+        c.row(cells);
     }
     emit(&c, &ctx.scale.out("fig19c_ablation.csv"));
 }

@@ -28,16 +28,14 @@ pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
 }
 
 /// Renders the v/k sweep table and latency CDFs.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Figure 2: PinK under varying value-to-key ratios (key = 40B)",
         &["v/k", "p50 read", "p95 read", "p99 read", "kIOPS"],
     );
     let mut cdf = cdf_table();
-    let mut rows = results.iter();
-    for v in VALUES {
-        let s = &rows.next().expect("fig2 row");
-        let label = format!("{}/40", v);
+    for (p, s) in rows {
+        let label = format!("{}/{}", p.spec.value_len, p.spec.key_len);
         t.row([
             label.clone(),
             lat(s.report.reads.p50()),
@@ -45,7 +43,8 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
             lat(s.report.reads.p99()),
             kiops(s.report.iops()),
         ]);
-        ctx.dump_cdf(&mut cdf, "vk-sweep", "PinK", &label, &s.report.reads);
+        let (name, system) = (p.spec.name, p.kind.label());
+        ctx.dump_cdf(&mut cdf, name, system, &label, &s.report.reads);
     }
     emit(&t, &ctx.scale.out("fig2.csv"));
     save(&cdf, &ctx.scale.out("fig2_cdf.csv"));

@@ -1,11 +1,11 @@
 //! One module per paper table/figure. Each exposes a declarative
 //! [`points`](crate::experiments::Experiment::points) list (the
 //! simulations it needs) and a
-//! [`render`](crate::experiments::Experiment::render) pass that turns the
-//! scheduled results — delivered in declaration order — into tables and
-//! CSVs. The scheduler
-//! in [`crate::scheduler`] owns all execution; no experiment runs a
-//! simulation inline.
+//! [`render`](crate::experiments::Experiment::render) pass that turns
+//! each declared point, paired with its scheduled result, into tables and
+//! CSVs. Row labels come from the point itself, so each grid is written
+//! once, in `points`. The scheduler in [`crate::scheduler`] owns all
+//! execution; no experiment runs a simulation inline.
 
 pub mod fault;
 pub mod fig10;
@@ -24,6 +24,8 @@ pub mod scalability;
 pub mod table1;
 pub mod table3;
 
+use anykey_workload::{spec, WorkloadSpec};
+
 use crate::common::ExpCtx;
 use crate::scheduler::{Point, PointResult};
 
@@ -35,9 +37,9 @@ pub struct Experiment {
     pub id: &'static str,
     /// Declares the simulations this experiment needs, in row order.
     pub points: fn(&ExpCtx) -> Vec<Point>,
-    /// Renders tables/CSVs from the results, which arrive in exactly the
-    /// order [`Experiment::points`] declared them.
-    pub render: fn(&ExpCtx, &[PointResult]),
+    /// Renders tables/CSVs from each declared point paired with its
+    /// result, in exactly the order [`Experiment::points`] declared them.
+    pub render: fn(&ExpCtx, &[(&Point, &PointResult)]),
 }
 
 /// All experiments in paper order.
@@ -132,4 +134,35 @@ pub fn by_id(id: &str) -> Option<&'static Experiment> {
 /// All experiment ids, for usage strings.
 pub fn ids() -> Vec<&'static str> {
     ALL.iter().map(|e| e.id).collect()
+}
+
+/// The paper workloads named by `names`, in order.
+fn named(names: &[&str]) -> Vec<WorkloadSpec> {
+    let find = |name: &&str| spec::by_name(name).expect("known workload name");
+    names.iter().map(find).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::ALL;
+    use crate::common::{ExpCtx, Scale};
+
+    /// `bench-diff` pairs points by key and takes the first match, so a
+    /// repeated key would compare one row twice and skip the other.
+    #[test]
+    fn point_keys_are_unique_and_name_their_experiment() {
+        for scale in [Scale::default(), Scale::default().quick()] {
+            let ctx = ExpCtx::new(scale);
+            let mut keys = BTreeSet::new();
+            for exp in ALL {
+                for p in (exp.points)(&ctx) {
+                    assert_eq!(p.experiment, exp.id, "{}", p.key);
+                    assert!(p.key.starts_with(&format!("{}/", exp.id)), "{}", p.key);
+                    assert!(keys.insert(p.key.clone()), "repeated key {}", p.key);
+                }
+            }
+        }
+    }
 }

@@ -21,7 +21,7 @@ pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
 }
 
 /// Renders the analytic metadata-demand table.
-pub fn render(ctx: &ExpCtx, _results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, _rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Section 6.8: metadata demand vs device capacity (Crypto1, DRAM = 0.1%)",
         &[

@@ -52,7 +52,7 @@ pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
 }
 
 /// Renders the analytic model table and the measured table.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     // (a) Analytic model at the paper's scale: 64 GB device, 64 MB DRAM.
     let mut t = Table::new(
         "Table 1 (model @ paper scale 64GB/64MB): metadata demand",
@@ -99,13 +99,12 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
             "DRAM used/cap",
         ],
     );
-    let mut rows = results.iter();
-    for (label, _, _) in ROWS {
-        for kind in KINDS {
-            let m = &rows.next().expect("table1 row").meta;
+    for ((label, _, _), row) in ROWS.iter().zip(rows.chunks(KINDS.len())) {
+        for (p, s) in row {
+            let m = &s.meta;
             e.row([
                 label.to_string(),
-                kind.label().to_string(),
+                p.kind.label().to_string(),
                 kb(m.level_list_bytes),
                 kb(m.meta_segment_dram_bytes),
                 kb(m.meta_segment_flash_bytes),

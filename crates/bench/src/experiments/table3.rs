@@ -6,31 +6,23 @@
 //! AnyKey+ have (near-)zero GC traffic; AnyKey pays extra compaction
 //! traffic on high-v/k workloads, which AnyKey+ recovers.
 
-use anykey_core::EngineKind;
 use anykey_flash::OpCause;
 use anykey_metrics::report::fmt_count;
 use anykey_metrics::Table;
-use anykey_workload::spec;
 
+use super::named;
 use crate::common::{emit, ExpCtx};
-use crate::scheduler::{Point, PointResult};
+use crate::scheduler::{MeasureSpec, Point, PointResult};
 
 const WORKLOADS: [&str; 4] = ["Crypto1", "Cache", "W-PinK", "KVSSD"];
 
 /// Declares one standard run per (workload, system).
 pub fn points(_ctx: &ExpCtx) -> Vec<Point> {
-    let mut out = Vec::new();
-    for name in WORKLOADS {
-        let w = spec::by_name(name).expect("table3 workload");
-        for kind in EngineKind::EVALUATED {
-            out.push(Point::standard("table3", kind, w));
-        }
-    }
-    out
+    Point::grid("table3", named(&WORKLOADS), MeasureSpec::default())
 }
 
 /// Renders the flash-traffic table.
-pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
+pub fn render(ctx: &ExpCtx, rows: &[(&Point, &PointResult)]) {
     let mut t = Table::new(
         "Table 3: compaction and GC page reads/writes",
         &[
@@ -46,24 +38,20 @@ pub fn render(ctx: &ExpCtx, results: &[PointResult]) {
             "erases",
         ],
     );
-    let mut rows = results.iter();
-    for name in WORKLOADS {
-        for kind in EngineKind::EVALUATED {
-            let s = &rows.next().expect("table3 row");
-            let c = &s.report.counters;
-            t.row([
-                name.to_string(),
-                kind.label().to_string(),
-                fmt_count(c.reads(OpCause::CompactionRead)),
-                fmt_count(c.writes(OpCause::CompactionWrite)),
-                fmt_count(c.reads(OpCause::GcRead)),
-                fmt_count(c.writes(OpCause::GcWrite)),
-                fmt_count(c.reads(OpCause::LogRead)),
-                fmt_count(c.writes(OpCause::LogWrite)),
-                fmt_count(c.reads(OpCause::MetaRead)),
-                fmt_count(c.erases()),
-            ]);
-        }
+    for (p, s) in rows {
+        let c = &s.report.counters;
+        t.row([
+            p.spec.name.to_string(),
+            p.kind.label().to_string(),
+            fmt_count(c.reads(OpCause::CompactionRead)),
+            fmt_count(c.writes(OpCause::CompactionWrite)),
+            fmt_count(c.reads(OpCause::GcRead)),
+            fmt_count(c.writes(OpCause::GcWrite)),
+            fmt_count(c.reads(OpCause::LogRead)),
+            fmt_count(c.writes(OpCause::LogWrite)),
+            fmt_count(c.reads(OpCause::MetaRead)),
+            fmt_count(c.erases()),
+        ]);
     }
     emit(&t, &ctx.scale.out("table3.csv"));
 }

@@ -41,8 +41,9 @@ fn usage() -> ! {
          options:\n\
            --capacity-mb N   device capacity in MiB (default 128; a positive\n\
                              multiple of {} MiB)\n\
-           --fill F          warm-up fill fraction (default 0.55)\n\
-           --ops-factor F    measured ops as multiple of capacity (default 2.0)\n\
+           --fill F          warm-up fill fraction, in (0, 1] (default 0.55)\n\
+           --ops-factor F    measured ops as a positive multiple of capacity\n\
+                             (default 2.0)\n\
            --out DIR         CSV output directory (default results/)\n\
            --seed S          RNG seed\n\
            --jobs N          worker threads for the point scheduler (default 1)\n\
@@ -101,14 +102,16 @@ fn main() {
                 i += 1;
                 scale.fill = args
                     .get(i)
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .filter(|&f| f > 0.0 && f <= 1.0)
                     .unwrap_or_else(|| usage());
             }
             "--ops-factor" => {
                 i += 1;
                 scale.ops_factor = args
                     .get(i)
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .filter(|&f| f.is_finite() && f > 0.0)
                     .unwrap_or_else(|| usage());
             }
             "--out" => {

@@ -71,15 +71,21 @@ impl Sweep {
     }
 
     /// Prints the harness notes (keyspace shrinks etc.) to stderr, then
-    /// renders each experiment's tables and CSVs, all in declaration
-    /// order: never interleaved by worker threads.
+    /// renders each experiment's tables and CSVs from its points paired
+    /// with their results, all in declaration order: never interleaved by
+    /// worker threads.
     pub fn render(&self) {
         for note in self.run.results.iter().filter_map(|r| r.note.as_ref()) {
             eprintln!("{note}");
         }
         for (exp, range) in &self.plan {
             println!("## {}", exp.id);
-            (exp.render)(&self.ctx, &self.run.results[range.clone()]);
+            let points = &self.points[range.clone()];
+            let rows: Vec<_> = points
+                .iter()
+                .zip(&self.run.results[range.clone()])
+                .collect();
+            (exp.render)(&self.ctx, &rows);
         }
     }
 

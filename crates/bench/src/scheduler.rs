@@ -9,7 +9,10 @@
 //! a self-contained simulation with its own seeded RNGs and engine
 //! instance, and nothing about thread interleaving can leak into its
 //! output. Rendering (tables, CSVs, notes) happens strictly after
-//! collection, on the declared order.
+//! collection, on the declared order: each experiment's renderer gets its
+//! points paired with their results and takes its row labels from the
+//! points. The [`Point`] constructors own the point-key format and the
+//! workloads × evaluated-systems grid the paper's figures share.
 //!
 //! Identical points are deduplicated before execution: several paper
 //! figures re-run the same (engine, workload, recipe) triple (e.g. Figure
@@ -103,17 +106,66 @@ pub struct Point {
     pub run: RunKind,
 }
 
+impl MeasureSpec {
+    /// The default measured-phase recipe on the device `cfg`.
+    pub fn on(cfg: DeviceConfig) -> Self {
+        Self {
+            cfg: Some(Box::new(cfg)),
+            ..Default::default()
+        }
+    }
+}
+
+impl From<MeasureSpec> for RunKind {
+    fn from(m: MeasureSpec) -> Self {
+        RunKind::Measure(m)
+    }
+}
+
 impl Point {
-    /// A standard-recipe point (paper default mix: Zipfian 0.99, 20 %
-    /// writes) — the common case.
-    pub fn standard(experiment: &'static str, kind: EngineKind, spec: WorkloadSpec) -> Self {
+    /// A point keyed `experiment/workload/system`.
+    pub fn new(
+        experiment: &'static str,
+        kind: EngineKind,
+        spec: WorkloadSpec,
+        run: impl Into<RunKind>,
+    ) -> Self {
         Self::with_key(
             format!("{experiment}/{}/{}", spec.name, kind.label()),
             experiment,
             kind,
             spec,
-            RunKind::Measure(MeasureSpec::default()),
+            run.into(),
         )
+    }
+
+    /// A point keyed `experiment/workload/system/variant`, one of several
+    /// runs of the same system on the same workload.
+    pub fn variant(
+        experiment: &'static str,
+        kind: EngineKind,
+        spec: WorkloadSpec,
+        variant: &str,
+        run: impl Into<RunKind>,
+    ) -> Self {
+        let mut p = Self::new(experiment, kind, spec, run);
+        p.key = format!("{}/{variant}", p.key);
+        p
+    }
+
+    /// One `run` per workload and [`EngineKind::EVALUATED`] system,
+    /// workload-major: the grid of the paper's three-system figures.
+    pub fn grid(
+        experiment: &'static str,
+        workloads: impl IntoIterator<Item = WorkloadSpec>,
+        run: impl Into<RunKind>,
+    ) -> Vec<Self> {
+        let run = run.into();
+        workloads
+            .into_iter()
+            .flat_map(|w| EngineKind::EVALUATED.map(|kind| (w, kind)))
+            .map(|(w, kind)| Self::new(experiment, kind, w, run.clone()))
+            .collect()
     }
 
     /// A fully explicit point.

@@ -1,6 +1,7 @@
 //! Command-line tests of the `anykey-bench` binary.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 
 /// Runs `fig2` at a tiny scale with `args` and returns its header line.
 fn header(args: &[&str]) -> String {
@@ -59,16 +60,37 @@ fn trace_and_timeline_formats_follow_the_path_extension() {
 }
 
 /// Runs `anykey-bench` with `args`, expecting the usage error (exit 2),
-/// and returns its stderr.
+/// and returns its stderr. The wait is bounded: a value that slipped
+/// through would start a sweep, and an infinite one must fail the test
+/// rather than hang it.
 fn usage_error(args: &[&str]) -> String {
     let out_dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("usage");
-    let output = Command::new(env!("CARGO_BIN_EXE_anykey-bench"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_anykey-bench"))
         .args(args)
         .args(["--out".as_ref(), out_dir.as_os_str()])
-        .output()
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
         .expect("run anykey-bench");
-    assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
-    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    // 600 polls 50 ms apart: 30 s for a process that should exit at once.
+    // The wall clock bounds a host process here; no simulation reads it.
+    #[allow(clippy::disallowed_types)]
+    let status = (0..600).find_map(|_| {
+        let status = child.try_wait().expect("poll anykey-bench");
+        if status.is_none() {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        status
+    });
+    let Some(status) = status else {
+        let _ = child.kill();
+        let _ = child.wait();
+        panic!("{args:?}: still running after 30 s, not rejected");
+    };
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).expect("utf-8 stderr");
+    assert_eq!(status.code(), Some(2), "{args:?}: {status:?}: {stderr}");
     assert!(stderr.contains("usage: anykey-bench"), "{args:?}: {stderr}");
     stderr
 }
@@ -98,5 +120,21 @@ fn capacity_off_the_block_granule_is_a_usage_error() {
     for mb in ["100", "0"] {
         let stderr = usage_error(&["scalability", "--capacity-mb", mb]);
         assert!(stderr.contains("multiple of 64 MiB"), "{mb}: {stderr}");
+    }
+}
+
+/// A fill fraction outside (0, 1] and an ops factor that is not a finite
+/// positive number are usage errors. Accepted, an infinite ops factor
+/// sized the measured phase at `u64::MAX` ops, and the others ran with a
+/// nonsense fill or measured nothing.
+#[test]
+fn out_of_range_fill_and_ops_factor_are_usage_errors() {
+    for (flag, values) in [
+        ("--fill", ["2", "-0.5", "NaN", "0"]),
+        ("--ops-factor", ["inf", "-1", "NaN", "0"]),
+    ] {
+        for value in values {
+            usage_error(&["fig2", flag, value]);
+        }
     }
 }

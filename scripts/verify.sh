@@ -55,18 +55,17 @@ cargo run -q --release -p anykey-bench -- fig18 --quick --jobs 2 \
 cmp "$VERIFY_DIR/s1/fig18.csv" "$VERIFY_DIR/s2/fig18.csv"
 cmp "$VERIFY_DIR/s1/fig18_cdf.csv" "$VERIFY_DIR/s2/fig18_cdf.csv"
 
-echo "==> scan bytes: fig18 at the default scale must match results/"
-cargo run -q --release -p anykey-bench -- fig18 --jobs 2 --out "$VERIFY_DIR/s3"
-cmp "$VERIFY_DIR/s3/fig18.csv" results/fig18.csv
-cmp "$VERIFY_DIR/s3/fig18_cdf.csv" results/fig18_cdf.csv
-
-echo "==> ledger bytes: fig14 at the default scale must match results/"
-cargo run -q --release -p anykey-bench -- fig14 --jobs 2 --out "$VERIFY_DIR/u1"
-cmp "$VERIFY_DIR/u1/fig14.csv" results/fig14.csv
-
-echo "==> fault bytes: the fault sweep at the default scale must match results/"
-cargo run -q --release -p anykey-bench -- fault --jobs 2 --out "$VERIFY_DIR/f1"
-cmp "$VERIFY_DIR/f1/fault.csv" results/fault.csv
+echo "==> standard bytes: the whole sweep at the default scale must write"
+echo "    exactly the committed results/*.csv and match its summary baseline"
+cargo run -q --release -p anykey-bench -- all --jobs 2 --out "$VERIFY_DIR/std"
+(cd "$VERIFY_DIR/std" && ls *.csv) > "$VERIFY_DIR/std-csvs.txt"
+(cd results && ls *.csv) > "$VERIFY_DIR/committed-csvs.txt"
+cmp "$VERIFY_DIR/std-csvs.txt" "$VERIFY_DIR/committed-csvs.txt"
+for csv in $(cat "$VERIFY_DIR/committed-csvs.txt"); do
+    cmp "$VERIFY_DIR/std/$csv" "results/$csv"
+done
+cargo run -q --release -p xtask -- bench-diff \
+    results/baseline_standard.json "$VERIFY_DIR/std/summary.json"
 
 echo "==> cargo clippy (lint levels; DESIGN.md §8)"
 cargo clippy --workspace --all-targets -- -D warnings
