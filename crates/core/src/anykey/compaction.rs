@@ -173,17 +173,10 @@ impl AnyKeyStore {
             std::mem::take(&mut self.levels[li].groups)
                 .into_iter()
                 .partition(|g| g.content.logged_bytes > 0);
-        let mut read_ppas: Vec<Ppa> = Vec::new();
-        for g in &touched {
-            read_ppas.extend(g.all_ppas());
-            read_ppas.extend(log_pages(&g.content.ents));
-        }
-        read_ppas.sort_unstable();
-        read_ppas.dedup();
-        let t_read = self
-            .core
-            .flash
-            .read_many(read_ppas, OpCause::CompactionRead, at);
+        let read_ppas = touched
+            .iter()
+            .flat_map(|g| g.all_ppas().chain(log_pages(&g.content.ents)));
+        let (t_read, _) = self.core.read_set(read_ppas, OpCause::CompactionRead, at);
 
         // Take each touched group's entities with their values inlined,
         // pack them on their own, and free the group.
@@ -293,14 +286,11 @@ impl AnyKeyStore {
         for e in &inlined {
             self.drop_logged(e)?;
         }
-        log_read_ppas.sort_unstable();
-        log_read_ppas.dedup();
         // Value reads on behalf of a compaction are compaction traffic
         // (Table 3 semantics) and run at background priority.
-        let t_log = self
+        let (t_log, _) = self
             .core
-            .flash
-            .read_many(log_read_ppas, OpCause::CompactionRead, t_read);
+            .read_set(log_read_ppas, OpCause::CompactionRead, t_read);
         let t_inputs = t_read.max(t_log);
 
         // --- 4. Free the source blocks before writing output. ----------

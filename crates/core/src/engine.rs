@@ -351,8 +351,6 @@ pub(crate) trait Engine {
                 return Err(KvError::DeviceFull);
             }
             t = self.collect(t)?;
-            #[cfg(debug_assertions)]
-            self.boundary_audit()?;
         }
         Ok(t)
     }

@@ -3,18 +3,18 @@
 //! for `BENCHMARK.json` and hostbench's result line.
 //!
 //! The three documents are built from one shape: a flat object whose
-//! values are scalars (string, number or bool). The reader keeps numbers
-//! and bools as their *raw token*, so integer and float fields convert
-//! exactly and exact comparison is token equality, with no float round
-//! trip in between. [`Json`] is the same reader for nested documents: its
-//! scalars are raw tokens too. The JSONL frame (header line, point
-//! markers, per-point record lines) is shared by the trace and timeline
-//! documents.
+//! values are scalars (string, number or bool). The one reader yields the
+//! one parsed form, [`Json`], which keeps each scalar as its *raw token*,
+//! so integer and float fields convert exactly and exact comparison is
+//! token equality, with no float round trip in between. The JSONL frame
+//! (header line, point markers, per-point record lines) is shared by the
+//! trace and timeline documents and read a line, one flat object, at a time.
 //!
 //! Everything here is dependency-free: the workspace is hermetic, and this
 //! subset of JSON (no `null`) is small enough to own.
 
 use std::fmt::{self, Write as _};
+use std::io::BufRead;
 use std::str::FromStr;
 
 /// Escapes `s` for use inside a JSON string literal.
@@ -89,13 +89,13 @@ impl fmt::Display for ParseError {
 }
 
 /// A cursor over one JSON document.
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     src: &'a str,
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(src: &'a str) -> Self {
+    fn new(src: &'a str) -> Self {
         Self { src, pos: 0 }
     }
 
@@ -126,7 +126,7 @@ impl<'a> Reader<'a> {
         hit
     }
 
-    pub(crate) fn expect(&mut self, c: u8) -> Result<(), ParseError> {
+    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
         if self.eat(c) {
             Ok(())
         } else {
@@ -135,7 +135,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Fails unless only whitespace is left.
-    pub(crate) fn end(&mut self) -> Result<(), ParseError> {
+    fn end(&mut self) -> Result<(), ParseError> {
         match self.peek() {
             None => Ok(()),
             Some(_) => self.err("trailing characters"),
@@ -143,8 +143,16 @@ impl<'a> Reader<'a> {
     }
 
     /// A string literal, unescaped.
-    pub(crate) fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
+        let rest = &self.src[self.pos..];
+        if let Some(end) = rest
+            .find(['"', '\\'])
+            .filter(|&i| rest.as_bytes()[i] == b'"')
+        {
+            self.pos += end + 1;
+            return Ok(rest[..end].to_string());
+        }
         let mut out = String::new();
         let mut chars = self.src[self.pos..].char_indices();
         loop {
@@ -189,7 +197,7 @@ impl<'a> Reader<'a> {
 
     /// One scalar as its token: numbers and bools raw, strings re-rendered
     /// quoted and escaped, so token equality is content equality.
-    pub(crate) fn value(&mut self) -> Result<String, ParseError> {
+    fn value(&mut self) -> Result<String, ParseError> {
         if self.peek() == Some(b'"') {
             return Ok(format!("\"{}\"", esc(&self.string()?)));
         }
@@ -208,7 +216,7 @@ impl<'a> Reader<'a> {
 
     /// Reads `item (',' item)* close`, or just `close`; the opening
     /// bracket is already consumed.
-    pub(crate) fn list(
+    fn list(
         &mut self,
         close: u8,
         mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
@@ -225,32 +233,20 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// One object as `(name, value)` pairs in document order, each value
-    /// read by `value`.
-    fn object<T>(
-        &mut self,
-        mut value: impl FnMut(&mut Self) -> Result<T, ParseError>,
-    ) -> Result<Vec<(String, T)>, ParseError> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.list(b'}', |r| {
-            let name = r.string()?;
-            r.expect(b':')?;
-            out.push((name, value(r)?));
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// One flat object of scalars as `(name, token)` pairs.
-    pub(crate) fn flat_object(&mut self) -> Result<Vec<(String, String)>, ParseError> {
-        self.object(Self::value)
-    }
-
     /// Any value: a scalar as its token, or a nested array or object.
     fn any(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(Self::any).map(Json::Object),
+            Some(b'{') => {
+                self.pos += 1;
+                let mut fields = Vec::new();
+                self.list(b'}', |r| {
+                    let name = r.string()?;
+                    r.expect(b':')?;
+                    fields.push((name, r.any()?));
+                    Ok(())
+                })?;
+                Ok(Json::Object(fields))
+            }
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -319,29 +315,28 @@ impl Json {
             _ => None,
         }
     }
-}
 
-/// The raw token of field `name`.
-pub(crate) fn field<'f>(fields: &'f [(String, String)], name: &str) -> Option<&'f str> {
-    fields
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
+    /// Whether this is an object whose values are all scalars: the shape
+    /// of a JSONL line and of a `summary.json` point.
+    pub(crate) fn is_flat_object(&self) -> bool {
+        match self {
+            Json::Object(fields) => fields.iter().all(|(_, v)| matches!(v, Json::Scalar(_))),
+            _ => false,
+        }
+    }
 
-/// Field `name` converted from its raw token (numbers and bools).
-pub(crate) fn get<T: FromStr>(fields: &[(String, String)], name: &str) -> Result<T, String> {
-    let tok = field(fields, name).ok_or_else(|| format!("missing field '{name}'"))?;
-    tok.parse()
-        .map_err(|_| format!("field '{name}' is not a {}", std::any::type_name::<T>()))
-}
-
-/// String field `name`, unescaped.
-pub(crate) fn get_str(fields: &[(String, String)], name: &str) -> Result<String, String> {
-    let tok = field(fields, name).ok_or_else(|| format!("missing field '{name}'"))?;
-    Reader::new(tok)
-        .string()
-        .map_err(|_| format!("field '{name}' is not a string"))
+    /// Field `name` of an object as `read` ([`Json::to`] or [`Json::str`])
+    /// converts it; the error names the field.
+    pub(crate) fn required<T>(
+        &self,
+        name: &str,
+        read: impl FnOnce(&Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .get(name)
+            .ok_or_else(|| format!("missing field '{name}'"))?;
+        read(v).ok_or_else(|| format!("field '{name}' is malformed"))
+    }
 }
 
 /// Renders a JSONL document: the header line, then for each point its
@@ -372,32 +367,36 @@ pub(crate) fn write_jsonl<T, K: AsRef<str>, I: AsRef<[T]>>(
     out
 }
 
-/// Parses a JSONL document written by [`write_jsonl`]: the header (whose
-/// `schema_version` must equal `schema_version`), point markers, and
-/// record lines, each handed to `record` with its `event` kind, its fields
-/// and the current point's items.
+/// Parses a JSONL document written by [`write_jsonl`], one line at a
+/// time: the header (whose `schema_version` must equal `schema_version`),
+/// point markers, and record lines, each a flat object handed to `record`
+/// with its `event` kind and the current point's items.
 pub(crate) fn parse_jsonl<T>(
-    src: &str,
+    mut src: impl BufRead,
     what: &str,
     schema_version: u64,
-    mut record: impl FnMut(&str, &[(String, String)], &mut Vec<T>) -> Result<(), String>,
+    mut record: impl FnMut(&str, &Json, &mut Vec<T>) -> Result<(), String>,
 ) -> Result<Vec<(String, Vec<T>)>, ParseError> {
     let mut points: Vec<(String, Vec<T>)> = Vec::new();
     let mut saw_header = false;
-    for (idx, text) in src.lines().enumerate() {
+    let mut text = String::new();
+    for line in 1.. {
+        text.clear();
+        let at = |msg: String| ParseError { msg, line };
+        if src.read_line(&mut text).map_err(|e| at(e.to_string()))? == 0 {
+            break;
+        }
         if text.trim().is_empty() {
             continue;
         }
-        let at = |msg: String| ParseError { msg, line: idx + 1 };
-        let mut r = Reader::new(text);
-        let fields = r
-            .flat_object()
-            .and_then(|f| r.end().map(|()| f))
-            .map_err(|e| at(e.msg))?;
-        let event = get_str(&fields, "event").map_err(at)?;
+        let fields = Json::read(&text).map_err(|e| at(e.msg))?;
+        if !fields.is_flat_object() {
+            return Err(at("expected an object of scalars".into()));
+        }
+        let event = fields.required("event", Json::str).map_err(at)?;
         match (saw_header, event.as_str()) {
             (false, "header") => {
-                let v: u64 = get(&fields, "schema_version").map_err(at)?;
+                let v: u64 = fields.required("schema_version", Json::to).map_err(at)?;
                 if v != schema_version {
                     return Err(at(format!(
                         "unsupported {what} schema {v} (expected {schema_version})"
@@ -406,7 +405,9 @@ pub(crate) fn parse_jsonl<T>(
                 saw_header = true;
             }
             (false, _) => return Err(at("missing header line".into())),
-            (true, "point") => points.push((get_str(&fields, "key").map_err(at)?, Vec::new())),
+            (true, "point") => {
+                points.push((fields.required("key", Json::str).map_err(at)?, Vec::new()))
+            }
             (true, kind) => match points.last_mut() {
                 Some((_, items)) => record(kind, &fields, items).map_err(at)?,
                 None => return Err(at(format!("{kind} before first point marker"))),
@@ -446,7 +447,8 @@ mod tests {
                 }],
             };
             let parsed = summary::parse(&run.to_json()).expect("summary");
-            assert_eq!(parsed.points[0].key, key);
+            let point = &parsed.get("points").expect("points").items()[0];
+            assert_eq!(point.get("key").and_then(Json::str).as_deref(), Some(key));
 
             let events = vec![TraceEvent::Span {
                 kind: key.to_string(),
@@ -459,13 +461,13 @@ mod tests {
                 pages_written: 6,
             }];
             let doc = trace::write_jsonl(&[(key.to_string(), events)]);
-            let parsed = trace::parse_jsonl(&doc).expect("trace");
+            let parsed = trace::parse_jsonl(doc.as_bytes()).expect("trace");
             assert_eq!(parsed[0].0, key);
             assert_eq!(trace::write_jsonl(&parsed), doc);
 
             let samples = vec![StateSample::default()];
             let doc = timeline::write_jsonl(&[(key.to_string(), samples)]);
-            let parsed = timeline::parse_jsonl(&doc).expect("timeline");
+            let parsed = timeline::parse_jsonl(doc.as_bytes()).expect("timeline");
             assert_eq!(parsed[0].0, key);
             assert_eq!(timeline::write_jsonl(&parsed), doc);
         }
@@ -490,14 +492,26 @@ mod tests {
                 "unsupported",
             ),
             ("H\n\n{\"event\":\"R\"}", 3, "before first point marker"),
+            (
+                "H\n{\"event\":\"point\",\"key\":[\"p\"]}",
+                2,
+                "object of scalars",
+            ),
+            ("H\n[1]", 2, "object of scalars"),
+            ("H\n{\"event\":\"point\"}", 2, "missing field 'key'"),
+            (
+                "{\"event\":\"header\",\"schema_version\":\"1\"}",
+                1,
+                "is malformed",
+            ),
         ];
         let header = |v: u64| format!("{{\"event\":\"header\",\"schema_version\":{v}}}");
         for (doc, line, msg) in cases {
             let trace_doc = doc.replace('H', &header(TRACE_SCHEMA_VERSION));
             let timeline_doc = doc.replace('H', &header(TIMELINE_SCHEMA_VERSION));
             let errs = [
-                trace::parse_jsonl(&trace_doc.replace('R', "flash")).map(drop),
-                timeline::parse_jsonl(&timeline_doc.replace('R', "sample")).map(drop),
+                trace::parse_jsonl(trace_doc.replace('R', "flash").as_bytes()).map(drop),
+                timeline::parse_jsonl(timeline_doc.replace('R', "sample").as_bytes()).map(drop),
             ];
             for err in errs {
                 let err = err.expect_err(doc);

@@ -5,9 +5,9 @@
 //! latencies and latency CDFs), ASCII/CSV report rendering for the
 //! benchmark harness, and the three machine-readable artifacts of a run:
 //! the `summary.json` regression-gate document, virtual-time traces, and
-//! state-sample timelines. All three share one JSON codec, which also
-//! reads `BENCHMARK.json` and hostbench's result lines for `xtask
-//! bench-record` through [`Json`]. This crate writes and parses the trace
+//! state-sample timelines. All three share one JSON codec whose one parsed
+//! form, [`Json`], also carries `BENCHMARK.json` and hostbench's result
+//! lines for `xtask bench-record`. This crate writes and parses the trace
 //! and timeline documents; the reports over them (`xtask trace`, `xtask
 //! timeline`) live in xtask, their only caller. The steady-state detector
 //! stays here because the bench scheduler computes `converged_waf` with it.
@@ -38,8 +38,8 @@ pub mod trace;
 
 /// Log-bucketed latency histogram with exact quantile queries.
 pub use hist::LatencyHist;
-/// The JSON codec's string escape, nested-document reader and one
-/// parse-error type (summary, trace, timeline and [`Json`] readers).
+/// The JSON codec's string escape, its one parsed form and its one
+/// parse-error type.
 pub use json::{esc, Json, ParseError};
 /// Report renderers (CSV and aligned-table output).
 pub use report::Table;

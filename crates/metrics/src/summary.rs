@@ -4,11 +4,12 @@
 //! Every benchmark run emits one [`RunSummary`]: a stable, line-oriented
 //! JSON document with one entry per experiment [`PointSummary`] (the
 //! scheduler's unit of work). The schema is deliberately flat — every
-//! metric is a top-level field of its point — so the diff logic can treat
-//! a point as a list of `(metric, raw-token)` pairs and compare *raw
-//! serialized tokens* for the deterministic metrics. That sidesteps any
-//! float round-trip concern: two runs of the same simulation produce the
-//! same bits, hence the same serialized token.
+//! metric is a top-level field of its point — so [`parse`] reads it back
+//! as a [`Json`] object whose points are flat objects, and [`diff`]
+//! compares each point's `(metric, raw-token)` pairs: *raw serialized
+//! tokens* for the deterministic metrics. That sidesteps any float
+//! round-trip concern: two runs of the same simulation produce the same
+//! bits, hence the same serialized token.
 //!
 //! Two metric classes exist:
 //!
@@ -20,12 +21,13 @@
 //!   exceed `baseline × band`); getting *faster* never fails.
 //!
 //! Reading and writing go through the crate's one JSON codec (`json.rs`),
-//! shared with the trace and timeline documents.
+//! shared with the trace and timeline documents; [`Json`] is the only
+//! parsed form.
 
 use std::io;
 use std::path::Path;
 
-use crate::json::{self, ParseError, Reader, Val};
+use crate::json::{Json, ParseError, Val};
 
 /// Version stamp of the `summary.json` schema. Bump on any field change so
 /// `bench-diff` can refuse to compare incompatible documents.
@@ -260,73 +262,35 @@ impl RunSummary {
     }
 }
 
-/// A summary document as parsed back from disk: field names mapped to raw
-/// serialized tokens, plus the per-point field lists.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedSummary {
-    /// Top-level scalar fields (`schema_version`, `seed`, ...), in document
-    /// order, as `(name, raw token)`.
-    pub fields: Vec<(String, String)>,
-    /// Per-point field lists, in document order.
-    pub points: Vec<ParsedPoint>,
-}
-
-/// One parsed point: its key plus all scalar fields as raw tokens.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedPoint {
-    /// The point's unique `key` field (unescaped).
-    pub key: String,
-    /// All scalar fields, in document order, as `(name, raw token)`.
-    pub fields: Vec<(String, String)>,
-}
-
-impl ParsedSummary {
-    /// Looks up a top-level field's raw token.
-    pub fn field(&self, name: &str) -> Option<&str> {
-        json::field(&self.fields, name)
-    }
-}
-
-impl ParsedPoint {
-    /// Looks up a point field's raw token.
-    pub fn field(&self, name: &str) -> Option<&str> {
-        json::field(&self.fields, name)
-    }
-}
-
 /// Parses a `summary.json` document produced by [`RunSummary::to_json`]
 /// (or a hand-edited equivalent: field order is free, unknown fields are
-/// kept and compared like any other). Strings are kept re-escaped and
-/// quoted, numbers and bools as their raw token.
+/// kept and compared like any other) into a [`Json`] object.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed JSON or a document whose shape is
-/// not `{scalars..., "points": [{scalars...}...]}`.
-pub fn parse(src: &str) -> Result<ParsedSummary, ParseError> {
-    let mut out = ParsedSummary {
-        fields: Vec::new(),
-        points: Vec::new(),
-    };
-    let mut r = Reader::new(src);
-    r.expect(b'{')?;
-    r.list(b'}', |r| {
-        let name = r.string()?;
-        r.expect(b':')?;
-        if name != "points" {
-            out.fields.push((name, r.value()?));
-            return Ok(());
+/// A [`ParseError`] on malformed JSON, or at line 0 for a document not
+/// shaped `{scalars..., "points": [{scalars...}...]}` (one `points`).
+pub fn parse(src: &str) -> Result<Json, ParseError> {
+    let doc = Json::read(src)?;
+    let shaped = match &doc {
+        Json::Object(fields) => {
+            fields.iter().filter(|(n, _)| n == "points").count() <= 1
+                && fields.iter().all(|(name, v)| match v {
+                    Json::Array(points) => {
+                        name == "points" && points.iter().all(Json::is_flat_object)
+                    }
+                    v => name != "points" && matches!(v, Json::Scalar(_)),
+                })
         }
-        r.expect(b'[')?;
-        r.list(b']', |r| {
-            let fields = r.flat_object()?;
-            let key = json::get_str(&fields, "key").unwrap_or_default();
-            out.points.push(ParsedPoint { key, fields });
-            Ok(())
-        })
-    })?;
-    r.end()?;
-    Ok(out)
+        _ => false,
+    };
+    if !shaped {
+        return Err(ParseError {
+            msg: "not a summary: expected {scalars..., \"points\": [{scalars...}...]}".into(),
+            line: 0,
+        });
+    }
+    Ok(doc)
 }
 
 // ---------------------------------------------------------------------------
@@ -376,55 +340,72 @@ fn band_ok(base: &str, cand: &str, band: f64) -> bool {
     }
 }
 
-/// Compares `candidate` against `baseline`.
+/// Compares `candidate` against `baseline`, two documents [`parse`]
+/// accepted.
 ///
 /// Exact metrics (everything but [`WALL_FIELDS`]) must match token for
 /// token; wall-time metrics pass while `candidate ≤ baseline × wall_band`
 /// (with a small absolute floor so near-zero baselines do not flap).
 /// Points are matched by `key`; missing or extra points fail the diff, and
 /// so does a field only the candidate has.
-pub fn diff(baseline: &ParsedSummary, candidate: &ParsedSummary, wall_band: f64) -> DiffReport {
+pub fn diff(baseline: &Json, candidate: &Json, wall_band: f64) -> DiffReport {
     let mut report = DiffReport::default();
-    compare(
-        &mut report,
-        "",
-        &baseline.fields,
-        &candidate.fields,
-        wall_band,
-    );
-    for bp in &baseline.points {
-        match candidate.points.iter().find(|p| p.key == bp.key) {
-            Some(cp) => compare(&mut report, &bp.key, &bp.fields, &cp.fields, wall_band),
-            None => report.missing.push(bp.key.clone()),
+    compare(&mut report, "", baseline, candidate, wall_band);
+    let (base, cand) = (keyed_points(baseline), keyed_points(candidate));
+    for (key, bp) in &base {
+        match cand.iter().find(|(k, _)| k == key) {
+            Some((_, cp)) => compare(&mut report, key, bp, cp, wall_band),
+            None => report.missing.push(key.clone()),
         }
     }
-    for cp in &candidate.points {
-        if !baseline.points.iter().any(|p| p.key == cp.key) {
-            report.extra.push(cp.key.clone());
-        }
-    }
+    let extra = cand
+        .iter()
+        .filter(|(k, _)| !base.iter().any(|(b, _)| b == k));
+    report.extra = extra.map(|(k, _)| k.clone()).collect();
     report
 }
 
-/// Compares one field list (a point's, or the run's with an empty `key`):
-/// every baseline field against the candidate's, plus every field only the
-/// candidate has, which fails (a metric added without a schema bump).
-fn compare(
-    report: &mut DiffReport,
-    key: &str,
-    base: &[(String, String)],
-    cand: &[(String, String)],
-    wall_band: f64,
-) {
+/// A summary's points with their unescaped `key` (empty when absent).
+fn keyed_points(doc: &Json) -> Vec<(String, &Json)> {
+    let points = doc.get("points").map_or(&[][..], Json::items);
+    points
+        .iter()
+        .map(|p| (p.get("key").and_then(Json::str).unwrap_or_default(), p))
+        .collect()
+}
+
+/// An object's scalar fields as `(name, token)`, in document order: a
+/// point's fields, or the run's without its `points` array.
+fn scalars(obj: &Json) -> Vec<(&str, &str)> {
+    let Json::Object(fields) = obj else {
+        return Vec::new();
+    };
+    fields
+        .iter()
+        .filter_map(|(n, v)| match v {
+            Json::Scalar(tok) => Some((n.as_str(), tok.as_str())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Compares one object's scalars (a point's, or the run's with an empty
+/// `key`): every baseline field against the candidate's, plus every field
+/// only the candidate has, which fails (added without a schema bump).
+fn compare(report: &mut DiffReport, key: &str, base: &Json, cand: &Json, wall_band: f64) {
+    let (base, cand) = (scalars(base), scalars(cand));
+    fn token<'a>(fields: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
+        fields.iter().find(|(n, _)| *n == name).map(|(_, t)| *t)
+    }
     let shared = base
         .iter()
-        .map(|(n, b)| (n, b.as_str(), json::field(cand, n).unwrap_or("")));
+        .map(|&(n, b)| (n, b, token(&cand, n).unwrap_or("")));
     let cand_only = cand
         .iter()
-        .filter(|(n, _)| json::field(base, n).is_none())
-        .map(|(n, c)| (n, "", c.as_str()));
+        .filter(|(n, _)| token(&base, n).is_none())
+        .map(|&(n, c)| (n, "", c));
     for (metric, base, cand) in shared.chain(cand_only).filter(|(n, ..)| *n != "key") {
-        let banded = WALL_FIELDS.contains(&metric.as_str());
+        let banded = WALL_FIELDS.contains(&metric);
         let ok = if banded {
             band_ok(base, cand, wall_band)
         } else {
@@ -434,7 +415,7 @@ fn compare(
         if !ok {
             report.failures.push(DiffRow {
                 key: key.to_string(),
-                metric: metric.clone(),
+                metric: metric.to_string(),
                 baseline: base.to_string(),
                 candidate: cand.to_string(),
                 banded,
@@ -507,20 +488,48 @@ mod tests {
         }
     }
 
+    /// Field `name`'s raw token.
+    fn token<'a>(v: &'a Json, name: &str) -> Option<&'a str> {
+        match v.get(name) {
+            Some(Json::Scalar(tok)) => Some(tok),
+            _ => None,
+        }
+    }
+
     #[test]
     fn json_roundtrip_preserves_fields() {
         let s = sample(123456.789, 1.5);
         let parsed = parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.field("schema_version"), Some("3"));
-        assert_eq!(parsed.points[0].field("phase_data_ns"), Some("13"));
-        assert_eq!(parsed.points[0].field("p95_read_ns"), Some("700"));
-        assert_eq!(parsed.points[0].field("converged_waf"), Some("2.400000"));
-        assert_eq!(parsed.points[0].field("burnin_ns"), Some("1000000"));
-        assert_eq!(parsed.field("seed"), Some("42"));
-        assert_eq!(parsed.points.len(), 2);
-        assert_eq!(parsed.points[0].key, "fig10/ZippyDB/AnyKey+");
-        assert_eq!(parsed.points[0].field("iops"), Some("123456.789000"));
-        assert_eq!(parsed.points[0].field("erases"), Some("9"));
+        let points = parsed.get("points").unwrap().items();
+        assert_eq!(token(&parsed, "schema_version"), Some("3"));
+        assert_eq!(token(&points[0], "phase_data_ns"), Some("13"));
+        assert_eq!(token(&points[0], "p95_read_ns"), Some("700"));
+        assert_eq!(token(&points[0], "converged_waf"), Some("2.400000"));
+        assert_eq!(token(&points[0], "burnin_ns"), Some("1000000"));
+        assert_eq!(token(&parsed, "seed"), Some("42"));
+        assert_eq!(points.len(), 2);
+        assert_eq!(token(&points[0], "key"), Some("\"fig10/ZippyDB/AnyKey+\""));
+        assert_eq!(token(&points[0], "iops"), Some("123456.789000"));
+        assert_eq!(token(&points[0], "erases"), Some("9"));
+    }
+
+    #[test]
+    fn parse_rejects_other_shapes() {
+        for doc in [
+            "[1]",
+            "{\"seed\": [1]}",
+            "{\"seed\": {}}",
+            "{\"points\": 1}",
+            "{\"points\": [1]}",
+            "{\"points\": [{\"a\": {}}]}",
+            "{\"points\": [], \"points\": []}",
+        ] {
+            let err = parse(doc).expect_err(doc);
+            assert!(
+                err.line == 0 && err.msg.contains("not a summary"),
+                "{doc}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -604,7 +613,11 @@ mod tests {
         s.points[0].key = "odd \"key\"\nwith\\stuff".into();
         s.points[0].workload = "w,1".into();
         let parsed = parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.points[0].key, "odd \"key\"\nwith\\stuff");
+        let key = parsed.get("points").unwrap().items()[0].get("key");
+        assert_eq!(
+            key.and_then(Json::str).as_deref(),
+            Some("odd \"key\"\nwith\\stuff")
+        );
     }
 
     #[test]

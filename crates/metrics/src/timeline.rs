@@ -30,8 +30,9 @@
 //! lives in `xtask timeline`.
 
 use std::fmt::Write as _;
+use std::io::BufRead;
 
-use crate::json::{self, get, line, ParseError, Val};
+use crate::json::{self, line, Json, ParseError, Val};
 use Num::{F, U};
 
 /// Version stamp of the JSONL timeline schema. Bump on any field change so
@@ -317,30 +318,26 @@ pub fn write_csv<K: AsRef<str>, S: AsRef<[StateSample]>>(points: &[(K, S)]) -> S
 
 /// Decodes one `sample` or `level` line onto its point's samples; a level
 /// line belongs to the sample just before it.
-fn read_line(
-    kind: &str,
-    f: &[(String, String)],
-    samples: &mut Vec<StateSample>,
-) -> Result<(), String> {
+fn read_line(kind: &str, f: &Json, samples: &mut Vec<StateSample>) -> Result<(), String> {
     match kind {
         "sample" => {
             let mut s = StateSample::default();
             for (name, _, field) in &SAMPLE_FIELDS {
                 match field(&mut s) {
-                    U(v) => *v = get(f, name)?,
-                    F(v) => *v = get(f, name)?,
+                    U(v) => *v = f.required(name, Json::to)?,
+                    F(v) => *v = f.required(name, Json::to)?,
                 }
             }
             samples.push(s);
         }
         "level" => {
-            let seq: u64 = get(f, "seq")?;
+            let seq: u64 = f.required("seq", Json::to)?;
             let l = LevelSample {
-                level: get(f, "level")?,
-                entries: get(f, "entries")?,
-                kv_bytes: get(f, "kv_bytes")?,
-                phys_bytes: get(f, "phys_bytes")?,
-                meta_bytes: get(f, "meta_bytes")?,
+                level: f.required("level", Json::to)?,
+                entries: f.required("entries", Json::to)?,
+                kv_bytes: f.required("kv_bytes", Json::to)?,
+                phys_bytes: f.required("phys_bytes", Json::to)?,
+                meta_bytes: f.required("meta_bytes", Json::to)?,
             };
             match samples.last_mut().filter(|s| s.seq == seq) {
                 Some(s) => s.levels.push(l),
@@ -364,7 +361,7 @@ fn read_line(
 /// Returns a [`ParseError`] on malformed lines, a missing or incompatible
 /// header, samples before the first point marker, or a `level` line that
 /// does not follow its sample.
-pub fn parse_jsonl(src: &str) -> Result<Vec<(String, Vec<StateSample>)>, ParseError> {
+pub fn parse_jsonl(src: impl BufRead) -> Result<Vec<(String, Vec<StateSample>)>, ParseError> {
     json::parse_jsonl(src, "timeline", TIMELINE_SCHEMA_VERSION, read_line)
 }
 
@@ -471,7 +468,7 @@ mod tests {
     fn jsonl_roundtrips_byte_identically() {
         let points = doc();
         let text = write_jsonl(&points);
-        let parsed = parse_jsonl(&text).expect("parse");
+        let parsed = parse_jsonl(text.as_bytes()).expect("parse");
         assert_eq!(parsed, points);
         assert_eq!(write_jsonl(&parsed), text);
     }
@@ -479,15 +476,15 @@ mod tests {
     #[test]
     fn jsonl_escapes_point_keys() {
         let text = write_jsonl(&[("we\"ird\nkey".to_string(), Vec::new())]);
-        let parsed = parse_jsonl(&text).expect("parse");
+        let parsed = parse_jsonl(text.as_bytes()).expect("parse");
         assert_eq!(parsed[0].0, "we\"ird\nkey");
     }
 
     #[test]
     fn parse_rejects_missing_header_and_wrong_schema() {
-        let err = parse_jsonl("{\"event\":\"point\",\"key\":\"x\"}\n").unwrap_err();
+        let err = parse_jsonl(&b"{\"event\":\"point\",\"key\":\"x\"}\n"[..]).unwrap_err();
         assert!(err.msg.contains("header"), "{err}");
-        let err = parse_jsonl("{\"event\":\"header\",\"schema_version\":99}\n").unwrap_err();
+        let err = parse_jsonl(&b"{\"event\":\"header\",\"schema_version\":99}\n"[..]).unwrap_err();
         assert!(err.msg.contains("unsupported"), "{err}");
     }
 
@@ -498,7 +495,7 @@ mod tests {
         for (drop, msg) in [(1, "point marker"), (2, "does not follow")] {
             let mut lines: Vec<&str> = text.lines().collect();
             lines.remove(drop);
-            let err = parse_jsonl(&lines.join("\n")).unwrap_err();
+            let err = parse_jsonl(lines.join("\n").as_bytes()).unwrap_err();
             assert!(err.msg.contains(msg), "{err}");
         }
     }

@@ -29,7 +29,9 @@
 //! parsed trace is report-only and lives in `xtask trace`.
 
 use crate::hist::LatencyHist;
-use crate::json::{self, esc, get, get_str, line, ParseError, Val};
+use std::io::BufRead;
+
+use crate::json::{self, esc, line, Json, ParseError, Val};
 
 /// Version stamp of the JSONL trace schema. Bump on any event-shape
 /// change so `xtask trace` can refuse files it does not understand.
@@ -524,45 +526,41 @@ pub fn write_chrome<K: AsRef<str>, E: AsRef<[TraceEvent]>>(points: &[(K, E)]) ->
 // ---------------------------------------------------------------------------
 
 /// Decodes one event line of kind `kind` onto its point's events.
-fn read_event(
-    kind: &str,
-    f: &[(String, String)],
-    events: &mut Vec<TraceEvent>,
-) -> Result<(), String> {
+fn read_event(kind: &str, f: &Json, events: &mut Vec<TraceEvent>) -> Result<(), String> {
     events.push(match kind {
         "flash" => TraceEvent::FlashOp {
-            op: get_str(f, "op")?,
-            cause: get_str(f, "cause")?,
-            chip: get(f, "chip")?,
-            channel: get(f, "channel")?,
-            issued: get(f, "issued")?,
-            start: get(f, "start")?,
-            done: get(f, "done")?,
-            retries: get(f, "retries")?,
+            op: f.required("op", Json::str)?,
+            cause: f.required("cause", Json::str)?,
+            chip: f.required("chip", Json::to)?,
+            channel: f.required("channel", Json::to)?,
+            issued: f.required("issued", Json::to)?,
+            start: f.required("start", Json::to)?,
+            done: f.required("done", Json::to)?,
+            retries: f.required("retries", Json::to)?,
         },
         "span" => TraceEvent::Span {
-            kind: get_str(f, "kind")?,
-            label: get_str(f, "label")?,
-            level: get(f, "level")?,
-            id: get(f, "id")?,
-            start: get(f, "start")?,
-            end: get(f, "end")?,
-            pages_read: get(f, "pages_read")?,
-            pages_written: get(f, "pages_written")?,
+            kind: f.required("kind", Json::str)?,
+            label: f.required("label", Json::str)?,
+            level: f.required("level", Json::to)?,
+            id: f.required("id", Json::to)?,
+            start: f.required("start", Json::to)?,
+            end: f.required("end", Json::to)?,
+            pages_read: f.required("pages_read", Json::to)?,
+            pages_written: f.required("pages_written", Json::to)?,
         },
         "request" => TraceEvent::Request {
-            op: get_str(f, "op")?,
-            seq: get(f, "seq")?,
-            issued: get(f, "issued")?,
-            done: get(f, "done")?,
-            found: get(f, "found")?,
-            flash_reads: get(f, "flash_reads")?,
+            op: f.required("op", Json::str)?,
+            seq: f.required("seq", Json::to)?,
+            issued: f.required("issued", Json::to)?,
+            done: f.required("done", Json::to)?,
+            found: f.required("found", Json::to)?,
+            flash_reads: f.required("flash_reads", Json::to)?,
             phases: PhaseBreakdown {
-                queue_wait: get(f, "queue_wait")?,
-                meta_read: get(f, "meta_read")?,
-                data_read: get(f, "data_read")?,
-                log_read: get(f, "log_read")?,
-                engine: get(f, "engine")?,
+                queue_wait: f.required("queue_wait", Json::to)?,
+                meta_read: f.required("meta_read", Json::to)?,
+                data_read: f.required("data_read", Json::to)?,
+                log_read: f.required("log_read", Json::to)?,
+                engine: f.required("engine", Json::to)?,
             },
         },
         other => return Err(format!("unknown event kind '{other}'")),
@@ -577,7 +575,7 @@ fn read_event(
 ///
 /// Returns a [`ParseError`] on malformed lines, a missing or incompatible
 /// header, or events appearing before the first point marker.
-pub fn parse_jsonl(src: &str) -> Result<Vec<(String, Vec<TraceEvent>)>, ParseError> {
+pub fn parse_jsonl(src: impl BufRead) -> Result<Vec<(String, Vec<TraceEvent>)>, ParseError> {
     json::parse_jsonl(src, "trace", TRACE_SCHEMA_VERSION, read_event)
 }
 
@@ -660,7 +658,7 @@ mod tests {
     #[test]
     fn jsonl_roundtrips() {
         let doc = write_jsonl(&[("fig10/Zippy/AnyKey+".to_string(), sample_events())]);
-        let parsed = parse_jsonl(&doc).unwrap();
+        let parsed = parse_jsonl(doc.as_bytes()).unwrap();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].0, "fig10/Zippy/AnyKey+");
         assert_eq!(parsed[0].1, sample_events());
@@ -671,7 +669,7 @@ mod tests {
     #[test]
     fn jsonl_escapes_point_keys() {
         let doc = write_jsonl(&[("we\"ird\nkey".to_string(), Vec::new())]);
-        let parsed = parse_jsonl(&doc).unwrap();
+        let parsed = parse_jsonl(doc.as_bytes()).unwrap();
         assert_eq!(parsed[0].0, "we\"ird\nkey");
     }
 

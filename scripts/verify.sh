@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 verification: everything here must pass offline, with no
 # dependencies outside this repository. All scratch output lands under
-# target/verify/ (covered by .gitignore's /target).
+# target/verify/ (covered by .gitignore's /target). Every xtask step runs
+# the release build the first step makes (the trace report over the
+# 833 MB quick fault trace takes about 6x as long in a debug build).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,14 +38,14 @@ cargo run -q --release -p xtask -- bench-diff \
 echo "==> trace smoke: --jobs 1 and --jobs 2 traces must be byte-identical,"
 echo "    and the trace report must match results/"
 cmp "$VERIFY_DIR/j1/trace.jsonl" "$VERIFY_DIR/j2/trace.jsonl"
-cargo run -q -p xtask -- trace "$VERIFY_DIR/j1/trace.jsonl" \
+cargo run -q --release -p xtask -- trace "$VERIFY_DIR/j1/trace.jsonl" \
     > "$VERIFY_DIR/trace-report.txt"
 cmp "$VERIFY_DIR/trace-report.txt" results/fault_quick_trace_report.txt
 
 echo "==> timeline smoke: --jobs 1 and --jobs 2 timelines must be byte-identical,"
 echo "    and the timeline report must match results/"
 cmp "$VERIFY_DIR/j1/timeline.jsonl" "$VERIFY_DIR/j2/timeline.jsonl"
-cargo run -q -p xtask -- timeline "$VERIFY_DIR/j1/timeline.jsonl" \
+cargo run -q --release -p xtask -- timeline "$VERIFY_DIR/j1/timeline.jsonl" \
     > "$VERIFY_DIR/timeline-report.txt"
 cmp "$VERIFY_DIR/timeline-report.txt" results/fault_quick_timeline_report.txt
 
@@ -74,6 +76,6 @@ echo "==> cargo doc (no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> xtask deps (hermeticity)"
-cargo run -q -p xtask -- deps
+cargo run -q --release -p xtask -- deps
 
 echo "verify: OK"

@@ -150,6 +150,35 @@ fn device_full_is_sticky_and_readable() {
     }
 }
 
+/// AnyKey fills this device to `DeviceFull` at the same id whether the
+/// debug boundary audits run or not: they run only at quiescent
+/// boundaries, never between a flush's log appends and its merge, where
+/// the log ledger is legitimately ahead of the tree. The ids are the
+/// release build's. (The device is not audited after the fill: ROADMAP
+/// #1, "Flush ordering".)
+#[test]
+fn anykey_fills_to_device_full_with_audits_on() {
+    for (kind, value_len, full_at) in [
+        (EngineKind::AnyKey, 100, 89_951),
+        (EngineKind::AnyKey, 200, 56_340),
+        (EngineKind::AnyKeyPlus, 200, 56_340),
+    ] {
+        let mut dev = tiny(kind);
+        let mut id = 0u64;
+        let err = loop {
+            match dev.put(id, value_len) {
+                Ok(_) => id += 1,
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(
+            (id, err),
+            (full_at, KvError::DeviceFull),
+            "{kind:?}, {value_len} B values"
+        );
+    }
+}
+
 /// Key ids beyond the synthesizable range surface KeyTooLarge on every
 /// op of every engine, not corruption; a scan from such a key is empty
 /// and takes no time.

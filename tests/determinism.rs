@@ -25,9 +25,10 @@ use std::collections::BTreeMap;
 
 use anykey::core::runner::DEFAULT_QUEUE_DEPTH;
 use anykey::core::{run, run_with, DeviceConfig, EngineKind, KvEngine};
-use anykey::metrics::summary::{self, ParsedSummary, DEFAULT_WALL_BAND, WALL_FIELDS};
+use anykey::metrics::summary::{self, DEFAULT_WALL_BAND, WALL_FIELDS};
 use anykey::metrics::timeline::{self as tl, write_jsonl};
 use anykey::metrics::trace::{self, TraceEvent};
+use anykey::metrics::Json;
 use anykey::workload::{spec, OpStreamBuilder};
 use anykey_bench::common::{ExpCtx, Scale};
 use anykey_bench::scheduler::{build_summary, run_points, Point, RunKind};
@@ -62,7 +63,7 @@ type Files = BTreeMap<String, Vec<u8>>;
 /// every format (`trace.jsonl`, `trace.json`, `timeline.jsonl`,
 /// `timeline.csv`). Returns the sweep, every file of its output
 /// directory (which is then removed), and its parsed summary.
-fn run_sweep(ctx: &ExpCtx, ids: &[&str], jobs: usize) -> (Sweep, Files, ParsedSummary) {
+fn run_sweep(ctx: &ExpCtx, ids: &[&str], jobs: usize) -> (Sweep, Files, Json) {
     let s = sweep(ctx, ids, jobs).expect("known experiments");
     s.render();
     let out = |name: &str| ctx.scale.out(name);
@@ -85,16 +86,33 @@ fn run_sweep(ctx: &ExpCtx, ids: &[&str], jobs: usize) -> (Sweep, Files, ParsedSu
     (s, files, parsed)
 }
 
-/// A parsed summary with the wall-time fields removed, for exact
-/// comparison of everything deterministic.
-fn without_wall(parsed: &ParsedSummary) -> ParsedSummary {
-    let mut out = parsed.clone();
-    out.fields
-        .retain(|(n, _)| !WALL_FIELDS.contains(&n.as_str()));
-    for p in &mut out.points {
-        p.fields.retain(|(n, _)| !WALL_FIELDS.contains(&n.as_str()));
+/// A parsed summary with the wall-time fields removed, from the run and
+/// from every point, for exact comparison of everything deterministic.
+fn without_wall(parsed: &Json) -> Json {
+    match parsed {
+        Json::Object(fields) => Json::Object(
+            fields
+                .iter()
+                .filter(|(n, _)| !WALL_FIELDS.contains(&n.as_str()))
+                .map(|(n, v)| (n.clone(), without_wall(v)))
+                .collect(),
+        ),
+        Json::Array(items) => Json::Array(items.iter().map(without_wall).collect()),
+        scalar => scalar.clone(),
     }
-    out
+}
+
+/// A parsed summary's points.
+fn points(parsed: &Json) -> &[Json] {
+    parsed.get("points").map_or(&[], Json::items)
+}
+
+/// The raw token of field `name` of a parsed summary or point.
+fn field<'a>(obj: &'a Json, name: &str) -> Option<&'a str> {
+    match obj.get(name) {
+        Some(Json::Scalar(tok)) => Some(tok),
+        _ => None,
+    }
 }
 
 /// A file of a sweep as text.
@@ -140,22 +158,23 @@ fn identical_points_are_deduplicated() {
     let kind = EngineKind::AnyKey;
     // Two experiments declaring the same simulation (as fig10/fig11 and
     // fig12/fig13 do): one execution, fanned out to both points.
-    let points = vec![
+    let declared = vec![
         Point::with_key("expA/row".into(), "expA", kind, w, RunKind::WarmUpOnly),
         Point::with_key("expB/row".into(), "expB", kind, w, RunKind::WarmUpOnly),
     ];
-    let run = run_points(&ctx, &points, 2);
+    let run = run_points(&ctx, &declared, 2);
     assert_eq!(run.executed, 1, "identical points were not deduplicated");
     assert_eq!(run.results.len(), 2);
 
-    let s = build_summary(&ctx, &points, &run);
+    let s = build_summary(&ctx, &declared, &run);
     let parsed = summary::parse(&s.to_json()).expect("parse dedup summary");
-    let strip = |i: usize| {
-        let mut p = parsed.points[i].clone();
-        p.fields
-            .retain(|(n, _)| n != "key" && n != "experiment" && !WALL_FIELDS.contains(&n.as_str()));
-        p.key.clear();
-        p
+    let strip = |i: usize| match &points(&parsed)[i] {
+        Json::Object(fields) => fields
+            .iter()
+            .filter(|(n, _)| n != "key" && n != "experiment" && !WALL_FIELDS.contains(&n.as_str()))
+            .cloned()
+            .collect::<Vec<_>>(),
+        other => panic!("point {i} is not an object: {other:?}"),
     };
     assert_eq!(strip(0), strip(1), "deduplicated results diverge");
     let _ = std::fs::remove_dir_all(&ctx.scale.out_dir);
@@ -163,11 +182,17 @@ fn identical_points_are_deduplicated() {
 
 // --- bench-diff tolerance logic ---------------------------------------------
 
-fn synthetic(erases: u64, wall: f64) -> ParsedSummary {
+fn synthetic(erases: u64, wall: f64) -> Json {
+    synthetic_with(erases, wall, "", "")
+}
+
+/// [`synthetic`] with `run_extra` and `point_extra` fields inserted after
+/// the run's `seed` and the point's `ops`.
+fn synthetic_with(erases: u64, wall: f64, run_extra: &str, point_extra: &str) -> Json {
     let text = format!(
         "{{\n  \"schema_version\": 1,\n  \"capacity_bytes\": 1024,\n  \"seed\": 7,\n  \
-         \"total_wall_secs\": {wall:.6},\n  \"points\": [\n    {{\n      \"key\": \"e/w/s\",\n      \
-         \"ops\": 10,\n      \"erases\": {erases},\n      \"wall_secs\": {wall:.6}\n    }}\n  ]\n}}\n"
+         {run_extra}\"total_wall_secs\": {wall:.6},\n  \"points\": [\n    {{\n      \"key\": \"e/w/s\",\n      \
+         \"ops\": 10,\n      {point_extra}\"erases\": {erases},\n      \"wall_secs\": {wall:.6}\n    }}\n  ]\n}}\n"
     );
     summary::parse(&text).expect("parse synthetic summary")
 }
@@ -204,11 +229,12 @@ fn bench_diff_fails_on_candidate_only_fields() {
     // A metric added without a schema bump must not pass silently, at the
     // run level or inside a point.
     let base = synthetic(5, 2.0);
-    let mut cand = synthetic(5, 2.0);
-    cand.fields.push(("new_run_metric".into(), "1".into()));
-    cand.points[0]
-        .fields
-        .push(("new_point_metric".into(), "2".into()));
+    let cand = synthetic_with(
+        5,
+        2.0,
+        "\"new_run_metric\": 1,\n  ",
+        "\"new_point_metric\": 2,\n      ",
+    );
     let d = summary::diff(&base, &cand, DEFAULT_WALL_BAND);
     assert!(!d.pass());
     let failed: Vec<(&str, &str)> = d
@@ -228,7 +254,7 @@ fn bench_diff_fails_on_candidate_only_fields() {
 // --- traces -----------------------------------------------------------------
 
 /// The `multitenant` sweep at `jobs` with tracing on.
-fn traced_sweep(jobs: usize, tag: &str) -> (Sweep, Files, ParsedSummary) {
+fn traced_sweep(jobs: usize, tag: &str) -> (Sweep, Files, Json) {
     let mut ctx = tiny_ctx(tag, OBS_SEED);
     ctx.trace = true;
     run_sweep(&ctx, &["multitenant"], jobs)
@@ -255,7 +281,7 @@ fn trace_files_are_byte_identical_across_jobs() {
 
     // The exported document round-trips through the analyzer's parser.
     let parsed =
-        trace::parse_jsonl(text(&files1, "trace.jsonl")).expect("exported JSONL must parse");
+        trace::parse_jsonl(files1["trace.jsonl"].as_slice()).expect("exported JSONL must parse");
     assert_eq!(parsed.len(), named1.len());
 }
 
@@ -281,8 +307,8 @@ fn tracing_is_pure_observation() {
 #[test]
 fn summary_carries_phase_fields() {
     let (_, _, parsed) = traced_sweep(1, "trace_schema");
-    assert_eq!(parsed.field("schema_version"), Some("3"));
-    let point = parsed.points.first().expect("at least one point");
+    assert_eq!(field(&parsed, "schema_version"), Some("3"));
+    let point = points(&parsed).first().expect("at least one point");
     for name in [
         "phase_queue_ns",
         "phase_meta_ns",
@@ -293,7 +319,7 @@ fn summary_carries_phase_fields() {
         "phase_engine_p99_ns",
     ] {
         assert!(
-            point.fields.iter().any(|(n, _)| n == name),
+            point.get(name).is_some(),
             "summary point is missing `{name}`"
         );
     }
@@ -358,7 +384,7 @@ fn traced_run_report_matches_untraced_run() {
 const INTERVAL: u64 = 1_000_000; // 1 ms virtual
 
 /// The `multitenant` sweep at `jobs`, sampled every `interval_ns`.
-fn sampled_sweep(jobs: usize, tag: &str, interval_ns: u64) -> (Sweep, Files, ParsedSummary) {
+fn sampled_sweep(jobs: usize, tag: &str, interval_ns: u64) -> (Sweep, Files, Json) {
     let mut ctx = tiny_ctx(tag, OBS_SEED);
     ctx.timeline_interval_ns = interval_ns;
     run_sweep(&ctx, &["multitenant"], jobs)
@@ -386,7 +412,7 @@ fn timeline_files_are_byte_identical_across_jobs() {
     // The exported document round-trips through the analyzer's parser:
     // parse-then-rewrite reproduces the original bytes.
     let jsonl1 = text(&files1, "timeline.jsonl");
-    let parsed = tl::parse_jsonl(jsonl1).expect("exported JSONL must parse");
+    let parsed = tl::parse_jsonl(jsonl1.as_bytes()).expect("exported JSONL must parse");
     assert_eq!(parsed.len(), named1.len());
     assert_eq!(write_jsonl(&parsed), jsonl1);
 }
@@ -415,8 +441,8 @@ fn sampling_is_pure_observation() {
 #[test]
 fn summary_schema_v3_carries_steady_state_and_p95_fields() {
     let (_, _, parsed) = sampled_sweep(1, "tl_schema", 0);
-    assert_eq!(parsed.field("schema_version"), Some("3"));
-    let point = parsed.points.first().expect("at least one point");
+    assert_eq!(field(&parsed, "schema_version"), Some("3"));
+    let point = points(&parsed).first().expect("at least one point");
     for name in [
         "p95_read_ns",
         "p95_write_ns",
@@ -425,7 +451,7 @@ fn summary_schema_v3_carries_steady_state_and_p95_fields() {
         "waf",
     ] {
         assert!(
-            point.fields.iter().any(|(n, _)| n == name),
+            point.get(name).is_some(),
             "summary point is missing `{name}`"
         );
     }
@@ -433,14 +459,12 @@ fn summary_schema_v3_carries_steady_state_and_p95_fields() {
     // detector rightly refuses to call a steady state — but every point
     // must carry well-formed values (convergence itself is asserted on the
     // finer-grained captured timeline below, and on the quick sweep in CI).
-    for p in &parsed.points {
-        let cw: f64 = p
-            .field("converged_waf")
+    for p in points(&parsed) {
+        let cw: f64 = field(p, "converged_waf")
             .and_then(|v| v.parse().ok())
             .expect("converged_waf parses");
         assert!(cw >= 0.0, "negative converged_waf");
-        let _: u64 = p
-            .field("burnin_ns")
+        let _: u64 = field(p, "burnin_ns")
             .and_then(|v| v.parse().ok())
             .expect("burnin_ns parses");
     }
@@ -475,20 +499,18 @@ fn final_timeline_waf_equals_summary_waf_and_counters_are_monotone() {
         // The final sample's cumulative WAF is the summary's WAF, exactly
         // (same integers, same arithmetic, same f64 — same token).
         let last = samples.last().expect("non-empty timeline");
-        let point = parsed
-            .points
+        let point = points(&parsed)
             .iter()
-            .find(|p| &p.key == key)
+            .find(|p| p.get("key").and_then(Json::str).as_deref() == Some(*key))
             .expect("summary point for timeline");
-        let write_ops: u64 = point
-            .field("write_ops")
+        let write_ops: u64 = field(point, "write_ops")
             .and_then(|v| v.parse().ok())
             .expect("write_ops field");
         if write_ops == 0 {
             continue; // summary substitutes fill bytes; no mid-run analogue
         }
         assert_eq!(
-            point.field("waf"),
+            field(point, "waf"),
             Some(format!("{:.6}", last.cum_waf).as_str()),
             "{key}: final timeline WAF diverges from summary waf"
         );
@@ -499,8 +521,8 @@ fn final_timeline_waf_equals_summary_waf_and_counters_are_monotone() {
     // The detector finds a steady state on the captured (time-sampled)
     // timelines: at 1 ms resolution every point's WAF curve flattens well
     // within the run, even at this tiny scale.
-    let points = tl::parse_jsonl(text(&files, "timeline.jsonl")).expect("parse");
-    let steady = points.iter().any(|(_, samples)| {
+    let timelines = tl::parse_jsonl(files["timeline.jsonl"].as_slice()).expect("parse");
+    let steady = timelines.iter().any(|(_, samples)| {
         let base = samples.first().map_or(0, |s| s.ts_ns);
         let curve: Vec<(u64, f64)> = samples
             .iter()

@@ -11,9 +11,10 @@
 //!
 //! Exit codes: 0 pass, 1 regression, 2 usage/IO/parse error.
 
-use anykey_metrics::summary::{diff, parse, DiffReport, DEFAULT_WALL_BAND};
+use std::io;
 
-use crate::load;
+use anykey_metrics::summary::{diff, parse, DiffReport, DEFAULT_WALL_BAND};
+use anykey_metrics::Json;
 
 fn usage() -> i32 {
     eprintln!(
@@ -93,7 +94,13 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
         return usage();
     };
 
-    let (baseline, candidate) = match (load(baseline_path, parse), load(candidate_path, parse)) {
+    let read = |path| {
+        crate::load(path, |r| match io::read_to_string(r) {
+            Ok(src) => parse(&src).map_err(|e| e.to_string()),
+            Err(e) => Err(e.to_string()),
+        })
+    };
+    let (baseline, candidate) = match (read(baseline_path), read(candidate_path)) {
         (Ok(b), Ok(c)) => (b, c),
         (b, c) => {
             for r in [b.err(), c.err()].into_iter().flatten() {
@@ -106,8 +113,11 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
     // Different schema versions are incomparable documents, not a perf
     // regression: fail loudly with the versions rather than drowning the
     // user in per-field noise.
-    let bs = baseline.field("schema_version").unwrap_or("(absent)");
-    let cs = candidate.field("schema_version").unwrap_or("(absent)");
+    let version = |doc: &Json| match doc.get("schema_version") {
+        Some(Json::Scalar(tok)) => tok.clone(),
+        _ => "(absent)".to_string(),
+    };
+    let (bs, cs) = (version(&baseline), version(&candidate));
     if bs != cs {
         eprintln!(
             "bench-diff: schema_version mismatch — baseline {baseline_path} has {bs}, \

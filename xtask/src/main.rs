@@ -14,9 +14,9 @@
 //! - [`bench_record`]: the host-cost trajectory recorder — runs the
 //!   `BENCHMARK.json` command for every workload (optionally paired with a
 //!   parent checkout) and writes `BENCH_<n>.json`. It reads
-//!   `BENCHMARK.json` and hostbench's result lines through
-//!   `anykey_metrics::Json`, the same codec `bench-diff`, `trace` and
-//!   `timeline` read their documents with.
+//!   `BENCHMARK.json` and hostbench's result lines as
+//!   `anykey_metrics::Json`, the one parsed form `bench-diff` compares
+//!   and `trace` and `timeline` read each JSONL line as.
 //! - [`loc`]: non-test lines per crate under `crates/` and in `xtask/src`,
 //!   the size figures ROADMAP.md and CHANGES.md quote.
 //!
@@ -32,12 +32,17 @@ mod timeline_cmd;
 mod trace_cmd;
 
 use std::fmt::Display;
+use std::fs::File;
+use std::io::BufReader;
 
-/// Reads the document at `path` and parses it with `parse`. An error is
-/// `"<path>: <reason>"`, for the command to print after its own name.
-fn load<T, E: Display>(path: &str, parse: impl FnOnce(&str) -> Result<T, E>) -> Result<T, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse(&src).map_err(|e| format!("{path}: {e}"))
+/// Opens the document at `path` for `parse` to read through a buffer. An
+/// error is `"<path>: <reason>"`, for the command to print after its name.
+fn load<T, E: Display>(
+    path: &str,
+    parse: impl FnOnce(BufReader<File>) -> Result<T, E>,
+) -> Result<T, String> {
+    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    parse(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() {

@@ -9,6 +9,8 @@
 //!
 //! Exit codes: 0 ok, 2 usage/IO/parse error.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use anykey_metrics::trace::{parse_jsonl, PhaseHists, TraceEvent, TRACE_SCHEMA_VERSION};
@@ -71,23 +73,27 @@ struct CauseTotal {
     stall_ns: u64,
 }
 
-/// One of the longest flash queueing stalls in a trace.
-struct StallWindow {
+/// One of the longest flash queueing stalls in a trace. Its fields rank it
+/// in report order: longest first, then issue time, chip, document order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct StallWindow<'a> {
     /// Stall length (`start − issued`) in virtual ns.
-    stall_ns: u64,
-    /// Cause tag of the stalled op.
-    cause: String,
-    /// Chip the op eventually ran on.
-    chip: u32,
+    stall_ns: Reverse<u64>,
     /// Virtual ns the op was issued.
     issued: u64,
+    /// Chip the op eventually ran on.
+    chip: u32,
+    /// The op's place among the trace's flash ops.
+    seq: u64,
+    /// Cause tag of the stalled op.
+    cause: &'a str,
     /// Key of the experiment point the op belongs to.
-    point: String,
+    point: &'a str,
 }
 
 /// Summary statistics extracted from a parsed trace.
 #[derive(Default)]
-struct TraceAnalysis {
+struct TraceAnalysis<'a> {
     /// Number of experiment points in the trace.
     points: usize,
     /// Total flash-op events.
@@ -99,18 +105,20 @@ struct TraceAnalysis {
     /// Per-phase latency histograms over all request events.
     phases: PhaseHists,
     /// The top-K longest flash stall windows, longest first.
-    stalls: Vec<StallWindow>,
+    stalls: Vec<StallWindow<'a>>,
     /// Per-cause totals, sorted by busy time descending.
     causes: Vec<CauseTotal>,
 }
 
 /// Analyzes a parsed trace: per-phase latency distributions, the `top_k`
 /// longest flash stall windows, and per-cause interference totals.
-fn analyze(points: &[(String, Vec<TraceEvent>)], top_k: usize) -> TraceAnalysis {
+fn analyze(points: &[(String, Vec<TraceEvent>)], top_k: usize) -> TraceAnalysis<'_> {
     let mut a = TraceAnalysis {
         points: points.len(),
         ..TraceAnalysis::default()
     };
+    // The `top_k` first stalls in report order so far, the last on top.
+    let mut stalls = BinaryHeap::new();
     for (key, events) in points {
         for e in events {
             match e {
@@ -139,13 +147,17 @@ fn analyze(points: &[(String, Vec<TraceEvent>)], top_k: usize) -> TraceAnalysis 
                         }),
                     }
                     if stall > 0 {
-                        a.stalls.push(StallWindow {
-                            stall_ns: stall,
-                            cause: cause.clone(),
-                            chip: *chip,
+                        stalls.push(StallWindow {
+                            stall_ns: Reverse(stall),
                             issued: *issued,
-                            point: key.clone(),
+                            chip: *chip,
+                            seq: a.flash_ops,
+                            cause,
+                            point: key,
                         });
+                        if stalls.len() > top_k {
+                            stalls.pop();
+                        }
                     }
                 }
                 TraceEvent::Span { .. } => a.spans += 1,
@@ -156,20 +168,13 @@ fn analyze(points: &[(String, Vec<TraceEvent>)], top_k: usize) -> TraceAnalysis 
             }
         }
     }
-    // Longest first; ties broken deterministically by (issued, chip).
-    a.stalls.sort_by(|x, y| {
-        y.stall_ns
-            .cmp(&x.stall_ns)
-            .then(x.issued.cmp(&y.issued))
-            .then(x.chip.cmp(&y.chip))
-    });
-    a.stalls.truncate(top_k);
+    a.stalls = stalls.into_sorted_vec();
     a.causes
         .sort_by(|x, y| y.busy_ns.cmp(&x.busy_ns).then(x.cause.cmp(&y.cause)));
     a
 }
 
-impl fmt::Display for TraceAnalysis {
+impl fmt::Display for TraceAnalysis<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -209,7 +214,7 @@ impl fmt::Display for TraceAnalysis {
             writeln!(
                 f,
                 "  {:>12} {:<18} {:>5} {:>14}  {}",
-                s.stall_ns, s.cause, s.chip, s.issued, s.point
+                s.stall_ns.0, s.cause, s.chip, s.issued, s.point
             )?;
         }
         writeln!(f)?;
@@ -288,15 +293,16 @@ mod tests {
 
     #[test]
     fn analysis_totals_and_stalls() {
-        let a = analyze(&sample_points(), 10);
+        let points = sample_points();
+        let a = analyze(&points, 10);
         assert_eq!(a.flash_ops, 2);
         assert_eq!(a.spans, 1);
         assert_eq!(a.requests, 1);
         // Longest stall first: compaction-write waited 200 ns, host-read 50.
         assert_eq!(a.stalls.len(), 2);
         assert_eq!(a.stalls[0].cause, "compaction-write");
-        assert_eq!(a.stalls[0].stall_ns, 200);
-        assert_eq!(a.stalls[1].stall_ns, 50);
+        assert_eq!(a.stalls[0].stall_ns.0, 200);
+        assert_eq!(a.stalls[1].stall_ns.0, 50);
         // Causes sorted by busy time: compaction-write 300 > host-read 100.
         assert_eq!(a.causes[0].cause, "compaction-write");
         assert_eq!(a.causes[0].busy_ns, 300);
@@ -313,8 +319,39 @@ mod tests {
 
     #[test]
     fn top_k_truncates() {
-        let a = analyze(&sample_points(), 1);
+        let points = sample_points();
+        let a = analyze(&points, 1);
         assert_eq!(a.stalls.len(), 1);
-        assert_eq!(a.stalls[0].stall_ns, 200);
+        assert_eq!(a.stalls[0].stall_ns.0, 200);
+    }
+
+    #[test]
+    fn top_k_ties_keep_document_order() {
+        // Equal stall, issue time and chip: the op earlier in the document
+        // ranks first, across points too.
+        let op = |cause: &str, chip: u32| TraceEvent::FlashOp {
+            op: "read".into(),
+            cause: cause.into(),
+            chip,
+            channel: 0,
+            issued: 10,
+            start: 20,
+            done: 30,
+            retries: 0,
+        };
+        let points = vec![
+            ("a".to_string(), vec![op("chip2", 2), op("first", 1)]),
+            ("b".to_string(), vec![op("second", 1), op("third", 1)]),
+        ];
+        let ranked = |k| {
+            let a = analyze(&points, k);
+            a.stalls
+                .iter()
+                .map(|s| format!("{}@{}", s.cause, s.point))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ranked(3), ["first@a", "second@b", "third@b"]);
+        assert_eq!(ranked(10), ["first@a", "second@b", "third@b", "chip2@a"]);
+        assert!(ranked(0).is_empty());
     }
 }
