@@ -578,6 +578,52 @@ mod tests {
         assert!(c.total_retry_reads() + c.program_fails() + c.erase_fails() > 0);
     }
 
+    /// Folds `s` into an FNV-1a digest.
+    fn fold(digest: &mut u64, s: &str) {
+        for b in s.bytes() {
+            *digest ^= u64::from(b);
+            *digest = digest.wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    #[test]
+    fn faulty_traced_op_mix_is_pinned() {
+        // A seeded mix of every op kind and lane under a fault model, with
+        // tracing on: each op's result, each recorded event, the counters
+        // (retries and failures too) and the wear spread are folded into
+        // one digest. A change to the order of fault draws, counting,
+        // scheduling or recording moves it.
+        let mut s = faulty_sim(300_000);
+        s.set_tracing(true);
+        let (mut rng, mut digest) = (0x00D1_6E57_u64, 0xCBF2_9CE4_8422_2325_u64);
+        for i in 0..3_000u64 {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let r = rng >> 33;
+            let ppa = Ppa::new((r % 64) as u32, ((r >> 6) % 128) as u32);
+            let at = i * 15_000;
+            let res = match r % 7 {
+                0 => s.read(ppa, OpCause::HostRead, at),
+                1 => s.read(ppa, OpCause::LogRead, at),
+                2 => s.read(ppa, OpCause::GcRead, at),
+                3 => s.program(ppa, OpCause::HostWrite, at),
+                4 => s.program(ppa, OpCause::CompactionWrite, at),
+                5 => s.erase(BlockId((r % 64) as u32), at),
+                _ => s.erase(BlockId((r % 8) as u32), at),
+            };
+            fold(&mut digest, &format!("{res:?}"));
+        }
+        let events = s.take_trace_events();
+        assert_eq!(events.len(), 3_000);
+        for ev in &events {
+            fold(&mut digest, &format!("{ev:?}"));
+        }
+        fold(&mut digest, &format!("{:?}", s.counters()));
+        fold(&mut digest, &format!("{:?}", s.sample_state()));
+        let c = s.counters();
+        assert!(c.total_retry_reads() > 0 && c.program_fails() > 0 && c.erase_fails() > 0);
+        assert_eq!(digest, 3_788_289_076_036_980_156, "flash op results moved");
+    }
+
     #[test]
     fn reset_counters_keeps_timelines() {
         let mut s = sim();

@@ -13,13 +13,16 @@
 //! compaction, GC) a run records is folded into a span digest, so the
 //! order, levels, times and page counts of the background work are pinned
 //! as well; a PinK update run that reaches data- and meta-block GC pins
-//! the `gc` spans.
+//! the `gc` spans. Every request outcome of the mixed runs (issue and
+//! completion times, found, flash reads and the five latency phases) is
+//! folded into an outcome digest, so where each request's time goes is
+//! pinned too.
 //!
 //! The pinned values are simulation results, not expectations derived
 //! from the model: when a change alters behaviour on purpose, re-pin them
 //! from the failure message and say so in the change log.
 
-use anykey::core::{DeviceConfig, EngineKind};
+use anykey::core::{DeviceConfig, EngineKind, OpOutcome};
 use anykey::metrics::TraceEvent;
 use anykey::workload::{Op, SplitMix64};
 
@@ -33,6 +36,7 @@ struct Golden {
     scans: u64,
     scan_digest: u64,
     spans: Spans,
+    outcomes: u64,
 }
 
 /// Every background span of a run, folded in trace order.
@@ -106,10 +110,30 @@ fn fold(digest: &mut u64, x: u64) {
     }
 }
 
+/// Folds one request outcome: its times, found flag, flash reads and the
+/// five latency phases.
+fn fold_outcome(digest: &mut u64, o: &OpOutcome) {
+    let p = &o.phases;
+    for x in [
+        o.issued_at,
+        o.done_at,
+        u64::from(o.found),
+        u64::from(o.flash_reads),
+        p.queue_wait,
+        p.meta_read,
+        p.data_read,
+        p.log_read,
+        p.engine,
+    ] {
+        fold(digest, x);
+    }
+}
+
 /// Runs a seeded mixed stream (PUT-heavy, with deletes, GETs, short scans
 /// and a few page-sized values) on a 16 MiB device, with tracing on so the
 /// compaction spans can be checked. Scans go through `scan_keys`, whose
-/// key ids (each scan's count, then its ids) feed the scan digest.
+/// key ids (each scan's count, then its ids) feed the scan digest; every
+/// request's outcome feeds the outcome digest.
 fn run(kind: EngineKind, seed: u64) -> Golden {
     let mut dev = DeviceConfig::builder()
         .capacity_bytes(16 << 20)
@@ -125,6 +149,7 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
     let mut rng = SplitMix64::new(seed);
     let mut spans = Spans::new();
     let (mut scans, mut scan_digest) = (0u64, 0xCBF2_9CE4_8422_2325u64);
+    let mut outcomes = 0xCBF2_9CE4_8422_2325u64;
     for i in 0..OPS {
         let key = rng.next_bounded(KEYSPACE);
         let op = match rng.next_bounded(100) {
@@ -145,15 +170,18 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
         };
         let at = dev.horizon();
         if let Op::Scan { start, len } = op {
-            let (ids, _) = dev.scan_keys(start, len, at);
+            let (ids, outcome) = dev.scan_keys(start, len, at);
             scans += 1;
             fold(&mut scan_digest, ids.len() as u64);
             for id in ids {
                 fold(&mut scan_digest, id);
             }
+            fold_outcome(&mut outcomes, &outcome);
         } else {
-            dev.execute(&op, at)
+            let outcome = dev
+                .execute(&op, at)
                 .unwrap_or_else(|e| panic!("{kind}: op {i} ({op:?}) failed: {e}"));
+            fold_outcome(&mut outcomes, &outcome);
         }
         if i % 4096 == 4095 || i + 1 == OPS {
             spans.fold_all(dev.take_trace());
@@ -168,16 +196,17 @@ fn run(kind: EngineKind, seed: u64) -> Golden {
         scans,
         scan_digest,
         spans,
+        outcomes,
     }
 }
 
 /// Runs `kind` and checks every pin. `path_label` is a compaction span the
-/// run must have taken; `scans` is the scan count and digest, `spans` the
-/// span count and digest.
+/// run must have taken; `times` is the end horizon and the outcome digest,
+/// `scans` the scan count and digest, `spans` the span count and digest.
 fn assert_golden(
     kind: EngineKind,
     path_label: &str,
-    horizon: u64,
+    times: (u64, u64),
     counters: &str,
     metadata: &str,
     scans: (u64, u64),
@@ -195,7 +224,7 @@ fn assert_golden(
         scans,
         "{kind}: scan results moved"
     );
-    assert_eq!(g.horizon, horizon, "{kind}: horizon moved");
+    assert_eq!(g.horizon, times.0, "{kind}: horizon moved");
     assert_eq!(g.counters, counters, "{kind}: flash counters moved");
     assert_eq!(g.metadata, metadata, "{kind}: metadata moved");
     assert_eq!(
@@ -203,6 +232,7 @@ fn assert_golden(
         spans,
         "{kind}: background spans moved"
     );
+    assert_eq!(g.outcomes, times.1, "{kind}: request outcomes moved");
 }
 
 #[test]
@@ -210,7 +240,7 @@ fn anykey_plus_state_is_pinned() {
     assert_golden(
         EngineKind::AnyKeyPlus,
         "inline-rewrite",
-        13_218_775_638,
+        (13_218_775_638, 5_629_932_953_494_078_686),
         "FlashCounters { reads: [75813, 0, 0, 0, 6761, 0, 0, 0, 22610, 0], \
          writes: [0, 0, 0, 0, 0, 6264, 0, 0, 0, 1287], \
          retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
@@ -233,7 +263,7 @@ fn anykey_state_is_pinned() {
     assert_golden(
         EngineKind::AnyKey,
         "inline-all",
-        13_039_053_347,
+        (13_039_053_347, 16_331_729_955_523_206_103),
         "FlashCounters { reads: [75813, 0, 0, 0, 5675, 0, 0, 0, 22610, 0], \
          writes: [0, 0, 0, 0, 0, 5178, 0, 0, 0, 1287], \
          retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
@@ -256,7 +286,7 @@ fn pink_state_is_pinned() {
     assert_golden(
         EngineKind::Pink,
         "merge",
-        12_279_415_528,
+        (12_279_415_528, 17_360_562_139_449_481_006),
         "FlashCounters { reads: [71455, 0, 46429, 0, 1291, 0, 0, 0, 0, 0], \
          writes: [0, 0, 0, 8, 0, 2830, 0, 0, 0, 0], \
          retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
