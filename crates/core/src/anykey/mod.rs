@@ -164,34 +164,19 @@ impl Engine for AnyKeyStore {
             let layout = g.content.layout();
             let mut p = g.content.route_page(hash);
             loop {
-                let before = req.t;
-                req.t = self
-                    .core
-                    .flash
-                    .read(g.data_ppa(p), OpCause::HostRead, req.t)
-                    .done;
-                req.phases.data_read += req.t - before;
-                req.reads += 1;
+                let flash = &mut self.core.flash;
+                req.read(flash, OpCause::HostRead, [g.data_ppa(p)]);
                 if let Some(i) = g.content.search_page(p, hash, key) {
                     let e = &g.content.ents[i];
                     // Inline values may spill into following pages.
                     let span = usize::from(layout.span[i]);
-                    req.reads += span as u32;
-                    let before = req.t;
                     let spilled = (p + 1..=p + span).map(|i| g.data_ppa(i));
-                    req.t = self.core.flash.read_many(spilled, OpCause::HostRead, req.t);
-                    req.phases.data_read += req.t - before;
+                    req.read(flash, OpCause::HostRead, spilled);
                     if e.tombstone {
                         return Some(false);
                     }
                     if let ValueLoc::Logged(ptr) = e.loc {
-                        req.reads += ptr.pages as u32;
-                        let d = self
-                            .core
-                            .flash
-                            .read_many(ptr.pages(), OpCause::LogRead, req.t);
-                        req.phases.log_read += d - req.t;
-                        req.t = d;
+                        req.read(flash, OpCause::LogRead, ptr.pages());
                     }
                     return Some(true);
                 }
@@ -264,9 +249,10 @@ impl Engine for AnyKeyStore {
 
         // Flash timing: directory pages first, then the data and log
         // pages of the hits.
-        let t0 = req.t;
-        let (t, dir_reads) = self.core.read_set(plan.index_pages, OpCause::HostRead, t0);
-        req.phases.data_read += t - t0;
+        let dirs = self
+            .core
+            .read_set(plan.index_pages, OpCause::HostRead, req.t);
+        req.charge(OpCause::HostRead, dirs);
         let (mut data_ppas, mut log_ppas) = (Vec::new(), Vec::new());
         for pos in plan.hits.iter().filter_map(|&(_, pos)| pos) {
             let g = &levels[pos.level].groups[pos.owner];
@@ -275,15 +261,13 @@ impl Engine for AnyKeyStore {
                 log_ppas.extend(ptr.pages());
             }
         }
-        let (t_data, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
-        let (t_log, log_reads) = self.core.read_set(log_ppas, OpCause::LogRead, t);
-        req.t = t_data.max(t_log);
-        // Data and log reads overlap; attribute the critical path — data
-        // reads in full, log reads only for the tail they add past them —
-        // so the phases still sum exactly to the latency.
-        req.phases.data_read += t_data - t;
-        req.phases.log_read += req.t - t_data;
-        req.reads += dir_reads + data_reads + log_reads;
+        // Data and log reads overlap: the data reads are charged in full,
+        // the log reads only for the tail they add past them, so the
+        // phases still sum exactly to the latency.
+        let data = self.core.read_set(data_ppas, OpCause::HostRead, req.t);
+        let log = self.core.read_set(log_ppas, OpCause::LogRead, req.t);
+        req.charge(OpCause::HostRead, data);
+        req.charge(OpCause::LogRead, log);
         Ok(plan.hits.iter().map(|(k, _)| k.id()).collect())
     }
 

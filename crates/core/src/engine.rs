@@ -15,7 +15,7 @@
 //! do the lifecycle once: the flush, the size-ratio cascade, the GC
 //! headroom loop, and a compaction's opening headroom and close.
 
-use anykey_flash::{BlockAllocator, FlashCounters, Ns};
+use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
 use anykey_metrics::trace::{PhaseBreakdown, TraceEvent};
 use anykey_workload::Op;
@@ -408,6 +408,39 @@ impl Request {
                 ..PhaseBreakdown::default()
             },
         }
+    }
+
+    /// Charges a set of `pages` reads of `cause` issued together, the last
+    /// done at `done`: every page is counted, the clock moves to `done` if
+    /// that is later, and the cause's phase is charged with how far it
+    /// moved (`MetaRead` to `meta_read`, `LogRead` to `log_read`, and
+    /// `HostRead` to `data_read`). Of two sets issued at the same time, the
+    /// one charged second adds only the tail it runs past the first.
+    pub(crate) fn charge(&mut self, cause: OpCause, (done, pages): (Ns, u32)) {
+        let moved = done.saturating_sub(self.t);
+        self.t += moved;
+        self.reads += pages;
+        let phase = match cause {
+            OpCause::MetaRead => &mut self.phases.meta_read,
+            OpCause::LogRead => &mut self.phases.log_read,
+            _ => &mut self.phases.data_read,
+        };
+        *phase += moved;
+    }
+
+    /// Reads `ppas` in parallel at the request's clock and charges them.
+    pub(crate) fn read(
+        &mut self,
+        flash: &mut FlashSim,
+        cause: OpCause,
+        ppas: impl IntoIterator<Item = Ppa>,
+    ) {
+        let (mut done, mut pages) = (self.t, 0);
+        for ppa in ppas {
+            done = done.max(flash.read(ppa, cause, self.t).done);
+            pages += 1;
+        }
+        self.charge(cause, (done, pages));
     }
 
     /// The outcome of the request issued at `at` and done now; the latency

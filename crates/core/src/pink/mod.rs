@@ -218,33 +218,19 @@ impl Engine for PinkStore {
                 let key_len = self.levels[li].first_key(si).len() as u64;
                 let per_page = self.list_entries_per_page(key_len) as usize;
                 let ppa = list_pages[(si / per_page).min(list_pages.len() - 1)];
-                let before = req.t;
-                req.t = self.core.flash.read(ppa, OpCause::MetaRead, req.t).done;
-                req.phases.meta_read += req.t - before;
-                req.reads += 1;
+                req.read(&mut self.core.flash, OpCause::MetaRead, [ppa]);
             }
             // Meta-segment access: free when pinned, one flash read when
             // spilled.
-            if let Some(ppa) = self.levels[li].segs[si].ppa {
-                let before = req.t;
-                req.t = self.core.flash.read(ppa, OpCause::MetaRead, req.t).done;
-                req.phases.meta_read += req.t - before;
-                req.reads += 1;
-            }
+            let flash = &mut self.core.flash;
+            req.read(flash, OpCause::MetaRead, self.levels[li].segs[si].ppa);
             let level = &self.levels[li];
             if let Some(e) = level.segs[si].find(&level.entries, key) {
                 // A tombstone ends the lookup like a miss.
                 if e.tombstone {
                     return None;
                 }
-                let ptr = e.ptr;
-                req.reads += u32::from(ptr.pages);
-                let done = self
-                    .core
-                    .flash
-                    .read_many(ptr.pages(), OpCause::HostRead, req.t);
-                req.phases.data_read += done - req.t;
-                req.t = done;
+                req.read(flash, OpCause::HostRead, e.ptr.pages());
                 return Some(true);
             }
         }
@@ -307,9 +293,10 @@ impl Engine for PinkStore {
                 None
             },
         )?;
-        let at = req.t;
-        let (t, meta_reads) = self.core.read_set(plan.index_pages, OpCause::MetaRead, at);
-        req.phases.meta_read += t - at;
+        let metas = self
+            .core
+            .read_set(plan.index_pages, OpCause::MetaRead, req.t);
+        req.charge(OpCause::MetaRead, metas);
 
         // Read the data pages of the selected pairs. In PinK these are
         // scattered over the data area (values are placed in buffer-arrival
@@ -319,10 +306,8 @@ impl Engine for PinkStore {
             .iter()
             .filter_map(|&(_, pos)| pos)
             .flat_map(|pos| self.levels[pos.level].entries[pos.index].ptr.pages());
-        let (done, data_reads) = self.core.read_set(data_ppas, OpCause::HostRead, t);
-        req.phases.data_read += done - t;
-        req.t = done;
-        req.reads += meta_reads + data_reads;
+        let data = self.core.read_set(data_ppas, OpCause::HostRead, req.t);
+        req.charge(OpCause::HostRead, data);
         Ok(plan.hits.iter().map(|(k, _)| k.id()).collect())
     }
 

@@ -3,6 +3,7 @@
 //! Op-lifecycle recording is always compiled in and switched at run time by
 //! [`FlashSim::set_tracing`]; it never changes the timeline.
 
+use crate::trace::{FlashEvent, FlashOpKind};
 use crate::{
     BlockId, FaultModel, FlashCounters, FlashGeometry, LatencyModel, Ns, OpCause, PageKind, Ppa,
 };
@@ -144,7 +145,7 @@ pub struct FlashSim {
     /// independently.
     op_seq: u64,
     /// Recorded op-lifecycle events; populated only while tracing is on.
-    events: Vec<crate::trace::FlashEvent>,
+    events: Vec<FlashEvent>,
     /// Whether op-lifecycle recording is active.
     tracing: bool,
 }
@@ -222,31 +223,6 @@ impl FlashSim {
         span
     }
 
-    /// Records one op lifecycle into the trace buffer (when tracing).
-    #[allow(clippy::too_many_arguments)]
-    fn record_op(
-        &mut self,
-        op: crate::trace::FlashOpKind,
-        cause: Option<OpCause>,
-        chip: u32,
-        issued: Ns,
-        start: Ns,
-        done: Ns,
-        retries: u32,
-    ) {
-        if self.tracing {
-            self.events.push(crate::trace::FlashEvent {
-                op,
-                cause,
-                chip,
-                issued,
-                start,
-                done,
-                retries,
-            });
-        }
-    }
-
     /// Enables or disables flash-op lifecycle recording. Enabling clears
     /// any previously recorded events.
     pub fn set_tracing(&mut self, on: bool) {
@@ -263,15 +239,8 @@ impl FlashSim {
 
     /// Drains the recorded op-lifecycle events (empty when tracing was
     /// never enabled).
-    pub fn take_trace_events(&mut self) -> Vec<crate::trace::FlashEvent> {
+    pub fn take_trace_events(&mut self) -> Vec<FlashEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Takes the next fault-draw sequence number.
-    fn next_seq(&mut self) -> u64 {
-        let seq = self.op_seq;
-        self.op_seq += 1;
-        seq
     }
 
     /// Reads one page; returns its completion time and status.
@@ -283,38 +252,7 @@ impl FlashSim {
     /// only sees a longer completion time.
     pub fn read(&mut self, ppa: Ppa, cause: OpCause, at: Ns) -> FlashOpResult {
         debug_assert!(cause.is_read(), "read issued with write cause {cause}");
-        let chip = self.cfg.geometry.chip_of_block(ppa.block.0);
-        let kind = PageKind::of_page(ppa.page);
-        let mut lat = self.cfg.latency.read(kind);
-        self.counters.count_read(cause);
-        let seq = self.next_seq();
-        let mut retries = 0u32;
-        if self.cfg.fault.is_enabled() {
-            let wear = self.block_wear(ppa.block);
-            retries = self
-                .cfg
-                .fault
-                .read_retries(wear, ppa.block.0, ppa.page, seq);
-            if retries > 0 {
-                self.counters.count_retry_reads(cause, u64::from(retries));
-                lat += u64::from(retries) * self.cfg.latency.read_sense(kind);
-            }
-        }
-        let (start, done) = self.schedule(chip, cause.lane(), lat, at);
-        self.record_op(
-            crate::trace::FlashOpKind::Read,
-            Some(cause),
-            chip,
-            at,
-            start,
-            done,
-            retries,
-        );
-        FlashOpResult {
-            start,
-            done,
-            status: FlashOpStatus::Ok,
-        }
+        self.issue(FlashOpKind::Read, Some(cause), ppa, at)
     }
 
     /// Programs one page; returns its completion time and status.
@@ -324,37 +262,7 @@ impl FlashSim {
     /// re-issue the page at a fresh physical location.
     pub fn program(&mut self, ppa: Ppa, cause: OpCause, at: Ns) -> FlashOpResult {
         debug_assert!(!cause.is_read(), "program issued with read cause {cause}");
-        let chip = self.cfg.geometry.chip_of_block(ppa.block.0);
-        let lat = self.cfg.latency.program(PageKind::of_page(ppa.page));
-        self.counters.count_write(cause);
-        let seq = self.next_seq();
-        let mut status = FlashOpStatus::Ok;
-        if self.cfg.fault.is_enabled() {
-            let wear = self.block_wear(ppa.block);
-            if self
-                .cfg
-                .fault
-                .program_fails(wear, ppa.block.0, ppa.page, seq)
-            {
-                self.counters.count_program_fail();
-                status = FlashOpStatus::ProgramFail;
-            }
-        }
-        let (start, done) = self.schedule(chip, cause.lane(), lat, at);
-        self.record_op(
-            crate::trace::FlashOpKind::Program,
-            Some(cause),
-            chip,
-            at,
-            start,
-            done,
-            0,
-        );
-        FlashOpResult {
-            start,
-            done,
-            status,
-        }
+        self.issue(FlashOpKind::Program, Some(cause), ppa, at)
     }
 
     /// Erases a block; returns its completion time and status.
@@ -363,39 +271,95 @@ impl FlashSim {
     /// [`FlashOpStatus::EraseFail`] means the block has grown bad; the
     /// caller must retire it from its allocator instead of freeing it.
     pub fn erase(&mut self, block: BlockId, at: Ns) -> FlashOpResult {
-        let chip = self.cfg.geometry.chip_of_block(block.0);
-        let lat = self.cfg.latency.erase();
-        self.counters.count_erase();
-        let seq = self.next_seq();
-        let mut status = FlashOpStatus::Ok;
-        if self.cfg.fault.is_enabled()
-            && self
-                .cfg
-                .fault
-                .erase_fails(self.block_wear(block), block.0, seq)
-        {
-            self.counters.count_erase_fail();
-            status = FlashOpStatus::EraseFail;
-        }
-        if status.is_ok() {
-            if let Some(w) = self.wear.get_mut(block.0 as usize) {
-                *w = w.saturating_add(1);
+        self.issue(FlashOpKind::Erase, None, Ppa { block, page: 0 }, at)
+    }
+
+    /// The one path of every op, issued at `at`: a page read or program
+    /// with its cause, or a block erase (no cause; `ppa.page` unused). It
+    /// takes the op sequence number, draws the op's fault when the model is
+    /// on, counts the op and its fault (a good erase completes a P/E
+    /// cycle), places the op on its cause's lane (an erase in the
+    /// background) and records its lifecycle while tracing.
+    #[inline(always)]
+    fn issue(
+        &mut self,
+        op: FlashOpKind,
+        cause: Option<OpCause>,
+        ppa: Ppa,
+        at: Ns,
+    ) -> FlashOpResult {
+        let chip = self.cfg.geometry.chip_of_block(ppa.block.0);
+        let seq = self.op_seq;
+        self.op_seq += 1;
+        let (retries, status) = if self.cfg.fault.is_enabled() {
+            self.draw_fault(op, ppa, seq)
+        } else {
+            (0, FlashOpStatus::Ok)
+        };
+        let (lat, kind) = (&self.cfg.latency, PageKind::of_page(ppa.page));
+        let (latency, lane) = match cause {
+            Some(cause) if op == FlashOpKind::Read => {
+                self.counters.count_read(cause);
+                if retries > 0 {
+                    self.counters.count_retry_reads(cause, u64::from(retries));
+                }
+                let steps = u64::from(retries) * lat.read_sense(kind);
+                (lat.read(kind) + steps, cause.lane())
             }
+            Some(cause) => {
+                self.counters.count_write(cause);
+                if !status.is_ok() {
+                    self.counters.count_program_fail();
+                }
+                (lat.program(kind), cause.lane())
+            }
+            None => {
+                self.counters.count_erase();
+                if !status.is_ok() {
+                    self.counters.count_erase_fail();
+                } else if let Some(w) = self.wear.get_mut(ppa.block.0 as usize) {
+                    *w = w.saturating_add(1);
+                }
+                (lat.erase(), Lane::Bg)
+            }
+        };
+        let (start, done) = self.schedule(chip, lane, latency, at);
+        if self.tracing {
+            self.events.push(FlashEvent {
+                op,
+                cause,
+                chip,
+                issued: at,
+                start,
+                done,
+                retries,
+            });
         }
-        let (start, done) = self.schedule(chip, Lane::Bg, lat, at);
-        self.record_op(
-            crate::trace::FlashOpKind::Erase,
-            None,
-            chip,
-            at,
-            start,
-            done,
-            0,
-        );
         FlashOpResult {
             start,
             done,
             status,
+        }
+    }
+
+    /// Draws the fault of op number `seq` at its block's wear: read-retry
+    /// steps for a read, a failure for a program or an erase.
+    #[cold]
+    fn draw_fault(&self, op: FlashOpKind, ppa: Ppa, seq: u64) -> (u32, FlashOpStatus) {
+        let (fault, wear) = (&self.cfg.fault, self.block_wear(ppa.block));
+        let (block, page) = (ppa.block.0, ppa.page);
+        match op {
+            FlashOpKind::Read => (
+                fault.read_retries(wear, block, page, seq),
+                FlashOpStatus::Ok,
+            ),
+            FlashOpKind::Program if fault.program_fails(wear, block, page, seq) => {
+                (0, FlashOpStatus::ProgramFail)
+            }
+            FlashOpKind::Erase if fault.erase_fails(wear, block, seq) => {
+                (0, FlashOpStatus::EraseFail)
+            }
+            _ => (0, FlashOpStatus::Ok),
         }
     }
 
@@ -743,7 +707,6 @@ mod tests {
 
     #[test]
     fn tracing_records_lifecycle_without_perturbing_time() {
-        use crate::trace::FlashOpKind;
         let mut traced = sim();
         let mut plain = sim();
         traced.set_tracing(true);
