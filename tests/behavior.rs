@@ -2,21 +2,15 @@
 //! tombstone shadowing across levels, AnyKey− inline operation, read-cost
 //! mechanics, queue-depth effects, and device-full semantics.
 
+mod common;
+
 use anykey::core::runner::DEFAULT_QUEUE_DEPTH;
 use anykey::core::{run, warm_up, DeviceConfig, EngineKind, KvEngine, KvError};
 use anykey::flash::OpCause;
 use anykey::workload::{spec, Op, OpStreamBuilder};
 
 fn tiny(kind: EngineKind) -> Box<dyn KvEngine> {
-    DeviceConfig::builder()
-        .capacity_bytes(16 << 20)
-        .page_size(8 << 10)
-        .pages_per_block(16)
-        .group_pages(8)
-        .engine(kind)
-        .key_len(24)
-        .build()
-        .build_engine()
+    common::test_device(kind).key_len(24).build().build_engine()
 }
 
 /// Deleting a key that has already been compacted into deep levels must
@@ -191,15 +185,7 @@ fn key_too_large_is_reported() {
         EngineKind::AnyKeyNoLog,
         EngineKind::Pink,
     ] {
-        let mut dev = DeviceConfig::builder()
-            .capacity_bytes(16 << 20)
-            .page_size(8 << 10)
-            .pages_per_block(16)
-            .group_pages(8)
-            .engine(kind)
-            .key_len(4)
-            .build()
-            .build_engine();
+        let mut dev = common::test_device(kind).key_len(4).build().build_engine();
         let at = dev.horizon();
         for op in [
             Op::Put { key, value_len: 10 },

@@ -21,10 +21,12 @@
 //! workspace's `clippy::disallowed_types` lint holds this file to that
 //! discipline too.
 
+mod common;
+
 use std::collections::BTreeMap;
 
 use anykey::core::runner::DEFAULT_QUEUE_DEPTH;
-use anykey::core::{run, run_with, DeviceConfig, EngineKind, KvEngine};
+use anykey::core::{run, run_with, EngineKind, KvEngine};
 use anykey::metrics::summary::{self, DEFAULT_WALL_BAND, WALL_FIELDS};
 use anykey::metrics::timeline::{self as tl, write_jsonl};
 use anykey::metrics::trace::{self, TraceEvent};
@@ -326,15 +328,7 @@ fn summary_carries_phase_fields() {
 }
 
 fn tiny_engine(kind: EngineKind) -> Box<dyn KvEngine> {
-    DeviceConfig::builder()
-        .capacity_bytes(16 << 20)
-        .page_size(8 << 10)
-        .pages_per_block(16)
-        .group_pages(8)
-        .engine(kind)
-        .key_len(24)
-        .build()
-        .build_engine()
+    common::test_device(kind).key_len(24).build().build_engine()
 }
 
 #[test]

@@ -7,21 +7,18 @@
 //! recover via retry, failed programs are re-placed, and retired blocks
 //! only leave the pool after their live data has moved.
 
+mod common;
+
 use std::collections::BTreeMap;
 
-use anykey::core::{DeviceConfig, EngineKind, KvEngine};
+use anykey::core::{EngineKind, KvEngine};
 use anykey::flash::FaultModel;
 use anykey::workload::SplitMix64;
 
 /// A small device with plenty of GC churn, so erases (and therefore
 /// erase-failure draws) actually happen within a short test run.
 fn faulty_device(kind: EngineKind, fault: FaultModel) -> Box<dyn KvEngine> {
-    DeviceConfig::builder()
-        .capacity_bytes(16 << 20)
-        .page_size(8 << 10)
-        .pages_per_block(16)
-        .group_pages(8)
-        .engine(kind)
+    common::test_device(kind)
         .key_len(20)
         .fault(fault)
         .build()
@@ -218,15 +215,7 @@ fn disabled_model_is_byte_identical_to_default() {
     // built with it explicitly fingerprints identically to one that never
     // mentions faults at all.
     for kind in [EngineKind::Pink, EngineKind::AnyKeyPlus] {
-        let mut plain = DeviceConfig::builder()
-            .capacity_bytes(16 << 20)
-            .page_size(8 << 10)
-            .pages_per_block(16)
-            .group_pages(8)
-            .engine(kind)
-            .key_len(20)
-            .build()
-            .build_engine();
+        let mut plain = common::test_device(kind).key_len(20).build().build_engine();
         let mut gated = faulty_device(kind, FaultModel::disabled());
         drive(plain.as_mut(), 5, 8_000);
         drive(gated.as_mut(), 5, 8_000);

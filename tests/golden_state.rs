@@ -22,7 +22,9 @@
 //! from the model: when a change alters behaviour on purpose, re-pin them
 //! from the failure message and say so in the change log.
 
-use anykey::core::{DeviceConfig, EngineKind, OpOutcome};
+mod common;
+
+use anykey::core::{EngineKind, OpOutcome};
 use anykey::metrics::TraceEvent;
 use anykey::workload::{Op, SplitMix64};
 
@@ -135,12 +137,7 @@ fn fold_outcome(digest: &mut u64, o: &OpOutcome) {
 /// key ids (each scan's count, then its ids) feed the scan digest; every
 /// request's outcome feeds the outcome digest.
 fn run(kind: EngineKind, seed: u64) -> Golden {
-    let mut dev = DeviceConfig::builder()
-        .capacity_bytes(16 << 20)
-        .page_size(8 << 10)
-        .pages_per_block(16)
-        .group_pages(8)
-        .engine(kind)
+    let mut dev = common::test_device(kind)
         .key_len(24)
         .value_log_bytes(2 << 20)
         .build()
@@ -315,12 +312,7 @@ fn pink_state_is_pinned() {
 fn scan_charges(kind: EngineKind) -> (u64, u64) {
     const SCAN_KEYSPACE: u64 = 12_000;
     const SCAN_LENS: [u32; 5] = [0, 1, 20, 100, 200];
-    let mut dev = DeviceConfig::builder()
-        .capacity_bytes(16 << 20)
-        .page_size(8 << 10)
-        .pages_per_block(16)
-        .group_pages(8)
-        .engine(kind)
+    let mut dev = common::test_device(kind)
         .key_len(24)
         .value_log_bytes(2 << 20)
         .build()
@@ -382,12 +374,7 @@ fn scan_charges_are_pinned() {
 fn pink_gc_spans() -> Spans {
     const IDS: u64 = 26_000;
     const PUTS: u64 = 150_000;
-    let mut dev = DeviceConfig::builder()
-        .capacity_bytes(16 << 20)
-        .page_size(8 << 10)
-        .pages_per_block(16)
-        .group_pages(8)
-        .engine(EngineKind::Pink)
+    let mut dev = common::test_device(EngineKind::Pink)
         .key_len(24)
         .build()
         .build_engine();

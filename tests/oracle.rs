@@ -5,21 +5,15 @@
 //! tracks logical truth; every GET's found/not-found outcome and every
 //! SCAN's returned key list must match the oracle exactly.
 
+mod common;
+
 use std::collections::BTreeMap;
 
-use anykey::core::{DeviceConfig, EngineKind, KvEngine};
+use anykey::core::{EngineKind, KvEngine};
 use anykey::workload::SplitMix64;
 
 fn small_device(kind: EngineKind) -> Box<dyn KvEngine> {
-    DeviceConfig::builder()
-        .capacity_bytes(16 << 20)
-        .page_size(8 << 10)
-        .pages_per_block(16)
-        .group_pages(8)
-        .engine(kind)
-        .key_len(20)
-        .build()
-        .build_engine()
+    common::test_device(kind).key_len(20).build().build_engine()
 }
 
 fn drive_against_oracle(kind: EngineKind, seed: u64, n_ops: usize) {
