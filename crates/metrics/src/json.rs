@@ -367,18 +367,26 @@ pub(crate) fn write_jsonl<T, K: AsRef<str>, I: AsRef<[T]>>(
     out
 }
 
-/// Parses a JSONL document written by [`write_jsonl`], one line at a
-/// time: the header (whose `schema_version` must equal `schema_version`),
-/// point markers, and record lines, each a flat object handed to `record`
-/// with its `event` kind and the current point's items.
-pub(crate) fn parse_jsonl<T>(
+/// One line of a JSONL document after its header, as [`read_jsonl`]
+/// hands it on.
+pub(crate) enum Line<'a> {
+    /// A point marker, with the point's key.
+    Point(String),
+    /// A record line of the current point: its `event` kind and fields.
+    Record(&'a str, &'a Json),
+}
+
+/// Reads a JSONL document written by [`write_jsonl`] one line at a time,
+/// holding no more than that line: checks the header (whose
+/// `schema_version` must equal `schema_version`), then hands each point
+/// marker and each record line, a flat object, to `visit`.
+pub(crate) fn read_jsonl(
     mut src: impl BufRead,
     what: &str,
     schema_version: u64,
-    mut record: impl FnMut(&str, &Json, &mut Vec<T>) -> Result<(), String>,
-) -> Result<Vec<(String, Vec<T>)>, ParseError> {
-    let mut points: Vec<(String, Vec<T>)> = Vec::new();
-    let mut saw_header = false;
+    mut visit: impl FnMut(Line<'_>) -> Result<(), String>,
+) -> Result<(), ParseError> {
+    let (mut saw_header, mut saw_point) = (false, false);
     let mut text = String::new();
     for line in 1.. {
         text.clear();
@@ -406,12 +414,11 @@ pub(crate) fn parse_jsonl<T>(
             }
             (false, _) => return Err(at("missing header line".into())),
             (true, "point") => {
-                points.push((fields.required("key", Json::str).map_err(at)?, Vec::new()))
+                saw_point = true;
+                visit(Line::Point(fields.required("key", Json::str).map_err(at)?)).map_err(at)?
             }
-            (true, kind) => match points.last_mut() {
-                Some((_, items)) => record(kind, &fields, items).map_err(at)?,
-                None => return Err(at(format!("{kind} before first point marker"))),
-            },
+            (true, kind) if saw_point => visit(Line::Record(kind, &fields)).map_err(at)?,
+            (true, kind) => return Err(at(format!("{kind} before first point marker"))),
         }
     }
     if !saw_header {
@@ -420,6 +427,29 @@ pub(crate) fn parse_jsonl<T>(
             line: 0,
         });
     }
+    Ok(())
+}
+
+/// Parses a JSONL document written by [`write_jsonl`] into its `(point
+/// key, items)` pairs, in document order; `record` decodes each record
+/// line, with its `event` kind, onto the current point's items.
+pub(crate) fn parse_jsonl<T>(
+    src: impl BufRead,
+    what: &str,
+    schema_version: u64,
+    mut record: impl FnMut(&str, &Json, &mut Vec<T>) -> Result<(), String>,
+) -> Result<Vec<(String, Vec<T>)>, ParseError> {
+    let mut points: Vec<(String, Vec<T>)> = Vec::new();
+    read_jsonl(src, what, schema_version, |line| match line {
+        Line::Point(key) => {
+            points.push((key, Vec::new()));
+            Ok(())
+        }
+        Line::Record(kind, fields) => match points.last_mut() {
+            Some((_, items)) => record(kind, fields, items),
+            None => Ok(()),
+        },
+    })?;
     Ok(points)
 }
 

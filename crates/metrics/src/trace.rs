@@ -23,7 +23,8 @@
 //!
 //! Two export formats share the same event model: line-oriented JSONL
 //! (schema-versioned, parsed back by
-//! [`parse_jsonl`](crate::trace::parse_jsonl)) and Chrome trace-event JSON
+//! [`parse_jsonl`](crate::trace::parse_jsonl) or streamed by
+//! [`visit_jsonl`](crate::trace::visit_jsonl)) and Chrome trace-event JSON
 //! loadable in Perfetto, with one track per chip and flow arrows from
 //! compaction/GC spans to the flash traffic they cause. The analysis of a
 //! parsed trace is report-only and lives in `xtask trace`.
@@ -31,7 +32,7 @@
 use crate::hist::LatencyHist;
 use std::io::BufRead;
 
-use crate::json::{self, esc, line, Json, ParseError, Val};
+use crate::json::{self, esc, line, Json, Line, ParseError, Val};
 
 /// Version stamp of the JSONL trace schema. Bump on any event-shape
 /// change so `xtask trace` can refuse files it does not understand.
@@ -525,9 +526,9 @@ pub fn write_chrome<K: AsRef<str>, E: AsRef<[TraceEvent]>>(points: &[(K, E)]) ->
 // JSONL parsing
 // ---------------------------------------------------------------------------
 
-/// Decodes one event line of kind `kind` onto its point's events.
-fn read_event(kind: &str, f: &Json, events: &mut Vec<TraceEvent>) -> Result<(), String> {
-    events.push(match kind {
+/// Decodes one event line of kind `kind`.
+fn read_event(kind: &str, f: &Json) -> Result<TraceEvent, String> {
+    Ok(match kind {
         "flash" => TraceEvent::FlashOp {
             op: f.required("op", Json::str)?,
             cause: f.required("cause", Json::str)?,
@@ -564,8 +565,7 @@ fn read_event(kind: &str, f: &Json, events: &mut Vec<TraceEvent>) -> Result<(), 
             },
         },
         other => return Err(format!("unknown event kind '{other}'")),
-    });
-    Ok(())
+    })
 }
 
 /// Parses a JSONL trace document produced by [`write_jsonl`] into its
@@ -576,7 +576,35 @@ fn read_event(kind: &str, f: &Json, events: &mut Vec<TraceEvent>) -> Result<(), 
 /// Returns a [`ParseError`] on malformed lines, a missing or incompatible
 /// header, or events appearing before the first point marker.
 pub fn parse_jsonl(src: impl BufRead) -> Result<Vec<(String, Vec<TraceEvent>)>, ParseError> {
-    json::parse_jsonl(src, "trace", TRACE_SCHEMA_VERSION, read_event)
+    json::parse_jsonl(src, "trace", TRACE_SCHEMA_VERSION, |kind, f, events| {
+        events.push(read_event(kind, f)?);
+        Ok(())
+    })
+}
+
+/// Streams a JSONL trace document produced by [`write_jsonl`] without
+/// keeping it: `visit` sees each point's key at its marker (with `None`),
+/// then each of its events with that key, in document order. Only one
+/// line is held at a time, so memory does not grow with the trace.
+///
+/// # Errors
+///
+/// As [`parse_jsonl`].
+pub fn visit_jsonl(
+    src: impl BufRead,
+    mut visit: impl FnMut(&str, Option<TraceEvent>),
+) -> Result<(), ParseError> {
+    let mut point = String::new();
+    json::read_jsonl(src, "trace", TRACE_SCHEMA_VERSION, |line| {
+        match line {
+            Line::Point(key) => {
+                point = key;
+                visit(&point, None);
+            }
+            Line::Record(kind, f) => visit(&point, Some(read_event(kind, f)?)),
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -1,19 +1,24 @@
 //! `cargo run -p xtask -- trace <trace.jsonl>` — the trace analyzer.
 //!
-//! Parses a JSONL trace written by `anykey-bench --trace` with
-//! [`anykey_metrics::trace::parse_jsonl`] and prints its phase-breakdown
-//! report: per-phase p50/p99/p999 latency attribution, the top-K longest
-//! flash stall windows (ops that waited for a busy chip), and per-cause
-//! chip busy/stall totals. Everything is virtual time — the report is
-//! byte-identical for any `--jobs` level the trace was captured with.
+//! Streams a JSONL trace written by `anykey-bench --trace` through
+//! [`anykey_metrics::trace::visit_jsonl`], folding each event into the
+//! report as it is read, and prints the phase-breakdown report: per-phase
+//! p50/p99/p999 latency attribution, the top-K longest flash stall windows
+//! (ops that waited for a busy chip), and per-cause chip busy/stall
+//! totals. Memory stays flat in the trace's size: only the top-K windows
+//! and the cause table keep their strings. Everything is virtual time —
+//! the report is byte-identical for any `--jobs` level the trace was
+//! captured with.
 //!
 //! Exit codes: 0 ok, 2 usage/IO/parse error.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::io::BufRead;
 
-use anykey_metrics::trace::{parse_jsonl, PhaseHists, TraceEvent, TRACE_SCHEMA_VERSION};
+use anykey_metrics::trace::{visit_jsonl, PhaseHists, TraceEvent, TRACE_SCHEMA_VERSION};
+use anykey_metrics::ParseError;
 
 fn usage() -> i32 {
     eprintln!(
@@ -49,9 +54,9 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
     let Some(path) = path else {
         return usage();
     };
-    match crate::load(path, parse_jsonl) {
-        Ok(points) => {
-            print!("{}", analyze(&points, top_k));
+    match crate::load(path, |src| analyze(src, top_k)) {
+        Ok(analysis) => {
+            print!("{analysis}");
             0
         }
         Err(e) => {
@@ -74,9 +79,10 @@ struct CauseTotal {
 }
 
 /// One of the longest flash queueing stalls in a trace. Its fields rank it
-/// in report order: longest first, then issue time, chip, document order.
+/// in report order: longest first, then issue time, chip, document order
+/// (unique, so the strings never take part).
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct StallWindow<'a> {
+struct StallWindow {
     /// Stall length (`start − issued`) in virtual ns.
     stall_ns: Reverse<u64>,
     /// Virtual ns the op was issued.
@@ -86,14 +92,14 @@ struct StallWindow<'a> {
     /// The op's place among the trace's flash ops.
     seq: u64,
     /// Cause tag of the stalled op.
-    cause: &'a str,
+    cause: String,
     /// Key of the experiment point the op belongs to.
-    point: &'a str,
+    point: String,
 }
 
-/// Summary statistics extracted from a parsed trace.
+/// Summary statistics extracted from a trace.
 #[derive(Default)]
-struct TraceAnalysis<'a> {
+struct TraceAnalysis {
     /// Number of experiment points in the trace.
     points: usize,
     /// Total flash-op events.
@@ -105,76 +111,81 @@ struct TraceAnalysis<'a> {
     /// Per-phase latency histograms over all request events.
     phases: PhaseHists,
     /// The top-K longest flash stall windows, longest first.
-    stalls: Vec<StallWindow<'a>>,
+    stalls: Vec<StallWindow>,
     /// Per-cause totals, sorted by busy time descending.
     causes: Vec<CauseTotal>,
 }
 
-/// Analyzes a parsed trace: per-phase latency distributions, the `top_k`
-/// longest flash stall windows, and per-cause interference totals.
-fn analyze(points: &[(String, Vec<TraceEvent>)], top_k: usize) -> TraceAnalysis<'_> {
-    let mut a = TraceAnalysis {
-        points: points.len(),
-        ..TraceAnalysis::default()
-    };
+/// Analyzes a JSONL trace as it streams in: per-phase latency
+/// distributions, the `top_k` longest flash stall windows, and per-cause
+/// interference totals.
+fn analyze(src: impl BufRead, top_k: usize) -> Result<TraceAnalysis, ParseError> {
+    let mut a = TraceAnalysis::default();
     // The `top_k` first stalls in report order so far, the last on top.
     let mut stalls = BinaryHeap::new();
-    for (key, events) in points {
-        for e in events {
-            match e {
-                TraceEvent::FlashOp {
-                    cause,
-                    chip,
-                    issued,
-                    start,
-                    done,
-                    ..
-                } => {
-                    a.flash_ops += 1;
-                    let busy = done.saturating_sub(*start);
-                    let stall = start.saturating_sub(*issued);
-                    match a.causes.iter_mut().find(|c| c.cause == *cause) {
-                        Some(c) => {
-                            c.ops += 1;
-                            c.busy_ns = c.busy_ns.saturating_add(busy);
-                            c.stall_ns = c.stall_ns.saturating_add(stall);
-                        }
-                        None => a.causes.push(CauseTotal {
-                            cause: cause.clone(),
-                            ops: 1,
-                            busy_ns: busy,
-                            stall_ns: stall,
-                        }),
-                    }
-                    if stall > 0 {
-                        stalls.push(StallWindow {
-                            stall_ns: Reverse(stall),
-                            issued: *issued,
-                            chip: *chip,
-                            seq: a.flash_ops,
-                            cause,
-                            point: key,
-                        });
-                        if stalls.len() > top_k {
-                            stalls.pop();
-                        }
-                    }
+    visit_jsonl(src, |point, event| match event {
+        None => a.points += 1,
+        Some(TraceEvent::FlashOp {
+            cause,
+            chip,
+            issued,
+            start,
+            done,
+            ..
+        }) => {
+            a.flash_ops += 1;
+            let busy = done.saturating_sub(start);
+            let stall = start.saturating_sub(issued);
+            match a.causes.iter_mut().find(|c| c.cause == cause) {
+                Some(c) => {
+                    c.ops += 1;
+                    c.busy_ns = c.busy_ns.saturating_add(busy);
+                    c.stall_ns = c.stall_ns.saturating_add(stall);
                 }
-                TraceEvent::Span { .. } => a.spans += 1,
-                TraceEvent::Request { phases, .. } => {
-                    a.requests += 1;
-                    a.phases.record(phases);
+                None => a.causes.push(CauseTotal {
+                    cause: cause.clone(),
+                    ops: 1,
+                    busy_ns: busy,
+                    stall_ns: stall,
+                }),
+            }
+            // Only a window that ranks into the top K copies its strings.
+            let rank = (Reverse(stall), issued, chip, a.flash_ops);
+            let ranks_in = |last: Option<&StallWindow>| last.is_some_and(|w| rank < w.rank());
+            if stall > 0 && (stalls.len() < top_k || ranks_in(stalls.peek())) {
+                stalls.push(StallWindow {
+                    stall_ns: rank.0,
+                    issued,
+                    chip,
+                    seq: rank.3,
+                    cause,
+                    point: point.to_string(),
+                });
+                if stalls.len() > top_k {
+                    stalls.pop();
                 }
             }
         }
-    }
+        Some(TraceEvent::Span { .. }) => a.spans += 1,
+        Some(TraceEvent::Request { phases, .. }) => {
+            a.requests += 1;
+            a.phases.record(&phases);
+        }
+    })?;
     a.stalls = stalls.into_sorted_vec();
     a.causes
         .sort_by(|x, y| y.busy_ns.cmp(&x.busy_ns).then(x.cause.cmp(&y.cause)));
-    a
+    Ok(a)
 }
 
-impl fmt::Display for TraceAnalysis<'_> {
+impl StallWindow {
+    /// The fields that rank the window, in ranking order.
+    fn rank(&self) -> (Reverse<u64>, u64, u32, u64) {
+        (self.stall_ns, self.issued, self.chip, self.seq)
+    }
+}
+
+impl fmt::Display for TraceAnalysis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -238,7 +249,12 @@ impl fmt::Display for TraceAnalysis<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anykey_metrics::trace::PhaseBreakdown;
+    use anykey_metrics::trace::{write_jsonl, PhaseBreakdown};
+
+    /// Analyzes `points` through their JSONL document.
+    fn analyzed(points: &[(String, Vec<TraceEvent>)], top_k: usize) -> TraceAnalysis {
+        analyze(write_jsonl(points).as_bytes(), top_k).unwrap()
+    }
 
     fn sample_points() -> Vec<(String, Vec<TraceEvent>)> {
         let events = vec![
@@ -294,7 +310,7 @@ mod tests {
     #[test]
     fn analysis_totals_and_stalls() {
         let points = sample_points();
-        let a = analyze(&points, 10);
+        let a = analyzed(&points, 10);
         assert_eq!(a.flash_ops, 2);
         assert_eq!(a.spans, 1);
         assert_eq!(a.requests, 1);
@@ -320,7 +336,7 @@ mod tests {
     #[test]
     fn top_k_truncates() {
         let points = sample_points();
-        let a = analyze(&points, 1);
+        let a = analyzed(&points, 1);
         assert_eq!(a.stalls.len(), 1);
         assert_eq!(a.stalls[0].stall_ns.0, 200);
     }
@@ -344,7 +360,7 @@ mod tests {
             ("b".to_string(), vec![op("second", 1), op("third", 1)]),
         ];
         let ranked = |k| {
-            let a = analyze(&points, k);
+            let a = analyzed(&points, k);
             a.stalls
                 .iter()
                 .map(|s| format!("{}@{}", s.cause, s.point))
