@@ -386,7 +386,8 @@ pub(crate) trait Engine {
 }
 
 /// A request in flight: how far its virtual clock has run, the flash
-/// pages read on its critical path, and where the time went.
+/// pages read on its critical path, and where the time went. The engines
+/// charge their reads to it only through `charge` and `read`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Request {
     /// Virtual time the request has reached.
@@ -435,11 +436,9 @@ impl Request {
         cause: OpCause,
         ppas: impl IntoIterator<Item = Ppa>,
     ) {
-        let (mut done, mut pages) = (self.t, 0);
-        for ppa in ppas {
-            done = done.max(flash.read(ppa, cause, self.t).done);
-            pages += 1;
-        }
+        let mut pages = 0;
+        let counted = ppas.into_iter().inspect(|_| pages += 1);
+        let done = flash.read_many(counted, cause, self.t);
         self.charge(cause, (done, pages));
     }
 
