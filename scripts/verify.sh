@@ -49,6 +49,16 @@ cargo run -q --release -p xtask -- timeline "$VERIFY_DIR/j1/timeline.jsonl" \
     > "$VERIFY_DIR/timeline-report.txt"
 cmp "$VERIFY_DIR/timeline-report.txt" results/fault_quick_timeline_report.txt
 
+echo "==> export smoke: the Chrome trace and CSV timeline writers must give"
+echo "    byte-identical files at --jobs 1 and --jobs 2 (multitenant)"
+for jobs in 1 2; do
+    cargo run -q --release -p anykey-bench -- multitenant --quick \
+        --jobs "$jobs" --out "$VERIFY_DIR/m$jobs" \
+        --trace "$VERIFY_DIR/m$jobs/t.json" --timeline "$VERIFY_DIR/m$jobs/tl.csv"
+done
+cmp "$VERIFY_DIR/m1/t.json" "$VERIFY_DIR/m2/t.json"
+cmp "$VERIFY_DIR/m1/tl.csv" "$VERIFY_DIR/m2/tl.csv"
+
 echo "==> scan smoke: fig18 at --jobs 1 and --jobs 2 must agree"
 cargo run -q --release -p anykey-bench -- fig18 --quick --jobs 1 \
     --out "$VERIFY_DIR/s1"
