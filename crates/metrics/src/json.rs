@@ -367,26 +367,19 @@ pub(crate) fn write_jsonl<T, K: AsRef<str>, I: AsRef<[T]>>(
     out
 }
 
-/// One line of a JSONL document after its header, as [`read_jsonl`]
-/// hands it on.
-pub(crate) enum Line<'a> {
-    /// A point marker, with the point's key.
-    Point(String),
-    /// A record line of the current point: its `event` kind and fields.
-    Record(&'a str, &'a Json),
-}
-
 /// Reads a JSONL document written by [`write_jsonl`] one line at a time,
 /// holding no more than that line: checks the header (whose
-/// `schema_version` must equal `schema_version`), then hands each point
-/// marker and each record line, a flat object, to `visit`.
+/// `schema_version` must equal `schema_version`), then hands `visit` each
+/// point marker's key (with `None`) and each record line of that point, a
+/// flat object, with its `event` kind.
 pub(crate) fn read_jsonl(
     mut src: impl BufRead,
     what: &str,
     schema_version: u64,
-    mut visit: impl FnMut(Line<'_>) -> Result<(), String>,
+    mut visit: impl FnMut(&str, Option<(&str, &Json)>) -> Result<(), String>,
 ) -> Result<(), ParseError> {
-    let (mut saw_header, mut saw_point) = (false, false);
+    let mut saw_header = false;
+    let mut point: Option<String> = None;
     let mut text = String::new();
     for line in 1.. {
         text.clear();
@@ -402,8 +395,8 @@ pub(crate) fn read_jsonl(
             return Err(at("expected an object of scalars".into()));
         }
         let event = fields.required("event", Json::str).map_err(at)?;
-        match (saw_header, event.as_str()) {
-            (false, "header") => {
+        match (saw_header, event.as_str(), &point) {
+            (false, "header", _) => {
                 let v: u64 = fields.required("schema_version", Json::to).map_err(at)?;
                 if v != schema_version {
                     return Err(at(format!(
@@ -412,13 +405,13 @@ pub(crate) fn read_jsonl(
                 }
                 saw_header = true;
             }
-            (false, _) => return Err(at("missing header line".into())),
-            (true, "point") => {
-                saw_point = true;
-                visit(Line::Point(fields.required("key", Json::str).map_err(at)?)).map_err(at)?
+            (false, _, _) => return Err(at("missing header line".into())),
+            (true, "point", _) => {
+                let key = point.insert(fields.required("key", Json::str).map_err(at)?);
+                visit(key, None).map_err(at)?
             }
-            (true, kind) if saw_point => visit(Line::Record(kind, &fields)).map_err(at)?,
-            (true, kind) => return Err(at(format!("{kind} before first point marker"))),
+            (true, kind, Some(key)) => visit(key, Some((kind, &fields))).map_err(at)?,
+            (true, kind, None) => return Err(at(format!("{kind} before first point marker"))),
         }
     }
     if !saw_header {
@@ -440,15 +433,13 @@ pub(crate) fn parse_jsonl<T>(
     mut record: impl FnMut(&str, &Json, &mut Vec<T>) -> Result<(), String>,
 ) -> Result<Vec<(String, Vec<T>)>, ParseError> {
     let mut points: Vec<(String, Vec<T>)> = Vec::new();
-    read_jsonl(src, what, schema_version, |line| match line {
-        Line::Point(key) => {
-            points.push((key, Vec::new()));
-            Ok(())
+    read_jsonl(src, what, schema_version, |key, line| {
+        match (line, points.last_mut()) {
+            (None, _) => points.push((key.to_string(), Vec::new())),
+            (Some((kind, fields)), Some((_, items))) => record(kind, fields, items)?,
+            (Some(_), None) => {}
         }
-        Line::Record(kind, fields) => match points.last_mut() {
-            Some((_, items)) => record(kind, fields, items),
-            None => Ok(()),
-        },
+        Ok(())
     })?;
     Ok(points)
 }

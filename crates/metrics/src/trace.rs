@@ -32,7 +32,7 @@
 use crate::hist::LatencyHist;
 use std::io::BufRead;
 
-use crate::json::{self, esc, line, Json, Line, ParseError, Val};
+use crate::json::{self, esc, line, Json, ParseError, Val};
 
 /// Version stamp of the JSONL trace schema. Bump on any event-shape
 /// change so `xtask trace` can refuse files it does not understand.
@@ -594,15 +594,11 @@ pub fn visit_jsonl(
     src: impl BufRead,
     mut visit: impl FnMut(&str, Option<TraceEvent>),
 ) -> Result<(), ParseError> {
-    let mut point = String::new();
-    json::read_jsonl(src, "trace", TRACE_SCHEMA_VERSION, |line| {
-        match line {
-            Line::Point(key) => {
-                point = key;
-                visit(&point, None);
-            }
-            Line::Record(kind, f) => visit(&point, Some(read_event(kind, f)?)),
-        }
+    json::read_jsonl(src, "trace", TRACE_SCHEMA_VERSION, |point, line| {
+        visit(
+            point,
+            line.map(|(kind, f)| read_event(kind, f)).transpose()?,
+        );
         Ok(())
     })
 }
