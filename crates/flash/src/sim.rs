@@ -276,10 +276,10 @@ impl FlashSim {
 
     /// The one path of every op, issued at `at`: a page read or program
     /// with its cause, or a block erase (no cause; `ppa.page` unused). It
-    /// takes the op sequence number, draws the op's fault when the model is
-    /// on, counts the op and its fault (a good erase completes a P/E
-    /// cycle), places the op on its cause's lane (an erase in the
-    /// background) and records its lifecycle while tracing.
+    /// takes the op sequence number, draws and counts the op's fault when
+    /// the model is on (out of the hot path), counts the op (a good erase
+    /// completes a P/E cycle), places the op on its cause's lane (an erase
+    /// in the background) and records its lifecycle while tracing.
     #[inline(always)]
     fn issue(
         &mut self,
@@ -292,7 +292,7 @@ impl FlashSim {
         let seq = self.op_seq;
         self.op_seq += 1;
         let (retries, status) = if self.cfg.fault.is_enabled() {
-            self.draw_fault(op, ppa, seq)
+            self.fault(op, cause, ppa, seq)
         } else {
             (0, FlashOpStatus::Ok)
         };
@@ -300,25 +300,19 @@ impl FlashSim {
         let (latency, lane) = match cause {
             Some(cause) if op == FlashOpKind::Read => {
                 self.counters.count_read(cause);
-                if retries > 0 {
-                    self.counters.count_retry_reads(cause, u64::from(retries));
-                }
                 let steps = u64::from(retries) * lat.read_sense(kind);
                 (lat.read(kind) + steps, cause.lane())
             }
             Some(cause) => {
                 self.counters.count_write(cause);
-                if !status.is_ok() {
-                    self.counters.count_program_fail();
-                }
                 (lat.program(kind), cause.lane())
             }
             None => {
                 self.counters.count_erase();
-                if !status.is_ok() {
-                    self.counters.count_erase_fail();
-                } else if let Some(w) = self.wear.get_mut(ppa.block.0 as usize) {
-                    *w = w.saturating_add(1);
+                if status.is_ok() {
+                    if let Some(w) = self.wear.get_mut(ppa.block.0 as usize) {
+                        *w = w.saturating_add(1);
+                    }
                 }
                 (lat.erase(), Lane::Bg)
             }
@@ -342,21 +336,30 @@ impl FlashSim {
         }
     }
 
-    /// Draws the fault of op number `seq` at its block's wear: read-retry
-    /// steps for a read, a failure for a program or an erase.
+    /// Draws and counts the fault of op number `seq` at its block's wear:
+    /// read-retry steps for a read, a failure for a program or an erase.
     #[cold]
-    fn draw_fault(&self, op: FlashOpKind, ppa: Ppa, seq: u64) -> (u32, FlashOpStatus) {
+    fn fault(
+        &mut self,
+        op: FlashOpKind,
+        cause: Option<OpCause>,
+        ppa: Ppa,
+        seq: u64,
+    ) -> (u32, FlashOpStatus) {
         let (fault, wear) = (&self.cfg.fault, self.block_wear(ppa.block));
         let (block, page) = (ppa.block.0, ppa.page);
-        match op {
-            FlashOpKind::Read => (
-                fault.read_retries(wear, block, page, seq),
-                FlashOpStatus::Ok,
-            ),
-            FlashOpKind::Program if fault.program_fails(wear, block, page, seq) => {
+        match (op, cause) {
+            (FlashOpKind::Read, Some(cause)) => {
+                let retries = fault.read_retries(wear, block, page, seq);
+                self.counters.count_retry_reads(cause, u64::from(retries));
+                (retries, FlashOpStatus::Ok)
+            }
+            (FlashOpKind::Program, _) if fault.program_fails(wear, block, page, seq) => {
+                self.counters.count_program_fail();
                 (0, FlashOpStatus::ProgramFail)
             }
-            FlashOpKind::Erase if fault.erase_fails(wear, block, seq) => {
+            (FlashOpKind::Erase, _) if fault.erase_fails(wear, block, seq) => {
+                self.counters.count_erase_fail();
                 (0, FlashOpStatus::EraseFail)
             }
             _ => (0, FlashOpStatus::Ok),
