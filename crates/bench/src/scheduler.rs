@@ -252,9 +252,9 @@ pub struct SchedulerRun {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any point's simulation (a point that cannot
-/// complete even at half keyspace panics, exactly as the serial harness
-/// did).
+/// Propagates a panic from any point's simulation: a point that cannot
+/// complete even at half keyspace panics, and so does one that fails with
+/// any error other than [`KvError::DeviceFull`].
 pub fn run_points(ctx: &ExpCtx, points: &[Point], jobs: usize) -> SchedulerRun {
     let t0 = Instant::now();
 
@@ -402,11 +402,13 @@ fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> PointResult 
     // A configuration can sit so close to a system's capacity limit that
     // updates during the measured phase fill the device (that limit is
     // itself a result — Figure 14); rather than abort the whole suite,
-    // retry with a slightly smaller keyspace.
+    // retry with a slightly smaller keyspace. Only `DeviceFull` retries:
+    // any other error is a defect and panics (`or_full`).
     for shrink in [1.0, 0.85, 0.7, 0.5] {
         let mut dev = cfg.build_engine();
         let keyspace = ((base_keyspace as f64 * shrink) as u64).max(1_000);
-        if warm_up(dev.as_mut(), spec, keyspace, ctx.scale.seed).is_err() {
+        let warm = warm_up(dev.as_mut(), spec, keyspace, ctx.scale.seed);
+        if or_full(point, warm).is_none() {
             continue;
         }
         let mut builder = OpStreamBuilder::new(spec, keyspace)
@@ -427,39 +429,51 @@ fn execute_measure(ctx: &ExpCtx, point: &Point, m: &MeasureSpec) -> PointResult 
         };
         let sample = (ctx.timeline_interval_ns > 0).then_some(&sample_cfg);
         let outcome = run_with(dev.as_mut(), ops, n, DEFAULT_QUEUE_DEPTH, ctx.trace, sample);
-        match outcome {
-            Ok((report, trace, timeline)) => {
-                let note = (shrink < 1.0).then(|| {
-                    format!(
-                        "note: {} on {} ran at {:.0}% keyspace (device-full at target fill)",
-                        point.kind,
-                        spec.name,
-                        shrink * 100.0
-                    )
-                });
-                let meta = dev.metadata();
-                let waf = waf_of(&report, &meta, spec, &cfg);
-                let (converged_waf, burnin_ns) =
-                    steady_metrics(&report, spec.pair_bytes(), u64::from(cfg.page_payload()));
-                return PointResult {
-                    report,
-                    meta,
-                    waf,
-                    wall_secs: 0.0,
-                    note,
-                    trace,
-                    timeline,
-                    converged_waf,
-                    burnin_ns,
-                };
-            }
-            Err(_) => continue,
-        }
+        let Some((report, trace, timeline)) = or_full(point, outcome) else {
+            continue;
+        };
+        let note = (shrink < 1.0).then(|| {
+            format!(
+                "note: {} on {} ran at {:.0}% keyspace (device-full at target fill)",
+                point.kind,
+                spec.name,
+                shrink * 100.0
+            )
+        });
+        let meta = dev.metadata();
+        let waf = waf_of(&report, &meta, spec, &cfg);
+        let (converged_waf, burnin_ns) =
+            steady_metrics(&report, spec.pair_bytes(), u64::from(cfg.page_payload()));
+        return PointResult {
+            report,
+            meta,
+            waf,
+            wall_secs: 0.0,
+            note,
+            trace,
+            timeline,
+            converged_waf,
+            burnin_ns,
+        };
     }
     panic!(
         "{} could not complete {} even at half keyspace",
         point.kind, spec.name
     );
+}
+
+/// A phase's value, or `None` when it stopped on [`KvError::DeviceFull`]
+/// (the caller retries at a smaller keyspace).
+///
+/// # Panics
+///
+/// Panics on any other error, naming the point and the error.
+fn or_full<T>(point: &Point, r: Result<T, KvError>) -> Option<T> {
+    match r {
+        Ok(v) => Some(v),
+        Err(KvError::DeviceFull) => None,
+        Err(e) => panic!("{} failed: {e}", point.key),
+    }
 }
 
 fn execute_warm_up(ctx: &ExpCtx, point: &Point) -> PointResult {
@@ -559,5 +573,21 @@ pub fn build_summary(ctx: &ExpCtx, points: &[Point], run: &SchedulerRun) -> RunS
         seed: ctx.scale.seed,
         total_wall_secs: run.wall_secs,
         points,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::Scale;
+
+    #[test]
+    #[should_panic(expected = "test/k1/AnyKey failed: key id")]
+    fn a_point_that_fails_with_another_error_panics_with_it() {
+        // 1-byte keys cannot hold the warm-up's ids past 255.
+        let ctx = ExpCtx::new(Scale::default().quick());
+        let spec = WorkloadSpec::synthetic("k1", 1, 32);
+        let point = Point::new("test", EngineKind::AnyKey, spec, MeasureSpec::default());
+        execute_point(&ctx, &point);
     }
 }

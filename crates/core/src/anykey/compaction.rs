@@ -111,7 +111,7 @@ impl AnyKeyStore {
         Ok(())
     }
 
-    /// Releases the pages of `groups`, erasing each block that empties;
+    /// Frees the pages of `groups`, erasing each block that empties;
     /// returns when the last erase completes (`at` if none ran).
     fn release_groups(
         &mut self,
@@ -120,17 +120,9 @@ impl AnyKeyStore {
     ) -> Result<Ns, KvError> {
         let mut done = at;
         for g in groups {
-            if self
-                .area
-                .release(g.first_ppa.block, g.content.total_pages())?
-            {
-                done = done.max(self.area.erase_empty(
-                    &mut self.group_alloc,
-                    &mut self.core.flash,
-                    g.first_ppa.block,
-                    at,
-                )?);
-            }
+            let (alloc, flash) = (&mut self.group_alloc, &mut self.core.flash);
+            let (block, pages) = (g.first_ppa.block, g.content.total_pages());
+            done = done.max(self.area.free(alloc, flash, block, pages, at)?);
         }
         Ok(done)
     }
@@ -150,7 +142,11 @@ impl AnyKeyStore {
     ) -> Result<Ns, KvError> {
         let mut done = at;
         for c in groups {
-            let (ppa, td) = self.place_group(c.total_pages(), OpCause::CompactionWrite, at)?;
+            let (alloc, flash) = (&mut self.group_alloc, &mut self.core.flash);
+            let (pages, cause) = (c.total_pages(), OpCause::CompactionWrite);
+            let (ppa, td) = self
+                .area
+                .write(alloc, flash, GROUP_STREAM, pages, cause, at)?;
             done = done.max(td);
             out.push(Group::new(c, ppa));
         }

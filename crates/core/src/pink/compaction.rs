@@ -63,7 +63,8 @@ impl PinkStore {
             .read_many(read_ppas, OpCause::CompactionRead, t_head);
         let mut t_erase = t_read;
         for ppa in freed_pages {
-            t_erase = t_erase.max(self.free_meta_page(ppa, t_read)?);
+            let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+            t_erase = t_erase.max(self.meta.free(alloc, flash, ppa.block, 1, t_read)?);
         }
 
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
@@ -96,39 +97,6 @@ impl PinkStore {
         self.close_compaction(snap, "merge", dst, at, t_place.max(t_erase), merged_count)
     }
 
-    /// Releases a meta page, erasing its block back into the pool the
-    /// data area shares once the block is empty and sealed (an erase
-    /// failure retires it instead); returns the completion time.
-    pub(crate) fn free_meta_page(&mut self, ppa: Ppa, at: Ns) -> Result<Ns, KvError> {
-        if !self.meta.release(ppa.block, 1)? {
-            return Ok(at);
-        }
-        let alloc = self.data.allocator_mut();
-        self.meta
-            .erase_empty(alloc, &mut self.core.flash, ppa.block, at)
-    }
-
-    /// Programs one freshly allocated meta page in `stream`, re-allocating
-    /// and re-issuing on a program failure (the failed page is released —
-    /// which may erase or retire its block — and a new location is drawn).
-    pub(crate) fn program_meta_page(
-        &mut self,
-        stream: usize,
-        cause: OpCause,
-        at: Ns,
-    ) -> Result<(Ppa, Ns), KvError> {
-        let mut done = at;
-        loop {
-            let ppa = self.meta.place(self.data.allocator_mut(), stream, 1)?;
-            let r = self.core.flash.program(ppa, cause, at);
-            done = done.max(r.done);
-            if r.status.is_ok() {
-                return Ok((ppa, done));
-            }
-            done = done.max(self.free_meta_page(ppa, at)?);
-        }
-    }
-
     /// Recomputes which level lists and meta segments are DRAM-resident
     /// (write buffer first, then level lists in level order, then meta
     /// segments in level order), charging flash traffic for every
@@ -157,13 +125,15 @@ impl PinkStore {
                 // Load into DRAM: read and release any flash copy.
                 for ppa in std::mem::take(&mut self.levels[li].list_pages) {
                     t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
-                    t = t.max(self.free_meta_page(ppa, at)?);
+                    let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+                    t = t.max(self.meta.free(alloc, flash, ppa.block, 1, at)?);
                 }
             } else if self.levels[li].list_pages.is_empty() {
                 let pages_needed = want.div_ceil(self.core.page_payload).max(1);
                 let mut pages = Vec::with_capacity(pages_needed as usize);
                 for _ in 0..pages_needed {
-                    let (ppa, td) = self.program_meta_page(li, cause(li), at)?;
+                    let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+                    let (ppa, td) = self.meta.write(alloc, flash, li, 1, cause(li), at)?;
                     t = t.max(td);
                     pages.push(ppa);
                 }
@@ -178,10 +148,12 @@ impl PinkStore {
                 if self.core.dram.try_claim(bytes) {
                     if let Some(ppa) = self.levels[li].segs[si].ppa.take() {
                         t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
-                        t = t.max(self.free_meta_page(ppa, at)?);
+                        let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+                        t = t.max(self.meta.free(alloc, flash, ppa.block, 1, at)?);
                     }
                 } else if self.levels[li].segs[si].ppa.is_none() {
-                    let (ppa, td) = self.program_meta_page(li, cause(li), at)?;
+                    let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+                    let (ppa, td) = self.meta.write(alloc, flash, li, 1, cause(li), at)?;
                     t = t.max(td);
                     self.levels[li].segs[si].ppa = Some(ppa);
                 }

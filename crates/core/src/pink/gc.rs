@@ -1,5 +1,6 @@
 //! PinK's garbage collection: the data- and meta-block relocation steps
-//! its `Engine::collect` hook picks between.
+//! its `Engine::collect` hook picks between. A meta block's pages move
+//! through [`PageArea::relocate`](crate::pagearea::PageArea::relocate).
 //!
 //! PinK's out-of-place updates strand dead KV pairs in the data area;
 //! reclaiming a block means reading it, re-appending its live pairs, and
@@ -77,43 +78,30 @@ impl PinkStore {
         None
     }
 
-    /// Relocates the live meta pages of a meta block and erases it.
+    /// Relocates the live meta pages of a meta block, patches their
+    /// owners and erases it.
     pub(crate) fn relocate_meta_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         let snap = self.core.span_snapshot();
-        // Owners: spilled segments and spilled level-list pages, each with
-        // the victim page it holds.
-        let mut seg_owners: Vec<(usize, usize, Ppa)> = Vec::new();
-        let mut list_owners: Vec<(usize, usize, Ppa)> = Vec::new();
-        for (li, level) in self.levels.iter().enumerate() {
-            for (si, seg) in level.segs.iter().enumerate() {
-                if let Some(p) = seg.ppa.filter(|p| p.block == victim) {
-                    seg_owners.push((li, si, p));
-                }
-            }
-            for (pi, &p) in level.list_pages.iter().enumerate() {
-                if p.block == victim {
-                    list_owners.push((li, pi, p));
-                }
-            }
+        // Owners: spilled segments, then spilled level-list pages; a copy
+        // goes to its owner's level stream.
+        let (mut owners, mut lists) = (Vec::new(), Vec::new());
+        for (li, level) in self.levels.iter_mut().enumerate() {
+            let on_victim = |p: &&mut Ppa| p.block == victim;
+            let segs = level.segs.iter_mut().filter_map(|s| s.ppa.as_mut());
+            owners.extend(segs.filter(on_victim).map(|p| (li, p)));
+            let list = level.list_pages.iter_mut().filter(on_victim);
+            lists.extend(list.map(|p| (li, p)));
         }
-        let read_ppas = seg_owners.iter().chain(&list_owners).map(|o| o.2);
-        let t_read = self.core.flash.read_many(read_ppas, OpCause::GcRead, at);
-        let mut t = t_read;
-        for (li, si, old) in seg_owners {
-            t = t.max(self.free_meta_page(old, t_read)?);
-            let (new, td) = self.program_meta_page(li, OpCause::GcWrite, t_read)?;
-            t = t.max(td);
-            self.levels[li].segs[si].ppa = Some(new);
-        }
-        for (li, pi, old) in list_owners {
-            t = t.max(self.free_meta_page(old, t_read)?);
-            let (new, td) = self.program_meta_page(li, OpCause::GcWrite, t_read)?;
-            t = t.max(td);
-            self.levels[li].list_pages[pi] = new;
-        }
-        // `free_meta_page` erased and freed the victim once its last live
-        // page was released.
-        self.core.push_span(snap, "gc", "relocate-meta", 0, at, t);
-        Ok(t)
+        owners.append(&mut lists);
+        let units: Vec<_> = owners.iter().map(|(li, p)| (*li, **p, 1)).collect();
+        let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+        let done = self
+            .meta
+            .relocate(alloc, flash, victim, &units, at, |i, ppa| {
+                *owners[i].1 = ppa
+            })?;
+        self.core
+            .push_span(snap, "gc", "relocate-meta", 0, at, done);
+        Ok(done)
     }
 }

@@ -363,16 +363,7 @@ impl Engine for PinkStore {
                 }
                 self.relocate_data_block(victim, at)
             }
-            (_, Some((victim, live))) if live > 0 => self.relocate_meta_block(victim, at),
-            (_, Some((victim, _))) => {
-                // A block emptied while it was still a stream's open block:
-                // nothing to relocate, just erase it.
-                let alloc = self.data.allocator_mut();
-                let done = self
-                    .meta
-                    .erase_empty(alloc, &mut self.core.flash, victim, at)?;
-                Ok(at.max(done))
-            }
+            (_, Some((victim, _))) => self.relocate_meta_block(victim, at),
             (_, None) => Err(KvError::DeviceFull),
         }
     }

@@ -187,12 +187,10 @@ mod tests {
         assert_eq!(valid, 0);
     }
 
-    /// Releases a meta page the way PinK does, erasing its block once it
-    /// is empty and sealed.
-    fn free_page(meta: &mut PageArea, alloc: &mut BlockAllocator, flash: &mut FlashSim, p: Ppa) {
-        if meta.release(p.block, 1).unwrap() {
-            meta.erase_empty(alloc, flash, p.block, 0).unwrap();
-        }
+    /// Writes one meta page in stream 0 the way PinK does.
+    fn write_page(meta: &mut PageArea, alloc: &mut BlockAllocator, flash: &mut FlashSim) -> Ppa {
+        let cause = OpCause::CompactionWrite;
+        meta.write(alloc, flash, 0, 1, cause, 0).unwrap().0
     }
 
     #[test]
@@ -200,14 +198,16 @@ mod tests {
         let (mut flash, mut data) = setup();
         let alloc = data.allocator_mut();
         let mut meta = PageArea::new(128, "meta area");
-        let pages: Vec<Ppa> = (0..130).map(|_| meta.place(alloc, 0, 1).unwrap()).collect();
+        let pages: Vec<Ppa> = (0..130)
+            .map(|_| write_page(&mut meta, alloc, &mut flash))
+            .collect();
         // 130 pages span two blocks.
         assert_eq!(alloc.allocated_count(), 2);
         assert_ne!(pages[0].block, pages[129].block);
         // Free the first block's pages; it should be erased.
         let freed = alloc.free_count();
         for p in &pages[..128] {
-            free_page(&mut meta, alloc, &mut flash, *p);
+            meta.free(alloc, &mut flash, p.block, 1, 0).unwrap();
         }
         assert_eq!(alloc.free_count(), freed + 1);
         assert_eq!(flash.counters().erases(), 1);
@@ -218,10 +218,10 @@ mod tests {
         let (mut flash, mut data) = setup();
         let alloc = data.allocator_mut();
         let mut meta = PageArea::new(128, "meta area");
-        let p = meta.place(alloc, 0, 1).unwrap();
-        free_page(&mut meta, alloc, &mut flash, p);
+        let p = write_page(&mut meta, alloc, &mut flash);
+        meta.free(alloc, &mut flash, p.block, 1, 0).unwrap();
         assert_eq!(
-            meta.release(p.block, 1),
+            meta.free(alloc, &mut flash, p.block, 1, 0),
             Err(KvError::LiveCountSkew {
                 block: p.block.0,
                 owner: "meta area",
@@ -232,15 +232,17 @@ mod tests {
 
     #[test]
     fn forgetting_a_live_meta_block_is_an_error() {
+        // Relocating a block without naming its live page would erase it.
         let (mut flash, mut data) = setup();
         let alloc = data.allocator_mut();
         let mut meta = PageArea::new(128, "meta area");
-        let p = meta.place(alloc, 0, 1).unwrap();
+        let p = write_page(&mut meta, alloc, &mut flash);
         assert!(matches!(
-            meta.erase_empty(alloc, &mut flash, p.block, 0),
+            meta.relocate(alloc, &mut flash, p.block, &[], 0, |_, _| {}),
             Err(KvError::LiveCountSkew { .. })
         ));
         assert_eq!(meta.units_in(p.block), 1, "the block stays tracked");
+        assert_eq!(flash.counters().erases(), 0);
     }
 
     fn entry(id: u64, key_len: u16) -> SegEntry {

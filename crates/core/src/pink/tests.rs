@@ -1,11 +1,15 @@
-//! PinK-specific unit tests: DRAM placement, level routing, and GET-path
-//! read charging.
+//! PinK-specific unit tests: DRAM placement, level routing, GET-path read
+//! charging, and meta-block GC under a full device.
 
-use anykey_flash::OpCause;
+use std::collections::BTreeMap;
+
+use anykey_flash::{BlockId, OpCause};
 use anykey_workload::Op;
 
 use crate::config::{DeviceConfig, EngineKind};
+use crate::device::Source;
 use crate::engine::KvEngine;
+use crate::error::KvError;
 use crate::pink::PinkStore;
 
 fn store() -> PinkStore {
@@ -113,4 +117,53 @@ fn an_empty_scan_reads_each_spilled_level_list_once() {
     let (ids, out) = s.scan_keys(100, 0, at);
     assert!(ids.is_empty());
     assert_eq!(out.flash_reads, spilled);
+}
+
+#[test]
+fn a_meta_relocation_that_runs_out_of_space_keeps_every_owner_counted() {
+    let mut s = store();
+    fill(&mut s, 60_000);
+    // Seal every stream, so each copy needs a fresh block, and pick a
+    // block of the deepest level that holds at least two meta pages.
+    let deep = s.levels.iter().rposition(|l| !l.is_empty()).unwrap();
+    assert!(deep > 0, "the fill must build more than one level");
+    for li in 0..s.levels.len() {
+        s.meta.seal(li);
+    }
+    let victim = s.levels[deep]
+        .segs
+        .iter()
+        .filter_map(|seg| seg.ppa)
+        .map(|p| p.block)
+        .find(|&b| s.meta.units_in(b) >= 2)
+        .expect("a meta block with two live pages");
+    let drained: Vec<BlockId> = std::iter::from_fn(|| s.data.allocator_mut().alloc()).collect();
+    let at = s.horizon();
+    assert_eq!(s.relocate_meta_block(victim, at), Err(KvError::DeviceFull));
+
+    // Every segment and list page still lies in a block that counts it.
+    let mut owners: BTreeMap<BlockId, u32> = BTreeMap::new();
+    for level in &s.levels {
+        let segs = level.segs.iter().filter_map(|seg| seg.ppa);
+        for p in segs.chain(level.list_pages.iter().copied()) {
+            *owners.entry(p.block).or_default() += 1;
+        }
+    }
+    for (&block, &n) in &owners {
+        let units = s.meta.units_in(block);
+        assert!(units >= n, "{block:?} counts {units} units for {n} owners");
+    }
+
+    // Once space is back, the next merge frees those pages cleanly.
+    for b in drained {
+        s.data.allocator_mut().free(b, 0).unwrap();
+    }
+    let r = s.merge_levels(Source::Level(deep - 1), deep, at);
+    assert!(
+        !matches!(
+            r,
+            Err(KvError::UntrackedBlock { .. } | KvError::LiveCountSkew { .. })
+        ),
+        "the merge found the meta area's books wrong: {r:?}"
+    );
 }

@@ -67,6 +67,11 @@ cargo run -q --release -p anykey-bench -- fig18 --quick --jobs 2 \
 cmp "$VERIFY_DIR/s1/fig18.csv" "$VERIFY_DIR/s2/fig18.csv"
 cmp "$VERIFY_DIR/s1/fig18_cdf.csv" "$VERIFY_DIR/s2/fig18_cdf.csv"
 
+echo "==> quick bytes: the whole sweep at --quick must match its summary baseline"
+cargo run -q --release -p anykey-bench -- all --quick --jobs 2 --out "$VERIFY_DIR/quick"
+cargo run -q --release -p xtask -- bench-diff \
+    results/baseline_quick.json "$VERIFY_DIR/quick/summary.json"
+
 echo "==> standard bytes: the whole sweep at the default scale must write"
 echo "    exactly the committed results/*.csv and match its summary baseline"
 cargo run -q --release -p anykey-bench -- all --jobs 2 --out "$VERIFY_DIR/std"

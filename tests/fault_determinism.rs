@@ -98,9 +98,9 @@ fn harsh() -> FaultModel {
 const HARSH_PINS: [(EngineKind, Fingerprint, u64, u64); 3] = [
     (
         EngineKind::Pink,
-        (7_766_233_500, 1_332, 6, 0, 0, 99),
-        12,
-        641,
+        (7_772_160_000, 1_331, 5, 0, 0, 100),
+        13,
+        640,
     ),
     (
         EngineKind::AnyKey,

@@ -402,12 +402,12 @@ fn pink_gc_spans_are_pinned() {
     let gc: Vec<(&str, u64)> = spans.gc.iter().map(|(l, n)| (l.as_str(), *n)).collect();
     assert_eq!(
         gc,
-        [("relocate-meta", 4), ("relocate-data", 111)],
+        [("relocate-meta", 16), ("relocate-data", 111)],
         "PinK: GC span counts moved"
     );
     assert_eq!(
         (spans.count, spans.digest),
-        (602, 16_399_129_192_375_310_997),
+        (614, 10_068_490_409_194_804_809),
         "PinK: background spans moved"
     );
 }
