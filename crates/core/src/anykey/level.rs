@@ -1,5 +1,6 @@
 //! LSM levels of data segment groups.
 
+use crate::anykey::entity::Entity;
 use crate::anykey::group::Group;
 use crate::audit::AuditError;
 use crate::key::Key;
@@ -47,6 +48,20 @@ impl Level {
             Some(i) => i + 1,
             None => 0,
         }
+    }
+
+    /// The level's key-sorted run from entity `from` of group `first` on,
+    /// as the `(group, base, entities)` slices the scan merge reads.
+    pub(crate) fn run(
+        &self,
+        first: usize,
+        from: usize,
+    ) -> impl Iterator<Item = (usize, usize, &[Entity])> {
+        let groups = self.groups[first..].iter().enumerate();
+        groups.map(move |(i, g)| {
+            let from = if i == 0 { from } else { 0 };
+            (first + i, from, &g.content.ents[from..])
+        })
     }
 
     /// Whether the level holds no groups.
@@ -104,7 +119,7 @@ impl Level {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::anykey::entity::{Entity, ValueLoc};
+    use crate::anykey::entity::ValueLoc;
     use crate::anykey::group::GroupContent;
     use anykey_flash::Ppa;
 

@@ -192,12 +192,7 @@ impl Engine for AnyKeyStore {
         None
     }
 
-    fn scan_levels(
-        &mut self,
-        start: Key,
-        len: u32,
-        req: &mut Request,
-    ) -> Result<Vec<u64>, KvError> {
+    fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request) -> Vec<u64> {
         // Each level's run is its groups' entity arrays from the first
         // entity ≥ `start`: groups hold disjoint, ascending key ranges, so
         // only the first group can hold keys below it. The index pages are
@@ -216,19 +211,13 @@ impl Engine for AnyKeyStore {
             .collect();
         let slices = |li: usize| {
             let (first, from) = starts[li];
-            levels[li].groups[first..]
-                .iter()
-                .enumerate()
-                .map(move |(i, g)| {
-                    let from = if i == 0 { from } else { 0 };
-                    (first + i, from, &g.content.ents[from..])
-                })
+            levels[li].run(first, from)
         };
         let plan = self.core.scan(
             start,
             len as usize,
             (0..levels.len()).map(slices),
-            |e: &Entity| (e.key, e.tombstone),
+            |e: &Entity| (e.key, e.tombstone, e.value_len),
             |li, budget, pages| {
                 let mut left = budget;
                 for (gi, from, ents) in slices(li) {
@@ -245,7 +234,7 @@ impl Engine for AnyKeyStore {
                 }
                 None
             },
-        )?;
+        );
 
         // Flash timing: directory pages first, then the data and log
         // pages of the hits.
@@ -268,7 +257,7 @@ impl Engine for AnyKeyStore {
         let log = self.core.read_set(log_ppas, OpCause::LogRead, req.t);
         req.charge(OpCause::HostRead, data);
         req.charge(OpCause::LogRead, log);
-        Ok(plan.hits.iter().map(|(k, _)| k.id()).collect())
+        plan.hits.iter().map(|(k, _)| k.id()).collect()
     }
 
     /// Secures value-log space first, then appends each buffered value to
@@ -363,6 +352,12 @@ impl Engine for AnyKeyStore {
                 as u64,
             ..self.core.metadata()
         }
+    }
+
+    fn live_bytes(&self) -> u64 {
+        let runs = self.levels.iter().map(|l| l.run(0, 0));
+        self.core
+            .live_bytes(runs, |e: &Entity| (e.key, e.tombstone, e.value_len))
     }
 
     fn sample_levels(&self, meta: &MetadataStats) -> StateSample {

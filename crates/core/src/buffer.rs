@@ -6,6 +6,7 @@
 //! version of a key always wins.
 
 use std::collections::{btree_map, BTreeMap};
+use std::ops::RangeBounds;
 
 use crate::key::Key;
 
@@ -92,10 +93,10 @@ impl WriteBuffer {
         std::mem::take(&mut self.map).into_iter()
     }
 
-    /// Buffered entries with keys in `[start, ..)`, in key order — used by
-    /// range scans to merge L0 results.
-    pub fn range_from(&self, start: Key) -> impl Iterator<Item = (&Key, &BufEntry)> {
-        self.map.range(start..)
+    /// Buffered entries with keys in `keys`, in key order — used by range
+    /// scans and the live-byte walk to merge L0 results.
+    pub fn range(&self, keys: impl RangeBounds<Key>) -> btree_map::Range<'_, Key, BufEntry> {
+        self.map.range(keys)
     }
 }
 
@@ -200,7 +201,7 @@ mod tests {
                 },
             );
         }
-        let ids: Vec<u64> = b.range_from(k(2)).map(|(key, _)| key.id()).collect();
+        let ids: Vec<u64> = b.range(k(2)..).map(|(key, _)| key.id()).collect();
         assert_eq!(ids, vec![2, 4, 8]);
     }
 }

@@ -3,17 +3,17 @@
 //! PinK and AnyKey run on the same device: one flash array, one DRAM write
 //! buffer (a double-buffered L0), and one DRAM budget. Only the metadata
 //! layout differs (paper Sections 2–4). [`DeviceCore`] owns the shared
-//! part — configuration, flash, buffer, DRAM budget, the live-bytes
-//! ledger, the flush stall, and trace-span bookkeeping — and each engine
-//! embeds it as a field, keeping only its own levels, flash areas,
-//! compaction, GC, and level walks. The request front end over both, the
-//! one `KvEngine` implementation, is in [`crate::engine`].
-//! [`DeviceCore::scan`] is the range-scan merge both engines run over
-//! their own per-level entry runs.
+//! part — configuration, flash, buffer, DRAM budget, the flush stall, and
+//! trace-span bookkeeping — and each engine embeds it as a field, keeping
+//! only its own levels, flash areas, compaction, GC, and level walks. The
+//! request front end over both, the one `KvEngine` implementation, is in
+//! [`crate::engine`]. [`DeviceCore::scan`] is the range-scan merge both
+//! engines run over their own per-level entry runs, and
+//! [`DeviceCore::live_bytes`] walks the same merge over the whole tree.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::btree_map;
+use std::iter::Peekable;
 
 use anykey_flash::{FlashGeometry, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
@@ -34,10 +34,6 @@ pub(crate) struct DeviceCore {
     pub(crate) buffer: WriteBuffer,
     pub(crate) dram: DramBudget,
     pub(crate) page_payload: u64,
-    /// Which key ids are live, and their value lengths (for unique-byte
-    /// accounting; the engines' query paths never consult this).
-    live: LiveIds,
-    live_bytes: u64,
     /// Completion time of the in-flight flush (L0 is double-buffered: a
     /// put that fills the buffer stalls only if the previous flush is
     /// still running).
@@ -101,71 +97,6 @@ impl PageMarks {
                 }
             }
         }
-    }
-}
-
-/// The live-bytes ledger's record of live key ids: one bit per id, in
-/// 64-id words keyed by `id / 64`, plus each live id's value length. The
-/// lengths cost nothing while they agree: `common` is the length of the
-/// first PUT, and only an id live at another length has an entry in
-/// `odd` (every workload uses one length, so `odd` stays empty). No map
-/// allocates before the first PUT, and nothing iterates them, so their
-/// hasher need not resist collisions.
-#[derive(Debug, Default)]
-struct LiveIds {
-    words: HashMap<u64, u64, BuildHasherDefault<IdHasher>>,
-    common: Option<u32>,
-    odd: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
-}
-
-impl LiveIds {
-    /// Marks `id` live with value length `len`, or dead with `None`;
-    /// returns its length if it was live.
-    fn set(&mut self, id: u64, len: Option<u32>) -> Option<u32> {
-        let bit = 1u64 << (id % 64);
-        let was_live = match len {
-            Some(len) => {
-                self.common.get_or_insert(len);
-                let word = self.words.entry(id / 64).or_insert(0);
-                std::mem::replace(word, *word | bit) & bit != 0
-            }
-            None => {
-                let word = self.words.get_mut(&(id / 64))?;
-                std::mem::replace(word, *word & !bit) & bit != 0
-            }
-        };
-        // A word exists only after a PUT, which set `common`.
-        let common = self.common?;
-        let old = was_live.then(|| self.odd.remove(&id).unwrap_or(common));
-        if let Some(len) = len.filter(|&len| len != common) {
-            self.odd.insert(id, len);
-        }
-        old
-    }
-}
-
-/// A multiplicative hasher for the `u64` word indices (key id / 64) of the
-/// live-bytes ledger: one multiply by 2^64 / φ, with the high half folded
-/// into the low bits the table indexes by, so indices sharing low bits
-/// still spread.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    /// Only `write_u64` runs for `u64` keys; other input folds in per byte.
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64((self.0 << 8) | u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -294,8 +225,71 @@ impl<'a, T, I: Iterator<Item = (usize, usize, &'a [T])>> Cursor<'a, T, I> {
     }
 }
 
+/// The newest-wins k-way merge under [`DeviceCore::scan`] and
+/// [`DeviceCore::live_bytes`]: write-buffer entries and one [`Cursor`] per
+/// level run (lower index = newer), read one key at a time in two steps.
+/// [`Self::next_key`] finds the smallest key at any head, and
+/// [`Self::take`] consumes every version of it, so a caller can stop
+/// between them.
+struct Merge<'a, T, I, F> {
+    buf: Peekable<btree_map::Range<'a, Key, BufEntry>>,
+    runs: Vec<Cursor<'a, T, I>>,
+    /// Reads an entry as `(key, tombstone, value_len)`.
+    entry: F,
+}
+
+impl<'a, T: 'a, I, F> Merge<'a, T, I, F>
+where
+    I: Iterator<Item = (usize, usize, &'a [T])>,
+    F: Fn(&T) -> (Key, bool, u32),
+{
+    fn new(
+        buf: btree_map::Range<'a, Key, BufEntry>,
+        runs: impl IntoIterator<Item = I>,
+        entry: F,
+    ) -> Self {
+        let runs = runs.into_iter().map(Cursor::new).collect();
+        Self {
+            buf: buf.peekable(),
+            runs,
+            entry,
+        }
+    }
+
+    /// The smallest key at the head of the buffer or of any run.
+    fn next_key(&mut self) -> Option<Key> {
+        let buf = self.buf.peek().map(|(k, _)| **k);
+        let heads = self.runs.iter().filter_map(|r| r.head());
+        heads.map(|e| (self.entry)(e).0).chain(buf).min()
+    }
+
+    /// Consumes every version of `key`, the key [`Self::next_key`] found,
+    /// and returns the newest as `(tombstone, value_len, position)`: the
+    /// buffer's (no position), else the one in the newest level.
+    fn take(&mut self, key: Key) -> Option<(bool, u32, Option<ScanPos>)> {
+        let buffered = self.buf.next_if(|(k, _)| **k == key);
+        let mut newest = buffered.map(|(_, e)| (e.tombstone, e.value_len, None));
+        for (level, run) in self.runs.iter_mut().enumerate() {
+            while let Some((k, tombstone, value_len)) = run.head().map(&self.entry) {
+                if k != key {
+                    break;
+                }
+                let (owner, index) = run.at;
+                let pos = ScanPos {
+                    level,
+                    owner,
+                    index,
+                };
+                newest.get_or_insert((tombstone, value_len, Some(pos)));
+                run.advance();
+            }
+        }
+        newest
+    }
+}
+
 impl DeviceCore {
-    /// A fresh device: empty flash, buffer, and ledger. The write buffer's
+    /// A fresh device: empty flash and buffer. The write buffer's
     /// DRAM reservation is capped at half the device DRAM.
     pub(crate) fn new(cfg: DeviceConfig) -> Self {
         Self {
@@ -306,8 +300,6 @@ impl DeviceCore {
                 cfg.write_buffer_bytes.min(cfg.dram_bytes / 2),
             ),
             page_payload: cfg.page_payload() as u64,
-            live: LiveIds::default(),
-            live_bytes: 0,
             flush_done: 0,
             spans: Vec::new(),
             span_seq: 0,
@@ -321,12 +313,11 @@ impl DeviceCore {
         Key::new(id, self.cfg.key_len)
     }
 
-    /// Buffers a PUT (or, with `tombstone`, a DELETE) and updates the
-    /// live-bytes ledger. Returns `Some(start)` when the buffer filled:
-    /// the caller must flush from `start` and record the completion in
-    /// `flush_done`. With a double-buffered L0 the put stalls only while
-    /// the previous flush is still in flight, so `start` is `at` unless
-    /// that flush ends later.
+    /// Buffers a PUT (or, with `tombstone`, a DELETE). Returns
+    /// `Some(start)` when the buffer filled: the caller must flush from
+    /// `start` and record the completion in `flush_done`. With a
+    /// double-buffered L0 the put stalls only while the previous flush is
+    /// still in flight, so `start` is `at` unless that flush ends later.
     pub(crate) fn buffer_put(
         &mut self,
         key: Key,
@@ -341,12 +332,6 @@ impl DeviceCore {
                 tombstone,
             },
         );
-        // A new id adds its key and value, an overwrite swaps the value
-        // lengths, and a tombstone of a live id takes both away.
-        let len = (!tombstone).then_some(value_len);
-        let old = self.live.set(key.id(), len);
-        let pair = |len: u32| key.len() as u64 + u64::from(len);
-        self.live_bytes = self.live_bytes + len.map_or(0, pair) - old.map_or(0, pair);
         self.buffer.is_full().then(|| at.max(self.flush_done))
     }
 
@@ -374,9 +359,9 @@ impl DeviceCore {
     /// levels of `runs` (lower index = newer).
     ///
     /// Each run is one level's entries from `start` on, as key-sorted
-    /// `(owner, base, slice)` slices (see [`Cursor`]); `entry` gives an
-    /// entry's key and whether it is a tombstone. The merge streams over
-    /// the runs and the buffer once and copies no entry.
+    /// `(owner, base, slice)` slices (see [`Cursor`]); `entry` reads an
+    /// entry as `(key, tombstone, value_len)`. The merge streams over the
+    /// runs and the buffer once and copies no entry.
     ///
     /// What a scan charges for index pages depends on a per-level budget.
     /// `walk(level, budget, pages)` pushes the index pages an engine reads
@@ -391,18 +376,18 @@ impl DeviceCore {
     /// hits found below the old one stand and the stream goes on; the
     /// index pages are those of the final budget.
     pub(crate) fn scan<'a, T: 'a, I>(
-        &self,
+        &'a self,
         start: Key,
         want: usize,
         runs: impl IntoIterator<Item = I>,
-        entry: impl Fn(&T) -> (Key, bool),
+        entry: impl Fn(&T) -> (Key, bool, u32),
         mut walk: impl FnMut(usize, usize, &mut Vec<Ppa>) -> Option<Key>,
-    ) -> Result<ScanPlan, KvError>
+    ) -> ScanPlan
     where
         I: Iterator<Item = (usize, usize, &'a [T])>,
     {
-        let mut runs: Vec<Cursor<'a, T, I>> = runs.into_iter().map(Cursor::new).collect();
-        let levels = runs.len();
+        let mut merge = Merge::new(self.buffer.range(start..), runs, entry);
+        let levels = merge.runs.len();
         let mut frontier = |budget: usize, pages: &mut Vec<Ppa>| {
             pages.clear();
             (0..levels).filter_map(|li| walk(li, budget, pages)).min()
@@ -411,15 +396,8 @@ impl DeviceCore {
         let mut index_pages: Vec<Ppa> = Vec::new();
         let mut limit = frontier(budget, &mut index_pages);
         let mut hits: Vec<(Key, Option<ScanPos>)> = Vec::with_capacity(want);
-        let mut buf = self.buffer.range_from(start).peekable();
         while hits.len() < want {
-            let next_buf = buf.peek().map(|(k, _)| **k);
-            let next = runs
-                .iter()
-                .filter_map(|r| r.head())
-                .map(|e| entry(e).0)
-                .chain(next_buf)
-                .min();
+            let next = merge.next_key();
             while let Some(l) = limit {
                 if next.is_some_and(|k| k <= l) || budget >= want * 64 {
                     break;
@@ -431,47 +409,43 @@ impl DeviceCore {
             if limit.is_some_and(|l| key > l) {
                 break;
             }
-            // The newest version: `(tombstone, position)`, with no
-            // position when the write buffer holds the value.
-            let mut newest: Option<(bool, Option<ScanPos>)> = None;
-            if next_buf == Some(key) {
-                let (_, e) = buf.next().ok_or(KvError::Internal {
-                    context: "peeked buffer entry vanished mid-scan",
-                })?;
-                newest = Some((e.tombstone, None));
-            }
-            for (level, run) in runs.iter_mut().enumerate() {
-                while let Some((k, tombstone)) = run.head().map(&entry) {
-                    if k != key {
-                        break;
-                    }
-                    let (owner, index) = run.at;
-                    newest.get_or_insert((
-                        tombstone,
-                        Some(ScanPos {
-                            level,
-                            owner,
-                            index,
-                        }),
-                    ));
-                    run.advance();
-                }
-            }
-            if let Some((false, pos)) = newest {
+            if let Some((false, _, pos)) = merge.take(key) {
                 hits.push((key, pos));
             }
         }
-        Ok(ScanPlan { index_pages, hits })
+        ScanPlan { index_pages, hits }
     }
 
-    /// The metadata fields every engine fills the same way: DRAM, live
-    /// bytes, and fault counters. Engines fill in the rest.
+    /// [`MetadataStats::live_unique_bytes`]: the key and value of each
+    /// key's newest version across the write buffer and the levels of
+    /// `runs`, tombstones excepted. Each run is one level's whole run, read
+    /// as by [`Self::scan`]; the walk allocates only its cursors.
+    pub(crate) fn live_bytes<'a, T: 'a, I>(
+        &'a self,
+        runs: impl IntoIterator<Item = I>,
+        entry: impl Fn(&T) -> (Key, bool, u32),
+    ) -> u64
+    where
+        I: Iterator<Item = (usize, usize, &'a [T])>,
+    {
+        let mut merge = Merge::new(self.buffer.range(..), runs, entry);
+        let mut bytes = 0;
+        while let Some(key) = merge.next_key() {
+            if let Some((false, len, _)) = merge.take(key) {
+                bytes += key.len() as u64 + u64::from(len);
+            }
+        }
+        bytes
+    }
+
+    /// The metadata fields every engine fills the same way: DRAM and
+    /// fault counters. Engines fill in the rest, and the front end the
+    /// live bytes.
     pub(crate) fn metadata(&self) -> MetadataStats {
         let c = self.flash.counters();
         MetadataStats {
             dram_capacity: self.dram.capacity,
             dram_used: self.dram.used(),
-            live_unique_bytes: self.live_bytes,
             retry_reads: c.total_retry_reads(),
             program_fails: c.program_fails(),
             erase_fails: c.erase_fails(),

@@ -3,13 +3,16 @@
 //! on seeded random per-level runs, plus named cases for newest-wins,
 //! budget doubling, the 64× cap, the capped-level frontier, a capped level
 //! that ends at its frontier and the empty scan, and the newest-wins
-//! two-way merge of compaction.
+//! two-way merge of compaction; the page set of [`DeviceCore::read_set`];
+//! and every engine's live-byte walk against a map model.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use anykey_workload::SplitMix64;
 
 use super::*;
+use crate::config::EngineKind;
+use crate::engine::Engine;
 
 /// A test level: key-sorted `(key, tombstone)` versions. A candidate's
 /// payload is its `(level, index)`, so a hit names the version it took.
@@ -127,7 +130,7 @@ fn two_pass_scan<P: Copy>(
                 }
             }
         }
-        for (key, be) in core.buffer.range_from(start) {
+        for (key, be) in core.buffer.range(start..) {
             if limit.is_none_or(|l| *key <= l) {
                 newest.insert(*key, (0, be.tombstone));
             }
@@ -146,7 +149,7 @@ fn two_pass_scan<P: Copy>(
         .collect();
     sorted.sort_by(|a, b| a.0.key.cmp(&b.0.key).then(a.1.cmp(&b.1)));
     let mut hits: Vec<(Key, Option<P>)> = Vec::new();
-    let mut buf_iter = core.buffer.range_from(start).peekable();
+    let mut buf_iter = core.buffer.range(start..).peekable();
     let mut i = 0;
     while hits.len() < want {
         let next_level_key = sorted.get(i).map(|(c, _)| c.key);
@@ -216,18 +219,16 @@ fn check(
         let from = level.partition_point(|&(key, _)| key < start);
         std::iter::once((0, from, &level[from..]))
     });
-    let plan = core
-        .scan(
-            start,
-            want,
-            runs,
-            |&(key, tombstone)| (key, tombstone),
-            |li, b, pages| {
-                budget = Some(b);
-                walk(levels, start, li, b, pages)
-            },
-        )
-        .unwrap();
+    let plan = core.scan(
+        start,
+        want,
+        runs,
+        |&(key, tombstone)| (key, tombstone, 0),
+        |li, b, pages| {
+            budget = Some(b);
+            walk(levels, start, li, b, pages)
+        },
+    );
     let plan = RefPlan {
         index_pages: plan.index_pages,
         hits: plan
@@ -490,18 +491,6 @@ fn compaction_merge_filters_either_runs_tail_at_the_bottom() {
 }
 
 #[test]
-fn id_hasher_spreads_ids_that_share_low_bits() {
-    use std::hash::{BuildHasher, BuildHasherDefault};
-    let build = BuildHasherDefault::<IdHasher>::default();
-    // Ids 2^20 apart agree in their low 20 bits; their hashes' low 10 bits
-    // (a 1024-bucket table's index) must still differ widely.
-    let buckets: BTreeSet<u64> = (0..256u64)
-        .map(|i| build.hash_one(i << 20) & 1023)
-        .collect();
-    assert!(buckets.len() > 200, "only {} buckets used", buckets.len());
-}
-
-#[test]
 fn page_marks_drain_each_page_once_in_page_order() {
     let geometry = core().cfg.flash.geometry;
     let mut marks = PageMarks::new(geometry);
@@ -524,62 +513,98 @@ fn page_marks_drain_each_page_once_in_page_order() {
     }
 }
 
-/// The live-bytes ledger against a `HashMap` model, checked after every
-/// op: PUTs at the first length, at a second length and at length 0,
-/// re-PUTs, tombstones of live and absent ids, and re-PUTs after a
-/// tombstone, over ids packed in one 64-id word, in adjacent words and
-/// far apart (`1 << 40`, `u64::MAX`).
+/// A 16 MiB `kind` device of 24 B keys with a 32 KiB write buffer, so
+/// that a short stream spreads its keys over the buffer and two levels.
+fn small(kind: EngineKind) -> DeviceConfig {
+    DeviceConfig::builder()
+        .capacity_bytes(16 << 20)
+        .page_size(8 << 10)
+        .pages_per_block(16)
+        .group_pages(8)
+        .engine(kind)
+        .key_len(24)
+        .write_buffer_bytes(32 << 10)
+        .build()
+}
+
+/// `live_unique_bytes` against a `BTreeMap` model on every engine,
+/// checked every 1,000 ops and at the end of a seeded stream: PUTs at 10,
+/// 200 and 0 B, overwrites, and DELETEs of live and absent ids, over
+/// dense ids and sparse ones up to `u64::MAX`. Then a 200 B fill to
+/// `DeviceFull`, where the count must equal a brute-force walk: a
+/// `HashSet` over the buffer and every level entry, newest first.
 #[test]
-fn live_bytes_follow_a_map_model() {
-    let mut core = core();
+fn live_unique_bytes_follow_a_map_model() {
+    use crate::anykey::AnyKeyStore;
+    use crate::pink::PinkStore;
+    follow_a_map_model(PinkStore::new(small(EngineKind::Pink)), |s| {
+        let entries = s.levels.iter().flat_map(|l| &l.entries);
+        entries.map(|e| (e.key, e.tombstone, e.value_len)).collect()
+    });
+    for kind in [
+        EngineKind::AnyKey,
+        EngineKind::AnyKeyPlus,
+        EngineKind::AnyKeyNoLog,
+    ] {
+        follow_a_map_model(AnyKeyStore::new(small(kind)), |s| {
+            let groups = s.levels.iter().flat_map(|l| &l.groups);
+            let ents = groups.flat_map(|g| &g.content.ents);
+            ents.map(|e| (e.key, e.tombstone, e.value_len)).collect()
+        });
+    }
+}
+
+/// The body of [`live_unique_bytes_follow_a_map_model`] for one engine;
+/// `entries` lists every level entry as `(key, tombstone, value_len)`,
+/// level by level from the top.
+fn follow_a_map_model<E: Engine>(mut dev: E, entries: impl Fn(&E) -> Vec<(Key, bool, u32)>) {
+    use crate::engine::KvEngine;
+    use std::collections::HashSet;
+    let kind = dev.kind();
+    let brute_force = |dev: &E| {
+        let buffered = dev.core().buffer.range(..);
+        let buffered = buffered.map(|(&key, e)| (key, e.tombstone, e.value_len));
+        let mut seen = HashSet::new();
+        let newest = buffered.chain(entries(dev)).filter(|v| seen.insert(v.0));
+        let live = newest.filter(|&(_, tombstone, _)| !tombstone);
+        live.map(|(key, _, len)| key.len() as u64 + u64::from(len))
+            .sum::<u64>()
+    };
     let mut rng = SplitMix64::new(0x11FE_B17E);
-    // Three adjacent 64-id words, then sparse ids.
-    let mut ids: Vec<u64> = (0..192).collect();
+    let mut ids: Vec<u64> = (0..20_000).collect();
     ids.extend([1 << 40, (1 << 40) + 1, (1 << 40) + 64, u64::MAX - 64]);
     ids.extend([u64::MAX - 1, u64::MAX]);
     ids.extend((0..16).map(|_| rng.next_u64()));
-    let mut model: HashMap<u64, u32> = HashMap::new();
-    let mut model_bytes = 0u64;
-    let key_len = u64::from(core.cfg.key_len);
-    for op in 0..24_000u32 {
+    let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+    let model_bytes = |m: &BTreeMap<u64, u32>| m.values().map(|&len| 24 + u64::from(len)).sum();
+    for op in 1..=24_500u32 {
         let id = ids[rng.next_bounded(ids.len() as u64) as usize];
-        let tombstone = op > 0 && rng.next_bounded(4) == 0;
-        // The first PUT sets the common length; a few use others.
-        let len = match rng.next_bounded(16) {
-            _ if op == 0 => 10,
-            0 => 200,
-            1 => 0,
-            _ => 10,
-        };
-        if tombstone {
-            if let Some(old) = model.remove(&id) {
-                model_bytes -= key_len + u64::from(old);
-            }
-        } else if let Some(old) = model.insert(id, len) {
-            model_bytes = model_bytes - u64::from(old) + u64::from(len);
+        if rng.next_bounded(4) == 0 {
+            dev.delete(id).expect("delete");
+            model.remove(&id);
         } else {
-            model_bytes += key_len + u64::from(len);
+            let len = [200, 0, 10, 10, 10, 10, 10, 10][rng.next_bounded(8) as usize];
+            dev.put(id, len).expect("put");
+            model.insert(id, len);
         }
-        let value_len = if tombstone { 0 } else { len };
-        core.buffer_put(k(id), value_len, tombstone, 0);
-        assert_eq!(core.live_bytes, model_bytes, "op {op}: id {id}");
+        if op % 1_000 == 0 || op == 24_500 {
+            let live = dev.metadata().live_unique_bytes;
+            assert_eq!(live, model_bytes(&model), "{kind:?} op {op}");
+        }
     }
-    assert_eq!(core.metadata().live_unique_bytes, 7_938);
-}
-
-#[test]
-fn live_ids_allocate_nothing_before_the_first_put() {
-    let mut core = core();
-    assert_eq!(core.live.words.capacity(), 0);
-    assert_eq!(core.live.odd.capacity(), 0);
-    // A tombstone of an absent id is not a PUT.
-    core.buffer_put(k(7), 0, true, 0);
-    assert_eq!(core.live.words.capacity(), 0);
-    // The first PUT allocates the words; its length becomes the common
-    // one, so the odd lengths stay unallocated until another length.
-    core.buffer_put(k(7), 10, false, 0);
-    assert!(core.live.words.capacity() > 0);
-    assert_eq!(core.live.odd.capacity(), 0);
-    core.buffer_put(k(8), 20, false, 0);
-    assert!(core.live.odd.capacity() > 0);
+    let mut id = 1 << 20;
+    loop {
+        match dev.put(id, 200) {
+            Ok(_) => id += 1,
+            Err(KvError::DeviceFull) => break,
+            Err(e) => panic!("{kind:?}: unexpected: {e}"),
+        }
+    }
+    let meta = dev.metadata();
+    assert!(meta.levels >= 2, "{kind:?}: one level");
+    assert_eq!(
+        meta.live_unique_bytes,
+        brute_force(&dev),
+        "{kind:?} at DeviceFull"
+    );
 }

@@ -7,11 +7,12 @@
 //! hooks: the level walk of a GET that missed the write buffer, the scan
 //! from a valid start key, the run a flush builds, the merge into a level,
 //! the level thresholds, the GC allocator and one collection step, the
-//! metadata and timeline snapshots, the full and boundary audits, and its
-//! per-request key-hash cost. `impl<E: Engine> KvEngine for E` does the
-//! request side once: key checking, the request CPU model, the
-//! write-buffer probe, the PUT path with its flush trigger, and the
-//! forwarders into the shared device scaffold. `Engine`'s provided methods
+//! metadata and timeline snapshots, the level runs the live-byte walk
+//! reads, the full and boundary audits, and its per-request key-hash
+//! cost. `impl<E: Engine> KvEngine for E` does the request side once: key
+//! checking, the request CPU model, the write-buffer probe, the PUT path
+//! with its flush trigger, and the forwarders into the shared device
+//! scaffold. `Engine`'s provided methods
 //! do the lifecycle once: the flush, the size-ratio cascade, the GC
 //! headroom loop, and a compaction's opening headroom and close.
 
@@ -81,7 +82,9 @@ pub struct MetadataStats {
     /// Number of LSM levels currently populated.
     pub levels: usize,
     /// Bytes of live, unique user KV data — the numerator of the Figure 14
-    /// storage-utilization metric.
+    /// storage-utilization metric: the key and value of each key's newest
+    /// version in the write buffer and the levels, tombstones excepted,
+    /// walked on each [`KvEngine::metadata`] call.
     pub live_unique_bytes: u64,
     /// Bytes of values currently parked in the value log (AnyKey).
     pub value_log_used_bytes: u64,
@@ -257,8 +260,7 @@ pub(crate) trait Engine {
     /// Scans up to `len` live keys from `start`, newest version first
     /// across the write buffer and the levels, charging its flash reads
     /// to `req`. Returns the key ids in key order.
-    fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request)
-        -> Result<Vec<u64>, KvError>;
+    fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request) -> Vec<u64>;
 
     /// Drains the write buffer from `at` into a run, writing what it points
     /// at, and merges the run into L1; returns when the merge lands.
@@ -280,8 +282,13 @@ pub(crate) trait Engine {
     /// [`KvError::DeviceFull`] when no block can be reclaimed.
     fn collect(&mut self, at: Ns) -> Result<Ns, KvError>;
 
-    /// The metadata snapshot behind [`KvEngine::metadata`].
+    /// The metadata snapshot behind [`KvEngine::metadata`], all but its
+    /// live bytes: the audits and timeline samples read it.
     fn stats(&self) -> MetadataStats;
+
+    /// [`MetadataStats::live_unique_bytes`]: [`DeviceCore::live_bytes`]
+    /// over every level's whole run.
+    fn live_bytes(&self) -> u64;
 
     /// The engine-state half of a timeline sample for the snapshot `meta`:
     /// per-level occupancy and the engine's own fields, on top of
@@ -498,7 +505,7 @@ fn put<E: Engine>(
 fn scan<E: Engine>(e: &mut E, id: u64, len: u32, at: Ns) -> Result<(Vec<u64>, OpOutcome), KvError> {
     let start = e.core().make_key(id)?;
     let mut req = Request::new(at, E::HASH_NS);
-    let ids = e.scan_levels(start, len, &mut req)?;
+    let ids = e.scan_levels(start, len, &mut req);
     let found = !ids.is_empty();
     Ok((ids, req.finish(at, found)))
 }
@@ -525,7 +532,10 @@ impl<E: Engine> KvEngine for E {
     }
 
     fn metadata(&self) -> MetadataStats {
-        self.stats()
+        MetadataStats {
+            live_unique_bytes: self.live_bytes(),
+            ..self.stats()
+        }
     }
 
     fn counters(&self) -> FlashCounters {

@@ -25,7 +25,7 @@ use crate::audit::{audit_retirement, AuditError};
 use crate::bytelog::{ByteLog, Extent};
 use crate::config::{DeviceConfig, EngineKind, LEVEL_RATIO};
 use crate::device::{DeviceCore, Source};
-use crate::engine::{Engine, KvEngine, MetadataStats, Request};
+use crate::engine::{Engine, MetadataStats, Request};
 use crate::error::KvError;
 use crate::key::Key;
 use crate::pagearea::PageArea;
@@ -237,12 +237,7 @@ impl Engine for PinkStore {
         None
     }
 
-    fn scan_levels(
-        &mut self,
-        start: Key,
-        len: u32,
-        req: &mut Request,
-    ) -> Result<Vec<u64>, KvError> {
+    fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request) -> Vec<u64> {
         // Each level's run is its entry array from the first entry ≥
         // `start`, which lies in the first segment that can hold such keys
         // (segments hold disjoint, ascending key ranges). The index pages
@@ -270,7 +265,7 @@ impl Engine for PinkStore {
             start,
             len as usize,
             runs,
-            |e: &SegEntry| (e.key, e.tombstone),
+            |e: &SegEntry| (e.key, e.tombstone, e.value_len),
             |li, budget, pages| {
                 let (level, (first, from)) = (&levels[li], starts[li]);
                 if level.is_empty() {
@@ -292,7 +287,7 @@ impl Engine for PinkStore {
                 }
                 None
             },
-        )?;
+        );
         let metas = self
             .core
             .read_set(plan.index_pages, OpCause::MetaRead, req.t);
@@ -308,7 +303,7 @@ impl Engine for PinkStore {
             .flat_map(|pos| self.levels[pos.level].entries[pos.index].ptr.pages());
         let data = self.core.read_set(data_ppas, OpCause::HostRead, req.t);
         req.charge(OpCause::HostRead, data);
-        Ok(plan.hits.iter().map(|(k, _)| k.id()).collect())
+        plan.hits.iter().map(|(k, _)| k.id()).collect()
     }
 
     /// Appends each buffered pair to the data area; the run holds its
@@ -396,6 +391,13 @@ impl Engine for PinkStore {
         }
     }
 
+    fn live_bytes(&self) -> u64 {
+        let levels = self.levels.iter();
+        let runs = levels.map(|l| std::iter::once((0, 0, &l.entries[..])));
+        self.core
+            .live_bytes(runs, |e: &SegEntry| (e.key, e.tombstone, e.value_len))
+    }
+
     fn sample_levels(&self, meta: &MetadataStats) -> StateSample {
         StateSample {
             levels: self
@@ -423,9 +425,7 @@ impl Engine for PinkStore {
         }
 
         // What `rebalance` claimed must equal what is marked resident.
-        self.core
-            .dram
-            .audit(self.metadata().dram_resident_bytes())?;
+        self.core.dram.audit(self.stats().dram_resident_bytes())?;
 
         self.data.audit_overfull("data area")?;
         self.meta.audit_overfull()?;

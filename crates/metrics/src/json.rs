@@ -482,7 +482,12 @@ mod tests {
                 pages_written: 6,
             }];
             let doc = trace::write_jsonl(&[(key.to_string(), events)]);
-            let parsed = trace::parse_jsonl(doc.as_bytes()).expect("trace");
+            let mut parsed: Vec<(String, Vec<TraceEvent>)> = Vec::new();
+            trace::visit_jsonl(doc.as_bytes(), |point, event| match event {
+                None => parsed.push((point.to_string(), Vec::new())),
+                Some(e) => parsed[0].1.push(e),
+            })
+            .expect("trace");
             assert_eq!(parsed[0].0, key);
             assert_eq!(trace::write_jsonl(&parsed), doc);
 
@@ -531,7 +536,7 @@ mod tests {
             let trace_doc = doc.replace('H', &header(TRACE_SCHEMA_VERSION));
             let timeline_doc = doc.replace('H', &header(TIMELINE_SCHEMA_VERSION));
             let errs = [
-                trace::parse_jsonl(trace_doc.replace('R', "flash").as_bytes()).map(drop),
+                trace::visit_jsonl(trace_doc.replace('R', "flash").as_bytes(), |_, _| {}),
                 timeline::parse_jsonl(timeline_doc.replace('R', "sample").as_bytes()).map(drop),
             ];
             for err in errs {

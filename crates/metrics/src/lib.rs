@@ -33,7 +33,8 @@ pub mod summary;
 /// Virtual-time state-sample timelines, exporters, parser, and the
 /// steady-state detector.
 pub mod timeline;
-/// Virtual-time trace events, phase attribution, exporters, and parser.
+/// Virtual-time trace events, phase attribution, exporters, and the
+/// streaming reader.
 pub mod trace;
 
 /// Log-bucketed latency histogram with exact quantile queries.

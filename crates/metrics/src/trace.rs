@@ -22,8 +22,7 @@
 //!   [`PhaseBreakdown`]: where, phase by phase, its latency went.
 //!
 //! Two export formats share the same event model: line-oriented JSONL
-//! (schema-versioned, parsed back by
-//! [`parse_jsonl`](crate::trace::parse_jsonl) or streamed by
+//! (schema-versioned, read back one event at a time by
 //! [`visit_jsonl`](crate::trace::visit_jsonl)) and Chrome trace-event JSON
 //! loadable in Perfetto, with one track per chip and flow arrows from
 //! compaction/GC spans to the flash traffic they cause. The analysis of a
@@ -568,20 +567,6 @@ fn read_event(kind: &str, f: &Json) -> Result<TraceEvent, String> {
     })
 }
 
-/// Parses a JSONL trace document produced by [`write_jsonl`] into its
-/// `(point key, events)` pairs, in document order.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] on malformed lines, a missing or incompatible
-/// header, or events appearing before the first point marker.
-pub fn parse_jsonl(src: impl BufRead) -> Result<Vec<(String, Vec<TraceEvent>)>, ParseError> {
-    json::parse_jsonl(src, "trace", TRACE_SCHEMA_VERSION, |kind, f, events| {
-        events.push(read_event(kind, f)?);
-        Ok(())
-    })
-}
-
 /// Streams a JSONL trace document produced by [`write_jsonl`] without
 /// keeping it: `visit` sees each point's key at its marker (with `None`),
 /// then each of its events with that key, in document order. Only one
@@ -589,7 +574,8 @@ pub fn parse_jsonl(src: impl BufRead) -> Result<Vec<(String, Vec<TraceEvent>)>, 
 ///
 /// # Errors
 ///
-/// As [`parse_jsonl`].
+/// Returns a [`ParseError`] on malformed lines, a missing or incompatible
+/// header, or events appearing before the first point marker.
 pub fn visit_jsonl(
     src: impl BufRead,
     mut visit: impl FnMut(&str, Option<TraceEvent>),
@@ -679,10 +665,24 @@ mod tests {
         assert_eq!(pb2.queue_wait, 0);
     }
 
+    /// Collects a JSONL trace through [`visit_jsonl`] into the `(point
+    /// key, events)` pairs [`write_jsonl`] takes.
+    fn collect(doc: &str) -> Vec<(String, Vec<TraceEvent>)> {
+        let mut points: Vec<(String, Vec<TraceEvent>)> = Vec::new();
+        visit_jsonl(doc.as_bytes(), |point, event| {
+            match (event, points.last_mut()) {
+                (Some(e), Some((_, events))) => events.push(e),
+                _ => points.push((point.to_string(), Vec::new())),
+            }
+        })
+        .unwrap();
+        points
+    }
+
     #[test]
     fn jsonl_roundtrips() {
         let doc = write_jsonl(&[("fig10/Zippy/AnyKey+".to_string(), sample_events())]);
-        let parsed = parse_jsonl(doc.as_bytes()).unwrap();
+        let parsed = collect(&doc);
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].0, "fig10/Zippy/AnyKey+");
         assert_eq!(parsed[0].1, sample_events());
@@ -693,7 +693,7 @@ mod tests {
     #[test]
     fn jsonl_escapes_point_keys() {
         let doc = write_jsonl(&[("we\"ird\nkey".to_string(), Vec::new())]);
-        let parsed = parse_jsonl(doc.as_bytes()).unwrap();
+        let parsed = collect(&doc);
         assert_eq!(parsed[0].0, "we\"ird\nkey");
     }
 
