@@ -28,7 +28,7 @@ use anykey_flash::Ppa;
 
 use crate::anykey::entity::Entity;
 use crate::audit::AuditError;
-use crate::key::Key;
+use crate::key::{self, Key};
 
 /// Bytes per directory entry in the group's first page(s): target page +
 /// page offset.
@@ -246,9 +246,12 @@ impl GroupContent {
             .find(|&i| self.ents[i].key == key)
     }
 
-    /// First directory index whose key is ≥ `key` (for range scans).
+    /// First directory index whose key is ≥ `key` (for range scans): an
+    /// interpolation search between the cached fences
+    /// ([`key::lower_bound`]).
     pub fn dir_lower_bound(&self, key: Key) -> usize {
-        self.ents.partition_point(|e| e.key < key)
+        let (lo, hi) = (self.smallest.id(), self.largest.id());
+        key::lower_bound(&self.ents, key, lo, hi, |e| e.key)
     }
 
     /// The DRAM footprint of this group's level-list entry

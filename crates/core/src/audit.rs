@@ -148,6 +148,14 @@ pub enum AuditError {
         /// covered to its end).
         segment: usize,
     },
+    /// A PinK meta segment's cached first key (its level-list key)
+    /// differs from the key of its first entry.
+    SegmentFence {
+        /// The level holding the segment.
+        level: usize,
+        /// The segment index within the level.
+        segment: usize,
+    },
     /// A PinK meta segment's cached byte count differs from the bytes of
     /// its entries.
     SegmentBytes {
@@ -300,6 +308,10 @@ impl fmt::Display for AuditError {
             AuditError::SegmentTiling { level, segment } => write!(
                 f,
                 "meta segment {segment} of level {level} does not tile the level's entry run"
+            ),
+            AuditError::SegmentFence { level, segment } => write!(
+                f,
+                "meta segment {segment} of level {level} has a level-list key that is not its first entry's key"
             ),
             AuditError::SegmentBytes {
                 level,
@@ -498,6 +510,20 @@ impl PinkStore {
     pub fn corrupt_segment_range_for_test(&mut self) -> bool {
         let level = self.levels.iter_mut().find(|l| l.segs.len() >= 2);
         level.map(|l| l.segs[0].end -= 1).is_some()
+    }
+
+    /// Test-only corruption hook: sets the cached first key of the first
+    /// segment holding at least two entries to its second entry's key, as
+    /// if the first entry had left without the level list noticing.
+    /// Returns whether such a segment existed.
+    #[doc(hidden)]
+    pub fn corrupt_segment_fence_for_test(&mut self) -> bool {
+        let seg = self.levels.iter_mut().find_map(|l| {
+            let s = l.segs.iter_mut().find(|s| s.end - s.start >= 2)?;
+            let second = l.entries[s.start + 1].key;
+            Some((s, second))
+        });
+        seg.map(|(s, second)| s.first = second).is_some()
     }
 
     /// Test-only corruption hook: inflates the cached byte count of the
@@ -763,6 +789,12 @@ mod tests {
             .to_string(),
             AuditError::PageStartSkew { level: 1, group: 0 }.to_string(),
             AuditError::HashListMismatch { level: 1, group: 0 }.to_string(),
+            AuditError::SegmentFence {
+                level: 1,
+                segment: 0,
+            }
+            .to_string(),
+            AuditError::FenceMismatch { level: 1, group: 0 }.to_string(),
         ];
         assert!(msgs[0].contains("key order"));
         assert!(msgs[1].contains("over budget"));
@@ -773,6 +805,8 @@ mod tests {
         assert!(msgs[6].contains("caches 9 bytes"));
         assert!(msgs[7].contains("page starts"));
         assert!(msgs[8].contains("hash list"));
+        assert!(msgs[9].contains("level-list key"));
+        assert!(msgs[10].contains("key fences"));
         for i in 0..msgs.len() {
             for j in i + 1..msgs.len() {
                 assert_ne!(msgs[i], msgs[j]);

@@ -90,6 +90,62 @@ impl Key {
     }
 }
 
+/// The index of the first of `items` whose key (`key_of`) is ≥ `key`,
+/// exactly `items.partition_point(|e| key_of(e) < key)` for key-sorted
+/// `items`, found by interpolation search.
+///
+/// `lo_id` and `hi_id` are the ids expected at index 0 and just past the
+/// last item (the next run's first key, say): the search guesses the
+/// position by linear interpolation on the id between them, gallops from
+/// the guess to a bracket and binary-searches it with full [`Key`]
+/// comparisons. Keys are hash-scrambled or permuted ids, so a lookup
+/// usually lands within a few items of the guess, and galloping bounds the
+/// worst case at about twice a binary search. With `hi_id <= lo_id` there
+/// is nothing to interpolate and the search is a plain binary search. The
+/// bounds only steer the guess: the result is exact for any of them.
+pub fn lower_bound<T>(
+    items: &[T],
+    key: Key,
+    lo_id: u64,
+    hi_id: u64,
+    key_of: impl Fn(&T) -> Key,
+) -> usize {
+    let below = |e: &T| key_of(e) < key;
+    let n = items.len();
+    // The answer lies in `lo..=hi`: every item before `lo` is below `key`,
+    // and `hi` is `n` or an item at or above it.
+    let (mut lo, mut hi) = (0, n);
+    if hi_id > lo_id && n > 0 {
+        let frac = key.id.saturating_sub(lo_id) as f64 / (hi_id - lo_id) as f64;
+        let guess = ((frac * n as f64) as usize).min(n - 1);
+        // Gallop away from the guess to a bracket.
+        let mut step = 1;
+        if below(&items[guess]) {
+            lo = guess + 1;
+            while guess + step < n {
+                let probe = guess + step;
+                if !below(&items[probe]) {
+                    hi = probe;
+                    break;
+                }
+                lo = probe + 1;
+                step *= 2;
+            }
+        } else {
+            hi = guess;
+            while let Some(probe) = guess.checked_sub(step) {
+                if below(&items[probe]) {
+                    lo = probe + 1;
+                    break;
+                }
+                hi = probe;
+                step *= 2;
+            }
+        }
+    }
+    lo + items[lo..hi].partition_point(below)
+}
+
 impl fmt::Debug for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Key({}/{}B)", self.id, self.len)
@@ -164,6 +220,80 @@ mod tests {
             Key::new(7, 16).unwrap().hash32(),
             Key::new(7, 24).unwrap().hash32()
         );
+    }
+
+    /// Checks `lower_bound` against `partition_point` for every target id
+    /// from 0 to just past the last item, at both key lengths the items
+    /// use, under the bounds `(lo_id, hi_id)`.
+    fn check_lower_bound(items: &[Key], lo_id: u64, hi_id: u64, ctx: &str) {
+        let last = items.last().map_or(0, Key::id);
+        for id in 0..=last + 3 {
+            for len in [16u16, 24] {
+                let key = Key::new(id, len).unwrap();
+                let want = items.partition_point(|k| *k < key);
+                let got = lower_bound(items, key, lo_id, hi_id, |k| *k);
+                assert_eq!(got, want, "{ctx}: target {key:?}, bounds {lo_id}..{hi_id}");
+            }
+        }
+    }
+
+    #[test]
+    fn lower_bound_matches_partition_point() {
+        let mut rng = anykey_workload::SplitMix64::new(0x10B);
+        let sorted = |mut ids: Vec<u64>| {
+            ids.sort_unstable();
+            ids.dedup();
+            ids.into_iter()
+                .map(|id| Key::new(id, 24).unwrap())
+                .collect()
+        };
+        let shapes: [(&str, Vec<Key>); 6] = [
+            ("empty", Vec::new()),
+            ("single", sorted(vec![40])),
+            ("dense", sorted((100..400).collect())),
+            (
+                "sparse",
+                sorted((0..200).map(|_| rng.next_bounded(5_000)).collect()),
+            ),
+            (
+                "clustered",
+                sorted(
+                    (0..200)
+                        .map(|i| [50, 2_000, 2_050][i % 3] + rng.next_bounded(40))
+                        .collect(),
+                ),
+            ),
+            (
+                // The adversarial case: one far item stretches the id range
+                // so every guess lands near the front.
+                "outlier",
+                sorted((0..200).map(|i| 10 + i).chain([40_000]).collect()),
+            ),
+        ];
+        for (name, items) in &shapes {
+            let first = items.first().map_or(0, Key::id);
+            let last = items.last().map_or(0, Key::id);
+            // Exact bounds, next-run bounds, targets outside both, bounds
+            // narrower and wider than the items, and no interpolation.
+            for (lo, hi) in [
+                (first, last),
+                (first, last + 1),
+                (first + 10, last.saturating_sub(10)),
+                (first.saturating_sub(30), last + 500),
+                (first, first),
+                (0, u64::MAX),
+            ] {
+                check_lower_bound(items, lo, hi, name);
+            }
+        }
+        // Equal ids with different key lengths order by length.
+        let mixed: Vec<Key> = [(5, 16), (5, 24), (6, 16), (7, 16), (7, 24), (9, 24)]
+            .iter()
+            .map(|&(id, len)| Key::new(id, len).unwrap())
+            .collect();
+        for (lo, hi) in [(5, 9), (5, 10), (5, 5), (0, 100)] {
+            check_lower_bound(&mixed, lo, hi, "mixed lengths");
+        }
     }
 
     #[test]

@@ -66,13 +66,8 @@ impl PinkStore {
     /// any.
     fn newest_ptr(&self, key: crate::key::Key) -> Option<Extent> {
         for level in &self.levels {
-            if let Some(si) = level.candidate(key) {
-                if let Some(e) = level.segs[si].find(&level.entries, key) {
-                    if e.tombstone {
-                        return None;
-                    }
-                    return Some(e.ptr);
-                }
+            if let Some(e) = level.entry_at(level.seek(key).1, key) {
+                return (!e.tombstone).then_some(e.ptr);
             }
         }
         None

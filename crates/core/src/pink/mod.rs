@@ -27,7 +27,7 @@ use crate::config::{DeviceConfig, EngineKind, LEVEL_RATIO};
 use crate::device::{DeviceCore, Source};
 use crate::engine::{Engine, MetadataStats, Request};
 use crate::error::KvError;
-use crate::key::Key;
+use crate::key::{self, Key};
 use crate::pagearea::PageArea;
 
 use segment::{SegEntry, Segment, LIST_ENTRY_OVERHEAD};
@@ -58,33 +58,43 @@ impl PinkLevel {
         }
     }
 
-    /// First key of segment `si` (its level-list key).
-    pub fn first_key(&self, si: usize) -> Key {
-        self.entries[self.segs[si].start].key
+    /// Searches the level for `key`: the level list (each segment's
+    /// cached first key) for the segment whose key range holds it, then
+    /// that segment by interpolation between its first key and the next
+    /// segment's ([`key::lower_bound`]; a plain binary search in the last
+    /// segment). Returns that segment, `None` when `key` precedes the
+    /// level, and the index in `entries` of the first entry ≥ `key`.
+    pub fn seek(&self, key: Key) -> (Option<usize>, usize) {
+        let Some(si) = self.segs.partition_point(|s| s.first <= key).checked_sub(1) else {
+            return (None, 0);
+        };
+        let seg = &self.segs[si];
+        let lo = seg.first.id();
+        let hi = self.segs.get(si + 1).map_or(lo, |s| s.first.id());
+        let at = key::lower_bound(seg.entries(&self.entries), key, lo, hi, |e| e.key);
+        (Some(si), seg.start + at)
     }
 
-    /// Segment index whose key range contains `key`.
-    pub fn candidate(&self, key: Key) -> Option<usize> {
-        let idx = self
-            .segs
-            .partition_point(|s| self.entries[s.start].key <= key);
-        idx.checked_sub(1)
+    /// Where a scan from `key` starts: the first segment holding an entry
+    /// ≥ `key` (the sought one, or the next when every key of the sought
+    /// one is below `key`) and that entry's index in `entries`.
+    pub fn scan_from(&self, key: Key) -> (usize, usize) {
+        let (seg, from) = self.seek(key);
+        let first = seg.map_or(0, |si| si + usize::from(from == self.segs[si].end));
+        (first, from)
     }
 
-    /// First segment that can contain keys ≥ `key` (scans).
-    pub fn scan_start(&self, key: Key) -> usize {
-        match self.candidate(key) {
-            Some(i) if self.entries[self.segs[i].end - 1].key >= key => i,
-            Some(i) => i + 1,
-            None => 0,
-        }
+    /// The entry at `pos`, a [`seek`](Self::seek) result, when it holds
+    /// `key`.
+    pub fn entry_at(&self, pos: usize, key: Key) -> Option<&SegEntry> {
+        self.entries.get(pos).filter(|e| e.key == key)
     }
 
     /// Bytes of this level's level list.
     pub fn list_bytes(&self) -> u64 {
         self.segs
             .iter()
-            .map(|s| self.entries[s.start].key.len() as u64 + LIST_ENTRY_OVERHEAD)
+            .map(|s| s.first.len() as u64 + LIST_ENTRY_OVERHEAD)
             .sum()
     }
 
@@ -112,8 +122,8 @@ impl PinkLevel {
     }
 
     /// Audits the level, naming it `level`: its meta segments tile the
-    /// entry run, hold disjoint ascending key ranges, cache their exact
-    /// byte counts and are each key-sorted.
+    /// entry run, cache their first keys, hold disjoint ascending key
+    /// ranges, cache their exact byte counts and are each key-sorted.
     ///
     /// # Errors
     ///
@@ -129,6 +139,13 @@ impl PinkLevel {
         if next != self.entries.len() {
             let segment = self.segs.len();
             return Err(AuditError::SegmentTiling { level, segment });
+        }
+        if let Some(segment) = self
+            .segs
+            .iter()
+            .position(|s| s.first != self.entries[s.start].key)
+        {
+            return Err(AuditError::SegmentFence { level, segment });
         }
         for (index, w) in self.segs.windows(2).enumerate() {
             if self.entries[w[0].end - 1].key >= self.entries[w[1].start].key {
@@ -209,13 +226,13 @@ impl Engine for PinkStore {
 
     fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool> {
         for li in 0..self.levels.len() {
-            let Some(si) = self.levels[li].candidate(key) else {
+            let (Some(si), pos) = self.levels[li].seek(key) else {
                 continue;
             };
             // Level-list probe: free in DRAM, one flash read when spilled.
             let list_pages = &self.levels[li].list_pages;
             if !list_pages.is_empty() {
-                let key_len = self.levels[li].first_key(si).len() as u64;
+                let key_len = self.levels[li].segs[si].first.len() as u64;
                 let per_page = self.list_entries_per_page(key_len) as usize;
                 let ppa = list_pages[(si / per_page).min(list_pages.len() - 1)];
                 req.read(&mut self.core.flash, OpCause::MetaRead, [ppa]);
@@ -225,7 +242,7 @@ impl Engine for PinkStore {
             let flash = &mut self.core.flash;
             req.read(flash, OpCause::MetaRead, self.levels[li].segs[si].ppa);
             let level = &self.levels[li];
-            if let Some(e) = level.segs[si].find(&level.entries, key) {
+            if let Some(e) = level.entry_at(pos, key) {
                 // A tombstone ends the lookup like a miss.
                 if e.tombstone {
                     return None;
@@ -239,24 +256,11 @@ impl Engine for PinkStore {
 
     fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request) -> Vec<u64> {
         // Each level's run is its entry array from the first entry ≥
-        // `start`, which lies in the first segment that can hold such keys
-        // (segments hold disjoint, ascending key ranges). The index pages
-        // are the spilled level lists and meta segments the budget walk
-        // visits.
+        // `start`; the budget walk starts at the segment holding it. The
+        // index pages are the spilled level lists and meta segments the
+        // walk visits.
         let levels = &self.levels;
-        let starts: Vec<(usize, usize)> = levels
-            .iter()
-            .map(|level| {
-                let first = level.scan_start(start);
-                let from = level.segs.get(first).map_or(level.entries.len(), |seg| {
-                    seg.start
-                        + seg
-                            .entries(&level.entries)
-                            .partition_point(|e| e.key < start)
-                });
-                (first, from)
-            })
-            .collect();
+        let starts: Vec<(usize, usize)> = levels.iter().map(|l| l.scan_from(start)).collect();
         let runs = levels
             .iter()
             .zip(&starts)

@@ -62,6 +62,10 @@ impl SegEntry {
 /// [`PinkLevel::entries`](crate::pink::PinkLevel::entries)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
+    /// The key of the segment's first entry, cached when the segment is
+    /// cut: its level-list key, which the level search compares against
+    /// without touching the run.
+    pub first: Key,
     /// Index of the segment's first entry in its level's run.
     pub start: usize,
     /// One past the segment's last entry.
@@ -84,15 +88,6 @@ impl Segment {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// Binary-searches the segment, within its level's run, for `key`.
-    pub fn find<'a>(&self, run: &'a [SegEntry], key: Key) -> Option<&'a SegEntry> {
-        let entries = self.entries(run);
-        entries
-            .binary_search_by(|e| e.key.cmp(&key))
-            .ok()
-            .map(|i| &entries[i])
-    }
 }
 
 /// Cuts a key-ordered run into page-sized segments of at most `payload`
@@ -105,6 +100,7 @@ pub fn cut_segments(run: &[SegEntry], payload: u64) -> Vec<Segment> {
         let sz = e.seg_bytes();
         if i > start && bytes + sz > payload {
             segs.push(Segment {
+                first: run[start].key,
                 start,
                 end: i,
                 bytes,
@@ -116,6 +112,7 @@ pub fn cut_segments(run: &[SegEntry], payload: u64) -> Vec<Segment> {
     }
     if start < run.len() {
         segs.push(Segment {
+            first: run[start].key,
             start,
             end: run.len(),
             bytes,
@@ -131,6 +128,7 @@ mod tests {
     use crate::bytelog::ByteLog;
     use crate::error::KvError;
     use crate::pagearea::PageArea;
+    use crate::pink::PinkLevel;
     use anykey_flash::{BlockAllocator, BlockId, FlashConfig, FlashSim, OpCause};
 
     /// A flash device and a data area built the way PinK builds it.
@@ -258,31 +256,106 @@ mod tests {
         }
     }
 
+    /// A level over `run`, cut by [`cut_segments`].
+    fn level(run: Vec<SegEntry>, payload: u64) -> PinkLevel {
+        let mut level = PinkLevel::new(0);
+        level.set_run(run, payload);
+        level
+    }
+
     #[test]
     fn segment_find_is_exact() {
         // Two segments over one run: a key is found only inside its own
         // segment's range.
         let run: Vec<SegEntry> = (0..100u64).map(|id| entry(id * 2, 16)).collect();
-        let seg = |start, end| Segment {
-            start,
-            end,
-            bytes: run[start..end].iter().map(SegEntry::seg_bytes).sum(),
-            ppa: None,
+        let l = level(run, 50 * (16 + SEG_ENTRY_OVERHEAD));
+        assert_eq!(l.segs.len(), 2);
+        let find = |id| {
+            let key = Key::new(id, 16).unwrap();
+            let (si, pos) = l.seek(key);
+            (si, l.entry_at(pos, key).map(|e| e.key.id()))
         };
-        let (lo, hi) = (seg(0, 50), seg(50, 100));
-        assert_eq!(
-            lo.find(&run, Key::new(42, 16).unwrap()).map(|e| e.key.id()),
-            Some(42)
-        );
-        assert!(lo.find(&run, Key::new(43, 16).unwrap()).is_none());
-        assert!(hi.find(&run, Key::new(42, 16).unwrap()).is_none());
-        assert_eq!(
-            hi.find(&run, Key::new(100, 16).unwrap())
-                .map(|e| e.key.id()),
-            Some(100)
-        );
-        assert_eq!(hi.entries(&run)[0].key.id(), 100);
-        assert_eq!(lo.bytes(), 50 * (16 + SEG_ENTRY_OVERHEAD));
+        assert_eq!(find(42), (Some(0), Some(42)));
+        assert_eq!(find(43), (Some(0), None));
+        assert_eq!(find(100), (Some(1), Some(100)));
+        assert_eq!(find(101), (Some(1), None));
+        assert_eq!(find(199), (Some(1), None));
+        assert_eq!(l.segs[1].first.id(), 100);
+        assert_eq!(l.segs[1].entries(&l.entries)[0].key.id(), 100);
+        assert_eq!(l.segs[0].bytes(), 50 * (16 + SEG_ENTRY_OVERHEAD));
+    }
+
+    /// Reference lookup: the level-list search over each segment's first
+    /// entry in the run, then a binary search of the candidate segment, as
+    /// levels were searched before segments cached their first keys.
+    /// Returns the candidate segment, the hit's index in the run and the
+    /// scan start (first segment that can hold keys ≥ `key`, first entry ≥
+    /// `key`).
+    fn reference_seek(l: &PinkLevel, key: Key) -> (Option<usize>, Option<usize>, (usize, usize)) {
+        let run = &l.entries;
+        let candidate = l
+            .segs
+            .partition_point(|s| run[s.start].key <= key)
+            .checked_sub(1);
+        let hit = candidate.and_then(|si| {
+            let seg = &l.segs[si];
+            let at = seg.entries(run).binary_search_by(|e| e.key.cmp(&key));
+            at.ok().map(|i| seg.start + i)
+        });
+        let first = match candidate {
+            Some(i) if run[l.segs[i].end - 1].key >= key => i,
+            Some(i) => i + 1,
+            None => 0,
+        };
+        let from = l.segs.get(first).map_or(run.len(), |seg| {
+            seg.start + seg.entries(run).partition_point(|e| e.key < key)
+        });
+        (candidate, hit, (first, from))
+    }
+
+    #[test]
+    fn seek_matches_reference_on_seeded_runs() {
+        let mut rng = anykey_workload::SplitMix64::new(0x5EE);
+        for seed in 0..16u64 {
+            let n = [0, 1, 2, 40, 3_000][seed as usize % 5] + rng.next_bounded(200) as usize;
+            let key_len = [16u16, 24, 48][seed as usize % 3];
+            let payload = [64u64, 2048, 8128][seed as usize % 3];
+            // Gaps of 1..=4 ids, with a few wide jumps between clusters.
+            let mut id = rng.next_bounded(50);
+            let run: Vec<SegEntry> = (0..n)
+                .map(|_| {
+                    id += 1 + rng.next_bounded(4);
+                    if rng.next_bounded(100) == 0 {
+                        id += 10_000;
+                    }
+                    entry(id, key_len)
+                })
+                .collect();
+            let l = level(run, payload);
+            // Present keys and their neighbours (gaps inside segments),
+            // keys around every segment's first key (gaps between
+            // segments), keys before the first and after the last, and a
+            // few random ids.
+            let last = l.entries.last().map_or(0, |e| e.key.id());
+            let mut ids = std::collections::BTreeSet::from([0, last + 1, last + 2]);
+            for e in &l.entries {
+                ids.extend(e.key.id().saturating_sub(1)..=e.key.id() + 1);
+            }
+            for s in &l.segs {
+                ids.extend(s.first.id().saturating_sub(2)..=s.first.id() + 2);
+            }
+            ids.extend((0..200).map(|_| rng.next_bounded(last + 3)));
+            for i in ids {
+                let key = Key::new(i, key_len).unwrap();
+                let ctx = format!("seed {seed}: {n} entries, payload {payload}, key {key:?}");
+                let (candidate, hit, scan) = reference_seek(&l, key);
+                let (si, pos) = l.seek(key);
+                assert_eq!(si, candidate, "{ctx}: segment");
+                let got_hit = l.entry_at(pos, key).map(|_| pos);
+                assert_eq!(got_hit, hit, "{ctx}: hit");
+                assert_eq!(l.scan_from(key), scan, "{ctx}: scan start");
+            }
+        }
     }
 
     /// Reference cut: each segment's entries copied into a `Vec` of its

@@ -251,6 +251,26 @@ fn stale_pink_segment_bytes_are_detected() {
 }
 
 #[test]
+fn stale_pink_segment_fence_is_detected() {
+    let mut s = filled_pink();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(
+        s.corrupt_segment_fence_for_test(),
+        "fill must produce a segment with at least two entries"
+    );
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(matches!(err, AuditError::SegmentFence { .. }), "got {err}");
+    assert!(
+        err.to_string().contains("level-list key"),
+        "diagnostic must name the stale first key: {err}"
+    );
+}
+
+#[test]
 fn skewed_group_page_starts_are_detected() {
     let mut s = filled_anykey();
     assert_eq!(
@@ -357,6 +377,13 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
         .expect_err("seeded")
         .to_string();
 
+    let mut seg_fence = filled_pink();
+    assert!(seg_fence.corrupt_segment_fence_for_test());
+    let seg_fence_msg = seg_fence
+        .check_invariants()
+        .expect_err("seeded")
+        .to_string();
+
     let mut starts = filled_anykey();
     assert!(starts.corrupt_page_start_for_test());
     let starts_msg = starts.check_invariants().expect_err("seeded").to_string();
@@ -374,6 +401,7 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
         fence_msg,
         tiling_msg,
         seg_bytes_msg,
+        seg_fence_msg,
         starts_msg,
         hashes_msg,
     ];

@@ -13,7 +13,10 @@
 //! and, with a parent, how many pairs the change won per metric and
 //! whether both sides simulated the same thing (`same_sim`: every seed's
 //! `sim_digest` equal; a warning is printed when not); plus the commits,
-//! `nproc`, and the median `calibration_ns` of each side.
+//! `nproc`, and the median `calibration_ns` of each side. A side's commit
+//! is its checkout's `HEAD`, marked `-dirty` when tracked files differ
+//! from it (see `commit_label`); a directory git cannot read keeps the
+//! commit the benchmark's own info line reports.
 //!
 //! `BENCHMARK.json` and each run's result line are read through the
 //! metrics crate's JSON codec ([`Json`]), and every name the record writes
@@ -172,6 +175,37 @@ fn run_once(
     read_run(&String::from_utf8_lossy(&out.stdout), &spec.metrics)
 }
 
+/// A checkout's commit label: the `HEAD` sha (`git rev-parse HEAD`
+/// output), with `-dirty` appended when `status` (`git status --porcelain
+/// --untracked-files=no` output) lists a changed tracked file.
+fn commit_label(head: &str, status: &str) -> String {
+    let sha = head.trim();
+    if status.trim().is_empty() {
+        sha.to_string()
+    } else {
+        format!("{sha}-dirty")
+    }
+}
+
+/// The [`commit_label`] of the git checkout in `dir`, or `None` when git
+/// cannot read one there.
+fn checkout_label(dir: &Path) -> Option<String> {
+    let git = |args: &[&str]| {
+        let out = Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output()
+            .ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let head = git(&["rev-parse", "HEAD"])?;
+    let status = git(&["status", "--porcelain", "--untracked-files=no"])?;
+    Some(commit_label(&head, &status))
+}
+
 /// One side's runs of every workload, `[workload][run]`.
 type Side = Vec<Vec<RunResult>>;
 
@@ -299,21 +333,26 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
     };
     let seconds = seconds.unwrap_or(spec.run_seconds);
     let here = Path::new(".").to_path_buf();
+    let here_label = checkout_label(&here);
+    let parent_label = parent.as_deref().and_then(checkout_label);
     let mut change: Side = vec![Vec::new(); spec.workloads.len()];
     let mut base: Side = vec![Vec::new(); spec.workloads.len()];
     for run in 0..runs {
         for (wi, w) in spec.workloads.iter().enumerate() {
             // Alternate which side goes first, so host drift falls on both.
-            let mut order = vec![(&here, &mut change)];
+            let mut order = vec![(&here, &here_label, &mut change)];
             if let Some(p) = &parent {
-                order.push((p, &mut base));
+                order.push((p, &parent_label, &mut base));
                 if run % 2 == 0 {
                     order.reverse();
                 }
             }
-            for (dir, side) in order {
+            for (dir, label, side) in order {
                 match run_once(&spec, dir, w, run + 1, seconds) {
-                    Ok(r) => {
+                    Ok(mut r) => {
+                        if let Some(label) = label {
+                            r.commit.clone_from(label);
+                        }
                         eprintln!(
                             "run {}/{runs} {w} in {}: {:?}",
                             run + 1,
@@ -433,6 +472,18 @@ mod tests {
         let same = |w| doc.get("workloads")?.get(w)?.get("same_sim")?.to::<bool>();
         assert_eq!(same("a"), Some(true));
         assert_eq!(same("b"), Some(false));
+    }
+
+    #[test]
+    fn labels_a_checkout_with_tracked_changes_dirty() {
+        let sha = "ae1d965732902f3d166b28a14f5c89472af24b36";
+        let head = format!("{sha}\n");
+        assert_eq!(commit_label(&head, ""), sha);
+        assert_eq!(commit_label(&head, "\n"), sha);
+        let dirty = format!("{sha}-dirty");
+        assert_eq!(commit_label(&head, " M crates/core/src/key.rs\n"), dirty);
+        assert_eq!(commit_label(&head, "D  README.md\nA  x.rs\n"), dirty);
+        assert_eq!(checkout_label(Path::new("/nonexistent/checkout")), None);
     }
 
     #[test]
