@@ -30,7 +30,7 @@ impl AnyKeyStore {
     /// with its values inlined. AnyKey+ avoids compaction chains (Section
     /// 4.7) by rewriting levels in place instead, deepest first.
     pub(crate) fn log_triggered_compaction(&mut self, at: Ns) -> Result<Ns, KvError> {
-        if self.levels.iter().all(|l| l.logged_bytes == 0) {
+        if self.levels.iter().all(|l| l.logged_bytes() == 0) {
             // The log is full but no level references it — nothing can be
             // reclaimed.
             return Err(KvError::DeviceFull);
@@ -44,7 +44,7 @@ impl AnyKeyStore {
             // is the goal of the paper's θ-capped variant.
             let goal = self.log.as_ref().map_or(0, |l| l.capacity_bytes() / 2);
             for li in (0..self.levels.len()).rev() {
-                if self.levels[li].logged_bytes > 0 {
+                if self.levels[li].logged_bytes() > 0 {
                     t = self.inline_rewrite_level(li, t)?;
                     t = self.reclaim_log(t)?;
                     // Deep levels own the oldest log blocks; stop as soon
@@ -61,7 +61,7 @@ impl AnyKeyStore {
                 .levels
                 .iter()
                 .enumerate()
-                .max_by_key(|(_, l)| l.logged_bytes)
+                .max_by_key(|(_, l)| l.logged_bytes())
                 .map_or(0, |(i, _)| i);
             // Merging the deepest level "down" would deepen the tree with a
             // whole-dataset rewrite; it is rewritten in place instead. Base
@@ -199,7 +199,6 @@ impl AnyKeyStore {
         // here would strand block tails faster than GC reclaims them.
         out.sort_by_key(|g| g.content.smallest());
         self.levels[li].groups = out;
-        self.levels[li].recount();
         self.rebalance_dram();
         self.close_compaction(snap, "inline-rewrite", li, at, t_write.max(t_erase), count)
     }
@@ -223,20 +222,20 @@ impl AnyKeyStore {
         // packing slack.
         let growth = match &src {
             Source::Flush(ents) => ents.iter().map(Entity::stored_bytes).sum(),
-            Source::Level(si) => self.levels[*si].logged_bytes,
+            Source::Level(si) => self.levels[*si].logged_bytes(),
         };
         let at = self.open_compaction(growth, at)?;
 
         // --- 1. Gather inputs and their flash pages. -------------------
         let mut read_ppas: Vec<Ppa> = Vec::new();
-        let (flushed, src_groups, src_idx) = match src {
-            Source::Flush(ents) => (ents, Vec::new(), None),
+        let (flushed, src_groups) = match src {
+            Source::Flush(ents) => (ents, Vec::new()),
             Source::Level(si) => {
                 let groups = std::mem::take(&mut self.levels[si].groups);
                 for g in &groups {
                     read_ppas.extend(g.all_ppas());
                 }
-                (Vec::new(), groups, Some(si))
+                (Vec::new(), groups)
             }
         };
         // For an in-place rewrite of the deepest level, the "lower" input
@@ -299,12 +298,8 @@ impl AnyKeyStore {
         let t_write = self.write_groups(new_contents, &mut new_groups, t_inputs)?;
         self.area.seal(GROUP_STREAM); // keep blocks single-level (Section 4.4.4)
 
-        // --- 6. Update the levels' accounting. -------------------------
+        // --- 6. Install the new groups. --------------------------------
         self.levels[dst].groups = new_groups;
-        self.levels[dst].recount();
-        if let Some(si) = src_idx {
-            self.levels[si].recount();
-        }
         self.rebalance_dram();
 
         // --- 7. CPU merge-sort cost and GC headroom. --------------------

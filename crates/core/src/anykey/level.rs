@@ -5,34 +5,16 @@ use crate::anykey::group::Group;
 use crate::audit::AuditError;
 use crate::key::Key;
 
-/// One LSM-tree level: key-range-partitioned data segment groups plus the
-/// level's size accounting.
+/// One LSM-tree level: key-range-partitioned data segment groups. Its
+/// sizes are sums of what each group cached when it was built, and its
+/// threshold follows from its index (`Engine::over_threshold`).
 #[derive(Debug, Clone, Default)]
 pub struct Level {
     /// Groups sorted by smallest key; key ranges are disjoint.
     pub groups: Vec<Group>,
-    /// Logical KV bytes in this level (keys + values, wherever values
-    /// live).
-    pub kv_bytes: u64,
-    /// Physical flash bytes the level's groups occupy — what the
-    /// tree-compaction threshold is measured against (so that log-triggered
-    /// inlining genuinely grows a level and can start a compaction chain).
-    pub phys_bytes: u64,
-    /// Bytes of this level's values that are parked in the value log.
-    pub logged_bytes: u64,
-    /// Size threshold that triggers tree compaction out of this level.
-    pub threshold: u64,
 }
 
 impl Level {
-    /// An empty level with the given compaction threshold.
-    pub fn new(threshold: u64) -> Self {
-        Self {
-            threshold,
-            ..Self::default()
-        }
-    }
-
     /// Index of the group whose key range (`[smallest_i, smallest_{i+1})`)
     /// contains `key` — what the DRAM level-list search yields. `None` when
     /// the key precedes the first group (or the level is empty).
@@ -41,12 +23,16 @@ impl Level {
         idx.checked_sub(1)
     }
 
-    /// Index of the first group that can contain keys ≥ `key` (for scans).
-    pub fn scan_start(&self, key: Key) -> usize {
+    /// Where a scan from `key` starts: the first group that can hold keys
+    /// ≥ `key` (the candidate, or the next when every key of the candidate
+    /// is below `key`) and the index of its first entity ≥ `key`.
+    pub fn scan_from(&self, key: Key) -> (usize, usize) {
         match self.candidate(key) {
-            Some(i) if self.groups[i].content.largest() >= key => i,
-            Some(i) => i + 1,
-            None => 0,
+            Some(i) if self.groups[i].content.largest() >= key => {
+                (i, self.groups[i].content.dir_lower_bound(key))
+            }
+            Some(i) => (i + 1, 0),
+            None => (0, 0),
         }
     }
 
@@ -69,23 +55,22 @@ impl Level {
         self.groups.is_empty()
     }
 
-    /// Whether the level has outgrown its threshold.
-    pub fn over_threshold(&self) -> bool {
-        self.phys_bytes > self.threshold
+    /// Logical KV bytes in this level (keys + values, wherever values
+    /// live).
+    pub fn kv_bytes(&self) -> u64 {
+        self.groups.iter().map(|g| g.content.kv_bytes).sum()
     }
 
-    /// Recomputes size accounting from the groups (after compaction
-    /// replaces them).
-    pub fn recount(&mut self) {
-        self.kv_bytes = self.groups.iter().map(|g| g.content.kv_bytes).sum();
-        self.phys_bytes = self.groups.iter().map(|g| g.content.phys_bytes).sum();
-        self.logged_bytes = self.groups.iter().map(|g| g.content.logged_bytes).sum();
-        debug_assert!(
-            self.groups
-                .windows(2)
-                .all(|w| w[0].content.largest() < w[1].content.smallest()),
-            "level groups must be disjoint and sorted"
-        );
+    /// Physical flash bytes the level's groups occupy — what the
+    /// tree-compaction threshold is measured against (so that log-triggered
+    /// inlining genuinely grows a level and can start a compaction chain).
+    pub fn phys_bytes(&self) -> u64 {
+        self.groups.iter().map(|g| g.content.phys_bytes).sum()
+    }
+
+    /// Bytes of this level's values that are parked in the value log.
+    pub fn logged_bytes(&self) -> u64 {
+        self.groups.iter().map(|g| g.content.logged_bytes).sum()
     }
 
     /// Total level-list bytes this level contributes to DRAM.
@@ -123,7 +108,7 @@ mod tests {
     use crate::anykey::group::GroupContent;
     use anykey_flash::Ppa;
 
-    fn group(ids: std::ops::Range<u64>) -> Group {
+    fn group(ids: impl Iterator<Item = u64>) -> Group {
         let ents: Vec<Entity> = ids
             .map(|id| {
                 let key = Key::new(id, 16).unwrap();
@@ -140,10 +125,9 @@ mod tests {
     }
 
     fn level() -> Level {
-        let mut l = Level::new(1 << 20);
-        l.groups = vec![group(10..20), group(30..40), group(50..60)];
-        l.recount();
-        l
+        Level {
+            groups: vec![group(10..20), group(30..40), group(50..60)],
+        }
     }
 
     fn k(id: u64) -> Key {
@@ -162,20 +146,30 @@ mod tests {
 
     #[test]
     fn scan_start_skips_exhausted_groups() {
-        let l = level();
-        assert_eq!(l.scan_start(k(5)), 0);
-        assert_eq!(l.scan_start(k(15)), 0);
-        assert_eq!(l.scan_start(k(25)), 1); // past group 0's largest (19)
-        assert_eq!(l.scan_start(k(59)), 2);
-        assert_eq!(l.scan_start(k(99)), 3); // past everything
+        // Even ids only: 10..=28 and 40..=58.
+        let l = Level {
+            groups: vec![group((10..30).step_by(2)), group((40..60).step_by(2))],
+        };
+        assert_eq!(l.scan_from(k(5)), (0, 0)); // before everything
+        assert_eq!(l.scan_from(k(10)), (0, 0));
+        assert_eq!(l.scan_from(k(15)), (0, 3)); // a miss inside group 0
+        assert_eq!(l.scan_from(k(16)), (0, 3));
+        assert_eq!(l.scan_from(k(29)), (1, 0)); // between the groups
+        assert_eq!(l.scan_from(k(35)), (1, 0));
+        assert_eq!(l.scan_from(k(41)), (1, 1)); // a miss inside group 1
+        assert_eq!(l.scan_from(k(58)), (1, 9));
+        assert_eq!(l.scan_from(k(59)), (2, 0)); // past everything
     }
 
     #[test]
-    fn recount_sums_groups() {
+    fn sizes_are_sums_over_groups() {
         let l = level();
-        assert_eq!(l.kv_bytes, 30 * (16 + 10));
-        assert_eq!(l.logged_bytes, 0);
-        assert!(!l.over_threshold());
+        assert_eq!(l.kv_bytes(), 30 * (16 + 10));
+        assert_eq!(l.logged_bytes(), 0);
+        let phys: u64 = l.groups.iter().map(|g| g.content.phys_bytes).sum();
+        assert_eq!(l.phys_bytes(), phys);
+        assert!(phys > 0);
+        assert_eq!(Level::default().phys_bytes(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use anykey_metrics::timeline::{LevelSample, StateSample};
 
 use crate::audit::{audit_retirement, AuditError};
 use crate::bytelog::ByteLog;
-use crate::config::{DeviceConfig, EngineKind, HASH_NS, LEVEL_RATIO};
+use crate::config::{DeviceConfig, EngineKind, HASH_NS};
 use crate::device::{DeviceCore, Source};
 use crate::engine::{Engine, MetadataStats, Request};
 use crate::error::KvError;
@@ -77,7 +77,7 @@ impl AnyKeyStore {
             )
         });
         Self {
-            levels: vec![Level::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
+            levels: vec![Level::default()],
             area: PageArea::new(geometry.pages_per_block, "group area"),
             group_alloc: BlockAllocator::new(0..(total_blocks - log_blocks)),
             log,
@@ -198,17 +198,7 @@ impl Engine for AnyKeyStore {
         // only the first group can hold keys below it. The index pages are
         // the group directory pages the budget walk visits (Section 4.4.5).
         let (levels, page_payload) = (&self.levels, self.core.page_payload);
-        let starts: Vec<(usize, usize)> = levels
-            .iter()
-            .map(|level| {
-                let first = level.scan_start(start);
-                let from = level
-                    .groups
-                    .get(first)
-                    .map_or(0, |g| g.content.dir_lower_bound(start));
-                (first, from)
-            })
-            .collect();
+        let starts: Vec<(usize, usize)> = levels.iter().map(|l| l.scan_from(start)).collect();
         let slices = |li: usize| {
             let (first, from) = starts[li];
             levels[li].run(first, from)
@@ -305,12 +295,13 @@ impl Engine for AnyKeyStore {
         self.compact(Source::Level(i), i + 1, InlinePolicy::Keep, at)
     }
 
-    fn over_threshold(&self, i: usize) -> Option<bool> {
-        self.levels.get(i).map(Level::over_threshold)
+    /// Physical bytes: log-triggered inlining grows a level.
+    fn level_bytes(&self, i: usize) -> Option<u64> {
+        self.levels.get(i).map(Level::phys_bytes)
     }
 
-    fn push_level(&mut self, threshold: u64) {
-        self.levels.push(Level::new(threshold));
+    fn push_level(&mut self) {
+        self.levels.push(Level::default());
     }
 
     fn gc_alloc(&self) -> &BlockAllocator {
@@ -374,8 +365,8 @@ impl Engine for AnyKeyStore {
                 .map(|(i, l)| LevelSample {
                     level: i as u32,
                     entries: l.groups.len() as u64,
-                    kv_bytes: l.kv_bytes,
-                    phys_bytes: l.phys_bytes,
+                    kv_bytes: l.kv_bytes(),
+                    phys_bytes: l.phys_bytes(),
                     meta_bytes: l.meta_bytes(),
                 })
                 .collect(),
@@ -409,7 +400,7 @@ impl Engine for AnyKeyStore {
         // Value-log live-byte conservation.
         if let Some(log) = &self.log {
             log.audit_overfull("value log")?;
-            let referenced: u64 = self.levels.iter().map(|l| l.logged_bytes).sum();
+            let referenced: u64 = self.levels.iter().map(Level::logged_bytes).sum();
             if log.valid_bytes() != referenced {
                 return Err(AuditError::LogBytesMismatch {
                     log: log.valid_bytes(),

@@ -83,7 +83,7 @@ fn new_values_enter_the_log_and_inline_over_time() {
     fill(&mut s, 30_000);
     let log = s.value_log().expect("AnyKey+ has a log");
     assert!(log.valid_bytes() > 0, "fresh values must be in the log");
-    let logged: u64 = s.levels.iter().map(|l| l.logged_bytes).sum();
+    let logged: u64 = s.levels.iter().map(|l| l.logged_bytes()).sum();
     assert_eq!(
         logged,
         log.valid_bytes(),
@@ -93,10 +93,10 @@ fn new_values_enter_the_log_and_inline_over_time() {
     // compactions swept it).
     let deep = s.levels.iter().rev().find(|l| !l.is_empty()).unwrap();
     assert!(
-        deep.logged_bytes < deep.kv_bytes,
+        deep.logged_bytes() < deep.kv_bytes(),
         "log-triggered sweeps must have inlined part of the deep level (logged {} of {})",
-        deep.logged_bytes,
-        deep.kv_bytes
+        deep.logged_bytes(),
+        deep.kv_bytes()
     );
 }
 
@@ -148,13 +148,13 @@ fn plus_log_compaction_frees_half_the_log_or_inlines_every_level() {
         id += 1;
         assert!(id < 200_000, "the log never filled past half");
     }
-    assert!(s.levels.iter().any(|l| l.logged_bytes > 0));
+    assert!(s.levels.iter().any(|l| l.logged_bytes() > 0));
     let at = s.horizon();
     s.log_triggered_compaction(at).unwrap();
     let log = s.value_log().expect("AnyKey+ has a log");
     assert!(
         log.free_bytes() >= log.capacity_bytes() / 2
-            || s.levels.iter().all(|l| l.logged_bytes == 0),
+            || s.levels.iter().all(|l| l.logged_bytes() == 0),
         "log {} of {} bytes free with logged levels left",
         log.free_bytes(),
         log.capacity_bytes()

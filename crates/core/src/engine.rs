@@ -6,7 +6,7 @@
 //! metadata layout, so each supplies only the crate-private `Engine`
 //! hooks: the level walk of a GET that missed the write buffer, the scan
 //! from a valid start key, the run a flush builds, the merge into a level,
-//! the level thresholds, the GC allocator and one collection step, the
+//! the level sizes, the GC allocator and one collection step, the
 //! metadata and timeline snapshots, the level runs the live-byte walk
 //! reads, the full and boundary audits, and its per-request key-hash
 //! cost. `impl<E: Engine> KvEngine for E` does the request side once: key
@@ -269,11 +269,12 @@ pub(crate) trait Engine {
     /// Merges level `i` into level `i + 1` from `at`; returns when it lands.
     fn merge_down(&mut self, i: usize, at: Ns) -> Result<Ns, KvError>;
 
-    /// Whether level `i` is over its threshold; `None` past the deepest level.
-    fn over_threshold(&self, i: usize) -> Option<bool>;
+    /// The size of level `i` that its threshold is measured against;
+    /// `None` past the deepest level.
+    fn level_bytes(&self, i: usize) -> Option<u64>;
 
-    /// Appends an empty deepest level with compaction threshold `threshold`.
-    fn push_level(&mut self, threshold: u64);
+    /// Appends an empty deepest level.
+    fn push_level(&mut self);
 
     /// The block allocator whose free blocks GC keeps above the reserve.
     fn gc_alloc(&self) -> &BlockAllocator;
@@ -325,9 +326,15 @@ pub(crate) trait Engine {
         Ok(t_ack)
     }
 
+    /// Whether level `i` is over its threshold, the write buffer times
+    /// `LEVEL_RATIO^(i+1)`; `None` past the deepest level.
+    fn over_threshold(&self, i: usize) -> Option<bool> {
+        let threshold = self.core().cfg.write_buffer_bytes * LEVEL_RATIO.pow(i as u32 + 1);
+        self.level_bytes(i).map(|bytes| bytes > threshold)
+    }
+
     /// Cascades tree compactions from `at` while a level is over its
-    /// threshold, adding a deepest level when the last one overflows; level
-    /// `i`'s threshold is the write buffer times `LEVEL_RATIO^(i+1)`.
+    /// threshold, adding a deepest level when the last one overflows.
     fn maintain(&mut self, at: Ns) -> Result<Ns, KvError> {
         let (mut t, mut i) = (at, 0);
         while let Some(over) = self.over_threshold(i) {
@@ -335,9 +342,8 @@ pub(crate) trait Engine {
                 i += 1;
                 continue;
             }
-            if self.over_threshold(i + 1).is_none() {
-                let buffer = self.core().cfg.write_buffer_bytes;
-                self.push_level(buffer * LEVEL_RATIO.pow(i as u32 + 2));
+            if self.level_bytes(i + 1).is_none() {
+                self.push_level();
             }
             t = self.merge_down(i, t)?;
         }
@@ -655,15 +661,25 @@ mod tests {
         }
     }
 
-    /// The size-ratio policy: level `i`'s threshold is the write buffer
-    /// times `LEVEL_RATIO^(i+1)`, no level is over its threshold once the
-    /// cascade settles, and the metadata snapshot counts exactly the
-    /// non-empty levels.
+    /// The size-ratio policy: once the cascade settles, every level's
+    /// size (physical bytes for AnyKey, logical for PinK) is at most the
+    /// write buffer times `LEVEL_RATIO^(i+1)` and `over_threshold` agrees;
+    /// PinK's cached level size is the sum over its entries; and the
+    /// metadata snapshot counts exactly the non-empty levels.
     #[test]
     fn cascade_keeps_every_level_within_its_ratio_threshold() {
         use crate::anykey::AnyKeyStore;
         use crate::config::LEVEL_RATIO;
+        use crate::pink::segment::SegEntry;
         use crate::pink::PinkStore;
+        /// (size, over threshold, empty) per level, past-the-end probe.
+        fn shape<E: Engine>(dev: &E, sizes: Vec<(u64, bool)>) -> Vec<(u64, Option<bool>, bool)> {
+            assert_eq!(dev.over_threshold(sizes.len()), None);
+            let sizes = sizes.into_iter().enumerate();
+            sizes
+                .map(|(i, (b, e))| (b, dev.over_threshold(i), e))
+                .collect()
+        }
         let kinds = [
             EngineKind::Pink,
             EngineKind::AnyKey,
@@ -673,19 +689,20 @@ mod tests {
         for kind in kinds {
             let cfg = cascaded(kind);
             let buffer = cfg.write_buffer_bytes;
-            // (threshold, over threshold, empty) per level.
-            let (levels, meta): (Vec<(u64, bool, bool)>, _) = if kind == EngineKind::Pink {
+            let (levels, meta) = if kind == EngineKind::Pink {
                 let mut dev = PinkStore::new(cfg);
                 put_stream(&mut dev);
-                let l = dev.levels.iter();
-                let l = l.map(|l| (l.threshold, l.over_threshold(), l.is_empty()));
-                (l.collect(), dev.metadata())
+                for (i, l) in dev.levels.iter().enumerate() {
+                    let sum: u64 = l.entries.iter().map(SegEntry::kv_bytes).sum();
+                    assert_eq!(l.kv_bytes, sum, "PinK: level {i} cached kv_bytes");
+                }
+                let l = dev.levels.iter().map(|l| (l.kv_bytes, l.is_empty()));
+                (shape(&dev, l.collect()), dev.metadata())
             } else {
                 let mut dev = AnyKeyStore::new(cfg);
                 put_stream(&mut dev);
-                let l = dev.levels.iter();
-                let l = l.map(|l| (l.threshold, l.over_threshold(), l.is_empty()));
-                (l.collect(), dev.metadata())
+                let l = dev.levels.iter().map(|l| (l.phys_bytes(), l.is_empty()));
+                (shape(&dev, l.collect()), dev.metadata())
             };
             let populated = levels.iter().filter(|l| !l.2).count();
             assert!(
@@ -694,10 +711,13 @@ mod tests {
                 levels.len()
             );
             assert_eq!(meta.levels, populated, "{kind:?}: metadata level count");
-            for (i, &(threshold, over, _)) in levels.iter().enumerate() {
-                let want = buffer * LEVEL_RATIO.pow(i as u32 + 1);
-                assert_eq!(threshold, want, "{kind:?}: level {i} threshold");
-                assert!(!over, "{kind:?}: level {i} over its threshold at rest");
+            for (i, &(bytes, over, _)) in levels.iter().enumerate() {
+                let threshold = buffer * LEVEL_RATIO.pow(i as u32 + 1);
+                assert!(
+                    bytes <= threshold,
+                    "{kind:?}: level {i} holds {bytes} B over its threshold {threshold} B at rest"
+                );
+                assert_eq!(over, Some(false), "{kind:?}: level {i} over its threshold");
             }
         }
     }

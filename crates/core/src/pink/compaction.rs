@@ -39,23 +39,26 @@ impl PinkStore {
         // --- 1. Take inputs; read and free their spilled meta pages. ----
         let mut read_ppas: Vec<Ppa> = Vec::new();
         let mut freed_pages: Vec<Ppa> = Vec::new();
-        let (upper, src_idx, lower) = {
+        let (upper, lower) = {
             let mut take_level = |level: &mut PinkLevel| -> Vec<SegEntry> {
-                for ppa in std::mem::take(&mut level.segs)
-                    .into_iter()
-                    .flat_map(|s| s.ppa)
-                {
+                let PinkLevel {
+                    entries,
+                    segs,
+                    list_pages,
+                    ..
+                } = std::mem::take(level);
+                for ppa in segs.into_iter().flat_map(|s| s.ppa) {
                     read_ppas.push(ppa);
                     freed_pages.push(ppa);
                 }
-                freed_pages.append(&mut level.list_pages);
-                std::mem::take(&mut level.entries)
+                freed_pages.extend(list_pages);
+                entries
             };
-            let (upper, src_idx) = match src {
-                Source::Level(si) => (take_level(&mut self.levels[si]), Some(si)),
-                Source::Flush(ents) => (ents, None),
+            let upper = match src {
+                Source::Level(si) => take_level(&mut self.levels[si]),
+                Source::Flush(ents) => ents,
             };
-            (upper, src_idx, take_level(&mut self.levels[dst]))
+            (upper, take_level(&mut self.levels[dst]))
         };
         let t_read = self
             .core
@@ -87,9 +90,6 @@ impl PinkStore {
         // --- 3. Cut the merged run into page-sized segments. ------------
         let merged_count = merged.len() as u64;
         self.levels[dst].set_run(merged, self.core.page_payload);
-        if let Some(si) = src_idx {
-            self.levels[si].recount();
-        }
 
         // --- 4. Re-plan DRAM placement (charging spills/loads). ---------
         let t_place = self.rebalance(dst, t_read)?;
@@ -124,16 +124,13 @@ impl PinkStore {
             if want == 0 || self.core.dram.try_claim(want) {
                 // Load into DRAM: read and release any flash copy.
                 for ppa in std::mem::take(&mut self.levels[li].list_pages) {
-                    t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
-                    let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
-                    t = t.max(self.meta.free(alloc, flash, ppa.block, 1, at)?);
+                    t = t.max(self.load_page(ppa, at)?);
                 }
             } else if self.levels[li].list_pages.is_empty() {
                 let pages_needed = want.div_ceil(self.core.page_payload).max(1);
                 let mut pages = Vec::with_capacity(pages_needed as usize);
                 for _ in 0..pages_needed {
-                    let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
-                    let (ppa, td) = self.meta.write(alloc, flash, li, 1, cause(li), at)?;
+                    let (ppa, td) = self.spill_page(li, cause(li), at)?;
                     t = t.max(td);
                     pages.push(ppa);
                 }
@@ -147,18 +144,30 @@ impl PinkStore {
                 let bytes = self.levels[li].segs[si].bytes();
                 if self.core.dram.try_claim(bytes) {
                     if let Some(ppa) = self.levels[li].segs[si].ppa.take() {
-                        t = t.max(self.core.flash.read(ppa, OpCause::MetaRead, at).done);
-                        let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
-                        t = t.max(self.meta.free(alloc, flash, ppa.block, 1, at)?);
+                        t = t.max(self.load_page(ppa, at)?);
                     }
                 } else if self.levels[li].segs[si].ppa.is_none() {
-                    let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
-                    let (ppa, td) = self.meta.write(alloc, flash, li, 1, cause(li), at)?;
+                    let (ppa, td) = self.spill_page(li, cause(li), at)?;
                     t = t.max(td);
                     self.levels[li].segs[si].ppa = Some(ppa);
                 }
             }
         }
         Ok(t)
+    }
+
+    /// Loads one spilled page back into DRAM from `at`: reads its flash
+    /// copy, then frees the page. Returns when both are done.
+    fn load_page(&mut self, ppa: Ppa, at: Ns) -> Result<Ns, KvError> {
+        let read = self.core.flash.read(ppa, OpCause::MetaRead, at).done;
+        let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+        Ok(read.max(self.meta.free(alloc, flash, ppa.block, 1, at)?))
+    }
+
+    /// Spills one page of level `li` from `at`: programs a page in the
+    /// level's stream. Returns the page and when its program is done.
+    fn spill_page(&mut self, li: usize, cause: OpCause, at: Ns) -> Result<(Ppa, Ns), KvError> {
+        let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+        self.meta.write(alloc, flash, li, 1, cause, at)
     }
 }

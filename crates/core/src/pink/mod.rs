@@ -23,7 +23,7 @@ use anykey_metrics::timeline::{LevelSample, StateSample};
 
 use crate::audit::{audit_retirement, AuditError};
 use crate::bytelog::{ByteLog, Extent};
-use crate::config::{DeviceConfig, EngineKind, LEVEL_RATIO};
+use crate::config::{DeviceConfig, EngineKind};
 use crate::device::{DeviceCore, Source};
 use crate::engine::{Engine, MetadataStats, Request};
 use crate::error::KvError;
@@ -33,31 +33,23 @@ use crate::pagearea::PageArea;
 use segment::{SegEntry, Segment, LIST_ENTRY_OVERHEAD};
 
 /// One PinK LSM level: one key-ordered entry run, the meta segments that
-/// slice it, and its level list's placement.
+/// slice it, and its level list's placement. Its threshold follows from
+/// its index (`Engine::over_threshold`).
 #[derive(Debug, Clone, Default)]
 pub struct PinkLevel {
     /// The level's entries, strictly key-ordered.
     pub entries: Vec<SegEntry>,
     /// Page-sized meta segments tiling `entries` in order.
     pub segs: Vec<Segment>,
-    /// Logical KV bytes referenced by this level.
+    /// Logical KV bytes referenced by this level, the sum over `entries`
+    /// that [`set_run`](Self::set_run) caches.
     pub kv_bytes: u64,
-    /// Tree-compaction threshold.
-    pub threshold: u64,
     /// Flash pages of the spilled level list; empty exactly when the list
     /// is DRAM-resident.
     pub list_pages: Vec<Ppa>,
 }
 
 impl PinkLevel {
-    /// An empty level with the given threshold.
-    pub fn new(threshold: u64) -> Self {
-        Self {
-            threshold,
-            ..Self::default()
-        }
-    }
-
     /// Searches the level for `key`: the level list (each segment's
     /// cached first key) for the segment whose key range holds it, then
     /// that segment by interpolation between its first key and the next
@@ -99,26 +91,16 @@ impl PinkLevel {
     }
 
     /// Replaces the level's run and cuts it into unplaced segments of at
-    /// most `payload` bytes; recomputes the logical size.
+    /// most `payload` bytes; caches the logical size.
     pub fn set_run(&mut self, entries: Vec<SegEntry>, payload: u64) {
         self.segs = segment::cut_segments(&entries, payload);
+        self.kv_bytes = entries.iter().map(SegEntry::kv_bytes).sum();
         self.entries = entries;
-        self.recount();
-    }
-
-    /// Recomputes logical size.
-    pub fn recount(&mut self) {
-        self.kv_bytes = self.entries.iter().map(SegEntry::kv_bytes).sum();
     }
 
     /// Whether the level holds no segments.
     pub fn is_empty(&self) -> bool {
         self.segs.is_empty()
-    }
-
-    /// Whether the level outgrew its threshold.
-    pub fn over_threshold(&self) -> bool {
-        self.kv_bytes > self.threshold
     }
 
     /// Audits the level, naming it `level`: its meta segments tile the
@@ -196,7 +178,7 @@ impl PinkStore {
         let core = DeviceCore::new(cfg);
         let geometry = core.cfg.flash.geometry;
         Self {
-            levels: vec![PinkLevel::new(core.cfg.write_buffer_bytes * LEVEL_RATIO)],
+            levels: vec![PinkLevel::default()],
             meta: PageArea::new(geometry.pages_per_block, "meta area"),
             data: ByteLog::new(
                 BlockAllocator::new(0..geometry.blocks()),
@@ -336,12 +318,13 @@ impl Engine for PinkStore {
         self.merge_levels(Source::Level(i), i + 1, at)
     }
 
-    fn over_threshold(&self, i: usize) -> Option<bool> {
-        self.levels.get(i).map(PinkLevel::over_threshold)
+    /// Logical KV bytes of the pairs the level indexes.
+    fn level_bytes(&self, i: usize) -> Option<u64> {
+        self.levels.get(i).map(|l| l.kv_bytes)
     }
 
-    fn push_level(&mut self, threshold: u64) {
-        self.levels.push(PinkLevel::new(threshold));
+    fn push_level(&mut self) {
+        self.levels.push(PinkLevel::default());
     }
 
     fn gc_alloc(&self) -> &BlockAllocator {

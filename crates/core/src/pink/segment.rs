@@ -258,7 +258,7 @@ mod tests {
 
     /// A level over `run`, cut by [`cut_segments`].
     fn level(run: Vec<SegEntry>, payload: u64) -> PinkLevel {
-        let mut level = PinkLevel::new(0);
+        let mut level = PinkLevel::default();
         level.set_run(run, payload);
         level
     }

@@ -12,7 +12,9 @@
 //! metric's values with their median and quartiles, the failed-op ratio,
 //! and, with a parent, how many pairs the change won per metric and
 //! whether both sides simulated the same thing (`same_sim`: every seed's
-//! `sim_digest` equal; a warning is printed when not); plus the commits,
+//! `sim_digest` equal; a warning is printed when not), and which metrics
+//! the parent's own spread leaves unresolved (`unresolved`: interquartile
+//! range over [`UNRESOLVED_IQR`] of the median; one warning each); plus the commits,
 //! `nproc`, and the median `calibration_ns` of each side. A side's commit
 //! is its checkout's `HEAD`, marked `-dirty` when tracked files differ
 //! from it (see `commit_label`); a directory git cannot read keeps the
@@ -123,6 +125,26 @@ fn read_run(stdout: &str, metrics: &[(String, bool)]) -> Result<RunResult, Strin
             .unwrap_or(0.0),
         sim_digest: scan_field(info, "sim_digest").map(str::to_string),
     })
+}
+
+/// The share of its median a metric's interquartile range on the parent
+/// side may reach before a median shift of that size is called unresolved.
+const UNRESOLVED_IQR: f64 = 0.10;
+
+/// The end-to-end metrics the `parent` runs of one workload cannot
+/// resolve: those whose interquartile range exceeds [`UNRESOLVED_IQR`] of
+/// their median, in spec order.
+fn unresolved<'a>(spec: &'a Spec, parent: &[RunResult]) -> Vec<&'a str> {
+    let spread = |mi: usize| {
+        let xs: Vec<f64> = parent.iter().map(|r| r.metrics[mi]).collect();
+        let iqr = quantile(&xs, 0.75) - quantile(&xs, 0.25);
+        iqr > UNRESOLVED_IQR * quantile(&xs, 0.5).abs()
+    };
+    let names = spec.metrics.iter().enumerate();
+    names
+        .filter(|&(mi, _)| spread(mi))
+        .map(|(_, (name, _))| name.as_str())
+        .collect()
 }
 
 /// Whether two sides' runs of one workload simulated the same work: every
@@ -292,6 +314,9 @@ fn render(n: u32, spec: &Spec, seconds: f64, sides: &[(&str, &Side)]) -> String 
             }
             let same = same_sim(&change[wi], &parent[wi]);
             let _ = write!(out, "}},\n      \"same_sim\": {same}");
+            let names = unresolved(spec, &parent[wi]);
+            let names: Vec<String> = names.iter().map(|n| format!("\"{}\"", esc(n))).collect();
+            let _ = write!(out, ",\n      \"unresolved\": [{}]", names.join(", "));
         }
         out.push_str("\n    }");
     }
@@ -375,6 +400,9 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
         for (wi, w) in spec.workloads.iter().enumerate() {
             if !same_sim(&change[wi], &base[wi]) {
                 eprintln!("xtask bench-record: warning: {w} simulated different work (sim_digest differs from the parent's)");
+            }
+            for name in unresolved(&spec, &base[wi]) {
+                eprintln!("xtask bench-record: warning: {w} {name} is unresolved (the parent's interquartile range exceeds {:.0} % of its median)", UNRESOLVED_IQR * 100.0);
             }
         }
     }
@@ -520,6 +548,46 @@ mod tests {
             at(&["workloads", "a", "change", "ops", "median"]),
             Some(2.0)
         );
+    }
+
+    #[test]
+    fn names_metrics_the_parent_spread_leaves_unresolved() {
+        let s = read_spec(SPEC).unwrap();
+        let run = |ops, rss| RunResult {
+            metrics: vec![ops, rss],
+            failed_ratio: 0.0,
+            commit: "c".into(),
+            calibration_ns: 1.0,
+            sim_digest: Some("d".into()),
+        };
+        // `ops` is tight (IQR 1 of median 100); `rss` is wide (IQR 7.5 of
+        // median 12.5). Workload `b` is tight on both.
+        let parent: Side = vec![
+            vec![
+                run(99.0, 5.0),
+                run(100.0, 10.0),
+                run(100.0, 15.0),
+                run(101.0, 20.0),
+            ],
+            vec![run(100.0, 10.0); 4],
+        ];
+        let change: Side = vec![vec![run(100.0, 10.0); 4]; 2];
+        assert_eq!(unresolved(&s, &parent[0]), ["rss"]);
+        assert!(unresolved(&s, &parent[1]).is_empty());
+        // The change side's spread does not count.
+        assert!(unresolved(&s, &change[0]).is_empty());
+        let doc = render(7, &s, 25.0, &[("change", &change), ("parent", &parent)]);
+        let doc = Json::read(&doc).unwrap();
+        let names = |w| {
+            let list = doc.get("workloads")?.get(w)?.get("unresolved")?.items();
+            list.iter().map(Json::str).collect::<Option<Vec<_>>>()
+        };
+        assert_eq!(names("a"), Some(vec!["rss".to_string()]));
+        assert_eq!(names("b"), Some(vec![]));
+        // Without a parent there is nothing to resolve against.
+        let alone = Json::read(&render(7, &s, 25.0, &[("change", &change)])).unwrap();
+        let a = alone.get("workloads").and_then(|w| w.get("a")).unwrap();
+        assert!(a.get("unresolved").is_none());
     }
 
     #[test]
