@@ -522,16 +522,20 @@ mod tests {
         assert_eq!(quantile(&[7.0], 0.75), 7.0);
     }
 
-    #[test]
-    fn renders_pairs_with_wins_in_the_better_direction() {
-        let s = read_spec(SPEC).unwrap();
-        let run = |ops, rss| RunResult {
+    /// A run of commit `c`, digest `d`, with metrics `ops` and `rss`.
+    fn run(ops: f64, rss: f64) -> RunResult {
+        RunResult {
             metrics: vec![ops, rss],
             failed_ratio: 0.0,
             commit: "c".into(),
             calibration_ns: 1.0,
             sim_digest: Some("d".into()),
-        };
+        }
+    }
+
+    #[test]
+    fn renders_pairs_with_wins_in_the_better_direction() {
+        let s = read_spec(SPEC).unwrap();
         let change: Side = vec![vec![run(2.0, 1.0), run(2.0, 5.0)], vec![run(1.0, 1.0); 2]];
         let parent: Side = vec![vec![run(1.0, 2.0), run(3.0, 2.0)], vec![run(1.0, 1.0); 2]];
         let doc = render(7, &s, 25.0, &[("change", &change), ("parent", &parent)]);
@@ -553,13 +557,6 @@ mod tests {
     #[test]
     fn names_metrics_the_parent_spread_leaves_unresolved() {
         let s = read_spec(SPEC).unwrap();
-        let run = |ops, rss| RunResult {
-            metrics: vec![ops, rss],
-            failed_ratio: 0.0,
-            commit: "c".into(),
-            calibration_ns: 1.0,
-            sim_digest: Some("d".into()),
-        };
         // `ops` is tight (IQR 1 of median 100); `rss` is wide (IQR 7.5 of
         // median 12.5). Workload `b` is tight on both.
         let parent: Side = vec![
