@@ -91,7 +91,7 @@ impl AnyKeyStore {
 
     /// Marks the value of a logged entity dead in the value log.
     fn drop_logged(&mut self, e: &Entity) -> Result<(), KvError> {
-        let ValueLoc::Logged(ptr) = e.loc else {
+        let ValueLoc::Logged(ptr) = e.loc() else {
             return Ok(());
         };
         let log = self.log.as_mut().ok_or(KvError::Internal {
@@ -106,7 +106,7 @@ impl AnyKeyStore {
     fn inline_values(&mut self, ents: &mut [Entity]) -> Result<(), KvError> {
         for e in ents {
             self.drop_logged(e)?;
-            e.loc = ValueLoc::Inline;
+            e.set_loc(ValueLoc::Inline);
         }
         Ok(())
     }
@@ -129,7 +129,8 @@ impl AnyKeyStore {
 
     /// A packer cutting groups of at most `group_pages` pages.
     fn packer(&self) -> GroupPacker {
-        GroupPacker::new(self.core.page_payload, self.core.cfg.group_pages.max(2))
+        let cfg = &self.core.cfg;
+        GroupPacker::new(self.core.page_payload, cfg.group_pages.max(2), cfg.key_len)
     }
 
     /// Places and programs the packed `groups`, appending them to `out`;
@@ -221,7 +222,10 @@ impl AnyKeyStore {
         // transient headroom need is modest: room for inlined values plus
         // packing slack.
         let growth = match &src {
-            Source::Flush(ents) => ents.iter().map(Entity::stored_bytes).sum(),
+            Source::Flush(ents) => {
+                let key_len = self.core.cfg.key_len;
+                ents.iter().map(|e| e.stored_bytes(key_len)).sum()
+            }
             Source::Level(si) => self.levels[*si].logged_bytes(),
         };
         let at = self.open_compaction(growth, at)?;
@@ -264,13 +268,13 @@ impl AnyKeyStore {
             &upper,
             &entity_runs(&dst_groups),
             is_bottom,
-            |e| (e.key, e.tombstone),
+            |e| (e.id, e.tombstone),
             |dead| self.drop_logged(dead),
             |mut e| {
-                if let (InlinePolicy::InlineAll, ValueLoc::Logged(ptr)) = (policy, e.loc) {
+                if let (InlinePolicy::InlineAll, ValueLoc::Logged(ptr)) = (policy, e.loc()) {
                     log_read_ppas.extend(ptr.pages());
                     inlined.push(e);
-                    e.loc = ValueLoc::Inline;
+                    e.set_loc(ValueLoc::Inline);
                 }
                 packer.push(e);
             },
@@ -311,7 +315,7 @@ impl AnyKeyStore {
 /// The value-log pages holding the logged values among `ents`.
 fn log_pages(ents: &[Entity]) -> impl Iterator<Item = Ppa> + '_ {
     ents.iter()
-        .filter_map(|e| match e.loc {
+        .filter_map(|e| match e.loc() {
             ValueLoc::Logged(ptr) => Some(ptr.pages()),
             ValueLoc::Inline => None,
         })

@@ -28,7 +28,7 @@ use anykey_flash::Ppa;
 
 use crate::anykey::entity::Entity;
 use crate::audit::AuditError;
-use crate::key::{self, Key};
+use crate::key;
 
 /// Bytes per directory entry in the group's first page(s): target page +
 /// page offset.
@@ -75,13 +75,15 @@ pub struct GroupContent {
     /// Physical flash footprint (directory + data pages × page payload) —
     /// what level thresholds are measured against.
     pub phys_bytes: u64,
-    /// Smallest key, cached at build time: the level-list entry the DRAM
-    /// search compares against.
-    pub(crate) smallest: Key,
-    /// Largest key, cached at build time.
-    pub(crate) largest: Key,
+    /// Smallest key id, cached at build time: the level-list entry the
+    /// DRAM search compares against.
+    pub(crate) smallest: u64,
+    /// Largest key id, cached at build time.
+    pub(crate) largest: u64,
     /// Usable bytes per page, which the layout is packed to.
     payload: u64,
+    /// The device's key length, which the layout's entity sizes count.
+    key_len: u16,
     /// The hash-order layout, built on first read.
     layout: OnceCell<Layout>,
 }
@@ -129,33 +131,34 @@ pub struct Group {
 }
 
 impl GroupContent {
-    /// A group of a **key-sorted** run of entities, packed into data pages
-    /// of `payload` usable bytes behind a key-sorted directory. The
-    /// hash-order [`Layout`] is left to the first read.
+    /// A group of a **key-sorted** run of entities with `key_len`-byte
+    /// keys, packed into data pages of `payload` usable bytes behind a
+    /// key-sorted directory. The hash-order [`Layout`] is left to the
+    /// first read.
     ///
     /// # Panics
     ///
     /// Panics if `ents` is empty, not key-sorted, or longer than
     /// `u32::MAX`.
-    pub fn new(ents: Vec<Entity>, payload: u64) -> Self {
+    pub fn new(ents: Vec<Entity>, payload: u64, key_len: u16) -> Self {
         assert!(!ents.is_empty(), "group must contain entities");
         debug_assert!(
-            ents.windows(2).all(|w| w[0].key < w[1].key),
+            ents.windows(2).all(|w| w[0].id < w[1].id),
             "group input must be strictly key-sorted"
         );
         let count = ents.len() as u64;
         assert!(u32::try_from(count).is_ok(), "group index must fit 32 bits");
         let (mut kv_bytes, mut logged_bytes, mut stored) = (0, 0, 0);
         for e in &ents {
-            kv_bytes += e.kv_bytes();
+            kv_bytes += e.kv_bytes(key_len);
             logged_bytes += e.logged_bytes();
-            stored += e.stored_bytes();
+            stored += e.stored_bytes(key_len);
         }
         let data_pages = stored.div_ceil(payload);
         let dir_pages = (count * DIR_ENTRY_BYTES).div_ceil(payload).max(1);
         Self {
-            smallest: ents[0].key,
-            largest: ents[ents.len() - 1].key,
+            smallest: ents[0].id,
+            largest: ents[ents.len() - 1].id,
             ents,
             dir_pages: dir_pages as u32,
             data_pages: data_pages as u32,
@@ -163,6 +166,7 @@ impl GroupContent {
             logged_bytes,
             phys_bytes: (dir_pages + data_pages) * payload,
             payload,
+            key_len,
             layout: OnceCell::new(),
         }
     }
@@ -170,7 +174,7 @@ impl GroupContent {
     /// The hash-order layout, built on the first call.
     pub fn layout(&self) -> &Layout {
         self.layout
-            .get_or_init(|| Layout::build(&self.ents, self.payload))
+            .get_or_init(|| Layout::build(&self.ents, self.payload, self.key_len))
     }
 
     /// Whether the layout has been built.
@@ -185,7 +189,7 @@ impl GroupContent {
         let mut layout = self
             .layout
             .take()
-            .unwrap_or_else(|| Layout::build(&self.ents, self.payload));
+            .unwrap_or_else(|| Layout::build(&self.ents, self.payload, self.key_len));
         let out = edit(&mut layout);
         self.layout = OnceCell::from(layout);
         out
@@ -206,13 +210,13 @@ impl GroupContent {
         self.dir_pages + self.data_pages
     }
 
-    /// The group's smallest key (what the level-list entry stores).
-    pub fn smallest(&self) -> Key {
+    /// The group's smallest key id (what the level-list entry stores).
+    pub fn smallest(&self) -> u64 {
         self.smallest
     }
 
-    /// The group's largest key.
-    pub fn largest(&self) -> Key {
+    /// The group's largest key id.
+    pub fn largest(&self) -> u64 {
         self.largest
     }
 
@@ -230,11 +234,11 @@ impl GroupContent {
         first.partition_point(|&p| p >> 16 <= h16).saturating_sub(1)
     }
 
-    /// Searches one data page for an exact `(hash, key)` match: a binary
-    /// search of the page's stretch of the hash list, then a key check of
-    /// each slot in its equal-hash run. Returns the entity's index in key
-    /// order.
-    pub fn search_page(&self, page: usize, hash: u32, key: Key) -> Option<usize> {
+    /// Searches one data page for an exact `(hash, key id)` match: a
+    /// binary search of the page's stretch of the hash list, then a key
+    /// check of each slot in its equal-hash run. Returns the entity's index
+    /// in key order.
+    pub fn search_page(&self, page: usize, hash: u32, id: u64) -> Option<usize> {
         let l = self.layout();
         let (lo, hi) = (l.page_start[page] as usize, l.page_start[page + 1] as usize);
         let start = lo + l.hashes[lo..hi].partition_point(|&h| h < hash);
@@ -243,21 +247,20 @@ impl GroupContent {
             .zip(&l.slots[start..hi])
             .take_while(|&(&h, _)| h == hash)
             .map(|(_, &i)| i as usize)
-            .find(|&i| self.ents[i].key == key)
+            .find(|&i| self.ents[i].id == id)
     }
 
-    /// First directory index whose key is ≥ `key` (for range scans): an
+    /// First directory index whose key id is ≥ `id` (for range scans): an
     /// interpolation search between the cached fences
     /// ([`key::lower_bound`]).
-    pub fn dir_lower_bound(&self, key: Key) -> usize {
-        let (lo, hi) = (self.smallest.id(), self.largest.id());
-        key::lower_bound(&self.ents, key, lo, hi, |e| e.key)
+    pub fn dir_lower_bound(&self, id: u64) -> usize {
+        key::lower_bound(&self.ents, id, self.smallest, self.largest, |e| e.id)
     }
 
     /// The DRAM footprint of this group's level-list entry
     /// ([`level_list_entry_bytes`]).
     pub fn meta_bytes(&self) -> u64 {
-        level_list_entry_bytes(self.smallest().len() as u64, self.data_pages() as u64)
+        level_list_entry_bytes(u64::from(self.key_len), self.data_pages() as u64)
     }
 
     /// The DRAM footprint of this group's hash list
@@ -280,11 +283,11 @@ impl GroupContent {
             self.audit_layout(layout, level, group)?;
         }
         let ents = &self.ents;
-        if ents.windows(2).any(|w| w[0].key >= w[1].key) {
+        if ents.windows(2).any(|w| w[0].id >= w[1].id) {
             return Err(AuditError::DirectoryOrder { level, group });
         }
-        if ents.first().map(|e| e.key) != Some(self.smallest)
-            || ents.last().map(|e| e.key) != Some(self.largest)
+        if ents.first().map(|e| e.id) != Some(self.smallest)
+            || ents.last().map(|e| e.id) != Some(self.largest)
         {
             return Err(AuditError::FenceMismatch { level, group });
         }
@@ -321,11 +324,12 @@ impl GroupContent {
 }
 
 impl Layout {
-    /// Lays out a key-sorted entity run in hash order.
+    /// Lays out a key-sorted run of entities with `key_len`-byte keys in
+    /// hash order.
     ///
     /// Entities are ordered by `(hash, key)` and packed byte-continuously
     /// into data pages of `payload` usable bytes.
-    fn build(ents: &[Entity], payload: u64) -> Self {
+    fn build(ents: &[Entity], payload: u64, key_len: u16) -> Self {
         let count = ents.len();
         let order = hash_order(ents);
         let slots: Vec<u32> = order.iter().map(|&w| w as u32).collect();
@@ -348,7 +352,7 @@ impl Layout {
             }
             let i = i as usize;
             page_of[i] = page as u16;
-            let mut end = used + ents[i].stored_bytes();
+            let mut end = used + ents[i].stored_bytes(key_len);
             let mut extra = 0usize;
             while end > payload {
                 end -= payload;
@@ -495,6 +499,8 @@ impl Group {
 pub struct GroupPacker {
     payload: u64,
     max_total_pages: u32,
+    /// The device's key length.
+    key_len: u16,
     /// The open chunk: the entities of the group being filled, in a
     /// buffer reused from group to group.
     chunk: Vec<Entity>,
@@ -509,11 +515,12 @@ pub struct GroupPacker {
 }
 
 impl GroupPacker {
-    /// A packer with no entities.
-    pub fn new(payload: u64, max_total_pages: u32) -> Self {
+    /// A packer of entities with `key_len`-byte keys, holding none yet.
+    pub fn new(payload: u64, max_total_pages: u32, key_len: u16) -> Self {
         let mut packer = Self {
             payload,
             max_total_pages,
+            key_len,
             chunk: Vec::new(),
             bytes: 0,
             dir_pages: 1,
@@ -533,7 +540,7 @@ impl GroupPacker {
 
     /// Appends the next entity of the stream (keys strictly ascending).
     pub fn push(&mut self, e: Entity) {
-        let sz = e.stored_bytes();
+        let sz = e.stored_bytes(self.key_len);
         // Projected footprint if `e` joins the chunk: byte-continuous data
         // pages plus the key-sorted directory pages.
         let dir_bytes = (self.chunk.len() as u64 + 1) * DIR_ENTRY_BYTES;
@@ -554,8 +561,11 @@ impl GroupPacker {
     /// copy and the chunk buffer is reused, which leaves the allocator
     /// less fragmented than trimming each chunk in place.
     fn cut(&mut self) {
-        self.groups
-            .push(GroupContent::new(self.chunk.to_vec(), self.payload));
+        self.groups.push(GroupContent::new(
+            self.chunk.to_vec(),
+            self.payload,
+            self.key_len,
+        ));
         self.chunk.clear();
     }
 
@@ -572,25 +582,25 @@ impl GroupPacker {
 mod tests {
     use super::*;
     use crate::anykey::entity::ValueLoc;
+    use crate::key::Key;
 
     fn entities(n: u64, key_len: u16, value_len: u32) -> Vec<Entity> {
         (0..n)
             .map(|id| {
-                let key = Key::new(id, key_len).unwrap();
-                Entity {
-                    key,
-                    hash: key.hash32(),
-                    value_len,
-                    loc: ValueLoc::Inline,
-                    tombstone: false,
-                }
+                let hash = Key::new(id, key_len).unwrap().hash32();
+                Entity::new(id, hash, value_len, ValueLoc::Inline, false)
             })
             .collect()
     }
 
     /// Packs a key-sorted run through the streamed packer.
-    fn pack(ents: &[Entity], payload: u64, max_total_pages: u32) -> Vec<GroupContent> {
-        let mut packer = GroupPacker::new(payload, max_total_pages);
+    fn pack(
+        ents: &[Entity],
+        payload: u64,
+        max_total_pages: u32,
+        key_len: u16,
+    ) -> Vec<GroupContent> {
+        let mut packer = GroupPacker::new(payload, max_total_pages, key_len);
         for &e in ents {
             packer.push(e);
         }
@@ -601,15 +611,15 @@ mod tests {
 
     #[test]
     fn build_preserves_every_entity() {
-        let g = GroupContent::new(entities(500, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(500, 48, 43), PAYLOAD, 48);
         assert_eq!(g.entity_count(), 500);
-        let keys: Vec<u64> = g.ents.iter().map(|e| e.key.id()).collect();
+        let keys: Vec<u64> = g.ents.iter().map(|e| e.id).collect();
         assert_eq!(keys, (0..500).collect::<Vec<_>>());
     }
 
     #[test]
     fn pages_are_hash_sorted_across_boundaries() {
-        let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD, 48);
         let mut prev = 0u32;
         for p in 0..g.data_pages() as usize {
             for &i in g.layout().page(p) {
@@ -622,8 +632,8 @@ mod tests {
 
     #[test]
     fn packing_is_byte_continuous() {
-        let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD);
-        let total: u64 = g.ents.iter().map(Entity::stored_bytes).sum();
+        let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD, 48);
+        let total: u64 = g.ents.iter().map(|e| e.stored_bytes(48)).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
         // The layout fills exactly the pages counted without it.
         assert_eq!(g.layout().page_start.len(), g.data_pages() as usize + 1);
@@ -634,8 +644,8 @@ mod tests {
     #[test]
     fn huge_inline_values_span_pages() {
         // Values comparable to the page size must not halve capacity.
-        let g = GroupContent::new(entities(100, 16, 4096), PAYLOAD);
-        let total: u64 = g.ents.iter().map(Entity::stored_bytes).sum();
+        let g = GroupContent::new(entities(100, 16, 4096), PAYLOAD, 16);
+        let total: u64 = g.ents.iter().map(|e| e.stored_bytes(16)).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
         let spanning = g.layout().span.iter().filter(|&&s| s > 0).count();
         assert!(spanning > 0, "4KB values in 8KB pages must span sometimes");
@@ -643,10 +653,10 @@ mod tests {
         for e in &g.ents {
             let mut p = g.route_page(e.hash);
             loop {
-                if g.search_page(p, e.hash, e.key).is_some() {
+                if g.search_page(p, e.hash, e.id).is_some() {
                     break;
                 }
-                assert!(p > 0, "entity {:?} unreachable", e.key);
+                assert!(p > 0, "entity {} unreachable", e.id);
                 p -= 1;
             }
         }
@@ -654,20 +664,20 @@ mod tests {
 
     #[test]
     fn routing_finds_every_entity_with_local_search() {
-        let g = GroupContent::new(entities(3000, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(3000, 48, 43), PAYLOAD, 48);
         for e in &g.ents {
             let mut p = g.route_page(e.hash);
             // Device-style backward walk on prefix ambiguity.
             loop {
-                if g.search_page(p, e.hash, e.key).is_some() {
+                if g.search_page(p, e.hash, e.id).is_some() {
                     break;
                 }
-                assert!(p > 0, "entity {:?} unreachable by routing", e.key);
+                assert!(p > 0, "entity {} unreachable by routing", e.id);
                 let first = g.ents[g.layout().page(p)[0] as usize].hash;
                 assert!(
                     e.hash < first || (e.hash == first && g.layout().collision[p].continued_prev),
-                    "backward walk not justified for {:?}",
-                    e.key
+                    "backward walk not justified for {}",
+                    e.id
                 );
                 p -= 1;
             }
@@ -683,7 +693,7 @@ mod tests {
             e.hash = 0x7777_7777;
             e.value_len = 400; // bigger so the run spans pages
         }
-        let g = GroupContent::new(ents, 2048);
+        let g = GroupContent::new(ents, 2048, 48);
         let spans: usize = g
             .layout()
             .collision
@@ -696,7 +706,7 @@ mod tests {
     #[test]
     fn hash_list_membership_is_exact() {
         let ents = entities(1000, 48, 43);
-        let g = GroupContent::new(ents.clone(), PAYLOAD);
+        let g = GroupContent::new(ents.clone(), PAYLOAD, 48);
         for e in &ents {
             assert!(g.contains_hash(e.hash));
         }
@@ -711,16 +721,16 @@ mod tests {
 
     #[test]
     fn dir_pages_scale_with_entity_count() {
-        let few = GroupContent::new(entities(100, 24, 10), PAYLOAD);
+        let few = GroupContent::new(entities(100, 24, 10), PAYLOAD, 24);
         assert_eq!(few.dir_pages, 1);
-        let many = GroupContent::new(entities(5000, 24, 10), PAYLOAD);
+        let many = GroupContent::new(entities(5000, 24, 10), PAYLOAD, 24);
         assert!(many.dir_pages >= 2, "5000 * 4B of directory needs 3 pages");
     }
 
     #[test]
     fn pack_groups_covers_all_entities_in_order() {
         let ents = entities(20_000, 48, 43);
-        let groups = pack(&ents, PAYLOAD, 32);
+        let groups = pack(&ents, PAYLOAD, 32, 48);
         let total: usize = groups.iter().map(|g| g.entity_count()).sum();
         assert_eq!(total, 20_000);
         // Groups are key-range partitioned and ordered.
@@ -735,7 +745,7 @@ mod tests {
 
     #[test]
     fn meta_bytes_are_group_granular() {
-        let g = GroupContent::new(entities(1000, 48, 43), PAYLOAD);
+        let g = GroupContent::new(entities(1000, 48, 43), PAYLOAD, 48);
         // ~48 + 4 + 2/page + collision bits + fixed: a few hundred bytes
         // for a 1000-entity group — the entire point of AnyKey (vs ~52 KB
         // for PinK's per-pair metadata on the same 1000 pairs).
@@ -745,9 +755,9 @@ mod tests {
 
     #[test]
     fn smallest_and_largest_bound_the_group() {
-        let g = GroupContent::new(entities(100, 48, 43), PAYLOAD);
-        assert_eq!(g.smallest().id(), 0);
-        assert_eq!(g.largest().id(), 99);
+        let g = GroupContent::new(entities(100, 48, 43), PAYLOAD, 48);
+        assert_eq!(g.smallest(), 0);
+        assert_eq!(g.largest(), 99);
     }
 
     /// A group as the reference builds it: one `Vec` per data page of
@@ -762,8 +772,8 @@ mod tests {
         kv_bytes: u64,
         logged_bytes: u64,
         phys_bytes: u64,
-        smallest: Key,
-        largest: Key,
+        smallest: u64,
+        largest: u64,
     }
 
     /// Reference group build with comparison sorts: entities sorted by
@@ -771,17 +781,17 @@ mod tests {
     /// through the pages, and the hash list re-sorted.
     /// `GroupContent` and its lazy [`Layout`] must match it field for
     /// field.
-    fn reference_build(entities: Vec<Entity>, payload: u64) -> RefGroup {
+    fn reference_build(entities: Vec<Entity>, payload: u64, key_len: u16) -> RefGroup {
         let count = entities.len();
-        let kv_bytes = entities.iter().map(Entity::kv_bytes).sum();
+        let kv_bytes = entities.iter().map(|e| e.kv_bytes(key_len)).sum();
         let logged_bytes = entities.iter().map(Entity::logged_bytes).sum();
         let mut by_hash = entities;
-        by_hash.sort_by(|a, b| a.hash.cmp(&b.hash).then(a.key.cmp(&b.key)));
+        by_hash.sort_by(|a, b| a.hash.cmp(&b.hash).then(a.id.cmp(&b.id)));
         let mut pages: Vec<Vec<(Entity, u8)>> = Vec::new();
         let mut cur: Vec<(Entity, u8)> = Vec::new();
         let mut offset = 0u64;
         for e in by_hash {
-            let sz = e.stored_bytes();
+            let sz = e.stored_bytes(key_len);
             let start_page = offset / payload;
             let end_page = (offset + sz - 1) / payload;
             while (pages.len() as u64) < start_page {
@@ -817,14 +827,14 @@ mod tests {
         dir.sort_by(|&(pa, sa), &(pb, sb)| {
             pages[pa as usize][sa as usize]
                 .0
-                .key
-                .cmp(&pages[pb as usize][sb as usize].0.key)
+                .id
+                .cmp(&pages[pb as usize][sb as usize].0.id)
         });
         let mut hashes: Vec<u32> = pages.iter().flatten().map(|(e, _)| e.hash).collect();
         hashes.sort_unstable();
         let dir_pages = ((count as u64 * DIR_ENTRY_BYTES).div_ceil(payload)).max(1) as u32;
         let phys_bytes = (dir_pages as u64 + pages.len() as u64) * payload;
-        let key_at = |(p, s): (u16, u16)| pages[p as usize][s as usize].0.key;
+        let key_at = |(p, s): (u16, u16)| pages[p as usize][s as usize].0.id;
         let (smallest, largest) = (key_at(dir[0]), key_at(dir[count - 1]));
         RefGroup {
             pages,
@@ -843,25 +853,34 @@ mod tests {
 
     /// Reference packing: every entity copied into a fresh chunk `Vec`,
     /// each chunk built by [`reference_build`].
-    fn reference_pack(entities: Vec<Entity>, payload: u64, max_total_pages: u32) -> Vec<RefGroup> {
+    fn reference_pack(
+        entities: Vec<Entity>,
+        payload: u64,
+        max_total_pages: u32,
+        key_len: u16,
+    ) -> Vec<RefGroup> {
         let mut out = Vec::new();
         let mut chunk: Vec<Entity> = Vec::new();
         let mut bytes = 0u64;
         for e in entities {
-            let sz = e.stored_bytes();
+            let sz = e.stored_bytes(key_len);
             let data_pages = (bytes + sz).div_ceil(payload);
             let dir_pages = ((chunk.len() as u64 + 1) * DIR_ENTRY_BYTES)
                 .div_ceil(payload)
                 .max(1);
             if !chunk.is_empty() && data_pages + dir_pages > max_total_pages as u64 {
-                out.push(reference_build(std::mem::take(&mut chunk), payload));
+                out.push(reference_build(
+                    std::mem::take(&mut chunk),
+                    payload,
+                    key_len,
+                ));
                 bytes = 0;
             }
             bytes += sz;
             chunk.push(e);
         }
         if !chunk.is_empty() {
-            out.push(reference_build(chunk, payload));
+            out.push(reference_build(chunk, payload, key_len));
         }
         out
     }
@@ -872,7 +891,12 @@ mod tests {
     /// built, so they are known without it. The destructuring is
     /// exhaustive, so a field added to `GroupContent` or `Layout` must be
     /// added here.
-    fn assert_same_group(got: &GroupContent, want: &RefGroup, payload: u64, ctx: &str) {
+    fn assert_same_group(
+        got: &GroupContent,
+        want: &RefGroup,
+        (payload, key_len): (u64, u16),
+        ctx: &str,
+    ) {
         assert!(!got.layout_built(), "{ctx}: layout built before a read");
         let GroupContent {
             ents,
@@ -884,9 +908,11 @@ mod tests {
             smallest,
             largest,
             payload: packed_to,
+            key_len: packed_key_len,
             layout: _,
         } = got;
         assert_eq!(*packed_to, payload, "{ctx}: payload");
+        assert_eq!(*packed_key_len, key_len, "{ctx}: key length");
         assert_eq!(*data_pages as usize, want.pages.len(), "{ctx}: data pages");
         assert_eq!(dir_pages, &want.dir_pages, "{ctx}: directory pages");
         assert_eq!(kv_bytes, &want.kv_bytes, "{ctx}: kv bytes");
@@ -945,16 +971,16 @@ mod tests {
     /// Builds `ents` alone and packed at several group sizes, with both the
     /// current and the reference code, and asserts identical results
     /// including the chunk boundaries.
-    fn assert_matches_reference(ents: &[Entity], payload: u64, ctx: &str) {
+    fn assert_matches_reference(ents: &[Entity], payload: u64, key_len: u16, ctx: &str) {
         assert_same_group(
-            &GroupContent::new(ents.to_vec(), payload),
-            &reference_build(ents.to_vec(), payload),
-            payload,
+            &GroupContent::new(ents.to_vec(), payload, key_len),
+            &reference_build(ents.to_vec(), payload, key_len),
+            (payload, key_len),
             &format!("{ctx}: single group"),
         );
         for max_pages in [2, 8, 32] {
-            let got = pack(ents, payload, max_pages);
-            let want = reference_pack(ents.to_vec(), payload, max_pages);
+            let got = pack(ents, payload, max_pages, key_len);
+            let want = reference_pack(ents.to_vec(), payload, max_pages, key_len);
             assert_eq!(
                 got.iter()
                     .map(GroupContent::entity_count)
@@ -966,7 +992,7 @@ mod tests {
                 assert_same_group(
                     g,
                     w,
-                    payload,
+                    (payload, key_len),
                     &format!("{ctx}: group {i} of {max_pages}-page packing"),
                 );
             }
@@ -983,7 +1009,6 @@ mod tests {
         (0..n)
             .map(|_| {
                 id += 1 + rng.next_bounded(5);
-                let key = Key::new(id, key_len).unwrap();
                 let (value_len, loc, tombstone) = match rng.next_bounded(20) {
                     0 => (0, ValueLoc::Inline, true),
                     1 => (
@@ -994,7 +1019,7 @@ mod tests {
                     2..=9 => {
                         let ptr = Extent {
                             block: BlockId(rng.next_bounded(64) as u32),
-                            page: rng.next_bounded(128) as u32,
+                            page: rng.next_bounded(128) as u16,
                             pages: 1 + rng.next_bounded(2) as u8,
                         };
                         (
@@ -1005,13 +1030,8 @@ mod tests {
                     }
                     _ => (rng.next_bounded(300) as u32, ValueLoc::Inline, false),
                 };
-                Entity {
-                    key,
-                    hash: key.hash32(),
-                    value_len,
-                    loc,
-                    tombstone,
-                }
+                let hash = Key::new(id, key_len).unwrap().hash32();
+                Entity::new(id, hash, value_len, loc, tombstone)
             })
             .collect()
     }
@@ -1027,6 +1047,7 @@ mod tests {
                 assert_matches_reference(
                     &ents,
                     payload,
+                    key_len,
                     &format!("seed {seed}, {n} entities, payload {payload}"),
                 );
             }
@@ -1052,13 +1073,13 @@ mod tests {
     #[test]
     fn build_matches_reference_on_forced_hash_runs() {
         let ents = forced_hash_runs();
-        assert_matches_reference(&ents, 2048, "forced runs, 2 KiB payload");
-        assert_matches_reference(&ents, PAYLOAD, "forced runs, 8 KiB payload");
+        assert_matches_reference(&ents, 2048, 24, "forced runs, 2 KiB payload");
+        assert_matches_reference(&ents, PAYLOAD, 24, "forced runs, 8 KiB payload");
         let mut same = entities(500, 48, 400);
         for e in &mut same {
             e.hash = 0xABCD_0000;
         }
-        assert_matches_reference(&same, 2048, "one hash for every entity");
+        assert_matches_reference(&same, 2048, 48, "one hash for every entity");
         // The radix sort skips a pass whose byte every hash shares: runs
         // whose hashes differ only in the lowest byte, and only in the
         // highest, sort on that one byte (with ties, since 3,000 entities
@@ -1070,18 +1091,19 @@ mod tests {
                 let byte = rng.next_bounded(256) as u32;
                 e.hash = (0x5A5A_5A5A & !(0xFF << shift)) | (byte << shift);
             }
-            assert_matches_reference(&ents, 2048, &format!("hashes differ in the {ctx}"));
-            assert_matches_reference(&ents, PAYLOAD, &format!("hashes differ in the {ctx}"));
+            let ctx = format!("hashes differ in the {ctx}");
+            assert_matches_reference(&ents, 2048, 24, &ctx);
+            assert_matches_reference(&ents, PAYLOAD, 24, &ctx);
         }
     }
 
     /// GET's page walk (`AnyKeyStore::get_levels`): search the routed page,
     /// then step back while the page's first hash says the run may start
     /// earlier.
-    fn walk_lookup(g: &GroupContent, hash: u32, key: Key) -> Option<&Entity> {
+    fn walk_lookup(g: &GroupContent, hash: u32, id: u64) -> Option<&Entity> {
         let mut p = g.route_page(hash);
         loop {
-            if let Some(i) = g.search_page(p, hash, key) {
+            if let Some(i) = g.search_page(p, hash, id) {
                 return Some(&g.ents[i]);
             }
             let l = g.layout();
@@ -1099,32 +1121,26 @@ mod tests {
     /// present keys under their own hash, absent keys under their own hash
     /// and under the hash of the entity before them (so they land inside
     /// equal-hash runs).
-    fn assert_lookups_match_brute_force(ents: &[Entity], payload: u64, ctx: &str) {
-        let mut groups = pack(ents, payload, u32::MAX);
+    fn assert_lookups_match_brute_force(ents: &[Entity], payload: u64, key_len: u16, ctx: &str) {
+        let mut groups = pack(ents, payload, u32::MAX, key_len);
         assert_eq!(groups.len(), 1, "{ctx}: an unbounded packer cuts one group");
         let g = groups.remove(0);
-        let key_len = ents[0].key.len();
-        let last = ents[ents.len() - 1].key.id();
+        let last = ents[ents.len() - 1].id;
         for id in 0..=last + 2 {
-            let key = Key::new(id, key_len).unwrap();
-            let below = ents.partition_point(|e| e.key < key);
-            assert_eq!(g.dir_lower_bound(key), below, "{ctx}: lower bound of {id}");
-            match ents.get(below).filter(|e| e.key == key) {
+            let below = ents.partition_point(|e| e.id < id);
+            assert_eq!(g.dir_lower_bound(id), below, "{ctx}: lower bound of {id}");
+            match ents.get(below).filter(|e| e.id == id) {
                 Some(want) => {
-                    let got = walk_lookup(&g, want.hash, key)
+                    let got = walk_lookup(&g, want.hash, id)
                         .unwrap_or_else(|| panic!("{ctx}: present key {id} not found"));
-                    assert_eq!(
-                        (got.key, got.value_len, got.loc, got.tombstone),
-                        (want.key, want.value_len, want.loc, want.tombstone),
-                        "{ctx}: key {id}"
-                    );
+                    assert_eq!(got, want, "{ctx}: key {id}");
                 }
                 None => {
-                    let mut probes = vec![key.hash32()];
+                    let mut probes = vec![Key::new(id, key_len).unwrap().hash32()];
                     probes.extend(below.checked_sub(1).map(|b| ents[b].hash));
                     for hash in probes {
                         assert!(
-                            walk_lookup(&g, hash, key).is_none(),
+                            walk_lookup(&g, hash, id).is_none(),
                             "{ctx}: absent key {id} found under hash {hash:#x}"
                         );
                     }
@@ -1141,12 +1157,13 @@ mod tests {
                 assert_lookups_match_brute_force(
                     &ents,
                     payload,
+                    key_len,
                     &format!("seed {seed}, payload {payload}"),
                 );
             }
         }
         let ents = forced_hash_runs();
-        assert_lookups_match_brute_force(&ents, 2048, "forced runs, 2 KiB payload");
-        assert_lookups_match_brute_force(&ents, PAYLOAD, "forced runs, 8 KiB payload");
+        assert_lookups_match_brute_force(&ents, 2048, 24, "forced runs, 2 KiB payload");
+        assert_lookups_match_brute_force(&ents, PAYLOAD, 24, "forced runs, 8 KiB payload");
     }
 }

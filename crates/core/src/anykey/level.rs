@@ -3,7 +3,6 @@
 use crate::anykey::entity::Entity;
 use crate::anykey::group::Group;
 use crate::audit::AuditError;
-use crate::key::Key;
 
 /// One LSM-tree level: key-range-partitioned data segment groups. Its
 /// sizes are sums of what each group cached when it was built, and its
@@ -16,20 +15,20 @@ pub struct Level {
 
 impl Level {
     /// Index of the group whose key range (`[smallest_i, smallest_{i+1})`)
-    /// contains `key` — what the DRAM level-list search yields. `None` when
-    /// the key precedes the first group (or the level is empty).
-    pub fn candidate(&self, key: Key) -> Option<usize> {
-        let idx = self.groups.partition_point(|g| g.content.smallest() <= key);
+    /// contains key `id` — what the DRAM level-list search yields. `None`
+    /// when the key precedes the first group (or the level is empty).
+    pub fn candidate(&self, id: u64) -> Option<usize> {
+        let idx = self.groups.partition_point(|g| g.content.smallest() <= id);
         idx.checked_sub(1)
     }
 
-    /// Where a scan from `key` starts: the first group that can hold keys
-    /// ≥ `key` (the candidate, or the next when every key of the candidate
-    /// is below `key`) and the index of its first entity ≥ `key`.
-    pub fn scan_from(&self, key: Key) -> (usize, usize) {
-        match self.candidate(key) {
-            Some(i) if self.groups[i].content.largest() >= key => {
-                (i, self.groups[i].content.dir_lower_bound(key))
+    /// Where a scan from key `id` starts: the first group that can hold
+    /// keys ≥ `id` (the candidate, or the next when every key of the
+    /// candidate is below `id`) and the index of its first entity ≥ `id`.
+    pub fn scan_from(&self, id: u64) -> (usize, usize) {
+        match self.candidate(id) {
+            Some(i) if self.groups[i].content.largest() >= id => {
+                (i, self.groups[i].content.dir_lower_bound(id))
             }
             Some(i) => (i + 1, 0),
             None => (0, 0),
@@ -106,22 +105,17 @@ mod tests {
     use super::*;
     use crate::anykey::entity::ValueLoc;
     use crate::anykey::group::GroupContent;
+    use crate::key::Key;
     use anykey_flash::Ppa;
 
     fn group(ids: impl Iterator<Item = u64>) -> Group {
         let ents: Vec<Entity> = ids
             .map(|id| {
-                let key = Key::new(id, 16).unwrap();
-                Entity {
-                    key,
-                    hash: key.hash32(),
-                    value_len: 10,
-                    loc: ValueLoc::Inline,
-                    tombstone: false,
-                }
+                let hash = Key::new(id, 16).unwrap().hash32();
+                Entity::new(id, hash, 10, ValueLoc::Inline, false)
             })
             .collect();
-        Group::new(GroupContent::new(ents, 8128), Ppa::new(0, 0))
+        Group::new(GroupContent::new(ents, 8128, 16), Ppa::new(0, 0))
     }
 
     fn level() -> Level {
@@ -130,18 +124,14 @@ mod tests {
         }
     }
 
-    fn k(id: u64) -> Key {
-        Key::new(id, 16).unwrap()
-    }
-
     #[test]
     fn candidate_routes_by_smallest_key() {
         let l = level();
-        assert_eq!(l.candidate(k(5)), None);
-        assert_eq!(l.candidate(k(10)), Some(0));
-        assert_eq!(l.candidate(k(25)), Some(0)); // gap: falls in group 0's range
-        assert_eq!(l.candidate(k(30)), Some(1));
-        assert_eq!(l.candidate(k(99)), Some(2));
+        assert_eq!(l.candidate(5), None);
+        assert_eq!(l.candidate(10), Some(0));
+        assert_eq!(l.candidate(25), Some(0)); // gap: falls in group 0's range
+        assert_eq!(l.candidate(30), Some(1));
+        assert_eq!(l.candidate(99), Some(2));
     }
 
     #[test]
@@ -150,15 +140,15 @@ mod tests {
         let l = Level {
             groups: vec![group((10..30).step_by(2)), group((40..60).step_by(2))],
         };
-        assert_eq!(l.scan_from(k(5)), (0, 0)); // before everything
-        assert_eq!(l.scan_from(k(10)), (0, 0));
-        assert_eq!(l.scan_from(k(15)), (0, 3)); // a miss inside group 0
-        assert_eq!(l.scan_from(k(16)), (0, 3));
-        assert_eq!(l.scan_from(k(29)), (1, 0)); // between the groups
-        assert_eq!(l.scan_from(k(35)), (1, 0));
-        assert_eq!(l.scan_from(k(41)), (1, 1)); // a miss inside group 1
-        assert_eq!(l.scan_from(k(58)), (1, 9));
-        assert_eq!(l.scan_from(k(59)), (2, 0)); // past everything
+        assert_eq!(l.scan_from(5), (0, 0)); // before everything
+        assert_eq!(l.scan_from(10), (0, 0));
+        assert_eq!(l.scan_from(15), (0, 3)); // a miss inside group 0
+        assert_eq!(l.scan_from(16), (0, 3));
+        assert_eq!(l.scan_from(29), (1, 0)); // between the groups
+        assert_eq!(l.scan_from(35), (1, 0));
+        assert_eq!(l.scan_from(41), (1, 1)); // a miss inside group 1
+        assert_eq!(l.scan_from(58), (1, 9));
+        assert_eq!(l.scan_from(59), (2, 0)); // past everything
     }
 
     #[test]

@@ -149,9 +149,9 @@ impl Engine for AnyKeyStore {
     }
 
     fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool> {
-        let hash = key.hash32();
+        let (id, hash) = (key.id(), key.hash32());
         for li in 0..self.levels.len() {
-            let Some(gi) = self.levels[li].candidate(key) else {
+            let Some(gi) = self.levels[li].candidate(id) else {
                 continue;
             };
             // Hash-list check (free when resident; Section 4.2).
@@ -166,7 +166,7 @@ impl Engine for AnyKeyStore {
             loop {
                 let flash = &mut self.core.flash;
                 req.read(flash, OpCause::HostRead, [g.data_ppa(p)]);
-                if let Some(i) = g.content.search_page(p, hash, key) {
+                if let Some(i) = g.content.search_page(p, hash, id) {
                     let e = &g.content.ents[i];
                     // Inline values may spill into following pages.
                     let span = usize::from(layout.span[i]);
@@ -175,7 +175,7 @@ impl Engine for AnyKeyStore {
                     if e.tombstone {
                         return Some(false);
                     }
-                    if let ValueLoc::Logged(ptr) = e.loc {
+                    if let ValueLoc::Logged(ptr) = e.loc() {
                         req.read(flash, OpCause::LogRead, ptr.pages());
                     }
                     return Some(true);
@@ -192,7 +192,7 @@ impl Engine for AnyKeyStore {
         None
     }
 
-    fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request) -> Vec<u64> {
+    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64> {
         // Each level's run is its groups' entity arrays from the first
         // entity ≥ `start`: groups hold disjoint, ascending key ranges, so
         // only the first group can hold keys below it. The index pages are
@@ -207,7 +207,7 @@ impl Engine for AnyKeyStore {
             start,
             len as usize,
             (0..levels.len()).map(slices),
-            |e: &Entity| (e.key, e.tombstone, e.value_len),
+            |e: &Entity| (e.id, e.tombstone, e.value_len),
             |li, budget, pages| {
                 let mut left = budget;
                 for (gi, from, ents) in slices(li) {
@@ -218,7 +218,7 @@ impl Engine for AnyKeyStore {
                         pages.push(levels[li].groups[gi].dir_ppa(from, page_payload));
                     }
                     if ents.len() >= left {
-                        return Some(ents[left - 1].key);
+                        return Some(ents[left - 1].id);
                     }
                     left -= ents.len();
                 }
@@ -236,7 +236,7 @@ impl Engine for AnyKeyStore {
         for pos in plan.hits.iter().filter_map(|&(_, pos)| pos) {
             let g = &levels[pos.level].groups[pos.owner];
             data_ppas.push(g.data_ppa(g.content.layout().page_of[pos.index] as usize));
-            if let ValueLoc::Logged(ptr) = g.content.ents[pos.index].loc {
+            if let ValueLoc::Logged(ptr) = g.content.ents[pos.index].loc() {
                 log_ppas.extend(ptr.pages());
             }
         }
@@ -247,7 +247,7 @@ impl Engine for AnyKeyStore {
         let log = self.core.read_set(log_ppas, OpCause::LogRead, req.t);
         req.charge(OpCause::HostRead, data);
         req.charge(OpCause::LogRead, log);
-        plan.hits.iter().map(|(k, _)| k.id()).collect()
+        plan.hits.iter().map(|&(id, _)| id).collect()
     }
 
     /// Secures value-log space first, then appends each buffered value to
@@ -270,7 +270,7 @@ impl Engine for AnyKeyStore {
         let entries = self.core.buffer.drain();
         let mut ents = Vec::with_capacity(entries.len());
         let mut t_log = t;
-        for (key, be) in entries {
+        for (id, be) in entries {
             let loc = match self.log.as_mut() {
                 Some(log) if !be.tombstone && be.value_len > 0 => {
                     let (ptr, done) =
@@ -280,13 +280,8 @@ impl Engine for AnyKeyStore {
                 }
                 _ => ValueLoc::Inline,
             };
-            ents.push(Entity {
-                key,
-                hash: key.hash32(),
-                value_len: be.value_len,
-                loc,
-                tombstone: be.tombstone,
-            });
+            let hash = self.core.make_key(id)?.hash32();
+            ents.push(Entity::new(id, hash, be.value_len, loc, be.tombstone));
         }
         self.compact(Source::Flush(ents), 0, InlinePolicy::Keep, t_log)
     }
@@ -348,7 +343,7 @@ impl Engine for AnyKeyStore {
     fn live_bytes(&self) -> u64 {
         let runs = self.levels.iter().map(|l| l.run(0, 0));
         self.core
-            .live_bytes(runs, |e: &Entity| (e.key, e.tombstone, e.value_len))
+            .live_bytes(runs, |e: &Entity| (e.id, e.tombstone, e.value_len))
     }
 
     fn sample_levels(&self, meta: &MetadataStats) -> StateSample {
@@ -417,7 +412,7 @@ impl Engine for AnyKeyStore {
         if let Some(log) = &self.log {
             let logged = groups()
                 .flat_map(|g| &g.content.ents)
-                .filter_map(|e| match e.loc {
+                .filter_map(|e| match e.loc() {
                     ValueLoc::Logged(ptr) => Some((ptr.block, "value log")),
                     ValueLoc::Inline => None,
                 });

@@ -8,7 +8,6 @@ use crate::anykey::group::Layout;
 use crate::anykey::AnyKeyStore;
 use crate::config::{DeviceConfig, EngineKind};
 use crate::engine::KvEngine;
-use crate::key::Key;
 
 fn store(kind: EngineKind) -> AnyKeyStore {
     AnyKeyStore::new(
@@ -195,10 +194,9 @@ fn insert_only_fill_builds_layouts_only_when_read() {
     // each level it probes.
     let id = 12_345;
     assert!(s.get(id).found);
-    let key = Key::new(id, 48).unwrap();
     let built = built_layouts(&s);
     for (li, groups) in built.iter().enumerate() {
-        let candidate = s.levels[li].candidate(key);
+        let candidate = s.levels[li].candidate(id);
         assert!(
             groups.iter().all(|&gi| Some(gi) == candidate),
             "level {li}: layouts {groups:?} built, candidate {candidate:?}"

@@ -520,7 +520,7 @@ impl PinkStore {
     pub fn corrupt_segment_fence_for_test(&mut self) -> bool {
         let seg = self.levels.iter_mut().find_map(|l| {
             let s = l.segs.iter_mut().find(|s| s.end - s.start >= 2)?;
-            let second = l.entries[s.start + 1].key;
+            let second = l.entries[s.start + 1].id;
             Some((s, second))
         });
         seg.map(|(s, second)| s.first = second).is_some()

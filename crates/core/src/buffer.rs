@@ -3,12 +3,11 @@
 //! Both engines buffer incoming PUT/DELETE requests in device DRAM and
 //! flush them into L1 via an L0→L1 compaction when the buffer reservation
 //! fills (paper Section 4.4.2). Lookups check the buffer first — the newest
-//! version of a key always wins.
+//! version of a key always wins. Entries are keyed by key id; the key
+//! length is the device's, passed in where bytes are counted.
 
 use std::collections::{btree_map, BTreeMap};
 use std::ops::RangeBounds;
-
-use crate::key::Key;
 
 /// Per-entry bookkeeping overhead in the buffer (skip-list node, pointers).
 pub const BUFFER_ENTRY_OVERHEAD: u64 = 16;
@@ -25,7 +24,7 @@ pub struct BufEntry {
 /// A capacity-bounded, key-ordered write buffer.
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
-    map: BTreeMap<Key, BufEntry>,
+    map: BTreeMap<u64, BufEntry>,
     bytes: u64,
     capacity: u64,
 }
@@ -40,21 +39,22 @@ impl WriteBuffer {
         }
     }
 
-    fn entry_bytes(key: Key, e: BufEntry) -> u64 {
-        key.len() as u64 + e.value_len as u64 + BUFFER_ENTRY_OVERHEAD
+    fn entry_bytes(key_len: u16, e: BufEntry) -> u64 {
+        u64::from(key_len) + u64::from(e.value_len) + BUFFER_ENTRY_OVERHEAD
     }
 
-    /// Inserts or replaces a mutation for `key`.
-    pub fn insert(&mut self, key: Key, entry: BufEntry) {
-        if let Some(old) = self.map.insert(key, entry) {
-            self.bytes -= Self::entry_bytes(key, old);
+    /// Inserts or replaces a mutation for key `id`, whose key is
+    /// `key_len` bytes long.
+    pub fn insert(&mut self, id: u64, entry: BufEntry, key_len: u16) {
+        if let Some(old) = self.map.insert(id, entry) {
+            self.bytes -= Self::entry_bytes(key_len, old);
         }
-        self.bytes += Self::entry_bytes(key, entry);
+        self.bytes += Self::entry_bytes(key_len, entry);
     }
 
-    /// The buffered mutation for `key`, if any.
-    pub fn get(&self, key: &Key) -> Option<&BufEntry> {
-        self.map.get(key)
+    /// The buffered mutation for key `id`, if any.
+    pub fn get(&self, id: u64) -> Option<&BufEntry> {
+        self.map.get(&id)
     }
 
     /// Whether the buffer has reached its capacity and must flush.
@@ -88,15 +88,15 @@ impl WriteBuffer {
     }
 
     /// Takes all entries (key-ordered), leaving the buffer empty.
-    pub fn drain(&mut self) -> btree_map::IntoIter<Key, BufEntry> {
+    pub fn drain(&mut self) -> btree_map::IntoIter<u64, BufEntry> {
         self.bytes = 0;
         std::mem::take(&mut self.map).into_iter()
     }
 
-    /// Buffered entries with keys in `keys`, in key order — used by range
-    /// scans and the live-byte walk to merge L0 results.
-    pub fn range(&self, keys: impl RangeBounds<Key>) -> btree_map::Range<'_, Key, BufEntry> {
-        self.map.range(keys)
+    /// Buffered entries with key ids in `ids`, in key order — used by
+    /// range scans and the live-byte walk to merge L0 results.
+    pub fn range(&self, ids: impl RangeBounds<u64>) -> btree_map::Range<'_, u64, BufEntry> {
+        self.map.range(ids)
     }
 }
 
@@ -104,22 +104,22 @@ impl WriteBuffer {
 mod tests {
     use super::*;
 
-    fn k(id: u64) -> Key {
-        Key::new(id, 16).unwrap()
-    }
+    /// The key length every test entry has.
+    const KEY_LEN: u16 = 16;
 
     #[test]
     fn insert_then_get() {
         let mut b = WriteBuffer::new(1000);
         b.insert(
-            k(1),
+            1,
             BufEntry {
                 value_len: 100,
                 tombstone: false,
             },
+            KEY_LEN,
         );
-        assert_eq!(b.get(&k(1)).unwrap().value_len, 100);
-        assert!(b.get(&k(2)).is_none());
+        assert_eq!(b.get(1).unwrap().value_len, 100);
+        assert!(b.get(2).is_none());
     }
 
     #[test]
@@ -129,16 +129,17 @@ mod tests {
             value_len: 100,
             tombstone: false,
         };
-        b.insert(k(1), e);
+        b.insert(1, e, KEY_LEN);
         let once = b.bytes();
-        b.insert(k(1), e);
+        b.insert(1, e, KEY_LEN);
         assert_eq!(b.bytes(), once);
         b.insert(
-            k(1),
+            1,
             BufEntry {
                 value_len: 10,
                 tombstone: false,
             },
+            KEY_LEN,
         );
         assert!(b.bytes() < once);
     }
@@ -150,11 +151,11 @@ mod tests {
             value_len: 100,
             tombstone: false,
         };
-        b.insert(k(1), e);
+        b.insert(1, e, KEY_LEN);
         assert!(!b.is_full());
-        b.insert(k(2), e);
+        b.insert(2, e, KEY_LEN);
         assert!(!b.is_full());
-        b.insert(k(3), e);
+        b.insert(3, e, KEY_LEN);
         assert!(b.is_full());
     }
 
@@ -163,14 +164,15 @@ mod tests {
         let mut b = WriteBuffer::new(1000);
         for id in [5u64, 1, 3] {
             b.insert(
-                k(id),
+                id,
                 BufEntry {
                     value_len: 10,
                     tombstone: false,
                 },
+                KEY_LEN,
             );
         }
-        let ids: Vec<u64> = b.drain().map(|(key, _)| key.id()).collect();
+        let ids: Vec<u64> = b.drain().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 3, 5]);
         assert!(b.is_empty());
         assert_eq!(b.bytes(), 0);
@@ -180,13 +182,14 @@ mod tests {
     fn tombstones_are_buffered() {
         let mut b = WriteBuffer::new(1000);
         b.insert(
-            k(9),
+            9,
             BufEntry {
                 value_len: 0,
                 tombstone: true,
             },
+            KEY_LEN,
         );
-        assert!(b.get(&k(9)).unwrap().tombstone);
+        assert!(b.get(9).unwrap().tombstone);
     }
 
     #[test]
@@ -194,14 +197,15 @@ mod tests {
         let mut b = WriteBuffer::new(1000);
         for id in [1u64, 2, 4, 8] {
             b.insert(
-                k(id),
+                id,
                 BufEntry {
                     value_len: 1,
                     tombstone: false,
                 },
+                KEY_LEN,
             );
         }
-        let ids: Vec<u64> = b.range(k(2)..).map(|(key, _)| key.id()).collect();
+        let ids: Vec<u64> = b.range(2..).map(|(&id, _)| id).collect();
         assert_eq!(ids, vec![2, 4, 8]);
     }
 }

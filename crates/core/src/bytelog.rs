@@ -17,23 +17,28 @@ use crate::error::KvError;
 
 /// Where a value lives: the page it starts in and how many pages it
 /// touches (values never span blocks). The default touches no page.
+///
+/// It packs into 8 bytes: a block has at most 65,536 pages, which
+/// `DeviceConfigBuilder::build` asserts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Extent {
     /// The block holding the value.
     pub block: BlockId,
     /// First page of the value within the block.
-    pub page: u32,
+    pub page: u16,
     /// Number of pages the value touches (> 1 only when it crosses a page
     /// boundary or exceeds the page payload).
     pub pages: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<Extent>() == 8);
 
 impl Extent {
     /// The flash pages the value occupies.
     pub fn pages(self) -> impl Iterator<Item = Ppa> {
         let first = Ppa {
             block: self.block,
-            page: self.page,
+            page: u32::from(self.page),
         };
         (0..u32::from(self.pages)).map(move |i| first.offset(i))
     }
@@ -249,9 +254,11 @@ impl ByteLog {
                 }
             }
             self.open = Some(o);
+            // The value starts inside the block, and a block has at most
+            // 65,536 pages, so its first page fits 16 bits.
             let ext = Extent {
                 block: o.id,
-                page: start_page,
+                page: start_page as u16,
                 pages,
             };
             break (ext, o.next_page);

@@ -221,9 +221,17 @@ impl DeviceConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the write buffer does not fit in DRAM or if the group does
-    /// not fit in an erase block.
+    /// Panics if the group pages do not divide the pages per block, or if a
+    /// block has more than 65,536 pages (an [`Extent`] names a page in 16
+    /// bits).
+    ///
+    /// [`Extent`]: crate::bytelog::Extent
     pub fn build(&self) -> DeviceConfig {
+        assert!(
+            self.pages_per_block <= 1 << 16,
+            "pages per block {} exceed 65,536",
+            self.pages_per_block
+        );
         let mut flash =
             FlashConfig::paper_shape(self.capacity_bytes, self.page_size, self.pages_per_block);
         flash.fault = self.fault;
@@ -298,6 +306,15 @@ mod tests {
     #[should_panic(expected = "group pages")]
     fn misaligned_group_panics() {
         let _ = DeviceConfig::builder().group_pages(48).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "pages per block")]
+    fn oversized_block_panics() {
+        let _ = DeviceConfig::builder()
+            .pages_per_block(1 << 17)
+            .group_pages(32)
+            .build();
     }
 
     #[test]

@@ -110,13 +110,13 @@ pub(crate) struct ScanPos {
     pub(crate) index: usize,
 }
 
-/// What a scan emits, in key order: each key with where its version lives
-/// (`None` when the write buffer holds the value), plus the index pages
-/// the final budget walk touched.
+/// What a scan emits, in key order: each key id with where its version
+/// lives (`None` when the write buffer holds the value), plus the index
+/// pages the final budget walk touched.
 #[derive(Debug)]
 pub(crate) struct ScanPlan {
     pub(crate) index_pages: Vec<Ppa>,
-    pub(crate) hits: Vec<(Key, Option<ScanPos>)>,
+    pub(crate) hits: Vec<(u64, Option<ScanPos>)>,
 }
 
 /// Where the upper input of a compaction comes from, in either engine.
@@ -134,13 +134,13 @@ pub(crate) enum Source<E> {
 /// merge. On an equal key the upper entry wins and the shadowed lower one
 /// goes to `shadowed`. With `drop_tombstones` (the output is the bottom
 /// level) tombstones are dropped, as nothing below remains for them to
-/// shadow. `entry` gives an entry's key and whether it is a tombstone.
+/// shadow. `entry` gives an entry's key id and whether it is a tombstone.
 /// The merged run streams out through `emit`, in key order.
 pub(crate) fn merge_newest<'a, T: Copy>(
     upper: &'a [&'a [T]],
     lower: &'a [&'a [T]],
     drop_tombstones: bool,
-    entry: impl Fn(&T) -> (Key, bool),
+    entry: impl Fn(&T) -> (u64, bool),
     mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
     mut emit: impl FnMut(T),
 ) -> Result<(), KvError> {
@@ -232,19 +232,19 @@ impl<'a, T, I: Iterator<Item = (usize, usize, &'a [T])>> Cursor<'a, T, I> {
 /// [`Self::take`] consumes every version of it, so a caller can stop
 /// between them.
 struct Merge<'a, T, I, F> {
-    buf: Peekable<btree_map::Range<'a, Key, BufEntry>>,
+    buf: Peekable<btree_map::Range<'a, u64, BufEntry>>,
     runs: Vec<Cursor<'a, T, I>>,
-    /// Reads an entry as `(key, tombstone, value_len)`.
+    /// Reads an entry as `(key id, tombstone, value_len)`.
     entry: F,
 }
 
 impl<'a, T: 'a, I, F> Merge<'a, T, I, F>
 where
     I: Iterator<Item = (usize, usize, &'a [T])>,
-    F: Fn(&T) -> (Key, bool, u32),
+    F: Fn(&T) -> (u64, bool, u32),
 {
     fn new(
-        buf: btree_map::Range<'a, Key, BufEntry>,
+        buf: btree_map::Range<'a, u64, BufEntry>,
         runs: impl IntoIterator<Item = I>,
         entry: F,
     ) -> Self {
@@ -256,8 +256,8 @@ where
         }
     }
 
-    /// The smallest key at the head of the buffer or of any run.
-    fn next_key(&mut self) -> Option<Key> {
+    /// The smallest key id at the head of the buffer or of any run.
+    fn next_key(&mut self) -> Option<u64> {
         let buf = self.buf.peek().map(|(k, _)| **k);
         let heads = self.runs.iter().filter_map(|r| r.head());
         heads.map(|e| (self.entry)(e).0).chain(buf).min()
@@ -266,7 +266,7 @@ where
     /// Consumes every version of `key`, the key [`Self::next_key`] found,
     /// and returns the newest as `(tombstone, value_len, position)`: the
     /// buffer's (no position), else the one in the newest level.
-    fn take(&mut self, key: Key) -> Option<(bool, u32, Option<ScanPos>)> {
+    fn take(&mut self, key: u64) -> Option<(bool, u32, Option<ScanPos>)> {
         let buffered = self.buf.next_if(|(k, _)| **k == key);
         let mut newest = buffered.map(|(_, e)| (e.tombstone, e.value_len, None));
         for (level, run) in self.runs.iter_mut().enumerate() {
@@ -313,25 +313,23 @@ impl DeviceCore {
         Key::new(id, self.cfg.key_len)
     }
 
-    /// Buffers a PUT (or, with `tombstone`, a DELETE). Returns
-    /// `Some(start)` when the buffer filled: the caller must flush from
-    /// `start` and record the completion in `flush_done`. With a
+    /// Buffers a PUT (or, with `tombstone`, a DELETE) of key `id`.
+    /// Returns `Some(start)` when the buffer filled: the caller must flush
+    /// from `start` and record the completion in `flush_done`. With a
     /// double-buffered L0 the put stalls only while the previous flush is
     /// still in flight, so `start` is `at` unless that flush ends later.
     pub(crate) fn buffer_put(
         &mut self,
-        key: Key,
+        id: u64,
         value_len: u32,
         tombstone: bool,
         at: Ns,
     ) -> Option<Ns> {
-        self.buffer.insert(
-            key,
-            BufEntry {
-                value_len,
-                tombstone,
-            },
-        );
+        let entry = BufEntry {
+            value_len,
+            tombstone,
+        };
+        self.buffer.insert(id, entry, self.cfg.key_len);
         self.buffer.is_full().then(|| at.max(self.flush_done))
     }
 
@@ -354,19 +352,19 @@ impl DeviceCore {
         (done, n)
     }
 
-    /// The range-scan merge of both engines: up to `want` live keys ≥
+    /// The range-scan merge of both engines: up to `want` live key ids ≥
     /// `start`, newest version winning across the write buffer and the
     /// levels of `runs` (lower index = newer).
     ///
     /// Each run is one level's entries from `start` on, as key-sorted
     /// `(owner, base, slice)` slices (see [`Cursor`]); `entry` reads an
-    /// entry as `(key, tombstone, value_len)`. The merge streams over the
+    /// entry as `(key id, tombstone, value_len)`. The merge streams over the
     /// runs and the buffer once and copies no entry.
     ///
     /// What a scan charges for index pages depends on a per-level budget.
     /// `walk(level, budget, pages)` pushes the index pages an engine reads
     /// to reach `budget` entries ≥ `start` in that level and returns the
-    /// level's frontier: the key of its `budget`-th such entry, when it
+    /// level's frontier: the key id of its `budget`-th such entry, when it
     /// holds that many. Tombstones and cross-level duplicates consume
     /// budget, so a level capped at its frontier could hide keys the
     /// merge needs: the merge never emits past the lowest frontier, and
@@ -377,11 +375,11 @@ impl DeviceCore {
     /// index pages are those of the final budget.
     pub(crate) fn scan<'a, T: 'a, I>(
         &'a self,
-        start: Key,
+        start: u64,
         want: usize,
         runs: impl IntoIterator<Item = I>,
-        entry: impl Fn(&T) -> (Key, bool, u32),
-        mut walk: impl FnMut(usize, usize, &mut Vec<Ppa>) -> Option<Key>,
+        entry: impl Fn(&T) -> (u64, bool, u32),
+        mut walk: impl FnMut(usize, usize, &mut Vec<Ppa>) -> Option<u64>,
     ) -> ScanPlan
     where
         I: Iterator<Item = (usize, usize, &'a [T])>,
@@ -395,7 +393,7 @@ impl DeviceCore {
         let mut budget = want;
         let mut index_pages: Vec<Ppa> = Vec::new();
         let mut limit = frontier(budget, &mut index_pages);
-        let mut hits: Vec<(Key, Option<ScanPos>)> = Vec::with_capacity(want);
+        let mut hits: Vec<(u64, Option<ScanPos>)> = Vec::with_capacity(want);
         while hits.len() < want {
             let next = merge.next_key();
             while let Some(l) = limit {
@@ -423,16 +421,17 @@ impl DeviceCore {
     pub(crate) fn live_bytes<'a, T: 'a, I>(
         &'a self,
         runs: impl IntoIterator<Item = I>,
-        entry: impl Fn(&T) -> (Key, bool, u32),
+        entry: impl Fn(&T) -> (u64, bool, u32),
     ) -> u64
     where
         I: Iterator<Item = (usize, usize, &'a [T])>,
     {
         let mut merge = Merge::new(self.buffer.range(..), runs, entry);
+        let key_len = u64::from(self.cfg.key_len);
         let mut bytes = 0;
         while let Some(key) = merge.next_key() {
             if let Some((false, len, _)) = merge.take(key) {
-                bytes += key.len() as u64 + u64::from(len);
+                bytes += key_len + u64::from(len);
             }
         }
         bytes

@@ -14,15 +14,15 @@ use super::*;
 use crate::config::EngineKind;
 use crate::engine::Engine;
 
-/// A test level: key-sorted `(key, tombstone)` versions. A candidate's
+/// A test level: key-sorted `(key id, tombstone)` versions. A candidate's
 /// payload is its `(level, index)`, so a hit names the version it took.
-type Level = Vec<(Key, bool)>;
+type Level = Vec<(u64, bool)>;
 
 /// One version of a key that a level offers the reference merge; `payload`
 /// names where it came from.
 #[derive(Debug, Clone, Copy)]
 struct ScanCand<P> {
-    key: Key,
+    key: u64,
     tombstone: bool,
     payload: P,
 }
@@ -33,14 +33,10 @@ struct ScanCand<P> {
 #[derive(Debug)]
 struct RefPlan<P> {
     index_pages: Vec<Ppa>,
-    hits: Vec<(Key, Option<P>)>,
+    hits: Vec<(u64, Option<P>)>,
 }
 
 const LEVEL_INDEX_CHUNK: usize = 8;
-
-fn k(id: u64) -> Key {
-    Key::new(id, 24).unwrap()
-}
 
 fn core() -> DeviceCore {
     DeviceCore::new(
@@ -59,7 +55,7 @@ fn buffer(core: &mut DeviceCore, id: u64, tombstone: bool) {
         value_len: if tombstone { 0 } else { 8 },
         tombstone,
     };
-    core.buffer.insert(k(id), e);
+    core.buffer.insert(id, e, 24);
 }
 
 /// The eager collection the reference merges: up to `budget` candidates
@@ -67,7 +63,7 @@ fn buffer(core: &mut DeviceCore, id: u64, tombstone: bool) {
 /// chunk of `LEVEL_INDEX_CHUNK` entries touched.
 fn collect(
     levels: &[Level],
-    start: Key,
+    start: u64,
     li: usize,
     budget: usize,
     cands: &mut Vec<ScanCand<(usize, usize)>>,
@@ -94,7 +90,7 @@ fn collect(
 /// candidates by `(key, level)` and walks them against the buffer.
 fn two_pass_scan<P: Copy>(
     core: &DeviceCore,
-    start: Key,
+    start: u64,
     want: usize,
     levels: usize,
     mut collect: impl FnMut(
@@ -112,7 +108,7 @@ fn two_pass_scan<P: Copy>(
         cands.clear();
         level_of.clear();
         pages.clear();
-        let mut limit: Option<Key> = None;
+        let mut limit: Option<u64> = None;
         for li in 0..levels {
             if collect(li, budget, &mut cands, &mut pages)? >= budget {
                 if let Some(c) = cands.last() {
@@ -121,7 +117,7 @@ fn two_pass_scan<P: Copy>(
             }
             level_of.resize(cands.len(), li);
         }
-        let mut newest: BTreeMap<Key, (usize, bool)> = BTreeMap::new();
+        let mut newest: BTreeMap<u64, (usize, bool)> = BTreeMap::new();
         for (c, &level) in cands.iter().zip(&level_of) {
             if limit.is_none_or(|l| c.key <= l) {
                 let e = newest.entry(c.key).or_insert((level, c.tombstone));
@@ -148,7 +144,7 @@ fn two_pass_scan<P: Copy>(
         .zip(level_of.iter().copied())
         .collect();
     sorted.sort_by(|a, b| a.0.key.cmp(&b.0.key).then(a.1.cmp(&b.1)));
-    let mut hits: Vec<(Key, Option<P>)> = Vec::new();
+    let mut hits: Vec<(u64, Option<P>)> = Vec::new();
     let mut buf_iter = core.buffer.range(start..).peekable();
     let mut i = 0;
     while hits.len() < want {
@@ -189,11 +185,11 @@ fn two_pass_scan<P: Copy>(
 /// when the level holds that many.
 fn walk(
     levels: &[Level],
-    start: Key,
+    start: u64,
     li: usize,
     budget: usize,
     pages: &mut Vec<Ppa>,
-) -> Option<Key> {
+) -> Option<u64> {
     let level = &levels[li];
     let from = level.partition_point(|&(key, _)| key < start);
     let to = level.len().min(from + budget);
@@ -211,7 +207,7 @@ fn walk(
 fn check(
     core: &DeviceCore,
     levels: &[Level],
-    start: Key,
+    start: u64,
     want: usize,
 ) -> (RefPlan<(usize, usize)>, usize) {
     let (mut budget, mut ref_budget) = (None, None);
@@ -262,7 +258,7 @@ fn check(
 fn random_level(rng: &mut SplitMix64, n: u64, keyspace: u64, tomb_pct: u64) -> Level {
     let ids: BTreeSet<u64> = (0..n).map(|_| rng.next_bounded(keyspace)).collect();
     ids.into_iter()
-        .map(|id| (k(id), rng.next_bounded(100) < tomb_pct))
+        .map(|id| (id, rng.next_bounded(100) < tomb_pct))
         .collect()
 }
 
@@ -284,7 +280,7 @@ fn one_pass_merge_matches_two_pass_reference() {
             let id = rng.next_bounded(keyspace);
             buffer(&mut core, id, rng.next_bounded(3) == 0);
         }
-        let start = k(rng.next_bounded(keyspace));
+        let start = rng.next_bounded(keyspace);
         let want = 1 + rng.next_bounded(12) as usize;
         let (plan, budget) = check(&core, &levels, start, want);
         doubled += usize::from(budget > want);
@@ -302,20 +298,20 @@ fn duplicates_and_tombstones_take_the_newest_version() {
     // Level 0 deletes 2 and rewrites 4; level 1 holds 1..=6; the
     // buffer deletes 5 and rewrites 6.
     let levels = vec![
-        vec![(k(2), true), (k(4), false)],
-        (1..=6).map(|id| (k(id), false)).collect(),
+        vec![(2, true), (4, false)],
+        (1..=6).map(|id| (id, false)).collect(),
     ];
     buffer(&mut core, 5, true);
     buffer(&mut core, 6, false);
-    let (plan, budget) = check(&core, &levels, k(1), 10);
+    let (plan, budget) = check(&core, &levels, 1, 10);
     assert_eq!(budget, 10);
     assert_eq!(
         plan.hits,
         vec![
-            (k(1), Some((1, 0))),
-            (k(3), Some((1, 2))),
-            (k(4), Some((0, 1))),
-            (k(6), None),
+            (1, Some((1, 0))),
+            (3, Some((1, 2))),
+            (4, Some((0, 1))),
+            (6, None),
         ]
     );
 }
@@ -325,21 +321,21 @@ fn a_capped_level_of_tombstones_doubles_the_budget() {
     let core = core();
     // Level 0's first 8 entries are tombstones: at budget 4 and 8 the
     // keys below its frontier hold no survivor.
-    let mut l0: Level = (0..8).map(|id| (k(id), true)).collect();
-    l0.extend((100..120).map(|id| (k(id), false)));
-    let l1: Level = (50..60).map(|id| (k(id), false)).collect();
-    let (plan, budget) = check(&core, &[l0, l1], k(0), 4);
+    let mut l0: Level = (0..8).map(|id| (id, true)).collect();
+    l0.extend((100..120).map(|id| (id, false)));
+    let l1: Level = (50..60).map(|id| (id, false)).collect();
+    let (plan, budget) = check(&core, &[l0, l1], 0, 4);
     assert_eq!(budget, 16, "budget 4, 8, 16");
-    let ids: Vec<u64> = plan.hits.iter().map(|(key, _)| key.id()).collect();
+    let ids: Vec<u64> = plan.hits.iter().map(|&(id, _)| id).collect();
     assert_eq!(ids, vec![50, 51, 52, 53]);
 }
 
 #[test]
 fn a_level_of_tombstones_stops_at_the_64x_cap() {
     let core = core();
-    let l0: Level = (0..1_000).map(|id| (k(id), true)).collect();
-    let l1: Level = vec![(k(500), false), (k(2_000), false)];
-    let (plan, budget) = check(&core, &[l0, l1], k(0), 2);
+    let l0: Level = (0..1_000).map(|id| (id, true)).collect();
+    let l1: Level = vec![(500, false), (2_000, false)];
+    let (plan, budget) = check(&core, &[l0, l1], 0, 2);
     assert_eq!(budget, 128, "budget 2, 4, …, 128 = 64 × want");
     assert!(plan.hits.is_empty(), "{:?}", plan.hits);
 }
@@ -351,14 +347,14 @@ fn scan_never_emits_past_a_capped_frontier() {
     // Capped at the 64× budget inside its tombstones, its unexplored
     // range could still hide live keys, so level 1's 401 and the
     // buffer's 500 lie past its frontier and must not be emitted.
-    let mut l0: Level = (0..200).map(|i| (k(2 * i), true)).collect();
-    l0.push((k(1_000), false));
-    let l1: Level = vec![(k(61), false), (k(401), false)];
+    let mut l0: Level = (0..200).map(|i| (2 * i, true)).collect();
+    l0.push((1_000, false));
+    let l1: Level = vec![(61, false), (401, false)];
     buffer(&mut core, 500, false);
-    let (plan, budget) = check(&core, &[l0, l1], k(0), 3);
+    let (plan, budget) = check(&core, &[l0, l1], 0, 3);
     assert_eq!(budget, 192, "budget 3, 6, …, 192 = 64 × want");
-    let frontier = k(382); // level 0's 192nd candidate
-    assert_eq!(plan.hits, vec![(k(61), Some((1, 0)))]);
+    let frontier = 382; // level 0's 192nd candidate
+    assert_eq!(plan.hits, vec![(61, Some((1, 0)))]);
     assert!(plan.hits.iter().all(|(key, _)| *key <= frontier));
 }
 
@@ -369,10 +365,10 @@ fn a_capped_level_ending_at_its_frontier_doubles_once() {
     // nothing past them: it is capped at 3, and the keys up to 3 hold one
     // survivor. The stream runs dry at the frontier, so the budget still
     // doubles, and at 4 the level is no longer capped.
-    let l0: Level = vec![(k(1), false), (k(3), true)];
-    let (plan, budget) = check(&core, &[l0], k(0), 2);
+    let l0: Level = vec![(1, false), (3, true)];
+    let (plan, budget) = check(&core, &[l0], 0, 2);
     assert_eq!(budget, 4);
-    assert_eq!(plan.hits, vec![(k(1), Some((0, 0)))]);
+    assert_eq!(plan.hits, vec![(1, Some((0, 0)))]);
 }
 
 #[test]
@@ -380,10 +376,10 @@ fn an_empty_scan_walks_at_budget_zero() {
     let mut core = core();
     buffer(&mut core, 5, false);
     let levels = vec![
-        (0..40).map(|id| (k(id), false)).collect(),
-        (0..40).map(|id| (k(id), true)).collect(),
+        (0..40).map(|id| (id, false)).collect(),
+        (0..40).map(|id| (id, true)).collect(),
     ];
-    let (plan, budget) = check(&core, &levels, k(0), 0);
+    let (plan, budget) = check(&core, &levels, 0, 0);
     assert_eq!(budget, 0);
     assert!(plan.hits.is_empty());
     assert!(plan.index_pages.is_empty(), "{:?}", plan.index_pages);
@@ -391,7 +387,7 @@ fn an_empty_scan_walks_at_budget_zero() {
 
 /// A compaction entry tagged with the level it came from: `(key,
 /// tombstone, level)`, so the output shows which copy survived.
-type Tagged = (Key, bool, u8);
+type Tagged = (u64, bool, u8);
 
 /// The merged `(id, tombstone, level)`s and the shadowed `(id, level)`s.
 type TaggedMerge = (Vec<(u64, bool, u8)>, Vec<(u64, u8)>);
@@ -408,10 +404,10 @@ fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge
             bottom,
             |&(key, tombstone, _)| (key, tombstone),
             |&(key, _, level)| {
-                shadowed.push((key.id(), level));
+                shadowed.push((key, level));
                 Ok(())
             },
-            |(k, t, l)| merged.push((k.id(), t, l)),
+            |e| merged.push(e),
         )
         .unwrap();
         (merged, shadowed)
@@ -434,8 +430,8 @@ fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge
 
 #[test]
 fn compaction_merge_keeps_the_upper_copy_and_drops_bottom_tombstones() {
-    let upper = [(k(1), false, 0), (k(3), true, 0), (k(5), false, 0)];
-    let lower = [(k(1), false, 1), (k(2), true, 1), (k(3), false, 1)];
+    let upper = [(1, false, 0), (3, true, 0), (5, false, 0)];
+    let lower = [(1, false, 1), (2, true, 1), (3, false, 1)];
     let (merged, shadowed) = merge_tagged(&upper, &lower, false);
     assert_eq!(
         merged,
@@ -452,14 +448,14 @@ fn compaction_merge_keeps_the_upper_copy_and_drops_bottom_tombstones() {
 fn compaction_merge_filters_either_runs_tail_at_the_bottom() {
     // Each run outlasts the other once, its tail mixing tombstones and
     // live entries; the tail must pass the same tombstone filter.
-    let short = [(k(2), false, 0), (k(4), true, 0)];
+    let short = [(2, false, 0), (4, true, 0)];
     let long = [
-        (k(1), true, 1),
-        (k(4), false, 1),
-        (k(5), true, 1),
-        (k(6), false, 1),
-        (k(7), true, 1),
-        (k(8), false, 1),
+        (1, true, 1),
+        (4, false, 1),
+        (5, true, 1),
+        (6, false, 1),
+        (7, true, 1),
+        (8, false, 1),
     ];
     let (merged, shadowed) = merge_tagged(&short, &long, true);
     assert_eq!(merged, [(2, false, 0), (6, false, 1), (8, false, 1)]);
@@ -539,7 +535,7 @@ fn live_unique_bytes_follow_a_map_model() {
     use crate::pink::PinkStore;
     follow_a_map_model(PinkStore::new(small(EngineKind::Pink)), |s| {
         let entries = s.levels.iter().flat_map(|l| &l.entries);
-        entries.map(|e| (e.key, e.tombstone, e.value_len)).collect()
+        entries.map(|e| (e.id, e.tombstone, e.value_len)).collect()
     });
     for kind in [
         EngineKind::AnyKey,
@@ -549,7 +545,7 @@ fn live_unique_bytes_follow_a_map_model() {
         follow_a_map_model(AnyKeyStore::new(small(kind)), |s| {
             let groups = s.levels.iter().flat_map(|l| &l.groups);
             let ents = groups.flat_map(|g| &g.content.ents);
-            ents.map(|e| (e.key, e.tombstone, e.value_len)).collect()
+            ents.map(|e| (e.id, e.tombstone, e.value_len)).collect()
         });
     }
 }
@@ -557,7 +553,7 @@ fn live_unique_bytes_follow_a_map_model() {
 /// The body of [`live_unique_bytes_follow_a_map_model`] for one engine;
 /// `entries` lists every level entry as `(key, tombstone, value_len)`,
 /// level by level from the top.
-fn follow_a_map_model<E: Engine>(mut dev: E, entries: impl Fn(&E) -> Vec<(Key, bool, u32)>) {
+fn follow_a_map_model<E: Engine>(mut dev: E, entries: impl Fn(&E) -> Vec<(u64, bool, u32)>) {
     use crate::engine::KvEngine;
     use std::collections::HashSet;
     let kind = dev.kind();
@@ -567,8 +563,7 @@ fn follow_a_map_model<E: Engine>(mut dev: E, entries: impl Fn(&E) -> Vec<(Key, b
         let mut seen = HashSet::new();
         let newest = buffered.chain(entries(dev)).filter(|v| seen.insert(v.0));
         let live = newest.filter(|&(_, tombstone, _)| !tombstone);
-        live.map(|(key, _, len)| key.len() as u64 + u64::from(len))
-            .sum::<u64>()
+        live.map(|(_, _, len)| 24 + u64::from(len)).sum::<u64>()
     };
     let mut rng = SplitMix64::new(0x11FE_B17E);
     let mut ids: Vec<u64> = (0..20_000).collect();

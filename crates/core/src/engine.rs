@@ -257,10 +257,10 @@ pub(crate) trait Engine {
     /// a miss.
     fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool>;
 
-    /// Scans up to `len` live keys from `start`, newest version first
-    /// across the write buffer and the levels, charging its flash reads
-    /// to `req`. Returns the key ids in key order.
-    fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request) -> Vec<u64>;
+    /// Scans up to `len` live keys from key id `start`, newest version
+    /// first across the write buffer and the levels, charging its flash
+    /// reads to `req`. Returns the key ids in key order.
+    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64>;
 
     /// Drains the write buffer from `at` into a run, writing what it points
     /// at, and merges the run into L1; returns when the merge lands.
@@ -474,7 +474,7 @@ impl Request {
 fn get<E: Engine>(e: &mut E, id: u64, at: Ns) -> Result<OpOutcome, KvError> {
     let key = e.core().make_key(id)?;
     let mut req = Request::new(at, E::HASH_NS);
-    let found = match e.core().buffer.get(&key) {
+    let found = match e.core().buffer.get(id) {
         Some(b) => !b.tombstone,
         None => match e.get_levels(key, &mut req) {
             Some(found) => return Ok(req.finish(at, found)),
@@ -497,8 +497,10 @@ fn put<E: Engine>(
     tombstone: bool,
     at: Ns,
 ) -> Result<OpOutcome, KvError> {
-    let key = e.core().make_key(id)?;
-    let start = e.core_mut().buffer_put(key, value_len, tombstone, at);
+    // The buffer stores the id; building its key rejects an id the key
+    // length cannot hold.
+    e.core().make_key(id)?;
+    let start = e.core_mut().buffer_put(id, value_len, tombstone, at);
     if let Some(start) = start {
         let done = e.flush(start)?;
         e.core_mut().flush_done = done;
@@ -509,9 +511,9 @@ fn put<E: Engine>(
 
 /// A range scan: the key hash, then the engine's scan.
 fn scan<E: Engine>(e: &mut E, id: u64, len: u32, at: Ns) -> Result<(Vec<u64>, OpOutcome), KvError> {
-    let start = e.core().make_key(id)?;
+    e.core().make_key(id)?; // rejects an id the key length cannot hold
     let mut req = Request::new(at, E::HASH_NS);
-    let ids = e.scan_levels(start, len, &mut req);
+    let ids = e.scan_levels(id, len, &mut req);
     let found = !ids.is_empty();
     Ok((ids, req.finish(at, found)))
 }
@@ -670,7 +672,6 @@ mod tests {
     fn cascade_keeps_every_level_within_its_ratio_threshold() {
         use crate::anykey::AnyKeyStore;
         use crate::config::LEVEL_RATIO;
-        use crate::pink::segment::SegEntry;
         use crate::pink::PinkStore;
         /// (size, over threshold, empty) per level, past-the-end probe.
         fn shape<E: Engine>(dev: &E, sizes: Vec<(u64, bool)>) -> Vec<(u64, Option<bool>, bool)> {
@@ -693,7 +694,11 @@ mod tests {
                 let mut dev = PinkStore::new(cfg);
                 put_stream(&mut dev);
                 for (i, l) in dev.levels.iter().enumerate() {
-                    let sum: u64 = l.entries.iter().map(SegEntry::kv_bytes).sum();
+                    let sum: u64 = l
+                        .entries
+                        .iter()
+                        .map(|e| e.kv_bytes(dev.core.cfg.key_len))
+                        .sum();
                     assert_eq!(l.kv_bytes, sum, "PinK: level {i} cached kv_bytes");
                 }
                 let l = dev.levels.iter().map(|l| (l.kv_bytes, l.is_empty()));

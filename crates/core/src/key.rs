@@ -8,6 +8,13 @@
 //! group directories sort by. Hashing (xxHash32) runs over the synthesized
 //! bytes, so hash collisions occur organically as they would with real key
 //! material.
+//!
+//! Every key of a device has the device's one length
+//! (`DeviceConfig::key_len`), so inside the engines a key is just its id:
+//! the write buffer, groups, segments and merges store and compare ids,
+//! and read the length from the configuration when they count bytes. A
+//! [`Key`] is built only at the edges, where key bytes are hashed or an id
+//! is checked against the length: the request front end and the flush.
 
 use crate::hash::xxhash32;
 use crate::KvError;
@@ -90,33 +97,34 @@ impl Key {
     }
 }
 
-/// The index of the first of `items` whose key (`key_of`) is ≥ `key`,
-/// exactly `items.partition_point(|e| key_of(e) < key)` for key-sorted
+/// The index of the first of `items` whose key id (`id_of`) is ≥ `id`,
+/// exactly `items.partition_point(|e| id_of(e) < id)` for id-sorted
 /// `items`, found by interpolation search.
 ///
-/// `lo_id` and `hi_id` are the ids expected at index 0 and just past the
-/// last item (the next run's first key, say): the search guesses the
-/// position by linear interpolation on the id between them, gallops from
-/// the guess to a bracket and binary-searches it with full [`Key`]
-/// comparisons. Keys are hash-scrambled or permuted ids, so a lookup
-/// usually lands within a few items of the guess, and galloping bounds the
-/// worst case at about twice a binary search. With `hi_id <= lo_id` there
-/// is nothing to interpolate and the search is a plain binary search. The
-/// bounds only steer the guess: the result is exact for any of them.
+/// Every key of a device has the same length, so key order is id order
+/// and the levels store ids, not [`Key`]s. `lo_id` and `hi_id` are the ids
+/// expected at index 0 and just past the last item (the next run's first
+/// id, say): the search guesses the position by linear interpolation
+/// between them, gallops from the guess to a bracket and binary-searches
+/// it. Keys are hash-scrambled or permuted ids, so a lookup usually lands
+/// within a few items of the guess, and galloping bounds the worst case at
+/// about twice a binary search. With `hi_id <= lo_id` there is nothing to
+/// interpolate and the search is a plain binary search. The bounds only
+/// steer the guess: the result is exact for any of them.
 pub fn lower_bound<T>(
     items: &[T],
-    key: Key,
+    id: u64,
     lo_id: u64,
     hi_id: u64,
-    key_of: impl Fn(&T) -> Key,
+    id_of: impl Fn(&T) -> u64,
 ) -> usize {
-    let below = |e: &T| key_of(e) < key;
+    let below = |e: &T| id_of(e) < id;
     let n = items.len();
-    // The answer lies in `lo..=hi`: every item before `lo` is below `key`,
+    // The answer lies in `lo..=hi`: every item before `lo` is below `id`,
     // and `hi` is `n` or an item at or above it.
     let (mut lo, mut hi) = (0, n);
     if hi_id > lo_id && n > 0 {
-        let frac = key.id.saturating_sub(lo_id) as f64 / (hi_id - lo_id) as f64;
+        let frac = id.saturating_sub(lo_id) as f64 / (hi_id - lo_id) as f64;
         let guess = ((frac * n as f64) as usize).min(n - 1);
         // Gallop away from the guess to a bracket.
         let mut step = 1;
@@ -223,17 +231,14 @@ mod tests {
     }
 
     /// Checks `lower_bound` against `partition_point` for every target id
-    /// from 0 to just past the last item, at both key lengths the items
-    /// use, under the bounds `(lo_id, hi_id)`.
-    fn check_lower_bound(items: &[Key], lo_id: u64, hi_id: u64, ctx: &str) {
-        let last = items.last().map_or(0, Key::id);
+    /// from 0 to just past the last item, under the bounds
+    /// `(lo_id, hi_id)`.
+    fn check_lower_bound(items: &[u64], lo_id: u64, hi_id: u64, ctx: &str) {
+        let last = items.last().copied().unwrap_or(0);
         for id in 0..=last + 3 {
-            for len in [16u16, 24] {
-                let key = Key::new(id, len).unwrap();
-                let want = items.partition_point(|k| *k < key);
-                let got = lower_bound(items, key, lo_id, hi_id, |k| *k);
-                assert_eq!(got, want, "{ctx}: target {key:?}, bounds {lo_id}..{hi_id}");
-            }
+            let want = items.partition_point(|&i| i < id);
+            let got = lower_bound(items, id, lo_id, hi_id, |&i| i);
+            assert_eq!(got, want, "{ctx}: target {id}, bounds {lo_id}..{hi_id}");
         }
     }
 
@@ -243,11 +248,9 @@ mod tests {
         let sorted = |mut ids: Vec<u64>| {
             ids.sort_unstable();
             ids.dedup();
-            ids.into_iter()
-                .map(|id| Key::new(id, 24).unwrap())
-                .collect()
+            ids
         };
-        let shapes: [(&str, Vec<Key>); 6] = [
+        let shapes: [(&str, Vec<u64>); 6] = [
             ("empty", Vec::new()),
             ("single", sorted(vec![40])),
             ("dense", sorted((100..400).collect())),
@@ -271,8 +274,8 @@ mod tests {
             ),
         ];
         for (name, items) in &shapes {
-            let first = items.first().map_or(0, Key::id);
-            let last = items.last().map_or(0, Key::id);
+            let first = items.first().copied().unwrap_or(0);
+            let last = items.last().copied().unwrap_or(0);
             // Exact bounds, next-run bounds, targets outside both, bounds
             // narrower and wider than the items, and no interpolation.
             for (lo, hi) in [
@@ -285,14 +288,6 @@ mod tests {
             ] {
                 check_lower_bound(items, lo, hi, name);
             }
-        }
-        // Equal ids with different key lengths order by length.
-        let mixed: Vec<Key> = [(5, 16), (5, 24), (6, 16), (7, 16), (7, 24), (9, 24)]
-            .iter()
-            .map(|&(id, len)| Key::new(id, len).unwrap())
-            .collect();
-        for (lo, hi) in [(5, 9), (5, 10), (5, 5), (0, 100)] {
-            check_lower_bound(&mixed, lo, hi, "mixed lengths");
         }
     }
 

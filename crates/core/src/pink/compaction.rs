@@ -72,14 +72,15 @@ impl PinkStore {
 
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
         let is_bottom = self.levels[dst + 1..].iter().all(PinkLevel::is_empty);
+        let key_len = self.core.cfg.key_len;
         let mut merged = Vec::with_capacity(upper.len() + lower.len());
         merge_newest(
             &[&upper],
             &[&lower],
             is_bottom,
-            |e| (e.key, e.tombstone),
+            |e| (e.id, e.tombstone),
             |dead| {
-                self.data.invalidate(dead.ptr, dead.data_bytes());
+                self.data.invalidate(dead.ptr, dead.data_bytes(key_len));
                 Ok(())
             },
             |e| merged.push(e),
@@ -89,7 +90,7 @@ impl PinkStore {
 
         // --- 3. Cut the merged run into page-sized segments. ------------
         let merged_count = merged.len() as u64;
-        self.levels[dst].set_run(merged, self.core.page_payload);
+        self.levels[dst].set_run(merged, self.core.page_payload, key_len);
 
         // --- 4. Re-plan DRAM placement (charging spills/loads). ---------
         let t_place = self.rebalance(dst, t_read)?;
@@ -120,7 +121,7 @@ impl PinkStore {
 
         // Pass 1: level lists.
         for li in 0..self.levels.len() {
-            let want = self.levels[li].list_bytes();
+            let want = self.levels[li].list_bytes(self.core.cfg.key_len);
             if want == 0 || self.core.dram.try_claim(want) {
                 // Load into DRAM: read and release any flash copy.
                 for ppa in std::mem::take(&mut self.levels[li].list_pages) {

@@ -12,6 +12,7 @@ use std::collections::BTreeSet;
 
 use anykey_flash::{BlockId, Ns, OpCause, Ppa};
 
+use crate::buffer::BufEntry;
 use crate::bytelog::Extent;
 use crate::error::KvError;
 use crate::pink::PinkStore;
@@ -34,27 +35,25 @@ impl PinkStore {
         // Live pairs (not shadowed by a buffered newer version) go back
         // through the write buffer; their stale lower-level entries are
         // superseded immediately and dropped at the next merge.
-        let mut reinsert: Vec<(crate::key::Key, u32)> = Vec::new();
+        let mut reinsert: Vec<(u64, u32)> = Vec::new();
         let mut seen = BTreeSet::new();
         for e in self.levels.iter().flat_map(|l| &l.entries) {
-            if !e.tombstone && e.ptr.block == victim && seen.insert(e.key) {
+            if !e.tombstone && e.ptr.block == victim && seen.insert(e.id) {
                 // Only the newest version of a key counts as live; deeper
                 // duplicates are garbage already.
-                if self.newest_ptr(e.key).is_some_and(|p| p.block == victim)
-                    && self.core.buffer.get(&e.key).is_none()
+                if self.newest_ptr(e.id).is_some_and(|p| p.block == victim)
+                    && self.core.buffer.get(e.id).is_none()
                 {
-                    reinsert.push((e.key, e.value_len));
+                    reinsert.push((e.id, e.value_len));
                 }
             }
         }
-        for (key, value_len) in reinsert {
-            self.core.buffer.insert(
-                key,
-                crate::buffer::BufEntry {
-                    value_len,
-                    tombstone: false,
-                },
-            );
+        for (id, value_len) in reinsert {
+            let entry = BufEntry {
+                value_len,
+                tombstone: false,
+            };
+            self.core.buffer.insert(id, entry, self.core.cfg.key_len);
         }
         let (done, _) = self.data.erase(&mut self.core.flash, victim, t_read)?;
         self.core
@@ -62,11 +61,11 @@ impl PinkStore {
         Ok(done)
     }
 
-    /// The data pointer of the newest (shallowest) version of `key`, if
+    /// The data pointer of the newest (shallowest) version of key `id`, if
     /// any.
-    fn newest_ptr(&self, key: crate::key::Key) -> Option<Extent> {
+    fn newest_ptr(&self, id: u64) -> Option<Extent> {
         for level in &self.levels {
-            if let Some(e) = level.entry_at(level.seek(key).1, key) {
+            if let Some(e) = level.entry_at(level.seek(id).1, id) {
                 return (!e.tombstone).then_some(e.ptr);
             }
         }

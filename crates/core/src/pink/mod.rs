@@ -50,51 +50,49 @@ pub struct PinkLevel {
 }
 
 impl PinkLevel {
-    /// Searches the level for `key`: the level list (each segment's
+    /// Searches the level for key `id`: the level list (each segment's
     /// cached first key) for the segment whose key range holds it, then
     /// that segment by interpolation between its first key and the next
     /// segment's ([`key::lower_bound`]; a plain binary search in the last
-    /// segment). Returns that segment, `None` when `key` precedes the
-    /// level, and the index in `entries` of the first entry ≥ `key`.
-    pub fn seek(&self, key: Key) -> (Option<usize>, usize) {
-        let Some(si) = self.segs.partition_point(|s| s.first <= key).checked_sub(1) else {
+    /// segment). Returns that segment, `None` when `id` precedes the
+    /// level, and the index in `entries` of the first entry ≥ `id`.
+    pub fn seek(&self, id: u64) -> (Option<usize>, usize) {
+        let Some(si) = self.segs.partition_point(|s| s.first <= id).checked_sub(1) else {
             return (None, 0);
         };
         let seg = &self.segs[si];
-        let lo = seg.first.id();
-        let hi = self.segs.get(si + 1).map_or(lo, |s| s.first.id());
-        let at = key::lower_bound(seg.entries(&self.entries), key, lo, hi, |e| e.key);
+        let hi = self.segs.get(si + 1).map_or(seg.first, |s| s.first);
+        let at = key::lower_bound(seg.entries(&self.entries), id, seg.first, hi, |e| e.id);
         (Some(si), seg.start + at)
     }
 
-    /// Where a scan from `key` starts: the first segment holding an entry
-    /// ≥ `key` (the sought one, or the next when every key of the sought
-    /// one is below `key`) and that entry's index in `entries`.
-    pub fn scan_from(&self, key: Key) -> (usize, usize) {
-        let (seg, from) = self.seek(key);
+    /// Where a scan from key `id` starts: the first segment holding an
+    /// entry ≥ `id` (the sought one, or the next when every key of the
+    /// sought one is below `id`) and that entry's index in `entries`.
+    pub fn scan_from(&self, id: u64) -> (usize, usize) {
+        let (seg, from) = self.seek(id);
         let first = seg.map_or(0, |si| si + usize::from(from == self.segs[si].end));
         (first, from)
     }
 
     /// The entry at `pos`, a [`seek`](Self::seek) result, when it holds
-    /// `key`.
-    pub fn entry_at(&self, pos: usize, key: Key) -> Option<&SegEntry> {
-        self.entries.get(pos).filter(|e| e.key == key)
+    /// key `id`.
+    pub fn entry_at(&self, pos: usize, id: u64) -> Option<&SegEntry> {
+        self.entries.get(pos).filter(|e| e.id == id)
     }
 
-    /// Bytes of this level's level list.
-    pub fn list_bytes(&self) -> u64 {
-        self.segs
-            .iter()
-            .map(|s| s.first.len() as u64 + LIST_ENTRY_OVERHEAD)
-            .sum()
+    /// Bytes of this level's level list, its keys being `key_len` bytes
+    /// long.
+    pub fn list_bytes(&self, key_len: u16) -> u64 {
+        self.segs.len() as u64 * (u64::from(key_len) + LIST_ENTRY_OVERHEAD)
     }
 
-    /// Replaces the level's run and cuts it into unplaced segments of at
-    /// most `payload` bytes; caches the logical size.
-    pub fn set_run(&mut self, entries: Vec<SegEntry>, payload: u64) {
-        self.segs = segment::cut_segments(&entries, payload);
-        self.kv_bytes = entries.iter().map(SegEntry::kv_bytes).sum();
+    /// Replaces the level's run of entries with `key_len`-byte keys and
+    /// cuts it into unplaced segments of at most `payload` bytes; caches
+    /// the logical size.
+    pub fn set_run(&mut self, entries: Vec<SegEntry>, payload: u64, key_len: u16) {
+        self.segs = segment::cut_segments(&entries, payload, key_len);
+        self.kv_bytes = entries.iter().map(|e| e.kv_bytes(key_len)).sum();
         self.entries = entries;
     }
 
@@ -103,14 +101,15 @@ impl PinkLevel {
         self.segs.is_empty()
     }
 
-    /// Audits the level, naming it `level`: its meta segments tile the
-    /// entry run, cache their first keys, hold disjoint ascending key
-    /// ranges, cache their exact byte counts and are each key-sorted.
+    /// Audits the level of `key_len`-byte keys, naming it `level`: its
+    /// meta segments tile the entry run, cache their first keys, hold
+    /// disjoint ascending key ranges, cache their exact byte counts and are
+    /// each key-sorted.
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
-    pub fn audit(&self, level: usize) -> Result<(), AuditError> {
+    pub fn audit(&self, level: usize, key_len: u16) -> Result<(), AuditError> {
         let mut next = 0usize;
         for (si, seg) in self.segs.iter().enumerate() {
             if seg.start != next || seg.end <= seg.start || seg.end > self.entries.len() {
@@ -125,18 +124,18 @@ impl PinkLevel {
         if let Some(segment) = self
             .segs
             .iter()
-            .position(|s| s.first != self.entries[s.start].key)
+            .position(|s| s.first != self.entries[s.start].id)
         {
             return Err(AuditError::SegmentFence { level, segment });
         }
         for (index, w) in self.segs.windows(2).enumerate() {
-            if self.entries[w[0].end - 1].key >= self.entries[w[1].start].key {
+            if self.entries[w[0].end - 1].id >= self.entries[w[1].start].id {
                 return Err(AuditError::LevelOrder { level, index });
             }
         }
         for (si, seg) in self.segs.iter().enumerate() {
             let entries = seg.entries(&self.entries);
-            let actual = entries.iter().map(SegEntry::seg_bytes).sum();
+            let actual = entries.len() as u64 * SegEntry::seg_bytes(key_len);
             if seg.bytes != actual {
                 return Err(AuditError::SegmentBytes {
                     level,
@@ -145,7 +144,7 @@ impl PinkLevel {
                     actual,
                 });
             }
-            if entries.windows(2).any(|w| w[0].key >= w[1].key) {
+            if entries.windows(2).any(|w| w[0].id >= w[1].id) {
                 return Err(AuditError::DirectoryOrder { level, group: si });
             }
         }
@@ -190,7 +189,8 @@ impl PinkStore {
         }
     }
 
-    fn list_entries_per_page(&self, key_len: u64) -> u64 {
+    fn list_entries_per_page(&self) -> u64 {
+        let key_len = u64::from(self.core.cfg.key_len);
         (self.core.page_payload / (key_len + LIST_ENTRY_OVERHEAD)).max(1)
     }
 }
@@ -207,15 +207,15 @@ impl Engine for PinkStore {
     }
 
     fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool> {
+        let id = key.id();
         for li in 0..self.levels.len() {
-            let (Some(si), pos) = self.levels[li].seek(key) else {
+            let (Some(si), pos) = self.levels[li].seek(id) else {
                 continue;
             };
             // Level-list probe: free in DRAM, one flash read when spilled.
             let list_pages = &self.levels[li].list_pages;
             if !list_pages.is_empty() {
-                let key_len = self.levels[li].segs[si].first.len() as u64;
-                let per_page = self.list_entries_per_page(key_len) as usize;
+                let per_page = self.list_entries_per_page() as usize;
                 let ppa = list_pages[(si / per_page).min(list_pages.len() - 1)];
                 req.read(&mut self.core.flash, OpCause::MetaRead, [ppa]);
             }
@@ -224,7 +224,7 @@ impl Engine for PinkStore {
             let flash = &mut self.core.flash;
             req.read(flash, OpCause::MetaRead, self.levels[li].segs[si].ppa);
             let level = &self.levels[li];
-            if let Some(e) = level.entry_at(pos, key) {
+            if let Some(e) = level.entry_at(pos, id) {
                 // A tombstone ends the lookup like a miss.
                 if e.tombstone {
                     return None;
@@ -236,7 +236,7 @@ impl Engine for PinkStore {
         None
     }
 
-    fn scan_levels(&mut self, start: Key, len: u32, req: &mut Request) -> Vec<u64> {
+    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64> {
         // Each level's run is its entry array from the first entry ≥
         // `start`; the budget walk starts at the segment holding it. The
         // index pages are the spilled level lists and meta segments the
@@ -251,7 +251,7 @@ impl Engine for PinkStore {
             start,
             len as usize,
             runs,
-            |e: &SegEntry| (e.key, e.tombstone, e.value_len),
+            |e: &SegEntry| (e.id, e.tombstone, e.value_len),
             |li, budget, pages| {
                 let (level, (first, from)) = (&levels[li], starts[li]);
                 if level.is_empty() {
@@ -267,7 +267,7 @@ impl Engine for PinkStore {
                     let from = from.max(seg.start);
                     let n = seg.end - from;
                     if n >= left {
-                        return Some(level.entries[from + left - 1].key);
+                        return Some(level.entries[from + left - 1].id);
                     }
                     left -= n;
                 }
@@ -289,23 +289,25 @@ impl Engine for PinkStore {
             .flat_map(|pos| self.levels[pos.level].entries[pos.index].ptr.pages());
         let data = self.core.read_set(data_ppas, OpCause::HostRead, req.t);
         req.charge(OpCause::HostRead, data);
-        plan.hits.iter().map(|(k, _)| k.id()).collect()
+        plan.hits.iter().map(|&(id, _)| id).collect()
     }
 
     /// Appends each buffered pair to the data area; the run holds its
     /// index entries.
     fn flush_run(&mut self, mut t: Ns) -> Result<Ns, KvError> {
         let entries = self.core.buffer.drain();
+        let key_len = self.core.cfg.key_len;
         let mut run = Vec::with_capacity(entries.len());
-        for (key, be) in entries {
+        for (id, be) in entries {
             let mut e = SegEntry {
-                key,
+                id,
                 value_len: be.value_len,
                 ptr: Extent::default(),
                 tombstone: be.tombstone,
             };
             if !e.tombstone {
-                let (ptr, td) = self.data.append(&mut self.core.flash, e.data_bytes(), t)?;
+                let bytes = e.data_bytes(key_len);
+                let (ptr, td) = self.data.append(&mut self.core.flash, bytes, t)?;
                 t = t.max(td);
                 e.ptr = ptr;
             }
@@ -351,12 +353,13 @@ impl Engine for PinkStore {
     }
 
     fn stats(&self) -> MetadataStats {
-        let level_list_bytes: u64 = self.levels.iter().map(PinkLevel::list_bytes).sum();
+        let key_len = self.core.cfg.key_len;
+        let level_list_bytes: u64 = self.levels.iter().map(|l| l.list_bytes(key_len)).sum();
         let level_list_flash: u64 = self
             .levels
             .iter()
             .filter(|l| !l.list_pages.is_empty())
-            .map(PinkLevel::list_bytes)
+            .map(|l| l.list_bytes(key_len))
             .sum();
         let (mut seg_dram, mut seg_flash) = (0u64, 0u64);
         for seg in self.levels.iter().flat_map(|l| &l.segs) {
@@ -382,7 +385,7 @@ impl Engine for PinkStore {
         let levels = self.levels.iter();
         let runs = levels.map(|l| std::iter::once((0, 0, &l.entries[..])));
         self.core
-            .live_bytes(runs, |e: &SegEntry| (e.key, e.tombstone, e.value_len))
+            .live_bytes(runs, |e: &SegEntry| (e.id, e.tombstone, e.value_len))
     }
 
     fn sample_levels(&self, meta: &MetadataStats) -> StateSample {
@@ -396,7 +399,7 @@ impl Engine for PinkStore {
                     entries: l.segs.len() as u64,
                     kv_bytes: l.kv_bytes,
                     phys_bytes: l.segs.iter().map(Segment::bytes).sum(),
-                    meta_bytes: l.list_bytes(),
+                    meta_bytes: l.list_bytes(self.core.cfg.key_len),
                 })
                 .collect(),
             ..self.core.sample_state(meta)
@@ -408,7 +411,7 @@ impl Engine for PinkStore {
     /// boundary audit.
     fn audit(&self) -> Result<(), AuditError> {
         for (li, level) in self.levels.iter().enumerate() {
-            level.audit(li)?;
+            level.audit(li, self.core.cfg.key_len)?;
         }
 
         // What `rebalance` claimed must equal what is marked resident.

@@ -12,7 +12,6 @@
 use anykey_flash::Ppa;
 
 use crate::bytelog::Extent;
-use crate::key::Key;
 
 /// Fixed per-entry overhead in a meta segment beyond the key bytes: a
 /// 4-byte PPA and 2 bytes of length/flags.
@@ -20,11 +19,12 @@ pub const SEG_ENTRY_OVERHEAD: u64 = 6;
 /// Bytes per level-list entry beyond the first key: segment location.
 pub const LIST_ENTRY_OVERHEAD: u64 = 5;
 
-/// One sorted entry of a meta segment.
+/// One sorted entry of a meta segment: 24 bytes on the host, the key
+/// being its id (the length is the device's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegEntry {
-    /// The key.
-    pub key: Key,
+    /// The key id.
+    pub id: u64,
     /// Value length (0 for tombstones).
     pub value_len: u32,
     /// Where the KV pair lives in the data area (no pages for tombstones).
@@ -33,27 +33,30 @@ pub struct SegEntry {
     pub tombstone: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<SegEntry>() == 24);
+
 impl SegEntry {
-    /// Logical KV bytes of this entry.
-    pub fn kv_bytes(&self) -> u64 {
+    /// Logical KV bytes of this entry, its key being `key_len` bytes long.
+    pub fn kv_bytes(&self, key_len: u16) -> u64 {
         if self.tombstone {
-            self.key.len() as u64
+            u64::from(key_len)
         } else {
-            self.key.len() as u64 + self.value_len as u64
+            u64::from(key_len) + self.value_len as u64
         }
     }
 
-    /// Bytes this entry occupies in its meta segment.
-    pub fn seg_bytes(&self) -> u64 {
-        self.key.len() as u64 + SEG_ENTRY_OVERHEAD
+    /// Bytes an entry with a `key_len`-byte key occupies in its meta
+    /// segment: every entry of a device takes the same.
+    pub fn seg_bytes(key_len: u16) -> u64 {
+        u64::from(key_len) + SEG_ENTRY_OVERHEAD
     }
 
     /// Bytes the KV pair occupies in the data area.
-    pub fn data_bytes(&self) -> u64 {
+    pub fn data_bytes(&self, key_len: u16) -> u64 {
         if self.tombstone {
             0
         } else {
-            self.key.len() as u64 + self.value_len as u64 + SEG_ENTRY_OVERHEAD
+            u64::from(key_len) + self.value_len as u64 + SEG_ENTRY_OVERHEAD
         }
     }
 }
@@ -62,10 +65,10 @@ impl SegEntry {
 /// [`PinkLevel::entries`](crate::pink::PinkLevel::entries)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
-    /// The key of the segment's first entry, cached when the segment is
-    /// cut: its level-list key, which the level search compares against
+    /// The key id of the segment's first entry, cached when the segment
+    /// is cut: its level-list key, which the level search compares against
     /// without touching the run.
-    pub first: Key,
+    pub first: u64,
     /// Index of the segment's first entry in its level's run.
     pub start: usize,
     /// One past the segment's last entry.
@@ -90,36 +93,25 @@ impl Segment {
     }
 }
 
-/// Cuts a key-ordered run into page-sized segments of at most `payload`
-/// entry bytes each (a single oversized entry gets a segment of its own),
-/// none placed yet: the next DRAM rebalance pins or spills each.
-pub fn cut_segments(run: &[SegEntry], payload: u64) -> Vec<Segment> {
-    let mut segs = Vec::new();
-    let (mut start, mut bytes) = (0usize, 0u64);
-    for (i, e) in run.iter().enumerate() {
-        let sz = e.seg_bytes();
-        if i > start && bytes + sz > payload {
-            segs.push(Segment {
-                first: run[start].key,
+/// Cuts a key-ordered run of entries with `key_len`-byte keys into
+/// page-sized segments of as many entries as fit `payload` bytes (at least
+/// one), none placed yet: the next DRAM rebalance pins or spills each.
+pub fn cut_segments(run: &[SegEntry], payload: u64, key_len: u16) -> Vec<Segment> {
+    let sz = SegEntry::seg_bytes(key_len);
+    let per = (payload / sz).max(1) as usize;
+    let starts = (0..run.len()).step_by(per);
+    starts
+        .map(|start| {
+            let end = (start + per).min(run.len());
+            Segment {
+                first: run[start].id,
                 start,
-                end: i,
-                bytes,
+                end,
+                bytes: (end - start) as u64 * sz,
                 ppa: None,
-            });
-            (start, bytes) = (i, 0);
-        }
-        bytes += sz;
-    }
-    if start < run.len() {
-        segs.push(Segment {
-            first: run[start].key,
-            start,
-            end: run.len(),
-            bytes,
-            ppa: None,
-        });
-    }
-    segs
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -243,9 +235,9 @@ mod tests {
         assert_eq!(flash.counters().erases(), 0);
     }
 
-    fn entry(id: u64, key_len: u16) -> SegEntry {
+    fn entry(id: u64) -> SegEntry {
         SegEntry {
-            key: Key::new(id, key_len).unwrap(),
+            id,
             value_len: 50,
             ptr: Extent {
                 block: BlockId(0),
@@ -256,10 +248,52 @@ mod tests {
         }
     }
 
-    /// A level over `run`, cut by [`cut_segments`].
-    fn level(run: Vec<SegEntry>, payload: u64) -> PinkLevel {
+    /// Every field reads back as built at the extremes of the 24-byte
+    /// layout (a tombstone, a 0-byte live value, the last page of a
+    /// 65,536-page block, the most pages an extent holds), and the byte
+    /// counts take the key length from the caller.
+    #[test]
+    fn entries_round_trip_at_the_extremes() {
+        let cases = [
+            (u64::MAX, u32::MAX, 65_535, u8::MAX, false),
+            (0, 0, 0, 0, true),
+            (7, 0, 9, 1, false),
+            (8, 4096, 65_535, 1, false),
+        ];
+        for (id, value_len, page, pages, tombstone) in cases {
+            let ptr = Extent {
+                block: BlockId(u32::MAX - 1),
+                page,
+                pages,
+            };
+            let e = SegEntry {
+                id,
+                value_len,
+                ptr,
+                tombstone,
+            };
+            let copy = e;
+            assert_eq!(
+                (copy.id, copy.value_len, copy.ptr, copy.tombstone),
+                (id, value_len, ptr, tombstone)
+            );
+            let value = if tombstone { 0 } else { u64::from(value_len) };
+            assert_eq!(e.kv_bytes(24), 24 + value);
+            let data = if tombstone {
+                0
+            } else {
+                24 + value + SEG_ENTRY_OVERHEAD
+            };
+            assert_eq!(e.data_bytes(24), data);
+        }
+        assert_eq!(SegEntry::seg_bytes(24), 24 + SEG_ENTRY_OVERHEAD);
+    }
+
+    /// A level over `run` with `key_len`-byte keys, cut by
+    /// [`cut_segments`].
+    fn level(run: Vec<SegEntry>, payload: u64, key_len: u16) -> PinkLevel {
         let mut level = PinkLevel::default();
-        level.set_run(run, payload);
+        level.set_run(run, payload, key_len);
         level
     }
 
@@ -267,21 +301,20 @@ mod tests {
     fn segment_find_is_exact() {
         // Two segments over one run: a key is found only inside its own
         // segment's range.
-        let run: Vec<SegEntry> = (0..100u64).map(|id| entry(id * 2, 16)).collect();
-        let l = level(run, 50 * (16 + SEG_ENTRY_OVERHEAD));
+        let run: Vec<SegEntry> = (0..100u64).map(|id| entry(id * 2)).collect();
+        let l = level(run, 50 * (16 + SEG_ENTRY_OVERHEAD), 16);
         assert_eq!(l.segs.len(), 2);
         let find = |id| {
-            let key = Key::new(id, 16).unwrap();
-            let (si, pos) = l.seek(key);
-            (si, l.entry_at(pos, key).map(|e| e.key.id()))
+            let (si, pos) = l.seek(id);
+            (si, l.entry_at(pos, id).map(|e| e.id))
         };
         assert_eq!(find(42), (Some(0), Some(42)));
         assert_eq!(find(43), (Some(0), None));
         assert_eq!(find(100), (Some(1), Some(100)));
         assert_eq!(find(101), (Some(1), None));
         assert_eq!(find(199), (Some(1), None));
-        assert_eq!(l.segs[1].first.id(), 100);
-        assert_eq!(l.segs[1].entries(&l.entries)[0].key.id(), 100);
+        assert_eq!(l.segs[1].first, 100);
+        assert_eq!(l.segs[1].entries(&l.entries)[0].id, 100);
         assert_eq!(l.segs[0].bytes(), 50 * (16 + SEG_ENTRY_OVERHEAD));
     }
 
@@ -291,24 +324,24 @@ mod tests {
     /// Returns the candidate segment, the hit's index in the run and the
     /// scan start (first segment that can hold keys ≥ `key`, first entry ≥
     /// `key`).
-    fn reference_seek(l: &PinkLevel, key: Key) -> (Option<usize>, Option<usize>, (usize, usize)) {
+    fn reference_seek(l: &PinkLevel, id: u64) -> (Option<usize>, Option<usize>, (usize, usize)) {
         let run = &l.entries;
         let candidate = l
             .segs
-            .partition_point(|s| run[s.start].key <= key)
+            .partition_point(|s| run[s.start].id <= id)
             .checked_sub(1);
         let hit = candidate.and_then(|si| {
             let seg = &l.segs[si];
-            let at = seg.entries(run).binary_search_by(|e| e.key.cmp(&key));
+            let at = seg.entries(run).binary_search_by(|e| e.id.cmp(&id));
             at.ok().map(|i| seg.start + i)
         });
         let first = match candidate {
-            Some(i) if run[l.segs[i].end - 1].key >= key => i,
+            Some(i) if run[l.segs[i].end - 1].id >= id => i,
             Some(i) => i + 1,
             None => 0,
         };
         let from = l.segs.get(first).map_or(run.len(), |seg| {
-            seg.start + seg.entries(run).partition_point(|e| e.key < key)
+            seg.start + seg.entries(run).partition_point(|e| e.id < id)
         });
         (candidate, hit, (first, from))
     }
@@ -328,32 +361,31 @@ mod tests {
                     if rng.next_bounded(100) == 0 {
                         id += 10_000;
                     }
-                    entry(id, key_len)
+                    entry(id)
                 })
                 .collect();
-            let l = level(run, payload);
+            let l = level(run, payload, key_len);
             // Present keys and their neighbours (gaps inside segments),
             // keys around every segment's first key (gaps between
             // segments), keys before the first and after the last, and a
             // few random ids.
-            let last = l.entries.last().map_or(0, |e| e.key.id());
+            let last = l.entries.last().map_or(0, |e| e.id);
             let mut ids = std::collections::BTreeSet::from([0, last + 1, last + 2]);
             for e in &l.entries {
-                ids.extend(e.key.id().saturating_sub(1)..=e.key.id() + 1);
+                ids.extend(e.id.saturating_sub(1)..=e.id + 1);
             }
             for s in &l.segs {
-                ids.extend(s.first.id().saturating_sub(2)..=s.first.id() + 2);
+                ids.extend(s.first.saturating_sub(2)..=s.first + 2);
             }
             ids.extend((0..200).map(|_| rng.next_bounded(last + 3)));
-            for i in ids {
-                let key = Key::new(i, key_len).unwrap();
-                let ctx = format!("seed {seed}: {n} entries, payload {payload}, key {key:?}");
-                let (candidate, hit, scan) = reference_seek(&l, key);
-                let (si, pos) = l.seek(key);
+            for id in ids {
+                let ctx = format!("seed {seed}: {n} entries, payload {payload}, key {id}");
+                let (candidate, hit, scan) = reference_seek(&l, id);
+                let (si, pos) = l.seek(id);
                 assert_eq!(si, candidate, "{ctx}: segment");
-                let got_hit = l.entry_at(pos, key).map(|_| pos);
+                let got_hit = l.entry_at(pos, id).map(|_| pos);
                 assert_eq!(got_hit, hit, "{ctx}: hit");
-                assert_eq!(l.scan_from(key), scan, "{ctx}: scan start");
+                assert_eq!(l.scan_from(id), scan, "{ctx}: scan start");
             }
         }
     }
@@ -361,12 +393,12 @@ mod tests {
     /// Reference cut: each segment's entries copied into a `Vec` of its
     /// own, as segments were stored before the level's run became one
     /// array.
-    fn reference_cut(run: &[SegEntry], payload: u64) -> Vec<Vec<SegEntry>> {
+    fn reference_cut(run: &[SegEntry], payload: u64, key_len: u16) -> Vec<Vec<SegEntry>> {
         let mut segs: Vec<Vec<SegEntry>> = Vec::new();
         let mut cur: Vec<SegEntry> = Vec::new();
         let mut cur_bytes = 0u64;
         for &e in run {
-            let sz = e.seg_bytes();
+            let sz = SegEntry::seg_bytes(key_len);
             if !cur.is_empty() && cur_bytes + sz > payload {
                 segs.push(std::mem::take(&mut cur));
                 cur_bytes = 0;
@@ -391,18 +423,18 @@ mod tests {
             let run: Vec<SegEntry> = (0..n)
                 .map(|_| {
                     id += 1 + rng.next_bounded(5);
-                    entry(id, key_len)
+                    entry(id)
                 })
                 .collect();
-            let got = cut_segments(&run, payload);
-            let want = reference_cut(&run, payload);
+            let got = cut_segments(&run, payload, key_len);
+            let want = reference_cut(&run, payload, key_len);
             let ctx = format!("seed {seed}: {n} entries, key {key_len} B, payload {payload}");
             assert_eq!(got.len(), want.len(), "{ctx}: segment count");
             let mut next = 0;
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.start, next, "{ctx}: segment {i} start");
                 assert_eq!(g.entries(&run), &w[..], "{ctx}: segment {i} entries");
-                let bytes: u64 = w.iter().map(SegEntry::seg_bytes).sum();
+                let bytes = w.len() as u64 * SegEntry::seg_bytes(key_len);
                 assert_eq!(g.bytes(), bytes, "{ctx}: segment {i} bytes");
                 assert!(g.ppa.is_none(), "{ctx}: segment {i} placement");
                 next = g.end;

@@ -50,13 +50,13 @@ impl fmt::Display for FreeError {
 impl std::error::Error for FreeError {}
 
 /// Conservation failure reported by [`BlockAllocator::audit`]: the free
-/// heap, allocation flags, and retirement flags no longer partition the
-/// block range.
+/// heap and the per-block states no longer partition the block range, or
+/// the retired counter disagrees with them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocSkew {
     /// Blocks sitting in the free heap.
     pub free: usize,
-    /// Blocks with the allocated flag set.
+    /// Blocks in the allocated state.
     pub allocated: usize,
     /// Blocks counted as retired.
     pub retired: usize,
@@ -100,9 +100,20 @@ pub struct BlockAllocator {
     range: Range<u32>,
     /// Min-heap keyed by `(caller key, id)`.
     free: BinaryHeap<Reverse<(u32, u32)>>,
-    allocated: Vec<bool>,
-    retired: Vec<bool>,
+    /// Each block's state, indexed from the start of the range.
+    slots: Vec<Slot>,
     retired_count: usize,
+}
+
+/// The state of one block of a [`BlockAllocator`]: exactly one at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// In the free heap.
+    Free,
+    /// Handed out by [`BlockAllocator::alloc`].
+    Allocated,
+    /// Out of rotation for good (a grown bad block).
+    Retired,
 }
 
 impl BlockAllocator {
@@ -114,17 +125,16 @@ impl BlockAllocator {
     pub fn new(range: Range<u32>) -> Self {
         assert!(!range.is_empty(), "block allocator range must be non-empty");
         let free = range.clone().map(|id| Reverse((0, id))).collect();
-        let slots = range.len();
+        let slots = vec![Slot::Free; range.len()];
         Self {
             range,
             free,
-            allocated: vec![false; slots],
-            retired: vec![false; slots],
+            slots,
             retired_count: 0,
         }
     }
 
-    /// Checked index of an in-range block id into the per-slot tables.
+    /// Checked index of an in-range block id into the per-slot states.
     fn slot_index(&self, id: u32) -> usize {
         debug_assert!(self.range.contains(&id));
         // A u32 offset always fits usize on the simulator's targets; the
@@ -137,7 +147,7 @@ impl BlockAllocator {
     pub fn alloc(&mut self) -> Option<BlockId> {
         let Reverse((_, id)) = self.free.pop()?;
         let slot = self.slot_index(id);
-        self.allocated[slot] = true;
+        self.slots[slot] = Slot::Allocated;
         Some(BlockId(id))
     }
 
@@ -145,7 +155,7 @@ impl BlockAllocator {
     /// are allocated first, equal keys lowest id first.
     pub fn free(&mut self, block: BlockId, key: u32) -> Result<(), FreeError> {
         let idx = self.checked_slot(block)?;
-        self.allocated[idx] = false;
+        self.slots[idx] = Slot::Free;
         self.free.push(Reverse((key, block.0)));
         Ok(())
     }
@@ -155,8 +165,7 @@ impl BlockAllocator {
     /// the region's usable capacity.
     pub fn retire(&mut self, block: BlockId) -> Result<(), FreeError> {
         let idx = self.checked_slot(block)?;
-        self.allocated[idx] = false;
-        self.retired[idx] = true;
+        self.slots[idx] = Slot::Retired;
         self.retired_count += 1;
         Ok(())
     }
@@ -167,13 +176,11 @@ impl BlockAllocator {
             return Err(FreeError::OutOfRange { block: block.0 });
         }
         let idx = self.slot_index(block.0);
-        if self.retired[idx] {
-            return Err(FreeError::Retired { block: block.0 });
+        match self.slots[idx] {
+            Slot::Allocated => Ok(idx),
+            Slot::Retired => Err(FreeError::Retired { block: block.0 }),
+            Slot::Free => Err(FreeError::NotAllocated { block: block.0 }),
         }
-        if !self.allocated[idx] {
-            return Err(FreeError::NotAllocated { block: block.0 });
-        }
-        Ok(idx)
     }
 
     /// Number of blocks currently free.
@@ -194,24 +201,16 @@ impl BlockAllocator {
     /// Whether `block` has been retired. Blocks outside the range are not
     /// retired by definition.
     pub fn is_retired(&self, block: BlockId) -> bool {
-        self.range.contains(&block.0) && self.retired[self.slot_index(block.0)]
+        self.range.contains(&block.0) && self.slots[self.slot_index(block.0)] == Slot::Retired
     }
 
-    /// Verifies block-state conservation: the free heap, allocated flags,
-    /// and retired flags must partition the range, and the retired counter
-    /// must match its flags.
+    /// Verifies block-state conservation: the free heap and the allocated
+    /// and retired blocks must partition the range, and the retired
+    /// counter must match the retired blocks.
     pub fn audit(&self) -> Result<(), AllocSkew> {
-        let allocated = self.allocated.iter().filter(|&&a| a).count();
-        let retired = self.retired.iter().filter(|&&r| r).count();
-        let overlap = self
-            .allocated
-            .iter()
-            .zip(self.retired.iter())
-            .any(|(&a, &r)| a && r);
-        if overlap
-            || retired != self.retired_count
-            || self.free.len() + allocated + retired != self.len()
-        {
+        let count = |state| self.slots.iter().filter(|&&s| s == state).count();
+        let (allocated, retired) = (count(Slot::Allocated), count(Slot::Retired));
+        if retired != self.retired_count || self.free.len() + allocated + retired != self.len() {
             return Err(AllocSkew {
                 free: self.free.len(),
                 allocated,

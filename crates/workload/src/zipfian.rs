@@ -42,10 +42,12 @@ pub struct ZipfianGen {
 #[derive(Debug, Clone)]
 enum Dist {
     Zipfian {
-        theta: f64,
         alpha: f64,
         zetan: f64,
         eta: f64,
+        /// `1 + 0.5^θ`: a draw whose `u · ζ(n, θ)` falls below it (and
+        /// not below 1) is rank 1.
+        rank1_bound: f64,
     },
     Uniform,
 }
@@ -82,10 +84,10 @@ impl ZipfianGen {
                 let alpha = 1.0 / (1.0 - theta);
                 let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
                 Dist::Zipfian {
-                    theta,
                     alpha,
                     zetan,
                     eta,
+                    rank1_bound: 1.0 + 0.5f64.powf(theta),
                 }
             }
             KeyDist::Uniform => Dist::Uniform,
@@ -117,16 +119,16 @@ impl ZipfianGen {
             // permutation, so scrambling would skew coverage).
             Dist::Uniform => return self.rng.next_bounded(self.n),
             Dist::Zipfian {
-                theta,
                 alpha,
                 zetan,
                 eta,
+                rank1_bound,
             } => {
                 let u = self.rng.next_f64();
                 let uz = u * zetan;
                 if uz < 1.0 {
                     0
-                } else if uz < 1.0 + 0.5f64.powf(*theta) {
+                } else if uz < *rank1_bound {
                     1
                 } else {
                     let r = (self.n as f64 * (eta * u - eta + 1.0).powf(*alpha)) as u64;
@@ -216,6 +218,35 @@ mod tests {
         }
         assert!(zero_plain > 100);
         assert!(zero_scrambled < zero_plain / 10);
+    }
+
+    /// A seeded stream is the one the per-draw formula gives, draw for
+    /// draw, with `1 + 0.5^θ` recomputed on every draw.
+    #[test]
+    fn draws_match_the_per_draw_formula() {
+        let n = 100_000u64;
+        for (theta, seed) in [(0.5, 3), (0.99, 42), (1.2, 7)] {
+            let mut g = ZipfianGen::new(n, KeyDist::Zipfian { theta }, seed);
+            let mut rng = SplitMix64::new(seed);
+            let zetan = zeta(n, theta);
+            let alpha = 1.0 / (1.0 - theta);
+            let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan);
+            let mut rank1 = 0;
+            for i in 0..100_000 {
+                let u = rng.next_f64();
+                let uz = u * zetan;
+                let rank = if uz < 1.0 {
+                    0
+                } else if uz < 1.0 + 0.5f64.powf(theta) {
+                    rank1 += 1;
+                    1
+                } else {
+                    ((n as f64 * (eta * u - eta + 1.0).powf(alpha)) as u64).min(n - 1)
+                };
+                assert_eq!(g.next_key(), mix64(rank) % n, "θ {theta}: draw {i}");
+            }
+            assert!(rank1 > 0, "θ {theta}: no draw took rank 1");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `cargo run -p xtask -- bench-record <n> [--runs R] [--parent DIR]
-//! [--seconds S]` — records one `BENCH_<n>.json` point of the host-cost
-//! trajectory.
+//! [--seconds S] [--claim WORKLOAD/METRIC]` — records one `BENCH_<n>.json`
+//! point of the host-cost trajectory.
 //!
 //! It reads `BENCHMARK.json` in the current directory and runs its command
 //! once per workload and run (`--workload <name> --seed <run> --seconds
@@ -20,13 +20,20 @@
 //! from it (see `commit_label`); a directory git cannot read keeps the
 //! commit the benchmark's own info line reports.
 //!
+//! `--claim WORKLOAD/METRIC` (with `--parent`) judges a claimed gain on one
+//! end-to-end metric by the claim rule and writes it as the record's
+//! `claim`: the change must win at least nine tenths of the pairs, its
+//! median must beat the parent's by more than the parent's interquartile
+//! range, and there must be at least [`CLAIM_PAIRS`] pairs, twice that when
+//! the metric is `unresolved` on that workload (see [`judge`]).
+//!
 //! `BENCHMARK.json` and each run's result line are read through the
 //! metrics crate's JSON codec ([`Json`]), and every name the record writes
 //! is escaped with its [`esc`]; the run's info line is scanned instead
 //! (see `scan_field`).
 //!
-//! Exit codes: 0 written, 1 a run failed or reported failed ops, 2
-//! usage/IO/parse error.
+//! Exit codes: 0 written, 1 a run failed or reported failed ops or the
+//! claim is not met, 2 usage/IO/parse error.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -37,10 +44,13 @@ use anykey_metrics::{esc, Json};
 fn usage() -> i32 {
     eprintln!(
         "usage: cargo run -p xtask -- bench-record <n> [--runs R] [--parent DIR] [--seconds S]\n\
+         \x20      [--claim WORKLOAD/METRIC]\n\
          \n\
          Runs the BENCHMARK.json command for every workload R times (default 5)\n\
          and writes BENCH_<n>.json. With --parent, each run is an alternating\n\
-         pair with the checkout in DIR. --seconds overrides run_seconds."
+         pair with the checkout in DIR. --seconds overrides run_seconds.\n\
+         --claim (needs --parent) judges a claimed gain on one end-to-end\n\
+         metric of one workload and exits 1 when it is not met."
     );
     2
 }
@@ -145,6 +155,68 @@ fn unresolved<'a>(spec: &'a Spec, parent: &[RunResult]) -> Vec<&'a str> {
         .filter(|&(mi, _)| spread(mi))
         .map(|(_, (name, _))| name.as_str())
         .collect()
+}
+
+/// The fewest pairs a claim rests on; twice as many when the metric is
+/// unresolved on the claimed workload.
+const CLAIM_PAIRS: usize = 10;
+
+/// A claimed gain: the indices of its workload and end-to-end metric in
+/// the spec.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Claim {
+    workload: usize,
+    metric: usize,
+}
+
+/// Parses `--claim`'s `WORKLOAD/METRIC` against the spec's names.
+fn parse_claim(spec: &Spec, arg: &str) -> Option<Claim> {
+    let (w, m) = arg.split_once('/')?;
+    Some(Claim {
+        workload: spec.workloads.iter().position(|x| x == w)?,
+        metric: spec.metrics.iter().position(|(x, _)| x == m)?,
+    })
+}
+
+/// What [`judge`] found for a claim.
+#[derive(Debug, Clone, PartialEq)]
+struct Verdict {
+    pairs: usize,
+    wins: usize,
+    /// The change's median minus the parent's, signed so that a gain is
+    /// positive.
+    median_gap: f64,
+    parent_iqr: f64,
+    pairs_needed: usize,
+    met: bool,
+}
+
+/// Judges `claim` over the paired runs: met when the change wins at least
+/// nine tenths of the pairs (ties count for neither side), the median gap
+/// in the better direction exceeds the parent's interquartile range, and
+/// there are at least [`CLAIM_PAIRS`] pairs, twice that when the parent's
+/// spread leaves the metric [`unresolved`].
+fn judge(spec: &Spec, claim: Claim, change: &Side, parent: &Side) -> Verdict {
+    let (mi, wi) = (claim.metric, claim.workload);
+    let (name, higher) = &spec.metrics[mi];
+    let values = |side: &Side| -> Vec<f64> { side[wi].iter().map(|r| r.metrics[mi]).collect() };
+    let (c, p) = (values(change), values(parent));
+    let better = |a: f64, b: f64| if *higher { a > b } else { a < b };
+    let pairs = c.len().min(p.len());
+    let wins = c.iter().zip(&p).filter(|&(&a, &b)| better(a, b)).count();
+    let gap = quantile(&c, 0.5) - quantile(&p, 0.5);
+    let median_gap = if *higher { gap } else { -gap };
+    let parent_iqr = quantile(&p, 0.75) - quantile(&p, 0.25);
+    let noisy = unresolved(spec, &parent[wi]).contains(&name.as_str());
+    let pairs_needed = if noisy { 2 * CLAIM_PAIRS } else { CLAIM_PAIRS };
+    Verdict {
+        pairs,
+        wins,
+        median_gap,
+        parent_iqr,
+        pairs_needed,
+        met: pairs >= pairs_needed && wins * 10 >= pairs * 9 && median_gap > parent_iqr,
+    }
 }
 
 /// Whether two sides' runs of one workload simulated the same work: every
@@ -262,8 +334,15 @@ fn side_json(out: &mut String, spec: &Spec, runs: &[RunResult]) {
     );
 }
 
-/// Renders the record: sides, then per-workload figures.
-fn render(n: u32, spec: &Spec, seconds: f64, sides: &[(&str, &Side)]) -> String {
+/// Renders the record: sides, per-workload figures, then the judged
+/// claim, if any.
+fn render(
+    n: u32,
+    spec: &Spec,
+    seconds: f64,
+    sides: &[(&str, &Side)],
+    claim: Option<&(Claim, Verdict)>,
+) -> String {
     let quoted: Vec<String> = spec
         .command
         .iter()
@@ -320,7 +399,24 @@ fn render(n: u32, spec: &Spec, seconds: f64, sides: &[(&str, &Side)]) -> String 
         }
         out.push_str("\n    }");
     }
-    out.push_str("\n  }\n}\n");
+    out.push_str("\n  }");
+    if let Some((claim, v)) = claim {
+        let _ = write!(
+            out,
+            ",\n  \"claim\": {{\"workload\": \"{}\", \"metric\": \"{}\", \"pairs\": {}, \
+             \"wins\": {}, \"median_gap\": {}, \"parent_iqr\": {}, \"pairs_needed\": {}, \
+             \"met\": {}}}",
+            esc(&spec.workloads[claim.workload]),
+            esc(&spec.metrics[claim.metric].0),
+            v.pairs,
+            v.wins,
+            num(v.median_gap),
+            num(v.parent_iqr),
+            v.pairs_needed,
+            v.met
+        );
+    }
+    out.push_str("\n}\n");
     out
 }
 
@@ -329,7 +425,7 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
     let Some(n) = args.first().and_then(|a| a.parse::<u32>().ok()) else {
         return usage();
     };
-    let (mut runs, mut parent, mut seconds) = (5usize, None, None);
+    let (mut runs, mut parent, mut seconds, mut claim_arg) = (5usize, None, None, None);
     let mut rest = args[1..].iter();
     while let Some(flag) = rest.next() {
         let value = rest.next();
@@ -343,8 +439,12 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
                 Ok(s) if s > 0.0 => seconds = Some(s),
                 _ => return usage(),
             },
+            ("--claim", Some(v)) => claim_arg = Some(v.as_str()),
             _ => return usage(),
         }
+    }
+    if claim_arg.is_some() && parent.is_none() {
+        return usage();
     }
     let spec = match std::fs::read_to_string("BENCHMARK.json")
         .map_err(|e| format!("BENCHMARK.json: {e}"))
@@ -354,6 +454,14 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
         Err(e) => {
             eprintln!("xtask bench-record: {e}");
             return 2;
+        }
+    };
+    let claim = match claim_arg.map(|a| parse_claim(&spec, a)) {
+        None => None,
+        Some(Some(c)) => Some(c),
+        Some(None) => {
+            eprintln!("xtask bench-record: --claim names no BENCHMARK.json workload/metric");
+            return usage();
         }
     };
     let seconds = seconds.unwrap_or(spec.run_seconds);
@@ -406,7 +514,8 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
             }
         }
     }
-    let doc = render(n, &spec, seconds, &sides);
+    let verdict = claim.map(|c| (c, judge(&spec, c, &change, &base)));
+    let doc = render(n, &spec, seconds, &sides, verdict.as_ref());
     let path = format!("BENCH_{n}.json");
     if let Err(e) = std::fs::write(&path, doc) {
         eprintln!("xtask bench-record: {path}: {e}");
@@ -417,7 +526,20 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
         .iter()
         .flat_map(|(_, s)| s.iter().flatten())
         .any(|r| r.failed_ratio > 0.0);
-    i32::from(failed)
+    let unmet = verdict.is_some_and(|(c, v)| {
+        let (w, m) = (&spec.workloads[c.workload], &spec.metrics[c.metric].0);
+        println!(
+            "bench-record: claim {w}/{m}: {} of {} pairs won (need {}), median gap {} against parent IQR {}: {}",
+            v.wins,
+            v.pairs,
+            v.pairs_needed,
+            v.median_gap,
+            v.parent_iqr,
+            if v.met { "met" } else { "NOT met" }
+        );
+        !v.met
+    });
+    i32::from(failed || unmet)
 }
 
 #[cfg(test)]
@@ -495,7 +617,13 @@ mod tests {
         // Runs without a digest prove nothing.
         let bare = [read_run(&format!("{{}}\n{result}"), &s.metrics).unwrap()];
         assert!(!same_sim(&bare, &bare));
-        let doc = render(7, &s, 25.0, &[("change", &change), ("parent", &parent)]);
+        let doc = render(
+            7,
+            &s,
+            25.0,
+            &[("change", &change), ("parent", &parent)],
+            None,
+        );
         let doc = Json::read(&doc).unwrap();
         let same = |w| doc.get("workloads")?.get(w)?.get("same_sim")?.to::<bool>();
         assert_eq!(same("a"), Some(true));
@@ -538,7 +666,13 @@ mod tests {
         let s = read_spec(SPEC).unwrap();
         let change: Side = vec![vec![run(2.0, 1.0), run(2.0, 5.0)], vec![run(1.0, 1.0); 2]];
         let parent: Side = vec![vec![run(1.0, 2.0), run(3.0, 2.0)], vec![run(1.0, 1.0); 2]];
-        let doc = render(7, &s, 25.0, &[("change", &change), ("parent", &parent)]);
+        let doc = render(
+            7,
+            &s,
+            25.0,
+            &[("change", &change), ("parent", &parent)],
+            None,
+        );
         let v = Json::read(&doc).unwrap();
         let at = |path: &[&str]| {
             let leaf = path.iter().try_fold(&v, |v, name| v.get(name));
@@ -573,7 +707,13 @@ mod tests {
         assert!(unresolved(&s, &parent[1]).is_empty());
         // The change side's spread does not count.
         assert!(unresolved(&s, &change[0]).is_empty());
-        let doc = render(7, &s, 25.0, &[("change", &change), ("parent", &parent)]);
+        let doc = render(
+            7,
+            &s,
+            25.0,
+            &[("change", &change), ("parent", &parent)],
+            None,
+        );
         let doc = Json::read(&doc).unwrap();
         let names = |w| {
             let list = doc.get("workloads")?.get(w)?.get("unresolved")?.items();
@@ -582,9 +722,98 @@ mod tests {
         assert_eq!(names("a"), Some(vec!["rss".to_string()]));
         assert_eq!(names("b"), Some(vec![]));
         // Without a parent there is nothing to resolve against.
-        let alone = Json::read(&render(7, &s, 25.0, &[("change", &change)])).unwrap();
+        let alone = Json::read(&render(7, &s, 25.0, &[("change", &change)], None)).unwrap();
         let a = alone.get("workloads").and_then(|w| w.get("a")).unwrap();
         assert!(a.get("unresolved").is_none());
+    }
+
+    /// Ten pairs of one workload: `parent` values with the change's
+    /// values `change`, the other metric equal on both sides.
+    fn claimed(change: &[f64], parent: &[f64]) -> (Side, Side) {
+        let side = |xs: &[f64]| -> Side { vec![xs.iter().map(|&x| run(x, 1.0)).collect()] };
+        (side(change), side(parent))
+    }
+
+    #[test]
+    fn judges_a_claim_by_wins_gap_and_pair_count() {
+        let mut s = read_spec(SPEC).unwrap();
+        s.workloads.truncate(1);
+        assert_eq!(
+            parse_claim(&s, "a/ops"),
+            Some(Claim {
+                workload: 0,
+                metric: 0
+            })
+        );
+        assert_eq!(
+            parse_claim(&s, "a/rss"),
+            Some(Claim {
+                workload: 0,
+                metric: 1
+            })
+        );
+        for bad in ["a", "b/ops", "a/nope", "/ops"] {
+            assert_eq!(parse_claim(&s, bad), None, "{bad}");
+        }
+        let ops = Claim {
+            workload: 0,
+            metric: 0,
+        };
+        // Met: 9 of 10 pairs won, median gap 10 against a parent IQR of 2.
+        let parent = [
+            99.0, 100.0, 101.0, 98.0, 102.0, 100.0, 99.0, 101.0, 100.0, 100.0,
+        ];
+        let mut change: Vec<f64> = parent.iter().map(|p| p + 10.0).collect();
+        change[3] = 97.0;
+        let (c, p) = claimed(&change, &parent);
+        let v = judge(&s, ops, &c, &p);
+        assert_eq!((v.pairs, v.wins, v.pairs_needed), (10, 9, 10));
+        assert!(v.median_gap > v.parent_iqr && v.met, "{v:?}");
+        // A lower-is-better metric gains by falling.
+        let rss = Claim {
+            workload: 0,
+            metric: 1,
+        };
+        let side = |xs: &[f64]| -> Side { vec![xs.iter().map(|&x| run(1.0, x)).collect()] };
+        let (c, p) = (
+            side(&[30.0; 10]),
+            side(&[49.0, 49.5, 49.3, 49.9, 49.4, 49.6, 49.2, 49.8, 49.5, 49.7]),
+        );
+        let v = judge(&s, rss, &c, &p);
+        assert!(v.met && v.wins == 10 && v.median_gap > 19.0, "{v:?}");
+        // Like PR 39: every pair won and the median 11 % up, but the
+        // parent's IQR is 12 % of its median, so the gap is within it, and
+        // the metric is unresolved, so 10 pairs are not enough either.
+        let parent = [
+            88.0, 90.0, 94.0, 94.0, 97.0, 103.0, 106.0, 106.0, 110.0, 112.0,
+        ];
+        let change: Vec<f64> = parent.iter().map(|p| p * 1.11).collect();
+        let (c, p) = claimed(&change, &parent);
+        let v = judge(&s, ops, &c, &p);
+        assert_eq!((v.wins, v.pairs_needed), (10, 20));
+        assert!((v.parent_iqr - 12.0).abs() < 1e-9, "{v:?}");
+        assert!(v.median_gap < v.parent_iqr && !v.met, "{v:?}");
+        // The record carries the verdict.
+        let doc = render(
+            7,
+            &s,
+            25.0,
+            &[("change", &c), ("parent", &p)],
+            Some(&(ops, v)),
+        );
+        let doc = Json::read(&doc).unwrap();
+        let claim = doc.get("claim").unwrap();
+        assert_eq!(
+            claim.get("metric").and_then(Json::str).as_deref(),
+            Some("ops")
+        );
+        assert_eq!(claim.get("met").and_then(Json::to::<bool>), Some(false));
+        assert_eq!(
+            claim.get("pairs_needed").and_then(Json::to::<u32>),
+            Some(20)
+        );
+        let plain = render(7, &s, 25.0, &[("change", &c), ("parent", &p)], None);
+        assert!(Json::read(&plain).unwrap().get("claim").is_none());
     }
 
     #[test]
@@ -602,7 +831,7 @@ mod tests {
             sim_digest: None,
         };
         let side: Side = vec![vec![run]];
-        let doc = render(7, &s, 25.0, &[(odd, &side), ("parent", &side)]);
+        let doc = render(7, &s, 25.0, &[(odd, &side), ("parent", &side)], None);
         let v = Json::read(&doc).unwrap();
         assert_eq!(
             v.get("command").unwrap().items()[0].str().as_deref(),
