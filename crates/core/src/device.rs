@@ -12,14 +12,13 @@
 //! [`DeviceCore::live_bytes`] walks the same merge over the whole tree.
 
 use std::cmp::Ordering;
-use std::collections::btree_map;
 use std::iter::Peekable;
 
 use anykey_flash::{FlashGeometry, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
 use anykey_metrics::trace::TraceEvent;
 
-use crate::buffer::{BufEntry, WriteBuffer};
+use crate::buffer::{self, BufEntry, WriteBuffer};
 use crate::config::DeviceConfig;
 use crate::dram::DramBudget;
 use crate::engine::MetadataStats;
@@ -226,13 +225,15 @@ impl<'a, T, I: Iterator<Item = (usize, usize, &'a [T])>> Cursor<'a, T, I> {
 }
 
 /// The newest-wins k-way merge under [`DeviceCore::scan`] and
-/// [`DeviceCore::live_bytes`]: write-buffer entries and one [`Cursor`] per
-/// level run (lower index = newer), read one key at a time in two steps.
+/// [`DeviceCore::live_bytes`]: write-buffer entries in key order (a
+/// [`WriteBuffer::range`] read, which walks the buffer's sorted id index and
+/// probes its hash table once per entry) and one [`Cursor`] per level run
+/// (lower index = newer), read one key at a time in two steps.
 /// [`Self::next_key`] finds the smallest key at any head, and
 /// [`Self::take`] consumes every version of it, so a caller can stop
 /// between them.
 struct Merge<'a, T, I, F> {
-    buf: Peekable<btree_map::Range<'a, u64, BufEntry>>,
+    buf: Peekable<buffer::Range<'a>>,
     runs: Vec<Cursor<'a, T, I>>,
     /// Reads an entry as `(key id, tombstone, value_len)`.
     entry: F,
@@ -243,11 +244,7 @@ where
     I: Iterator<Item = (usize, usize, &'a [T])>,
     F: Fn(&T) -> (u64, bool, u32),
 {
-    fn new(
-        buf: btree_map::Range<'a, u64, BufEntry>,
-        runs: impl IntoIterator<Item = I>,
-        entry: F,
-    ) -> Self {
+    fn new(buf: buffer::Range<'a>, runs: impl IntoIterator<Item = I>, entry: F) -> Self {
         let runs = runs.into_iter().map(Cursor::new).collect();
         Self {
             buf: buf.peekable(),
@@ -384,7 +381,7 @@ impl DeviceCore {
     where
         I: Iterator<Item = (usize, usize, &'a [T])>,
     {
-        let mut merge = Merge::new(self.buffer.range(start..), runs, entry);
+        let mut merge = Merge::new(self.buffer.range(start), runs, entry);
         let levels = merge.runs.len();
         let mut frontier = |budget: usize, pages: &mut Vec<Ppa>| {
             pages.clear();
@@ -426,7 +423,7 @@ impl DeviceCore {
     where
         I: Iterator<Item = (usize, usize, &'a [T])>,
     {
-        let mut merge = Merge::new(self.buffer.range(..), runs, entry);
+        let mut merge = Merge::new(self.buffer.range(0), runs, entry);
         let key_len = u64::from(self.cfg.key_len);
         let mut bytes = 0;
         while let Some(key) = merge.next_key() {

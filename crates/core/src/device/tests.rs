@@ -126,7 +126,7 @@ fn two_pass_scan<P: Copy>(
                 }
             }
         }
-        for (key, be) in core.buffer.range(start..) {
+        for (key, be) in core.buffer.range(start) {
             if limit.is_none_or(|l| *key <= l) {
                 newest.insert(*key, (0, be.tombstone));
             }
@@ -145,7 +145,7 @@ fn two_pass_scan<P: Copy>(
         .collect();
     sorted.sort_by(|a, b| a.0.key.cmp(&b.0.key).then(a.1.cmp(&b.1)));
     let mut hits: Vec<(u64, Option<P>)> = Vec::new();
-    let mut buf_iter = core.buffer.range(start..).peekable();
+    let mut buf_iter = core.buffer.range(start).peekable();
     let mut i = 0;
     while hits.len() < want {
         let next_level_key = sorted.get(i).map(|(c, _)| c.key);
@@ -558,7 +558,7 @@ fn follow_a_map_model<E: Engine>(mut dev: E, entries: impl Fn(&E) -> Vec<(u64, b
     use std::collections::HashSet;
     let kind = dev.kind();
     let brute_force = |dev: &E| {
-        let buffered = dev.core().buffer.range(..);
+        let buffered = dev.core().buffer.range(0);
         let buffered = buffered.map(|(&key, e)| (key, e.tombstone, e.value_len));
         let mut seen = HashSet::new();
         let newest = buffered.chain(entries(dev)).filter(|v| seen.insert(v.0));

@@ -13,9 +13,12 @@ const PRIME32_3: u32 = 0xC2B2_AE3D;
 const PRIME32_4: u32 = 0x27D4_EB2F;
 const PRIME32_5: u32 = 0x1656_67B1;
 
+/// The little-endian lane at `i`: one bounds check and one 4-byte load.
 #[inline]
 fn read_u32(bytes: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]])
+    let mut lane = [0; 4];
+    lane.copy_from_slice(&bytes[i..i + 4]);
+    u32::from_le_bytes(lane)
 }
 
 #[inline]
@@ -95,6 +98,62 @@ mod tests {
         assert_eq!(xxhash32(b"abc", 0), 0x32D1_53FF);
         assert_eq!(
             xxhash32(b"Nobody inspects the spammish repetition", 0),
+            0xE229_3B2F
+        );
+    }
+
+    /// xxHash32 as the specification reads it, one byte at a time.
+    fn bytewise(input: &[u8], seed: u32) -> u32 {
+        let lane = |i: usize| (0..4).fold(0u32, |acc, k| acc | u32::from(input[i + k]) << (8 * k));
+        let (len, mut i) = (input.len(), 0);
+        let mut h = if len >= 16 {
+            let mut v = [
+                seed.wrapping_add(PRIME32_1).wrapping_add(PRIME32_2),
+                seed.wrapping_add(PRIME32_2),
+                seed,
+                seed.wrapping_sub(PRIME32_1),
+            ];
+            while i + 16 <= len {
+                for (k, acc) in v.iter_mut().enumerate() {
+                    *acc = round(*acc, lane(i + 4 * k));
+                }
+                i += 16;
+            }
+            let rotations = [1, 7, 12, 18];
+            let rotated = v.iter().zip(rotations).map(|(a, r)| a.rotate_left(r));
+            rotated.fold(0u32, u32::wrapping_add)
+        } else {
+            seed.wrapping_add(PRIME32_5)
+        };
+        h = h.wrapping_add(len as u32);
+        while i + 4 <= len {
+            h = h.wrapping_add(lane(i).wrapping_mul(PRIME32_3));
+            h = h.rotate_left(17).wrapping_mul(PRIME32_4);
+            i += 4;
+        }
+        for &b in &input[i..] {
+            h = h.wrapping_add(u32::from(b).wrapping_mul(PRIME32_5));
+            h = h.rotate_left(11).wrapping_mul(PRIME32_1);
+        }
+        h = (h ^ (h >> 15)).wrapping_mul(PRIME32_2);
+        h = (h ^ (h >> 13)).wrapping_mul(PRIME32_3);
+        h ^ (h >> 16)
+    }
+
+    #[test]
+    fn matches_a_bytewise_reference_at_every_key_length() {
+        let mut rng = anykey_workload::SplitMix64::new(0x4A54);
+        let data: Vec<u8> = (0..crate::key::MAX_KEY_LEN)
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        for len in 0..=data.len() {
+            for seed in [0, 1, rng.next_u64() as u32] {
+                let input = &data[..len];
+                assert_eq!(xxhash32(input, seed), bytewise(input, seed), "len {len}");
+            }
+        }
+        assert_eq!(
+            bytewise(b"Nobody inspects the spammish repetition", 0),
             0xE229_3B2F
         );
     }

@@ -14,7 +14,10 @@
 //! whether both sides simulated the same thing (`same_sim`: every seed's
 //! `sim_digest` equal; a warning is printed when not), and which metrics
 //! the parent's own spread leaves unresolved (`unresolved`: interquartile
-//! range over [`UNRESOLVED_IQR`] of the median; one warning each); plus the commits,
+//! range over [`UNRESOLVED_IQR`] of the median; one warning each), and
+//! which metrics got worse than the parent's by more than their
+//! `BENCHMARK.json` `bound` (`worse`, see [`worse`]; one warning each, and
+//! exit 1); plus the commits,
 //! `nproc`, and the median `calibration_ns` of each side. A side's commit
 //! is its checkout's `HEAD`, marked `-dirty` when tracked files differ
 //! from it (see `commit_label`); a directory git cannot read keeps the
@@ -32,8 +35,9 @@
 //! is escaped with its [`esc`]; the run's info line is scanned instead
 //! (see `scan_field`).
 //!
-//! Exit codes: 0 written, 1 a run failed or reported failed ops or the
-//! claim is not met, 2 usage/IO/parse error.
+//! Exit codes: 0 written, 1 a run failed or reported failed ops, a metric
+//! is worse than its bound allows, or the claim is not met, 2
+//! usage/IO/parse error.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -48,7 +52,8 @@ fn usage() -> i32 {
          \n\
          Runs the BENCHMARK.json command for every workload R times (default 5)\n\
          and writes BENCH_<n>.json. With --parent, each run is an alternating\n\
-         pair with the checkout in DIR. --seconds overrides run_seconds.\n\
+         pair with the checkout in DIR, and a metric worse than the parent's by\n\
+         more than its bound exits 1. --seconds overrides run_seconds.\n\
          --claim (needs --parent) judges a claimed gain on one end-to-end\n\
          metric of one workload and exits 1 when it is not met."
     );
@@ -62,11 +67,24 @@ struct Spec {
     workloads: Vec<String>,
     /// End-to-end metric names with whether higher is better.
     metrics: Vec<(String, bool)>,
+    /// Each end-to-end metric's `bound`, in `metrics` order: the share by
+    /// which it may get worse than the parent's (infinite when unset).
+    bounds: Vec<f64>,
 }
 
 fn read_spec(src: &str) -> Result<Spec, String> {
     let doc = Json::read(src).map_err(|e| e.to_string())?;
     let items = |key: &str| doc.get(key).map_or(&[][..], Json::items);
+    let (metrics, bounds) = items("end_to_end")
+        .iter()
+        .filter_map(|m| {
+            let named = (m.get("name")?.str()?, m.get("better")?.str()? == "higher");
+            Some((
+                named,
+                m.get("bound").and_then(Json::to).unwrap_or(f64::INFINITY),
+            ))
+        })
+        .unzip();
     let spec = Spec {
         command: items("command").iter().filter_map(Json::str).collect(),
         run_seconds: doc
@@ -77,10 +95,8 @@ fn read_spec(src: &str) -> Result<Spec, String> {
             .iter()
             .filter_map(|w| w.get("name")?.str())
             .collect(),
-        metrics: items("end_to_end")
-            .iter()
-            .filter_map(|m| Some((m.get("name")?.str()?, m.get("better")?.str()? == "higher")))
-            .collect(),
+        metrics,
+        bounds,
     };
     if spec.command.is_empty() || spec.workloads.is_empty() || spec.metrics.is_empty() {
         return Err("BENCHMARK.json lacks a command, workloads or end_to_end metrics".into());
@@ -154,6 +170,26 @@ fn unresolved<'a>(spec: &'a Spec, parent: &[RunResult]) -> Vec<&'a str> {
     names
         .filter(|&(mi, _)| spread(mi))
         .map(|(_, (name, _))| name.as_str())
+        .collect()
+}
+
+/// The end-to-end metrics whose `change` median is worse than the
+/// `parent` median of one workload by more than the metric's bound, in the
+/// worse direction: `change/parent` over `1 + bound` for a lower-is-better
+/// metric, `parent/change` for a higher-is-better one. In spec order.
+fn worse<'a>(spec: &'a Spec, change: &[RunResult], parent: &[RunResult]) -> Vec<&'a str> {
+    let median = |runs: &[RunResult], mi: usize| {
+        let xs: Vec<f64> = runs.iter().map(|r| r.metrics[mi]).collect();
+        quantile(&xs, 0.5)
+    };
+    let metrics = spec.metrics.iter().zip(&spec.bounds).enumerate();
+    metrics
+        .filter(|&(mi, ((_, higher), bound))| {
+            let (c, p) = (median(change, mi), median(parent, mi));
+            let (num, den) = if *higher { (p, c) } else { (c, p) };
+            num > den * (1.0 + bound)
+        })
+        .map(|(_, ((name, _), _))| name.as_str())
         .collect()
 }
 
@@ -396,6 +432,9 @@ fn render(
             let names = unresolved(spec, &parent[wi]);
             let names: Vec<String> = names.iter().map(|n| format!("\"{}\"", esc(n))).collect();
             let _ = write!(out, ",\n      \"unresolved\": [{}]", names.join(", "));
+            let names = worse(spec, &change[wi], &parent[wi]);
+            let names: Vec<String> = names.iter().map(|n| format!("\"{}\"", esc(n))).collect();
+            let _ = write!(out, ",\n      \"worse\": [{}]", names.join(", "));
         }
         out.push_str("\n    }");
     }
@@ -503,6 +542,7 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
         }
     }
     let mut sides: Vec<(&str, &Side)> = vec![("change", &change)];
+    let mut regressed = false;
     if parent.is_some() {
         sides.push(("parent", &base));
         for (wi, w) in spec.workloads.iter().enumerate() {
@@ -511,6 +551,10 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
             }
             for name in unresolved(&spec, &base[wi]) {
                 eprintln!("xtask bench-record: warning: {w} {name} is unresolved (the parent's interquartile range exceeds {:.0} % of its median)", UNRESOLVED_IQR * 100.0);
+            }
+            for name in worse(&spec, &change[wi], &base[wi]) {
+                eprintln!("xtask bench-record: warning: {w} {name} is worse than the parent's by more than its bound");
+                regressed = true;
             }
         }
     }
@@ -539,7 +583,7 @@ pub(crate) fn run_cli(args: &[String]) -> i32 {
         );
         !v.met
     });
-    i32::from(failed || unmet)
+    i32::from(failed || regressed || unmet)
 }
 
 #[cfg(test)]
@@ -725,6 +769,47 @@ mod tests {
         let alone = Json::read(&render(7, &s, 25.0, &[("change", &change)], None)).unwrap();
         let a = alone.get("workloads").and_then(|w| w.get("a")).unwrap();
         assert!(a.get("unresolved").is_none());
+    }
+
+    #[test]
+    fn names_metrics_worse_than_the_parent_by_more_than_their_bound() {
+        let s = read_spec(SPEC).unwrap();
+        assert_eq!(s.bounds, [0.25, 0.25]);
+        let sides = |c: RunResult, p: RunResult| (vec![c; 3], vec![p; 3]);
+        // `ops` 1.30× worse (parent/change), `rss` 1.20× worse
+        // (change/parent): only the first exceeds its bound of 0.25.
+        let (c, p) = sides(run(100.0, 12.0), run(130.0, 10.0));
+        assert_eq!(worse(&s, &c, &p), ["ops"]);
+        let (c, p) = sides(run(100.0, 13.0), run(120.0, 10.0));
+        assert_eq!(worse(&s, &c, &p), ["rss"]);
+        // Better is never worse, however far.
+        let (c, p) = sides(run(200.0, 5.0), run(100.0, 10.0));
+        assert!(worse(&s, &c, &p).is_empty());
+        // The record lists them per workload, only against a parent.
+        let change: Side = vec![vec![run(100.0, 13.0)], vec![run(200.0, 5.0)]];
+        let parent: Side = vec![vec![run(130.0, 10.0)], vec![run(100.0, 10.0)]];
+        let doc = render(
+            7,
+            &s,
+            25.0,
+            &[("change", &change), ("parent", &parent)],
+            None,
+        );
+        let doc = Json::read(&doc).unwrap();
+        let names = |w| {
+            let list = doc.get("workloads")?.get(w)?.get("worse")?.items();
+            list.iter().map(Json::str).collect::<Option<Vec<_>>>()
+        };
+        let both = ["ops", "rss"].map(String::from).to_vec();
+        assert_eq!(names("a"), Some(both));
+        assert_eq!(names("b"), Some(vec![]));
+        let alone = Json::read(&render(7, &s, 25.0, &[("change", &change)], None)).unwrap();
+        let a = alone.get("workloads").and_then(|w| w.get("a")).unwrap();
+        assert!(a.get("worse").is_none());
+        // A metric without a bound is never worse.
+        let unbounded = read_spec(&SPEC.replace(", \"bound\": 0.25", "")).unwrap();
+        assert_eq!(unbounded.bounds, [f64::INFINITY; 2]);
+        assert!(worse(&unbounded, &change[0], &parent[0]).is_empty());
     }
 
     /// Ten pairs of one workload: `parent` values with the change's
