@@ -13,16 +13,23 @@
 //! accounting, GC and compaction need is known without the layout (the
 //! byte-continuous packing fills `ceil(stored bytes / payload)` data
 //! pages), so the layout is built on the first read of the group — a GET's
-//! page search, a scan's page numbers or the audit — and cached. A group
-//! that no read reaches before a compaction replaces it never pays for
-//! one. Either way the modeled bytes are the paper's.
+//! page walk
+//! ([`GroupContent::lookup`](crate::anykey::group::GroupContent::lookup)),
+//! a scan's page numbers
+//! ([`GroupContent::page_of`](crate::anykey::group::GroupContent::page_of))
+//! or the audit — and cached. A group that no
+//! read reaches before a compaction replaces it never pays for one. Either
+//! way the modeled bytes are the paper's. This module is the one that knows
+//! the layout's format.
 //!
 //! The level-list entry for a group (what lives in DRAM) is: the group's
 //! smallest key, the PPA of its first page, a 16-bit hash prefix of the
 //! first key of every data page, and 2 hash-collision bits per page
-//! (Figure 7).
+//! (Figure 7). The host stores the prefixes and derives the collision bits
+//! from the slot words.
 
 use std::cell::OnceCell;
+use std::ops::Range;
 
 use anykey_flash::Ppa;
 
@@ -46,17 +53,6 @@ pub fn level_list_entry_bytes(key_len: u64, data_pages: u64) -> u64 {
     key_len + 4 + 2 * data_pages + data_pages.div_ceil(4) + 16
 }
 
-/// The two hash-collision bits of a data page (Figure 7): whether the last
-/// hash value of this page continues into the next page, and whether the
-/// first hash continues from the previous page.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CollisionBits {
-    /// `01`: the page's last hash value continues into the next page.
-    pub continues_next: bool,
-    /// `10`: the page's first hash value continues from the previous page.
-    pub continued_prev: bool,
-}
-
 /// The content of a data segment group, before (or after) placement in
 /// flash.
 #[derive(Debug, Clone)]
@@ -72,9 +68,6 @@ pub struct GroupContent {
     pub kv_bytes: u64,
     /// Value bytes referenced in the value log.
     pub logged_bytes: u64,
-    /// Physical flash footprint (directory + data pages × page payload) —
-    /// what level thresholds are measured against.
-    pub phys_bytes: u64,
     /// Smallest key id, cached at build time: the level-list entry the
     /// DRAM search compares against.
     pub(crate) smallest: u64,
@@ -92,31 +85,38 @@ pub struct GroupContent {
 /// key-ordered entities and the page payload.
 #[derive(Debug, Clone)]
 pub struct Layout {
-    /// The flash slot order: `slots[k]` is the `ents` index of the `k`-th
-    /// entity by `(hash, key)`, cut into data pages by `page_start`.
-    pub slots: Vec<u32>,
-    /// Index in `slots` of each data page's first slot, plus a final
-    /// `slots.len()`: data page `p` holds the slots from `page_start[p]`
+    /// The flash slot order as `(hash << 32) | index` words, ascending:
+    /// the `k`-th word names the `k`-th entity by `(hash, key)`, its high
+    /// half the entity's hash (the hash list) and its low half its `ents`
+    /// index. Cut into data pages by `page_start`.
+    words: Vec<u64>,
+    /// Index in `words` of each data page's first slot, plus a final
+    /// `words.len()`: data page `p` holds the slots from `page_start[p]`
     /// up to `page_start[p + 1]` (none for a page holding only a previous
     /// entity's spill).
-    pub page_start: Vec<u32>,
+    page_start: Vec<u32>,
     /// The data page each entity starts in (the directory's page field):
     /// `ents[i]` sits in data page `page_of[i]`.
-    pub page_of: Vec<u16>,
+    page_of: Vec<u16>,
     /// Extra pages each entity spills into beyond its start page: entities
     /// are packed byte-continuously, so a large inline value can span
     /// pages. `ents[i]` spans `span[i]` more pages.
-    pub span: Vec<u8>,
-    /// First hash per data page (a spill-only page carries its owner's
-    /// hash), never decreasing. Its top 16 bits are the DRAM routing
-    /// prefix of [`GroupContent::route_page`]; the full hash is page
-    /// *content*, read from flash.
-    pub page_first_hash: Vec<u32>,
-    /// Collision bits per data page.
-    pub collision: Vec<CollisionBits>,
-    /// Sorted hashes of every entity (the hash-list content), in slot
-    /// order: `hashes[k] == ents[slots[k] as usize].hash`.
-    pub hashes: Vec<u32>,
+    span: Vec<u8>,
+    /// First hash per data page (a spill-only page carries the hash of the
+    /// entity spilling into it), never decreasing. Its top 16 bits are the
+    /// DRAM routing prefix of [`GroupContent::lookup`]; the full hash is
+    /// page *content*, read from flash.
+    page_first_hash: Vec<u32>,
+}
+
+/// The hash half of a slot word.
+fn hash_of(word: u64) -> u32 {
+    (word >> 32) as u32
+}
+
+/// The `ents` index half of a slot word.
+fn index_of(word: u64) -> usize {
+    word as u32 as usize
 }
 
 /// A placed data segment group.
@@ -164,7 +164,6 @@ impl GroupContent {
             data_pages: data_pages as u32,
             kv_bytes,
             logged_bytes,
-            phys_bytes: (dir_pages + data_pages) * payload,
             payload,
             key_len,
             layout: OnceCell::new(),
@@ -183,18 +182,6 @@ impl GroupContent {
         self.layout.get().is_some()
     }
 
-    /// Runs `edit` on the layout, built first if missing (the audit's
-    /// corruption hooks).
-    pub(crate) fn layout_mut<R>(&mut self, edit: impl FnOnce(&mut Layout) -> R) -> R {
-        let mut layout = self
-            .layout
-            .take()
-            .unwrap_or_else(|| Layout::build(&self.ents, self.payload, self.key_len));
-        let out = edit(&mut layout);
-        self.layout = OnceCell::from(layout);
-        out
-    }
-
     /// Number of entities in the group.
     pub fn entity_count(&self) -> usize {
         self.ents.len()
@@ -210,6 +197,12 @@ impl GroupContent {
         self.dir_pages + self.data_pages
     }
 
+    /// Physical flash footprint (directory + data pages × page payload) —
+    /// what level thresholds are measured against.
+    pub fn phys_bytes(&self) -> u64 {
+        u64::from(self.total_pages()) * self.payload
+    }
+
     /// The group's smallest key id (what the level-list entry stores).
     pub fn smallest(&self) -> u64 {
         self.smallest
@@ -222,31 +215,54 @@ impl GroupContent {
 
     /// Whether `hash` appears in the group's hash list.
     pub fn contains_hash(&self, hash: u32) -> bool {
-        self.layout().hashes.binary_search(&hash).is_ok()
+        let words = &self.layout().words;
+        words.binary_search_by(|&w| hash_of(w).cmp(&hash)).is_ok()
     }
 
-    /// The data page a lookup for `hash` is routed to via the 16-bit
-    /// page-first hash prefixes: the last page whose prefix is ≤ the
-    /// target's prefix.
-    pub fn route_page(&self, hash: u32) -> usize {
-        let h16 = hash >> 16;
-        let first = &self.layout().page_first_hash;
-        first.partition_point(|&p| p >> 16 <= h16).saturating_sub(1)
+    /// GET's page walk (Figure 7): reads the data page the 16-bit prefixes
+    /// route `hash` to (the last page whose prefix is ≤ the hash's), then
+    /// steps back while the page's first hash says the hash's run may
+    /// start earlier. Calls `read` with each probed page, as a one-page
+    /// range of data page indices, then with the found entity's spill
+    /// pages (an empty range when it spills into none). Returns the
+    /// entity's index in key order.
+    pub fn lookup(&self, hash: u32, id: u64, mut read: impl FnMut(Range<usize>)) -> Option<usize> {
+        let l = self.layout();
+        let route = l
+            .page_first_hash
+            .partition_point(|&f| f >> 16 <= hash >> 16);
+        let mut p = route.saturating_sub(1);
+        loop {
+            read(p..p + 1);
+            if let Some(i) = self.search_page(p, hash, id) {
+                read(p + 1..p + 1 + usize::from(l.span[i]));
+                return Some(i);
+            }
+            let first = l.page_first_hash[p];
+            if p > 0 && (hash < first || (hash == first && l.continued_prev(p))) {
+                p -= 1;
+            } else {
+                return None;
+            }
+        }
+    }
+
+    /// The data page entity `i` (in key order) starts in.
+    pub fn page_of(&self, i: usize) -> usize {
+        usize::from(self.layout().page_of[i])
     }
 
     /// Searches one data page for an exact `(hash, key id)` match: a
-    /// binary search of the page's stretch of the hash list, then a key
-    /// check of each slot in its equal-hash run. Returns the entity's index
-    /// in key order.
-    pub fn search_page(&self, page: usize, hash: u32, id: u64) -> Option<usize> {
-        let l = self.layout();
-        let (lo, hi) = (l.page_start[page] as usize, l.page_start[page + 1] as usize);
-        let start = lo + l.hashes[lo..hi].partition_point(|&h| h < hash);
-        l.hashes[start..hi]
+    /// binary search of the page's stretch of slot words, then a key check
+    /// of each slot in its equal-hash run. Returns the entity's index in
+    /// key order.
+    fn search_page(&self, page: usize, hash: u32, id: u64) -> Option<usize> {
+        let words = self.layout().page(page);
+        let start = words.partition_point(|&w| hash_of(w) < hash);
+        words[start..]
             .iter()
-            .zip(&l.slots[start..hi])
-            .take_while(|&(&h, _)| h == hash)
-            .map(|(_, &i)| i as usize)
+            .take_while(|&&w| hash_of(w) == hash)
+            .map(|&w| index_of(w))
             .find(|&i| self.ents[i].id == id)
     }
 
@@ -307,12 +323,10 @@ impl GroupContent {
         if !l.slot_index_holds(ents.len()) {
             return Err(AuditError::SlotIndexSkew { level, group });
         }
-        if l.hashes.len() != ents.len()
-            || l.hashes.windows(2).any(|w| w[0] > w[1])
-            || l.hashes
+        if l.words.windows(2).any(|w| w[0] > w[1])
+            || l.words
                 .iter()
-                .zip(&l.slots)
-                .any(|(&h, &i)| h != ents[i as usize].hash)
+                .any(|&w| hash_of(w) != ents[index_of(w)].hash)
         {
             return Err(AuditError::HashListMismatch { level, group });
         }
@@ -321,6 +335,37 @@ impl GroupContent {
         }
         Ok(())
     }
+
+    /// Test-only corruption hook behind the audit's layout hooks: applies
+    /// `fault` to the layout, built first if missing. Returns whether the
+    /// group had what the fault needs.
+    pub(crate) fn corrupt_layout_for_test(&mut self, fault: LayoutFault) -> bool {
+        self.layout();
+        let Some(l) = self.layout.get_mut() else {
+            return false;
+        };
+        match fault {
+            LayoutFault::PageStart => l.page_start.last_mut().map(|end| *end -= 1).is_some(),
+            LayoutFault::SlotIndex => {
+                let next = l.page_start[1] as usize;
+                (next < l.words.len())
+                    .then(|| l.words.swap(0, next))
+                    .is_some()
+            }
+            LayoutFault::HashList => l.words.first_mut().map(|w| *w ^= 1 << 32).is_some(),
+        }
+    }
+}
+
+/// A seeded fault in a group layout, for the audit's corruption hooks.
+pub(crate) enum LayoutFault {
+    /// The page starts end one entity short.
+    PageStart,
+    /// The first slot of the first data page trades places with the first
+    /// slot after that page.
+    SlotIndex,
+    /// The first slot's hash no longer matches its entity.
+    HashList,
 }
 
 impl Layout {
@@ -331,10 +376,7 @@ impl Layout {
     /// into data pages of `payload` usable bytes.
     fn build(ents: &[Entity], payload: u64, key_len: u16) -> Self {
         let count = ents.len();
-        let order = hash_order(ents);
-        let slots: Vec<u32> = order.iter().map(|&w| w as u32).collect();
-        let hashes: Vec<u32> = order.iter().map(|&w| (w >> 32) as u32).collect();
-        drop(order);
+        let words = hash_order(ents);
 
         // Pack byte-continuously in slot order: an entity belongs to the
         // page its header starts in and may spill into following pages, so
@@ -346,11 +388,11 @@ impl Layout {
         let mut span = vec![0u8; count];
         let mut page_start: Vec<u32> = vec![0];
         let (mut page, mut used) = (0usize, 0u64);
-        for (k, &i) in slots.iter().enumerate() {
+        for (k, &w) in words.iter().enumerate() {
             while page_start.len() <= page {
                 page_start.push(k as u32);
             }
-            let i = i as usize;
+            let i = index_of(w);
             page_of[i] = page as u16;
             let mut end = used + ents[i].stored_bytes(key_len);
             let mut extra = 0usize;
@@ -368,58 +410,56 @@ impl Layout {
         }
         let data_pages = page + usize::from(used > 0);
         page_start.resize(data_pages + 1, count as u32);
-
-        // Per-page first/last hashes (spill-only pages physically contain
-        // the previous entity's continuation, so they carry its hash) and
-        // collision bits (Figure 7).
-        let mut page_first_hash: Vec<u32> = Vec::with_capacity(data_pages);
-        let mut page_last_hash: Vec<u32> = Vec::with_capacity(data_pages);
-        let mut carry = hashes[0];
-        for w in page_start.windows(2) {
-            let page = &hashes[w[0] as usize..w[1] as usize];
-            page_first_hash.push(page.first().copied().unwrap_or(carry));
-            carry = page.last().copied().unwrap_or(carry);
-            page_last_hash.push(carry);
-        }
-        let mut collision = vec![CollisionBits::default(); data_pages];
-        for i in 0..data_pages.saturating_sub(1) {
-            if page_last_hash[i] == page_first_hash[i + 1] {
-                collision[i].continues_next = true;
-                collision[i + 1].continued_prev = true;
-            }
-        }
-
+        let page_first_hash = (0..data_pages)
+            .map(|p| hash_of(words[first_slot(&page_start, p)]))
+            .collect();
         Self {
-            slots,
+            words,
             page_start,
             page_of,
             span,
             page_first_hash,
-            collision,
-            hashes,
         }
     }
 
-    /// The slots of data page `page`: `ents` indices in `(hash, key)`
-    /// order.
-    pub fn page(&self, page: usize) -> &[u32] {
-        &self.slots[self.page_start[page] as usize..self.page_start[page + 1] as usize]
+    /// The slot words of data page `page`, in `(hash, key)` order.
+    fn page(&self, page: usize) -> &[u64] {
+        &self.words[self.page_start[page] as usize..self.page_start[page + 1] as usize]
+    }
+
+    /// Data page `p`'s "continued from the previous page" collision bit
+    /// (Figure 7): the hash run its first hash belongs to starts on an
+    /// earlier page, that is the slot before the page carries that hash.
+    /// Always set on a spill-only page, never on page 0.
+    fn continued_prev(&self, p: usize) -> bool {
+        p > 0 && hash_of(self.words[self.page_start[p] as usize - 1]) == self.page_first_hash[p]
     }
 
     /// Whether the slot index is a permutation of `n` entities that lists
     /// each in the data page `page_of` records for it. Assumes the page
     /// starts rise from 0 to `n`.
     fn slot_index_holds(&self, n: usize) -> bool {
-        if self.slots.len() != n || self.page_of.len() != n || self.span.len() != n {
+        if self.words.len() != n || self.page_of.len() != n || self.span.len() != n {
             return false;
         }
         let mut seen = vec![false; n];
         (0..self.page_start.len() - 1).all(|p| {
-            self.page(p).iter().all(|&i| {
-                let i = i as usize;
+            self.page(p).iter().all(|&w| {
+                let i = index_of(w);
                 i < n && !std::mem::replace(&mut seen[i], true) && usize::from(self.page_of[i]) == p
             })
         })
+    }
+}
+
+/// The slot whose hash data page `p` starts with: its first slot, or for
+/// a spill-only page the slot before it, the entity spilling into it.
+fn first_slot(page_start: &[u32], p: usize) -> usize {
+    let (lo, hi) = (page_start[p] as usize, page_start[p + 1] as usize);
+    if lo < hi {
+        lo
+    } else {
+        lo.saturating_sub(1)
     }
 }
 
@@ -622,8 +662,8 @@ mod tests {
         let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD, 48);
         let mut prev = 0u32;
         for p in 0..g.data_pages() as usize {
-            for &i in g.layout().page(p) {
-                let e = &g.ents[i as usize];
+            for &w in g.layout().page(p) {
+                let e = &g.ents[index_of(w)];
                 assert!(e.hash >= prev);
                 prev = e.hash;
             }
@@ -650,36 +690,32 @@ mod tests {
         let spanning = g.layout().span.iter().filter(|&&s| s > 0).count();
         assert!(spanning > 0, "4KB values in 8KB pages must span sometimes");
         // Routing still finds every entity via the backward walk.
-        for e in &g.ents {
-            let mut p = g.route_page(e.hash);
-            loop {
-                if g.search_page(p, e.hash, e.id).is_some() {
-                    break;
-                }
-                assert!(p > 0, "entity {} unreachable", e.id);
-                p -= 1;
-            }
+        for (i, e) in g.ents.iter().enumerate() {
+            let found = g.lookup(e.hash, e.id, |_| {});
+            assert_eq!(found, Some(i), "entity {} unreachable", e.id);
         }
     }
 
     #[test]
     fn routing_finds_every_entity_with_local_search() {
-        let g = GroupContent::new(entities(3000, 48, 43), PAYLOAD, 48);
-        for e in &g.ents {
-            let mut p = g.route_page(e.hash);
-            // Device-style backward walk on prefix ambiguity.
-            loop {
-                if g.search_page(p, e.hash, e.id).is_some() {
-                    break;
-                }
-                assert!(p > 0, "entity {} unreachable by routing", e.id);
-                let first = g.ents[g.layout().page(p)[0] as usize].hash;
+        let ents = entities(3000, 48, 43);
+        let g = GroupContent::new(ents.clone(), PAYLOAD, 48);
+        let want = reference_build(ents, PAYLOAD, 48);
+        for (i, e) in g.ents.iter().enumerate() {
+            // Device-style backward walk on prefix ambiguity: every page
+            // probed before the last is a step back.
+            let mut probed = Vec::new();
+            let found = g.lookup(e.hash, e.id, |pages| probed.push(pages));
+            assert_eq!(found, Some(i), "entity {} unreachable by routing", e.id);
+            probed.pop(); // the spill pages
+            for pages in &probed[..probed.len() - 1] {
+                let p = pages.start;
+                let first = want.page_first_hash[p];
                 assert!(
-                    e.hash < first || (e.hash == first && g.layout().collision[p].continued_prev),
+                    e.hash < first || (e.hash == first && want.continued_prev[p]),
                     "backward walk not justified for {}",
                     e.id
                 );
-                p -= 1;
             }
         }
     }
@@ -694,11 +730,11 @@ mod tests {
             e.value_len = 400; // bigger so the run spans pages
         }
         let g = GroupContent::new(ents, 2048, 48);
-        let spans: usize = g
-            .layout()
-            .collision
-            .iter()
-            .filter(|c| c.continues_next || c.continued_prev)
+        // A page whose first hash continues from the page before, or whose
+        // last hash continues into the page after.
+        let (l, pages) = (g.layout(), g.data_pages() as usize);
+        let spans = (0..pages)
+            .filter(|&p| l.continued_prev(p) || (p + 1 < pages && l.continued_prev(p + 1)))
             .count();
         assert!(spans >= 2, "expected a cross-page hash run");
     }
@@ -714,7 +750,7 @@ mod tests {
         // 1000 entries is negligible; pick until absent).
         let absent = (0..100u32)
             .map(|i| 0xDEAD_0000 ^ i)
-            .find(|h| g.layout().hashes.binary_search(h).is_err())
+            .find(|&h| g.layout().words.iter().all(|&w| hash_of(w) != h))
             .unwrap();
         assert!(!g.contains_hash(absent));
     }
@@ -746,7 +782,7 @@ mod tests {
     #[test]
     fn meta_bytes_are_group_granular() {
         let g = GroupContent::new(entities(1000, 48, 43), PAYLOAD, 48);
-        // ~48 + 4 + 2/page + collision bits + fixed: a few hundred bytes
+        // ~48 + 4 + 2/page + 2 collision bits/page + fixed: a few hundred bytes
         // for a 1000-entity group — the entire point of AnyKey (vs ~52 KB
         // for PinK's per-pair metadata on the same 1000 pairs).
         assert!(g.meta_bytes() < 200);
@@ -767,7 +803,9 @@ mod tests {
         dir: Vec<(u16, u16)>,
         dir_pages: u32,
         page_first_hash: Vec<u32>,
-        collision: Vec<CollisionBits>,
+        /// Per data page, whether its first hash continues from the page
+        /// before (Figure 7's `10` bit).
+        continued_prev: Vec<bool>,
         hashes: Vec<u32>,
         kv_bytes: u64,
         logged_bytes: u64,
@@ -812,12 +850,9 @@ mod tests {
             carry = p.last().map(|(e, _)| e.hash).unwrap_or(carry);
             page_last_hash.push(carry);
         }
-        let mut collision = vec![CollisionBits::default(); pages.len()];
-        for i in 0..pages.len().saturating_sub(1) {
-            if page_last_hash[i] == page_first_hash[i + 1] {
-                collision[i].continues_next = true;
-                collision[i + 1].continued_prev = true;
-            }
+        let mut continued_prev = vec![false; pages.len()];
+        for i in 1..pages.len() {
+            continued_prev[i] = page_last_hash[i - 1] == page_first_hash[i];
         }
         let mut dir: Vec<(u16, u16)> = pages
             .iter()
@@ -841,7 +876,7 @@ mod tests {
             dir,
             dir_pages,
             page_first_hash,
-            collision,
+            continued_prev,
             hashes,
             kv_bytes,
             logged_bytes,
@@ -904,7 +939,6 @@ mod tests {
             data_pages,
             kv_bytes,
             logged_bytes,
-            phys_bytes,
             smallest,
             largest,
             payload: packed_to,
@@ -917,26 +951,25 @@ mod tests {
         assert_eq!(dir_pages, &want.dir_pages, "{ctx}: directory pages");
         assert_eq!(kv_bytes, &want.kv_bytes, "{ctx}: kv bytes");
         assert_eq!(logged_bytes, &want.logged_bytes, "{ctx}: logged bytes");
-        assert_eq!(phys_bytes, &want.phys_bytes, "{ctx}: physical bytes");
+        assert_eq!(got.phys_bytes(), want.phys_bytes, "{ctx}: physical bytes");
         assert_eq!(smallest, &want.smallest, "{ctx}: smallest fence");
         assert_eq!(largest, &want.largest, "{ctx}: largest fence");
 
+        let layout = got.layout();
         let Layout {
-            slots,
+            words,
             page_start,
             page_of,
             span,
             page_first_hash,
-            collision,
-            hashes,
-        } = got.layout();
+        } = layout;
         assert!(got.layout_built(), "{ctx}: layout kept after a read");
         assert_eq!(page_start.len(), want.pages.len() + 1, "{ctx}: page count");
         for (p, page) in want.pages.iter().enumerate() {
             let (lo, hi) = (page_start[p] as usize, page_start[p + 1] as usize);
-            let got: Vec<(Entity, u8)> = slots[lo..hi]
+            let got: Vec<(Entity, u8)> = words[lo..hi]
                 .iter()
-                .map(|&i| (ents[i as usize], span[i as usize]))
+                .map(|&w| (ents[index_of(w)], span[index_of(w)]))
                 .collect();
             assert_eq!(got, page[..], "{ctx}: page {p} (with spans)");
         }
@@ -947,13 +980,13 @@ mod tests {
         );
         // Entity `i` is the reference directory's `i`-th entry: its page
         // is `page_of[i]` and its slot there points back at `i`.
-        assert_eq!(slots.len(), want.dir.len(), "{ctx}: slot count");
+        assert_eq!(words.len(), want.dir.len(), "{ctx}: slot count");
         assert_eq!(page_of.len(), want.dir.len(), "{ctx}: page-of count");
         assert_eq!(span.len(), want.dir.len(), "{ctx}: span count");
         for (i, &(p, s)) in want.dir.iter().enumerate() {
             assert_eq!(page_of[i], p, "{ctx}: page of entity {i}");
             let k = page_start[p as usize] as usize + s as usize;
-            assert_eq!(slots[k] as usize, i, "{ctx}: slot {s} of page {p}");
+            assert_eq!(index_of(words[k]), i, "{ctx}: slot {s} of page {p}");
             assert_eq!(
                 (ents[i], span[i]),
                 want.pages[p as usize][s as usize],
@@ -964,8 +997,12 @@ mod tests {
             page_first_hash, &want.page_first_hash,
             "{ctx}: page first hashes"
         );
-        assert_eq!(collision, &want.collision, "{ctx}: collision bits");
-        assert_eq!(hashes, &want.hashes, "{ctx}: hash list");
+        let continued_prev: Vec<bool> = (0..page_first_hash.len())
+            .map(|p| layout.continued_prev(p))
+            .collect();
+        assert_eq!(continued_prev, want.continued_prev, "{ctx}: collision bits");
+        let hashes: Vec<u32> = words.iter().map(|&w| hash_of(w)).collect();
+        assert_eq!(hashes, want.hashes, "{ctx}: hash list");
     }
 
     /// Builds `ents` alone and packed at several group sizes, with both the
@@ -1038,20 +1075,23 @@ mod tests {
 
     #[test]
     fn build_matches_reference_on_seeded_runs() {
+        for (ctx, ents, payload, key_len) in seeded_runs() {
+            assert_matches_reference(&ents, payload, key_len, &ctx);
+        }
+    }
+
+    /// Seeded runs of 1 to 20,000 entities, each at three payload and key
+    /// lengths, with a context naming the run.
+    fn seeded_runs() -> impl Iterator<Item = (String, Vec<Entity>, u64, u16)> {
         let mut rng = anykey_workload::SplitMix64::new(0xB01D);
         let mut lens = vec![1, 2, 3, 17, 200, 1_000, 5_000, 20_000];
         lens.extend((0..6).map(|_| 1 + rng.next_bounded(20_000) as usize));
-        for (seed, &n) in lens.iter().enumerate() {
-            for (payload, key_len) in [(PAYLOAD, 24), (2048, 48), (PAYLOAD, 8)] {
-                let ents = random_run(seed as u64, n, key_len);
-                assert_matches_reference(
-                    &ents,
-                    payload,
-                    key_len,
-                    &format!("seed {seed}, {n} entities, payload {payload}"),
-                );
-            }
-        }
+        lens.into_iter().enumerate().flat_map(|(seed, n)| {
+            [(PAYLOAD, 24), (2048, 48), (PAYLOAD, 8)].map(|(payload, key_len)| {
+                let ctx = format!("seed {seed}, {n} entities, payload {payload}");
+                (ctx, random_run(seed as u64, n, key_len), payload, key_len)
+            })
+        })
     }
 
     /// Equal hashes spanning page boundaries, as in
@@ -1097,54 +1137,92 @@ mod tests {
         }
     }
 
-    /// GET's page walk (`AnyKeyStore::get_levels`): search the routed page,
-    /// then step back while the page's first hash says the run may start
-    /// earlier.
+    /// GET's page walk, as `AnyKeyStore::get_levels` runs it.
     fn walk_lookup(g: &GroupContent, hash: u32, id: u64) -> Option<&Entity> {
-        let mut p = g.route_page(hash);
-        loop {
-            if let Some(i) = g.search_page(p, hash, id) {
-                return Some(&g.ents[i]);
-            }
-            let l = g.layout();
-            let first = l.page_first_hash[p];
-            if p > 0 && (hash < first || (hash == first && l.collision[p].continued_prev)) {
-                p -= 1;
-            } else {
-                return None;
+        g.lookup(hash, id, |_| {}).map(|i| &g.ents[i])
+    }
+
+    /// The GET probes of a key-sorted run, for every id up to past the
+    /// last one: present keys under their own hash, absent keys under their
+    /// own hash and under the hash of the entity before them (so they land
+    /// inside equal-hash runs). Each is `(hash, id, the entity found)`.
+    fn probes(ents: &[Entity], key_len: u16) -> Vec<(u32, u64, Option<Entity>)> {
+        let mut out = Vec::new();
+        for id in 0..=ents[ents.len() - 1].id + 2 {
+            let below = ents.partition_point(|e| e.id < id);
+            match ents.get(below).filter(|e| e.id == id) {
+                Some(&want) => out.push((want.hash, id, Some(want))),
+                None => {
+                    out.push((Key::new(id, key_len).unwrap().hash32(), id, None));
+                    out.extend(below.checked_sub(1).map(|b| (ents[b].hash, id, None)));
+                }
             }
         }
+        out
     }
 
     /// Checks the page walk and `dir_lower_bound` against a brute-force
-    /// scan of the key-sorted input for every id up to past the last one:
-    /// present keys under their own hash, absent keys under their own hash
-    /// and under the hash of the entity before them (so they land inside
-    /// equal-hash runs).
+    /// scan of the key-sorted input: the lower bound of every id up to past
+    /// the last one, and every [`probes`] lookup.
     fn assert_lookups_match_brute_force(ents: &[Entity], payload: u64, key_len: u16, ctx: &str) {
         let mut groups = pack(ents, payload, u32::MAX, key_len);
         assert_eq!(groups.len(), 1, "{ctx}: an unbounded packer cuts one group");
         let g = groups.remove(0);
-        let last = ents[ents.len() - 1].id;
-        for id in 0..=last + 2 {
+        for id in 0..=ents[ents.len() - 1].id + 2 {
             let below = ents.partition_point(|e| e.id < id);
             assert_eq!(g.dir_lower_bound(id), below, "{ctx}: lower bound of {id}");
-            match ents.get(below).filter(|e| e.id == id) {
-                Some(want) => {
-                    let got = walk_lookup(&g, want.hash, id)
-                        .unwrap_or_else(|| panic!("{ctx}: present key {id} not found"));
-                    assert_eq!(got, want, "{ctx}: key {id}");
-                }
-                None => {
-                    let mut probes = vec![Key::new(id, key_len).unwrap().hash32()];
-                    probes.extend(below.checked_sub(1).map(|b| ents[b].hash));
-                    for hash in probes {
-                        assert!(
-                            walk_lookup(&g, hash, id).is_none(),
-                            "{ctx}: absent key {id} found under hash {hash:#x}"
-                        );
-                    }
-                }
+        }
+        for (hash, id, want) in probes(ents, key_len) {
+            let got = walk_lookup(&g, hash, id);
+            assert_eq!(got, want.as_ref(), "{ctx}: key {id} under hash {hash:#x}");
+        }
+    }
+
+    /// The pages a GET reads, computed from the reference alone: route by
+    /// the 16-bit prefixes of its page first hashes, step back by its
+    /// collision bits, then read the found entity's spill pages. Returns
+    /// the reads and the entity found.
+    fn reference_reads(r: &RefGroup, hash: u32, id: u64) -> (Vec<Range<usize>>, Option<Entity>) {
+        let first = &r.page_first_hash;
+        let mut p = first
+            .partition_point(|&f| f >> 16 <= hash >> 16)
+            .saturating_sub(1);
+        let mut reads = Vec::new();
+        loop {
+            reads.push(p..p + 1);
+            let mut page = r.pages[p].iter();
+            if let Some(&(e, span)) = page.find(|(e, _)| (e.hash, e.id) == (hash, id)) {
+                reads.push(p + 1..p + 1 + usize::from(span));
+                return (reads, Some(e));
+            }
+            if p > 0 && (hash < first[p] || (hash == first[p] && r.continued_prev[p])) {
+                p -= 1;
+            } else {
+                return (reads, None);
+            }
+        }
+    }
+
+    /// GET reads exactly the pages the comparison-sort reference predicts,
+    /// so the derived collision bits and the spans are checked against the
+    /// reference rather than against the code under test.
+    #[test]
+    fn get_reads_the_pages_the_reference_predicts() {
+        let forced = [PAYLOAD, 2048].map(|payload| {
+            let ctx = format!("forced runs, payload {payload}");
+            (ctx, forced_hash_runs(), payload, 24)
+        });
+        for (ctx, ents, payload, key_len) in seeded_runs().chain(forced) {
+            let g = GroupContent::new(ents.clone(), payload, key_len);
+            let want = reference_build(ents.clone(), payload, key_len);
+            for (hash, id, _) in probes(&ents, key_len) {
+                let mut reads = Vec::new();
+                let found = g.lookup(hash, id, |pages| reads.push(pages));
+                assert_eq!(
+                    (reads, found.map(|i| g.ents[i])),
+                    reference_reads(&want, hash, id),
+                    "{ctx}: key {id} under hash {hash:#x}"
+                );
             }
         }
     }

@@ -64,7 +64,7 @@ impl Level {
     /// tree-compaction threshold is measured against (so that log-triggered
     /// inlining genuinely grows a level and can start a compaction chain).
     pub fn phys_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.content.phys_bytes).sum()
+        self.groups.iter().map(|g| g.content.phys_bytes()).sum()
     }
 
     /// Bytes of this level's values that are parked in the value log.
@@ -156,7 +156,7 @@ mod tests {
         let l = level();
         assert_eq!(l.kv_bytes(), 30 * (16 + 10));
         assert_eq!(l.logged_bytes(), 0);
-        let phys: u64 = l.groups.iter().map(|g| g.content.phys_bytes).sum();
+        let phys: u64 = l.groups.iter().map(|g| g.content.phys_bytes()).sum();
         assert_eq!(l.phys_bytes(), phys);
         assert!(phys > 0);
         assert_eq!(Level::default().phys_bytes(), 0);

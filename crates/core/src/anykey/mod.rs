@@ -160,33 +160,21 @@ impl Engine for AnyKeyStore {
                 continue;
             }
             // Read the routed page, walking backwards over 16-bit prefix
-            // ambiguity and cross-page hash collisions (Figure 7).
-            let layout = g.content.layout();
-            let mut p = g.content.route_page(hash);
-            loop {
-                let flash = &mut self.core.flash;
-                req.read(flash, OpCause::HostRead, [g.data_ppa(p)]);
-                if let Some(i) = g.content.search_page(p, hash, id) {
-                    let e = &g.content.ents[i];
-                    // Inline values may spill into following pages.
-                    let span = usize::from(layout.span[i]);
-                    let spilled = (p + 1..=p + span).map(|i| g.data_ppa(i));
-                    req.read(flash, OpCause::HostRead, spilled);
-                    if e.tombstone {
-                        return Some(false);
-                    }
-                    if let ValueLoc::Logged(ptr) = e.loc() {
-                        req.read(flash, OpCause::LogRead, ptr.pages());
-                    }
-                    return Some(true);
+            // ambiguity and cross-page hash collisions (Figure 7), then the
+            // pages an inline value spills into.
+            let flash = &mut self.core.flash;
+            let found = g.content.lookup(hash, id, |pages| {
+                req.read(flash, OpCause::HostRead, pages.map(|p| g.data_ppa(p)));
+            });
+            if let Some(i) = found {
+                let e = &g.content.ents[i];
+                if e.tombstone {
+                    return Some(false);
                 }
-                let first = layout.page_first_hash[p];
-                if p > 0 && (hash < first || (hash == first && layout.collision[p].continued_prev))
-                {
-                    p -= 1;
-                    continue;
+                if let ValueLoc::Logged(ptr) = e.loc() {
+                    req.read(flash, OpCause::LogRead, ptr.pages());
                 }
-                break;
+                return Some(true);
             }
         }
         None
@@ -235,7 +223,7 @@ impl Engine for AnyKeyStore {
         let (mut data_ppas, mut log_ppas) = (Vec::new(), Vec::new());
         for pos in plan.hits.iter().filter_map(|&(_, pos)| pos) {
             let g = &levels[pos.level].groups[pos.owner];
-            data_ppas.push(g.data_ppa(g.content.layout().page_of[pos.index] as usize));
+            data_ppas.push(g.data_ppa(g.content.page_of(pos.index)));
             if let ValueLoc::Logged(ptr) = g.content.ents[pos.index].loc() {
                 log_ppas.extend(ptr.pages());
             }

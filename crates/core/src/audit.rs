@@ -40,6 +40,7 @@ use std::fmt;
 
 use anykey_flash::{BlockAllocator, BlockId, CounterSkew};
 
+use crate::anykey::group::LayoutFault;
 use crate::anykey::AnyKeyStore;
 use crate::pink::PinkStore;
 
@@ -74,7 +75,7 @@ pub enum AuditError {
     },
     /// A group's per-page first hashes, whose top 16 bits are the routing
     /// prefixes, are not sorted, so
-    /// [`crate::anykey::group::GroupContent::route_page`] would misroute.
+    /// [`crate::anykey::group::GroupContent::lookup`] would misroute.
     RoutingOrder {
         /// The level holding the group.
         level: usize,
@@ -398,13 +399,7 @@ impl AnyKeyStore {
     /// existed.
     #[doc(hidden)]
     pub fn corrupt_page_start_for_test(&mut self) -> bool {
-        let group = self.levels.iter_mut().find_map(|l| l.groups.first_mut());
-        group
-            .map(|g| {
-                g.content
-                    .layout_mut(|l| l.page_start.last_mut().map(|end| *end -= 1))
-            })
-            .is_some()
+        self.corrupt_first_layout(LayoutFault::PageStart)
     }
 
     /// Test-only corruption hook: swaps the first slot of a group's first
@@ -416,16 +411,7 @@ impl AnyKeyStore {
         self.levels
             .iter_mut()
             .flat_map(|l| l.groups.iter_mut())
-            .any(|g| {
-                g.content.layout_mut(|l| {
-                    let next = l.page_start[1] as usize;
-                    let swap = next < l.slots.len();
-                    if swap {
-                        l.slots.swap(0, next);
-                    }
-                    swap
-                })
-            })
+            .any(|g| g.content.corrupt_layout_for_test(LayoutFault::SlotIndex))
     }
 
     /// Test-only corruption hook: changes the first hash-list entry of the
@@ -433,10 +419,14 @@ impl AnyKeyStore {
     /// group existed.
     #[doc(hidden)]
     pub fn corrupt_hash_list_for_test(&mut self) -> bool {
+        self.corrupt_first_layout(LayoutFault::HashList)
+    }
+
+    /// Applies `fault` to the first group's layout; `false` when there is
+    /// no group or the fault does not apply to it.
+    fn corrupt_first_layout(&mut self, fault: LayoutFault) -> bool {
         let group = self.levels.iter_mut().find_map(|l| l.groups.first_mut());
-        group
-            .map(|g| g.content.layout_mut(|l| l.hashes[0] ^= 1))
-            .is_some()
+        group.is_some_and(|g| g.content.corrupt_layout_for_test(fault))
     }
 
     /// Test-only corruption hook: over-claims the DRAM budget past both
