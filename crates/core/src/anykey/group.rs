@@ -330,7 +330,10 @@ impl GroupContent {
         {
             return Err(AuditError::HashListMismatch { level, group });
         }
-        if l.page_first_hash.windows(2).any(|w| w[0] > w[1]) {
+        let first_hash = |p| l.words.get(first_slot(starts, p)).map(|&w| hash_of(w));
+        if l.page_first_hash.len() != self.data_pages as usize
+            || (0..l.page_first_hash.len()).any(|p| first_hash(p) != Some(l.page_first_hash[p]))
+        {
             return Err(AuditError::RoutingOrder { level, group });
         }
         Ok(())
@@ -353,6 +356,13 @@ impl GroupContent {
                     .is_some()
             }
             LayoutFault::HashList => l.words.first_mut().map(|w| *w ^= 1 << 32).is_some(),
+            LayoutFault::RoutingPrefix => {
+                let first = &mut l.page_first_hash;
+                let below_next =
+                    |p: usize| first[p] < first.get(p + 1).copied().unwrap_or(u32::MAX);
+                let page = (0..first.len()).find(|&p| below_next(p));
+                page.map(|p| first[p] += 1).is_some()
+            }
         }
     }
 }
@@ -366,6 +376,8 @@ pub(crate) enum LayoutFault {
     SlotIndex,
     /// The first slot's hash no longer matches its entity.
     HashList,
+    /// One page's first hash rises by one, still in order.
+    RoutingPrefix,
 }
 
 impl Layout {

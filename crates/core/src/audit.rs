@@ -74,7 +74,7 @@ pub enum AuditError {
         group: usize,
     },
     /// A group's per-page first hashes, whose top 16 bits are the routing
-    /// prefixes, are not sorted, so
+    /// prefixes, differ from the hashes its pages start with, so
     /// [`crate::anykey::group::GroupContent::lookup`] would misroute.
     RoutingOrder {
         /// The level holding the group.
@@ -420,6 +420,15 @@ impl AnyKeyStore {
     #[doc(hidden)]
     pub fn corrupt_hash_list_for_test(&mut self) -> bool {
         self.corrupt_first_layout(LayoutFault::HashList)
+    }
+
+    /// Test-only corruption hook: raises one data page's first hash by one
+    /// in the first group, keeping the per-page first hashes sorted, so the
+    /// routing prefix no longer matches the page's content. Returns whether
+    /// the first group had a page whose first hash could rise.
+    #[doc(hidden)]
+    pub fn corrupt_routing_prefix_for_test(&mut self) -> bool {
+        self.corrupt_first_layout(LayoutFault::RoutingPrefix)
     }
 
     /// Applies `fault` to the first group's layout; `false` when there is

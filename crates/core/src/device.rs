@@ -18,12 +18,14 @@ use anykey_flash::{FlashGeometry, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
 use anykey_metrics::trace::TraceEvent;
 
+use crate::anykey::entity::ENTITY_HEADER_BYTES;
 use crate::buffer::{self, BufEntry, WriteBuffer};
 use crate::config::DeviceConfig;
 use crate::dram::DramBudget;
 use crate::engine::MetadataStats;
 use crate::error::KvError;
 use crate::key::Key;
+use crate::pink::segment::SEG_ENTRY_OVERHEAD;
 
 /// Flash, write buffer, DRAM budget, and the bookkeeping around them.
 #[derive(Debug)]
@@ -33,6 +35,8 @@ pub(crate) struct DeviceCore {
     pub(crate) buffer: WriteBuffer,
     pub(crate) dram: DramBudget,
     pub(crate) page_payload: u64,
+    /// The longest value the device stores ([`max_value_len`]).
+    pub(crate) max_value_len: u32,
     /// Completion time of the in-flight flush (L0 is double-buffered: a
     /// put that fills the buffer stalls only if the previous flush is
     /// still running).
@@ -285,6 +289,23 @@ where
     }
 }
 
+/// The longest value a device of `cfg`'s geometry and key length stores.
+/// Its record (the key, the larger per-record header of the two engines'
+/// and the value) must, alone in a group, fit one erase block behind one
+/// directory page, which also fits it in one byte-log block. And it must
+/// touch at most 255 pages wherever it starts, the most an [`Extent`] or a
+/// layout span counts: at most `254 × payload + 1` bytes.
+///
+/// [`Extent`]: crate::bytelog::Extent
+fn max_value_len(cfg: &DeviceConfig) -> u32 {
+    let payload = u64::from(cfg.page_payload());
+    let pages = u64::from(cfg.flash.geometry.pages_per_block);
+    let record = (pages.saturating_sub(1) * payload).min(254 * payload + 1);
+    let header = ENTITY_HEADER_BYTES.max(SEG_ENTRY_OVERHEAD);
+    let value = record.saturating_sub(u64::from(cfg.key_len) + header);
+    u32::try_from(value).unwrap_or(u32::MAX)
+}
+
 impl DeviceCore {
     /// A fresh device: empty flash and buffer. The write buffer's
     /// DRAM reservation is capped at half the device DRAM.
@@ -297,6 +318,7 @@ impl DeviceCore {
                 cfg.write_buffer_bytes.min(cfg.dram_bytes / 2),
             ),
             page_payload: cfg.page_payload() as u64,
+            max_value_len: max_value_len(&cfg),
             flush_done: 0,
             spans: Vec::new(),
             span_seq: 0,

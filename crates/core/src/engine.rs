@@ -200,7 +200,8 @@ pub trait KvEngine {
     /// # Errors
     ///
     /// Returns [`KvError::DeviceFull`] when the device cannot accept the
-    /// write.
+    /// write, and [`KvError::ValueTooLarge`] when no device of its geometry
+    /// could.
     fn put(&mut self, key: u64, value_len: u32) -> Result<OpOutcome, KvError> {
         let at = self.horizon();
         self.execute(&Op::Put { key, value_len }, at)
@@ -500,6 +501,10 @@ fn put<E: Engine>(
     // The buffer stores the id; building its key rejects an id the key
     // length cannot hold.
     e.core().make_key(id)?;
+    let max = e.core().max_value_len;
+    if value_len > max {
+        return Err(KvError::ValueTooLarge { value_len, max });
+    }
     let start = e.core_mut().buffer_put(id, value_len, tombstone, at);
     if let Some(start) = start {
         let done = e.flush(start)?;
@@ -630,6 +635,68 @@ mod tests {
                 assert_eq!(o.phases, want, "{kind:?} {what}");
                 assert_eq!(o.found, found, "{kind:?} {what}");
                 assert_eq!(o.flash_reads, 0, "{kind:?} {what}");
+            }
+        }
+    }
+
+    /// A value at the device's bound is stored, read back whole and audited
+    /// on every engine; one byte more is refused with `ValueTooLarge` and
+    /// changes nothing. At 128 pages per block the erase block sets the
+    /// bound, at 512 the 255 pages an extent counts.
+    #[test]
+    fn a_value_over_the_bound_is_refused_and_changes_nothing() {
+        use crate::anykey::entity::ENTITY_HEADER_BYTES;
+        let kinds = [
+            EngineKind::Pink,
+            EngineKind::AnyKey,
+            EngineKind::AnyKeyPlus,
+            EngineKind::AnyKeyNoLog,
+        ];
+        for pages_per_block in [128u64, 512] {
+            for kind in kinds {
+                let ctx = format!("{kind:?}, {pages_per_block} pages per block");
+                let cfg = DeviceConfig::builder()
+                    .pages_per_block(pages_per_block as u32)
+                    .engine(kind)
+                    .key_len(24)
+                    .build();
+                let payload = u64::from(cfg.page_payload());
+                let record = ((pages_per_block - 1) * payload).min(254 * payload + 1);
+                let want = (record - 24 - ENTITY_HEADER_BYTES) as u32;
+                let mut dev = cfg.build_engine();
+                let refused = dev.put(0, u32::MAX);
+                let Err(KvError::ValueTooLarge { max, .. }) = refused else {
+                    panic!("{ctx}: a 4 GiB value got {refused:?}");
+                };
+                assert_eq!(max, want, "{ctx}: bound");
+                for id in 0..100 {
+                    dev.put(id, 100).expect("small put");
+                }
+                // The value outgrows the write buffer, so it is flushed.
+                dev.put(100, max).expect("a put at the bound");
+                let got = dev.get(100);
+                assert!(got.found, "{ctx}: the value at the bound is lost");
+                assert!(
+                    u64::from(got.flash_reads) >= u64::from(max).div_ceil(payload),
+                    "{ctx}: {} flash reads cannot read a {max}-byte value",
+                    got.flash_reads
+                );
+                assert_eq!(dev.check_invariants(), Ok(()), "{ctx}: audit");
+
+                let before = (dev.horizon(), dev.counters(), dev.metadata());
+                let over = dev.put(101, max + 1);
+                let want_err = KvError::ValueTooLarge {
+                    value_len: max + 1,
+                    max,
+                };
+                assert_eq!(over.map(|_| ()), Err(want_err), "{ctx}: one byte over");
+                let after = (dev.horizon(), dev.counters(), dev.metadata());
+                assert_eq!(after, before, "{ctx}: the refused put changed the store");
+                assert!(
+                    (0..=100).all(|id| dev.get(id).found),
+                    "{ctx}: a key is lost"
+                );
+                assert!(!dev.get(101).found, "{ctx}: the refused key is stored");
             }
         }
     }

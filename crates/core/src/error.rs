@@ -24,6 +24,15 @@ pub enum KvError {
         /// The configured key length in bytes.
         key_len: u16,
     },
+    /// A value longer than the device stores: alone in a group it would
+    /// outgrow an erase block or a byte-log block, or touch more than the
+    /// 255 pages an extent counts. Rejected before it is buffered.
+    ValueTooLarge {
+        /// The value length asked for.
+        value_len: u32,
+        /// The longest value the device stores.
+        max: u32,
+    },
     /// An engine-internal bookkeeping invariant failed — a state that must
     /// be unreachable in a correct engine (e.g. a peeked iterator entry
     /// vanishing mid-merge, or a spilled segment without a flash location).
@@ -63,6 +72,12 @@ impl fmt::Display for KvError {
             KvError::DeviceFull => f.write_str("device is full"),
             KvError::KeyTooLarge { id, key_len } => {
                 write!(f, "key id {id} does not fit in a {key_len}-byte key")
+            }
+            KvError::ValueTooLarge { value_len, max } => {
+                write!(
+                    f,
+                    "value of {value_len} bytes exceeds the {max}-byte maximum"
+                )
             }
             KvError::Internal { context } => {
                 write!(f, "internal invariant violated: {context}")

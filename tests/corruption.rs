@@ -308,6 +308,26 @@ fn stale_group_hash_list_is_detected() {
 }
 
 #[test]
+fn stale_routing_prefix_is_detected() {
+    let mut s = filled_anykey();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(
+        s.corrupt_routing_prefix_for_test(),
+        "fill must produce a group with a page whose first hash can rise in order"
+    );
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(matches!(err, AuditError::RoutingOrder { .. }), "got {err}");
+    assert!(
+        err.to_string().contains("page-routing"),
+        "diagnostic must name the routing fault: {err}"
+    );
+}
+
+#[test]
 fn misplaced_group_slots_are_detected() {
     let mut s = filled_anykey();
     assert_eq!(
