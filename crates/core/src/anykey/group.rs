@@ -1154,11 +1154,6 @@ mod tests {
         }
     }
 
-    /// GET's page walk, as `AnyKeyStore::get_levels` runs it.
-    fn walk_lookup(g: &GroupContent, hash: u32, id: u64) -> Option<&Entity> {
-        g.lookup(hash, id, |_| {}).map(|i| &g.ents[i])
-    }
-
     /// The GET probes of a key-sorted run, for every id up to past the
     /// last one: present keys under their own hash, absent keys under their
     /// own hash and under the hash of the entity before them (so they land
@@ -1190,7 +1185,7 @@ mod tests {
             assert_eq!(g.dir_lower_bound(id), below, "{ctx}: lower bound of {id}");
         }
         for (hash, id, want) in probes(ents, key_len) {
-            let got = walk_lookup(&g, hash, id);
+            let got = g.lookup(hash, id, |_| {}).map(|i| &g.ents[i]);
             assert_eq!(got, want.as_ref(), "{ctx}: key {id} under hash {hash:#x}");
         }
     }

@@ -138,8 +138,9 @@ pub trait KvEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::DeviceFull`] when a PUT cannot be accepted, and
-    /// [`KvError::KeyTooLarge`] for ill-formed key ids.
+    /// Returns [`KvError::DeviceFull`] when a PUT cannot be accepted,
+    /// [`KvError::ValueTooLarge`] for a PUT whose value is longer than the
+    /// device stores, and [`KvError::KeyTooLarge`] for ill-formed key ids.
     fn execute(&mut self, op: &Op, at: Ns) -> Result<OpOutcome, KvError>;
 
     /// Runs a range scan and returns the key ids found (in key order) with
