@@ -238,3 +238,89 @@ fn an_empty_scan_reads_nothing() {
     assert_eq!(out.flash_reads, 0);
     assert_eq!(out.latency(), crate::config::HASH_NS);
 }
+
+/// Per level, the first page and layout state of each group.
+fn layout_states(s: &AnyKeyStore) -> Vec<Vec<(anykey_flash::Ppa, bool)>> {
+    let groups = |l: &crate::anykey::level::Level| {
+        let states = l.groups.iter();
+        states
+            .map(|g| (g.first_ppa, g.content.layout_built()))
+            .collect()
+    };
+    s.levels.iter().map(groups).collect()
+}
+
+#[test]
+fn built_layouts_survive_rewrites_and_relocation() {
+    let mut s = store(EngineKind::AnyKeyPlus);
+    fill(&mut s, 30_000);
+    // Inline the bottom level, then merge fresh logged values of a
+    // narrow key range into it: only the groups covering that range hold
+    // logged values.
+    let at = s.horizon();
+    s.inline_rewrite_level(1, at).unwrap();
+    for id in 0..3_000u64 {
+        s.put(id, 48).unwrap();
+    }
+    let at = s.horizon();
+    crate::engine::Engine::merge_down(&mut s, 0, at).unwrap();
+    // A level where some groups hold logged values and some do not.
+    let li = (0..s.levels.len())
+        .find(|&li| {
+            let logged = s.levels[li]
+                .groups
+                .iter()
+                .map(|g| g.content.logged_bytes > 0);
+            logged.clone().any(|l| l) && logged.clone().any(|l| !l)
+        })
+        .expect("a level with both logged and inline groups");
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "the audit builds every layout"
+    );
+    let untouched: Vec<_> = s.levels[li]
+        .groups
+        .iter()
+        .filter(|g| g.content.logged_bytes == 0)
+        .map(|g| g.first_ppa)
+        .collect();
+    let at = s.horizon();
+    s.inline_rewrite_level(li, at).unwrap();
+    // An untouched group keeps its place and its layout; a rewritten one
+    // lands on fresh pages with no layout yet.
+    let states = layout_states(&s);
+    for (gi, &(ppa, built)) in states[li].iter().enumerate() {
+        assert_eq!(built, untouched.contains(&ppa), "level {li} group {gi}");
+    }
+    assert!(states[li].iter().any(|&(_, built)| built), "nothing kept");
+    assert!(
+        states[li].iter().any(|&(_, built)| !built),
+        "nothing rewritten"
+    );
+    for (lj, level) in states.iter().enumerate().filter(|&(lj, _)| lj != li) {
+        assert!(level.iter().all(|&(_, built)| built), "level {lj}");
+    }
+
+    // Relocation moves a block's groups and keeps every layout.
+    assert_eq!(s.check_invariants(), Ok(()));
+    let before = layout_states(&s);
+    let victim = before[li][0].0.block;
+    let at = s.horizon();
+    s.relocate_block(victim, at).unwrap();
+    let after = layout_states(&s);
+    assert!(after.iter().flatten().all(|&(_, built)| built));
+    let moved = |l: &[Vec<(anykey_flash::Ppa, bool)>]| -> usize {
+        l.iter()
+            .flatten()
+            .filter(|&&(p, _)| p.block == victim)
+            .count()
+    };
+    assert!(
+        moved(&before) > 0 && moved(&after) == 0,
+        "the victim emptied"
+    );
+    let counts =
+        |l: &[Vec<(anykey_flash::Ppa, bool)>]| -> Vec<usize> { l.iter().map(Vec::len).collect() };
+    assert_eq!(counts(&before), counts(&after));
+}

@@ -13,7 +13,10 @@
 //! compaction, GC) a run records is folded into a span digest, so the
 //! order, levels, times and page counts of the background work are pinned
 //! as well; a PinK update run that reaches data- and meta-block GC pins
-//! the `gc` spans. Every request outcome of the mixed runs (issue and
+//! the `gc` spans. AnyKey− runs the mixed stream too (its one compaction
+//! path is the tree merge), and AnyKey+ and AnyKey− update streams that
+//! end at `DeviceFull` pin the group area's relocation GC. Every request
+//! outcome of the mixed runs (issue and
 //! completion times, found, flash reads and the five latency phases) is
 //! folded into an outcome digest, so where each request's time goes is
 //! pinned too.
@@ -24,7 +27,7 @@
 
 mod common;
 
-use anykey::core::{EngineKind, OpOutcome};
+use anykey::core::{EngineKind, KvError, OpOutcome};
 use anykey::metrics::TraceEvent;
 use anykey::workload::{Op, SplitMix64};
 
@@ -409,5 +412,130 @@ fn pink_gc_spans_are_pinned() {
         (spans.count, spans.digest),
         (614, 10_068_490_409_194_804_809),
         "PinK: background spans moved"
+    );
+}
+
+#[test]
+fn anykey_minus_state_is_pinned() {
+    assert_golden(
+        EngineKind::AnyKeyNoLog,
+        "keep",
+        (10_284_002_016, 10_611_581_971_519_813_175),
+        "FlashCounters { reads: [69173, 0, 0, 0, 11854, 0, 0, 0, 0, 0], \
+         writes: [0, 0, 0, 0, 0, 12652, 0, 0, 0, 0], \
+         retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
+         reads_total: 81027, writes_total: 12652, retry_reads_total: 0, \
+         erases: 800, program_fails: 0, erase_fails: 0 }",
+        "MetadataStats { level_list_bytes: 5996, level_list_flash_bytes: 0, \
+         hash_list_total_bytes: 89948, hash_list_resident_bytes: 1140, \
+         meta_segment_dram_bytes: 0, meta_segment_flash_bytes: 0, \
+         dram_capacity: 16384, dram_used: 15328, levels: 2, \
+         live_unique_bytes: 4721059, value_log_used_bytes: 0, \
+         retry_reads: 0, program_fails: 0, erase_fails: 0, \
+         retired_blocks: 0, free_blocks: 77 }",
+        (3946, 7_257_491_339_025_105_244),
+        (199, 5_868_308_302_951_650_351),
+    );
+}
+
+/// What an update stream leaves when it stops at `DeviceFull`: the index
+/// of the refused PUT, the flash counters and every background span.
+struct UpdateRun {
+    stop: u64,
+    counters: String,
+    spans: Spans,
+}
+
+/// Runs `kind` on the 16 MiB device with 24 B keys and a `log_bytes`
+/// value log through `pink_gc_spans`' stream until a PUT is refused with
+/// `DeviceFull`: the first `ids` PUTs insert ids 0 to `ids − 1`, then
+/// uniform updates follow, all with 8 to 307 B values. The trace is
+/// drained after the last PUT and the end state audited.
+fn update_until_full(kind: EngineKind, log_bytes: u64, ids: u64) -> UpdateRun {
+    let mut dev = common::test_device(kind)
+        .key_len(24)
+        .value_log_bytes(log_bytes)
+        .build()
+        .build_engine();
+    dev.set_tracing(true);
+    let mut rng = SplitMix64::new(7);
+    let mut spans = Spans::new();
+    let mut i = 0u64;
+    let stop = loop {
+        let key = if i < ids { i } else { rng.next_bounded(ids) };
+        let value_len = 8 + rng.next_bounded(300) as u32;
+        match dev.put(key, value_len) {
+            Ok(_) => {}
+            Err(KvError::DeviceFull) => break i,
+            Err(e) => panic!("{kind}: put {i} failed: {e}"),
+        }
+        if i % 4096 == 4095 {
+            spans.fold_all(dev.take_trace());
+        }
+        i += 1;
+    };
+    spans.fold_all(dev.take_trace());
+    dev.check_invariants()
+        .unwrap_or_else(|e| panic!("{kind}: final audit failed: {e}"));
+    UpdateRun {
+        stop,
+        counters: format!("{:?}", dev.counters()),
+        spans,
+    }
+}
+
+/// Checks an [`update_until_full`] run against its pins: the refused
+/// PUT's index, the counters, the `gc` span counts, and the span count
+/// and digest. The run must have relocated groups.
+fn assert_update_run(
+    run: &UpdateRun,
+    kind: EngineKind,
+    stop: u64,
+    counters: &str,
+    gc: &[(&str, u64)],
+    spans: (u64, u64),
+) {
+    assert_eq!(run.stop, stop, "{kind}: the refused PUT moved");
+    assert_eq!(run.counters, counters, "{kind}: flash counters moved");
+    let got: Vec<(&str, u64)> = run.spans.gc.iter().map(|(l, n)| (l.as_str(), *n)).collect();
+    assert_eq!(got, gc, "{kind}: GC span counts moved");
+    assert_eq!(
+        (run.spans.count, run.spans.digest),
+        spans,
+        "{kind}: background spans moved"
+    );
+}
+
+#[test]
+fn anykey_plus_group_relocation_is_pinned() {
+    let run = update_until_full(EngineKind::AnyKeyPlus, 4 << 20, 34_000);
+    assert_update_run(
+        &run,
+        EngineKind::AnyKeyPlus,
+        76_244,
+        "FlashCounters { reads: [0, 0, 0, 0, 10018, 0, 2385, 0, 0, 0], \
+         writes: [0, 0, 0, 0, 0, 9959, 0, 2385, 0, 1455], \
+         retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
+         reads_total: 12403, writes_total: 13799, retry_reads_total: 0, \
+         erases: 870, program_fails: 0, erase_fails: 0 }",
+        &[("relocate", 192)],
+        (423, 14_163_407_339_874_863_051),
+    );
+}
+
+#[test]
+fn anykey_minus_group_relocation_is_pinned() {
+    let run = update_until_full(EngineKind::AnyKeyNoLog, 0, 42_000);
+    assert_update_run(
+        &run,
+        EngineKind::AnyKeyNoLog,
+        89_578,
+        "FlashCounters { reads: [0, 0, 0, 0, 18393, 0, 2572, 0, 0, 0], \
+         writes: [0, 0, 0, 0, 0, 20312, 0, 2572, 0, 0], \
+         retry_reads: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
+         reads_total: 20965, writes_total: 22884, retry_reads_total: 0, \
+         erases: 1486, program_fails: 0, erase_fails: 0 }",
+        &[("relocate", 259)],
+        (542, 5_019_652_897_716_681_978),
     );
 }
