@@ -1,5 +1,5 @@
-//! `cargo run -p xtask -- loc` — non-test lines per crate under `crates/`,
-//! then in `xtask/src`.
+//! `cargo run -p xtask -- loc [PATH…]` — non-test lines per crate under
+//! `crates/`, then in `xtask/src`; given paths, one row per path instead.
 //!
 //! The first column is the rule ROADMAP.md and CHANGES.md quote sizes by:
 //! every line of each `src/**/*.rs` file up to its inline
@@ -8,7 +8,9 @@
 //! item does not end the count. The second column counts the code among
 //! those lines: the non-blank lines that are not `//` comments only.
 //! `total` sums the crates under `crates/` only; the `xtask` row after it
-//! is counted by the same rule but kept out of the total.
+//! is counted by the same rule but kept out of the total. A `PATH` (a
+//! directory or one `.rs` file, relative to the workspace root) is counted
+//! by the same rule, with no total.
 //!
 //! Exit codes: 0 counted, 2 IO error.
 
@@ -17,16 +19,22 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Runs the `loc` subcommand. Returns the process exit code.
-pub(crate) fn run_cli() -> i32 {
+/// Runs the `loc` subcommand over `paths` (none: every crate). Returns the
+/// process exit code.
+pub(crate) fn run_cli(paths: &[String]) -> i32 {
     let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/.."));
-    match report(root) {
+    let text = if paths.is_empty() {
+        report(root).map_err(|e| format!("{}: {e}", root.display()))
+    } else {
+        report_paths(root, paths)
+    };
+    match text {
         Ok(text) => {
             print!("{text}");
             0
         }
         Err(e) => {
-            eprintln!("xtask loc: cannot read {}: {e}", root.display());
+            eprintln!("xtask loc: cannot read {e}");
             2
         }
     }
@@ -48,6 +56,18 @@ fn report(root: &Path) -> io::Result<String> {
     Ok(out)
 }
 
+/// One row per path of `paths`, each resolved against `root`: the path as
+/// given, then its non-test and code lines. An error names the path.
+fn report_paths(root: &Path, paths: &[String]) -> Result<String, String> {
+    let width = paths.iter().map(String::len).max().unwrap_or(0).max(17);
+    let mut out = String::new();
+    for path in paths {
+        let (n, c) = count_dir(&root.join(path)).map_err(|e| format!("{path}: {e}"))?;
+        let _ = writeln!(out, "{path:<width$} {n:>6} {c:>6}");
+    }
+    Ok(out)
+}
+
 /// `(crate directory name, (non-test lines, code lines))` for every crate.
 fn count_crates(crates: &Path) -> io::Result<Vec<(String, (usize, usize))>> {
     let mut out = Vec::new();
@@ -63,20 +83,21 @@ fn count_crates(crates: &Path) -> io::Result<Vec<(String, (usize, usize))>> {
     Ok(out)
 }
 
-/// Non-test and code lines of every `.rs` file under `dir`.
-fn count_dir(dir: &Path) -> io::Result<(usize, usize)> {
-    let mut n = (0, 0);
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let (lines, code) = if path.is_dir() {
-            count_dir(&path)?
-        } else if path.extension().is_some_and(|e| e == "rs")
-            && path.file_name().is_some_and(|f| f != "tests.rs")
-        {
-            non_test_lines(&fs::read_to_string(&path)?)
-        } else {
-            continue;
+/// Non-test and code lines of `path`: of every `.rs` file under it when
+/// it is a directory, else of the file itself (none for a `tests.rs` or a
+/// file that is not Rust).
+fn count_dir(path: &Path) -> io::Result<(usize, usize)> {
+    if !fs::metadata(path)?.is_dir() {
+        let counted = path.extension().is_some_and(|e| e == "rs")
+            && path.file_name().is_some_and(|f| f != "tests.rs");
+        return match counted {
+            true => Ok(non_test_lines(&fs::read_to_string(path)?)),
+            false => Ok((0, 0)),
         };
+    }
+    let mut n = (0, 0);
+    for entry in fs::read_dir(path)? {
+        let (lines, code) = count_dir(&entry?.path())?;
         n = (n.0 + lines, n.1 + code);
     }
     Ok(n)
@@ -144,6 +165,9 @@ mod unit {
             fs::write(path, src).unwrap();
         }
         let text = report(&root);
+        let paths = ["crates/b/src", "xtask/src/main.rs", "crates"].map(String::from);
+        let rows = report_paths(&root, &paths);
+        let missing = report_paths(&root, &["crates/c".to_string()]);
         fs::remove_dir_all(&root).unwrap();
         assert_eq!(
             text.unwrap(),
@@ -152,5 +176,12 @@ mod unit {
              total                  4      2\n\
              xtask                  2      1\n"
         );
+        assert_eq!(
+            rows.unwrap(),
+            "crates/b/src           3      1\n\
+             xtask/src/main.rs      2      1\n\
+             crates                 4      2\n"
+        );
+        assert!(missing.is_err_and(|e| e.starts_with("crates/c: ")));
     }
 }

@@ -18,7 +18,7 @@
 //!   `anykey_metrics::Json`, the one parsed form `bench-diff` compares
 //!   and `trace` and `timeline` read each JSONL line as.
 //! - [`loc`]: non-test lines per crate under `crates/` and in `xtask/src`,
-//!   the size figures ROADMAP.md and CHANGES.md quote.
+//!   or per given path, the size figures ROADMAP.md and CHANGES.md quote.
 //!
 //! `anykey-metrics` owns the document formats (writers and parsers); the
 //! analyses of parsed documents — `bench-diff`'s tolerance model aside —
@@ -53,7 +53,7 @@ fn main() {
         Some("bench-record") => bench_record::run_cli(&args[1..]),
         Some("trace") => trace_cmd::run_cli(&args[1..]),
         Some("timeline") => timeline_cmd::run_cli(&args[1..]),
-        Some("loc") => loc::run_cli(),
+        Some("loc") => loc::run_cli(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <command>\n\
@@ -63,7 +63,8 @@ fn main() {
                    bench-record <n> [--parent DIR]       write BENCH_<n>.json (hostbench medians)\n\
                    trace <trace.jsonl> [--top K]         trace analyzer (phase breakdown)\n\
                    timeline <timeline.jsonl>             timeline analyzer (steady state)\n\
-                   loc                                   non-test lines per crate and xtask"
+                   loc [PATH...]                         non-test lines per crate and xtask,\n\
+                                                         or per PATH"
             );
             2
         }
