@@ -6,7 +6,7 @@ use anykey_flash::{Ns, OpCause, Ppa};
 
 use crate::anykey::entity::{Entity, ValueLoc};
 use crate::anykey::gc::GROUP_STREAM;
-use crate::anykey::group::{Group, GroupContent, GroupPacker};
+use crate::anykey::group::{Group, GroupPacker};
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
 use crate::device::{merge_newest, Source};
@@ -113,15 +113,15 @@ impl AnyKeyStore {
 
     /// Frees the pages of `groups`, erasing each block that empties;
     /// returns when the last erase completes (`at` if none ran).
-    fn release_groups(
+    fn release_groups<'a>(
         &mut self,
-        groups: impl IntoIterator<Item = Group>,
+        groups: impl IntoIterator<Item = &'a Group>,
         at: Ns,
     ) -> Result<Ns, KvError> {
         let mut done = at;
         for g in groups {
             let (alloc, flash) = (&mut self.group_alloc, &mut self.core.flash);
-            let (block, pages) = (g.first_ppa.block, g.content.total_pages());
+            let (block, pages) = (g.first_ppa.block, g.total_pages());
             done = done.max(self.area.free(alloc, flash, block, pages, at)?);
         }
         Ok(done)
@@ -133,79 +133,89 @@ impl AnyKeyStore {
         GroupPacker::new(self.core.page_payload, cfg.group_pages.max(2), cfg.key_len)
     }
 
-    /// Places and programs the packed `groups`, appending them to `out`;
-    /// returns when the last program completes.
+    /// Places and programs one group per range of the level array `ents`
+    /// that `ends` cuts, its ends counted from `start`, appending their
+    /// records to `out`; returns when the last program completes.
     fn write_groups(
         &mut self,
-        groups: Vec<GroupContent>,
+        ents: &[Entity],
+        mut start: usize,
+        ends: Vec<usize>,
         out: &mut Vec<Group>,
         at: Ns,
     ) -> Result<Ns, KvError> {
-        let mut done = at;
-        for c in groups {
+        let (payload, key_len) = (self.core.page_payload, self.core.cfg.key_len);
+        let (mut done, base) = (at, start);
+        for end in ends {
+            let mut g = Group::new(ents, start..base + end, payload, key_len);
             let (alloc, flash) = (&mut self.group_alloc, &mut self.core.flash);
-            let (pages, cause) = (c.total_pages(), OpCause::CompactionWrite);
+            let (pages, cause) = (g.total_pages(), OpCause::CompactionWrite);
             let (ppa, td) = self
                 .area
                 .write(alloc, flash, GROUP_STREAM, pages, cause, at)?;
             done = done.max(td);
-            out.push(Group::new(c, ppa));
+            g.first_ppa = ppa;
+            start = g.end;
+            out.push(g);
         }
         Ok(done)
     }
 
     /// Rewrites, in place, every group of level `li` that references the
-    /// value log, inlining those values. Untouched groups (the vast
-    /// majority in steady state) are not rewritten.
+    /// value log, inlining those values. Inlining moves no entity, so each
+    /// such group's range of the level's array is inlined where it lies and
+    /// cut again on its own. Untouched groups (the vast majority in steady
+    /// state) keep their records and their built layouts.
     pub(crate) fn inline_rewrite_level(&mut self, li: usize, at: Ns) -> Result<Ns, KvError> {
-        if self.levels[li]
-            .groups
-            .iter()
-            .all(|g| g.content.logged_bytes == 0)
-        {
+        let touched = |g: &Group| g.logged_bytes > 0;
+        if !self.levels[li].groups.iter().any(touched) {
             return Ok(at);
         }
         let snap = self.core.span_snapshot();
-        let (touched, mut out): (Vec<Group>, Vec<Group>) =
-            std::mem::take(&mut self.levels[li].groups)
-                .into_iter()
-                .partition(|g| g.content.logged_bytes > 0);
-        let read_ppas = touched
+        let Level {
+            mut ents, groups, ..
+        } = std::mem::take(&mut self.levels[li]);
+        let read_ppas = groups
             .iter()
-            .flat_map(|g| g.all_ppas().chain(log_pages(&g.content.ents)));
+            .filter(|g| touched(g))
+            .flat_map(|g| g.all_ppas().chain(log_pages(g.ents(&ents))));
         let (t_read, _) = self.core.read_set(read_ppas, OpCause::CompactionRead, at);
 
-        // Take each touched group's entities with their values inlined,
-        // pack them on their own, and free the group.
-        let mut runs: Vec<Vec<GroupContent>> = Vec::with_capacity(touched.len());
-        let mut count = 0u64;
-        let mut t_erase = t_read;
-        for mut g in touched {
-            let mut ents = std::mem::take(&mut g.content.ents);
-            self.inline_values(&mut ents)?;
-            count += ents.len() as u64;
+        // Inline each touched group's entities, cut them on their own, and
+        // free the group.
+        let mut cuts: Vec<Vec<usize>> = Vec::new();
+        let (mut count, mut t_erase) = (0u64, t_read);
+        for g in groups.iter().filter(|g| touched(g)) {
+            let range = &mut ents[g.start..g.end];
+            self.inline_values(range)?;
+            count += range.len() as u64;
             let mut packer = self.packer();
-            for e in ents {
-                packer.push(e);
-            }
-            runs.push(packer.finish());
+            range.iter().for_each(|e| packer.push(e));
+            cuts.push(packer.finish());
             t_erase = t_erase.max(self.release_groups([g], t_read)?);
         }
-        // Place each run's groups.
+        // Place each touched group's cuts where it stood.
+        let placed = groups.len() + cuts.iter().map(Vec::len).sum::<usize>() - cuts.len();
+        let (mut out, mut cuts) = (Vec::with_capacity(placed), cuts.into_iter());
         let mut t_write = t_read;
-        for groups in runs {
-            t_write = t_write.max(self.write_groups(groups, &mut out, t_read)?);
+        for g in groups {
+            if !touched(&g) {
+                out.push(g);
+                continue;
+            }
+            let ends = cuts.next().unwrap_or_default();
+            let done = self.write_groups(&ents, g.start, ends, &mut out, t_read)?;
+            t_write = t_write.max(done);
         }
         // No seal: partial rewrites happen every log cycle, and sealing
         // here would strand block tails faster than GC reclaims them.
-        out.sort_by_key(|g| g.content.smallest());
-        self.levels[li].groups = out;
+        self.levels[li] = Level::new(ents, out);
         self.rebalance_dram();
         self.close_compaction(snap, "inline-rewrite", li, at, t_write.max(t_erase), count)
     }
 
-    /// Merges `src` into level `dst`, rebuilding `dst`'s data segment
-    /// groups.
+    /// Merges `src` into level `dst`, rebuilding `dst` as one new entity
+    /// array cut into new data segment groups.
     pub(crate) fn compact(
         &mut self,
         src: Source<Entity>,
@@ -231,42 +241,36 @@ impl AnyKeyStore {
         let at = self.open_compaction(growth, at)?;
 
         // --- 1. Gather inputs and their flash pages. -------------------
-        let mut read_ppas: Vec<Ppa> = Vec::new();
-        let (flushed, src_groups) = match src {
-            Source::Flush(ents) => (ents, Vec::new()),
-            Source::Level(si) => {
-                let groups = std::mem::take(&mut self.levels[si].groups);
-                for g in &groups {
-                    read_ppas.extend(g.all_ppas());
-                }
-                (Vec::new(), groups)
-            }
+        // For an in-place rewrite of the deepest level, the lower input is
+        // empty (the level was already taken as the upper input).
+        let upper = match src {
+            Source::Flush(ents) => Level {
+                ents,
+                ..Level::default()
+            },
+            Source::Level(si) => std::mem::take(&mut self.levels[si]),
         };
-        // For an in-place rewrite of the deepest level, the "lower" input
-        // is empty (its groups were already taken as the upper input).
-        let dst_groups = std::mem::take(&mut self.levels[dst].groups);
-        for g in &dst_groups {
-            read_ppas.extend(g.all_ppas());
-        }
-        let t_read = self
-            .core
-            .flash
-            .read_many(read_ppas, OpCause::CompactionRead, at);
+        let lower = std::mem::take(&mut self.levels[dst]);
+        let read_ppas = [&upper, &lower].map(|l| l.groups.iter().flat_map(Group::all_ppas));
+        let t_read =
+            self.core
+                .flash
+                .read_many(read_ppas.into_iter().flatten(), OpCause::CompactionRead, at);
 
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
-        // The merge reads each group's key-ordered entities in place and
-        // streams its output, with the inline policy applied, into the
-        // packer: log-triggered compaction moves every logged value
-        // inline, and its log slot dies once the merge is done.
+        // The merge reads both levels' arrays in place and streams its
+        // output, with the inline policy applied, into the new level's
+        // array, reserved once, and into the packer, which cuts it:
+        // log-triggered compaction moves every logged value inline, and
+        // its log slot dies once the merge is done.
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
-        let mut upper = vec![&flushed[..]];
-        upper.extend(entity_runs(&src_groups));
+        let mut ents = Vec::with_capacity(upper.ents.len() + lower.ents.len());
         let mut packer = self.packer();
         let mut log_read_ppas: Vec<Ppa> = Vec::new();
         let mut inlined: Vec<Entity> = Vec::new();
         merge_newest(
-            &upper,
-            &entity_runs(&dst_groups),
+            &upper.ents,
+            &lower.ents,
             is_bottom,
             |e| (e.id, e.tombstone),
             |dead| self.drop_logged(dead),
@@ -276,10 +280,11 @@ impl AnyKeyStore {
                     inlined.push(e);
                     e.set_loc(ValueLoc::Inline);
                 }
-                packer.push(e);
+                packer.push(&e);
+                ents.push(e);
             },
         )?;
-        let new_contents = packer.finish();
+        let ends = packer.finish();
 
         // --- 3. Retire the inlined values' log slots. ------------------
         for e in &inlined {
@@ -293,17 +298,18 @@ impl AnyKeyStore {
         let t_inputs = t_read.max(t_log);
 
         // --- 4. Free the source blocks before writing output. ----------
-        let t_erase = self.release_groups(src_groups, t_inputs)?;
-        let t_erase = t_erase.max(self.release_groups(dst_groups, t_inputs)?);
+        let t_erase = self.release_groups(&upper.groups, t_inputs)?;
+        let t_erase = t_erase.max(self.release_groups(&lower.groups, t_inputs)?);
+        drop((upper, lower));
 
         // --- 5. Place the new groups. ----------------------------------
-        let merged_count: u64 = new_contents.iter().map(|c| c.entity_count() as u64).sum();
-        let mut new_groups = Vec::with_capacity(new_contents.len());
-        let t_write = self.write_groups(new_contents, &mut new_groups, t_inputs)?;
+        let mut groups = Vec::with_capacity(ends.len());
+        let t_write = self.write_groups(&ents, 0, ends, &mut groups, t_inputs)?;
         self.area.seal(GROUP_STREAM); // keep blocks single-level (Section 4.4.4)
 
-        // --- 6. Install the new groups. --------------------------------
-        self.levels[dst].groups = new_groups;
+        // --- 6. Install the new level. ---------------------------------
+        let merged_count = ents.len() as u64;
+        self.levels[dst] = Level::new(ents, groups);
         self.rebalance_dram();
 
         // --- 7. CPU merge-sort cost and GC headroom. --------------------
@@ -320,10 +326,4 @@ fn log_pages(ents: &[Entity]) -> impl Iterator<Item = Ppa> + '_ {
             ValueLoc::Inline => None,
         })
         .flatten()
-}
-
-/// The key-ordered entity arrays of a run of key-ordered groups: one
-/// key-sorted run, slice by slice.
-fn entity_runs(groups: &[Group]) -> Vec<&[Entity]> {
-    groups.iter().map(|g| &g.content.ents[..]).collect()
 }

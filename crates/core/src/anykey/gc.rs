@@ -26,7 +26,7 @@ impl AnyKeyStore {
         let (mut owners, mut units) = (Vec::new(), Vec::new());
         for g in self.levels.iter_mut().flat_map(|l| &mut l.groups) {
             if g.first_ppa.block == victim {
-                units.push((GROUP_STREAM, g.first_ppa, g.content.total_pages()));
+                units.push((GROUP_STREAM, g.first_ppa, g.total_pages()));
                 owners.push(&mut g.first_ppa);
             }
         }

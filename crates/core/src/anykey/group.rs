@@ -6,26 +6,30 @@
 //! first page(s) of a group hold a key-sorted `{page, offset}` directory so
 //! range queries can walk keys in order without re-sorting (Section 4.4.5).
 //!
-//! The host keeps that layout as an index rather than a copy: the entities
-//! sit in key (directory) order, and a
-//! [`Layout`](crate::anykey::group::Layout) lists them in hash order, cut
-//! into data pages. Everything placement, level thresholds, DRAM
-//! accounting, GC and compaction need is known without the layout (the
-//! byte-continuous packing fills `ceil(stored bytes / payload)` data
-//! pages), so the layout is built on the first read of the group — a GET's
-//! page walk
-//! ([`GroupContent::lookup`](crate::anykey::group::GroupContent::lookup)),
-//! a scan's page numbers
-//! ([`GroupContent::page_of`](crate::anykey::group::GroupContent::page_of))
-//! or the audit — and cached. A group that no
-//! read reaches before a compaction replaces it never pays for one. Either
-//! way the modeled bytes are the paper's. This module is the one that knows
-//! the layout's format.
+//! The host keeps that layout as an index rather than a copy: a level
+//! holds its entities in one key-sorted array
+//! ([`Level`](crate::anykey::level::Level)), a
+//! [`Group`](crate::anykey::group::Group) record names the range of it
+//! that the group holds, in key (directory) order, and a
+//! [`Layout`](crate::anykey::group::Layout) lists that range in hash
+//! order, cut into data pages.
+//! Every method that reads entities takes the level's array. Everything
+//! placement, level thresholds, DRAM accounting, GC and compaction need is
+//! known without the layout (the byte-continuous packing fills
+//! `ceil(stored bytes / payload)` data pages), so the layout is built on
+//! the first read of the group — a GET's page walk
+//! ([`Group::lookup`](crate::anykey::group::Group::lookup)), a scan's page
+//! numbers ([`Group::page_of`](crate::anykey::group::Group::page_of)) or
+//! the audit — and cached. A
+//! group that no read reaches before a compaction replaces it never pays
+//! for one. Either way the modeled bytes are the paper's. This module is
+//! the one that knows the layout's format.
 //!
 //! The level-list entry for a group (what lives in DRAM) is: the group's
 //! smallest key, the PPA of its first page, a 16-bit hash prefix of the
 //! first key of every data page, and 2 hash-collision bits per page
-//! (Figure 7). The host stores the prefixes and derives the collision bits
+//! (Figure 7). The host keeps the smallest keys in the level's dense
+//! first-key array, stores the prefixes and derives the collision bits
 //! from the slot words.
 
 use std::cell::OnceCell;
@@ -53,13 +57,19 @@ pub fn level_list_entry_bytes(key_len: u64, data_pages: u64) -> u64 {
     key_len + 4 + 2 * data_pages + data_pages.div_ceil(4) + 16
 }
 
-/// The content of a data segment group, before (or after) placement in
-/// flash.
+/// A data segment group: the record of one range of its level's entity
+/// array, its flash placement and its sizes. The range's entities never
+/// change order while the group lives, so its layout stays valid.
 #[derive(Debug, Clone)]
-pub struct GroupContent {
-    /// The group's entities in key order, which is the directory's order.
-    /// Never changed while the group lives, so its layout stays valid.
-    pub(crate) ents: Vec<Entity>,
+pub struct Group {
+    /// Index in the level's array of the group's first entity.
+    pub start: usize,
+    /// One past the group's last entity.
+    pub end: usize,
+    /// Physical address of the group's first page.
+    pub first_ppa: Ppa,
+    /// Whether this group's hash list is DRAM-resident.
+    pub hash_list_resident: bool,
     /// Number of leading pages holding the directory.
     pub dir_pages: u32,
     /// Number of data pages: the stored bytes packed byte-continuously.
@@ -68,11 +78,6 @@ pub struct GroupContent {
     pub kv_bytes: u64,
     /// Value bytes referenced in the value log.
     pub logged_bytes: u64,
-    /// Smallest key id, cached at build time: the level-list entry the
-    /// DRAM search compares against.
-    pub(crate) smallest: u64,
-    /// Largest key id, cached at build time.
-    pub(crate) largest: u64,
     /// Usable bytes per page, which the layout is packed to.
     payload: u64,
     /// The device's key length, which the layout's entity sizes count.
@@ -87,8 +92,8 @@ pub struct GroupContent {
 pub struct Layout {
     /// The flash slot order as `(hash << 32) | index` words, ascending:
     /// the `k`-th word names the `k`-th entity by `(hash, key)`, its high
-    /// half the entity's hash (the hash list) and its low half its `ents`
-    /// index. Cut into data pages by `page_start`.
+    /// half the entity's hash (the hash list) and its low half its index
+    /// in the group. Cut into data pages by `page_start`.
     words: Vec<u64>,
     /// Index in `words` of each data page's first slot, plus a final
     /// `words.len()`: data page `p` holds the slots from `page_start[p]`
@@ -96,16 +101,16 @@ pub struct Layout {
     /// entity's spill).
     page_start: Vec<u32>,
     /// The data page each entity starts in (the directory's page field):
-    /// `ents[i]` sits in data page `page_of[i]`.
+    /// the group's `i`-th entity sits in data page `page_of[i]`.
     page_of: Vec<u16>,
     /// Extra pages each entity spills into beyond its start page: entities
     /// are packed byte-continuously, so a large inline value can span
-    /// pages. `ents[i]` spans `span[i]` more pages.
+    /// pages. The group's `i`-th entity spans `span[i]` more pages.
     span: Vec<u8>,
     /// First hash per data page (a spill-only page carries the hash of the
     /// entity spilling into it), never decreasing. Its top 16 bits are the
-    /// DRAM routing prefix of [`GroupContent::lookup`]; the full hash is
-    /// page *content*, read from flash.
+    /// DRAM routing prefix of [`Group::lookup`]; the full hash is page
+    /// *content*, read from flash.
     page_first_hash: Vec<u32>,
 }
 
@@ -114,33 +119,23 @@ fn hash_of(word: u64) -> u32 {
     (word >> 32) as u32
 }
 
-/// The `ents` index half of a slot word.
+/// The group index half of a slot word.
 fn index_of(word: u64) -> usize {
     word as u32 as usize
 }
 
-/// A placed data segment group.
-#[derive(Debug, Clone)]
-pub struct Group {
-    /// Physical address of the group's first page.
-    pub first_ppa: Ppa,
-    /// Whether this group's hash list is DRAM-resident.
-    pub hash_list_resident: bool,
-    /// The group's content.
-    pub content: GroupContent,
-}
-
-impl GroupContent {
-    /// A group of a **key-sorted** run of entities with `key_len`-byte
-    /// keys, packed into data pages of `payload` usable bytes behind a
-    /// key-sorted directory. The hash-order [`Layout`] is left to the
-    /// first read.
+impl Group {
+    /// The record of the **key-sorted** range `range` of a level's array
+    /// `all`, entities with `key_len`-byte keys packed into data pages of
+    /// `payload` usable bytes behind a key-sorted directory, not placed
+    /// yet. The hash-order [`Layout`] is left to the first read.
     ///
     /// # Panics
     ///
-    /// Panics if `ents` is empty, not key-sorted, or longer than
+    /// Panics if the range is empty, not key-sorted, or longer than
     /// `u32::MAX`.
-    pub fn new(ents: Vec<Entity>, payload: u64, key_len: u16) -> Self {
+    pub fn new(all: &[Entity], range: Range<usize>, payload: u64, key_len: u16) -> Self {
+        let ents = &all[range.clone()];
         assert!(!ents.is_empty(), "group must contain entities");
         debug_assert!(
             ents.windows(2).all(|w| w[0].id < w[1].id),
@@ -149,7 +144,7 @@ impl GroupContent {
         let count = ents.len() as u64;
         assert!(u32::try_from(count).is_ok(), "group index must fit 32 bits");
         let (mut kv_bytes, mut logged_bytes, mut stored) = (0, 0, 0);
-        for e in &ents {
+        for e in ents {
             kv_bytes += e.kv_bytes(key_len);
             logged_bytes += e.logged_bytes();
             stored += e.stored_bytes(key_len);
@@ -157,9 +152,10 @@ impl GroupContent {
         let data_pages = stored.div_ceil(payload);
         let dir_pages = (count * DIR_ENTRY_BYTES).div_ceil(payload).max(1);
         Self {
-            smallest: ents[0].id,
-            largest: ents[ents.len() - 1].id,
-            ents,
+            start: range.start,
+            end: range.end,
+            first_ppa: Ppa::new(0, 0),
+            hash_list_resident: false,
             dir_pages: dir_pages as u32,
             data_pages: data_pages as u32,
             kv_bytes,
@@ -170,10 +166,16 @@ impl GroupContent {
         }
     }
 
-    /// The hash-order layout, built on the first call.
-    pub fn layout(&self) -> &Layout {
+    /// The group's entities in key order, within its level's array `all`.
+    pub fn ents<'a>(&self, all: &'a [Entity]) -> &'a [Entity] {
+        &all[self.start..self.end]
+    }
+
+    /// The hash-order layout of the group in its level's array `all`,
+    /// built on the first call.
+    pub fn layout(&self, all: &[Entity]) -> &Layout {
         self.layout
-            .get_or_init(|| Layout::build(&self.ents, self.payload, self.key_len))
+            .get_or_init(|| Layout::build(self.ents(all), self.payload, self.key_len))
     }
 
     /// Whether the layout has been built.
@@ -184,7 +186,7 @@ impl GroupContent {
 
     /// Number of entities in the group.
     pub fn entity_count(&self) -> usize {
-        self.ents.len()
+        self.end - self.start
     }
 
     /// Number of data pages.
@@ -203,19 +205,9 @@ impl GroupContent {
         u64::from(self.total_pages()) * self.payload
     }
 
-    /// The group's smallest key id (what the level-list entry stores).
-    pub fn smallest(&self) -> u64 {
-        self.smallest
-    }
-
-    /// The group's largest key id.
-    pub fn largest(&self) -> u64 {
-        self.largest
-    }
-
     /// Whether `hash` appears in the group's hash list.
-    pub fn contains_hash(&self, hash: u32) -> bool {
-        let words = &self.layout().words;
+    pub fn contains_hash(&self, all: &[Entity], hash: u32) -> bool {
+        let words = &self.layout(all).words;
         words.binary_search_by(|&w| hash_of(w).cmp(&hash)).is_ok()
     }
 
@@ -225,18 +217,24 @@ impl GroupContent {
     /// start earlier. Calls `read` with each probed page, as a one-page
     /// range of data page indices, then with the found entity's spill
     /// pages (an empty range when it spills into none). Returns the
-    /// entity's index in key order.
-    pub fn lookup(&self, hash: u32, id: u64, mut read: impl FnMut(Range<usize>)) -> Option<usize> {
-        let l = self.layout();
+    /// entity's index in its level's array `all`.
+    pub fn lookup(
+        &self,
+        all: &[Entity],
+        hash: u32,
+        id: u64,
+        mut read: impl FnMut(Range<usize>),
+    ) -> Option<usize> {
+        let (l, ents) = (self.layout(all), self.ents(all));
         let route = l
             .page_first_hash
             .partition_point(|&f| f >> 16 <= hash >> 16);
         let mut p = route.saturating_sub(1);
         loop {
             read(p..p + 1);
-            if let Some(i) = self.search_page(p, hash, id) {
+            if let Some(i) = l.search_page(ents, p, hash, id) {
                 read(p + 1..p + 1 + usize::from(l.span[i]));
-                return Some(i);
+                return Some(self.start + i);
             }
             let first = l.page_first_hash[p];
             if p > 0 && (hash < first || (hash == first && l.continued_prev(p))) {
@@ -247,30 +245,19 @@ impl GroupContent {
         }
     }
 
-    /// The data page entity `i` (in key order) starts in.
-    pub fn page_of(&self, i: usize) -> usize {
-        usize::from(self.layout().page_of[i])
+    /// The data page entity `i` of its level's array `all` starts in.
+    pub fn page_of(&self, all: &[Entity], i: usize) -> usize {
+        usize::from(self.layout(all).page_of[i - self.start])
     }
 
-    /// Searches one data page for an exact `(hash, key id)` match: a
-    /// binary search of the page's stretch of slot words, then a key check
-    /// of each slot in its equal-hash run. Returns the entity's index in
-    /// key order.
-    fn search_page(&self, page: usize, hash: u32, id: u64) -> Option<usize> {
-        let words = self.layout().page(page);
-        let start = words.partition_point(|&w| hash_of(w) < hash);
-        words[start..]
-            .iter()
-            .take_while(|&&w| hash_of(w) == hash)
-            .map(|&w| index_of(w))
-            .find(|&i| self.ents[i].id == id)
-    }
-
-    /// First directory index whose key id is ≥ `id` (for range scans): an
-    /// interpolation search between the cached fences
+    /// Index in its level's array `all` of the group's first entity whose
+    /// key id is ≥ `id` (for range scans), `end` when there is none: an
+    /// interpolation search between the group's first and last keys
     /// ([`key::lower_bound`]).
-    pub fn dir_lower_bound(&self, id: u64) -> usize {
-        key::lower_bound(&self.ents, id, self.smallest, self.largest, |e| e.id)
+    pub fn dir_lower_bound(&self, all: &[Entity], id: u64) -> usize {
+        let ents = self.ents(all);
+        let (lo, hi) = (ents[0].id, ents[ents.len() - 1].id);
+        self.start + key::lower_bound(ents, id, lo, hi, |e| e.id)
     }
 
     /// The DRAM footprint of this group's level-list entry
@@ -285,34 +272,40 @@ impl GroupContent {
         HASH_ENTRY_BYTES * self.entity_count() as u64
     }
 
-    /// Audits the group, naming it group `group` of level `level`: its
-    /// layout (page starts, slot index, hash list, routing prefixes), then
-    /// directory order and key fences. A layout no read has built yet is
-    /// skipped, not built. The slot and hash-list checks index entities
-    /// through the page starts, so those go first.
+    /// PPA of the `i`-th **data** page.
+    pub fn data_ppa(&self, i: usize) -> Ppa {
+        self.first_ppa.offset(self.dir_pages + i as u32)
+    }
+
+    /// PPA of the directory page covering the group's directory index
+    /// `idx`.
+    pub fn dir_ppa(&self, idx: usize) -> Ppa {
+        let per_page = (self.payload / DIR_ENTRY_BYTES) as usize;
+        let page = (idx / per_page.max(1)) as u32;
+        self.first_ppa.offset(page.min(self.dir_pages - 1))
+    }
+
+    /// All PPAs of the group (directory + data pages) — what compaction and
+    /// GC read.
+    pub fn all_ppas(&self) -> impl Iterator<Item = Ppa> + '_ {
+        (0..self.total_pages()).map(move |i| self.first_ppa.offset(i))
+    }
+
+    /// Audits the group's layout in its level's array `all`, naming it
+    /// group `group` of level `level`: page starts, slot index, hash list
+    /// and routing prefixes. A layout no read has built yet is skipped, not
+    /// built. The slot and hash-list checks index entities through the
+    /// page starts, so those go first. Key order is the level's to check
+    /// ([`crate::anykey::level::Level::audit`]).
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
-    pub fn audit(&self, level: usize, group: usize) -> Result<(), AuditError> {
-        if let Some(layout) = self.layout.get() {
-            self.audit_layout(layout, level, group)?;
-        }
-        let ents = &self.ents;
-        if ents.windows(2).any(|w| w[0].id >= w[1].id) {
-            return Err(AuditError::DirectoryOrder { level, group });
-        }
-        if ents.first().map(|e| e.id) != Some(self.smallest)
-            || ents.last().map(|e| e.id) != Some(self.largest)
-        {
-            return Err(AuditError::FenceMismatch { level, group });
-        }
-        Ok(())
-    }
-
-    /// The layout checks of [`Self::audit`].
-    fn audit_layout(&self, l: &Layout, level: usize, group: usize) -> Result<(), AuditError> {
-        let (ents, starts) = (&self.ents, &l.page_start);
+    pub fn audit(&self, all: &[Entity], level: usize, group: usize) -> Result<(), AuditError> {
+        let Some(l) = self.layout.get() else {
+            return Ok(());
+        };
+        let (ents, starts) = (self.ents(all), &l.page_start);
         if starts.len() != self.data_pages as usize + 1
             || starts.first() != Some(&0)
             || starts.last().map(|&e| e as usize) != Some(ents.len())
@@ -340,10 +333,11 @@ impl GroupContent {
     }
 
     /// Test-only corruption hook behind the audit's layout hooks: applies
-    /// `fault` to the layout, built first if missing. Returns whether the
-    /// group had what the fault needs.
-    pub(crate) fn corrupt_layout_for_test(&mut self, fault: LayoutFault) -> bool {
-        self.layout();
+    /// `fault` to the layout of the group in its level's array `all`,
+    /// built first if missing. Returns whether the group had what the
+    /// fault needs.
+    pub(crate) fn corrupt_layout_for_test(&mut self, all: &[Entity], fault: LayoutFault) -> bool {
+        self.layout(all);
         let Some(l) = self.layout.get_mut() else {
             return false;
         };
@@ -444,6 +438,20 @@ impl Layout {
         &self.words[self.page_start[page] as usize..self.page_start[page + 1] as usize]
     }
 
+    /// Searches one data page of the group of key-ordered `ents` for an
+    /// exact `(hash, key id)` match: a binary search of the page's stretch
+    /// of slot words, then a key check of each slot in its equal-hash run.
+    /// Returns the entity's index in the group.
+    fn search_page(&self, ents: &[Entity], page: usize, hash: u32, id: u64) -> Option<usize> {
+        let words = self.page(page);
+        let start = words.partition_point(|&w| hash_of(w) < hash);
+        words[start..]
+            .iter()
+            .take_while(|&&w| hash_of(w) == hash)
+            .map(|&w| index_of(w))
+            .find(|&i| ents[i].id == id)
+    }
+
     /// Data page `p`'s "continued from the previous page" collision bit
     /// (Figure 7): the hash run its first hash belongs to starts on an
     /// earlier page, that is the slot before the page carries that hash.
@@ -519,56 +527,29 @@ fn hash_order(ents: &[Entity]) -> Vec<u64> {
     words
 }
 
-impl Group {
-    /// Places content at a physical address.
-    pub fn new(content: GroupContent, first_ppa: Ppa) -> Self {
-        Self {
-            first_ppa,
-            hash_list_resident: false,
-            content,
-        }
-    }
-
-    /// PPA of the `i`-th **data** page.
-    pub fn data_ppa(&self, i: usize) -> Ppa {
-        self.first_ppa.offset(self.content.dir_pages + i as u32)
-    }
-
-    /// PPA of the directory page covering directory index `idx`.
-    pub fn dir_ppa(&self, idx: usize, payload: u64) -> Ppa {
-        let per_page = (payload / DIR_ENTRY_BYTES) as usize;
-        let page = (idx / per_page.max(1)) as u32;
-        self.first_ppa.offset(page.min(self.content.dir_pages - 1))
-    }
-
-    /// All PPAs of the group (directory + data pages) — what compaction and
-    /// GC read.
-    pub fn all_ppas(&self) -> impl Iterator<Item = Ppa> + '_ {
-        (0..self.content.total_pages()).map(move |i| self.first_ppa.offset(i))
-    }
-}
-
-/// Cuts a key-sorted entity stream into group contents, each targeting at
-/// most `max_total_pages` flash pages (directory pages included) of
-/// `payload` usable bytes, so groups tile erase blocks without structural
-/// waste.
+/// Cuts a key-sorted entity stream into groups, each targeting at most
+/// `max_total_pages` flash pages (directory pages included) of `payload`
+/// usable bytes, so groups tile erase blocks without structural waste. It
+/// counts bytes and directory pages only: the entities stay where the
+/// caller keeps them, and the packer hands back where to cut.
 #[derive(Debug)]
 pub struct GroupPacker {
     payload: u64,
     max_total_pages: u32,
     /// The device's key length.
     key_len: u16,
-    /// The open chunk: the entities of the group being filled, in a
-    /// buffer reused from group to group.
-    chunk: Vec<Entity>,
+    /// Entities pushed so far.
+    pushed: usize,
+    /// Entities in the open chunk, the group being filled.
+    count: usize,
     /// Stored bytes of the open chunk.
     bytes: u64,
     /// Directory pages of the open chunk plus one more entry.
     dir_pages: u64,
     /// Stored bytes the open chunk may hold at `dir_pages`.
     max_bytes: u64,
-    /// The groups cut so far.
-    groups: Vec<GroupContent>,
+    /// Where each group cut so far ends, counted in entities pushed.
+    ends: Vec<usize>,
 }
 
 impl GroupPacker {
@@ -578,11 +559,12 @@ impl GroupPacker {
             payload,
             max_total_pages,
             key_len,
-            chunk: Vec::new(),
+            pushed: 0,
+            count: 0,
             bytes: 0,
             dir_pages: 1,
             max_bytes: 0,
-            groups: Vec::new(),
+            ends: Vec::new(),
         };
         packer.max_bytes = packer.limit();
         packer
@@ -595,43 +577,33 @@ impl GroupPacker {
         u64::from(self.max_total_pages).saturating_sub(self.dir_pages) * self.payload
     }
 
-    /// Appends the next entity of the stream (keys strictly ascending).
-    pub fn push(&mut self, e: Entity) {
+    /// Counts the next entity of the stream (keys strictly ascending).
+    pub fn push(&mut self, e: &Entity) {
         let sz = e.stored_bytes(self.key_len);
         // Projected footprint if `e` joins the chunk: byte-continuous data
         // pages plus the key-sorted directory pages.
-        let dir_bytes = (self.chunk.len() as u64 + 1) * DIR_ENTRY_BYTES;
+        let dir_bytes = (self.count as u64 + 1) * DIR_ENTRY_BYTES;
         while dir_bytes > self.dir_pages * self.payload {
             self.dir_pages += 1;
             self.max_bytes = self.limit();
         }
-        if !self.chunk.is_empty() && self.bytes + sz > self.max_bytes {
-            self.cut();
-            (self.bytes, self.dir_pages) = (0, 1);
+        if self.count > 0 && self.bytes + sz > self.max_bytes {
+            self.ends.push(self.pushed);
+            (self.count, self.bytes, self.dir_pages) = (0, 0, 1);
             self.max_bytes = self.limit();
         }
         self.bytes += sz;
-        self.chunk.push(e);
+        self.count += 1;
+        self.pushed += 1;
     }
 
-    /// Closes the open chunk as a group. The group gets an exactly-sized
-    /// copy and the chunk buffer is reused, which leaves the allocator
-    /// less fragmented than trimming each chunk in place.
-    fn cut(&mut self) {
-        self.groups.push(GroupContent::new(
-            self.chunk.to_vec(),
-            self.payload,
-            self.key_len,
-        ));
-        self.chunk.clear();
-    }
-
-    /// Closes the last chunk; returns the groups in key order.
-    pub fn finish(mut self) -> Vec<GroupContent> {
-        if !self.chunk.is_empty() {
-            self.cut();
+    /// Closes the last chunk; returns where each group ends, in key order,
+    /// counted in entities pushed (the last end is the stream's length).
+    pub fn finish(mut self) -> Vec<usize> {
+        if self.count > 0 {
+            self.ends.push(self.pushed);
         }
-        self.groups
+        self.ends
     }
 }
 
@@ -650,37 +622,47 @@ mod tests {
             .collect()
     }
 
-    /// Packs a key-sorted run through the streamed packer.
-    fn pack(
-        ents: &[Entity],
-        payload: u64,
-        max_total_pages: u32,
-        key_len: u16,
-    ) -> Vec<GroupContent> {
+    /// One group of the whole key-sorted run `ents`.
+    fn group(ents: &[Entity], payload: u64, key_len: u16) -> Group {
+        Group::new(ents, 0..ents.len(), payload, key_len)
+    }
+
+    /// Packs a key-sorted run through the streamed packer: one group per
+    /// range it cuts.
+    fn pack(ents: &[Entity], payload: u64, max_total_pages: u32, key_len: u16) -> Vec<Group> {
         let mut packer = GroupPacker::new(payload, max_total_pages, key_len);
-        for &e in ents {
+        for e in ents {
             packer.push(e);
         }
-        packer.finish()
+        let mut start = 0;
+        let ends = packer.finish();
+        let groups = ends.into_iter().map(|end| {
+            let g = Group::new(ents, start..end, payload, key_len);
+            start = end;
+            g
+        });
+        groups.collect()
     }
 
     const PAYLOAD: u64 = 8128;
 
     #[test]
     fn build_preserves_every_entity() {
-        let g = GroupContent::new(entities(500, 48, 43), PAYLOAD, 48);
+        let ents = entities(500, 48, 43);
+        let g = group(&ents, PAYLOAD, 48);
         assert_eq!(g.entity_count(), 500);
-        let keys: Vec<u64> = g.ents.iter().map(|e| e.id).collect();
+        let keys: Vec<u64> = g.ents(&ents).iter().map(|e| e.id).collect();
         assert_eq!(keys, (0..500).collect::<Vec<_>>());
     }
 
     #[test]
     fn pages_are_hash_sorted_across_boundaries() {
-        let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD, 48);
+        let ents = entities(2000, 48, 43);
+        let g = group(&ents, PAYLOAD, 48);
         let mut prev = 0u32;
         for p in 0..g.data_pages() as usize {
-            for &w in g.layout().page(p) {
-                let e = &g.ents[index_of(w)];
+            for &w in g.layout(&ents).page(p) {
+                let e = &ents[index_of(w)];
                 assert!(e.hash >= prev);
                 prev = e.hash;
             }
@@ -689,26 +671,29 @@ mod tests {
 
     #[test]
     fn packing_is_byte_continuous() {
-        let g = GroupContent::new(entities(2000, 48, 43), PAYLOAD, 48);
-        let total: u64 = g.ents.iter().map(|e| e.stored_bytes(48)).sum();
+        let ents = entities(2000, 48, 43);
+        let g = group(&ents, PAYLOAD, 48);
+        let total: u64 = ents.iter().map(|e| e.stored_bytes(48)).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
         // The layout fills exactly the pages counted without it.
-        assert_eq!(g.layout().page_start.len(), g.data_pages() as usize + 1);
+        let layout = g.layout(&ents);
+        assert_eq!(layout.page_start.len(), g.data_pages() as usize + 1);
         // Small entities never span more than one boundary.
-        assert!(g.layout().span.iter().all(|&s| s <= 1));
+        assert!(layout.span.iter().all(|&s| s <= 1));
     }
 
     #[test]
     fn huge_inline_values_span_pages() {
         // Values comparable to the page size must not halve capacity.
-        let g = GroupContent::new(entities(100, 16, 4096), PAYLOAD, 16);
-        let total: u64 = g.ents.iter().map(|e| e.stored_bytes(16)).sum();
+        let ents = entities(100, 16, 4096);
+        let g = group(&ents, PAYLOAD, 16);
+        let total: u64 = ents.iter().map(|e| e.stored_bytes(16)).sum();
         assert_eq!(g.data_pages() as u64, total.div_ceil(PAYLOAD));
-        let spanning = g.layout().span.iter().filter(|&&s| s > 0).count();
+        let spanning = g.layout(&ents).span.iter().filter(|&&s| s > 0).count();
         assert!(spanning > 0, "4KB values in 8KB pages must span sometimes");
         // Routing still finds every entity via the backward walk.
-        for (i, e) in g.ents.iter().enumerate() {
-            let found = g.lookup(e.hash, e.id, |_| {});
+        for (i, e) in ents.iter().enumerate() {
+            let found = g.lookup(&ents, e.hash, e.id, |_| {});
             assert_eq!(found, Some(i), "entity {} unreachable", e.id);
         }
     }
@@ -716,13 +701,13 @@ mod tests {
     #[test]
     fn routing_finds_every_entity_with_local_search() {
         let ents = entities(3000, 48, 43);
-        let g = GroupContent::new(ents.clone(), PAYLOAD, 48);
-        let want = reference_build(ents, PAYLOAD, 48);
-        for (i, e) in g.ents.iter().enumerate() {
+        let g = group(&ents, PAYLOAD, 48);
+        let want = reference_build(ents.clone(), PAYLOAD, 48);
+        for (i, e) in ents.iter().enumerate() {
             // Device-style backward walk on prefix ambiguity: every page
             // probed before the last is a step back.
             let mut probed = Vec::new();
-            let found = g.lookup(e.hash, e.id, |pages| probed.push(pages));
+            let found = g.lookup(&ents, e.hash, e.id, |pages| probed.push(pages));
             assert_eq!(found, Some(i), "entity {} unreachable by routing", e.id);
             probed.pop(); // the spill pages
             for pages in &probed[..probed.len() - 1] {
@@ -746,10 +731,10 @@ mod tests {
             e.hash = 0x7777_7777;
             e.value_len = 400; // bigger so the run spans pages
         }
-        let g = GroupContent::new(ents, 2048, 48);
+        let g = group(&ents, 2048, 48);
         // A page whose first hash continues from the page before, or whose
         // last hash continues into the page after.
-        let (l, pages) = (g.layout(), g.data_pages() as usize);
+        let (l, pages) = (g.layout(&ents), g.data_pages() as usize);
         let spans = (0..pages)
             .filter(|&p| l.continued_prev(p) || (p + 1 < pages && l.continued_prev(p + 1)))
             .count();
@@ -759,24 +744,24 @@ mod tests {
     #[test]
     fn hash_list_membership_is_exact() {
         let ents = entities(1000, 48, 43);
-        let g = GroupContent::new(ents.clone(), PAYLOAD, 48);
+        let g = group(&ents, PAYLOAD, 48);
         for e in &ents {
-            assert!(g.contains_hash(e.hash));
+            assert!(g.contains_hash(&ents, e.hash));
         }
         // A hash not in the set (probability of accidental collision with
         // 1000 entries is negligible; pick until absent).
         let absent = (0..100u32)
             .map(|i| 0xDEAD_0000 ^ i)
-            .find(|&h| g.layout().words.iter().all(|&w| hash_of(w) != h))
+            .find(|&h| g.layout(&ents).words.iter().all(|&w| hash_of(w) != h))
             .unwrap();
-        assert!(!g.contains_hash(absent));
+        assert!(!g.contains_hash(&ents, absent));
     }
 
     #[test]
     fn dir_pages_scale_with_entity_count() {
-        let few = GroupContent::new(entities(100, 24, 10), PAYLOAD, 24);
+        let few = group(&entities(100, 24, 10), PAYLOAD, 24);
         assert_eq!(few.dir_pages, 1);
-        let many = GroupContent::new(entities(5000, 24, 10), PAYLOAD, 24);
+        let many = group(&entities(5000, 24, 10), PAYLOAD, 24);
         assert!(many.dir_pages >= 2, "5000 * 4B of directory needs 3 pages");
     }
 
@@ -786,10 +771,12 @@ mod tests {
         let groups = pack(&ents, PAYLOAD, 32, 48);
         let total: usize = groups.iter().map(|g| g.entity_count()).sum();
         assert_eq!(total, 20_000);
-        // Groups are key-range partitioned and ordered.
+        // Groups tile the run in key order.
+        assert_eq!(groups[0].start, 0);
         for w in groups.windows(2) {
-            assert!(w[0].largest() < w[1].smallest());
+            assert_eq!(w[0].end, w[1].start);
         }
+        assert_eq!(groups[groups.len() - 1].end, ents.len());
         // Data page targets are respected (±1 for hash-order repack).
         for g in &groups {
             assert!(g.total_pages() <= 32, "group has {} pages", g.total_pages());
@@ -798,19 +785,12 @@ mod tests {
 
     #[test]
     fn meta_bytes_are_group_granular() {
-        let g = GroupContent::new(entities(1000, 48, 43), PAYLOAD, 48);
+        let g = group(&entities(1000, 48, 43), PAYLOAD, 48);
         // ~48 + 4 + 2/page + 2 collision bits/page + fixed: a few hundred bytes
         // for a 1000-entity group — the entire point of AnyKey (vs ~52 KB
         // for PinK's per-pair metadata on the same 1000 pairs).
         assert!(g.meta_bytes() < 200);
         assert_eq!(g.hash_list_bytes(), 4000);
-    }
-
-    #[test]
-    fn smallest_and_largest_bound_the_group() {
-        let g = GroupContent::new(entities(100, 48, 43), PAYLOAD, 48);
-        assert_eq!(g.smallest(), 0);
-        assert_eq!(g.largest(), 99);
     }
 
     /// A group as the reference builds it: one `Vec` per data page of
@@ -827,14 +807,12 @@ mod tests {
         kv_bytes: u64,
         logged_bytes: u64,
         phys_bytes: u64,
-        smallest: u64,
-        largest: u64,
     }
 
     /// Reference group build with comparison sorts: entities sorted by
     /// `(hash, key)` into per-page `Vec`s, the directory sorted by key
     /// through the pages, and the hash list re-sorted.
-    /// `GroupContent` and its lazy [`Layout`] must match it field for
+    /// `Group` and its lazy [`Layout`] must match it field for
     /// field.
     fn reference_build(entities: Vec<Entity>, payload: u64, key_len: u16) -> RefGroup {
         let count = entities.len();
@@ -886,8 +864,6 @@ mod tests {
         hashes.sort_unstable();
         let dir_pages = ((count as u64 * DIR_ENTRY_BYTES).div_ceil(payload)).max(1) as u32;
         let phys_bytes = (dir_pages as u64 + pages.len() as u64) * payload;
-        let key_at = |(p, s): (u16, u16)| pages[p as usize][s as usize].0.id;
-        let (smallest, largest) = (key_at(dir[0]), key_at(dir[count - 1]));
         RefGroup {
             pages,
             dir,
@@ -898,8 +874,6 @@ mod tests {
             kv_bytes,
             logged_bytes,
             phys_bytes,
-            smallest,
-            largest,
         }
     }
 
@@ -937,31 +911,34 @@ mod tests {
         out
     }
 
-    /// Asserts a group equals the reference in every field, its flat
-    /// entity run cut at `page_start` matching the reference's per-page
-    /// `Vec`s. The group-level fields are checked before the layout is
-    /// built, so they are known without it. The destructuring is
-    /// exhaustive, so a field added to `GroupContent` or `Layout` must be
-    /// added here.
+    /// Asserts a group of the run `all` equals the reference in every
+    /// field, its range of `all` cut at `page_start` matching the
+    /// reference's per-page `Vec`s. The group-level fields are checked
+    /// before the layout is built, so they are known without it. The
+    /// destructuring is exhaustive, so a field added to `Group` or `Layout`
+    /// must be added here.
     fn assert_same_group(
-        got: &GroupContent,
+        got: &Group,
+        all: &[Entity],
         want: &RefGroup,
         (payload, key_len): (u64, u16),
         ctx: &str,
     ) {
         assert!(!got.layout_built(), "{ctx}: layout built before a read");
-        let GroupContent {
-            ents,
+        let Group {
+            start: _,
+            end: _,
+            first_ppa: _,
+            hash_list_resident: _,
             dir_pages,
             data_pages,
             kv_bytes,
             logged_bytes,
-            smallest,
-            largest,
             payload: packed_to,
             key_len: packed_key_len,
             layout: _,
         } = got;
+        let ents = got.ents(all);
         assert_eq!(*packed_to, payload, "{ctx}: payload");
         assert_eq!(*packed_key_len, key_len, "{ctx}: key length");
         assert_eq!(*data_pages as usize, want.pages.len(), "{ctx}: data pages");
@@ -969,10 +946,8 @@ mod tests {
         assert_eq!(kv_bytes, &want.kv_bytes, "{ctx}: kv bytes");
         assert_eq!(logged_bytes, &want.logged_bytes, "{ctx}: logged bytes");
         assert_eq!(got.phys_bytes(), want.phys_bytes, "{ctx}: physical bytes");
-        assert_eq!(smallest, &want.smallest, "{ctx}: smallest fence");
-        assert_eq!(largest, &want.largest, "{ctx}: largest fence");
 
-        let layout = got.layout();
+        let layout = got.layout(all);
         let Layout {
             words,
             page_start,
@@ -1027,7 +1002,8 @@ mod tests {
     /// including the chunk boundaries.
     fn assert_matches_reference(ents: &[Entity], payload: u64, key_len: u16, ctx: &str) {
         assert_same_group(
-            &GroupContent::new(ents.to_vec(), payload, key_len),
+            &group(ents, payload, key_len),
+            ents,
             &reference_build(ents.to_vec(), payload, key_len),
             (payload, key_len),
             &format!("{ctx}: single group"),
@@ -1036,15 +1012,14 @@ mod tests {
             let got = pack(ents, payload, max_pages, key_len);
             let want = reference_pack(ents.to_vec(), payload, max_pages, key_len);
             assert_eq!(
-                got.iter()
-                    .map(GroupContent::entity_count)
-                    .collect::<Vec<_>>(),
+                got.iter().map(Group::entity_count).collect::<Vec<_>>(),
                 want.iter().map(|w| w.dir.len()).collect::<Vec<_>>(),
                 "{ctx}: chunk boundaries at {max_pages} pages"
             );
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_same_group(
                     g,
+                    ents,
                     w,
                     (payload, key_len),
                     &format!("{ctx}: group {i} of {max_pages}-page packing"),
@@ -1182,10 +1157,14 @@ mod tests {
         let g = groups.remove(0);
         for id in 0..=ents[ents.len() - 1].id + 2 {
             let below = ents.partition_point(|e| e.id < id);
-            assert_eq!(g.dir_lower_bound(id), below, "{ctx}: lower bound of {id}");
+            assert_eq!(
+                g.dir_lower_bound(ents, id),
+                below,
+                "{ctx}: lower bound of {id}"
+            );
         }
         for (hash, id, want) in probes(ents, key_len) {
-            let got = g.lookup(hash, id, |_| {}).map(|i| &g.ents[i]);
+            let got = g.lookup(ents, hash, id, |_| {}).map(|i| &ents[i]);
             assert_eq!(got, want.as_ref(), "{ctx}: key {id} under hash {hash:#x}");
         }
     }
@@ -1225,13 +1204,13 @@ mod tests {
             (ctx, forced_hash_runs(), payload, 24)
         });
         for (ctx, ents, payload, key_len) in seeded_runs().chain(forced) {
-            let g = GroupContent::new(ents.clone(), payload, key_len);
+            let g = group(&ents, payload, key_len);
             let want = reference_build(ents.clone(), payload, key_len);
             for (hash, id, _) in probes(&ents, key_len) {
                 let mut reads = Vec::new();
-                let found = g.lookup(hash, id, |pages| reads.push(pages));
+                let found = g.lookup(&ents, hash, id, |pages| reads.push(pages));
                 assert_eq!(
-                    (reads, found.map(|i| g.ents[i])),
+                    (reads, found.map(|i| ents[i])),
                     reference_reads(&want, hash, id),
                     "{ctx}: key {id} under hash {hash:#x}"
                 );

@@ -2,51 +2,54 @@
 
 use crate::anykey::entity::Entity;
 use crate::anykey::group::Group;
-use crate::audit::AuditError;
+use crate::audit::{audit_run, AuditError, RunFault};
 
-/// One LSM-tree level: key-range-partitioned data segment groups. Its
-/// sizes are sums of what each group cached when it was built, and its
-/// threshold follows from its index (`Engine::over_threshold`).
+/// One LSM-tree level: one key-sorted entity array, cut by key range into
+/// data segment groups (paper Section 4.1, Figure 7), as PinK's level is
+/// cut into meta segments. Its sizes are sums of what each group record
+/// counted when it was cut, and its threshold follows from its index
+/// (`Engine::over_threshold`).
 #[derive(Debug, Clone, Default)]
 pub struct Level {
-    /// Groups sorted by smallest key; key ranges are disjoint.
+    /// The level's entities, strictly key-ordered.
+    pub(crate) ents: Vec<Entity>,
+    /// Group records tiling `ents` in order.
     pub groups: Vec<Group>,
+    /// Each group's first key, in group order: the level list's keys,
+    /// which the DRAM search compares against.
+    pub(crate) firsts: Vec<u64>,
 }
 
 impl Level {
+    /// The level of the key-sorted array `ents` cut into `groups`, whose
+    /// ranges tile it in order.
+    pub(crate) fn new(ents: Vec<Entity>, groups: Vec<Group>) -> Self {
+        let firsts = groups.iter().map(|g| ents[g.start].id).collect();
+        Self {
+            ents,
+            groups,
+            firsts,
+        }
+    }
+
     /// Index of the group whose key range (`[smallest_i, smallest_{i+1})`)
     /// contains key `id` — what the DRAM level-list search yields. `None`
     /// when the key precedes the first group (or the level is empty).
     pub fn candidate(&self, id: u64) -> Option<usize> {
-        let idx = self.groups.partition_point(|g| g.content.smallest() <= id);
-        idx.checked_sub(1)
+        self.firsts.partition_point(|&f| f <= id).checked_sub(1)
     }
 
     /// Where a scan from key `id` starts: the first group that can hold
     /// keys ≥ `id` (the candidate, or the next when every key of the
-    /// candidate is below `id`) and the index of its first entity ≥ `id`.
+    /// candidate is below `id`) and the index in `ents` of the first entity
+    /// ≥ `id`.
     pub fn scan_from(&self, id: u64) -> (usize, usize) {
-        match self.candidate(id) {
-            Some(i) if self.groups[i].content.largest() >= id => {
-                (i, self.groups[i].content.dir_lower_bound(id))
-            }
-            Some(i) => (i + 1, 0),
-            None => (0, 0),
-        }
-    }
-
-    /// The level's key-sorted run from entity `from` of group `first` on,
-    /// as the `(group, base, entities)` slices the scan merge reads.
-    pub(crate) fn run(
-        &self,
-        first: usize,
-        from: usize,
-    ) -> impl Iterator<Item = (usize, usize, &[Entity])> {
-        let groups = self.groups[first..].iter().enumerate();
-        groups.map(move |(i, g)| {
-            let from = if i == 0 { from } else { 0 };
-            (first + i, from, &g.content.ents[from..])
-        })
+        let Some(gi) = self.candidate(id) else {
+            return (0, 0);
+        };
+        let g = &self.groups[gi];
+        let from = g.dir_lower_bound(&self.ents, id);
+        (gi + usize::from(from == g.end), from)
     }
 
     /// Whether the level holds no groups.
@@ -57,46 +60,51 @@ impl Level {
     /// Logical KV bytes in this level (keys + values, wherever values
     /// live).
     pub fn kv_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.content.kv_bytes).sum()
+        self.groups.iter().map(|g| g.kv_bytes).sum()
     }
 
     /// Physical flash bytes the level's groups occupy — what the
     /// tree-compaction threshold is measured against (so that log-triggered
     /// inlining genuinely grows a level and can start a compaction chain).
     pub fn phys_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.content.phys_bytes()).sum()
+        self.groups.iter().map(Group::phys_bytes).sum()
     }
 
     /// Bytes of this level's values that are parked in the value log.
     pub fn logged_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.content.logged_bytes).sum()
+        self.groups.iter().map(|g| g.logged_bytes).sum()
     }
 
     /// Total level-list bytes this level contributes to DRAM.
     pub fn meta_bytes(&self) -> u64 {
-        self.groups.iter().map(|g| g.content.meta_bytes()).sum()
+        self.groups.iter().map(Group::meta_bytes).sum()
     }
 
-    /// Audits each group, naming this level `level` (see
-    /// [`crate::anykey::group::GroupContent::audit`]), then that the
-    /// groups' cached fences, which the group audit vouches for, are
-    /// sorted and disjoint.
+    /// Audits the level, naming it `level`: its group records tile the
+    /// entity array and its first keys are their groups' first keys, the
+    /// array strictly ascends, and each group's built
+    /// layout holds ([`Group::audit`]).
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
     pub fn audit(&self, level: usize) -> Result<(), AuditError> {
+        if self.firsts.len() != self.groups.len() {
+            let group = self.firsts.len().min(self.groups.len());
+            return Err(AuditError::FenceMismatch { level, group });
+        }
+        let units = self.groups.iter().zip(&self.firsts);
+        let units = units.map(|(g, &first)| (g.start, g.end, first));
+        audit_run(&self.ents, |e| e.id, units).map_err(|fault| match fault {
+            RunFault::Tiling(group) => AuditError::GroupTiling { level, group },
+            RunFault::Fence(group) => AuditError::FenceMismatch { level, group },
+            RunFault::Boundary(index) => AuditError::LevelOrder { level, index },
+            RunFault::Inside(group) => AuditError::DirectoryOrder { level, group },
+        })?;
         for (gi, g) in self.groups.iter().enumerate() {
-            g.content.audit(level, gi)?;
+            g.audit(&self.ents, level, gi)?;
         }
-        match self
-            .groups
-            .windows(2)
-            .position(|w| w[0].content.largest() >= w[1].content.smallest())
-        {
-            Some(index) => Err(AuditError::LevelOrder { level, index }),
-            None => Ok(()),
-        }
+        Ok(())
     }
 }
 
@@ -104,29 +112,31 @@ impl Level {
 mod tests {
     use super::*;
     use crate::anykey::entity::ValueLoc;
-    use crate::anykey::group::GroupContent;
     use crate::key::Key;
-    use anykey_flash::Ppa;
 
-    fn group(ids: impl Iterator<Item = u64>) -> Group {
-        let ents: Vec<Entity> = ids
-            .map(|id| {
+    /// A level of one group per run of ids.
+    fn level<const N: usize>(runs: [Vec<u64>; N]) -> Level {
+        let (mut ents, mut ranges) = (Vec::new(), Vec::new());
+        for ids in runs {
+            let start = ents.len();
+            ents.extend(ids.into_iter().map(|id| {
                 let hash = Key::new(id, 16).unwrap().hash32();
                 Entity::new(id, hash, 10, ValueLoc::Inline, false)
-            })
-            .collect();
-        Group::new(GroupContent::new(ents, 8128, 16), Ppa::new(0, 0))
+            }));
+            ranges.push(start..ents.len());
+        }
+        let groups = ranges.into_iter();
+        let groups = groups.map(|r| Group::new(&ents, r, 8128, 16)).collect();
+        Level::new(ents, groups)
     }
 
-    fn level() -> Level {
-        Level {
-            groups: vec![group(10..20), group(30..40), group(50..60)],
-        }
+    fn three() -> Level {
+        level([(10..20).collect(), (30..40).collect(), (50..60).collect()])
     }
 
     #[test]
     fn candidate_routes_by_smallest_key() {
-        let l = level();
+        let l = three();
         assert_eq!(l.candidate(5), None);
         assert_eq!(l.candidate(10), Some(0));
         assert_eq!(l.candidate(25), Some(0)); // gap: falls in group 0's range
@@ -136,27 +146,25 @@ mod tests {
 
     #[test]
     fn scan_start_skips_exhausted_groups() {
-        // Even ids only: 10..=28 and 40..=58.
-        let l = Level {
-            groups: vec![group((10..30).step_by(2)), group((40..60).step_by(2))],
-        };
+        // Even ids only: 10..=28 and 40..=58, ten in each group.
+        let l = level([(10..30).step_by(2).collect(), (40..60).step_by(2).collect()]);
         assert_eq!(l.scan_from(5), (0, 0)); // before everything
         assert_eq!(l.scan_from(10), (0, 0));
         assert_eq!(l.scan_from(15), (0, 3)); // a miss inside group 0
         assert_eq!(l.scan_from(16), (0, 3));
-        assert_eq!(l.scan_from(29), (1, 0)); // between the groups
-        assert_eq!(l.scan_from(35), (1, 0));
-        assert_eq!(l.scan_from(41), (1, 1)); // a miss inside group 1
-        assert_eq!(l.scan_from(58), (1, 9));
-        assert_eq!(l.scan_from(59), (2, 0)); // past everything
+        assert_eq!(l.scan_from(29), (1, 10)); // between the groups
+        assert_eq!(l.scan_from(35), (1, 10));
+        assert_eq!(l.scan_from(41), (1, 11)); // a miss inside group 1
+        assert_eq!(l.scan_from(58), (1, 19));
+        assert_eq!(l.scan_from(59), (2, 20)); // past everything
     }
 
     #[test]
     fn sizes_are_sums_over_groups() {
-        let l = level();
+        let l = three();
         assert_eq!(l.kv_bytes(), 30 * (16 + 10));
         assert_eq!(l.logged_bytes(), 0);
-        let phys: u64 = l.groups.iter().map(|g| g.content.phys_bytes()).sum();
+        let phys: u64 = l.groups.iter().map(Group::phys_bytes).sum();
         assert_eq!(l.phys_bytes(), phys);
         assert!(phys > 0);
         assert_eq!(Level::default().phys_bytes(), 0);
@@ -164,8 +172,35 @@ mod tests {
 
     #[test]
     fn meta_bytes_is_group_sum() {
-        let l = level();
-        let per: u64 = l.groups[0].content.meta_bytes();
+        let l = three();
+        let per: u64 = l.groups[0].meta_bytes();
         assert_eq!(l.meta_bytes(), 3 * per);
+    }
+
+    #[test]
+    fn the_audit_tells_a_break_inside_a_group_from_one_across_groups() {
+        assert_eq!(three().audit(4), Ok(()));
+        let mut l = three();
+        l.ents[3].id = l.ents[2].id;
+        let err = AuditError::DirectoryOrder { level: 4, group: 0 };
+        assert_eq!(l.audit(4), Err(err));
+        let mut l = three();
+        l.ents[19].id = l.ents[20].id;
+        assert_eq!(
+            l.audit(4),
+            Err(AuditError::LevelOrder { level: 4, index: 1 })
+        );
+        let mut l = three();
+        l.firsts[2] += 1;
+        let err = AuditError::FenceMismatch { level: 4, group: 2 };
+        assert_eq!(l.audit(4), Err(err));
+        let mut l = three();
+        l.groups[1].start += 1;
+        let err = AuditError::GroupTiling { level: 4, group: 1 };
+        assert_eq!(l.audit(4), Err(err));
+        let mut l = three();
+        l.groups[2].end -= 1;
+        let err = AuditError::GroupTiling { level: 4, group: 3 };
+        assert_eq!(l.audit(4), Err(err));
     }
 }

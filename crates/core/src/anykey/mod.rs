@@ -113,7 +113,7 @@ impl AnyKeyStore {
             for g in &mut level.groups {
                 if exhausted {
                     g.hash_list_resident = false;
-                } else if self.core.dram.try_claim(g.content.hash_list_bytes()) {
+                } else if self.core.dram.try_claim(g.hash_list_bytes()) {
                     g.hash_list_resident = true;
                 } else {
                     g.hash_list_resident = false;
@@ -150,24 +150,24 @@ impl Engine for AnyKeyStore {
 
     fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool> {
         let (id, hash) = (key.id(), key.hash32());
-        for li in 0..self.levels.len() {
-            let Some(gi) = self.levels[li].candidate(id) else {
+        for level in &self.levels {
+            let Some(gi) = level.candidate(id) else {
                 continue;
             };
             // Hash-list check (free when resident; Section 4.2).
-            let g = &self.levels[li].groups[gi];
-            if g.hash_list_resident && !g.content.contains_hash(hash) {
+            let (g, all) = (&level.groups[gi], &level.ents[..]);
+            if g.hash_list_resident && !g.contains_hash(all, hash) {
                 continue;
             }
             // Read the routed page, walking backwards over 16-bit prefix
             // ambiguity and cross-page hash collisions (Figure 7), then the
             // pages an inline value spills into.
             let flash = &mut self.core.flash;
-            let found = g.content.lookup(hash, id, |pages| {
+            let found = g.lookup(all, hash, id, |pages| {
                 req.read(flash, OpCause::HostRead, pages.map(|p| g.data_ppa(p)));
             });
             if let Some(i) = found {
-                let e = &g.content.ents[i];
+                let e = &all[i];
                 if e.tombstone {
                     return Some(false);
                 }
@@ -181,34 +181,32 @@ impl Engine for AnyKeyStore {
     }
 
     fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64> {
-        // Each level's run is its groups' entity arrays from the first
-        // entity ≥ `start`: groups hold disjoint, ascending key ranges, so
-        // only the first group can hold keys below it. The index pages are
-        // the group directory pages the budget walk visits (Section 4.4.5).
-        let (levels, page_payload) = (&self.levels, self.core.page_payload);
+        // Each level's run is its entity array from the first entity ≥
+        // `start`; the budget walk starts at the group holding it. The
+        // index pages are the group directory pages the walk visits
+        // (Section 4.4.5).
+        let levels = &self.levels;
         let starts: Vec<(usize, usize)> = levels.iter().map(|l| l.scan_from(start)).collect();
-        let slices = |li: usize| {
-            let (first, from) = starts[li];
-            levels[li].run(first, from)
-        };
+        let runs = levels.iter().zip(&starts);
         let plan = self.core.scan(
             start,
             len as usize,
-            (0..levels.len()).map(slices),
+            runs.map(|(level, &(_, from))| (&level.ents[..], from)),
             |e: &Entity| (e.id, e.tombstone, e.value_len),
             |li, budget, pages| {
+                let (level, (first, from)) = (&levels[li], starts[li]);
                 let mut left = budget;
-                for (gi, from, ents) in slices(li) {
+                for g in &level.groups[first..] {
                     if left == 0 {
                         break;
                     }
-                    if !ents.is_empty() {
-                        pages.push(levels[li].groups[gi].dir_ppa(from, page_payload));
+                    let from = from.max(g.start);
+                    pages.push(g.dir_ppa(from - g.start));
+                    let n = g.end - from;
+                    if n >= left {
+                        return Some(level.ents[from + left - 1].id);
                     }
-                    if ents.len() >= left {
-                        return Some(ents[left - 1].id);
-                    }
-                    left -= ents.len();
+                    left -= n;
                 }
                 None
             },
@@ -220,11 +218,18 @@ impl Engine for AnyKeyStore {
             .core
             .read_set(plan.index_pages, OpCause::HostRead, req.t);
         req.charge(OpCause::HostRead, dirs);
+        // A level's hits come in key order, so each one's group is found
+        // by walking on from the previous one's, from the scan's start.
         let (mut data_ppas, mut log_ppas) = (Vec::new(), Vec::new());
+        let mut at: Vec<usize> = starts.iter().map(|&(first, _)| first).collect();
         for pos in plan.hits.iter().filter_map(|&(_, pos)| pos) {
-            let g = &levels[pos.level].groups[pos.owner];
-            data_ppas.push(g.data_ppa(g.content.page_of(pos.index)));
-            if let ValueLoc::Logged(ptr) = g.content.ents[pos.index].loc() {
+            let (level, gi) = (&levels[pos.level], &mut at[pos.level]);
+            while level.groups[*gi].end <= pos.index {
+                *gi += 1;
+            }
+            let g = &level.groups[*gi];
+            data_ppas.push(g.data_ppa(g.page_of(&level.ents, pos.index)));
+            if let ValueLoc::Logged(ptr) = level.ents[pos.index].loc() {
                 log_ppas.extend(ptr.pages());
             }
         }
@@ -301,7 +306,7 @@ impl Engine for AnyKeyStore {
         let level_list_bytes: u64 = self.levels.iter().map(Level::meta_bytes).sum();
         let (mut hash_list_total, mut hash_list_resident) = (0u64, 0u64);
         for g in self.levels.iter().flat_map(|l| &l.groups) {
-            let bytes = g.content.hash_list_bytes();
+            let bytes = g.hash_list_bytes();
             hash_list_total += bytes;
             if g.hash_list_resident {
                 hash_list_resident += bytes;
@@ -329,7 +334,7 @@ impl Engine for AnyKeyStore {
     }
 
     fn live_bytes(&self) -> u64 {
-        let runs = self.levels.iter().map(|l| l.run(0, 0));
+        let runs = self.levels.iter().map(|l| &l.ents[..]);
         self.core
             .live_bytes(runs, |e: &Entity| (e.id, e.tombstone, e.value_len))
     }
@@ -360,8 +365,10 @@ impl Engine for AnyKeyStore {
     /// Builds, and keeps, every group layout no read has built yet, so
     /// every group is audited whole, then runs the boundary audit.
     fn audit(&self) -> Result<(), AuditError> {
-        for g in self.levels.iter().flat_map(|l| &l.groups) {
-            g.content.layout();
+        for l in &self.levels {
+            for g in &l.groups {
+                g.layout(&l.ents);
+            }
         }
         self.boundary_audit()
     }
@@ -375,7 +382,6 @@ impl Engine for AnyKeyStore {
         for (li, level) in self.levels.iter().enumerate() {
             level.audit(li)?;
         }
-        let groups = || self.levels.iter().flat_map(|l| &l.groups);
 
         // What rebalance_dram claimed must equal what is marked resident.
         self.core.dram.audit(self.stats().dram_resident_bytes())?;
@@ -395,15 +401,15 @@ impl Engine for AnyKeyStore {
 
         // No live group or logged value sits in a retired block. A group's
         // pages never leave the block of its first page.
-        let group_blocks = groups().map(|g| (g.first_ppa.block, "group area"));
+        let groups = self.levels.iter().flat_map(|l| &l.groups);
+        let group_blocks = groups.map(|g| (g.first_ppa.block, "group area"));
         audit_retirement(&self.group_alloc, "group area", group_blocks)?;
         if let Some(log) = &self.log {
-            let logged = groups()
-                .flat_map(|g| &g.content.ents)
-                .filter_map(|e| match e.loc() {
-                    ValueLoc::Logged(ptr) => Some((ptr.block, "value log")),
-                    ValueLoc::Inline => None,
-                });
+            let logged = self.levels.iter().flat_map(|l| &l.ents);
+            let logged = logged.filter_map(|e| match e.loc() {
+                ValueLoc::Logged(ptr) => Some((ptr.block, "value log")),
+                ValueLoc::Inline => None,
+            });
             audit_retirement(log.allocator(), "value log", logged)?;
         }
 

@@ -165,7 +165,7 @@ fn built_layouts(s: &AnyKeyStore) -> Vec<Vec<usize>> {
     s.levels
         .iter()
         .map(|l| {
-            let built = l.groups.iter().map(|g| g.content.layout_built());
+            let built = l.groups.iter().map(|g| g.layout_built());
             built
                 .enumerate()
                 .filter(|&(_, b)| b)
@@ -206,12 +206,16 @@ fn insert_only_fill_builds_layouts_only_when_read() {
 
     // The full audit builds every other layout, and a second one none.
     assert_eq!(s.check_invariants(), Ok(()));
-    let groups = || s.levels.iter().flat_map(|l| &l.groups);
-    assert!(groups().all(|g| g.content.layout_built()));
-    let layouts: Vec<*const Layout> = groups().map(|g| g.content.layout() as *const _).collect();
+    let mut groups = s.levels.iter().flat_map(|l| &l.groups);
+    assert!(groups.all(|g| g.layout_built()));
+    let layouts = |s: &AnyKeyStore| -> Vec<*const Layout> {
+        let levels = s.levels.iter();
+        let layouts = levels.flat_map(|l| l.groups.iter().map(|g| g.layout(&l.ents) as *const _));
+        layouts.collect()
+    };
+    let first = layouts(&s);
     assert_eq!(s.check_invariants(), Ok(()));
-    let again: Vec<*const Layout> = groups().map(|g| g.content.layout() as *const _).collect();
-    assert_eq!(layouts, again, "a built layout is kept");
+    assert_eq!(first, layouts(&s), "a built layout is kept");
 }
 
 #[test]
@@ -243,9 +247,7 @@ fn an_empty_scan_reads_nothing() {
 fn layout_states(s: &AnyKeyStore) -> Vec<Vec<(anykey_flash::Ppa, bool)>> {
     let groups = |l: &crate::anykey::level::Level| {
         let states = l.groups.iter();
-        states
-            .map(|g| (g.first_ppa, g.content.layout_built()))
-            .collect()
+        states.map(|g| (g.first_ppa, g.layout_built())).collect()
     };
     s.levels.iter().map(groups).collect()
 }
@@ -267,10 +269,7 @@ fn built_layouts_survive_rewrites_and_relocation() {
     // A level where some groups hold logged values and some do not.
     let li = (0..s.levels.len())
         .find(|&li| {
-            let logged = s.levels[li]
-                .groups
-                .iter()
-                .map(|g| g.content.logged_bytes > 0);
+            let logged = s.levels[li].groups.iter().map(|g| g.logged_bytes > 0);
             logged.clone().any(|l| l) && logged.clone().any(|l| !l)
         })
         .expect("a level with both logged and inline groups");
@@ -282,7 +281,7 @@ fn built_layouts_survive_rewrites_and_relocation() {
     let untouched: Vec<_> = s.levels[li]
         .groups
         .iter()
-        .filter(|g| g.content.logged_bytes == 0)
+        .filter(|g| g.logged_bytes == 0)
         .map(|g| g.first_ppa)
         .collect();
     let at = s.horizon();

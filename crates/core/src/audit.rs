@@ -5,10 +5,14 @@
 //! simulation's correctness rests on. Each structure audits its own
 //! layout:
 //!
-//! * an AnyKey group ([`crate::anykey::group::GroupContent::audit`]) and
-//!   level ([`crate::anykey::level::Level::audit`]);
+//! * an AnyKey level ([`crate::anykey::level::Level::audit`]) and the
+//!   layouts of its groups ([`crate::anykey::group::Group::audit`]);
 //! * a PinK level and its meta segments
 //!   ([`crate::pink::PinkLevel::audit`]);
+//!
+//! Both engines' levels are one key-sorted run cut into units (AnyKey's
+//! groups, PinK's meta segments), and both check that shape with one
+//! shared run audit;
 //! * a byte log's and a page area's per-block counts
 //!   ([`crate::bytelog::ByteLog::audit_overfull`],
 //!   [`crate::pagearea::PageArea::audit_overfull`]);
@@ -41,6 +45,7 @@ use std::fmt;
 use anykey_flash::{BlockAllocator, BlockId, CounterSkew};
 
 use crate::anykey::group::LayoutFault;
+use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
 use crate::pink::PinkStore;
 
@@ -65,8 +70,8 @@ pub enum AuditError {
         /// The group/segment index within the level.
         group: usize,
     },
-    /// A group's cached smallest/largest key (its level-list fences) differ
-    /// from the first/last key of its directory.
+    /// A group's level-list key, its level's cached first key for it,
+    /// differs from the first key of its directory.
     FenceMismatch {
         /// The level holding the group.
         level: usize,
@@ -75,7 +80,7 @@ pub enum AuditError {
     },
     /// A group's per-page first hashes, whose top 16 bits are the routing
     /// prefixes, differ from the hashes its pages start with, so
-    /// [`crate::anykey::group::GroupContent::lookup`] would misroute.
+    /// [`crate::anykey::group::Group::lookup`] would misroute.
     RoutingOrder {
         /// The level holding the group.
         level: usize,
@@ -169,6 +174,16 @@ pub enum AuditError {
         /// The byte sum of the segment's entries.
         actual: u64,
     },
+    /// An AnyKey level's group records do not tile its entity array: a
+    /// group is empty, out of bounds, or does not start where the previous
+    /// one ended, or the last one stops short of the array's end.
+    GroupTiling {
+        /// The level holding the group.
+        level: usize,
+        /// The group index (the group count when the array is not covered
+        /// to its end).
+        group: usize,
+    },
     /// An AnyKey group's page starts decrease, do not start at 0, or do
     /// not end at its entity count.
     PageStartSkew {
@@ -215,6 +230,59 @@ pub enum AuditError {
         /// Total blocks the allocator manages.
         total: usize,
     },
+}
+
+/// How a level's key-sorted run and the units that cut it (AnyKey's
+/// groups, PinK's meta segments) disagree, as [`audit_run`] finds it. Each
+/// engine names it with its own [`AuditError`] variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RunFault {
+    /// Unit `i` is empty, out of bounds or does not start where the one
+    /// before ended; `i` is the unit count when the units stop short of
+    /// the run's end.
+    Tiling(usize),
+    /// Unit `i`'s cached first key is not its first entry's.
+    Fence(usize),
+    /// The run does not strictly ascend from the last entry of unit `i` to
+    /// the first of the next.
+    Boundary(usize),
+    /// The run does not strictly ascend inside unit `i`.
+    Inside(usize),
+}
+
+/// Audits a level's key-sorted `run` (`key` gives an entry's key id)
+/// against its `(start, end, cached first key)` units in order: they tile
+/// the run and cache their first entries' keys, then the whole run
+/// strictly ascends, a break being placed in the unit that holds it or at
+/// the boundary after it.
+pub(crate) fn audit_run<T>(
+    run: &[T],
+    key: impl Fn(&T) -> u64,
+    units: impl Iterator<Item = (usize, usize, u64)> + Clone,
+) -> Result<(), RunFault> {
+    let mut next = 0;
+    for (i, (start, end, first)) in units.clone().enumerate() {
+        if start != next || end <= start || end > run.len() {
+            return Err(RunFault::Tiling(i));
+        }
+        if first != key(&run[start]) {
+            return Err(RunFault::Fence(i));
+        }
+        next = end;
+    }
+    if next != run.len() {
+        return Err(RunFault::Tiling(units.count()));
+    }
+    let Some(k) = run.windows(2).position(|w| key(&w[0]) >= key(&w[1])) else {
+        return Ok(());
+    };
+    let mut units = units.enumerate();
+    let (i, (_, end, _)) = units.find(|&(_, (_, end, _))| end > k).unwrap_or_default();
+    Err(if end == k + 1 {
+        RunFault::Boundary(i)
+    } else {
+        RunFault::Inside(i)
+    })
 }
 
 /// Audits `alloc`'s free/allocated/retired partition, naming it `owner`,
@@ -323,6 +391,10 @@ impl fmt::Display for AuditError {
                 f,
                 "meta segment {segment} of level {level} caches {cached} bytes but its entries hold {actual}"
             ),
+            AuditError::GroupTiling { level, group } => write!(
+                f,
+                "group {group} of level {level} does not tile the level's entity array"
+            ),
             AuditError::PageStartSkew { level, group } => write!(
                 f,
                 "group {group} of level {level} has page starts that decrease or miss its entity bounds"
@@ -366,32 +438,41 @@ impl From<CounterSkew> for AuditError {
 }
 
 impl AnyKeyStore {
-    /// Test-only corruption hook: swaps the first two groups of the first
-    /// level holding at least two, breaking the level-list key order.
-    /// Returns whether a level with enough groups existed.
+    /// Test-only corruption hook: gives the last entity of the first
+    /// group, in the first level holding at least two, the key of the
+    /// second group's first entity, so the level's array no longer ascends
+    /// across that group boundary. Returns whether a level with enough
+    /// groups existed.
     #[doc(hidden)]
     pub fn corrupt_level_order_for_test(&mut self) -> bool {
         let level = self.levels.iter_mut().find(|l| l.groups.len() >= 2);
-        level.map(|l| l.groups.swap(0, 1)).is_some()
+        let seam = |l: &mut Level| l.ents[l.groups[0].end - 1].id = l.firsts[1];
+        level.map(seam).is_some()
     }
 
-    /// Test-only corruption hook: sets the cached smallest key of the first
-    /// group holding at least two entities to its largest key, so the
-    /// level-list fence no longer matches the group's directory. Returns
-    /// whether such a group existed.
+    /// Test-only corruption hook: sets the level-list key of the first
+    /// group holding at least two entities to its largest key, so it no
+    /// longer matches the group's directory. Returns whether such a group
+    /// existed.
     #[doc(hidden)]
     pub fn corrupt_group_fence_for_test(&mut self) -> bool {
         for level in &mut self.levels {
-            if let Some(g) = level
-                .groups
-                .iter_mut()
-                .find(|g| g.content.entity_count() >= 2)
-            {
-                g.content.smallest = g.content.largest;
+            if let Some(gi) = level.groups.iter().position(|g| g.entity_count() >= 2) {
+                level.firsts[gi] = level.ents[level.groups[gi].end - 1].id;
                 return true;
             }
         }
         false
+    }
+
+    /// Test-only corruption hook: ends the first group of the first level
+    /// holding at least two one entity early, so the group records no
+    /// longer tile the level's array. Returns whether such a level
+    /// existed.
+    #[doc(hidden)]
+    pub fn corrupt_group_range_for_test(&mut self) -> bool {
+        let level = self.levels.iter_mut().find(|l| l.groups.len() >= 2);
+        level.map(|l| l.groups[0].end -= 1).is_some()
     }
 
     /// Test-only corruption hook: makes the first group's page starts end
@@ -408,10 +489,10 @@ impl AnyKeyStore {
     /// slots in two pages existed.
     #[doc(hidden)]
     pub fn corrupt_slot_index_for_test(&mut self) -> bool {
-        self.levels
-            .iter_mut()
-            .flat_map(|l| l.groups.iter_mut())
-            .any(|g| g.content.corrupt_layout_for_test(LayoutFault::SlotIndex))
+        self.levels.iter_mut().any(|l| {
+            let mut groups = l.groups.iter_mut();
+            groups.any(|g| g.corrupt_layout_for_test(&l.ents, LayoutFault::SlotIndex))
+        })
     }
 
     /// Test-only corruption hook: changes the first hash-list entry of the
@@ -434,8 +515,8 @@ impl AnyKeyStore {
     /// Applies `fault` to the first group's layout; `false` when there is
     /// no group or the fault does not apply to it.
     fn corrupt_first_layout(&mut self, fault: LayoutFault) -> bool {
-        let group = self.levels.iter_mut().find_map(|l| l.groups.first_mut());
-        group.is_some_and(|g| g.content.corrupt_layout_for_test(fault))
+        let level = self.levels.iter_mut().find(|l| !l.is_empty());
+        level.is_some_and(|l| l.groups[0].corrupt_layout_for_test(&l.ents, fault))
     }
 
     /// Test-only corruption hook: over-claims the DRAM budget past both

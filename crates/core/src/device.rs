@@ -103,13 +103,11 @@ impl PageMarks {
     }
 }
 
-/// Where a scan hit's version lives: its level, the owner its slice came
-/// from (an AnyKey group; PinK's one entry run is owner 0), and its index
-/// in that owner.
+/// Where a scan hit's version lives: its level, and its index in that
+/// level's run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ScanPos {
     pub(crate) level: usize,
-    pub(crate) owner: usize,
     pub(crate) index: usize,
 }
 
@@ -131,40 +129,37 @@ pub(crate) enum Source<E> {
 }
 
 /// The newest-wins two-way merge both engines' compactions run over
-/// key-sorted runs, `upper` being the newer. Each run is a sequence of
-/// slices read in place (a PinK level's one entry array, or an AnyKey
-/// level's per-group entity arrays), so no input is copied before the
-/// merge. On an equal key the upper entry wins and the shadowed lower one
-/// goes to `shadowed`. With `drop_tombstones` (the output is the bottom
-/// level) tombstones are dropped, as nothing below remains for them to
-/// shadow. `entry` gives an entry's key id and whether it is a tombstone.
-/// The merged run streams out through `emit`, in key order.
-pub(crate) fn merge_newest<'a, T: Copy>(
-    upper: &'a [&'a [T]],
-    lower: &'a [&'a [T]],
+/// key-sorted runs, `upper` being the newer. Each run is a level's one
+/// entry array (or a flush's), read in place, so no input is copied
+/// before the merge. On an equal key the upper entry wins and the shadowed
+/// lower one goes to `shadowed`. With `drop_tombstones` (the output is the
+/// bottom level) tombstones are dropped, as nothing below remains for them
+/// to shadow. `entry` gives an entry's key id and whether it is a
+/// tombstone. The merged run streams out through `emit`, in key order.
+pub(crate) fn merge_newest<T: Copy>(
+    upper: &[T],
+    lower: &[T],
     drop_tombstones: bool,
     entry: impl Fn(&T) -> (u64, bool),
     mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
     mut emit: impl FnMut(T),
 ) -> Result<(), KvError> {
     let keep = |e: &T| !(drop_tombstones && entry(e).1);
-    let whole = |runs: &'a [&'a [T]]| runs.iter().map(|&run| (0, 0, run));
-    let (mut up, mut lo) = (Cursor::new(whole(upper)), Cursor::new(whole(lower)));
+    let (mut i, mut j) = (0, 0);
     // One key compare per step while both runs have heads.
-    while let (Some(a), Some(b)) = (up.head(), lo.head()) {
+    while let (Some(a), Some(b)) = (upper.get(i), lower.get(j)) {
         let e = match entry(a).0.cmp(&entry(b).0) {
             Ordering::Less => {
-                up.advance();
+                i += 1;
                 a
             }
             Ordering::Greater => {
-                lo.advance();
+                j += 1;
                 b
             }
             Ordering::Equal => {
                 shadowed(b)?;
-                up.advance();
-                lo.advance();
+                (i, j) = (i + 1, j + 1);
                 a
             }
         };
@@ -173,58 +168,24 @@ pub(crate) fn merge_newest<'a, T: Copy>(
         }
     }
     // At most one run still has a tail.
-    for tail in up.rest().chain(lo.rest()) {
-        tail.iter().filter(|e| keep(e)).for_each(|&e| emit(e));
+    for &e in upper[i..].iter().chain(&lower[j..]) {
+        if keep(&e) {
+            emit(e);
+        }
     }
     Ok(())
 }
 
-/// A read position in a key-sorted run stored as consecutive slices. Each
-/// slice comes tagged `(owner, base, slice)`: the owner it belongs to and
-/// the index its first entry has there, so the position of the head is
-/// always known (a scan hit names it).
-struct Cursor<'a, T, I> {
-    /// What is left of the current slice.
-    cur: &'a [T],
-    /// The owner of `cur` and the index of its head there.
-    at: (usize, usize),
-    /// The slices after it.
-    next: I,
+/// A read position in a level's key-sorted run: the run and the index of
+/// its head there, which a scan hit names.
+struct Cursor<'a, T> {
+    run: &'a [T],
+    at: usize,
 }
 
-impl<'a, T, I: Iterator<Item = (usize, usize, &'a [T])>> Cursor<'a, T, I> {
-    fn new(next: I) -> Self {
-        let mut c = Cursor {
-            cur: &[],
-            at: (0, 0),
-            next,
-        };
-        c.skip_empty();
-        c
-    }
-
+impl<'a, T> Cursor<'a, T> {
     fn head(&self) -> Option<&'a T> {
-        self.cur.first()
-    }
-
-    fn advance(&mut self) {
-        self.cur = &self.cur[1..];
-        self.at.1 += 1;
-        self.skip_empty();
-    }
-
-    fn skip_empty(&mut self) {
-        while self.cur.is_empty() {
-            let Some((owner, base, slice)) = self.next.next() else {
-                return;
-            };
-            (self.cur, self.at) = (slice, (owner, base));
-        }
-    }
-
-    /// The unread remainder, slice by slice.
-    fn rest(self) -> impl Iterator<Item = &'a [T]> {
-        std::iter::once(self.cur).chain(self.next.map(|(_, _, slice)| slice))
+        self.run.get(self.at)
     }
 }
 
@@ -236,20 +197,26 @@ impl<'a, T, I: Iterator<Item = (usize, usize, &'a [T])>> Cursor<'a, T, I> {
 /// [`Self::next_key`] finds the smallest key at any head, and
 /// [`Self::take`] consumes every version of it, so a caller can stop
 /// between them.
-struct Merge<'a, T, I, F> {
+struct Merge<'a, T, F> {
     buf: Peekable<buffer::Range<'a>>,
-    runs: Vec<Cursor<'a, T, I>>,
+    runs: Vec<Cursor<'a, T>>,
     /// Reads an entry as `(key id, tombstone, value_len)`.
     entry: F,
 }
 
-impl<'a, T: 'a, I, F> Merge<'a, T, I, F>
+impl<'a, T: 'a, F> Merge<'a, T, F>
 where
-    I: Iterator<Item = (usize, usize, &'a [T])>,
     F: Fn(&T) -> (u64, bool, u32),
 {
-    fn new(buf: buffer::Range<'a>, runs: impl IntoIterator<Item = I>, entry: F) -> Self {
-        let runs = runs.into_iter().map(Cursor::new).collect();
+    fn new(
+        buf: buffer::Range<'a>,
+        runs: impl IntoIterator<Item = (&'a [T], usize)>,
+        entry: F,
+    ) -> Self {
+        let runs = runs
+            .into_iter()
+            .map(|(run, at)| Cursor { run, at })
+            .collect();
         Self {
             buf: buf.peekable(),
             runs,
@@ -275,14 +242,12 @@ where
                 if k != key {
                     break;
                 }
-                let (owner, index) = run.at;
                 let pos = ScanPos {
                     level,
-                    owner,
-                    index,
+                    index: run.at,
                 };
                 newest.get_or_insert((tombstone, value_len, Some(pos)));
-                run.advance();
+                run.at += 1;
             }
         }
         newest
@@ -375,10 +340,10 @@ impl DeviceCore {
     /// `start`, newest version winning across the write buffer and the
     /// levels of `runs` (lower index = newer).
     ///
-    /// Each run is one level's entries from `start` on, as key-sorted
-    /// `(owner, base, slice)` slices (see [`Cursor`]); `entry` reads an
-    /// entry as `(key id, tombstone, value_len)`. The merge streams over the
-    /// runs and the buffer once and copies no entry.
+    /// Each run is one level's key-sorted entry array with the index of its
+    /// first entry ≥ `start`; `entry` reads an entry as `(key id,
+    /// tombstone, value_len)`. The merge streams over the runs and the
+    /// buffer once and copies no entry.
     ///
     /// What a scan charges for index pages depends on a per-level budget.
     /// `walk(level, budget, pages)` pushes the index pages an engine reads
@@ -392,17 +357,14 @@ impl DeviceCore {
     /// up to 64× `want`. A frontier only rises with the budget, so the
     /// hits found below the old one stand and the stream goes on; the
     /// index pages are those of the final budget.
-    pub(crate) fn scan<'a, T: 'a, I>(
+    pub(crate) fn scan<'a, T: 'a>(
         &'a self,
         start: u64,
         want: usize,
-        runs: impl IntoIterator<Item = I>,
+        runs: impl IntoIterator<Item = (&'a [T], usize)>,
         entry: impl Fn(&T) -> (u64, bool, u32),
         mut walk: impl FnMut(usize, usize, &mut Vec<Ppa>) -> Option<u64>,
-    ) -> ScanPlan
-    where
-        I: Iterator<Item = (usize, usize, &'a [T])>,
-    {
+    ) -> ScanPlan {
         let mut merge = Merge::new(self.buffer.range(start), runs, entry);
         let levels = merge.runs.len();
         let mut frontier = |budget: usize, pages: &mut Vec<Ppa>| {
@@ -435,16 +397,15 @@ impl DeviceCore {
 
     /// [`MetadataStats::live_unique_bytes`]: the key and value of each
     /// key's newest version across the write buffer and the levels of
-    /// `runs`, tombstones excepted. Each run is one level's whole run, read
-    /// as by [`Self::scan`]; the walk allocates only its cursors.
-    pub(crate) fn live_bytes<'a, T: 'a, I>(
+    /// `runs`, tombstones excepted. Each run is one level's whole entry
+    /// array, read as by [`Self::scan`]; the walk allocates only its
+    /// cursors.
+    pub(crate) fn live_bytes<'a, T: 'a>(
         &'a self,
-        runs: impl IntoIterator<Item = I>,
+        runs: impl IntoIterator<Item = &'a [T]>,
         entry: impl Fn(&T) -> (u64, bool, u32),
-    ) -> u64
-    where
-        I: Iterator<Item = (usize, usize, &'a [T])>,
-    {
+    ) -> u64 {
+        let runs = runs.into_iter().map(|run| (run, 0));
         let mut merge = Merge::new(self.buffer.range(0), runs, entry);
         let key_len = u64::from(self.cfg.key_len);
         let mut bytes = 0;

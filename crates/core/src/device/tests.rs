@@ -213,7 +213,7 @@ fn check(
     let (mut budget, mut ref_budget) = (None, None);
     let runs = levels.iter().map(|level| {
         let from = level.partition_point(|&(key, _)| key < start);
-        std::iter::once((0, from, &level[from..]))
+        (&level[..], from)
     });
     let plan = core.scan(
         start,
@@ -230,13 +230,7 @@ fn check(
         hits: plan
             .hits
             .into_iter()
-            .map(|(key, pos)| {
-                let pos = pos.map(|p| {
-                    assert_eq!(p.owner, 0, "a test level is one slice");
-                    (p.level, p.index)
-                });
-                (key, pos)
-            })
+            .map(|(key, pos)| (key, pos.map(|p| (p.level, p.index))))
             .collect(),
     };
     let reference = two_pass_scan(core, start, want, levels.len(), |li, b, cands, pages| {
@@ -393,39 +387,22 @@ type Tagged = (u64, bool, u8);
 type TaggedMerge = (Vec<(u64, bool, u8)>, Vec<(u64, u8)>);
 
 /// Runs `merge_newest` over tagged runs; shadowed entries come out in call
-/// order. Each run goes in whole and again cut into one-entry slices with
-/// empty slices around them, and both merges must agree.
+/// order.
 fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge {
-    fn merge(upper: &[&[Tagged]], lower: &[&[Tagged]], bottom: bool) -> TaggedMerge {
-        let (mut merged, mut shadowed) = (Vec::new(), Vec::new());
-        merge_newest(
-            upper,
-            lower,
-            bottom,
-            |&(key, tombstone, _)| (key, tombstone),
-            |&(key, _, level)| {
-                shadowed.push((key, level));
-                Ok(())
-            },
-            |e| merged.push(e),
-        )
-        .unwrap();
-        (merged, shadowed)
-    }
-    fn pieces(run: &[Tagged]) -> Vec<&[Tagged]> {
-        let mut out: Vec<&[Tagged]> = vec![&[]];
-        for one in run.chunks(1) {
-            out.extend([one, &[]]);
-        }
-        out
-    }
-    let whole = merge(&[upper], &[lower], bottom);
-    assert_eq!(
-        merge(&pieces(upper), &pieces(lower), bottom),
-        whole,
-        "cutting the runs into slices changed the merge"
-    );
-    whole
+    let (mut merged, mut shadowed) = (Vec::new(), Vec::new());
+    merge_newest(
+        upper,
+        lower,
+        bottom,
+        |&(key, tombstone, _)| (key, tombstone),
+        |&(key, _, level)| {
+            shadowed.push((key, level));
+            Ok(())
+        },
+        |e| merged.push(e),
+    )
+    .unwrap();
+    (merged, shadowed)
 }
 
 #[test]
@@ -543,8 +520,7 @@ fn live_unique_bytes_follow_a_map_model() {
         EngineKind::AnyKeyNoLog,
     ] {
         follow_a_map_model(AnyKeyStore::new(small(kind)), |s| {
-            let groups = s.levels.iter().flat_map(|l| &l.groups);
-            let ents = groups.flat_map(|g| &g.content.ents);
+            let ents = s.levels.iter().flat_map(|l| &l.ents);
             ents.map(|e| (e.id, e.tombstone, e.value_len)).collect()
         });
     }

@@ -75,8 +75,8 @@ impl PinkStore {
         let key_len = self.core.cfg.key_len;
         let mut merged = Vec::with_capacity(upper.len() + lower.len());
         merge_newest(
-            &[&upper],
-            &[&lower],
+            &upper,
+            &lower,
             is_bottom,
             |e| (e.id, e.tombstone),
             |dead| {

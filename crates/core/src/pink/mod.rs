@@ -21,7 +21,7 @@ mod tests;
 use anykey_flash::{BlockAllocator, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 
-use crate::audit::{audit_retirement, AuditError};
+use crate::audit::{audit_retirement, audit_run, AuditError, RunFault};
 use crate::bytelog::{ByteLog, Extent};
 use crate::config::{DeviceConfig, EngineKind};
 use crate::device::{DeviceCore, Source};
@@ -102,40 +102,23 @@ impl PinkLevel {
     }
 
     /// Audits the level of `key_len`-byte keys, naming it `level`: its
-    /// meta segments tile the entry run, cache their first keys, hold
-    /// disjoint ascending key ranges, cache their exact byte counts and are
-    /// each key-sorted.
+    /// meta segments tile the entry run and cache their first keys, the
+    /// run strictly ascends, and the segments cache their
+    /// exact byte counts.
     ///
     /// # Errors
     ///
     /// Returns the first [`AuditError`] found.
     pub fn audit(&self, level: usize, key_len: u16) -> Result<(), AuditError> {
-        let mut next = 0usize;
+        let units = self.segs.iter().map(|s| (s.start, s.end, s.first));
+        audit_run(&self.entries, |e| e.id, units).map_err(|fault| match fault {
+            RunFault::Tiling(segment) => AuditError::SegmentTiling { level, segment },
+            RunFault::Fence(segment) => AuditError::SegmentFence { level, segment },
+            RunFault::Boundary(index) => AuditError::LevelOrder { level, index },
+            RunFault::Inside(group) => AuditError::DirectoryOrder { level, group },
+        })?;
         for (si, seg) in self.segs.iter().enumerate() {
-            if seg.start != next || seg.end <= seg.start || seg.end > self.entries.len() {
-                return Err(AuditError::SegmentTiling { level, segment: si });
-            }
-            next = seg.end;
-        }
-        if next != self.entries.len() {
-            let segment = self.segs.len();
-            return Err(AuditError::SegmentTiling { level, segment });
-        }
-        if let Some(segment) = self
-            .segs
-            .iter()
-            .position(|s| s.first != self.entries[s.start].id)
-        {
-            return Err(AuditError::SegmentFence { level, segment });
-        }
-        for (index, w) in self.segs.windows(2).enumerate() {
-            if self.entries[w[0].end - 1].id >= self.entries[w[1].start].id {
-                return Err(AuditError::LevelOrder { level, index });
-            }
-        }
-        for (si, seg) in self.segs.iter().enumerate() {
-            let entries = seg.entries(&self.entries);
-            let actual = entries.len() as u64 * SegEntry::seg_bytes(key_len);
+            let actual = (seg.end - seg.start) as u64 * SegEntry::seg_bytes(key_len);
             if seg.bytes != actual {
                 return Err(AuditError::SegmentBytes {
                     level,
@@ -143,9 +126,6 @@ impl PinkLevel {
                     cached: seg.bytes,
                     actual,
                 });
-            }
-            if entries.windows(2).any(|w| w[0].id >= w[1].id) {
-                return Err(AuditError::DirectoryOrder { level, group: si });
             }
         }
         Ok(())
@@ -246,7 +226,7 @@ impl Engine for PinkStore {
         let runs = levels
             .iter()
             .zip(&starts)
-            .map(|(level, &(_, from))| std::iter::once((0, from, &level.entries[from..])));
+            .map(|(level, &(_, from))| (&level.entries[..], from));
         let plan = self.core.scan(
             start,
             len as usize,
@@ -383,7 +363,7 @@ impl Engine for PinkStore {
 
     fn live_bytes(&self) -> u64 {
         let levels = self.levels.iter();
-        let runs = levels.map(|l| std::iter::once((0, 0, &l.entries[..])));
+        let runs = levels.map(|l| &l.entries[..]);
         self.core
             .live_bytes(runs, |e: &SegEntry| (e.id, e.tombstone, e.value_len))
     }
