@@ -9,7 +9,7 @@ use crate::anykey::gc::GROUP_STREAM;
 use crate::anykey::group::{Group, GroupPacker};
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
-use crate::device::{merge_newest, Source};
+use crate::device::{merge_newest_into, Source};
 use crate::engine::Engine;
 use crate::error::KvError;
 
@@ -101,16 +101,6 @@ impl AnyKeyStore {
         Ok(())
     }
 
-    /// Moves every logged value of `ents` inline, marking it dead in the
-    /// value log.
-    fn inline_values(&mut self, ents: &mut [Entity]) -> Result<(), KvError> {
-        for e in ents {
-            self.drop_logged(e)?;
-            e.set_loc(ValueLoc::Inline);
-        }
-        Ok(())
-    }
-
     /// Frees the pages of `groups`, erasing each block that empties;
     /// returns when the last erase completes (`at` if none ran).
     fn release_groups<'a>(
@@ -134,20 +124,20 @@ impl AnyKeyStore {
     }
 
     /// Places and programs one group per range of the level array `ents`
-    /// that `ends` cuts, its ends counted from `start`, appending their
+    /// that `ends` cuts, each end counted from `start`, appending their
     /// records to `out`; returns when the last program completes.
     fn write_groups(
         &mut self,
         ents: &[Entity],
-        mut start: usize,
+        start: usize,
         ends: Vec<usize>,
         out: &mut Vec<Group>,
         at: Ns,
     ) -> Result<Ns, KvError> {
         let (payload, key_len) = (self.core.page_payload, self.core.cfg.key_len);
-        let (mut done, base) = (at, start);
+        let (mut done, mut from) = (at, start);
         for end in ends {
-            let mut g = Group::new(ents, start..base + end, payload, key_len);
+            let mut g = Group::new(ents, from..start + end, payload, key_len);
             let (alloc, flash) = (&mut self.group_alloc, &mut self.core.flash);
             let (pages, cause) = (g.total_pages(), OpCause::CompactionWrite);
             let (ppa, td) = self
@@ -155,7 +145,7 @@ impl AnyKeyStore {
                 .write(alloc, flash, GROUP_STREAM, pages, cause, at)?;
             done = done.max(td);
             g.first_ppa = ppa;
-            start = g.end;
+            from = g.end;
             out.push(g);
         }
         Ok(done)
@@ -172,22 +162,24 @@ impl AnyKeyStore {
             return Ok(at);
         }
         let snap = self.core.span_snapshot();
-        let Level {
-            mut ents, groups, ..
-        } = std::mem::take(&mut self.levels[li]);
+        let level = std::mem::take(&mut self.levels[li]);
+        let (mut ents, groups) = (level.ents, level.groups);
         let read_ppas = groups
             .iter()
             .filter(|g| touched(g))
             .flat_map(|g| g.all_ppas().chain(log_pages(g.ents(&ents))));
         let (t_read, _) = self.core.read_set(read_ppas, OpCause::CompactionRead, at);
 
-        // Inline each touched group's entities, cut them on their own, and
-        // free the group.
+        // Inline each touched group's entities, marking their values dead
+        // in the value log, cut them on their own, and free the group.
         let mut cuts: Vec<Vec<usize>> = Vec::new();
         let (mut count, mut t_erase) = (0u64, t_read);
         for g in groups.iter().filter(|g| touched(g)) {
             let range = &mut ents[g.start..g.end];
-            self.inline_values(range)?;
+            for e in range.iter_mut() {
+                self.drop_logged(e)?;
+                e.set_loc(ValueLoc::Inline);
+            }
             count += range.len() as u64;
             let mut packer = self.packer();
             range.iter().for_each(|e| packer.push(e));
@@ -195,7 +187,7 @@ impl AnyKeyStore {
             t_erase = t_erase.max(self.release_groups([g], t_read)?);
         }
         // Place each touched group's cuts where it stood.
-        let placed = groups.len() + cuts.iter().map(Vec::len).sum::<usize>() - cuts.len();
+        let placed = groups.len() + cuts.iter().map(Vec::len).sum::<usize>();
         let (mut out, mut cuts) = (Vec::with_capacity(placed), cuts.into_iter());
         let mut t_write = t_read;
         for g in groups {
@@ -243,34 +235,32 @@ impl AnyKeyStore {
         // --- 1. Gather inputs and their flash pages. -------------------
         // For an in-place rewrite of the deepest level, the lower input is
         // empty (the level was already taken as the upper input).
-        let upper = match src {
-            Source::Flush(ents) => Level {
-                ents,
-                ..Level::default()
-            },
-            Source::Level(si) => std::mem::take(&mut self.levels[si]),
+        let (upper, src_level) = match src {
+            Source::Flush(ents) => (Level::new(ents, Vec::new()), None),
+            Source::Level(si) => (std::mem::take(&mut self.levels[si]), Some(si)),
         };
         let lower = std::mem::take(&mut self.levels[dst]);
-        let read_ppas = [&upper, &lower].map(|l| l.groups.iter().flat_map(Group::all_ppas));
-        let t_read =
-            self.core
-                .flash
-                .read_many(read_ppas.into_iter().flatten(), OpCause::CompactionRead, at);
+        let read_ppas = upper.groups.iter().chain(&lower.groups);
+        let read_ppas = read_ppas.flat_map(Group::all_ppas);
+        let t_read = self
+            .core
+            .flash
+            .read_many(read_ppas, OpCause::CompactionRead, at);
 
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
-        // The merge reads both levels' arrays in place and streams its
-        // output, with the inline policy applied, into the new level's
-        // array, reserved once, and into the packer, which cuts it:
+        // The merge writes over the destination's own array, grown once by
+        // the upper input's length, and streams each entity, with the
+        // inline policy applied, into the packer, which cuts the array:
         // log-triggered compaction moves every logged value inline, and
         // its log slot dies once the merge is done.
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
-        let mut ents = Vec::with_capacity(upper.ents.len() + lower.ents.len());
+        let mut ents = lower.ents;
         let mut packer = self.packer();
         let mut log_read_ppas: Vec<Ppa> = Vec::new();
         let mut inlined: Vec<Entity> = Vec::new();
-        merge_newest(
+        merge_newest_into(
             &upper.ents,
-            &lower.ents,
+            &mut ents,
             is_bottom,
             |e| (e.id, e.tombstone),
             |dead| self.drop_logged(dead),
@@ -281,7 +271,7 @@ impl AnyKeyStore {
                     e.set_loc(ValueLoc::Inline);
                 }
                 packer.push(&e);
-                ents.push(e);
+                e
             },
         )?;
         let ends = packer.finish();
@@ -300,7 +290,14 @@ impl AnyKeyStore {
         // --- 4. Free the source blocks before writing output. ----------
         let t_erase = self.release_groups(&upper.groups, t_inputs)?;
         let t_erase = t_erase.max(self.release_groups(&lower.groups, t_inputs)?);
-        drop((upper, lower));
+        // An emptied source level keeps its array for its next fill, so
+        // level arrays grow in place instead of being freed and allocated
+        // again (DESIGN.md §4).
+        if let Some(si) = src_level.filter(|&si| si != dst) {
+            let mut freed = upper.ents;
+            freed.clear();
+            self.levels[si].ents = freed;
+        }
 
         // --- 5. Place the new groups. ----------------------------------
         let mut groups = Vec::with_capacity(ends.len());

@@ -540,8 +540,6 @@ pub struct GroupPacker {
     key_len: u16,
     /// Entities pushed so far.
     pushed: usize,
-    /// Entities in the open chunk, the group being filled.
-    count: usize,
     /// Stored bytes of the open chunk.
     bytes: u64,
     /// Directory pages of the open chunk plus one more entry.
@@ -560,7 +558,6 @@ impl GroupPacker {
             max_total_pages,
             key_len,
             pushed: 0,
-            count: 0,
             bytes: 0,
             dir_pages: 1,
             max_bytes: 0,
@@ -580,27 +577,28 @@ impl GroupPacker {
     /// Counts the next entity of the stream (keys strictly ascending).
     pub fn push(&mut self, e: &Entity) {
         let sz = e.stored_bytes(self.key_len);
-        // Projected footprint if `e` joins the chunk: byte-continuous data
-        // pages plus the key-sorted directory pages.
-        let dir_bytes = (self.count as u64 + 1) * DIR_ENTRY_BYTES;
+        // Projected footprint if `e` joins the open chunk, the group being
+        // filled: byte-continuous data pages plus the key-sorted directory
+        // pages.
+        let count = self.pushed - self.ends.last().copied().unwrap_or(0);
+        let dir_bytes = (count as u64 + 1) * DIR_ENTRY_BYTES;
         while dir_bytes > self.dir_pages * self.payload {
             self.dir_pages += 1;
             self.max_bytes = self.limit();
         }
-        if self.count > 0 && self.bytes + sz > self.max_bytes {
+        if count > 0 && self.bytes + sz > self.max_bytes {
             self.ends.push(self.pushed);
-            (self.count, self.bytes, self.dir_pages) = (0, 0, 1);
+            (self.bytes, self.dir_pages) = (0, 1);
             self.max_bytes = self.limit();
         }
         self.bytes += sz;
-        self.count += 1;
         self.pushed += 1;
     }
 
     /// Closes the last chunk; returns where each group ends, in key order,
     /// counted in entities pushed (the last end is the stream's length).
     pub fn finish(mut self) -> Vec<usize> {
-        if self.count > 0 {
+        if self.pushed > self.ends.last().copied().unwrap_or(0) {
             self.ends.push(self.pushed);
         }
         self.ends

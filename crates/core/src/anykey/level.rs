@@ -2,7 +2,7 @@
 
 use crate::anykey::entity::Entity;
 use crate::anykey::group::Group;
-use crate::audit::{audit_run, AuditError, RunFault};
+use crate::audit::{audit_run, AuditError};
 
 /// One LSM-tree level: one key-sorted entity array, cut by key range into
 /// data segment groups (paper Section 4.1, Figure 7), as PinK's level is
@@ -16,7 +16,8 @@ pub struct Level {
     /// Group records tiling `ents` in order.
     pub groups: Vec<Group>,
     /// Each group's first key, in group order: the level list's keys,
-    /// which the DRAM search compares against.
+    /// which the DRAM search compares against. Built with the groups, by
+    /// [`Level::new`] only.
     pub(crate) firsts: Vec<u64>,
 }
 
@@ -89,18 +90,11 @@ impl Level {
     ///
     /// Returns the first [`AuditError`] found.
     pub fn audit(&self, level: usize) -> Result<(), AuditError> {
-        if self.firsts.len() != self.groups.len() {
-            let group = self.firsts.len().min(self.groups.len());
-            return Err(AuditError::FenceMismatch { level, group });
-        }
         let units = self.groups.iter().zip(&self.firsts);
         let units = units.map(|(g, &first)| (g.start, g.end, first));
-        audit_run(&self.ents, |e| e.id, units).map_err(|fault| match fault {
-            RunFault::Tiling(group) => AuditError::GroupTiling { level, group },
-            RunFault::Fence(group) => AuditError::FenceMismatch { level, group },
-            RunFault::Boundary(index) => AuditError::LevelOrder { level, index },
-            RunFault::Inside(group) => AuditError::DirectoryOrder { level, group },
-        })?;
+        let tiling = |group| AuditError::GroupTiling { level, group };
+        let fence = |group| AuditError::FenceMismatch { level, group };
+        audit_run(level, &self.ents, |e| e.id, units, tiling, fence)?;
         for (gi, g) in self.groups.iter().enumerate() {
             g.audit(&self.ents, level, gi)?;
         }

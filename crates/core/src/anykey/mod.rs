@@ -186,7 +186,7 @@ impl Engine for AnyKeyStore {
         // index pages are the group directory pages the walk visits
         // (Section 4.4.5).
         let levels = &self.levels;
-        let starts: Vec<(usize, usize)> = levels.iter().map(|l| l.scan_from(start)).collect();
+        let mut starts: Vec<(usize, usize)> = levels.iter().map(|l| l.scan_from(start)).collect();
         let runs = levels.iter().zip(&starts);
         let plan = self.core.scan(
             start,
@@ -221,9 +221,8 @@ impl Engine for AnyKeyStore {
         // A level's hits come in key order, so each one's group is found
         // by walking on from the previous one's, from the scan's start.
         let (mut data_ppas, mut log_ppas) = (Vec::new(), Vec::new());
-        let mut at: Vec<usize> = starts.iter().map(|&(first, _)| first).collect();
         for pos in plan.hits.iter().filter_map(|&(_, pos)| pos) {
-            let (level, gi) = (&levels[pos.level], &mut at[pos.level]);
+            let (level, gi) = (&levels[pos.level], &mut starts[pos.level].0);
             while level.groups[*gi].end <= pos.index {
                 *gi += 1;
             }

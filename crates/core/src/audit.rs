@@ -232,46 +232,34 @@ pub enum AuditError {
     },
 }
 
-/// How a level's key-sorted run and the units that cut it (AnyKey's
-/// groups, PinK's meta segments) disagree, as [`audit_run`] finds it. Each
-/// engine names it with its own [`AuditError`] variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunFault {
-    /// Unit `i` is empty, out of bounds or does not start where the one
-    /// before ended; `i` is the unit count when the units stop short of
-    /// the run's end.
-    Tiling(usize),
-    /// Unit `i`'s cached first key is not its first entry's.
-    Fence(usize),
-    /// The run does not strictly ascend from the last entry of unit `i` to
-    /// the first of the next.
-    Boundary(usize),
-    /// The run does not strictly ascend inside unit `i`.
-    Inside(usize),
-}
-
-/// Audits a level's key-sorted `run` (`key` gives an entry's key id)
-/// against its `(start, end, cached first key)` units in order: they tile
-/// the run and cache their first entries' keys, then the whole run
-/// strictly ascends, a break being placed in the unit that holds it or at
-/// the boundary after it.
+/// Audits level `level`'s key-sorted `run` (`key` gives an entry's key
+/// id) against its `(start, end, cached first key)` units in order (AnyKey's
+/// groups, PinK's meta segments): they tile the run, each non-empty and
+/// starting where the one before ended (else `tiling` of the unit, or of
+/// the unit count when they stop short), and cache their first entries'
+/// keys (else `fence` of the unit). Then the whole run strictly ascends: a
+/// break is `LevelOrder` at the boundary after a unit, `DirectoryOrder`
+/// inside one.
 pub(crate) fn audit_run<T>(
+    level: usize,
     run: &[T],
     key: impl Fn(&T) -> u64,
     units: impl Iterator<Item = (usize, usize, u64)> + Clone,
-) -> Result<(), RunFault> {
+    tiling: impl Fn(usize) -> AuditError,
+    fence: impl Fn(usize) -> AuditError,
+) -> Result<(), AuditError> {
     let mut next = 0;
     for (i, (start, end, first)) in units.clone().enumerate() {
         if start != next || end <= start || end > run.len() {
-            return Err(RunFault::Tiling(i));
+            return Err(tiling(i));
         }
         if first != key(&run[start]) {
-            return Err(RunFault::Fence(i));
+            return Err(fence(i));
         }
         next = end;
     }
     if next != run.len() {
-        return Err(RunFault::Tiling(units.count()));
+        return Err(tiling(units.count()));
     }
     let Some(k) = run.windows(2).position(|w| key(&w[0]) >= key(&w[1])) else {
         return Ok(());
@@ -279,9 +267,9 @@ pub(crate) fn audit_run<T>(
     let mut units = units.enumerate();
     let (i, (_, end, _)) = units.find(|&(_, (_, end, _))| end > k).unwrap_or_default();
     Err(if end == k + 1 {
-        RunFault::Boundary(i)
+        AuditError::LevelOrder { level, index: i }
     } else {
-        RunFault::Inside(i)
+        AuditError::DirectoryOrder { level, group: i }
     })
 }
 
@@ -456,13 +444,11 @@ impl AnyKeyStore {
     /// existed.
     #[doc(hidden)]
     pub fn corrupt_group_fence_for_test(&mut self) -> bool {
-        for level in &mut self.levels {
-            if let Some(gi) = level.groups.iter().position(|g| g.entity_count() >= 2) {
-                level.firsts[gi] = level.ents[level.groups[gi].end - 1].id;
-                return true;
-            }
-        }
-        false
+        let two = |l: &Level| l.groups.iter().position(|g| g.entity_count() >= 2);
+        let group = self.levels.iter_mut().find_map(|l| Some((two(l)?, l)));
+        group
+            .map(|(gi, l)| l.firsts[gi] = l.ents[l.groups[gi].end - 1].id)
+            .is_some()
     }
 
     /// Test-only corruption hook: ends the first group of the first level
@@ -875,6 +861,7 @@ mod tests {
             }
             .to_string(),
             AuditError::FenceMismatch { level: 1, group: 0 }.to_string(),
+            AuditError::GroupTiling { level: 1, group: 0 }.to_string(),
         ];
         assert!(msgs[0].contains("key order"));
         assert!(msgs[1].contains("over budget"));
@@ -887,6 +874,7 @@ mod tests {
         assert!(msgs[8].contains("hash list"));
         assert!(msgs[9].contains("level-list key"));
         assert!(msgs[10].contains("key fences"));
+        assert!(msgs[11].contains("entity array"));
         for i in 0..msgs.len() {
             for j in i + 1..msgs.len() {
                 assert_ne!(msgs[i], msgs[j]);

@@ -176,30 +176,81 @@ pub(crate) fn merge_newest<T: Copy>(
     Ok(())
 }
 
-/// A read position in a level's key-sorted run: the run and the index of
-/// its head there, which a scan hit names.
-struct Cursor<'a, T> {
-    run: &'a [T],
-    at: usize,
-}
-
-impl<'a, T> Cursor<'a, T> {
-    fn head(&self) -> Option<&'a T> {
-        self.run.get(self.at)
+/// [`merge_newest`] with its output written over `lower`, AnyKey's: the
+/// vector grows by exactly `upper`'s length, its entries move to its end,
+/// and the merge writes from its front, never past the next unread one.
+/// So a level's array is reused merge after merge, grown in place where
+/// the allocator can, and keeps the capacity dropped entries leave.
+/// `emit` sees each merged entry in key order and returns what to store.
+/// An error from `shadowed` leaves `lower` part merged.
+pub(crate) fn merge_newest_into<T: Copy>(
+    upper: &[T],
+    lower: &mut Vec<T>,
+    drop_tombstones: bool,
+    entry: impl Fn(&T) -> (u64, bool),
+    mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
+    mut emit: impl FnMut(T) -> T,
+) -> Result<(), KvError> {
+    let (n_up, n_lo) = (upper.len(), lower.len());
+    lower.reserve_exact(n_up);
+    lower.extend_from_slice(upper);
+    lower.copy_within(0..n_lo, n_up);
+    let keep = |e: &T| !(drop_tombstones && entry(e).1);
+    let (mut i, mut j, mut w) = (0, n_up, 0);
+    let buf = &mut lower[..];
+    // One key compare per step while both runs have heads.
+    while i < n_up && j < buf.len() {
+        let (a, b) = (upper[i], buf[j]);
+        let e = match entry(&a).0.cmp(&entry(&b).0) {
+            Ordering::Less => {
+                i += 1;
+                a
+            }
+            Ordering::Greater => {
+                j += 1;
+                b
+            }
+            Ordering::Equal => {
+                shadowed(&b)?;
+                (i, j) = (i + 1, j + 1);
+                a
+            }
+        };
+        if keep(&e) {
+            buf[w] = emit(e);
+            w += 1;
+        }
     }
+    // At most one run still has a tail.
+    for &e in &upper[i..] {
+        if keep(&e) {
+            buf[w] = emit(e);
+            w += 1;
+        }
+    }
+    for k in j..buf.len() {
+        let e = buf[k];
+        if keep(&e) {
+            buf[w] = emit(e);
+            w += 1;
+        }
+    }
+    lower.truncate(w);
+    Ok(())
 }
 
 /// The newest-wins k-way merge under [`DeviceCore::scan`] and
 /// [`DeviceCore::live_bytes`]: write-buffer entries in key order (a
 /// [`WriteBuffer::range`] read, which walks the buffer's sorted id index and
-/// probes its hash table once per entry) and one [`Cursor`] per level run
-/// (lower index = newer), read one key at a time in two steps.
+/// probes its hash table once per entry) and one read position per level
+/// run (lower index = newer): the run and the index of its head there,
+/// which a scan hit names. It reads one key at a time in two steps.
 /// [`Self::next_key`] finds the smallest key at any head, and
 /// [`Self::take`] consumes every version of it, so a caller can stop
 /// between them.
 struct Merge<'a, T, F> {
     buf: Peekable<buffer::Range<'a>>,
-    runs: Vec<Cursor<'a, T>>,
+    runs: Vec<(&'a [T], usize)>,
     /// Reads an entry as `(key id, tombstone, value_len)`.
     entry: F,
 }
@@ -213,13 +264,9 @@ where
         runs: impl IntoIterator<Item = (&'a [T], usize)>,
         entry: F,
     ) -> Self {
-        let runs = runs
-            .into_iter()
-            .map(|(run, at)| Cursor { run, at })
-            .collect();
         Self {
             buf: buf.peekable(),
-            runs,
+            runs: runs.into_iter().collect(),
             entry,
         }
     }
@@ -227,7 +274,7 @@ where
     /// The smallest key id at the head of the buffer or of any run.
     fn next_key(&mut self) -> Option<u64> {
         let buf = self.buf.peek().map(|(k, _)| **k);
-        let heads = self.runs.iter().filter_map(|r| r.head());
+        let heads = self.runs.iter().filter_map(|&(run, at)| run.get(at));
         heads.map(|e| (self.entry)(e).0).chain(buf).min()
     }
 
@@ -237,17 +284,17 @@ where
     fn take(&mut self, key: u64) -> Option<(bool, u32, Option<ScanPos>)> {
         let buffered = self.buf.next_if(|(k, _)| **k == key);
         let mut newest = buffered.map(|(_, e)| (e.tombstone, e.value_len, None));
-        for (level, run) in self.runs.iter_mut().enumerate() {
-            while let Some((k, tombstone, value_len)) = run.head().map(&self.entry) {
+        for (level, (run, index)) in self.runs.iter_mut().enumerate() {
+            while let Some((k, tombstone, value_len)) = run.get(*index).map(&self.entry) {
                 if k != key {
                     break;
                 }
                 let pos = ScanPos {
                     level,
-                    index: run.at,
+                    index: *index,
                 };
                 newest.get_or_insert((tombstone, value_len, Some(pos)));
-                run.at += 1;
+                *index += 1;
             }
         }
         newest

@@ -3,7 +3,7 @@
 //! on seeded random per-level runs, plus named cases for newest-wins,
 //! budget doubling, the 64× cap, the capped-level frontier, a capped level
 //! that ends at its frontier and the empty scan, and the newest-wins
-//! two-way merge of compaction; the page set of [`DeviceCore::read_set`];
+//! two-way merge of compaction, over slices and in place; the page set of [`DeviceCore::read_set`];
 //! and every engine's live-byte walk against a map model.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -387,21 +387,34 @@ type Tagged = (u64, bool, u8);
 type TaggedMerge = (Vec<(u64, bool, u8)>, Vec<(u64, u8)>);
 
 /// Runs `merge_newest` over tagged runs; shadowed entries come out in call
-/// order.
+/// order. `merge_newest_into` must agree, in place over a copy of `lower`
+/// with spare capacity, emitting the same entries in the same order.
 fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge {
+    let key = |&(key, tombstone, _): &Tagged| (key, tombstone);
     let (mut merged, mut shadowed) = (Vec::new(), Vec::new());
-    merge_newest(
+    let shadow = |shadowed: &mut Vec<(u64, u8)>, &(key, _, level): &Tagged| {
+        shadowed.push((key, level));
+        Ok(())
+    };
+    let merge = merge_newest(
         upper,
         lower,
         bottom,
-        |&(key, tombstone, _)| (key, tombstone),
-        |&(key, _, level)| {
-            shadowed.push((key, level));
-            Ok(())
-        },
+        key,
+        |e| shadow(&mut shadowed, e),
         |e| merged.push(e),
-    )
-    .unwrap();
+    );
+    merge.unwrap();
+    let (mut in_place, mut emitted, mut shadowed_too) = (lower.to_vec(), Vec::new(), Vec::new());
+    in_place.reserve(7);
+    let shadow_too = |e: &Tagged| shadow(&mut shadowed_too, e);
+    let emit = |e| {
+        emitted.push(e);
+        e
+    };
+    merge_newest_into(upper, &mut in_place, bottom, key, shadow_too, emit).unwrap();
+    assert_eq!((&in_place, &emitted), (&merged, &merged), "in place");
+    assert_eq!(shadowed_too, shadowed, "shadowed in place");
     (merged, shadowed)
 }
 
@@ -419,6 +432,9 @@ fn compaction_merge_keeps_the_upper_copy_and_drops_bottom_tombstones() {
     let (merged, shadowed) = merge_tagged(&upper, &lower, true);
     assert_eq!(merged, [(1, false, 0), (5, false, 0)]);
     assert_eq!(shadowed, [(1, 1), (3, 1)]);
+    // Either run alone comes out as it is.
+    assert_eq!(merge_tagged(&[], &lower, false), (lower.to_vec(), vec![]));
+    assert_eq!(merge_tagged(&upper, &[], false), (upper.to_vec(), vec![]));
 }
 
 #[test]

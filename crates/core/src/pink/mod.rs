@@ -21,7 +21,7 @@ mod tests;
 use anykey_flash::{BlockAllocator, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 
-use crate::audit::{audit_retirement, audit_run, AuditError, RunFault};
+use crate::audit::{audit_retirement, audit_run, AuditError};
 use crate::bytelog::{ByteLog, Extent};
 use crate::config::{DeviceConfig, EngineKind};
 use crate::device::{DeviceCore, Source};
@@ -111,12 +111,9 @@ impl PinkLevel {
     /// Returns the first [`AuditError`] found.
     pub fn audit(&self, level: usize, key_len: u16) -> Result<(), AuditError> {
         let units = self.segs.iter().map(|s| (s.start, s.end, s.first));
-        audit_run(&self.entries, |e| e.id, units).map_err(|fault| match fault {
-            RunFault::Tiling(segment) => AuditError::SegmentTiling { level, segment },
-            RunFault::Fence(segment) => AuditError::SegmentFence { level, segment },
-            RunFault::Boundary(index) => AuditError::LevelOrder { level, index },
-            RunFault::Inside(group) => AuditError::DirectoryOrder { level, group },
-        })?;
+        let tiling = |segment| AuditError::SegmentTiling { level, segment };
+        let fence = |segment| AuditError::SegmentFence { level, segment };
+        audit_run(level, &self.entries, |e| e.id, units, tiling, fence)?;
         for (si, seg) in self.segs.iter().enumerate() {
             let actual = (seg.end - seg.start) as u64 * SegEntry::seg_bytes(key_len);
             if seg.bytes != actual {

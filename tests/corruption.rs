@@ -76,6 +76,27 @@ fn stale_group_fence_is_detected() {
 }
 
 #[test]
+fn gapped_group_records_are_detected() {
+    let mut s = filled_anykey();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(
+        s.corrupt_group_range_for_test(),
+        "fill must produce a level with at least two groups"
+    );
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert!(matches!(err, AuditError::GroupTiling { .. }), "got {err}");
+    assert!(
+        err.to_string()
+            .contains("does not tile the level's entity array"),
+        "diagnostic must name the tiling fault: {err}"
+    );
+}
+
+#[test]
 fn overclaimed_dram_budget_is_detected() {
     let mut s = filled_anykey();
     assert_eq!(
