@@ -63,9 +63,9 @@ pub fn level_list_entry_bytes(key_len: u64, data_pages: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Group {
     /// Index in the level's array of the group's first entity.
-    pub start: usize,
+    pub(crate) start: usize,
     /// One past the group's last entity.
-    pub end: usize,
+    pub(crate) end: usize,
     /// Physical address of the group's first page.
     pub first_ppa: Ppa,
     /// Whether this group's hash list is DRAM-resident.

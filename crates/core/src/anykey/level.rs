@@ -83,8 +83,8 @@ impl Level {
 
     /// Audits the level, naming it `level`: its group records tile the
     /// entity array and its first keys are their groups' first keys, the
-    /// array strictly ascends, and each group's built
-    /// layout holds ([`Group::audit`]).
+    /// array strictly ascends, and each group's built layout holds
+    /// ([`Group::audit`]).
     ///
     /// # Errors
     ///
