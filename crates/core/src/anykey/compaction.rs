@@ -117,27 +117,19 @@ impl AnyKeyStore {
         Ok(done)
     }
 
-    /// A packer cutting groups of at most `group_pages` pages.
-    fn packer(&self) -> GroupPacker {
+    /// A packer cutting groups of at most `group_pages` pages from index
+    /// `start` of a level's array.
+    fn packer(&self, start: usize) -> GroupPacker {
         let cfg = &self.core.cfg;
-        GroupPacker::new(self.core.page_payload, cfg.group_pages.max(2), cfg.key_len)
+        let (payload, pages) = (self.core.page_payload, cfg.group_pages.max(2));
+        GroupPacker::new(payload, pages, cfg.key_len, start)
     }
 
-    /// Places and programs one group per range of the level array `ents`
-    /// that `ends` cuts, each end counted from `start`, appending their
-    /// records to `out`; returns when the last program completes.
-    fn write_groups(
-        &mut self,
-        ents: &[Entity],
-        start: usize,
-        ends: Vec<usize>,
-        out: &mut Vec<Group>,
-        at: Ns,
-    ) -> Result<Ns, KvError> {
-        let (payload, key_len) = (self.core.page_payload, self.core.cfg.key_len);
-        let (mut done, mut from) = (at, start);
-        for end in ends {
-            let mut g = Group::new(ents, from..start + end, payload, key_len);
+    /// Places and programs the packer's `groups`; returns when the last
+    /// program completes.
+    fn write_groups(&mut self, groups: &mut [Group], at: Ns) -> Result<Ns, KvError> {
+        let mut done = at;
+        for g in groups {
             let (alloc, flash) = (&mut self.group_alloc, &mut self.core.flash);
             let (pages, cause) = (g.total_pages(), OpCause::CompactionWrite);
             let (ppa, td) = self
@@ -145,8 +137,6 @@ impl AnyKeyStore {
                 .write(alloc, flash, GROUP_STREAM, pages, cause, at)?;
             done = done.max(td);
             g.first_ppa = ppa;
-            from = g.end;
-            out.push(g);
         }
         Ok(done)
     }
@@ -172,7 +162,7 @@ impl AnyKeyStore {
 
         // Inline each touched group's entities, marking their values dead
         // in the value log, cut them on their own, and free the group.
-        let mut cuts: Vec<Vec<usize>> = Vec::new();
+        let mut cuts: Vec<Vec<Group>> = Vec::new();
         let (mut count, mut t_erase) = (0u64, t_read);
         for g in groups.iter().filter(|g| touched(g)) {
             let range = &mut ents[g.start..g.end];
@@ -181,7 +171,7 @@ impl AnyKeyStore {
                 e.set_loc(ValueLoc::Inline);
             }
             count += range.len() as u64;
-            let mut packer = self.packer();
+            let mut packer = self.packer(g.start);
             range.iter().for_each(|e| packer.push(e));
             cuts.push(packer.finish());
             t_erase = t_erase.max(self.release_groups([g], t_read)?);
@@ -195,9 +185,9 @@ impl AnyKeyStore {
                 out.push(g);
                 continue;
             }
-            let ends = cuts.next().unwrap_or_default();
-            let done = self.write_groups(&ents, g.start, ends, &mut out, t_read)?;
-            t_write = t_write.max(done);
+            let mut cut = cuts.next().unwrap_or_default();
+            t_write = t_write.max(self.write_groups(&mut cut, t_read)?);
+            out.append(&mut cut);
         }
         // No seal: partial rewrites happen every log cycle, and sealing
         // here would strand block tails faster than GC reclaims them.
@@ -249,13 +239,12 @@ impl AnyKeyStore {
 
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
         // The merge writes over the destination's own array, grown once by
-        // the upper input's length, and streams each entity, with the
-        // inline policy applied, into the packer, which cuts the array:
+        // the upper input's length, with the inline policy applied:
         // log-triggered compaction moves every logged value inline, and
-        // its log slot dies once the merge is done.
+        // its log slot dies once the merge is done. The packer then cuts
+        // the array.
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
         let mut ents = lower.ents;
-        let mut packer = self.packer();
         let mut log_read_ppas: Vec<Ppa> = Vec::new();
         let mut inlined: Vec<Entity> = Vec::new();
         merge_newest_into(
@@ -270,11 +259,12 @@ impl AnyKeyStore {
                     inlined.push(e);
                     e.set_loc(ValueLoc::Inline);
                 }
-                packer.push(&e);
                 e
             },
         )?;
-        let ends = packer.finish();
+        let mut packer = self.packer(0);
+        ents.iter().for_each(|e| packer.push(e));
+        let mut groups = packer.finish();
 
         // --- 3. Retire the inlined values' log slots. ------------------
         for e in &inlined {
@@ -300,8 +290,7 @@ impl AnyKeyStore {
         }
 
         // --- 5. Place the new groups. ----------------------------------
-        let mut groups = Vec::with_capacity(ends.len());
-        let t_write = self.write_groups(&ents, 0, ends, &mut groups, t_inputs)?;
+        let t_write = self.write_groups(&mut groups, t_inputs)?;
         self.area.seal(GROUP_STREAM); // keep blocks single-level (Section 4.4.4)
 
         // --- 6. Install the new level. ---------------------------------

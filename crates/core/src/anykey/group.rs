@@ -125,47 +125,6 @@ fn index_of(word: u64) -> usize {
 }
 
 impl Group {
-    /// The record of the **key-sorted** range `range` of a level's array
-    /// `all`, entities with `key_len`-byte keys packed into data pages of
-    /// `payload` usable bytes behind a key-sorted directory, not placed
-    /// yet. The hash-order [`Layout`] is left to the first read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty, not key-sorted, or longer than
-    /// `u32::MAX`.
-    pub fn new(all: &[Entity], range: Range<usize>, payload: u64, key_len: u16) -> Self {
-        let ents = &all[range.clone()];
-        assert!(!ents.is_empty(), "group must contain entities");
-        debug_assert!(
-            ents.windows(2).all(|w| w[0].id < w[1].id),
-            "group input must be strictly key-sorted"
-        );
-        let count = ents.len() as u64;
-        assert!(u32::try_from(count).is_ok(), "group index must fit 32 bits");
-        let (mut kv_bytes, mut logged_bytes, mut stored) = (0, 0, 0);
-        for e in ents {
-            kv_bytes += e.kv_bytes(key_len);
-            logged_bytes += e.logged_bytes();
-            stored += e.stored_bytes(key_len);
-        }
-        let data_pages = stored.div_ceil(payload);
-        let dir_pages = (count * DIR_ENTRY_BYTES).div_ceil(payload).max(1);
-        Self {
-            start: range.start,
-            end: range.end,
-            first_ppa: Ppa::new(0, 0),
-            hash_list_resident: false,
-            dir_pages: dir_pages as u32,
-            data_pages: data_pages as u32,
-            kv_bytes,
-            logged_bytes,
-            payload,
-            key_len,
-            layout: OnceCell::new(),
-        }
-    }
-
     /// The group's entities in key order, within its level's array `all`.
     pub fn ents<'a>(&self, all: &'a [Entity]) -> &'a [Entity] {
         &all[self.start..self.end]
@@ -527,41 +486,51 @@ fn hash_order(ents: &[Entity]) -> Vec<u64> {
     words
 }
 
-/// Cuts a key-sorted entity stream into groups, each targeting at most
-/// `max_total_pages` flash pages (directory pages included) of `payload`
-/// usable bytes, so groups tile erase blocks without structural waste. It
-/// counts bytes and directory pages only: the entities stay where the
-/// caller keeps them, and the packer hands back where to cut.
+/// Cuts a key-sorted run of a level's array into groups, each targeting
+/// at most `max_total_pages` flash pages (directory pages included) of
+/// `payload` usable bytes, so groups tile erase blocks without structural
+/// waste. It counts bytes and directory pages only: the entities stay in
+/// the array, and the packer hands back the unplaced records that cut it.
+/// It is the one place that sizes a group.
 #[derive(Debug)]
 pub struct GroupPacker {
     payload: u64,
     max_total_pages: u32,
     /// The device's key length.
     key_len: u16,
-    /// Entities pushed so far.
-    pushed: usize,
-    /// Stored bytes of the open chunk.
+    /// Index in the level's array of the open chunk's first entity: the
+    /// group being filled.
+    start: usize,
+    /// Index of the next entity pushed.
+    next: usize,
+    /// Stored, logical KV and logged bytes of the open chunk.
     bytes: u64,
+    kv_bytes: u64,
+    logged_bytes: u64,
     /// Directory pages of the open chunk plus one more entry.
     dir_pages: u64,
     /// Stored bytes the open chunk may hold at `dir_pages`.
     max_bytes: u64,
-    /// Where each group cut so far ends, counted in entities pushed.
-    ends: Vec<usize>,
+    /// The groups cut so far.
+    groups: Vec<Group>,
 }
 
 impl GroupPacker {
-    /// A packer of entities with `key_len`-byte keys, holding none yet.
-    pub fn new(payload: u64, max_total_pages: u32, key_len: u16) -> Self {
+    /// A packer of entities with `key_len`-byte keys whose first entity
+    /// pushed sits at index `start` of its level's array.
+    pub fn new(payload: u64, max_total_pages: u32, key_len: u16, start: usize) -> Self {
         let mut packer = Self {
             payload,
             max_total_pages,
             key_len,
-            pushed: 0,
+            start,
+            next: start,
             bytes: 0,
+            kv_bytes: 0,
+            logged_bytes: 0,
             dir_pages: 1,
             max_bytes: 0,
-            ends: Vec::new(),
+            groups: Vec::new(),
         };
         packer.max_bytes = packer.limit();
         packer
@@ -574,34 +543,61 @@ impl GroupPacker {
         u64::from(self.max_total_pages).saturating_sub(self.dir_pages) * self.payload
     }
 
-    /// Counts the next entity of the stream (keys strictly ascending).
+    /// Counts the next entity of the run (keys strictly ascending).
     pub fn push(&mut self, e: &Entity) {
         let sz = e.stored_bytes(self.key_len);
-        // Projected footprint if `e` joins the open chunk, the group being
-        // filled: byte-continuous data pages plus the key-sorted directory
-        // pages.
-        let count = self.pushed - self.ends.last().copied().unwrap_or(0);
+        // Projected footprint if `e` joins the open chunk: byte-continuous
+        // data pages plus the key-sorted directory pages.
+        let count = self.next - self.start;
         let dir_bytes = (count as u64 + 1) * DIR_ENTRY_BYTES;
         while dir_bytes > self.dir_pages * self.payload {
             self.dir_pages += 1;
             self.max_bytes = self.limit();
         }
         if count > 0 && self.bytes + sz > self.max_bytes {
-            self.ends.push(self.pushed);
-            (self.bytes, self.dir_pages) = (0, 1);
+            self.cut();
+            self.dir_pages = 1;
             self.max_bytes = self.limit();
         }
         self.bytes += sz;
-        self.pushed += 1;
+        self.kv_bytes += e.kv_bytes(self.key_len);
+        self.logged_bytes += e.logged_bytes();
+        self.next += 1;
     }
 
-    /// Closes the last chunk; returns where each group ends, in key order,
-    /// counted in entities pushed (the last end is the stream's length).
-    pub fn finish(mut self) -> Vec<usize> {
-        if self.pushed > self.ends.last().copied().unwrap_or(0) {
-            self.ends.push(self.pushed);
+    /// Closes the open chunk as an unplaced group, its hash-order
+    /// [`Layout`] left to the first read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunk holds more than `u32::MAX` entities.
+    fn cut(&mut self) {
+        let count = (self.next - self.start) as u64;
+        assert!(u32::try_from(count).is_ok(), "group index must fit 32 bits");
+        let payload = self.payload;
+        self.groups.push(Group {
+            start: self.start,
+            end: self.next,
+            first_ppa: Ppa::new(0, 0),
+            hash_list_resident: false,
+            dir_pages: (count * DIR_ENTRY_BYTES).div_ceil(payload).max(1) as u32,
+            data_pages: self.bytes.div_ceil(payload) as u32,
+            kv_bytes: self.kv_bytes,
+            logged_bytes: self.logged_bytes,
+            payload,
+            key_len: self.key_len,
+            layout: OnceCell::new(),
+        });
+        self.start = self.next;
+        (self.bytes, self.kv_bytes, self.logged_bytes) = (0, 0, 0);
+    }
+
+    /// Closes the last chunk; returns the unplaced groups in key order.
+    pub fn finish(mut self) -> Vec<Group> {
+        if self.next > self.start {
+            self.cut();
         }
-        self.ends
+        self.groups
     }
 }
 
@@ -622,24 +618,18 @@ mod tests {
 
     /// One group of the whole key-sorted run `ents`.
     fn group(ents: &[Entity], payload: u64, key_len: u16) -> Group {
-        Group::new(ents, 0..ents.len(), payload, key_len)
+        let mut groups = pack(ents, payload, u32::MAX, key_len);
+        assert_eq!(groups.len(), 1, "an unbounded packer cuts one group");
+        groups.remove(0)
     }
 
-    /// Packs a key-sorted run through the streamed packer: one group per
-    /// range it cuts.
+    /// Packs a key-sorted run through the packer.
     fn pack(ents: &[Entity], payload: u64, max_total_pages: u32, key_len: u16) -> Vec<Group> {
-        let mut packer = GroupPacker::new(payload, max_total_pages, key_len);
+        let mut packer = GroupPacker::new(payload, max_total_pages, key_len, 0);
         for e in ents {
             packer.push(e);
         }
-        let mut start = 0;
-        let ends = packer.finish();
-        let groups = ends.into_iter().map(|end| {
-            let g = Group::new(ents, start..end, payload, key_len);
-            start = end;
-            g
-        });
-        groups.collect()
+        packer.finish()
     }
 
     const PAYLOAD: u64 = 8128;
@@ -1150,9 +1140,7 @@ mod tests {
     /// scan of the key-sorted input: the lower bound of every id up to past
     /// the last one, and every [`probes`] lookup.
     fn assert_lookups_match_brute_force(ents: &[Entity], payload: u64, key_len: u16, ctx: &str) {
-        let mut groups = pack(ents, payload, u32::MAX, key_len);
-        assert_eq!(groups.len(), 1, "{ctx}: an unbounded packer cuts one group");
-        let g = groups.remove(0);
+        let g = group(ents, payload, key_len);
         for id in 0..=ents[ents.len() - 1].id + 2 {
             let below = ents.partition_point(|e| e.id < id);
             assert_eq!(

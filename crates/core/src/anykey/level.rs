@@ -106,21 +106,21 @@ impl Level {
 mod tests {
     use super::*;
     use crate::anykey::entity::ValueLoc;
+    use crate::anykey::group::GroupPacker;
     use crate::key::Key;
 
     /// A level of one group per run of ids.
     fn level<const N: usize>(runs: [Vec<u64>; N]) -> Level {
-        let (mut ents, mut ranges) = (Vec::new(), Vec::new());
+        let (mut ents, mut groups) = (Vec::new(), Vec::new());
         for ids in runs {
-            let start = ents.len();
-            ents.extend(ids.into_iter().map(|id| {
+            let mut packer = GroupPacker::new(8128, u32::MAX, 16, ents.len());
+            for id in ids {
                 let hash = Key::new(id, 16).unwrap().hash32();
-                Entity::new(id, hash, 10, ValueLoc::Inline, false)
-            }));
-            ranges.push(start..ents.len());
+                ents.push(Entity::new(id, hash, 10, ValueLoc::Inline, false));
+                packer.push(&ents[ents.len() - 1]);
+            }
+            groups.extend(packer.finish());
         }
-        let groups = ranges.into_iter();
-        let groups = groups.map(|r| Group::new(&ents, r, 8128, 16)).collect();
         Level::new(ents, groups)
     }
 

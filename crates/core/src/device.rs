@@ -177,11 +177,13 @@ pub(crate) fn merge_newest<T: Copy>(
 }
 
 /// [`merge_newest`] with its output written over `lower`, AnyKey's: the
-/// vector grows by exactly `upper`'s length, its entries move to its end,
-/// and the merge writes from its front, never past the next unread one.
-/// So a level's array is reused merge after merge, grown in place where
-/// the allocator can, and keeps the capacity dropped entries leave.
-/// `emit` sees each merged entry in key order and returns what to store.
+/// vector grows by exactly `upper`'s length and the merge fills it from
+/// the back, never below the next unread entry of `lower`, so an insert-
+/// only merge moves each entry once; what the merge drops is closed up
+/// at the end. So a level's array is reused merge after merge, grown in
+/// place where the allocator can, and keeps the capacity dropped entries
+/// leave. The merge runs from the largest key down: `shadowed` and `emit`
+/// see entries in descending key order, and `emit` returns what to store.
 /// An error from `shadowed` leaves `lower` part merged.
 pub(crate) fn merge_newest_into<T: Copy>(
     upper: &[T],
@@ -191,51 +193,50 @@ pub(crate) fn merge_newest_into<T: Copy>(
     mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
     mut emit: impl FnMut(T) -> T,
 ) -> Result<(), KvError> {
-    let (n_up, n_lo) = (upper.len(), lower.len());
-    lower.reserve_exact(n_up);
-    lower.extend_from_slice(upper);
-    lower.copy_within(0..n_lo, n_up);
     let keep = |e: &T| !(drop_tombstones && entry(e).1);
-    let (mut i, mut j, mut w) = (0, n_up, 0);
+    let (mut i, mut j) = (upper.len(), lower.len());
+    lower.reserve_exact(i);
+    lower.extend_from_slice(upper);
     let buf = &mut lower[..];
+    let mut w = buf.len();
     // One key compare per step while both runs have heads.
-    while i < n_up && j < buf.len() {
-        let (a, b) = (upper[i], buf[j]);
+    while i > 0 && j > 0 {
+        let (a, b) = (upper[i - 1], buf[j - 1]);
         let e = match entry(&a).0.cmp(&entry(&b).0) {
-            Ordering::Less => {
-                i += 1;
+            Ordering::Greater => {
+                i -= 1;
                 a
             }
-            Ordering::Greater => {
-                j += 1;
+            Ordering::Less => {
+                j -= 1;
                 b
             }
             Ordering::Equal => {
                 shadowed(&b)?;
-                (i, j) = (i + 1, j + 1);
+                (i, j) = (i - 1, j - 1);
                 a
             }
         };
         if keep(&e) {
+            w -= 1;
             buf[w] = emit(e);
-            w += 1;
         }
     }
-    // At most one run still has a tail.
-    for &e in &upper[i..] {
+    // At most one run still has a head.
+    for &e in upper[..i].iter().rev() {
         if keep(&e) {
+            w -= 1;
             buf[w] = emit(e);
-            w += 1;
         }
     }
-    for k in j..buf.len() {
+    for k in (0..j).rev() {
         let e = buf[k];
         if keep(&e) {
+            w -= 1;
             buf[w] = emit(e);
-            w += 1;
         }
     }
-    lower.truncate(w);
+    lower.drain(..w);
     Ok(())
 }
 

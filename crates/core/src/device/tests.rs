@@ -388,7 +388,8 @@ type TaggedMerge = (Vec<(u64, bool, u8)>, Vec<(u64, u8)>);
 
 /// Runs `merge_newest` over tagged runs; shadowed entries come out in call
 /// order. `merge_newest_into` must agree, in place over a copy of `lower`
-/// with spare capacity, emitting the same entries in the same order.
+/// with spare capacity, emitting the same entries and shadowing the same
+/// ones, in descending key order.
 fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge {
     let key = |&(key, tombstone, _): &Tagged| (key, tombstone);
     let (mut merged, mut shadowed) = (Vec::new(), Vec::new());
@@ -413,8 +414,10 @@ fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge
         e
     };
     merge_newest_into(upper, &mut in_place, bottom, key, shadow_too, emit).unwrap();
-    assert_eq!((&in_place, &emitted), (&merged, &merged), "in place");
-    assert_eq!(shadowed_too, shadowed, "shadowed in place");
+    assert_eq!(in_place, merged, "in place");
+    emitted.reverse();
+    shadowed_too.reverse();
+    assert_eq!((emitted, shadowed_too), (merged.clone(), shadowed.clone()));
     (merged, shadowed)
 }
 
