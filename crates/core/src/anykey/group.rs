@@ -772,6 +772,20 @@ mod tests {
     }
 
     #[test]
+    fn smallest_and_largest_bound_the_group() {
+        // The group's range starts at its smallest key and ends at its
+        // largest: below the smallest the lower bound is the range's start,
+        // past the largest its end (a scan moves on to the next group).
+        let ents = entities(100, 48, 43);
+        let g = pack(&ents, 1024, 2, 48).remove(1);
+        let (lo, hi) = (ents[g.start].id, ents[g.end - 1].id);
+        assert_eq!(g.ents(&ents).first().map(|e| e.id), Some(lo));
+        assert_eq!(g.dir_lower_bound(&ents, lo), g.start);
+        assert_eq!(g.dir_lower_bound(&ents, hi), g.end - 1);
+        assert_eq!(g.dir_lower_bound(&ents, hi + 1), g.end);
+    }
+
+    #[test]
     fn meta_bytes_are_group_granular() {
         let g = group(&entities(1000, 48, 43), PAYLOAD, 48);
         // ~48 + 4 + 2/page + 2 collision bits/page + fixed: a few hundred bytes
