@@ -9,7 +9,7 @@ use crate::anykey::gc::GROUP_STREAM;
 use crate::anykey::group::{Group, GroupPacker};
 use crate::anykey::level::Level;
 use crate::anykey::AnyKeyStore;
-use crate::device::{merge_newest_into, Source};
+use crate::device::{merge_newest, Source};
 use crate::engine::Engine;
 use crate::error::KvError;
 
@@ -185,7 +185,9 @@ impl AnyKeyStore {
                 out.push(g);
                 continue;
             }
-            let mut cut = cuts.next().unwrap_or_default();
+            let mut cut = cuts.next().ok_or(KvError::Internal {
+                context: "a touched group without its cut",
+            })?;
             t_write = t_write.max(self.write_groups(&mut cut, t_read)?);
             out.append(&mut cut);
         }
@@ -238,18 +240,17 @@ impl AnyKeyStore {
             .read_many(read_ppas, OpCause::CompactionRead, at);
 
         // --- 2. Merge, newest-wins, tombstone elimination at the bottom. -
-        // The merge writes over the destination's own array, grown once by
-        // the upper input's length, with the inline policy applied:
+        // The merge writes over the input array with the larger capacity,
+        // grown once by the other's length, with the inline policy applied:
         // log-triggered compaction moves every logged value inline, and
         // its log slot dies once the merge is done. The packer then cuts
         // the array.
         let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
-        let mut ents = lower.ents;
         let mut log_read_ppas: Vec<Ppa> = Vec::new();
         let mut inlined: Vec<Entity> = Vec::new();
-        merge_newest_into(
-            &upper.ents,
-            &mut ents,
+        let (ents, spare) = merge_newest(
+            upper.ents,
+            lower.ents,
             is_bottom,
             |e| (e.id, e.tombstone),
             |dead| self.drop_logged(dead),
@@ -280,13 +281,11 @@ impl AnyKeyStore {
         // --- 4. Free the source blocks before writing output. ----------
         let t_erase = self.release_groups(&upper.groups, t_inputs)?;
         let t_erase = t_erase.max(self.release_groups(&lower.groups, t_inputs)?);
-        // An emptied source level keeps its array for its next fill, so
-        // level arrays grow in place instead of being freed and allocated
+        // An emptied source level keeps the spare array for its next fill,
+        // so level arrays are reused instead of being freed and allocated
         // again (DESIGN.md §4).
         if let Some(si) = src_level.filter(|&si| si != dst) {
-            let mut freed = upper.ents;
-            freed.clear();
-            self.levels[si].ents = freed;
+            self.levels[si].ents = spare;
         }
 
         // --- 5. Place the new groups. ----------------------------------

@@ -129,79 +129,47 @@ pub(crate) enum Source<E> {
 }
 
 /// The newest-wins two-way merge both engines' compactions run over
-/// key-sorted runs, `upper` being the newer. Each run is a level's one
-/// entry array (or a flush's), read in place, so no input is copied
-/// before the merge. On an equal key the upper entry wins and the shadowed
-/// lower one goes to `shadowed`. With `drop_tombstones` (the output is the
-/// bottom level) tombstones are dropped, as nothing below remains for them
-/// to shadow. `entry` gives an entry's key id and whether it is a
-/// tombstone. The merged run streams out through `emit`, in key order.
+/// key-sorted runs, `upper` being the newer. On an equal key the upper
+/// entry wins and the shadowed lower one goes to `shadowed`. With
+/// `drop_tombstones` (the output is the bottom level) tombstones are
+/// dropped, as nothing below remains for them to shadow. `entry` gives an
+/// entry's key id and whether it is a tombstone.
+///
+/// No input is copied to a new array. The output is written over the
+/// input array with the larger capacity (the upper's on a tie), grown by
+/// exactly the other's length, and the merge fills it from the back,
+/// never below its next unread entry, so an insert-only merge moves each
+/// entry once; what the merge drops is closed up at the end. The other
+/// array comes back emptied, with its capacity, as the spare. So a merge
+/// into an empty level takes the upper array whole, and level arrays are
+/// reused merge after merge, grown in place where the allocator can
+/// (DESIGN.md §4). The merge runs from the largest key down: `shadowed`
+/// and `emit` see entries in descending key order, and `emit` returns
+/// what to store. Returns `(merged, spare)`.
 pub(crate) fn merge_newest<T: Copy>(
-    upper: &[T],
-    lower: &[T],
-    drop_tombstones: bool,
-    entry: impl Fn(&T) -> (u64, bool),
-    mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
-    mut emit: impl FnMut(T),
-) -> Result<(), KvError> {
-    let keep = |e: &T| !(drop_tombstones && entry(e).1);
-    let (mut i, mut j) = (0, 0);
-    // One key compare per step while both runs have heads.
-    while let (Some(a), Some(b)) = (upper.get(i), lower.get(j)) {
-        let e = match entry(a).0.cmp(&entry(b).0) {
-            Ordering::Less => {
-                i += 1;
-                a
-            }
-            Ordering::Greater => {
-                j += 1;
-                b
-            }
-            Ordering::Equal => {
-                shadowed(b)?;
-                (i, j) = (i + 1, j + 1);
-                a
-            }
-        };
-        if keep(e) {
-            emit(*e);
-        }
-    }
-    // At most one run still has a tail.
-    for &e in upper[i..].iter().chain(&lower[j..]) {
-        if keep(&e) {
-            emit(e);
-        }
-    }
-    Ok(())
-}
-
-/// [`merge_newest`] with its output written over `lower`, AnyKey's: the
-/// vector grows by exactly `upper`'s length and the merge fills it from
-/// the back, never below the next unread entry of `lower`, so an insert-
-/// only merge moves each entry once; what the merge drops is closed up
-/// at the end. So a level's array is reused merge after merge, grown in
-/// place where the allocator can, and keeps the capacity dropped entries
-/// leave. The merge runs from the largest key down: `shadowed` and `emit`
-/// see entries in descending key order, and `emit` returns what to store.
-/// An error from `shadowed` leaves `lower` part merged.
-pub(crate) fn merge_newest_into<T: Copy>(
-    upper: &[T],
-    lower: &mut Vec<T>,
+    upper: Vec<T>,
+    lower: Vec<T>,
     drop_tombstones: bool,
     entry: impl Fn(&T) -> (u64, bool),
     mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
     mut emit: impl FnMut(T) -> T,
-) -> Result<(), KvError> {
+) -> Result<(Vec<T>, Vec<T>), KvError> {
     let keep = |e: &T| !(drop_tombstones && entry(e).1);
-    let (mut i, mut j) = (upper.len(), lower.len());
-    lower.reserve_exact(i);
-    lower.extend_from_slice(upper);
-    let buf = &mut lower[..];
+    // `out` is the array written over, `other` the one read beside it.
+    let upper_out = upper.capacity() >= lower.capacity();
+    let (mut other, mut out) = if upper_out {
+        (lower, upper)
+    } else {
+        (upper, lower)
+    };
+    let (mut i, mut j) = (other.len(), out.len());
+    out.reserve_exact(i);
+    out.extend_from_slice(&other);
+    let buf = &mut out[..];
     let mut w = buf.len();
     // One key compare per step while both runs have heads.
     while i > 0 && j > 0 {
-        let (a, b) = (upper[i - 1], buf[j - 1]);
+        let (a, b) = (other[i - 1], buf[j - 1]);
         let e = match entry(&a).0.cmp(&entry(&b).0) {
             Ordering::Greater => {
                 i -= 1;
@@ -212,9 +180,10 @@ pub(crate) fn merge_newest_into<T: Copy>(
                 b
             }
             Ordering::Equal => {
-                shadowed(&b)?;
+                let (newer, older) = if upper_out { (b, a) } else { (a, b) };
+                shadowed(&older)?;
                 (i, j) = (i - 1, j - 1);
-                a
+                newer
             }
         };
         if keep(&e) {
@@ -223,7 +192,7 @@ pub(crate) fn merge_newest_into<T: Copy>(
         }
     }
     // At most one run still has a head.
-    for &e in upper[..i].iter().rev() {
+    for &e in other[..i].iter().rev() {
         if keep(&e) {
             w -= 1;
             buf[w] = emit(e);
@@ -236,8 +205,9 @@ pub(crate) fn merge_newest_into<T: Copy>(
             buf[w] = emit(e);
         }
     }
-    lower.drain(..w);
-    Ok(())
+    out.drain(..w);
+    other.clear();
+    Ok((out, other))
 }
 
 /// The newest-wins k-way merge under [`DeviceCore::scan`] and

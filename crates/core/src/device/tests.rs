@@ -386,38 +386,69 @@ type Tagged = (u64, bool, u8);
 /// The merged `(id, tombstone, level)`s and the shadowed `(id, level)`s.
 type TaggedMerge = (Vec<(u64, bool, u8)>, Vec<(u64, u8)>);
 
-/// Runs `merge_newest` over tagged runs; shadowed entries come out in call
-/// order. `merge_newest_into` must agree, in place over a copy of `lower`
-/// with spare capacity, emitting the same entries and shadowing the same
-/// ones, in descending key order.
+/// The reference newest-wins merge: a forward two-pointer walk that
+/// pushes the surviving entries of key-sorted `upper` (newer) and `lower`
+/// to a new vector and the shadowed lower ones to another, both in
+/// ascending key order.
+fn reference_merge(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge {
+    let (mut merged, mut shadowed) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let e = match (upper.get(i), lower.get(j)) {
+            (Some(a), Some(b)) if a.0 == b.0 => {
+                shadowed.push((b.0, b.2));
+                (i, j) = (i + 1, j + 1);
+                *a
+            }
+            (Some(a), Some(b)) if a.0 > b.0 => {
+                j += 1;
+                *b
+            }
+            (Some(a), _) => {
+                i += 1;
+                *a
+            }
+            (None, Some(b)) => {
+                j += 1;
+                *b
+            }
+            (None, None) => break,
+        };
+        if !(bottom && e.1) {
+            merged.push(e);
+        }
+    }
+    (merged, shadowed)
+}
+
+/// Runs `merge_newest` over tagged runs twice, once written over a copy
+/// of `lower` with spare capacity and once over a copy of `upper` with
+/// more. Each must agree with [`reference_merge`], emitting the same
+/// entries and shadowing the same ones, in descending key order, and hand
+/// back the other array emptied.
 fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge {
     let key = |&(key, tombstone, _): &Tagged| (key, tombstone);
-    let (mut merged, mut shadowed) = (Vec::new(), Vec::new());
-    let shadow = |shadowed: &mut Vec<(u64, u8)>, &(key, _, level): &Tagged| {
-        shadowed.push((key, level));
-        Ok(())
-    };
-    let merge = merge_newest(
-        upper,
-        lower,
-        bottom,
-        key,
-        |e| shadow(&mut shadowed, e),
-        |e| merged.push(e),
-    );
-    merge.unwrap();
-    let (mut in_place, mut emitted, mut shadowed_too) = (lower.to_vec(), Vec::new(), Vec::new());
-    in_place.reserve(7);
-    let shadow_too = |e: &Tagged| shadow(&mut shadowed_too, e);
-    let emit = |e| {
-        emitted.push(e);
-        e
-    };
-    merge_newest_into(upper, &mut in_place, bottom, key, shadow_too, emit).unwrap();
-    assert_eq!(in_place, merged, "in place");
-    emitted.reverse();
-    shadowed_too.reverse();
-    assert_eq!((emitted, shadowed_too), (merged.clone(), shadowed.clone()));
+    let (merged, shadowed) = reference_merge(upper, lower, bottom);
+    for (upper_room, lower_room) in [(0, 7), (lower.len() + 7, 0)] {
+        let (mut up, mut low) = (upper.to_vec(), lower.to_vec());
+        up.reserve_exact(upper_room);
+        low.reserve_exact(lower_room);
+        let (mut emitted, mut shadowed_too) = (Vec::new(), Vec::new());
+        let shadow = |&(key, _, level): &Tagged| {
+            shadowed_too.push((key, level));
+            Ok(())
+        };
+        let emit = |e| {
+            emitted.push(e);
+            e
+        };
+        let (out, spare) = merge_newest(up, low, bottom, key, shadow, emit).unwrap();
+        assert_eq!(out, merged, "written over upper: {}", upper_room > 0);
+        assert!(spare.is_empty());
+        emitted.reverse();
+        shadowed_too.reverse();
+        assert_eq!((emitted, shadowed_too), (merged.clone(), shadowed.clone()));
+    }
     (merged, shadowed)
 }
 

@@ -73,20 +73,19 @@ impl PinkStore {
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
         let is_bottom = self.levels[dst + 1..].iter().all(PinkLevel::is_empty);
         let key_len = self.core.cfg.key_len;
-        let mut merged = Vec::with_capacity(upper.len() + lower.len());
-        merge_newest(
-            &upper,
-            &lower,
+        // The spare input array is dead; it is freed before the merged
+        // run is cut.
+        let (merged, _) = merge_newest(
+            upper,
+            lower,
             is_bottom,
             |e| (e.id, e.tombstone),
             |dead| {
                 self.data.invalidate(dead.ptr, dead.data_bytes(key_len));
                 Ok(())
             },
-            |e| merged.push(e),
+            |e| e,
         )?;
-        // The inputs are dead; free them before the merged run is cut.
-        drop((upper, lower));
 
         // --- 3. Cut the merged run into page-sized segments. ------------
         let merged_count = merged.len() as u64;
