@@ -76,12 +76,12 @@ mod tests {
         assert_eq!(s.area.units_in(p.block), 0);
         let q = write(&mut s, ppb);
         assert_ne!(q.block, p.block);
-        assert_eq!(s.area.victim(), Some((p.block, 0)));
+        assert_eq!(s.area.ledger.victim(), Some((p.block, 0)));
         // Emptied while open, then left by a `seal`.
         let r = write(&mut s, 8);
         free_unit(&mut s, r, 8);
         s.area.seal(GROUP_STREAM);
-        assert_eq!(s.area.victim(), Some((p.block.min(r.block), 0)));
+        assert_eq!(s.area.ledger.victim(), Some((p.block.min(r.block), 0)));
         assert_eq!(s.core.flash.counters().erases(), 0, "open blocks stay");
 
         // Demand exactly the two empty blocks back.
@@ -89,7 +89,7 @@ mod tests {
         s.gc_for_headroom(0, extra).unwrap();
         assert_eq!(s.group_alloc.free_count(), free - 1);
         assert_eq!(s.group_alloc.allocated_count(), 1, "only q's block is left");
-        assert_eq!(s.area.victim(), Some((q.block, ppb)));
+        assert_eq!(s.area.ledger.victim(), Some((q.block, u64::from(ppb))));
         let c = s.core.flash.counters();
         assert_eq!(c.reads(OpCause::GcRead), 0);
         assert_eq!(c.writes(OpCause::GcWrite), 0);

@@ -74,12 +74,14 @@ impl AnyKeyStore {
                 core.page_payload,
                 geometry.pages_per_block,
                 OpCause::LogWrite,
+                "value log",
             )
         });
+        let groups = 0..total_blocks - log_blocks;
         Self {
             levels: vec![Level::default()],
-            area: PageArea::new(geometry.pages_per_block, "group area"),
-            group_alloc: BlockAllocator::new(0..(total_blocks - log_blocks)),
+            area: PageArea::new(groups.clone(), geometry.pages_per_block, "group area"),
+            group_alloc: BlockAllocator::new(groups),
             log,
             core,
         }
@@ -249,7 +251,7 @@ impl Engine for AnyKeyStore {
         // Log-triggered compaction trigger (Section 4.4.3).
         let need = self.core.buffer.pending_value_bytes();
         let mut rounds = 0usize;
-        while self.log.as_ref().is_some_and(|l| l.would_overflow(need)) {
+        while self.log.as_ref().is_some_and(|l| l.free_bytes() < need) {
             // Each round inlines the logged values of at least one level,
             // so a log that still overflows after more rounds than there
             // are levels (plus slack) cannot be relieved.
@@ -297,7 +299,7 @@ impl Engine for AnyKeyStore {
 
     /// Relocates the groups of the group area's victim block.
     fn collect(&mut self, at: Ns) -> Result<Ns, KvError> {
-        let (victim, _) = self.area.victim().ok_or(KvError::DeviceFull)?;
+        let (victim, _) = self.area.ledger.victim().ok_or(KvError::DeviceFull)?;
         self.relocate_block(victim, at)
     }
 
@@ -320,13 +322,10 @@ impl Engine for AnyKeyStore {
             levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
             value_log_used_bytes: self.log.as_ref().map_or(0, ByteLog::valid_bytes),
             retired_blocks: (self.group_alloc.retired_count()
-                + self
-                    .log
-                    .as_ref()
-                    .map_or(0, |l| l.allocator().retired_count()))
+                + self.log.as_ref().map_or(0, |l| l.alloc.retired_count()))
                 as u64,
             free_blocks: (self.group_alloc.free_count()
-                + self.log.as_ref().map_or(0, |l| l.allocator().free_count()))
+                + self.log.as_ref().map_or(0, |l| l.alloc.free_count()))
                 as u64,
             ..self.core.metadata()
         }
@@ -387,7 +386,7 @@ impl Engine for AnyKeyStore {
 
         // Value-log live-byte conservation.
         if let Some(log) = &self.log {
-            log.audit_overfull("value log")?;
+            log.ledger.audit_overfull()?;
             let referenced: u64 = self.levels.iter().map(Level::logged_bytes).sum();
             if log.valid_bytes() != referenced {
                 return Err(AuditError::LogBytesMismatch {
@@ -396,7 +395,7 @@ impl Engine for AnyKeyStore {
                 });
             }
         }
-        self.area.audit_overfull()?;
+        self.area.ledger.audit_overfull()?;
 
         // No live group or logged value sits in a retired block. A group's
         // pages never leave the block of its first page.
@@ -409,7 +408,7 @@ impl Engine for AnyKeyStore {
                 ValueLoc::Logged(ptr) => Some((ptr.block, "value log")),
                 ValueLoc::Inline => None,
             });
-            audit_retirement(log.allocator(), "value log", logged)?;
+            audit_retirement(&log.alloc, "value log", logged)?;
         }
 
         self.core.flash.counters().audit()?;

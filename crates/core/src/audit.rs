@@ -13,9 +13,8 @@
 //! Both engines' levels are one key-sorted run cut into units (AnyKey's
 //! groups, PinK's meta segments), and both check that shape with one
 //! shared run audit;
-//! * a byte log's and a page area's per-block counts
-//!   ([`crate::bytelog::ByteLog::audit_overfull`],
-//!   [`crate::pagearea::PageArea::audit_overfull`]);
+//! * each flash area's per-block ledger: no block counts more live than
+//!   an erase block holds ([`crate::ledger::Ledger::audit_overfull`]);
 //! * the DRAM claims ([`crate::dram::DramBudget::audit`]), against the
 //!   engine's published [`crate::MetadataStats::dram_resident_bytes`];
 //! * the flash counters' per-cause ledgers
@@ -110,29 +109,18 @@ pub enum AuditError {
         /// Logged bytes summed over the levels' groups.
         levels: u64,
     },
-    /// A block of a byte log (the value log or PinK's data area) claims
-    /// more valid bytes than an erase block holds.
-    LogBlockOverfull {
-        /// Which byte log holds the block.
-        owner: &'static str,
-        /// The offending global block id.
-        block: u32,
-        /// Valid bytes the block claims.
-        valid: u64,
-        /// Payload bytes an erase block actually holds.
-        payload: u64,
-    },
-    /// A block of a page area (AnyKey's group area or PinK's meta area)
-    /// claims more valid pages than an erase block holds.
+    /// A block's ledger counts more live than an erase block holds:
+    /// valid bytes in a byte log (the value log, PinK's data area), valid
+    /// pages in a page area (AnyKey's group area, PinK's meta area).
     BlockOverfull {
-        /// Which page area holds the block.
+        /// Which area holds the block.
         owner: &'static str,
         /// The offending global block id.
         block: u32,
-        /// Valid pages the block claims.
-        pages: u32,
-        /// Pages an erase block actually holds.
-        pages_per_block: u32,
+        /// The live count the block's ledger claims.
+        live: u64,
+        /// The live count an erase block actually holds.
+        capacity: u64,
     },
     /// A flash per-cause counter ledger no longer sums to its independent
     /// total (see [`anykey_flash::FlashCounters::audit`]).
@@ -336,23 +324,14 @@ impl fmt::Display for AuditError {
                 f,
                 "value-log live bytes {log} diverged from the {levels} logged bytes the levels reference"
             ),
-            AuditError::LogBlockOverfull {
-                owner,
-                block,
-                valid,
-                payload,
-            } => write!(
-                f,
-                "{owner} block B{block} claims {valid} valid bytes, beyond its {payload}-byte payload"
-            ),
             AuditError::BlockOverfull {
                 owner,
                 block,
-                pages,
-                pages_per_block,
+                live,
+                capacity,
             } => write!(
                 f,
-                "{owner} block B{block} claims {pages} valid pages, beyond the {pages_per_block} an erase block holds"
+                "{owner} block B{block} claims {live} live, beyond the {capacity} an erase block holds"
             ),
             AuditError::CounterSkew {
                 ledger,
@@ -557,16 +536,14 @@ impl PinkStore {
             .flat_map(|l| &l.entries)
             .find(|e| !e.tombstone)
             .map(|e| e.ptr.block);
-        victim
-            .map(|b| self.data.allocator_mut().retire(b))
-            .is_some()
+        victim.map(|b| self.data.alloc.retire(b)).is_some()
     }
 
     /// Test-only corruption hook: desynchronizes the allocator's
     /// retired-block count from its per-block flags.
     #[doc(hidden)]
     pub fn desync_retirement_for_test(&mut self) {
-        self.data.allocator_mut().desync_retired_for_test();
+        self.data.alloc.desync_retired_for_test();
     }
 
     /// Test-only corruption hook: ends the first segment of the first level
@@ -604,8 +581,8 @@ impl PinkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytelog::ByteLog;
     use crate::config::{DeviceConfig, EngineKind};
+    use crate::ledger::Ledger;
     use crate::KvEngine;
 
     fn store(kind: EngineKind) -> AnyKeyStore {
@@ -705,13 +682,13 @@ mod tests {
         // Each allocator counts a retired block, so the audit walks every
         // live structure and must find none in it.
         let mut s = filled(EngineKind::AnyKeyPlus);
-        for alloc in [&mut s.group_alloc, s.log.as_mut().unwrap().allocator_mut()] {
+        for alloc in [&mut s.group_alloc, &mut s.log.as_mut().unwrap().alloc] {
             let b = alloc.alloc().unwrap();
             alloc.retire(b).unwrap();
         }
         assert_eq!(s.check_invariants(), Ok(()));
         let mut p = filled_pink();
-        let alloc = p.data.allocator_mut();
+        let alloc = &mut p.data.alloc;
         let b = alloc.alloc().unwrap();
         alloc.retire(b).unwrap();
         assert_eq!(alloc.retired_count(), 1);
@@ -736,7 +713,7 @@ mod tests {
         for owner in ["meta segment", "level list"] {
             let mut p = filled_pink_with(2 << 10);
             let b = spilled(&p, owner).expect("the fill must spill");
-            p.data.allocator_mut().retire(b).unwrap();
+            p.data.alloc.retire(b).unwrap();
             assert_eq!(
                 p.check_invariants(),
                 Err(AuditError::RetiredBlockLive { block: b.0, owner })
@@ -754,10 +731,16 @@ mod tests {
         ));
     }
 
+    /// Credits the ledger's first tracked block with more than an erase
+    /// block holds. Returns whether the ledger tracked a block.
+    fn overfill(l: &mut Ledger) -> bool {
+        (0..1 << 16).any(|b| l.credit(BlockId(b), 0, 1 << 40).is_ok())
+    }
+
     #[test]
     fn overfull_blocks_are_detected() {
         let mut s = filled(EngineKind::AnyKey);
-        assert!(s.area.overfill_for_test(), "need a group block");
+        assert!(overfill(&mut s.area.ledger), "need a group block");
         assert!(matches!(
             s.check_invariants(),
             Err(AuditError::BlockOverfull {
@@ -766,10 +749,10 @@ mod tests {
             })
         ));
         // The value log is audited before the group area.
-        assert!(s.log.as_mut().is_some_and(ByteLog::overfill_for_test));
+        assert!(s.log.as_mut().is_some_and(|l| overfill(&mut l.ledger)));
         assert!(matches!(
             s.check_invariants(),
-            Err(AuditError::LogBlockOverfull {
+            Err(AuditError::BlockOverfull {
                 owner: "value log",
                 ..
             })
@@ -779,10 +762,10 @@ mod tests {
     #[test]
     fn pink_overfull_data_block_is_detected() {
         let mut p = filled_pink();
-        assert!(p.data.overfill_for_test(), "need a data block");
+        assert!(overfill(&mut p.data.ledger), "need a data block");
         assert!(matches!(
             p.check_invariants(),
-            Err(AuditError::LogBlockOverfull {
+            Err(AuditError::BlockOverfull {
                 owner: "data area",
                 ..
             })
@@ -792,7 +775,7 @@ mod tests {
     #[test]
     fn pink_overfull_meta_block_is_detected() {
         let mut p = filled_pink();
-        assert!(p.meta.overfill_for_test(), "need a meta block");
+        assert!(overfill(&mut p.meta.ledger), "need a meta block");
         assert!(matches!(
             p.check_invariants(),
             Err(AuditError::BlockOverfull {

@@ -2,18 +2,15 @@
 //! AnyKey's value log (paper Section 4.3) and PinK's data area.
 //!
 //! Values are packed byte-continuously into pages; a value may span pages
-//! but never blocks. Each tracked block keeps its valid bytes, so the
-//! owner can pick a GC victim
-//! ([`ByteLog::victim`](crate::bytelog::ByteLog::victim)) or erase every
-//! fully-invalid block at once
+//! but never blocks. The log's [`crate::ledger::Ledger`] keeps each
+//! block's valid bytes, so the owner can pick a GC victim from it or erase
+//! every fully-invalid block at once
 //! ([`ByteLog::reclaim`](crate::bytelog::ByteLog::reclaim)).
-
-use std::collections::HashMap;
 
 use anykey_flash::{BlockAllocator, BlockId, FlashSim, Ns, OpCause, Ppa};
 
-use crate::audit::AuditError;
 use crate::error::KvError;
+use crate::ledger::Ledger;
 
 /// Where a value lives: the page it starts in and how many pages it
 /// touches (values never span blocks). The default touches no page.
@@ -44,42 +41,7 @@ impl Extent {
     }
 }
 
-/// Erases `block`, then returns it to `alloc` on success or retires it as
-/// a grown bad block on an erase failure. Returns the erase completion
-/// time and whether the block was freed.
-///
-/// This is the one place an erased block goes back to a pool. Under a
-/// fault model wear matters, so the block is keyed by its P/E count in
-/// [`FlashSim::block_wear`] and the pool hands out the least-erased block
-/// first, levelling P/E cycles (and the wear-dependent error rates); with
-/// no faults every key is 0 and the order is plain lowest-id-first.
-///
-/// # Errors
-///
-/// Returns [`KvError::BlockFree`] if the allocator rejects the free or
-/// retire — an internal accounting bug, not a media condition.
-pub(crate) fn erase_block(
-    flash: &mut FlashSim,
-    alloc: &mut BlockAllocator,
-    block: BlockId,
-    at: Ns,
-) -> Result<(Ns, bool), KvError> {
-    let r = flash.erase(block, at);
-    let freed = r.status.is_ok();
-    if freed {
-        let key = if flash.config().fault.is_enabled() {
-            flash.block_wear(block)
-        } else {
-            0
-        };
-        alloc.free(block, key)?;
-    } else {
-        alloc.retire(block)?;
-    }
-    Ok((r.done, freed))
-}
-
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct OpenBlock {
     id: BlockId,
     next_page: u32,
@@ -88,13 +50,13 @@ struct OpenBlock {
 
 /// A byte-packed, append-only area over the blocks of one allocator.
 ///
-/// Every tracked block except the open one is sealed. Page programs carry
-/// the cause the owner fixed at construction.
+/// Page programs carry the cause the owner fixed at construction.
 #[derive(Debug, Clone)]
 pub struct ByteLog {
-    alloc: BlockAllocator,
-    /// Valid bytes per tracked block.
-    blocks: HashMap<BlockId, u64>,
+    /// The area's blocks. PinK's meta pages draw from the same pool.
+    pub(crate) alloc: BlockAllocator,
+    /// Valid bytes per block.
+    pub(crate) ledger: Ledger,
     open: Option<OpenBlock>,
     page_payload: u64,
     pages_per_block: u32,
@@ -102,16 +64,19 @@ pub struct ByteLog {
 }
 
 impl ByteLog {
-    /// An area over `alloc`'s blocks whose page programs count as `cause`.
+    /// An area over `alloc`'s blocks whose page programs count as `cause`,
+    /// named `owner` in errors and audits.
     pub fn new(
         alloc: BlockAllocator,
         page_payload: u64,
         pages_per_block: u32,
         cause: OpCause,
+        owner: &'static str,
     ) -> Self {
+        let payload = page_payload * u64::from(pages_per_block);
         Self {
+            ledger: Ledger::new(alloc.range(), payload, owner),
             alloc,
-            blocks: HashMap::new(),
             open: None,
             page_payload,
             pages_per_block,
@@ -130,19 +95,13 @@ impl ByteLog {
 
     /// Bytes of live values currently stored.
     pub fn valid_bytes(&self) -> u64 {
-        self.blocks.values().sum()
+        self.ledger.total_live()
     }
 
     /// Bytes still appendable without reclaiming anything.
     pub fn free_bytes(&self) -> u64 {
         let open_remaining = self.open.map_or(0, |o| self.room(o));
         self.alloc.free_count() as u64 * self.block_payload() + open_remaining
-    }
-
-    /// Whether appending `bytes` would exhaust the area (the value log's
-    /// log-triggered compaction trigger).
-    pub fn would_overflow(&self, bytes: u64) -> bool {
-        self.free_bytes() < bytes
     }
 
     fn room(&self, o: OpenBlock) -> u64 {
@@ -154,11 +113,10 @@ impl ByteLog {
             return Ok(o);
         }
         let id = self.alloc.alloc().ok_or(KvError::DeviceFull)?;
-        self.blocks.insert(id, 0);
+        self.ledger.open(id);
         let o = OpenBlock {
             id,
-            next_page: 0,
-            page_fill: 0,
+            ..OpenBlock::default()
         };
         self.open = Some(o);
         Ok(o)
@@ -189,6 +147,7 @@ impl ByteLog {
         let Some(mut o) = self.open.take() else {
             return at;
         };
+        self.ledger.seal(o.id);
         let mut done = at;
         if o.page_fill > 0 {
             while o.next_page < self.pages_per_block {
@@ -263,57 +222,25 @@ impl ByteLog {
             };
             break (ext, o.next_page);
         };
-        *self
-            .blocks
-            .get_mut(&ext.block)
-            .ok_or(KvError::UntrackedBlock {
-                block: ext.block.0,
-                owner: "byte log",
-            })? += bytes;
+        self.ledger.credit(ext.block, 0, bytes)?;
         if end_page == self.pages_per_block {
             done = done.max(self.seal(flash, at));
         }
         Ok((ext, done))
     }
 
-    /// Marks `bytes` of the value at `ext` invalid.
+    /// Marks `bytes` of the value at `ext` invalid. The count saturates at
+    /// zero: PinK can invalidate a stale entry's bytes twice.
     pub fn invalidate(&mut self, ext: Extent, bytes: u64) {
-        if let Some(v) = self.blocks.get_mut(&ext.block) {
-            debug_assert!(*v >= bytes, "byte-log block accounting underflow");
-            *v = v.saturating_sub(bytes);
+        if let Some((_, valid)) = self.ledger.get(ext.block) {
+            debug_assert!(valid >= bytes, "byte-log block accounting underflow");
+            // Within the block's count, the debit cannot fail.
+            let _ = self.ledger.debit(ext.block, 0, bytes.min(valid));
         }
     }
 
-    /// The sealed block with the least valid bytes (lowest id on a tie),
-    /// if any — PinK's GC victim.
-    pub fn victim(&self) -> Option<(BlockId, u64)> {
-        let open = self.open.map(|o| o.id);
-        self.blocks
-            .iter()
-            .filter(|(&b, _)| Some(b) != open)
-            .map(|(&b, &v)| (b, v))
-            .min_by_key(|&(b, v)| (v, b))
-    }
-
-    /// Stops tracking `block` and erases it; returns the erase completion
-    /// time and whether the block returned to the free pool (a block whose
-    /// erase fails is retired instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::BlockFree`] if the allocator rejects the free or
-    /// retire.
-    pub fn erase(
-        &mut self,
-        flash: &mut FlashSim,
-        block: BlockId,
-        at: Ns,
-    ) -> Result<(Ns, bool), KvError> {
-        self.blocks.remove(&block);
-        erase_block(flash, &mut self.alloc, block, at)
-    }
-
-    /// Erases every sealed, fully-invalid block; returns the bytes freed
+    /// Erases every sealed, fully-invalid block in ascending id (each
+    /// erase's fault draw follows the op order); returns the bytes freed
     /// and the erase completion time. A block whose erase fails is retired
     /// (its capacity is lost, not freed).
     ///
@@ -322,75 +249,18 @@ impl ByteLog {
     /// Returns [`KvError::BlockFree`] if the allocator rejects a free or
     /// retire.
     pub fn reclaim(&mut self, flash: &mut FlashSim, at: Ns) -> Result<(u64, Ns), KvError> {
-        let open = self.open.map(|o| o.id);
-        let mut victims: Vec<BlockId> = self
-            .blocks
-            .iter()
-            .filter(|&(&b, &v)| v == 0 && Some(b) != open)
-            .map(|(&b, _)| b)
-            .collect();
-        // Each erase's fault draw is keyed by the op sequence, so the erase
-        // order decides which blocks retire: it must not be hash order.
-        victims.sort_unstable();
+        let sealed = self.ledger.sealed();
+        let empty: Vec<BlockId> = sealed.filter(|&(_, v)| v == 0).map(|(b, _)| b).collect();
         let mut done = at;
         let mut freed = 0u64;
-        for id in victims {
-            let (t, ok) = self.erase(flash, id, at)?;
+        for id in empty {
+            let (t, ok) = self.ledger.erase(flash, &mut self.alloc, id, at)?;
             done = done.max(t);
             if ok {
                 freed += self.block_payload();
             }
         }
         Ok((freed, done))
-    }
-
-    /// The area's block allocator (reliability stats and audits).
-    pub fn allocator(&self) -> &BlockAllocator {
-        &self.alloc
-    }
-
-    /// The area's block allocator, for an owner that draws other pages
-    /// from the same pool (PinK's meta pages).
-    pub(crate) fn allocator_mut(&mut self) -> &mut BlockAllocator {
-        &mut self.alloc
-    }
-
-    /// Audits that no block claims more valid bytes than an erase block
-    /// holds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuditError::LogBlockOverfull`], naming this log as
-    /// `owner`, for the lowest overfull block.
-    pub fn audit_overfull(&self, owner: &'static str) -> Result<(), AuditError> {
-        let payload = self.block_payload();
-        match self
-            .blocks
-            .iter()
-            .filter(|(_, &v)| v > payload)
-            .min_by_key(|(&b, _)| b)
-        {
-            Some((&b, &valid)) => Err(AuditError::LogBlockOverfull {
-                owner,
-                block: b.0,
-                valid,
-                payload,
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// Test-only corruption hook: credits one tracked block with more
-    /// valid bytes than an erase block holds. Returns whether a block was
-    /// tracked.
-    #[cfg(test)]
-    pub(crate) fn overfill_for_test(&mut self) -> bool {
-        let payload = self.block_payload();
-        self.blocks
-            .values_mut()
-            .next()
-            .map(|v| *v = payload + 1)
-            .is_some()
     }
 }
 
@@ -402,7 +272,8 @@ mod tests {
     /// A value log as AnyKey builds it: `blocks` blocks of 128 pages of
     /// 8128 B payload, its page programs counted as `LogWrite`.
     fn log(blocks: u32) -> ByteLog {
-        ByteLog::new(BlockAllocator::new(0..blocks), 8128, 128, OpCause::LogWrite)
+        let alloc = BlockAllocator::new(0..blocks);
+        ByteLog::new(alloc, 8128, 128, OpCause::LogWrite, "value log")
     }
 
     fn setup() -> (FlashSim, ByteLog) {
@@ -506,8 +377,8 @@ mod tests {
     #[test]
     fn would_overflow_tracks_free_bytes() {
         let (mut flash, mut log) = setup();
-        assert!(!log.would_overflow(1000));
-        assert!(log.would_overflow(log.capacity_bytes() + 1));
+        assert!(log.free_bytes() >= 1000);
+        assert!(log.free_bytes() < log.capacity_bytes() + 1);
         log.append(&mut flash, 8128, 0).unwrap();
         assert_eq!(log.free_bytes(), log.capacity_bytes() - 8128);
     }
@@ -523,8 +394,10 @@ mod tests {
         for (cfg, next) in [(FlashConfig::small_test(), 0), (faulty, 1)] {
             let mut flash = FlashSim::new(cfg);
             let mut alloc = BlockAllocator::new(0..2);
+            let mut ledger = Ledger::new(0..2, 1, "value log");
             let b0 = alloc.alloc().unwrap();
-            let (_, freed) = erase_block(&mut flash, &mut alloc, b0, 0).unwrap();
+            ledger.open(b0);
+            let (_, freed) = ledger.erase(&mut flash, &mut alloc, b0, 0).unwrap();
             assert!(freed, "a clean erase frees the block");
             assert_eq!(flash.block_wear(b0), 1);
             // Block 0 now has one P/E cycle and block 1 none.
@@ -554,38 +427,13 @@ mod tests {
             }
             log.reclaim(&mut flash, 0).unwrap();
             (0..16)
-                .filter(|&b| log.allocator().is_retired(BlockId(b)))
+                .filter(|&b| log.alloc.is_retired(BlockId(b)))
                 .collect::<Vec<_>>()
         };
         let first = retired();
         assert!(!first.is_empty(), "the fault model must retire some block");
         for _ in 0..20 {
             assert_eq!(retired(), first);
-        }
-    }
-
-    #[test]
-    fn overfull_audit_reports_the_lowest_block_every_run() {
-        // Two overfull blocks in a hash map: the report must not follow
-        // iteration order.
-        let reported = || {
-            let mut flash = FlashSim::new(FlashConfig::small_test());
-            let mut log = log(16);
-            let exts: Vec<Extent> = (0..24)
-                .map(|_| log.append(&mut flash, 8128 * 64, 0).unwrap().0)
-                .collect();
-            let (x, y) = (exts[17].block, exts[6].block);
-            for b in [x, y] {
-                log.blocks.insert(b, 8128 * 128 + 1);
-            }
-            (log.audit_overfull("test log"), x.min(y))
-        };
-        let (first, lowest) = reported();
-        assert!(
-            matches!(first, Err(AuditError::LogBlockOverfull { block, .. }) if block == lowest.0)
-        );
-        for _ in 0..20 {
-            assert_eq!(reported().0, first);
         }
     }
 }

@@ -67,6 +67,8 @@ pub mod error;
 pub mod hash;
 /// Fixed-length ordered keys.
 pub mod key;
+/// The per-block live counts all four flash areas keep.
+pub mod ledger;
 /// Analytic metadata-size model (Figure 2).
 pub mod meta_model;
 /// The page-granular area behind AnyKey's data segment groups and PinK's

@@ -66,7 +66,7 @@ impl PinkStore {
             .read_many(read_ppas, OpCause::CompactionRead, t_head);
         let mut t_erase = t_read;
         for ppa in freed_pages {
-            let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+            let (alloc, flash) = (&mut self.data.alloc, &mut self.core.flash);
             t_erase = t_erase.max(self.meta.free(alloc, flash, ppa.block, 1, t_read)?);
         }
 
@@ -160,14 +160,14 @@ impl PinkStore {
     /// copy, then frees the page. Returns when both are done.
     fn load_page(&mut self, ppa: Ppa, at: Ns) -> Result<Ns, KvError> {
         let read = self.core.flash.read(ppa, OpCause::MetaRead, at).done;
-        let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+        let (alloc, flash) = (&mut self.data.alloc, &mut self.core.flash);
         Ok(read.max(self.meta.free(alloc, flash, ppa.block, 1, at)?))
     }
 
     /// Spills one page of level `li` from `at`: programs a page in the
     /// level's stream. Returns the page and when its program is done.
     fn spill_page(&mut self, li: usize, cause: OpCause, at: Ns) -> Result<(Ppa, Ns), KvError> {
-        let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+        let (alloc, flash) = (&mut self.data.alloc, &mut self.core.flash);
         self.meta.write(alloc, flash, li, 1, cause, at)
     }
 }

@@ -55,7 +55,8 @@ impl PinkStore {
             };
             self.core.buffer.insert(id, entry, self.core.cfg.key_len);
         }
-        let (done, _) = self.data.erase(&mut self.core.flash, victim, t_read)?;
+        let (flash, alloc) = (&mut self.core.flash, &mut self.data.alloc);
+        let (done, _) = self.data.ledger.erase(flash, alloc, victim, t_read)?;
         self.core
             .push_span(snap, "gc", "relocate-data", 0, at, done);
         Ok(done)
@@ -88,7 +89,7 @@ impl PinkStore {
         }
         owners.append(&mut lists);
         let units: Vec<_> = owners.iter().map(|(li, p)| (*li, **p, 1)).collect();
-        let (alloc, flash) = (self.data.allocator_mut(), &mut self.core.flash);
+        let (alloc, flash) = (&mut self.data.alloc, &mut self.core.flash);
         let done = self
             .meta
             .relocate(alloc, flash, victim, &units, at, |i, ppa| {

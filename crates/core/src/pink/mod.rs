@@ -138,8 +138,8 @@ pub struct PinkStore {
     /// a level's pages die together at its next rebuild, so they share
     /// blocks that then free wholesale.
     pub(crate) meta: PageArea,
-    /// The data area. It owns the device's one block allocator; meta pages
-    /// draw from the same pool through [`ByteLog::allocator_mut`].
+    /// The data area. It owns the device's one block allocator, which
+    /// meta pages draw from too.
     pub(crate) data: ByteLog,
 }
 
@@ -153,14 +153,16 @@ impl PinkStore {
         assert_eq!(cfg.engine, EngineKind::Pink, "use AnyKeyStore for AnyKey");
         let core = DeviceCore::new(cfg);
         let geometry = core.cfg.flash.geometry;
+        let blocks = 0..geometry.blocks();
         Self {
             levels: vec![PinkLevel::default()],
-            meta: PageArea::new(geometry.pages_per_block, "meta area"),
+            meta: PageArea::new(blocks.clone(), geometry.pages_per_block, "meta area"),
             data: ByteLog::new(
-                BlockAllocator::new(0..geometry.blocks()),
+                BlockAllocator::new(blocks),
                 core.page_payload,
                 geometry.pages_per_block,
                 OpCause::CompactionWrite,
+                "data area",
             ),
             core,
         }
@@ -307,16 +309,16 @@ impl Engine for PinkStore {
     }
 
     fn gc_alloc(&self) -> &BlockAllocator {
-        self.data.allocator()
+        &self.data.alloc
     }
 
     /// Collects the data or meta block with the smaller live fraction.
     fn collect(&mut self, at: Ns) -> Result<Ns, KvError> {
         let pages = u64::from(self.core.flash.geometry().pages_per_block);
         let block_payload = (self.core.page_payload * pages) as f64;
-        let meta = self.meta.victim();
+        let meta = self.meta.ledger.victim();
         let meta_frac = meta.map_or(f64::MAX, |(_, live)| live as f64 / pages as f64);
-        match (self.data.victim(), meta) {
+        match (self.data.ledger.victim(), meta) {
             (Some((victim, valid)), _) if valid as f64 / block_payload <= meta_frac => {
                 if valid as f64 / block_payload >= 0.999 {
                     // Everything is live: relocation recovers nothing.
@@ -352,8 +354,8 @@ impl Engine for PinkStore {
             meta_segment_dram_bytes: seg_dram,
             meta_segment_flash_bytes: seg_flash,
             levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
-            retired_blocks: self.data.allocator().retired_count() as u64,
-            free_blocks: self.data.allocator().free_count() as u64,
+            retired_blocks: self.data.alloc.retired_count() as u64,
+            free_blocks: self.data.alloc.free_count() as u64,
             ..self.core.metadata()
         }
     }
@@ -394,8 +396,8 @@ impl Engine for PinkStore {
         // What `rebalance` claimed must equal what is marked resident.
         self.core.dram.audit(self.stats().dram_resident_bytes())?;
 
-        self.data.audit_overfull("data area")?;
-        self.meta.audit_overfull()?;
+        self.data.ledger.audit_overfull()?;
+        self.meta.ledger.audit_overfull()?;
 
         // No level-list page, meta segment or live data pointer sits in a
         // retired block.
@@ -407,7 +409,7 @@ impl Engine for PinkStore {
                 .chain(segs.map(|p| (p.block, "meta segment")))
                 .chain(data.map(|e| (e.ptr.block, "data area")))
         });
-        audit_retirement(self.data.allocator(), "PinK", live)?;
+        audit_retirement(&self.data.alloc, "PinK", live)?;
 
         self.core.flash.counters().audit()?;
         Ok(())

@@ -132,6 +132,7 @@ mod tests {
                 8128,
                 128,
                 OpCause::CompactionWrite,
+                "data area",
             ),
         )
     }
@@ -172,7 +173,7 @@ mod tests {
             }
             used += 8000;
         }
-        let (victim, valid) = data.victim().unwrap();
+        let (victim, valid) = data.ledger.victim().unwrap();
         assert_eq!(victim, first.unwrap());
         assert_eq!(valid, 0);
     }
@@ -186,8 +187,8 @@ mod tests {
     #[test]
     fn meta_area_allocates_and_recycles_pages() {
         let (mut flash, mut data) = setup();
-        let alloc = data.allocator_mut();
-        let mut meta = PageArea::new(128, "meta area");
+        let alloc = &mut data.alloc;
+        let mut meta = PageArea::new(0..8, 128, "meta area");
         let pages: Vec<Ppa> = (0..130)
             .map(|_| write_page(&mut meta, alloc, &mut flash))
             .collect();
@@ -206,8 +207,8 @@ mod tests {
     #[test]
     fn meta_page_double_free_is_an_error() {
         let (mut flash, mut data) = setup();
-        let alloc = data.allocator_mut();
-        let mut meta = PageArea::new(128, "meta area");
+        let alloc = &mut data.alloc;
+        let mut meta = PageArea::new(0..8, 128, "meta area");
         let p = write_page(&mut meta, alloc, &mut flash);
         meta.free(alloc, &mut flash, p.block, 1, 0).unwrap();
         assert_eq!(
@@ -224,8 +225,8 @@ mod tests {
     fn forgetting_a_live_meta_block_is_an_error() {
         // Relocating a block without naming its live page would erase it.
         let (mut flash, mut data) = setup();
-        let alloc = data.allocator_mut();
-        let mut meta = PageArea::new(128, "meta area");
+        let alloc = &mut data.alloc;
+        let mut meta = PageArea::new(0..8, 128, "meta area");
         let p = write_page(&mut meta, alloc, &mut flash);
         assert!(matches!(
             meta.relocate(alloc, &mut flash, p.block, &[], 0, |_, _| {}),

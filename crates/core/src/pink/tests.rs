@@ -137,7 +137,7 @@ fn a_meta_relocation_that_runs_out_of_space_keeps_every_owner_counted() {
         .map(|p| p.block)
         .find(|&b| s.meta.units_in(b) >= 2)
         .expect("a meta block with two live pages");
-    let drained: Vec<BlockId> = std::iter::from_fn(|| s.data.allocator_mut().alloc()).collect();
+    let drained: Vec<BlockId> = std::iter::from_fn(|| s.data.alloc.alloc()).collect();
     let at = s.horizon();
     assert_eq!(s.relocate_meta_block(victim, at), Err(KvError::DeviceFull));
 
@@ -156,7 +156,7 @@ fn a_meta_relocation_that_runs_out_of_space_keeps_every_owner_counted() {
 
     // Once space is back, the next merge frees those pages cleanly.
     for b in drained {
-        s.data.allocator_mut().free(b, 0).unwrap();
+        s.data.alloc.free(b, 0).unwrap();
     }
     let r = s.merge_levels(Source::Level(deep - 1), deep, at);
     assert!(

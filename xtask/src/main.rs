@@ -133,6 +133,14 @@ mod lint {
         }
 
         #[test]
+        fn flags_random_seeded_hash_map() {
+            for method in ["new", "with_capacity"] {
+                let path = format!("path=\"std::collections::HashMap::{method}\"");
+                assert!(squash(CLIPPY_TOML).contains(&path));
+            }
+        }
+
+        #[test]
         fn flags_undocumented_public_fn() {
             let root = squash(include_str!("../../Cargo.toml"));
             assert!(root.contains("missing_docs=\"deny\""));
