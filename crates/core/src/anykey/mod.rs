@@ -384,32 +384,26 @@ impl Engine for AnyKeyStore {
         // What rebalance_dram claimed must equal what is marked resident.
         self.core.dram.audit(self.stats().dram_resident_bytes())?;
 
-        // Value-log live-byte conservation.
+        // Per area: its blocks' counts, recounted from the levels, then no
+        // live logged value or group in a retired block. A group's pages
+        // never leave the block of its first page.
         if let Some(log) = &self.log {
-            log.ledger.audit_overfull()?;
-            let referenced: u64 = self.levels.iter().map(Level::logged_bytes).sum();
-            if log.valid_bytes() != referenced {
-                return Err(AuditError::LogBytesMismatch {
-                    log: log.valid_bytes(),
-                    levels: referenced,
-                });
-            }
+            let logged = || {
+                let ents = self.levels.iter().flat_map(|l| &l.ents);
+                ents.filter_map(|e| match e.loc() {
+                    ValueLoc::Logged(ptr) => Some((ptr.block, u64::from(e.value_len))),
+                    ValueLoc::Inline => None,
+                })
+            };
+            log.ledger.recount(logged())?;
+            let blocks = logged().map(|(b, _)| (b, "value log"));
+            audit_retirement(&log.alloc, "value log", blocks)?;
         }
-        self.area.ledger.audit_overfull()?;
-
-        // No live group or logged value sits in a retired block. A group's
-        // pages never leave the block of its first page.
-        let groups = self.levels.iter().flat_map(|l| &l.groups);
-        let group_blocks = groups.map(|g| (g.first_ppa.block, "group area"));
-        audit_retirement(&self.group_alloc, "group area", group_blocks)?;
-        if let Some(log) = &self.log {
-            let logged = self.levels.iter().flat_map(|l| &l.ents);
-            let logged = logged.filter_map(|e| match e.loc() {
-                ValueLoc::Logged(ptr) => Some((ptr.block, "value log")),
-                ValueLoc::Inline => None,
-            });
-            audit_retirement(&log.alloc, "value log", logged)?;
-        }
+        let groups = || self.levels.iter().flat_map(|l| &l.groups);
+        let pages = groups().map(|g| (g.first_ppa.block, u64::from(g.total_pages())));
+        self.area.ledger.recount(pages)?;
+        let blocks = groups().map(|g| (g.first_ppa.block, "group area"));
+        audit_retirement(&self.group_alloc, "group area", blocks)?;
 
         self.core.flash.counters().audit()?;
         Ok(())

@@ -14,19 +14,19 @@
 //! groups, PinK's meta segments), and both check that shape with one
 //! shared run audit;
 //! * each flash area's per-block ledger: no block counts more live than
-//!   an erase block holds ([`crate::ledger::Ledger::audit_overfull`]);
+//!   an erase block holds ([`crate::ledger::Ledger::audit_overfull`]),
+//!   and, in every area but PinK's data area, each count equals the one
+//!   recounted from the index ([`crate::ledger::Ledger::recount`]);
 //! * the DRAM claims ([`crate::dram::DramBudget::audit`]), against the
 //!   engine's published [`crate::MetadataStats::dram_resident_bytes`];
 //! * the flash counters' per-cause ledgers
 //!   ([`anykey_flash::FlashCounters::audit`]).
 //!
-//! Each engine's `Engine::audit` runs these and its own cross-structure
-//! ledgers (AnyKey's value-log live bytes against the logged bytes the
-//! levels reference). This module keeps the ledger both share,
-//! retirement: every block allocator's free/allocated/retired partition
-//! sums to its block count, and no live structure (group, logged value,
-//! meta segment, level-list page, or data pointer) references a block
-//! retired as a grown bad block.
+//! Each engine's `Engine::audit` runs these. This module keeps the ledger
+//! both share, retirement: every block allocator's free/allocated/retired
+//! partition sums to its block count, and no live structure (group,
+//! logged value, meta segment, level-list page, or data pointer)
+//! references a block retired as a grown bad block.
 //!
 //! The engines invoke the audit automatically at flush / compaction / GC
 //! boundaries whenever debug assertions are on (`cargo test` and
@@ -101,14 +101,6 @@ pub enum AuditError {
         /// The metadata budget (capacity minus write-buffer reservation).
         budget: u64,
     },
-    /// The value log's live bytes diverged from the logged bytes the
-    /// levels reference.
-    LogBytesMismatch {
-        /// Live bytes tracked by the value log.
-        log: u64,
-        /// Logged bytes summed over the levels' groups.
-        levels: u64,
-    },
     /// A block's ledger counts more live than an erase block holds:
     /// valid bytes in a byte log (the value log, PinK's data area), valid
     /// pages in a page area (AnyKey's group area, PinK's meta area).
@@ -121,6 +113,18 @@ pub enum AuditError {
         live: u64,
         /// The live count an erase block actually holds.
         capacity: u64,
+    },
+    /// A block's ledger count differs from the one recounted from the
+    /// index ([`crate::ledger::Ledger::recount`]).
+    RecountSkew {
+        /// Which area holds the block.
+        owner: &'static str,
+        /// The offending global block id.
+        block: u32,
+        /// The live count the block's ledger claims.
+        ledger: u64,
+        /// The live count the index references in the block.
+        index: u64,
     },
     /// A flash per-cause counter ledger no longer sums to its independent
     /// total (see [`anykey_flash::FlashCounters::audit`]).
@@ -320,10 +324,6 @@ impl fmt::Display for AuditError {
                 f,
                 "DRAM over budget: metadata_used {used} exceeds the {budget}-byte metadata budget"
             ),
-            AuditError::LogBytesMismatch { log, levels } => write!(
-                f,
-                "value-log live bytes {log} diverged from the {levels} logged bytes the levels reference"
-            ),
             AuditError::BlockOverfull {
                 owner,
                 block,
@@ -332,6 +332,15 @@ impl fmt::Display for AuditError {
             } => write!(
                 f,
                 "{owner} block B{block} claims {live} live, beyond the {capacity} an erase block holds"
+            ),
+            AuditError::RecountSkew {
+                owner,
+                block,
+                ledger,
+                index,
+            } => write!(
+                f,
+                "{owner} block B{block} has a ledger count of {ledger} but its index references {index}"
             ),
             AuditError::CounterSkew {
                 ledger,
@@ -515,6 +524,16 @@ impl AnyKeyStore {
     pub fn desync_retirement_for_test(&mut self) {
         self.group_alloc.desync_retired_for_test();
     }
+
+    /// Test-only corruption hook: lowers by one the live count of the
+    /// first block that has any, in the value log's ledger if `log` and
+    /// the store has one, else in the group area's. Returns whether such a
+    /// block existed.
+    #[doc(hidden)]
+    pub fn skew_ledger_for_test(&mut self, log: bool) -> bool {
+        let log = self.log.as_mut().filter(|_| log).map(|l| &mut l.ledger);
+        log.unwrap_or(&mut self.area.ledger).skew_for_test()
+    }
 }
 
 impl PinkStore {
@@ -544,6 +563,14 @@ impl PinkStore {
     #[doc(hidden)]
     pub fn desync_retirement_for_test(&mut self) {
         self.data.alloc.desync_retired_for_test();
+    }
+
+    /// Test-only corruption hook: lowers by one the live pages the meta
+    /// area's ledger counts in its first block that has any. Returns
+    /// whether such a block existed.
+    #[doc(hidden)]
+    pub fn skew_meta_ledger_for_test(&mut self) -> bool {
+        self.meta.ledger.skew_for_test()
     }
 
     /// Test-only corruption hook: ends the first segment of the first level

@@ -194,13 +194,50 @@ impl Ledger {
             None => Ok(()),
         }
     }
+
+    /// Runs [`Self::audit_overfull`], then audits every block's live
+    /// count against `index`: the block and live count of each unit the
+    /// owner's index references.
+    ///
+    /// # Errors
+    ///
+    /// [`AuditError::BlockOverfull`]; [`AuditError::RecountSkew`] for the
+    /// lowest block whose counts differ, or for an indexed block outside
+    /// the range.
+    pub fn recount(&self, index: impl Iterator<Item = (BlockId, u64)>) -> Result<(), AuditError> {
+        self.audit_overfull()?;
+        let skew = |block: u32, ledger, index| AuditError::RecountSkew {
+            owner: self.owner,
+            block,
+            ledger,
+            index,
+        };
+        let mut counts = vec![0u64; self.range.len()];
+        for (b, live) in index {
+            let c = counts.get_mut(self.index(b));
+            *c.ok_or(skew(b.0, 0, live))? += live;
+        }
+        let live = |i: usize| self.slots.get(i).map_or(0, |s| s.live);
+        match counts.iter().enumerate().find(|&(i, &c)| c != live(i)) {
+            Some((i, &c)) => Err(skew(self.range.start + i as u32, live(i), c)),
+            None => Ok(()),
+        }
+    }
+
+    /// Corruption hook: lowers by one the live count of the first block
+    /// that has any. Returns whether such a block existed.
+    #[doc(hidden)]
+    pub fn skew_for_test(&mut self) -> bool {
+        let first = self.slots.iter_mut().find(|s| s.live > 0);
+        first.map(|s| s.live -= 1).is_some()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     #[test]
-    fn victim_and_overfull_report_the_lowest_block() {
+    fn victim_overfull_and_recount_report_the_lowest_block() {
         // Blocks 13..16 of a range starting at 10, opened out of order.
         let mut l = Ledger::new(10..20, 128, "test area");
         for (b, live) in [(15, 64), (13, 64), (14, 96)] {
@@ -212,12 +249,29 @@ mod tests {
         // the victim, even with nothing live.
         l.open(BlockId(11));
         assert_eq!(l.victim(), Some((BlockId(13), 64)));
-        // Two overfull blocks: the lowest is reported.
+        // The recount names the first block whose counts differ.
+        let index = [(15, 63), (14, 95), (13, 64)].map(|(b, n)| (BlockId(b), n));
+        assert_eq!(
+            l.recount(index.into_iter()),
+            Err(AuditError::RecountSkew {
+                owner: "test area",
+                block: 14,
+                ledger: 96,
+                index: 95,
+            })
+        );
+        let index = [(15, 64), (14, 96), (13, 64)].map(|(b, n)| (BlockId(b), n));
+        assert_eq!(l.recount(index.into_iter()), Ok(()));
+        assert!(matches!(
+            l.recount([(BlockId(20), 1)].into_iter()),
+            Err(AuditError::RecountSkew { block: 20, .. })
+        ));
+        // Two overfull blocks: the lowest is reported, before any recount.
         for b in [15, 14] {
             l.credit(BlockId(b), 0, 100).unwrap();
         }
         assert!(matches!(
-            l.audit_overfull(),
+            l.recount(std::iter::empty()),
             Err(AuditError::BlockOverfull { block: 14, .. })
         ));
     }

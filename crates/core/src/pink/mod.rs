@@ -397,7 +397,12 @@ impl Engine for PinkStore {
         self.core.dram.audit(self.stats().dram_resident_bytes())?;
 
         self.data.ledger.audit_overfull()?;
-        self.meta.ledger.audit_overfull()?;
+        // One page per spilled meta segment and level-list page.
+        let spilled = self.levels.iter().flat_map(|l| {
+            let segs = l.segs.iter().filter_map(|s| s.ppa);
+            segs.chain(l.list_pages.iter().copied())
+        });
+        self.meta.ledger.recount(spilled.map(|p| (p.block, 1)))?;
 
         // No level-list page, meta segment or live data pointer sits in a
         // retired block.

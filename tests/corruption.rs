@@ -35,6 +35,22 @@ fn filled_pink() -> PinkStore {
     s
 }
 
+/// A PinK store whose 2 KiB of DRAM spills meta segments and level-list
+/// pages to the meta area.
+fn spilled_pink() -> PinkStore {
+    let cfg = DeviceConfig::builder()
+        .capacity_bytes(64 << 20)
+        .engine(EngineKind::Pink)
+        .key_len(16)
+        .dram_bytes(2 << 10)
+        .build();
+    let mut s = PinkStore::new(cfg);
+    for id in 0..20_000u64 {
+        s.put(id, 60).expect("fill");
+    }
+    s
+}
+
 #[test]
 fn out_of_order_level_list_is_detected() {
     let mut s = filled_anykey();
@@ -229,6 +245,60 @@ fn desynced_retirement_accounting_is_detected() {
         err.to_string().contains("retirement accounting skew"),
         "diagnostic must name the accounting fault: {err}"
     );
+}
+
+/// Checks that `err` is `owner`'s recount skew and names the ledger.
+fn assert_recount_skew(err: AuditError, area: &str) {
+    assert!(
+        matches!(err, AuditError::RecountSkew { owner, .. } if owner == area),
+        "got {err}"
+    );
+    assert!(
+        err.to_string().contains("ledger count"),
+        "diagnostic must name the ledger fault: {err}"
+    );
+}
+
+#[test]
+fn skewed_value_log_ledger_is_detected() {
+    let mut s = filled_anykey();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(s.skew_ledger_for_test(true), "fill must log some value");
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert_recount_skew(err, "value log");
+}
+
+#[test]
+fn skewed_group_ledger_is_detected() {
+    let mut s = filled_anykey();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(s.skew_ledger_for_test(false), "fill must write some group");
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert_recount_skew(err, "group area");
+}
+
+#[test]
+fn skewed_pink_meta_ledger_is_detected() {
+    let mut s = spilled_pink();
+    assert_eq!(
+        s.check_invariants(),
+        Ok(()),
+        "healthy store must audit clean"
+    );
+    assert!(
+        s.skew_meta_ledger_for_test(),
+        "fill must spill some meta page"
+    );
+    let err = s.check_invariants().expect_err("corruption must be caught");
+    assert_recount_skew(err, "meta area");
 }
 
 #[test]
@@ -433,6 +503,18 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
     assert!(hashes.corrupt_hash_list_for_test());
     let hashes_msg = hashes.check_invariants().expect_err("seeded").to_string();
 
+    let mut log = filled_anykey();
+    assert!(log.skew_ledger_for_test(true));
+    let log_msg = log.check_invariants().expect_err("seeded").to_string();
+
+    let mut groups = filled_anykey();
+    assert!(groups.skew_ledger_for_test(false));
+    let groups_msg = groups.check_invariants().expect_err("seeded").to_string();
+
+    let mut meta = spilled_pink();
+    assert!(meta.skew_meta_ledger_for_test());
+    let meta_msg = meta.check_invariants().expect_err("seeded").to_string();
+
     let msgs = [
         order_msg,
         dram_msg,
@@ -445,6 +527,9 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
         seg_fence_msg,
         starts_msg,
         hashes_msg,
+        log_msg,
+        groups_msg,
+        meta_msg,
     ];
     for i in 0..msgs.len() {
         for j in (i + 1)..msgs.len() {
