@@ -106,13 +106,13 @@ impl PageArea {
         }
     }
 
-    /// Collects the sealed block `victim`, whose live units are `units` — each `(stream,
-    /// first page, pages)`, in the owner's order. Reads their pages at
-    /// `at` as GC reads, [`Self::write`]s each copy to its stream as a GC
-    /// write when the reads end, calls `patch(i, first page of copy i)`
-    /// and releases the old unit, and erases the victim last, when the
-    /// last program ends; returns when that erase completes. A failed
-    /// copy leaves the units not yet copied where they were, counted.
+    /// Collects the sealed block `victim`, whose live units are `units` —
+    /// each `(stream, first page, pages)`, in the owner's order. Reads
+    /// their pages at `at` as GC reads, [`Self::write`]s each copy to its
+    /// stream as a GC write when the reads end, calls `patch(i, first page
+    /// of copy i)` and releases the old unit, and erases the victim last,
+    /// when the last program ends; returns when that erase completes. A
+    /// failed copy leaves the units not yet copied where they were, counted.
     ///
     /// # Errors
     ///
