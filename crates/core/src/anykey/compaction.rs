@@ -148,12 +148,13 @@ impl AnyKeyStore {
     /// state) keep their records and their built layouts.
     pub(crate) fn inline_rewrite_level(&mut self, li: usize, at: Ns) -> Result<Ns, KvError> {
         let touched = |g: &Group| g.logged_bytes > 0;
-        if !self.levels[li].groups.iter().any(touched) {
+        if !self.levels[li].units.iter().any(touched) {
             return Ok(at);
         }
         let snap = self.core.span_snapshot();
         let level = std::mem::take(&mut self.levels[li]);
-        let (mut ents, groups) = (level.ents, level.groups);
+        let kv_bytes = level.kv_bytes();
+        let (mut ents, groups) = (level.ents, level.units);
         let read_ppas = groups
             .iter()
             .filter(|g| touched(g))
@@ -193,7 +194,8 @@ impl AnyKeyStore {
         }
         // No seal: partial rewrites happen every log cycle, and sealing
         // here would strand block tails faster than GC reclaims them.
-        self.levels[li] = Level::new(ents, out);
+        // Inlining moves values, not logical bytes.
+        self.levels[li] = Level::with_kv_bytes(ents, out, kv_bytes);
         self.rebalance_dram();
         self.close_compaction(snap, "inline-rewrite", li, at, t_write.max(t_erase), count)
     }
@@ -227,12 +229,15 @@ impl AnyKeyStore {
         // --- 1. Gather inputs and their flash pages. -------------------
         // For an in-place rewrite of the deepest level, the lower input is
         // empty (the level was already taken as the upper input).
-        let (upper, src_level) = match src {
-            Source::Flush(ents) => (Level::new(ents, Vec::new()), None),
-            Source::Level(si) => (std::mem::take(&mut self.levels[si]), Some(si)),
+        let (upper, upper_groups, src_level) = match src {
+            Source::Flush(ents) => (ents, Vec::new(), None),
+            Source::Level(si) => {
+                let level = std::mem::take(&mut self.levels[si]);
+                (level.ents, level.units, Some(si))
+            }
         };
         let lower = std::mem::take(&mut self.levels[dst]);
-        let read_ppas = upper.groups.iter().chain(&lower.groups);
+        let read_ppas = upper_groups.iter().chain(&lower.units);
         let read_ppas = read_ppas.flat_map(Group::all_ppas);
         let t_read = self
             .core
@@ -245,14 +250,13 @@ impl AnyKeyStore {
         // log-triggered compaction moves every logged value inline, and
         // its log slot dies once the merge is done. The packer then cuts
         // the array.
-        let is_bottom = self.levels[dst + 1..].iter().all(Level::is_empty);
+        let is_bottom = self.is_bottom(dst);
         let mut log_read_ppas: Vec<Ppa> = Vec::new();
         let mut inlined: Vec<Entity> = Vec::new();
         let (ents, spare) = merge_newest(
-            upper.ents,
+            upper,
             lower.ents,
             is_bottom,
-            |e| (e.id, e.tombstone),
             |dead| self.drop_logged(dead),
             |mut e| {
                 if let (InlinePolicy::InlineAll, ValueLoc::Logged(ptr)) = (policy, e.loc()) {
@@ -279,8 +283,8 @@ impl AnyKeyStore {
         let t_inputs = t_read.max(t_log);
 
         // --- 4. Free the source blocks before writing output. ----------
-        let t_erase = self.release_groups(&upper.groups, t_inputs)?;
-        let t_erase = t_erase.max(self.release_groups(&lower.groups, t_inputs)?);
+        let t_erase = self.release_groups(&upper_groups, t_inputs)?;
+        let t_erase = t_erase.max(self.release_groups(&lower.units, t_inputs)?);
         // An emptied source level keeps the spare array for its next fill,
         // so level arrays are reused instead of being freed and allocated
         // again (DESIGN.md §4).
@@ -294,7 +298,7 @@ impl AnyKeyStore {
 
         // --- 6. Install the new level. ---------------------------------
         let merged_count = ents.len() as u64;
-        self.levels[dst] = Level::new(ents, groups);
+        self.levels[dst] = Level::new(ents, groups, self.core.cfg.key_len);
         self.rebalance_dram();
 
         // --- 7. CPU merge-sort cost and GC headroom. --------------------

@@ -3,6 +3,7 @@
 use anykey_flash::BlockId;
 
 use crate::bytelog::Extent;
+use crate::level::Entry;
 
 /// Where an entity's value lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,22 +110,26 @@ impl Entity {
         u64::from(key_len) + ENTITY_HEADER_BYTES + value
     }
 
-    /// Logical KV bytes (key + value) — what level thresholds are measured
-    /// in, regardless of where the value physically lives.
-    pub fn kv_bytes(&self, key_len: u16) -> u64 {
-        if self.tombstone {
-            u64::from(key_len)
-        } else {
-            u64::from(key_len) + self.value_len as u64
-        }
-    }
-
     /// Bytes this entity holds in the value log (0 unless logged).
     pub fn logged_bytes(&self) -> u64 {
         match self.loc() {
             ValueLoc::Logged(_) => self.value_len as u64,
             ValueLoc::Inline => 0,
         }
+    }
+}
+
+impl Entry for Entity {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn tombstone(&self) -> bool {
+        self.tombstone
+    }
+
+    fn value_len(&self) -> u32 {
+        self.value_len
     }
 }
 

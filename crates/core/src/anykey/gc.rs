@@ -24,7 +24,7 @@ impl AnyKeyStore {
     pub(crate) fn relocate_block(&mut self, victim: BlockId, at: Ns) -> Result<Ns, KvError> {
         let snap = self.core.span_snapshot();
         let (mut owners, mut units) = (Vec::new(), Vec::new());
-        for g in self.levels.iter_mut().flat_map(|l| &mut l.groups) {
+        for g in self.levels.iter_mut().flat_map(|l| &mut l.units) {
             if g.first_ppa.block == victim {
                 units.push((GROUP_STREAM, g.first_ppa, g.total_pages()));
                 owners.push(&mut g.first_ppa);

@@ -8,7 +8,7 @@
 //!
 //! The host keeps that layout as an index rather than a copy: a level
 //! holds its entities in one key-sorted array
-//! ([`Level`](crate::anykey::level::Level)), a
+//! ([`Level`](crate::level::Level)), a
 //! [`Group`](crate::anykey::group::Group) record names the range of it
 //! that the group holds, in key (directory) order, and a
 //! [`Layout`](crate::anykey::group::Layout) lists that range in hash
@@ -39,7 +39,7 @@ use anykey_flash::Ppa;
 
 use crate::anykey::entity::Entity;
 use crate::audit::AuditError;
-use crate::key;
+use crate::level::Unit;
 
 /// Bytes per directory entry in the group's first page(s): target page +
 /// page offset.
@@ -74,8 +74,6 @@ pub struct Group {
     pub dir_pages: u32,
     /// Number of data pages: the stored bytes packed byte-continuously.
     data_pages: u32,
-    /// Logical KV bytes (keys + values) in this group.
-    pub kv_bytes: u64,
     /// Value bytes referenced in the value log.
     pub logged_bytes: u64,
     /// Usable bytes per page, which the layout is packed to.
@@ -209,16 +207,6 @@ impl Group {
         usize::from(self.layout(all).page_of[i - self.start])
     }
 
-    /// Index in its level's array `all` of the group's first entity whose
-    /// key id is ≥ `id` (for range scans), `end` when there is none: an
-    /// interpolation search between the group's first and last keys
-    /// ([`key::lower_bound`]).
-    pub fn dir_lower_bound(&self, all: &[Entity], id: u64) -> usize {
-        let ents = self.ents(all);
-        let (lo, hi) = (ents[0].id, ents[ents.len() - 1].id);
-        self.start + key::lower_bound(ents, id, lo, hi, |e| e.id)
-    }
-
     /// The DRAM footprint of this group's level-list entry
     /// ([`level_list_entry_bytes`]).
     pub fn meta_bytes(&self) -> u64 {
@@ -255,7 +243,7 @@ impl Group {
     /// and routing prefixes. A layout no read has built yet is skipped, not
     /// built. The slot and hash-list checks index entities through the
     /// page starts, so those go first. Key order is the level's to check
-    /// ([`crate::anykey::level::Level::audit`]).
+    /// ([`crate::level::Level::audit`]).
     ///
     /// # Errors
     ///
@@ -317,6 +305,14 @@ impl Group {
                 page.map(|p| first[p] += 1).is_some()
             }
         }
+    }
+}
+
+impl Unit for Group {
+    const NAME: &'static str = "group";
+
+    fn range(&self) -> Range<usize> {
+        self.start..self.end
     }
 }
 
@@ -503,9 +499,8 @@ pub struct GroupPacker {
     start: usize,
     /// Index of the next entity pushed.
     next: usize,
-    /// Stored, logical KV and logged bytes of the open chunk.
+    /// Stored and logged bytes of the open chunk.
     bytes: u64,
-    kv_bytes: u64,
     logged_bytes: u64,
     /// Directory pages of the open chunk plus one more entry.
     dir_pages: u64,
@@ -526,7 +521,6 @@ impl GroupPacker {
             start,
             next: start,
             bytes: 0,
-            kv_bytes: 0,
             logged_bytes: 0,
             dir_pages: 1,
             max_bytes: 0,
@@ -560,7 +554,6 @@ impl GroupPacker {
             self.max_bytes = self.limit();
         }
         self.bytes += sz;
-        self.kv_bytes += e.kv_bytes(self.key_len);
         self.logged_bytes += e.logged_bytes();
         self.next += 1;
     }
@@ -582,14 +575,13 @@ impl GroupPacker {
             hash_list_resident: false,
             dir_pages: (count * DIR_ENTRY_BYTES).div_ceil(payload).max(1) as u32,
             data_pages: self.bytes.div_ceil(payload) as u32,
-            kv_bytes: self.kv_bytes,
             logged_bytes: self.logged_bytes,
             payload,
             key_len: self.key_len,
             layout: OnceCell::new(),
         });
         self.start = self.next;
-        (self.bytes, self.kv_bytes, self.logged_bytes) = (0, 0, 0);
+        (self.bytes, self.logged_bytes) = (0, 0);
     }
 
     /// Closes the last chunk; returns the unplaced groups in key order.
@@ -605,6 +597,7 @@ impl GroupPacker {
 mod tests {
     use super::*;
     use crate::anykey::entity::ValueLoc;
+    use crate::anykey::level::Level;
     use crate::key::Key;
 
     fn entities(n: u64, key_len: u16, value_len: u32) -> Vec<Entity> {
@@ -777,12 +770,14 @@ mod tests {
         // largest: below the smallest the lower bound is the range's start,
         // past the largest its end (a scan moves on to the next group).
         let ents = entities(100, 48, 43);
-        let g = pack(&ents, 1024, 2, 48).remove(1);
-        let (lo, hi) = (ents[g.start].id, ents[g.end - 1].id);
-        assert_eq!(g.ents(&ents).first().map(|e| e.id), Some(lo));
-        assert_eq!(g.dir_lower_bound(&ents, lo), g.start);
-        assert_eq!(g.dir_lower_bound(&ents, hi), g.end - 1);
-        assert_eq!(g.dir_lower_bound(&ents, hi + 1), g.end);
+        let groups = pack(&ents, 1024, 2, 48);
+        let (start, end) = (groups[1].start, groups[1].end);
+        let (lo, hi) = (ents[start].id, ents[end - 1].id);
+        assert_eq!(groups[1].ents(&ents).first().map(|e| e.id), Some(lo));
+        let level = Level::new(ents, groups, 48);
+        assert_eq!(level.seek(lo), (Some(1), start));
+        assert_eq!(level.seek(hi), (Some(1), end - 1));
+        assert_eq!(level.scan_from(hi + 1), (2, end));
     }
 
     #[test]
@@ -806,7 +801,6 @@ mod tests {
         /// before (Figure 7's `10` bit).
         continued_prev: Vec<bool>,
         hashes: Vec<u32>,
-        kv_bytes: u64,
         logged_bytes: u64,
         phys_bytes: u64,
     }
@@ -818,7 +812,6 @@ mod tests {
     /// field.
     fn reference_build(entities: Vec<Entity>, payload: u64, key_len: u16) -> RefGroup {
         let count = entities.len();
-        let kv_bytes = entities.iter().map(|e| e.kv_bytes(key_len)).sum();
         let logged_bytes = entities.iter().map(Entity::logged_bytes).sum();
         let mut by_hash = entities;
         by_hash.sort_by(|a, b| a.hash.cmp(&b.hash).then(a.id.cmp(&b.id)));
@@ -873,7 +866,6 @@ mod tests {
             page_first_hash,
             continued_prev,
             hashes,
-            kv_bytes,
             logged_bytes,
             phys_bytes,
         }
@@ -934,7 +926,6 @@ mod tests {
             hash_list_resident: _,
             dir_pages,
             data_pages,
-            kv_bytes,
             logged_bytes,
             payload: packed_to,
             key_len: packed_key_len,
@@ -945,7 +936,6 @@ mod tests {
         assert_eq!(*packed_key_len, key_len, "{ctx}: key length");
         assert_eq!(*data_pages as usize, want.pages.len(), "{ctx}: data pages");
         assert_eq!(dir_pages, &want.dir_pages, "{ctx}: directory pages");
-        assert_eq!(kv_bytes, &want.kv_bytes, "{ctx}: kv bytes");
         assert_eq!(logged_bytes, &want.logged_bytes, "{ctx}: logged bytes");
         assert_eq!(got.phys_bytes(), want.phys_bytes, "{ctx}: physical bytes");
 
@@ -1150,18 +1140,16 @@ mod tests {
         out
     }
 
-    /// Checks the page walk and `dir_lower_bound` against a brute-force
-    /// scan of the key-sorted input: the lower bound of every id up to past
-    /// the last one, and every [`probes`] lookup.
+    /// Checks the page walk and the lower bound of a level of the one
+    /// group against a brute-force scan of the key-sorted input: the lower
+    /// bound of every id up to past the last one, and every [`probes`]
+    /// lookup.
     fn assert_lookups_match_brute_force(ents: &[Entity], payload: u64, key_len: u16, ctx: &str) {
         let g = group(ents, payload, key_len);
+        let level = Level::new(ents.to_vec(), vec![g.clone()], key_len);
         for id in 0..=ents[ents.len() - 1].id + 2 {
             let below = ents.partition_point(|e| e.id < id);
-            assert_eq!(
-                g.dir_lower_bound(ents, id),
-                below,
-                "{ctx}: lower bound of {id}"
-            );
+            assert_eq!(level.seek(id).1, below, "{ctx}: lower bound of {id}");
         }
         for (hash, id, want) in probes(ents, key_len) {
             let got = g.lookup(ents, hash, id, |_| {}).map(|i| &ents[i]);

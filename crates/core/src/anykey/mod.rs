@@ -8,7 +8,7 @@ pub mod entity;
 pub mod gc;
 /// Data segment groups and their directories.
 pub mod group;
-/// LSM levels over data segment groups.
+/// AnyKey's levels: entities cut into data segment groups.
 pub mod level;
 #[cfg(test)]
 mod tests;
@@ -27,6 +27,7 @@ use crate::pagearea::PageArea;
 
 use compaction::InlinePolicy;
 use entity::{Entity, ValueLoc};
+use group::Group;
 use level::Level;
 
 /// The AnyKey key-value SSD (also AnyKey+ and AnyKey− via
@@ -104,7 +105,7 @@ impl AnyKeyStore {
             // budget with level lists (see `level_list_overflowed`).
             self.core.dram.metadata_used = self.core.dram.metadata_budget();
             for level in &mut self.levels {
-                for g in &mut level.groups {
+                for g in &mut level.units {
                     g.hash_list_resident = false;
                 }
             }
@@ -112,7 +113,7 @@ impl AnyKeyStore {
         }
         let mut exhausted = false;
         for level in &mut self.levels {
-            for g in &mut level.groups {
+            for g in &mut level.units {
                 if exhausted {
                     g.hash_list_resident = false;
                 } else if self.core.dram.try_claim(g.hash_list_bytes()) {
@@ -141,6 +142,9 @@ impl AnyKeyStore {
 
 impl Engine for AnyKeyStore {
     const HASH_NS: Ns = HASH_NS;
+    type Entry = Entity;
+    type Unit = Group;
+    type Level = Level;
 
     fn core(&self) -> &DeviceCore {
         &self.core
@@ -150,6 +154,14 @@ impl Engine for AnyKeyStore {
         &mut self.core
     }
 
+    fn levels(&self) -> &[Level] {
+        &self.levels
+    }
+
+    fn levels_mut(&mut self) -> &mut Vec<Level> {
+        &mut self.levels
+    }
+
     fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool> {
         let (id, hash) = (key.id(), key.hash32());
         for level in &self.levels {
@@ -157,7 +169,7 @@ impl Engine for AnyKeyStore {
                 continue;
             };
             // Hash-list check (free when resident; Section 4.2).
-            let (g, all) = (&level.groups[gi], &level.ents[..]);
+            let (g, all) = (&level.units[gi], &level.ents[..]);
             if g.hash_list_resident && !g.contains_hash(all, hash) {
                 continue;
             }
@@ -183,22 +195,15 @@ impl Engine for AnyKeyStore {
     }
 
     fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64> {
-        // Each level's run is its entity array from the first entity ≥
-        // `start`; the budget walk starts at the group holding it. The
-        // index pages are the group directory pages the walk visits
-        // (Section 4.4.5).
-        let levels = &self.levels;
-        let mut starts: Vec<(usize, usize)> = levels.iter().map(|l| l.scan_from(start)).collect();
-        let runs = levels.iter().zip(&starts);
-        let plan = self.core.scan(
+        // The budget walk starts at the group holding the level's first
+        // entity ≥ `start`. The index pages are the group directory pages
+        // the walk visits (Section 4.4.5).
+        let (plan, mut starts) = self.scan_runs(
             start,
             len as usize,
-            runs.map(|(level, &(_, from))| (&level.ents[..], from)),
-            |e: &Entity| (e.id, e.tombstone, e.value_len),
-            |li, budget, pages| {
-                let (level, (first, from)) = (&levels[li], starts[li]);
+            |level, (first, from), budget, pages| {
                 let mut left = budget;
-                for g in &level.groups[first..] {
+                for g in &level.units[first..] {
                     if left == 0 {
                         break;
                     }
@@ -224,11 +229,11 @@ impl Engine for AnyKeyStore {
         // by walking on from the previous one's, from the scan's start.
         let (mut data_ppas, mut log_ppas) = (Vec::new(), Vec::new());
         for pos in plan.hits.iter().filter_map(|&(_, pos)| pos) {
-            let (level, gi) = (&levels[pos.level], &mut starts[pos.level].0);
-            while level.groups[*gi].end <= pos.index {
+            let (level, gi) = (&self.levels[pos.level], &mut starts[pos.level].0);
+            while level.units[*gi].end <= pos.index {
                 *gi += 1;
             }
-            let g = &level.groups[*gi];
+            let g = &level.units[*gi];
             data_ppas.push(g.data_ppa(g.page_of(&level.ents, pos.index)));
             if let ValueLoc::Logged(ptr) = level.ents[pos.index].loc() {
                 log_ppas.extend(ptr.pages());
@@ -289,10 +294,6 @@ impl Engine for AnyKeyStore {
         self.levels.get(i).map(Level::phys_bytes)
     }
 
-    fn push_level(&mut self) {
-        self.levels.push(Level::default());
-    }
-
     fn gc_alloc(&self) -> &BlockAllocator {
         &self.group_alloc
     }
@@ -306,7 +307,7 @@ impl Engine for AnyKeyStore {
     fn stats(&self) -> MetadataStats {
         let level_list_bytes: u64 = self.levels.iter().map(Level::meta_bytes).sum();
         let (mut hash_list_total, mut hash_list_resident) = (0u64, 0u64);
-        for g in self.levels.iter().flat_map(|l| &l.groups) {
+        for g in self.levels.iter().flat_map(|l| &l.units) {
             let bytes = g.hash_list_bytes();
             hash_list_total += bytes;
             if g.hash_list_resident {
@@ -319,7 +320,7 @@ impl Engine for AnyKeyStore {
                 .saturating_sub(self.core.dram.metadata_budget()),
             hash_list_total_bytes: hash_list_total,
             hash_list_resident_bytes: hash_list_resident,
-            levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
+            levels: self.populated_levels(),
             value_log_used_bytes: self.log.as_ref().map_or(0, ByteLog::valid_bytes),
             retired_blocks: (self.group_alloc.retired_count()
                 + self.log.as_ref().map_or(0, |l| l.alloc.retired_count()))
@@ -329,12 +330,6 @@ impl Engine for AnyKeyStore {
                 as u64,
             ..self.core.metadata()
         }
-    }
-
-    fn live_bytes(&self) -> u64 {
-        let runs = self.levels.iter().map(|l| &l.ents[..]);
-        self.core
-            .live_bytes(runs, |e: &Entity| (e.id, e.tombstone, e.value_len))
     }
 
     fn sample_levels(&self, meta: &MetadataStats) -> StateSample {
@@ -350,7 +345,7 @@ impl Engine for AnyKeyStore {
                 .enumerate()
                 .map(|(i, l)| LevelSample {
                     level: i as u32,
-                    entries: l.groups.len() as u64,
+                    entries: l.units.len() as u64,
                     kv_bytes: l.kv_bytes(),
                     phys_bytes: l.phys_bytes(),
                     meta_bytes: l.meta_bytes(),
@@ -364,7 +359,7 @@ impl Engine for AnyKeyStore {
     /// every group is audited whole, then runs the boundary audit.
     fn audit(&self) -> Result<(), AuditError> {
         for l in &self.levels {
-            for g in &l.groups {
+            for g in &l.units {
                 g.layout(&l.ents);
             }
         }
@@ -378,7 +373,7 @@ impl Engine for AnyKeyStore {
     /// audit checks it.
     fn boundary_audit(&self) -> Result<(), AuditError> {
         for (li, level) in self.levels.iter().enumerate() {
-            level.audit(li)?;
+            level.audit_layouts(li)?;
         }
 
         // What rebalance_dram claimed must equal what is marked resident.
@@ -399,7 +394,7 @@ impl Engine for AnyKeyStore {
             let blocks = logged().map(|(b, _)| (b, "value log"));
             audit_retirement(&log.alloc, "value log", blocks)?;
         }
-        let groups = || self.levels.iter().flat_map(|l| &l.groups);
+        let groups = || self.levels.iter().flat_map(|l| &l.units);
         let pages = groups().map(|g| (g.first_ppa.block, u64::from(g.total_pages())));
         self.area.ledger.recount(pages)?;
         let blocks = groups().map(|g| (g.first_ppa.block, "group area"));

@@ -37,7 +37,7 @@ fn hash_lists_cover_top_levels_first() {
     let flags: Vec<bool> = s
         .levels
         .iter()
-        .flat_map(|l| l.groups.iter().map(|g| g.hash_list_resident))
+        .flat_map(|l| l.units.iter().map(|g| g.hash_list_resident))
         .collect();
     let first_miss = flags.iter().position(|&r| !r).unwrap_or(flags.len());
     assert!(
@@ -165,7 +165,7 @@ fn built_layouts(s: &AnyKeyStore) -> Vec<Vec<usize>> {
     s.levels
         .iter()
         .map(|l| {
-            let built = l.groups.iter().map(|g| g.layout_built());
+            let built = l.units.iter().map(|g| g.layout_built());
             built
                 .enumerate()
                 .filter(|&(_, b)| b)
@@ -206,11 +206,11 @@ fn insert_only_fill_builds_layouts_only_when_read() {
 
     // The full audit builds every other layout, and a second one none.
     assert_eq!(s.check_invariants(), Ok(()));
-    let mut groups = s.levels.iter().flat_map(|l| &l.groups);
+    let mut groups = s.levels.iter().flat_map(|l| &l.units);
     assert!(groups.all(|g| g.layout_built()));
     let layouts = |s: &AnyKeyStore| -> Vec<*const Layout> {
         let levels = s.levels.iter();
-        let layouts = levels.flat_map(|l| l.groups.iter().map(|g| g.layout(&l.ents) as *const _));
+        let layouts = levels.flat_map(|l| l.units.iter().map(|g| g.layout(&l.ents) as *const _));
         layouts.collect()
     };
     let first = layouts(&s);
@@ -246,7 +246,7 @@ fn an_empty_scan_reads_nothing() {
 /// Per level, the first page and layout state of each group.
 fn layout_states(s: &AnyKeyStore) -> Vec<Vec<(anykey_flash::Ppa, bool)>> {
     let groups = |l: &crate::anykey::level::Level| {
-        let states = l.groups.iter();
+        let states = l.units.iter();
         states.map(|g| (g.first_ppa, g.layout_built())).collect()
     };
     s.levels.iter().map(groups).collect()
@@ -269,7 +269,7 @@ fn built_layouts_survive_rewrites_and_relocation() {
     // A level where some groups hold logged values and some do not.
     let li = (0..s.levels.len())
         .find(|&li| {
-            let logged = s.levels[li].groups.iter().map(|g| g.logged_bytes > 0);
+            let logged = s.levels[li].units.iter().map(|g| g.logged_bytes > 0);
             logged.clone().any(|l| l) && logged.clone().any(|l| !l)
         })
         .expect("a level with both logged and inline groups");
@@ -279,7 +279,7 @@ fn built_layouts_survive_rewrites_and_relocation() {
         "the audit builds every layout"
     );
     let untouched: Vec<_> = s.levels[li]
-        .groups
+        .units
         .iter()
         .filter(|g| g.logged_bytes == 0)
         .map(|g| g.first_ppa)

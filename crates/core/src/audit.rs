@@ -5,14 +5,11 @@
 //! simulation's correctness rests on. Each structure audits its own
 //! layout:
 //!
-//! * an AnyKey level ([`crate::anykey::level::Level::audit`]) and the
-//!   layouts of its groups ([`crate::anykey::group::Group::audit`]);
-//! * a PinK level and its meta segments
-//!   ([`crate::pink::PinkLevel::audit`]);
-//!
-//! Both engines' levels are one key-sorted run cut into units (AnyKey's
-//! groups, PinK's meta segments), and both check that shape with one
-//! shared run audit;
+//! * a level's shape, in either engine: its key-sorted array and the units
+//!   that tile it, AnyKey's groups or PinK's meta segments
+//!   ([`crate::level::Level::audit`]);
+//! * the layouts of AnyKey's groups
+//!   ([`crate::anykey::group::Group::audit`]);
 //! * each flash area's per-block ledger: no block counts more live than
 //!   an erase block holds ([`crate::ledger::Ledger::audit_overfull`]),
 //!   and, in every area but PinK's data area, each count equals the one
@@ -69,13 +66,15 @@ pub enum AuditError {
         /// The group/segment index within the level.
         group: usize,
     },
-    /// A group's level-list key, its level's cached first key for it,
-    /// differs from the first key of its directory.
+    /// A unit's level-list key, its level's first key for it, differs
+    /// from the key of its first entry.
     FenceMismatch {
-        /// The level holding the group.
+        /// The level holding the unit.
         level: usize,
-        /// The group index within the level.
-        group: usize,
+        /// What the unit is: `"group"` or `"meta segment"`.
+        unit: &'static str,
+        /// The unit index within the level.
+        index: usize,
     },
     /// A group's per-page first hashes, whose top 16 bits are the routing
     /// prefixes, differ from the hashes its pages start with, so
@@ -136,45 +135,18 @@ pub enum AuditError {
         /// The independently maintained grand total.
         total: u64,
     },
-    /// A PinK level's meta segments do not tile its entry run: a segment
-    /// is empty, out of bounds, or does not start where the previous one
-    /// ended, or the last one stops short of the run's end.
-    SegmentTiling {
-        /// The level holding the segment.
+    /// A level's units (AnyKey's groups, PinK's meta segments) do not
+    /// tile its entry array: a unit is empty, out of bounds, or does not
+    /// start where the previous one ended, or the last one stops short of
+    /// the array's end.
+    UnitTiling {
+        /// The level holding the unit.
         level: usize,
-        /// The segment index (the segment count when the run is not
-        /// covered to its end).
-        segment: usize,
-    },
-    /// A PinK meta segment's cached first key (its level-list key)
-    /// differs from the key of its first entry.
-    SegmentFence {
-        /// The level holding the segment.
-        level: usize,
-        /// The segment index within the level.
-        segment: usize,
-    },
-    /// A PinK meta segment's cached byte count differs from the bytes of
-    /// its entries.
-    SegmentBytes {
-        /// The level holding the segment.
-        level: usize,
-        /// The segment index within the level.
-        segment: usize,
-        /// The cached byte count.
-        cached: u64,
-        /// The byte sum of the segment's entries.
-        actual: u64,
-    },
-    /// An AnyKey level's group records do not tile its entity array: a
-    /// group is empty, out of bounds, or does not start where the previous
-    /// one ended, or the last one stops short of the array's end.
-    GroupTiling {
-        /// The level holding the group.
-        level: usize,
-        /// The group index (the group count when the array is not covered
+        /// What the unit is: `"group"` or `"meta segment"`.
+        unit: &'static str,
+        /// The unit index (the unit count when the array is not covered
         /// to its end).
-        group: usize,
+        index: usize,
     },
     /// An AnyKey group's page starts decrease, do not start at 0, or do
     /// not end at its entity count.
@@ -224,47 +196,6 @@ pub enum AuditError {
     },
 }
 
-/// Audits level `level`'s key-sorted `run` (`key` gives an entry's key
-/// id) against its `(start, end, cached first key)` units in order (AnyKey's
-/// groups, PinK's meta segments): they tile the run, each non-empty and
-/// starting where the one before ended (else `tiling` of the unit, or of
-/// the unit count when they stop short), and cache their first entries'
-/// keys (else `fence` of the unit). Then the whole run strictly ascends: a
-/// break is `LevelOrder` at the boundary after a unit, `DirectoryOrder`
-/// inside one.
-pub(crate) fn audit_run<T>(
-    level: usize,
-    run: &[T],
-    key: impl Fn(&T) -> u64,
-    units: impl Iterator<Item = (usize, usize, u64)> + Clone,
-    tiling: impl Fn(usize) -> AuditError,
-    fence: impl Fn(usize) -> AuditError,
-) -> Result<(), AuditError> {
-    let mut next = 0;
-    for (i, (start, end, first)) in units.clone().enumerate() {
-        if start != next || end <= start || end > run.len() {
-            return Err(tiling(i));
-        }
-        if first != key(&run[start]) {
-            return Err(fence(i));
-        }
-        next = end;
-    }
-    if next != run.len() {
-        return Err(tiling(units.count()));
-    }
-    let Some(k) = run.windows(2).position(|w| key(&w[0]) >= key(&w[1])) else {
-        return Ok(());
-    };
-    let mut units = units.enumerate();
-    let (i, (_, end, _)) = units.find(|&(_, (_, end, _))| end > k).unwrap_or_default();
-    Err(if end == k + 1 {
-        AuditError::LevelOrder { level, index: i }
-    } else {
-        AuditError::DirectoryOrder { level, group: i }
-    })
-}
-
 /// Audits `alloc`'s free/allocated/retired partition, naming it `owner`,
 /// then that no block in `live` is retired; `live` yields each live
 /// structure's block with the owner its error names.
@@ -308,9 +239,9 @@ impl fmt::Display for AuditError {
                 f,
                 "group {group} of level {level} has an unsorted key directory"
             ),
-            AuditError::FenceMismatch { level, group } => write!(
+            AuditError::FenceMismatch { level, unit, index } => write!(
                 f,
-                "group {group} of level {level} has cached key fences that differ from its directory's first and last keys"
+                "{unit} {index} of level {level} has a level-list key that is not its first entry's key"
             ),
             AuditError::RoutingOrder { level, group } => write!(
                 f,
@@ -350,26 +281,9 @@ impl fmt::Display for AuditError {
                 f,
                 "flash {ledger} counter skew: per-cause sum {per_cause_sum} != independent total {total}"
             ),
-            AuditError::SegmentTiling { level, segment } => write!(
+            AuditError::UnitTiling { level, unit, index } => write!(
                 f,
-                "meta segment {segment} of level {level} does not tile the level's entry run"
-            ),
-            AuditError::SegmentFence { level, segment } => write!(
-                f,
-                "meta segment {segment} of level {level} has a level-list key that is not its first entry's key"
-            ),
-            AuditError::SegmentBytes {
-                level,
-                segment,
-                cached,
-                actual,
-            } => write!(
-                f,
-                "meta segment {segment} of level {level} caches {cached} bytes but its entries hold {actual}"
-            ),
-            AuditError::GroupTiling { level, group } => write!(
-                f,
-                "group {group} of level {level} does not tile the level's entity array"
+                "{unit} {index} of level {level} does not tile the level's entry array"
             ),
             AuditError::PageStartSkew { level, group } => write!(
                 f,
@@ -421,8 +335,8 @@ impl AnyKeyStore {
     /// groups existed.
     #[doc(hidden)]
     pub fn corrupt_level_order_for_test(&mut self) -> bool {
-        let level = self.levels.iter_mut().find(|l| l.groups.len() >= 2);
-        let seam = |l: &mut Level| l.ents[l.groups[0].end - 1].id = l.firsts[1];
+        let level = self.levels.iter_mut().find(|l| l.units.len() >= 2);
+        let seam = |l: &mut Level| l.ents[l.units[0].end - 1].id = l.firsts[1];
         level.map(seam).is_some()
     }
 
@@ -432,10 +346,10 @@ impl AnyKeyStore {
     /// existed.
     #[doc(hidden)]
     pub fn corrupt_group_fence_for_test(&mut self) -> bool {
-        let two = |l: &Level| l.groups.iter().position(|g| g.entity_count() >= 2);
+        let two = |l: &Level| l.units.iter().position(|g| g.entity_count() >= 2);
         let group = self.levels.iter_mut().find_map(|l| Some((two(l)?, l)));
         group
-            .map(|(gi, l)| l.firsts[gi] = l.ents[l.groups[gi].end - 1].id)
+            .map(|(gi, l)| l.firsts[gi] = l.ents[l.units[gi].end - 1].id)
             .is_some()
     }
 
@@ -445,8 +359,8 @@ impl AnyKeyStore {
     /// existed.
     #[doc(hidden)]
     pub fn corrupt_group_range_for_test(&mut self) -> bool {
-        let level = self.levels.iter_mut().find(|l| l.groups.len() >= 2);
-        level.map(|l| l.groups[0].end -= 1).is_some()
+        let level = self.levels.iter_mut().find(|l| l.units.len() >= 2);
+        level.map(|l| l.units[0].end -= 1).is_some()
     }
 
     /// Test-only corruption hook: makes the first group's page starts end
@@ -464,7 +378,7 @@ impl AnyKeyStore {
     #[doc(hidden)]
     pub fn corrupt_slot_index_for_test(&mut self) -> bool {
         self.levels.iter_mut().any(|l| {
-            let mut groups = l.groups.iter_mut();
+            let mut groups = l.units.iter_mut();
             groups.any(|g| g.corrupt_layout_for_test(&l.ents, LayoutFault::SlotIndex))
         })
     }
@@ -490,7 +404,7 @@ impl AnyKeyStore {
     /// no group or the fault does not apply to it.
     fn corrupt_first_layout(&mut self, fault: LayoutFault) -> bool {
         let level = self.levels.iter_mut().find(|l| !l.is_empty());
-        level.is_some_and(|l| l.groups[0].corrupt_layout_for_test(&l.ents, fault))
+        level.is_some_and(|l| l.units[0].corrupt_layout_for_test(&l.ents, fault))
     }
 
     /// Test-only corruption hook: over-claims the DRAM budget past both
@@ -513,7 +427,7 @@ impl AnyKeyStore {
     /// retired block. Returns whether a live group existed.
     #[doc(hidden)]
     pub fn retire_live_block_for_test(&mut self) -> bool {
-        let group = self.levels.iter().find_map(|l| l.groups.first());
+        let group = self.levels.iter().find_map(|l| l.units.first());
         let victim = group.map(|g| g.first_ppa.block);
         victim.map(|b| self.group_alloc.retire(b)).is_some()
     }
@@ -552,7 +466,7 @@ impl PinkStore {
         let victim = self
             .levels
             .iter()
-            .flat_map(|l| &l.entries)
+            .flat_map(|l| &l.run.ents)
             .find(|e| !e.tombstone)
             .map(|e| e.ptr.block);
         victim.map(|b| self.data.alloc.retire(b)).is_some()
@@ -578,30 +492,23 @@ impl PinkStore {
     /// tile the level's run. Returns whether such a level existed.
     #[doc(hidden)]
     pub fn corrupt_segment_range_for_test(&mut self) -> bool {
-        let level = self.levels.iter_mut().find(|l| l.segs.len() >= 2);
-        level.map(|l| l.segs[0].end -= 1).is_some()
+        let level = self.levels.iter_mut().find(|l| l.run.units.len() >= 2);
+        level.map(|l| l.run.units[0].end -= 1).is_some()
     }
 
-    /// Test-only corruption hook: sets the cached first key of the first
+    /// Test-only corruption hook: sets the level-list key of the first
     /// segment holding at least two entries to its second entry's key, as
     /// if the first entry had left without the level list noticing.
     /// Returns whether such a segment existed.
     #[doc(hidden)]
     pub fn corrupt_segment_fence_for_test(&mut self) -> bool {
         let seg = self.levels.iter_mut().find_map(|l| {
-            let s = l.segs.iter_mut().find(|s| s.end - s.start >= 2)?;
-            let second = l.entries[s.start + 1].id;
-            Some((s, second))
+            let l = &mut l.run;
+            let si = l.units.iter().position(|s| s.end - s.start >= 2)?;
+            Some((si, l))
         });
-        seg.map(|(s, second)| s.first = second).is_some()
-    }
-
-    /// Test-only corruption hook: inflates the cached byte count of the
-    /// first segment. Returns whether a segment existed.
-    #[doc(hidden)]
-    pub fn corrupt_segment_bytes_for_test(&mut self) -> bool {
-        let seg = self.levels.iter_mut().find_map(|l| l.segs.first_mut());
-        seg.map(|s| s.bytes += 1).is_some()
+        seg.map(|(si, l)| l.firsts[si] = l.ents[l.units[si].start + 1].id)
+            .is_some()
     }
 }
 
@@ -729,7 +636,11 @@ mod tests {
         // the segment's block must hold no list page.
         let spilled = |p: &PinkStore, owner| {
             let lists = || p.levels.iter().flat_map(|l| &l.list_pages);
-            let segs = p.levels.iter().flat_map(|l| &l.segs).filter_map(|s| s.ppa);
+            let segs = p
+                .levels
+                .iter()
+                .flat_map(|l| &l.run.units)
+                .filter_map(|s| s.ppa);
             match owner {
                 "meta segment" => segs
                     .map(|x| x.block)
@@ -851,40 +762,44 @@ mod tests {
                 total: 7,
             }
             .to_string(),
-            AuditError::SegmentTiling {
+            AuditError::UnitTiling {
                 level: 1,
-                segment: 0,
-            }
-            .to_string(),
-            AuditError::SegmentBytes {
-                level: 1,
-                segment: 0,
-                cached: 9,
-                actual: 8,
+                unit: "meta segment",
+                index: 0,
             }
             .to_string(),
             AuditError::PageStartSkew { level: 1, group: 0 }.to_string(),
             AuditError::HashListMismatch { level: 1, group: 0 }.to_string(),
-            AuditError::SegmentFence {
+            AuditError::FenceMismatch {
                 level: 1,
-                segment: 0,
+                unit: "meta segment",
+                index: 0,
             }
             .to_string(),
-            AuditError::FenceMismatch { level: 1, group: 0 }.to_string(),
-            AuditError::GroupTiling { level: 1, group: 0 }.to_string(),
+            AuditError::FenceMismatch {
+                level: 1,
+                unit: "group",
+                index: 0,
+            }
+            .to_string(),
+            AuditError::UnitTiling {
+                level: 1,
+                unit: "group",
+                index: 0,
+            }
+            .to_string(),
         ];
         assert!(msgs[0].contains("key order"));
         assert!(msgs[1].contains("over budget"));
         assert!(msgs[2].contains("counter skew"));
         assert!(msgs[3].contains("retired block B7"));
         assert!(msgs[4].contains("retirement accounting skew"));
-        assert!(msgs[5].contains("does not tile"));
-        assert!(msgs[6].contains("caches 9 bytes"));
-        assert!(msgs[7].contains("page starts"));
-        assert!(msgs[8].contains("hash list"));
-        assert!(msgs[9].contains("level-list key"));
-        assert!(msgs[10].contains("key fences"));
-        assert!(msgs[11].contains("entity array"));
+        assert!(msgs[5].starts_with("meta segment 0") && msgs[5].contains("does not tile"));
+        assert!(msgs[6].contains("page starts"));
+        assert!(msgs[7].contains("hash list"));
+        assert!(msgs[8].starts_with("meta segment 0") && msgs[8].contains("level-list key"));
+        assert!(msgs[9].starts_with("group 0") && msgs[9].contains("first entry's key"));
+        assert!(msgs[10].starts_with("group 0") && msgs[10].contains("entry array"));
         for i in 0..msgs.len() {
             for j in i + 1..msgs.len() {
                 assert_ne!(msgs[i], msgs[j]);

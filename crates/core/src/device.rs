@@ -8,7 +8,7 @@
 //! only its own levels, flash areas, compaction, GC, and level walks. The
 //! request front end over both, the one `KvEngine` implementation, is in
 //! [`crate::engine`]. [`DeviceCore::scan`] is the range-scan merge both
-//! engines run over their own per-level entry runs, and
+//! engines run over their levels' entry arrays, and
 //! [`DeviceCore::live_bytes`] walks the same merge over the whole tree.
 
 use std::cmp::Ordering;
@@ -25,6 +25,7 @@ use crate::dram::DramBudget;
 use crate::engine::MetadataStats;
 use crate::error::KvError;
 use crate::key::Key;
+use crate::level::Entry;
 use crate::pink::segment::SEG_ENTRY_OVERHEAD;
 
 /// Flash, write buffer, DRAM budget, and the bookkeeping around them.
@@ -132,8 +133,7 @@ pub(crate) enum Source<E> {
 /// key-sorted runs, `upper` being the newer. On an equal key the upper
 /// entry wins and the shadowed lower one goes to `shadowed`. With
 /// `drop_tombstones` (the output is the bottom level) tombstones are
-/// dropped, as nothing below remains for them to shadow. `entry` gives an
-/// entry's key id and whether it is a tombstone.
+/// dropped, as nothing below remains for them to shadow.
 ///
 /// No input is copied to a new array. The output is written over the
 /// input array with the larger capacity (the upper's on a tie), grown by
@@ -146,15 +146,14 @@ pub(crate) enum Source<E> {
 /// (DESIGN.md §4). The merge runs from the largest key down: `shadowed`
 /// and `emit` see entries in descending key order, and `emit` returns
 /// what to store. Returns `(merged, spare)`.
-pub(crate) fn merge_newest<T: Copy>(
+pub(crate) fn merge_newest<T: Entry>(
     upper: Vec<T>,
     lower: Vec<T>,
     drop_tombstones: bool,
-    entry: impl Fn(&T) -> (u64, bool),
     mut shadowed: impl FnMut(&T) -> Result<(), KvError>,
     mut emit: impl FnMut(T) -> T,
 ) -> Result<(Vec<T>, Vec<T>), KvError> {
-    let keep = |e: &T| !(drop_tombstones && entry(e).1);
+    let keep = |e: &T| !(drop_tombstones && e.tombstone());
     // `out` is the array written over, `other` the one read beside it.
     let upper_out = upper.capacity() >= lower.capacity();
     let (mut other, mut out) = if upper_out {
@@ -170,7 +169,7 @@ pub(crate) fn merge_newest<T: Copy>(
     // One key compare per step while both runs have heads.
     while i > 0 && j > 0 {
         let (a, b) = (other[i - 1], buf[j - 1]);
-        let e = match entry(&a).0.cmp(&entry(&b).0) {
+        let e = match a.id().cmp(&b.id()) {
             Ordering::Greater => {
                 i -= 1;
                 a
@@ -219,26 +218,16 @@ pub(crate) fn merge_newest<T: Copy>(
 /// [`Self::next_key`] finds the smallest key at any head, and
 /// [`Self::take`] consumes every version of it, so a caller can stop
 /// between them.
-struct Merge<'a, T, F> {
+struct Merge<'a, T> {
     buf: Peekable<buffer::Range<'a>>,
     runs: Vec<(&'a [T], usize)>,
-    /// Reads an entry as `(key id, tombstone, value_len)`.
-    entry: F,
 }
 
-impl<'a, T: 'a, F> Merge<'a, T, F>
-where
-    F: Fn(&T) -> (u64, bool, u32),
-{
-    fn new(
-        buf: buffer::Range<'a>,
-        runs: impl IntoIterator<Item = (&'a [T], usize)>,
-        entry: F,
-    ) -> Self {
+impl<'a, T: Entry + 'a> Merge<'a, T> {
+    fn new(buf: buffer::Range<'a>, runs: impl IntoIterator<Item = (&'a [T], usize)>) -> Self {
         Self {
             buf: buf.peekable(),
             runs: runs.into_iter().collect(),
-            entry,
         }
     }
 
@@ -246,7 +235,7 @@ where
     fn next_key(&mut self) -> Option<u64> {
         let buf = self.buf.peek().map(|(k, _)| **k);
         let heads = self.runs.iter().filter_map(|&(run, at)| run.get(at));
-        heads.map(|e| (self.entry)(e).0).chain(buf).min()
+        heads.map(T::id).chain(buf).min()
     }
 
     /// Consumes every version of `key`, the key [`Self::next_key`] found,
@@ -256,15 +245,12 @@ where
         let buffered = self.buf.next_if(|(k, _)| **k == key);
         let mut newest = buffered.map(|(_, e)| (e.tombstone, e.value_len, None));
         for (level, (run, index)) in self.runs.iter_mut().enumerate() {
-            while let Some((k, tombstone, value_len)) = run.get(*index).map(&self.entry) {
-                if k != key {
-                    break;
-                }
+            while let Some(e) = run.get(*index).filter(|e| e.id() == key) {
                 let pos = ScanPos {
                     level,
                     index: *index,
                 };
-                newest.get_or_insert((tombstone, value_len, Some(pos)));
+                newest.get_or_insert((e.tombstone(), e.value_len(), Some(pos)));
                 *index += 1;
             }
         }
@@ -359,8 +345,7 @@ impl DeviceCore {
     /// levels of `runs` (lower index = newer).
     ///
     /// Each run is one level's key-sorted entry array with the index of its
-    /// first entry ≥ `start`; `entry` reads an entry as `(key id,
-    /// tombstone, value_len)`. The merge streams over the runs and the
+    /// first entry ≥ `start`. The merge streams over the runs and the
     /// buffer once and copies no entry.
     ///
     /// What a scan charges for index pages depends on a per-level budget.
@@ -375,15 +360,14 @@ impl DeviceCore {
     /// up to 64× `want`. A frontier only rises with the budget, so the
     /// hits found below the old one stand and the stream goes on; the
     /// index pages are those of the final budget.
-    pub(crate) fn scan<'a, T: 'a>(
+    pub(crate) fn scan<'a, T: Entry + 'a>(
         &'a self,
         start: u64,
         want: usize,
         runs: impl IntoIterator<Item = (&'a [T], usize)>,
-        entry: impl Fn(&T) -> (u64, bool, u32),
         mut walk: impl FnMut(usize, usize, &mut Vec<Ppa>) -> Option<u64>,
     ) -> ScanPlan {
-        let mut merge = Merge::new(self.buffer.range(start), runs, entry);
+        let mut merge = Merge::new(self.buffer.range(start), runs);
         let levels = merge.runs.len();
         let mut frontier = |budget: usize, pages: &mut Vec<Ppa>| {
             pages.clear();
@@ -418,13 +402,12 @@ impl DeviceCore {
     /// `runs`, tombstones excepted. Each run is one level's whole entry
     /// array, read as by [`Self::scan`]; the walk allocates only its
     /// cursors.
-    pub(crate) fn live_bytes<'a, T: 'a>(
+    pub(crate) fn live_bytes<'a, T: Entry + 'a>(
         &'a self,
         runs: impl IntoIterator<Item = &'a [T]>,
-        entry: impl Fn(&T) -> (u64, bool, u32),
     ) -> u64 {
         let runs = runs.into_iter().map(|run| (run, 0));
-        let mut merge = Merge::new(self.buffer.range(0), runs, entry);
+        let mut merge = Merge::new(self.buffer.range(0), runs);
         let key_len = u64::from(self.cfg.key_len);
         let mut bytes = 0;
         while let Some(key) = merge.next_key() {

@@ -18,6 +18,20 @@ use crate::engine::Engine;
 /// payload is its `(level, index)`, so a hit names the version it took.
 type Level = Vec<(u64, bool)>;
 
+impl Entry for (u64, bool) {
+    fn id(&self) -> u64 {
+        self.0
+    }
+
+    fn tombstone(&self) -> bool {
+        self.1
+    }
+
+    fn value_len(&self) -> u32 {
+        0
+    }
+}
+
 /// One version of a key that a level offers the reference merge; `payload`
 /// names where it came from.
 #[derive(Debug, Clone, Copy)]
@@ -215,16 +229,10 @@ fn check(
         let from = level.partition_point(|&(key, _)| key < start);
         (&level[..], from)
     });
-    let plan = core.scan(
-        start,
-        want,
-        runs,
-        |&(key, tombstone)| (key, tombstone, 0),
-        |li, b, pages| {
-            budget = Some(b);
-            walk(levels, start, li, b, pages)
-        },
-    );
+    let plan = core.scan(start, want, runs, |li, b, pages| {
+        budget = Some(b);
+        walk(levels, start, li, b, pages)
+    });
     let plan = RefPlan {
         index_pages: plan.index_pages,
         hits: plan
@@ -383,6 +391,20 @@ fn an_empty_scan_walks_at_budget_zero() {
 /// tombstone, level)`, so the output shows which copy survived.
 type Tagged = (u64, bool, u8);
 
+impl Entry for Tagged {
+    fn id(&self) -> u64 {
+        self.0
+    }
+
+    fn tombstone(&self) -> bool {
+        self.1
+    }
+
+    fn value_len(&self) -> u32 {
+        0
+    }
+}
+
 /// The merged `(id, tombstone, level)`s and the shadowed `(id, level)`s.
 type TaggedMerge = (Vec<(u64, bool, u8)>, Vec<(u64, u8)>);
 
@@ -427,7 +449,6 @@ fn reference_merge(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMe
 /// entries and shadowing the same ones, in descending key order, and hand
 /// back the other array emptied.
 fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge {
-    let key = |&(key, tombstone, _): &Tagged| (key, tombstone);
     let (merged, shadowed) = reference_merge(upper, lower, bottom);
     for (upper_room, lower_room) in [(0, 7), (lower.len() + 7, 0)] {
         let (mut up, mut low) = (upper.to_vec(), lower.to_vec());
@@ -442,7 +463,7 @@ fn merge_tagged(upper: &[Tagged], lower: &[Tagged], bottom: bool) -> TaggedMerge
             emitted.push(e);
             e
         };
-        let (out, spare) = merge_newest(up, low, bottom, key, shadow, emit).unwrap();
+        let (out, spare) = merge_newest(up, low, bottom, shadow, emit).unwrap();
         assert_eq!(out, merged, "written over upper: {}", upper_room > 0);
         assert!(spare.is_empty());
         emitted.reverse();
@@ -560,34 +581,29 @@ fn small(kind: EngineKind) -> DeviceConfig {
 fn live_unique_bytes_follow_a_map_model() {
     use crate::anykey::AnyKeyStore;
     use crate::pink::PinkStore;
-    follow_a_map_model(PinkStore::new(small(EngineKind::Pink)), |s| {
-        let entries = s.levels.iter().flat_map(|l| &l.entries);
-        entries.map(|e| (e.id, e.tombstone, e.value_len)).collect()
-    });
+    follow_a_map_model(PinkStore::new(small(EngineKind::Pink)));
     for kind in [
         EngineKind::AnyKey,
         EngineKind::AnyKeyPlus,
         EngineKind::AnyKeyNoLog,
     ] {
-        follow_a_map_model(AnyKeyStore::new(small(kind)), |s| {
-            let ents = s.levels.iter().flat_map(|l| &l.ents);
-            ents.map(|e| (e.id, e.tombstone, e.value_len)).collect()
-        });
+        follow_a_map_model(AnyKeyStore::new(small(kind)));
     }
 }
 
-/// The body of [`live_unique_bytes_follow_a_map_model`] for one engine;
-/// `entries` lists every level entry as `(key, tombstone, value_len)`,
-/// level by level from the top.
-fn follow_a_map_model<E: Engine>(mut dev: E, entries: impl Fn(&E) -> Vec<(u64, bool, u32)>) {
+/// The body of [`live_unique_bytes_follow_a_map_model`] for one engine.
+fn follow_a_map_model<E: Engine>(mut dev: E) {
     use crate::engine::KvEngine;
     use std::collections::HashSet;
     let kind = dev.kind();
     let brute_force = |dev: &E| {
         let buffered = dev.core().buffer.range(0);
         let buffered = buffered.map(|(&key, e)| (key, e.tombstone, e.value_len));
+        // Every level entry, level by level from the top.
+        let ents = dev.levels().iter().flat_map(|l| &l.as_ref().ents);
+        let ents = ents.map(|e| (e.id(), e.tombstone(), e.value_len()));
         let mut seen = HashSet::new();
-        let newest = buffered.chain(entries(dev)).filter(|v| seen.insert(v.0));
+        let newest = buffered.chain(ents).filter(|v| seen.insert(v.0));
         let live = newest.filter(|&(_, tombstone, _)| !tombstone);
         live.map(|(_, _, len)| 24 + u64::from(len)).sum::<u64>()
     };

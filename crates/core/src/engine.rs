@@ -4,17 +4,17 @@
 //! [`KvEngine`] is the request front end a host drives. PinK and AnyKey
 //! share everything of it, and the LSM lifecycle behind it, but the
 //! metadata layout, so each supplies only the crate-private `Engine`
-//! hooks: the level walk of a GET that missed the write buffer, the scan
-//! from a valid start key, the run a flush builds, the merge into a level,
-//! the level sizes, the GC allocator and one collection step, the
-//! metadata and timeline snapshots, the level runs the live-byte walk
-//! reads, the full and boundary audits, and its per-request key-hash
-//! cost. `impl<E: Engine> KvEngine for E` does the request side once: key
-//! checking, the request CPU model, the write-buffer probe, the PUT path
-//! with its flush trigger, and the forwarders into the shared device
-//! scaffold. `Engine`'s provided methods
-//! do the lifecycle once: the flush, the size-ratio cascade, the GC
-//! headroom loop, and a compaction's opening headroom and close.
+//! hooks: its levels, the level walk of a GET that missed the write
+//! buffer, the scan from a valid start key, the run a flush builds, the
+//! merge into a level, the level sizes, the GC allocator and one
+//! collection step, the metadata and timeline snapshots, the full and
+//! boundary audits, and its per-request key-hash cost. `impl<E: Engine>
+//! KvEngine for E` does the request side once: key checking, the request
+//! CPU model, the write-buffer probe, the PUT path with its flush trigger,
+//! and the forwarders into the shared device scaffold. `Engine`'s provided
+//! methods do the lifecycle once: the flush, the size-ratio cascade, the
+//! GC headroom loop, a compaction's opening headroom and close, and the
+//! walks over the levels.
 
 use anykey_flash::{BlockAllocator, FlashCounters, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
@@ -23,9 +23,10 @@ use anykey_workload::Op;
 
 use crate::audit::AuditError;
 use crate::config::{EngineKind, DRAM_OP_NS, LEVEL_RATIO, RESERVE_BLOCKS, SORT_NS_PER_ENTITY};
-use crate::device::DeviceCore;
+use crate::device::{DeviceCore, ScanPlan};
 use crate::error::KvError;
 use crate::key::Key;
+use crate::level::{Entry, Level, Unit};
 
 /// Per-page overhead reserved for ECC/headers in every flash page; the
 /// usable payload is `page_size - PAGE_HEADER_BYTES`.
@@ -246,11 +247,29 @@ pub(crate) trait Engine {
     /// level lists and hash lists are keyed by it, PinK hashes nothing.
     const HASH_NS: Ns;
 
+    /// The entries of the engine's [`Level`]s.
+    type Entry: Entry;
+    /// The units cutting them.
+    type Unit: Unit;
+    /// One level: its [`Level`] and what the engine keeps beside it.
+    type Level: Default + AsRef<Level<Self::Entry, Self::Unit>>;
+
     /// The shared device scaffold.
     fn core(&self) -> &DeviceCore;
 
     /// The shared device scaffold, mutably.
     fn core_mut(&mut self) -> &mut DeviceCore;
+
+    /// The LSM levels, shallowest (newest) first.
+    fn levels(&self) -> &[Self::Level];
+
+    /// The LSM levels, mutably.
+    fn levels_mut(&mut self) -> &mut Vec<Self::Level>;
+
+    /// Each level's [`Level`], shallowest first.
+    fn runs(&self) -> impl Iterator<Item = &Level<Self::Entry, Self::Unit>> {
+        self.levels().iter().map(AsRef::as_ref)
+    }
 
     /// Looks `key` up in the LSM levels after it missed the write buffer,
     /// charging its flash reads to `req`. Returns `Some(found)` when a
@@ -264,6 +283,25 @@ pub(crate) trait Engine {
     /// reads to `req`. Returns the key ids in key order.
     fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64>;
 
+    /// [`DeviceCore::scan`] of up to `want` keys from `start`, each
+    /// level's array read from its [`Level::scan_from`] start: its first
+    /// unit and entry ≥ `start`, which `walk(level, start, budget, pages)`,
+    /// the engine's budget walk, gets too. Returns the plan and the starts.
+    fn scan_runs(
+        &self,
+        start: u64,
+        want: usize,
+        mut walk: impl FnMut(&Self::Level, (usize, usize), usize, &mut Vec<Ppa>) -> Option<u64>,
+    ) -> (ScanPlan, Vec<(usize, usize)>) {
+        let starts: Vec<(usize, usize)> = self.runs().map(|l| l.scan_from(start)).collect();
+        let runs = self.runs().zip(&starts).map(|(l, s)| (&l.ents[..], s.1));
+        let levels = self.levels();
+        let plan = self.core().scan(start, want, runs, |li, budget, pages| {
+            walk(&levels[li], starts[li], budget, pages)
+        });
+        (plan, starts)
+    }
+
     /// Drains the write buffer from `at` into a run, writing what it points
     /// at, and merges the run into L1; returns when the merge lands.
     fn flush_run(&mut self, at: Ns) -> Result<Ns, KvError>;
@@ -276,7 +314,20 @@ pub(crate) trait Engine {
     fn level_bytes(&self, i: usize) -> Option<u64>;
 
     /// Appends an empty deepest level.
-    fn push_level(&mut self);
+    fn push_level(&mut self) {
+        self.levels_mut().push(Self::Level::default());
+    }
+
+    /// Whether no level below `dst` holds a unit: a merge into `dst`
+    /// writes the bottom level, and drops its tombstones.
+    fn is_bottom(&self, dst: usize) -> bool {
+        self.runs().skip(dst + 1).all(Level::is_empty)
+    }
+
+    /// The number of levels holding a unit.
+    fn populated_levels(&self) -> usize {
+        self.runs().filter(|l| !l.is_empty()).count()
+    }
 
     /// The block allocator whose free blocks GC keeps above the reserve.
     fn gc_alloc(&self) -> &BlockAllocator;
@@ -290,8 +341,10 @@ pub(crate) trait Engine {
     fn stats(&self) -> MetadataStats;
 
     /// [`MetadataStats::live_unique_bytes`]: [`DeviceCore::live_bytes`]
-    /// over every level's whole run.
-    fn live_bytes(&self) -> u64;
+    /// over every level's whole array.
+    fn live_bytes(&self) -> u64 {
+        self.core().live_bytes(self.runs().map(|l| &l.ents[..]))
+    }
 
     /// The engine-state half of a timeline sample for the snapshot `meta`:
     /// per-level occupancy and the engine's own fields, on top of
@@ -734,8 +787,8 @@ mod tests {
     /// The size-ratio policy: once the cascade settles, every level's
     /// size (physical bytes for AnyKey, logical for PinK) is at most the
     /// write buffer times `LEVEL_RATIO^(i+1)` and `over_threshold` agrees;
-    /// PinK's cached level size is the sum over its entries; and the
-    /// metadata snapshot counts exactly the non-empty levels.
+    /// every level's cached logical size is the sum over its entries; and
+    /// the metadata snapshot counts exactly the non-empty levels.
     #[test]
     fn cascade_keeps_every_level_within_its_ratio_threshold() {
         use crate::anykey::AnyKeyStore;
@@ -744,6 +797,11 @@ mod tests {
         /// (size, over threshold, empty) per level, past-the-end probe.
         fn shape<E: Engine>(dev: &E, sizes: Vec<(u64, bool)>) -> Vec<(u64, Option<bool>, bool)> {
             assert_eq!(dev.over_threshold(sizes.len()), None);
+            let key_len = dev.core().cfg.key_len;
+            for (i, l) in dev.runs().enumerate() {
+                let sum: u64 = l.ents.iter().map(|e| e.kv_bytes(key_len)).sum();
+                assert_eq!(l.kv_bytes(), sum, "level {i} cached kv_bytes");
+            }
             let sizes = sizes.into_iter().enumerate();
             sizes
                 .map(|(i, (b, e))| (b, dev.over_threshold(i), e))
@@ -761,15 +819,10 @@ mod tests {
             let (levels, meta) = if kind == EngineKind::Pink {
                 let mut dev = PinkStore::new(cfg);
                 put_stream(&mut dev);
-                for (i, l) in dev.levels.iter().enumerate() {
-                    let sum: u64 = l
-                        .entries
-                        .iter()
-                        .map(|e| e.kv_bytes(dev.core.cfg.key_len))
-                        .sum();
-                    assert_eq!(l.kv_bytes, sum, "PinK: level {i} cached kv_bytes");
-                }
-                let l = dev.levels.iter().map(|l| (l.kv_bytes, l.is_empty()));
+                let l = dev
+                    .levels
+                    .iter()
+                    .map(|l| (l.run.kv_bytes(), l.run.is_empty()));
                 (shape(&dev, l.collect()), dev.metadata())
             } else {
                 let mut dev = AnyKeyStore::new(cfg);

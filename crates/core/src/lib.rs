@@ -69,8 +69,9 @@ pub mod hash;
 pub mod key;
 /// The per-block live counts all four flash areas keep.
 pub mod ledger;
-#[cfg(test)]
-mod level;
+/// One LSM level of either engine: a key-sorted entry array cut into
+/// units, and its first-key search.
+pub mod level;
 /// Analytic metadata-size model (Figure 2).
 pub mod meta_model;
 /// The page-granular area behind AnyKey's data segment groups and PinK's

@@ -12,7 +12,8 @@ use anykey_flash::{Ns, OpCause, Ppa};
 use crate::device::{merge_newest, Source};
 use crate::engine::Engine;
 use crate::error::KvError;
-use crate::pink::segment::{SegEntry, Segment};
+use crate::level::Level;
+use crate::pink::segment::{self, SegEntry};
 use crate::pink::{PinkLevel, PinkStore};
 
 impl PinkStore {
@@ -28,8 +29,11 @@ impl PinkStore {
         // Old meta generations are freed before the new one is written, so
         // the transient need is the destination's *growth* (the source's
         // meta volume) plus slack.
+        let key_len = self.core.cfg.key_len;
         let growth = match src {
-            Source::Level(si) => self.levels[si].segs.iter().map(Segment::bytes).sum(),
+            Source::Level(si) => {
+                self.levels[si].run.ents.len() as u64 * SegEntry::seg_bytes(key_len)
+            }
             Source::Flush(_) => 0,
         };
         let t_head = self.open_compaction(growth, at)?;
@@ -41,18 +45,13 @@ impl PinkStore {
         let mut freed_pages: Vec<Ppa> = Vec::new();
         let (upper, lower) = {
             let mut take_level = |level: &mut PinkLevel| -> Vec<SegEntry> {
-                let PinkLevel {
-                    entries,
-                    segs,
-                    list_pages,
-                    ..
-                } = std::mem::take(level);
-                for ppa in segs.into_iter().flat_map(|s| s.ppa) {
+                let PinkLevel { run, list_pages } = std::mem::take(level);
+                for ppa in run.units.into_iter().flat_map(|s| s.ppa) {
                     read_ppas.push(ppa);
                     freed_pages.push(ppa);
                 }
                 freed_pages.extend(list_pages);
-                entries
+                run.ents
             };
             let upper = match src {
                 Source::Level(si) => take_level(&mut self.levels[si]),
@@ -71,15 +70,13 @@ impl PinkStore {
         }
 
         // --- 2. Merge newest-wins; dead pairs free data bytes. ---------
-        let is_bottom = self.levels[dst + 1..].iter().all(PinkLevel::is_empty);
-        let key_len = self.core.cfg.key_len;
+        let is_bottom = self.is_bottom(dst);
         // The spare input array is dead; it is freed before the merged
         // run is cut.
         let (merged, _) = merge_newest(
             upper,
             lower,
             is_bottom,
-            |e| (e.id, e.tombstone),
             |dead| {
                 self.data.invalidate(dead.ptr, dead.data_bytes(key_len));
                 Ok(())
@@ -89,7 +86,8 @@ impl PinkStore {
 
         // --- 3. Cut the merged run into page-sized segments. ------------
         let merged_count = merged.len() as u64;
-        self.levels[dst].set_run(merged, self.core.page_payload, key_len);
+        let segs = segment::cut_segments(&merged, self.core.page_payload, key_len);
+        self.levels[dst].run = Level::new(merged, segs, key_len);
 
         // --- 4. Re-plan DRAM placement (charging spills/loads). ---------
         let t_place = self.rebalance(dst, t_read)?;
@@ -139,17 +137,18 @@ impl PinkStore {
         }
 
         // Pass 2: meta segments, level order.
+        let key_len = self.core.cfg.key_len;
         for li in 0..self.levels.len() {
-            for si in 0..self.levels[li].segs.len() {
-                let bytes = self.levels[li].segs[si].bytes();
+            for si in 0..self.levels[li].run.units.len() {
+                let bytes = self.levels[li].run.units[si].bytes(key_len);
                 if self.core.dram.try_claim(bytes) {
-                    if let Some(ppa) = self.levels[li].segs[si].ppa.take() {
+                    if let Some(ppa) = self.levels[li].run.units[si].ppa.take() {
                         t = t.max(self.load_page(ppa, at)?);
                     }
-                } else if self.levels[li].segs[si].ppa.is_none() {
+                } else if self.levels[li].run.units[si].ppa.is_none() {
                     let (ppa, td) = self.spill_page(li, cause(li), at)?;
                     t = t.max(td);
-                    self.levels[li].segs[si].ppa = Some(ppa);
+                    self.levels[li].run.units[si].ppa = Some(ppa);
                 }
             }
         }

@@ -37,7 +37,7 @@ impl PinkStore {
         // superseded immediately and dropped at the next merge.
         let mut reinsert: Vec<(u64, u32)> = Vec::new();
         let mut seen = BTreeSet::new();
-        for e in self.levels.iter().flat_map(|l| &l.entries) {
+        for e in self.levels.iter().flat_map(|l| &l.run.ents) {
             if !e.tombstone && e.ptr.block == victim && seen.insert(e.id) {
                 // Only the newest version of a key counts as live; deeper
                 // duplicates are garbage already.
@@ -65,7 +65,7 @@ impl PinkStore {
     /// The data pointer of the newest (shallowest) version of key `id`, if
     /// any.
     fn newest_ptr(&self, id: u64) -> Option<Extent> {
-        for level in &self.levels {
+        for level in self.levels.iter().map(|l| &l.run) {
             if let Some(e) = level.entry_at(level.seek(id).1, id) {
                 return (!e.tombstone).then_some(e.ptr);
             }
@@ -82,7 +82,7 @@ impl PinkStore {
         let (mut owners, mut lists) = (Vec::new(), Vec::new());
         for (li, level) in self.levels.iter_mut().enumerate() {
             let on_victim = |p: &&mut Ppa| p.block == victim;
-            let segs = level.segs.iter_mut().filter_map(|s| s.ppa.as_mut());
+            let segs = level.run.units.iter_mut().filter_map(|s| s.ppa.as_mut());
             owners.extend(segs.filter(on_victim).map(|p| (li, p)));
             let list = level.list_pages.iter_mut().filter(on_victim);
             lists.extend(list.map(|p| (li, p)));

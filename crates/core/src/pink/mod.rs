@@ -21,111 +21,40 @@ mod tests;
 use anykey_flash::{BlockAllocator, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::{LevelSample, StateSample};
 
-use crate::audit::{audit_retirement, audit_run, AuditError};
+use crate::audit::{audit_retirement, AuditError};
 use crate::bytelog::{ByteLog, Extent};
 use crate::config::{DeviceConfig, EngineKind};
 use crate::device::{DeviceCore, Source};
 use crate::engine::{Engine, MetadataStats, Request};
 use crate::error::KvError;
-use crate::key::{self, Key};
+use crate::key::Key;
+use crate::level::Level;
 use crate::pagearea::PageArea;
 
 use segment::{SegEntry, Segment, LIST_ENTRY_OVERHEAD};
 
-/// One PinK LSM level: one key-ordered entry run, the meta segments that
-/// slice it, and its level list's placement. Its threshold follows from
-/// its index (`Engine::over_threshold`).
+/// One PinK LSM level: its entries cut into meta segments, and its level
+/// list's placement.
 #[derive(Debug, Clone, Default)]
 pub struct PinkLevel {
-    /// The level's entries, strictly key-ordered.
-    pub entries: Vec<SegEntry>,
-    /// Page-sized meta segments tiling `entries` in order.
-    pub segs: Vec<Segment>,
-    /// Logical KV bytes referenced by this level, the sum over `entries`
-    /// that [`set_run`](Self::set_run) caches.
-    pub kv_bytes: u64,
+    /// The level's entries and the meta segments that tile them.
+    pub(crate) run: Level<SegEntry, Segment>,
     /// Flash pages of the spilled level list; empty exactly when the list
     /// is DRAM-resident.
-    pub list_pages: Vec<Ppa>,
+    pub(crate) list_pages: Vec<Ppa>,
 }
 
 impl PinkLevel {
-    /// Searches the level for key `id`: the level list (each segment's
-    /// cached first key) for the segment whose key range holds it, then
-    /// that segment by interpolation between its first key and the next
-    /// segment's ([`key::lower_bound`]; a plain binary search in the last
-    /// segment). Returns that segment, `None` when `id` precedes the
-    /// level, and the index in `entries` of the first entry ≥ `id`.
-    pub fn seek(&self, id: u64) -> (Option<usize>, usize) {
-        let Some(si) = self.segs.partition_point(|s| s.first <= id).checked_sub(1) else {
-            return (None, 0);
-        };
-        let seg = &self.segs[si];
-        let hi = self.segs.get(si + 1).map_or(seg.first, |s| s.first);
-        let at = key::lower_bound(seg.entries(&self.entries), id, seg.first, hi, |e| e.id);
-        (Some(si), seg.start + at)
-    }
-
-    /// Where a scan from key `id` starts: the first segment holding an
-    /// entry ≥ `id` (the sought one, or the next when every key of the
-    /// sought one is below `id`) and that entry's index in `entries`.
-    pub fn scan_from(&self, id: u64) -> (usize, usize) {
-        let (seg, from) = self.seek(id);
-        let first = seg.map_or(0, |si| si + usize::from(from == self.segs[si].end));
-        (first, from)
-    }
-
-    /// The entry at `pos`, a [`seek`](Self::seek) result, when it holds
-    /// key `id`.
-    pub fn entry_at(&self, pos: usize, id: u64) -> Option<&SegEntry> {
-        self.entries.get(pos).filter(|e| e.id == id)
-    }
-
     /// Bytes of this level's level list, its keys being `key_len` bytes
     /// long.
     pub fn list_bytes(&self, key_len: u16) -> u64 {
-        self.segs.len() as u64 * (u64::from(key_len) + LIST_ENTRY_OVERHEAD)
+        self.run.units.len() as u64 * (u64::from(key_len) + LIST_ENTRY_OVERHEAD)
     }
+}
 
-    /// Replaces the level's run of entries with `key_len`-byte keys and
-    /// cuts it into unplaced segments of at most `payload` bytes; caches
-    /// the logical size.
-    pub fn set_run(&mut self, entries: Vec<SegEntry>, payload: u64, key_len: u16) {
-        self.segs = segment::cut_segments(&entries, payload, key_len);
-        self.kv_bytes = entries.iter().map(|e| e.kv_bytes(key_len)).sum();
-        self.entries = entries;
-    }
-
-    /// Whether the level holds no segments.
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    /// Audits the level of `key_len`-byte keys, naming it `level`: its
-    /// meta segments tile the entry run and cache their first keys, the
-    /// run strictly ascends, and the segments cache their
-    /// exact byte counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`AuditError`] found.
-    pub fn audit(&self, level: usize, key_len: u16) -> Result<(), AuditError> {
-        let units = self.segs.iter().map(|s| (s.start, s.end, s.first));
-        let tiling = |segment| AuditError::SegmentTiling { level, segment };
-        let fence = |segment| AuditError::SegmentFence { level, segment };
-        audit_run(level, &self.entries, |e| e.id, units, tiling, fence)?;
-        for (si, seg) in self.segs.iter().enumerate() {
-            let actual = (seg.end - seg.start) as u64 * SegEntry::seg_bytes(key_len);
-            if seg.bytes != actual {
-                return Err(AuditError::SegmentBytes {
-                    level,
-                    segment: si,
-                    cached: seg.bytes,
-                    actual,
-                });
-            }
-        }
-        Ok(())
+impl AsRef<Level<SegEntry, Segment>> for PinkLevel {
+    fn as_ref(&self) -> &Level<SegEntry, Segment> {
+        &self.run
     }
 }
 
@@ -176,6 +105,9 @@ impl PinkStore {
 
 impl Engine for PinkStore {
     const HASH_NS: Ns = 0;
+    type Entry = SegEntry;
+    type Unit = Segment;
+    type Level = PinkLevel;
 
     fn core(&self) -> &DeviceCore {
         &self.core
@@ -185,10 +117,18 @@ impl Engine for PinkStore {
         &mut self.core
     }
 
+    fn levels(&self) -> &[PinkLevel] {
+        &self.levels
+    }
+
+    fn levels_mut(&mut self) -> &mut Vec<PinkLevel> {
+        &mut self.levels
+    }
+
     fn get_levels(&mut self, key: Key, req: &mut Request) -> Option<bool> {
         let id = key.id();
         for li in 0..self.levels.len() {
-            let (Some(si), pos) = self.levels[li].seek(id) else {
+            let (Some(si), pos) = self.levels[li].run.seek(id) else {
                 continue;
             };
             // Level-list probe: free in DRAM, one flash read when spilled.
@@ -201,9 +141,9 @@ impl Engine for PinkStore {
             // Meta-segment access: free when pinned, one flash read when
             // spilled.
             let flash = &mut self.core.flash;
-            req.read(flash, OpCause::MetaRead, self.levels[li].segs[si].ppa);
-            let level = &self.levels[li];
-            if let Some(e) = level.entry_at(pos, id) {
+            let run = &self.levels[li].run;
+            req.read(flash, OpCause::MetaRead, run.units[si].ppa);
+            if let Some(e) = run.entry_at(pos, id) {
                 // A tombstone ends the lookup like a miss.
                 if e.tombstone {
                     return None;
@@ -216,29 +156,20 @@ impl Engine for PinkStore {
     }
 
     fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64> {
-        // Each level's run is its entry array from the first entry ≥
-        // `start`; the budget walk starts at the segment holding it. The
-        // index pages are the spilled level lists and meta segments the
-        // walk visits.
-        let levels = &self.levels;
-        let starts: Vec<(usize, usize)> = levels.iter().map(|l| l.scan_from(start)).collect();
-        let runs = levels
-            .iter()
-            .zip(&starts)
-            .map(|(level, &(_, from))| (&level.entries[..], from));
-        let plan = self.core.scan(
+        // The budget walk starts at the segment holding the level's first
+        // entry ≥ `start`. The index pages are the spilled level lists and
+        // meta segments the walk visits.
+        let (plan, _) = self.scan_runs(
             start,
             len as usize,
-            runs,
-            |e: &SegEntry| (e.id, e.tombstone, e.value_len),
-            |li, budget, pages| {
-                let (level, (first, from)) = (&levels[li], starts[li]);
-                if level.is_empty() {
+            |level, (first, from), budget, pages| {
+                let run = &level.run;
+                if run.is_empty() {
                     return None;
                 }
                 pages.extend(level.list_pages.first());
                 let mut left = budget;
-                for seg in &level.segs[first..] {
+                for seg in &run.units[first..] {
                     if left == 0 {
                         break;
                     }
@@ -246,7 +177,7 @@ impl Engine for PinkStore {
                     let from = from.max(seg.start);
                     let n = seg.end - from;
                     if n >= left {
-                        return Some(level.entries[from + left - 1].id);
+                        return Some(run.ents[from + left - 1].id);
                     }
                     left -= n;
                 }
@@ -265,7 +196,7 @@ impl Engine for PinkStore {
             .hits
             .iter()
             .filter_map(|&(_, pos)| pos)
-            .flat_map(|pos| self.levels[pos.level].entries[pos.index].ptr.pages());
+            .flat_map(|pos| self.levels[pos.level].run.ents[pos.index].ptr.pages());
         let data = self.core.read_set(data_ppas, OpCause::HostRead, req.t);
         req.charge(OpCause::HostRead, data);
         plan.hits.iter().map(|&(id, _)| id).collect()
@@ -301,11 +232,7 @@ impl Engine for PinkStore {
 
     /// Logical KV bytes of the pairs the level indexes.
     fn level_bytes(&self, i: usize) -> Option<u64> {
-        self.levels.get(i).map(|l| l.kv_bytes)
-    }
-
-    fn push_level(&mut self) {
-        self.levels.push(PinkLevel::default());
+        self.levels.get(i).map(|l| l.run.kv_bytes())
     }
 
     fn gc_alloc(&self) -> &BlockAllocator {
@@ -341,11 +268,11 @@ impl Engine for PinkStore {
             .map(|l| l.list_bytes(key_len))
             .sum();
         let (mut seg_dram, mut seg_flash) = (0u64, 0u64);
-        for seg in self.levels.iter().flat_map(|l| &l.segs) {
+        for seg in self.levels.iter().flat_map(|l| &l.run.units) {
             if seg.ppa.is_none() {
-                seg_dram += seg.bytes();
+                seg_dram += seg.bytes(key_len);
             } else {
-                seg_flash += seg.bytes();
+                seg_flash += seg.bytes(key_len);
             }
         }
         MetadataStats {
@@ -353,21 +280,15 @@ impl Engine for PinkStore {
             level_list_flash_bytes: level_list_flash,
             meta_segment_dram_bytes: seg_dram,
             meta_segment_flash_bytes: seg_flash,
-            levels: self.levels.iter().filter(|l| !l.is_empty()).count(),
+            levels: self.populated_levels(),
             retired_blocks: self.data.alloc.retired_count() as u64,
             free_blocks: self.data.alloc.free_count() as u64,
             ..self.core.metadata()
         }
     }
 
-    fn live_bytes(&self) -> u64 {
-        let levels = self.levels.iter();
-        let runs = levels.map(|l| &l.entries[..]);
-        self.core
-            .live_bytes(runs, |e: &SegEntry| (e.id, e.tombstone, e.value_len))
-    }
-
     fn sample_levels(&self, meta: &MetadataStats) -> StateSample {
+        let key_len = self.core.cfg.key_len;
         StateSample {
             levels: self
                 .levels
@@ -375,10 +296,10 @@ impl Engine for PinkStore {
                 .enumerate()
                 .map(|(i, l)| LevelSample {
                     level: i as u32,
-                    entries: l.segs.len() as u64,
-                    kv_bytes: l.kv_bytes,
-                    phys_bytes: l.segs.iter().map(Segment::bytes).sum(),
-                    meta_bytes: l.list_bytes(self.core.cfg.key_len),
+                    entries: l.run.units.len() as u64,
+                    kv_bytes: l.run.kv_bytes(),
+                    phys_bytes: l.run.ents.len() as u64 * SegEntry::seg_bytes(key_len),
+                    meta_bytes: l.list_bytes(key_len),
                 })
                 .collect(),
             ..self.core.sample_state(meta)
@@ -390,7 +311,7 @@ impl Engine for PinkStore {
     /// boundary audit.
     fn audit(&self) -> Result<(), AuditError> {
         for (li, level) in self.levels.iter().enumerate() {
-            level.audit(li, self.core.cfg.key_len)?;
+            level.run.audit(li)?;
         }
 
         // What `rebalance` claimed must equal what is marked resident.
@@ -399,7 +320,7 @@ impl Engine for PinkStore {
         self.data.ledger.audit_overfull()?;
         // One page per spilled meta segment and level-list page.
         let spilled = self.levels.iter().flat_map(|l| {
-            let segs = l.segs.iter().filter_map(|s| s.ppa);
+            let segs = l.run.units.iter().filter_map(|s| s.ppa);
             segs.chain(l.list_pages.iter().copied())
         });
         self.meta.ledger.recount(spilled.map(|p| (p.block, 1)))?;
@@ -408,8 +329,8 @@ impl Engine for PinkStore {
         // retired block.
         let live = self.levels.iter().flat_map(|l| {
             let lists = l.list_pages.iter().map(|p| (p.block, "level list"));
-            let segs = l.segs.iter().filter_map(|s| s.ppa);
-            let data = l.entries.iter().filter(|e| !e.tombstone);
+            let segs = l.run.units.iter().filter_map(|s| s.ppa);
+            let data = l.run.ents.iter().filter(|e| !e.tombstone);
             lists
                 .chain(segs.map(|p| (p.block, "meta segment")))
                 .chain(data.map(|e| (e.ptr.block, "data area")))

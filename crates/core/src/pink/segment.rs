@@ -9,9 +9,12 @@
 //! probe. KV pairs themselves are packed into *data segments* (plain flash
 //! pages) of a [`ByteLog`](crate::bytelog::ByteLog), the data area.
 
+use std::ops::Range;
+
 use anykey_flash::Ppa;
 
 use crate::bytelog::Extent;
+use crate::level::{Entry, Unit};
 
 /// Fixed per-entry overhead in a meta segment beyond the key bytes: a
 /// 4-byte PPA and 2 bytes of length/flags.
@@ -36,15 +39,6 @@ pub struct SegEntry {
 const _: () = assert!(std::mem::size_of::<SegEntry>() == 24);
 
 impl SegEntry {
-    /// Logical KV bytes of this entry, its key being `key_len` bytes long.
-    pub fn kv_bytes(&self, key_len: u16) -> u64 {
-        if self.tombstone {
-            u64::from(key_len)
-        } else {
-            u64::from(key_len) + self.value_len as u64
-        }
-    }
-
     /// Bytes an entry with a `key_len`-byte key occupies in its meta
     /// segment: every entry of a device takes the same.
     pub fn seg_bytes(key_len: u16) -> u64 {
@@ -61,35 +55,46 @@ impl SegEntry {
     }
 }
 
-/// A page-sized slice of a level's key-ordered entry run (see
-/// [`PinkLevel::entries`](crate::pink::PinkLevel::entries)).
+impl Entry for SegEntry {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn tombstone(&self) -> bool {
+        self.tombstone
+    }
+
+    fn value_len(&self) -> u32 {
+        self.value_len
+    }
+}
+
+/// A page-sized slice of a level's key-ordered entry array (see
+/// [`Level`](crate::level::Level)); its level-list key is the level's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
-    /// The key id of the segment's first entry, cached when the segment
-    /// is cut: its level-list key, which the level search compares against
-    /// without touching the run.
-    pub first: u64,
-    /// Index of the segment's first entry in its level's run.
+    /// Index of the segment's first entry in its level's array.
     pub start: usize,
     /// One past the segment's last entry.
     pub end: usize,
-    /// Bytes of the segment's entries ([`SegEntry::seg_bytes`] summed),
-    /// cached when the segment is cut.
-    pub bytes: u64,
     /// Flash location when spilled; `None` exactly when the segment is
     /// pinned in DRAM.
     pub ppa: Option<Ppa>,
 }
 
 impl Segment {
-    /// The segment's entries within its level's run.
-    pub fn entries<'a>(&self, run: &'a [SegEntry]) -> &'a [SegEntry] {
-        &run[self.start..self.end]
+    /// Bytes of this segment's entries, their keys being `key_len` bytes
+    /// long: every entry takes [`SegEntry::seg_bytes`].
+    pub fn bytes(&self, key_len: u16) -> u64 {
+        (self.end - self.start) as u64 * SegEntry::seg_bytes(key_len)
     }
+}
 
-    /// Bytes of this segment's entries.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
+impl Unit for Segment {
+    const NAME: &'static str = "meta segment";
+
+    fn range(&self) -> Range<usize> {
+        self.start..self.end
     }
 }
 
@@ -97,19 +102,13 @@ impl Segment {
 /// page-sized segments of as many entries as fit `payload` bytes (at least
 /// one), none placed yet: the next DRAM rebalance pins or spills each.
 pub fn cut_segments(run: &[SegEntry], payload: u64, key_len: u16) -> Vec<Segment> {
-    let sz = SegEntry::seg_bytes(key_len);
-    let per = (payload / sz).max(1) as usize;
+    let per = (payload / SegEntry::seg_bytes(key_len)).max(1) as usize;
     let starts = (0..run.len()).step_by(per);
     starts
-        .map(|start| {
-            let end = (start + per).min(run.len());
-            Segment {
-                first: run[start].id,
-                start,
-                end,
-                bytes: (end - start) as u64 * sz,
-                ppa: None,
-            }
+        .map(|start| Segment {
+            start,
+            end: (start + per).min(run.len()),
+            ppa: None,
         })
         .collect()
 }
@@ -119,8 +118,8 @@ mod tests {
     use super::*;
     use crate::bytelog::ByteLog;
     use crate::error::KvError;
+    use crate::level::Level;
     use crate::pagearea::PageArea;
-    use crate::pink::PinkLevel;
     use anykey_flash::{BlockAllocator, BlockId, FlashConfig, FlashSim, OpCause};
 
     /// A flash device and a data area built the way PinK builds it.
@@ -292,10 +291,9 @@ mod tests {
 
     /// A level over `run` with `key_len`-byte keys, cut by
     /// [`cut_segments`].
-    fn level(run: Vec<SegEntry>, payload: u64, key_len: u16) -> PinkLevel {
-        let mut level = PinkLevel::default();
-        level.set_run(run, payload, key_len);
-        level
+    fn level(run: Vec<SegEntry>, payload: u64, key_len: u16) -> Level<SegEntry, Segment> {
+        let segs = cut_segments(&run, payload, key_len);
+        Level::new(run, segs, key_len)
     }
 
     #[test]
@@ -304,7 +302,7 @@ mod tests {
         // segment's range.
         let run: Vec<SegEntry> = (0..100u64).map(|id| entry(id * 2)).collect();
         let l = level(run, 50 * (16 + SEG_ENTRY_OVERHEAD), 16);
-        assert_eq!(l.segs.len(), 2);
+        assert_eq!(l.units.len(), 2);
         let find = |id| {
             let (si, pos) = l.seek(id);
             (si, l.entry_at(pos, id).map(|e| e.id))
@@ -314,35 +312,38 @@ mod tests {
         assert_eq!(find(100), (Some(1), Some(100)));
         assert_eq!(find(101), (Some(1), None));
         assert_eq!(find(199), (Some(1), None));
-        assert_eq!(l.segs[1].first, 100);
-        assert_eq!(l.segs[1].entries(&l.entries)[0].id, 100);
-        assert_eq!(l.segs[0].bytes(), 50 * (16 + SEG_ENTRY_OVERHEAD));
+        assert_eq!(l.firsts[1], 100);
+        assert_eq!(l.ents[l.units[1].start].id, 100);
+        assert_eq!(l.units[0].bytes(16), 50 * (16 + SEG_ENTRY_OVERHEAD));
     }
 
     /// Reference lookup: the level-list search over each segment's first
     /// entry in the run, then a binary search of the candidate segment, as
-    /// levels were searched before segments cached their first keys.
+    /// levels were searched before they kept their first keys apart.
     /// Returns the candidate segment, the hit's index in the run and the
     /// scan start (first segment that can hold keys ≥ `key`, first entry ≥
     /// `key`).
-    fn reference_seek(l: &PinkLevel, id: u64) -> (Option<usize>, Option<usize>, (usize, usize)) {
-        let run = &l.entries;
+    fn reference_seek(
+        l: &Level<SegEntry, Segment>,
+        id: u64,
+    ) -> (Option<usize>, Option<usize>, (usize, usize)) {
+        let run = &l.ents;
         let candidate = l
-            .segs
+            .units
             .partition_point(|s| run[s.start].id <= id)
             .checked_sub(1);
         let hit = candidate.and_then(|si| {
-            let seg = &l.segs[si];
-            let at = seg.entries(run).binary_search_by(|e| e.id.cmp(&id));
+            let seg = &l.units[si];
+            let at = run[seg.range()].binary_search_by(|e| e.id.cmp(&id));
             at.ok().map(|i| seg.start + i)
         });
         let first = match candidate {
-            Some(i) if run[l.segs[i].end - 1].id >= id => i,
+            Some(i) if run[l.units[i].end - 1].id >= id => i,
             Some(i) => i + 1,
             None => 0,
         };
-        let from = l.segs.get(first).map_or(run.len(), |seg| {
-            seg.start + seg.entries(run).partition_point(|e| e.id < id)
+        let from = l.units.get(first).map_or(run.len(), |seg| {
+            seg.start + run[seg.range()].partition_point(|e| e.id < id)
         });
         (candidate, hit, (first, from))
     }
@@ -370,13 +371,13 @@ mod tests {
             // keys around every segment's first key (gaps between
             // segments), keys before the first and after the last, and a
             // few random ids.
-            let last = l.entries.last().map_or(0, |e| e.id);
+            let last = l.ents.last().map_or(0, |e| e.id);
             let mut ids = std::collections::BTreeSet::from([0, last + 1, last + 2]);
-            for e in &l.entries {
+            for e in &l.ents {
                 ids.extend(e.id.saturating_sub(1)..=e.id + 1);
             }
-            for s in &l.segs {
-                ids.extend(s.first.saturating_sub(2)..=s.first + 2);
+            for &first in &l.firsts {
+                ids.extend(first.saturating_sub(2)..=first + 2);
             }
             ids.extend((0..200).map(|_| rng.next_bounded(last + 3)));
             for id in ids {
@@ -434,9 +435,9 @@ mod tests {
             let mut next = 0;
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.start, next, "{ctx}: segment {i} start");
-                assert_eq!(g.entries(&run), &w[..], "{ctx}: segment {i} entries");
+                assert_eq!(&run[g.range()], &w[..], "{ctx}: segment {i} entries");
                 let bytes = w.len() as u64 * SegEntry::seg_bytes(key_len);
-                assert_eq!(g.bytes(), bytes, "{ctx}: segment {i} bytes");
+                assert_eq!(g.bytes(key_len), bytes, "{ctx}: segment {i} bytes");
                 assert!(g.ppa.is_none(), "{ctx}: segment {i} placement");
                 next = g.end;
             }

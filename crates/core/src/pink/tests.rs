@@ -41,9 +41,14 @@ fn upper_levels_stay_resident_lower_levels_spill() {
         s.levels[0].list_pages.is_empty(),
         "L1's level list must be DRAM-resident"
     );
-    let deep = s.levels.iter().rev().find(|l| !l.is_empty()).unwrap();
+    let deep = s.levels.iter().rev().find(|l| !l.run.is_empty()).unwrap();
     assert!(
-        deep.segs.iter().filter(|seg| seg.ppa.is_some()).count() > deep.segs.len() / 2,
+        deep.run
+            .units
+            .iter()
+            .filter(|seg| seg.ppa.is_some())
+            .count()
+            > deep.run.units.len() / 2,
         "the deepest level must be mostly flash-resident at 0.1% DRAM"
     );
 }
@@ -110,7 +115,7 @@ fn an_empty_scan_reads_each_spilled_level_list_once() {
     let spilled = s
         .levels
         .iter()
-        .filter(|l| !l.is_empty() && !l.list_pages.is_empty())
+        .filter(|l| !l.run.is_empty() && !l.list_pages.is_empty())
         .count() as u32;
     assert!(spilled > 0, "no level list spilled");
     let at = s.horizon();
@@ -125,13 +130,14 @@ fn a_meta_relocation_that_runs_out_of_space_keeps_every_owner_counted() {
     fill(&mut s, 60_000);
     // Seal every stream, so each copy needs a fresh block, and pick a
     // block of the deepest level that holds at least two meta pages.
-    let deep = s.levels.iter().rposition(|l| !l.is_empty()).unwrap();
+    let deep = s.levels.iter().rposition(|l| !l.run.is_empty()).unwrap();
     assert!(deep > 0, "the fill must build more than one level");
     for li in 0..s.levels.len() {
         s.meta.seal(li);
     }
     let victim = s.levels[deep]
-        .segs
+        .run
+        .units
         .iter()
         .filter_map(|seg| seg.ppa)
         .map(|p| p.block)
@@ -144,7 +150,7 @@ fn a_meta_relocation_that_runs_out_of_space_keeps_every_owner_counted() {
     // Every segment and list page still lies in a block that counts it.
     let mut owners: BTreeMap<BlockId, u32> = BTreeMap::new();
     for level in &s.levels {
-        let segs = level.segs.iter().filter_map(|seg| seg.ppa);
+        let segs = level.run.units.iter().filter_map(|seg| seg.ppa);
         for p in segs.chain(level.list_pages.iter().copied()) {
             *owners.entry(p.block).or_default() += 1;
         }

@@ -84,9 +84,12 @@ fn stale_group_fence_is_detected() {
         "fill must produce a group with at least two entities"
     );
     let err = s.check_invariants().expect_err("corruption must be caught");
-    assert!(matches!(err, AuditError::FenceMismatch { .. }), "got {err}");
     assert!(
-        err.to_string().contains("cached key fences"),
+        matches!(err, AuditError::FenceMismatch { unit: "group", .. }),
+        "got {err}"
+    );
+    assert!(
+        err.to_string().contains("level-list key"),
         "diagnostic must name the fence fault: {err}"
     );
 }
@@ -104,10 +107,12 @@ fn gapped_group_records_are_detected() {
         "fill must produce a level with at least two groups"
     );
     let err = s.check_invariants().expect_err("corruption must be caught");
-    assert!(matches!(err, AuditError::GroupTiling { .. }), "got {err}");
     assert!(
-        err.to_string()
-            .contains("does not tile the level's entity array"),
+        matches!(err, AuditError::UnitTiling { unit: "group", .. }),
+        "got {err}"
+    );
+    assert!(
+        err.to_string().starts_with("group ") && err.to_string().contains("does not tile"),
         "diagnostic must name the tiling fault: {err}"
     );
 }
@@ -314,30 +319,19 @@ fn untiled_pink_segments_are_detected() {
         "fill must produce a level with at least two segments"
     );
     let err = s.check_invariants().expect_err("corruption must be caught");
-    assert!(matches!(err, AuditError::SegmentTiling { .. }), "got {err}");
     assert!(
-        err.to_string().contains("does not tile"),
+        matches!(
+            err,
+            AuditError::UnitTiling {
+                unit: "meta segment",
+                ..
+            }
+        ),
+        "got {err}"
+    );
+    assert!(
+        err.to_string().starts_with("meta segment ") && err.to_string().contains("does not tile"),
         "diagnostic must name the tiling fault: {err}"
-    );
-}
-
-#[test]
-fn stale_pink_segment_bytes_are_detected() {
-    let mut s = filled_pink();
-    assert_eq!(
-        s.check_invariants(),
-        Ok(()),
-        "healthy store must audit clean"
-    );
-    assert!(
-        s.corrupt_segment_bytes_for_test(),
-        "fill must produce a segment"
-    );
-    let err = s.check_invariants().expect_err("corruption must be caught");
-    assert!(matches!(err, AuditError::SegmentBytes { .. }), "got {err}");
-    assert!(
-        err.to_string().contains("caches"),
-        "diagnostic must name the byte-count fault: {err}"
     );
 }
 
@@ -354,7 +348,16 @@ fn stale_pink_segment_fence_is_detected() {
         "fill must produce a segment with at least two entries"
     );
     let err = s.check_invariants().expect_err("corruption must be caught");
-    assert!(matches!(err, AuditError::SegmentFence { .. }), "got {err}");
+    assert!(
+        matches!(
+            err,
+            AuditError::FenceMismatch {
+                unit: "meta segment",
+                ..
+            }
+        ),
+        "got {err}"
+    );
     assert!(
         err.to_string().contains("level-list key"),
         "diagnostic must name the stale first key: {err}"
@@ -481,9 +484,9 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
     assert!(tiling.corrupt_segment_range_for_test());
     let tiling_msg = tiling.check_invariants().expect_err("seeded").to_string();
 
-    let mut seg_bytes = filled_pink();
-    assert!(seg_bytes.corrupt_segment_bytes_for_test());
-    let seg_bytes_msg = seg_bytes
+    let mut group_tiling = filled_anykey();
+    assert!(group_tiling.corrupt_group_range_for_test());
+    let group_tiling_msg = group_tiling
         .check_invariants()
         .expect_err("seeded")
         .to_string();
@@ -523,7 +526,7 @@ fn injected_faults_have_pairwise_distinct_diagnostics() {
         rskew_msg,
         fence_msg,
         tiling_msg,
-        seg_bytes_msg,
+        group_tiling_msg,
         seg_fence_msg,
         starts_msg,
         hashes_msg,
