@@ -3,11 +3,11 @@
 //! The paper draws PinK's levels (Sections 2–3) and AnyKey's (Section 4.1,
 //! Figure 7) the same way: a level list of first keys over page-sized
 //! units, meta segments in PinK and data segment groups in AnyKey. A
-//! [`Level`] is that shape once: the level's entries in one strictly
+//! [`Level`](crate::level::Level) is that shape once: the level's entries in one strictly
 //! key-ascending array, the unit records that tile it in order, and each
 //! unit's first key in one dense array, the level list's keys the DRAM
 //! search compares against. It owns the one first-key search
-//! ([`Level::seek`]), the level's logical KV bytes and the shape audit;
+//! ([`Level::seek`](crate::level::Level::seek)), the level's logical KV bytes and the shape audit;
 //! each engine keeps what its units hold beside it (AnyKey's group
 //! layouts, PinK's spilled level-list pages).
 
