@@ -12,6 +12,7 @@ use crate::anykey::AnyKeyStore;
 use crate::device::{merge_newest, Source};
 use crate::engine::Engine;
 use crate::error::KvError;
+use crate::level::Entry;
 
 /// What a compaction does with values that live in the value log.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,14 +252,17 @@ impl AnyKeyStore {
         // its log slot dies once the merge is done. The packer then cuts
         // the array.
         let is_bottom = self.is_bottom(dst);
+        let key_len = self.core.cfg.key_len;
         let mut log_read_ppas: Vec<Ppa> = Vec::new();
         let mut inlined: Vec<Entity> = Vec::new();
+        let mut kv_bytes = 0;
         let (ents, spare) = merge_newest(
             upper,
             lower.ents,
             is_bottom,
             |dead| self.drop_logged(dead),
             |mut e| {
+                kv_bytes += e.kv_bytes(key_len);
                 if let (InlinePolicy::InlineAll, ValueLoc::Logged(ptr)) = (policy, e.loc()) {
                     log_read_ppas.extend(ptr.pages());
                     inlined.push(e);
@@ -298,7 +302,7 @@ impl AnyKeyStore {
 
         // --- 6. Install the new level. ---------------------------------
         let merged_count = ents.len() as u64;
-        self.levels[dst] = Level::new(ents, groups, self.core.cfg.key_len);
+        self.levels[dst] = Level::with_kv_bytes(ents, groups, kv_bytes);
         self.rebalance_dram();
 
         // --- 7. CPU merge-sort cost and GC headroom. --------------------

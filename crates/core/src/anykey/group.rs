@@ -39,6 +39,7 @@ use anykey_flash::Ppa;
 
 use crate::anykey::entity::Entity;
 use crate::audit::AuditError;
+use crate::key;
 use crate::level::Unit;
 
 /// Bytes per directory entry in the group's first page(s): target page +
@@ -162,10 +163,14 @@ impl Group {
         u64::from(self.total_pages()) * self.payload
     }
 
-    /// Whether `hash` appears in the group's hash list.
+    /// Whether `hash` appears in the group's hash list: an interpolation
+    /// search of the slot words on the hash ([`key::lower_bound`] between
+    /// the first word's hash and an open end).
     pub fn contains_hash(&self, all: &[Entity], hash: u32) -> bool {
         let words = &self.layout(all).words;
-        words.binary_search_by(|&w| hash_of(w).cmp(&hash)).is_ok()
+        let lo = words.first().map_or(0, |&w| u64::from(hash_of(w)) << 32);
+        let at = key::lower_bound(words, u64::from(hash) << 32, lo, u64::MAX, |&w| w);
+        words.get(at).is_some_and(|&w| hash_of(w) == hash)
     }
 
     /// GET's page walk (Figure 7): reads the data page the 16-bit prefixes
@@ -394,17 +399,29 @@ impl Layout {
     }
 
     /// Searches one data page of the group of key-ordered `ents` for an
-    /// exact `(hash, key id)` match: a binary search of the page's stretch
-    /// of slot words, then a key check of each slot in its equal-hash run.
-    /// Returns the entity's index in the group.
+    /// exact `(hash, key id)` match: an interpolation search of the page's
+    /// stretch of slot words on the hash ([`Layout::page_lower_bound`]),
+    /// then a key check of each slot in its equal-hash run. Returns the
+    /// entity's index in the group.
     fn search_page(&self, ents: &[Entity], page: usize, hash: u32, id: u64) -> Option<usize> {
         let words = self.page(page);
-        let start = words.partition_point(|&w| hash_of(w) < hash);
-        words[start..]
+        words[self.page_lower_bound(page, hash)..]
             .iter()
             .take_while(|&&w| hash_of(w) == hash)
             .map(|&w| index_of(w))
             .find(|&i| ents[i].id == id)
+    }
+
+    /// The index in data page `page`'s slot words of the first slot whose
+    /// hash is ≥ `hash`: [`key::lower_bound`] on the words, steered by the
+    /// page's first hash and the next page's, open past the last page.
+    fn page_lower_bound(&self, page: usize, hash: u32) -> usize {
+        let lo = u64::from(self.page_first_hash[page]) << 32;
+        let hi = self
+            .page_first_hash
+            .get(page + 1)
+            .map_or(u64::MAX, |&h| u64::from(h) << 32);
+        key::lower_bound(self.page(page), u64::from(hash) << 32, lo, hi, |&w| w)
     }
 
     /// Data page `p`'s "continued from the previous page" collision bit
@@ -595,6 +612,8 @@ impl GroupPacker {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::anykey::entity::ValueLoc;
     use crate::anykey::level::Level;
@@ -736,6 +755,17 @@ mod tests {
             .find(|&h| g.layout(&ents).words.iter().all(|&w| hash_of(w) != h))
             .unwrap();
         assert!(!g.contains_hash(&ents, absent));
+        // Every probe hash of the seeded and forced runs, against one
+        // linear scan of the group's words.
+        for (ctx, ents, payload, key_len) in seeded_and_forced_runs() {
+            let g = group(&ents, payload, key_len);
+            let listed: HashSet<u32> = g.layout(&ents).words.iter().map(|&w| hash_of(w)).collect();
+            let hashes = probe_hashes(&ents, key_len);
+            for hash in hashes.into_iter().chain([0, u32::MAX]) {
+                let want = listed.contains(&hash);
+                assert_eq!(g.contains_hash(&ents, hash), want, "{ctx}: hash {hash:#x}");
+            }
+        }
     }
 
     #[test]
@@ -1182,16 +1212,64 @@ mod tests {
         }
     }
 
+    /// The seeded runs and the forced hash runs at both payloads, as
+    /// `(context, run, payload, key length)`.
+    fn seeded_and_forced_runs() -> impl Iterator<Item = (String, Vec<Entity>, u64, u16)> {
+        let forced = [PAYLOAD, 2048].map(|payload| {
+            let ctx = format!("forced runs, payload {payload}");
+            (ctx, forced_hash_runs(), payload, 24)
+        });
+        seeded_runs().chain(forced)
+    }
+
+    /// The distinct hashes of a run's [`probes`], ascending.
+    fn probe_hashes(ents: &[Entity], key_len: u16) -> Vec<u32> {
+        let mut hashes: Vec<u32> = probes(ents, key_len).iter().map(|p| p.0).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        hashes
+    }
+
+    /// Every data page's lower bound equals a `partition_point` on the
+    /// page's slot hashes, for every probe hash, every page's first hash,
+    /// 0 and `u32::MAX`. The runs must hold spill-only pages (no slots),
+    /// pages whose next page starts with the same hash (the search's two
+    /// bounds equal, so it is a plain binary search) and last pages.
+    #[test]
+    fn page_lower_bound_matches_partition_point() {
+        let (mut spill_only, mut one_hash, mut last) = (0, 0, 0);
+        for (ctx, ents, payload, key_len) in seeded_and_forced_runs() {
+            let g = group(&ents, payload, key_len);
+            let l = g.layout(&ents);
+            let mut hashes = probe_hashes(&ents, key_len);
+            hashes.extend(&l.page_first_hash);
+            hashes.extend([0, u32::MAX]);
+            let pages = l.page_first_hash.len();
+            for p in 0..pages {
+                let words = l.page(p);
+                spill_only += usize::from(words.is_empty());
+                one_hash +=
+                    usize::from(l.page_first_hash.get(p + 1) == Some(&l.page_first_hash[p]));
+                last += usize::from(p + 1 == pages);
+                for &hash in &hashes {
+                    let want = words.partition_point(|&w| hash_of(w) < hash);
+                    let got = l.page_lower_bound(p, hash);
+                    assert_eq!(got, want, "{ctx}: page {p}, hash {hash:#x}");
+                }
+            }
+        }
+        assert!(
+            spill_only > 0 && one_hash > 0 && last > 0,
+            "{spill_only}, {one_hash}, {last}"
+        );
+    }
+
     /// GET reads exactly the pages the comparison-sort reference predicts,
     /// so the derived collision bits and the spans are checked against the
     /// reference rather than against the code under test.
     #[test]
     fn get_reads_the_pages_the_reference_predicts() {
-        let forced = [PAYLOAD, 2048].map(|payload| {
-            let ctx = format!("forced runs, payload {payload}");
-            (ctx, forced_hash_runs(), payload, 24)
-        });
-        for (ctx, ents, payload, key_len) in seeded_runs().chain(forced) {
+        for (ctx, ents, payload, key_len) in seeded_and_forced_runs() {
             let g = group(&ents, payload, key_len);
             let want = reference_build(ents.clone(), payload, key_len);
             for (hash, id, _) in probes(&ents, key_len) {

@@ -111,6 +111,11 @@ impl Key {
 /// about twice a binary search. With `hi_id <= lo_id` there is nothing to
 /// interpolate and the search is a plain binary search. The bounds only
 /// steer the guess: the result is exact for any of them.
+///
+/// AnyKey's in-page search and hash-list check run it on the hash: their
+/// items are a group's `(hash << 32) | index` slot words, whose hashes are
+/// as uniform as the keys, and the target is `hash << 32`
+/// ([`crate::anykey::group::Group::lookup`]).
 pub fn lower_bound<T>(
     items: &[T],
     id: u64,

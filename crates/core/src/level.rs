@@ -56,7 +56,7 @@ pub struct Level<E, U> {
     /// Unit records tiling `ents` in order.
     pub(crate) units: Vec<U>,
     /// Each unit's first key, in unit order: the level list's keys. Built
-    /// with the units, by [`Level::new`] only.
+    /// with the units, by [`Level::with_kv_bytes`] only.
     pub(crate) firsts: Vec<u64>,
     /// Logical KV bytes of `ents` ([`Entry::kv_bytes`] summed).
     kv_bytes: u64,
@@ -82,14 +82,17 @@ impl<E, U> AsRef<Level<E, U>> for Level<E, U> {
 impl<E: Entry, U: Unit> Level<E, U> {
     /// The level of the key-sorted array `ents` of entries with
     /// `key_len`-byte keys, cut into `units`, whose ranges tile it in
-    /// order.
+    /// order, its KV bytes summed in a pass of their own.
+    #[cfg(test)]
     pub(crate) fn new(ents: Vec<E>, units: Vec<U>, key_len: u16) -> Self {
         let kv_bytes = ents.iter().map(|e| e.kv_bytes(key_len)).sum();
         Self::with_kv_bytes(ents, units, kv_bytes)
     }
 
-    /// [`Level::new`] for an array whose logical KV bytes are known to be
-    /// `kv_bytes`.
+    /// The level of the key-sorted array `ents`, cut into `units`, whose
+    /// ranges tile it in order, and whose logical KV bytes
+    /// ([`Entry::kv_bytes`] summed) are known to be `kv_bytes`: a merge
+    /// sums them as it emits each kept entry.
     pub(crate) fn with_kv_bytes(ents: Vec<E>, units: Vec<U>, kv_bytes: u64) -> Self {
         let firsts = units.iter().map(|u| ents[u.range().start].id()).collect();
         Self {

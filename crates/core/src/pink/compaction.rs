@@ -12,7 +12,7 @@ use anykey_flash::{Ns, OpCause, Ppa};
 use crate::device::{merge_newest, Source};
 use crate::engine::Engine;
 use crate::error::KvError;
-use crate::level::Level;
+use crate::level::{Entry, Level};
 use crate::pink::segment::{self, SegEntry};
 use crate::pink::{PinkLevel, PinkStore};
 
@@ -73,6 +73,7 @@ impl PinkStore {
         let is_bottom = self.is_bottom(dst);
         // The spare input array is dead; it is freed before the merged
         // run is cut.
+        let mut kv_bytes = 0;
         let (merged, _) = merge_newest(
             upper,
             lower,
@@ -81,13 +82,16 @@ impl PinkStore {
                 self.data.invalidate(dead.ptr, dead.data_bytes(key_len));
                 Ok(())
             },
-            |e| e,
+            |e| {
+                kv_bytes += e.kv_bytes(key_len);
+                e
+            },
         )?;
 
         // --- 3. Cut the merged run into page-sized segments. ------------
         let merged_count = merged.len() as u64;
         let segs = segment::cut_segments(&merged, self.core.page_payload, key_len);
-        self.levels[dst].run = Level::new(merged, segs, key_len);
+        self.levels[dst].run = Level::with_kv_bytes(merged, segs, kv_bytes);
 
         // --- 4. Re-plan DRAM placement (charging spills/loads). ---------
         let t_place = self.rebalance(dst, t_read)?;

@@ -3,7 +3,8 @@
 //!
 //! The first column is the rule ROADMAP.md and CHANGES.md quote sizes by:
 //! every line of each `src/**/*.rs` file up to its inline
-//! `#[cfg(test)] mod … {`, with files named `tests.rs` skipped. An
+//! `#[cfg(test)] mod … {` (the `mod` maybe `pub`, `pub(crate)` or
+//! `pub(super)`), with files named `tests.rs` skipped. An
 //! out-of-line `#[cfg(test)] mod tests;` or an indented `#[cfg(test)]`
 //! item does not end the count. The second column counts the code among
 //! those lines: the non-blank lines that are not `//` comments only.
@@ -104,12 +105,17 @@ fn count_dir(path: &Path) -> io::Result<(usize, usize)> {
 }
 
 /// Lines of `src` before its first unindented `#[cfg(test)]` whose next
-/// non-blank line opens an inline module, and the code lines among them.
+/// non-blank line opens an inline module (`mod … {`, maybe after `pub`,
+/// `pub(crate)` or `pub(super)`), and the code lines among them.
 fn non_test_lines(src: &str) -> (usize, usize) {
     let lines: Vec<&str> = src.lines().collect();
     let inline_mod = |rest: &[&str]| {
         let next = rest.iter().find(|l| !l.trim().is_empty());
-        next.is_some_and(|l| l.starts_with("mod ") && l.trim_end().ends_with('{'))
+        next.is_some_and(|l| {
+            let vis = ["pub ", "pub(crate) ", "pub(super) "];
+            let l = vis.iter().find_map(|v| l.strip_prefix(v)).unwrap_or(l);
+            l.starts_with("mod ") && l.trim_end().ends_with('{')
+        })
     };
     let n = (0..lines.len())
         .find(|&i| lines[i].trim_end() == "#[cfg(test)]" && inline_mod(&lines[i + 1..]))
@@ -143,6 +149,8 @@ mod unit {
 }
 ";
         assert_eq!(non_test_lines(src), (10, 6));
+        let visible = "fn a() {}\n#[cfg(test)]\npub(crate) mod tests {\n}\n";
+        assert_eq!(non_test_lines(visible), (1, 1));
         assert_eq!(non_test_lines("fn a() {}\n\nfn b() {}\n"), (3, 2));
         let commented = "//! Doc.\n/// Item doc.\nfn a() {} // trailing\n    // note\n";
         assert_eq!(non_test_lines(commented), (4, 1));
