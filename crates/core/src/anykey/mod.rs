@@ -194,14 +194,17 @@ impl Engine for AnyKeyStore {
         None
     }
 
-    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64> {
+    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) {
         // The budget walk starts at the group holding the level's first
         // entity ≥ `start`. The index pages are the group directory pages
         // the walk visits (Section 4.4.5).
-        let (plan, mut starts) = self.scan_runs(
+        let levels = &self.levels;
+        let mut plan = self.core.scan(
             start,
             len as usize,
-            |level, (first, from), budget, pages| {
+            levels,
+            |li, (first, from), budget, pages| {
+                let level = &levels[li];
                 let mut left = budget;
                 for g in &level.units[first..] {
                     if left == 0 {
@@ -221,32 +224,32 @@ impl Engine for AnyKeyStore {
 
         // Flash timing: directory pages first, then the data and log
         // pages of the hits.
-        let dirs = self
-            .core
-            .read_set(plan.index_pages, OpCause::HostRead, req.t);
+        let dirs = plan.index_pages.drain(..);
+        let dirs = self.core.read_set(dirs, OpCause::HostRead, req.t);
         req.charge(OpCause::HostRead, dirs);
         // A level's hits come in key order, so each one's group is found
         // by walking on from the previous one's, from the scan's start.
-        let (mut data_ppas, mut log_ppas) = (Vec::new(), Vec::new());
         for pos in plan.hits.iter().filter_map(|&(_, pos)| pos) {
-            let (level, gi) = (&self.levels[pos.level], &mut starts[pos.level].0);
+            let (level, gi) = (&self.levels[pos.level], &mut plan.starts[pos.level].0);
             while level.units[*gi].end <= pos.index {
                 *gi += 1;
             }
             let g = &level.units[*gi];
-            data_ppas.push(g.data_ppa(g.page_of(&level.ents, pos.index)));
+            let page = g.page_of(&level.ents, pos.index);
+            plan.data_pages.push(g.data_ppa(page));
             if let ValueLoc::Logged(ptr) = level.ents[pos.index].loc() {
-                log_ppas.extend(ptr.pages());
+                plan.log_pages.extend(ptr.pages());
             }
         }
         // Data and log reads overlap: the data reads are charged in full,
         // the log reads only for the tail they add past them, so the
         // phases still sum exactly to the latency.
-        let data = self.core.read_set(data_ppas, OpCause::HostRead, req.t);
-        let log = self.core.read_set(log_ppas, OpCause::LogRead, req.t);
+        let (data, log) = (plan.data_pages.drain(..), plan.log_pages.drain(..));
+        let data = self.core.read_set(data, OpCause::HostRead, req.t);
+        let log = self.core.read_set(log, OpCause::LogRead, req.t);
         req.charge(OpCause::HostRead, data);
         req.charge(OpCause::LogRead, log);
-        plan.hits.iter().map(|&(id, _)| id).collect()
+        self.core.scan_plan = plan;
     }
 
     /// Secures value-log space first, then appends each buffered value to

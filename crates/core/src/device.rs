@@ -12,7 +12,7 @@
 //! [`DeviceCore::live_bytes`] walks the same merge over the whole tree.
 
 use std::cmp::Ordering;
-use std::iter::Peekable;
+use std::marker::PhantomData;
 
 use anykey_flash::{FlashGeometry, FlashSim, Ns, OpCause, Ppa};
 use anykey_metrics::timeline::StateSample;
@@ -25,7 +25,7 @@ use crate::dram::DramBudget;
 use crate::engine::MetadataStats;
 use crate::error::KvError;
 use crate::key::Key;
-use crate::level::Entry;
+use crate::level::{Entry, Level, Unit};
 use crate::pink::segment::SEG_ENTRY_OVERHEAD;
 
 /// Flash, write buffer, DRAM budget, and the bookkeeping around them.
@@ -48,6 +48,8 @@ pub(crate) struct DeviceCore {
     span_seq: u64,
     /// The pages [`Self::read_set`] gathers; empty between calls.
     read_marks: PageMarks,
+    /// The last scan's plan, its arrays kept for the next scan.
+    pub(crate) scan_plan: ScanPlan,
 }
 
 /// A set of flash pages that hands its members back in page order: one bit
@@ -112,13 +114,25 @@ pub(crate) struct ScanPos {
     pub(crate) index: usize,
 }
 
-/// What a scan emits, in key order: each key id with where its version
-/// lives (`None` when the write buffer holds the value), plus the index
-/// pages the final budget walk touched.
-#[derive(Debug)]
+/// A scan's working buffers and what it emits. The device keeps one
+/// between scans, so a scan grows no new arrays; [`DeviceCore::scan`]
+/// clears it, which leaves the last scan's hits readable until the next.
+#[derive(Debug, Default)]
 pub(crate) struct ScanPlan {
+    /// Each level's start ([`Level::scan_from`]): its first unit and first
+    /// entry ≥ the scan's start key.
+    pub(crate) starts: Vec<(usize, usize)>,
+    /// The merge's level read positions.
+    heads: Vec<Head>,
+    /// The index pages the final budget walk touched.
     pub(crate) index_pages: Vec<Ppa>,
+    /// Each key id emitted, in key order, with where its version lives
+    /// (`None` when the write buffer holds the value).
     pub(crate) hits: Vec<(u64, Option<ScanPos>)>,
+    /// The data pages an engine gathers for the hits.
+    pub(crate) data_pages: Vec<Ppa>,
+    /// The value-log pages an engine gathers for the hits.
+    pub(crate) log_pages: Vec<Ppa>,
 }
 
 /// Where the upper input of a compaction comes from, in either engine.
@@ -209,52 +223,107 @@ pub(crate) fn merge_newest<T: Entry>(
     Ok((out, other))
 }
 
-/// The newest-wins k-way merge under [`DeviceCore::scan`] and
-/// [`DeviceCore::live_bytes`]: write-buffer entries in key order (a
-/// [`WriteBuffer::range`] read, which walks the buffer's sorted id index and
-/// probes its hash table once per entry) and one read position per level
-/// run (lower index = newer): the run and the index of its head there,
-/// which a scan hit names. It reads one key at a time in two steps.
-/// [`Self::next_key`] finds the smallest key at any head, and
-/// [`Self::take`] consumes every version of it, so a caller can stop
-/// between them.
-struct Merge<'a, T> {
-    buf: Peekable<buffer::Range<'a>>,
-    runs: Vec<(&'a [T], usize)>,
+/// A level run's read position in [`Merge`]: the level, the index of its
+/// head entry in the level's array, and that entry's key id.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    key: u64,
+    level: usize,
+    at: usize,
 }
 
-impl<'a, T: Entry + 'a> Merge<'a, T> {
-    fn new(buf: buffer::Range<'a>, runs: impl IntoIterator<Item = (&'a [T], usize)>) -> Self {
-        Self {
-            buf: buf.peekable(),
-            runs: runs.into_iter().collect(),
-        }
-    }
+/// The newest-wins k-way merge under [`DeviceCore::scan`] and
+/// [`DeviceCore::live_bytes`]. Its sources are the write-buffer entries in
+/// key order (a [`WriteBuffer::range`] read, which walks the buffer's
+/// sorted id index and probes its hash table once per entry) and one read
+/// position per level (lower index = newer) in the level's entry array.
+/// Each source's head key is cached, and so is the smallest of them, the
+/// key the merge emits next: a step compares each head once and advances
+/// only the sources on the emitted key. A run read to its end leaves the
+/// heads, so no key stands for "exhausted".
+struct Merge<'a, E, U, L> {
+    levels: &'a [L],
+    /// The runs not read to their end, newest level first.
+    heads: Vec<Head>,
+    buf: buffer::Range<'a>,
+    /// The buffer's next entry.
+    buf_head: Option<(u64, BufEntry)>,
+    /// The smallest key at any head.
+    min: Option<u64>,
+    level: PhantomData<&'a Level<E, U>>,
+}
 
-    /// The smallest key id at the head of the buffer or of any run.
-    fn next_key(&mut self) -> Option<u64> {
-        let buf = self.buf.peek().map(|(k, _)| **k);
-        let heads = self.runs.iter().filter_map(|&(run, at)| run.get(at));
-        heads.map(T::id).chain(buf).min()
-    }
-
-    /// Consumes every version of `key`, the key [`Self::next_key`] found,
-    /// and returns the newest as `(tombstone, value_len, position)`: the
-    /// buffer's (no position), else the one in the newest level.
-    fn take(&mut self, key: u64) -> Option<(bool, u32, Option<ScanPos>)> {
-        let buffered = self.buf.next_if(|(k, _)| **k == key);
-        let mut newest = buffered.map(|(_, e)| (e.tombstone, e.value_len, None));
-        for (level, (run, index)) in self.runs.iter_mut().enumerate() {
-            while let Some(e) = run.get(*index).filter(|e| e.id() == key) {
-                let pos = ScanPos {
+impl<'a, E: Entry, U, L: AsRef<Level<E, U>>> Merge<'a, E, U, L> {
+    /// The merge of `buf` and `levels`, each level read from its index in
+    /// `starts`; `heads` is an emptied array to reuse.
+    fn new(
+        mut buf: buffer::Range<'a>,
+        levels: &'a [L],
+        starts: impl IntoIterator<Item = usize>,
+        mut heads: Vec<Head>,
+    ) -> Self {
+        heads.clear();
+        for (level, at) in starts.into_iter().enumerate() {
+            if let Some(e) = levels[level].as_ref().ents.get(at) {
+                heads.push(Head {
+                    key: e.id(),
                     level,
-                    index: *index,
-                };
-                newest.get_or_insert((e.tombstone(), e.value_len(), Some(pos)));
-                *index += 1;
+                    at,
+                });
             }
         }
-        newest
+        let buf_head = buf.next().map(|(&k, &e)| (k, e));
+        let min = heads.iter().map(|h| h.key).chain(buf_head.map(|h| h.0));
+        Self {
+            min: min.min(),
+            levels,
+            heads,
+            buf,
+            buf_head,
+            level: PhantomData,
+        }
+    }
+
+    /// The key [`Self::next`] emits: the smallest at any head.
+    fn peek(&self) -> Option<u64> {
+        self.min
+    }
+
+    /// Consumes every version of the smallest head key and returns the key
+    /// with its newest version, as `(key, tombstone, value_len, position)`:
+    /// the buffer's (no position), else the one in the newest level.
+    /// Inlined into the scan loop, so the version it returns stays in
+    /// registers instead of passing through the stack on every key.
+    #[inline(always)]
+    fn next(&mut self) -> Option<(u64, bool, u32, Option<ScanPos>)> {
+        let key = self.min?;
+        let mut newest = None;
+        if let Some((_, e)) = self.buf_head.filter(|h| h.0 == key) {
+            newest = Some((e.tombstone, e.value_len, None));
+            self.buf_head = self.buf.next().map(|(&k, &e)| (k, e));
+        }
+        let mut min = self.buf_head.map(|h| h.0);
+        let mut i = 0;
+        while let Some(h) = self.heads.get_mut(i) {
+            if h.key == key {
+                let ents = &self.levels[h.level].as_ref().ents;
+                if newest.is_none() {
+                    let (e, level, index) = (&ents[h.at], h.level, h.at);
+                    let pos = Some(ScanPos { level, index });
+                    newest = Some((e.tombstone(), e.value_len(), pos));
+                }
+                h.at += 1;
+                let Some(e) = ents.get(h.at) else {
+                    self.heads.remove(i);
+                    continue;
+                };
+                h.key = e.id();
+            }
+            min = Some(min.map_or(h.key, |m| m.min(h.key)));
+            i += 1;
+        }
+        self.min = min;
+        newest.map(|(tombstone, len, pos)| (key, tombstone, len, pos))
     }
 }
 
@@ -292,6 +361,7 @@ impl DeviceCore {
             spans: Vec::new(),
             span_seq: 0,
             read_marks: PageMarks::new(cfg.flash.geometry),
+            scan_plan: ScanPlan::default(),
             cfg,
         }
     }
@@ -341,77 +411,82 @@ impl DeviceCore {
     }
 
     /// The range-scan merge of both engines: up to `want` live key ids ≥
-    /// `start`, newest version winning across the write buffer and the
-    /// levels of `runs` (lower index = newer).
+    /// `start`, newest version winning across the write buffer and
+    /// `levels` (lower index = newer).
     ///
-    /// Each run is one level's key-sorted entry array with the index of its
-    /// first entry ≥ `start`. The merge streams over the runs and the
-    /// buffer once and copies no entry.
+    /// Each level's entry array is read in place from its first entry ≥
+    /// `start` ([`Level::scan_from`]). The merge streams over the levels and
+    /// the buffer once and copies no entry. The plan it returns is the
+    /// device's own, taken out and cleared, so the caller hands it back to
+    /// [`Self::scan_plan`] when it has read the hits' pages.
     ///
     /// What a scan charges for index pages depends on a per-level budget.
-    /// `walk(level, budget, pages)` pushes the index pages an engine reads
-    /// to reach `budget` entries ≥ `start` in that level and returns the
-    /// level's frontier: the key id of its `budget`-th such entry, when it
-    /// holds that many. Tombstones and cross-level duplicates consume
-    /// budget, so a level capped at its frontier could hide keys the
-    /// merge needs: the merge never emits past the lowest frontier, and
-    /// when the stream passes it (or runs dry while one is set) with fewer
-    /// than `want` hits, every level is walked again at double the budget,
-    /// up to 64× `want`. A frontier only rises with the budget, so the
-    /// hits found below the old one stand and the stream goes on; the
-    /// index pages are those of the final budget.
-    pub(crate) fn scan<'a, T: Entry + 'a>(
-        &'a self,
+    /// `walk(level, start, budget, pages)` pushes the index pages an
+    /// engine reads to reach `budget` entries ≥ `start` in that level,
+    /// from `start`, the level's first unit and entry ≥ `start`, and
+    /// returns the level's frontier: the key id of its `budget`-th such
+    /// entry, when it holds that many. Tombstones and cross-level
+    /// duplicates consume budget, so a level capped at its frontier could
+    /// hide keys the merge needs: the merge never emits past the lowest
+    /// frontier, and when the stream passes it (or runs dry while one is
+    /// set) with fewer than `want` hits, every level is walked again at
+    /// double the budget, up to 64× `want`. A frontier only rises with the
+    /// budget, so the hits found below the old one stand and the stream
+    /// goes on; the index pages are those of the final budget.
+    pub(crate) fn scan<E: Entry, U: Unit, L: AsRef<Level<E, U>>>(
+        &mut self,
         start: u64,
         want: usize,
-        runs: impl IntoIterator<Item = (&'a [T], usize)>,
-        mut walk: impl FnMut(usize, usize, &mut Vec<Ppa>) -> Option<u64>,
+        levels: &[L],
+        mut walk: impl FnMut(usize, (usize, usize), usize, &mut Vec<Ppa>) -> Option<u64>,
     ) -> ScanPlan {
-        let mut merge = Merge::new(self.buffer.range(start), runs);
-        let levels = merge.runs.len();
+        let mut plan = std::mem::take(&mut self.scan_plan);
+        let starts = levels.iter().map(|l| l.as_ref().scan_from(start));
+        plan.starts.clear();
+        plan.starts.extend(starts);
+        plan.hits.clear();
+        let heads = std::mem::take(&mut plan.heads);
+        let from = plan.starts.iter().map(|s| s.1);
+        let mut merge = Merge::new(self.buffer.range(start), levels, from, heads);
         let mut frontier = |budget: usize, pages: &mut Vec<Ppa>| {
             pages.clear();
-            (0..levels).filter_map(|li| walk(li, budget, pages)).min()
+            let mut level = |(li, &s)| walk(li, s, budget, pages);
+            plan.starts.iter().enumerate().filter_map(&mut level).min()
         };
         let mut budget = want;
-        let mut index_pages: Vec<Ppa> = Vec::new();
-        let mut limit = frontier(budget, &mut index_pages);
-        let mut hits: Vec<(u64, Option<ScanPos>)> = Vec::with_capacity(want);
-        while hits.len() < want {
-            let next = merge.next_key();
+        let mut limit = frontier(budget, &mut plan.index_pages);
+        while plan.hits.len() < want {
+            let next = merge.peek();
             while let Some(l) = limit {
                 if next.is_some_and(|k| k <= l) || budget >= want * 64 {
                     break;
                 }
                 budget *= 2;
-                limit = frontier(budget, &mut index_pages);
+                limit = frontier(budget, &mut plan.index_pages);
             }
             let Some(key) = next else { break };
             if limit.is_some_and(|l| key > l) {
                 break;
             }
-            if let Some((false, _, pos)) = merge.take(key) {
-                hits.push((key, pos));
+            if let Some((key, false, _, pos)) = merge.next() {
+                plan.hits.push((key, pos));
             }
         }
-        ScanPlan { index_pages, hits }
+        plan.heads = merge.heads;
+        plan
     }
 
     /// [`MetadataStats::live_unique_bytes`]: the key and value of each
-    /// key's newest version across the write buffer and the levels of
-    /// `runs`, tombstones excepted. Each run is one level's whole entry
-    /// array, read as by [`Self::scan`]; the walk allocates only its
-    /// cursors.
-    pub(crate) fn live_bytes<'a, T: Entry + 'a>(
-        &'a self,
-        runs: impl IntoIterator<Item = &'a [T]>,
-    ) -> u64 {
-        let runs = runs.into_iter().map(|run| (run, 0));
-        let mut merge = Merge::new(self.buffer.range(0), runs);
+    /// key's newest version across the write buffer and `levels`,
+    /// tombstones excepted. Each level's whole entry array is read as by
+    /// [`Self::scan`]; the walk allocates only its read positions.
+    pub(crate) fn live_bytes<E: Entry, U, L: AsRef<Level<E, U>>>(&self, levels: &[L]) -> u64 {
+        let starts = levels.iter().map(|_| 0);
+        let mut merge = Merge::new(self.buffer.range(0), levels, starts, Vec::new());
         let key_len = u64::from(self.cfg.key_len);
         let mut bytes = 0;
-        while let Some(key) = merge.next_key() {
-            if let Some((false, len, _)) = merge.take(key) {
+        while let Some((_, tombstone, len, _)) = merge.next() {
+            if !tombstone {
                 bytes += key_len + u64::from(len);
             }
         }

@@ -1,10 +1,12 @@
 //! Merge tests: the streaming scan merge of [`DeviceCore::scan`] checked
 //! against a two-pass reference merge over eagerly collected candidates
-//! on seeded random per-level runs, plus named cases for newest-wins,
+//! on seeded random per-level runs of three shapes, plus named cases for
+//! newest-wins, keys at the top of the id space,
 //! budget doubling, the 64× cap, the capped-level frontier, a capped level
 //! that ends at its frontier and the empty scan, and the newest-wins
-//! two-way merge of compaction, over slices and in place; the page set of [`DeviceCore::read_set`];
-//! and every engine's live-byte walk against a map model.
+//! two-way merge of compaction, over slices and in place; the page set
+//! of [`DeviceCore::read_set`]; and every engine's live-byte walk against
+//! a map model.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -215,32 +217,56 @@ fn walk(
     (budget > 0 && to - from == budget).then(|| level[to - 1].0)
 }
 
+/// A test level's unit: a range of its array.
+impl Unit for std::ops::Range<usize> {
+    const NAME: &'static str = "chunk";
+
+    fn range(&self) -> std::ops::Range<usize> {
+        self.clone()
+    }
+}
+
+/// `level` as an LSM level the scan reads, cut into units of
+/// `LEVEL_INDEX_CHUNK` entries.
+fn lsm_level(level: &Level) -> crate::level::Level<(u64, bool), std::ops::Range<usize>> {
+    let n = level.len();
+    let chunk = |s: usize| s..n.min(s + LEVEL_INDEX_CHUNK);
+    let units = (0..n).step_by(LEVEL_INDEX_CHUNK).map(chunk).collect();
+    crate::level::Level::new(level.clone(), units, 24)
+}
+
 /// Runs the streaming merge and the reference over `levels` and asserts
 /// the same hits and index pages; returns the plan, its hits named by
 /// `(level, index)`, and the final budget, which must be the reference's.
+/// The scan runs twice on `core`, the second time in the plan the first
+/// left behind, and must give the same plan both times.
 fn check(
-    core: &DeviceCore,
+    core: &mut DeviceCore,
     levels: &[Level],
     start: u64,
     want: usize,
 ) -> (RefPlan<(usize, usize)>, usize) {
     let (mut budget, mut ref_budget) = (None, None);
-    let runs = levels.iter().map(|level| {
-        let from = level.partition_point(|&(key, _)| key < start);
-        (&level[..], from)
-    });
-    let plan = core.scan(start, want, runs, |li, b, pages| {
-        budget = Some(b);
-        walk(levels, start, li, b, pages)
-    });
-    let plan = RefPlan {
-        index_pages: plan.index_pages,
-        hits: plan
-            .hits
-            .into_iter()
-            .map(|(key, pos)| (key, pos.map(|p| (p.level, p.index))))
-            .collect(),
+    let lsm: Vec<_> = levels.iter().map(lsm_level).collect();
+    let mut scan = || {
+        let plan = core.scan(start, want, &lsm, |li, (_, from), b, pages| {
+            let from_ref = levels[li].partition_point(|&(key, _)| key < start);
+            assert_eq!(from, from_ref, "level {li}: scan start");
+            budget = Some(b);
+            walk(levels, start, li, b, pages)
+        });
+        let out = RefPlan {
+            index_pages: plan.index_pages.clone(),
+            hits: (plan.hits.iter())
+                .map(|&(key, pos)| (key, pos.map(|p| (p.level, p.index))))
+                .collect(),
+        };
+        core.scan_plan = plan;
+        out
     };
+    let (plan, again) = (scan(), scan());
+    assert_eq!(plan.hits, again.hits, "a rerun in the kept plan differs");
+    assert_eq!(plan.index_pages, again.index_pages);
     let reference = two_pass_scan(core, start, want, levels.len(), |li, b, cands, pages| {
         ref_budget = Some(b);
         collect(levels, start, li, b, cands, pages)
@@ -264,34 +290,94 @@ fn random_level(rng: &mut SplitMix64, n: u64, keyspace: u64, tomb_pct: u64) -> L
         .collect()
 }
 
+/// Levels of one of three shapes over `keyspace`: random runs, one
+/// level dominating the others (it holds every id, the rest a few), or
+/// levels alternating key by key (level `i` of `n` holds the ids `≡ i`
+/// mod `n`, so every emitted key moves to another level).
+fn random_levels(rng: &mut SplitMix64, shape: u64, keyspace: u64) -> Vec<Level> {
+    let n = 1 + rng.next_bounded(5);
+    let big = rng.next_bounded(n);
+    let mut levels = Vec::new();
+    for li in 0..n {
+        let tomb_pct = [0, 10, 50, 100][rng.next_bounded(4) as usize];
+        levels.push(match shape {
+            0 => {
+                let len = rng.next_bounded(keyspace);
+                random_level(rng, len, keyspace, tomb_pct)
+            }
+            1 if li == big => {
+                let level = (0..keyspace).map(|id| (id, rng.next_bounded(100) < tomb_pct));
+                level.collect()
+            }
+            1 => {
+                let len = rng.next_bounded(8);
+                random_level(rng, len, keyspace, tomb_pct)
+            }
+            _ => {
+                let ids = (li..keyspace).step_by(n as usize);
+                let level = ids.map(|id| (id, rng.next_bounded(100) < tomb_pct / 10));
+                level.collect()
+            }
+        });
+    }
+    levels
+}
+
 #[test]
 fn one_pass_merge_matches_two_pass_reference() {
     let mut rng = SplitMix64::new(0x5CA9_3E26);
     let (mut doubled, mut capped, mut buffered) = (0, 0, 0);
-    for _ in 0..600 {
+    let mut long = 0;
+    for case in 0..1500 {
         let mut core = core();
         let keyspace = 50 + rng.next_bounded(400);
-        let levels: Vec<Level> = (0..1 + rng.next_bounded(4))
-            .map(|_| {
-                let n = rng.next_bounded(keyspace);
-                let tomb_pct = [0, 10, 50, 100][rng.next_bounded(4) as usize];
-                random_level(&mut rng, n, keyspace, tomb_pct)
-            })
-            .collect();
+        let levels = random_levels(&mut rng, case % 3, keyspace);
         for _ in 0..rng.next_bounded(30) {
             let id = rng.next_bounded(keyspace);
             buffer(&mut core, id, rng.next_bounded(3) == 0);
         }
         let start = rng.next_bounded(keyspace);
-        let want = 1 + rng.next_bounded(12) as usize;
-        let (plan, budget) = check(&core, &levels, start, want);
+        let want = match rng.next_bounded(3) {
+            0 => 1 + rng.next_bounded(200),
+            _ => 1 + rng.next_bounded(12),
+        } as usize;
+        let (plan, budget) = check(&mut core, &levels, start, want);
         doubled += usize::from(budget > want);
         capped += usize::from(budget == 64 * want);
         buffered += usize::from(plan.hits.iter().any(|(_, p)| p.is_none()));
+        long += usize::from(plan.hits.len() > 100);
     }
     assert!(doubled > 0, "no case doubled the budget");
     assert!(capped > 0, "no case reached the 64× cap");
     assert!(buffered > 0, "no case emitted a buffered value");
+    assert!(long > 0, "no case emitted over 100 hits");
+}
+
+#[test]
+fn keys_at_the_top_of_the_id_space_are_merged() {
+    // The three largest ids, in two levels and the buffer: no head
+    // sentinel may stand in for a real key.
+    let top = u64::MAX - 2;
+    let mut core = core();
+    let levels = vec![
+        vec![(top, false), (u64::MAX, true)],
+        vec![(top, true), (top + 1, false), (u64::MAX, false)],
+    ];
+    buffer(&mut core, top + 1, true);
+    let (plan, _) = check(&mut core, &levels, 0, 10);
+    assert_eq!(plan.hits, vec![(top, Some((0, 0)))]);
+    buffer(&mut core, u64::MAX, false);
+    let (plan, _) = check(&mut core, &levels, top, 10);
+    assert_eq!(plan.hits, vec![(top, Some((0, 0))), (u64::MAX, None)]);
+    let (plan, _) = check(&mut core, &levels, u64::MAX, 10);
+    assert_eq!(plan.hits, vec![(u64::MAX, None)]);
+    // With the buffer's copy gone, the last key comes from level 1.
+    let mut core = self::core();
+    let (plan, _) = check(&mut core, &levels, top + 1, 3);
+    assert_eq!(plan.hits, vec![(top + 1, Some((1, 1)))]);
+    let levels = vec![vec![(u64::MAX, false)], vec![(u64::MAX, true)]];
+    let (plan, _) = check(&mut core, &levels, u64::MAX, 1);
+    assert_eq!(plan.hits, vec![(u64::MAX, Some((0, 0)))]);
 }
 
 #[test]
@@ -305,7 +391,7 @@ fn duplicates_and_tombstones_take_the_newest_version() {
     ];
     buffer(&mut core, 5, true);
     buffer(&mut core, 6, false);
-    let (plan, budget) = check(&core, &levels, 1, 10);
+    let (plan, budget) = check(&mut core, &levels, 1, 10);
     assert_eq!(budget, 10);
     assert_eq!(
         plan.hits,
@@ -320,13 +406,13 @@ fn duplicates_and_tombstones_take_the_newest_version() {
 
 #[test]
 fn a_capped_level_of_tombstones_doubles_the_budget() {
-    let core = core();
+    let mut core = core();
     // Level 0's first 8 entries are tombstones: at budget 4 and 8 the
     // keys below its frontier hold no survivor.
     let mut l0: Level = (0..8).map(|id| (id, true)).collect();
     l0.extend((100..120).map(|id| (id, false)));
     let l1: Level = (50..60).map(|id| (id, false)).collect();
-    let (plan, budget) = check(&core, &[l0, l1], 0, 4);
+    let (plan, budget) = check(&mut core, &[l0, l1], 0, 4);
     assert_eq!(budget, 16, "budget 4, 8, 16");
     let ids: Vec<u64> = plan.hits.iter().map(|&(id, _)| id).collect();
     assert_eq!(ids, vec![50, 51, 52, 53]);
@@ -334,10 +420,10 @@ fn a_capped_level_of_tombstones_doubles_the_budget() {
 
 #[test]
 fn a_level_of_tombstones_stops_at_the_64x_cap() {
-    let core = core();
+    let mut core = core();
     let l0: Level = (0..1_000).map(|id| (id, true)).collect();
     let l1: Level = vec![(500, false), (2_000, false)];
-    let (plan, budget) = check(&core, &[l0, l1], 0, 2);
+    let (plan, budget) = check(&mut core, &[l0, l1], 0, 2);
     assert_eq!(budget, 128, "budget 2, 4, …, 128 = 64 × want");
     assert!(plan.hits.is_empty(), "{:?}", plan.hits);
 }
@@ -353,7 +439,7 @@ fn scan_never_emits_past_a_capped_frontier() {
     l0.push((1_000, false));
     let l1: Level = vec![(61, false), (401, false)];
     buffer(&mut core, 500, false);
-    let (plan, budget) = check(&core, &[l0, l1], 0, 3);
+    let (plan, budget) = check(&mut core, &[l0, l1], 0, 3);
     assert_eq!(budget, 192, "budget 3, 6, …, 192 = 64 × want");
     let frontier = 382; // level 0's 192nd candidate
     assert_eq!(plan.hits, vec![(61, Some((1, 0)))]);
@@ -362,13 +448,13 @@ fn scan_never_emits_past_a_capped_frontier() {
 
 #[test]
 fn a_capped_level_ending_at_its_frontier_doubles_once() {
-    let core = core();
+    let mut core = core();
     // At budget 2 level 0 holds exactly 2 entries from the start and
     // nothing past them: it is capped at 3, and the keys up to 3 hold one
     // survivor. The stream runs dry at the frontier, so the budget still
     // doubles, and at 4 the level is no longer capped.
     let l0: Level = vec![(1, false), (3, true)];
-    let (plan, budget) = check(&core, &[l0], 0, 2);
+    let (plan, budget) = check(&mut core, &[l0], 0, 2);
     assert_eq!(budget, 4);
     assert_eq!(plan.hits, vec![(1, Some((0, 0)))]);
 }
@@ -381,7 +467,7 @@ fn an_empty_scan_walks_at_budget_zero() {
         (0..40).map(|id| (id, false)).collect(),
         (0..40).map(|id| (id, true)).collect(),
     ];
-    let (plan, budget) = check(&core, &levels, 0, 0);
+    let (plan, budget) = check(&mut core, &levels, 0, 0);
     assert_eq!(budget, 0);
     assert!(plan.hits.is_empty());
     assert!(plan.index_pages.is_empty(), "{:?}", plan.index_pages);

@@ -23,7 +23,7 @@ use anykey_workload::Op;
 
 use crate::audit::AuditError;
 use crate::config::{EngineKind, DRAM_OP_NS, LEVEL_RATIO, RESERVE_BLOCKS, SORT_NS_PER_ENTITY};
-use crate::device::{DeviceCore, ScanPlan};
+use crate::device::DeviceCore;
 use crate::error::KvError;
 use crate::key::Key;
 use crate::level::{Entry, Level, Unit};
@@ -280,27 +280,9 @@ pub(crate) trait Engine {
 
     /// Scans up to `len` live keys from key id `start`, newest version
     /// first across the write buffer and the levels, charging its flash
-    /// reads to `req`. Returns the key ids in key order.
-    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64>;
-
-    /// [`DeviceCore::scan`] of up to `want` keys from `start`, each
-    /// level's array read from its [`Level::scan_from`] start: its first
-    /// unit and entry ≥ `start`, which `walk(level, start, budget, pages)`,
-    /// the engine's budget walk, gets too. Returns the plan and the starts.
-    fn scan_runs(
-        &self,
-        start: u64,
-        want: usize,
-        mut walk: impl FnMut(&Self::Level, (usize, usize), usize, &mut Vec<Ppa>) -> Option<u64>,
-    ) -> (ScanPlan, Vec<(usize, usize)>) {
-        let starts: Vec<(usize, usize)> = self.runs().map(|l| l.scan_from(start)).collect();
-        let runs = self.runs().zip(&starts).map(|(l, s)| (&l.ents[..], s.1));
-        let levels = self.levels();
-        let plan = self.core().scan(start, want, runs, |li, budget, pages| {
-            walk(&levels[li], starts[li], budget, pages)
-        });
-        (plan, starts)
-    }
+    /// reads to `req`. The key ids found, in key order, are the hits of
+    /// the device's [`DeviceCore::scan_plan`] until the next scan.
+    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request);
 
     /// Drains the write buffer from `at` into a run, writing what it points
     /// at, and merges the run into L1; returns when the merge lands.
@@ -343,7 +325,7 @@ pub(crate) trait Engine {
     /// [`MetadataStats::live_unique_bytes`]: [`DeviceCore::live_bytes`]
     /// over every level's whole array.
     fn live_bytes(&self) -> u64 {
-        self.core().live_bytes(self.runs().map(|l| &l.ents[..]))
+        self.core().live_bytes(self.levels())
     }
 
     /// The engine-state half of a timeline sample for the snapshot `meta`:
@@ -568,13 +550,14 @@ fn put<E: Engine>(
     Ok(Request::new(start.unwrap_or(at), cpu).finish(at, true))
 }
 
-/// A range scan: the key hash, then the engine's scan.
-fn scan<E: Engine>(e: &mut E, id: u64, len: u32, at: Ns) -> Result<(Vec<u64>, OpOutcome), KvError> {
+/// A range scan: the key hash, then the engine's scan, whose key ids stay
+/// in the device's scan plan.
+fn scan<E: Engine>(e: &mut E, id: u64, len: u32, at: Ns) -> Result<OpOutcome, KvError> {
     e.core().make_key(id)?; // rejects an id the key length cannot hold
     let mut req = Request::new(at, E::HASH_NS);
-    let ids = e.scan_levels(id, len, &mut req);
-    let found = !ids.is_empty();
-    Ok((ids, req.finish(at, found)))
+    e.scan_levels(id, len, &mut req);
+    let found = !e.core().scan_plan.hits.is_empty();
+    Ok(req.finish(at, found))
 }
 
 impl<E: Engine> KvEngine for E {
@@ -587,15 +570,20 @@ impl<E: Engine> KvEngine for E {
             Op::Get { key } => get(self, key, at),
             Op::Put { key, value_len } => put(self, key, value_len, false, at),
             Op::Delete { key } => put(self, key, 0, true, at),
-            Op::Scan { start, len } => scan(self, start, len, at).map(|(_, o)| o),
+            Op::Scan { start, len } => scan(self, start, len, at),
         }
     }
 
     fn scan_keys(&mut self, start: u64, len: u32, at: Ns) -> (Vec<u64>, OpOutcome) {
         // An ill-formed start key cannot match any stored key, so the scan
         // is empty rather than a panic.
-        scan(self, start, len, at)
-            .unwrap_or_else(|_| (Vec::new(), Request::new(at, 0).finish(at, false)))
+        match scan(self, start, len, at) {
+            Ok(outcome) => {
+                let hits = &self.core().scan_plan.hits;
+                (hits.iter().map(|&(id, _)| id).collect(), outcome)
+            }
+            Err(_) => (Vec::new(), Request::new(at, 0).finish(at, false)),
+        }
     }
 
     fn metadata(&self) -> MetadataStats {

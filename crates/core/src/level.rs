@@ -105,9 +105,17 @@ impl<E: Entry, U: Unit> Level<E, U> {
 
     /// Index of the unit whose key range (`[first_i, first_{i+1})`)
     /// contains key `id`: what the DRAM level-list search yields. `None`
-    /// when the key precedes the first unit (or the level is empty).
+    /// when the key precedes the first unit (or the level is empty). The
+    /// search interpolates over the first keys, between the first unit's
+    /// and the level's last key ([`key::lower_bound`] of `id + 1`).
     pub fn candidate(&self, id: u64) -> Option<usize> {
-        self.firsts.partition_point(|&f| f <= id).checked_sub(1)
+        let Some(above) = id.checked_add(1) else {
+            return self.firsts.len().checked_sub(1);
+        };
+        let (Some(&lo), Some(hi)) = (self.firsts.first(), self.ents.last()) else {
+            return None;
+        };
+        key::lower_bound(&self.firsts, above, lo, hi.id(), |&f| f).checked_sub(1)
     }
 
     /// Searches the level for key `id`: the level list for the candidate
@@ -270,12 +278,13 @@ mod tests {
     /// past the end.
     fn probes(ids: &[u64], starts: &[usize]) -> BTreeSet<u64> {
         let last = ids.last().copied().unwrap_or(0);
-        let mut out = BTreeSet::from([0, last + 1, last + 2, u64::MAX]);
+        let mut out = BTreeSet::from([0, u64::MAX - 1, u64::MAX]);
+        out.extend([last.saturating_add(1), last.saturating_add(2)]);
         for &s in starts {
-            out.extend(ids[s].saturating_sub(2)..=ids[s] + 2);
+            out.extend(ids[s].saturating_sub(2)..=ids[s].saturating_add(2));
         }
         for &id in ids {
-            out.extend(id.saturating_sub(1)..=id + 1);
+            out.extend(id.saturating_sub(1)..=id.saturating_add(1));
         }
         out
     }
@@ -293,7 +302,10 @@ mod tests {
         (candidate, from, first)
     }
 
-    /// Checks every search of `l` against [`reference`] at every probe.
+    /// Checks every search of `l` against [`reference`] at every probe:
+    /// the level list's search ([`Level::candidate`]) below the first
+    /// key, on and beside each unit's first key and at `u64::MAX`, and
+    /// the searches inside units on and beside every key.
     fn assert_searches_match<E: Entry, U: Unit>(l: &Level<E, U>, ctx: &str) {
         let ids: Vec<u64> = l.ents.iter().map(E::id).collect();
         let starts: Vec<usize> = l.units.iter().map(|u| u.range().start).collect();
@@ -315,9 +327,14 @@ mod tests {
     #[test]
     fn search_matches_partition_point_on_seeded_cuts() {
         let mut rng = SplitMix64::new(0x1E7E1);
-        for seed in 0..24u64 {
+        for seed in 0..32u64 {
             let n = [0, 1, 2, 40, 3_000][seed as usize % 5] + rng.next_bounded(200) as usize;
-            let ids = ids(&mut rng, n);
+            let mut ids = ids(&mut rng, n);
+            if seed % 4 == 3 {
+                // At the top of the id space: the last key is u64::MAX.
+                let shift = u64::MAX - ids.last().copied().unwrap_or(0);
+                ids.iter_mut().for_each(|id| *id += shift);
+            }
             // AnyKey-like: units of random sizes.
             let max_unit = [1, 3, 40, 700][rng.next_bounded(4) as usize];
             let mut runs = Vec::new();
@@ -338,6 +355,12 @@ mod tests {
         }
         assert_searches_match(&Level::<Entity, Group>::default(), "empty groups");
         assert_searches_match(&segments(&[], 16, 4), "empty segments");
+        // A unit whose first key is u64::MAX.
+        let top = [u64::MAX - 5, u64::MAX - 1, u64::MAX];
+        let ctx = "a last group of u64::MAX alone";
+        assert_searches_match(&groups([top[..2].to_vec(), vec![u64::MAX]]), ctx);
+        assert_searches_match(&groups([vec![u64::MAX]]), "one group of u64::MAX");
+        assert_searches_match(&segments(&top, 16, 1), "segments of one at the top");
     }
 
     #[test]

@@ -155,15 +155,17 @@ impl Engine for PinkStore {
         None
     }
 
-    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) -> Vec<u64> {
+    fn scan_levels(&mut self, start: u64, len: u32, req: &mut Request) {
         // The budget walk starts at the segment holding the level's first
         // entry ≥ `start`. The index pages are the spilled level lists and
         // meta segments the walk visits.
-        let (plan, _) = self.scan_runs(
+        let levels = &self.levels;
+        let mut plan = self.core.scan(
             start,
             len as usize,
-            |level, (first, from), budget, pages| {
-                let run = &level.run;
+            levels,
+            |li, (first, from), budget, pages| {
+                let (level, run) = (&levels[li], &levels[li].run);
                 if run.is_empty() {
                     return None;
                 }
@@ -184,22 +186,18 @@ impl Engine for PinkStore {
                 None
             },
         );
-        let metas = self
-            .core
-            .read_set(plan.index_pages, OpCause::MetaRead, req.t);
+        let pages = plan.index_pages.drain(..);
+        let metas = self.core.read_set(pages, OpCause::MetaRead, req.t);
         req.charge(OpCause::MetaRead, metas);
 
         // Read the data pages of the selected pairs. In PinK these are
         // scattered over the data area (values are placed in buffer-arrival
         // order), which is why long scans cost it dearly (Figure 18).
-        let data_ppas = plan
-            .hits
-            .iter()
-            .filter_map(|&(_, pos)| pos)
-            .flat_map(|pos| self.levels[pos.level].run.ents[pos.index].ptr.pages());
+        let hits = plan.hits.iter().filter_map(|&(_, pos)| pos);
+        let data_ppas = hits.flat_map(|pos| self.levels[pos.level].run.ents[pos.index].ptr.pages());
         let data = self.core.read_set(data_ppas, OpCause::HostRead, req.t);
         req.charge(OpCause::HostRead, data);
-        plan.hits.iter().map(|&(id, _)| id).collect()
+        self.core.scan_plan = plan;
     }
 
     /// Appends each buffered pair to the data area; the run holds its
