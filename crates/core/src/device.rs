@@ -421,11 +421,11 @@ impl DeviceCore {
     /// [`Self::scan_plan`] when it has read the hits' pages.
     ///
     /// What a scan charges for index pages depends on a per-level budget.
-    /// `walk(level, start, budget, pages)` pushes the index pages an
-    /// engine reads to reach `budget` entries ≥ `start` in that level,
-    /// from `start`, the level's first unit and entry ≥ `start`, and
-    /// returns the level's frontier: the key id of its `budget`-th such
-    /// entry, when it holds that many. Tombstones and cross-level
+    /// `walk(level, (unit, entry), budget, pages)` pushes the index pages
+    /// an engine reads to reach `budget` entries ≥ `start` in that level,
+    /// walking from its first unit and entry ≥ `start`, and returns the
+    /// level's frontier: the key id of its `budget`-th such entry, when it
+    /// holds that many. Tombstones and cross-level
     /// duplicates consume budget, so a level capped at its frontier could
     /// hide keys the merge needs: the merge never emits past the lowest
     /// frontier, and when the stream passes it (or runs dry while one is
